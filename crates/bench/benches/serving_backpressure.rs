@@ -97,16 +97,13 @@ fn bench_gate_prediction(c: &mut Criterion) {
             .collect(),
         batch_window: None,
     };
+    let mix = ServingMix::from_backlog(&snapshot, IoSharing::Exclusive);
     let mut group = c.benchmark_group("gate_prediction");
-    group.bench_function("predict_engagement_latency", |b| {
-        b.iter(|| predict_engagement_latency(&snapshot, &load, IoSharing::Exclusive))
-    });
-    group.bench_function("min_queue_delay", |b| {
+    group.bench_function("predict", |b| b.iter(|| mix.predict(&load)));
+    group.bench_function("min_delay", |b| {
         b.iter(|| {
-            min_queue_delay(
-                &snapshot,
+            mix.min_delay(
                 &load,
-                IoSharing::Exclusive,
                 plan.predicted.makespan + SimTime::from_ms(20),
                 SimTime::from_ms(60_000),
             )

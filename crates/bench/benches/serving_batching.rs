@@ -64,20 +64,21 @@ fn bench_batched_admission(c: &mut Criterion) {
     let slo = SimTime::from_ms(400);
     let resident = plan_two_stage(&hw, &importance, slo, 0, &[2, 4], &Bitwidth::ALL);
     let co = vec![CoRunnerLoad::from_plan(&hw, &resident); 7];
-    let mut group = c.benchmark_group("plan_for_slo_against");
+    let mut group = c.benchmark_group("plan_for_slo_mix_per_session");
     for (name, sharing) in [
         ("exclusive", IoSharing::Exclusive),
         ("batched", IoSharing::Batched(SimTime::from_us(500))),
     ] {
+        let mix = ServingMix::from_co_runners(&co, sharing);
         group.bench_function(name, |b| {
             b.iter(|| {
-                plan_for_slo_against(
+                plan_for_slo_mix(
                     &hw,
                     &importance,
                     slo,
                     SimTime::ZERO,
-                    &co,
-                    sharing,
+                    &mix,
+                    PreloadPolicy::PerSession,
                     0,
                     &[2, 4],
                     &Bitwidth::ALL,

@@ -23,30 +23,41 @@ fn fixture() -> (HwProfile, ImportanceProfile, ExecutionPlan) {
 
 fn bench_contention_prediction(c: &mut Criterion) {
     let (hw, _, plan) = fixture();
-    let mut group = c.benchmark_group("predict_contended_latency");
+    let load = EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO);
+    let mut group = c.benchmark_group("mix_predict_clones");
     for co_runners in [0usize, 1, 4, 8, 16] {
-        group.bench_with_input(BenchmarkId::from_parameter(co_runners), &co_runners, |b, &co| {
-            b.iter(|| predict_contended_latency(&hw, &plan, co))
+        let clones = vec![CoRunnerLoad::from_plan(&hw, &plan); co_runners];
+        let mix = ServingMix::from_co_runners(&clones, IoSharing::Exclusive);
+        group.bench_with_input(BenchmarkId::from_parameter(co_runners), &mix, |b, mix| {
+            b.iter(|| mix.predict(&load))
         });
     }
     group.finish();
 }
 
 fn bench_slo_search(c: &mut Criterion) {
-    let (hw, importance, _) = fixture();
+    let (hw, importance, plan) = fixture();
     let slo = SimTime::from_ms(400);
-    c.bench_function("plan_for_slo_cold", |b| {
-        b.iter(|| plan_for_slo(&hw, &importance, slo, 4, 0, &[2, 4], &Bitwidth::ALL))
-    });
+    let clones = vec![CoRunnerLoad::from_plan(&hw, &plan); 4];
+    let mix = ServingMix::from_co_runners(&clones, IoSharing::Exclusive);
+    let search = || {
+        plan_for_slo_mix(
+            &hw,
+            &importance,
+            slo,
+            SimTime::ZERO,
+            &mix,
+            PreloadPolicy::PerSession,
+            0,
+            &[2, 4],
+            &Bitwidth::ALL,
+        )
+    };
+    c.bench_function("plan_for_slo_mix_cold", |b| b.iter(search));
     let cache = ServingPlanCache::new();
-    let key = ServingPlanKey::new(PlanKey::new("bench", slo, 0, &[2, 4], &Bitwidth::ALL), 4);
-    c.bench_function("plan_for_slo_memoized", |b| {
-        b.iter(|| {
-            cache.get_or_plan(&key, || {
-                plan_for_slo(&hw, &importance, slo, 4, 0, &[2, 4], &Bitwidth::ALL)
-            })
-        })
-    });
+    let base = PlanKey::new("bench", slo, 0, &[2, 4], &Bitwidth::ALL);
+    let key = ServingPlanKey::for_mix(base, SimTime::ZERO, &mix, PreloadPolicy::PerSession);
+    c.bench_function("plan_for_slo_mix_memoized", |b| b.iter(|| cache.get_or_plan(&key, search)));
 }
 
 fn bench_slo_admission(c: &mut Criterion) {

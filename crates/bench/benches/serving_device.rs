@@ -3,11 +3,12 @@
 //!
 //! - `topology_run`: replaying a fixed contended job stream through
 //!   `TopologyQueueSim` at C ∈ {1, 2, 4, 8} — the per-channel FIFO
-//!   servers plus the hosting event engine. C=1 is the legacy
-//!   single-channel path (bit-identical to `FlashQueueSim`), so its gap
-//!   to `legacy_sim` is the engine-hosting overhead.
-//! - `legacy_sim`: the same stream through the closed-form
-//!   `FlashQueueSim`, as the baseline.
+//!   servers plus the hosting event engine. C=1 is pinned bit-identical
+//!   to `FlashQueueSim` as a value, so its gap to `reference_sim` is the
+//!   engine-hosting overhead.
+//! - `reference_sim`: the same stream through the closed-form
+//!   `FlashQueueSim` — the reference the bitwise pins compare against,
+//!   with no production caller.
 //! - `striped_prediction`: one contended-latency prediction against an
 //!   N-session mix on a C-channel device — the planner-side cost of the
 //!   per-channel lane simulation that admission and gating pay.
@@ -28,7 +29,7 @@ fn job_stream(n: usize) -> Vec<FlashJob> {
 fn bench_topology_run(c: &mut Criterion) {
     let jobs = job_stream(256);
     let mut group = c.benchmark_group("topology_run");
-    group.bench_function("legacy_sim", |b| {
+    group.bench_function("reference_sim", |b| {
         b.iter(|| {
             let mut sim = FlashQueueSim::new();
             for &job in &jobs {

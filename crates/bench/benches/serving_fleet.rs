@@ -9,9 +9,8 @@
 //!   N-session server — the memoized digest+lookup path whose near-flat
 //!   scaling is the tentpole claim.
 //! - `event_replay`: a synthetic trace through the discrete-event engine
-//!   (one OS thread, heap-scheduled clients) against the threaded replay
-//!   (one OS thread per client) — the per-engagement cost of hosting the
-//!   fleet on the event loop.
+//!   (one OS thread, heap-scheduled clients) — the per-engagement cost of
+//!   hosting the fleet on the event loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sti::prelude::*;
@@ -94,9 +93,6 @@ fn bench_event_replay(c: &mut Criterion) {
         let trace = ServingTrace::synthetic(&ctx, &cfg, n, 4);
         group.bench_with_input(BenchmarkId::new("event", n), &n, |b, _| {
             b.iter(|| replay_event(&build_server(&ctx, &cfg), &trace).expect("replay"))
-        });
-        group.bench_with_input(BenchmarkId::new("threaded", n), &n, |b, _| {
-            b.iter(|| replay_concurrent(&build_server(&ctx, &cfg), &trace).expect("replay"))
         });
     }
     group.finish();

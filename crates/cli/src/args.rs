@@ -1,13 +1,18 @@
 //! Minimal `--flag value` argument parsing (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command-line arguments: a subcommand plus `--key value` flags.
+/// Every accessor records the key it was asked for, so a command can reject
+/// flags it never read ([`Args::reject_unread`]) instead of dropping a typo
+/// silently.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Errors from argument parsing or validation.
@@ -37,7 +42,7 @@ impl Args {
     {
         let mut it = argv.into_iter().map(Into::into);
         let command = it.next().ok_or_else(|| ArgError("missing subcommand".into()))?;
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         while let Some(token) = it.next() {
             let key = token
                 .strip_prefix("--")
@@ -46,12 +51,32 @@ impl Args {
             let value = it.next().ok_or_else(|| ArgError(format!("flag --{key} needs a value")))?;
             flags.insert(key, value);
         }
-        Ok(Args { command, flags })
+        Ok(Args { command, flags, read: RefCell::default() })
     }
 
     /// A string flag, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.flags.get(key).map(String::as_str)
+    }
+
+    /// Fails on the first (alphabetically) flag that was passed but that no
+    /// accessor has asked for — a typo, a retired flag, or one the options
+    /// taken so far make inapplicable. Call once every flag the command
+    /// honours has been read.
+    ///
+    /// # Errors
+    ///
+    /// Names the unread flag.
+    pub fn reject_unread(&self) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        match self.flags.keys().find(|k| !read.contains(*k)) {
+            Some(key) => Err(ArgError(format!(
+                "unknown flag --{key} (not read by `{}` with these options)",
+                self.command
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// A string flag with a default.
@@ -101,6 +126,21 @@ mod tests {
         assert!(Args::parse(Vec::<String>::new()).is_err());
         assert!(Args::parse(["plan", "oops"]).is_err());
         assert!(Args::parse(["plan", "--task"]).is_err());
+    }
+
+    #[test]
+    fn unread_flags_are_rejected_by_name() {
+        let args = Args::parse(["serve", "--task", "sst2", "--chanels", "4"]).unwrap();
+        assert_eq!(args.get("task"), Some("sst2"));
+        assert_eq!(args.get_u64("channels", 1).unwrap(), 1, "the typo is not the flag");
+        let err = args.reject_unread().unwrap_err();
+        assert!(err.to_string().contains("unknown flag --chanels"), "{err}");
+        // Reading a flag — even one that was not passed — is what clears it.
+        let args = Args::parse(["plan", "--task", "sst2"]).unwrap();
+        assert!(args.reject_unread().is_err());
+        args.get_or("task", "rte");
+        args.get("device");
+        assert_eq!(args.reject_unread(), Ok(()));
     }
 
     #[test]

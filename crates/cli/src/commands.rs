@@ -47,11 +47,6 @@ pub fn usage() -> String {
      \x20                                  channel FIFO lanes striped across by placement\n\
      \x20                                  (1 = the legacy single-channel device, bit-\n\
      \x20                                  identical to before the knob existed)\n\
-     \x20             [--exec threaded|event]  executor for the replay (and the fleet's\n\
-     \x20                                  engagement phase): threaded = one OS thread per\n\
-     \x20                                  client, event = the discrete-event engine on one\n\
-     \x20                                  thread (bit-identical outcomes); both the plain\n\
-     \x20                                  replay and the fleet sweep default to event\n\
      \x20             [--prefetch off|markov]  next-engagement speculation: markov learns\n\
      \x20                                  per-client engagement transitions and pre-warms\n\
      \x20                                  the shard cache's staging pool with background-\n\
@@ -63,17 +58,20 @@ pub fn usage() -> String {
      \x20             [--trace-out spans.json]  write the replay's virtual-clock span\n\
      \x20                                  stream as Chrome-trace JSON (open in Perfetto or\n\
      \x20                                  about:tracing); clocked on *simulated* time, so\n\
-     \x20                                  the file is byte-identical across runs and\n\
-     \x20                                  across --exec threaded|event\n\
+     \x20                                  the file is byte-identical across runs\n\
      \x20             [--trace-tracks sim|all]  sim = deterministic session/flash tracks\n\
      \x20                                  only; all = add host/engine color tracks\n\
      \x20             [--metrics-out metrics.json]  write the merged instrument snapshot\n\
      \x20                                  (serving.*/gate.*/io.* counters, gauges, and\n\
      \x20                                  histogram percentiles)\n\
      \x20             [--bench-out BENCH_serving.json]  merge the fleet sweep into the perf\n\
-     \x20                                  ledger: the entry with the same exec_mode,\n\
-     \x20                                  channels, prefetch, and sizes is replaced, new\n\
-     \x20                                  configurations append\n"
+     \x20                                  ledger: the entry with the same channels,\n\
+     \x20                                  prefetch, and sizes is replaced, new\n\
+     \x20                                  configurations append\n\
+     \n\
+     Replays run on the deterministic discrete-event engine (one OS thread, N\n\
+     clients) and are checked against a sequential replay of the same trace. A flag\n\
+     the command does not read is an error, never silently ignored.\n"
         .to_string()
 }
 
@@ -246,14 +244,6 @@ fn backpressure_mode(name: &str, max_queue_ms: u64) -> Result<BackpressureMode, 
     }
 }
 
-fn exec_mode(name: &str) -> Result<ExecMode, ArgError> {
-    match name.to_lowercase().as_str() {
-        "threaded" => Ok(ExecMode::Threaded),
-        "event" => Ok(ExecMode::Event),
-        other => Err(ArgError(format!("unknown exec mode '{other}' (threaded|event)"))),
-    }
-}
-
 fn plan_sharing_mode(name: &str) -> Result<PreloadPolicy, ArgError> {
     match name.to_lowercase().as_str() {
         "off" | "per-session" => Ok(PreloadPolicy::PerSession),
@@ -281,10 +271,6 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let backpressure =
         backpressure_mode(args.get_or("backpressure", "off"), args.get_u64("max-queue-ms", 100)?)?;
     let plan_sharing = plan_sharing_mode(args.get_or("plan-sharing", "off"))?;
-    // The deterministic event engine is the primary executor for plain
-    // replays too (one OS thread, N clients); --exec threaded keeps the
-    // thread-per-client path available.
-    let exec = exec_mode(args.get_or("exec", "event"))?;
     let prefetch_name = args.get_or("prefetch", "off").to_lowercase();
     let prefetch_mode = PrefetchMode::parse(&prefetch_name)
         .ok_or_else(|| ArgError(format!("unknown prefetch mode '{prefetch_name}' (off|markov)")))?;
@@ -350,18 +336,14 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
                 "fleet-decisions",
                 args.get_u64("fleet-decisions", 512)?.max(1),
             )?,
-            // The sweep defaults to the deterministic event engine; an
-            // explicit --exec threaded keeps the thread-per-client path.
-            exec: match args.get("exec") {
-                Some(name) => exec_mode(name)?,
-                None => ExecMode::Event,
-            },
             channels,
         };
         if matches!(cfg.backpressure, BackpressureMode::Off) {
             // The sweep measures the gate; give it one by default.
             cfg.backpressure = backpressure_mode("queue", args.get_u64("max-queue-ms", 100)?)?;
         }
+        let bench_out = args.get("bench-out");
+        args.reject_unread()?;
         let ctx = TaskContext::with_config(kind, model_cfg);
         eprintln!("profiling shard importance (one-time per model)...");
         ctx.importance();
@@ -395,11 +377,10 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
                 first.sessions, last.sessions,
             ));
         }
-        if let Some(path) = args.get("bench-out") {
+        if let Some(path) = bench_out {
             // Merge into the existing ledger instead of clobbering it: an
-            // entry with the same (exec_mode, channels, prefetch, sessions
-            // column) is replaced in place, anything else appends —
-            // history survives.
+            // entry with the same (channels, prefetch, sessions column) is
+            // replaced in place, anything else appends — history survives.
             let existing = std::fs::read_to_string(path).unwrap_or_default();
             let merged = merge_fleet_ledger(&existing, &json);
             std::fs::write(path, &merged)
@@ -431,6 +412,13 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
             None
         }
     };
+    let trace_tracks = match args.get_or("trace-tracks", "sim") {
+        "sim" => TrackFilter::Deterministic,
+        "all" => TrackFilter::All,
+        other => return Err(ArgError(format!("unknown trace-tracks '{other}' (sim|all)"))),
+    };
+    let (trace_out, metrics_out) = (args.get("trace-out"), args.get("metrics-out"));
+    args.reject_unread()?;
     let ctx = TaskContext::with_config(kind, model_cfg);
     eprintln!("profiling shard importance (one-time per model)...");
     ctx.importance();
@@ -441,39 +429,31 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     };
     let sessions = trace.clients.len();
 
-    let trace_tracks = match args.get_or("trace-tracks", "sim") {
-        "sim" => TrackFilter::Deterministic,
-        "all" => TrackFilter::All,
-        other => return Err(ArgError(format!("unknown trace-tracks '{other}' (sim|all)"))),
-    };
     let server = build_server(&ctx, &cfg);
-    if args.get("trace-out").is_some() || args.get("metrics-out").is_some() {
+    if trace_out.is_some() || metrics_out.is_some() {
         // A live ring sink adds the host/engine color tracks and the
         // admission markers; the deterministic tracks are assembled from
         // the server's logs either way.
         server.set_obs_sink(ObsSink::ring(8 << 20));
     }
-    let concurrent = match exec {
-        ExecMode::Threaded => replay_concurrent(&server, &trace),
-        ExecMode::Event => replay_event(&server, &trace),
-    }
-    .map_err(|e| ArgError(format!("{} replay: {e}", exec.label())))?;
+    let event =
+        replay_event(&server, &trace).map_err(|e| ArgError(format!("event replay: {e}")))?;
     let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace)
         .map_err(|e| ArgError(format!("sequential replay: {e}")))?;
-    let identical = concurrent.outcomes == sequential.outcomes;
+    let identical = event.outcomes == sequential.outcomes;
 
-    let first = concurrent
+    let first = event
         .outcomes
         .iter()
         .flat_map(|c| c.iter())
         .next()
         .ok_or_else(|| ArgError("every engagement was rejected at admission or shed".into()))?;
-    let contention = &concurrent.contention;
+    let contention = &event.contention;
     let slo_line = match contention.slo_hit_rate() {
         Some(rate) => format!("{:.0}% of SLO engagements met their SLO", rate * 100.0),
         None => "no SLO clients".to_string(),
     };
-    let served: usize = concurrent.outcomes.iter().map(Vec::len).sum();
+    let served: usize = event.outcomes.iter().map(Vec::len).sum();
     let batching_line = if batch_window_us > 0 {
         format!(
             "window {batch_window_us}µs: {} batched dispatches, {} flash bytes saved, \
@@ -505,7 +485,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
             contention.preload_bytes_reallocated,
         ),
     };
-    let prefetch_line = match &concurrent.prefetch {
+    let prefetch_line = match &event.prefetch {
         None => "off".to_string(),
         Some(p) => format!(
             "{} budget {prefetch_budget_kb}KiB: prefetch hit rate {:.1}% — {} plans, \
@@ -561,7 +541,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     };
     let mut report = format!(
         "served {} of {} engagements over {} sessions ({} rejected at admission)\n\
-         \x20 throughput    {:.1} engagements/s {}, {:.1} sequential ({:.2}x)\n\
+         \x20 throughput    {:.1} engagements/s event, {:.1} sequential ({:.2}x)\n\
          \x20 per-engagement makespan {} | streamed {} bytes\n\
          \x20 plan cache    {} hit / {} miss ({} distinct plans); SLO sessions {} admitted / {} rejected\n\
          \x20 shard cache   {} hit / {} miss ({:.0}% hit rate), {} evictions\n\
@@ -572,30 +552,29 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
          \x20 prefetch      {}\n\
          \x20 gate reasons  {}\n\
          \x20 contended     p50 {} | p95 {} | max {} service-onward; mean initial queueing {}; {}\n\
-         \x20 determinism   {} outcomes {} sequential replay\n",
+         \x20 determinism   event outcomes {} sequential replay\n",
         served,
         trace.total_engagements(),
         sessions,
-        concurrent.rejected_clients.len(),
-        concurrent.engagements_per_sec(),
-        exec.label(),
+        event.rejected_clients.len(),
+        event.engagements_per_sec(),
         sequential.engagements_per_sec(),
-        concurrent.engagements_per_sec() / sequential.engagements_per_sec().max(1e-9),
+        event.engagements_per_sec() / sequential.engagements_per_sec().max(1e-9),
         first.makespan,
         first.loaded_bytes,
-        concurrent.plan_stats.hits,
-        concurrent.plan_stats.misses,
-        concurrent.distinct_plans,
-        concurrent.serving_stats.admitted_sessions,
-        concurrent.serving_stats.rejected_sessions,
-        concurrent.shard_stats.hits,
-        concurrent.shard_stats.misses,
-        concurrent.shard_stats.hit_rate() * 100.0,
-        concurrent.shard_stats.evictions,
-        concurrent.io_stats.requests,
-        concurrent.io_stats.bytes,
-        concurrent.io_stats.sim_flash_busy,
-        concurrent.io_stats.max_queue_depth,
+        event.plan_stats.hits,
+        event.plan_stats.misses,
+        event.distinct_plans,
+        event.serving_stats.admitted_sessions,
+        event.serving_stats.rejected_sessions,
+        event.shard_stats.hits,
+        event.shard_stats.misses,
+        event.shard_stats.hit_rate() * 100.0,
+        event.shard_stats.evictions,
+        event.io_stats.requests,
+        event.io_stats.bytes,
+        event.io_stats.sim_flash_busy,
+        event.io_stats.max_queue_depth,
         batching_line,
         backpressure_line,
         plan_sharing_line,
@@ -606,24 +585,23 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         contention.latency_percentile(1.0),
         mean_queueing,
         slo_line,
-        exec.label(),
         if identical { "exactly reproduce the" } else { "DIVERGED from the" },
     );
-    if let Some(path) = args.get("trace-out") {
-        let json = chrome_trace_json(&concurrent.spans, trace_tracks);
+    if let Some(path) = trace_out {
+        let json = chrome_trace_json(&event.spans, trace_tracks);
         std::fs::write(path, &json).map_err(|e| ArgError(format!("write trace '{path}': {e}")))?;
-        let gate_spans = concurrent
+        let gate_spans = event
             .spans
             .iter()
             .filter(|s| s.name.starts_with("gate.") && trace_tracks.admits(s.kind))
             .count();
         report.push_str(&format!(
             "trace written to {path} ({} spans, {gate_spans} gate spans)\n",
-            concurrent.spans.iter().filter(|s| trace_tracks.admits(s.kind)).count(),
+            event.spans.iter().filter(|s| trace_tracks.admits(s.kind)).count(),
         ));
     }
-    if let Some(path) = args.get("metrics-out") {
-        std::fs::write(path, concurrent.metrics.to_json())
+    if let Some(path) = metrics_out {
+        std::fs::write(path, event.metrics.to_json())
             .map_err(|e| ArgError(format!("write metrics '{path}': {e}")))?;
         report.push_str(&format!("metrics snapshot written to {path}\n"));
     }
@@ -632,7 +610,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
 
 /// Routes a parsed command line to its implementation.
 pub fn dispatch(args: &Args) -> Result<String, ArgError> {
-    match args.command.as_str() {
+    let report = match args.command.as_str() {
         "preprocess" => cmd_preprocess(args),
         "profile" => cmd_profile(args),
         "importance" => cmd_importance(args),
@@ -641,7 +619,11 @@ pub fn dispatch(args: &Args) -> Result<String, ArgError> {
         "generate" => cmd_generate(args),
         "serve" => cmd_serve(args),
         other => Err(ArgError(format!("unknown command '{other}'"))),
-    }
+    }?;
+    // `serve` checks before its replay; for the light commands the check
+    // after the flags were all read is the same guarantee.
+    args.reject_unread()?;
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -726,6 +708,25 @@ mod tests {
         .unwrap();
         let err = dispatch(&args).unwrap_err();
         assert!(err.to_string().contains("overflows the simulated timeline"), "{err}");
+    }
+
+    #[test]
+    fn serve_rejects_flags_it_does_not_read() {
+        // The retired executor knob must not be swallowed: the run would be
+        // stamped as something it was not.
+        let args =
+            Args::parse(["serve", "--task", "sst2", "--model", "tiny", "--exec", "threaded"])
+                .unwrap();
+        let err = dispatch(&args).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --exec"), "{err}");
+        // Same for a typo, on the fleet path and on a light command.
+        let args =
+            Args::parse(["serve", "--task", "sst2", "--fleet", "4", "--chanels", "4"]).unwrap();
+        let err = dispatch(&args).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --chanels"), "{err}");
+        let args = Args::parse(["profile", "--devcie", "jetson"]).unwrap();
+        let err = dispatch(&args).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --devcie"), "{err}");
     }
 
     #[test]
@@ -872,7 +873,8 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         assert!(json.contains("\"bench\": \"serving_fleet\""), "{json}");
         assert!(json.contains("\"sessions\": 10"), "{json}");
-        // Defaults: fleet sweeps run on the event engine, single-channel.
+        // The ledger key column is the constant "event"; default is
+        // single-channel.
         assert!(json.contains("\"exec_mode\": \"event\""), "{json}");
         assert!(json.contains("\"channels\": 1"), "{json}");
     }

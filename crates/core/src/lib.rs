@@ -51,17 +51,18 @@
 //! ## Serving a fleet
 //!
 //! The [`serving`] module turns the single-engagement engine into a
-//! multi-session runtime: traces replay concurrently (a thread per
-//! client), sequentially, or — via [`serving::replay_event`] — on the
-//! [`engine`] module's deterministic discrete-event executor, where every
-//! client is a [`Component`] on one simulated clock and N clients cost
-//! one OS thread. Which executor ran is an explicit [`ExecMode`] knob;
-//! the per-engagement outcomes and gate decisions are identical across
-//! all three by contract; the fleet sweep defaults to the event engine,
-//! with the threaded path retained behind the knob. [`fleet_sweep`]
+//! multi-session runtime. [`serving::replay_event`] is the executor:
+//! traces replay on the [`engine`] module's deterministic discrete-event
+//! engine, where every client is a [`Component`] on one simulated clock
+//! and N clients cost one OS thread. [`serving::replay_sequential`] is the
+//! oracle that *defines* the uncontended track — per-engagement outcomes
+//! and gate decisions are identical between the two by contract (event ≡
+//! sequential), and `Session::infer` driven from N host threads matches
+//! both on outcomes (`tests/serving_runtime.rs`). [`fleet_sweep`]
 //! scales the open-session registry to fleet sizes and
 //! [`fleet_report_json`] writes the perf ledger (`BENCH_serving.json`):
-//! entries carry `exec_mode` and the device `channels`
+//! entries carry the constant `exec_mode: "event"` (a ledger-key column
+//! kept so historical rows still merge) and the device `channels`
 //! ([`ServeConfig::channels`] / `sti serve --channels N`), points add
 //! `engagements_per_sec`, `contended_eps` (replay engagements per
 //! *simulated* second — the column that scales with the channel count)
@@ -71,7 +72,7 @@
 //! [`ServeReport`] also carries the
 //! deterministic observability stream — virtual-clock spans (export with
 //! [`sti_obs::chrome_trace_json`]) and a merged metrics snapshot — which
-//! is byte-identical across executors on the deterministic tracks; see
+//! is byte-identical run to run on the deterministic tracks; see
 //! `sti_obs` and `tests/serving_obs.rs`.
 
 #![forbid(unsafe_code)]
@@ -87,8 +88,8 @@ pub use baselines::Baseline;
 pub use runner::{run_experiment, Experiment, RunResult, TaskContext};
 pub use serving::{
     build_server, contended_p50_us, fleet_report_json, fleet_sweep, merge_fleet_ledger,
-    replay_concurrent, replay_event, replay_sequential, ClientTrace, EngagementOutcome, ExecMode,
-    FleetConfig, FleetPoint, ServeConfig, ServeReport, ServingTrace,
+    replay_event, replay_sequential, ClientTrace, EngagementOutcome, FleetConfig, FleetPoint,
+    ServeConfig, ServeReport, ServingTrace,
 };
 /// The discrete-event executor now lives beside the device models it
 /// simulates (`sti_device::engine`); this alias keeps `sti_core::engine`
@@ -105,8 +106,8 @@ pub mod prelude {
     pub use crate::runner::{run_experiment, Experiment, RunResult, TaskContext};
     pub use crate::serving::{
         build_server, contended_p50_us, fleet_report_json, fleet_sweep, merge_fleet_ledger,
-        replay_concurrent, replay_event, replay_sequential, ClientTrace, EngagementOutcome,
-        ExecMode, FleetConfig, FleetPoint, ServeConfig, ServeReport, ServingTrace,
+        replay_event, replay_sequential, ClientTrace, EngagementOutcome, FleetConfig, FleetPoint,
+        ServeConfig, ServeReport, ServingTrace,
     };
     pub use crate::trace_file::{load_trace, parse_trace, TraceFileError};
     pub use sti_device::{
@@ -125,15 +126,12 @@ pub mod prelude {
     };
     pub use sti_planner::compute_plan::DYNABERT_WIDTHS;
     pub use sti_planner::{
-        layer_io_jobs, min_queue_delay, plan_compute, plan_for_slo, plan_for_slo_against,
-        plan_for_slo_mix, plan_io, plan_two_stage, predict_contended_latency,
-        predict_contended_latency_against, predict_contended_latency_at,
-        predict_engagement_latency, profile_importance, reallocate_preload_for_mix,
-        replan_with_preload, CoRunnerLoad, EngagementKey, EngagementLoad, ExecutionPlan,
-        GateOutcome, GatePolicy, ImportanceProfile, IoSharing, LayerIoJob, MixLaneSummary,
-        MixSession, PlanCache, PlanCacheStats, PlanKey, PrefetchConfig, PrefetchMode, PrefetchPlan,
-        PrefetcherStats, PreloadPolicy, ServingMix, ServingPlan, ServingPlanCache, ServingPlanKey,
-        SloProfile, SubmodelShape,
+        layer_io_jobs, plan_compute, plan_for_slo_mix, plan_io, plan_two_stage, profile_importance,
+        reallocate_preload_for_mix, replan_with_preload, CoRunnerLoad, EngagementKey,
+        EngagementLoad, ExecutionPlan, GateOutcome, GatePolicy, ImportanceProfile, IoSharing,
+        LayerIoJob, MixLaneSummary, MixSession, PlanCache, PlanCacheStats, PlanKey, PrefetchConfig,
+        PrefetchMode, PrefetchPlan, PrefetcherStats, PreloadPolicy, ServingMix, ServingPlan,
+        ServingPlanCache, ServingPlanKey, SloProfile, SubmodelShape,
     };
     pub use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
     pub use sti_storage::{

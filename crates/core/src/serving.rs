@@ -4,27 +4,28 @@
 //! one plan"; this module answers the serving questions: how many
 //! engagements per second does a device sustain as concurrent sessions
 //! grow, how effective are the shared caches, and — the correctness anchor
-//! — does concurrent execution reproduce sequential results exactly.
+//! — does serving N sessions at once reproduce sequential results exactly.
 //!
 //! A [`ServingTrace`] is a multi-client workload: each client has its own
 //! latency/memory knobs, an optional latency **SLO**, and a FIFO list of
 //! engagements (token sequences — drawn deterministically from the task's
 //! test split by [`ServingTrace::synthetic`], or replayed from a JSON file
-//! via [`crate::trace_file`]). [`replay_concurrent`] drives every client
-//! from its own thread against one shared server; [`replay_sequential`]
-//! replays the same trace client-by-client, engagement-by-engagement. Both
-//! open every client's session **up front, in client order** — so SLO
-//! admission sees the same co-runner counts either way — and return
-//! per-engagement [`EngagementOutcome`]s in trace order: equality between
-//! the two reports is exactly the determinism contract of
-//! [`sti_pipeline::server`].
+//! via [`crate::trace_file`]). [`replay_event`] is the executor: every
+//! client is a [`Component`] on one simulated clock against one shared
+//! server, on one OS thread. [`replay_sequential`] is the oracle that
+//! defines the uncontended track: the same trace client-by-client,
+//! engagement-by-engagement. Both open every client's session **up front,
+//! in client order** — so SLO admission sees the same co-runner counts
+//! either way — and return per-engagement [`EngagementOutcome`]s in trace
+//! order: equality between the two reports is exactly the determinism
+//! contract of [`sti_pipeline::server`].
 //!
 //! Alongside the deterministic outcomes, the report carries the **contended
 //! track**: the server's flash-queue replay ([`ContentionReport`]), SLO hit
 //! rates, which clients admission control rejected, and — with a
 //! [`BackpressureMode`] configured — the per-engagement gate decisions
 //! (queue delays and sheds; shed engagements produce no outcome in either
-//! replay mode, and the decisions themselves are deterministic).
+//! replay, and the decisions themselves are deterministic).
 
 use std::time::Duration;
 
@@ -39,29 +40,6 @@ use sti_storage::{BatchPolicy, IoSchedulerStats, ShardCacheStats};
 
 use crate::engine::{Component, ComponentId, Engine, System};
 use crate::runner::TaskContext;
-
-/// Which executor drives a replay (or a fleet point's engagement phase).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One OS thread per client ([`replay_concurrent`]) — the original
-    /// fleet path.
-    #[default]
-    Threaded,
-    /// The discrete-event engine on the calling thread ([`replay_event`]):
-    /// every client is a [`Component`] on one simulated clock, so N clients
-    /// cost one OS thread, not N.
-    Event,
-}
-
-impl ExecMode {
-    /// The ledger / CLI spelling of the mode.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecMode::Threaded => "threaded",
-            ExecMode::Event => "event",
-        }
-    }
-}
 
 /// Server-level knobs for a serving experiment.
 #[derive(Debug, Clone)]
@@ -198,7 +176,7 @@ impl ServingTrace {
 }
 
 /// What one engagement produced — the fields the determinism contract
-/// compares across concurrent and sequential execution.
+/// compares across event and sequential execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngagementOutcome {
     /// Predicted class.
@@ -236,7 +214,7 @@ pub struct ServeReport {
     /// Indices of clients rejected by admission control.
     pub rejected_clients: Vec<usize>,
     /// Min-heap operations the discrete-event engine performed — the
-    /// event-loop cost witness. Zero for threaded and sequential replays.
+    /// event-loop cost witness. Zero for the sequential replay.
     pub heap_ops: u64,
     /// The virtual-clock span stream ([`StiServer::trace_spans`]): the
     /// deterministic session/flash tracks plus whatever the live sink
@@ -285,7 +263,7 @@ pub fn build_server(ctx: &TaskContext, cfg: &ServeConfig) -> StiServer {
 }
 
 /// Opens every client's session in client order — the deterministic
-/// admission sequence both replay modes share. `None` marks a client that
+/// admission sequence both replays share. `None` marks a client that
 /// admission control rejected; any other failure aborts the replay.
 fn open_sessions(
     server: &StiServer,
@@ -314,36 +292,10 @@ fn open_sessions(
         .collect()
 }
 
-/// Replays a trace with one thread per client, all sharing `server`.
-/// Sessions open up front in client order (so SLO admission is
-/// deterministic); rejected clients report no outcomes.
-///
-/// # Errors
-///
-/// Returns the first client error encountered (by client order).
-pub fn replay_concurrent(
-    server: &StiServer,
-    trace: &ServingTrace,
-) -> Result<ServeReport, PipelineError> {
-    let start = std::time::Instant::now();
-    let sessions = open_sessions(server, trace)?;
-    let results: Vec<Result<Vec<EngagementOutcome>, PipelineError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = trace
-            .clients
-            .iter()
-            .zip(&sessions)
-            .map(|(client, session)| s.spawn(move || run_client(session.as_ref(), client)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
-    });
-    let outcomes = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(report(server, &sessions, outcomes, start.elapsed()))
-}
-
 /// Replays the same trace with no concurrency: clients in order, each
 /// engagement completing before the next starts. Sessions still open up
-/// front in client order, so admission decisions match
-/// [`replay_concurrent`] exactly.
+/// front in client order, so admission decisions match [`replay_event`]
+/// exactly.
 ///
 /// # Errors
 ///
@@ -418,7 +370,7 @@ fn report(
 
 /// Replays a trace on the discrete-event engine: one simulated clock, one
 /// OS thread, every client a [`Component`]. Sessions still open up front
-/// in client order, so admission matches the threaded modes exactly.
+/// in client order, so admission matches [`replay_sequential`] exactly.
 ///
 /// The IO scheduler's worker pool is parked ([`StiServer::pause_io`]) for
 /// the whole replay; dedicated *flash components* — one per device
@@ -436,11 +388,9 @@ fn report(
 /// queue contents (the pool never races the engine thread). Two event
 /// replays of one trace are bit-identical — including the contended
 /// track — and per-engagement uncontended results are bit-identical to
-/// the threaded path. One deliberate divergence: with a batching window
-/// configured, the event schedule queues every co-arriving request
-/// *before* the flash services the instant, so batching fan-outs are
-/// maximal and deterministic where the threaded pool's depend on worker
-/// timing.
+/// [`replay_sequential`]. With a batching window configured, the event
+/// schedule queues every co-arriving request *before* the flash services
+/// the instant, so batching fan-outs are maximal and deterministic.
 ///
 /// # Errors
 ///
@@ -655,7 +605,7 @@ pub fn replay_event(
     let engine_report = engine.run(&mut ctx);
     let Ctx { outcomes, pendings, error, .. } = ctx;
     // Abandoned pendings (halted run) tear their channels down before the
-    // pool resumes, exactly like an errored threaded `infer`.
+    // pool resumes, exactly like an errored `infer`.
     drop(pendings);
     server.resume_io();
     if let Some(e) = error {
@@ -682,11 +632,6 @@ pub struct FleetConfig {
     /// Steady-state gate decisions sampled per point, round-robin over the
     /// SLO sessions.
     pub decisions: usize,
-    /// Which executor runs each point's engagement-replay phase (and is
-    /// stamped on the ledger record). Defaults to [`ExecMode::Event`] —
-    /// the deterministic engine is the primary fleet executor; threaded
-    /// replay stays available behind the knob.
-    pub exec: ExecMode,
     /// Device channels on each point's simulated flash (stamped on the
     /// ledger record; `1` is the legacy single-channel device).
     pub channels: u16,
@@ -698,7 +643,6 @@ impl Default for FleetConfig {
             sizes: vec![100, 1_000, 10_000, 100_000],
             slo_sessions: 4,
             decisions: 512,
-            exec: ExecMode::Event,
             channels: 1,
         }
     }
@@ -736,8 +680,6 @@ pub struct FleetPoint {
     pub decisions_per_sec: f64,
     /// Mean time to compute the live mix's rolling digest.
     pub digest_mean: Duration,
-    /// Executor that ran the engagement-replay phase.
-    pub exec: ExecMode,
     /// Device channels on the point's simulated flash (`1` = the legacy
     /// single-channel device).
     pub channels: u16,
@@ -749,7 +691,7 @@ pub struct FleetPoint {
     /// column that scales with the device-channel count: striping the
     /// same trace across more channels shrinks the contended makespan.
     pub contended_eps: f64,
-    /// Event-engine heap operations in the replay phase (0 for threaded).
+    /// Event-engine heap operations in the replay phase.
     pub heap_ops: u64,
     /// Prefetch mode the point's server ran (stamped on the ledger
     /// record; [`PrefetchMode::Off`] is the legacy schedule).
@@ -776,8 +718,8 @@ pub struct FleetPoint {
 /// individually), then probes: the mix digest, the one cold full-walk
 /// gate decision, and [`FleetConfig::decisions`] steady-state decisions
 /// round-robin over the SLO sessions. A small fixed engagement trace is
-/// then replayed against the live fleet under [`FleetConfig::exec`] for
-/// the throughput/heap-ops columns. Everything runs on the virtual
+/// then replayed against the live fleet ([`replay_event`]) for the
+/// throughput/heap-ops columns. Everything runs on the virtual
 /// clock — gate delays land on the simulated timeline, never as real
 /// sleeps — so a 100k-session point completes in seconds. Teardown drops
 /// sessions in a seeded random permutation: the worst case for a single
@@ -875,15 +817,12 @@ pub fn fleet_sweep(
         let gate_pct_us = |p: f64| gate_snap.percentile(p) as f64 / 1000.0;
 
         // Engagement-replay phase: a small fixed trace served against the
-        // full open fleet, under the configured executor. Fixed size so
-        // the engagements/sec column compares across fleet sizes.
+        // full open fleet. Fixed size so the engagements/sec column
+        // compares across fleet sizes.
         const REPLAY_CLIENTS: usize = 8;
         const REPLAY_ENGAGEMENTS: usize = 4;
         let trace = ServingTrace::synthetic(ctx, cfg, REPLAY_CLIENTS, REPLAY_ENGAGEMENTS);
-        let replay = match fleet.exec {
-            ExecMode::Threaded => replay_concurrent(&server, &trace)?,
-            ExecMode::Event => replay_event(&server, &trace)?,
-        };
+        let replay = replay_event(&server, &trace)?;
         let contended_secs = replay.contention.queue_makespan.as_us() as f64 / 1e6;
         let contended_eps = trace.total_engagements() as f64 / contended_secs.max(1e-9);
         let pf = replay.prefetch;
@@ -900,7 +839,6 @@ pub fn fleet_sweep(
             gate_decisions: fleet.decisions,
             decisions_per_sec,
             digest_mean,
-            exec: fleet.exec,
             channels,
             engagements_per_sec: replay.engagements_per_sec(),
             contended_eps,
@@ -977,18 +915,18 @@ fn fleet_rng(n: u64) -> FleetRng {
 /// simulated (entries predating it were all single-channel),
 /// `contended_eps` (v4) is the replay's simulated contended throughput,
 /// and `prefetch` (v5) is the speculation mode the servers ran (entries
-/// predating it all ran without one). The ledger file itself is a JSON
-/// *array* of such entries — one per executor/topology/prefetch
-/// configuration — merged across PRs by [`merge_fleet_ledger`] so
-/// regressions diff against history.
+/// predating it all ran without one). `exec_mode` is the constant
+/// `"event"`: the column stays in the merge key so ledger rows recorded
+/// under the retired threaded executor keep their identity. The ledger
+/// file itself is a JSON *array* of such entries — one per
+/// topology/prefetch configuration — merged across PRs by
+/// [`merge_fleet_ledger`] so regressions diff against history.
 pub fn fleet_report_json(points: &[FleetPoint]) -> String {
     let us = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e6);
-    let exec = points.first().map_or(ExecMode::Threaded, |p| p.exec);
     let channels = points.first().map_or(1, |p| p.channels);
     let prefetch = points.first().map_or(PrefetchMode::Off, |p| p.prefetch);
     let mut out = format!(
-        "{{\n  \"bench\": \"serving_fleet\",\n  \"unit\": \"us\",\n  \"exec_mode\": \"{}\",\n  \"channels\": {},\n  \"prefetch\": \"{}\",\n  \"sweep\": [\n",
-        exec.label(),
+        "{{\n  \"bench\": \"serving_fleet\",\n  \"unit\": \"us\",\n  \"exec_mode\": \"event\",\n  \"channels\": {},\n  \"prefetch\": \"{}\",\n  \"sweep\": [\n",
         channels,
         prefetch.label()
     );
@@ -1169,17 +1107,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_replay_matches_sequential() {
-        let c = ctx();
-        let cfg = cfg();
-        let trace = ServingTrace::synthetic(&c, &cfg, 4, 2);
-        let concurrent = replay_concurrent(&build_server(&c, &cfg), &trace).unwrap();
-        let sequential = replay_sequential(&build_server(&c, &cfg), &trace).unwrap();
-        assert_eq!(concurrent.outcomes, sequential.outcomes);
-        assert!(concurrent.engagements_per_sec() > 0.0);
-    }
-
-    #[test]
     fn event_replay_matches_sequential_and_counts_heap_ops() {
         let c = ctx();
         let cfg = cfg();
@@ -1189,23 +1116,22 @@ mod tests {
         assert_eq!(event.outcomes, sequential.outcomes, "event loop must not change results");
         assert!(event.heap_ops > 0, "the engine counts its heap traffic");
         assert_eq!(sequential.heap_ops, 0);
+        assert!(event.engagements_per_sec() > 0.0);
     }
 
     #[test]
     fn multi_channel_replay_keeps_the_determinism_contract() {
         // The uncontended track is topology-independent per engagement:
         // striping changes *placement* (and so contended replay), never
-        // per-engagement outcomes. Both executors must agree on a C=4
-        // device exactly as they do on the legacy single-channel one.
+        // per-engagement outcomes. Event and sequential must agree on a
+        // C=4 device exactly as they do on the single-channel one.
         let c = ctx();
         let base = cfg();
         let striped = ServeConfig { channels: 4, ..base.clone() };
         let trace = ServingTrace::synthetic(&c, &striped, 4, 2);
         let event = replay_event(&build_server(&c, &striped), &trace).unwrap();
-        let threaded = replay_concurrent(&build_server(&c, &striped), &trace).unwrap();
         let sequential = replay_sequential(&build_server(&c, &striped), &trace).unwrap();
         assert_eq!(event.outcomes, sequential.outcomes);
-        assert_eq!(threaded.outcomes, sequential.outcomes);
         assert!(event.heap_ops > 0);
         // And the single-channel outcomes are bit-identical to a server
         // built before the knob existed (the default).
@@ -1224,7 +1150,7 @@ mod tests {
         let cfg = cfg();
         let trace = ServingTrace::synthetic(&c, &cfg, 4, 1);
         let server = build_server(&c, &cfg);
-        let report = replay_concurrent(&server, &trace).unwrap();
+        let report = replay_event(&server, &trace).unwrap();
         // Sessions open up front in client order, so uniform knobs plan
         // exactly once and hit thereafter.
         assert_eq!(report.distinct_plans, 1, "uniform knobs cache exactly one plan");
@@ -1242,21 +1168,21 @@ mod tests {
             ..Default::default()
         };
         let trace = ServingTrace::synthetic(&c, &cfg, 3, 2);
-        let concurrent = replay_concurrent(&build_server(&c, &cfg), &trace).unwrap();
+        let event = replay_event(&build_server(&c, &cfg), &trace).unwrap();
         let sequential = replay_sequential(&build_server(&c, &cfg), &trace).unwrap();
-        assert_eq!(concurrent.outcomes, sequential.outcomes, "admission must not break replay");
-        assert!(concurrent.rejected_clients.is_empty());
-        assert_eq!(concurrent.serving_stats.admitted_sessions, 3);
-        assert_eq!(concurrent.contention.engagements.len(), 6);
+        assert_eq!(event.outcomes, sequential.outcomes, "admission must not break replay");
+        assert!(event.rejected_clients.is_empty());
+        assert_eq!(event.serving_stats.admitted_sessions, 3);
+        assert_eq!(event.contention.engagements.len(), 6);
         assert_eq!(
-            concurrent.contention.slo_hit_rate(),
+            event.contention.slo_hit_rate(),
             Some(1.0),
             "a 60 s SLO is unmissable on this trace"
         );
     }
 
     #[test]
-    fn rejected_clients_are_reported_in_both_modes() {
+    fn rejected_clients_are_reported_by_both_replays() {
         let c = ctx();
         let mut cfg = ServeConfig {
             target: SimTime::from_ms(300),
@@ -1273,13 +1199,13 @@ mod tests {
         let mut trace = ServingTrace::synthetic(&c, &cfg, 2, 1);
         trace.clients[0].slo = Some(SimTime::from_ms(60_000));
         trace.clients[1].slo = Some(floor);
-        let concurrent = replay_concurrent(&build_server(&c, &cfg), &trace).unwrap();
+        let event = replay_event(&build_server(&c, &cfg), &trace).unwrap();
         let sequential = replay_sequential(&build_server(&c, &cfg), &trace).unwrap();
-        assert_eq!(concurrent.rejected_clients, vec![1]);
+        assert_eq!(event.rejected_clients, vec![1]);
         assert_eq!(sequential.rejected_clients, vec![1], "admission order is deterministic");
-        assert!(concurrent.outcomes[1].is_empty());
-        assert_eq!(concurrent.outcomes, sequential.outcomes);
-        assert_eq!(concurrent.serving_stats.rejected_sessions, 1);
+        assert!(event.outcomes[1].is_empty());
+        assert_eq!(event.outcomes, sequential.outcomes);
+        assert_eq!(event.serving_stats.rejected_sessions, 1);
     }
 
     #[test]
@@ -1405,7 +1331,7 @@ mod tests {
         let cfg = ServeConfig { target: SimTime::from_ms(300), preload_bytes: 0, ..cfg() };
         let trace = ServingTrace::synthetic(&c, &cfg, 4, 2);
         let server = build_server(&c, &cfg);
-        let report = replay_concurrent(&server, &trace).unwrap();
+        let report = replay_event(&server, &trace).unwrap();
         assert_eq!(report.contention.engagements.len(), 8);
         for e in &report.contention.engagements {
             assert!(e.contended >= e.uncontended, "{} < {}", e.contended, e.uncontended);

@@ -54,8 +54,6 @@ pub use prefetch::{
 };
 pub use schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 pub use serving::{
-    align_io_completions, contended_makespan, layer_io_jobs, min_queue_delay, plan_for_slo,
-    plan_for_slo_against, predict_contended_latency, predict_contended_latency_against,
-    predict_contended_latency_at, predict_engagement_latency, CoRunnerLoad, EngagementLoad,
+    align_io_completions, contended_makespan, layer_io_jobs, CoRunnerLoad, EngagementLoad,
     IoSharing, LayerIoJob, ServingPlan, ServingPlanCache, ServingPlanKey,
 };

@@ -1,14 +1,12 @@
 //! `ServingMix` — the one canonical picture of "the world as the contended
 //! predictors see it".
 //!
-//! Four PRs of serving machinery grew three parallel prediction paths —
-//! SLO admission (`plan_for_slo_against`), the infer-time backpressure gate
-//! (`predict_engagement_latency` / `min_queue_delay`), and the gate's
-//! replay of earlier sessions' decisions — each hand-assembling co-runner
-//! lanes, arrivals, batching windows, and backlogs slightly differently.
-//! That duplication is exactly where the arrival-offset and memo-eviction
-//! bugs of the backpressure PR crept in. This module collapses the three
-//! paths onto one abstraction:
+//! SLO admission, the infer-time backpressure gate, and the gate's replay
+//! of earlier sessions' decisions all ask the same contended-latency
+//! question; hand-assembling co-runner lanes, arrivals, batching windows,
+//! and backlogs per caller is where the arrival-offset and memo-eviction
+//! bugs of the backpressure PR crept in. This module answers all three
+//! through one abstraction:
 //!
 //! - [`ServingMix`] canonically represents a prediction's inputs: the
 //!   open-session registry (each co-runner's [`CoRunnerLoad`] with its
@@ -18,12 +16,11 @@
 //!   lane's FIFO job queue rides the discrete-event flash simulator
 //!   round-robin, byte-identical in-window jobs coalesce under batching,
 //!   and the candidate's pipeline recurrence runs over the contended
-//!   completions. The legacy entry points (`predict_contended_latency*`,
-//!   `predict_engagement_latency`) are thin views over it.
-//! - [`ServingMix::min_delay`] is the two-phase minimal-queue-delay search
-//!   (`min_queue_delay`'s engine), and [`ServingMix::gate`] is the
-//!   deterministic gate walk: sessions in `(arrival, token)` order, each
-//!   earlier SLO session's decision replayed against the lanes accumulated
+//!   completions.
+//! - [`ServingMix::min_delay`] is the two-phase minimal-queue-delay
+//!   search, and [`ServingMix::gate`] is the deterministic gate walk:
+//!   sessions in `(arrival, token)` order, each earlier SLO session's
+//!   decision replayed against the lanes accumulated
 //!   so far — including the *second gate pass* that re-gates an
 //!   equal-arrival earliest session once later-opened co-arriving load
 //!   exists (queue mode only; see [`ServingMix::gate`]).
@@ -52,9 +49,10 @@
 //! # Device-channel placement
 //!
 //! The mix carries the [`DeviceTopology`] predictions simulate
-//! ([`ServingMix::with_topology`]). On the default single-channel shape
-//! every code path below is bit-identical to the pre-topology planner; on
-//! `C > 1` the prediction core routes each job to its device channel by
+//! ([`ServingMix::with_topology`]). Every prediction rides
+//! [`TopologyQueueSim`] — at `C = 1` it is pinned bit-identical, as a
+//! value, to the closed-form `FlashQueueSim` reference — and the prediction
+//! core routes each job to its device channel by
 //! `DeviceTopology::channel_for` over the job's placement-adjusted
 //! signature (lane stripes are folded into sigs at load construction —
 //! [`CoRunnerLoad::from_plan_striped`] — mirroring the IO scheduler's
@@ -99,9 +97,7 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use sti_device::{
-    CompletedJob, DeviceTopology, FlashJob, FlashQueueSim, HwProfile, SimTime, TopologyQueueSim,
-};
+use sti_device::{DeviceTopology, FlashJob, HwProfile, SimTime, TopologyQueueSim};
 use sti_quant::Bitwidth;
 use sti_storage::{BacklogSnapshot, LayerRequest};
 use sti_transformer::ShardId;
@@ -266,8 +262,8 @@ pub struct ServingMix {
     sessions: Vec<MixSession>,
     backlog: BacklogSnapshot,
     sharing: IoSharing,
-    /// The device topology predictions simulate: per-channel lanes under
-    /// `C > 1`, the legacy single-channel queue (bit-identical) otherwise.
+    /// The device topology predictions simulate (one FIFO queue per
+    /// device channel).
     topology: DeviceTopology,
     /// Rolling fold of per-session sub-digests (see [`ServingMix::digest`]):
     /// a wrapping sum of finalized sub-digests, updated O(1) by
@@ -314,11 +310,10 @@ impl ServingMix {
         self
     }
 
-    /// Attaches the device topology predictions simulate. The default
-    /// (and `C = 1` in general) reproduces the legacy single-channel
-    /// predictions bit-identically; under `C > 1` every lane's jobs route
-    /// to per-channel queues through `DeviceTopology::channel_for` over
-    /// their placement-adjusted signatures.
+    /// Attaches the device topology predictions simulate (default: one
+    /// channel). Every lane's jobs route to per-channel queues through
+    /// `DeviceTopology::channel_for` over their placement-adjusted
+    /// signatures.
     #[must_use]
     pub fn with_topology(mut self, topology: DeviceTopology) -> Self {
         self.topology = topology;
@@ -479,13 +474,14 @@ impl ServingMix {
 
     /// Predicts the candidate engagement's contended end-to-end latency
     /// against the mix: every lane's jobs queue at its arrival, the
-    /// candidate's ride last in each round-robin round, and the
-    /// single-channel flash simulator decides who waits for whom.
+    /// candidate's ride last in each round-robin round, and the topology
+    /// simulator decides who waits for whom.
     ///
     /// This is the **single** prediction core — admission, the gate, and
     /// the delay search are all views over it.
     pub fn predict(&self, load: &EngagementLoad) -> SimTime {
-        predict_over_lanes(&self.raw_lanes(), load, self.sharing, self.topology)
+        let mut arena = LaneArena::default();
+        predict_over_lanes_in(&mut arena, &self.raw_lanes(), load, self.sharing, self.topology)
     }
 
     /// Searches the smallest arrival delay (up to `max_delay`) at which the
@@ -503,7 +499,15 @@ impl ServingMix {
         slo: SimTime,
         max_delay: SimTime,
     ) -> Result<(SimTime, SimTime), SimTime> {
-        min_delay_over_lanes(&self.raw_lanes(), load, self.sharing, self.topology, slo, max_delay)
+        min_delay_over_lanes_in(
+            &mut LaneArena::default(),
+            &self.raw_lanes(),
+            load,
+            self.sharing,
+            self.topology,
+            slo,
+            max_delay,
+        )
     }
 
     /// Content signatures every in-window participant of the mix streams:
@@ -949,69 +953,14 @@ fn decide(
 
 /// The shared prediction core: `lanes` are co-runner FIFO job queues (each
 /// with an arrival offset), the candidate's jobs ride last in each
-/// round-robin round, and the single-channel flash-queue simulator decides
-/// who waits for whom. Returns the candidate's end-to-end latency from its
-/// arrival.
+/// round-robin round, and [`TopologyQueueSim`] decides who waits for whom.
+/// Returns the candidate's end-to-end latency from its arrival. Scratch is
+/// caller-owned (see [`LaneArena`]).
 ///
 /// Per-lane arrival cursors are monotone: when a job joins a batch, every
 /// member's cursor is raised to the batch arrival (the job exists only once
 /// its last member has arrived), mirroring the scheduler's
 /// effective-arrival discipline so per-lane FIFO survives the replay.
-fn predict_over_lanes(
-    lanes: &[Lane],
-    load: &EngagementLoad,
-    sharing: IoSharing,
-    topology: DeviceTopology,
-) -> SimTime {
-    predict_over_lanes_in(&mut LaneArena::default(), lanes, load, sharing, topology)
-}
-
-/// The prediction core's queue, selected by topology shape: the legacy
-/// single-channel, bus-free path rides [`FlashQueueSim`] untouched — so
-/// `C = 1` predictions stay bit-identical to the pre-topology planner —
-/// while multi-channel (or bus-modeled) topologies ride
-/// [`TopologyQueueSim`], routing every grouped job to its device channel
-/// by `DeviceTopology::channel_for` over the job's placement-adjusted
-/// signature (lane stripes are already folded into the sigs, so stripe 0
-/// is the resolved placement).
-enum MixSim {
-    Single(FlashQueueSim),
-    Striped(TopologyQueueSim),
-}
-
-impl MixSim {
-    fn new(topology: DeviceTopology) -> Self {
-        if topology.is_single() {
-            MixSim::Single(FlashQueueSim::new())
-        } else {
-            MixSim::Striped(TopologyQueueSim::new(topology))
-        }
-    }
-
-    fn submit_shared(&mut self, sig: u64, job: FlashJob, extra_recipients: &[u64]) {
-        match self {
-            MixSim::Single(sim) => {
-                sim.submit_shared(job, extra_recipients);
-            }
-            MixSim::Striped(sim) => {
-                let channel = sim.topology().channel_for(sig, 0);
-                sim.submit_shared_on(channel, job, extra_recipients);
-            }
-        }
-    }
-
-    /// Serves everything and returns one engagement's completions in
-    /// submission order (arrivals are monotone per engagement, so the
-    /// merged `(arrival, seq)` order is the issue order on both paths).
-    fn completions_of(&self, engagement: u64) -> Vec<CompletedJob> {
-        match self {
-            MixSim::Single(sim) => sim.run().completions_of(engagement),
-            MixSim::Striped(sim) => sim.run().completions_of(engagement),
-        }
-    }
-}
-
-/// [`predict_over_lanes`] with caller-owned scratch (see [`LaneArena`]).
 fn predict_over_lanes_in(
     arena: &mut LaneArena,
     lanes: &[Lane],
@@ -1029,7 +978,7 @@ fn predict_over_lanes_in(
     cursors.extend(lanes.iter().map(|l| l.arrival));
     cursors.push(load.arrival);
     let window = sharing.window();
-    let mut sim = MixSim::new(topology);
+    let mut sim = TopologyQueueSim::new(topology);
     for r in 0..rounds {
         // This round's jobs in dispatch order: lanes, then candidate.
         round.clear();
@@ -1077,8 +1026,10 @@ fn predict_over_lanes_in(
             }
             extra.clear();
             extra.extend(members[1..].iter().map(|&e| e as u64));
-            sim.submit_shared(
-                group_jobs[g].sig,
+            // Lane stripes are already folded into the sigs, so stripe 0 is
+            // the resolved placement.
+            sim.submit_shared_on(
+                topology.channel_for(group_jobs[g].sig, 0),
                 FlashJob { engagement: members[0] as u64, arrival, service: group_jobs[g].service },
                 extra,
             );
@@ -1086,13 +1037,16 @@ fn predict_over_lanes_in(
     }
     let comps = vec![load.comp; load.jobs.len()];
     let has_io: Vec<bool> = load.jobs.iter().map(Option::is_some).collect();
-    let io_ends = align_io_completions(&has_io, &sim.completions_of(candidate_id as u64))
+    // Arrivals are monotone per engagement, so the report's merged
+    // `(arrival, seq)` order is the candidate's issue order.
+    let io_ends = align_io_completions(&has_io, &sim.run().completions_of(candidate_id as u64))
         .expect("the simulator served every submitted job");
     contended_makespan(load.arrival, &io_ends, &comps)
 }
 
 /// The two-phase minimal-delay search over a lane set (the engine behind
-/// [`ServingMix::min_delay`] and the legacy `min_queue_delay`):
+/// [`ServingMix::min_delay`] and the gate walk), probing the predictor
+/// dozens of times against the same lanes through one [`LaneArena`]:
 ///
 /// 1. Against the lanes already in the candidate's window (arrivals at or
 ///    before its own), the prediction is non-increasing in the delay and
@@ -1104,28 +1058,6 @@ fn predict_over_lanes_in(
 ///    arrival, re-checking, until the prediction fits or `max_delay`
 ///    binds. The returned delay's prediction is always verified to meet
 ///    the SLO.
-fn min_delay_over_lanes(
-    lanes: &[Lane],
-    load: &EngagementLoad,
-    sharing: IoSharing,
-    topology: DeviceTopology,
-    slo: SimTime,
-    max_delay: SimTime,
-) -> Result<(SimTime, SimTime), SimTime> {
-    min_delay_over_lanes_in(
-        &mut LaneArena::default(),
-        lanes,
-        load,
-        sharing,
-        topology,
-        slo,
-        max_delay,
-    )
-}
-
-/// [`min_delay_over_lanes`] with caller-owned scratch: the search probes
-/// the predictor dozens of times against the same lanes, all sharing one
-/// [`LaneArena`].
 #[allow(clippy::too_many_arguments)]
 fn min_delay_over_lanes_in(
     arena: &mut LaneArena,
@@ -1140,28 +1072,20 @@ fn min_delay_over_lanes_in(
     if now <= slo {
         return Ok((SimTime::ZERO, now));
     }
-    // Drain time of every queued job on a lane arriving by `cutoff`. On a
-    // multi-channel topology the device goes idle when its *slowest*
-    // channel does, so jobs route to their placed channels first.
+    // Drain time of every queued job on a lane arriving by `cutoff`. The
+    // device goes idle when its *slowest* channel does, so jobs route to
+    // their placed channels first.
     let drain_by = |cutoff: SimTime| {
-        let jobs =
-            lanes.iter().enumerate().filter(|(_, l)| l.arrival <= cutoff).flat_map(|(e, l)| {
-                l.jobs.iter().map(move |j| {
-                    (
-                        j.sig,
-                        FlashJob { engagement: e as u64, arrival: l.arrival, service: j.service },
-                    )
-                })
-            });
-        if topology.is_single() {
-            FlashQueueSim::with_backlog(jobs.map(|(_, job)| job)).drain_time()
-        } else {
-            let mut sim = TopologyQueueSim::new(topology);
-            for (sig, job) in jobs {
-                sim.submit_on(topology.channel_for(sig, 0), job);
+        let mut sim = TopologyQueueSim::new(topology);
+        for (e, l) in lanes.iter().enumerate().filter(|(_, l)| l.arrival <= cutoff) {
+            for j in l.jobs.iter() {
+                sim.submit_on(
+                    topology.channel_for(j.sig, 0),
+                    FlashJob { engagement: e as u64, arrival: l.arrival, service: j.service },
+                );
             }
-            sim.drain_time()
         }
+        sim.drain_time()
     };
     // Phase 1: monotone search against the already-arrived backlog. Early
     // lanes are `Arc`-shared clones — pointer copies, not job copies.
@@ -1258,9 +1182,10 @@ pub fn reallocate_preload_for_mix(
     Some((replan_with_preload(hw, plan, selection), freed))
 }
 
-/// The mix-aware SLO search: walks the target ladder like
-/// [`plan_for_slo_against`](crate::serving::plan_for_slo_against), but
-/// scores every rung with [`ServingMix::predict`] and — under
+/// The mix-aware SLO search: walks the target ladder (plan each descending
+/// `T` with the unmodified two-stage planner, stop at the first rung whose
+/// contended prediction meets the SLO), scores every rung with
+/// [`ServingMix::predict`] and — under
 /// [`PreloadPolicy::SharingAware`] — ranks three `|S|` placements per rung
 /// by their marginal contended latency under the mix:
 ///

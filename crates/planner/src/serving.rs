@@ -14,23 +14,21 @@
 //! [`crate::mix`]. A [`ServingMix`] canonically
 //! represents the world as the predictor sees it (the open-session
 //! registry's [`CoRunnerLoad`]s with arrivals and gate profiles, an
-//! optional live [`BacklogSnapshot`], and the [`IoSharing`] mode); the
-//! entry points in this module are thin views over it:
+//! optional live [`BacklogSnapshot`](sti_storage::BacklogSnapshot), and
+//! the [`IoSharing`] mode). Callers build the mix that states their
+//! question and ask it directly:
 //!
-//! - [`predict_contended_latency`] / [`predict_contended_latency_against`]
-//!   / [`predict_contended_latency_at`] — admission's question: a mix of
-//!   co-runner loads (clones of the candidate, or the real registry),
-//!   candidate riding last in each round-robin round;
-//! - [`predict_engagement_latency`] — the gate's question: a mix that is a
-//!   live backlog snapshot, candidate submitted *now*;
-//! - [`min_queue_delay`] — the smallest delay at which the gate's
-//!   prediction meets the SLO
-//!   ([`ServingMix::min_delay`]);
-//! - [`plan_for_slo`] / [`plan_for_slo_against`] /
-//!   [`plan_for_slo_mix`](crate::mix::plan_for_slo_mix) — the `(T, |S|)`
-//!   ladder search, each rung scored by the mix prediction. The mix-aware
-//!   flavour additionally ranks `|S|` *placements* by marginal contended
-//!   value under the mix (sharing-aware preload; see [`crate::mix`]).
+//! - admission: [`ServingMix::from_co_runners`] (or the server's live
+//!   registry) + [`ServingMix::predict`], candidate riding last in each
+//!   round-robin round;
+//! - the gate: [`ServingMix::from_backlog`] / `with_backlog` +
+//!   [`ServingMix::predict`] for an engagement submitted *now*, and
+//!   [`ServingMix::min_delay`] for the smallest delay at which that
+//!   prediction meets the SLO;
+//! - [`plan_for_slo_mix`](crate::mix::plan_for_slo_mix) — the `(T, |S|)`
+//!   ladder search, each rung scored by the mix prediction and its `|S|`
+//!   *placements* ranked by marginal contended value under the mix
+//!   (sharing-aware preload; see [`crate::mix`]).
 //!
 //! Predictions use profiled (maximum) shard bytes and full overlap, which
 //! biases conservative. Search outcomes are memoized in
@@ -48,7 +46,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sti_device::{CompletedJob, HwProfile, SimTime};
 use sti_quant::Bitwidth;
-use sti_storage::{BacklogSnapshot, LayerRequest};
+use sti_storage::LayerRequest;
 use sti_transformer::ShardId;
 
 use crate::cache::{PlanCacheStats, PlanKey};
@@ -284,104 +282,6 @@ pub fn contended_makespan(
     prev_comp_end.saturating_sub(start)
 }
 
-/// Predicts an engagement's contended end-to-end latency when
-/// `co_runners` identical engagements share the flash channel, with no IO
-/// sharing.
-///
-/// All `co_runners + 1` engagements start at `t = 0` with every layer
-/// request already queued (the executor submits them up front), and the
-/// flash serves one request per engagement per round — the IO scheduler's
-/// round-robin policy. The admitted session is modeled as the newest
-/// arrival (it queues behind a full round for every layer). Full
-/// co-arrival is the worst case; see [`predict_contended_latency_at`] for
-/// honest arrival offsets.
-///
-/// With `co_runners == 0` this reproduces the plan's own predicted
-/// makespan exactly. Co-runners are clones of the plan being admitted; see
-/// [`predict_contended_latency_against`] for real co-runner loads and the
-/// shared-IO mode.
-pub fn predict_contended_latency(
-    hw: &HwProfile,
-    plan: &ExecutionPlan,
-    co_runners: usize,
-) -> SimTime {
-    let co = vec![CoRunnerLoad::from_plan(hw, plan); co_runners];
-    predict_contended_latency_against(hw, plan, &co, IoSharing::Exclusive)
-}
-
-/// Predicts an engagement's contended end-to-end latency against the
-/// **actual** streaming loads of its co-runners, optionally with shared-IO
-/// batching. The candidate arrives at simulated time zero; each co-runner's
-/// jobs are submitted at its own [`CoRunnerLoad::arrival`].
-pub fn predict_contended_latency_against(
-    hw: &HwProfile,
-    plan: &ExecutionPlan,
-    co: &[CoRunnerLoad],
-    sharing: IoSharing,
-) -> SimTime {
-    predict_contended_latency_at(hw, plan, SimTime::ZERO, co, sharing)
-}
-
-/// [`predict_contended_latency_against`] with an explicit candidate
-/// arrival: the candidate's jobs queue at `arrival`, each co-runner's at
-/// its own offset. Under the queue's FIFO-by-arrival discipline a
-/// co-runner arriving after the candidate never delays it, and one whose
-/// work drains before the candidate arrives barely does — partially
-/// overlapping windows are priced honestly instead of as full co-arrival.
-pub fn predict_contended_latency_at(
-    hw: &HwProfile,
-    plan: &ExecutionPlan,
-    arrival: SimTime,
-    co: &[CoRunnerLoad],
-    sharing: IoSharing,
-) -> SimTime {
-    ServingMix::from_co_runners(co, sharing).predict(&EngagementLoad::from_plan(hw, plan, arrival))
-}
-
-/// Predicts one engagement's contended end-to-end latency against a live
-/// flash-queue backlog: every queued request in `snapshot` is seeded into
-/// the flash-queue simulator at its channel's effective arrival, the
-/// candidate's layer jobs ride behind (round-robin across lanes, candidate
-/// last — the newest arrival), and the pipeline recurrence runs against the
-/// contended completions. This is the backpressure gate's mid-stream
-/// prediction path: admission asks this question once at session open,
-/// the gate re-asks it before every `infer` with the queue as it stands.
-///
-/// Under [`IoSharing::Batched`] the candidate's jobs may coalesce with
-/// backlog jobs of equal signature whose arrivals fall inside the window —
-/// so a co-resident burst of identical sessions does not scare the gate
-/// into shedding work the batcher would have deduplicated anyway.
-pub fn predict_engagement_latency(
-    snapshot: &BacklogSnapshot,
-    load: &EngagementLoad,
-    sharing: IoSharing,
-) -> SimTime {
-    ServingMix::from_backlog(snapshot, sharing).predict(load)
-}
-
-/// Searches the smallest arrival delay (up to `max_delay`) at which the
-/// engagement's predicted contended latency meets `slo`, against the given
-/// backlog. Returns `Ok((delay, predicted))` — zero delay when the
-/// prediction already fits — or `Err(best_predicted)` when even the best
-/// admissible delay misses the SLO (the queue flavour of backpressure then
-/// sheds). A thin view over
-/// [`ServingMix::min_delay`]; see there
-/// for the two-phase search.
-///
-/// # Errors
-///
-/// Returns `Err` with the best achievable prediction when no admissible
-/// delay meets the SLO.
-pub fn min_queue_delay(
-    snapshot: &BacklogSnapshot,
-    load: &EngagementLoad,
-    sharing: IoSharing,
-    slo: SimTime,
-    max_delay: SimTime,
-) -> Result<(SimTime, SimTime), SimTime> {
-    ServingMix::from_backlog(snapshot, sharing).min_delay(load, slo, max_delay)
-}
-
 /// The outcome of an SLO-aware planning search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingPlan {
@@ -415,67 +315,13 @@ pub struct ServingPlan {
 }
 
 /// Target-latency search ladder, as fractions of the SLO in per-mille.
-/// Descending, so the first hit is the highest-FLOPs plan that fits.
+/// Descending, so the first hit is the highest-FLOPs plan that fits: the
+/// search keeps `|S|` at the session's memory grant (preload only ever
+/// shortens latency) and walks `T` down until the contended prediction
+/// meets the SLO. If even the smallest rung misses, the least-bad plan is
+/// returned with `meets_slo: false`.
 const TARGET_LADDER_PER_MILLE: [u64; 12] =
     [1000, 800, 650, 500, 400, 300, 220, 160, 120, 80, 50, 30];
-
-/// Searches `(T, |S|)` so the session's *contended* latency under
-/// `co_runners` co-runners meets `slo`.
-///
-/// `preload_bytes` is the session's memory grant: the search keeps `|S|`
-/// there (preload only ever shortens latency) and walks `T` down the
-/// ladder, planning each candidate with the unmodified two-stage planner
-/// and simulating contention, until the prediction fits. If even the
-/// smallest candidate misses, the least-bad plan is returned with
-/// `meets_slo: false`.
-pub fn plan_for_slo(
-    hw: &HwProfile,
-    importance: &ImportanceProfile,
-    slo: SimTime,
-    co_runners: usize,
-    preload_bytes: u64,
-    widths: &[usize],
-    bitwidths: &[Bitwidth],
-) -> ServingPlan {
-    search_ladder(hw, importance, slo, co_runners, preload_bytes, widths, bitwidths, |_, plan| {
-        let predicted = predict_contended_latency(hw, &plan, co_runners);
-        LadderStep { predicted, preload_bytes_reallocated: 0, stripe: 0, plan }
-    })
-}
-
-/// [`plan_for_slo`] against the **actual** loads of the currently open
-/// sessions (instead of clones of the candidate), optionally under the
-/// scheduler's shared-IO batching. The candidate arrives at `arrival`;
-/// each co-runner's jobs queue at its own [`CoRunnerLoad::arrival`], so
-/// partially overlapping windows are priced honestly. With batching on and
-/// identical co-runners, the contended prediction collapses toward the
-/// uncontended makespan — the search then admits sessions at targets an
-/// unbatched prediction would have to reject.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_for_slo_against(
-    hw: &HwProfile,
-    importance: &ImportanceProfile,
-    slo: SimTime,
-    arrival: SimTime,
-    co: &[CoRunnerLoad],
-    sharing: IoSharing,
-    preload_bytes: u64,
-    widths: &[usize],
-    bitwidths: &[Bitwidth],
-) -> ServingPlan {
-    let mix = ServingMix::from_co_runners(co, sharing);
-    crate::mix::plan_for_slo_mix(
-        hw,
-        importance,
-        slo,
-        arrival,
-        &mix,
-        PreloadPolicy::PerSession,
-        preload_bytes,
-        widths,
-        bitwidths,
-    )
-}
 
 /// One evaluated ladder rung: the plan the rung settled on (possibly a
 /// mix-aware `|S|` re-placement of the default), its predicted contended
@@ -550,8 +396,7 @@ pub struct ServingPlanKey {
     /// Co-runner count folded into the key: a busier server genuinely needs
     /// a different plan.
     pub co_runners: usize,
-    /// The mix digest the search predicted against; zero for clone-modeled
-    /// searches ([`ServingPlanKey::new`]).
+    /// The mix digest the search predicted against.
     pub mix_digest: u64,
     /// The candidate's arrival offset the search assumed.
     pub arrival: SimTime,
@@ -560,34 +405,6 @@ pub struct ServingPlanKey {
 }
 
 impl ServingPlanKey {
-    /// Builds a clone-modeled, exclusive-IO key from the base knobs and the
-    /// co-runner count (the [`plan_for_slo`] search).
-    pub fn new(base: PlanKey, co_runners: usize) -> Self {
-        Self {
-            base,
-            co_runners,
-            mix_digest: 0,
-            arrival: SimTime::ZERO,
-            policy: PreloadPolicy::PerSession,
-        }
-    }
-
-    /// Builds a key for a [`plan_for_slo_against`] search over real
-    /// co-runner loads, with the candidate arriving at `arrival`.
-    pub fn against(
-        base: PlanKey,
-        arrival: SimTime,
-        co: &[CoRunnerLoad],
-        sharing: IoSharing,
-    ) -> Self {
-        Self::for_mix(
-            base,
-            arrival,
-            &ServingMix::from_co_runners(co, sharing),
-            PreloadPolicy::PerSession,
-        )
-    }
-
     /// Builds a key for a
     /// [`plan_for_slo_mix`](crate::mix::plan_for_slo_mix) search.
     pub fn for_mix(
@@ -691,8 +508,10 @@ impl ServingPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mix::plan_for_slo_mix;
     use sti_device::DeviceProfile;
     use sti_quant::QuantConfig;
+    use sti_storage::{BacklogSnapshot, ChannelBacklog, QueuedIo};
     use sti_transformer::ModelConfig;
 
     fn hw() -> HwProfile {
@@ -725,13 +544,38 @@ mod tests {
         )
     }
 
+    /// `n` co-arriving clones of `plan` as a mix.
+    fn clones(hw: &HwProfile, plan: &ExecutionPlan, n: usize, sharing: IoSharing) -> ServingMix {
+        ServingMix::from_co_runners(&vec![CoRunnerLoad::from_plan(hw, plan); n], sharing)
+    }
+
+    /// One engagement of `plan` arriving at time zero.
+    fn load_of(hw: &HwProfile, plan: &ExecutionPlan) -> EngagementLoad {
+        EngagementLoad::from_plan(hw, plan, SimTime::ZERO)
+    }
+
+    /// The per-session SLO search against `mix`, candidate arriving at zero.
+    fn slo_search(slo: SimTime, mix: &ServingMix, preload: u64) -> ServingPlan {
+        plan_for_slo_mix(
+            &hw(),
+            &importance(),
+            slo,
+            SimTime::ZERO,
+            mix,
+            PreloadPolicy::PerSession,
+            preload,
+            &WIDTHS,
+            &Bitwidth::ALL,
+        )
+    }
+
     #[test]
-    fn zero_co_runners_reproduces_the_plan_prediction() {
+    fn an_empty_mix_reproduces_the_plan_prediction() {
         let hw = hw();
         for (t, s) in [(200u64, 0u64), (300, 1 << 20), (400, 2 << 20)] {
             let plan = plan_at(t, s);
             assert_eq!(
-                predict_contended_latency(&hw, &plan, 0),
+                ServingMix::default().predict(&load_of(&hw, &plan)),
                 plan.predicted.makespan,
                 "T={t} |S|={s}: the contended track must collapse to the uncontended one alone"
             );
@@ -742,9 +586,8 @@ mod tests {
     fn contended_latency_grows_with_co_runners() {
         let hw = hw();
         let plan = plan_at(300, 0);
-        let alone = predict_contended_latency(&hw, &plan, 0);
-        let with_one = predict_contended_latency(&hw, &plan, 1);
-        let with_four = predict_contended_latency(&hw, &plan, 4);
+        let with = |n| clones(&hw, &plan, n, IoSharing::Exclusive).predict(&load_of(&hw, &plan));
+        let (alone, with_one, with_four) = (with(0), with(1), with(4));
         assert!(alone < with_one, "{alone} !< {with_one}");
         assert!(with_one < with_four, "{with_one} !< {with_four}");
     }
@@ -763,15 +606,7 @@ mod tests {
 
     #[test]
     fn slo_search_meets_generous_slos_at_full_target() {
-        let served = plan_for_slo(
-            &hw(),
-            &importance(),
-            SimTime::from_ms(2_000),
-            0,
-            1 << 20,
-            &WIDTHS,
-            &Bitwidth::ALL,
-        );
+        let served = slo_search(SimTime::from_ms(2_000), &ServingMix::default(), 1 << 20);
         assert!(served.meets_slo);
         assert_eq!(served.target, SimTime::from_ms(2_000), "no contention: plan at the SLO");
         assert!(served.predicted_contended <= served.slo);
@@ -779,12 +614,10 @@ mod tests {
 
     #[test]
     fn slo_search_shrinks_target_under_contention() {
-        let hw = hw();
-        let imp = importance();
         let slo = SimTime::from_ms(600);
-        let alone = plan_for_slo(&hw, &imp, slo, 0, 0, &WIDTHS, &Bitwidth::ALL);
-        let crowded = plan_for_slo(&hw, &imp, slo, 6, 0, &WIDTHS, &Bitwidth::ALL);
+        let alone = slo_search(slo, &ServingMix::default(), 0);
         assert!(alone.meets_slo);
+        let crowded = slo_search(slo, &clones(&hw(), &alone.plan, 6, IoSharing::Exclusive), 0);
         if crowded.meets_slo {
             assert!(
                 crowded.target < alone.target,
@@ -802,8 +635,8 @@ mod tests {
     #[test]
     fn infeasible_slo_is_flagged_not_hidden() {
         // A 5 ms SLO with 8 co-runners on Odroid flash cannot be met.
-        let served =
-            plan_for_slo(&hw(), &importance(), SimTime::from_ms(5), 8, 0, &WIDTHS, &Bitwidth::ALL);
+        let mix = clones(&hw(), &plan_at(200, 0), 8, IoSharing::Exclusive);
+        let served = slo_search(SimTime::from_ms(5), &mix, 0);
         assert!(!served.meets_slo);
         assert!(served.predicted_contended > served.slo);
     }
@@ -812,15 +645,7 @@ mod tests {
     fn serving_cache_flushes_at_its_bound() {
         // One real search, cloned into every slot: the bound is about
         // growth under key churn (co-runner digests), not search cost.
-        let served = plan_for_slo(
-            &hw(),
-            &importance(),
-            SimTime::from_ms(600),
-            0,
-            0,
-            &WIDTHS,
-            &Bitwidth::ALL,
-        );
+        let served = slo_search(SimTime::from_ms(600), &ServingMix::default(), 0);
         let cache = ServingPlanCache::new();
         let base = PlanKey::new("m", SimTime::from_ms(600), 0, &WIDTHS, &Bitwidth::ALL);
         let key_for = |digest: u64| ServingPlanKey {
@@ -865,17 +690,11 @@ mod tests {
     fn batched_prediction_collapses_identical_co_runners_to_one_read() {
         let hw = hw();
         let plan = plan_at(300, 0);
-        let alone = predict_contended_latency(&hw, &plan, 0);
+        let load = load_of(&hw, &plan);
+        let alone = ServingMix::default().predict(&load);
         for co_runners in [1usize, 4, 8] {
-            let co = vec![CoRunnerLoad::from_plan(&hw, &plan); co_runners];
-            let exclusive =
-                predict_contended_latency_against(&hw, &plan, &co, IoSharing::Exclusive);
-            let batched = predict_contended_latency_against(&hw, &plan, &co, batched());
-            assert_eq!(
-                exclusive,
-                predict_contended_latency(&hw, &plan, co_runners),
-                "clone loads through the real-load path must reproduce the clone prediction"
-            );
+            let exclusive = clones(&hw, &plan, co_runners, IoSharing::Exclusive).predict(&load);
+            let batched = clones(&hw, &plan, co_runners, batched()).predict(&load);
             assert_eq!(
                 batched, alone,
                 "identical co-runners share every read: contended collapses to uncontended"
@@ -887,13 +706,12 @@ mod tests {
     #[test]
     fn batching_does_not_help_disjoint_co_runners() {
         let hw = hw();
-        let imp = importance();
         let small = plan_at(200, 0);
-        let big = plan_two_stage(&hw, &imp, SimTime::from_ms(2_000), 0, &WIDTHS, &Bitwidth::ALL);
+        let big = plan_at(2_000, 0);
         assert_ne!(small.shape, big.shape, "the fixture needs genuinely different plans");
-        let co = vec![CoRunnerLoad::from_plan(&hw, &big)];
-        let exclusive = predict_contended_latency_against(&hw, &small, &co, IoSharing::Exclusive);
-        let shared = predict_contended_latency_against(&hw, &small, &co, batched());
+        let load = load_of(&hw, &small);
+        let exclusive = clones(&hw, &big, 1, IoSharing::Exclusive).predict(&load);
+        let shared = clones(&hw, &big, 1, batched()).predict(&load);
         // A bigger co-runner reads different shard sets: nothing coalesces,
         // so batching must not under-predict.
         assert!(shared <= exclusive, "sharing can only remove reads, never add them");
@@ -902,36 +720,14 @@ mod tests {
     #[test]
     fn batched_slo_search_admits_what_exclusive_rejects() {
         let hw = hw();
-        let imp = importance();
         // Six co-runners already running the exact plan the SLO's first
         // ladder step produces — the identical-knob co-residency batching
         // targets.
         let slo = SimTime::from_ms(600);
-        let resident = plan_two_stage(&hw, &imp, slo, 0, &WIDTHS, &Bitwidth::ALL);
+        let resident = plan_at(600, 0);
         assert!(resident.predicted.makespan <= slo, "the fixture plan meets the SLO alone");
-        let co = vec![CoRunnerLoad::from_plan(&hw, &resident); 6];
-        let exclusive = plan_for_slo_against(
-            &hw,
-            &imp,
-            slo,
-            SimTime::ZERO,
-            &co,
-            IoSharing::Exclusive,
-            0,
-            &WIDTHS,
-            &Bitwidth::ALL,
-        );
-        let batched = plan_for_slo_against(
-            &hw,
-            &imp,
-            slo,
-            SimTime::ZERO,
-            &co,
-            batched(),
-            0,
-            &WIDTHS,
-            &Bitwidth::ALL,
-        );
+        let exclusive = slo_search(slo, &clones(&hw, &resident, 6, IoSharing::Exclusive), 0);
+        let batched = slo_search(slo, &clones(&hw, &resident, 6, batched()), 0);
         assert!(batched.meets_slo, "shared IO admits the session");
         assert_eq!(
             batched.target, slo,
@@ -965,231 +761,180 @@ mod tests {
         late.arrival = SimTime::from_ms(500);
         assert_ne!(CoRunnerLoad::digest(one_a), CoRunnerLoad::digest(std::slice::from_ref(&late)));
         let base = PlanKey::new("m", SimTime::from_ms(600), 0, &WIDTHS, &Bitwidth::ALL);
-        let k1 = ServingPlanKey::against(base.clone(), SimTime::ZERO, one_b, batched());
-        let k2 = ServingPlanKey::against(base.clone(), SimTime::ZERO, one_b, IoSharing::Exclusive);
+        let key = |arrival, sharing| {
+            let mix = ServingMix::from_co_runners(one_b, sharing);
+            ServingPlanKey::for_mix(base.clone(), arrival, &mix, PreloadPolicy::PerSession)
+        };
+        let k1 = key(SimTime::ZERO, batched());
+        let k2 = key(SimTime::ZERO, IoSharing::Exclusive);
         assert_ne!(k1, k2, "sharing mode is part of the key");
-        let k3 =
-            ServingPlanKey::against(base.clone(), SimTime::from_ms(5), one_b, IoSharing::Exclusive);
+        let k3 = key(SimTime::from_ms(5), IoSharing::Exclusive);
         assert_ne!(k2, k3, "the candidate arrival is part of the key");
-        assert_ne!(k1, ServingPlanKey::new(base, 1), "real-load keys differ from clone keys");
     }
 
     #[test]
     fn straggler_outside_the_window_does_not_inflate_the_prediction() {
         let hw = hw();
         let plan = plan_at(300, 0);
-        let alone = predict_contended_latency(&hw, &plan, 0);
+        let load = load_of(&hw, &plan);
+        let alone = ServingMix::default().predict(&load);
         // The same co-runner load, co-arriving vs. arriving long after the
         // candidate's window has drained.
-        let co_arriving = vec![CoRunnerLoad::from_plan(&hw, &plan)];
-        let straggler = vec![CoRunnerLoad::from_plan_at(&hw, &plan, SimTime::from_ms(600_000))];
-        let inflated =
-            predict_contended_latency_against(&hw, &plan, &co_arriving, IoSharing::Exclusive);
-        let honest =
-            predict_contended_latency_against(&hw, &plan, &straggler, IoSharing::Exclusive);
-        assert!(inflated > alone, "full co-arrival contends");
+        let co_arriving = clones(&hw, &plan, 1, IoSharing::Exclusive);
+        let straggler = ServingMix::from_co_runners(
+            &[CoRunnerLoad::from_plan_at(&hw, &plan, SimTime::from_ms(600_000))],
+            IoSharing::Exclusive,
+        );
+        assert!(co_arriving.predict(&load) > alone, "full co-arrival contends");
         assert_eq!(
-            honest, alone,
+            straggler.predict(&load),
+            alone,
             "a straggler outside the candidate's window must not inflate its prediction"
         );
         // And an early co-runner whose work drains before a late candidate
         // arrives barely delays it either.
-        let late_candidate = predict_contended_latency_at(
-            &hw,
-            &plan,
-            SimTime::from_ms(600_000),
-            &co_arriving,
-            IoSharing::Exclusive,
-        );
+        let late_candidate = co_arriving.predict(&load.delayed(SimTime::from_ms(600_000)));
         assert_eq!(late_candidate, alone, "a drained queue does not delay a late candidate");
     }
 
     /// A synthetic one-channel backlog of `n` jobs with the given service
     /// time each.
-    fn backlog(n: usize, service: SimTime, arrival: SimTime) -> sti_storage::BacklogSnapshot {
-        sti_storage::BacklogSnapshot {
-            channels: vec![sti_storage::ChannelBacklog {
+    fn backlog(n: usize, service: SimTime, arrival: SimTime) -> BacklogSnapshot {
+        BacklogSnapshot {
+            channels: vec![ChannelBacklog {
                 channel: 7,
                 arrival,
                 effective_arrival: arrival,
                 inflight: false,
-                queued: vec![sti_storage::QueuedIo { sig: 1, bytes: 1 << 20, service }; n],
+                queued: vec![QueuedIo { sig: 1, bytes: 1 << 20, service }; n],
             }],
             batch_window: None,
         }
     }
 
-    #[test]
-    fn engagement_prediction_collapses_to_the_plan_alone_on_an_empty_queue() {
-        let hw = hw();
-        for (t, s) in [(200u64, 0u64), (300, 1 << 20)] {
-            let plan = plan_at(t, s);
-            let load = EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO);
-            let empty = sti_storage::BacklogSnapshot::default();
-            assert_eq!(
-                predict_engagement_latency(&empty, &load, IoSharing::Exclusive),
-                plan.predicted.makespan,
-                "T={t} |S|={s}: an idle queue must reproduce the uncontended makespan"
-            );
-        }
+    fn against(snapshot: &BacklogSnapshot) -> ServingMix {
+        ServingMix::from_backlog(snapshot, IoSharing::Exclusive)
     }
 
     #[test]
     fn engagement_prediction_grows_with_the_backlog_and_shrinks_with_delay() {
         let hw = hw();
-        let plan = plan_at(300, 0);
-        let load = EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO);
-        let alone = predict_engagement_latency(
-            &sti_storage::BacklogSnapshot::default(),
-            &load,
-            IoSharing::Exclusive,
-        );
+        let load = load_of(&hw, &plan_at(300, 0));
+        let alone = ServingMix::default().predict(&load);
         let service = SimTime::from_ms(40);
         let mut last = alone;
         for n in [1usize, 4, 16] {
-            let predicted = predict_engagement_latency(
-                &backlog(n, service, SimTime::ZERO),
-                &load,
-                IoSharing::Exclusive,
-            );
+            let predicted = against(&backlog(n, service, SimTime::ZERO)).predict(&load);
             assert!(predicted >= last, "a deeper backlog cannot predict faster");
             last = predicted;
         }
         // Submitting after the backlog drains restores the solo latency.
-        let drained = predict_engagement_latency(
-            &backlog(16, service, SimTime::ZERO),
-            &load.delayed(service * 16),
-            IoSharing::Exclusive,
-        );
+        let drained =
+            against(&backlog(16, service, SimTime::ZERO)).predict(&load.delayed(service * 16));
         assert_eq!(drained, alone, "past the drain point the backlog is invisible");
     }
 
     #[test]
-    fn min_queue_delay_finds_the_threshold_and_flags_the_hopeless() {
+    fn min_delay_finds_the_threshold_and_flags_the_hopeless() {
         let hw = hw();
-        let plan = plan_at(300, 0);
-        let load = EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO);
-        let alone = predict_engagement_latency(
-            &sti_storage::BacklogSnapshot::default(),
-            &load,
-            IoSharing::Exclusive,
-        );
-        let snap = backlog(8, SimTime::from_ms(50), SimTime::ZERO);
+        let load = load_of(&hw, &plan_at(300, 0));
+        let alone = ServingMix::default().predict(&load);
+        let mix = against(&backlog(8, SimTime::from_ms(50), SimTime::ZERO));
         let generous = SimTime::from_ms(600_000);
         // No backlog: zero delay, prediction unchanged.
-        let (d, p) = min_queue_delay(
-            &sti_storage::BacklogSnapshot::default(),
-            &load,
-            IoSharing::Exclusive,
-            generous,
-            generous,
-        )
-        .unwrap();
+        let (d, p) = ServingMix::default().min_delay(&load, generous, generous).unwrap();
         assert_eq!((d, p), (SimTime::ZERO, alone));
         // A tight-but-feasible SLO: the search must find a delay whose
         // prediction meets it, and a smaller delay must not.
         let slo = alone + SimTime::from_ms(20);
-        let (delay, predicted) = min_queue_delay(&snap, &load, IoSharing::Exclusive, slo, generous)
+        let (delay, predicted) = mix
+            .min_delay(&load, slo, generous)
             .expect("draining the backlog makes the SLO feasible");
         assert!(delay > SimTime::ZERO);
         assert!(predicted <= slo);
         if let Some(earlier) = delay.checked_sub(SimTime::from_us(1)) {
-            let too_early =
-                predict_engagement_latency(&snap, &load.delayed(earlier), IoSharing::Exclusive);
-            assert!(too_early > slo, "the found delay must be minimal");
+            assert!(mix.predict(&load.delayed(earlier)) > slo, "the found delay must be minimal");
         }
         // An SLO below the uncontended makespan is hopeless at any delay.
-        let hopeless = min_queue_delay(
-            &snap,
-            &load,
-            IoSharing::Exclusive,
-            alone - SimTime::from_us(1),
-            generous,
-        );
-        assert!(hopeless.is_err());
+        assert!(mix.min_delay(&load, alone - SimTime::from_us(1), generous).is_err());
         // A max-delay cap below the threshold also sheds.
-        let capped = min_queue_delay(&snap, &load, IoSharing::Exclusive, slo, SimTime::from_us(1));
+        let capped = mix.min_delay(&load, slo, SimTime::from_us(1));
         assert!(capped.is_err(), "the cap binds before the backlog drains");
     }
 
     #[test]
-    fn min_queue_delay_climbs_past_windows_the_delay_lands_in() {
+    fn min_delay_climbs_past_windows_the_delay_lands_in() {
         let hw = hw();
-        let plan = plan_at(300, 0);
-        let load = EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO);
-        let alone = predict_engagement_latency(
-            &sti_storage::BacklogSnapshot::default(),
-            &load,
-            IoSharing::Exclusive,
-        );
+        let load = load_of(&hw, &plan_at(300, 0));
+        let alone = ServingMix::default().predict(&load);
         let generous = SimTime::from_ms(600_000);
         let slo = alone + SimTime::from_ms(20);
         // Co-arriving backlog alone: the delay clears its drain point.
         let co_arriving = backlog(8, SimTime::from_ms(50), SimTime::ZERO);
-        let (d1, _) =
-            min_queue_delay(&co_arriving, &load, IoSharing::Exclusive, slo, generous).unwrap();
+        let (d1, _) = against(&co_arriving).min_delay(&load, slo, generous).unwrap();
         // Add a second lane arriving right where that delay would land the
         // engagement: the search must climb past it too.
         let mut both = co_arriving.clone();
         let mut late = backlog(8, SimTime::from_ms(50), d1).channels.remove(0);
         late.channel = 8;
         both.channels.push(late);
-        let (d2, predicted) =
-            min_queue_delay(&both, &load, IoSharing::Exclusive, slo, generous).unwrap();
+        let both = against(&both);
+        let (d2, predicted) = both.min_delay(&load, slo, generous).unwrap();
         assert!(d2 > d1, "a window the delay lands in must lengthen the wait: {d2} <= {d1}");
         assert!(predicted <= slo);
-        assert_eq!(
-            predict_engagement_latency(&both, &load.delayed(d2), IoSharing::Exclusive),
-            predicted
-        );
+        assert_eq!(both.predict(&load.delayed(d2)), predicted);
     }
 
     #[test]
     fn batched_engagement_prediction_rides_the_backlog_for_free() {
         let hw = hw();
-        let plan = plan_at(300, 0);
-        let load = EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO);
+        let load = load_of(&hw, &plan_at(300, 0));
         // A backlog that is exactly another engagement of the same plan,
         // co-arriving on one channel.
-        let jobs: Vec<LayerIoJob> = load.jobs.iter().copied().flatten().collect();
-        let snap = sti_storage::BacklogSnapshot {
-            channels: vec![sti_storage::ChannelBacklog {
+        let snap = BacklogSnapshot {
+            channels: vec![ChannelBacklog {
                 channel: 3,
                 arrival: SimTime::ZERO,
                 effective_arrival: SimTime::ZERO,
                 inflight: false,
-                queued: jobs
+                queued: load
+                    .jobs
                     .iter()
-                    .map(|j| sti_storage::QueuedIo { sig: j.sig, bytes: 0, service: j.service })
+                    .flatten()
+                    .map(|j| QueuedIo { sig: j.sig, bytes: 0, service: j.service })
                     .collect(),
             }],
             batch_window: Some(SimTime::from_ms(1)),
         };
-        let exclusive = predict_engagement_latency(&snap, &load, IoSharing::Exclusive);
-        let shared = predict_engagement_latency(&snap, &load, batched());
-        let alone = predict_engagement_latency(
-            &sti_storage::BacklogSnapshot::default(),
-            &load,
-            IoSharing::Exclusive,
-        );
+        let exclusive = against(&snap).predict(&load);
+        let shared = ServingMix::from_backlog(&snap, batched()).predict(&load);
+        let alone = ServingMix::default().predict(&load);
         assert!(exclusive > alone, "an exclusive twin contends");
         assert_eq!(shared, alone, "a byte-identical in-window backlog batches away");
     }
 
     #[test]
-    fn serving_cache_memoizes_per_co_runner_count() {
+    fn serving_cache_memoizes_per_mix() {
         let hw = hw();
-        let imp = importance();
         let cache = ServingPlanCache::new();
-        let base = PlanKey::new("m", SimTime::from_ms(600), 0, &WIDTHS, &Bitwidth::ALL);
+        let slo = SimTime::from_ms(600);
+        let base = PlanKey::new("m", slo, 0, &WIDTHS, &Bitwidth::ALL);
+        let resident = plan_at(600, 0);
         let mut searches = 0;
         for co in [0usize, 2, 0, 2, 0] {
-            cache.get_or_plan(&ServingPlanKey::new(base.clone(), co), || {
+            let mix = clones(&hw, &resident, co, IoSharing::Exclusive);
+            let key = ServingPlanKey::for_mix(
+                base.clone(),
+                SimTime::ZERO,
+                &mix,
+                PreloadPolicy::PerSession,
+            );
+            cache.get_or_plan(&key, || {
                 searches += 1;
-                plan_for_slo(&hw, &imp, SimTime::from_ms(600), co, 0, &WIDTHS, &Bitwidth::ALL)
+                slo_search(slo, &mix, 0)
             });
         }
-        assert_eq!(searches, 2, "one search per distinct co-runner count");
+        assert_eq!(searches, 2, "one search per distinct mix");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (3, 2));
         assert_eq!(cache.len(), 2);

@@ -37,12 +37,11 @@
 //!   the lane's simulated arrival time, the device channel placement put it
 //!   on, and byte/cache-hit accounting. [`IoScheduler::topology_sim`]
 //!   replays that sequence through the engine-hosted
-//!   [`TopologyQueueSim`] of `sti-device`
-//!   (and [`IoScheduler::contention_sim`] through the legacy single-channel
-//!   [`FlashQueueSim`]), yielding the start/completion times each request
-//!   *would* have seen on the contended device. Passing a DRAM-speed
-//!   [`FlashModel`] charges cache-resident bytes at DRAM service time
-//!   instead of flash — the opt-in residency mode for capacity planning.
+//!   [`TopologyQueueSim`] of `sti-device`, yielding the start/completion
+//!   times each request *would* have seen on the contended device. Passing
+//!   a DRAM-speed [`FlashModel`] charges cache-resident bytes at DRAM
+//!   service time instead of flash — the opt-in residency mode for
+//!   capacity planning.
 //!   The contended track never feeds back into execution results; it exists
 //!   for serving reports, the SLO planner, and admission control.
 //!
@@ -69,7 +68,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use sti_device::{DeviceTopology, FlashJob, FlashModel, FlashQueueSim, SimTime, TopologyQueueSim};
+use sti_device::{DeviceTopology, FlashJob, FlashModel, SimTime, TopologyQueueSim};
 use sti_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ObsSink, SpanArgs, SpanEvent,
     TrackKind,
@@ -202,7 +201,7 @@ pub struct ChannelBacklog {
 /// effective arrival, and the scheduler's batch-window state. This is what
 /// the serving runtime's infer-time backpressure gate feeds the contended
 /// prediction — "what would an engagement submitted *now* see" — via
-/// `sti_planner::serving::predict_engagement_latency`.
+/// `sti_planner::ServingMix::predict`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BacklogSnapshot {
     /// Open channels in channel-id order (channels with no queued work and
@@ -785,41 +784,11 @@ impl IoScheduler {
         events
     }
 
-    /// Builds the discrete-event flash-queue simulation of every request
-    /// dispatched so far. With `dram` set, bytes that were resident in the
-    /// shared shard cache are charged at that (DRAM-speed) model's service
-    /// time instead of flash — the opt-in cache-residency mode.
-    pub fn contention_sim(&self, dram: Option<FlashModel>) -> FlashQueueSim {
-        Self::sim_from_events(&self.flash_events(), self.shared.flash, dram)
-    }
-
-    /// Builds the contended-track simulation from an explicit event list
-    /// (what [`IoScheduler::contention_sim`] does with the live log).
-    /// Batched events submit **one** shared job whose completion is
-    /// mirrored to every member — the bytes are charged once.
-    pub fn sim_from_events(
-        events: &[FlashDispatchEvent],
-        flash: FlashModel,
-        dram: Option<FlashModel>,
-    ) -> FlashQueueSim {
-        let mut sim = FlashQueueSim::new();
-        for e in events {
-            sim.submit_shared(
-                FlashJob {
-                    engagement: e.channel,
-                    arrival: e.arrival,
-                    service: contended_service(e, flash, dram),
-                },
-                &e.members,
-            );
-        }
-        sim
-    }
-
     /// Builds the engine-hosted multi-channel simulation of every request
     /// dispatched so far, routed by each event's recorded device channel.
-    /// Under the single-channel topology the report is bit-identical to
-    /// [`IoScheduler::contention_sim`]'s.
+    /// With `dram` set, bytes that were resident in the shared shard cache
+    /// are charged at that (DRAM-speed) model's service time instead of
+    /// flash — the opt-in cache-residency mode.
     pub fn topology_sim(&self, dram: Option<FlashModel>) -> TopologyQueueSim {
         Self::topology_sim_from_events(
             &self.flash_events(),
@@ -830,10 +799,12 @@ impl IoScheduler {
     }
 
     /// Builds the topology simulation from an explicit event list (what
-    /// [`IoScheduler::topology_sim`] does with the live log). Events are
-    /// routed by [`FlashDispatchEvent::device_channel`], normalized modulo
-    /// the topology's channel count so a mismatched topology still yields
-    /// a total routing.
+    /// [`IoScheduler::topology_sim`] does with the live log). Batched
+    /// events submit **one** shared job whose completion is mirrored to
+    /// every member — the bytes are charged once. Events are routed by
+    /// [`FlashDispatchEvent::device_channel`], normalized modulo the
+    /// topology's channel count so a mismatched topology still yields a
+    /// total routing.
     pub fn topology_sim_from_events(
         events: &[FlashDispatchEvent],
         flash: FlashModel,
@@ -1508,7 +1479,7 @@ mod tests {
     }
 
     #[test]
-    fn contention_sim_replays_the_dispatch_sequence() {
+    fn topology_sim_replays_the_dispatch_sequence() {
         let (store, _, flash) = fixture(0);
         let sched = IoScheduler::spawn(store, flash, 1, 0.0, None);
         let a = sched.channel();
@@ -1522,7 +1493,8 @@ mod tests {
             uncontended_a += a.recv().unwrap().io_delay;
             b.recv().unwrap();
         }
-        let report = sched.contention_sim(None).run();
+        let report = sched.topology_sim(None).run();
+        let report = report.single();
         assert_eq!(report.completions.len(), 4);
         // Busy-time conservation: the contended queue does exactly the
         // uncontended work, just serialized.
@@ -1549,8 +1521,9 @@ mod tests {
         let b = sched.channel();
         b.request(request(0, 0)).unwrap();
         b.recv().unwrap();
-        let flash_only = sched.contention_sim(None).run();
-        let with_dram = sched.contention_sim(Some(FlashModel::dram_residency())).run();
+        let flash_only = sched.topology_sim(None).run();
+        let with_dram = sched.topology_sim(Some(FlashModel::dram_residency())).run();
+        let (flash_only, with_dram) = (flash_only.single(), with_dram.single());
         // The second request was fully cache-resident: under the residency
         // model its service time collapses, the first is unchanged.
         assert_eq!(with_dram.completions[0].completion, flash_only.completions[0].completion);
@@ -1565,9 +1538,9 @@ mod tests {
         let late = sched.channel_at(SimTime::from_ms(500));
         late.request(request(0, 0)).unwrap();
         late.recv().unwrap();
-        let report = sched.contention_sim(None).run();
-        assert_eq!(report.completions[0].arrival, SimTime::from_ms(500));
-        assert!(report.makespan >= SimTime::from_ms(500));
+        let report = sched.topology_sim(None).run();
+        assert_eq!(report.single().completions[0].arrival, SimTime::from_ms(500));
+        assert!(report.makespan() >= SimTime::from_ms(500));
         sched.shutdown();
     }
 
@@ -1690,8 +1663,8 @@ mod tests {
         assert!(events.iter().all(|e| e.fanout() == 4));
         // The contended replay charges the bytes once but completes every
         // engagement's layers.
-        let report = sched.contention_sim(None).run();
-        assert_eq!(report.busy * 4, stats.sim_flash_busy, "flash pays 1/4 of the unbatched busy");
+        let report = sched.topology_sim(None).run();
+        assert_eq!(report.busy() * 4, stats.sim_flash_busy, "flash pays 1/4 of the unbatched busy");
         for ch in &channels {
             assert_eq!(report.completions_of(ch.id()).len(), 2);
         }
@@ -1770,7 +1743,7 @@ mod tests {
         // the (arrival, seq) replay order preserves its FIFO.
         assert_eq!(solo.arrival, SimTime::from_us(400));
         assert!(solo.seq > batch.seq);
-        let report = sched.contention_sim(None).run();
+        let report = sched.topology_sim(None).run();
         let mine = report.completions_of(early.id());
         assert_eq!(mine.len(), 2);
         assert!(mine[0].completion <= mine[1].start, "per-channel FIFO survives the replay");
@@ -1923,7 +1896,7 @@ mod tests {
     }
 
     #[test]
-    fn single_channel_topology_reproduces_the_legacy_scheduler_bitwise() {
+    fn single_channel_replay_matches_the_flash_queue_reference_bitwise() {
         let (store, _, flash) = fixture(0);
         let sched = IoScheduler::spawn_topology(
             store,
@@ -1947,9 +1920,17 @@ mod tests {
             b.recv().unwrap();
         }
         assert!(sched.flash_events().iter().all(|e| e.device_channel == 0));
-        let legacy = sched.contention_sim(None).run();
+        // The closed-form single-queue reference, fed the same dispatch log.
+        let mut reference = sti_device::FlashQueueSim::new();
+        for e in sched.flash_events() {
+            let service = contended_service(&e, flash, None);
+            reference.submit_shared(
+                FlashJob { engagement: e.channel, arrival: e.arrival, service },
+                &e.members,
+            );
+        }
         let topo = sched.topology_sim(None).run();
-        assert_eq!(*topo.single(), legacy, "C = 1 replay is bit-identical");
+        assert_eq!(*topo.single(), reference.run(), "C = 1 replay is bit-identical");
         // Single-channel schedulers mint no per-channel instruments.
         let snap = sched.metrics_snapshot();
         assert!(snap.counters.keys().all(|n| !n.starts_with("io.channel.")));

@@ -7,9 +7,10 @@
 //! One `StiServer` owns the sentiment model, the plan cache, the
 //! compressed-shard cache, and the IO scheduler. Eight clients open
 //! sessions against it — six at the default knobs, one latency-critical,
-//! one memory-starved — and submit engagements from their own threads.
-//! The example then replays the identical trace sequentially and checks
-//! that sharing changed nothing about the results, only the wall-clock.
+//! one memory-starved — and submit engagements as components of the
+//! discrete-event engine (one simulated clock, one OS thread). The example
+//! then replays the identical trace sequentially and checks that sharing
+//! changed nothing about the results, only the wall-clock.
 
 use sti::prelude::*;
 use sti::TaskContext;
@@ -31,32 +32,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     trace.clients[7].preload_bytes = 0;
 
     let server = build_server(&ctx, &cfg);
-    let concurrent = replay_concurrent(&server, &trace)?;
+    let event = replay_event(&server, &trace)?;
     let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace)?;
 
     println!(
         "{} engagements, 8 concurrent sessions: {:.1} eng/s (sequential {:.1} eng/s)",
         trace.total_engagements(),
-        concurrent.engagements_per_sec(),
+        event.engagements_per_sec(),
         sequential.engagements_per_sec(),
     );
     println!(
         "plan cache: {} plans for 3 knob sets ({} hits); shard cache: {:.0}% hit rate",
-        concurrent.distinct_plans,
-        concurrent.plan_stats.hits,
-        concurrent.shard_stats.hit_rate() * 100.0,
+        event.distinct_plans,
+        event.plan_stats.hits,
+        event.shard_stats.hit_rate() * 100.0,
     );
     println!(
         "io scheduler: {} layer requests, max queue depth {}, simulated flash busy {}",
-        concurrent.io_stats.requests,
-        concurrent.io_stats.max_queue_depth,
-        concurrent.io_stats.sim_flash_busy,
+        event.io_stats.requests, event.io_stats.max_queue_depth, event.io_stats.sim_flash_busy,
     );
 
-    assert_eq!(concurrent.outcomes, sequential.outcomes, "sharing must never change results");
-    println!("determinism: concurrent outcomes identical to sequential replay ✓");
+    assert_eq!(event.outcomes, sequential.outcomes, "sharing must never change results");
+    println!("determinism: event outcomes identical to sequential replay ✓");
 
-    for (i, outcomes) in concurrent.outcomes.iter().enumerate() {
+    for (i, outcomes) in event.outcomes.iter().enumerate() {
         let classes: Vec<usize> = outcomes.iter().map(|o| o.class).collect();
         println!(
             "client {i}: T = {}, |S| = {} KB -> classes {:?}, makespan {}",

@@ -38,8 +38,10 @@
 //! contended latency meets the SLO) or shed (fail fast instead of
 //! missing). Apps hold lightweight [`prelude::Session`] handles.
 //! Sharing is invisible to results: a single session reproduces the engine
-//! bit-for-bit, and N concurrent sessions reproduce N sequential runs
-//! exactly (`tests/serving_runtime.rs` pins both down;
+//! bit-for-bit, the event replay reproduces the sequential replay exactly
+//! (event ≡ sequential), and `Session::infer` driven from N host threads
+//! reproduces it on per-engagement outcomes (host threads ≡ sequential)
+//! (`tests/serving_runtime.rs` pins all three down;
 //! `tests/serving_batching.rs` pins the batched economics).
 //!
 //! ## Serving quickstart
@@ -58,9 +60,10 @@
 //! let inference = session.infer(&[1, 2, 3])?;
 //! assert!(inference.class < 2);
 //!
-//! // Or replay a whole multi-client trace (one thread per client).
+//! // Or replay a whole multi-client trace on the discrete-event engine
+//! // (every client a component on one simulated clock, one OS thread).
 //! let trace = ServingTrace::synthetic(&ctx, &cfg, 4, 2);
-//! let report = replay_concurrent(&server, &trace)?;
+//! let report = replay_event(&server, &trace)?;
 //! assert_eq!(report.outcomes.len(), 4);
 //! # Ok::<(), sti::prelude::PipelineError>(())
 //! ```
@@ -87,8 +90,9 @@
 //! that fails on one channel can succeed by striping across four
 //! (`tests/serving_device.rs` pins exactly that, plus per-channel
 //! busy-time conservation and FIFO). `C = 1` (the default) has no
-//! placement freedom and reproduces the legacy single-channel runtime
-//! bit-identically on every shipped fixture; `sti serve --channels N`
+//! placement freedom, and the simulator at `C = 1` is pinned bit-identical
+//! to the closed-form `FlashQueueSim` reference (kept as the oracle, with
+//! no production caller); `sti serve --channels N`
 //! sets the topology everywhere, and per-device-channel span tracks and
 //! `io.channel.<c>.*` metrics make each channel's busy time, queued
 //! bytes, and batch fan-out observable.
@@ -149,15 +153,16 @@
 //! `gate_p99_us` give the tail from a log₂-bucket histogram.
 //! `tests/serving_fleet.rs` pins the incremental digest equal to a
 //! from-scratch rehash under arbitrary register/retarget/drop/backlog
-//! interleavings. Each entry is stamped with its executor and device
-//! `channels`, and carries `contended_eps` — replay engagements per
+//! interleavings. Each entry is stamped with its device `channels` (and
+//! the constant `exec_mode: "event"`, kept so rows from the retired
+//! threaded executor keep their merge identity), and carries
+//! `contended_eps` — replay engagements per
 //! *simulated* second on the contended track, the column that scales
 //! with the channel count, plus the prefetcher's `prefetch_hit_rate`,
 //! `prefetch_speculated_kb`, and `contended_p50_us` columns. Re-running
 //! `--bench-out` against an existing ledger *merges* by `(exec_mode,
 //! channels, prefetch, fleet points)` instead of clobbering, so
-//! threaded/event, per-topology, and prefetch-on/off sweeps accumulate
-//! in one file.
+//! per-topology and prefetch-on/off sweeps accumulate in one file.
 //!
 //! ## Deterministic observability (`sti-obs`)
 //!
@@ -168,11 +173,10 @@
 //! - **Spans.** Every engagement, flash job, and gate decision becomes a
 //!   [`prelude::SpanEvent`] on a `(track, name, tick)` virtual timeline,
 //!   assembled canonically from the server's logs after the replay.
-//!   Racy threaded-mode channel ids are remapped to stable
+//!   Scheduler channel ids are remapped to stable
 //!   `(session, engagement)` ids, so the deterministic tracks
 //!   (session/channel/flash — [`prelude::TrackFilter::Deterministic`])
-//!   export **byte-identically** across `--exec threaded` and
-//!   `--exec event` and across runs. Engine ticks and host-side dispatch
+//!   export **byte-identically** across runs. Engine ticks and host-side dispatch
 //!   ride separate non-deterministic "color" tracks that the filter
 //!   excludes. Span names are dotted lowercase (`gate.delay`,
 //!   `flash.service`, `io.dispatch`, `engine.tick`).
@@ -189,8 +193,8 @@
 //! When no sink is installed the span hot path is a branch on
 //! [`prelude::ObsSink::Null`] — `crates/bench/benches/obs_overhead.rs` pins the
 //! disabled-mode overhead in the noise floor, and
-//! `tests/serving_obs.rs` pins run-twice and cross-executor export
-//! determinism plus the never-perturbs contract.
+//! `tests/serving_obs.rs` pins run-twice export determinism plus the
+//! never-perturbs contract.
 //!
 //! The single-app engine path (`StiEngine::builder(..)`) works exactly as
 //! in the seed; see `crates/pipeline` for both facades, and the

@@ -113,7 +113,7 @@ fn full_replay_rejects_the_infeasible_client_and_serves_the_rest() {
     trace.clients[3].slo = Some(floor); // the aggressive client opens last
 
     let server = build_server(&ctx, &cfg);
-    let report = replay_concurrent(&server, &trace).unwrap();
+    let report = replay_event(&server, &trace).unwrap();
     assert_eq!(report.rejected_clients, vec![3]);
     assert!(report.outcomes[3].is_empty());
     for outcomes in &report.outcomes[..3] {
@@ -135,14 +135,16 @@ fn predicted_contention_is_exact_alone_and_monotone_in_co_runners() {
     for (t, s) in [(300u64, 0u64), (300, 16 << 10), (1_000, 0)] {
         let plan =
             plan_two_stage(&hw, &importance, SimTime::from_ms(t), s, &[2, 4], &Bitwidth::ALL);
-        assert_eq!(
-            predict_contended_latency(&hw, &plan, 0),
-            plan.predicted.makespan,
-            "T={t} |S|={s}"
-        );
+        // `co` co-arriving clones of the plan, no IO sharing.
+        let predict = |co: usize| {
+            let clones = vec![CoRunnerLoad::from_plan(&hw, &plan); co];
+            ServingMix::from_co_runners(&clones, IoSharing::Exclusive)
+                .predict(&EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO))
+        };
+        assert_eq!(predict(0), plan.predicted.makespan, "T={t} |S|={s}");
         let mut last = SimTime::ZERO;
         for co in [0usize, 1, 2, 4, 8] {
-            let predicted = predict_contended_latency(&hw, &plan, co);
+            let predicted = predict(co);
             assert!(predicted >= last, "contended latency must not shrink as co-runners grow");
             last = predicted;
         }
@@ -159,7 +161,7 @@ fn trace_file_round_trips_through_both_replay_modes() {
         ..Default::default()
     };
     let trace = load_trace("examples/traces/smoke.json").expect("shipped example parses");
-    let concurrent = replay_concurrent(&build_server(&ctx, &cfg), &trace).unwrap();
+    let concurrent = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
     let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
     assert_eq!(concurrent.outcomes, sequential.outcomes, "trace replay is deterministic");
     assert_eq!(concurrent.rejected_clients, sequential.rejected_clients);

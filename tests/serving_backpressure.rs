@@ -177,7 +177,7 @@ fn assert_replay_gate_determinism(trace_path: &str, backpressure: BackpressureMo
         ..Default::default()
     };
     let trace = load_trace(trace_path).expect("shipped example parses");
-    let concurrent = replay_concurrent(&build_server(&ctx, &cfg), &trace).unwrap();
+    let concurrent = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
     let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
     assert_eq!(
         concurrent.contention.gate, sequential.contention.gate,
@@ -209,7 +209,7 @@ fn bursty_trace_sheds_under_shed_and_serves_all_under_queue() {
     let trace = load_trace("examples/traces/burst.json").unwrap();
     let run = |backpressure: BackpressureMode| {
         let cfg = ServeConfig { preload_bytes: 0, backpressure, ..Default::default() };
-        replay_concurrent(&build_server(&ctx, &cfg), &trace).unwrap()
+        replay_event(&build_server(&ctx, &cfg), &trace).unwrap()
     };
     let off = run(BackpressureMode::Off);
     let shed = run(BackpressureMode::Shed);

@@ -44,9 +44,9 @@ fn batched_concurrent_replay_is_bit_identical_to_sequential_and_unbatched() {
     let window = Some(SimTime::from_ms(1));
     let trace = ServingTrace::synthetic(&ctx, &batched_cfg(window), 8, 3);
 
-    let batched = replay_concurrent(&build_server(&ctx, &batched_cfg(window)), &trace).unwrap();
+    let batched = replay_event(&build_server(&ctx, &batched_cfg(window)), &trace).unwrap();
     let sequential = replay_sequential(&build_server(&ctx, &batched_cfg(window)), &trace).unwrap();
-    let unbatched = replay_concurrent(&build_server(&ctx, &batched_cfg(None)), &trace).unwrap();
+    let unbatched = replay_event(&build_server(&ctx, &batched_cfg(None)), &trace).unwrap();
 
     assert_eq!(
         batched.outcomes, sequential.outcomes,

@@ -5,11 +5,11 @@
 //!    conservation channel by channel, FIFO service order within a
 //!    channel, each channel's server never overlaps two jobs, and no job
 //!    ever migrates to a channel it was not submitted to.
-//! 2. **`C = 1` ≡ legacy.** A single-channel topology run is bit-identical
-//!    to `FlashQueueSim` on arbitrary job streams, and a `channels: 1`
-//!    server reproduces the default server's outcomes, gate decisions,
-//!    and contended latencies on every shipped fixture under both
-//!    executors.
+//! 2. **`C = 1` ≡ reference.** A single-channel topology run is
+//!    bit-identical to the closed-form `FlashQueueSim` reference on
+//!    arbitrary job streams, and a `channels: 1` server reproduces the
+//!    default server's outcomes, gate decisions, and contended latencies
+//!    on every shipped fixture.
 //! 3. **Placement wins admissions.** Striping a fleet across `C = 4`
 //!    channels admits an SLO session that the single-channel device
 //!    rejects at the same SLO — the planner's placement axis turns
@@ -117,9 +117,9 @@ proptest! {
         }
     }
 
-    /// `C = 1` ≡ legacy, at the simulator level: a single-channel topology
-    /// (hosted on the shared event engine) reproduces `FlashQueueSim`
-    /// bitwise on arbitrary job streams.
+    /// `C = 1` ≡ reference, at the simulator level: a single-channel
+    /// topology (hosted on the shared event engine) reproduces the
+    /// closed-form `FlashQueueSim` bitwise on arbitrary job streams.
     #[test]
     fn single_channel_topology_is_bitwise_the_legacy_sim(
         samples in proptest::collection::vec(
@@ -147,10 +147,10 @@ fn ctx() -> TaskContext {
     TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny())
 }
 
-/// `C = 1` ≡ legacy, at the server level: on every shipped fixture, under
-/// both executors, an explicit `channels: 1` server is bit-identical to
-/// the default (pre-knob) server — per-engagement outcomes, gate
-/// decisions, and contended latencies alike.
+/// `C = 1` is the default, at the server level: on every shipped fixture
+/// an explicit `channels: 1` server is bit-identical to the default
+/// server — per-engagement outcomes, gate decisions, and the whole
+/// contended report alike.
 #[test]
 fn explicit_single_channel_matches_the_default_device_on_shipped_fixtures() {
     let ctx = ctx();
@@ -165,29 +165,13 @@ fn explicit_single_channel_matches_the_default_device_on_shipped_fixtures() {
             ..Default::default()
         };
         let pinned = ServeConfig { channels: 1, ..legacy.clone() };
-        for exec in [ExecMode::Threaded, ExecMode::Event] {
-            let replay = |cfg: &ServeConfig| match exec {
-                ExecMode::Threaded => replay_concurrent(&build_server(&ctx, cfg), &trace),
-                ExecMode::Event => replay_event(&build_server(&ctx, cfg), &trace),
-            };
-            let want = replay(&legacy).unwrap();
-            let got = replay(&pinned).unwrap();
-            assert_eq!(got.outcomes, want.outcomes, "{path} {exec:?}");
-            assert_eq!(got.contention.gate, want.contention.gate, "{path} {exec:?}");
-            assert_eq!(got.rejected_clients, want.rejected_clients, "{path} {exec:?}");
-            if exec == ExecMode::Event {
-                // The event executor is run-to-run deterministic down to
-                // the contended rows, so the C=1 pin is exact there; a
-                // threaded replay's queueing depends on the host schedule
-                // (two runs of the *same* config differ), so only the
-                // determinism-contract fields are comparable above.
-                assert_eq!(
-                    got.contention.engagements, want.contention.engagements,
-                    "{path} {exec:?}"
-                );
-                assert_eq!(got.contention, want.contention, "{path} {exec:?}");
-            }
-        }
+        let want = replay_event(&build_server(&ctx, &legacy), &trace).unwrap();
+        let got = replay_event(&build_server(&ctx, &pinned), &trace).unwrap();
+        assert_eq!(got.outcomes, want.outcomes, "{path}");
+        assert_eq!(got.rejected_clients, want.rejected_clients, "{path}");
+        // The event executor is run-to-run deterministic down to the
+        // contended rows (gate log included), so the pin is exact.
+        assert_eq!(got.contention, want.contention, "{path}");
     }
 }
 

@@ -1,15 +1,13 @@
 //! Contracts of the discrete-event serving path (`replay_event`) and the
 //! co-arrival gate fixed point.
 //!
-//! 1. **Event ≡ threaded ≡ sequential.** Replaying the shipped traces on
-//!    the discrete-event engine reproduces the threaded path's
-//!    per-engagement outcomes, gate decisions, and admission rejections
-//!    bit for bit. With batching off the contended aggregates match too;
-//!    with a batch window the two executors may *sequence* the contended
-//!    rows differently (the event loop enqueues every co-arriving request
-//!    before the flash components service the instant), but the contended
-//!    aggregates — busy time, makespan, depth, batch economics — are
-//!    pinned equal on the mix fixture.
+//! 1. **Event ≡ sequential.** Replaying the shipped traces on the
+//!    discrete-event engine reproduces the sequential oracle's
+//!    per-engagement outcomes, gate decisions, admission rejections, and
+//!    serving counters bit for bit. With batching off the
+//!    schedule-free contended aggregates match too; with a batch window
+//!    the event loop enqueues every co-arriving request before the flash
+//!    components service the instant, so fan-outs are maximal.
 //! 2. **Run-twice determinism.** Two event replays of the same trace are
 //!    fully identical — outcomes, the whole contention report, and even
 //!    the engine's heap-op count.
@@ -49,47 +47,45 @@ fn serve_config(
     }
 }
 
-/// Replays `trace` through all three executors of one config and pins the
-/// cross-mode determinism contract: outcomes, gate decisions, and
-/// admission rejections are identical. Returns `(event, threaded)` for
-/// aggregate comparisons the caller wants on top.
-fn replay_everyway(trace: &ServingTrace, cfg: &ServeConfig) -> (ServeReport, ServeReport) {
+/// Replays `trace` on the event executor and the sequential oracle of one
+/// config and pins the determinism contract: outcomes, gate decisions,
+/// and admission rejections are identical. Returns `(event, sequential)`
+/// for aggregate comparisons the caller wants on top.
+fn replay_both(trace: &ServingTrace, cfg: &ServeConfig) -> (ServeReport, ServeReport) {
     let event = replay_event(&build_server(ctx(), cfg), trace).unwrap();
-    let threaded = replay_concurrent(&build_server(ctx(), cfg), trace).unwrap();
     let sequential = replay_sequential(&build_server(ctx(), cfg), trace).unwrap();
-    assert_eq!(event.outcomes, threaded.outcomes, "event vs threaded outcomes diverged");
     assert_eq!(event.outcomes, sequential.outcomes, "event vs sequential outcomes diverged");
     assert_eq!(
-        event.contention.gate, threaded.contention.gate,
-        "event vs threaded gate decisions diverged"
+        event.contention.gate, sequential.contention.gate,
+        "event vs sequential gate decisions diverged"
     );
-    assert_eq!(event.rejected_clients, threaded.rejected_clients);
+    assert_eq!(event.rejected_clients, sequential.rejected_clients);
     // Peak in-flight engagements is the one schedule-dependent counter:
-    // threaded peaks with wall-clock overlap, the event loop with simulated
-    // co-arrival. Everything else must match.
+    // the event loop peaks with simulated co-arrival, the oracle runs one
+    // engagement at a time. Everything else must match.
     let mut stats = event.serving_stats;
-    stats.peak_concurrent_engagements = threaded.serving_stats.peak_concurrent_engagements;
-    assert_eq!(stats, threaded.serving_stats);
+    stats.peak_concurrent_engagements = sequential.serving_stats.peak_concurrent_engagements;
+    assert_eq!(stats, sequential.serving_stats);
     assert!(event.heap_ops > 0, "the event loop reports its heap traffic");
-    assert_eq!(threaded.heap_ops, 0);
-    (event, threaded)
+    assert_eq!(sequential.heap_ops, 0);
+    (event, sequential)
 }
 
 #[test]
-fn event_replay_matches_threaded_on_smoke_and_burst() {
+fn event_replay_matches_sequential_on_smoke_and_burst() {
     for path in ["examples/traces/smoke.json", "examples/traces/burst.json"] {
         let trace = load_trace(path).expect("shipped example parses");
         for mode in [BackpressureMode::Shed, BackpressureMode::Queue(SimTime::from_ms(2_000))] {
             let cfg = serve_config(mode, None, PreloadPolicy::PerSession);
-            let (event, threaded) = replay_everyway(&trace, &cfg);
-            // Batching off: the contended aggregates are schedule-free and
-            // must match the threaded path exactly.
-            assert_eq!(event.contention.flash_busy, threaded.contention.flash_busy, "{path}");
+            let (event, sequential) = replay_both(&trace, &cfg);
+            // Batching off: flash busy time is schedule-free and must match
+            // the oracle exactly.
+            assert_eq!(event.contention.flash_busy, sequential.contention.flash_busy, "{path}");
             assert_eq!(event.contention.batched_dispatches, 0, "{path}");
             assert_eq!(event.contention.flash_bytes_saved, 0, "{path}");
             assert_eq!(
                 event.contention.preload_bytes_reallocated,
-                threaded.contention.preload_bytes_reallocated,
+                sequential.contention.preload_bytes_reallocated,
                 "{path}"
             );
         }
@@ -97,29 +93,25 @@ fn event_replay_matches_threaded_on_smoke_and_burst() {
 }
 
 #[test]
-fn event_replay_matches_threaded_on_the_batched_mix_trace() {
+fn batched_mix_trace_matches_sequential_and_reproduces_run_twice() {
     let trace = load_trace("examples/traces/mix.json").expect("shipped example parses");
     let cfg = serve_config(
         BackpressureMode::Queue(SimTime::from_ms(2_000)),
         Some(SimTime::from_us(500)),
         PreloadPolicy::SharingAware,
     );
-    // Outcomes/gate/rejections are pinned by `replay_everyway`. The guard
-    // on top: under batching, the contended *aggregates* — the numbers
-    // planning and reports consume — are identical across executors even
-    // though the two paths may sequence the per-engagement rows
-    // differently. (Both replay the same recorded dispatch log through
-    // the same topology simulation; only row order is schedule-shaped.)
-    let (event, threaded) = replay_everyway(&trace, &cfg);
-    assert_eq!(event.contention.flash_busy, threaded.contention.flash_busy);
-    assert_eq!(event.contention.queue_makespan, threaded.contention.queue_makespan);
-    assert_eq!(event.contention.max_queue_depth, threaded.contention.max_queue_depth);
-    assert_eq!(event.contention.batched_dispatches, threaded.contention.batched_dispatches);
-    assert_eq!(event.contention.flash_bytes_saved, threaded.contention.flash_bytes_saved);
+    // Outcomes/gate/rejections are pinned by `replay_both`. On top: the
+    // sharing-aware placement is decided at session open, so it cannot
+    // depend on who executes; and the event loop — every co-arriving
+    // request queued before the flash services the instant — coalesces
+    // where the one-engagement-at-a-time oracle has nothing to batch.
+    let (event, sequential) = replay_both(&trace, &cfg);
     assert_eq!(
         event.contention.preload_bytes_reallocated,
-        threaded.contention.preload_bytes_reallocated
+        sequential.contention.preload_bytes_reallocated
     );
+    assert!(event.contention.batched_dispatches > 0, "co-arrivals coalesce on the event loop");
+    assert!(event.contention.flash_busy < sequential.contention.flash_busy);
     // Run-twice determinism: the whole report reproduces, heap ops included.
     let again = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
     assert_eq!(event.outcomes, again.outcomes);

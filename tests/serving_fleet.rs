@@ -15,8 +15,7 @@
 //!    session bit-identically to the per-token early-exit walk it
 //!    memoizes for.
 //! 4. **Fleet sweep smoke.** `fleet_sweep` opens real fleets against a
-//!    real server on the virtual clock and reports a well-formed ledger,
-//!    under both executors.
+//!    real server on the virtual clock and reports a well-formed ledger.
 //! 5. **Open/teardown equivalence.** The batch `open_fleet` path and the
 //!    sweep's seeded-permutation teardown both leave the sharded registry
 //!    bit-identical to from-scratch rebuilds.
@@ -237,33 +236,27 @@ fn fleet_sweep_reports_a_well_formed_ledger() {
         backpressure: BackpressureMode::Queue(SimTime::from_ms(100)),
         ..Default::default()
     };
-    for exec in [ExecMode::Threaded, ExecMode::Event] {
-        let fleet =
-            FleetConfig { sizes: vec![8, 32], slo_sessions: 2, decisions: 24, exec, channels: 1 };
-        let points = fleet_sweep(&ctx, &cfg, &fleet).unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].sessions, 10);
-        assert_eq!(points[1].sessions, 34);
-        for p in &points {
-            assert_eq!(p.gate_decisions, 24);
-            assert!(p.decisions_per_sec > 0.0);
-            assert!(p.gate_cold > std::time::Duration::ZERO);
-            assert_eq!(p.exec, exec);
-            assert!(p.engagements_per_sec > 0.0, "the replay phase served engagements");
-            match exec {
-                ExecMode::Event => assert!(p.heap_ops > 0, "event points count heap traffic"),
-                ExecMode::Threaded => assert_eq!(p.heap_ops, 0),
-            }
-        }
-        let json = fleet_report_json(&points);
-        assert!(json.contains("\"bench\": \"serving_fleet\""), "{json}");
-        assert!(json.contains("\"sessions\": 34"), "{json}");
-        assert!(json.contains("\"gate_mean_us\""), "{json}");
-        assert!(json.contains(&format!("\"exec_mode\": \"{}\"", exec.label())), "{json}");
-        assert!(json.contains("\"channels\": 1"), "{json}");
-        assert!(json.contains("\"engagements_per_sec\""), "{json}");
-        assert!(json.contains("\"heap_ops\""), "{json}");
+    let fleet = FleetConfig { sizes: vec![8, 32], slo_sessions: 2, decisions: 24, channels: 1 };
+    let points = fleet_sweep(&ctx, &cfg, &fleet).unwrap();
+    assert_eq!(points.len(), 2);
+    assert_eq!(points[0].sessions, 10);
+    assert_eq!(points[1].sessions, 34);
+    for p in &points {
+        assert_eq!(p.gate_decisions, 24);
+        assert!(p.decisions_per_sec > 0.0);
+        assert!(p.gate_cold > std::time::Duration::ZERO);
+        assert!(p.engagements_per_sec > 0.0, "the replay phase served engagements");
+        assert!(p.heap_ops > 0, "points count the engine's heap traffic");
     }
+    let json = fleet_report_json(&points);
+    assert!(json.contains("\"bench\": \"serving_fleet\""), "{json}");
+    assert!(json.contains("\"sessions\": 34"), "{json}");
+    assert!(json.contains("\"gate_mean_us\""), "{json}");
+    // The constant key column that lets pre-existing ledger rows merge.
+    assert!(json.contains("\"exec_mode\": \"event\""), "{json}");
+    assert!(json.contains("\"channels\": 1"), "{json}");
+    assert!(json.contains("\"engagements_per_sec\""), "{json}");
+    assert!(json.contains("\"heap_ops\""), "{json}");
 }
 
 /// Seeded-permutation teardown ≡ from-scratch rebuild. Opening a mixed

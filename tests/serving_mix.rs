@@ -1,14 +1,11 @@
 //! Contracts of the unified `ServingMix` prediction engine and the
 //! sharing-aware `|S|` search.
 //!
-//! 1. **Equivalence.** The legacy predictor entry points
-//!    (`predict_contended_latency_against`, `predict_engagement_latency`,
-//!    `min_queue_delay`) are thin views over `ServingMix` — bit-identical
-//!    on the same inputs — and trace replays through the refactored
-//!    single-predictor path stay deterministic (concurrent ≡ sequential
-//!    outcomes and gate logs on `smoke.json` and `burst.json`). On a trace
-//!    with no preload budgets, `--plan-sharing mix` is the per-session
-//!    fixed point: byte-identical outcomes and decisions.
+//! 1. **Determinism.** Trace replays through the single-predictor path
+//!    stay deterministic (event ≡ sequential outcomes and gate logs on
+//!    `smoke.json` and `burst.json`). On a trace with no preload budgets,
+//!    `--plan-sharing mix` is the per-session fixed point: byte-identical
+//!    outcomes and decisions.
 //! 2. **Sharing-aware `|S|`.** The acceptance economics: against an
 //!    8-identical-session batched mix, the sharing-aware search admits the
 //!    *full-target* plan at an SLO the per-session search cannot hold, its
@@ -46,66 +43,6 @@ const WIDTHS: [usize; 2] = [2, 4];
 
 fn batched() -> IoSharing {
     IoSharing::Batched(SimTime::from_ms(1))
-}
-
-#[test]
-fn legacy_predictors_are_views_over_the_mix() {
-    let (hw, imp) = fixture();
-    let plan = plan_two_stage(&hw, &imp, SimTime::from_ms(300), 0, &WIDTHS, &Bitwidth::ALL);
-    let heavy = plan_two_stage(&hw, &imp, SimTime::from_ms(2_000), 0, &WIDTHS, &Bitwidth::ALL);
-    let co = vec![
-        CoRunnerLoad::from_plan(&hw, &heavy),
-        CoRunnerLoad::from_plan_at(&hw, &plan, SimTime::from_us(400)),
-    ];
-    for sharing in [IoSharing::Exclusive, batched()] {
-        let mix = ServingMix::from_co_runners(&co, sharing);
-        let load = EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO);
-        assert_eq!(
-            predict_contended_latency_against(&hw, &plan, &co, sharing),
-            mix.predict(&load),
-            "the admission view must be the mix prediction"
-        );
-        let key_legacy = ServingPlanKey::against(
-            PlanKey::new("m", SimTime::from_ms(300), 0, &WIDTHS, &Bitwidth::ALL),
-            SimTime::ZERO,
-            &co,
-            sharing,
-        );
-        let key_mix = ServingPlanKey::for_mix(
-            PlanKey::new("m", SimTime::from_ms(300), 0, &WIDTHS, &Bitwidth::ALL),
-            SimTime::ZERO,
-            &mix,
-            PreloadPolicy::PerSession,
-        );
-        assert_eq!(key_legacy, key_mix, "legacy keys converge on the mix digest");
-    }
-    // The gate view: a backlog snapshot is a mix too.
-    let jobs: Vec<LayerIoJob> = layer_io_jobs(&hw, &heavy).into_iter().flatten().collect();
-    let snapshot = BacklogSnapshot {
-        channels: vec![ChannelBacklog {
-            channel: 9,
-            arrival: SimTime::ZERO,
-            effective_arrival: SimTime::ZERO,
-            inflight: false,
-            queued: jobs
-                .iter()
-                .map(|j| QueuedIo { sig: j.sig, bytes: 1, service: j.service })
-                .collect(),
-        }],
-        batch_window: None,
-    };
-    let load = EngagementLoad::from_plan(&hw, &plan, SimTime::ZERO);
-    for sharing in [IoSharing::Exclusive, batched()] {
-        let mix = ServingMix::from_backlog(&snapshot, sharing);
-        assert_eq!(predict_engagement_latency(&snapshot, &load, sharing), mix.predict(&load));
-        let slo = mix.predict(&load) + SimTime::from_ms(1);
-        let generous = SimTime::from_ms(600_000);
-        assert_eq!(
-            min_queue_delay(&snapshot, &load, sharing, slo, generous),
-            mix.min_delay(&load, slo, generous),
-            "the delay search must be the mix's"
-        );
-    }
 }
 
 #[test]
@@ -160,7 +97,7 @@ fn mix_digest_distinguishes_every_gate_relevant_change() {
     assert_ne!(base.digest(), with_backlog.digest());
 }
 
-/// Replays a trace through both modes under a plan-sharing policy and pins
+/// Replays a trace through both replays under a plan-sharing policy and pins
 /// the determinism contract of the refactored single-predictor path.
 fn replay_deterministically(
     trace_path: &str,
@@ -177,7 +114,7 @@ fn replay_deterministically(
         ..Default::default()
     };
     let trace = load_trace(trace_path).expect("shipped example parses");
-    let concurrent = replay_concurrent(&build_server(&ctx, &cfg), &trace).unwrap();
+    let concurrent = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
     let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
     assert_eq!(concurrent.outcomes, sequential.outcomes, "{trace_path}: outcomes diverged");
     assert_eq!(

@@ -1,13 +1,13 @@
 //! Contracts of the deterministic observability layer (`sti-obs`).
 //!
 //! 1. **Run-twice determinism.** Replaying a trace twice produces
-//!    byte-identical Chrome-trace exports — event mode on every shipped
-//!    fixture, threaded mode on smoke and burst.
-//! 2. **Cross-executor determinism.** The deterministic span tracks
+//!    byte-identical Chrome-trace exports — the event executor on every
+//!    shipped fixture, the sequential oracle on smoke and burst.
+//! 2. **Event ≡ sequential exports.** The deterministic span tracks
 //!    (session/flash — `TrackFilter::Deterministic`) export byte-identically
-//!    under `--exec threaded` and `--exec event`, because spans are clocked
-//!    on *simulated* time and assembled from the server's logs, not from
-//!    host scheduling.
+//!    from the event executor and from the sequential oracle (whose IO runs
+//!    on the host worker pool), because spans are clocked on *simulated*
+//!    time and assembled from the server's logs, not from host scheduling.
 //! 3. **Gate spans carry the reason.** With backpressure on, the stream
 //!    contains `gate.*` markers whose args name the deciding mix digest,
 //!    and the structured [`GateReason`] on each decision prices the load
@@ -55,29 +55,29 @@ fn event_replays_export_byte_identical_traces_on_every_fixture() {
 }
 
 #[test]
-fn threaded_replays_export_byte_identical_traces() {
+fn sequential_replays_export_byte_identical_traces() {
     for path in ["examples/traces/smoke.json", "examples/traces/burst.json"] {
         let trace = load_trace(path).expect("shipped example parses");
         let cfg = serve_config(BackpressureMode::Shed);
-        let a = replay_concurrent(&build_server(ctx(), &cfg), &trace).unwrap();
-        let b = replay_concurrent(&build_server(ctx(), &cfg), &trace).unwrap();
-        assert_eq!(export(&a), export(&b), "{path}: threaded replays must export identically");
+        let a = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
+        let b = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
+        assert_eq!(export(&a), export(&b), "{path}: sequential replays must export identically");
     }
 }
 
 #[test]
-fn threaded_and_event_exports_agree_on_the_deterministic_tracks() {
-    // Batching off: the two executors' dispatch logs replay to the same
-    // canonical flash timeline, so even the flash track matches.
+fn sequential_and_event_exports_agree_on_the_deterministic_tracks() {
+    // Batching off: the oracle's and the executor's dispatch logs replay to
+    // the same canonical flash timeline, so even the flash track matches.
     for path in ["examples/traces/smoke.json", "examples/traces/mix.json"] {
         let trace = load_trace(path).expect("shipped example parses");
         let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-        let threaded = replay_concurrent(&build_server(ctx(), &cfg), &trace).unwrap();
+        let sequential = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
         let event = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
         assert_eq!(
-            export(&threaded),
+            export(&sequential),
             export(&event),
-            "{path}: deterministic tracks must not depend on the executor"
+            "{path}: deterministic tracks must not depend on who drives the sessions"
         );
     }
 }
@@ -134,15 +134,15 @@ fn a_live_sink_never_perturbs_simulated_results() {
         bare.spans.iter().all(|s| s.kind.deterministic()),
         "without a sink only log-derived spans exist"
     );
-    // Sink-on exports stay executor-independent too: the added admission
+    // Sink-on exports stay driver-independent too: the added admission
     // markers are a pure function of the (serialized) open sequence.
-    let traced_threaded_server = build_server(ctx(), &cfg);
-    traced_threaded_server.set_obs_sink(ObsSink::ring(4 << 20));
-    let traced_threaded = replay_concurrent(&traced_threaded_server, &trace).unwrap();
+    let traced_sequential_server = build_server(ctx(), &cfg);
+    traced_sequential_server.set_obs_sink(ObsSink::ring(4 << 20));
+    let traced_sequential = replay_sequential(&traced_sequential_server, &trace).unwrap();
     assert_eq!(
         export(&traced),
-        export(&traced_threaded),
-        "deterministic-track export with a live sink must not depend on the executor"
+        export(&traced_sequential),
+        "deterministic-track export with a live sink must not depend on who drives the sessions"
     );
 }
 

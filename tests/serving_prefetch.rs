@@ -13,7 +13,7 @@
 //! 3. **Determinism.** Two event replays of the recurrent fixture with the
 //!    prefetcher on are fully identical — outcomes, the whole contention
 //!    report including the speculative pricing block, and the engine's
-//!    heap-op count. The threaded executor agrees with the event engine on
+//!    heap-op count. The sequential oracle agrees with the event engine on
 //!    the entire demand side.
 
 use std::sync::OnceLock;
@@ -104,19 +104,21 @@ fn recurrent_fixture_event_replay_is_deterministic_run_twice() {
 }
 
 #[test]
-fn recurrent_fixture_event_matches_threaded_on_the_demand_side() {
+fn recurrent_fixture_event_matches_sequential_on_the_demand_side() {
     let trace = load_trace("examples/traces/recurrent.json").expect("shipped fixture parses");
     // DRAM residency off: contended pricing is independent of *when* the
-    // background executor stages bytes, so the two executors must agree on
-    // the whole demand side even though their speculative timing differs.
+    // background class stages bytes, so the event executor and the
+    // sequential oracle (whose worker pool speculates on host time) must
+    // agree on the whole demand side even though their speculative timing
+    // differs.
     let cfg = serve_config(true, false, BackpressureMode::Off);
     let event = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
-    let threaded = replay_concurrent(&build_server(ctx(), &cfg), &trace).unwrap();
-    assert_eq!(event.outcomes, threaded.outcomes);
-    assert_eq!(event.rejected_clients, threaded.rejected_clients);
-    // Record order and scheduler lane ids follow execution order —
-    // wall-clock on the threaded path, simulated time on the event loop —
-    // so compare the per-engagement economics keyed by (session, issue).
+    let sequential = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
+    assert_eq!(event.outcomes, sequential.outcomes);
+    assert_eq!(event.rejected_clients, sequential.rejected_clients);
+    // Record order and scheduler lane ids follow execution order — client
+    // by client in the oracle, simulated time on the event loop — so
+    // compare the per-engagement economics keyed by (session, issue).
     let rows = |r: &ServeReport| {
         let mut rows: Vec<_> = r
             .contention
@@ -127,14 +129,14 @@ fn recurrent_fixture_event_matches_threaded_on_the_demand_side() {
         rows.sort_by_key(|r| (r.0, r.1));
         rows
     };
-    assert_eq!(rows(&event), rows(&threaded));
+    assert_eq!(rows(&event), rows(&sequential));
     assert_eq!(
         sans_speculative_label(&event.contention.gate),
-        sans_speculative_label(&threaded.contention.gate),
+        sans_speculative_label(&sequential.contention.gate),
         "gate decisions agree modulo the wall-clock-sampled speculation label"
     );
-    assert!(event.prefetch.is_some(), "both executors run the prefetcher");
-    assert!(threaded.prefetch.is_some());
+    assert!(event.prefetch.is_some(), "both replays run the prefetcher");
+    assert!(sequential.prefetch.is_some());
 }
 
 proptest! {

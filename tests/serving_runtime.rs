@@ -6,8 +6,9 @@
 //!
 //! 1. a single session through the server reproduces the seed engine
 //!    exactly — same class, probabilities, timeline, loaded bytes;
-//! 2. N concurrent sessions produce outcomes identical to N sequential
-//!    runs (determinism under sharing);
+//! 2. N concurrent sessions — on the event executor, and driven from N host
+//!    threads over the worker pool — produce outcomes identical to N
+//!    sequential runs (determinism under sharing);
 //! 3. the plan cache replans only on knob changes and honours
 //!    invalidation;
 //! 4. the shard cache stays under its byte budget while serving.
@@ -101,17 +102,60 @@ fn eight_concurrent_sessions_match_sequential_execution() {
     let trace = ServingTrace::synthetic(&ctx, &cfg, 8, 3);
     assert_eq!(trace.total_engagements(), 24);
 
-    let concurrent = replay_concurrent(&build_server(&ctx, &cfg), &trace).expect("concurrent");
+    let event = replay_event(&build_server(&ctx, &cfg), &trace).expect("event");
     let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace).expect("sequential");
     assert_eq!(
-        concurrent.outcomes, sequential.outcomes,
+        event.outcomes, sequential.outcomes,
         "per-engagement outcomes must be identical under concurrency"
     );
 
-    // And both match N fresh single-engine runs.
+    // `StiServer`/`Session::infer` stay usable from N host threads over the
+    // worker pool: one thread per client, released together so all eight
+    // stream through the shared scheduler at once. Only the
+    // schedule-independent fields are compared.
+    let server = build_server(&ctx, &cfg);
+    let sessions: Vec<Session> = trace
+        .clients
+        .iter()
+        .map(|c| server.session_with(c.target, c.preload_bytes).expect("session opens"))
+        .collect();
+    let start = std::sync::Barrier::new(sessions.len());
+    let threaded: Vec<Vec<EngagementOutcome>> = std::thread::scope(|s| {
+        let handles: Vec<_> = trace
+            .clients
+            .iter()
+            .zip(&sessions)
+            .map(|(client, session)| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    client
+                        .engagements
+                        .iter()
+                        .map(|tokens| {
+                            let inf = session.infer(tokens).expect("threaded inference");
+                            EngagementOutcome {
+                                class: inf.class,
+                                probabilities: inf.probabilities,
+                                makespan: inf.outcome.timeline.makespan,
+                                loaded_bytes: inf.outcome.loaded_bytes,
+                            }
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+    });
+    assert_eq!(
+        threaded, sequential.outcomes,
+        "host-thread scheduling must not reach per-engagement outcomes"
+    );
+
+    // And all three match N fresh single-engine runs.
     let source = ctx.shard_source();
     let hw = HwProfile::measure(&cfg.device, ctx.task().model().config(), ctx.quant());
-    for (client, outcomes) in trace.clients.iter().zip(&concurrent.outcomes) {
+    for (client, outcomes) in trace.clients.iter().zip(&event.outcomes) {
         let engine = StiEngine::builder(
             ctx.task().model().clone(),
             source.clone(),

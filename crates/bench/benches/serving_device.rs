@@ -2,13 +2,8 @@
 //! and what it buys.
 //!
 //! - `topology_run`: replaying a fixed contended job stream through
-//!   `TopologyQueueSim` at C ∈ {1, 2, 4, 8} — the per-channel FIFO
-//!   servers plus the hosting event engine. C=1 is pinned bit-identical
-//!   to `FlashQueueSim` as a value, so its gap to `reference_sim` is the
-//!   engine-hosting overhead.
-//! - `reference_sim`: the same stream through the closed-form
-//!   `FlashQueueSim` — the reference the bitwise pins compare against,
-//!   with no production caller.
+//!   `TopologyQueueSim` at C ∈ {1, 2, 4, 8} — one `FlashQueueSim`
+//!   single-server fold per channel plus the global-sequence rewrite.
 //! - `striped_prediction`: one contended-latency prediction against an
 //!   N-session mix on a C-channel device — the planner-side cost of the
 //!   per-channel lane simulation that admission and gating pay.
@@ -29,15 +24,6 @@ fn job_stream(n: usize) -> Vec<FlashJob> {
 fn bench_topology_run(c: &mut Criterion) {
     let jobs = job_stream(256);
     let mut group = c.benchmark_group("topology_run");
-    group.bench_function("reference_sim", |b| {
-        b.iter(|| {
-            let mut sim = FlashQueueSim::new();
-            for &job in &jobs {
-                sim.submit(job);
-            }
-            sim.run()
-        })
-    });
     for channels in [1u16, 2, 4, 8] {
         let topology = DeviceTopology::with_channels(channels);
         group.bench_with_input(BenchmarkId::new("channels", channels), &channels, |b, _| {

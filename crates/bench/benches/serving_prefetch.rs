@@ -60,15 +60,15 @@ fn bench_prefetch_budget_sweep(c: &mut Criterion) {
         match &report.prefetch {
             Some(p) => eprintln!(
                 "serving_prefetch: budget {budget_kb:>4}KiB -> hit rate {:.2}, \
-                 {} B speculated, {} B served to misses, contended p50 {:.0}µs",
+                 {} B speculated, {} B served to misses, contended p50 {}µs",
                 p.pool.hit_rate(),
                 p.speculated_bytes,
                 p.pool.hit_bytes,
-                contended_p50_us(&report.contention),
+                report.contention.latency_percentile(0.50).as_us(),
             ),
             None => eprintln!(
-                "serving_prefetch: budget    off -> contended p50 {:.0}µs",
-                contended_p50_us(&report.contention),
+                "serving_prefetch: budget    off -> contended p50 {}µs",
+                report.contention.latency_percentile(0.50).as_us(),
             ),
         }
         group.bench_with_input(BenchmarkId::from_parameter(budget_kb), &budget_kb, |b, _| {

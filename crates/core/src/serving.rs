@@ -846,7 +846,7 @@ pub fn fleet_sweep(
             prefetch: pf.as_ref().map_or(PrefetchMode::Off, |p| p.mode),
             prefetch_hit_rate: pf.as_ref().map_or(0.0, |p| p.pool.hit_rate()),
             prefetch_speculated_kb: pf.as_ref().map_or(0, |p| p.speculated_bytes >> 10),
-            contended_p50_us: contended_p50_us(&replay.contention),
+            contended_p50_us: replay.contention.latency_percentile(0.50).as_us() as f64,
         });
 
         // Seeded-permutation teardown: sessions close in a shuffled order,
@@ -868,19 +868,6 @@ pub fn fleet_sweep(
         while slo_sessions.pop().is_some() {}
     }
     Ok(points)
-}
-
-/// Median contended per-engagement latency in µs from a contention
-/// report (0 when the report carries no engagements). Lower-median
-/// convention: the element at index `(n - 1) / 2` of the sorted
-/// latencies, so the value is always one an engagement actually paid.
-pub fn contended_p50_us(contention: &ContentionReport) -> f64 {
-    let mut us: Vec<u64> = contention.engagements.iter().map(|e| e.contended.as_us()).collect();
-    if us.is_empty() {
-        return 0.0;
-    }
-    us.sort_unstable();
-    us[(us.len() - 1) / 2] as f64
 }
 
 /// Tiny xorshift64* stream for the teardown permutation — seeded, so the

@@ -1,10 +1,9 @@
 //! Deterministic discrete-event executor — the one event heart the fleet
 //! path runs on.
 //!
-//! The threaded serving path pays one OS thread (plus a dedicated scheduler
-//! channel) per session; at fleet scale that is 100k threads for work that
-//! is almost entirely *simulated* time. This module hosts the same state
-//! machines on a single discrete-event loop instead: everything that
+//! A thread per session would mean 100k OS threads at fleet scale for work
+//! that is almost entirely *simulated* time. This module hosts the session
+//! state machines on a single discrete-event loop instead: everything that
 //! evolves over time is a [`Component`], and one global min-heap decides
 //! who ticks next.
 //!

@@ -3,24 +3,28 @@
 //! The uncontended track of the dual-track accounting model charges each
 //! engagement the device-model delay of its own requests in isolation; this
 //! module is the **contended track** of a single-channel device: one
-//! single-server queue. (A device with `C` channels hosts one of these
-//! per channel — see [`topology`](crate::topology); "device channel"
-//! means a hardware lane of the flash package, not an engagement's
-//! per-session IO lane in `sti-storage`.) Callers submit [`FlashJob`]s
+//! single-server queue, and the only implementation of it. (A device with
+//! `C` channels hosts one of these per channel — see
+//! [`TopologyQueueSim`](crate::topology::TopologyQueueSim), which is how
+//! every production caller reaches this code; "device channel" means a
+//! hardware lane of the flash package, not an engagement's per-session IO
+//! lane in `sti-storage`.) Callers submit [`FlashJob`]s
 //! — one per dispatched layer
 //! request, carrying the simulated arrival time and the device-model service
 //! time — and [`FlashQueueSim::run`] serves them in `(arrival, submission)`
 //! order, producing per-job start/completion times, total flash busy time,
 //! and the maximum queue depth observed.
 //!
-//! Two producers feed the simulator:
+//! Two producers feed the simulator, both through `TopologyQueueSim`:
 //!
 //! - the **measured** path: `sti_storage::IoScheduler` records its actual
-//!   dispatch sequence and replays it here, so serving reports can quote the
-//!   contended latency each engagement *would* have seen on real hardware;
-//! - the **predictive** path: `sti_planner::serving` interleaves N copies of
-//!   a plan's IO jobs round-robin to predict contended latency before
-//!   admitting an engagement.
+//!   dispatch sequence and replays it (`topology_sim_from_events`), so
+//!   serving reports can quote the contended latency each engagement
+//!   *would* have seen on real hardware;
+//! - the **predictive** path: `sti_planner::ServingMix` submits the open
+//!   sessions' per-layer jobs (and the live scheduler backlog) on their
+//!   placed channels to predict contended latency before admitting or
+//!   gating an engagement.
 //!
 //! Service times are computed by the caller, which is where the opt-in
 //! DRAM-residency mode lives: bytes served from a host-side shard cache can
@@ -216,19 +220,6 @@ impl FlashQueueSim {
     /// An empty simulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A simulator pre-seeded with an initial backlog — jobs that were
-    /// already sitting in the queue when the caller started looking. The
-    /// infer-time backpressure gate uses this to ask "what would an
-    /// engagement submitted *now* see", with the live scheduler backlog as
-    /// the starting state rather than an idle channel.
-    pub fn with_backlog(backlog: impl IntoIterator<Item = FlashJob>) -> Self {
-        let mut sim = Self::new();
-        for job in backlog {
-            sim.submit(job);
-        }
-        sim
     }
 
     /// When the queue would next go idle: the makespan of everything
@@ -457,18 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn seeded_backlog_behaves_like_submitted_jobs() {
-        let backlog = [job(0, 0, 5), job(1, 2, 5)];
-        let seeded = FlashQueueSim::with_backlog(backlog);
-        let mut manual = FlashQueueSim::new();
-        for j in backlog {
-            manual.submit(j);
-        }
-        assert_eq!(seeded.run(), manual.run(), "seeding is just up-front submission");
-        assert_eq!(seeded.drain_time(), SimTime::from_ms(10));
-        assert_eq!(FlashQueueSim::new().drain_time(), SimTime::ZERO);
+    fn drain_time_is_the_makespan_of_everything_submitted() {
+        let mut sim = FlashQueueSim::new();
+        assert_eq!(sim.drain_time(), SimTime::ZERO);
+        sim.submit(job(0, 0, 5));
+        sim.submit(job(1, 2, 5));
+        assert_eq!(sim.drain_time(), SimTime::from_ms(10));
         // A late arrival gates the drain: the queue idles until it shows up.
-        let gapped = FlashQueueSim::with_backlog([job(0, 0, 1), job(1, 50, 1)]);
+        let mut gapped = FlashQueueSim::new();
+        gapped.submit(job(0, 0, 1));
+        gapped.submit(job(1, 50, 1));
         assert_eq!(gapped.drain_time(), SimTime::from_ms(51));
     }
 

@@ -29,10 +29,9 @@
 //!   replicas (predictive) are served FIFO-by-arrival per channel, yielding
 //!   the per-engagement completion times a serving-SLO planner and
 //!   admission controller reason about. [`DeviceTopology`] names the shape
-//!   (`C` channels plus an optional shared bus; `C = 1` is bit-identical to
-//!   the legacy single-channel model) and [`TopologyQueueSim`] hosts each
-//!   channel as an [`engine`] `Component`, so the contended replay and the
-//!   fleet-scale event executor share one simulation core.
+//!   (`C` independent channels) and [`TopologyQueueSim`] is one
+//!   [`FlashQueueSim`] per channel under a global submission clock — the
+//!   single-server fold exists once, and `C = 1` is that queue verbatim.
 //!   [`FlashModel::dram_residency`] supplies the opt-in cheaper service time
 //!   for bytes resident in a host-side shard cache — a service-time tier,
 //!   not a separate queue.

@@ -1,17 +1,15 @@
-//! Multi-channel device topology for the contended track, hosted on the
-//! discrete-event [`engine`](crate::engine).
+//! Multi-channel device topology for the contended track.
 //!
-//! [`FlashQueueSim`](crate::flash_queue::FlashQueueSim) models the device as
-//! *one* contended flash channel. Real flash exposes `C` independent
-//! channels (and a DRAM tier behind the shard cache); this module
-//! generalizes the contended track to a [`DeviceTopology`]:
+//! [`FlashQueueSim`] is *one* contended flash channel: a single-server
+//! queue. Real flash exposes `C` independent channels (and a DRAM tier
+//! behind the shard cache); a [`DeviceTopology`] names that shape and a
+//! [`TopologyQueueSim`] is exactly `C` × [`FlashQueueSim`]:
 //!
-//! - **`C` per-channel FIFO queues.** Each device channel is a
-//!   single-server queue with exactly the service discipline of
-//!   [`FlashQueueSim::run`](crate::flash_queue::FlashQueueSim::run) —
-//!   global FIFO by `(arrival, submission)` within the channel. Channels
-//!   serve concurrently, so a dispatch striped across channels overlaps
-//!   where the single-channel model would queue.
+//! - **`C` per-channel FIFO queues.** Each device channel *is* a
+//!   [`FlashQueueSim`] — global FIFO by `(arrival, submission)` within the
+//!   channel. Channels share no state, so they serve concurrently and a
+//!   dispatch striped across channels overlaps where the single-channel
+//!   model would queue.
 //! - **Tiered service times.** The caller computes each job's service time
 //!   the same way it always has: against the flash
 //!   [`FlashModel`](crate::flash::FlashModel), or against the cheaper
@@ -19,30 +17,16 @@
 //!   tier for bytes resident in the host-side shard cache. The topology
 //!   queues whatever tier the caller priced — the tiers are service-time
 //!   classes, not separate queues.
-//! - **A shared-bus model.** Channels read concurrently, but their payloads
-//!   cross one bus to the host. [`DeviceTopology::with_bus_us_per_job`]
-//!   charges every completed read a fixed bus slice, arbitrated FIFO by
-//!   flash-completion time (ties: lowest channel, then channel-local
-//!   submission order) on a single bus server. The default (`0`) disables
-//!   the bus, making channels fully independent.
 //!
-//! Every channel — and the bus, when enabled — is hosted as an
-//! [`engine::Component`](crate::engine::Component) on one
-//! [`crate::engine::Engine`], so the contended replay shares the
-//! same simulation core as the fleet-scale event executor instead of
-//! re-simulating on the side. [`TopologyQueueSim::run`] registers channel
-//! `c` as component id `c` (the bus last), runs the engine to completion,
-//! and returns a [`TopologyReport`] with one
-//! [`crate::flash_queue::FlashQueueReport`] per channel.
+//! The only thing the topology adds to its channels is one submission
+//! clock: [`TopologyQueueSim::run`] runs each channel's queue in closed
+//! form and rewrites its channel-local sequence numbers to *global*
+//! submission sequences, so completions merged across channels stay
+//! ordered by `(arrival, global seq)`.
 //!
-//! **Determinism.** `C = 1` with the bus disabled reproduces
-//! [`FlashQueueSim`](crate::flash_queue::FlashQueueSim) bit-identically:
-//! the per-channel server replicates its arithmetic exactly (same service
-//! order, same depth accounting, same shared-job mirroring), so the
-//! single-channel report is equal as a value. For any `C`, the run is a
-//! pure function of the submitted jobs — the engine's
-//! `(next_tick, ComponentId)` tie-break keeps cross-channel event order
-//! deterministic.
+//! **Determinism.** The run is a pure function of the submitted jobs, and
+//! for `C = 1` global and channel-local sequences coincide, so the
+//! single-channel report equals [`FlashQueueSim::run`]'s as a value.
 //!
 //! **Naming.** "Device channel" here is a hardware lane of the flash
 //! package — distinct from the *engagement IO lanes* (`IoChannel`,
@@ -50,15 +34,12 @@
 //! stream to the scheduler. An engagement's lane fans its requests out
 //! across device channels according to placement.
 
-use std::collections::HashMap;
-
-use crate::engine::{Component, ComponentId, Engine, EngineReport, System};
-use crate::flash_queue::{CompletedJob, FlashJob, FlashQueueReport};
+use crate::flash_queue::{CompletedJob, FlashJob, FlashQueueReport, FlashQueueSim};
 use crate::SimTime;
 use sti_obs::ObsSink;
 
-/// The device's contended-path shape: how many flash channels it exposes
-/// and whether a shared host bus serializes their payloads.
+/// The device's contended-path shape: how many independent flash channels
+/// it exposes.
 ///
 /// Placement maps a request to a channel via [`DeviceTopology::channel_for`]
 /// — a pure function of the request's content signature and the session's
@@ -67,7 +48,6 @@ use sti_obs::ObsSink;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceTopology {
     channels: u16,
-    bus_us_per_job: u64,
 }
 
 impl Default for DeviceTopology {
@@ -77,29 +57,20 @@ impl Default for DeviceTopology {
 }
 
 impl DeviceTopology {
-    /// The legacy shape: one flash channel, no bus. The contended track
-    /// under this topology is bit-identical to
-    /// [`FlashQueueSim`](crate::flash_queue::FlashQueueSim).
+    /// The legacy shape: one flash channel. The contended track under this
+    /// topology is one [`FlashQueueSim`].
     pub fn single() -> Self {
-        Self { channels: 1, bus_us_per_job: 0 }
+        Self { channels: 1 }
     }
 
-    /// A topology with `channels` independent flash channels and no bus.
+    /// A topology with `channels` independent flash channels.
     ///
     /// # Panics
     ///
     /// Panics if `channels` is zero.
     pub fn with_channels(channels: u16) -> Self {
         assert!(channels >= 1, "a device exposes at least one channel");
-        Self { channels, bus_us_per_job: 0 }
-    }
-
-    /// Adds a shared-bus model: every completed read additionally holds a
-    /// single host bus for `us` simulated microseconds, arbitrated FIFO by
-    /// flash-completion time. `0` disables the bus (the default).
-    pub fn with_bus_us_per_job(mut self, us: u64) -> Self {
-        self.bus_us_per_job = us;
-        self
+        Self { channels }
     }
 
     /// Number of flash channels.
@@ -107,14 +78,9 @@ impl DeviceTopology {
         self.channels
     }
 
-    /// The per-job bus slice in µs (`0`: bus disabled).
-    pub fn bus_us_per_job(&self) -> u64 {
-        self.bus_us_per_job
-    }
-
-    /// Whether this is the legacy single-channel, bus-free shape.
+    /// Whether this is the legacy single-channel shape.
     pub fn is_single(&self) -> bool {
-        self.channels == 1 && self.bus_us_per_job == 0
+        self.channels == 1
     }
 
     /// The device channel a request is placed on: a pure function of the
@@ -137,21 +103,8 @@ impl DeviceTopology {
     }
 }
 
-/// One channel's submitted work: jobs in submission order plus the shared
-/// (batched) fan-out map, mirroring `FlashQueueSim`'s bookkeeping.
-#[derive(Debug, Clone, Default)]
-struct ChannelQueue {
-    jobs: Vec<FlashJob>,
-    /// Extra mirror recipients keyed by channel-local submission index.
-    shared: HashMap<usize, Vec<u64>>,
-    /// Channel-local submission index → global submission sequence. The
-    /// report quotes global sequences so merged per-engagement completions
-    /// stay ordered by one submission clock across channels.
-    global: Vec<usize>,
-}
-
-/// A multi-channel discrete-event queue over a [`DeviceTopology`],
-/// hosted on the [`engine`](crate::engine).
+/// A multi-channel queue over a [`DeviceTopology`]: one [`FlashQueueSim`]
+/// per device channel under one global submission clock.
 ///
 /// ```
 /// use sti_device::{DeviceTopology, FlashJob, SimTime, TopologyQueueSim};
@@ -168,16 +121,23 @@ struct ChannelQueue {
 #[derive(Debug, Clone)]
 pub struct TopologyQueueSim {
     topology: DeviceTopology,
-    queues: Vec<ChannelQueue>,
+    queues: Vec<FlashQueueSim>,
+    /// Per channel: channel-local submission index → global submission
+    /// sequence. The report quotes global sequences so merged
+    /// per-engagement completions stay ordered by one submission clock
+    /// across channels.
+    global: Vec<Vec<usize>>,
     submitted: usize,
 }
 
 impl TopologyQueueSim {
     /// An empty simulator over `topology`.
     pub fn new(topology: DeviceTopology) -> Self {
+        let channels = topology.channel_count() as usize;
         Self {
             topology,
-            queues: vec![ChannelQueue::default(); topology.channel_count() as usize],
+            queues: vec![FlashQueueSim::new(); channels],
+            global: vec![Vec::new(); channels],
             submitted: 0,
         }
     }
@@ -190,27 +150,36 @@ impl TopologyQueueSim {
     /// Submits a job on `device_channel`, returning its global submission
     /// sequence. Within a channel, jobs with equal arrival times are
     /// served in submission order (the per-channel FIFO contract).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device_channel` is not a channel of the topology.
     pub fn submit_on(&mut self, device_channel: u16, job: FlashJob) -> usize {
         self.submit_shared_on(device_channel, job, &[])
     }
 
     /// Submits a shared (batched) job on `device_channel`: served once,
-    /// with a mirrored [`CompletedJob`] per extra recipient — the same
-    /// contract as `FlashQueueSim::submit_shared`, per channel.
+    /// with a mirrored [`CompletedJob`] per extra recipient — the contract
+    /// of [`FlashQueueSim::submit_shared`], per channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device_channel` is not a channel of the topology.
     pub fn submit_shared_on(
         &mut self,
         device_channel: u16,
         job: FlashJob,
         extra_recipients: &[u64],
     ) -> usize {
-        let queue = &mut self.queues[device_channel as usize];
-        let local = queue.jobs.len();
-        queue.jobs.push(job);
-        if !extra_recipients.is_empty() {
-            queue.shared.insert(local, extra_recipients.to_vec());
-        }
+        let channels = self.topology.channel_count();
+        assert!(
+            device_channel < channels,
+            "device channel {device_channel} out of range: the topology has {channels} channel(s)"
+        );
+        let c = device_channel as usize;
+        self.queues[c].submit_shared(job, extra_recipients);
         let seq = self.submitted;
-        queue.global.push(seq);
+        self.global[c].push(seq);
         self.submitted += 1;
         seq
     }
@@ -226,260 +195,39 @@ impl TopologyQueueSim {
         self.submitted == 0
     }
 
-    /// When the whole device would next go idle: the makespan of
-    /// everything submitted so far (zero for an empty device).
+    /// When the whole device would next go idle: the latest channel drain
+    /// time (zero for an empty device).
     pub fn drain_time(&self) -> SimTime {
-        if self.is_empty() {
-            return SimTime::ZERO;
-        }
-        self.run().makespan()
+        self.queues.iter().map(FlashQueueSim::drain_time).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Serves every submitted job: one engine [`Component`] per channel
-    /// (component id = channel index) plus, when the bus is enabled, a bus
-    /// arbiter registered last. Runs the engine to completion and folds
-    /// the shared context back into per-channel reports.
+    /// Serves every submitted job: each channel's [`FlashQueueSim::run`],
+    /// with completion sequences rewritten from channel-local to global.
     pub fn run(&self) -> TopologyReport {
-        let channels = self.topology.channel_count() as usize;
-        let bus_enabled = self.topology.bus_us_per_job > 0;
-        let bus_id = channels; // registered after every channel
-        let mut engine: Engine<TopologyCtx> = Engine::new();
-        for (c, queue) in self.queues.iter().enumerate() {
-            // Service order: stable FIFO by arrival, exactly as
-            // `FlashQueueSim::run` (stable sort over submission order).
-            let mut order: Vec<usize> = (0..queue.jobs.len()).collect();
-            order.sort_by_key(|&i| queue.jobs[i].arrival);
-            let lineup: Vec<ServedJob> = order
-                .iter()
-                .map(|&i| ServedJob {
-                    job: queue.jobs[i],
-                    seq: queue.global[i],
-                    local: i,
-                    recipients: queue.shared.get(&i).cloned().unwrap_or_default(),
-                })
-                .collect();
-            let arrivals: Vec<SimTime> = lineup.iter().map(|s| s.job.arrival).collect();
-            engine.register(Box::new(ChannelServer {
-                id: c,
-                channel: c as u16,
-                lineup,
-                arrivals,
-                idx: 0,
-                server_free: SimTime::ZERO,
-                bus: bus_enabled.then_some(bus_id),
-            }));
-        }
-        if bus_enabled {
-            engine.register(Box::new(BusServer {
-                id: bus_id,
-                per_job: SimTime::from_us(self.topology.bus_us_per_job),
-                bus_free: SimTime::ZERO,
-            }));
-        }
-        let mut ctx = TopologyCtx {
-            completions: vec![Vec::new(); channels],
-            busy: vec![SimTime::ZERO; channels],
-            max_depth: vec![0; channels],
-            bus_pending: Vec::new(),
-        };
-        let engine_report = engine.run(&mut ctx);
-        let reports = ctx
-            .completions
-            .into_iter()
-            .zip(ctx.busy)
-            .zip(ctx.max_depth)
-            .map(|((completions, busy), max_depth)| {
-                let makespan =
-                    completions.iter().map(|c| c.completion).max().unwrap_or(SimTime::ZERO);
-                FlashQueueReport { completions, busy, makespan, max_depth }
+        let channels = self
+            .queues
+            .iter()
+            .zip(&self.global)
+            .map(|(queue, global)| {
+                let mut report = queue.run();
+                for done in &mut report.completions {
+                    done.seq = global[done.seq];
+                }
+                report
             })
             .collect();
-        TopologyReport { channels: reports, engine: engine_report }
-    }
-}
-
-/// The shared context the channel servers and the bus cooperate through.
-struct TopologyCtx {
-    /// Per-channel completions in service order (mirrors included), with
-    /// global submission sequences.
-    completions: Vec<Vec<CompletedJob>>,
-    /// Per-channel flash busy time (bus time is latency, not busy).
-    busy: Vec<SimTime>,
-    /// Per-channel max queue depth, sampled at every service start.
-    max_depth: Vec<usize>,
-    /// Reads that finished on their channel and now wait for the bus.
-    bus_pending: Vec<BusJob>,
-}
-
-/// One channel-local job in service order, with its global sequence and
-/// shared-job mirror recipients.
-struct ServedJob {
-    job: FlashJob,
-    seq: usize,
-    local: usize,
-    recipients: Vec<u64>,
-}
-
-/// A completed flash read waiting for the shared bus.
-struct BusJob {
-    ready: SimTime,
-    channel: u16,
-    /// Channel-local submission index — the FIFO tie-break that keeps a
-    /// channel's zero-service jobs in order on the bus.
-    local: usize,
-    engagement: u64,
-    seq: usize,
-    arrival: SimTime,
-    start: SimTime,
-    recipients: Vec<u64>,
-}
-
-/// One flash channel as an engine component: replicates
-/// `FlashQueueSim::run`'s single-server arithmetic one tick per job.
-struct ChannelServer {
-    id: ComponentId,
-    channel: u16,
-    lineup: Vec<ServedJob>,
-    /// Arrival times in service order — answers "how many jobs have
-    /// arrived by time t" for the depth counter.
-    arrivals: Vec<SimTime>,
-    idx: usize,
-    server_free: SimTime,
-    /// The bus component to hand completions to (`None`: bus disabled).
-    bus: Option<ComponentId>,
-}
-
-impl Component<TopologyCtx> for ChannelServer {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn next_tick(&self) -> Option<SimTime> {
-        self.lineup.first().map(|s| s.job.arrival)
-    }
-
-    fn tick(&mut self, _now: SimTime, sys: &mut System<'_, TopologyCtx>) -> Option<SimTime> {
-        let served = self.idx;
-        let entry = &self.lineup[served];
-        // Same arithmetic as `FlashQueueSim::run` — start/completion are
-        // computed from the queue state, not the engine clock, so the
-        // values bit-match the single-channel simulator.
-        let start = entry.job.arrival.max(self.server_free);
-        let completion = start + entry.job.service;
-        self.server_free = completion;
-        let c = self.channel as usize;
-        sys.ctx.busy[c] += entry.job.service;
-        let arrived = self.arrivals.partition_point(|&a| a <= start).max(served + 1);
-        sys.ctx.max_depth[c] = sys.ctx.max_depth[c].max(arrived - served);
-        if let Some(bus) = self.bus {
-            sys.ctx.bus_pending.push(BusJob {
-                ready: completion,
-                channel: self.channel,
-                local: entry.local,
-                engagement: entry.job.engagement,
-                seq: entry.seq,
-                arrival: entry.job.arrival,
-                start,
-                recipients: entry.recipients.clone(),
-            });
-            sys.wake(bus, completion);
-        } else {
-            push_completions(
-                &mut sys.ctx.completions[c],
-                entry.job.engagement,
-                entry.seq,
-                entry.job.arrival,
-                start,
-                completion,
-                &entry.recipients,
-            );
-        }
-        self.idx += 1;
-        self.lineup.get(self.idx).map(|next| next.job.arrival.max(self.server_free))
-    }
-}
-
-/// The shared host bus as an engine component: a single server over
-/// [`BusJob`]s, FIFO by `(flash completion, channel, channel-local seq)`.
-struct BusServer {
-    id: ComponentId,
-    per_job: SimTime,
-    bus_free: SimTime,
-}
-
-impl Component<TopologyCtx> for BusServer {
-    fn id(&self) -> ComponentId {
-        self.id
-    }
-
-    fn next_tick(&self) -> Option<SimTime> {
-        None // only when a channel hands it work
-    }
-
-    fn tick(&mut self, now: SimTime, sys: &mut System<'_, TopologyCtx>) -> Option<SimTime> {
-        if self.bus_free > now {
-            return Some(self.bus_free);
-        }
-        let best = sys
-            .ctx
-            .bus_pending
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.ready <= now)
-            .min_by_key(|(_, b)| (b.ready, b.channel, b.local))
-            .map(|(i, _)| i);
-        let Some(i) = best else {
-            // Nothing ready yet: sleep until the earliest future hand-off
-            // (a channel's wake will also re-arm us).
-            return sys.ctx.bus_pending.iter().map(|b| b.ready).min();
-        };
-        let job = sys.ctx.bus_pending.remove(i);
-        let start = job.ready.max(self.bus_free);
-        let done = start + self.per_job;
-        self.bus_free = done;
-        push_completions(
-            &mut sys.ctx.completions[job.channel as usize],
-            job.engagement,
-            job.seq,
-            job.arrival,
-            job.start,
-            done,
-            &job.recipients,
-        );
-        // One job per tick keeps the arbitration order a pure function of
-        // the pending set; re-arm for whatever can go next.
-        sys.ctx.bus_pending.iter().map(|b| b.ready.max(self.bus_free)).min()
-    }
-}
-
-/// Appends a served job's completion and its shared-job mirrors — same
-/// timeline, same sequence — to a channel's completion list.
-#[allow(clippy::too_many_arguments)]
-fn push_completions(
-    out: &mut Vec<CompletedJob>,
-    engagement: u64,
-    seq: usize,
-    arrival: SimTime,
-    start: SimTime,
-    completion: SimTime,
-    recipients: &[u64],
-) {
-    out.push(CompletedJob { engagement, seq, arrival, start, completion });
-    for &mirror in recipients {
-        out.push(CompletedJob { engagement: mirror, seq, arrival, start, completion });
+        TopologyReport { channels }
     }
 }
 
 /// The outcome of one topology run: a [`FlashQueueReport`] per device
-/// channel plus the engine's cost witness.
+/// channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyReport {
     /// Per-channel reports, indexed by device channel. Completion `seq`s
     /// are *global* submission sequences (for `C = 1` they coincide with
-    /// channel-local ones, so the report equals `FlashQueueSim`'s).
+    /// channel-local ones, so the report equals [`FlashQueueSim`]'s).
     pub channels: Vec<FlashQueueReport>,
-    /// What the hosting engine run did (ticks, heap ops, end time).
-    pub engine: EngineReport,
 }
 
 impl TopologyReport {
@@ -489,8 +237,8 @@ impl TopologyReport {
         &self.channels[0]
     }
 
-    /// Total flash busy time across channels (bus time excluded — busy is
-    /// the conservation law: the sum of service times).
+    /// Total flash busy time across channels (the conservation law: the
+    /// sum of service times).
     pub fn busy(&self) -> SimTime {
         self.channels.iter().map(|c| c.busy).fold(SimTime::ZERO, |a, b| a + b)
     }
@@ -548,7 +296,6 @@ impl TopologyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flash_queue::FlashQueueSim;
 
     fn job(engagement: u64, arrival_ms: u64, service_ms: u64) -> FlashJob {
         FlashJob {
@@ -585,7 +332,6 @@ mod tests {
             assert_eq!(got.completions_of(e), want.completions_of(e));
             assert_eq!(got.last_completion_of(e), want.last_completion_of(e));
         }
-        assert_eq!(got.engine.ticks, jobs.len() as u64, "one tick per served job");
     }
 
     #[test]
@@ -644,34 +390,60 @@ mod tests {
     }
 
     #[test]
-    fn shared_bus_serializes_cross_channel_completions() {
-        let topo = DeviceTopology::with_channels(2).with_bus_us_per_job(1_000);
-        let mut sim = TopologyQueueSim::new(topo);
-        sim.submit_on(0, job(0, 0, 10));
-        sim.submit_on(1, job(1, 0, 10));
+    fn two_channel_golden_timeline() {
+        // Hand-computed, so the arithmetic keeps a pin that does not go
+        // through `FlashQueueSim`. Channel 0 serves a shared job, two jobs
+        // that queue behind it, and a late arrival after an idle gap;
+        // channel 1 serves two same-instant jobs back to back.
+        let mut sim = TopologyQueueSim::new(DeviceTopology::with_channels(2));
+        assert_eq!(sim.submit_shared_on(0, job(0, 0, 5), &[7]), 0);
+        assert_eq!(sim.submit_on(1, job(2, 0, 6)), 1);
+        assert_eq!(sim.submit_on(0, job(1, 2, 4)), 2);
+        assert_eq!(sim.submit_on(1, job(1, 0, 2)), 3);
+        assert_eq!(sim.submit_on(0, job(3, 3, 1)), 4);
+        assert_eq!(sim.submit_on(0, job(0, 30, 3)), 5);
+        let done = |engagement, seq, arrival, start, completion| CompletedJob {
+            engagement,
+            seq,
+            arrival: SimTime::from_ms(arrival),
+            start: SimTime::from_ms(start),
+            completion: SimTime::from_ms(completion),
+        };
         let r = sim.run();
-        // Both reads finish flash at 10 ms; the bus serves channel 0 first
-        // (tie-break by channel), then channel 1.
-        assert_eq!(r.last_completion_of(0), Some(SimTime::from_us(11_000)));
-        assert_eq!(r.last_completion_of(1), Some(SimTime::from_us(12_000)));
-        assert_eq!(r.busy(), SimTime::from_ms(20), "bus time is latency, not flash busy");
-        assert_eq!(r.engine.ticks, 4, "two channel ticks + two bus ticks");
+        assert_eq!(
+            r.channels[0].completions,
+            vec![
+                done(0, 0, 0, 0, 5),
+                done(7, 0, 0, 0, 5), // the shared job's mirror
+                done(1, 2, 2, 5, 9),
+                done(3, 4, 3, 9, 10),
+                done(0, 5, 30, 30, 33), // late arrival: the channel idled
+            ]
+        );
+        assert_eq!(r.channels[1].completions, vec![done(2, 1, 0, 0, 6), done(1, 3, 0, 6, 8)]);
+        assert_eq!(
+            (r.channels[0].busy, r.channels[1].busy),
+            (SimTime::from_ms(13), SimTime::from_ms(8))
+        );
+        assert_eq!(
+            (r.channels[0].makespan, r.channels[1].makespan),
+            (SimTime::from_ms(33), SimTime::from_ms(8))
+        );
+        assert_eq!((r.channels[0].max_depth, r.channels[1].max_depth), (2, 2));
+        assert_eq!(r.busy(), SimTime::from_ms(21));
+        assert_eq!(r.makespan(), SimTime::from_ms(33));
+        assert_eq!(sim.drain_time(), SimTime::from_ms(33));
+        assert_eq!(r.max_depth(), 2);
+        // Engagement 1 spans both channels; merged order is (arrival, seq).
+        assert_eq!(r.completions_of(1), vec![done(1, 3, 0, 6, 8), done(1, 2, 2, 5, 9)]);
+        assert_eq!(r.last_completion_of(0), Some(SimTime::from_ms(33)));
+        assert_eq!(r.last_completion_of(7), Some(SimTime::from_ms(5)));
     }
 
     #[test]
-    fn bus_preserves_per_channel_fifo_and_mirrors_shared_jobs() {
-        let topo = DeviceTopology::with_channels(2).with_bus_us_per_job(500);
-        let mut sim = TopologyQueueSim::new(topo);
-        sim.submit_shared_on(0, job(0, 0, 4), &[5]);
-        sim.submit_on(0, job(0, 0, 4));
-        sim.submit_on(1, job(1, 2, 4));
-        let r = sim.run();
-        let mine = r.completions_of(0);
-        assert_eq!(mine.len(), 2);
-        assert!(mine[0].completion <= mine[1].completion, "channel FIFO survives the bus");
-        let mirrored = r.completions_of(5);
-        assert_eq!(mirrored.len(), 1);
-        assert_eq!(mirrored[0].completion, mine[0].completion, "mirror rides the bus once");
+    #[should_panic(expected = "device channel 2 out of range: the topology has 2 channel(s)")]
+    fn submitting_on_a_channel_the_topology_lacks_panics_readably() {
+        TopologyQueueSim::new(DeviceTopology::with_channels(2)).submit_on(2, job(0, 0, 1));
     }
 
     #[test]
@@ -681,7 +453,6 @@ mod tests {
         assert_eq!(r.makespan(), SimTime::ZERO);
         assert_eq!(r.max_depth(), 0);
         assert!(r.completions().is_empty());
-        assert_eq!(r.engine.ticks, 0);
         assert_eq!(TopologyQueueSim::new(DeviceTopology::single()).drain_time(), SimTime::ZERO);
     }
 

@@ -1,8 +1,8 @@
 //! # sti-obs: deterministic virtual-clock observability
 //!
 //! An observability layer clocked on **simulated** time, so traces are a
-//! pure function of the replay — bit-identical across `--exec
-//! threaded|event` and across runs — never of host scheduling. Three
+//! pure function of the replay — bit-identical across the event and
+//! sequential replays and across runs — never of host scheduling. Three
 //! pillars:
 //!
 //! 1. **Metrics** ([`MetricsRegistry`]): monotonic [`Counter`]s (sharded

@@ -40,7 +40,7 @@ pub enum TrackKind {
 impl TrackKind {
     /// Whether spans on this kind of track are part of the determinism
     /// contract: a pure function of the replayed trace, identical across
-    /// `--exec threaded|event` and across runs. [`Engine`](Self::Engine)
+    /// event and sequential replays and across runs. [`Engine`](Self::Engine)
     /// and [`Host`](Self::Host) tracks are not — they describe *how* a
     /// particular executor ran, not *what* the simulation computed.
     pub fn deterministic(self) -> bool {

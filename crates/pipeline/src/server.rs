@@ -79,14 +79,13 @@
 //! saved and the mean batch occupancy.
 //!
 //! **Device topology:** the simulated flash device may expose `C`
-//! independent *device channels* behind an optional shared bus
+//! independent *device channels*
 //! ([`StiServerBuilder::device_topology`]). Each session's shard placement
 //! is striped across device channels — SLO sessions stripe where the
 //! search's placement axis puts them, plain sessions round-robin by token
 //! — and the stripe is folded into the session's job signatures, so
 //! byte-identical requests coalesce only when placed on the *same*
-//! device channel, the contended replay serves per-channel FIFO queues on
-//! the shared discrete-event engine
+//! device channel, the contended replay serves per-channel FIFO queues
 //! ([`sti_device::TopologyQueueSim`]), and every contended prediction
 //! simulates the same per-channel lanes. Device channels are distinct
 //! from the scheduler's per-engagement IO lanes ([`IoChannel`]): a lane
@@ -100,7 +99,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use sti_device::{DeviceTopology, FlashModel, HwProfile, SimTime};
+use sti_device::{CompletedJob, DeviceTopology, FlashModel, HwProfile, SimTime};
 use sti_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ObsSink, SpanArgs, SpanEvent,
     TrackKind,
@@ -411,8 +410,9 @@ impl ContentionReport {
     pub fn max_queue_delay(&self) -> SimTime {
         self.gate.iter().filter(|d| !d.shed).map(|d| d.delay).max().unwrap_or(SimTime::ZERO)
     }
-    /// Nearest-rank percentile of contended latencies (`p` in `[0, 1]`).
-    /// Zero when no engagements ran.
+    /// Nearest-rank percentile of contended latencies (`p` in `[0, 1]`), so
+    /// always a latency some engagement paid; `p = 0.5` is the lower
+    /// median. Zero when no engagements ran.
     pub fn latency_percentile(&self, p: f64) -> SimTime {
         assert!((0.0..=1.0).contains(&p), "percentile must be within [0, 1]");
         if self.engagements.is_empty() {
@@ -517,6 +517,44 @@ struct EngagementRecord {
     uncontended: SimTime,
 }
 
+/// Replays the engagement log against a flash replay's merged
+/// `completions`, yielding `(record, issue, first service start, contended
+/// makespan)` per engagement with a coherent timeline. `key` names the
+/// engagement id `rec`'s jobs carry in that replay.
+///
+/// Per-session issue clock: a session issues its next engagement only once
+/// the previous one returned, so each engagement's effective issue is its
+/// recorded issue time (arrival + gate delay) advanced past the session's
+/// previous contended completion. Whatever gap remains between that issue
+/// and the first flash service start is genuine initial queueing —
+/// co-runners occupying the channel before the engagement got its first
+/// byte.
+fn replay_issue_clock<'a>(
+    log: &'a [EngagementRecord],
+    completions: Vec<CompletedJob>,
+    key: impl Fn(&EngagementRecord) -> u64 + 'a,
+) -> impl Iterator<Item = (&'a EngagementRecord, SimTime, SimTime, SimTime)> + 'a {
+    let mut per_engagement: HashMap<u64, Vec<CompletedJob>> = HashMap::new();
+    for job in completions {
+        per_engagement.entry(job.engagement).or_default().push(job);
+    }
+    let mut session_clock: HashMap<u64, SimTime> = HashMap::new();
+    log.iter().filter_map(move |rec| {
+        let jobs = per_engagement.get(&key(rec)).map(Vec::as_slice).unwrap_or(&[]);
+        // `None` on a count mismatch: the engagement errored mid-stream
+        // (or its channel was torn down early), so it has no coherent
+        // contended timeline.
+        let io_ends = align_io_completions(&rec.layer_has_io, jobs)?;
+        let issue =
+            rec.issue.max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
+        let start = jobs.first().map_or(issue, |j| j.start);
+        let comps = vec![rec.comp; rec.layer_has_io.len()];
+        let contended = contended_makespan(start, &io_ends, &comps);
+        session_clock.insert(rec.session, start + contended);
+        Some((rec, issue, start, contended))
+    })
+}
+
 /// Builder for [`StiServer`].
 pub struct StiServerBuilder {
     model: Model,
@@ -581,8 +619,8 @@ impl StiServerBuilder {
         self
     }
 
-    /// The simulated device's flash topology (default: one channel, no
-    /// shared bus — the legacy device). With `C > 1`, the IO scheduler
+    /// The simulated device's flash topology (default: one channel — the
+    /// legacy device). With `C > 1`, the IO scheduler
     /// stripes each session's shard placement across device channels, the
     /// contended track replays per-channel FIFO queues, batching coalesces
     /// only same-channel byte-identical requests, and the SLO search ranks
@@ -595,7 +633,7 @@ impl StiServerBuilder {
     }
 
     /// Convenience for [`StiServerBuilder::device_topology`]: `channels`
-    /// flash channels with no shared-bus charge.
+    /// independent flash channels.
     pub fn channels(self, channels: u16) -> Self {
         self.device_topology(DeviceTopology::with_channels(channels))
     }
@@ -1477,9 +1515,9 @@ impl StiServer {
 
     /// Assembles the virtual-clock span stream for everything served so
     /// far. The deterministic tracks are a pure function of the
-    /// engagement, gate, and dispatch logs, so `--exec threaded` and
-    /// `--exec event` replays of one trace produce identical streams (the
-    /// `sti-obs` determinism contract):
+    /// engagement, gate, and dispatch logs, so event and sequential
+    /// replays of one trace produce identical streams (the `sti-obs`
+    /// determinism contract):
     ///
     /// * [`TrackKind::Session`] — one `engagement` interval per executed
     ///   engagement (issue → contended completion, replaying the same
@@ -1491,13 +1529,14 @@ impl StiServer {
     ///   from a canonical replay of the dispatch log (a single track on
     ///   the default single-channel topology).
     ///
-    /// Scheduler channel ids are assigned racily under the threaded
-    /// executor, so dispatch events are first remapped onto stable
-    /// engagement ids (`session << 16 | per-session index` — chronological
-    /// because a session runs its engagements serially) and re-sorted by
-    /// `(arrival, stable id)`, an order both executors agree on, before
-    /// the flash replay. The stable sort only reorders across channels;
-    /// per-channel FIFO is preserved.
+    /// Scheduler channel ids are assigned in issue order, which differs
+    /// between the event replay (sessions interleave) and the sequential
+    /// one (client by client), so dispatch events are first remapped onto
+    /// stable engagement ids (`session << 16 | per-session index` —
+    /// chronological because a session runs its engagements serially) and
+    /// re-sorted by `(arrival, stable id)`, an order both replays agree
+    /// on, before the flash replay. The stable sort only reorders across
+    /// channels; per-channel FIFO is preserved.
     ///
     /// Whatever the live [`ObsSink`] has buffered (admission markers,
     /// host-track dispatch spans) is drained and appended for single-run
@@ -1537,27 +1576,9 @@ impl StiServer {
         let (mut spans, _) = ring.drain();
         // Session-track engagement intervals: the same per-session issue
         // clock as the contention report, joined on stable ids.
-        let mut per_engagement: HashMap<u64, Vec<sti_device::CompletedJob>> = HashMap::new();
-        for job in &completions {
-            per_engagement.entry(job.engagement).or_default().push(*job);
-        }
-        let mut session_clock: HashMap<u64, SimTime> = HashMap::new();
-        let mut index: HashMap<u64, u64> = HashMap::new();
-        for rec in log.iter() {
-            let idx = index.entry(rec.session).or_insert(0);
-            let key = (rec.session << 16) | *idx;
-            *idx += 1;
-            let jobs = per_engagement.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-            let io_ends = match align_io_completions(&rec.layer_has_io, jobs) {
-                Some(ends) => ends,
-                None => continue,
-            };
-            let issue =
-                rec.issue.max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
-            let start = jobs.first().map_or(issue, |j| j.start);
-            let comps = vec![rec.comp; rec.layer_has_io.len()];
-            let contended = contended_makespan(start, &io_ends, &comps);
-            session_clock.insert(rec.session, start + contended);
+        for (rec, issue, start, contended) in
+            replay_issue_clock(&log, completions, |rec| stable[&rec.channel])
+        {
             spans.push(
                 SpanEvent::complete(
                     TrackKind::Session,
@@ -1568,7 +1589,7 @@ impl StiServer {
                 )
                 .with_args(
                     SpanArgs::new()
-                        .with("engagement", key)
+                        .with("engagement", stable[&rec.channel])
                         .with("uncontended_us", rec.uncontended.as_us())
                         .with("slo_us", rec.slo.map_or(0, |s| s.as_us())),
                 ),
@@ -1674,46 +1695,19 @@ impl StiServer {
             inner.scheduler.topology(),
         )
         .run();
-        let mut per_channel: HashMap<u64, Vec<sti_device::CompletedJob>> = HashMap::new();
-        for job in report.completions() {
-            per_channel.entry(job.engagement).or_default().push(job);
-        }
         let log = inner.engagement_log.lock();
-        // Per-session issue clock: a session issues its next engagement
-        // only once the previous one returned, so each engagement's
-        // effective issue is its recorded issue time (arrival + gate
-        // delay) advanced past the session's previous contended
-        // completion. Whatever gap remains between that issue and the
-        // first flash service start is genuine initial queueing —
-        // co-runners occupying the channel before the engagement got its
-        // first byte — charged in `initial_queueing`/`end_to_end()`.
-        let mut session_clock: HashMap<u64, SimTime> = HashMap::new();
-        let engagements = log
-            .iter()
-            .filter_map(|rec| {
-                let jobs = per_channel.get(&rec.channel).map(Vec::as_slice).unwrap_or(&[]);
-                // `None` on a count mismatch: the engagement errored
-                // mid-stream (or its channel was torn down early), so it
-                // has no coherent contended timeline.
-                let io_ends = align_io_completions(&rec.layer_has_io, jobs)?;
-                let issue = rec
-                    .issue
-                    .max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
-                let start = jobs.first().map_or(issue, |j| j.start);
-                let comps = vec![rec.comp; rec.layer_has_io.len()];
-                let contended = contended_makespan(start, &io_ends, &comps);
-                session_clock.insert(rec.session, start + contended);
-                Some(EngagementContention {
-                    channel: rec.channel,
-                    session: rec.session,
-                    uncontended: rec.uncontended,
-                    contended,
-                    issue,
-                    initial_queueing: start.saturating_sub(issue),
-                    slo: rec.slo,
-                })
+        let engagements = replay_issue_clock(&log, report.completions(), |rec| rec.channel)
+            .map(|(rec, issue, start, contended)| EngagementContention {
+                channel: rec.channel,
+                session: rec.session,
+                uncontended: rec.uncontended,
+                contended,
+                issue,
+                initial_queueing: start.saturating_sub(issue),
+                slo: rec.slo,
             })
             .collect();
+        drop(log);
         // Batch-occupancy accounting straight off the event stream: a
         // batched dispatch appears once, with its fan-out recipients.
         let batched_dispatches = events.iter().filter(|e| e.fanout() > 1).count() as u64;
@@ -3122,6 +3116,50 @@ mod tests {
         let fresh = srv.contention_report();
         assert!(fresh.engagements.is_empty());
         assert_eq!(fresh.flash_busy, SimTime::ZERO);
+    }
+
+    #[test]
+    fn latency_percentile_is_nearest_rank_with_a_lower_median() {
+        // Latencies are fed unsorted; `n` engagements pay 10, 20, …, 10·n ms.
+        let report_of = |n: u64| ContentionReport {
+            engagements: (1..=n)
+                .rev()
+                .map(|k| EngagementContention {
+                    channel: k,
+                    session: k,
+                    uncontended: SimTime::ZERO,
+                    contended: SimTime::from_ms(10 * k),
+                    issue: SimTime::ZERO,
+                    initial_queueing: SimTime::ZERO,
+                    slo: None,
+                })
+                .collect(),
+            flash_busy: SimTime::ZERO,
+            queue_makespan: SimTime::ZERO,
+            max_queue_depth: 0,
+            batched_dispatches: 0,
+            flash_bytes_saved: 0,
+            mean_batch_occupancy: 0.0,
+            gate: Vec::new(),
+            preload_bytes_reallocated: 0,
+            prefetch: None,
+        };
+        // (n, [p0, p50, p100]) in ms. The median is the *lower* one — index
+        // `(n - 1) / 2` of the sorted latencies, always a value an
+        // engagement actually paid — which the ledger's `contended_p50_us`
+        // column relies on.
+        for (n, want) in [
+            (0, [0, 0, 0]),
+            (1, [10, 10, 10]),
+            (2, [10, 10, 20]),
+            (5, [10, 30, 50]),
+            (6, [10, 30, 60]),
+        ] {
+            let report = report_of(n);
+            for (p, ms) in [0.0, 0.5, 1.0].into_iter().zip(want) {
+                assert_eq!(report.latency_percentile(p), SimTime::from_ms(ms), "n = {n}, p = {p}");
+            }
+        }
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //!
 //! The mix carries the [`DeviceTopology`] predictions simulate
 //! ([`ServingMix::with_topology`]). Every prediction rides
-//! [`TopologyQueueSim`] — at `C = 1` it is pinned bit-identical, as a
-//! value, to the closed-form `FlashQueueSim` reference — and the prediction
+//! [`TopologyQueueSim`] — one `FlashQueueSim` single-server queue per
+//! device channel, so `C = 1` is that queue verbatim — and the prediction
 //! core routes each job to its device channel by
 //! `DeviceTopology::channel_for` over the job's placement-adjusted
 //! signature (lane stripes are folded into sigs at load construction —
@@ -850,10 +850,10 @@ pub fn digest_from_parts(
     h.finish()
 }
 
-/// Folds the device topology into a mix digest. The legacy single-channel,
-/// bus-free shape is the identity — every digest minted before topologies
-/// existed (and every `C = 1` deployment today) is bit-identical — while
-/// multi-channel shapes rehash, so plans and gate decisions made under
+/// Folds the device topology into a mix digest. The single-channel shape
+/// is the identity — every digest minted before topologies existed (and
+/// every `C = 1` deployment today) is bit-identical — while multi-channel
+/// shapes rehash, so plans and gate decisions made under
 /// different placements never collide in the memo tables. The sharded
 /// registry applies the same fold over [`digest_from_parts`].
 pub fn digest_with_topology(digest: u64, topology: DeviceTopology) -> u64 {
@@ -861,7 +861,7 @@ pub fn digest_with_topology(digest: u64, topology: DeviceTopology) -> u64 {
         return digest;
     }
     let mut h = DefaultHasher::new();
-    (digest, topology.channel_count(), topology.bus_us_per_job()).hash(&mut h);
+    (digest, topology.channel_count()).hash(&mut h);
     h.finish()
 }
 

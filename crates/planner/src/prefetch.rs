@@ -24,10 +24,10 @@
 //! Everything here is a pure state machine over the observation sequence:
 //! feed the same observations in the same order and the emitted plans are
 //! identical. Under the event executor the completion stream is
-//! deterministic, so prefetch decisions are too; a threaded replay
-//! interleaves observations racily and gets best-effort predictions (the
-//! serving fencing contract makes that safe — wrong or missing predictions
-//! cost only bytes).
+//! deterministic, so prefetch decisions are too; sessions driven from
+//! several host threads interleave observations racily and get best-effort
+//! predictions (the serving fencing contract makes that safe — wrong or
+//! missing predictions cost only bytes).
 
 use std::collections::HashMap;
 

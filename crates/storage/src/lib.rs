@@ -23,8 +23,8 @@
 //! - [`batcher`] — shared-IO batching policy: byte-identical layer requests
 //!   from engagements arriving within a window coalesce into one fan-out
 //!   flash job, charged once on the contended track;
-//! - [`loader::IoWorker`] — the seed's single-engagement IO facade, now a
-//!   one-channel view over the scheduler.
+//! - [`loader`] — the layer-granular [`LayerRequest`] / [`LoadedLayer`]
+//!   pair the scheduler's lanes carry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +42,7 @@ pub mod store;
 pub use batcher::{BatchPolicy, BatchStats};
 pub use cache::{CachedSource, PrefetchPoolStats, ShardCache, ShardCacheStats};
 pub use error::StorageError;
-pub use loader::{IoWorker, LayerRequest, LoadedLayer};
+pub use loader::{LayerRequest, LoadedLayer};
 pub use memstore::MemStore;
 pub use scheduler::{
     BacklogSnapshot, ChannelBacklog, FlashDispatchEvent, IoChannel, IoScheduler, IoSchedulerStats,

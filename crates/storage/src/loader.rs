@@ -1,22 +1,17 @@
-//! Asynchronous layer-granular IO for a single engagement.
+//! The layer-granular IO job and its result.
 //!
 //! STI loads one layer (its selected shard versions) as a single IO job that
-//! overlaps with the previous layer's computation (paper §3.1). This module
-//! keeps the seed's single-engagement [`IoWorker`] API, now implemented as a
-//! one-channel view over the multi-engagement
-//! [`IoScheduler`]: a dedicated pool services
-//! [`LayerRequest`]s in order and produces [`LoadedLayer`]s, accounting the
-//! simulated flash delay of each grouped request (and optionally sleeping it
-//! away for wall-clock demonstrations).
+//! overlaps with the previous layer's computation (paper §3.1). An
+//! engagement submits [`LayerRequest`]s on its
+//! [`IoChannel`](crate::scheduler::IoChannel); the
+//! [`IoScheduler`](crate::scheduler::IoScheduler) services them in order and
+//! produces [`LoadedLayer`]s, accounting the simulated flash delay of each
+//! grouped request.
 
 use std::sync::Arc;
 
-use sti_device::{FlashModel, SimTime};
+use sti_device::SimTime;
 use sti_quant::{Bitwidth, QuantizedBlob};
-
-use crate::error::StorageError;
-use crate::scheduler::{IoChannel, IoScheduler};
-use crate::store::ShardSource;
 
 /// A request to load some shard versions of one layer as one IO job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,128 +65,4 @@ pub struct LoadedLayer {
     pub bytes: u64,
     /// Simulated flash delay of the grouped request.
     pub io_delay: SimTime,
-}
-
-/// A dedicated IO lane servicing one engagement's layer requests in FIFO
-/// order.
-///
-/// `throttle_scale` maps simulated flash delay onto wall-clock sleeping:
-/// `0.0` (the default for experiments) completes requests at host speed
-/// while still *reporting* simulated delay; `1.0` emulates the device in
-/// real time for demonstrations.
-#[derive(Debug)]
-pub struct IoWorker {
-    channel: IoChannel,
-    /// Owns the worker thread; dropped (and joined) last.
-    _scheduler: IoScheduler,
-}
-
-impl IoWorker {
-    /// Spawns a private single-threaded scheduler over a shard source and
-    /// flash model and opens its only channel.
-    pub fn spawn(source: Arc<dyn ShardSource>, flash: FlashModel, throttle_scale: f64) -> Self {
-        let scheduler = IoScheduler::spawn(source, flash, 1, throttle_scale, None);
-        let channel = scheduler.channel();
-        Self { channel, _scheduler: scheduler }
-    }
-
-    /// Submits a layer request. Requests are serviced in submission order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::SchedulerShutdown`] if the worker has shut
-    /// down.
-    pub fn request(&self, req: LayerRequest) -> Result<(), StorageError> {
-        self.channel.request(req)
-    }
-
-    /// Blocks until the next completed load.
-    ///
-    /// # Errors
-    ///
-    /// Returns the storage error if the load failed, or
-    /// [`StorageError::SchedulerShutdown`] if the worker thread died
-    /// without responding.
-    pub fn recv(&self) -> Result<LoadedLayer, StorageError> {
-        self.channel.recv()
-    }
-
-    /// Shuts the worker down and joins its thread.
-    pub fn shutdown(self) {
-        // Dropping the channel then the scheduler joins the pool.
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::memstore::MemStore;
-    use crate::store::ShardKey;
-    use sti_quant::QuantConfig;
-    use sti_transformer::{Model, ModelConfig, ShardId};
-
-    fn worker() -> (IoWorker, Arc<MemStore>) {
-        let model = Model::synthetic(2, ModelConfig::tiny());
-        let store = Arc::new(MemStore::build(
-            &model,
-            &[Bitwidth::B2, Bitwidth::B6],
-            &QuantConfig::default(),
-        ));
-        let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
-        (IoWorker::spawn(store.clone(), flash, 0.0), store)
-    }
-
-    #[test]
-    fn loads_a_layer_in_request_order() {
-        let (w, _) = worker();
-        w.request(LayerRequest {
-            layer: 0,
-            items: vec![(0, Bitwidth::B2), (1, Bitwidth::B6), (2, Bitwidth::B2)],
-        })
-        .unwrap();
-        let loaded = w.recv().unwrap();
-        assert_eq!(loaded.layer, 0);
-        assert_eq!(loaded.blobs.len(), 3);
-        assert_eq!(loaded.blobs[1].0, 1);
-        assert_eq!(loaded.blobs[1].1.bitwidth(), Bitwidth::B6);
-        assert!(loaded.bytes > 0);
-        assert!(loaded.io_delay > SimTime::ZERO);
-        w.shutdown();
-    }
-
-    #[test]
-    fn pipelines_multiple_requests_fifo() {
-        let (w, _) = worker();
-        for layer in 0..2u16 {
-            w.request(LayerRequest { layer, items: vec![(0, Bitwidth::B2)] }).unwrap();
-        }
-        assert_eq!(w.recv().unwrap().layer, 0);
-        assert_eq!(w.recv().unwrap().layer, 1);
-        w.shutdown();
-    }
-
-    #[test]
-    fn missing_shard_surfaces_as_error() {
-        let (w, store) = worker();
-        store.remove(ShardKey::new(ShardId::new(1, 0), Bitwidth::B2));
-        w.request(LayerRequest { layer: 1, items: vec![(0, Bitwidth::B2)] }).unwrap();
-        assert!(w.recv().is_err());
-        w.shutdown();
-    }
-
-    #[test]
-    fn empty_request_costs_nothing() {
-        let (w, _) = worker();
-        w.request(LayerRequest { layer: 0, items: vec![] }).unwrap();
-        let loaded = w.recv().unwrap();
-        assert_eq!(loaded.bytes, 0);
-        assert_eq!(loaded.io_delay, SimTime::ZERO);
-        w.shutdown();
-    }
-
-    #[test]
-    fn drop_joins_cleanly() {
-        let (w, _) = worker();
-        drop(w);
-    }
 }

@@ -1,10 +1,9 @@
 //! The IO scheduler: one flash device, many concurrent engagements, and the
 //! dual-track accounting of simulated time.
 //!
-//! The seed's [`IoWorker`](crate::loader::IoWorker) owned the flash for a
-//! single engagement. A serving runtime has N concurrent engagements, each
-//! streaming its layers in order, all sharing one flash device. The
-//! [`IoScheduler`] generalizes the worker into a pool:
+//! A serving runtime has N concurrent engagements, each streaming its
+//! layers in order, all sharing one flash device. The [`IoScheduler`] is
+//! the pool that multiplexes them:
 //!
 //! - every engagement opens an [`IoChannel`] — its **engagement IO lane**
 //!   into the scheduler; requests on a lane are serviced **FIFO** (AIB
@@ -36,7 +35,7 @@
 //!   sequence as [`FlashDispatchEvent`]s — one per serviced flash job, with
 //!   the lane's simulated arrival time, the device channel placement put it
 //!   on, and byte/cache-hit accounting. [`IoScheduler::topology_sim`]
-//!   replays that sequence through the engine-hosted
+//!   replays that sequence through the per-channel
 //!   [`TopologyQueueSim`] of `sti-device`, yielding the start/completion
 //!   times each request *would* have seen on the contended device. Passing
 //!   a DRAM-speed [`FlashModel`] charges cache-resident bytes at DRAM
@@ -784,7 +783,7 @@ impl IoScheduler {
         events
     }
 
-    /// Builds the engine-hosted multi-channel simulation of every request
+    /// Builds the multi-channel simulation of every request
     /// dispatched so far, routed by each event's recorded device channel.
     /// With `dram` set, bytes that were resident in the shared shard cache
     /// are charged at that (DRAM-speed) model's service time instead of
@@ -1389,6 +1388,24 @@ mod tests {
     }
 
     #[test]
+    fn a_request_loads_its_items_in_order_and_an_empty_one_costs_nothing() {
+        let (store, _, flash) = fixture(0);
+        let sched = IoScheduler::spawn(store, flash, 1, 0.0, None);
+        let ch = sched.channel();
+        let items = vec![(0, Bitwidth::B2), (1, Bitwidth::B6), (2, Bitwidth::B2)];
+        ch.request(LayerRequest { layer: 0, items }).unwrap();
+        ch.request(LayerRequest { layer: 0, items: vec![] }).unwrap();
+        let loaded = ch.recv().unwrap();
+        assert_eq!(loaded.blobs.len(), 3);
+        assert_eq!(loaded.blobs[1].0, 1);
+        assert_eq!(loaded.blobs[1].1.bitwidth(), Bitwidth::B6);
+        assert!(loaded.bytes > 0 && loaded.io_delay > SimTime::ZERO);
+        let empty = ch.recv().unwrap();
+        assert_eq!((empty.bytes, empty.io_delay), (0, SimTime::ZERO));
+        sched.shutdown();
+    }
+
+    #[test]
     fn channels_are_independent_fifo_lanes() {
         let (store, _, flash) = fixture(0);
         let sched = IoScheduler::spawn(store, flash, 2, 0.0, None);
@@ -1920,7 +1937,7 @@ mod tests {
             b.recv().unwrap();
         }
         assert!(sched.flash_events().iter().all(|e| e.device_channel == 0));
-        // The closed-form single-queue reference, fed the same dispatch log.
+        // An independently fed single-server queue over the same dispatch log.
         let mut reference = sti_device::FlashQueueSim::new();
         for e in sched.flash_events() {
             let service = contended_service(&e, flash, None);

@@ -73,10 +73,9 @@
 //! The simulated flash device is a [`prelude::DeviceTopology`]: `C`
 //! independent *device channels* — per-channel FIFO queues with tiered
 //! service times (flash, or the opt-in DRAM-residency tier for
-//! cache-resident bytes) — behind an optional shared host bus. Every
-//! contended-track consumer runs on the same model, hosted as components
-//! of the `sti-core::engine` simulation core
-//! ([`prelude::TopologyQueueSim`]): the post-replay contention report,
+//! cache-resident bytes). Every contended-track consumer runs on the
+//! same model ([`prelude::TopologyQueueSim`] — one single-server
+//! `FlashQueueSim` per channel): the post-replay contention report,
 //! `ServingMix::predict`/`min_delay` (admission and the gate simulate
 //! per-channel lanes against per-device-channel backlog), and the SLO
 //! search. Placement is a *stripe*: each session's request signatures are
@@ -90,9 +89,8 @@
 //! that fails on one channel can succeed by striping across four
 //! (`tests/serving_device.rs` pins exactly that, plus per-channel
 //! busy-time conservation and FIFO). `C = 1` (the default) has no
-//! placement freedom, and the simulator at `C = 1` is pinned bit-identical
-//! to the closed-form `FlashQueueSim` reference (kept as the oracle, with
-//! no production caller); `sti serve --channels N`
+//! placement freedom, and the simulator at `C = 1` is exactly one
+//! `FlashQueueSim`; `sti serve --channels N`
 //! sets the topology everywhere, and per-device-channel span tracks and
 //! `io.channel.<c>.*` metrics make each channel's busy time, queued
 //! bytes, and batch fan-out observable.

@@ -5,11 +5,11 @@
 //!    conservation channel by channel, FIFO service order within a
 //!    channel, each channel's server never overlaps two jobs, and no job
 //!    ever migrates to a channel it was not submitted to.
-//! 2. **`C = 1` ≡ reference.** A single-channel topology run is
-//!    bit-identical to the closed-form `FlashQueueSim` reference on
-//!    arbitrary job streams, and a `channels: 1` server reproduces the
-//!    default server's outcomes, gate decisions, and contended latencies
-//!    on every shipped fixture.
+//! 2. **A channel ≡ one `FlashQueueSim`.** For `C ∈ 1..=4` every
+//!    channel's report is bit-identical to an independently fed
+//!    single-server queue on arbitrary job streams (shared jobs included),
+//!    and a `channels: 1` server reproduces the default server's outcomes,
+//!    gate decisions, and contended latencies on every shipped fixture.
 //! 3. **Placement wins admissions.** Striping a fleet across `C = 4`
 //!    channels admits an SLO session that the single-channel device
 //!    rejects at the same SLO — the planner's placement axis turns
@@ -117,29 +117,47 @@ proptest! {
         }
     }
 
-    /// `C = 1` ≡ reference, at the simulator level: a single-channel
-    /// topology (hosted on the shared event engine) reproduces the
-    /// closed-form `FlashQueueSim` bitwise on arbitrary job streams.
+    /// Every channel ≡ one `FlashQueueSim`, at the simulator level: for
+    /// `C ∈ 1..=4`, channel `c`'s report is exactly an independently fed
+    /// single-server queue of the jobs routed to `c`, its sequence numbers
+    /// mapped through the global submission order — shared jobs included.
     #[test]
-    fn single_channel_topology_is_bitwise_the_legacy_sim(
+    fn every_channel_is_bitwise_an_independent_flash_queue_sim(
+        channels in 1u16..=CHANNELS,
         samples in proptest::collection::vec(
             (0u16..CHANNELS, 0u64..5, 0u64..20_000, 1u64..10_000),
             1..60,
         ),
     ) {
         let routed = build_routed_jobs(&samples);
-        let mut legacy = FlashQueueSim::new();
-        let mut topo = TopologyQueueSim::new(DeviceTopology::single());
-        for &(_, job) in &routed {
-            legacy.submit(job);
-            topo.submit_on(0, job);
+        let mut topo = TopologyQueueSim::new(DeviceTopology::with_channels(channels));
+        let mut queues = vec![FlashQueueSim::new(); channels as usize];
+        let mut global: Vec<Vec<usize>> = vec![Vec::new(); channels as usize];
+        for (seq, &(channel, job)) in routed.iter().enumerate() {
+            let c = channel % channels;
+            // Every third job is a batch fanned out to a foreign recipient.
+            let recipients: &[u64] = if seq % 3 == 0 { &[100 + job.engagement] } else { &[] };
+            prop_assert_eq!(topo.submit_shared_on(c, job, recipients), seq);
+            queues[c as usize].submit_shared(job, recipients);
+            global[c as usize].push(seq);
         }
-        let want = legacy.run();
         let got = topo.run();
-        prop_assert_eq!(got.single(), &want);
-        prop_assert_eq!(got.completions(), want.completions);
-        prop_assert_eq!((got.busy(), got.makespan(), got.max_depth()),
-                        (want.busy, want.makespan, want.max_depth));
+        prop_assert_eq!(got.channels.len(), channels as usize);
+        for (c, queue) in queues.iter().enumerate() {
+            let mut want = queue.run();
+            for done in &mut want.completions {
+                done.seq = global[c][done.seq];
+            }
+            prop_assert_eq!(&got.channels[c], &want, "channel {} of {}", c, channels);
+        }
+        prop_assert_eq!(topo.drain_time(), got.makespan());
+        if channels == 1 {
+            // Global and channel-local sequences coincide: the report is
+            // the single queue's, verbatim.
+            let want = queues[0].run();
+            prop_assert_eq!(got.single(), &want);
+            prop_assert_eq!(got.completions(), want.completions);
+        }
     }
 }
 

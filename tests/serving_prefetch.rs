@@ -82,11 +82,11 @@ fn recurrent_fixture_prefetch_pays_without_hurting_the_demand_track() {
     assert_eq!(on.outcomes, off.outcomes, "speculation must not move a demand outcome");
     assert_eq!(on.rejected_clients, off.rejected_clients);
     assert!(
-        contended_p50_us(&on.contention) < contended_p50_us(&off.contention),
+        on.contention.latency_percentile(0.50) < off.contention.latency_percentile(0.50),
         "staged-then-hit bytes re-price at DRAM speed, so the recurrent \
          fixture's contended p50 must strictly improve: {} >= {}",
-        contended_p50_us(&on.contention),
-        contended_p50_us(&off.contention)
+        on.contention.latency_percentile(0.50),
+        off.contention.latency_percentile(0.50)
     );
     assert!(on.contention.slo_hit_rate() >= off.contention.slo_hit_rate());
 }

@@ -380,11 +380,9 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         if let Some(path) = bench_out {
             // Merge into the existing ledger instead of clobbering it: an
             // entry with the same (channels, prefetch, sessions column) is
-            // replaced in place, anything else appends — history survives.
-            let existing = std::fs::read_to_string(path).unwrap_or_default();
-            let merged = merge_fleet_ledger(&existing, &json);
-            std::fs::write(path, &merged)
-                .map_err(|e| ArgError(format!("write bench ledger '{path}': {e}")))?;
+            // replaced in place, anything else appends — history survives,
+            // and an unreadable or malformed ledger is left untouched.
+            merge_fleet_ledger_file(path, &json).map_err(|e| ArgError(e.to_string()))?;
             report.push_str(&format!("fleet ledger written to {path}\n"));
         }
         return Ok(report);

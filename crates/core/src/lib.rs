@@ -87,9 +87,9 @@ pub mod trace_file;
 pub use baselines::Baseline;
 pub use runner::{run_experiment, Experiment, RunResult, TaskContext};
 pub use serving::{
-    build_server, fleet_report_json, fleet_sweep, merge_fleet_ledger, replay_event,
-    replay_sequential, ClientTrace, EngagementOutcome, FleetConfig, FleetPoint, ServeConfig,
-    ServeReport, ServingTrace,
+    build_server, fleet_report_json, fleet_sweep, merge_fleet_ledger, merge_fleet_ledger_file,
+    replay_event, replay_sequential, ClientTrace, EngagementOutcome, FleetConfig, FleetPoint,
+    LedgerError, ServeConfig, ServeReport, ServingTrace,
 };
 /// The discrete-event executor now lives beside the device models it
 /// simulates (`sti_device::engine`); this alias keeps `sti_core::engine`
@@ -105,9 +105,9 @@ pub mod prelude {
     pub use crate::gold::gold_accuracy;
     pub use crate::runner::{run_experiment, Experiment, RunResult, TaskContext};
     pub use crate::serving::{
-        build_server, fleet_report_json, fleet_sweep, merge_fleet_ledger, replay_event,
-        replay_sequential, ClientTrace, EngagementOutcome, FleetConfig, FleetPoint, ServeConfig,
-        ServeReport, ServingTrace,
+        build_server, fleet_report_json, fleet_sweep, merge_fleet_ledger, merge_fleet_ledger_file,
+        replay_event, replay_sequential, ClientTrace, EngagementOutcome, FleetConfig, FleetPoint,
+        LedgerError, ServeConfig, ServeReport, ServingTrace,
     };
     pub use crate::trace_file::{load_trace, parse_trace, TraceFileError};
     pub use sti_device::{

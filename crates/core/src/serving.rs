@@ -27,6 +27,7 @@
 //! (queue delays and sheds; shed engagements produce no outcome in either
 //! replay, and the decisions themselves are deterministic).
 
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use sti_device::{DeviceProfile, HwProfile, SimTime};
@@ -40,6 +41,7 @@ use sti_storage::{BatchPolicy, IoSchedulerStats, ShardCacheStats};
 
 use crate::engine::{Component, ComponentId, Engine, System};
 use crate::runner::TaskContext;
+use crate::trace_file::{parse_objects, Json, TraceFileError};
 
 /// Server-level knobs for a serving experiment.
 #[derive(Debug, Clone)]
@@ -955,47 +957,24 @@ pub fn fleet_report_json(points: &[FleetPoint]) -> String {
     out
 }
 
-/// Splits a ledger (or a single rendered entry) into its top-level JSON
-/// objects by brace matching — no parser dependency, and robust to braces
-/// inside quoted strings.
-fn split_ledger_entries(s: &str) -> Vec<String> {
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    let mut in_str = false;
-    let mut escape = false;
-    for (i, c) in s.char_indices() {
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(st) = start.take() {
-                        entries.push(s[st..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    entries
+/// Why a perf ledger was left untouched.
+#[derive(Debug)]
+pub struct LedgerError {
+    /// The ledger file.
+    pub path: PathBuf,
+    /// What is wrong with it: it exists but cannot be read or written
+    /// ([`TraceFileError::Io`]), or its contents are not the JSON a ledger
+    /// holds ([`TraceFileError::Syntax`] / [`TraceFileError::Schema`]).
+    pub cause: TraceFileError,
 }
+
+impl std::fmt::Display for LedgerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "perf ledger '{}': {}", self.path.display(), self.cause)
+    }
+}
+
+impl std::error::Error for LedgerError {}
 
 /// A ledger entry's identity: its executor (`"threaded"` when the field
 /// is absent — entries predating the `exec_mode` column were all
@@ -1004,67 +983,76 @@ fn split_ledger_entries(s: &str) -> Vec<String> {
 /// prefetch mode (`"off"` when absent — entries predating the
 /// `prefetch` column ran without speculation), and its swept `sessions`
 /// column.
-fn ledger_entry_key(entry: &str) -> (String, u64, String, Vec<u64>) {
-    let quoted = |field: &str| {
-        entry.find(field).and_then(|i| {
-            let rest = &entry[i + field.len()..];
-            let start = rest.find('"')? + 1;
-            let end = rest[start..].find('"')? + start;
-            Some(rest[start..end].to_string())
-        })
+fn ledger_entry_key(entry: &Json) -> Result<(String, u64, String, Vec<u64>), TraceFileError> {
+    let text = |field: &str, default: &str| match entry.field(field) {
+        None => Ok(default.to_string()),
+        Some(Json::Str(s)) => Ok(s.clone()),
+        Some(_) => Err(TraceFileError::Schema(format!("\"{field}\" must be a string"))),
     };
-    let exec = quoted("\"exec_mode\"").unwrap_or_else(|| "threaded".to_string());
-    // The exact-quoted probe never matches the sweep records'
-    // `prefetch_hit_rate` / `prefetch_speculated_kb` columns.
-    let prefetch = quoted("\"prefetch\"").unwrap_or_else(|| "off".to_string());
-    let channels = entry
-        .find("\"channels\"")
-        .and_then(|i| {
-            let rest = entry[i + "\"channels\"".len()..].trim_start_matches([':', ' ']);
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            digits.parse().ok()
-        })
-        .unwrap_or(1);
-    let mut sessions = Vec::new();
-    let mut rest = entry;
-    while let Some(i) = rest.find("\"sessions\":") {
-        let tail = &rest[i + "\"sessions\":".len()..];
-        let digits: String = tail.trim_start().chars().take_while(char::is_ascii_digit).collect();
-        if let Ok(n) = digits.parse() {
-            sessions.push(n);
-        }
-        rest = tail;
-    }
-    (exec, channels, prefetch, sessions)
+    let channels = entry.field("channels").map_or(Ok(1), |c| c.as_num("\"channels\""))?;
+    let sessions = match entry.field("sweep") {
+        None => Vec::new(),
+        Some(Json::Arr(points)) => points
+            .iter()
+            .filter_map(|p| p.field("sessions"))
+            .map(|n| n.as_num("sweep[].sessions"))
+            .collect::<Result<_, _>>()?,
+        Some(_) => return Err(TraceFileError::Schema("\"sweep\" must be an array".into())),
+    };
+    Ok((text("exec_mode", "threaded")?, channels, text("prefetch", "off")?, sessions))
 }
 
-/// Merges freshly-rendered [`fleet_report_json`] entries into an existing
-/// `BENCH_serving.json` array **without clobbering history**: an entry
-/// whose `(exec_mode, channels, prefetch, sessions column)` matches an
-/// existing one replaces it in place (same configuration re-measured),
-/// anything else appends. Entries written before the `exec_mode` column
-/// count as `"threaded"`, before the `channels` column as single-channel,
-/// and before the `prefetch` column as `"off"`. Pass an empty or missing
-/// file as `existing: ""`.
-pub fn merge_fleet_ledger(existing: &str, entry: &str) -> String {
-    let mut entries = split_ledger_entries(existing);
-    for fresh in split_ledger_entries(entry) {
-        let key = ledger_entry_key(&fresh);
-        match entries.iter_mut().find(|e| ledger_entry_key(e) == key) {
+/// Merges freshly-rendered [`fleet_report_json`] entries into the text of
+/// an existing `BENCH_serving.json` array **without clobbering history**:
+/// an entry whose `(exec_mode, channels, prefetch, sessions column)`
+/// matches an existing one replaces it in place (same configuration
+/// re-measured), anything else appends. Both texts are read as JSON — the
+/// identity columns as fields, the float columns as raw text — and every
+/// surviving entry is written back byte for byte, so a no-op merge
+/// round-trips the ledger exactly. Pass a missing ledger as
+/// `existing: ""`.
+///
+/// # Errors
+///
+/// Fails, merging nothing, when either text is not a JSON array of
+/// objects (or one bare object) — a truncated ledger is an error, never a
+/// silently shorter one.
+pub fn merge_fleet_ledger(existing: &str, entry: &str) -> Result<String, TraceFileError> {
+    let keyed = |text| {
+        parse_objects(text)?
+            .into_iter()
+            .map(|(source, json)| Ok((ledger_entry_key(&json)?, source)))
+            .collect::<Result<Vec<_>, TraceFileError>>()
+    };
+    let mut entries = keyed(existing)?;
+    for fresh in keyed(entry)? {
+        match entries.iter_mut().find(|(key, _)| *key == fresh.0) {
             Some(slot) => *slot = fresh,
             None => entries.push(fresh),
         }
     }
-    let mut out = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    let sources: Vec<&str> = entries.into_iter().map(|(_, source)| source).collect();
+    Ok(format!("[\n{}\n]\n", sources.join(",\n")))
+}
+
+/// [`merge_fleet_ledger`] against the ledger file at `path`: only a
+/// *missing* file counts as an empty ledger. Any other read failure
+/// (permissions, invalid UTF-8) and any malformed content is an error
+/// naming the path, and the file is left untouched.
+///
+/// # Errors
+///
+/// Fails when the ledger exists but cannot be read, parsed, or rewritten.
+pub fn merge_fleet_ledger_file(path: impl AsRef<Path>, entry: &str) -> Result<(), LedgerError> {
+    let path = path.as_ref();
+    let fail = |cause| LedgerError { path: path.to_path_buf(), cause };
+    let existing = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(fail(e.into())),
+    };
+    let merged = merge_fleet_ledger(&existing, entry).map_err(fail)?;
+    std::fs::write(path, merged).map_err(|e| fail(e.into()))
 }
 
 #[cfg(test)]
@@ -1211,7 +1199,7 @@ mod tests {
             "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"threaded\",\n",
             "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.3}\n  ]\n}\n"
         );
-        let merged = merge_fleet_ledger(existing, update);
+        let merged = merge_fleet_ledger(existing, update).unwrap();
         assert!(merged.contains("0.3"), "replacement entry present");
         assert!(!merged.contains("0.1"), "clobbered only the matching entry");
         assert!(merged.contains("0.2"), "the event entry survives");
@@ -1221,7 +1209,7 @@ mod tests {
             "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
             "  \"sweep\": [\n    {\"sessions\": 204, \"gate_mean_us\": 0.4}\n  ]\n}\n"
         );
-        let grown = merge_fleet_ledger(&merged, novel);
+        let grown = merge_fleet_ledger(&merged, novel).unwrap();
         assert_eq!(grown.matches("serving_fleet").count(), 3);
         assert!(grown.contains("0.2") && grown.contains("0.3") && grown.contains("0.4"));
         assert!(grown.starts_with("[\n") && grown.ends_with("\n]\n"));
@@ -1243,7 +1231,7 @@ mod tests {
             "  \"channels\": 4,\n",
             "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.2}\n  ]\n}\n"
         );
-        let grown = merge_fleet_ledger(existing, striped);
+        let grown = merge_fleet_ledger(existing, striped).unwrap();
         assert_eq!(grown.matches("serving_fleet").count(), 2);
         assert!(grown.contains("0.1") && grown.contains("0.2"));
         // An explicit `"channels": 1` entry shares the legacy identity and
@@ -1253,7 +1241,7 @@ mod tests {
             "  \"channels\": 1,\n",
             "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.3}\n  ]\n}\n"
         );
-        let merged = merge_fleet_ledger(&grown, single);
+        let merged = merge_fleet_ledger(&grown, single).unwrap();
         assert_eq!(merged.matches("serving_fleet").count(), 2);
         assert!(!merged.contains("0.1"), "the pre-channels entry was replaced");
         assert!(merged.contains("0.2") && merged.contains("0.3"));
@@ -1279,7 +1267,7 @@ mod tests {
             "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.2, ",
             "\"prefetch_hit_rate\": 0.7500, \"prefetch_speculated_kb\": 64}\n  ]\n}\n"
         );
-        let grown = merge_fleet_ledger(existing, markov);
+        let grown = merge_fleet_ledger(existing, markov).unwrap();
         assert_eq!(grown.matches("serving_fleet").count(), 2);
         assert!(grown.contains("0.1") && grown.contains("0.2"));
         // An explicit `"prefetch": "off"` entry shares the legacy
@@ -1290,11 +1278,11 @@ mod tests {
             "  \"prefetch\": \"off\",\n",
             "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.3}\n  ]\n}\n"
         );
-        let merged = merge_fleet_ledger(&grown, off);
+        let merged = merge_fleet_ledger(&grown, off).unwrap();
         assert_eq!(merged.matches("serving_fleet").count(), 2);
         assert!(!merged.contains("0.1"), "the pre-prefetch entry was replaced");
         assert!(merged.contains("0.2") && merged.contains("0.3"));
-        assert_eq!(merge_fleet_ledger(&merged, markov), merged, "v5 re-merge is a no-op");
+        assert_eq!(merge_fleet_ledger(&merged, markov).unwrap(), merged, "v5 re-merge is a no-op");
     }
 
     #[test]
@@ -1303,13 +1291,87 @@ mod tests {
             "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
             "  \"sweep\": [\n    {\"sessions\": 12, \"gate_mean_us\": 0.5}\n  ]\n}\n"
         );
-        let first = merge_fleet_ledger("", entry);
+        let first = merge_fleet_ledger("", entry).unwrap();
         assert!(first.starts_with("[\n{") && first.ends_with("}\n]\n"));
         assert_eq!(
-            merge_fleet_ledger(&first, entry),
+            merge_fleet_ledger(&first, entry).unwrap(),
             first,
             "re-merging the same entry is a no-op"
         );
+    }
+
+    #[test]
+    fn a_no_op_merge_round_trips_the_checked_in_ledger_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
+        let ledger = std::fs::read_to_string(path).unwrap();
+        assert_eq!(merge_fleet_ledger(&ledger, "").unwrap(), ledger, "nothing fresh to merge");
+        // Re-merging any entry it already holds replaces like with like.
+        let entries = parse_objects(&ledger).unwrap();
+        assert!(entries.len() >= 2, "the checked-in ledger carries history");
+        for (source, _) in entries {
+            assert_eq!(merge_fleet_ledger(&ledger, source).unwrap(), ledger);
+        }
+    }
+
+    /// A fresh scratch directory for one ledger-file test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sti-ledger-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    const ENTRY: &str = concat!(
+        "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
+        "  \"sweep\": [\n    {\"sessions\": 12, \"gate_mean_us\": 0.5}\n  ]\n}\n"
+    );
+
+    #[test]
+    fn a_truncated_ledger_is_an_error_and_the_file_is_left_untouched() {
+        let whole = merge_fleet_ledger(&merge_fleet_ledger("", ENTRY).unwrap(), ENTRY).unwrap();
+        // Cut inside the only entry: brace counting used to drop it
+        // silently and write back a ledger without it.
+        let truncated = &whole[..whole.len() - 12];
+        let err = merge_fleet_ledger(truncated, ENTRY).unwrap_err();
+        assert!(matches!(err, TraceFileError::Syntax { .. }), "{err}");
+        // Malformed fields are errors too, not defaults.
+        let err = merge_fleet_ledger("[{\"channels\": \"four\"}]", ENTRY).unwrap_err();
+        assert!(matches!(err, TraceFileError::Schema(_)), "{err}");
+        for junk in ["[{}, ]", "[{}] trailing", "{} {}", "42"] {
+            assert!(merge_fleet_ledger(junk, ENTRY).is_err(), "{junk}");
+        }
+
+        let dir = scratch_dir("truncated");
+        let path = dir.join("BENCH_serving.json");
+        std::fs::write(&path, truncated).unwrap();
+        let err = merge_fleet_ledger_file(&path, ENTRY).unwrap_err();
+        assert_eq!(err.path, path);
+        assert!(err.to_string().contains(path.to_str().unwrap()), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), truncated, "left as found");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn only_a_missing_ledger_counts_as_empty_an_unreadable_one_is_an_error() {
+        let dir = scratch_dir("unreadable");
+        // Missing: the merge starts a new ledger.
+        let fresh = dir.join("fresh.json");
+        merge_fleet_ledger_file(&fresh, ENTRY).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&fresh).unwrap(),
+            merge_fleet_ledger("", ENTRY).unwrap()
+        );
+        // Present but unreadable as text (invalid UTF-8): `unwrap_or_default`
+        // used to treat this as empty and overwrite the file.
+        let binary = dir.join("binary.json");
+        std::fs::write(&binary, [0xff, 0xfe, 0x00]).unwrap();
+        let err = merge_fleet_ledger_file(&binary, ENTRY).unwrap_err();
+        assert!(matches!(err.cause, TraceFileError::Io(_)), "{err}");
+        assert!(err.to_string().contains("binary.json"), "{err}");
+        assert_eq!(std::fs::read(&binary).unwrap(), [0xff, 0xfe, 0x00], "left as found");
+        // A path that is not a file at all.
+        let err = merge_fleet_ledger_file(&dir, ENTRY).unwrap_err();
+        assert!(matches!(err.cause, TraceFileError::Io(_)), "{err}");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -45,7 +45,7 @@ use sti_device::SimTime;
 
 use crate::serving::{ClientTrace, ServingTrace};
 
-/// Errors from reading a trace file.
+/// Errors from reading a JSON file — a trace, or the perf ledger.
 #[derive(Debug)]
 pub enum TraceFileError {
     /// The file could not be read.
@@ -64,11 +64,11 @@ pub enum TraceFileError {
 impl fmt::Display for TraceFileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceFileError::Io(e) => write!(f, "trace file io error: {e}"),
+            TraceFileError::Io(e) => write!(f, "io error: {e}"),
             TraceFileError::Syntax { at, reason } => {
-                write!(f, "trace file syntax error at byte {at}: {reason}")
+                write!(f, "syntax error at byte {at}: {reason}")
             }
-            TraceFileError::Schema(why) => write!(f, "trace file schema error: {why}"),
+            TraceFileError::Schema(why) => write!(f, "schema error: {why}"),
         }
     }
 }
@@ -88,9 +88,9 @@ impl From<std::io::Error> for TraceFileError {
     }
 }
 
-/// A parsed JSON value (the subset the trace schema needs).
+/// A parsed JSON value (the subset the trace and perf-ledger schemas need).
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub(crate) enum Json {
     Null,
     Bool(bool),
     /// Unsigned integers only: every number in a trace is a count, token
@@ -99,7 +99,8 @@ enum Json {
     /// A numeric token that is not an unsigned integer in range (negative,
     /// fractional, exponent, or wider than `u64`). Kept as text so the
     /// schema layer can reject it **naming the field**, instead of a
-    /// generic parse failure at a byte offset.
+    /// generic parse failure at a byte offset (and so the ledger's float
+    /// columns pass through unparsed).
     BadNum(String),
     Str(String),
     Arr(Vec<Json>),
@@ -296,15 +297,46 @@ fn parse_json(text: &str) -> Result<Json, TraceFileError> {
     Ok(value)
 }
 
+/// Parses `text` — a JSON array of objects, one bare object, or nothing —
+/// into each object's **source text** beside its parsed value, so a caller
+/// can read fields as data and still write entries back byte for byte.
+pub(crate) fn parse_objects(text: &str) -> Result<Vec<(&str, Json)>, TraceFileError> {
+    let mut p = Parser::new(text);
+    let mut objects = Vec::new();
+    let in_array = p.peek() == Some(b'[');
+    if in_array {
+        p.pos += 1;
+    }
+    while p.peek() == Some(b'{') {
+        let start = p.pos;
+        let value = p.object()?;
+        objects.push((&text[start..p.pos], value));
+        if !(in_array && p.peek() == Some(b',')) {
+            break;
+        }
+        p.pos += 1;
+        if p.peek() != Some(b'{') {
+            return Err(p.error("expected an object after ','"));
+        }
+    }
+    if in_array {
+        p.expect(b']')?;
+    }
+    match p.peek() {
+        Some(_) => Err(p.error("expected a JSON array of objects")),
+        None => Ok(objects),
+    }
+}
+
 impl Json {
-    fn field<'a>(&'a self, name: &str) -> Option<&'a Json> {
+    pub(crate) fn field<'a>(&'a self, name: &str) -> Option<&'a Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    fn as_num(&self, what: &str) -> Result<u64, TraceFileError> {
+    pub(crate) fn as_num(&self, what: &str) -> Result<u64, TraceFileError> {
         match self {
             Json::Num(n) => Ok(*n),
             Json::BadNum(text) => Err(TraceFileError::Schema(format!(

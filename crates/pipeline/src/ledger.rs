@@ -1,0 +1,817 @@
+//! The contended-track ledger.
+//!
+//! Alongside the deterministic per-engagement results, the server keeps
+//! the dual-track accounting of `sti_storage::scheduler`: every dispatched
+//! request is logged, and the dispatch log is replayed through the
+//! per-channel flash queues ([`sti_device::TopologyQueueSim`]) to quote
+//! each engagement's *contended* latency. [`ContentionLedger`] owns the
+//! server's half of that — one [`EngagementRecord`] per executed
+//! engagement, one [`GateDecision`] per gated one — and the **single
+//! replay** both consumers share: [`ContentionLedger::report`] replays the
+//! dispatch log in *dispatch order* under the scheduler's lane ids (what
+//! the device saw); [`ContentionLedger::spans`] replays it in the
+//! *canonical* `(arrival, stable engagement id)` order, which the event
+//! and sequential replays of one trace agree on, so the deterministic span
+//! tracks export byte-identically. The two orders stay distinct on
+//! purpose; only the code is shared.
+//!
+//! **Invariants.** A session runs its engagements serially, so each
+//! session's records and gate decisions are chronological. An engagement
+//! whose completed jobs do not line up with its streamed layers (it
+//! errored mid-stream, or its lane was torn down early) has no coherent
+//! contended timeline and drops out of every replay. Speculative prefetch
+//! IO is priced strictly *after* and *against* the demand replay
+//! ([`PrefetchContention`]): it adds background rows, never moves a demand
+//! latency. Dispatch events arrive as plain data, so the ledger needs
+//! neither a model nor a scheduler.
+
+use std::collections::{BTreeMap, HashMap};
+
+use parking_lot::Mutex;
+use sti_device::{CompletedJob, DeviceTopology, FlashModel, SimTime, TopologyReport};
+use sti_obs::{ObsSink, SpanArgs, SpanEvent, TrackKind};
+use sti_planner::{align_io_completions, contended_makespan};
+use sti_storage::{FlashDispatchEvent, IoScheduler};
+
+use crate::gate::GateDecision;
+
+/// One engagement on the contended track: the latency it would have seen on
+/// the contended flash device (its striped device channels) versus its
+/// uncontended outcome.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EngagementContention {
+    /// The scheduler IO lane (per-engagement channel id) the engagement
+    /// streamed through — not a device channel.
+    pub channel: u64,
+    /// The session (registry token) the engagement belonged to — joins the
+    /// report against [`GateDecision::session`].
+    pub session: u64,
+    /// The deterministic (uncontended) simulated makespan it reported.
+    pub uncontended: SimTime,
+    /// Its makespan when the recorded dispatch sequence is replayed through
+    /// the flash-queue simulator, measured from its first flash service
+    /// start (service-onward — the quantity the admission and gate
+    /// predictions are held to; see [`EngagementContention::end_to_end`]
+    /// for the issue-inclusive number).
+    pub contended: SimTime,
+    /// The engagement's effective issue time on the simulated timeline:
+    /// its session arrival plus any gate delay, advanced past the
+    /// session's previous engagement's contended completion (a session
+    /// issues its next engagement only once the previous one returned).
+    pub issue: SimTime,
+    /// Initial queueing: simulated time between [`EngagementContention::issue`]
+    /// and the engagement's first flash service start. Zero for engagements
+    /// whose window was clean (or that streamed nothing).
+    pub initial_queueing: SimTime,
+    /// The SLO its session carried, if any.
+    pub slo: Option<SimTime>,
+}
+
+impl EngagementContention {
+    /// Extra latency attributable to co-runners.
+    pub fn queueing(&self) -> SimTime {
+        self.contended.saturating_sub(self.uncontended)
+    }
+
+    /// Issue-to-completion latency: the initial queueing charged from the
+    /// per-engagement issue clock plus the service-onward contended
+    /// makespan.
+    pub fn end_to_end(&self) -> SimTime {
+        self.initial_queueing + self.contended
+    }
+
+    /// Whether the contended latency met the session SLO (`None` when the
+    /// session had none).
+    pub fn met_slo(&self) -> Option<bool> {
+        self.slo.map(|slo| self.contended <= slo)
+    }
+}
+
+/// The contended-track report: per-engagement contended latencies plus
+/// queue-level aggregates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ContentionReport {
+    /// Engagements in execution-record order.
+    pub engagements: Vec<EngagementContention>,
+    /// Total simulated flash busy time across the replay (batched jobs are
+    /// served — and charged — once).
+    pub flash_busy: SimTime,
+    /// Completion time of the last job on the contended queue.
+    pub queue_makespan: SimTime,
+    /// Deepest the flash queue got during the replay.
+    pub max_queue_depth: usize,
+    /// Flash jobs that carried more than one engagement's request (zero
+    /// with batching off).
+    pub batched_dispatches: u64,
+    /// Serialized bytes co-resident sessions did **not** re-read from flash
+    /// thanks to shared-IO batching.
+    pub flash_bytes_saved: u64,
+    /// Mean engagements per flash job (1.0 with batching off; up to the
+    /// co-resident session count when every dispatch coalesces). Zero when
+    /// nothing was dispatched.
+    pub mean_batch_occupancy: f64,
+    /// Backpressure-gate decisions, ordered by session token (each
+    /// session's decisions in engagement order). Empty with the gate off.
+    pub gate: Vec<GateDecision>,
+    /// Bytes of default-prefix preload the sharing-aware `|S|` search moved
+    /// off layers in-window co-residents already stream, summed over
+    /// admitted SLO sessions
+    /// ([`ServingStats::preload_bytes_reallocated`](crate::server::ServingStats::preload_bytes_reallocated)).
+    pub preload_bytes_reallocated: u64,
+    /// Speculative prefetch IO priced into the idle windows of the demand
+    /// replay above (`None` with the prefetcher off). Speculation is
+    /// strictly fenced — demand completions are computed first, from the
+    /// demand dispatch log alone — so this block can only *add* background
+    /// rows, never move a demand latency.
+    pub prefetch: Option<PrefetchContention>,
+}
+
+/// Speculative prefetch IO on the contended track, priced honestly into
+/// the idle windows of the demand replay: each background job occupies
+/// real simulated channel time, but only time the demand timeline left
+/// idle — a job preempted by demand work resumes in the next gap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefetchContention {
+    /// Speculative flash jobs dispatched.
+    pub jobs: u64,
+    /// Bytes the speculation read from flash (cold stages).
+    pub speculated_bytes: u64,
+    /// Bytes pinned from already-resident blobs at zero flash cost.
+    pub pinned_bytes: u64,
+    /// Simulated channel time the speculative jobs occupied (all of it
+    /// inside demand-idle windows).
+    pub busy: SimTime,
+    /// Speculative jobs that demand work pushed around: delayed past
+    /// their arrival or split across idle windows. Demand never waits for
+    /// speculation — preemption only ever runs this direction.
+    pub preempted: u64,
+    /// Completion time of the last speculative job on its channel.
+    pub makespan: SimTime,
+}
+
+impl ContentionReport {
+    /// Engagements the backpressure gate shed.
+    pub fn shed_count(&self) -> u64 {
+        self.gate.iter().filter(|d| d.shed).count() as u64
+    }
+
+    /// Engagements the gate queue-delayed before executing.
+    pub fn queue_delayed(&self) -> u64 {
+        self.gate.iter().filter(|d| !d.shed && d.delay > SimTime::ZERO).count() as u64
+    }
+
+    /// Gate decisions that came from the second gate pass (an
+    /// equal-arrival earliest session re-gated against later-opened
+    /// co-arriving load).
+    pub fn re_gated_count(&self) -> u64 {
+        self.gate.iter().filter(|d| d.re_gated).count() as u64
+    }
+
+    /// The largest queue delay the gate applied.
+    pub fn max_queue_delay(&self) -> SimTime {
+        self.gate.iter().filter(|d| !d.shed).map(|d| d.delay).max().unwrap_or(SimTime::ZERO)
+    }
+    /// Nearest-rank percentile of contended latencies (`p` in `[0, 1]`), so
+    /// always a latency some engagement paid; `p = 0.5` is the lower
+    /// median. Zero when no engagements ran.
+    pub fn latency_percentile(&self, p: f64) -> SimTime {
+        assert!((0.0..=1.0).contains(&p), "percentile must be within [0, 1]");
+        if self.engagements.is_empty() {
+            return SimTime::ZERO;
+        }
+        let mut latencies: Vec<SimTime> = self.engagements.iter().map(|e| e.contended).collect();
+        latencies.sort_unstable();
+        let rank = ((p * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
+        latencies[rank - 1]
+    }
+
+    /// Fraction of SLO-carrying engagements whose contended latency met the
+    /// SLO (`None` when no engagement carried one).
+    pub fn slo_hit_rate(&self) -> Option<f64> {
+        let with_slo: Vec<bool> = self.engagements.iter().filter_map(|e| e.met_slo()).collect();
+        if with_slo.is_empty() {
+            return None;
+        }
+        Some(with_slo.iter().filter(|&&met| met).count() as f64 / with_slo.len() as f64)
+    }
+}
+
+/// Prices the recorded speculative dispatches into the **idle windows** of
+/// an already-computed demand replay: per device channel, a speculative
+/// job accumulates service time only while the demand timeline is idle —
+/// any demand busy interval overlapping its window pushes it out (counted
+/// in `preempted`), never the other way around. Demand completions are
+/// inputs here, so speculation cannot move a demand latency by
+/// construction; what it *costs* (channel time, flash bytes) is still
+/// charged for real.
+fn price_speculation(spec: &[FlashDispatchEvent], demand: &TopologyReport) -> PrefetchContention {
+    let mut out = PrefetchContention::default();
+    let mut per_dc: BTreeMap<u16, Vec<&FlashDispatchEvent>> = BTreeMap::new();
+    for e in spec {
+        per_dc.entry(e.device_channel).or_default().push(e);
+    }
+    for (dc, mut jobs) in per_dc {
+        jobs.sort_by_key(|e| (e.arrival, e.seq));
+        let mut intervals: Vec<(SimTime, SimTime)> = demand
+            .channels
+            .get(dc as usize)
+            .map(|c| c.completions.iter().map(|j| (j.start, j.completion)).collect())
+            .unwrap_or_default();
+        intervals.sort_unstable();
+        // The channel serves its speculative queue FIFO in the gaps, so a
+        // job starts no earlier than the previous one finished.
+        let mut cursor = SimTime::ZERO;
+        for e in jobs {
+            let service = e.io_delay;
+            let earliest = cursor.max(e.arrival);
+            let mut t = earliest;
+            let mut rem = service;
+            let mut cut = false;
+            for &(s, end) in &intervals {
+                if end <= t || rem == SimTime::ZERO {
+                    continue;
+                }
+                if s >= t + rem {
+                    break;
+                }
+                // Demand occupies part of the window: run `t..s` (if any),
+                // then yield until the demand interval ends.
+                if s > t {
+                    rem = rem.saturating_sub(s.saturating_sub(t));
+                }
+                t = end;
+                cut = true;
+            }
+            let finish = t + rem;
+            out.jobs += 1;
+            out.speculated_bytes += e.bytes;
+            out.pinned_bytes += e.hit_bytes;
+            out.busy += service;
+            if cut || finish > earliest + service {
+                out.preempted += 1;
+            }
+            if finish > out.makespan {
+                out.makespan = finish;
+            }
+            cursor = finish;
+        }
+    }
+    out
+}
+
+/// What one engagement contributed to the contended track: enough to replay
+/// its pipeline recurrence against the simulated queue.
+pub(crate) struct EngagementRecord {
+    /// The scheduler IO lane the engagement streamed through.
+    pub(crate) channel: u64,
+    pub(crate) session: u64,
+    pub(crate) slo: Option<SimTime>,
+    /// The engagement's issue time on the simulated timeline (session
+    /// arrival plus gate delay — the arrival its channel was opened at).
+    pub(crate) issue: SimTime,
+    /// Per-layer: did the layer stream through the scheduler?
+    pub(crate) layer_has_io: Vec<bool>,
+    /// Per-layer compute delay (uniform across a plan's layers).
+    pub(crate) comp: SimTime,
+    pub(crate) uncontended: SimTime,
+}
+
+/// One engagement on a replayed timeline: its record, the engagement id
+/// its jobs carried in the replay, its effective issue time, its first
+/// flash service start, and its contended makespan from that start.
+struct Replayed<'a> {
+    rec: &'a EngagementRecord,
+    id: u64,
+    issue: SimTime,
+    start: SimTime,
+    contended: SimTime,
+}
+
+/// The server's contended-track state and the replay over it (see the
+/// module docs).
+pub(crate) struct ContentionLedger {
+    engagements: Mutex<Vec<EngagementRecord>>,
+    gate: Mutex<Vec<GateDecision>>,
+    flash: FlashModel,
+    /// DRAM-residency model for cache-resident bytes, when opted in.
+    dram: Option<FlashModel>,
+    topology: DeviceTopology,
+}
+
+impl ContentionLedger {
+    pub(crate) fn new(
+        flash: FlashModel,
+        dram: Option<FlashModel>,
+        topology: DeviceTopology,
+    ) -> Self {
+        Self {
+            engagements: Mutex::new(Vec::new()),
+            gate: Mutex::new(Vec::new()),
+            flash,
+            dram,
+            topology,
+        }
+    }
+
+    pub(crate) fn record_engagement(&self, rec: EngagementRecord) {
+        self.engagements.lock().push(rec);
+    }
+
+    pub(crate) fn record_gate(&self, decision: GateDecision) {
+        self.gate.lock().push(decision);
+    }
+
+    /// Drops the engagement and gate logs (the scheduler's dispatch logs
+    /// are the caller's to clear).
+    pub(crate) fn clear(&self) {
+        self.engagements.lock().clear();
+        self.gate.lock().clear();
+    }
+
+    /// The one contended replay. `events` is the scheduler's dispatch log;
+    /// with `canonical` set it is first remapped onto stable engagement
+    /// ids (`session << 16 | per-session index` — chronological because a
+    /// session runs its engagements serially) and stably re-sorted by
+    /// `(arrival, stable id)`, which only reorders across lanes, never
+    /// within one.
+    ///
+    /// Per-session issue clock: a session issues its next engagement only
+    /// once the previous one returned, so each engagement's effective
+    /// issue is its recorded issue time (arrival + gate delay) advanced
+    /// past the session's previous contended completion. Whatever gap
+    /// remains between that issue and the first flash service start is
+    /// genuine initial queueing — co-runners occupying the channel before
+    /// the engagement got its first byte.
+    fn replay<'a>(
+        &self,
+        log: &'a [EngagementRecord],
+        mut events: Vec<FlashDispatchEvent>,
+        canonical: bool,
+    ) -> (TopologyReport, Vec<Replayed<'a>>) {
+        let mut next_index: HashMap<u64, u64> = HashMap::new();
+        let ids: Vec<u64> = log
+            .iter()
+            .map(|rec| {
+                if !canonical {
+                    return rec.channel;
+                }
+                let idx = next_index.entry(rec.session).or_insert(0);
+                *idx += 1;
+                (rec.session << 16) | (*idx - 1)
+            })
+            .collect();
+        if canonical {
+            let stable: HashMap<u64, u64> =
+                log.iter().zip(&ids).map(|(rec, &id)| (rec.channel, id)).collect();
+            let remap = |lane: u64| stable.get(&lane).copied().unwrap_or(u64::MAX);
+            for e in &mut events {
+                e.channel = remap(e.channel);
+                e.members.iter_mut().for_each(|m| *m = remap(*m));
+            }
+            events.sort_by_key(|e| (e.arrival, e.channel));
+        }
+        let report =
+            IoScheduler::topology_sim_from_events(&events, self.flash, self.dram, self.topology)
+                .run();
+        let mut per_engagement: HashMap<u64, Vec<CompletedJob>> = HashMap::new();
+        for job in report.completions() {
+            per_engagement.entry(job.engagement).or_default().push(job);
+        }
+        let mut session_clock: HashMap<u64, SimTime> = HashMap::new();
+        let rows = log
+            .iter()
+            .zip(ids)
+            .filter_map(|(rec, id)| {
+                let jobs = per_engagement.get(&id).map(Vec::as_slice).unwrap_or(&[]);
+                // `None` on a count mismatch: no coherent timeline.
+                let io_ends = align_io_completions(&rec.layer_has_io, jobs)?;
+                let issue = rec
+                    .issue
+                    .max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
+                let start = jobs.first().map_or(issue, |j| j.start);
+                let comps = vec![rec.comp; rec.layer_has_io.len()];
+                let contended = contended_makespan(start, &io_ends, &comps);
+                session_clock.insert(rec.session, start + contended);
+                Some(Replayed { rec, id, issue, start, contended })
+            })
+            .collect();
+        (report, rows)
+    }
+
+    /// Replays `events` (the demand dispatch log, in dispatch order) and
+    /// reports each executed engagement's contended latency plus the queue
+    /// aggregates. `speculative` is the background dispatch log when a
+    /// prefetcher runs; `preload_bytes_reallocated` is quoted through from
+    /// the admission gauge.
+    pub(crate) fn report(
+        &self,
+        events: Vec<FlashDispatchEvent>,
+        speculative: Option<&[FlashDispatchEvent]>,
+        preload_bytes_reallocated: u64,
+    ) -> ContentionReport {
+        // Batch-occupancy accounting straight off the event stream: a
+        // batched dispatch appears once, with its fan-out recipients.
+        let batched_dispatches = events.iter().filter(|e| e.fanout() > 1).count() as u64;
+        let flash_bytes_saved: u64 = events.iter().map(|e| e.bytes * e.members.len() as u64).sum();
+        let deliveries: usize = events.iter().map(FlashDispatchEvent::fanout).sum();
+        let mean_batch_occupancy =
+            if events.is_empty() { 0.0 } else { deliveries as f64 / events.len() as f64 };
+        let log = self.engagements.lock();
+        let (report, rows) = self.replay(&log, events, false);
+        let engagements = rows
+            .iter()
+            .map(|r| EngagementContention {
+                channel: r.rec.channel,
+                session: r.rec.session,
+                uncontended: r.rec.uncontended,
+                contended: r.contended,
+                issue: r.issue,
+                initial_queueing: r.start.saturating_sub(r.issue),
+                slo: r.rec.slo,
+            })
+            .collect();
+        drop(log);
+        // Gate decisions sorted by session token; each session's decisions
+        // are already chronological and a stable sort preserves that.
+        let mut gate = self.gate.lock().clone();
+        gate.sort_by_key(|d| d.session);
+        ContentionReport {
+            engagements,
+            flash_busy: report.busy(),
+            queue_makespan: report.makespan(),
+            max_queue_depth: report.max_depth(),
+            batched_dispatches,
+            flash_bytes_saved,
+            mean_batch_occupancy,
+            gate,
+            preload_bytes_reallocated,
+            prefetch: speculative.map(|spec| price_speculation(spec, &report)),
+        }
+    }
+
+    /// The deterministic span tracks (plus the prefetch colour track) for
+    /// everything logged so far, unsorted — see
+    /// [`StiServer::trace_spans`](crate::server::StiServer::trace_spans)
+    /// for the track-by-track contract.
+    pub(crate) fn spans(
+        &self,
+        events: Vec<FlashDispatchEvent>,
+        speculative: &[FlashDispatchEvent],
+    ) -> Vec<SpanEvent> {
+        let log = self.engagements.lock();
+        let (report, rows) = self.replay(&log, events, true);
+        let jobs: usize = report.channels.iter().map(|c| c.completions.len()).sum();
+        let ring = ObsSink::ring((jobs * 4 + 64) * std::mem::size_of::<SpanEvent>());
+        report.emit_spans(&ring);
+        let (mut spans, _) = ring.drain();
+        // Session-track engagement intervals: issue → contended completion.
+        for r in &rows {
+            spans.push(
+                SpanEvent::complete(
+                    TrackKind::Session,
+                    r.rec.session,
+                    "engagement",
+                    r.issue.as_us(),
+                    (r.start + r.contended).as_us(),
+                )
+                .with_args(
+                    SpanArgs::new()
+                        .with("engagement", r.id)
+                        .with("uncontended_us", r.rec.uncontended.as_us())
+                        .with("slo_us", r.rec.slo.map_or(0, |s| s.as_us())),
+                ),
+            );
+        }
+        drop(log);
+        // Gate decisions as session-track markers carrying the reason.
+        for d in self.gate.lock().iter() {
+            let args = SpanArgs::new()
+                .with("digest", d.reason.digest)
+                .with("predicted_us", d.predicted.as_us())
+                .with("backlog_bytes", d.reason.backlog_bytes)
+                .with("dominant", d.reason.dominant_lane.map_or(u64::MAX, |(t, _)| t));
+            let at = d.arrival.as_us();
+            let span = if d.shed {
+                SpanEvent::instant(TrackKind::Session, d.session, "gate.shed", at)
+            } else if d.delay > SimTime::ZERO {
+                let end = (d.arrival + d.delay).as_us();
+                SpanEvent::complete(TrackKind::Session, d.session, "gate.delay", at, end)
+            } else {
+                SpanEvent::instant(TrackKind::Session, d.session, "gate.admit", at)
+            };
+            spans.push(span.with_args(args));
+        }
+        // Speculative staging windows, one track per device channel.
+        // Whether a staged shard was flash-loaded or pinned depends on
+        // cache residency at execution time, so the track is outside the
+        // determinism contract ([`TrackKind::Prefetch`]) and deterministic
+        // exports drop it.
+        for e in speculative {
+            spans.push(
+                SpanEvent::complete(
+                    TrackKind::Prefetch,
+                    e.device_channel as u64,
+                    "prefetch.stage",
+                    e.arrival.as_us(),
+                    (e.arrival + e.io_delay).as_us(),
+                )
+                .with_args(
+                    SpanArgs::new()
+                        .with("session", e.channel)
+                        .with("bytes", e.bytes)
+                        .with("pinned_bytes", e.hit_bytes),
+                ),
+            );
+        }
+        spans
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::tests::tiny_server;
+    use crate::server::StiServer;
+    use sti_device::DeviceProfile;
+
+    fn server() -> StiServer {
+        tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_ms(n)
+    }
+
+    /// A single-channel ledger (service time is each event's `io_delay`).
+    fn ledger() -> ContentionLedger {
+        ContentionLedger::new(DeviceProfile::odroid_n2().flash, None, DeviceTopology::single())
+    }
+
+    /// A dispatch of `service_ms` on device channel 0, led by `lane`.
+    fn event(seq: u64, lane: u64, arrival_ms: u64, service_ms: u64) -> FlashDispatchEvent {
+        FlashDispatchEvent {
+            seq,
+            channel: lane,
+            device_channel: 0,
+            arrival: ms(arrival_ms),
+            bytes: 1_000,
+            hit_bytes: 0,
+            io_delay: ms(service_ms),
+            members: Vec::new(),
+        }
+    }
+
+    /// An engagement of `session` on `lane`, issued at time zero, whose
+    /// layers stream per `layer_has_io` with 2 ms of compute each.
+    fn record(lane: u64, session: u64, layer_has_io: &[bool]) -> EngagementRecord {
+        EngagementRecord {
+            channel: lane,
+            session,
+            slo: None,
+            issue: SimTime::ZERO,
+            layer_has_io: layer_has_io.to_vec(),
+            comp: ms(2),
+            uncontended: ms(7),
+        }
+    }
+
+    #[test]
+    fn a_batched_fan_out_is_served_once_and_lands_on_every_member() {
+        let ledger = ledger();
+        ledger.record_engagement(record(10, 0, &[true]));
+        ledger.record_engagement(record(11, 1, &[true]));
+        let shared = FlashDispatchEvent { members: vec![11], ..event(0, 10, 0, 5) };
+        let report = ledger.report(vec![shared], None, 0);
+        // One 5 ms read, mirrored to both lanes: each engagement sees
+        // 5 ms IO + 2 ms compute, exactly its solo makespan.
+        assert_eq!(report.engagements.len(), 2);
+        for e in &report.engagements {
+            assert_eq!((e.contended, e.initial_queueing), (ms(7), SimTime::ZERO));
+            assert_eq!(e.queueing(), SimTime::ZERO);
+        }
+        assert_eq!(report.flash_busy, ms(5), "the shared job is charged once");
+        assert_eq!((report.batched_dispatches, report.flash_bytes_saved), (1, 1_000));
+        assert_eq!(report.mean_batch_occupancy, 2.0);
+        assert!(report.prefetch.is_none());
+    }
+
+    #[test]
+    fn an_engagement_that_errored_mid_stream_drops_out_of_report_and_spans() {
+        let ledger = ledger();
+        ledger.record_engagement(record(10, 0, &[true]));
+        // Lane 11 wanted two layers but only one dispatch ever completed.
+        ledger.record_engagement(record(11, 1, &[true, true]));
+        let events = vec![event(0, 10, 0, 5), event(1, 11, 0, 5)];
+        let report = ledger.report(events.clone(), None, 0);
+        assert_eq!(report.engagements.len(), 1, "no coherent timeline, no row");
+        assert_eq!(report.engagements[0].session, 0);
+        // Its dispatch still occupied the device: the survivor's numbers
+        // and the queue aggregates keep it.
+        assert_eq!(report.flash_busy, ms(10));
+        let engagement_tracks: Vec<u64> = ledger
+            .spans(events, &[])
+            .iter()
+            .filter(|s| s.name == "engagement")
+            .map(|s| s.track)
+            .collect();
+        assert_eq!(engagement_tracks, [0]);
+    }
+
+    #[test]
+    fn the_issue_clock_serializes_a_session_and_charges_initial_queueing() {
+        let ledger = ledger();
+        // Session 0 runs two engagements (lanes 10 then 12); session 1's
+        // single engagement (lane 11) queues behind the first.
+        ledger.record_engagement(record(10, 0, &[true]));
+        ledger.record_engagement(record(11, 1, &[true]));
+        ledger.record_engagement(record(12, 0, &[true]));
+        let events = vec![event(0, 10, 0, 5), event(1, 11, 0, 5), event(2, 12, 0, 5)];
+        let report = ledger.report(events, None, 0);
+        let row = |lane: u64| *report.engagements.iter().find(|e| e.channel == lane).unwrap();
+        assert_eq!((row(10).issue, row(10).initial_queueing), (SimTime::ZERO, SimTime::ZERO));
+        // Lane 11 waited out lane 10's 5 ms read before its first byte.
+        assert_eq!((row(11).issue, row(11).initial_queueing), (SimTime::ZERO, ms(5)));
+        // Session 0's second engagement cannot issue before its first
+        // returned (5 ms IO + 2 ms compute), then waits for the flash.
+        assert_eq!((row(12).issue, row(12).initial_queueing), (ms(7), ms(3)));
+        assert_eq!(row(12).end_to_end(), ms(3) + ms(7));
+    }
+
+    #[test]
+    fn canonical_spans_do_not_depend_on_lane_ids_or_dispatch_order() {
+        // The same two-session workload as the event executor would log it
+        // (lanes in issue order) and as the sequential oracle would
+        // (client by client, other lane ids, other dispatch order).
+        let spans_of = |lanes: [u64; 2], order: [usize; 2]| {
+            let ledger = ledger();
+            ledger.record_engagement(record(lanes[0], 0, &[true]));
+            ledger.record_engagement(record(lanes[1], 1, &[true]));
+            let by_session = [event(0, lanes[0], 0, 5), event(0, lanes[1], 1, 5)];
+            let events = order
+                .iter()
+                .enumerate()
+                .map(|(seq, &i)| FlashDispatchEvent { seq: seq as u64, ..by_session[i].clone() })
+                .collect();
+            let mut spans = ledger.spans(events, &[]);
+            spans.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+            spans
+        };
+        let event_like = spans_of([10, 11], [0, 1]);
+        assert_eq!(event_like, spans_of([21, 20], [1, 0]));
+        // Engagements are named by stable id, never by scheduler lane.
+        let ids: Vec<u64> = event_like
+            .iter()
+            .filter(|s| s.name == "engagement")
+            .map(|s| s.args.entries()[0].1)
+            .collect();
+        assert_eq!(ids, [0, 1 << 16]);
+    }
+
+    #[test]
+    fn speculation_is_priced_into_idle_windows_and_preempted_by_demand() {
+        let ledger = ledger();
+        ledger.record_engagement(record(10, 0, &[true]));
+        // Demand holds the channel over 10..20 ms.
+        let demand = vec![event(0, 10, 10, 10)];
+        let spec = [
+            // Arrives at 5 ms wanting 10 ms: runs 5..10, yields to demand,
+            // resumes 20..25.
+            FlashDispatchEvent { bytes: 4_000, hit_bytes: 1_000, ..event(0, 0, 5, 10) },
+            // Arrives in the clear: 30..32, untouched.
+            FlashDispatchEvent { bytes: 2_000, ..event(1, 0, 30, 2) },
+        ];
+        let report = ledger.report(demand, Some(&spec), 0);
+        assert_eq!(
+            report.prefetch,
+            Some(PrefetchContention {
+                jobs: 2,
+                speculated_bytes: 6_000,
+                pinned_bytes: 1_000,
+                busy: ms(12),
+                preempted: 1,
+                makespan: ms(32),
+            })
+        );
+        // Demand never waits for speculation: the engagement's row is what
+        // it would be with no speculative log at all.
+        assert_eq!(report.engagements[0].contended, ms(12));
+        assert_eq!(report.engagements[0].initial_queueing, ms(10));
+        assert_eq!(report.flash_busy, ms(10));
+    }
+
+    #[test]
+    fn contention_report_tracks_concurrent_stretch() {
+        let srv = server();
+        let s = srv.session_with(SimTime::from_ms(300), 0).unwrap();
+        let first = s.infer(&[1, 2]).unwrap();
+        let second = s.infer(&[1, 2]).unwrap();
+        assert_eq!(first.probabilities, second.probabilities, "uncontended track untouched");
+        let report = srv.contention_report();
+        assert_eq!(report.engagements.len(), 2);
+        for e in &report.engagements {
+            // Sequential engagements had the flash queue to themselves:
+            // measured from each one's first service start, the contended
+            // latency reproduces the uncontended makespan exactly. (An
+            // interleaved neighbour would stretch it — the concurrent
+            // replay tests cover that side.)
+            assert_eq!(e.contended, e.uncontended, "sequential run must not be inflated");
+        }
+        assert_eq!(report.flash_busy, srv.io_stats().sim_flash_busy);
+        assert!(report.latency_percentile(0.5) >= report.engagements[0].uncontended);
+        assert!(report.slo_hit_rate().is_none(), "no SLO sessions ran");
+
+        // Harvest-and-reset: the next report starts empty.
+        srv.reset_contention_log();
+        let fresh = srv.contention_report();
+        assert!(fresh.engagements.is_empty());
+        assert_eq!(fresh.flash_busy, SimTime::ZERO);
+    }
+
+    #[test]
+    fn latency_percentile_is_nearest_rank_with_a_lower_median() {
+        // Latencies are fed unsorted; `n` engagements pay 10, 20, …, 10·n ms.
+        let report_of = |n: u64| ContentionReport {
+            engagements: (1..=n)
+                .rev()
+                .map(|k| EngagementContention {
+                    channel: k,
+                    session: k,
+                    uncontended: SimTime::ZERO,
+                    contended: SimTime::from_ms(10 * k),
+                    issue: SimTime::ZERO,
+                    initial_queueing: SimTime::ZERO,
+                    slo: None,
+                })
+                .collect(),
+            flash_busy: SimTime::ZERO,
+            queue_makespan: SimTime::ZERO,
+            max_queue_depth: 0,
+            batched_dispatches: 0,
+            flash_bytes_saved: 0,
+            mean_batch_occupancy: 0.0,
+            gate: Vec::new(),
+            preload_bytes_reallocated: 0,
+            prefetch: None,
+        };
+        // (n, [p0, p50, p100]) in ms. The median is the *lower* one — index
+        // `(n - 1) / 2` of the sorted latencies, always a value an
+        // engagement actually paid — which the ledger's `contended_p50_us`
+        // column relies on.
+        for (n, want) in [
+            (0, [0, 0, 0]),
+            (1, [10, 10, 10]),
+            (2, [10, 10, 20]),
+            (5, [10, 30, 50]),
+            (6, [10, 30, 60]),
+        ] {
+            let report = report_of(n);
+            for (p, ms) in [0.0, 0.5, 1.0].into_iter().zip(want) {
+                assert_eq!(report.latency_percentile(p), SimTime::from_ms(ms), "n = {n}, p = {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn dram_residency_shrinks_contended_latency_of_warm_engagements() {
+        let build = |dram: bool| tiny_server(|b| b.preload_budget(0).dram_residency(dram));
+        let run = |srv: &StiServer| {
+            let s = srv.session_with(SimTime::from_ms(300), 0).unwrap();
+            s.infer(&[3]).unwrap(); // cold: fills the shard cache
+            s.infer(&[3]).unwrap(); // warm: fully cache-resident
+            srv.contention_report()
+        };
+        let flash_only = run(&build(false));
+        let with_dram = run(&build(true));
+        assert_eq!(
+            flash_only.engagements[0].contended, with_dram.engagements[0].contended,
+            "cold engagement pays flash either way"
+        );
+        assert!(
+            with_dram.engagements[1].contended < flash_only.engagements[1].contended,
+            "residency mode must make the warm engagement cheaper on the contended track"
+        );
+        // The uncontended (deterministic) track is identical either way.
+        assert_eq!(flash_only.engagements[1].uncontended, with_dram.engagements[1].uncontended);
+    }
+
+    #[test]
+    fn issue_gap_spreads_engagement_issues_without_touching_results() {
+        let srv = server();
+        let gapped = srv.session().unwrap();
+        let plain = srv.session().unwrap();
+        let mut g = gapped;
+        g.set_issue_gap(SimTime::from_ms(500));
+        let a = g.infer(&[5, 6]).unwrap();
+        let b = g.infer(&[5, 6]).unwrap();
+        let c = plain.infer(&[5, 6]).unwrap();
+        assert_eq!(a.class, b.class);
+        assert_eq!(a.class, c.class, "the issue gap is contended-track only");
+        let report = srv.contention_report();
+        let issues: Vec<SimTime> =
+            report.engagements.iter().filter(|e| e.session == g.token()).map(|e| e.issue).collect();
+        assert_eq!(issues.len(), 2);
+        // The gap exceeds the first engagement's contended completion, so
+        // the second issue lands exactly one gap after the first.
+        assert_eq!(issues[1], issues[0] + SimTime::from_ms(500));
+    }
+}

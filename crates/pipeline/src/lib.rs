@@ -33,10 +33,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod buffers;
 pub mod engine;
 pub mod error;
 pub mod executor;
+mod gate;
+mod ledger;
+mod prefetch;
 pub mod registry;
 pub mod server;
 pub mod trace;

@@ -1,0 +1,240 @@
+//! The server's next-engagement prefetch driver.
+//!
+//! With a [`PrefetchConfig`] enabled, every engagement completion is
+//! observed in a per-client Markov chain
+//! ([`sti_planner::prefetch::Prefetcher`]); when an edge clears the
+//! confidence floor the model emits a budgeted [`PrefetchPlan`], and
+//! [`PrefetchDriver`] turns it into [`SpeculativeJob`]s — background flash
+//! jobs that warm the predicted next engagement's streamed working set
+//! into the shard cache's staging pool during idle device-channel windows.
+//! Speculation is strictly fenced off the demand path: demand dispatches
+//! always preempt it, gate decisions never read it, and a wrong prediction
+//! costs wasted bytes, never an SLO miss.
+//!
+//! The driver owns the model and the key → working-set table; it returns
+//! jobs instead of submitting them, so it needs no scheduler.
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use sti_device::{DeviceTopology, SimTime};
+use sti_planner::prefetch::{
+    EngagementKey, KeyId, PrefetchConfig, PrefetchMode, PrefetchPlan, Prefetcher, PrefetcherStats,
+};
+use sti_planner::ExecutionPlan;
+use sti_quant::Bitwidth;
+use sti_storage::{
+    FlashDispatchEvent, LayerRequest, PrefetchPoolStats, ShardKey, ShardSource, SpeculativeJob,
+};
+use sti_transformer::ShardId;
+
+use crate::buffers::PreloadBuffer;
+
+/// The prefetcher's end-to-end report surface: the Markov model's
+/// counters, the staging pool's hit accounting, and the speculative
+/// dispatch totals
+/// ([`StiServer::prefetch_report`](crate::server::StiServer::prefetch_report)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrefetchReport {
+    /// The configured mode.
+    pub mode: PrefetchMode,
+    /// Markov-model counters (observations, plans, rejections, feedback).
+    pub model: PrefetcherStats,
+    /// Staging-pool counters (staged/pinned/hit bytes, evictions).
+    pub pool: PrefetchPoolStats,
+    /// Speculative flash jobs dispatched so far.
+    pub jobs: u64,
+    /// Bytes speculatively read from flash.
+    pub speculated_bytes: u64,
+    /// Bytes pinned from resident blobs at zero flash cost.
+    pub pinned_bytes: u64,
+}
+
+/// The resolved working set behind one engagement key.
+#[derive(Clone)]
+pub(crate) struct PrefetchTarget {
+    pub(crate) plan: Arc<ExecutionPlan>,
+    pub(crate) preload: Arc<PreloadBuffer>,
+    pub(crate) stripe: u16,
+}
+
+/// The shared Markov model plus the key-to-working-set table that turns a
+/// predicted [`KeyId`] back into the concrete plan/preload/stripe to stage.
+pub(crate) struct PrefetchDriver {
+    cfg: PrefetchConfig,
+    /// Observations are serialized through this lock; under the event
+    /// executor completions arrive in deterministic simulated order, so
+    /// the prediction stream is deterministic too.
+    model: Mutex<Prefetcher>,
+    /// What to materialize when a key is predicted, registered the first
+    /// time the key is *observed* — a prediction always names a key some
+    /// session has already run, so the lookup cannot miss in practice.
+    targets: Mutex<HashMap<KeyId, PrefetchTarget>>,
+}
+
+impl PrefetchDriver {
+    pub(crate) fn new(cfg: PrefetchConfig) -> Self {
+        Self { cfg, model: Mutex::new(Prefetcher::new(cfg)), targets: Mutex::new(HashMap::new()) }
+    }
+
+    /// Observes one completion of `client`'s engagement `key` (whose
+    /// working set is `target`) at simulated time `now` — the tick any
+    /// speculation becomes available to run, and the arrival its contended
+    /// pricing uses — and returns the speculative jobs to submit: empty
+    /// unless a prediction cleared the confidence floor.
+    pub(crate) fn observe(
+        &self,
+        client: u64,
+        key: EngagementKey,
+        target: impl FnOnce() -> PrefetchTarget,
+        now: SimTime,
+        topology: DeviceTopology,
+        source: &dyn ShardSource,
+    ) -> Vec<SpeculativeJob> {
+        let plan = {
+            let mut model = self.model.lock();
+            let id = model.intern(key);
+            self.targets.lock().entry(id).or_insert_with(target);
+            model.observe(client, id, now)
+        };
+        let Some(plan) = plan else { return Vec::new() };
+        let Some(target) = self.targets.lock().get(&plan.predicted).cloned() else {
+            return Vec::new();
+        };
+        speculative_jobs(&plan, &target, topology, source)
+    }
+
+    /// The end-to-end report over the staging pool's counters and the
+    /// scheduler's speculative dispatch log.
+    pub(crate) fn report(
+        &self,
+        pool: PrefetchPoolStats,
+        speculative: &[FlashDispatchEvent],
+    ) -> PrefetchReport {
+        PrefetchReport {
+            mode: self.cfg.mode,
+            model: self.model.lock().stats(),
+            pool,
+            jobs: speculative.len() as u64,
+            speculated_bytes: speculative.iter().map(|e| e.bytes).sum(),
+            pinned_bytes: speculative.iter().map(|e| e.hit_bytes).sum(),
+        }
+    }
+}
+
+/// Turns an emitted [`PrefetchPlan`] into speculative scheduler jobs: the
+/// predicted engagement's *streamed* working set (planned shards not
+/// covered by its preload buffer), grouped onto the device channels its
+/// layer requests would really route to, byte-capped at the plan budget.
+fn speculative_jobs(
+    plan: &PrefetchPlan,
+    target: &PrefetchTarget,
+    topology: DeviceTopology,
+    source: &dyn ShardSource,
+) -> Vec<SpeculativeJob> {
+    let mut budget = plan.budget_bytes;
+    let mut jobs: BTreeMap<u16, (Vec<ShardKey>, u64)> = BTreeMap::new();
+    'layers: for pl in &target.plan.layers {
+        let items: Vec<(u16, Bitwidth)> = pl
+            .items()
+            .filter(|&(slice, _)| !target.preload.contains(ShardId::new(pl.layer, slice)))
+            .collect();
+        if items.is_empty() {
+            continue;
+        }
+        let sig = LayerRequest { layer: pl.layer, items: items.clone() }.content_sig();
+        let dc = topology.channel_for(sig, target.stripe);
+        for (slice, bw) in items {
+            let key = ShardKey::new(ShardId::new(pl.layer, slice), bw);
+            let bytes = match source.size_bytes(key) {
+                Ok(bytes) if bytes > 0 => bytes,
+                _ => continue,
+            };
+            if bytes > budget {
+                break 'layers;
+            }
+            budget -= bytes;
+            let entry = jobs.entry(dc).or_default();
+            entry.0.push(key);
+            entry.1 += bytes;
+        }
+    }
+    jobs.into_iter()
+        .map(|(device_channel, (keys, bytes))| SpeculativeJob {
+            session: plan.client,
+            device_channel,
+            arrival: plan.emitted_at,
+            bytes,
+            keys,
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::tests::tiny_server;
+    use crate::server::StiServer;
+
+    fn server() -> StiServer {
+        tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
+    }
+
+    /// A server with a deliberately tiny main shard cache (so demand
+    /// misses recur) and the Markov prefetcher on.
+    fn prefetch_server() -> StiServer {
+        tiny_server(|b| {
+            b.target(SimTime::from_ms(300))
+                .preload_budget(0)
+                .shard_cache_bytes(1 << 10)
+                .prefetch(PrefetchConfig::markov(1 << 20))
+        })
+    }
+
+    #[test]
+    fn prefetch_report_is_none_with_prefetch_off() {
+        let srv = server();
+        assert!(srv.prefetch_report().is_none());
+        let s = srv.session().unwrap();
+        s.infer(&[1, 2, 3]).unwrap();
+        assert!(srv.contention_report().prefetch.is_none());
+    }
+
+    #[test]
+    fn markov_prefetch_stages_the_predicted_working_set_and_serves_later_misses() {
+        let srv = prefetch_server();
+        let mut s = srv.session().unwrap();
+        s.set_issue_gap(SimTime::from_ms(50));
+        s.infer(&[1, 2, 3]).unwrap();
+        // The second completion creates the self-recurrence edge and emits
+        // a plan; the speculative job runs once the demand queue drains.
+        s.infer(&[1, 2, 3]).unwrap();
+        let mut tries = 0;
+        while srv.prefetch_report().unwrap().jobs == 0 && tries < 400 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            tries += 1;
+        }
+        let report = srv.prefetch_report().unwrap();
+        assert!(report.model.plans >= 1, "a self-recurrent session must emit a plan");
+        assert!(report.jobs >= 1, "the plan must materialize into speculative jobs");
+        assert!(
+            report.speculated_bytes + report.pinned_bytes > 0,
+            "speculation must stage or pin something"
+        );
+        // The next engagement's demand misses promote staged blobs out of
+        // the pool instead of re-reading flash.
+        s.infer(&[1, 2, 3]).unwrap();
+        let pool = srv.prefetch_report().unwrap().pool;
+        assert!(pool.hits > 0, "staged shards must serve the next engagement's misses");
+        assert!(pool.hit_bytes > 0);
+        // Contended pricing exists, charges the speculative service time,
+        // and the speculative label never leaks into demand aggregates.
+        let contention = srv.contention_report();
+        let spec = contention.prefetch.expect("prefetch pricing present when enabled");
+        // The third completion may have emitted (and run) another plan by
+        // now; the priced jobs can only grow past the harvested count.
+        assert!(spec.jobs >= report.jobs);
+        assert!(spec.busy > SimTime::ZERO || spec.speculated_bytes == 0);
+    }
+}

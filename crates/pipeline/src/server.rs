@@ -3,20 +3,43 @@
 //! [`StiEngine`](crate::engine::StiEngine) reproduces the paper's contract
 //! for **one** app: plan once, execute repeatedly. A device serving heavy
 //! traffic runs **many** concurrent engagements of the same model, and
-//! almost everything they need is shareable:
-//!
-//! - the model's resident parameters (embedding, norms, classifier);
-//! - compressed shard blobs (a shared [`ShardCache`] over the store);
-//! - execution plans (a [`PlanCache`] keyed by the planning knobs —
-//!   replanning happens only on knob changes, §3.2);
-//! - preload-buffer contents (read-mostly once built, shared per knob set);
-//! - the flash device itself (an [`IoScheduler`] multiplexing layer
-//!   requests FIFO-per-engagement, round-robin across engagements).
+//! almost everything they need is shareable: the model's resident
+//! parameters, compressed shard blobs (a shared [`ShardCache`]), execution
+//! plans and preload buffers (one per knob set — replanning happens only on
+//! knob changes, §3.2), and the flash device itself (an [`IoScheduler`]
+//! multiplexing layer requests FIFO-per-engagement, round-robin across
+//! engagements).
 //!
 //! [`StiServer`] owns all of that; [`Session`] is a lightweight handle an
 //! app holds, carrying only its knobs and `Arc`s to the resolved plan and
 //! preload buffer. Sessions are cheap to open, independently retargetable,
 //! and safe to drive from concurrent threads.
+//!
+//! # Shape: stores, services, one orchestrator
+//!
+//! This module is the builder, the orchestration and the session handles.
+//! Every serving *decision* has exactly one implementation, in a module of
+//! its own that is unit-testable without a model:
+//!
+//! | piece | owns | decides |
+//! |---|---|---|
+//! | [`ShardedRegistry`] (`registry`) | token → load / SLO profile / stripe of every open session | the mix every contended prediction runs against, and its digest |
+//! | [`MemoTable`]s (`sti_planner::cache`) | plans, SLO-search outcomes, preload buffers per knob set | compute outside the lock, first insert wins |
+//! | `Admission` (`admission`) | the [`AdmissionMode`] and the `serving.*_sessions` instruments | take or reject an SLO search outcome, for an open or a retarget |
+//! | `Gate` (`gate`) | the walk memo, the lane-ownership set, the `gate.*` instruments | delay or shed one engagement ([`BackpressureMode`]) |
+//! | `ContentionLedger` (`ledger`) | the engagement and gate logs | the one contended replay behind [`ContentionReport`] and the span export |
+//! | `PrefetchDriver` (`prefetch`) | the Markov model and its key → working-set table | which speculative jobs a completion triggers |
+//!
+//! **One session-planning path.** Opening or retargeting a session is
+//! always the same sequence — resolve the knobs → (for an SLO: search
+//! `(T, |S|)` against the live mix → admission verdict →) resolve plan and
+//! preload buffer → register the load → build or patch the [`Session`] —
+//! and it is written once: `ServerInner::plan_session` plans, and
+//! `Session::install` registers. [`StiServer::session_with`],
+//! [`StiServer::open_fleet`], [`StiServer::session_with_slo_at`],
+//! [`Session::set_target`], [`Session::set_preload_budget`] and
+//! [`Session::retarget_slo`] are thin callers that differ only in the
+//! knobs they pass.
 //!
 //! **Determinism contract:** an engagement's outcome (class, probabilities,
 //! simulated timeline, loaded bytes) depends only on the model, the plan,
@@ -25,210 +48,71 @@
 //! the shared caches buy host wall-clock throughput, not simulated-time
 //! shortcuts. The serving integration tests pin this down.
 //!
-//! **Contended track:** alongside the deterministic per-engagement results,
-//! the server keeps the dual-track accounting of `sti_storage::scheduler` —
-//! every dispatched request feeds the discrete-event flash-queue simulator,
-//! and [`StiServer::contention_report`] replays the dispatch sequence to
-//! quote each engagement's *contended* latency (plus, via the
-//! per-engagement issue clock, the initial queueing between an
-//! engagement's issue and its first flash service start).
-//!
 //! **One predictor, three views:** every contended question the server
 //! asks — SLO admission at [`StiServer::session_with_slo`], the infer-time
 //! backpressure gate, and [`Session::retarget_slo`] — is answered by
-//! building a [`ServingMix`] from the open-session registry (each
+//! building a [`ServingMix`](sti_planner::mix::ServingMix) from the open-session registry (each
 //! session's actual [`CoRunnerLoad`] plus, for SLO sessions, its
 //! [`SloProfile`]) and handing it to `sti_planner::mix`. The server never
 //! assembles prediction lanes by hand; the mix's digest is the one memo
-//! identity shared by the SLO-plan cache and the per-session gate memo,
-//! so a registry change invalidates both consistently.
-//! [`AdmissionMode::Enforce`] rejects sessions whose best plan still
-//! misses: backpressure before the queue, not after. Under
-//! [`PreloadPolicy::SharingAware`] ([`StiServerBuilder::plan_sharing`]),
-//! the SLO search also ranks `|S|` *placements* by marginal value under
-//! the mix — a layer an in-window co-resident already streams is never
-//! preloaded while un-shared layers want the budget, and the bytes moved
-//! are quoted in [`ContentionReport::preload_bytes_reallocated`].
+//! identity shared by the SLO-plan cache and the gate memos, so a registry
+//! change invalidates both consistently. [`AdmissionMode::Enforce`]
+//! rejects sessions whose best plan still misses: backpressure before the
+//! queue, not after. Under [`PreloadPolicy::SharingAware`]
+//! ([`StiServerBuilder::plan_sharing`]), the SLO search also ranks `|S|`
+//! *placements* by marginal value under the mix — a layer an in-window
+//! co-resident already streams is never preloaded while un-shared layers
+//! want the budget, and the bytes moved are quoted in
+//! [`ContentionReport::preload_bytes_reallocated`].
 //!
-//! **Infer-time backpressure:** admission decides once, at session open —
-//! but SLOs are violated by *bursts*, mid-session. With a
-//! [`BackpressureMode`] configured ([`StiServerBuilder::backpressure`]),
-//! every SLO engagement first passes a gate that re-runs the contended
-//! prediction against the queue as it stands now (the registry mix merged
-//! with the scheduler's `backlog_snapshot`) and either delays the
-//! engagement on the simulated timeline until the prediction meets its SLO
-//! (`Queue`, bounded by a maximum delay) or fails fast with
-//! [`PipelineError::Backpressure`] (`Shed`). Decisions, queue delays, and
-//! shed counts land in [`ContentionReport`]. Gate decisions are a pure
-//! function of the deterministic open-session registry — identical between
-//! concurrent and sequential replays of the same trace — and shed
-//! engagements never touch the scheduler, so the uncontended determinism
-//! contract is untouched. In queue mode the walk includes the *second gate
-//! pass*: an equal-arrival earliest session is re-gated against
-//! later-opened co-arriving load instead of running blind ahead of it
-//! (see [`ServingMix::gate`]).
-//!
-//! **Shared-IO batching:** with a [`BatchPolicy`] window configured
-//! ([`StiServerBuilder::batch_policy`]), co-resident sessions requesting
-//! byte-identical layers within the window share **one** flash job whose
-//! payload fans out as `Arc`s (`sti_storage::batcher`). Batching is
-//! invisible to the uncontended track — per-engagement results stay
-//! bit-identical to solo runs — and priced honestly on the contended one:
-//! batched dispatches appear once in the replay, admission predicts with
-//! `IoSharing::Batched`, and [`ContentionReport`] quotes the flash bytes
-//! saved and the mean batch occupancy.
-//!
-//! **Device topology:** the simulated flash device may expose `C`
-//! independent *device channels*
-//! ([`StiServerBuilder::device_topology`]). Each session's shard placement
-//! is striped across device channels — SLO sessions stripe where the
-//! search's placement axis puts them, plain sessions round-robin by token
-//! — and the stripe is folded into the session's job signatures, so
-//! byte-identical requests coalesce only when placed on the *same*
-//! device channel, the contended replay serves per-channel FIFO queues
-//! ([`sti_device::TopologyQueueSim`]), and every contended prediction
-//! simulates the same per-channel lanes. Device channels are distinct
-//! from the scheduler's per-engagement IO lanes ([`IoChannel`]): a lane
-//! is one engagement's FIFO request stream, a device channel is where the
-//! simulated flash serves it. `C = 1` (the default) reproduces the legacy
-//! single-channel server bit-identically.
+//! **Shared-IO batching and device topology** are configured on the
+//! builder ([`StiServerBuilder::batch_policy`],
+//! [`StiServerBuilder::device_topology`]) and priced the same way: both
+//! are invisible to the uncontended track — per-engagement results stay
+//! bit-identical to solo, single-channel runs — and both are folded into
+//! every contended prediction and into the contended replay (a batched
+//! dispatch appears once; a session's stripe routes its jobs to the device
+//! channels it really streams through). Device channels are distinct from
+//! the scheduler's per-engagement IO lanes ([`IoChannel`]): a lane is one
+//! engagement's FIFO request stream, a device channel is where the
+//! simulated flash serves it.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use sti_device::{CompletedJob, DeviceTopology, FlashModel, HwProfile, SimTime};
-use sti_obs::{
-    Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ObsSink, SpanArgs, SpanEvent,
-    TrackKind,
-};
+use sti_device::{DeviceTopology, FlashModel, HwProfile, SimTime};
+use sti_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, ObsSink, SpanEvent};
 use sti_planner::compute_plan::dynabert_widths_for;
-use sti_planner::mix::{
-    plan_for_slo_mix, GateOutcome, GatePolicy, MixLaneSummary, PreloadPolicy, ServingMix,
-    SloProfile,
-};
-use sti_planner::prefetch::{
-    EngagementKey as PrefetchKey, KeyId, PrefetchConfig, PrefetchMode, PrefetchPlan, Prefetcher,
-    PrefetcherStats,
-};
+use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, SloProfile};
+use sti_planner::prefetch::{EngagementKey as PrefetchKey, PrefetchConfig};
 use sti_planner::serving::{ServingPlan, ServingPlanCache, ServingPlanKey};
 use sti_planner::{
-    align_io_completions, contended_makespan, plan_two_stage, CoRunnerLoad, ExecutionPlan,
-    ImportanceProfile, IoSharing, PlanCache, PlanCacheStats, PlanKey,
+    plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, IoSharing, MemoTable,
+    PlanCache, PlanCacheStats, PlanKey,
 };
 use sti_quant::Bitwidth;
 use sti_storage::{
-    BacklogSnapshot, BatchPolicy, CachedSource, FlashDispatchEvent, IoChannel, IoScheduler,
-    IoSchedulerStats, LayerRequest, PrefetchPoolStats, ShardCache, ShardCacheStats, ShardKey,
-    ShardSource, SpeculativeJob,
+    BacklogSnapshot, BatchPolicy, CachedSource, IoChannel, IoScheduler, IoSchedulerStats,
+    ShardCache, ShardCacheStats, ShardKey, ShardSource,
 };
-use sti_transformer::{Model, ShardId};
+use sti_transformer::Model;
 
+use crate::admission::{Admission, Origin};
 use crate::buffers::PreloadBuffer;
 use crate::engine::{GenerationOutcome, Inference};
 use crate::error::PipelineError;
-use crate::executor::{assemble_plan_submodel, PipelineExecutor};
+use crate::executor::{generate_over, PipelineExecutor};
+use crate::gate::{Gate, GateSubject};
+use crate::ledger::{ContentionLedger, EngagementRecord};
+use crate::prefetch::{PrefetchDriver, PrefetchTarget};
 use crate::registry::ShardedRegistry;
 
-/// What the server does with an engagement whose best SLO-aware plan still
-/// misses its SLO under the predicted contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// No admission checks (the pre-SLO behaviour).
-    #[default]
-    Disabled,
-    /// Admit everything but count would-be rejections
-    /// ([`ServingStats::monitor_violations`]).
-    Monitor,
-    /// Reject with [`PipelineError::AdmissionRejected`].
-    Enforce,
-}
-
-/// What the server does, per engagement, when the live flash-queue
-/// prediction says the engagement would miss its session's SLO *now* —
-/// admission's mid-session counterpart. Only SLO sessions are gated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressureMode {
-    /// No infer-time gate (the pre-backpressure behaviour, and the
-    /// default): every engagement executes, SLO misses only show up in the
-    /// contention report.
-    #[default]
-    Off,
-    /// Delay the engagement (on the simulated timeline) until the predicted
-    /// contended latency meets the SLO, up to this maximum queue delay; if
-    /// even the maximum cannot save it, fail fast with
-    /// [`PipelineError::Backpressure`].
-    Queue(SimTime),
-    /// Fail fast with [`PipelineError::Backpressure`] whenever the
-    /// prediction *now* misses the SLO — never wait.
-    Shed,
-}
-
-/// One backpressure-gate decision, recorded per gated engagement.
-/// Decisions are a pure function of the open-session registry (see the
-/// module docs), so concurrent and sequential replays of the same trace
-/// produce identical decision logs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateDecision {
-    /// The session's registry token (open order).
-    pub session: u64,
-    /// The session's trace-supplied arrival on the simulated timeline —
-    /// the tick gate spans anchor to.
-    pub arrival: SimTime,
-    /// The SLO the gate held the engagement to.
-    pub slo: SimTime,
-    /// Predicted contended latency at the chosen delay (for a shed
-    /// decision: the best achievable prediction, which still missed).
-    pub predicted: SimTime,
-    /// Queue delay applied on the simulated timeline (zero when the
-    /// prediction met the SLO immediately, and for shed decisions).
-    pub delay: SimTime,
-    /// Whether the engagement was shed instead of executed.
-    pub shed: bool,
-    /// Whether the decision came from the second gate pass: the session was
-    /// the equal-arrival earliest and was re-gated against later-opened
-    /// co-arriving load (queue mode only; see
-    /// [`ServingMix::gate`]).
-    pub re_gated: bool,
-    /// What drove the decision: the deciding mix digest and the load the
-    /// prediction ran against.
-    pub reason: GateReason,
-}
-
-/// The structured *why* behind a [`GateDecision`]: the mix digest the
-/// decision was memoized under and a summary of the load the contended
-/// prediction priced — so a shed or delay line in the serve report can
-/// name the co-runner lane and backlog volume that crowded the session
-/// out. A pure function of the mix (see [`ServingMix::lane_summary`]), so
-/// replays derive identical reasons.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GateReason {
-    /// The mix digest the decision was computed (and memoized) under.
-    pub digest: u64,
-    /// Open co-runner sessions the prediction priced (the deciding
-    /// session itself excluded).
-    pub co_runners: usize,
-    /// External-backlog channels with queued or in-flight work.
-    pub backlog_channels: usize,
-    /// Serialized bytes queued in the external backlog.
-    pub backlog_bytes: u64,
-    /// The heaviest co-runner lane by total streamed service time, as
-    /// `(registry token, total service time)` — the lane most responsible
-    /// for the contention the prediction saw. `None` when the session had
-    /// the mix to itself.
-    pub dominant_lane: Option<(u64, SimTime)>,
-    /// Speculative prefetch bytes queued behind the scheduler when the
-    /// decision was shaped — labelled separately from
-    /// [`GateReason::backlog_bytes`] so a blame line never attributes a
-    /// delay or shed to background speculation. A reporting label only:
-    /// the gate walk, the mix digest, and the contended prediction never
-    /// read it (speculative jobs are excluded from demand backlog
-    /// snapshots), so `shed`/`delay`/`predicted` are bit-identical with
-    /// the prefetcher on or off. Always zero with prefetch off.
-    pub speculative_bytes: u64,
-}
+pub use crate::admission::AdmissionMode;
+pub use crate::gate::{BackpressureMode, GateDecision, GateReason};
+pub use crate::ledger::{ContentionReport, EngagementContention, PrefetchContention};
+pub use crate::prefetch::PrefetchReport;
 
 /// Admission and engagement counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -256,305 +140,6 @@ pub struct ServingStats {
     pub preload_bytes_reallocated: u64,
 }
 
-/// One engagement on the contended track: the latency it would have seen on
-/// the contended flash device (its striped device channels) versus its
-/// uncontended outcome.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngagementContention {
-    /// The scheduler IO lane (per-engagement channel id) the engagement
-    /// streamed through — not a device channel.
-    pub channel: u64,
-    /// The session (registry token) the engagement belonged to — joins the
-    /// report against [`GateDecision::session`].
-    pub session: u64,
-    /// The deterministic (uncontended) simulated makespan it reported.
-    pub uncontended: SimTime,
-    /// Its makespan when the recorded dispatch sequence is replayed through
-    /// the flash-queue simulator, measured from its first flash service
-    /// start (service-onward — the quantity the admission and gate
-    /// predictions are held to; see [`EngagementContention::end_to_end`]
-    /// for the issue-inclusive number).
-    pub contended: SimTime,
-    /// The engagement's effective issue time on the simulated timeline:
-    /// its session arrival plus any gate delay, advanced past the
-    /// session's previous engagement's contended completion (a session
-    /// issues its next engagement only once the previous one returned).
-    pub issue: SimTime,
-    /// Initial queueing: simulated time between [`EngagementContention::issue`]
-    /// and the engagement's first flash service start. Zero for engagements
-    /// whose window was clean (or that streamed nothing).
-    pub initial_queueing: SimTime,
-    /// The SLO its session carried, if any.
-    pub slo: Option<SimTime>,
-}
-
-impl EngagementContention {
-    /// Extra latency attributable to co-runners.
-    pub fn queueing(&self) -> SimTime {
-        self.contended.saturating_sub(self.uncontended)
-    }
-
-    /// Issue-to-completion latency: the initial queueing charged from the
-    /// per-engagement issue clock plus the service-onward contended
-    /// makespan.
-    pub fn end_to_end(&self) -> SimTime {
-        self.initial_queueing + self.contended
-    }
-
-    /// Whether the contended latency met the session SLO (`None` when the
-    /// session had none).
-    pub fn met_slo(&self) -> Option<bool> {
-        self.slo.map(|slo| self.contended <= slo)
-    }
-}
-
-/// The contended-track report: per-engagement contended latencies plus
-/// queue-level aggregates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContentionReport {
-    /// Engagements in execution-record order.
-    pub engagements: Vec<EngagementContention>,
-    /// Total simulated flash busy time across the replay (batched jobs are
-    /// served — and charged — once).
-    pub flash_busy: SimTime,
-    /// Completion time of the last job on the contended queue.
-    pub queue_makespan: SimTime,
-    /// Deepest the flash queue got during the replay.
-    pub max_queue_depth: usize,
-    /// Flash jobs that carried more than one engagement's request (zero
-    /// with batching off).
-    pub batched_dispatches: u64,
-    /// Serialized bytes co-resident sessions did **not** re-read from flash
-    /// thanks to shared-IO batching.
-    pub flash_bytes_saved: u64,
-    /// Mean engagements per flash job (1.0 with batching off; up to the
-    /// co-resident session count when every dispatch coalesces). Zero when
-    /// nothing was dispatched.
-    pub mean_batch_occupancy: f64,
-    /// Backpressure-gate decisions, ordered by session token (each
-    /// session's decisions in engagement order). Empty with the gate off.
-    pub gate: Vec<GateDecision>,
-    /// Bytes of default-prefix preload the sharing-aware `|S|` search moved
-    /// off layers in-window co-residents already stream, summed over
-    /// admitted SLO sessions ([`ServingStats::preload_bytes_reallocated`]).
-    pub preload_bytes_reallocated: u64,
-    /// Speculative prefetch IO priced into the idle windows of the demand
-    /// replay above (`None` with the prefetcher off). Speculation is
-    /// strictly fenced — demand completions are computed first, from the
-    /// demand dispatch log alone — so this block can only *add* background
-    /// rows, never move a demand latency.
-    pub prefetch: Option<PrefetchContention>,
-}
-
-/// Speculative prefetch IO on the contended track, priced honestly into
-/// the idle windows of the demand replay: each background job occupies
-/// real simulated channel time, but only time the demand timeline left
-/// idle — a job preempted by demand work resumes in the next gap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchContention {
-    /// Speculative flash jobs dispatched.
-    pub jobs: u64,
-    /// Bytes the speculation read from flash (cold stages).
-    pub speculated_bytes: u64,
-    /// Bytes pinned from already-resident blobs at zero flash cost.
-    pub pinned_bytes: u64,
-    /// Simulated channel time the speculative jobs occupied (all of it
-    /// inside demand-idle windows).
-    pub busy: SimTime,
-    /// Speculative jobs that demand work pushed around: delayed past
-    /// their arrival or split across idle windows. Demand never waits for
-    /// speculation — preemption only ever runs this direction.
-    pub preempted: u64,
-    /// Completion time of the last speculative job on its channel.
-    pub makespan: SimTime,
-}
-
-/// The prefetcher's end-to-end report surface: the Markov model's
-/// counters, the staging pool's hit accounting, and the speculative
-/// dispatch totals ([`StiServer::prefetch_report`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchReport {
-    /// The configured mode.
-    pub mode: PrefetchMode,
-    /// Markov-model counters (observations, plans, rejections, feedback).
-    pub model: PrefetcherStats,
-    /// Staging-pool counters (staged/pinned/hit bytes, evictions).
-    pub pool: PrefetchPoolStats,
-    /// Speculative flash jobs dispatched so far.
-    pub jobs: u64,
-    /// Bytes speculatively read from flash.
-    pub speculated_bytes: u64,
-    /// Bytes pinned from resident blobs at zero flash cost.
-    pub pinned_bytes: u64,
-}
-
-impl ContentionReport {
-    /// Engagements the backpressure gate shed.
-    pub fn shed_count(&self) -> u64 {
-        self.gate.iter().filter(|d| d.shed).count() as u64
-    }
-
-    /// Engagements the gate queue-delayed before executing.
-    pub fn queue_delayed(&self) -> u64 {
-        self.gate.iter().filter(|d| !d.shed && d.delay > SimTime::ZERO).count() as u64
-    }
-
-    /// Gate decisions that came from the second gate pass (an
-    /// equal-arrival earliest session re-gated against later-opened
-    /// co-arriving load).
-    pub fn re_gated_count(&self) -> u64 {
-        self.gate.iter().filter(|d| d.re_gated).count() as u64
-    }
-
-    /// The largest queue delay the gate applied.
-    pub fn max_queue_delay(&self) -> SimTime {
-        self.gate.iter().filter(|d| !d.shed).map(|d| d.delay).max().unwrap_or(SimTime::ZERO)
-    }
-    /// Nearest-rank percentile of contended latencies (`p` in `[0, 1]`), so
-    /// always a latency some engagement paid; `p = 0.5` is the lower
-    /// median. Zero when no engagements ran.
-    pub fn latency_percentile(&self, p: f64) -> SimTime {
-        assert!((0.0..=1.0).contains(&p), "percentile must be within [0, 1]");
-        if self.engagements.is_empty() {
-            return SimTime::ZERO;
-        }
-        let mut latencies: Vec<SimTime> = self.engagements.iter().map(|e| e.contended).collect();
-        latencies.sort_unstable();
-        let rank = ((p * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1]
-    }
-
-    /// Fraction of SLO-carrying engagements whose contended latency met the
-    /// SLO (`None` when no engagement carried one).
-    pub fn slo_hit_rate(&self) -> Option<f64> {
-        let with_slo: Vec<bool> = self.engagements.iter().filter_map(|e| e.met_slo()).collect();
-        if with_slo.is_empty() {
-            return None;
-        }
-        Some(with_slo.iter().filter(|&&met| met).count() as f64 / with_slo.len() as f64)
-    }
-}
-
-/// Prices the recorded speculative dispatches into the **idle windows** of
-/// an already-computed demand replay: per device channel, a speculative
-/// job accumulates service time only while the demand timeline is idle —
-/// any demand busy interval overlapping its window pushes it out (counted
-/// in `preempted`), never the other way around. Demand completions are
-/// inputs here, so speculation cannot move a demand latency by
-/// construction; what it *costs* (channel time, flash bytes) is still
-/// charged for real.
-fn price_speculation(
-    spec: &[FlashDispatchEvent],
-    demand: &sti_device::TopologyReport,
-) -> PrefetchContention {
-    let mut out = PrefetchContention::default();
-    let mut per_dc: BTreeMap<u16, Vec<&FlashDispatchEvent>> = BTreeMap::new();
-    for e in spec {
-        per_dc.entry(e.device_channel).or_default().push(e);
-    }
-    for (dc, mut jobs) in per_dc {
-        jobs.sort_by_key(|e| (e.arrival, e.seq));
-        let mut intervals: Vec<(SimTime, SimTime)> = demand
-            .channels
-            .get(dc as usize)
-            .map(|c| c.completions.iter().map(|j| (j.start, j.completion)).collect())
-            .unwrap_or_default();
-        intervals.sort_unstable();
-        // The channel serves its speculative queue FIFO in the gaps, so a
-        // job starts no earlier than the previous one finished.
-        let mut cursor = SimTime::ZERO;
-        for e in jobs {
-            let service = e.io_delay;
-            let earliest = cursor.max(e.arrival);
-            let mut t = earliest;
-            let mut rem = service;
-            let mut cut = false;
-            for &(s, end) in &intervals {
-                if end <= t || rem == SimTime::ZERO {
-                    continue;
-                }
-                if s >= t + rem {
-                    break;
-                }
-                // Demand occupies part of the window: run `t..s` (if any),
-                // then yield until the demand interval ends.
-                if s > t {
-                    rem = rem.saturating_sub(s.saturating_sub(t));
-                }
-                t = end;
-                cut = true;
-            }
-            let finish = t + rem;
-            out.jobs += 1;
-            out.speculated_bytes += e.bytes;
-            out.pinned_bytes += e.hit_bytes;
-            out.busy += service;
-            if cut || finish > earliest + service {
-                out.preempted += 1;
-            }
-            if finish > out.makespan {
-                out.makespan = finish;
-            }
-            cursor = finish;
-        }
-    }
-    out
-}
-
-/// What one engagement contributed to the contended track: enough to replay
-/// its pipeline recurrence against the simulated queue.
-struct EngagementRecord {
-    channel: u64,
-    session: u64,
-    slo: Option<SimTime>,
-    /// The engagement's issue time on the simulated timeline (session
-    /// arrival plus gate delay — the arrival its channel was opened at).
-    issue: SimTime,
-    /// Per-layer: did the layer stream through the scheduler?
-    layer_has_io: Vec<bool>,
-    /// Per-layer compute delay (uniform across a plan's layers).
-    comp: SimTime,
-    uncontended: SimTime,
-}
-
-/// Replays the engagement log against a flash replay's merged
-/// `completions`, yielding `(record, issue, first service start, contended
-/// makespan)` per engagement with a coherent timeline. `key` names the
-/// engagement id `rec`'s jobs carry in that replay.
-///
-/// Per-session issue clock: a session issues its next engagement only once
-/// the previous one returned, so each engagement's effective issue is its
-/// recorded issue time (arrival + gate delay) advanced past the session's
-/// previous contended completion. Whatever gap remains between that issue
-/// and the first flash service start is genuine initial queueing —
-/// co-runners occupying the channel before the engagement got its first
-/// byte.
-fn replay_issue_clock<'a>(
-    log: &'a [EngagementRecord],
-    completions: Vec<CompletedJob>,
-    key: impl Fn(&EngagementRecord) -> u64 + 'a,
-) -> impl Iterator<Item = (&'a EngagementRecord, SimTime, SimTime, SimTime)> + 'a {
-    let mut per_engagement: HashMap<u64, Vec<CompletedJob>> = HashMap::new();
-    for job in completions {
-        per_engagement.entry(job.engagement).or_default().push(job);
-    }
-    let mut session_clock: HashMap<u64, SimTime> = HashMap::new();
-    log.iter().filter_map(move |rec| {
-        let jobs = per_engagement.get(&key(rec)).map(Vec::as_slice).unwrap_or(&[]);
-        // `None` on a count mismatch: the engagement errored mid-stream
-        // (or its channel was torn down early), so it has no coherent
-        // contended timeline.
-        let io_ends = align_io_completions(&rec.layer_has_io, jobs)?;
-        let issue =
-            rec.issue.max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
-        let start = jobs.first().map_or(issue, |j| j.start);
-        let comps = vec![rec.comp; rec.layer_has_io.len()];
-        let contended = contended_makespan(start, &io_ends, &comps);
-        session_clock.insert(rec.session, start + contended);
-        Some((rec, issue, start, contended))
-    })
-}
-
 /// Builder for [`StiServer`].
 pub struct StiServerBuilder {
     model: Model,
@@ -566,7 +151,6 @@ pub struct StiServerBuilder {
     default_preload_budget: u64,
     bitwidths: Vec<Bitwidth>,
     widths: Vec<usize>,
-    throttle_scale: f64,
     io_workers: usize,
     shard_cache_bytes: u64,
     admission: AdmissionMode,
@@ -601,12 +185,6 @@ impl StiServerBuilder {
     /// Allowed submodel widths (default: DynaBERT's {3, 6, 9, 12}).
     pub fn widths(mut self, widths: &[usize]) -> Self {
         self.widths = widths.to_vec();
-        self
-    }
-
-    /// Wall-clock throttling of simulated IO (demonstrations only).
-    pub fn throttle(mut self, scale: f64) -> Self {
-        self.throttle_scale = scale;
         self
     }
 
@@ -701,10 +279,10 @@ impl StiServerBuilder {
     }
 
     /// Markov next-engagement prefetching (default
-    /// [`PrefetchMode::Off`]): at each engagement completion the server
+    /// [`PrefetchMode::Off`](sti_planner::prefetch::PrefetchMode::Off)): at each engagement completion the server
     /// observes the session's `(model, knob-set)` key in a per-client
     /// Markov chain, and when an edge clears the confidence floor it
-    /// emits a budgeted [`PrefetchPlan`] — speculative background flash
+    /// emits a budgeted `PrefetchPlan` — speculative background flash
     /// jobs that warm the predicted next engagement's streamed working
     /// set into the shard cache's staging pool during idle device-channel
     /// windows. Speculation is priced honestly on the contended track and
@@ -730,7 +308,7 @@ impl StiServerBuilder {
             self.source.clone(),
             self.flash,
             self.io_workers,
-            self.throttle_scale,
+            0.0,
             Some(shard_cache.clone()),
             self.batch,
             self.topology,
@@ -745,7 +323,6 @@ impl StiServerBuilder {
             None => IoSharing::Exclusive,
         };
         let registry = MetricsRegistry::new();
-        let ins = ServingInstruments::resolve(&registry);
         StiServer {
             inner: Arc::new(ServerInner {
                 model: self.model,
@@ -757,111 +334,66 @@ impl StiServerBuilder {
                 importance: RwLock::new(self.importance),
                 bitwidths: self.bitwidths,
                 widths: self.widths,
-                throttle_scale: self.throttle_scale,
                 fingerprint,
                 generation: AtomicU64::new(0),
                 default_target: self.default_target,
                 default_preload_budget: self.default_preload_budget,
                 plan_cache: PlanCache::new(),
-                preloads: Mutex::new(HashMap::new()),
-                admission: self.admission,
-                dram: self.dram,
+                preloads: MemoTable::default(),
                 batch: self.batch,
-                backpressure: self.backpressure,
                 plan_sharing: self.plan_sharing,
                 slo_cache: ServingPlanCache::new(),
-                admission_gate: Mutex::new(()),
+                slo_planning: Mutex::new(()),
                 open_sessions: AtomicUsize::new(0),
                 next_session_token: AtomicU64::new(0),
                 live_mix: ShardedRegistry::with_topology(sharing, self.topology),
-                gate_walk_memo: Mutex::new(None),
-                active_channels: Mutex::new(HashMap::new()),
                 active_engagements: AtomicUsize::new(0),
+                admission: Admission::new(self.admission, &registry),
+                gate: Gate::new(self.backpressure, &registry),
+                ledger: ContentionLedger::new(self.flash, self.dram, self.topology),
+                prefetch: self.prefetch.enabled().then(|| PrefetchDriver::new(self.prefetch)),
+                engagements: registry.counter("serving.engagements"),
+                peak_engagements: registry.gauge("serving.peak_concurrent_engagements"),
                 registry,
-                ins,
                 obs: Mutex::new(ObsSink::Null),
-                engagement_log: Mutex::new(Vec::new()),
-                gate_log: Mutex::new(Vec::new()),
-                prefetch: self.prefetch.enabled().then(|| PrefetchState::new(self.prefetch)),
             }),
         }
     }
 }
 
-/// The server-side prefetch runtime: the shared Markov model plus the
-/// key-to-working-set registry that turns a predicted [`KeyId`] back into
-/// the concrete plan/preload/stripe to stage.
-struct PrefetchState {
-    cfg: PrefetchConfig,
-    /// The Markov model. Observations are serialized through this lock;
-    /// under the event executor completions arrive in deterministic
-    /// simulated order, so the prediction stream is deterministic too.
-    model: Mutex<Prefetcher>,
-    /// What to materialize when a key is predicted, registered the first
-    /// time the key is *observed* — a prediction always names a key some
-    /// session has already run, so the lookup cannot miss in practice.
-    targets: Mutex<HashMap<KeyId, PrefetchTarget>>,
+/// What a session asks the planning path for.
+#[derive(Clone, Copy)]
+enum Knobs {
+    /// A raw target latency `T`: resolved through the knob caches — no
+    /// search, no verdict.
+    Raw {
+        /// The target latency.
+        target: SimTime,
+    },
+    /// A latency SLO for a session arriving at `arrival`: `(T, |S|)` is
+    /// searched against the live mix and the outcome put to the admission
+    /// verdict.
+    Slo {
+        slo: SimTime,
+        arrival: SimTime,
+        /// A retargeting session's own token — it does not co-run with
+        /// itself, and a rejection is an error only. `None` for a fresh
+        /// open.
+        exclude: Option<u64>,
+    },
 }
 
-/// The resolved working set behind one engagement key.
+/// Everything the planning path decides for a session — what
+/// `Session::install` registers and the session then executes against.
 #[derive(Clone)]
-struct PrefetchTarget {
+struct Planned {
+    target: SimTime,
+    preload_budget: u64,
     plan: Arc<ExecutionPlan>,
     preload: Arc<PreloadBuffer>,
-    stripe: u16,
-}
-
-impl PrefetchState {
-    fn new(cfg: PrefetchConfig) -> Self {
-        Self { cfg, model: Mutex::new(Prefetcher::new(cfg)), targets: Mutex::new(HashMap::new()) }
-    }
-}
-
-/// One memoized full gate walk: the mix digest it ran against, every open
-/// SLO session's outcome from that walk ([`ServingMix::gate_all`]), and
-/// the lane summary the walk's reasons derive from — computed once per
-/// walk so per-decision reason assembly stays O(1).
-type GateWalkMemo = (u64, Arc<HashMap<u64, GateOutcome>>, MixLaneSummary);
-
-/// The server's named instruments, resolved once at build so hot paths
-/// never touch the registry map. [`StiServer::serving_stats`] reconstructs
-/// [`ServingStats`] from these — the instruments *are* the counters, not a
-/// copy of them.
-struct ServingInstruments {
-    admitted_sessions: Counter,
-    rejected_sessions: Counter,
-    monitor_violations: Counter,
-    engagements: Counter,
-    shed_engagements: Counter,
-    queued_engagements: Counter,
-    /// Peak-tracking gauge: only the high-water mark is maintained (the
-    /// live value stays on `ServerInner::active_engagements`).
-    peak_engagements: Gauge,
-    /// Bytes of preload the sharing-aware `|S|` search moved, as a gauge:
-    /// retargets *replace* a session's contribution (sub then add), so a
-    /// monotonic counter cannot represent it.
-    preload_bytes_reallocated: Gauge,
-    gate_decisions: Counter,
-    gate_delay_us: Histogram,
-    gate_predicted_us: Histogram,
-}
-
-impl ServingInstruments {
-    fn resolve(registry: &MetricsRegistry) -> Self {
-        Self {
-            admitted_sessions: registry.counter("serving.admitted_sessions"),
-            rejected_sessions: registry.counter("serving.rejected_sessions"),
-            monitor_violations: registry.counter("serving.monitor_violations"),
-            engagements: registry.counter("serving.engagements"),
-            shed_engagements: registry.counter("serving.shed_engagements"),
-            queued_engagements: registry.counter("serving.queued_engagements"),
-            peak_engagements: registry.gauge("serving.peak_concurrent_engagements"),
-            preload_bytes_reallocated: registry.gauge("serving.preload_bytes_reallocated"),
-            gate_decisions: registry.counter("gate.decisions"),
-            gate_delay_us: registry.histogram("gate.delay_us"),
-            gate_predicted_us: registry.histogram("gate.predicted_us"),
-        }
-    }
+    slo: Option<SimTime>,
+    /// The SLO search outcome, when SLO-planned.
+    serving: Option<Arc<ServingPlan>>,
 }
 
 struct ServerInner {
@@ -879,7 +411,6 @@ struct ServerInner {
     importance: RwLock<ImportanceProfile>,
     bitwidths: Vec<Bitwidth>,
     widths: Vec<usize>,
-    throttle_scale: f64,
     fingerprint: String,
     /// Bumped by [`StiServer::invalidate_plans`] and folded into every
     /// [`PlanKey`], so a session that raced an invalidation inserts its
@@ -892,72 +423,54 @@ struct ServerInner {
     default_preload_budget: u64,
     plan_cache: PlanCache,
     /// One immutable, shared preload buffer per plan key (read-mostly state:
-    /// built once under the lock, then only read through `Arc`s).
-    preloads: Mutex<HashMap<PlanKey, Arc<PreloadBuffer>>>,
-    admission: AdmissionMode,
-    /// DRAM-residency model for the contended track, when opted in.
-    dram: Option<FlashModel>,
+    /// filled once, then only read through `Arc`s).
+    preloads: MemoTable<PlanKey, PreloadBuffer>,
     /// Shared-IO batching policy the scheduler runs (and admission models).
     batch: BatchPolicy,
-    /// Infer-time backpressure policy for SLO sessions.
-    backpressure: BackpressureMode,
     /// `|S|` placement policy for SLO searches.
     plan_sharing: PreloadPolicy,
     /// Memoized SLO searches, keyed by knobs + mix digest + `|S|` policy.
     slo_cache: ServingPlanCache,
-    /// Serializes SLO session opens: the admission decision and the
-    /// open-session increment must be atomic with respect to each other.
-    admission_gate: Mutex<()>,
-    /// Sessions currently open — the co-runner count admission plans for.
-    /// Ungated `session_with` opens and session drops can still move it
-    /// while an SLO open is deciding; those are unconditional-admit paths,
-    /// indistinguishable from load arriving right after the decision.
+    /// Serializes SLO planning (opens and retargets): the co-runner mix
+    /// cannot change between the admission verdict and the registration of
+    /// the admitted load, so two racing SLO opens can never both admit
+    /// against a mix that excludes the other. Raw-target planning is not
+    /// serialized — it is admitted unconditionally by design, so a racing
+    /// plain open is indistinguishable from one that lands just after the
+    /// verdict.
+    slo_planning: Mutex<()>,
+    /// Sessions currently open.
     open_sessions: AtomicUsize,
     /// Monotonic token handed to each session, keying `live_mix`.
     next_session_token: AtomicU64,
     /// The open-session registry — each open session's actual streaming IO
     /// load (with arrival offset) plus, for SLO sessions, its gate profile:
-    /// what SLO admission and the backpressure gate feed the contended
-    /// prediction instead of modeling co-runners as clones of the
-    /// candidate. Sharded by token hash so fleet-scale opens and drops on
-    /// a worker pool touch per-shard locks, not one global one; the
-    /// per-shard rolling folds sum commutatively into the same digest the
-    /// un-sharded registry would report (see [`ShardedRegistry`]). The
-    /// merged view stays token-ordered, so the registration order
-    /// predictions replay is deterministic.
+    /// the one input every contended prediction (admission, gate,
+    /// retarget) runs against, instead of modeling co-runners as clones of
+    /// the candidate. Token-ordered, so predictions replay registrations
+    /// deterministically.
     live_mix: ShardedRegistry,
-    /// The last full gate walk, keyed by the mix digest it ran against.
-    /// [`ServingMix::gate_all`] prices every open SLO session in one
-    /// `(arrival, token)` walk; after a registry change, the first gate
-    /// decision pays for that walk and every other session's decision —
-    /// including each session's *first* — is a lookup. Decisions stay a
-    /// pure function of the mix, so sharing the walk across sessions
-    /// changes nothing observable.
-    gate_walk_memo: Mutex<Option<GateWalkMemo>>,
-    /// Scheduler channel → session token for engagements currently
-    /// executing. The backpressure gate prices registered sessions from the
-    /// registry (deterministic) and must not double-count their live queue
-    /// entries; only channels *not* in this map count as external backlog.
-    active_channels: Mutex<HashMap<u64, u64>>,
     /// Engagements currently executing (peak tracked in
-    /// `ins.peak_engagements`).
+    /// `peak_engagements`).
     active_engagements: AtomicUsize,
+    admission: Admission,
+    gate: Gate,
+    ledger: ContentionLedger,
+    /// The Markov prefetch runtime (`None` with prefetch off — the
+    /// completion path then pays a single branch).
+    prefetch: Option<PrefetchDriver>,
     /// The server's metrics registry; `serving.*` and `gate.*` instruments
-    /// live here, `io.*` in the scheduler's own
-    /// ([`StiServer::metrics_snapshot`] merges both).
+    /// live here (resolved once at build by the pieces that maintain them,
+    /// so hot paths never touch the registry map), `io.*` in the
+    /// scheduler's own ([`StiServer::metrics_snapshot`] merges both).
     registry: MetricsRegistry,
-    /// Handles resolved from `registry` at build.
-    ins: ServingInstruments,
+    engagements: Counter,
+    /// Peak-tracking gauge: only the high-water mark is maintained (the
+    /// live value stays on `active_engagements`).
+    peak_engagements: Gauge,
     /// Live span sink (admission instants here, host-track dispatch spans
     /// via the scheduler); defaults to [`ObsSink::Null`].
     obs: Mutex<ObsSink>,
-    /// Contended-track records, one per executed engagement.
-    engagement_log: Mutex<Vec<EngagementRecord>>,
-    /// Backpressure-gate decisions, one per gated engagement.
-    gate_log: Mutex<Vec<GateDecision>>,
-    /// The Markov prefetch runtime (`None` with prefetch off — the
-    /// completion path then pays a single branch).
-    prefetch: Option<PrefetchState>,
 }
 
 impl ServerInner {
@@ -966,15 +479,70 @@ impl ServerInner {
         PlanKey::new(model, target, preload_budget, &self.widths, &self.bitwidths)
     }
 
+    /// The one session-planning path: resolves `knobs` into a [`Planned`]
+    /// and hands it to `install` (which builds or patches the session and
+    /// registers its load). For an SLO the search, the admission verdict
+    /// and `install` all run under `slo_planning`; a rejected verdict
+    /// returns before `install`, leaving a retargeting session untouched.
+    fn plan_session<R>(
+        &self,
+        knobs: Knobs,
+        preload_budget: u64,
+        install: impl FnOnce(Planned) -> R,
+    ) -> Result<R, PipelineError> {
+        let (target, slo, serving, _serialized) = match knobs {
+            Knobs::Raw { target } => (target, None, None, None),
+            Knobs::Slo { slo, arrival, exclude } => {
+                let serialized = self.slo_planning.lock();
+                let mix = self.live_mix.merged_excluding(exclude);
+                let key = ServingPlanKey::for_mix(
+                    self.plan_key(slo, preload_budget),
+                    arrival,
+                    &mix,
+                    self.plan_sharing,
+                );
+                let served = self.slo_cache.get_or_plan(&key, || {
+                    plan_for_slo_mix(
+                        &self.hw,
+                        &self.importance.read(),
+                        slo,
+                        arrival,
+                        &mix,
+                        self.plan_sharing,
+                        preload_budget,
+                        &self.widths,
+                        &self.bitwidths,
+                    )
+                });
+                // A fresh open is judged as the token it would take.
+                let open_token =
+                    exclude.is_none().then(|| self.next_session_token.load(Ordering::SeqCst));
+                self.admission.check(&served, open_token, arrival, &self.obs.lock())?;
+                (served.target, Some(slo), Some(served), Some(serialized))
+            }
+        };
+        let (plan, preload) = self.resolve(target, preload_budget, serving.as_deref())?;
+        Ok(install(Planned { target, preload_budget, plan, preload, slo, serving }))
+    }
+
     /// Resolves (plan, preload buffer) for a knob combination through both
-    /// caches, planning and filling at most once per combination.
+    /// caches, planning and filling at most once per combination. With an
+    /// SLO-search outcome, the search's chosen plan is what the session
+    /// runs: when it settled on the default byte-prefix placement (always,
+    /// under [`PreloadPolicy::PerSession`]) this is the ordinary shared
+    /// resolution — and if an importance reprofile raced the search, the
+    /// freshly resolved plan is the correct one to run; a mix-aware `|S|`
+    /// placement instead keys its buffer by the placement itself, so
+    /// sessions planned against the same mix still share one buffer (and
+    /// never pay for, or pin, a prefix buffer nobody runs).
     fn resolve(
         &self,
         target: SimTime,
         preload_budget: u64,
+        served: Option<&ServingPlan>,
     ) -> Result<(Arc<ExecutionPlan>, Arc<PreloadBuffer>), PipelineError> {
-        let key = self.plan_key(target, preload_budget);
-        let plan = self.plan_cache.get_or_plan(&key, || {
+        let mut key = self.plan_key(target, preload_budget);
+        let mut plan = self.plan_cache.get_or_plan(&key, || {
             plan_two_stage(
                 &self.hw,
                 &self.importance.read(),
@@ -984,66 +552,10 @@ impl ServerInner {
                 &self.bitwidths,
             )
         });
-        let buffer = self.preload_for(key, &plan)?;
-        Ok((plan, buffer))
-    }
-
-    /// Resolves the buffer a plan's preload set needs, filling and caching
-    /// it under `key` at most once.
-    fn preload_for(
-        &self,
-        key: PlanKey,
-        plan: &ExecutionPlan,
-    ) -> Result<Arc<PreloadBuffer>, PipelineError> {
-        if let Some(buffer) = self.preloads.lock().get(&key).cloned() {
-            return Ok(buffer);
-        }
-        // Fill outside the map lock: preload fills read the (cached) store,
-        // and sessions resolving other knob sets must not wait behind that.
-        let mut buffer = PreloadBuffer::new(plan.preload_budget_bytes);
-        for &(id, bw) in &plan.preload {
-            let blob = self.cached_source.load(ShardKey::new(id, bw))?;
-            buffer.insert(id, blob)?;
-        }
-        let buffer = Arc::new(buffer);
-        let mut preloads = self.preloads.lock();
-        // First fill wins a race; fills are deterministic, so both are equal.
-        Ok(preloads.entry(key).or_insert(buffer).clone())
-    }
-
-    /// Resolves the running plan and preload buffer of an SLO-search
-    /// outcome. When the search settled on the default byte-prefix plan
-    /// (always, under [`PreloadPolicy::PerSession`]), this is the ordinary
-    /// shared resolution; a mix-aware `|S|` placement instead keys its
-    /// buffer by the placement itself, so sessions planned against the
-    /// same mix still share one buffer.
-    fn resolve_serving(
-        &self,
-        served: &ServingPlan,
-        preload_budget: u64,
-    ) -> Result<(Arc<ExecutionPlan>, Arc<PreloadBuffer>), PipelineError> {
-        let key = self.plan_key(served.target, preload_budget);
-        let default_plan = self.plan_cache.get_or_plan(&key, || {
-            plan_two_stage(
-                &self.hw,
-                &self.importance.read(),
-                served.target,
-                preload_budget,
-                &self.widths,
-                &self.bitwidths,
-            )
-        });
         // `preload_bytes_reallocated == 0` means the search settled on the
-        // default placement: resolve through the shared knob caches (and if
-        // an importance reprofile raced the search, the freshly resolved
-        // plan is the correct one to run, exactly as before). The default
-        // buffer is filled only on this path — a winning mix placement
-        // must not pay for (and pin) a prefix buffer nobody runs.
-        if served.preload_bytes_reallocated == 0 || *default_plan == served.plan {
-            let buffer = self.preload_for(key, &default_plan)?;
-            return Ok((default_plan, buffer));
-        }
-        let placement = {
+        // default placement.
+        if let Some(served) = served.filter(|s| s.preload_bytes_reallocated != 0 && s.plan != *plan)
+        {
             let mut h = std::collections::hash_map::DefaultHasher::new();
             for pl in &served.plan.layers {
                 pl.layer.hash(&mut h);
@@ -1054,27 +566,30 @@ impl ServerInner {
             for &(id, bw) in &served.plan.preload {
                 (id.layer, id.slice, bw.bits()).hash(&mut h);
             }
-            h.finish()
-        };
-        let mut key = key;
-        key.model = format!("{}#mix{placement:016x}", key.model);
-        let plan = Arc::new(served.plan.clone());
-        let buffer = self.preload_for(key, &plan)?;
-        Ok((plan, buffer))
+            key.model = format!("{}#mix{:016x}", key.model, h.finish());
+            plan = Arc::new(served.plan.clone());
+        }
+        // The fill runs outside the table lock: it reads the (cached)
+        // store, and sessions resolving other knob sets must not wait
+        // behind that.
+        let preload = self.preloads.get_or_try_insert(&key, || {
+            let mut buffer = PreloadBuffer::new(plan.preload_budget_bytes);
+            for &(id, bw) in &plan.preload {
+                let blob = self.cached_source.load(ShardKey::new(id, bw))?;
+                buffer.insert(id, blob)?;
+            }
+            Ok::<_, PipelineError>(buffer)
+        })?;
+        Ok((plan, preload))
     }
 
     /// Registers (or refreshes, after a retarget or `set_arrival`) a
     /// session's streaming IO load — at its arrival offset — in the live
-    /// registry mix that admission and the backpressure gate predict
-    /// against. SLO sessions also register their gate profile. An in-place
-    /// upsert: the mix's rolling digest updates in O(1), nothing else is
-    /// rehashed. `stripe` is the session's device-channel stripe offset
-    /// (the SLO search's placement choice for SLO sessions, the
-    /// round-robin default for plain ones; always zero on a
-    /// single-channel device): it is folded into the registered job
-    /// signatures, so every contended prediction routes — and batches —
-    /// this session's jobs on the device channels it actually streams
-    /// through.
+    /// registry mix; SLO sessions also register their gate profile. An
+    /// in-place upsert: the mix's rolling digest updates in O(1). `stripe`
+    /// is folded into the registered job signatures, so every contended
+    /// prediction routes — and batches — this session's jobs on the device
+    /// channels it actually streams through.
     fn register_load(
         &self,
         token: u64,
@@ -1096,16 +611,6 @@ impl ServerInner {
     /// bit-identical to the pre-topology server.
     fn default_stripe(&self, token: u64) -> u16 {
         (token % self.scheduler.topology().channel_count() as u64) as u16
-    }
-
-    /// A view of the live registry mix — the one input every contended
-    /// prediction (admission, gate, retarget) runs against — optionally
-    /// excluding one session (a retargeting session does not co-run with
-    /// itself). The merge copies `Arc`-shared job slices (pointer work, no
-    /// jobs), and the `exclude` case is an O(log n) remove from the view
-    /// with an O(1) digest update — not a registry rebuild.
-    fn mix(&self, exclude: Option<u64>) -> ServingMix {
-        self.live_mix.merged_excluding(exclude)
     }
 }
 
@@ -1137,7 +642,6 @@ impl StiServer {
             default_preload_budget: 1 << 20,
             bitwidths: Bitwidth::ALL.to_vec(),
             widths,
-            throttle_scale: 0.0,
             io_workers: 1,
             shard_cache_bytes: 4 << 20,
             admission: AdmissionMode::Disabled,
@@ -1149,7 +653,6 @@ impl StiServer {
             prefetch: PrefetchConfig::default(),
         }
     }
-
     /// Opens a session with the server's default knobs.
     ///
     /// # Errors
@@ -1171,26 +674,8 @@ impl StiServer {
         target: SimTime,
         preload_budget: u64,
     ) -> Result<Session, PipelineError> {
-        let (plan, preload) = self.inner.resolve(target, preload_budget)?;
-        let token = self.inner.next_session_token.fetch_add(1, Ordering::SeqCst);
-        let stripe = self.inner.default_stripe(token);
-        self.inner.register_load(token, &plan, SimTime::ZERO, None, stripe);
-        self.inner.open_sessions.fetch_add(1, Ordering::SeqCst);
-        Ok(Session {
-            inner: self.inner.clone(),
-            token,
-            target,
-            preload_budget,
-            arrival: SimTime::ZERO,
-            plan,
-            preload,
-            slo: None,
-            serving: None,
-            realloc_bytes: 0,
-            stripe,
-            gate_memo: Mutex::new(None),
-            issue_gap: SimTime::ZERO,
-            engagement_seq: AtomicU64::new(0),
+        self.inner.plan_session(Knobs::Raw { target }, preload_budget, |planned| {
+            Session::open(&self.inner, planned, SimTime::ZERO)
         })
     }
 
@@ -1212,31 +697,9 @@ impl StiServer {
         target: SimTime,
         preload_budget: u64,
     ) -> Result<Vec<Session>, PipelineError> {
-        let (plan, preload) = self.inner.resolve(target, preload_budget)?;
-        Ok((0..count)
-            .map(|_| {
-                let token = self.inner.next_session_token.fetch_add(1, Ordering::SeqCst);
-                let stripe = self.inner.default_stripe(token);
-                self.inner.register_load(token, &plan, SimTime::ZERO, None, stripe);
-                self.inner.open_sessions.fetch_add(1, Ordering::SeqCst);
-                Session {
-                    inner: self.inner.clone(),
-                    token,
-                    target,
-                    preload_budget,
-                    arrival: SimTime::ZERO,
-                    plan: plan.clone(),
-                    preload: preload.clone(),
-                    slo: None,
-                    serving: None,
-                    realloc_bytes: 0,
-                    stripe,
-                    gate_memo: Mutex::new(None),
-                    issue_gap: SimTime::ZERO,
-                    engagement_seq: AtomicU64::new(0),
-                }
-            })
-            .collect())
+        self.inner.plan_session(Knobs::Raw { target }, preload_budget, |planned| {
+            (0..count).map(|_| Session::open(&self.inner, planned.clone(), SimTime::ZERO)).collect()
+        })
     }
 
     /// Opens a session planned against a latency **SLO** instead of a raw
@@ -1277,104 +740,9 @@ impl StiServer {
         preload_budget: u64,
         arrival: SimTime,
     ) -> Result<Session, PipelineError> {
-        let inner = &*self.inner;
-        // SLO opens serialize on this gate so the co-runner mix cannot
-        // change between the admission check and the open-session
-        // registration: two racing SLO opens can never both admit against a
-        // mix that excludes the other. Plain `session_with` opens are
-        // not gated — they are admitted unconditionally by design, so a
-        // racing plain open is indistinguishable from one that lands just
-        // after admission.
-        let _admission = inner.admission_gate.lock();
-        let mix = inner.mix(None);
-        let co_runners = mix.co_runners();
-        let key = ServingPlanKey::for_mix(
-            inner.plan_key(slo, preload_budget),
-            arrival,
-            &mix,
-            inner.plan_sharing,
-        );
-        let served = inner.slo_cache.get_or_plan(&key, || {
-            plan_for_slo_mix(
-                &inner.hw,
-                &inner.importance.read(),
-                slo,
-                arrival,
-                &mix,
-                inner.plan_sharing,
-                preload_budget,
-                &inner.widths,
-                &inner.bitwidths,
-            )
-        });
-        if !served.meets_slo {
-            match inner.admission {
-                AdmissionMode::Enforce => {
-                    inner.ins.rejected_sessions.incr();
-                    // The token this session would have taken — stable
-                    // (opens serialize on the admission gate), so the
-                    // span track is deterministic across replays.
-                    let token = inner.next_session_token.load(Ordering::SeqCst);
-                    inner.obs.lock().span(
-                        SpanEvent::instant(
-                            TrackKind::Session,
-                            token,
-                            "admission.reject",
-                            arrival.as_us(),
-                        )
-                        .with_args(
-                            SpanArgs::new()
-                                .with("predicted_us", served.predicted_contended.as_us())
-                                .with("slo_us", slo.as_us())
-                                .with("co_runners", co_runners as u64),
-                        ),
-                    );
-                    return Err(PipelineError::AdmissionRejected {
-                        predicted: served.predicted_contended,
-                        slo,
-                        co_runners,
-                    });
-                }
-                AdmissionMode::Monitor => inner.ins.monitor_violations.incr(),
-                AdmissionMode::Disabled => {}
-            }
-        }
-        // The search's chosen plan is what the session runs. For the
-        // default placement this resolves through the shared knob caches
-        // (replanning agrees with the search — unless an importance
-        // reprofile raced in between, in which case the freshly resolved
-        // plan is the correct one to run); a mix-aware placement resolves
-        // its own buffer, shared per placement.
-        let (plan, preload) = inner.resolve_serving(&served, preload_budget)?;
-        let token = inner.next_session_token.fetch_add(1, Ordering::SeqCst);
-        inner.register_load(token, &plan, arrival, Some(slo), served.stripe);
-        inner.ins.admitted_sessions.incr();
-        inner.ins.preload_bytes_reallocated.add(served.preload_bytes_reallocated);
-        inner.obs.lock().span(
-            SpanEvent::instant(TrackKind::Session, token, "admission.admit", arrival.as_us())
-                .with_args(
-                    SpanArgs::new()
-                        .with("predicted_us", served.predicted_contended.as_us())
-                        .with("slo_us", slo.as_us())
-                        .with("co_runners", co_runners as u64),
-                ),
-        );
-        inner.open_sessions.fetch_add(1, Ordering::SeqCst);
-        Ok(Session {
-            inner: self.inner.clone(),
-            token,
-            target: served.target,
-            preload_budget,
-            arrival,
-            plan,
-            preload,
-            slo: Some(slo),
-            serving: Some(served.clone()),
-            realloc_bytes: served.preload_bytes_reallocated,
-            stripe: served.stripe,
-            gate_memo: Mutex::new(None),
-            issue_gap: SimTime::ZERO,
-            engagement_seq: AtomicU64::new(0),
+        let knobs = Knobs::Slo { slo, arrival, exclude: None };
+        self.inner.plan_session(knobs, preload_budget, |planned| {
+            Session::open(&self.inner, planned, arrival)
         })
     }
 
@@ -1459,16 +827,16 @@ impl StiServer {
     /// named instruments (the instruments are the source of truth; this
     /// struct is the stable report shape).
     pub fn serving_stats(&self) -> ServingStats {
-        let ins = &self.inner.ins;
+        let ServerInner { admission, gate, .. } = &*self.inner;
         ServingStats {
-            admitted_sessions: ins.admitted_sessions.get(),
-            rejected_sessions: ins.rejected_sessions.get(),
-            monitor_violations: ins.monitor_violations.get(),
-            engagements: ins.engagements.get(),
-            peak_concurrent_engagements: ins.peak_engagements.max() as usize,
-            shed_engagements: ins.shed_engagements.get(),
-            queued_engagements: ins.queued_engagements.get(),
-            preload_bytes_reallocated: ins.preload_bytes_reallocated.get(),
+            admitted_sessions: admission.admitted_sessions.get(),
+            rejected_sessions: admission.rejected_sessions.get(),
+            monitor_violations: admission.monitor_violations.get(),
+            engagements: self.inner.engagements.get(),
+            peak_concurrent_engagements: self.inner.peak_engagements.max() as usize,
+            shed_engagements: gate.shed_engagements.get(),
+            queued_engagements: gate.queued_engagements.get(),
+            preload_bytes_reallocated: admission.preload_bytes_reallocated.get(),
         }
     }
 
@@ -1519,12 +887,12 @@ impl StiServer {
     /// replays of one trace produce identical streams (the `sti-obs`
     /// determinism contract):
     ///
-    /// * [`TrackKind::Session`] — one `engagement` interval per executed
+    /// * [`TrackKind::Session`](sti_obs::TrackKind::Session) — one `engagement` interval per executed
     ///   engagement (issue → contended completion, replaying the same
     ///   recurrence as [`StiServer::contention_report`]), plus one
     ///   `gate.admit` / `gate.delay` / `gate.shed` event per gate decision
     ///   carrying the deciding [`GateReason`] digest and dominant lane.
-    /// * [`TrackKind::Flash`] — one track per *device channel*: each
+    /// * [`TrackKind::Flash`](sti_obs::TrackKind::Flash) — one track per *device channel*: each
     ///   channel's `flash.wait` / `flash.service` / `flash.depth` timeline
     ///   from a canonical replay of the dispatch log (a single track on
     ///   the default single-channel topology).
@@ -1545,101 +913,9 @@ impl StiServer {
     /// is sorted by the canonical span key.
     pub fn trace_spans(&self) -> Vec<SpanEvent> {
         let inner = &*self.inner;
-        let log = inner.engagement_log.lock();
-        // Stable engagement ids: scheduler channel -> session<<16 | index.
-        let mut next_index: HashMap<u64, u64> = HashMap::new();
-        let mut stable: HashMap<u64, u64> = HashMap::new();
-        for rec in log.iter() {
-            let idx = next_index.entry(rec.session).or_insert(0);
-            stable.insert(rec.channel, (rec.session << 16) | *idx);
-            *idx += 1;
-        }
-        // Canonical flash replay over stable ids.
-        let mut events = inner.scheduler.flash_events();
-        for e in &mut events {
-            e.channel = stable.get(&e.channel).copied().unwrap_or(u64::MAX);
-            for m in &mut e.members {
-                *m = stable.get(m).copied().unwrap_or(u64::MAX);
-            }
-        }
-        events.sort_by_key(|e| (e.arrival, e.channel));
-        let report = IoScheduler::topology_sim_from_events(
-            &events,
-            inner.flash,
-            inner.dram,
-            inner.scheduler.topology(),
-        )
-        .run();
-        let completions = report.completions();
-        let ring = ObsSink::ring((completions.len() * 4 + 64) * std::mem::size_of::<SpanEvent>());
-        report.emit_spans(&ring);
-        let (mut spans, _) = ring.drain();
-        // Session-track engagement intervals: the same per-session issue
-        // clock as the contention report, joined on stable ids.
-        for (rec, issue, start, contended) in
-            replay_issue_clock(&log, completions, |rec| stable[&rec.channel])
-        {
-            spans.push(
-                SpanEvent::complete(
-                    TrackKind::Session,
-                    rec.session,
-                    "engagement",
-                    issue.as_us(),
-                    (start + contended).as_us(),
-                )
-                .with_args(
-                    SpanArgs::new()
-                        .with("engagement", stable[&rec.channel])
-                        .with("uncontended_us", rec.uncontended.as_us())
-                        .with("slo_us", rec.slo.map_or(0, |s| s.as_us())),
-                ),
-            );
-        }
-        drop(log);
-        // Gate decisions as session-track markers carrying the reason.
-        for d in inner.gate_log.lock().iter() {
-            let args = SpanArgs::new()
-                .with("digest", d.reason.digest)
-                .with("predicted_us", d.predicted.as_us())
-                .with("backlog_bytes", d.reason.backlog_bytes)
-                .with("dominant", d.reason.dominant_lane.map_or(u64::MAX, |(t, _)| t));
-            let span = if d.shed {
-                SpanEvent::instant(TrackKind::Session, d.session, "gate.shed", d.arrival.as_us())
-            } else if d.delay > SimTime::ZERO {
-                SpanEvent::complete(
-                    TrackKind::Session,
-                    d.session,
-                    "gate.delay",
-                    d.arrival.as_us(),
-                    (d.arrival + d.delay).as_us(),
-                )
-            } else {
-                SpanEvent::instant(TrackKind::Session, d.session, "gate.admit", d.arrival.as_us())
-            };
-            spans.push(span.with_args(args));
-        }
-        // Speculative staging windows, one track per device channel.
-        // Whether a staged shard was flash-loaded or pinned depends on
-        // cache residency at execution time, so the track is outside the
-        // determinism contract ([`TrackKind::Prefetch`]) and deterministic
-        // exports drop it.
-        for e in inner.scheduler.speculative_events() {
-            spans.push(
-                SpanEvent::complete(
-                    TrackKind::Prefetch,
-                    e.device_channel as u64,
-                    "prefetch.stage",
-                    e.arrival.as_us(),
-                    (e.arrival + e.io_delay).as_us(),
-                )
-                .with_args(
-                    SpanArgs::new()
-                        .with("session", e.channel)
-                        .with("bytes", e.bytes)
-                        .with("pinned_bytes", e.hit_bytes),
-                ),
-            );
-        }
+        let mut spans = inner
+            .ledger
+            .spans(inner.scheduler.flash_events(), &inner.scheduler.speculative_events());
         // Live-sink color (admission markers, host-track dispatch spans).
         let (live, _) = inner.obs.lock().drain();
         spans.extend(live);
@@ -1678,67 +954,23 @@ impl StiServer {
     /// service start**: it captures the stretch co-runner jobs interleaved
     /// into its pipeline, not how long ago the server started. Engagements
     /// that ran back-to-back with the queue to themselves report exactly
-    /// their uncontended makespan. (Replaying trace-supplied arrival
-    /// offsets through [`sti_storage::IoScheduler::channel_at`] so initial
-    /// queueing counts too is a roadmap follow-up.)
+    /// their uncontended makespan. Trace-supplied arrival offsets are
+    /// replayed too: each row's [`EngagementContention::issue`] and
+    /// [`EngagementContention::initial_queueing`] quote the wait between
+    /// an engagement's issue and its first flash service start.
     ///
     /// The dispatch log grows with every engagement served; long-lived
     /// servers should call [`StiServer::reset_contention_log`] after
     /// harvesting a report.
     pub fn contention_report(&self) -> ContentionReport {
         let inner = &*self.inner;
-        let events = inner.scheduler.flash_events();
-        let report = IoScheduler::topology_sim_from_events(
-            &events,
-            inner.flash,
-            inner.dram,
-            inner.scheduler.topology(),
+        // Speculation is priced only when a prefetcher runs.
+        let speculative = inner.prefetch.as_ref().map(|_| inner.scheduler.speculative_events());
+        inner.ledger.report(
+            inner.scheduler.flash_events(),
+            speculative.as_deref(),
+            inner.admission.preload_bytes_reallocated.get(),
         )
-        .run();
-        let log = inner.engagement_log.lock();
-        let engagements = replay_issue_clock(&log, report.completions(), |rec| rec.channel)
-            .map(|(rec, issue, start, contended)| EngagementContention {
-                channel: rec.channel,
-                session: rec.session,
-                uncontended: rec.uncontended,
-                contended,
-                issue,
-                initial_queueing: start.saturating_sub(issue),
-                slo: rec.slo,
-            })
-            .collect();
-        drop(log);
-        // Batch-occupancy accounting straight off the event stream: a
-        // batched dispatch appears once, with its fan-out recipients.
-        let batched_dispatches = events.iter().filter(|e| e.fanout() > 1).count() as u64;
-        let flash_bytes_saved: u64 = events.iter().map(|e| e.bytes * e.members.len() as u64).sum();
-        let deliveries: usize = events.iter().map(FlashDispatchEvent::fanout).sum();
-        let mean_batch_occupancy =
-            if events.is_empty() { 0.0 } else { deliveries as f64 / events.len() as f64 };
-        // Gate decisions sorted by session token; each session runs its
-        // engagements serially, so the per-session order of the log is
-        // already chronological and a stable sort preserves it.
-        let mut gate = inner.gate_log.lock().clone();
-        gate.sort_by_key(|d| d.session);
-        // Speculation is priced strictly after (and against) the demand
-        // replay above: background jobs fill the idle windows the demand
-        // timeline left on each device channel.
-        let prefetch = inner
-            .prefetch
-            .as_ref()
-            .map(|_| price_speculation(&inner.scheduler.speculative_events(), &report));
-        ContentionReport {
-            engagements,
-            flash_busy: report.busy(),
-            queue_makespan: report.makespan(),
-            max_queue_depth: report.max_depth(),
-            batched_dispatches,
-            flash_bytes_saved,
-            mean_batch_occupancy,
-            gate,
-            preload_bytes_reallocated: inner.ins.preload_bytes_reallocated.get(),
-            prefetch,
-        }
     }
 
     /// Drops the contended-track history (the scheduler's dispatch log, the
@@ -1748,8 +980,7 @@ impl StiServer {
     pub fn reset_contention_log(&self) {
         self.inner.scheduler.clear_flash_events();
         self.inner.scheduler.clear_speculative_events();
-        self.inner.engagement_log.lock().clear();
-        self.inner.gate_log.lock().clear();
+        self.inner.ledger.clear();
     }
 
     /// Whether this server runs a next-engagement prefetcher. Cheap (no
@@ -1766,20 +997,15 @@ impl StiServer {
     /// staged bytes a later demand miss actually consumed.
     pub fn prefetch_report(&self) -> Option<PrefetchReport> {
         let pf = self.inner.prefetch.as_ref()?;
-        let spec = self.inner.scheduler.speculative_events();
-        Some(PrefetchReport {
-            mode: pf.cfg.mode,
-            model: pf.model.lock().stats(),
-            pool: self.inner.shard_cache.prefetch_stats(),
-            jobs: spec.len() as u64,
-            speculated_bytes: spec.iter().map(|e| e.bytes).sum(),
-            pinned_bytes: spec.iter().map(|e| e.hit_bytes).sum(),
-        })
+        Some(pf.report(
+            self.inner.shard_cache.prefetch_stats(),
+            &self.inner.scheduler.speculative_events(),
+        ))
     }
 
     /// The infer-time backpressure policy this server runs.
     pub fn backpressure(&self) -> BackpressureMode {
-        self.inner.backpressure
+        self.inner.gate.mode
     }
 
     /// The `|S|` placement policy this server's SLO searches run under.
@@ -1807,7 +1033,7 @@ impl StiServer {
         self.inner.generation.fetch_add(1, Ordering::SeqCst);
         self.inner.plan_cache.clear();
         self.inner.slo_cache.clear();
-        self.inner.preloads.lock().clear();
+        self.inner.preloads.clear();
         self.inner.shard_cache.clear();
     }
 }
@@ -1831,24 +1057,22 @@ pub struct Session {
     inner: Arc<ServerInner>,
     /// Registry token: keys this session's entry in the open-load registry.
     token: u64,
-    target: SimTime,
-    preload_budget: u64,
     /// Simulated arrival offset of this session's engagements (contended
     /// track only; see [`Session::set_arrival`]).
     arrival: SimTime,
-    plan: Arc<ExecutionPlan>,
-    preload: Arc<PreloadBuffer>,
-    slo: Option<SimTime>,
-    serving: Option<Arc<ServingPlan>>,
+    /// The knobs, plan and preload buffer the planning path last resolved
+    /// for this session.
+    planned: Planned,
     /// This session's current contribution to
     /// [`ServingStats::preload_bytes_reallocated`], so a retarget replaces
     /// rather than re-adds it.
     realloc_bytes: u64,
     /// Device-channel stripe offset of this session's shard placement
-    /// (the SLO search's placement choice, [`ServingPlan::stripe`]; zero
-    /// for raw-target sessions and on single-channel devices). Folded into
-    /// registered job signatures and into the IO lane the session's
-    /// engagements stream through.
+    /// (the SLO search's placement choice, [`ServingPlan::stripe`], for an
+    /// SLO-planned session; the round-robin default for raw-target ones;
+    /// always zero on single-channel devices). Folded into registered job
+    /// signatures and into the IO lane the session's engagements stream
+    /// through.
     stripe: u16,
     /// The last backpressure-gate decision, keyed by a digest of the gate's
     /// inputs (candidate arrival, external backlog, open-load registry):
@@ -1870,21 +1094,15 @@ impl Drop for Session {
     }
 }
 
-/// RAII in-flight counter, decremented even on error paths.
-struct ActiveGuard(Arc<ServerInner>);
-impl Drop for ActiveGuard {
+/// RAII in-flight accounting for one engagement and its scheduler lane
+/// (see [`Session::infer_issue`]): the in-flight counter and the lane's
+/// session-ownership mark settle when the engagement finishes or errors
+/// out.
+struct InFlight(Arc<ServerInner>, u64);
+impl Drop for InFlight {
     fn drop(&mut self) {
+        self.0.gate.release_lane(self.1);
         self.0.active_engagements.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// RAII session-ownership mark for a scheduler channel (see
-/// [`Session::infer_issue`]): removed from `active_channels` when the
-/// engagement finishes or errors out.
-struct ChannelGuard(Arc<ServerInner>, u64);
-impl Drop for ChannelGuard {
-    fn drop(&mut self) {
-        self.0.active_channels.lock().remove(&self.1);
     }
 }
 
@@ -1908,11 +1126,54 @@ pub struct PendingEngagement {
     /// scheduler channel opened at.
     issue: SimTime,
     tokens: Vec<u32>,
-    _active: ActiveGuard,
-    _channel: ChannelGuard,
+    _in_flight: InFlight,
 }
 
 impl Session {
+    /// Opens a session on `planned`, arriving at `arrival`, under a fresh
+    /// registry token.
+    fn open(inner: &Arc<ServerInner>, planned: Planned, arrival: SimTime) -> Session {
+        let token = inner.next_session_token.fetch_add(1, Ordering::SeqCst);
+        inner.open_sessions.fetch_add(1, Ordering::SeqCst);
+        let mut session = Session {
+            inner: inner.clone(),
+            token,
+            arrival,
+            planned,
+            realloc_bytes: 0,
+            stripe: 0,
+            gate_memo: Mutex::new(None),
+            issue_gap: SimTime::ZERO,
+            engagement_seq: AtomicU64::new(0),
+        };
+        session.install(Origin::Open);
+        session
+    }
+
+    /// Adopts a fresh planning outcome in place (a retarget).
+    fn adopt(&mut self, planned: Planned) {
+        self.planned = planned;
+        self.install(Origin::Retarget { replaces: self.realloc_bytes });
+    }
+
+    /// Makes `self.planned` live: settles the stripe (the SLO search's
+    /// placement choice, else the round-robin default), registers the
+    /// session's load in the open-session registry, and — for an
+    /// SLO-planned outcome — books the admission.
+    fn install(&mut self, origin: Origin) {
+        let inner = &*self.inner;
+        self.stripe = match &self.planned.serving {
+            Some(served) => served.stripe,
+            None => inner.default_stripe(self.token),
+        };
+        let Planned { plan, slo, serving, .. } = &self.planned;
+        inner.register_load(self.token, plan, self.arrival, *slo, self.stripe);
+        if let Some(served) = serving {
+            inner.admission.admitted(served, origin, self.token, self.arrival, &inner.obs.lock());
+            self.realloc_bytes = served.preload_bytes_reallocated;
+        }
+    }
+
     /// The session's registry token: the key under which its load sits in
     /// the sharded open-session registry (and in every mix digest).
     pub fn token(&self) -> u64 {
@@ -1921,30 +1182,30 @@ impl Session {
 
     /// The session's execution plan.
     pub fn plan(&self) -> &ExecutionPlan {
-        &self.plan
+        &self.planned.plan
     }
 
     /// The session's target latency.
     pub fn target(&self) -> SimTime {
-        self.target
+        self.planned.target
     }
 
     /// The latency SLO this session was admitted under, if it was opened
     /// with [`StiServer::session_with_slo`].
     pub fn slo(&self) -> Option<SimTime> {
-        self.slo
+        self.planned.slo
     }
 
     /// The SLO search outcome (chosen `(T, |S|)`, predicted contended
     /// latency, co-runner count), when SLO-planned.
     pub fn serving_plan(&self) -> Option<&ServingPlan> {
-        self.serving.as_deref()
+        self.planned.serving.as_deref()
     }
 
     /// Bytes held by the (shared) preload buffer this session executes
     /// against.
     pub fn preload_used(&self) -> u64 {
-        self.preload.used_bytes()
+        self.planned.preload.used_bytes()
     }
 
     /// The session's simulated arrival offset.
@@ -1962,7 +1223,13 @@ impl Session {
     /// uncontended (deterministic) track is unaffected.
     pub fn set_arrival(&mut self, arrival: SimTime) {
         self.arrival = arrival;
-        self.inner.register_load(self.token, &self.plan, arrival, self.slo, self.stripe);
+        self.inner.register_load(
+            self.token,
+            &self.planned.plan,
+            arrival,
+            self.planned.slo,
+            self.stripe,
+        );
     }
 
     /// Sets the idle gap between this session's successive engagements on
@@ -1988,15 +1255,7 @@ impl Session {
     ///
     /// Fails if new preload shards cannot be loaded.
     pub fn set_target(&mut self, target: SimTime) -> Result<(), PipelineError> {
-        let (plan, preload) = self.inner.resolve(target, self.preload_budget)?;
-        self.target = target;
-        self.plan = plan;
-        self.preload = preload;
-        self.slo = None;
-        self.serving = None;
-        self.stripe = self.inner.default_stripe(self.token);
-        self.inner.register_load(self.token, &self.plan, self.arrival, None, self.stripe);
-        Ok(())
+        self.replan(Knobs::Raw { target }, self.planned.preload_budget)
     }
 
     /// Changes the session's preload budget `|S|`, resolving through the
@@ -2007,20 +1266,12 @@ impl Session {
     ///
     /// Fails if new preload shards cannot be loaded.
     pub fn set_preload_budget(&mut self, bytes: u64) -> Result<(), PipelineError> {
-        let (plan, preload) = self.inner.resolve(self.target, bytes)?;
-        self.preload_budget = bytes;
-        self.plan = plan;
-        self.preload = preload;
-        self.slo = None;
-        self.serving = None;
-        self.stripe = self.inner.default_stripe(self.token);
-        self.inner.register_load(self.token, &self.plan, self.arrival, None, self.stripe);
-        Ok(())
+        self.replan(Knobs::Raw { target: self.planned.target }, bytes)
     }
 
     /// Re-plans the session against a latency SLO and the **current** mix:
     /// like [`StiServer::session_with_slo_at`], but in place — the search
-    /// builds a [`ServingMix`] of every *other* open session (a session
+    /// builds a `ServingMix` of every *other* open session (a session
     /// does not co-run with itself) and the session adopts the winning
     /// `(T, |S|)` placement, re-registering its load. Use it when a
     /// session's SLO changes mid-life, or to refresh a stale SLO plan
@@ -2033,174 +1284,13 @@ impl Session {
     /// session then keeps its current plan), or if preload shards cannot
     /// be loaded.
     pub fn retarget_slo(&mut self, slo: SimTime) -> Result<(), PipelineError> {
+        let knobs = Knobs::Slo { slo, arrival: self.arrival, exclude: Some(self.token) };
+        self.replan(knobs, self.planned.preload_budget)
+    }
+
+    fn replan(&mut self, knobs: Knobs, preload_budget: u64) -> Result<(), PipelineError> {
         let inner = self.inner.clone();
-        let _admission = inner.admission_gate.lock();
-        let mix = inner.mix(Some(self.token));
-        let co_runners = mix.co_runners();
-        let key = ServingPlanKey::for_mix(
-            inner.plan_key(slo, self.preload_budget),
-            self.arrival,
-            &mix,
-            inner.plan_sharing,
-        );
-        let served = inner.slo_cache.get_or_plan(&key, || {
-            plan_for_slo_mix(
-                &inner.hw,
-                &inner.importance.read(),
-                slo,
-                self.arrival,
-                &mix,
-                inner.plan_sharing,
-                self.preload_budget,
-                &inner.widths,
-                &inner.bitwidths,
-            )
-        });
-        if !served.meets_slo {
-            match inner.admission {
-                AdmissionMode::Enforce => {
-                    return Err(PipelineError::AdmissionRejected {
-                        predicted: served.predicted_contended,
-                        slo,
-                        co_runners,
-                    });
-                }
-                AdmissionMode::Monitor => inner.ins.monitor_violations.incr(),
-                AdmissionMode::Disabled => {}
-            }
-        }
-        let (plan, preload) = inner.resolve_serving(&served, self.preload_budget)?;
-        // Replace (not re-add) this session's contribution: the gauge
-        // tracks bytes moved by sessions' *current* placements.
-        inner.ins.preload_bytes_reallocated.sub(self.realloc_bytes);
-        inner.ins.preload_bytes_reallocated.add(served.preload_bytes_reallocated);
-        self.realloc_bytes = served.preload_bytes_reallocated;
-        self.target = served.target;
-        self.plan = plan;
-        self.preload = preload;
-        self.slo = Some(slo);
-        self.stripe = served.stripe;
-        self.serving = Some(served);
-        inner.register_load(self.token, &self.plan, self.arrival, Some(slo), self.stripe);
-        Ok(())
-    }
-
-    /// Runs the infer-time backpressure gate for one engagement of this
-    /// session, returning the decision (`None` when the gate is off or the
-    /// session carries no SLO).
-    ///
-    /// **Determinism.** Gate decisions must be identical between concurrent
-    /// and sequential replays of the same trace, so co-resident sessions
-    /// are priced from the open-session registry — populated
-    /// deterministically at session open — rather than from their racy live
-    /// queue entries. The server builds a [`ServingMix`] of the registry
-    /// plus whatever *external* backlog remains once channels owned by
-    /// registered sessions are excluded (the registry already prices
-    /// those), and [`ServingMix::gate_all`] runs the deterministic walk:
-    /// sessions in `(arrival, token)` order, each earlier SLO session's
-    /// decision replayed, equal-arrival later tokens excluded on the first
-    /// pass and re-gated against on the second (queue mode). Decisions are
-    /// memoized per mix digest — the same identity the SLO-plan cache
-    /// keys on — at two levels: per session (repeat engagements against
-    /// an unchanged mix skip everything) and per *walk*
-    /// (`ServerInner::gate_walk_memo`): one walk prices every open SLO
-    /// session, so after a registry change exactly one engagement
-    /// re-simulates and every other session's first decision is a lookup.
-    /// On a memo hit the live mix is never cloned — the rolling digest
-    /// (O(backlog), flat in fleet size) is the whole cost.
-    fn gate(&self) -> Option<GateDecision> {
-        let inner = &*self.inner;
-        let policy = match inner.backpressure {
-            BackpressureMode::Off => return None,
-            BackpressureMode::Queue(max) => GatePolicy::Queue(max),
-            BackpressureMode::Shed => GatePolicy::Shed,
-        };
-        let slo = self.slo?;
-        // Start from the live queue, minus channels the registry prices.
-        // The snapshot is taken under the ownership lock so a channel can
-        // never be observed live before its owning session registered it
-        // (infer creates channels under the same lock) — otherwise a racing
-        // gate would double-count that session.
-        let (owned, live): (HashSet<u64>, BacklogSnapshot) = {
-            let active = inner.active_channels.lock();
-            (active.keys().copied().collect(), inner.scheduler.backlog_snapshot())
-        };
-        let external = BacklogSnapshot {
-            channels: live.channels.into_iter().filter(|c| !owned.contains(&c.channel)).collect(),
-            batch_window: live.batch_window,
-        };
-        // The decision is a pure function of the mix. Memo hits pay only
-        // the sharded digest probe (two words per shard, no merge); on a
-        // miss the registry is re-snapshotted under *all* shard locks
-        // ([`ShardedRegistry::snapshot_with`]), so the digest the walk is
-        // memoized under is computed from exactly the state the walk saw —
-        // a torn probe digest can miss the memo (and re-walk), never
-        // resurrect a stale walk for current state.
-        let probe = inner.live_mix.digest_with(&external);
-        if let Some((seen, decision)) = *self.gate_memo.lock() {
-            if seen == probe {
-                return Some(decision);
-            }
-        }
-        if let Some((seen, walk, summary)) = inner.gate_walk_memo.lock().as_ref() {
-            if *seen == probe {
-                let outcome =
-                    *walk.get(&self.token).expect("an open SLO session is always in the registry");
-                let decision = self.decision_from(outcome, slo, *summary, probe);
-                *self.gate_memo.lock() = Some((probe, decision));
-                return Some(decision);
-            }
-        }
-        let (digest, mix) = inner.live_mix.snapshot_with(external);
-        let summary = mix.lane_summary();
-        let outcomes: HashMap<u64, GateOutcome> = mix.gate_all(policy).into_iter().collect();
-        let outcome =
-            *outcomes.get(&self.token).expect("an open SLO session is always in the registry");
-        *inner.gate_walk_memo.lock() = Some((digest, Arc::new(outcomes), summary));
-        let decision = self.decision_from(outcome, slo, summary, digest);
-        *self.gate_memo.lock() = Some((digest, decision));
-        Some(decision)
-    }
-
-    /// Shapes a walk outcome into this session's [`GateDecision`],
-    /// attaching the structured [`GateReason`] — the mix digest the walk
-    /// was priced under, the co-runner count, the contended backlog, and
-    /// the heaviest co-running lane (this session excluded) whose load
-    /// drove the delay or shed.
-    fn decision_from(
-        &self,
-        outcome: GateOutcome,
-        slo: SimTime,
-        summary: MixLaneSummary,
-        digest: u64,
-    ) -> GateDecision {
-        // The walk prices demand lanes only; the serving layer stamps the
-        // speculative in-flight label in after the fact, so a report can
-        // show speculation separately from the demand backlog that
-        // actually drove the decision.
-        let mut summary = summary;
-        summary.speculative_bytes = self.inner.scheduler.speculative_backlog_bytes();
-        GateDecision {
-            session: self.token,
-            arrival: self.arrival,
-            slo,
-            predicted: outcome.predicted,
-            delay: outcome.delay,
-            shed: outcome.shed,
-            re_gated: outcome.re_gated,
-            reason: GateReason {
-                digest,
-                co_runners: summary.sessions.saturating_sub(1),
-                backlog_channels: summary.backlog_channels,
-                backlog_bytes: summary.backlog_bytes,
-                dominant_lane: summary
-                    .dominant_excluding(self.token)
-                    .map(|(token, us)| (token, SimTime::from_us(us))),
-                // Advisory label, sampled when the decision is shaped (a
-                // memoized decision keeps the label it was shaped with).
-                speculative_bytes: summary.speculative_bytes,
-            },
-        }
+        inner.plan_session(knobs, preload_budget, |planned| self.adopt(planned))
     }
 
     /// Runs the backpressure gate for this session *without* executing an
@@ -2208,9 +1298,22 @@ impl Session {
     /// subject to right now. `None` when the gate is off or the session
     /// carries no SLO. Pure: no queue state is touched, nothing is logged
     /// to the gate log; fleet-scale probes use this to measure per-decision
-    /// gate cost without real IO.
+    /// gate cost without real IO. See the `gate` module for the walk, its
+    /// determinism argument and its memoization.
     pub fn gate_decision(&self) -> Option<GateDecision> {
-        self.gate()
+        let inner = &*self.inner;
+        let who = GateSubject {
+            token: self.token,
+            arrival: self.arrival,
+            slo: self.planned.slo?,
+            memo: &self.gate_memo,
+        };
+        inner.gate.decide(
+            who,
+            &inner.live_mix,
+            || inner.scheduler.backlog_snapshot(),
+            || inner.scheduler.speculative_backlog_bytes(),
+        )
     }
 
     /// Executes one engagement over the planned pipeline, streaming through
@@ -2256,36 +1359,19 @@ impl Session {
 
         // The backpressure gate runs before any queue state is touched: a
         // shed engagement never submits IO (and never perturbs the
-        // contended track of the engagements that do run).
-        let mut gate_delay = SimTime::ZERO;
-        if let Some(decision) = self.gate() {
-            inner.gate_log.lock().push(decision);
-            inner.ins.gate_decisions.incr();
-            inner.ins.gate_delay_us.record(decision.delay.as_us());
-            inner.ins.gate_predicted_us.record(decision.predicted.as_us());
-            if decision.shed {
-                inner.ins.shed_engagements.incr();
-                return Err(PipelineError::Backpressure {
-                    predicted: decision.predicted,
-                    slo: decision.slo,
-                });
+        // contended track of the engagements that do run). Queue delays
+        // land on the simulated timeline only — the wall clock never
+        // sleeps, so fleet-scale synthetic sweeps run at host speed.
+        let gate_delay = match self.gate_decision() {
+            Some(decision) => {
+                inner.ledger.record_gate(decision);
+                inner.gate.enforce(&decision)?
             }
-            if decision.delay > SimTime::ZERO {
-                inner.ins.queued_engagements.incr();
-            }
-            gate_delay = decision.delay;
-            // Virtual clock: queue delays land on the simulated timeline
-            // (`gate_delay` below prices the engagement); the wall clock
-            // only moves when a throttle scale is explicitly set, so
-            // fleet-scale synthetic sweeps never sleep for real.
-            if inner.throttle_scale > 0.0 {
-                std::thread::sleep(gate_delay.scale(inner.throttle_scale).to_duration());
-            }
-        }
+            None => SimTime::ZERO,
+        };
 
         let active = inner.active_engagements.fetch_add(1, Ordering::SeqCst) + 1;
-        let active_guard = ActiveGuard(self.inner.clone());
-        inner.ins.peak_engagements.observe_peak(active as u64);
+        inner.peak_engagements.observe_peak(active as u64);
 
         // The engagement's position on the session's think-time clock:
         // arrival + n · issue_gap (zero gap — every engagement at the
@@ -2293,26 +1379,22 @@ impl Session {
         let seq = self.engagement_seq.fetch_add(1, Ordering::SeqCst);
         let base = self.arrival + SimTime::from_us(self.issue_gap.as_us().saturating_mul(seq));
         let issue = base + gate_delay;
-        // Mark the channel as session-owned so a concurrent gate prices
-        // this session from the registry, not from the live queue too. The
-        // creation and the marking share one critical section with the
-        // gate's snapshot, so no gate can observe the channel unowned.
-        let channel = {
-            let mut active = inner.active_channels.lock();
-            let channel = inner.scheduler.channel_striped_at(issue, self.stripe);
-            active.insert(channel.id(), self.token);
-            channel
-        };
-        let channel_guard = ChannelGuard(self.inner.clone(), channel.id());
-        let executor = self.executor();
-        let has_request = executor.issue_on(&channel, &self.plan, &self.preload)?;
+        // The lane is marked session-owned as it opens, so a concurrent
+        // gate prices this session from the registry, not from the live
+        // queue too.
+        let channel = inner.gate.claim_lane(|| {
+            let lane = inner.scheduler.channel_striped_at(issue, self.stripe);
+            (lane.id(), lane)
+        });
+        let in_flight = InFlight(self.inner.clone(), channel.id());
+        let Planned { plan, preload, .. } = &self.planned;
+        let has_request = self.executor().issue_on(&channel, plan, preload)?;
         Ok(PendingEngagement {
             channel,
             has_request,
             issue,
             tokens: tokens.to_vec(),
-            _active: active_guard,
-            _channel: channel_guard,
+            _in_flight: in_flight,
         })
     }
 
@@ -2327,11 +1409,11 @@ impl Session {
     /// Fails on storage errors or plan/model mismatch.
     pub fn infer_complete(&self, pending: PendingEngagement) -> Result<Inference, PipelineError> {
         let inner = &*self.inner;
-        let executor = self.executor();
-        let outcome = executor.complete_on(
+        let Planned { plan, preload, .. } = &self.planned;
+        let outcome = self.executor().complete_on(
             &pending.channel,
-            &self.plan,
-            &self.preload,
+            plan,
+            preload,
             &pending.tokens,
             &pending.has_request,
         )?;
@@ -2340,105 +1422,48 @@ impl Session {
         // timeline) and the uniform per-layer compute delay.
         let layer_has_io: Vec<bool> =
             outcome.timeline.layers.iter().map(|l| l.io_end > l.io_start).collect();
-        inner.engagement_log.lock().push(EngagementRecord {
+        inner.ledger.record_engagement(EngagementRecord {
             channel: pending.channel.id(),
             session: self.token,
-            slo: self.slo,
+            slo: self.planned.slo,
             issue: pending.issue,
             layer_has_io,
-            comp: inner.hw.t_comp(self.plan.shape.width),
+            comp: inner.hw.t_comp(plan.shape.width),
             uncontended: outcome.timeline.makespan,
         });
-        inner.ins.engagements.incr();
+        inner.engagements.incr();
 
         // Feed the prefetcher *after* both accounting tracks have their
         // records: the observation (and any speculation it triggers) is
         // invisible to this engagement's own outcome by construction.
+        // Speculative jobs enter the scheduler's background lane — demand
+        // dispatches always go first — and their flash reads land in the
+        // staging pool, never the demand event log.
         if let Some(pf) = &inner.prefetch {
-            self.prefetch_observe(pf, pending.issue + outcome.timeline.makespan);
+            let key = PrefetchKey {
+                target_us: self.planned.target.as_us(),
+                preload_bytes: self.planned.preload_budget,
+                slo_us: self.planned.slo.map_or(0, |s| s.as_us()),
+                stripe: self.stripe,
+            };
+            let target = || PrefetchTarget {
+                plan: plan.clone(),
+                preload: preload.clone(),
+                stripe: self.stripe,
+            };
+            let now = pending.issue + outcome.timeline.makespan;
+            let topology = inner.scheduler.topology();
+            for job in pf.observe(self.token, key, target, now, topology, &*inner.cached_source) {
+                inner.scheduler.submit_speculative(job);
+            }
         }
 
         Ok(Inference {
             class: outcome.class,
             probabilities: outcome.probabilities.clone(),
-            submodel: self.plan.shape,
+            submodel: plan.shape,
             outcome,
         })
-    }
-
-    /// Observes one engagement completion in the Markov model and, when a
-    /// prediction clears the confidence floor, materializes it into
-    /// speculative background jobs. `now` is the engagement's completion
-    /// on the simulated timeline — the tick the speculation becomes
-    /// available to run (and the arrival its contended pricing uses).
-    fn prefetch_observe(&self, pf: &PrefetchState, now: SimTime) {
-        let key = PrefetchKey {
-            target_us: self.target.as_us(),
-            preload_bytes: self.preload_budget,
-            slo_us: self.slo.map_or(0, |s| s.as_us()),
-            stripe: self.stripe,
-        };
-        let plan = {
-            let mut model = pf.model.lock();
-            let id = model.intern(key);
-            pf.targets.lock().entry(id).or_insert_with(|| PrefetchTarget {
-                plan: self.plan.clone(),
-                preload: self.preload.clone(),
-                stripe: self.stripe,
-            });
-            model.observe(self.token, id, now)
-        };
-        let Some(plan) = plan else { return };
-        let Some(target) = pf.targets.lock().get(&plan.predicted).cloned() else { return };
-        self.submit_speculation(&plan, &target);
-    }
-
-    /// Turns an emitted [`PrefetchPlan`] into speculative scheduler jobs:
-    /// the predicted engagement's *streamed* working set (planned shards
-    /// not covered by its preload buffer), grouped onto the device
-    /// channels its layer requests would really route to, byte-capped at
-    /// the plan budget. Jobs enter the scheduler's background lane —
-    /// demand dispatches always go first — and their flash reads land in
-    /// the staging pool, never the demand event log.
-    fn submit_speculation(&self, plan: &PrefetchPlan, target: &PrefetchTarget) {
-        let inner = &*self.inner;
-        let topology = inner.scheduler.topology();
-        let mut budget = plan.budget_bytes;
-        let mut jobs: BTreeMap<u16, (Vec<ShardKey>, u64)> = BTreeMap::new();
-        'layers: for pl in &target.plan.layers {
-            let items: Vec<(u16, Bitwidth)> = pl
-                .items()
-                .filter(|&(slice, _)| !target.preload.contains(ShardId::new(pl.layer, slice)))
-                .collect();
-            if items.is_empty() {
-                continue;
-            }
-            let sig = LayerRequest { layer: pl.layer, items: items.clone() }.content_sig();
-            let dc = topology.channel_for(sig, target.stripe);
-            for (slice, bw) in items {
-                let key = ShardKey::new(ShardId::new(pl.layer, slice), bw);
-                let bytes = match inner.cached_source.size_bytes(key) {
-                    Ok(bytes) if bytes > 0 => bytes,
-                    _ => continue,
-                };
-                if bytes > budget {
-                    break 'layers;
-                }
-                budget -= bytes;
-                let entry = jobs.entry(dc).or_default();
-                entry.0.push(key);
-                entry.1 += bytes;
-            }
-        }
-        for (dc, (keys, bytes)) in jobs {
-            inner.scheduler.submit_speculative(SpeculativeJob {
-                session: plan.client,
-                device_channel: dc,
-                arrival: plan.emitted_at,
-                bytes,
-                keys,
-            });
-        }
     }
 
     fn executor(&self) -> PipelineExecutor<'_> {
@@ -2448,7 +1473,6 @@ impl Session {
             self.inner.flash,
             &self.inner.hw,
         )
-        .with_throttle(self.inner.throttle_scale)
     }
 
     /// Generative extension: greedily decodes `steps` tokens after
@@ -2465,32 +1489,23 @@ impl Session {
         steps: usize,
     ) -> Result<GenerationOutcome, PipelineError> {
         let inner = &*self.inner;
-        let (submodel, loaded_bytes) =
-            assemble_plan_submodel(&inner.model, &self.plan, &self.preload, &*inner.cached_source)?;
-        let generation = sti_transformer::decoder::generate(&inner.model, &submodel, prompt, steps);
-        let per_step = inner.hw.t_comp(self.plan.shape.width) * self.plan.shape.depth as u64;
-        Ok(GenerationOutcome {
-            tokens: generation.tokens,
-            generated: generation.generated,
-            first_step: self.plan.predicted.makespan,
-            per_step,
-            loaded_bytes,
-        })
+        let Planned { plan, preload, .. } = &self.planned;
+        generate_over(&inner.model, &inner.hw, plan, preload, &*inner.cached_source, prompt, steps)
     }
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("target", &self.target)
-            .field("preload_budget", &self.preload_budget)
-            .field("shape", &self.plan.shape)
+            .field("target", &self.planned.target)
+            .field("preload_budget", &self.planned.preload_budget)
+            .field("shape", &self.planned.plan.shape)
             .finish()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sti_device::DeviceProfile;
     use sti_nlp::{Task, TaskKind};
@@ -2498,7 +1513,13 @@ mod tests {
     use sti_storage::MemStore;
     use sti_transformer::ModelConfig;
 
-    fn server() -> StiServer {
+    /// The shared unit-test fixture (this module's tests and the
+    /// `admission`/`gate`/`ledger`/`prefetch` ones that drive their piece
+    /// through a real server): a tiny-model server over an in-memory
+    /// store, widths `{2, 4}`, otherwise `configure`d by the caller.
+    pub(crate) fn tiny_server(
+        configure: impl FnOnce(StiServerBuilder) -> StiServerBuilder,
+    ) -> StiServer {
         let cfg = ModelConfig::tiny();
         let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
         let dev = DeviceProfile::odroid_n2();
@@ -2511,11 +1532,23 @@ mod tests {
             (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
             0.45,
         );
-        StiServer::builder(task.model().clone(), source, hw, dev.flash, importance)
-            .target(SimTime::from_ms(300))
-            .preload_budget(64 << 10)
-            .widths(&[2, 4])
-            .build()
+        let builder = StiServer::builder(task.model().clone(), source, hw, dev.flash, importance);
+        configure(builder.widths(&[2, 4])).build()
+    }
+
+    fn server() -> StiServer {
+        tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
+    }
+
+    fn server_with_admission(mode: AdmissionMode) -> StiServer {
+        tiny_server(|b| b.preload_budget(0).admission(mode))
+    }
+
+    /// An SLO no plan can meet once co-runners exist: the uncontended
+    /// makespan of the smallest possible plan.
+    pub(crate) fn floor_slo(srv: &StiServer) -> SimTime {
+        let s = srv.session_with(SimTime::from_us(1), 0).unwrap();
+        s.plan().predicted.makespan
     }
 
     #[test]
@@ -2523,8 +1556,8 @@ mod tests {
         let srv = server();
         let a = srv.session().unwrap();
         let b = srv.session().unwrap();
-        assert!(Arc::ptr_eq(&a.plan, &b.plan), "same knobs must share the plan");
-        assert!(Arc::ptr_eq(&a.preload, &b.preload), "and the preload buffer");
+        assert!(Arc::ptr_eq(&a.planned.plan, &b.planned.plan), "same knobs must share the plan");
+        assert!(Arc::ptr_eq(&a.planned.preload, &b.planned.preload), "and the preload buffer");
         let stats = srv.plan_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(srv.cached_plans(), 1);
@@ -2535,100 +1568,9 @@ mod tests {
         let srv = server();
         let a = srv.session_with(SimTime::from_ms(300), 64 << 10).unwrap();
         let b = srv.session_with(SimTime::from_ms(1_000), 64 << 10).unwrap();
-        assert!(!Arc::ptr_eq(&a.plan, &b.plan));
+        assert!(!Arc::ptr_eq(&a.planned.plan, &b.planned.plan));
         assert!(b.plan().shape.shard_count() >= a.plan().shape.shard_count());
         assert_eq!(srv.cached_plans(), 2);
-    }
-
-    /// A server with a deliberately tiny main shard cache (so demand
-    /// misses recur) and the Markov prefetcher on.
-    fn prefetch_server() -> StiServer {
-        let cfg = ModelConfig::tiny();
-        let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
-        let dev = DeviceProfile::odroid_n2();
-        let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-        let source =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-        let importance = ImportanceProfile::from_scores(
-            cfg.layers,
-            cfg.heads,
-            (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
-            0.45,
-        );
-        StiServer::builder(task.model().clone(), source, hw, dev.flash, importance)
-            .target(SimTime::from_ms(300))
-            .preload_budget(0)
-            .widths(&[2, 4])
-            .shard_cache_bytes(1 << 10)
-            .prefetch(PrefetchConfig::markov(1 << 20))
-            .build()
-    }
-
-    #[test]
-    fn prefetch_report_is_none_with_prefetch_off() {
-        let srv = server();
-        assert!(srv.prefetch_report().is_none());
-        let s = srv.session().unwrap();
-        s.infer(&[1, 2, 3]).unwrap();
-        assert!(srv.contention_report().prefetch.is_none());
-    }
-
-    #[test]
-    fn markov_prefetch_stages_the_predicted_working_set_and_serves_later_misses() {
-        let srv = prefetch_server();
-        let mut s = srv.session().unwrap();
-        s.set_issue_gap(SimTime::from_ms(50));
-        s.infer(&[1, 2, 3]).unwrap();
-        // The second completion creates the self-recurrence edge and emits
-        // a plan; the speculative job runs once the demand queue drains.
-        s.infer(&[1, 2, 3]).unwrap();
-        let mut tries = 0;
-        while srv.prefetch_report().unwrap().jobs == 0 && tries < 400 {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            tries += 1;
-        }
-        let report = srv.prefetch_report().unwrap();
-        assert!(report.model.plans >= 1, "a self-recurrent session must emit a plan");
-        assert!(report.jobs >= 1, "the plan must materialize into speculative jobs");
-        assert!(
-            report.speculated_bytes + report.pinned_bytes > 0,
-            "speculation must stage or pin something"
-        );
-        // The next engagement's demand misses promote staged blobs out of
-        // the pool instead of re-reading flash.
-        s.infer(&[1, 2, 3]).unwrap();
-        let pool = srv.prefetch_report().unwrap().pool;
-        assert!(pool.hits > 0, "staged shards must serve the next engagement's misses");
-        assert!(pool.hit_bytes > 0);
-        // Contended pricing exists, charges the speculative service time,
-        // and the speculative label never leaks into demand aggregates.
-        let contention = srv.contention_report();
-        let spec = contention.prefetch.expect("prefetch pricing present when enabled");
-        // The third completion may have emitted (and run) another plan by
-        // now; the priced jobs can only grow past the harvested count.
-        assert!(spec.jobs >= report.jobs);
-        assert!(spec.busy > SimTime::ZERO || spec.speculated_bytes == 0);
-    }
-
-    #[test]
-    fn issue_gap_spreads_engagement_issues_without_touching_results() {
-        let srv = server();
-        let gapped = srv.session().unwrap();
-        let plain = srv.session().unwrap();
-        let mut g = gapped;
-        g.set_issue_gap(SimTime::from_ms(500));
-        let a = g.infer(&[5, 6]).unwrap();
-        let b = g.infer(&[5, 6]).unwrap();
-        let c = plain.infer(&[5, 6]).unwrap();
-        assert_eq!(a.class, b.class);
-        assert_eq!(a.class, c.class, "the issue gap is contended-track only");
-        let report = srv.contention_report();
-        let issues: Vec<SimTime> =
-            report.engagements.iter().filter(|e| e.session == g.token()).map(|e| e.issue).collect();
-        assert_eq!(issues.len(), 2);
-        // The gap exceeds the first engagement's contended completion, so
-        // the second issue lands exactly one gap after the first.
-        assert_eq!(issues[1], issues[0] + SimTime::from_ms(500));
     }
 
     #[test]
@@ -2645,10 +1587,10 @@ mod tests {
     fn retargeting_reuses_cached_plans() {
         let srv = server();
         let mut s = srv.session().unwrap();
-        let original = s.plan.clone();
+        let original = s.planned.plan.clone();
         s.set_target(SimTime::from_ms(1_000)).unwrap();
         s.set_target(SimTime::from_ms(300)).unwrap();
-        assert!(Arc::ptr_eq(&s.plan, &original), "returning to old knobs hits the cache");
+        assert!(Arc::ptr_eq(&s.planned.plan, &original), "returning to old knobs hits the cache");
         // 300ms twice (miss + hit) and 1000ms once (miss).
         assert_eq!(srv.plan_stats().misses, 2);
     }
@@ -2668,7 +1610,7 @@ mod tests {
         );
         srv.set_importance(skewed);
         let after = srv.session().unwrap();
-        assert!(!Arc::ptr_eq(&before.plan, &after.plan));
+        assert!(!Arc::ptr_eq(&before.planned.plan, &after.planned.plan));
         assert_eq!(srv.plan_stats().misses, 2, "new table must force a replan");
     }
 
@@ -2678,7 +1620,10 @@ mod tests {
         let s1 = srv.session().unwrap();
         srv.invalidate_plans();
         let s2 = srv.session().unwrap();
-        assert!(!Arc::ptr_eq(&s1.plan, &s2.plan), "invalidation must drop the entry");
+        assert!(
+            !Arc::ptr_eq(&s1.planned.plan, &s2.planned.plan),
+            "invalidation must drop the entry"
+        );
         assert_eq!(s1.plan(), s2.plan(), "replanning is deterministic");
         assert_eq!(srv.plan_stats().misses, 2);
     }
@@ -2718,33 +1663,6 @@ mod tests {
         assert!(stats.sim_flash_busy > SimTime::ZERO);
     }
 
-    fn server_with_admission(mode: AdmissionMode) -> StiServer {
-        let cfg = ModelConfig::tiny();
-        let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
-        let dev = DeviceProfile::odroid_n2();
-        let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-        let source =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-        let importance = ImportanceProfile::from_scores(
-            cfg.layers,
-            cfg.heads,
-            (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
-            0.45,
-        );
-        StiServer::builder(task.model().clone(), source, hw, dev.flash, importance)
-            .preload_budget(0)
-            .widths(&[2, 4])
-            .admission(mode)
-            .build()
-    }
-
-    /// An SLO no plan can meet once co-runners exist: the uncontended
-    /// makespan of the smallest possible plan.
-    fn floor_slo(srv: &StiServer) -> SimTime {
-        let s = srv.session_with(SimTime::from_us(1), 0).unwrap();
-        s.plan().predicted.makespan
-    }
-
     #[test]
     fn open_sessions_are_counted() {
         let srv = server();
@@ -2769,48 +1687,11 @@ mod tests {
     }
 
     #[test]
-    fn enforce_rejects_an_unmeetable_slo() {
-        let srv = server_with_admission(AdmissionMode::Enforce);
-        let slo = floor_slo(&srv);
-        // Alone the floor SLO is exactly achievable...
-        let first = srv.session_with_slo(slo, 0).unwrap();
-        // ...but with a co-runner on the flash channel it no longer is.
-        let err = srv.session_with_slo(slo, 0).unwrap_err();
-        match err {
-            PipelineError::AdmissionRejected { predicted, slo: got, co_runners } => {
-                assert!(predicted > got);
-                assert_eq!(co_runners, 1);
-            }
-            other => panic!("expected AdmissionRejected, got {other}"),
-        }
-        let stats = srv.serving_stats();
-        assert_eq!((stats.admitted_sessions, stats.rejected_sessions), (1, 1));
-        drop(first);
-        // With the channel free again the same SLO admits.
-        assert!(srv.session_with_slo(slo, 0).is_ok());
-    }
-
-    #[test]
     fn batching_admits_identical_sessions_an_unbatched_prediction_rejects() {
         let build = |policy: BatchPolicy| {
-            let cfg = ModelConfig::tiny();
-            let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
-            let dev = DeviceProfile::odroid_n2();
-            let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-            let source =
-                Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-            let importance = ImportanceProfile::from_scores(
-                cfg.layers,
-                cfg.heads,
-                (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
-                0.45,
-            );
-            StiServer::builder(task.model().clone(), source, hw, dev.flash, importance)
-                .preload_budget(0)
-                .widths(&[2, 4])
-                .admission(AdmissionMode::Enforce)
-                .batch_policy(policy)
-                .build()
+            tiny_server(|b| {
+                b.preload_budget(0).admission(AdmissionMode::Enforce).batch_policy(policy)
+            })
         };
         let slo = floor_slo(&build(BatchPolicy::Off));
 
@@ -2888,16 +1769,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_admits_but_counts_violations() {
-        let srv = server_with_admission(AdmissionMode::Monitor);
-        let slo = floor_slo(&srv);
-        let _first = srv.session_with_slo(slo, 0).unwrap();
-        let second = srv.session_with_slo(slo, 0);
-        assert!(second.is_ok(), "monitor mode must not reject");
-        assert_eq!(srv.serving_stats().monitor_violations, 1);
-    }
-
-    #[test]
     fn slo_searches_are_memoized_per_co_runner_count() {
         let srv = server_with_admission(AdmissionMode::Disabled);
         let slo = SimTime::from_ms(5_000);
@@ -2908,298 +1779,5 @@ mod tests {
         let _d = srv.session_with_slo(slo, 0).unwrap(); // co=2 again: hit
         let stats = srv.slo_plan_stats();
         assert_eq!((stats.hits, stats.misses), (1, 3));
-    }
-
-    fn server_with_backpressure(mode: BackpressureMode) -> StiServer {
-        let cfg = ModelConfig::tiny();
-        let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
-        let dev = DeviceProfile::odroid_n2();
-        let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-        let source =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-        let importance = ImportanceProfile::from_scores(
-            cfg.layers,
-            cfg.heads,
-            (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
-            0.45,
-        );
-        StiServer::builder(task.model().clone(), source, hw, dev.flash, importance)
-            .preload_budget(0)
-            .widths(&[2, 4])
-            .backpressure(mode)
-            .build()
-    }
-
-    #[test]
-    fn shed_gate_fails_fast_when_the_backlog_predicts_a_miss() {
-        let srv = server_with_backpressure(BackpressureMode::Shed);
-        let slo = floor_slo(&srv);
-        // Both sessions admit (admission is disabled); the gate, not
-        // admission, is under test.
-        let first = srv.session_with_slo(slo, 0).unwrap();
-        let second = srv.session_with_slo(slo, 0).unwrap();
-        // The first-arriving session has the queue to itself and runs.
-        first.infer(&[1, 2]).expect("the first session's engagement passes the gate");
-        // The second's prediction rides behind the first's registered load
-        // and misses the floor SLO: shed, before touching the scheduler.
-        match second.infer(&[1, 2]) {
-            Err(PipelineError::Backpressure { predicted, slo: got }) => {
-                assert!(predicted > got);
-                assert_eq!(got, slo);
-            }
-            other => panic!("expected a backpressure shed, got {other:?}"),
-        }
-        let stats = srv.serving_stats();
-        assert_eq!((stats.engagements, stats.shed_engagements), (1, 1));
-        let report = srv.contention_report();
-        assert_eq!(report.engagements.len(), 1, "shed engagements never execute");
-        assert_eq!(report.gate.len(), 2);
-        assert_eq!(report.shed_count(), 1);
-        assert_eq!(report.slo_hit_rate(), Some(1.0), "what ran met its SLO");
-        // Harvesting resets the gate log too.
-        srv.reset_contention_log();
-        assert!(srv.contention_report().gate.is_empty());
-    }
-
-    #[test]
-    fn queue_gate_delays_instead_of_shedding_and_the_measured_track_agrees() {
-        let srv = server_with_backpressure(BackpressureMode::Queue(SimTime::from_ms(60_000)));
-        let slo = floor_slo(&srv);
-        let first = srv.session_with_slo(slo, 0).unwrap();
-        let second = srv.session_with_slo(slo, 0).unwrap();
-        first.infer(&[1, 2]).unwrap();
-        second.infer(&[1, 2]).expect("queue mode waits instead of shedding");
-        let stats = srv.serving_stats();
-        assert_eq!(
-            (stats.engagements, stats.shed_engagements, stats.queued_engagements),
-            (2, 0, 1)
-        );
-        let report = srv.contention_report();
-        assert_eq!(report.shed_count(), 0);
-        assert_eq!(report.queue_delayed(), 1);
-        assert!(report.max_queue_delay() > SimTime::ZERO);
-        // The delayed engagement queued past the first's window, so the
-        // measured contended track meets the SLO both engagements carry.
-        assert_eq!(report.slo_hit_rate(), Some(1.0));
-        // With a maximum delay too small to drain the backlog, the same
-        // engagement is shed instead.
-        let strict = server_with_backpressure(BackpressureMode::Queue(SimTime::from_us(1)));
-        let tight = floor_slo(&strict);
-        let a = strict.session_with_slo(tight, 0).unwrap();
-        let b = strict.session_with_slo(tight, 0).unwrap();
-        a.infer(&[3]).unwrap();
-        assert!(
-            matches!(b.infer(&[3]), Err(PipelineError::Backpressure { .. })),
-            "a 1µs patience cannot absorb a full co-runner engagement"
-        );
-    }
-
-    #[test]
-    fn queue_delay_prices_sessions_arriving_during_the_wait() {
-        // A queue delay can land an engagement inside the window of a
-        // session that arrives *after* it — the delay search must price
-        // that load too, not just what was ahead at the original arrival.
-        let run = |with_late_heavy: bool| {
-            let srv = server_with_backpressure(BackpressureMode::Queue(SimTime::from_ms(60_000)));
-            let full = srv.session_with(SimTime::from_ms(10_000), 0).unwrap();
-            // ~20% slack over the full-model makespan: meetable alone, not
-            // behind a heavy co-runner.
-            let makespan = full.plan().predicted.makespan.as_us();
-            let slo = SimTime::from_us(makespan + makespan / 5);
-            drop(full);
-            let mut tight = srv.session_with_slo(slo, 0).unwrap();
-            tight.set_arrival(SimTime::from_us(100));
-            // A heavy co-runner already queued at time zero...
-            let _early = srv.session_with(SimTime::from_ms(10_000), 0).unwrap();
-            // ...and optionally another arriving 2 ms in — inside any
-            // delay that clears the first one.
-            let _late = with_late_heavy.then(|| {
-                let mut s = srv.session_with(SimTime::from_ms(10_000), 0).unwrap();
-                s.set_arrival(SimTime::from_ms(2));
-                s
-            });
-            tight.infer(&[1, 2]).expect("queue mode waits instead of shedding");
-            let report = srv.contention_report();
-            let decision = report.gate[0];
-            assert!(!decision.shed);
-            assert!(decision.delay > SimTime::ZERO, "the early heavy load forces a wait");
-            assert_eq!(report.slo_hit_rate(), Some(1.0));
-            decision.delay
-        };
-        let without = run(false);
-        let with = run(true);
-        assert!(
-            with > without,
-            "a session arriving during the wait must lengthen it: {with} <= {without}"
-        );
-    }
-
-    #[test]
-    fn repeat_engagements_reuse_the_gate_decision_until_the_mix_changes() {
-        let srv = server_with_backpressure(BackpressureMode::Queue(SimTime::from_ms(60_000)));
-        let slo = floor_slo(&srv);
-        let a = srv.session_with_slo(slo, 0).unwrap();
-        let b = srv.session_with_slo(slo, 0).unwrap();
-        // Fixed-point gate pass: `a` and `b` mutually co-arrive, so the
-        // walk iterates until their decisions are consistent — `b` (the
-        // later token) queues behind `a`, and `a`, re-gated against `b`'s
-        // *decided* (delayed) position rather than its raw arrival, keeps
-        // the queue head with no wait of its own.
-        a.infer(&[1]).unwrap();
-        a.infer(&[2]).unwrap();
-        let report = srv.contention_report();
-        assert_eq!(report.gate.len(), 2, "every engagement logs a decision");
-        let a_token = report.gate.iter().map(|d| d.session).min().unwrap();
-        let a_decisions: Vec<_> = report.gate.iter().filter(|d| d.session == a_token).collect();
-        assert_eq!(a_decisions.len(), 2);
-        assert_eq!(a_decisions[0], a_decisions[1], "an unchanged mix reuses the decision");
-        assert_eq!(
-            a_decisions[0].delay,
-            SimTime::ZERO,
-            "at the fixed point the earliest token runs first, not behind its own follower"
-        );
-        assert!(a_decisions[0].re_gated, "the decision went through the co-arrival iteration");
-        assert_eq!(report.re_gated_count(), 2);
-        // A registry change (a session closing) invalidates the memo: with
-        // the queue to itself, the next engagement needs no delay.
-        drop(b);
-        a.infer(&[3]).unwrap();
-        let report = srv.contention_report();
-        let last = report.gate.iter().rfind(|d| d.session == a_token).unwrap();
-        assert_eq!(last.delay, SimTime::ZERO, "the mix changed, the decision follows");
-        assert!(!last.re_gated, "no co-arriving later session remains to re-gate against");
-    }
-
-    #[test]
-    fn gate_is_inert_without_an_slo_or_with_mode_off() {
-        // Off mode: SLO sessions never gate.
-        let off = server_with_backpressure(BackpressureMode::Off);
-        let slo = floor_slo(&off);
-        let a = off.session_with_slo(slo, 0).unwrap();
-        let b = off.session_with_slo(slo, 0).unwrap();
-        a.infer(&[1]).unwrap();
-        b.infer(&[1]).expect("mode off never sheds");
-        assert!(off.contention_report().gate.is_empty());
-        // Shed mode, but target sessions (no SLO): nothing to gate on.
-        let shed = server_with_backpressure(BackpressureMode::Shed);
-        let s1 = shed.session_with(SimTime::from_ms(300), 0).unwrap();
-        let s2 = shed.session_with(SimTime::from_ms(300), 0).unwrap();
-        s1.infer(&[1]).unwrap();
-        s2.infer(&[1]).expect("sessions without an SLO are never gated");
-        assert!(shed.contention_report().gate.is_empty());
-        assert_eq!(shed.serving_stats().shed_engagements, 0);
-    }
-
-    #[test]
-    fn contention_report_tracks_concurrent_stretch() {
-        let srv = server();
-        let s = srv.session_with(SimTime::from_ms(300), 0).unwrap();
-        let first = s.infer(&[1, 2]).unwrap();
-        let second = s.infer(&[1, 2]).unwrap();
-        assert_eq!(first.probabilities, second.probabilities, "uncontended track untouched");
-        let report = srv.contention_report();
-        assert_eq!(report.engagements.len(), 2);
-        for e in &report.engagements {
-            // Sequential engagements had the flash queue to themselves:
-            // measured from each one's first service start, the contended
-            // latency reproduces the uncontended makespan exactly. (An
-            // interleaved neighbour would stretch it — the concurrent
-            // replay tests cover that side.)
-            assert_eq!(e.contended, e.uncontended, "sequential run must not be inflated");
-        }
-        assert_eq!(report.flash_busy, srv.io_stats().sim_flash_busy);
-        assert!(report.latency_percentile(0.5) >= report.engagements[0].uncontended);
-        assert!(report.slo_hit_rate().is_none(), "no SLO sessions ran");
-
-        // Harvest-and-reset: the next report starts empty.
-        srv.reset_contention_log();
-        let fresh = srv.contention_report();
-        assert!(fresh.engagements.is_empty());
-        assert_eq!(fresh.flash_busy, SimTime::ZERO);
-    }
-
-    #[test]
-    fn latency_percentile_is_nearest_rank_with_a_lower_median() {
-        // Latencies are fed unsorted; `n` engagements pay 10, 20, …, 10·n ms.
-        let report_of = |n: u64| ContentionReport {
-            engagements: (1..=n)
-                .rev()
-                .map(|k| EngagementContention {
-                    channel: k,
-                    session: k,
-                    uncontended: SimTime::ZERO,
-                    contended: SimTime::from_ms(10 * k),
-                    issue: SimTime::ZERO,
-                    initial_queueing: SimTime::ZERO,
-                    slo: None,
-                })
-                .collect(),
-            flash_busy: SimTime::ZERO,
-            queue_makespan: SimTime::ZERO,
-            max_queue_depth: 0,
-            batched_dispatches: 0,
-            flash_bytes_saved: 0,
-            mean_batch_occupancy: 0.0,
-            gate: Vec::new(),
-            preload_bytes_reallocated: 0,
-            prefetch: None,
-        };
-        // (n, [p0, p50, p100]) in ms. The median is the *lower* one — index
-        // `(n - 1) / 2` of the sorted latencies, always a value an
-        // engagement actually paid — which the ledger's `contended_p50_us`
-        // column relies on.
-        for (n, want) in [
-            (0, [0, 0, 0]),
-            (1, [10, 10, 10]),
-            (2, [10, 10, 20]),
-            (5, [10, 30, 50]),
-            (6, [10, 30, 60]),
-        ] {
-            let report = report_of(n);
-            for (p, ms) in [0.0, 0.5, 1.0].into_iter().zip(want) {
-                assert_eq!(report.latency_percentile(p), SimTime::from_ms(ms), "n = {n}, p = {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn dram_residency_shrinks_contended_latency_of_warm_engagements() {
-        let build = |dram: bool| {
-            let cfg = ModelConfig::tiny();
-            let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
-            let dev = DeviceProfile::odroid_n2();
-            let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-            let source =
-                Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-            let importance = ImportanceProfile::from_scores(
-                cfg.layers,
-                cfg.heads,
-                (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
-                0.45,
-            );
-            StiServer::builder(task.model().clone(), source, hw, dev.flash, importance)
-                .preload_budget(0)
-                .widths(&[2, 4])
-                .dram_residency(dram)
-                .build()
-        };
-        let run = |srv: &StiServer| {
-            let s = srv.session_with(SimTime::from_ms(300), 0).unwrap();
-            s.infer(&[3]).unwrap(); // cold: fills the shard cache
-            s.infer(&[3]).unwrap(); // warm: fully cache-resident
-            srv.contention_report()
-        };
-        let flash_only = run(&build(false));
-        let with_dram = run(&build(true));
-        assert_eq!(
-            flash_only.engagements[0].contended, with_dram.engagements[0].contended,
-            "cold engagement pays flash either way"
-        );
-        assert!(
-            with_dram.engagements[1].contended < flash_only.engagements[1].contended,
-            "residency mode must make the warm engagement cheaper on the contended track"
-        );
-        // The uncontended (deterministic) track is identical either way.
-        assert_eq!(flash_only.engagements[1].uncontended, with_dram.engagements[1].uncontended);
     }
 }

@@ -10,11 +10,12 @@
 //! model fingerprint, target `T`, preload budget `|S|`, the allowed
 //! submodel widths, and the bitwidth set available in the store. Plans are
 //! handed out as `Arc`s (they are immutable once planned), and
-//! [`PlanCache::invalidate`] / [`PlanCache::clear`] drop entries when
+//! [`MemoTable::invalidate`] / [`MemoTable::clear`] drop entries when
 //! something the key cannot see changes (e.g. a re-profiled importance
 //! table or a rebuilt store).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -27,7 +28,7 @@ use crate::plan::ExecutionPlan;
 ///
 /// Anything *not* in the key (the importance profile, the device tables)
 /// must be constant for the cache's lifetime; owners that change those call
-/// [`PlanCache::clear`].
+/// [`MemoTable::clear`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Identifies the model (and implicitly its importance profile).
@@ -69,36 +70,63 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that ran the planner.
     pub misses: u64,
-    /// Entries dropped by `invalidate` or `clear`.
+    /// Entries dropped by `invalidate`, `clear`, or a bound eviction.
     pub invalidations: u64,
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    plans: HashMap<PlanKey, Arc<ExecutionPlan>>,
+#[derive(Debug)]
+struct MemoInner<K, V> {
+    /// Each entry with its insertion stamp (the eviction age).
+    entries: HashMap<K, (u64, Arc<V>)>,
+    next_seq: u64,
     stats: PlanCacheStats,
 }
 
-/// A thread-safe memo table of execution plans.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    inner: Mutex<CacheInner>,
+/// A thread-safe memo table: the one implementation behind [`PlanCache`],
+/// [`ServingPlanCache`](crate::serving::ServingPlanCache), and the
+/// server's preload-buffer table.
+///
+/// Values are computed **outside** the lock, so a slow fill never
+/// serializes lookups of other keys; when two callers race on one key the
+/// first insert wins (fills are deterministic, so both computed the same
+/// value). Reaching `MAX` entries evicts the oldest-inserted **half**
+/// (counted as invalidations) — recently inserted entries survive, where a
+/// whole-table flush would recompute every live key on each overflow. The
+/// default `MAX` never evicts.
+#[derive(Debug)]
+pub struct MemoTable<K, V, const MAX: usize = { usize::MAX }> {
+    inner: Mutex<MemoInner<K, V>>,
 }
 
-impl PlanCache {
-    /// Creates an empty cache.
+/// The memo table of execution plans (see the module docs).
+pub type PlanCache = MemoTable<PlanKey, ExecutionPlan>;
+
+impl<K, V, const MAX: usize> Default for MemoTable<K, V, MAX> {
+    fn default() -> Self {
+        let inner =
+            MemoInner { entries: HashMap::new(), next_seq: 0, stats: PlanCacheStats::default() };
+        Self { inner: Mutex::new(inner) }
+    }
+}
+
+impl<K: Hash + Eq + Clone, V, const MAX: usize> MemoTable<K, V, MAX> {
+    /// Entry bound: reaching it evicts the oldest-inserted half rather
+    /// than growing (or flushing everything).
+    pub const MAX_ENTRIES: usize = MAX;
+
+    /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of cached plans.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().plans.len()
+        self.inner.lock().entries.len()
     }
 
-    /// Whether the cache holds nothing.
+    /// Whether the table holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().plans.is_empty()
+        self.inner.lock().entries.is_empty()
     }
 
     /// Counters.
@@ -106,49 +134,64 @@ impl PlanCache {
         self.inner.lock().stats
     }
 
-    /// The cached plan for `key`, if present (refreshes nothing: plans have
-    /// no recency — knob combinations are few and plans are small).
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<ExecutionPlan>> {
+    /// The cached value for `key`, if present, counting a hit or a miss
+    /// (entries have no recency — eviction is by insertion age).
+    pub fn get(&self, key: &K) -> Option<Arc<V>> {
         let mut inner = self.inner.lock();
-        match inner.plans.get(key).cloned() {
-            Some(plan) => {
-                inner.stats.hits += 1;
-                Some(plan)
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
+        let found = inner.entries.get(key).map(|(_, v)| v.clone());
+        match found {
+            Some(_) => inner.stats.hits += 1,
+            None => inner.stats.misses += 1,
+        }
+        found
+    }
+
+    /// Returns the value for `key`, running `plan_fn` (the planner, the
+    /// SLO search) only on a miss.
+    pub fn get_or_plan(&self, key: &K, plan_fn: impl FnOnce() -> V) -> Arc<V> {
+        match self.get_or_try_insert(key, || Ok::<V, std::convert::Infallible>(plan_fn())) {
+            Ok(value) => value,
+            Err(never) => match never {},
         }
     }
 
-    /// Returns the plan for `key`, running `plan_fn` only on a miss.
+    /// [`MemoTable::get_or_plan`] for a fallible fill: an error is returned
+    /// to the caller and nothing is cached.
     ///
-    /// The planner runs outside the cache lock, so concurrent sessions are
-    /// never serialized behind a slow plan; if two race on the same key the
-    /// first inserted plan wins (both compute identical plans — planning is
-    /// deterministic).
-    pub fn get_or_plan(
+    /// # Errors
+    ///
+    /// Whatever `fill` fails with.
+    pub fn get_or_try_insert<E>(
         &self,
-        key: &PlanKey,
-        plan_fn: impl FnOnce() -> ExecutionPlan,
-    ) -> Arc<ExecutionPlan> {
-        if let Some(plan) = self.get(key) {
-            return plan;
+        key: &K,
+        fill: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        if let Some(value) = self.get(key) {
+            return Ok(value);
         }
-        let planned = Arc::new(plan_fn());
+        let value = Arc::new(fill()?);
         let mut inner = self.inner.lock();
-        inner.plans.entry(key.clone()).or_insert(planned).clone()
+        if inner.entries.len() >= MAX && !inner.entries.contains_key(key) {
+            // The median insertion stamp splits the table; entries at or
+            // above it stay.
+            let mut seqs: Vec<u64> = inner.entries.values().map(|&(seq, _)| seq).collect();
+            seqs.sort_unstable();
+            let cutoff = seqs[seqs.len() / 2];
+            let before = inner.entries.len();
+            inner.entries.retain(|_, &mut (seq, _)| seq >= cutoff);
+            inner.stats.invalidations += (before - inner.entries.len()) as u64;
+        }
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        Ok(inner.entries.entry(key.clone()).or_insert((seq, value)).1.clone())
     }
 
     /// Drops the entry for `key`, returning whether one was present. The
-    /// next lookup replans.
-    pub fn invalidate(&self, key: &PlanKey) -> bool {
+    /// next lookup recomputes.
+    pub fn invalidate(&self, key: &K) -> bool {
         let mut inner = self.inner.lock();
-        let removed = inner.plans.remove(key).is_some();
-        if removed {
-            inner.stats.invalidations += 1;
-        }
+        let removed = inner.entries.remove(key).is_some();
+        inner.stats.invalidations += removed as u64;
         removed
     }
 
@@ -156,8 +199,8 @@ impl PlanCache {
     /// re-measured — anything the key cannot express).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        inner.stats.invalidations += inner.plans.len() as u64;
-        inner.plans.clear();
+        inner.stats.invalidations += inner.entries.len() as u64;
+        inner.entries.clear();
     }
 }
 

@@ -36,7 +36,7 @@ pub mod schedule;
 pub mod serving;
 
 pub use aib::AibLedger;
-pub use cache::{PlanCache, PlanCacheStats, PlanKey};
+pub use cache::{MemoTable, PlanCache, PlanCacheStats, PlanKey};
 pub use compute_plan::{plan_compute, ComputeChoice};
 pub use importance::{profile_importance, ImportanceProfile};
 pub use io_plan::{

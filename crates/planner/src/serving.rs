@@ -37,19 +37,17 @@
 //! ([`ServingMix::digest`]), the same
 //! identity the server's gate memo hashes, so a registry change
 //! invalidates both consistently. The table is bounded
-//! ([`ServingPlanCache::MAX_ENTRIES`]).
+//! (`ServingPlanCache::MAX_ENTRIES`).
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sti_device::{CompletedJob, HwProfile, SimTime};
 use sti_quant::Bitwidth;
 use sti_storage::LayerRequest;
 use sti_transformer::ShardId;
 
-use crate::cache::{PlanCacheStats, PlanKey};
+use crate::cache::{MemoTable, PlanKey};
 use crate::importance::ImportanceProfile;
 use crate::io_plan::plan_two_stage;
 use crate::mix::{PreloadPolicy, ServingMix};
@@ -417,93 +415,15 @@ impl ServingPlanKey {
     }
 }
 
-#[derive(Debug, Default)]
-struct ServingCacheInner {
-    plans: HashMap<ServingPlanKey, (u64, Arc<ServingPlan>)>,
-    /// Monotone insertion counter, the eviction-age stamp of each entry.
-    next_seq: u64,
-    stats: PlanCacheStats,
-}
-
-/// A thread-safe memo table of SLO-search outcomes, memoized alongside the
-/// ordinary [`PlanCache`](crate::cache::PlanCache) (same stats shape, same
-/// discipline: the search runs outside the lock, first insert wins).
+/// The memo table of SLO-search outcomes, memoized alongside the ordinary
+/// [`PlanCache`](crate::cache::PlanCache) on the same [`MemoTable`].
 ///
 /// The table is bounded: keys carry the co-runner-mix digest, so a
 /// long-lived server with session churn mints fresh keys indefinitely.
-/// Reaching [`ServingPlanCache::MAX_ENTRIES`] evicts the oldest-inserted
-/// **half** of the table (counted as invalidations) — live mixes' hot
-/// entries were inserted recently and survive; a whole-table flush would
-/// re-run one ladder walk per live mix on every overflow.
-#[derive(Debug, Default)]
-pub struct ServingPlanCache {
-    inner: Mutex<ServingCacheInner>,
-}
-
-impl ServingPlanCache {
-    /// Entry bound: reaching it evicts the oldest-inserted half rather
-    /// than growing (or flushing everything).
-    pub const MAX_ENTRIES: usize = 1024;
-
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached search outcomes.
-    pub fn len(&self) -> usize {
-        self.inner.lock().plans.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().plans.is_empty()
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> PlanCacheStats {
-        self.inner.lock().stats
-    }
-
-    /// Returns the outcome for `key`, running `search_fn` only on a miss.
-    pub fn get_or_plan(
-        &self,
-        key: &ServingPlanKey,
-        search_fn: impl FnOnce() -> ServingPlan,
-    ) -> Arc<ServingPlan> {
-        {
-            let mut inner = self.inner.lock();
-            if let Some((_, plan)) = inner.plans.get(key).cloned() {
-                inner.stats.hits += 1;
-                return plan;
-            }
-            inner.stats.misses += 1;
-        }
-        let planned = Arc::new(search_fn());
-        let mut inner = self.inner.lock();
-        if inner.plans.len() >= Self::MAX_ENTRIES && !inner.plans.contains_key(key) {
-            // Evict the oldest-inserted half: the median insertion stamp
-            // splits the table, entries at or above it stay.
-            let mut seqs: Vec<u64> = inner.plans.values().map(|&(seq, _)| seq).collect();
-            seqs.sort_unstable();
-            let cutoff = seqs[seqs.len() / 2];
-            let before = inner.plans.len();
-            inner.plans.retain(|_, &mut (seq, _)| seq >= cutoff);
-            inner.stats.invalidations += (before - inner.plans.len()) as u64;
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.plans.entry(key.clone()).or_insert((seq, planned)).1.clone()
-    }
-
-    /// Drops every entry (importance re-profiled, store rebuilt — anything
-    /// the key cannot express).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.stats.invalidations += inner.plans.len() as u64;
-        inner.plans.clear();
-    }
-}
+/// Reaching `ServingPlanCache::MAX_ENTRIES` (1024) evicts the
+/// oldest-inserted **half** of the table — live mixes' hot entries were
+/// inserted recently and survive.
+pub type ServingPlanCache = MemoTable<ServingPlanKey, ServingPlan, 1024>;
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,7 @@ use sti_transformer::Model;
 
 use crate::buffers::PreloadBuffer;
 use crate::error::PipelineError;
-use crate::executor::{generate_over, ExecutionOutcome, PipelineExecutor};
+use crate::executor::{ExecutionOutcome, PipelineExecutor};
 
 /// The result of one generative (decoder) engagement.
 #[derive(Debug, Clone)]
@@ -225,8 +225,12 @@ impl StiEngine {
     }
 
     /// Generative extension (paper §3.4 future work): greedily decodes
-    /// `steps` tokens after `prompt` over the planned submodel, streaming
-    /// its shards **once** and reusing them every step.
+    /// `steps` tokens after `prompt` over the planned submodel.
+    ///
+    /// The submodel's shards are streamed **once** (the same pipelined IO a
+    /// classification pays) and then reused for every step, so per-step cost
+    /// is compute-only — the amortization that makes STI's economics carry
+    /// over to generation.
     ///
     /// # Errors
     ///
@@ -236,8 +240,22 @@ impl StiEngine {
         prompt: &[u32],
         steps: usize,
     ) -> Result<GenerationOutcome, PipelineError> {
-        let (plan, source) = (self.plan(), &*self.source);
-        generate_over(&self.model, &self.hw, plan, &self.preload, source, prompt, steps)
+        let plan = self.plan();
+        let (submodel, loaded_bytes) = crate::executor::assemble_plan_submodel(
+            &self.model,
+            plan,
+            &self.preload,
+            &*self.source,
+        )?;
+        let generation = sti_transformer::decoder::generate(&self.model, &submodel, prompt, steps);
+        let per_step = self.hw.t_comp(plan.shape.width) * plan.shape.depth as u64;
+        Ok(GenerationOutcome {
+            tokens: generation.tokens,
+            generated: generation.generated,
+            first_step: plan.predicted.makespan,
+            per_step,
+            loaded_bytes,
+        })
     }
 
     fn replan(&mut self) -> Result<(), PipelineError> {

@@ -25,7 +25,6 @@ use sti_transformer::layer::layer_forward;
 use sti_transformer::{AssembledSubmodel, Model, ShardId, ShardWeights};
 
 use crate::buffers::{PreloadBuffer, WorkingBuffer};
-use crate::engine::GenerationOutcome;
 use crate::error::PipelineError;
 
 /// The result of one pipeline execution.
@@ -241,41 +240,13 @@ impl<'a> PipelineExecutor<'a> {
     }
 }
 
-/// Generative extension (paper §3.4 future work): greedily decodes `steps`
-/// tokens after `prompt` over the planned submodel. The submodel's shards
-/// are streamed **once** (the same pipelined IO a classification pays) and
-/// then reused for every step, so per-step cost is compute-only — the
-/// amortization that makes STI's economics carry over to generation. The
-/// engine and server sessions share this path.
-///
-/// # Errors
-///
-/// Fails if any planned shard cannot be loaded.
-pub(crate) fn generate_over(
-    model: &Model,
-    hw: &HwProfile,
-    plan: &ExecutionPlan,
-    preload: &PreloadBuffer,
-    source: &dyn ShardSource,
-    prompt: &[u32],
-    steps: usize,
-) -> Result<GenerationOutcome, PipelineError> {
-    let (submodel, loaded_bytes) = assemble_plan_submodel(model, plan, preload, source)?;
-    let generation = sti_transformer::decoder::generate(model, &submodel, prompt, steps);
-    Ok(GenerationOutcome {
-        tokens: generation.tokens,
-        generated: generation.generated,
-        first_step: plan.predicted.makespan,
-        per_step: hw.t_comp(plan.shape.width) * plan.shape.depth as u64,
-        loaded_bytes,
-    })
-}
-
 /// Materializes a plan's full submodel as dequantized weights, taking each
 /// shard from the preload buffer when resident and from `source` otherwise.
 ///
 /// Returns the submodel plus the serialized bytes streamed from `source`
-/// (preloaded shards cost nothing — they were paid for at plan time).
+/// (preloaded shards cost nothing — they were paid for at plan time). Both
+/// the single-app engine and server sessions use this for the generative
+/// path, where the submodel is streamed once and reused every step.
 ///
 /// # Errors
 ///

@@ -348,16 +348,17 @@ impl ContentionLedger {
         mut events: Vec<FlashDispatchEvent>,
         canonical: bool,
     ) -> (TopologyReport, Vec<Replayed<'a>>) {
+        // The engagement id each record's jobs carry in this replay.
         let mut next_index: HashMap<u64, u64> = HashMap::new();
         let ids: Vec<u64> = log
             .iter()
-            .map(|rec| {
-                if !canonical {
-                    return rec.channel;
+            .map(|rec| match canonical {
+                false => rec.channel,
+                true => {
+                    let idx = next_index.entry(rec.session).or_insert(0);
+                    *idx += 1;
+                    (rec.session << 16) | (*idx - 1)
                 }
-                let idx = next_index.entry(rec.session).or_insert(0);
-                *idx += 1;
-                (rec.session << 16) | (*idx - 1)
             })
             .collect();
         if canonical {

@@ -28,7 +28,21 @@
 //!   real forward passes, with the simulated-time timeline accounted per
 //!   layer; [`executor::PipelineExecutor::execute_on`] borrows an IO lane
 //!   from a shared scheduler instead of constructing per-run IO state;
-//! - [`engine`] / [`server`] — the facades above.
+//! - [`engine`] — the single-app facade over the executor;
+//! - [`server`] — the serving facade: builder, orchestration and session
+//!   handles, with every serving *decision* in a module of its own beside
+//!   it (stores with stated invariants, single-purpose services, a thin
+//!   orchestrator):
+//!   - [`registry`] — the sharded open-session registry, the one input of
+//!     every contended prediction;
+//!   - `admission` — the SLO admission verdict and its counters;
+//!   - `gate` — the infer-time backpressure gate, its walk memo and its
+//!     lane-ownership set;
+//!   - `ledger` — the contended-track ledger: engagement and gate logs and
+//!     the one replay behind the contention report and the span export;
+//!   - `prefetch` — the Markov prefetch driver (model, working-set table,
+//!     speculative-job assembly);
+//! - [`trace`] — ASCII rendering of pipeline timelines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -51,19 +51,14 @@
 //! **One predictor, three views:** every contended question the server
 //! asks — SLO admission at [`StiServer::session_with_slo`], the infer-time
 //! backpressure gate, and [`Session::retarget_slo`] — is answered by
-//! building a [`ServingMix`](sti_planner::mix::ServingMix) from the open-session registry (each
-//! session's actual [`CoRunnerLoad`] plus, for SLO sessions, its
-//! [`SloProfile`]) and handing it to `sti_planner::mix`. The server never
-//! assembles prediction lanes by hand; the mix's digest is the one memo
-//! identity shared by the SLO-plan cache and the gate memos, so a registry
-//! change invalidates both consistently. [`AdmissionMode::Enforce`]
-//! rejects sessions whose best plan still misses: backpressure before the
-//! queue, not after. Under [`PreloadPolicy::SharingAware`]
-//! ([`StiServerBuilder::plan_sharing`]), the SLO search also ranks `|S|`
-//! *placements* by marginal value under the mix — a layer an in-window
-//! co-resident already streams is never preloaded while un-shared layers
-//! want the budget, and the bytes moved are quoted in
-//! [`ContentionReport::preload_bytes_reallocated`].
+//! building a [`ServingMix`](sti_planner::mix::ServingMix) from the
+//! open-session registry (each session's actual [`CoRunnerLoad`] plus, for
+//! SLO sessions, its [`SloProfile`]) and handing it to `sti_planner::mix`.
+//! The server never assembles prediction lanes by hand; the mix's digest is
+//! the one memo identity shared by the SLO-plan cache and the gate memos,
+//! so a registry change invalidates both consistently.
+//! [`AdmissionMode::Enforce`] rejects sessions whose best plan still
+//! misses: backpressure before the queue, not after.
 //!
 //! **Shared-IO batching and device topology** are configured on the
 //! builder ([`StiServerBuilder::batch_policy`],
@@ -103,7 +98,7 @@ use crate::admission::{Admission, Origin};
 use crate::buffers::PreloadBuffer;
 use crate::engine::{GenerationOutcome, Inference};
 use crate::error::PipelineError;
-use crate::executor::{generate_over, PipelineExecutor};
+use crate::executor::{assemble_plan_submodel, PipelineExecutor};
 use crate::gate::{Gate, GateSubject};
 use crate::ledger::{ContentionLedger, EngagementRecord};
 use crate::prefetch::{PrefetchDriver, PrefetchTarget};
@@ -366,21 +361,13 @@ impl StiServerBuilder {
 enum Knobs {
     /// A raw target latency `T`: resolved through the knob caches — no
     /// search, no verdict.
-    Raw {
-        /// The target latency.
-        target: SimTime,
-    },
+    Raw { target: SimTime },
     /// A latency SLO for a session arriving at `arrival`: `(T, |S|)` is
     /// searched against the live mix and the outcome put to the admission
-    /// verdict.
-    Slo {
-        slo: SimTime,
-        arrival: SimTime,
-        /// A retargeting session's own token — it does not co-run with
-        /// itself, and a rejection is an error only. `None` for a fresh
-        /// open.
-        exclude: Option<u64>,
-    },
+    /// verdict. `exclude` is a retargeting session's own token — it does
+    /// not co-run with itself, and its rejection is an error only; `None`
+    /// for a fresh open.
+    Slo { slo: SimTime, arrival: SimTime, exclude: Option<u64> },
 }
 
 /// Everything the planning path decides for a session — what
@@ -431,13 +418,12 @@ struct ServerInner {
     plan_sharing: PreloadPolicy,
     /// Memoized SLO searches, keyed by knobs + mix digest + `|S|` policy.
     slo_cache: ServingPlanCache,
-    /// Serializes SLO planning (opens and retargets): the co-runner mix
-    /// cannot change between the admission verdict and the registration of
-    /// the admitted load, so two racing SLO opens can never both admit
-    /// against a mix that excludes the other. Raw-target planning is not
-    /// serialized — it is admitted unconditionally by design, so a racing
-    /// plain open is indistinguishable from one that lands just after the
-    /// verdict.
+    /// Serializes SLO planning (opens and retargets): the mix cannot
+    /// change between the admission verdict and the registration of the
+    /// admitted load, so two racing SLO opens can never both admit against
+    /// a mix that excludes the other. Raw-target planning is admitted
+    /// unconditionally, so a racing plain open is indistinguishable from
+    /// one that lands just after the verdict and is not serialized.
     slo_planning: Mutex<()>,
     /// Sessions currently open.
     open_sessions: AtomicUsize,
@@ -459,10 +445,9 @@ struct ServerInner {
     /// The Markov prefetch runtime (`None` with prefetch off — the
     /// completion path then pays a single branch).
     prefetch: Option<PrefetchDriver>,
-    /// The server's metrics registry; `serving.*` and `gate.*` instruments
-    /// live here (resolved once at build by the pieces that maintain them,
-    /// so hot paths never touch the registry map), `io.*` in the
-    /// scheduler's own ([`StiServer::metrics_snapshot`] merges both).
+    /// The `serving.*`/`gate.*` metrics registry; each piece resolves its
+    /// instruments once at build, so hot paths never touch the map (`io.*`
+    /// live in the scheduler's own; [`StiServer::metrics_snapshot`] merges).
     registry: MetricsRegistry,
     engagements: Counter,
     /// Peak-tracking gauge: only the high-water mark is maintained (the
@@ -526,15 +511,13 @@ impl ServerInner {
     }
 
     /// Resolves (plan, preload buffer) for a knob combination through both
-    /// caches, planning and filling at most once per combination. With an
-    /// SLO-search outcome, the search's chosen plan is what the session
-    /// runs: when it settled on the default byte-prefix placement (always,
-    /// under [`PreloadPolicy::PerSession`]) this is the ordinary shared
-    /// resolution — and if an importance reprofile raced the search, the
-    /// freshly resolved plan is the correct one to run; a mix-aware `|S|`
-    /// placement instead keys its buffer by the placement itself, so
-    /// sessions planned against the same mix still share one buffer (and
-    /// never pay for, or pin, a prefix buffer nobody runs).
+    /// caches, planning and filling at most once per combination. An SLO
+    /// search that settled on the default byte-prefix placement (always,
+    /// under [`PreloadPolicy::PerSession`]) resolves the same way — and if
+    /// an importance reprofile raced the search, the freshly resolved plan
+    /// is the correct one to run. A mix-aware `|S|` placement instead keys
+    /// its buffer by the placement itself, so sessions planned against the
+    /// same mix share one buffer and nobody pins an unused prefix buffer.
     fn resolve(
         &self,
         target: SimTime,
@@ -827,13 +810,13 @@ impl StiServer {
     /// named instruments (the instruments are the source of truth; this
     /// struct is the stable report shape).
     pub fn serving_stats(&self) -> ServingStats {
-        let ServerInner { admission, gate, .. } = &*self.inner;
+        let ServerInner { admission, gate, engagements, peak_engagements, .. } = &*self.inner;
         ServingStats {
             admitted_sessions: admission.admitted_sessions.get(),
             rejected_sessions: admission.rejected_sessions.get(),
             monitor_violations: admission.monitor_violations.get(),
-            engagements: self.inner.engagements.get(),
-            peak_concurrent_engagements: self.inner.peak_engagements.max() as usize,
+            engagements: engagements.get(),
+            peak_concurrent_engagements: peak_engagements.max() as usize,
             shed_engagements: gate.shed_engagements.get(),
             queued_engagements: gate.queued_engagements.get(),
             preload_bytes_reallocated: admission.preload_bytes_reallocated.get(),
@@ -887,24 +870,23 @@ impl StiServer {
     /// replays of one trace produce identical streams (the `sti-obs`
     /// determinism contract):
     ///
-    /// * [`TrackKind::Session`](sti_obs::TrackKind::Session) — one `engagement` interval per executed
-    ///   engagement (issue → contended completion, replaying the same
-    ///   recurrence as [`StiServer::contention_report`]), plus one
-    ///   `gate.admit` / `gate.delay` / `gate.shed` event per gate decision
-    ///   carrying the deciding [`GateReason`] digest and dominant lane.
-    /// * [`TrackKind::Flash`](sti_obs::TrackKind::Flash) — one track per *device channel*: each
-    ///   channel's `flash.wait` / `flash.service` / `flash.depth` timeline
-    ///   from a canonical replay of the dispatch log (a single track on
-    ///   the default single-channel topology).
+    /// * [`TrackKind::Session`](sti_obs::TrackKind::Session) — one
+    ///   `engagement` interval per executed engagement (issue → contended
+    ///   completion, replaying the same recurrence as
+    ///   [`StiServer::contention_report`]), plus one `gate.admit` /
+    ///   `gate.delay` / `gate.shed` event per gate decision carrying the
+    ///   deciding [`GateReason`] digest and dominant lane.
+    /// * [`TrackKind::Flash`](sti_obs::TrackKind::Flash) — one track per
+    ///   *device channel*: each channel's `flash.wait` / `flash.service` /
+    ///   `flash.depth` timeline from a canonical replay of the dispatch log
+    ///   (a single track on the default single-channel topology).
     ///
     /// Scheduler channel ids are assigned in issue order, which differs
     /// between the event replay (sessions interleave) and the sequential
-    /// one (client by client), so dispatch events are first remapped onto
-    /// stable engagement ids (`session << 16 | per-session index` —
-    /// chronological because a session runs its engagements serially) and
-    /// re-sorted by `(arrival, stable id)`, an order both replays agree
-    /// on, before the flash replay. The stable sort only reorders across
-    /// channels; per-channel FIFO is preserved.
+    /// one (client by client), so the flash replay first remaps dispatch
+    /// events onto stable engagement ids and re-sorts them by `(arrival,
+    /// stable id)` — an order both replays agree on, which only reorders
+    /// across channels and preserves per-channel FIFO.
     ///
     /// Whatever the live [`ObsSink`] has buffered (admission markers,
     /// host-track dispatch spans) is drained and appended for single-run
@@ -1490,7 +1472,16 @@ impl Session {
     ) -> Result<GenerationOutcome, PipelineError> {
         let inner = &*self.inner;
         let Planned { plan, preload, .. } = &self.planned;
-        generate_over(&inner.model, &inner.hw, plan, preload, &*inner.cached_source, prompt, steps)
+        let (submodel, loaded_bytes) =
+            assemble_plan_submodel(&inner.model, plan, preload, &*inner.cached_source)?;
+        let generation = sti_transformer::decoder::generate(&inner.model, &submodel, prompt, steps);
+        Ok(GenerationOutcome {
+            tokens: generation.tokens,
+            generated: generation.generated,
+            first_step: plan.predicted.makespan,
+            per_step: inner.hw.t_comp(plan.shape.width) * plan.shape.depth as u64,
+            loaded_bytes,
+        })
     }
 }
 

@@ -414,9 +414,11 @@ impl std::fmt::Debug for IoScheduler {
 impl IoScheduler {
     /// Spawns the scheduler with batching disabled (the seed behaviour).
     ///
-    /// `workers` is the host-thread pool size (the simulated device still
-    /// has a single flash channel; extra workers only overlap host-side
-    /// decode work). `cache`, when given, is shared across all channels.
+    /// `workers` is the host-thread pool size: extra workers only overlap
+    /// host-side decode work — how many flash channels the *simulated*
+    /// device exposes is the topology ([`IoScheduler::spawn_topology`];
+    /// this constructor builds the single-channel one). `cache`, when
+    /// given, is shared across all channels.
     ///
     /// # Panics
     ///

@@ -3,9 +3,10 @@
 //! plan is cheap enough to re-run whenever T or |S| changes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sti::prelude::{Task, TaskKind};
 use sti_device::{DeviceProfile, HwProfile, SimTime};
 use sti_planner::compute_plan::DYNABERT_WIDTHS;
-use sti_planner::{plan_compute, plan_two_stage, AibLedger, ImportanceProfile};
+use sti_planner::{plan_compute, plan_two_stage, profile_importance, AibLedger, ImportanceProfile};
 use sti_quant::{Bitwidth, QuantConfig};
 use sti_tensor::Rng;
 use sti_transformer::ModelConfig;
@@ -69,9 +70,18 @@ fn bench_aib_ledger(c: &mut Criterion) {
     });
 }
 
+fn bench_profile_importance(c: &mut Criterion) {
+    // §5.2's offline pass at unit-test scale (2 × 4 grid, 8 dev examples):
+    // floor-grid dequantization, one baseline pass, 8 resumed probes.
+    let task = Task::build(TaskKind::Sst2, ModelConfig::tiny(), 8, 1);
+    c.bench_function("profile_importance_tiny", |b| {
+        b.iter(|| profile_importance(task.model(), task.dev(), &QuantConfig::default()))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(50);
-    targets = bench_compute_plan, bench_two_stage, bench_aib_ledger
+    targets = bench_compute_plan, bench_two_stage, bench_aib_ledger, bench_profile_importance
 }
 criterion_main!(benches);

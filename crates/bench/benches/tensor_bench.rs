@@ -16,16 +16,28 @@ fn random_matrix(rng: &mut Rng, r: usize, c: usize) -> Matrix {
 fn bench_matmul(c: &mut Criterion) {
     let mut rng = Rng::new(1);
     let cfg = ModelConfig::scaled_bert();
+    let (l, d, hd, f) = (cfg.seq_len, cfg.hidden, cfg.head_dim(), cfg.ffn_per_shard());
     let mut group = c.benchmark_group("matmul");
-    // (l x d) * (d x d_ff): the FFN up-projection, the largest matmul.
-    let a = random_matrix(&mut rng, cfg.seq_len, cfg.hidden);
-    let b = random_matrix(&mut rng, cfg.hidden, cfg.ffn);
-    let flops = 2 * cfg.seq_len * cfg.hidden * cfg.ffn;
-    group.throughput(Throughput::Elements(flops as u64));
-    group.bench_function(
-        BenchmarkId::new("ffn_up", format!("{}x{}x{}", cfg.seq_len, cfg.hidden, cfg.ffn)),
-        |bch| bch.iter(|| ops::matmul(&a, &b)),
-    );
+    // The forward pass multiplies one shard at a time, so these are the
+    // shapes it runs: the Q/K/V projection (5 columns: narrower than any
+    // vector register row, the vectorisation-hostile one), FFN up, FFN down
+    // and the attention output projection. The unsharded FFN up-projection
+    // stays as the largest-matmul reference.
+    let shapes = [
+        ("qkv", l, d, hd),
+        ("ffn_up", l, d, f),
+        ("ffn_down", l, f, d),
+        ("attn_out", l, hd, d),
+        ("ffn_up_unsharded", l, d, cfg.ffn),
+    ];
+    for (name, r, k, cols) in shapes {
+        let a = random_matrix(&mut rng, r, k);
+        let b = random_matrix(&mut rng, k, cols);
+        group.throughput(Throughput::Elements((2 * r * k * cols) as u64));
+        group.bench_function(BenchmarkId::new(name, format!("{r}x{k}x{cols}")), |bch| {
+            bch.iter(|| ops::matmul(&a, &b))
+        });
+    }
     group.finish();
 }
 

@@ -34,6 +34,8 @@ pub fn results_dir() -> PathBuf {
 }
 
 const CACHE_MAGIC: u32 = u32::from_le_bytes(*b"STIC");
+/// Bumped whenever the layout below changes; an older file is recomputed.
+const CACHE_VERSION: u32 = 2;
 
 fn importance_cache_path(kind: TaskKind, cfg: &ModelConfig) -> PathBuf {
     let dir = results_dir().join("cache");
@@ -47,11 +49,29 @@ fn importance_cache_path(kind: TaskKind, cfg: &ModelConfig) -> PathBuf {
     ))
 }
 
-fn encode_importance(p: &ImportanceProfile) -> Vec<u8> {
+/// The cache file's header: magic, format version, and everything a profile
+/// is a function of — the full model configuration, the dev-split size, the
+/// quantization parameters and the teacher's seed — written out verbatim. A
+/// file is only trusted if it starts with exactly these bytes; the file name
+/// is a convenience, not the key. Both structs are destructured
+/// exhaustively so a new field cannot be left out of the fingerprint.
+fn cache_header(cfg: &ModelConfig, dev_len: usize, quant: &QuantConfig, seed: u64) -> Vec<u8> {
+    let &ModelConfig { layers, heads, hidden, ffn, vocab, seq_len, classes } = cfg;
+    let &QuantConfig { outlier_log_likelihood } = quant;
     let mut buf = BytesMut::new();
     buf.put_u32_le(CACHE_MAGIC);
-    buf.put_u16_le(p.layers() as u16);
-    buf.put_u16_le(p.heads() as u16);
+    buf.put_u32_le(CACHE_VERSION);
+    for dim in [layers, heads, hidden, ffn, vocab, seq_len, classes, dev_len] {
+        buf.put_u64_le(dim as u64);
+    }
+    buf.put_f32_le(outlier_log_likelihood);
+    buf.put_u64_le(seed);
+    buf.to_vec()
+}
+
+fn encode_importance(header: &[u8], p: &ImportanceProfile) -> Vec<u8> {
+    let mut buf = BytesMut::new();
+    buf.put_slice(header);
     buf.put_f64_le(p.baseline());
     for l in 0..p.layers() as u16 {
         for s in 0..p.heads() as u16 {
@@ -61,19 +81,23 @@ fn encode_importance(p: &ImportanceProfile) -> Vec<u8> {
     buf.to_vec()
 }
 
-fn decode_importance(bytes: &[u8]) -> Option<ImportanceProfile> {
-    let mut cur = bytes;
-    if cur.len() < 16 || cur.get_u32_le() != CACHE_MAGIC {
+/// Reads back a `layers × heads` profile written under `header`. Anything
+/// else — another header, a short or over-long body, a non-finite value — is
+/// `None`, and the caller recomputes.
+fn decode_importance(
+    header: &[u8],
+    layers: usize,
+    heads: usize,
+    bytes: &[u8],
+) -> Option<ImportanceProfile> {
+    let mut body = bytes.strip_prefix(header)?;
+    if body.len() != (1 + layers * heads) * 8 {
         return None;
     }
-    let layers = cur.get_u16_le() as usize;
-    let heads = cur.get_u16_le() as usize;
-    let baseline = cur.get_f64_le();
-    if cur.len() < layers * heads * 8 {
-        return None;
-    }
-    let scores = (0..layers * heads).map(|_| cur.get_f64_le()).collect();
-    Some(ImportanceProfile::from_scores(layers, heads, scores, baseline))
+    let baseline = body.get_f64_le();
+    let scores: Vec<f64> = (0..layers * heads).map(|_| body.get_f64_le()).collect();
+    (baseline.is_finite() && scores.iter().all(|s| s.is_finite()))
+        .then(|| ImportanceProfile::from_scores(layers, heads, scores, baseline))
 }
 
 /// Builds a task context at experiment scale, loading (or computing and
@@ -82,15 +106,20 @@ pub fn context(kind: TaskKind) -> TaskContext {
     let cfg = ModelConfig::scaled_bert();
     let ctx = TaskContext::with_config(kind, cfg.clone());
     let path = importance_cache_path(kind, &cfg);
-    if let Ok(bytes) = fs::read(&path) {
-        if let Some(profile) = decode_importance(&bytes) {
-            ctx.set_importance(profile);
-            return ctx;
-        }
+    let header = cache_header(&cfg, ctx.task().dev().len(), ctx.quant(), kind.model_seed());
+    let cached = fs::read(&path)
+        .ok()
+        .and_then(|bytes| decode_importance(&header, cfg.layers, cfg.heads, &bytes));
+    if let Some(profile) = cached {
+        ctx.set_importance(profile);
+        return ctx;
     }
-    eprintln!("[harness] profiling shard importance for {} (one-time, cached)...", kind.name());
+    eprintln!(
+        "[harness] profiling shard importance for {} (cached for later runs)...",
+        kind.name()
+    );
     let profile = ctx.importance().clone();
-    fs::write(&path, encode_importance(&profile)).expect("write importance cache");
+    fs::write(&path, encode_importance(&header, &profile)).expect("write importance cache");
     ctx
 }
 
@@ -113,15 +142,48 @@ mod tests {
 
     #[test]
     fn importance_cache_round_trips() {
+        let (cfg, quant, seed) =
+            (ModelConfig::tiny(), QuantConfig::default(), TaskKind::Sst2.model_seed());
+        let header = cache_header(&cfg, 32, &quant, seed);
         let p = ImportanceProfile::from_scores(2, 3, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 0.05);
-        let decoded = decode_importance(&encode_importance(&p)).unwrap();
-        assert_eq!(decoded, p);
+        let bytes = encode_importance(&header, &p);
+        assert_eq!(decode_importance(&header, 2, 3, &bytes), Some(p));
+
+        // A profile of anything else is not loaded: another model shape
+        // (`ffn` and `seq_len` are not in the file name), another dev-split
+        // size, other quantization parameters, another teacher.
+        let others = [
+            cache_header(&ModelConfig { ffn: 128, ..cfg.clone() }, 32, &quant, seed),
+            cache_header(&ModelConfig { seq_len: 16, ..cfg.clone() }, 32, &quant, seed),
+            cache_header(&cfg, 8, &quant, seed),
+            cache_header(&cfg, 32, &QuantConfig { outlier_log_likelihood: -3.5 }, seed),
+            cache_header(&cfg, 32, &quant, TaskKind::Rte.model_seed()),
+        ];
+        for other in &others {
+            assert_eq!(decode_importance(other, 2, 3, &bytes), None);
+        }
+
+        // Trailing bytes and a truncated body are rejected, not ignored.
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(decode_importance(&header, 2, 3, &trailing), None);
+        assert_eq!(decode_importance(&header, 2, 3, &bytes[..bytes.len() - 1]), None);
+
+        // A non-finite score or baseline would panic later in `ranking()`.
+        for (at, poison) in [(0, f64::NAN), (3, f64::INFINITY), (6, f64::NEG_INFINITY)] {
+            let mut corrupt = bytes.clone();
+            let offset = header.len() + at * 8;
+            corrupt[offset..offset + 8].copy_from_slice(&poison.to_le_bytes());
+            assert_eq!(decode_importance(&header, 2, 3, &corrupt), None, "value {at}");
+        }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode_importance(b"nonsense").is_none());
-        assert!(decode_importance(&[]).is_none());
+        let header = cache_header(&ModelConfig::tiny(), 32, &QuantConfig::default(), 0);
+        assert!(decode_importance(&header, 2, 4, b"nonsense").is_none());
+        assert!(decode_importance(&header, 2, 4, &[]).is_none());
+        assert!(decode_importance(&header, 2, 4, &header).is_none());
     }
 
     #[test]

@@ -156,7 +156,7 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
 
 fn cmd_importance(args: &Args) -> Result<String, ArgError> {
     let task = build_task(args)?;
-    eprintln!("profiling (N*M+1 dev evaluations)...");
+    eprintln!("profiling (N*M probes on the dev set)...");
     let profile = profile_importance(task.model(), task.dev(), &QuantConfig::default());
     Ok(format!(
         "{} shard importance (9 = most important):\n{}",

@@ -16,7 +16,8 @@ use sti_transformer::{AssembledSubmodel, ModelConfig, ShardId, ShardWeights};
 use crate::baselines::Baseline;
 
 /// A materialized task plus the per-model caches every experiment shares:
-/// the shard-importance profile (expensive: `N·M + 1` dev evaluations),
+/// the shard-importance profile (`N·M` dev-set probes, each resumed from the
+/// one kept baseline pass),
 /// dequantized shard weights per fidelity, and the quantized shard store
 /// that engines, servers, and executors stream from.
 pub struct TaskContext {
@@ -63,8 +64,11 @@ impl TaskContext {
             .get_or_init(|| profile_importance(self.task.model(), self.task.dev(), &self.quant))
     }
 
-    /// Injects a previously computed importance profile (the bench harness
-    /// caches profiles on disk to avoid re-probing across binaries).
+    /// Injects an importance profile computed elsewhere: one the bench
+    /// harness read back from its fingerprinted disk cache, or one profiled
+    /// on a dev split other than the task's own (the benchmark's set-up
+    /// profiles on a prefix). The caller vouches that it belongs to this
+    /// task's model and quantization.
     ///
     /// Returns `false` if a profile was already resident.
     pub fn set_importance(&self, profile: ImportanceProfile) -> bool {

@@ -1,5 +1,6 @@
 //! Synthetic GLUE-like tasks (paper Table 3).
 
+use sti_tensor::parallel::parallel_map;
 use sti_tensor::Rng;
 use sti_transformer::synthetic::GainPattern;
 use sti_transformer::{Model, ModelConfig};
@@ -190,10 +191,14 @@ impl Task {
 fn generate_split(model: &Model, kind: TaskKind, rng: &mut Rng, size: usize) -> Dataset {
     let cfg = model.config();
     let skew = kind.token_skew();
-    (0..size)
+    // No draw depends on the teacher's answer, so every example's tokens and
+    // its label flip (the class offset to add, if the noise draw says flip)
+    // come off the one RNG stream first, in example order; that leaves the
+    // teacher's forward passes independent of each other.
+    let drawn: Vec<(Vec<u32>, Option<usize>)> = (0..size)
         .map(|_| {
             let len = cfg.seq_len / 2 + rng.next_below(cfg.seq_len / 2 + 1);
-            let tokens: Vec<u32> = (0..len)
+            let tokens = (0..len)
                 .map(|_| {
                     // Skewed distribution over [1, vocab): u^skew concentrates
                     // mass near token 1.
@@ -201,14 +206,19 @@ fn generate_split(model: &Model, kind: TaskKind, rng: &mut Rng, size: usize) -> 
                     1 + (u * (cfg.vocab - 1) as f32) as u32
                 })
                 .collect();
-            let teacher = model.predict_full(&tokens);
-            let label = if (rng.next_f32() as f64) < kind.label_noise() {
-                // Flip to a different class (binary: the other one).
-                (teacher + 1 + rng.next_below(cfg.classes - 1)) % cfg.classes
-            } else {
-                teacher
-            };
-            Example { tokens, label }
+            // Flip to a different class (binary: the other one).
+            let flip = ((rng.next_f32() as f64) < kind.label_noise())
+                .then(|| 1 + rng.next_below(cfg.classes - 1));
+            (tokens, flip)
+        })
+        .collect();
+    let teacher = parallel_map(size, |i| model.predict_full(&drawn[i].0));
+    drawn
+        .into_iter()
+        .zip(teacher)
+        .map(|((tokens, flip), teacher)| Example {
+            tokens,
+            label: flip.map_or(teacher, |offset| (teacher + offset) % cfg.classes),
         })
         .collect()
 }
@@ -234,6 +244,44 @@ mod tests {
         let b = tiny_task(TaskKind::Rte);
         assert_eq!(a.dev(), b.dev());
         assert_eq!(a.test(), b.test());
+    }
+
+    /// The labelling loop as it was before the teacher left the RNG's
+    /// critical path: draw, label, flip, one example at a time.
+    fn interleaved_split(model: &Model, kind: TaskKind, rng: &mut Rng, size: usize) -> Dataset {
+        let cfg = model.config();
+        (0..size)
+            .map(|_| {
+                let len = cfg.seq_len / 2 + rng.next_below(cfg.seq_len / 2 + 1);
+                let tokens: Vec<u32> = (0..len)
+                    .map(|_| {
+                        let u = rng.next_f32().powf(kind.token_skew());
+                        1 + (u * (cfg.vocab - 1) as f32) as u32
+                    })
+                    .collect();
+                let teacher = model.predict_full(&tokens);
+                let label = if (rng.next_f32() as f64) < kind.label_noise() {
+                    (teacher + 1 + rng.next_below(cfg.classes - 1)) % cfg.classes
+                } else {
+                    teacher
+                };
+                Example { tokens, label }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_labelling_equals_the_interleaved_loop_on_every_task() {
+        for kind in TaskKind::ALL {
+            let t = Task::build(kind, ModelConfig::tiny(), 24, 40);
+            let mut rng = Rng::new(kind.model_seed() ^ 0x0DA7_A5E7);
+            assert_eq!(t.dev(), &interleaved_split(t.model(), kind, &mut rng, 24), "{kind} dev");
+            assert_eq!(t.test(), &interleaved_split(t.model(), kind, &mut rng, 40), "{kind} test");
+            // Some labels really were flipped, so the flip path is compared.
+            let flipped =
+                t.test().iter().filter(|e| e.label != t.model().predict_full(&e.tokens)).count();
+            assert!(flipped > 0, "{kind}: no flipped label in 40 examples");
+        }
     }
 
     #[test]

@@ -19,9 +19,15 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// Multiplies `a` by `b`, writing into a pre-allocated `out`.
 ///
-/// This is the allocation-free kernel used by the working buffer: the
-/// pipeline reuses a single scratch matrix across layers (§3.1 of the paper,
-/// "working buffer ... size does not grow with the model").
+/// This is the allocation-free kernel every projection of the forward pass
+/// runs on. Rows are walked as slices zipped against each other, so the
+/// inner loop carries no bounds checks and vectorises across `j`.
+///
+/// Every result in the repository is pinned to this kernel's rounding, so
+/// the arithmetic is part of its contract: `out[i][j]` accumulates
+/// `a[i][k] * b[k][j]` from `0.0` in ascending `k`, one rounded multiply and
+/// one rounded add per term (no FMA, no reassociation), and a term whose
+/// `a[i][k]` is exactly zero is skipped, not added.
 ///
 /// # Panics
 ///
@@ -31,16 +37,17 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul output shape mismatch");
     out.as_mut_slice().fill(0.0);
     let (k_dim, c_dim) = (a.cols(), b.cols());
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        for (k, &aik) in a_row.iter().enumerate().take(k_dim) {
+    if k_dim == 0 || c_dim == 0 {
+        return;
+    }
+    let rows = a.as_slice().chunks_exact(k_dim).zip(out.as_mut_slice().chunks_exact_mut(c_dim));
+    for (a_row, out_row) in rows {
+        for (&aik, b_row) in a_row.iter().zip(b.as_slice().chunks_exact(c_dim)) {
             if aik == 0.0 {
                 continue;
             }
-            let b_row = b.row(k);
-            let out_row = out.row_mut(i);
-            for j in 0..c_dim {
-                out_row[j] += aik * b_row[j];
+            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                *o += aik * bkj;
             }
         }
     }
@@ -190,6 +197,75 @@ mod tests {
         add_inplace(&mut m, &n);
         scale_inplace(&mut m, 0.5);
         assert_eq!(m, Matrix::filled(2, 2, 1.5));
+    }
+
+    /// The kernel's contract spelled out with indexes: ascending `k`, one
+    /// multiply and one add per term, exact-zero `a` terms skipped.
+    fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0f32;
+                for k in 0..a.cols() {
+                    if a[(i, k)] != 0.0 {
+                        acc += a[(i, k)] * b[(k, j)];
+                    }
+                }
+                out[(i, j)] = acc;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matmul_into_equals_the_ascending_k_reference_bit_for_bit() {
+        // The four per-shard projections of `scaled_bert()` (Q/K/V, FFN up,
+        // FFN down, attention output), the unsharded FFN up-projection, and
+        // widths on both sides of every vector length.
+        let shapes = [
+            (12, 60, 5),
+            (12, 60, 20),
+            (12, 20, 60),
+            (12, 5, 60),
+            (12, 60, 240),
+            (12, 12, 5),
+            (3, 9, 1),
+            (5, 33, 7),
+            (1, 1, 1),
+        ];
+        let mut rng = crate::Rng::new(0x6d61_746d);
+        for (r, k_dim, c) in shapes {
+            for round in 0..8 {
+                let mut a = Matrix::zeros(r, k_dim);
+                let mut b = Matrix::zeros(k_dim, c);
+                rng.fill_gaussian(a.as_mut_slice(), 0.0, 1.0);
+                rng.fill_gaussian(b.as_mut_slice(), 0.0, 1.0);
+                // Exact zeros in `a` (both signs) against a non-finite row of
+                // `b`: adding `0 * inf` would poison the whole output row, so
+                // a finite result proves the term was skipped.
+                let zero_k = rng.next_below(k_dim);
+                for i in 0..r {
+                    a[(i, zero_k)] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][round % 3];
+                b.row_mut(zero_k).fill(poison);
+                let mut out = Matrix::filled(r, c, f32::NAN);
+                matmul_into(&a, &b, &mut out);
+                let expected = matmul_reference(&a, &b);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&expected), "{r}x{k_dim} · {k_dim}x{c}");
+                assert!(out.as_slice().iter().all(|x| x.is_finite()), "zero terms were added");
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_into_accepts_empty_dimensions() {
+        let mut out = Matrix::filled(2, 3, 9.0);
+        matmul_into(&Matrix::zeros(2, 0), &Matrix::zeros(0, 3), &mut out);
+        assert_eq!(out, Matrix::zeros(2, 3));
+        matmul_into(&Matrix::zeros(2, 4), &Matrix::zeros(4, 0), &mut Matrix::zeros(2, 0));
     }
 
     #[test]

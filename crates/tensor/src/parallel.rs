@@ -31,11 +31,18 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if items == 0 {
-        return Vec::new();
-    }
-    let workers = worker_count(items);
-    if workers == 1 {
+    parallel_map_with(worker_count(items), items, f)
+}
+
+/// [`parallel_map`] on exactly `workers` threads. Item `i`'s result depends
+/// on `f(i)` alone and lands in slot `i`, so the output is the same for
+/// every worker count; only the wall time differs.
+fn parallel_map_with<T, F>(workers: usize, items: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if workers <= 1 || items == 0 {
         return (0..items).map(f).collect();
     }
 
@@ -84,6 +91,21 @@ mod tests {
     fn single_item_runs_inline() {
         let out = parallel_map(1, |i| i + 41);
         assert_eq!(out, vec![41]);
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_worker_count() {
+        // CI runners and the 2-vCPU sandbox differ in core count; what a
+        // caller gets back must not. The item function is order-sensitive
+        // floating point, so a slot written by the wrong item would show.
+        let item = |i: usize| (0..=i).fold(0.1f32, |acc, k| acc * 1.000_1 + k as f32 * 0.3);
+        let sequential: Vec<u32> = (0..37).map(|i| item(i).to_bits()).collect();
+        for workers in [1, 2, 7] {
+            let out = parallel_map_with(workers, 37, |i| item(i).to_bits());
+            assert_eq!(out, sequential, "{workers} workers");
+        }
+        // More workers than items: the surplus threads find the cursor spent.
+        assert_eq!(parallel_map_with(7, 3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]

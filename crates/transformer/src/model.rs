@@ -1,6 +1,6 @@
 //! The full sharded model: synthesis, teacher forward, submodel forward.
 
-use sti_tensor::{stats, Rng};
+use sti_tensor::{stats, Matrix, Rng};
 
 use crate::assemble::AssembledSubmodel;
 use crate::classifier::Classifier;
@@ -81,6 +81,29 @@ impl Model {
         self.forward_submodel(tokens, &slices)
     }
 
+    /// The one layer loop every forward path shares: feeds hidden state `x`
+    /// through consecutive layers starting at layer `first`, layer
+    /// `first + i` executing the `i`-th item of `layers` — its slice indexes
+    /// and their weights in matching order — against this model's resident
+    /// parameters. `first > 0` resumes from a hidden state an earlier call
+    /// produced, which is bit-identical to one uninterrupted pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` runs past the model's depth.
+    pub fn forward_layers<'a>(
+        &self,
+        x: Matrix,
+        first: usize,
+        layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
+    ) -> Matrix {
+        let mut residents = self.layers[first..].iter().map(|l| &l.resident);
+        layers.into_iter().fold(x, |x, (slice_idxs, shards)| {
+            let resident = residents.next().expect("submodel deeper than model");
+            layer_forward(&x, &shards, slice_idxs, resident, &self.cfg)
+        })
+    }
+
     /// Runs a submodel over the model's own full-fidelity weights.
     ///
     /// `slices_per_layer[l]` lists the slice indexes executed at layer `l`;
@@ -92,15 +115,12 @@ impl Model {
     /// Panics if any layer list is empty or widths are ragged.
     pub fn forward_submodel(&self, tokens: &[u32], slices_per_layer: &[Vec<usize>]) -> Vec<f32> {
         assert!(!slices_per_layer.is_empty(), "submodel needs at least one layer");
-        let mut x = self.embedding.embed(tokens);
         let width = slices_per_layer[0].len();
-        for (l, slices) in slices_per_layer.iter().enumerate() {
+        let layers = slices_per_layer.iter().enumerate().map(|(l, slices)| {
             assert_eq!(slices.len(), width, "submodel layers must share one width");
-            let refs: Vec<&ShardWeights> =
-                slices.iter().map(|&s| &self.layers[l].shards[s]).collect();
-            x = layer_forward(&x, &refs, slices, &self.layers[l].resident, &self.cfg);
-        }
-        self.classifier.logits(&x)
+            (slices.as_slice(), slices.iter().map(|&s| &self.layers[l].shards[s]).collect())
+        });
+        self.classifier.logits(&self.forward_layers(self.embedding.embed(tokens), 0, layers))
     }
 
     /// Runs an externally assembled submodel (dequantized shards) through
@@ -112,12 +132,11 @@ impl Model {
     pub fn forward_assembled(&self, tokens: &[u32], submodel: &AssembledSubmodel) -> Vec<f32> {
         assert!(submodel.depth() > 0, "assembled submodel is empty");
         assert!(submodel.depth() <= self.cfg.layers, "submodel deeper than model");
-        let mut x = self.embedding.embed(tokens);
-        for (l, asm) in submodel.layers().iter().enumerate() {
-            let refs: Vec<&ShardWeights> = asm.shards.iter().collect();
-            x = layer_forward(&x, &refs, &asm.slice_idxs, &self.layers[l].resident, &self.cfg);
-        }
-        self.classifier.logits(&x)
+        let layers = submodel
+            .layers()
+            .iter()
+            .map(|asm| (asm.slice_idxs.as_slice(), asm.shards.iter().collect()));
+        self.classifier.logits(&self.forward_layers(self.embedding.embed(tokens), 0, layers))
     }
 
     /// Runs an assembled submodel and returns `(predicted class, softmax
@@ -197,6 +216,18 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn resuming_from_a_kept_hidden_state_is_bit_identical() {
+        let m = tiny_model();
+        let all: Vec<usize> = (0..m.config().heads).collect();
+        let layer = |l: usize| (all.as_slice(), m.layers()[l].shards.iter().collect());
+        let embedded = m.embedding().embed(&[4, 9, 2]);
+        let entering_1 = m.forward_layers(embedded.clone(), 0, [layer(0)]);
+        let resumed = m.forward_layers(entering_1, 1, [layer(1)]);
+        assert_eq!(resumed, m.forward_layers(embedded, 0, [layer(0), layer(1)]));
+        assert_eq!(m.classifier().logits(&resumed), m.forward_full(&[4, 9, 2]));
     }
 
     #[test]

@@ -28,9 +28,11 @@ fn bench_quantize(c: &mut Criterion) {
 fn bench_dequantize(c: &mut Criterion) {
     let weights = shard_weights();
     let cfg = QuantConfig::default();
+    // One `scaled_bert()` shard (3 600 weights) at every fidelity the store
+    // holds: the fused unpack + lookup the working buffer runs per blob.
     let mut group = c.benchmark_group("dequantize_shard");
     group.throughput(Throughput::Elements(weights.len() as u64));
-    for bw in [Bitwidth::B2, Bitwidth::B6, Bitwidth::Full] {
+    for bw in Bitwidth::ALL {
         let blob = QuantizedBlob::quantize(&weights, bw, &cfg);
         let mut out = vec![0.0f32; weights.len()];
         group.bench_with_input(BenchmarkId::from_parameter(bw), &blob, |b, blob| {

@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks for the tensor kernels: dense matmul at the
-//! shapes the transformer actually uses, and a whole-layer forward pass.
+//! shapes the transformer actually uses, a whole-layer forward pass, and its
+//! attention and FFN halves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sti_tensor::{ops, Matrix, Rng};
+use sti_transformer::attention::attention;
+use sti_transformer::ffn::ffn;
 use sti_transformer::layer::layer_forward;
 use sti_transformer::synthetic::{synthetic_layer, GainPattern};
 use sti_transformer::{ModelConfig, ShardWeights};
@@ -19,12 +22,14 @@ fn bench_matmul(c: &mut Criterion) {
     let (l, d, hd, f) = (cfg.seq_len, cfg.hidden, cfg.head_dim(), cfg.ffn_per_shard());
     let mut group = c.benchmark_group("matmul");
     // The forward pass multiplies one shard at a time, so these are the
-    // shapes it runs: the Q/K/V projection (5 columns: narrower than any
-    // vector register row, the vectorisation-hostile one), FFN up, FFN down
-    // and the attention output projection. The unsharded FFN up-projection
-    // stays as the largest-matmul reference.
+    // shapes it runs: the packed Q/K/V projection (15 columns: an 8-wide and
+    // two 4-wide tiles), FFN up, FFN down and the attention output
+    // projection. One 5-column projection stays as the shape the packing
+    // replaced, the unsharded FFN up-projection as the largest-matmul
+    // reference.
     let shapes = [
-        ("qkv", l, d, hd),
+        ("qkv_packed", l, d, 3 * hd),
+        ("qkv_single", l, d, hd),
         ("ffn_up", l, d, f),
         ("ffn_down", l, f, d),
         ("attn_out", l, hd, d),
@@ -55,6 +60,13 @@ fn bench_layer_forward(c: &mut Criterion) {
         });
     }
     group.finish();
+    // The two halves of a full-width layer, without residuals and norms.
+    let refs: Vec<&ShardWeights> = layer.shards.iter().collect();
+    let idxs: Vec<usize> = (0..cfg.heads).collect();
+    c.bench_function("attention/12", |bch| bch.iter(|| attention(&x, &refs, &cfg)));
+    c.bench_function("ffn/12", |bch| {
+        bch.iter(|| ffn(&x, &refs, &idxs, &layer.resident.bias_ffn1, &cfg))
+    });
 }
 
 criterion_group! {

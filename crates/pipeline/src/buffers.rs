@@ -118,20 +118,26 @@ impl PreloadBuffer {
     }
 }
 
-/// The working buffer: one layer's worth of decompressed FP32 shard weights,
-/// reused across layers so its size does not grow with the model (§3.1).
+/// The working buffer: one layer's worth of decompressed FP32 shard weights.
+/// A layer's shards are dropped before the next layer's are assembled, so its
+/// size does not grow with the model (§3.1); `peak_bytes` is the most it ever
+/// held.
+///
+/// Decompression writes each weight once, where the kernels will read it:
+/// every segment of a blob's flat weight group is decoded straight into the
+/// matching matrix of the shard (the Q/K/V quarter through temporaries,
+/// because the packed `[Q | K | V]` operand interleaves it) — no
+/// shard-sized staging copy in between.
 #[derive(Debug)]
 pub struct WorkingBuffer {
     cfg: ModelConfig,
-    scratch: Vec<f32>,
     peak_shards: usize,
 }
 
 impl WorkingBuffer {
     /// Creates a working buffer for models of shape `cfg`.
     pub fn new(cfg: ModelConfig) -> Self {
-        let scratch = vec![0.0; cfg.shard_param_count()];
-        Self { cfg, scratch, peak_shards: 0 }
+        Self { cfg, peak_shards: 0 }
     }
 
     /// Decompresses a layer's blobs into executable shard weights.
@@ -153,8 +159,9 @@ impl WorkingBuffer {
                     self.cfg.shard_param_count()
                 )));
             }
-            blob.dequantize_into(&mut self.scratch);
-            out.push(ShardWeights::from_flat(&self.scratch, &self.cfg));
+            out.push(ShardWeights::from_flat_with(&self.cfg, |at, segment| {
+                blob.dequantize_range_into(at, segment)
+            }));
         }
         self.peak_shards = self.peak_shards.max(blobs.len());
         Ok(out)

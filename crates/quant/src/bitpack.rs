@@ -73,6 +73,45 @@ pub fn unpack_into(bytes: &[u8], bits: u8, out: &mut [u16]) {
     }
 }
 
+/// Decodes fields `[first, first + out.len())` of a packed stream straight
+/// to table entries: `out[i] = table[field(first + i)]`.
+///
+/// This is [`unpack_into`] fused with the dictionary lookup that follows it
+/// in shard decompression, so no index buffer exists in between: each load
+/// takes a 64-bit little-endian window of the stream — a window starts at
+/// most 7 bits into its first byte, so it holds at least `57 / bits` whole
+/// fields — and the fields are shifted out of it one after the other.
+///
+/// # Panics
+///
+/// Panics if `bits` is out of range, `table` does not hold exactly
+/// `2^bits` entries, or `bytes` is too short for the fields asked for.
+pub fn unpack_lookup_into(bytes: &[u8], bits: u8, first: usize, table: &[f32], out: &mut [f32]) {
+    assert!((1..=16).contains(&bits), "unpack supports 1..=16 bits, got {bits}");
+    let bits = bits as usize;
+    assert_eq!(table.len(), 1 << bits, "lookup table must hold one entry per field value");
+    let needed = ((first + out.len()) * bits).div_ceil(8);
+    assert!(bytes.len() >= needed, "packed buffer too short: {} bytes, need {needed}", bytes.len());
+    let mask = (1u64 << bits) - 1;
+    let mut bit_pos = first * bits;
+    for fields in out.chunks_mut(57 / bits) {
+        let rest = &bytes[bit_pos / 8..];
+        let mut window = match rest.first_chunk::<8>() {
+            Some(whole) => u64::from_le_bytes(*whole),
+            None => {
+                let mut padded = [0u8; 8];
+                padded[..rest.len()].copy_from_slice(rest);
+                u64::from_le_bytes(padded)
+            }
+        } >> (bit_pos % 8);
+        for slot in fields.iter_mut() {
+            *slot = table[(window & mask) as usize];
+            window >>= bits;
+        }
+        bit_pos += fields.len() * bits;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +155,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "too short")]
+    fn unpack_lookup_rejects_short_buffers() {
+        unpack_lookup_into(&[0u8; 7], 6, 0, &[0.0; 64], &mut [0.0; 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per field value")]
+    fn unpack_lookup_rejects_a_table_of_the_wrong_size() {
+        unpack_lookup_into(&[0u8; 8], 3, 0, &[0.0; 7], &mut [0.0; 4]);
+    }
+
+    #[test]
     fn empty_input_round_trips() {
         let packed = pack(&[], 4);
         assert!(packed.is_empty());
@@ -127,6 +178,31 @@ mod tests {
         fn prop_round_trip(values in proptest::collection::vec(0u16..64, 0..512), bits in 6u8..=6) {
             let packed = pack(&values, bits);
             prop_assert_eq!(unpack(&packed, bits, values.len()), values);
+        }
+
+        /// The fused decode of any range equals `unpack` followed by the
+        /// table lookup, for streams that end inside, at the end of and long
+        /// after the last 64-bit window.
+        #[test]
+        fn prop_unpack_lookup_equals_unpack_then_lookup(
+            bits in 1u8..=12,
+            len in 0usize..300,
+            first in 0usize..40,
+            spare_bytes in 0usize..9,
+            seed in any::<u64>(),
+        ) {
+            let values: Vec<u16> = (0..len as u64)
+                .map(|i| (seed.wrapping_add(i).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 52) as u16 >> (12 - bits))
+                .collect();
+            let mut packed = pack(&values, bits);
+            packed.resize(packed.len() + spare_bytes, 0xA5);
+            let table: Vec<f32> = (0..1u32 << bits).map(|i| i as f32 * 0.5 - 3.0).collect();
+            let first = first.min(len);
+            let mut fused = vec![f32::NAN; len - first];
+            unpack_lookup_into(&packed, bits, first, &table, &mut fused);
+            let expected: Vec<f32> =
+                unpack(&packed, bits, len)[first..].iter().map(|&i| table[i as usize]).collect();
+            prop_assert_eq!(fused, expected);
         }
 
         #[test]

@@ -162,28 +162,45 @@ impl QuantizedBlob {
         out
     }
 
-    /// Decompresses into a caller-provided buffer — the working-buffer hot
-    /// path: substitute dictionary indexes with centroids, then patch
-    /// outliers.
+    /// Decompresses into a caller-provided buffer.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.len()`.
     pub fn dequantize_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.len as usize, "dequantize buffer length mismatch");
+        self.dequantize_range_into(0, out);
+    }
+
+    /// Decompresses weights `[start, start + out.len())` of the group into
+    /// `out` — the working-buffer hot path, which decodes each segment of a
+    /// shard where the kernels will read it. Packed indexes go straight to
+    /// centroids ([`bitpack::unpack_lookup_into`]; no index buffer in
+    /// between), then the outliers that fall in the range are patched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of the group.
+    pub fn dequantize_range_into(&self, start: usize, out: &mut [f32]) {
+        assert!(start + out.len() <= self.len as usize, "dequantize range out of bounds");
         if self.bitwidth.is_full() {
-            for (slot, chunk) in out.iter_mut().zip(self.packed.chunks_exact(4)) {
+            let raw = self.packed[start * 4..].chunks_exact(4);
+            for (slot, chunk) in out.iter_mut().zip(raw) {
                 *slot = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
             }
             return;
         }
-        let mut indexes = vec![0u16; self.len as usize];
-        bitpack::unpack_into(&self.packed, self.bitwidth.bits(), &mut indexes);
-        for (slot, &idx) in out.iter_mut().zip(&indexes) {
-            *slot = self.centroids[idx as usize];
-        }
+        bitpack::unpack_lookup_into(
+            &self.packed,
+            self.bitwidth.bits(),
+            start,
+            &self.centroids,
+            out,
+        );
         for &(offset, value) in &self.outliers {
-            out[offset as usize] = value;
+            if let Some(slot) = out.get_mut((offset as usize).wrapping_sub(start)) {
+                *slot = value;
+            }
         }
     }
 

@@ -9,7 +9,9 @@
 //! The crate is intentionally small and self-contained: the paper's engine
 //! (STI, ASPLOS '23) streams *weights*, so what matters for the reproduction
 //! is that compute is real (actual FLOPs on actual tensors) and bit-for-bit
-//! deterministic across runs, not that it is the fastest possible BLAS.
+//! deterministic across runs. Within that contract the one hot kernel,
+//! [`ops::matmul_into`], is register-tiled in safe, portable Rust; its doc
+//! comment states the rounding every result in the repository is pinned to.
 //!
 //! ```
 //! use sti_tensor::{Matrix, ops};

@@ -20,14 +20,20 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// Multiplies `a` by `b`, writing into a pre-allocated `out`.
 ///
 /// This is the allocation-free kernel every projection of the forward pass
-/// runs on. Rows are walked as slices zipped against each other, so the
-/// inner loop carries no bounds checks and vectorises across `j`.
+/// runs on. It is register-tiled: `out` is computed in tiles of 4 rows by 8
+/// (then 4) columns whose accumulators stay in locals across the whole `k`
+/// loop, so each `b` value loaded is used four times, each `a` value eight,
+/// and nothing is stored until the tile is done. Fewer than 4 leftover rows
+/// run as one-row tiles; fewer than 4 leftover columns re-run the last 4
+/// columns (or run one by one in a matrix narrower than 4).
 ///
 /// Every result in the repository is pinned to this kernel's rounding, so
-/// the arithmetic is part of its contract: `out[i][j]` accumulates
-/// `a[i][k] * b[k][j]` from `0.0` in ascending `k`, one rounded multiply and
-/// one rounded add per term (no FMA, no reassociation), and a term whose
-/// `a[i][k]` is exactly zero is skipped, not added.
+/// the arithmetic is part of its contract, and tiling does not touch it:
+/// `out[i][j]` accumulates `a[i][k] * b[k][j]` from `0.0` in ascending `k`,
+/// one rounded multiply and one rounded add per term (no FMA, no
+/// reassociation), and a term whose `a[i][k]` is exactly zero is skipped,
+/// not added. Each row tile of `a` is scanned for zeros once: without any,
+/// the tile loops run branch-free.
 ///
 /// # Panics
 ///
@@ -35,21 +41,92 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul output shape mismatch");
-    out.as_mut_slice().fill(0.0);
     let (k_dim, c_dim) = (a.cols(), b.cols());
     if k_dim == 0 || c_dim == 0 {
+        out.as_mut_slice().fill(0.0);
         return;
     }
-    let rows = a.as_slice().chunks_exact(k_dim).zip(out.as_mut_slice().chunks_exact_mut(c_dim));
-    for (a_row, out_row) in rows {
-        for (&aik, b_row) in a_row.iter().zip(b.as_slice().chunks_exact(c_dim)) {
-            if aik == 0.0 {
+    let b = b.as_slice();
+    let mut a_tiles = a.as_slice().chunks_exact(4 * k_dim);
+    let mut out_tiles = out.as_mut_slice().chunks_exact_mut(4 * c_dim);
+    for (a_tile, out_tile) in a_tiles.by_ref().zip(out_tiles.by_ref()) {
+        row_tile::<4>(a_tile, b, out_tile, k_dim, c_dim);
+    }
+    let a_rows = a_tiles.remainder().chunks_exact(k_dim);
+    for (a_row, out_row) in a_rows.zip(out_tiles.into_remainder().chunks_exact_mut(c_dim)) {
+        row_tile::<1>(a_row, b, out_row, k_dim, c_dim);
+    }
+}
+
+/// `R` whole rows of `out`: picks the zero-skipping or the branch-free tile
+/// loops for these rows of `a`, then walks the column tiles.
+fn row_tile<const R: usize>(
+    a_tile: &[f32],
+    b: &[f32],
+    out_tile: &mut [f32],
+    k_dim: usize,
+    c_dim: usize,
+) {
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a_tile[r * k_dim..(r + 1) * k_dim]);
+    if a_tile.contains(&0.0) {
+        column_tiles::<R, true>(&a_rows, b, out_tile, c_dim);
+    } else {
+        column_tiles::<R, false>(&a_rows, b, out_tile, c_dim);
+    }
+}
+
+fn column_tiles<const R: usize, const SKIP: bool>(
+    a_rows: &[&[f32]; R],
+    b: &[f32],
+    out_tile: &mut [f32],
+    c_dim: usize,
+) {
+    let mut j0 = 0;
+    while j0 < c_dim {
+        let left = c_dim - j0;
+        j0 += if left >= 8 {
+            tile::<R, 8, SKIP>(a_rows, b, out_tile, c_dim, j0);
+            8
+        } else if left >= 4 {
+            tile::<R, 4, SKIP>(a_rows, b, out_tile, c_dim, j0);
+            4
+        } else if c_dim >= 4 {
+            // Recomputing a column yields the same bits, so the tail is one
+            // more full tile over the last four columns.
+            tile::<R, 4, SKIP>(a_rows, b, out_tile, c_dim, c_dim - 4);
+            left
+        } else {
+            tile::<R, 1, SKIP>(a_rows, b, out_tile, c_dim, j0);
+            1
+        };
+    }
+}
+
+/// Columns `[j0, j0 + W)` of `R` rows of `out`, accumulated in locals over
+/// the whole `k` loop and stored once.
+#[inline(always)]
+fn tile<const R: usize, const W: usize, const SKIP: bool>(
+    a_rows: &[&[f32]; R],
+    b: &[f32],
+    out_tile: &mut [f32],
+    c_dim: usize,
+    j0: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (k, b_row) in b.chunks_exact(c_dim).enumerate() {
+        let b_tile: &[f32; W] = b_row[j0..j0 + W].try_into().expect("slice of the tile width");
+        for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+            let aik = a_row[k];
+            if SKIP && aik == 0.0 {
                 continue;
             }
-            for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+            for (o, &bkj) in acc_row.iter_mut().zip(b_tile) {
                 *o += aik * bkj;
             }
         }
+    }
+    for (acc_row, out_row) in acc.iter().zip(out_tile.chunks_exact_mut(c_dim)) {
+        out_row[j0..j0 + W].copy_from_slice(acc_row);
     }
 }
 
@@ -217,44 +294,84 @@ mod tests {
         out
     }
 
+    /// The kernel this one replaced (PR 16): whole rows of `out` streamed
+    /// through memory once per `k`. Everything in the repository was pinned
+    /// to its bits, so it stays as a second oracle.
+    fn matmul_into_row_streaming(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        out.as_mut_slice().fill(0.0);
+        let (k_dim, c_dim) = (a.cols(), b.cols());
+        let rows = a.as_slice().chunks_exact(k_dim).zip(out.as_mut_slice().chunks_exact_mut(c_dim));
+        for (a_row, out_row) in rows {
+            for (&aik, b_row) in a_row.iter().zip(b.as_slice().chunks_exact(c_dim)) {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (o, &bkj) in out_row.iter_mut().zip(b_row) {
+                    *o += aik * bkj;
+                }
+            }
+        }
+    }
+
     #[test]
     fn matmul_into_equals_the_ascending_k_reference_bit_for_bit() {
-        // The four per-shard projections of `scaled_bert()` (Q/K/V, FFN up,
-        // FFN down, attention output), the unsharded FFN up-projection, and
-        // widths on both sides of every vector length.
+        // The per-shard projections of `scaled_bert()` (packed Q/K/V, one
+        // head's score-weighted values, FFN up, FFN down, attention output),
+        // the unsharded FFN up-projection, row tails of 1, 2, 3 and 5 rows,
+        // column tails on both sides of the 4- and 8-wide tiles, and matrices
+        // narrower than any tile.
         let shapes = [
-            (12, 60, 5),
+            (12, 60, 15),
+            (12, 12, 5),
             (12, 60, 20),
             (12, 20, 60),
             (12, 5, 60),
             (12, 60, 240),
-            (12, 12, 5),
-            (3, 9, 1),
+            (1, 60, 15),
+            (2, 60, 9),
+            (3, 20, 13),
             (5, 33, 7),
+            (7, 9, 3),
+            (3, 9, 1),
             (1, 1, 1),
         ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = crate::Rng::new(0x6d61_746d);
         for (r, k_dim, c) in shapes {
-            for round in 0..8 {
+            for round in 0..9 {
                 let mut a = Matrix::zeros(r, k_dim);
                 let mut b = Matrix::zeros(k_dim, c);
                 rng.fill_gaussian(a.as_mut_slice(), 0.0, 1.0);
                 rng.fill_gaussian(b.as_mut_slice(), 0.0, 1.0);
                 // Exact zeros in `a` (both signs) against a non-finite row of
                 // `b`: adding `0 * inf` would poison the whole output row, so
-                // a finite result proves the term was skipped.
-                let zero_k = rng.next_below(k_dim);
-                for i in 0..r {
-                    a[(i, zero_k)] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                // a finite result proves the term was skipped. A third of the
+                // rounds zero one whole column of `a`; a third also scatter
+                // zeros through half its rows, each at its own `k`; the last
+                // third scatter zeros through rows 4..8 only and poison
+                // nothing, so one product runs the branch-free loops on its
+                // first row tile and the skipping loops on its second.
+                let mode = round / 3;
+                if mode < 2 {
+                    let zero_k = rng.next_below(k_dim);
+                    for i in 0..r {
+                        a[(i, zero_k)] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][round % 3];
+                    b.row_mut(zero_k).fill(poison);
                 }
-                let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][round % 3];
-                b.row_mut(zero_k).fill(poison);
+                if mode > 0 {
+                    for i in (0..r).filter(|i| if mode == 1 { i % 2 == 0 } else { i % 8 >= 4 }) {
+                        a[(i, rng.next_below(k_dim))] = if i % 4 == 0 { -0.0 } else { 0.0 };
+                    }
+                }
                 let mut out = Matrix::filled(r, c, f32::NAN);
                 matmul_into(&a, &b, &mut out);
-                let expected = matmul_reference(&a, &b);
-                let bits =
-                    |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&out), bits(&expected), "{r}x{k_dim} · {k_dim}x{c}");
+                let shape = format!("{r}x{k_dim} · {k_dim}x{c}, round {round}");
+                assert_eq!(bits(&out), bits(&matmul_reference(&a, &b)), "{shape}");
+                let mut old = Matrix::filled(r, c, f32::NAN);
+                matmul_into_row_streaming(&a, &b, &mut old);
+                assert_eq!(bits(&out), bits(&old), "old kernel, {shape}");
                 assert!(out.as_slice().iter().all(|x| x.is_finite()), "zero terms were added");
             }
         }

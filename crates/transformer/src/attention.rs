@@ -5,6 +5,16 @@ use sti_tensor::{ops, softmax, Matrix};
 use crate::config::ModelConfig;
 use crate::weights::ShardWeights;
 
+/// Projects `x` through one slice's packed Q/K/V operand — a single
+/// `l×d · d×3·d/M` multiply — so that row `i` of `qkv` is `[q_i | k_i | v_i]`.
+///
+/// # Panics
+///
+/// Panics if `qkv` is not `x.rows() × 3·d/M`.
+pub fn project_qkv(x: &Matrix, shard: &ShardWeights, qkv: &mut Matrix) {
+    ops::matmul_into(x, &shard.qkv, qkv);
+}
+
 /// Computes multi-head attention with the given slices' Q/K/V/O weights and
 /// sums their output projections into an `l × d` matrix.
 ///
@@ -16,24 +26,47 @@ use crate::weights::ShardWeights;
 ///
 /// Panics if `shards` is empty or shapes are inconsistent with `cfg`.
 pub fn attention(x: &Matrix, shards: &[&ShardWeights], cfg: &ModelConfig) -> Matrix {
+    attend(x, shards, cfg, false)
+}
+
+/// Attention proper, bidirectional or `causal` (position `i` attends to
+/// `j ≤ i` only). Scratch is allocated once and overwritten by every slice.
+pub(crate) fn attend(
+    x: &Matrix,
+    shards: &[&ShardWeights],
+    cfg: &ModelConfig,
+    causal: bool,
+) -> Matrix {
     assert!(!shards.is_empty(), "attention needs at least one slice");
-    let l = x.rows();
-    let d = cfg.hidden;
+    let (l, d, hd) = (x.rows(), cfg.hidden, cfg.head_dim());
     assert_eq!(x.cols(), d, "input width must equal hidden size");
-    let scale = 1.0 / (cfg.head_dim() as f32).sqrt();
+    let scale = 1.0 / (hd as f32).sqrt();
 
     let mut out = Matrix::zeros(l, d);
+    let mut qkv = Matrix::zeros(l, 3 * hd);
+    let mut v = Matrix::zeros(l, hd);
+    let mut scores = Matrix::zeros(l, l);
+    let mut head = Matrix::zeros(l, hd);
+    let mut projected = Matrix::zeros(l, d);
     for shard in shards {
-        let q = ops::matmul(x, &shard.q); // l × hd
-        let k = ops::matmul(x, &shard.k); // l × hd
-        let v = ops::matmul(x, &shard.v); // l × hd
-
-        let mut scores = ops::matmul_transb(&q, &k); // l × l
+        project_qkv(x, shard, &mut qkv);
+        let v_rows = v.as_mut_slice().chunks_exact_mut(hd);
+        for (i, (qkv_i, v_i)) in qkv.rows_iter().zip(v_rows).enumerate() {
+            v_i.copy_from_slice(&qkv_i[2 * hd..]);
+            for (score, qkv_j) in scores.row_mut(i).iter_mut().zip(qkv.rows_iter()) {
+                *score = ops::dot(&qkv_i[..hd], &qkv_j[hd..2 * hd]); // q_i · k_j
+            }
+        }
         ops::scale_inplace(&mut scores, scale);
+        if causal {
+            for i in 0..l {
+                scores.row_mut(i)[i + 1..].fill(f32::NEG_INFINITY);
+            }
+        }
         softmax::softmax_rows(&mut scores);
 
-        let head = ops::matmul(&scores, &v); // l × hd
-        let projected = ops::matmul(&head, &shard.o); // l × d
+        ops::matmul_into(&scores, &v, &mut head); // l × hd
+        ops::matmul_into(&head, &shard.o, &mut projected); // l × d
         ops::add_inplace(&mut out, &projected);
     }
     // Width rescaling: keep the residual-stream magnitude independent of the

@@ -10,11 +10,11 @@
 //! economics carry over unchanged: weights amortize across steps exactly as
 //! they do across back-to-back classifications (§3.3).
 
-use sti_tensor::norm::layernorm_inplace;
-use sti_tensor::{ops, softmax, stats, Matrix};
+use sti_tensor::{stats, Matrix};
 
 use crate::assemble::AssembledSubmodel;
 use crate::config::ModelConfig;
+use crate::layer::finish_layer;
 use crate::model::Model;
 use crate::weights::{LayerResident, ShardWeights};
 
@@ -27,34 +27,7 @@ use crate::weights::{LayerResident, ShardWeights};
 ///
 /// Panics if `shards` is empty or shapes are inconsistent with `cfg`.
 pub fn causal_attention(x: &Matrix, shards: &[&ShardWeights], cfg: &ModelConfig) -> Matrix {
-    assert!(!shards.is_empty(), "attention needs at least one slice");
-    let l = x.rows();
-    let d = cfg.hidden;
-    assert_eq!(x.cols(), d, "input width must equal hidden size");
-    let scale = 1.0 / (cfg.head_dim() as f32).sqrt();
-
-    let mut out = Matrix::zeros(l, d);
-    for shard in shards {
-        let q = ops::matmul(x, &shard.q);
-        let k = ops::matmul(x, &shard.k);
-        let v = ops::matmul(x, &shard.v);
-
-        let mut scores = ops::matmul_transb(&q, &k);
-        ops::scale_inplace(&mut scores, scale);
-        for i in 0..l {
-            let row = scores.row_mut(i);
-            for cell in row.iter_mut().skip(i + 1) {
-                *cell = f32::NEG_INFINITY;
-            }
-        }
-        softmax::softmax_rows(&mut scores);
-
-        let head = ops::matmul(&scores, &v);
-        let projected = ops::matmul(&head, &shard.o);
-        ops::add_inplace(&mut out, &projected);
-    }
-    ops::scale_inplace(&mut out, cfg.heads as f32 / shards.len() as f32);
-    out
+    crate::attention::attend(x, shards, cfg, true)
 }
 
 /// One decoder layer: causal attention + FFN, both post-norm with residuals,
@@ -66,16 +39,7 @@ pub fn decoder_layer_forward(
     resident: &LayerResident,
     cfg: &ModelConfig,
 ) -> Matrix {
-    let mut attn_out = causal_attention(x, shards, cfg);
-    ops::add_bias(&mut attn_out, &resident.bias_attn);
-    ops::add_inplace(&mut attn_out, x);
-    layernorm_inplace(&mut attn_out, &resident.ln_attn, 1e-6);
-
-    let mut ffn_out = crate::ffn::ffn(&attn_out, shards, slice_idxs, &resident.bias_ffn1, cfg);
-    ops::add_bias(&mut ffn_out, &resident.bias_ffn2);
-    ops::add_inplace(&mut ffn_out, &attn_out);
-    layernorm_inplace(&mut ffn_out, &resident.ln_ffn, 1e-6);
-    ffn_out
+    finish_layer(x, causal_attention(x, shards, cfg), shards, slice_idxs, resident, cfg)
 }
 
 /// A greedy generation result.

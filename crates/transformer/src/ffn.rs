@@ -29,12 +29,15 @@ pub fn ffn(
     let d = cfg.hidden;
     let f = cfg.ffn_per_shard();
     let mut out = Matrix::zeros(l, d);
+    // Scratch, allocated once and overwritten by every slice.
+    let mut hidden = Matrix::zeros(l, f);
+    let mut projected = Matrix::zeros(l, d);
     for (shard, &slice) in shards.iter().zip(slice_idxs) {
-        let mut hidden = ops::matmul(x, &shard.ffn1); // l × f
+        ops::matmul_into(x, &shard.ffn1, &mut hidden); // l × f
         let bias = &bias_ffn1[slice * f..(slice + 1) * f];
         ops::add_bias(&mut hidden, bias);
         activation::gelu_inplace(&mut hidden);
-        let projected = ops::matmul(&hidden, &shard.ffn2); // l × d
+        ops::matmul_into(&hidden, &shard.ffn2, &mut projected); // l × d
         ops::add_inplace(&mut out, &projected);
     }
     ops::scale_inplace(&mut out, cfg.heads as f32 / shards.len() as f32);

@@ -7,10 +7,11 @@
 //! on that row. This module implements that path and is verified (in tests)
 //! to produce bit-identical generations to the recompute path.
 
-use sti_tensor::norm::layernorm_inplace;
 use sti_tensor::{ops, softmax, stats, Matrix};
 
 use crate::assemble::AssembledSubmodel;
+use crate::attention::project_qkv;
+use crate::layer::finish_layer;
 use crate::model::Model;
 
 /// Cached keys/values of one layer: one growing `len × head_dim` matrix pair
@@ -135,34 +136,28 @@ impl DecoderSession {
             let kv = &mut self.layers[l];
 
             // Causal attention for the newest position only.
+            let hd = cfg.head_dim();
             let mut attn_out = Matrix::zeros(1, cfg.hidden);
+            let mut qkv = Matrix::zeros(1, 3 * hd);
             for (s, shard) in asm.shards.iter().enumerate() {
-                let q = ops::matmul(&x, &shard.q); // 1 × hd
-                let k_new = ops::matmul(&x, &shard.k); // 1 × hd
-                let v_new = ops::matmul(&x, &shard.v); // 1 × hd
-                append_row(&mut kv.keys[s], k_new.row(0));
-                append_row(&mut kv.values[s], v_new.row(0));
+                project_qkv(&x, shard, &mut qkv); // 1 × 3·hd: [q | k | v]
+                let (q, kv_new) = qkv.row(0).split_at(hd);
+                append_row(&mut kv.keys[s], &kv_new[..hd]);
+                append_row(&mut kv.values[s], &kv_new[hd..]);
+                let q = Matrix::from_vec(1, hd, q.to_vec());
 
                 let mut scores = ops::matmul_transb(&q, &kv.keys[s]); // 1 × len
-                ops::scale_inplace(&mut scores, 1.0 / (cfg.head_dim() as f32).sqrt());
+                ops::scale_inplace(&mut scores, 1.0 / (hd as f32).sqrt());
                 softmax::softmax_rows(&mut scores);
                 let head = ops::matmul(&scores, &kv.values[s]); // 1 × hd
                 let projected = ops::matmul(&head, &shard.o); // 1 × d
                 ops::add_inplace(&mut attn_out, &projected);
             }
             ops::scale_inplace(&mut attn_out, cfg.heads as f32 / asm.shards.len() as f32);
-            ops::add_bias(&mut attn_out, &resident.bias_attn);
-            ops::add_inplace(&mut attn_out, &x);
-            layernorm_inplace(&mut attn_out, &resident.ln_attn, 1e-6);
 
-            // Point-wise FFN on the single row.
+            // The rest of the layer is row-wise: it runs on the single row.
             let shard_refs: Vec<&crate::weights::ShardWeights> = asm.shards.iter().collect();
-            let mut ffn_out =
-                crate::ffn::ffn(&attn_out, &shard_refs, &asm.slice_idxs, &resident.bias_ffn1, &cfg);
-            ops::add_bias(&mut ffn_out, &resident.bias_ffn2);
-            ops::add_inplace(&mut ffn_out, &attn_out);
-            layernorm_inplace(&mut ffn_out, &resident.ln_ffn, 1e-6);
-            x = ffn_out;
+            x = finish_layer(&x, attn_out, &shard_refs, &asm.slice_idxs, resident, &cfg);
         }
         self.last_hidden = x.row(0).to_vec();
     }
@@ -262,5 +257,28 @@ mod tests {
         let prompt: Vec<u32> = (0..seq_len as u32).collect();
         let mut session = DecoderSession::new(&model, &sub, &prompt);
         let _ = session.step(&model, &sub);
+    }
+
+    /// Every cached step against the composition it replaced (three unpacked
+    /// projections per slice): the newest position's hidden state, bit for
+    /// bit, at full and at partial width.
+    #[test]
+    fn cached_step_equals_the_unpacked_composition_bit_for_bit() {
+        let cfg = ModelConfig::tiny();
+        let model = Model::synthetic(33, cfg.clone());
+        let tokens = [3u32, 9, 2, 7, 1];
+        for slices in [vec![0, 1, 2, 3], vec![2, 0]] {
+            let per_layer: Vec<Vec<usize>> = (0..cfg.layers).map(|_| slices.clone()).collect();
+            let sub = AssembledSubmodel::from_model_slices(model.layers(), &per_layer, &cfg);
+            let expected = crate::oracle::kv_cache_hidden_states(&model, &sub, &tokens);
+            let mut session = DecoderSession::new(&model, &sub, &tokens[..1]);
+            for (fed, old) in expected.iter().enumerate() {
+                if fed > 0 {
+                    session.advance(&model, &sub, tokens[fed]);
+                }
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&session.last_hidden), bits(old), "{slices:?}, token {fed}");
+            }
+        }
     }
 }

@@ -24,7 +24,20 @@ pub fn layer_forward(
     resident: &LayerResident,
     cfg: &ModelConfig,
 ) -> Matrix {
-    let mut attn_out = attention(x, shards, cfg);
+    finish_layer(x, attention(x, shards, cfg), shards, slice_idxs, resident, cfg)
+}
+
+/// Everything of a post-norm layer after its attention — `LN(x + attn)`,
+/// then `LN(· + FFN(·))` — which the encoder layer, the decoder layer and
+/// the KV-cached decoding step share.
+pub(crate) fn finish_layer(
+    x: &Matrix,
+    mut attn_out: Matrix,
+    shards: &[&ShardWeights],
+    slice_idxs: &[usize],
+    resident: &LayerResident,
+    cfg: &ModelConfig,
+) -> Matrix {
     ops::add_bias(&mut attn_out, &resident.bias_attn);
     ops::add_inplace(&mut attn_out, x);
     layernorm_inplace(&mut attn_out, &resident.ln_attn, 1e-6);
@@ -39,6 +52,8 @@ pub fn layer_forward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::decoder_layer_forward;
+    use crate::oracle;
     use crate::synthetic::{synthetic_layer, GainPattern};
     use sti_tensor::Rng;
 
@@ -92,5 +107,34 @@ mod tests {
         let a = layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
         let b = layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
         assert_eq!(a, b);
+    }
+
+    /// `layer_forward` and `decoder_layer_forward` against the composition
+    /// they replaced (three unpacked projections and fresh intermediates per
+    /// slice), at one, three and all slices, with a padding row of zeros in
+    /// the input.
+    #[test]
+    fn layer_forward_equals_the_unpacked_per_shard_composition_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cfg in [ModelConfig::tiny(), ModelConfig::scaled_bert()] {
+            let mut rng = Rng::new(0x6c61_7965);
+            let layer = synthetic_layer(&cfg, &mut rng, 1, GainPattern::BottomHeavy);
+            let mut x = Matrix::zeros(cfg.seq_len, cfg.hidden);
+            rng.fill_gaussian(x.as_mut_slice(), 0.0, 1.0);
+            x.row_mut(cfg.seq_len - 1).fill(0.0);
+            for m in [1, 3, cfg.heads] {
+                // Distinct slices, not a prefix and not in order.
+                let idxs: Vec<usize> = (0..m).map(|i| (5 * i + 1) % cfg.heads).collect();
+                let refs: Vec<&ShardWeights> = idxs.iter().map(|&s| &layer.shards[s]).collect();
+                let encoder = layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
+                let decoder = decoder_layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
+                for (new, causal) in [(&encoder, false), (&decoder, true)] {
+                    let old =
+                        oracle::layer_forward(&x, &refs, &idxs, &layer.resident, &cfg, causal);
+                    assert_eq!(bits(new), bits(&old), "m = {m}, causal = {causal}, {cfg:?}");
+                }
+                assert_ne!(bits(&encoder), bits(&decoder), "the mask must matter");
+            }
+        }
     }
 }

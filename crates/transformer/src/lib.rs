@@ -38,6 +38,8 @@ pub mod ffn;
 pub mod kv_cache;
 pub mod layer;
 pub mod model;
+#[cfg(test)]
+mod oracle;
 pub mod shard;
 pub mod synthetic;
 pub mod weights;

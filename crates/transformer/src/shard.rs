@@ -9,7 +9,7 @@
 use sti_tensor::Matrix;
 
 use crate::config::ModelConfig;
-use crate::weights::ShardWeights;
+use crate::weights::{concat_cols, ShardWeights};
 
 /// Conventional (unsharded) weight matrices of one transformer layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,21 +26,6 @@ pub struct FullLayerMatrices {
     pub ffn1: Matrix,
     /// FFN down-projection, `d_ff × d`.
     pub ffn2: Matrix,
-}
-
-fn concat_cols(blocks: &[&Matrix]) -> Matrix {
-    let rows = blocks[0].rows();
-    let total: usize = blocks.iter().map(|b| b.cols()).sum();
-    let mut out = Matrix::zeros(rows, total);
-    for r in 0..rows {
-        let out_row = out.row_mut(r);
-        let mut at = 0usize;
-        for b in blocks {
-            out_row[at..at + b.cols()].copy_from_slice(b.row(r));
-            at += b.cols();
-        }
-    }
-    out
 }
 
 fn concat_rows(blocks: &[&Matrix]) -> Matrix {
@@ -60,16 +45,19 @@ fn concat_rows(blocks: &[&Matrix]) -> Matrix {
 /// Panics if `shards.len() != cfg.heads`.
 pub fn merge_shards(shards: &[ShardWeights], cfg: &ModelConfig) -> FullLayerMatrices {
     assert_eq!(shards.len(), cfg.heads, "need all M shards to merge a layer");
-    let q: Vec<&Matrix> = shards.iter().map(|s| &s.q).collect();
-    let k: Vec<&Matrix> = shards.iter().map(|s| &s.k).collect();
-    let v: Vec<&Matrix> = shards.iter().map(|s| &s.v).collect();
+    let hd = cfg.head_dim();
+    // Block `b` of every slice's packed `[Q | K | V]` operand, side by side.
+    let qkv_block = |b: usize| {
+        let blocks: Vec<Matrix> = shards.iter().map(|s| s.qkv.column_block(b * hd, hd)).collect();
+        concat_cols(&blocks.iter().collect::<Vec<_>>())
+    };
     let o: Vec<&Matrix> = shards.iter().map(|s| &s.o).collect();
     let f1: Vec<&Matrix> = shards.iter().map(|s| &s.ffn1).collect();
     let f2: Vec<&Matrix> = shards.iter().map(|s| &s.ffn2).collect();
     FullLayerMatrices {
-        wq: concat_cols(&q),
-        wk: concat_cols(&k),
-        wv: concat_cols(&v),
+        wq: qkv_block(0),
+        wk: qkv_block(1),
+        wv: qkv_block(2),
         wo: concat_rows(&o),
         ffn1: concat_cols(&f1),
         ffn2: concat_rows(&f2),
@@ -87,14 +75,15 @@ pub fn extract_shard(full: &FullLayerMatrices, i: usize, cfg: &ModelConfig) -> S
     let f = cfg.ffn_per_shard();
     assert_eq!(full.wq.shape(), (cfg.hidden, cfg.hidden), "wq shape mismatch");
     assert_eq!(full.ffn1.shape(), (cfg.hidden, cfg.ffn), "ffn1 shape mismatch");
-    ShardWeights {
-        q: full.wq.column_block(i * hd, hd),
-        k: full.wk.column_block(i * hd, hd),
-        v: full.wv.column_block(i * hd, hd),
-        o: full.wo.row_block(i * hd, hd),
-        ffn1: full.ffn1.column_block(i * f, f),
-        ffn2: full.ffn2.row_block(i * f, f),
-    }
+    let head = |w: &Matrix| w.column_block(i * hd, hd);
+    ShardWeights::new(
+        &head(&full.wq),
+        &head(&full.wk),
+        &head(&full.wv),
+        full.wo.row_block(i * hd, hd),
+        full.ffn1.column_block(i * f, f),
+        full.ffn2.row_block(i * f, f),
+    )
 }
 
 #[cfg(test)]

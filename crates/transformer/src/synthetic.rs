@@ -64,14 +64,14 @@ pub fn synthetic_shard(cfg: &ModelConfig, seed: u64, gain: f32) -> ShardWeights 
     let hd = cfg.head_dim();
     let f = cfg.ffn_per_shard();
     let std = WEIGHT_STD * gain;
-    ShardWeights {
-        q: gaussian_matrix(&mut rng, d, hd, std),
-        k: gaussian_matrix(&mut rng, d, hd, std),
-        v: gaussian_matrix(&mut rng, d, hd, std),
-        o: gaussian_matrix(&mut rng, hd, d, std),
-        ffn1: gaussian_matrix(&mut rng, d, f, std),
-        ffn2: gaussian_matrix(&mut rng, f, d, std),
-    }
+    // Drawn in `flatten()` order off the one stream.
+    let q = gaussian_matrix(&mut rng, d, hd, std);
+    let k = gaussian_matrix(&mut rng, d, hd, std);
+    let v = gaussian_matrix(&mut rng, d, hd, std);
+    let o = gaussian_matrix(&mut rng, hd, d, std);
+    let ffn1 = gaussian_matrix(&mut rng, d, f, std);
+    let ffn2 = gaussian_matrix(&mut rng, f, d, std);
+    ShardWeights::new(&q, &k, &v, o, ffn1, ffn2)
 }
 
 /// How shard gains are distributed across the layer grid, giving each task a
@@ -130,9 +130,7 @@ fn mix_shard(common: &ShardWeights, private: &ShardWeights, gain: f32) -> ShardW
         out
     };
     ShardWeights {
-        q: mix(&common.q, &private.q),
-        k: mix(&common.k, &private.k),
-        v: mix(&common.v, &private.v),
+        qkv: mix(&common.qkv, &private.qkv),
         o: mix(&common.o, &private.o),
         ffn1: mix(&common.ffn1, &private.ffn1),
         ffn2: mix(&common.ffn2, &private.ffn2),
@@ -199,8 +197,8 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let low = synthetic_shard(&cfg, 5, 0.5);
         let high = synthetic_shard(&cfg, 5, 2.0);
-        let s_low = stats::std_dev(low.q.as_slice());
-        let s_high = stats::std_dev(high.q.as_slice());
+        let s_low = stats::std_dev(low.qkv.as_slice());
+        let s_high = stats::std_dev(high.qkv.as_slice());
         assert!(s_high > 3.0 * s_low, "gain should scale std: {s_low} vs {s_high}");
     }
 

@@ -5,29 +5,46 @@ use sti_tensor::Matrix;
 
 use crate::config::ModelConfig;
 
+/// Places equally tall blocks side by side.
+pub(crate) fn concat_cols(blocks: &[&Matrix]) -> Matrix {
+    let rows = blocks[0].rows();
+    let total: usize = blocks.iter().map(|b| b.cols()).sum();
+    let mut out = Matrix::zeros(rows, total);
+    for r in 0..rows {
+        let out_row = out.row_mut(r);
+        let mut at = 0usize;
+        for b in blocks {
+            out_row[at..at + b.cols()].copy_from_slice(b.row(r));
+            at += b.cols();
+        }
+    }
+    out
+}
+
 /// The weights of one vertical slice of a transformer layer.
 ///
 /// Per Table 1 of the paper, slice `i` owns attention head `i` — the
 /// `d × d/M` Q/K/V projections and the `d/M × d` output projection — plus
-/// `1/M` of the FFN neurons. Matrices are stored in the orientation the
-/// row-major kernels consume:
+/// `1/M` of the FFN neurons. The parameter *sets* are Table 1's; the storage
+/// is what the row-major kernels consume:
 ///
-/// - `q`, `k`, `v`: `d × d/M` (input-major), so `x(l×d) · q` yields `l × d/M`;
+/// - `qkv`: the three `d × d/M` projections packed side by side into one
+///   `d × 3·d/M` operand `[Q | K | V]`, so one multiply `x(l×d) · qkv`
+///   yields `[q | k | v]` for every position instead of walking `x` three
+///   times with a `d/M`-wide inner loop;
 /// - `o`: `d/M × d`, so the head output `(l × d/M) · o` yields `l × d`;
 /// - `ffn1`: `d × d_ff/M`, so `x · ffn1` yields the slice's hidden
 ///   activations;
 /// - `ffn2`: `d_ff/M × d`, projecting them back.
 ///
-/// (The paper lists the PyTorch `out × in` convention; the parameter *sets*
-/// are identical, only the storage orientation differs.)
+/// (The paper lists the PyTorch `out × in` convention; only the storage
+/// orientation differs.) Packing is storage only: the flat weight group the
+/// quantizer sees ([`flatten`](ShardWeights::flatten)) keeps Q, K and V as
+/// three consecutive row-major matrices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardWeights {
-    /// Query projection, `d × d/M`.
-    pub q: Matrix,
-    /// Key projection, `d × d/M`.
-    pub k: Matrix,
-    /// Value projection, `d × d/M`.
-    pub v: Matrix,
+    /// Query, key and value projections, `d × 3·d/M`, columns `[Q | K | V]`.
+    pub qkv: Matrix,
     /// Output projection, `d/M × d`.
     pub o: Matrix,
     /// First FFN slice, `d × d_ff/M`.
@@ -37,6 +54,16 @@ pub struct ShardWeights {
 }
 
 impl ShardWeights {
+    /// Builds a shard from Table 1's six parameter sets, packing the three
+    /// `d × d/M` attention projections into the `[Q | K | V]` operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q`, `k` and `v` differ in row count.
+    pub fn new(q: &Matrix, k: &Matrix, v: &Matrix, o: Matrix, ffn1: Matrix, ffn2: Matrix) -> Self {
+        Self { qkv: concat_cols(&[q, k, v]), o, ffn1, ffn2 }
+    }
+
     /// Flattens the shard into a single 1-D weight group — the unit the
     /// quantizer compresses (§6: *"gathers all weights ... into a large flat
     /// 1D array"*, applied at shard granularity).
@@ -44,7 +71,13 @@ impl ShardWeights {
     /// Order: `q`, `k`, `v`, `o`, `ffn1`, `ffn2`, each row-major.
     pub fn flatten(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
-        for m in [&self.q, &self.k, &self.v, &self.o, &self.ffn1, &self.ffn2] {
+        let hd = self.qkv.cols() / 3;
+        for block in 0..3 {
+            for row in self.qkv.rows_iter() {
+                out.extend_from_slice(&row[block * hd..(block + 1) * hd]);
+            }
+        }
+        for m in [&self.o, &self.ffn1, &self.ffn2] {
             out.extend_from_slice(m.as_slice());
         }
         out
@@ -65,32 +98,33 @@ impl ShardWeights {
             cfg.shard_param_count(),
             "flat weight group has wrong length for this config"
         );
+        Self::from_flat_with(cfg, |at, out| out.copy_from_slice(&flat[at..at + out.len()]))
+    }
+
+    /// Rebuilds a shard from a flat weight group that is read segment by
+    /// segment: `read(at, out)` fills `out` with the group's weights
+    /// `[at, at + out.len())`. Segments are asked for in ascending order and
+    /// together cover `[0, cfg.shard_param_count())` once. Each is read
+    /// straight into a matrix — for `o`, `ffn1` and `ffn2` the one the
+    /// kernels will multiply by, so a decoder writes those weights once.
+    pub fn from_flat_with(cfg: &ModelConfig, mut read: impl FnMut(usize, &mut [f32])) -> Self {
         let d = cfg.hidden;
         let hd = cfg.head_dim();
         let f = cfg.ffn_per_shard();
-        let mut pos = 0usize;
+        let mut at = 0;
         let mut take = |rows: usize, cols: usize| {
-            let m = Matrix::from_vec(rows, cols, flat[pos..pos + rows * cols].to_vec());
-            pos += rows * cols;
+            let mut m = Matrix::zeros(rows, cols);
+            read(at, m.as_mut_slice());
+            at += m.len();
             m
         };
-        let q = take(d, hd);
-        let k = take(d, hd);
-        let v = take(d, hd);
-        let o = take(hd, d);
-        let ffn1 = take(d, f);
-        let ffn2 = take(f, d);
-        Self { q, k, v, o, ffn1, ffn2 }
+        let (q, k, v) = (take(d, hd), take(d, hd), take(d, hd));
+        Self::new(&q, &k, &v, take(hd, d), take(d, f), take(f, d))
     }
 
     /// Number of parameters in the shard.
     pub fn param_count(&self) -> usize {
-        self.q.len()
-            + self.k.len()
-            + self.v.len()
-            + self.o.len()
-            + self.ffn1.len()
-            + self.ffn2.len()
+        self.qkv.len() + self.o.len() + self.ffn1.len() + self.ffn2.len()
     }
 }
 
@@ -162,12 +196,42 @@ mod tests {
         assert_eq!(rebuilt, shard);
     }
 
+    /// The flat order is what the quantizer compresses and the store
+    /// holds: `q`, `k`, `v`, `o`, `ffn1`, `ffn2`, each row-major, whatever
+    /// the in-memory packing.
     #[test]
-    fn flatten_order_is_q_first() {
+    fn flatten_segments_sit_at_their_pinned_offsets() {
+        for cfg in [ModelConfig::tiny(), ModelConfig::scaled_bert()] {
+            let (d, hd, f) = (cfg.hidden, cfg.head_dim(), cfg.ffn_per_shard());
+            let shard = synthetic::synthetic_shard(&cfg, 7, 1.0);
+            let flat = shard.flatten();
+            let offsets =
+                [0, d * hd, 2 * d * hd, 3 * d * hd, 4 * d * hd, 4 * d * hd + d * f, flat.len()];
+            assert_eq!(flat.len(), 4 * d * hd + 2 * d * f);
+            let [q, k, v] = [0, 1, 2].map(|block| shard.qkv.column_block(block * hd, hd));
+            for (i, m) in [&q, &k, &v, &shard.o, &shard.ffn1, &shard.ffn2].into_iter().enumerate() {
+                assert_eq!(&flat[offsets[i]..offsets[i + 1]], m.as_slice(), "segment {i}");
+            }
+            assert_eq!(ShardWeights::from_flat(&flat, &cfg), shard);
+            // Row `r` of the packed operand is `[q[r] | k[r] | v[r]]`.
+            assert_eq!(&shard.qkv.row(1)[..hd], q.row(1));
+            assert_eq!(&shard.qkv.row(1)[hd..2 * hd], k.row(1));
+            assert_eq!(&shard.qkv.row(1)[2 * hd..], v.row(1));
+        }
+    }
+
+    #[test]
+    fn from_flat_with_reads_ascending_segments_that_cover_the_group_once() {
         let cfg = ModelConfig::tiny();
-        let shard = synthetic::synthetic_shard(&cfg, 7, 1.0);
-        let flat = shard.flatten();
-        assert_eq!(&flat[..shard.q.len()], shard.q.as_slice());
+        let flat = synthetic::synthetic_shard(&cfg, 9, 1.0).flatten();
+        let mut next = 0;
+        let shard = ShardWeights::from_flat_with(&cfg, |at, out| {
+            assert_eq!(at, next, "segments must be contiguous and ascending");
+            out.copy_from_slice(&flat[at..at + out.len()]);
+            next += out.len();
+        });
+        assert_eq!(next, flat.len());
+        assert_eq!(shard.flatten(), flat);
     }
 
     #[test]

@@ -194,6 +194,25 @@
 //! `tests/serving_obs.rs` pins run-twice export determinism plus the
 //! never-perturbs contract.
 //!
+//! ## The compute path of one shard
+//!
+//! Compute on the few shards a plan selects must never be the bottleneck,
+//! and every logit, label and golden is pinned to its rounding, so the path
+//! from a `QuantizedBlob` to a shard's contribution to the hidden state is
+//! fast *and* frozen bit for bit. `QuantizedBlob::dequantize_range_into`
+//! shifts packed indexes out of a 64-bit window straight into centroids;
+//! `WorkingBuffer::assemble` has it decode each segment of the flat weight
+//! group into the shard matrix the kernels read (`ShardWeights` keeps Q, K
+//! and V packed as one `d × 3·d/M` operand, so a slice's three projections
+//! are one multiply); and `sti_tensor::ops::matmul_into` is register-tiled
+//! (4×8 and 4×4 accumulator tiles held in locals across the `k` loop) while
+//! each output element still accumulates in ascending `k`, one rounded
+//! multiply and one rounded add per term, zero terms skipped. The kernel
+//! and layer compositions these replaced survive as test oracles
+//! (`ops::tests`, `sti-transformer`'s `oracle` module,
+//! `tests/quant_invariants.rs`), compared by `to_bits` in debug and release
+//! builds. No `unsafe`, no target features, no switch.
+//!
 //! The single-app engine path (`StiEngine::builder(..)`) works exactly as
 //! in the seed; see `crates/pipeline` for both facades, and the
 //! [`prelude`] for one-stop imports. The `baselines` module implements the

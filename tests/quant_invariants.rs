@@ -2,16 +2,127 @@
 //! weight distributions (not just the synthetic generator's).
 
 use proptest::prelude::*;
-use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
+use sti_pipeline::WorkingBuffer;
+use sti_quant::{bitpack, Bitwidth, QuantConfig, QuantError, QuantizedBlob};
 use sti_storage::format;
 use sti_tensor::stats;
+use sti_transformer::synthetic::synthetic_shard;
+use sti_transformer::{ModelConfig, ShardWeights};
 
 fn weights_strategy() -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-2.0f32..2.0, 16..600)
 }
 
+fn bits_of(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Decompression spelled out in its three steps — unpack every index into a
+/// buffer, look each up in the dictionary, patch the outliers — which is what
+/// `dequantize_into` did before it fused the first two.
+fn unpack_lookup_patch(blob: &QuantizedBlob) -> Vec<f32> {
+    if blob.bitwidth().is_full() {
+        let raw = blob.packed().chunks_exact(4);
+        return raw.map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
+    }
+    let indexes = bitpack::unpack(blob.packed(), blob.bitwidth().bits(), blob.len());
+    let mut out: Vec<f32> = indexes.iter().map(|&i| blob.centroids()[i as usize]).collect();
+    for &(offset, value) in blob.outliers() {
+        out[offset as usize] = value;
+    }
+    out
+}
+
+/// The working buffer decodes a blob segment by segment into the shard's
+/// matrices; the result is the shard rebuilt from the blob decoded whole.
+#[test]
+fn working_buffer_assembles_what_from_flat_builds_from_the_whole_decode() {
+    for cfg in [ModelConfig::tiny(), ModelConfig::scaled_bert()] {
+        let flat = synthetic_shard(&cfg, 17, 1.0).flatten();
+        for bw in Bitwidth::ALL {
+            let blob = QuantizedBlob::quantize(&flat, bw, &QuantConfig::default());
+            let assembled = WorkingBuffer::new(cfg.clone()).assemble(&[&blob]).unwrap();
+            let whole = ShardWeights::from_flat(&blob.dequantize(), &cfg);
+            assert_eq!(assembled.len(), 1);
+            assert_eq!(assembled[0], whole, "{bw}");
+            assert_eq!(bits_of(&assembled[0].flatten()), bits_of(&whole.flatten()), "{bw}");
+        }
+    }
+}
+
+/// A packed buffer shorter than the group needs is still refused with the
+/// typed error when a blob is reassembled, and a decode of a short stream
+/// still panics, fused or not.
+#[test]
+fn short_packed_buffers_are_refused_as_before() {
+    let weights: Vec<f32> = (0..100).map(|i| (i as f32 / 7.0).sin()).collect();
+    for bw in Bitwidth::COMPRESSED {
+        let blob = QuantizedBlob::quantize(&weights, bw, &QuantConfig::default());
+        let needed = bw.payload_bytes(weights.len());
+        let short = blob.packed()[..needed - 1].to_vec();
+        let rebuilt = QuantizedBlob::from_parts(
+            bw,
+            weights.len() as u32,
+            short.clone(),
+            blob.centroids().to_vec(),
+            blob.outliers().to_vec(),
+        );
+        assert_eq!(
+            rebuilt.unwrap_err(),
+            QuantError::IndexOutOfRange { index: needed - 1, dictionary: needed }
+        );
+        let message = |decode: &(dyn Fn() + std::panic::RefUnwindSafe)| {
+            let payload = std::panic::catch_unwind(decode).expect_err("a short stream must panic");
+            payload.downcast_ref::<String>().expect("a formatted panic message").clone()
+        };
+        let unfused = message(&|| drop(bitpack::unpack(&short, bw.bits(), weights.len())));
+        let fused = message(&|| {
+            let mut out = vec![0.0f32; weights.len()];
+            bitpack::unpack_lookup_into(&short, bw.bits(), 0, blob.centroids(), &mut out);
+        });
+        assert_eq!(fused, unfused);
+        assert!(fused.contains("packed buffer too short"), "{fused}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused decode equals unpack + lookup + patch bit for bit at every
+    /// bitwidth, over the whole group and over any sub-range of it, with
+    /// outliers sitting on the first and the last weight.
+    #[test]
+    fn fused_dequantize_equals_unpack_lookup_patch(
+        weights in weights_strategy(),
+        bits in 0usize..6,
+        from in any::<prop::sample::Index>(),
+        span in any::<prop::sample::Index>(),
+    ) {
+        let bw = Bitwidth::ALL[bits];
+        let mut weights = weights;
+        let last = weights.len() - 1;
+        weights[0] = 40.0;
+        weights[last] = -40.0;
+        let blob = QuantizedBlob::quantize(&weights, bw, &QuantConfig::default());
+        if !bw.is_full() {
+            let offsets: Vec<u32> = blob.outliers().iter().map(|&(offset, _)| offset).collect();
+            prop_assert!(offsets.contains(&0) && offsets.contains(&(last as u32)), "{offsets:?}");
+        }
+        let expected = unpack_lookup_patch(&blob);
+        prop_assert_eq!(expected[0], 40.0);
+        prop_assert_eq!(expected[last], -40.0);
+
+        let mut whole = vec![f32::NAN; weights.len()];
+        blob.dequantize_into(&mut whole);
+        prop_assert_eq!(bits_of(&whole), bits_of(&expected));
+        prop_assert_eq!(bits_of(&blob.dequantize()), bits_of(&expected));
+
+        let start = from.index(weights.len());
+        let len = span.index(weights.len() - start + 1);
+        let mut part = vec![f32::NAN; len];
+        blob.dequantize_range_into(start, &mut part);
+        prop_assert_eq!(bits_of(&part), bits_of(&expected[start..start + len]));
+    }
 
     /// Quantize → dequantize preserves length and yields finite values.
     #[test]

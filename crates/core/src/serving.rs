@@ -713,20 +713,19 @@ pub struct FleetPoint {
 /// claim being that the steady-state gate path is near-flat in fleet size
 /// (rolling digest + memo lookup, no registry rebuild).
 ///
-/// Each point builds a fresh server, opens the plain fleet over a bounded
-/// worker pool (timed; the sharded registry makes concurrent opens
-/// contend per shard, and its commutative digest makes the open *order*
-/// immaterial), admits [`FleetConfig::slo_sessions`] SLO sessions (timed
-/// individually), then probes: the mix digest, the one cold full-walk
-/// gate decision, and [`FleetConfig::decisions`] steady-state decisions
-/// round-robin over the SLO sessions. A small fixed engagement trace is
+/// Each point builds a fresh server, opens the plain fleet with one
+/// [`StiServer::open_fleet`] call (timed), admits
+/// [`FleetConfig::slo_sessions`] SLO sessions (timed individually), then
+/// probes: the mix digest, the one cold full-walk gate decision, and
+/// [`FleetConfig::decisions`] steady-state decisions round-robin over the
+/// SLO sessions. A small fixed engagement trace is
 /// then replayed against the live fleet ([`replay_event`]) for the
 /// throughput/heap-ops columns. Everything runs on the virtual
 /// clock — gate delays land on the simulated timeline, never as real
 /// sleeps — so a 100k-session point completes in seconds. Teardown drops
-/// sessions in a seeded random permutation: the worst case for a single
-/// vector registry (O(n) memmove per interior removal), routine for the
-/// sharded one.
+/// sessions in a seeded random permutation: each close is one O(log N)
+/// removal from the registry's token-keyed map wherever the token falls,
+/// so the whole teardown stays O(N log N).
 ///
 /// # Panics
 ///
@@ -756,26 +755,8 @@ pub fn fleet_sweep(
     for &n in &fleet.sizes {
         let server = build_server(ctx, cfg);
 
-        // Bounded worker pool, not a thread per session: the point is that
-        // the *registry* admits parallel opens, not that the host owns n
-        // threads. Uniform knobs + the commutative shard fold make the
-        // interleaving unobservable.
-        const OPEN_WORKERS: usize = 4;
         let open_start = std::time::Instant::now();
-        let opened: Vec<Result<Vec<Session>, PipelineError>> = std::thread::scope(|s| {
-            let server = &server;
-            let handles: Vec<_> = (0..OPEN_WORKERS)
-                .map(|w| {
-                    let quota = n / OPEN_WORKERS + usize::from(w < n % OPEN_WORKERS);
-                    s.spawn(move || server.open_fleet(quota, cfg.target, cfg.preload_bytes))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("open worker panicked")).collect()
-        });
-        let mut plain = Vec::with_capacity(n);
-        for batch in opened {
-            plain.extend(batch?);
-        }
+        let plain = server.open_fleet(n, cfg.target, cfg.preload_bytes)?;
         let open_wall = open_start.elapsed();
 
         let mut slo_sessions = Vec::with_capacity(fleet.slo_sessions);
@@ -852,8 +833,8 @@ pub fn fleet_sweep(
         });
 
         // Seeded-permutation teardown: sessions close in a shuffled order,
-        // so removals land mid-shard instead of always at the registry's
-        // tail — the random-churn pattern a long-lived fleet actually
+        // so removals land anywhere in the registry instead of always at
+        // its tail — the random-churn pattern a long-lived fleet actually
         // sees. Deterministic seed: the teardown (and its digest trail)
         // replays identically run to run.
         let mut order: Vec<usize> = (0..plain.len()).collect();

@@ -5,14 +5,13 @@
 //! sequential replays and across runs — never of host scheduling. Three
 //! pillars:
 //!
-//! 1. **Metrics** ([`MetricsRegistry`]): monotonic [`Counter`]s (sharded
-//!    across cache-padded cells so the hot path is contention-free),
-//!    [`Gauge`]s (set/add/sub plus a high-water mark), and fixed
-//!    log₂-bucket [`Histogram`]s (65 buckets covering the full `u64`
-//!    range; recording is one atomic increment, no allocation). Snapshots
-//!    ([`MetricsSnapshot`]) render to deterministic JSON and merge across
-//!    registries, so a server can fold its scheduler's registry into one
-//!    report.
+//! 1. **Metrics** ([`MetricsRegistry`]): monotonic [`Counter`]s (one
+//!    relaxed atomic add), [`Gauge`]s (set/add/sub plus a high-water
+//!    mark), and fixed log₂-bucket [`Histogram`]s (65 buckets covering the
+//!    full `u64` range; recording is one atomic increment, no allocation).
+//!    Snapshots ([`MetricsSnapshot`]) render to deterministic JSON and
+//!    merge across registries, so a server can fold its scheduler's
+//!    registry into one report.
 //! 2. **Spans** ([`SpanEvent`]): intervals and instants keyed
 //!    `(track, name, tick)` where the tick is a simulated-time µs value.
 //!    The live backend is a byte-bounded overwrite-oldest ring

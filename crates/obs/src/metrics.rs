@@ -1,44 +1,24 @@
-//! Named instruments: sharded counters, gauges, log₂ histograms.
+//! Named instruments: counters, gauges, log₂ histograms.
 //!
 //! A [`MetricsRegistry`] hands out cheap `Arc`-backed handles, resolved
 //! once at construction time so the hot path never touches the registry
-//! map: incrementing a [`Counter`] is one relaxed atomic add on a
-//! cache-padded shard, recording into a [`Histogram`] one atomic add on a
-//! fixed bucket. [`MetricsRegistry::snapshot`] folds every instrument into
-//! a [`MetricsSnapshot`] — plain sorted maps that merge across registries
+//! map: incrementing a [`Counter`] is one relaxed atomic add, recording
+//! into a [`Histogram`] one atomic add on a fixed bucket.
+//! [`MetricsRegistry::snapshot`] folds every instrument into a
+//! [`MetricsSnapshot`] — plain sorted maps that merge across registries
 //! and render to deterministic JSON.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Counter shards: enough to keep a handful of worker threads off each
-/// other's cache lines without bloating snapshots.
-const SHARDS: usize = 8;
-
-/// A cache-line-padded atomic cell, so two shards never share a line.
-#[derive(Default)]
-#[repr(align(64))]
-struct PaddedCell(AtomicU64);
-
-/// Round-robin shard assignment per thread: the first time a thread
-/// touches any sharded instrument it claims the next index, and keeps it
-/// for every instrument thereafter.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    INDEX.with(|i| *i)
-}
-
-/// A monotonic counter, sharded across cache-padded cells.
+/// A monotonic counter: one relaxed atomic.
 ///
 /// Handles are `Arc`s: clone freely, store them in hot structs, and let
 /// every clone feed the same instrument.
 #[derive(Clone, Default)]
 pub struct Counter {
-    shards: Arc<[PaddedCell; SHARDS]>,
+    value: Arc<AtomicU64>,
 }
 
 impl Counter {
@@ -50,7 +30,7 @@ impl Counter {
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -59,15 +39,13 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (a sum over shards; exact once writers quiesce).
+    /// The current total.
     pub fn get(&self) -> u64 {
-        self.shards.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+        self.value.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
-        for c in self.shards.iter() {
-            c.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 

@@ -27,7 +27,11 @@
 //! ([`GateSubject::memo`]: repeat engagements against an unchanged mix
 //! skip everything) and per *walk* (one walk prices every open SLO
 //! session, so after a registry change exactly one engagement re-simulates
-//! and every other session's first decision is a lookup). On a memo hit
+//! and every other session's first decision is a lookup). The probe
+//! digest and, on a miss, the snapshot the walk runs over are taken under
+//! one read guard of the registry lock, so a walk is always memoized under
+//! the digest of exactly the state it saw; the guard is released before
+//! the walk runs, so opens and drops never wait behind one. On a memo hit
 //! the live mix is never cloned — the rolling digest (O(backlog), flat in
 //! fleet size) is the whole cost.
 //!
@@ -37,14 +41,13 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use sti_device::SimTime;
 use sti_obs::{Counter, Histogram, MetricsRegistry};
-use sti_planner::mix::{GateOutcome, GatePolicy, MixLaneSummary};
+use sti_planner::mix::{GateOutcome, GatePolicy, MixLaneSummary, ServingMix};
 use sti_storage::BacklogSnapshot;
 
 use crate::error::PipelineError;
-use crate::registry::ShardedRegistry;
 
 /// What the server does, per engagement, when the live flash-queue
 /// prediction says the engagement would miss its session's SLO *now* —
@@ -201,7 +204,7 @@ impl Gate {
     pub(crate) fn decide(
         &self,
         who: GateSubject<'_>,
-        registry: &ShardedRegistry,
+        registry: &RwLock<ServingMix>,
         backlog: impl FnOnce() -> BacklogSnapshot,
         speculative_bytes: impl FnOnce() -> u64,
     ) -> Option<GateDecision> {
@@ -224,29 +227,29 @@ impl Gate {
                 batch_window: live.batch_window,
             }
         };
-        // The decision is a pure function of the mix. Memo hits pay only
-        // the sharded digest probe (two words per shard, no merge); on a
-        // miss the registry is re-snapshotted under *all* shard locks
-        // ([`ShardedRegistry::snapshot_with`]), so the digest the walk is
-        // memoized under is computed from exactly the state the walk saw —
-        // a torn probe digest can miss the memo (and re-walk), never
-        // resurrect a stale walk for current state.
-        let probe = registry.digest_with(&external);
-        if let Some((seen, decision)) = *who.memo.lock() {
-            if seen == probe {
-                return Some(decision);
+        // The decision is a pure function of the mix. One read guard covers
+        // the digest probe, both memo lookups and — on a miss — the snapshot
+        // (see the module docs); `Err` carries that snapshot out, to be
+        // walked once the guard has dropped.
+        let (digest, memoized) = {
+            let mix = registry.read();
+            let digest = mix.digest_with(&external);
+            if let Some((seen, decision)) = *who.memo.lock() {
+                if seen == digest {
+                    return Some(decision);
+                }
             }
-        }
-        let memoized = self.walk_memo.lock().as_ref().and_then(|(seen, walk, summary)| {
-            (*seen == probe).then(|| (probe, walk.clone(), *summary))
-        });
-        let (digest, walk, summary) = memoized.unwrap_or_else(|| {
-            let (digest, mix) = registry.snapshot_with(external);
+            let memoized = self.walk_memo.lock().as_ref().and_then(|(seen, walk, summary)| {
+                (*seen == digest).then(|| (walk.clone(), *summary))
+            });
+            (digest, memoized.ok_or_else(|| mix.clone().with_backlog(external)))
+        };
+        let (walk, summary) = memoized.unwrap_or_else(|mix| {
             let summary = mix.lane_summary();
             let walk: Arc<HashMap<u64, GateOutcome>> =
                 Arc::new(mix.gate_all(policy).into_iter().collect());
             *self.walk_memo.lock() = Some((digest, walk.clone(), summary));
-            (digest, walk, summary)
+            (walk, summary)
         });
         let outcome = *walk.get(&who.token).expect("an open SLO session is always in the registry");
         // The walk prices demand lanes only; the speculative in-flight
@@ -322,11 +325,11 @@ mod tests {
     /// Registers session `token`: two 10 ms reads of its own bytes with
     /// 1 ms of compute per layer (21 ms alone), co-arriving at time zero,
     /// held to `slo`.
-    fn register(registry: &ShardedRegistry, token: u64, slo: SimTime) {
+    fn register(registry: &RwLock<ServingMix>, token: u64, slo: SimTime) {
         let jobs = [1, 2].map(|layer| LayerIoJob { sig: token * 10 + layer, service: ms(10) });
         let load = CoRunnerLoad { jobs: Arc::from(jobs), arrival: SimTime::ZERO };
         let profile = SloProfile { jobs: jobs.map(Some).to_vec(), comp: ms(1), slo };
-        registry.upsert(token, load, Some(profile));
+        registry.write().upsert_session(token, load, Some(profile));
     }
 
     /// One queued 10 ms read on scheduler lane `lane`.
@@ -348,12 +351,13 @@ mod tests {
 
     #[test]
     fn decisions_equal_the_mix_walk_and_are_memoized_per_session_and_per_walk() {
-        let registry = ShardedRegistry::new(IoSharing::Exclusive);
+        let registry = RwLock::new(ServingMix::new(IoSharing::Exclusive));
         let slo = ms(25);
         register(&registry, 0, slo);
         register(&registry, 1, slo);
         let gate = Gate::new(BackpressureMode::Shed, &MetricsRegistry::new());
-        let (digest, mix) = registry.snapshot_with(BacklogSnapshot::default());
+        let mix = registry.read().clone();
+        let digest = mix.digest();
         let oracle: HashMap<u64, GateOutcome> =
             mix.gate_all(GatePolicy::Shed).into_iter().collect();
         assert!(!oracle[&0].shed && oracle[&1].shed, "the later token rides behind the earlier");
@@ -384,7 +388,7 @@ mod tests {
             assert_eq!(labels.get(), shaped);
         }
         // A registry change moves the digest and the decision follows.
-        registry.remove(0);
+        registry.write().remove_session(0);
         let alone = decide(1).unwrap();
         assert!(!alone.shed && alone.reason.digest != digest);
         assert_eq!((alone.reason.co_runners, alone.reason.dominant_lane), (0, None));
@@ -394,7 +398,7 @@ mod tests {
 
     #[test]
     fn the_gate_is_off_without_a_mode_and_owned_lanes_are_not_external_backlog() {
-        let registry = ShardedRegistry::new(IoSharing::Exclusive);
+        let registry = RwLock::new(ServingMix::new(IoSharing::Exclusive));
         register(&registry, 0, ms(60_000));
         let memo = Memo::default();
         let off = Gate::new(BackpressureMode::Off, &MetricsRegistry::new());

@@ -30,11 +30,10 @@
 //!   from a shared scheduler instead of constructing per-run IO state;
 //! - [`engine`] — the single-app facade over the executor;
 //! - [`server`] — the serving facade: builder, orchestration and session
-//!   handles, with every serving *decision* in a module of its own beside
-//!   it (stores with stated invariants, single-purpose services, a thin
-//!   orchestrator):
-//!   - [`registry`] — the sharded open-session registry, the one input of
-//!     every contended prediction;
+//!   handles — including the open-session registry, one
+//!   `RwLock<ServingMix>` that is the one input of every contended
+//!   prediction — with every serving *decision* in a module of its own
+//!   beside it (single-purpose services, a thin orchestrator):
 //!   - `admission` — the SLO admission verdict and its counters;
 //!   - `gate` — the infer-time backpressure gate, its walk memo and its
 //!     lane-ownership set;
@@ -55,7 +54,6 @@ pub mod executor;
 mod gate;
 mod ledger;
 mod prefetch;
-pub mod registry;
 pub mod server;
 pub mod trace;
 
@@ -63,7 +61,6 @@ pub use buffers::{PreloadBuffer, WorkingBuffer};
 pub use engine::{GenerationOutcome, Inference, StiEngine, StiEngineBuilder};
 pub use error::PipelineError;
 pub use executor::{ExecutionOutcome, PipelineExecutor};
-pub use registry::ShardedRegistry;
 pub use server::{
     AdmissionMode, BackpressureMode, ContentionReport, EngagementContention, GateDecision,
     GateReason, PendingEngagement, PrefetchContention, PrefetchReport, ServingStats, Session,

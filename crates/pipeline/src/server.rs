@@ -23,7 +23,7 @@
 //!
 //! | piece | owns | decides |
 //! |---|---|---|
-//! | [`ShardedRegistry`] (`registry`) | token → load / SLO profile / stripe of every open session | the mix every contended prediction runs against, and its digest |
+//! | `RwLock<ServingMix>` (`live_mix`) | token → load / SLO profile / stripe of every open session, in token order | the mix every contended prediction runs against, and its digest |
 //! | [`MemoTable`]s (`sti_planner::cache`) | plans, SLO-search outcomes, preload buffers per knob set | compute outside the lock, first insert wins |
 //! | `Admission` (`admission`) | the [`AdmissionMode`] and the `serving.*_sessions` instruments | take or reject an SLO search outcome, for an open or a retarget |
 //! | `Gate` (`gate`) | the walk memo, the lane-ownership set, the `gate.*` instruments | delay or shed one engagement ([`BackpressureMode`]) |
@@ -51,7 +51,7 @@
 //! **One predictor, three views:** every contended question the server
 //! asks — SLO admission at [`StiServer::session_with_slo`], the infer-time
 //! backpressure gate, and [`Session::retarget_slo`] — is answered by
-//! building a [`ServingMix`](sti_planner::mix::ServingMix) from the
+//! building a [`ServingMix`] from the
 //! open-session registry (each session's actual [`CoRunnerLoad`] plus, for
 //! SLO sessions, its [`SloProfile`]) and handing it to `sti_planner::mix`.
 //! The server never assembles prediction lanes by hand; the mix's digest is
@@ -80,7 +80,7 @@ use parking_lot::{Mutex, RwLock};
 use sti_device::{DeviceTopology, FlashModel, HwProfile, SimTime};
 use sti_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, ObsSink, SpanEvent};
 use sti_planner::compute_plan::dynabert_widths_for;
-use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, SloProfile};
+use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix, SloProfile};
 use sti_planner::prefetch::{EngagementKey as PrefetchKey, PrefetchConfig};
 use sti_planner::serving::{ServingPlan, ServingPlanCache, ServingPlanKey};
 use sti_planner::{
@@ -102,7 +102,6 @@ use crate::executor::{assemble_plan_submodel, PipelineExecutor};
 use crate::gate::{Gate, GateSubject};
 use crate::ledger::{ContentionLedger, EngagementRecord};
 use crate::prefetch::{PrefetchDriver, PrefetchTarget};
-use crate::registry::ShardedRegistry;
 
 pub use crate::admission::AdmissionMode;
 pub use crate::gate::{BackpressureMode, GateDecision, GateReason};
@@ -341,7 +340,7 @@ impl StiServerBuilder {
                 slo_planning: Mutex::new(()),
                 open_sessions: AtomicUsize::new(0),
                 next_session_token: AtomicU64::new(0),
-                live_mix: ShardedRegistry::with_topology(sharing, self.topology),
+                live_mix: RwLock::new(ServingMix::new(sharing).with_topology(self.topology)),
                 active_engagements: AtomicUsize::new(0),
                 admission: Admission::new(self.admission, &registry),
                 gate: Gate::new(self.backpressure, &registry),
@@ -434,8 +433,10 @@ struct ServerInner {
     /// the one input every contended prediction (admission, gate,
     /// retarget) runs against, instead of modeling co-runners as clones of
     /// the candidate. Token-ordered, so predictions replay registrations
-    /// deterministically.
-    live_mix: ShardedRegistry,
+    /// deterministically. One lock: opens, drops and retargets write for
+    /// the length of one map operation; admission and the gate read for
+    /// the length of a digest or a clone, never across a prediction.
+    live_mix: RwLock<ServingMix>,
     /// Engagements currently executing (peak tracked in
     /// `peak_engagements`).
     active_engagements: AtomicUsize,
@@ -479,7 +480,13 @@ impl ServerInner {
             Knobs::Raw { target } => (target, None, None, None),
             Knobs::Slo { slo, arrival, exclude } => {
                 let serialized = self.slo_planning.lock();
-                let mix = self.live_mix.merged_excluding(exclude);
+                // Clone under the guard, predict after it drops: no open or
+                // drop waits behind the search. A retargeting session does
+                // not co-run with itself.
+                let mut mix = self.live_mix.read().clone();
+                if let Some(token) = exclude {
+                    mix.remove_session(token);
+                }
                 let key = ServingPlanKey::for_mix(
                     self.plan_key(slo, preload_budget),
                     arrival,
@@ -583,7 +590,7 @@ impl ServerInner {
     ) {
         let load = CoRunnerLoad::from_plan_striped(&self.hw, plan, arrival, stripe);
         let slo = slo.map(|slo| SloProfile::from_plan_striped(&self.hw, plan, slo, stripe));
-        self.live_mix.upsert(token, load, slo);
+        self.live_mix.write().upsert_session(token, load, slo);
     }
 
     /// The default device-channel stripe for a session without an SLO
@@ -666,10 +673,9 @@ impl StiServer {
     /// are resolved through the plan/preload caches **once**, so pooled
     /// fleet bring-up pays the caches' global locks per *batch* instead of
     /// per open — the per-open path touches only the token counter and the
-    /// sharded open-session registry, which admits parallel batches.
-    /// Equivalent to `count` calls to [`StiServer::session_with`]: the
-    /// registry fold is commutative, so the resulting digest (and every
-    /// gate decision derived from it) is identical either way.
+    /// open-session registry. Equivalent to `count` calls to
+    /// [`StiServer::session_with`]: the resulting digest (and every gate
+    /// decision derived from it) is identical either way.
     ///
     /// # Errors
     ///
@@ -919,11 +925,11 @@ impl StiServer {
 
     /// The live registry mix's rolling digest — the identity the SLO-plan
     /// cache and both gate memos key on. Maintained incrementally
-    /// (O(1) per open/close/retarget), so this call costs two words per
-    /// registry shard plus a hash of the (empty) backlog, flat in fleet
-    /// size; fleet-scale probes use it to measure mix-digest time.
+    /// (O(1) per open/close/retarget), so this call costs one read guard
+    /// plus a hash of the (empty) backlog, flat in fleet size; fleet-scale
+    /// probes use it to measure mix-digest time.
     pub fn mix_digest(&self) -> u64 {
-        self.inner.live_mix.digest_with(&BacklogSnapshot::default())
+        self.inner.live_mix.read().digest_with(&BacklogSnapshot::default())
     }
 
     /// Replays the recorded dispatch sequence through the flash-queue
@@ -1071,7 +1077,7 @@ pub struct Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.inner.live_mix.remove(self.token);
+        self.inner.live_mix.write().remove_session(self.token);
         self.inner.open_sessions.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -1157,7 +1163,7 @@ impl Session {
     }
 
     /// The session's registry token: the key under which its load sits in
-    /// the sharded open-session registry (and in every mix digest).
+    /// the open-session registry (and in every mix digest).
     pub fn token(&self) -> u64 {
         self.token
     }

@@ -68,14 +68,18 @@
 //! A serving fleet makes the mix big and the per-decision budget small, so
 //! the mix is built to be maintained, not rebuilt:
 //!
-//! - **Incremental digest.** [`ServingMix::digest`] folds one sub-digest
-//!   per session (token, arrival, jobs, gate profile) into a rolling
-//!   commutative sum. Commutativity is safe because every sub-digest
-//!   includes its unique token and sessions are kept in token order, so a
-//!   registry *set* determines the fold — and it makes
-//!   [`ServingMix::upsert_session`] / [`ServingMix::remove_session`] O(1)
-//!   digest updates (no rehash of the other sessions). The fold is pinned
-//!   equal to a from-scratch rebuild by `tests/serving_fleet.rs`, so the
+//! - **One ordered map, incremental digest.** Sessions live in a
+//!   `BTreeMap` keyed by registry token, so token order — the lane order
+//!   predictions replay and the gate's tie-break — is a property of the
+//!   type, not a precondition on callers, and insert, refresh and removal
+//!   are O(log N) wherever the token falls. [`ServingMix::digest`] folds
+//!   one sub-digest per session (token, arrival, jobs, gate profile) into
+//!   a rolling commutative sum. Commutativity is safe because every
+//!   sub-digest includes its unique token, so a registry *set* determines
+//!   the fold — and it makes [`ServingMix::upsert_session`] /
+//!   [`ServingMix::remove_session`] O(1) digest updates (no rehash of the
+//!   other sessions). The fold is pinned equal to a from-scratch rebuild
+//!   by this module's property test and `tests/serving_fleet.rs`, so the
 //!   SLO-plan memo and the gate memo keep their invalidation semantics.
 //! - **Allocation-free lanes.** [`CoRunnerLoad`] job slices are
 //!   `Arc`-shared; assembling lanes (and replaying decided sessions in the
@@ -93,7 +97,7 @@
 //!   is a lookup.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -255,11 +259,12 @@ impl MixLaneSummary {
 }
 
 /// The canonical workload mix a contended prediction runs against: the
-/// open-session registry (in registration order), an external backlog of
-/// live queued IO, and the IO-sharing mode. See the module docs.
+/// open-session registry (in token order), an external backlog of live
+/// queued IO, and the IO-sharing mode. See the module docs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingMix {
-    sessions: Vec<MixSession>,
+    /// Keyed by [`MixSession::token`]: iteration is always in token order.
+    sessions: BTreeMap<u64, MixSession>,
     backlog: BacklogSnapshot,
     sharing: IoSharing,
     /// The device topology predictions simulate (one FIFO queue per
@@ -267,9 +272,8 @@ pub struct ServingMix {
     topology: DeviceTopology,
     /// Rolling fold of per-session sub-digests (see [`ServingMix::digest`]):
     /// a wrapping sum of finalized sub-digests, updated O(1) by
-    /// [`ServingMix::push_session`] / [`ServingMix::upsert_session`] /
-    /// [`ServingMix::remove_session`]. A pure function of `sessions`, so
-    /// derived equality stays consistent.
+    /// [`ServingMix::upsert_session`] / [`ServingMix::remove_session`]. A
+    /// pure function of `sessions`, so derived equality stays consistent.
     session_fold: u64,
 }
 
@@ -277,7 +281,7 @@ impl ServingMix {
     /// An empty mix under the given sharing mode.
     pub fn new(sharing: IoSharing) -> Self {
         Self {
-            sessions: Vec::new(),
+            sessions: BTreeMap::new(),
             backlog: BacklogSnapshot::default(),
             sharing,
             topology: DeviceTopology::single(),
@@ -325,57 +329,36 @@ impl ServingMix {
         self.topology
     }
 
-    /// Appends an open session. Callers push in registration (token) order;
-    /// that order is the lane order predictions replay, and part of the
-    /// digest.
+    /// Registers an open session — [`ServingMix::upsert_session`] under
+    /// the name mix builders use. Tokens may arrive in any order: the lane
+    /// order predictions replay (and the digest) depends only on the
+    /// resulting token set.
     pub fn push_session(&mut self, token: u64, load: CoRunnerLoad, slo: Option<SloProfile>) {
-        let session = MixSession { token, load, slo };
-        self.session_fold = self.session_fold.wrapping_add(mix64(session_digest(&session)));
-        self.sessions.push(session);
+        self.upsert_session(token, load, slo);
     }
 
-    /// Inserts or replaces the session holding `token`, keeping the
-    /// registry in token order, and updates the rolling digest in O(1) —
-    /// the in-place registration path of a long-lived server (open,
-    /// `set_arrival`, retarget). Requires the existing sessions to be in
-    /// token order (which [`ServingMix::push_session`] callers maintain).
+    /// Inserts or replaces the session holding `token` and updates the
+    /// rolling digest in O(1) — the in-place registration path of a
+    /// long-lived server (open, `set_arrival`, retarget).
     pub fn upsert_session(&mut self, token: u64, load: CoRunnerLoad, slo: Option<SloProfile>) {
         let session = MixSession { token, load, slo };
-        let fresh = mix64(session_digest(&session));
-        match self.sessions.binary_search_by_key(&token, |s| s.token) {
-            Ok(i) => {
-                self.session_fold = self
-                    .session_fold
-                    .wrapping_sub(mix64(session_digest(&self.sessions[i])))
-                    .wrapping_add(fresh);
-                self.sessions[i] = session;
-            }
-            Err(i) => {
-                self.session_fold = self.session_fold.wrapping_add(fresh);
-                self.sessions.insert(i, session);
-            }
+        self.session_fold = self.session_fold.wrapping_add(mix64(session_digest(&session)));
+        if let Some(old) = self.sessions.insert(token, session) {
+            self.session_fold = self.session_fold.wrapping_sub(mix64(session_digest(&old)));
         }
     }
 
     /// Removes the session holding `token` (if present), updating the
     /// rolling digest in O(1). Returns whether a session was removed.
-    /// Removal from the end of the registry is O(1) element moves — a
-    /// fleet that closes newest-first tears down in linear time.
     pub fn remove_session(&mut self, token: u64) -> bool {
-        match self.sessions.binary_search_by_key(&token, |s| s.token) {
-            Ok(i) => {
-                self.session_fold =
-                    self.session_fold.wrapping_sub(mix64(session_digest(&self.sessions[i])));
-                self.sessions.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
+        let Some(old) = self.sessions.remove(&token) else { return false };
+        self.session_fold = self.session_fold.wrapping_sub(mix64(session_digest(&old)));
+        true
     }
 
-    /// The sessions in the mix, in registration order.
-    pub fn sessions(&self) -> &[MixSession] {
-        &self.sessions
+    /// The sessions in the mix, in ascending token order.
+    pub fn sessions(&self) -> impl ExactSizeIterator<Item = &MixSession> {
+        self.sessions.values()
     }
 
     /// Number of co-running sessions the mix models.
@@ -386,11 +369,6 @@ impl ServingMix {
     /// The IO-sharing mode predictions use.
     pub fn sharing(&self) -> IoSharing {
         self.sharing
-    }
-
-    /// Whether the mix contains no load at all.
-    pub fn is_idle(&self) -> bool {
-        self.sessions.is_empty() && self.backlog.channels.is_empty()
     }
 
     /// The one memo identity of the mix: every input a prediction (or a
@@ -417,46 +395,6 @@ impl ServingMix {
         )
     }
 
-    /// The rolling per-session fold behind [`ServingMix::digest`] — a
-    /// wrapping sum of finalized sub-digests, so folds of *disjoint*
-    /// session sets add: a registry sharded by token can keep one fold per
-    /// shard and recover the global digest through
-    /// [`digest_from_parts`] without ever merging the shards.
-    pub fn session_fold(&self) -> u64 {
-        self.session_fold
-    }
-
-    /// Merges token-disjoint shards of one logical registry back into a
-    /// single mix (token order restored by k-way merge; the rolling fold is
-    /// the wrapping sum of the shards' folds, never re-hashed). The shards
-    /// must share one sharing mode and carry no backlogs of their own —
-    /// exactly the sharded-registry layout — so
-    /// `merged_from_shards(parts).digest() == digest_from_parts(..)` holds
-    /// bit-for-bit.
-    pub fn merged_from_shards<'a>(
-        parts: impl Iterator<Item = &'a ServingMix>,
-        sharing: IoSharing,
-    ) -> ServingMix {
-        let mut sessions: Vec<MixSession> = Vec::new();
-        let mut session_fold = 0u64;
-        let mut topology = DeviceTopology::single();
-        for part in parts {
-            debug_assert!(part.backlog.channels.is_empty(), "shards carry no backlog");
-            session_fold = session_fold.wrapping_add(part.session_fold);
-            sessions.extend(part.sessions.iter().cloned());
-            // Shards of one registry share one device topology.
-            topology = part.topology;
-        }
-        sessions.sort_unstable_by_key(|s| s.token);
-        ServingMix {
-            sessions,
-            backlog: BacklogSnapshot::default(),
-            sharing,
-            topology,
-            session_fold,
-        }
-    }
-
     /// The raw lane set of the mix: external backlog lanes first (at their
     /// effective arrivals), then every session's load at its own arrival.
     /// Session job slices are `Arc`-shared with the registry — no job is
@@ -466,7 +404,7 @@ impl ServingMix {
         lanes.reserve(self.sessions.len());
         lanes.extend(
             self.sessions
-                .iter()
+                .values()
                 .map(|s| Lane { arrival: s.load.arrival, jobs: s.load.jobs.clone() }),
         );
         lanes
@@ -480,8 +418,14 @@ impl ServingMix {
     /// This is the **single** prediction core — admission, the gate, and
     /// the delay search are all views over it.
     pub fn predict(&self, load: &EngagementLoad) -> SimTime {
-        let mut arena = LaneArena::default();
-        predict_over_lanes_in(&mut arena, &self.raw_lanes(), load, self.sharing, self.topology)
+        self.predict_over(&self.raw_lanes(), load)
+    }
+
+    /// [`ServingMix::predict`] over an already assembled
+    /// [`ServingMix::raw_lanes`], so a search that scores many candidates
+    /// against one mix walks the registry once.
+    fn predict_over(&self, lanes: &[Lane], load: &EngagementLoad) -> SimTime {
+        predict_over_lanes_in(&mut LaneArena::default(), lanes, load, self.sharing, self.topology)
     }
 
     /// Searches the smallest arrival delay (up to `max_delay`) at which the
@@ -524,7 +468,7 @@ impl ServingMix {
                 sigs.extend(c.queued.iter().map(|q| q.sig));
             }
         }
-        for s in &self.sessions {
+        for s in self.sessions.values() {
             if gap(s.load.arrival, arrival) <= window {
                 sigs.extend(s.load.jobs.iter().map(|j| j.sig));
             }
@@ -542,7 +486,7 @@ impl ServingMix {
             a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
         }
         let mut heaviest: [Option<(u64, u64)>; 2] = [None; 2];
-        for s in &self.sessions {
+        for s in self.sessions.values() {
             let service: u64 = s.load.jobs.iter().map(|j| j.service.as_us()).sum();
             let mut cand = (s.token, service);
             for slot in &mut heaviest {
@@ -637,8 +581,8 @@ impl ServingMix {
         /// way.
         const MAX_SWEEPS: usize = 8;
         let mut arena = LaneArena::default();
-        let mut order: Vec<usize> = (0..self.sessions.len()).collect();
-        order.sort_by_key(|&i| (self.sessions[i].load.arrival, self.sessions[i].token));
+        let mut order: Vec<&MixSession> = self.sessions.values().collect();
+        order.sort_by_key(|s| (s.load.arrival, s.token));
         let base = self.raw_backlog_lanes();
         let mut decided: Vec<Lane> = Vec::with_capacity(self.sessions.len());
         let mut outcomes: Vec<(u64, Option<GateOutcome>)> = Vec::new();
@@ -646,9 +590,9 @@ impl ServingMix {
         while start < order.len() {
             // One equal-arrival group at a time: [start, end) in token
             // order (the sort key's tie-break).
-            let arrival = self.sessions[order[start]].load.arrival;
+            let arrival = order[start].load.arrival;
             let mut end = start + 1;
-            while end < order.len() && self.sessions[order[end]].load.arrival == arrival {
+            while end < order.len() && order[end].load.arrival == arrival {
                 end += 1;
             }
             let decided_before = decided.len();
@@ -663,8 +607,7 @@ impl ServingMix {
             // always occupies the queue — and needs no lane assembly of its
             // own, which keeps the walk O(decisions · lanes), not
             // O(sessions · lanes).
-            for &i in &order[start..end] {
-                let s = &self.sessions[i];
+            for &s in &order[start..end] {
                 if stop_at == Some(s.token) {
                     stop_pos = Some(outcomes.len());
                 }
@@ -674,7 +617,7 @@ impl ServingMix {
                         decided.push(Lane { arrival, jobs: s.load.jobs.clone() });
                     }
                     Some(profile) => {
-                        let first = self.lanes_for(&base, &decided, &order[end..], arrival);
+                        let first = lanes_for(&base, &decided, &order[end..], arrival);
                         let outcome = decide(
                             &mut arena,
                             &first,
@@ -697,7 +640,7 @@ impl ServingMix {
             // A plain stop token can return right away — group iteration
             // never touches a `None` outcome.
             if let Some(p) = stop_pos {
-                if self.sessions[order[start + (p - outcome_base)]].slo.is_none() {
+                if order[start + (p - outcome_base)].slo.is_none() {
                     outcomes.truncate(p + 1);
                     return outcomes;
                 }
@@ -715,8 +658,7 @@ impl ServingMix {
                 let mut lanes: Vec<Lane> = Vec::new();
                 for _ in 0..MAX_SWEEPS {
                     let mut moved = false;
-                    for (m, &i) in order[start..end].iter().enumerate() {
-                        let s = &self.sessions[i];
+                    for (m, &s) in order[start..end].iter().enumerate() {
                         let Some(profile) = &s.slo else { continue };
                         let Some(cur) = outcomes[outcome_base + m].1 else { unreachable!() };
                         if cur.shed {
@@ -725,11 +667,10 @@ impl ServingMix {
                         lanes.clear();
                         lanes.extend_from_slice(&base);
                         lanes.extend_from_slice(&decided[..decided_before]);
-                        for (o, &j) in order[start..end].iter().enumerate() {
+                        for (o, &other) in order[start..end].iter().enumerate() {
                             if o == m {
                                 continue;
                             }
-                            let other = &self.sessions[j];
                             match outcomes[outcome_base + o].1 {
                                 Some(oc) if oc.shed => {}
                                 Some(oc) => lanes.push(Lane {
@@ -739,8 +680,7 @@ impl ServingMix {
                                 None => lanes.push(Lane { arrival, jobs: other.load.jobs.clone() }),
                             }
                         }
-                        for &j in &order[end..] {
-                            let other = &self.sessions[j];
+                        for &other in &order[end..] {
                             lanes.push(Lane {
                                 arrival: other.load.arrival,
                                 jobs: other.load.jobs.clone(),
@@ -768,8 +708,7 @@ impl ServingMix {
                 // Re-anchor the group's decided lanes at the fixed-point
                 // delays for everything walking after the group.
                 decided.truncate(decided_before);
-                for (m, &i) in order[start..end].iter().enumerate() {
-                    let s = &self.sessions[i];
+                for (m, &s) in order[start..end].iter().enumerate() {
                     match outcomes[outcome_base + m].1 {
                         Some(oc) if oc.shed => {}
                         Some(oc) => decided
@@ -804,35 +743,31 @@ impl ServingMix {
             })
             .collect()
     }
-
-    /// Lanes an initial-pass decision predicts against: the external
-    /// backlog, everything already decided, and the raw loads of the
-    /// strictly-later arrivals in `later`.
-    fn lanes_for(
-        &self,
-        base: &[Lane],
-        decided: &[Lane],
-        later: &[usize],
-        arrival: SimTime,
-    ) -> Vec<Lane> {
-        let mut lanes: Vec<Lane> = base.to_vec();
-        lanes.extend_from_slice(decided);
-        for &j in later {
-            let other = &self.sessions[j];
-            debug_assert!(other.load.arrival > arrival);
-            lanes.push(Lane { arrival: other.load.arrival, jobs: other.load.jobs.clone() });
-        }
-        lanes
-    }
 }
 
-/// [`ServingMix::digest`] assembled from sharded parts: `total_sessions`
-/// and `fold` are the sums of the shards' lengths and
-/// [`ServingMix::session_fold`]s (wrapping for the fold). Because the fold
-/// is a commutative wrapping sum over token-unique sub-digests, the result
-/// is bit-identical to the digest of the un-sharded registry holding the
-/// same session set — the sharded registry's memo-identity contract.
-pub fn digest_from_parts(
+/// Lanes an initial-pass decision predicts against: the external backlog,
+/// everything already decided, and the raw loads of the strictly-later
+/// arrivals in `later`.
+fn lanes_for(
+    base: &[Lane],
+    decided: &[Lane],
+    later: &[&MixSession],
+    arrival: SimTime,
+) -> Vec<Lane> {
+    let mut lanes: Vec<Lane> = base.to_vec();
+    lanes.extend_from_slice(decided);
+    for other in later {
+        debug_assert!(other.load.arrival > arrival);
+        lanes.push(Lane { arrival: other.load.arrival, jobs: other.load.jobs.clone() });
+    }
+    lanes
+}
+
+/// The hash behind [`ServingMix::digest_with`] before the topology fold:
+/// sharing mode, the external backlog, and the session part as
+/// `(total_sessions, fold)` — the rolling fold stands in for the sessions
+/// themselves.
+fn digest_from_parts(
     sharing: IoSharing,
     backlog: &BacklogSnapshot,
     total_sessions: u64,
@@ -854,23 +789,14 @@ pub fn digest_from_parts(
 /// is the identity — every digest minted before topologies existed (and
 /// every `C = 1` deployment today) is bit-identical — while multi-channel
 /// shapes rehash, so plans and gate decisions made under
-/// different placements never collide in the memo tables. The sharded
-/// registry applies the same fold over [`digest_from_parts`].
-pub fn digest_with_topology(digest: u64, topology: DeviceTopology) -> u64 {
+/// different placements never collide in the memo tables.
+fn digest_with_topology(digest: u64, topology: DeviceTopology) -> u64 {
     if topology.is_single() {
         return digest;
     }
     let mut h = DefaultHasher::new();
     (digest, topology.channel_count()).hash(&mut h);
     h.finish()
-}
-
-/// The hash-splitting finalizer for registry shard selection: shards by
-/// token must decorrelate from the monotone token sequence a server
-/// assigns, so the sharded registry routes `token` to shard
-/// `mix_token(token) % shards`.
-pub fn mix_token(token: u64) -> u64 {
-    mix64(token)
 }
 
 /// The per-session sub-digest of the rolling fold: everything a prediction
@@ -1226,6 +1152,7 @@ pub fn plan_for_slo_mix(
     widths: &[usize],
     bitwidths: &[Bitwidth],
 ) -> ServingPlan {
+    let lanes = mix.raw_lanes();
     search_ladder(
         hw,
         importance,
@@ -1241,7 +1168,8 @@ pub fn plan_for_slo_mix(
             let mut best: Option<LadderStep> = None;
             for stripe in 0..mix.topology().channel_count() {
                 let predict = |plan: &ExecutionPlan| {
-                    mix.predict(&EngagementLoad::from_plan_striped(hw, plan, arrival, stripe))
+                    let load = EngagementLoad::from_plan_striped(hw, plan, arrival, stripe);
+                    mix.predict_over(&lanes, &load)
                 };
                 let mut step = LadderStep {
                     predicted: predict(&default),
@@ -1292,4 +1220,85 @@ pub fn plan_for_slo_mix(
             best.expect("a topology has at least one channel")
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use sti_storage::{ChannelBacklog, QueuedIo};
+
+    /// A hand-built session: one job whose signature and service time, the
+    /// arrival and the optional gate profile all derive from `x`, so a
+    /// refresh with a different `x` moves every field the sub-digest reads.
+    fn session(x: u64) -> (CoRunnerLoad, Option<SloProfile>) {
+        let job = LayerIoJob { sig: x ^ 0x5bd1, service: SimTime::from_us(40 + x % 7) };
+        let load = CoRunnerLoad { arrival: SimTime::from_us(x % 500), jobs: Arc::from([job]) };
+        let slo = x.is_multiple_of(3).then(|| SloProfile {
+            jobs: vec![Some(job)],
+            comp: SimTime::from_us(5),
+            slo: SimTime::from_ms(1 + x % 9),
+        });
+        (load, slo)
+    }
+
+    fn rebuilt(survivors: &BTreeMap<u64, u64>, topology: DeviceTopology) -> ServingMix {
+        let mut mix = ServingMix::new(IoSharing::Exclusive).with_topology(topology);
+        for (&token, &x) in survivors {
+            let (load, slo) = session(x);
+            mix.push_session(token, load, slo);
+        }
+        mix
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Insert / refresh / remove in arbitrary token order (so pushes
+        /// land before, between and after the sessions already held) keep
+        /// the registry in token order and its rolling digest equal to a
+        /// from-scratch rebuild of the survivors, on one channel and four.
+        #[test]
+        fn any_op_order_keeps_token_order_and_the_rebuild_digest(
+            ops in proptest::collection::vec((0u8..3, 0u64..12, 0u64..1_000), 1..40),
+        ) {
+            for topology in [DeviceTopology::single(), DeviceTopology::with_channels(4)] {
+                let mut mix = ServingMix::new(IoSharing::Exclusive).with_topology(topology);
+                let mut survivors: BTreeMap<u64, u64> = BTreeMap::new();
+                for &(op, token, x) in &ops {
+                    let (load, slo) = session(x);
+                    match op {
+                        0 => mix.push_session(token, load, slo),
+                        1 => mix.upsert_session(token, load, slo),
+                        _ => prop_assert_eq!(
+                            mix.remove_session(token),
+                            survivors.contains_key(&token)
+                        ),
+                    }
+                    if op < 2 {
+                        survivors.insert(token, x);
+                    } else {
+                        survivors.remove(&token);
+                    }
+                    prop_assert!(mix.sessions().map(|s| s.token).eq(survivors.keys().copied()));
+                    prop_assert_eq!(mix.digest(), rebuilt(&survivors, topology).digest());
+                }
+                let backlog = BacklogSnapshot {
+                    channels: vec![ChannelBacklog {
+                        channel: 7,
+                        arrival: SimTime::from_us(40),
+                        effective_arrival: SimTime::from_us(40),
+                        inflight: true,
+                        queued: vec![QueuedIo { sig: 9, bytes: 64, service: SimTime::from_us(30) }],
+                    }],
+                    batch_window: None,
+                };
+                prop_assert_eq!(
+                    mix.digest_with(&backlog),
+                    mix.clone().with_backlog(backlog.clone()).digest()
+                );
+                prop_assert_eq!(mix, rebuilt(&survivors, topology));
+            }
+        }
+    }
 }

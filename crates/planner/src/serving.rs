@@ -53,13 +53,6 @@ use crate::io_plan::plan_two_stage;
 use crate::mix::{PreloadPolicy, ServingMix};
 use crate::plan::ExecutionPlan;
 
-/// Per-layer IO service times of a plan on the profiled device: `Some` with
-/// the grouped-request delay for layers that stream, `None` for layers
-/// fully covered by the preload buffer.
-pub fn layer_io_services(hw: &HwProfile, plan: &ExecutionPlan) -> Vec<Option<SimTime>> {
-    layer_io_jobs(hw, plan).into_iter().map(|j| j.map(|j| j.service)).collect()
-}
-
 /// Whether co-resident engagements' IO is modeled as shared or exclusive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoSharing {

@@ -90,11 +90,6 @@ impl Bitwidth {
         let idx = Self::ALL.iter().position(|&b| b == self).expect("bitwidth in ALL");
         Self::ALL.get(idx + 1).copied()
     }
-
-    /// Compression ratio relative to FP32 (e.g. 16 for 2-bit).
-    pub fn compression_ratio(self) -> f64 {
-        32.0 / self.bits() as f64
-    }
 }
 
 impl TryFrom<u8> for Bitwidth {

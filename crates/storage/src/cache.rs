@@ -328,11 +328,6 @@ impl ShardCache {
         *self.pool.lock() = Some(PoolInner::new(budget));
     }
 
-    /// Whether the staging pool exists.
-    pub fn prefetch_pool_enabled(&self) -> bool {
-        self.pool.lock().is_some()
-    }
-
     /// Staging-pool counters (zero when the pool was never enabled).
     pub fn prefetch_stats(&self) -> PrefetchPoolStats {
         let pool = self.pool.lock();

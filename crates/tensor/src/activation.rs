@@ -23,13 +23,6 @@ pub fn relu(x: f32) -> f32 {
     x.max(0.0)
 }
 
-/// Applies [`relu`] to every element of `m` in place.
-pub fn relu_inplace(m: &mut Matrix) {
-    for x in m.as_mut_slice() {
-        *x = relu(*x);
-    }
-}
-
 /// Numerically stable hyperbolic-tangent shortcut kept for symmetry with the
 /// other activations (delegates to `f32::tanh`).
 pub fn tanh(x: f32) -> f32 {

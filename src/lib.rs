@@ -126,8 +126,8 @@
 //!
 //! The serving runtime scales past "dozens of sessions" by making every
 //! per-decision cost independent of fleet size: the server keeps one
-//! **live `ServingMix`** updated in place on open/close/retarget (never
-//! rebuilt per decision), the mix's digest is a **rolling per-session
+//! **live `ServingMix`** — one token-keyed ordered map behind one lock —
+//! updated in place on open/close/retarget (never rebuilt per decision), the mix's digest is a **rolling per-session
 //! fold** updated O(1) by those mutators, session job lists are
 //! `Arc`-shared (lane assembly clones pointers, not jobs), and one full
 //! gate walk per registry change prices *every* open SLO session — each
@@ -179,7 +179,7 @@
 //!   excludes. Span names are dotted lowercase (`gate.delay`,
 //!   `flash.service`, `io.dispatch`, `engine.tick`).
 //! - **Metrics.** `IoScheduler` and `StiServer` counters are named
-//!   instruments in a [`prelude::MetricsRegistry`] (sharded counters,
+//!   instruments in a [`prelude::MetricsRegistry`] (atomic counters,
 //!   peak-tracking gauges, fixed log₂-bucket histograms — no allocation
 //!   on the hot path); instrument prefixes (`io.*`, `serving.*`,
 //!   `gate.*`, `engine.*`) are disjoint so snapshots merge losslessly.

@@ -17,8 +17,12 @@
 //! 4. **Fleet sweep smoke.** `fleet_sweep` opens real fleets against a
 //!    real server on the virtual clock and reports a well-formed ledger.
 //! 5. **Open/teardown equivalence.** The batch `open_fleet` path and the
-//!    sweep's seeded-permutation teardown both leave the sharded registry
+//!    sweep's seeded-permutation teardown both leave the registry
 //!    bit-identical to from-scratch rebuilds.
+//! 6. **One lock, many host threads.** Concurrent opens, drops, gate
+//!    probes and an SLO admission against the single registry lock finish
+//!    (no lock-order inversion) and leave the digest equal to a rebuild
+//!    from the survivors.
 
 use proptest::prelude::*;
 use sti::prelude::*;
@@ -41,6 +45,17 @@ fn fixture() -> (HwProfile, ImportanceProfile) {
 }
 
 const WIDTHS: [usize; 2] = [2, 4];
+
+/// The server tests' fixture: the tiny model behind a 100 ms queue gate,
+/// nothing preloaded.
+fn queue_gated() -> (TaskContext, ServeConfig) {
+    let cfg = ServeConfig {
+        preload_bytes: 0,
+        backpressure: BackpressureMode::Queue(SimTime::from_ms(100)),
+        ..Default::default()
+    };
+    (TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()), cfg)
+}
 
 /// Deterministic xorshift64 op stream (proptest supplies the seed).
 struct Rng(u64);
@@ -230,12 +245,7 @@ fn gate_all_matches_per_token_gate() {
 
 #[test]
 fn fleet_sweep_reports_a_well_formed_ledger() {
-    let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
-    let cfg = ServeConfig {
-        preload_bytes: 0,
-        backpressure: BackpressureMode::Queue(SimTime::from_ms(100)),
-        ..Default::default()
-    };
+    let (ctx, cfg) = queue_gated();
     let fleet = FleetConfig { sizes: vec![8, 32], slo_sessions: 2, decisions: 24, channels: 1 };
     let points = fleet_sweep(&ctx, &cfg, &fleet).unwrap();
     assert_eq!(points.len(), 2);
@@ -261,18 +271,13 @@ fn fleet_sweep_reports_a_well_formed_ledger() {
 
 /// Seeded-permutation teardown ≡ from-scratch rebuild. Opening a mixed
 /// plain/SLO fleet at varying arrivals, then dropping a permuted subset
-/// (the order the fleet sweep's teardown phase uses: every shard of the
-/// registry sees interleaved removals), must leave the sharded registry's
-/// rolling digest bit-identical to a single `ServingMix` rebuilt from the
-/// survivors alone.
+/// (the order the fleet sweep's teardown phase uses: removals land
+/// anywhere in the registry, not just at its tail), must leave the
+/// registry's rolling digest bit-identical to a `ServingMix` rebuilt from
+/// the survivors alone.
 #[test]
-fn seeded_teardown_keeps_the_sharded_digest_equal_to_a_rebuild() {
-    let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
-    let cfg = ServeConfig {
-        preload_bytes: 0,
-        backpressure: BackpressureMode::Queue(SimTime::from_ms(100)),
-        ..Default::default()
-    };
+fn seeded_teardown_keeps_the_digest_equal_to_a_rebuild() {
+    let (ctx, cfg) = queue_gated();
     let server = build_server(&ctx, &cfg);
     let hw = HwProfile::measure(&cfg.device, ctx.task().model().config(), ctx.quant());
     let mut sessions = Vec::new();
@@ -294,37 +299,90 @@ fn seeded_teardown_keeps_the_sharded_digest_equal_to_a_rebuild() {
     for &i in order.iter().take(sessions.len() / 2) {
         sessions[i] = None;
     }
-    // Rebuild a single mix from the survivors, from scratch.
-    let mut survivors: Vec<_> = sessions.iter().flatten().collect();
-    survivors.sort_by_key(|s| s.token());
+    assert_eq!(
+        server.mix_digest(),
+        rebuilt_digest(&hw, sessions.iter().flatten()),
+        "registry digest drifted from a from-scratch rebuild after teardown"
+    );
+}
+
+/// The digest of a `ServingMix` rebuilt from scratch from `survivors`.
+fn rebuilt_digest<'a>(hw: &HwProfile, survivors: impl Iterator<Item = &'a Session>) -> u64 {
     let mut mix = ServingMix::new(IoSharing::Exclusive);
     for s in survivors {
         mix.push_session(
             s.token(),
-            CoRunnerLoad::from_plan_at(&hw, s.plan(), s.arrival()),
-            s.slo().map(|slo| SloProfile::from_plan(&hw, s.plan(), slo)),
+            CoRunnerLoad::from_plan_at(hw, s.plan(), s.arrival()),
+            s.slo().map(|slo| SloProfile::from_plan(hw, s.plan(), slo)),
         );
     }
+    mix.digest_with(&BacklogSnapshot::default())
+}
+
+/// Host threads against the single registry lock: four threads open and
+/// drop plain sessions while an SLO session probes its gate and the mix
+/// digest in a loop and a fifth thread admits an SLO session. The barrier
+/// starts them together; the test finishing is the no-lock-order-inversion
+/// check (`slo_planning`, the gate's `owned_lanes`, the registry lock), and
+/// the settled digest must equal a rebuild from the survivors.
+#[test]
+fn concurrent_opens_drops_and_gate_probes_settle_to_the_rebuild_digest() {
+    let (ctx, cfg) = queue_gated();
+    let server = build_server(&ctx, &cfg);
+    let hw = HwProfile::measure(&cfg.device, ctx.task().model().config(), ctx.quant());
+    let slo = SimTime::from_ms(60_000);
+    let prober = server.session_with_slo(slo, 0).unwrap();
+    const OPENERS: usize = 4;
+    let start = std::sync::Barrier::new(OPENERS + 2);
+    let (kept, admitted) = std::thread::scope(|s| {
+        let (server, start, target) = (&server, &start, cfg.target);
+        let openers: Vec<_> = (0..OPENERS)
+            .map(|_| {
+                s.spawn(move || {
+                    start.wait();
+                    let mut kept = Vec::new();
+                    for i in 0..48 {
+                        let session = server.session_with(target, 0).unwrap();
+                        // Every third session survives; the rest drop here,
+                        // interleaved with the other threads' opens.
+                        if i % 3 == 0 {
+                            kept.push(session);
+                        }
+                    }
+                    kept
+                })
+            })
+            .collect();
+        let admitter = s.spawn(move || {
+            start.wait();
+            server.session_with_slo(slo, 0).unwrap()
+        });
+        start.wait();
+        for _ in 0..200 {
+            assert!(prober.gate_decision().is_some());
+            std::hint::black_box(server.mix_digest());
+        }
+        let kept: Vec<Session> =
+            openers.into_iter().flat_map(|h| h.join().expect("opener panicked")).collect();
+        (kept, admitter.join().expect("admitter panicked"))
+    });
+    assert_eq!(server.open_sessions(), kept.len() + 2);
     assert_eq!(
         server.mix_digest(),
-        mix.digest_with(&BacklogSnapshot::default()),
-        "sharded registry digest drifted from a from-scratch rebuild after teardown"
+        rebuilt_digest(&hw, kept.iter().chain([&prober, &admitted])),
+        "registry digest drifted from a from-scratch rebuild after concurrent churn"
     );
+    // Settled: the probe is a pure function of the registry again.
+    assert_eq!(prober.gate_decision(), prober.gate_decision());
 }
 
 /// Batch open ≡ one-by-one open. `open_fleet` resolves the knobs once and
-/// registers every session against the sharded registry; the resulting
-/// digest (and the per-session plans) must be bit-identical to the same
-/// fleet opened through `session_with` — the commutative fold makes the
-/// two orders indistinguishable.
+/// registers every session against the registry; the resulting digest (and
+/// the per-session plans) must be bit-identical to the same fleet opened
+/// through `session_with`.
 #[test]
 fn open_fleet_is_equivalent_to_one_by_one_opens() {
-    let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
-    let cfg = ServeConfig {
-        preload_bytes: 0,
-        backpressure: BackpressureMode::Queue(SimTime::from_ms(100)),
-        ..Default::default()
-    };
+    let (ctx, cfg) = queue_gated();
     let batch_server = build_server(&ctx, &cfg);
     let batch = batch_server.open_fleet(12, cfg.target, 0).unwrap();
     let one_server = build_server(&ctx, &cfg);
@@ -345,12 +403,7 @@ fn open_fleet_is_equivalent_to_one_by_one_opens() {
 
 #[test]
 fn repeat_gate_decisions_are_stable_and_pure() {
-    let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
-    let cfg = ServeConfig {
-        preload_bytes: 0,
-        backpressure: BackpressureMode::Queue(SimTime::from_ms(100)),
-        ..Default::default()
-    };
+    let (ctx, cfg) = queue_gated();
     let server = build_server(&ctx, &cfg);
     let _fleet: Vec<_> = (0..16).map(|_| server.session_with(cfg.target, 0).unwrap()).collect();
     let slo = SimTime::from_ms(60_000);

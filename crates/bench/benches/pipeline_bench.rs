@@ -1,10 +1,12 @@
 //! Criterion benchmarks for the pipeline executor: one full engine inference
-//! (plan already built) and the per-layer working-buffer assembly.
+//! (plan already built), the per-layer working-buffer assembly, and building
+//! one more server over a task whose store and profile already exist.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sti::prelude::*;
+use sti::TaskContext;
 use sti_pipeline::{PreloadBuffer, WorkingBuffer};
 use sti_planner::ImportanceProfile;
 use sti_quant::QuantizedBlob;
@@ -66,9 +68,19 @@ fn bench_working_buffer_assembly(c: &mut Criterion) {
     });
 }
 
+fn bench_build_server(c: &mut Criterion) {
+    let cfg = ModelConfig::scaled_bert();
+    let ctx = TaskContext::with_config(TaskKind::Sst2, cfg.clone());
+    let scores = (0..cfg.total_shards()).map(|i| 0.5 + (i % 9) as f64 * 0.01).collect();
+    ctx.set_importance(ImportanceProfile::from_scores(cfg.layers, cfg.heads, scores, 0.45));
+    ctx.shard_source();
+    let serve = ServeConfig::default();
+    c.bench_function("build_server", |b| b.iter(|| build_server(&ctx, &serve)));
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_engine_infer, bench_working_buffer_assembly
+    targets = bench_engine_infer, bench_working_buffer_assembly, bench_build_server
 }
 criterion_main!(benches);

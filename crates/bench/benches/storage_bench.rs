@@ -1,11 +1,12 @@
-//! Criterion benchmarks for the shard store: record encode/decode and
-//! layer-grouped reads from a real on-disk store.
+//! Criterion benchmarks for the shard store: record encode/decode,
+//! layer-grouped reads from a real on-disk store, and the per-hop cost of a
+//! shard's bytes in memory (a `MemStore` load, a warm `ShardCache` hit).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
-use sti_storage::{format, ShardStore};
+use sti_storage::{format, MemStore, ShardCache, ShardKey, ShardSource, ShardStore};
 use sti_transformer::synthetic::synthetic_shard;
-use sti_transformer::{Model, ModelConfig};
+use sti_transformer::{Model, ModelConfig, ShardId};
 
 fn bench_record_codec(c: &mut Criterion) {
     let weights = synthetic_shard(&ModelConfig::scaled_bert(), 5, 1.0).flatten();
@@ -36,9 +37,27 @@ fn bench_layer_read(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn bench_memory_hops(c: &mut Criterion) {
+    let model = Model::synthetic(9, ModelConfig::scaled_bert());
+    let versions = [Bitwidth::B2, Bitwidth::B6, Bitwidth::Full];
+    let store = MemStore::build(&model, &versions, &QuantConfig::default());
+    let id = ShardId::new(3, 5);
+    let mut group = c.benchmark_group("memstore_load");
+    for bw in versions {
+        let key = ShardKey::new(id, bw);
+        group.throughput(Throughput::Bytes(store.size_bytes(key).expect("stored")));
+        group.bench_function(format!("{bw:?}"), |b| b.iter(|| store.load(key).expect("stored")));
+    }
+    group.finish();
+    let cache = ShardCache::new(1 << 20);
+    let key = ShardKey::new(id, Bitwidth::B6);
+    cache.get_or_load(&store, key).expect("stored");
+    c.bench_function("cache_hit", |b| b.iter(|| cache.get_or_load(&store, key).expect("resident")));
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_record_codec, bench_layer_read
+    targets = bench_record_codec, bench_layer_read, bench_memory_hops
 }
 criterion_main!(benches);

@@ -9,8 +9,8 @@ use parking_lot::Mutex;
 use sti_device::{DeviceProfile, HwProfile, SimTime};
 use sti_nlp::{Task, TaskKind};
 use sti_planner::{profile_importance, ExecutionPlan, ImportanceProfile};
-use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
-use sti_storage::MemStore;
+use sti_quant::{Bitwidth, QuantConfig};
+use sti_storage::{MemStore, ShardKey, ShardSource};
 use sti_transformer::{AssembledSubmodel, ModelConfig, ShardId, ShardWeights};
 
 use crate::baselines::Baseline;
@@ -91,10 +91,11 @@ impl TaskContext {
         if let Some(w) = self.dequant_cache.lock().get(&(id, bw)) {
             return w.clone();
         }
-        let cfg = self.task.model().config();
-        let flat = self.task.model().shard(id).flatten();
-        let blob = QuantizedBlob::quantize(&flat, bw, &self.quant);
-        let weights = ShardWeights::from_flat(&blob.dequantize(), cfg);
+        let blob = self
+            .shard_source()
+            .load(ShardKey::new(id, bw))
+            .expect("the context's store holds every shard at every bitwidth");
+        let weights = ShardWeights::from_flat(&blob.dequantize(), self.task.model().config());
         self.dequant_cache.lock().insert((id, bw), weights.clone());
         weights
     }

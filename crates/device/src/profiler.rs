@@ -62,15 +62,13 @@ impl HwProfile {
     /// bitwidth and evaluates the device's delay models over all widths.
     pub fn measure(device: &DeviceProfile, cfg: &ModelConfig, quant: &QuantConfig) -> Self {
         cfg.validate();
-        let mut shard_bytes = BTreeMap::new();
-        for bw in Bitwidth::ALL {
-            let mut max_bytes = 0u64;
-            for probe in 0..BYTE_PROBE_SHARDS {
-                let shard = synthetic_shard(cfg, 0xB0_07 + probe, 1.0);
-                let blob = QuantizedBlob::quantize(&shard.flatten(), bw, quant);
-                max_bytes = max_bytes.max(blob.byte_size() as u64);
+        let mut shard_bytes: BTreeMap<Bitwidth, u64> = BTreeMap::new();
+        for probe in 0..BYTE_PROBE_SHARDS {
+            let flat = synthetic_shard(cfg, 0xB0_07 + probe, 1.0).flatten();
+            for blob in QuantizedBlob::quantize_all(&flat, &Bitwidth::ALL, quant) {
+                let max_bytes = shard_bytes.entry(blob.bitwidth()).or_default();
+                *max_bytes = (*max_bytes).max(blob.byte_size() as u64);
             }
-            shard_bytes.insert(bw, max_bytes);
         }
         let t_comp = (1..=cfg.heads)
             .map(|m| device.compute.layer_total(cfg.seq_len, m, device.freq))

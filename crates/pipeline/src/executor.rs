@@ -191,8 +191,8 @@ impl<'a> PipelineExecutor<'a> {
                 let loaded = channel.recv()?;
                 debug_assert_eq!(loaded.layer, pl.layer, "IO completions must arrive in order");
                 loaded_bytes += loaded.bytes;
-                // Blobs arrive as `Arc`s: under shared-IO batching this map
-                // aliases the payload other engagements received.
+                // Under shared-IO batching this map aliases the payload other
+                // engagements received.
                 let map: HashMap<u16, Arc<QuantizedBlob>> = loaded.blobs.into_iter().collect();
                 (map, loaded.io_delay)
             } else {
@@ -264,12 +264,14 @@ pub fn assemble_plan_submodel(
         let mut shards = Vec::with_capacity(pl.slices.len());
         for (slice, bw) in pl.items() {
             let id = ShardId::new(pl.layer, slice);
+            let streamed;
             let blob = match preload.get(id) {
-                Some(blob) => blob.clone(),
+                Some(blob) => blob,
                 None => {
                     let key = ShardKey::new(id, bw);
                     loaded_bytes += source.size_bytes(key)?;
-                    source.load(key)?
+                    streamed = source.load(key)?;
+                    &streamed
                 }
             };
             shards.push(ShardWeights::from_flat(&blob.dequantize(), &cfg));

@@ -736,7 +736,8 @@ impl StiServer {
     }
 
     /// The model's resident parameters in bytes (shared across all
-    /// sessions, unlike per-engine copies).
+    /// sessions, and with every engine or server built over a clone of the
+    /// same [`Model`]).
     pub fn resident_bytes(&self) -> usize {
         self.inner.model.resident_byte_size()
     }
@@ -749,6 +750,12 @@ impl StiServer {
     /// Shard-cache effectiveness counters.
     pub fn shard_stats(&self) -> ShardCacheStats {
         self.inner.shard_cache.stats()
+    }
+
+    /// Budgeted bytes the shard cache holds right now, `(main map, prefetch
+    /// staging pool)` — [`ShardCache::resident_bytes`].
+    pub fn shard_cache_resident_bytes(&self) -> (u64, u64) {
+        self.inner.shard_cache.resident_bytes()
     }
 
     /// IO-scheduler accounting (requests, bytes, simulated flash busy time,
@@ -1635,6 +1642,9 @@ pub(crate) mod tests {
         s.infer(&[1, 2]).unwrap();
         let warm = srv.shard_stats();
         assert!(warm.hits > cold.hits, "second engagement must reuse blobs");
+        let (main, pool) = srv.shard_cache_resident_bytes();
+        assert!(main > 0 && main <= 4 << 20, "the warm cache holds bytes under its budget");
+        assert_eq!(pool, 0, "no staging pool without prefetch");
     }
 
     #[test]

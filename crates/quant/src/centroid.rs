@@ -27,10 +27,22 @@ impl CentroidDictionary {
     ///
     /// Panics if `values` is empty or `clusters == 0`.
     pub fn build(values: &[f32], clusters: usize) -> Self {
-        assert!(!values.is_empty(), "cannot build a dictionary from no values");
-        assert!(clusters > 0, "dictionary needs at least one cluster");
         let mut sorted: Vec<f32> = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("weights must not be NaN"));
+        Self::from_sorted(&sorted, clusters)
+    }
+
+    /// [`CentroidDictionary::build`] over values already in ascending
+    /// order: dictionaries of several sizes over one population are cut
+    /// from one sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sorted` is empty or `clusters == 0`.
+    pub fn from_sorted(sorted: &[f32], clusters: usize) -> Self {
+        assert!(!sorted.is_empty(), "cannot build a dictionary from no values");
+        assert!(clusters > 0, "dictionary needs at least one cluster");
+        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "values must be sorted");
 
         let n = sorted.len();
         let mut centroids = Vec::with_capacity(clusters);

@@ -5,6 +5,7 @@ use crate::bitwidth::Bitwidth;
 use crate::centroid::CentroidDictionary;
 use crate::error::QuantError;
 use crate::gaussian::GaussianFit;
+use std::sync::Arc;
 
 /// Parameters of the quantization process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,6 +30,12 @@ impl Default for QuantConfig {
 /// `k`-bit centroid indexes, the `2^k` FP32 centroids, and the FP32 outlier
 /// table `(offset, value)`.
 ///
+/// **Ownership:** one writer at construction, then shared and immutable.
+/// The payload sits behind a reference count and nothing can reach it
+/// mutably, so `clone()` is a handle to the same bytes — a store, the shard
+/// cache, a staging pool, a preload buffer and an in-flight layer all hold
+/// one copy between them — and `==` compares contents, never pointers.
+///
 /// ```
 /// use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 ///
@@ -39,6 +46,11 @@ impl Default for QuantConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedBlob {
+    payload: Arc<Payload>,
+}
+
+#[derive(Debug, PartialEq)]
+struct Payload {
     bitwidth: Bitwidth,
     len: u32,
     /// Packed k-bit indexes, or raw f32 LE bytes for full fidelity.
@@ -49,6 +61,39 @@ pub struct QuantizedBlob {
     outliers: Vec<(u32, f32)>,
 }
 
+/// What every compressed version of one weight group shares.
+struct Population {
+    is_outlier: Vec<bool>,
+    /// `(offset, original value)`, ascending by offset.
+    outliers: Vec<(u32, f32)>,
+    /// The dictionary population in ascending order.
+    sorted: Vec<f32>,
+}
+
+impl Population {
+    fn of(weights: &[f32], outlier_log_likelihood: f32) -> Self {
+        let fit = GaussianFit::fit(weights);
+        let outliers: Vec<(u32, f32)> = fit
+            .outlier_indexes(weights, outlier_log_likelihood)
+            .into_iter()
+            .map(|i| (i, weights[i as usize]))
+            .collect();
+        let mut is_outlier = vec![false; weights.len()];
+        for &(i, _) in &outliers {
+            is_outlier[i as usize] = true;
+        }
+        // If everything is an outlier (degenerate), fall back to using all
+        // weights as the dictionary population.
+        let mut sorted: Vec<f32> = if outliers.len() == weights.len() {
+            weights.to_vec()
+        } else {
+            weights.iter().zip(&is_outlier).filter(|(_, &o)| !o).map(|(&w, _)| w).collect()
+        };
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("weights must not be NaN"));
+        Self { is_outlier, outliers, sorted }
+    }
+}
+
 impl QuantizedBlob {
     /// Quantizes `weights` to the requested bitwidth.
     ///
@@ -56,54 +101,53 @@ impl QuantizedBlob {
     ///
     /// Panics if `weights` is empty.
     pub fn quantize(weights: &[f32], bitwidth: Bitwidth, config: &QuantConfig) -> Self {
+        Self::quantize_all(weights, &[bitwidth], config).pop().expect("one blob per bitwidth")
+    }
+
+    /// Quantizes `weights` to every one of `bitwidths`, in order. The
+    /// Gaussian fit, the outlier set and the sort of the inliers depend only
+    /// on the population, so they run once and each compressed bitwidth's
+    /// dictionary is cut from the one sorted list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty.
+    pub fn quantize_all(
+        weights: &[f32],
+        bitwidths: &[Bitwidth],
+        config: &QuantConfig,
+    ) -> Vec<Self> {
         assert!(!weights.is_empty(), "cannot quantize an empty weight group");
-        if bitwidth.is_full() {
-            let mut packed = Vec::with_capacity(weights.len() * 4);
-            for w in weights {
-                packed.extend_from_slice(&w.to_le_bytes());
+        let len = weights.len() as u32;
+        let blob = |bitwidth, packed, centroids, outliers| Self {
+            payload: Arc::new(Payload { bitwidth, len, packed, centroids, outliers }),
+        };
+        let mut population = None;
+        let mut blobs = Vec::with_capacity(bitwidths.len());
+        for &bitwidth in bitwidths {
+            if bitwidth.is_full() {
+                let mut packed = Vec::with_capacity(weights.len() * 4);
+                for w in weights {
+                    packed.extend_from_slice(&w.to_le_bytes());
+                }
+                blobs.push(blob(bitwidth, packed, Vec::new(), Vec::new()));
+                continue;
             }
-            return Self {
-                bitwidth,
-                len: weights.len() as u32,
-                packed,
-                centroids: Vec::new(),
-                outliers: Vec::new(),
-            };
+            let pop = population
+                .get_or_insert_with(|| Population::of(weights, config.outlier_log_likelihood));
+            let dict = CentroidDictionary::from_sorted(&pop.sorted, bitwidth.centroid_count());
+            // Outliers are stored as index 0 in the packed array (for bit
+            // alignment, as in the paper) and patched from the table on
+            // decompression.
+            let indexes: Vec<u16> = weights
+                .iter()
+                .zip(&pop.is_outlier)
+                .map(|(&w, &outlier)| if outlier { 0 } else { dict.assign(w) })
+                .collect();
+            let packed = bitpack::pack(&indexes, bitwidth.bits());
+            blobs.push(blob(bitwidth, packed, dict.centroids().to_vec(), pop.outliers.clone()));
         }
-
-        let fit = GaussianFit::fit(weights);
-        let outlier_idx = fit.outlier_indexes(weights, config.outlier_log_likelihood);
-        let outlier_set: std::collections::HashSet<u32> = outlier_idx.iter().copied().collect();
-
-        let inliers: Vec<f32> = weights
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !outlier_set.contains(&(*i as u32)))
-            .map(|(_, &w)| w)
-            .collect();
-        // If everything is an outlier (degenerate), fall back to using all
-        // weights as the dictionary population.
-        let population: &[f32] = if inliers.is_empty() { weights } else { &inliers };
-        let dict = CentroidDictionary::build(population, bitwidth.centroid_count());
-
-        // Outliers are stored as index 0 in the packed array (for bit
-        // alignment, as in the paper) and patched from the table on
-        // decompression.
-        let indexes: Vec<u16> = weights
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| if outlier_set.contains(&(i as u32)) { 0 } else { dict.assign(w) })
-            .collect();
-        let packed = bitpack::pack(&indexes, bitwidth.bits());
-        let outliers = outlier_idx.iter().map(|&i| (i, weights[i as usize])).collect();
-
-        Self {
-            bitwidth,
-            len: weights.len() as u32,
-            packed,
-            centroids: dict.centroids().to_vec(),
-            outliers,
-        }
+        blobs
     }
 
     /// Reassembles a blob from stored parts (used by the on-disk decoder).
@@ -152,12 +196,12 @@ impl QuantizedBlob {
                 });
             }
         }
-        Ok(Self { bitwidth, len, packed, centroids, outliers })
+        Ok(Self { payload: Arc::new(Payload { bitwidth, len, packed, centroids, outliers }) })
     }
 
     /// Decompresses into a freshly allocated vector.
     pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len as usize];
+        let mut out = vec![0.0f32; self.payload.len as usize];
         self.dequantize_into(&mut out);
         out
     }
@@ -168,7 +212,7 @@ impl QuantizedBlob {
     ///
     /// Panics if `out.len() != self.len()`.
     pub fn dequantize_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.len as usize, "dequantize buffer length mismatch");
+        assert_eq!(out.len(), self.payload.len as usize, "dequantize buffer length mismatch");
         self.dequantize_range_into(0, out);
     }
 
@@ -182,22 +226,22 @@ impl QuantizedBlob {
     ///
     /// Panics if the range runs past the end of the group.
     pub fn dequantize_range_into(&self, start: usize, out: &mut [f32]) {
-        assert!(start + out.len() <= self.len as usize, "dequantize range out of bounds");
-        if self.bitwidth.is_full() {
-            let raw = self.packed[start * 4..].chunks_exact(4);
+        assert!(start + out.len() <= self.payload.len as usize, "dequantize range out of bounds");
+        if self.payload.bitwidth.is_full() {
+            let raw = self.payload.packed[start * 4..].chunks_exact(4);
             for (slot, chunk) in out.iter_mut().zip(raw) {
                 *slot = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
             }
             return;
         }
         bitpack::unpack_lookup_into(
-            &self.packed,
-            self.bitwidth.bits(),
+            &self.payload.packed,
+            self.payload.bitwidth.bits(),
             start,
-            &self.centroids,
+            &self.payload.centroids,
             out,
         );
-        for &(offset, value) in &self.outliers {
+        for &(offset, value) in &self.payload.outliers {
             if let Some(slot) = out.get_mut((offset as usize).wrapping_sub(start)) {
                 *slot = value;
             }
@@ -206,17 +250,17 @@ impl QuantizedBlob {
 
     /// The blob's bitwidth.
     pub fn bitwidth(&self) -> Bitwidth {
-        self.bitwidth
+        self.payload.bitwidth
     }
 
     /// Number of weights in the group.
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.payload.len as usize
     }
 
     /// Whether the group is empty (never true for valid blobs).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.payload.len == 0
     }
 
     /// Serialized payload size in bytes: packed indexes plus the centroid
@@ -224,27 +268,29 @@ impl QuantizedBlob {
     /// model charges IO for and the preload buffer counts against its
     /// capacity.
     pub fn byte_size(&self) -> usize {
-        self.packed.len() + self.centroids.len() * 4 + self.outliers.len() * 8
+        self.payload.packed.len()
+            + self.payload.centroids.len() * 4
+            + self.payload.outliers.len() * 8
     }
 
     /// Fraction of weights preserved as outliers.
     pub fn outlier_fraction(&self) -> f64 {
-        self.outliers.len() as f64 / self.len as f64
+        self.payload.outliers.len() as f64 / self.payload.len as f64
     }
 
     /// Packed index bytes (raw f32 bytes for full fidelity).
     pub fn packed(&self) -> &[u8] {
-        &self.packed
+        &self.payload.packed
     }
 
     /// Centroid dictionary (empty for full fidelity).
     pub fn centroids(&self) -> &[f32] {
-        &self.centroids
+        &self.payload.centroids
     }
 
     /// Outlier table.
     pub fn outliers(&self) -> &[(u32, f32)] {
-        &self.outliers
+        &self.payload.outliers
     }
 }
 

@@ -14,6 +14,12 @@
 //! outcomes stay bit-identical whether the cache is cold, warm, or shared
 //! with other sessions — the determinism the serving tests pin down.
 //!
+//! **Ownership:** a [`ShardCache`] holds *handles*. A blob's payload is
+//! written once where it is built or decoded, then shared and immutable, so
+//! admitting a blob, serving a hit, staging it in the pool and promoting it
+//! all pass the source's one copy along; only the byte *budgets* are counted
+//! per holder, from `byte_size()`.
+//!
 //! ## The prefetch staging pool
 //!
 //! When the serving prefetcher is on, speculatively loaded blobs do **not**
@@ -67,7 +73,8 @@ impl ShardCacheStats {
 pub struct PrefetchPoolStats {
     /// Bytes flash-loaded into the pool by speculative jobs.
     pub staged_flash_bytes: u64,
-    /// Bytes cloned ("pinned") from the main cache at zero flash cost.
+    /// Bytes of main-cache-resident blobs the pool took its own handle to
+    /// ("pinned") at zero flash cost.
     pub pinned_bytes: u64,
     /// Staged bytes a later demand miss actually consumed.
     pub hit_bytes: u64,
@@ -198,6 +205,13 @@ impl ShardCache {
     /// Bytes currently resident.
     pub fn used_bytes(&self) -> u64 {
         self.inner.lock().used
+    }
+
+    /// Budgeted bytes currently held, `(main map, staging pool)` — each
+    /// counted against its own budget from `byte_size()`, whether or not
+    /// the two hold handles to the same payload.
+    pub fn resident_bytes(&self) -> (u64, u64) {
+        (self.used_bytes(), self.prefetch_stats().resident_bytes)
     }
 
     /// Number of blobs currently resident.
@@ -339,8 +353,8 @@ impl ShardCache {
 
     /// Stages one shard for a predicted engagement and reports what it cost:
     /// `(flash_bytes, pinned_bytes)`. Pool-resident shards cost nothing;
-    /// main-cache-resident shards are cloned into the pool "pinned" (zero
-    /// flash bytes — the pool copy survives a later demand eviction); cold
+    /// main-cache-resident shards are "pinned" — the pool takes its own
+    /// handle (zero flash bytes; it survives a later demand eviction); cold
     /// shards are read from `source` and charged as flash bytes. The
     /// main-cache probe is a pure peek: no recency refresh, no hit/miss
     /// counting, so demand-visible cache state is untouched.
@@ -491,6 +505,36 @@ mod tests {
         // Slice 0 was least recently used, so it is the one gone.
         assert!(cache.get(key(0, 0, Bitwidth::B2)).is_none());
         assert!(cache.get(key(0, 2, Bitwidth::B2)).is_some());
+    }
+
+    #[test]
+    fn resident_bytes_reports_main_map_and_pool_separately_under_eviction() {
+        let blob = uniform_blob();
+        let each = blob.byte_size() as u64;
+        let cache = ShardCache::new(2 * each);
+        assert_eq!(cache.resident_bytes(), (0, 0));
+        for slice in 0..3u16 {
+            cache.insert(key(0, slice, Bitwidth::B2), &blob);
+        }
+        // Three admitted, one evicted; no pool yet.
+        assert_eq!(cache.resident_bytes(), (2 * each, 0));
+
+        let store = store();
+        let staged = store.load(key(1, 0, Bitwidth::B2)).unwrap().byte_size() as u64;
+        cache.enable_prefetch_pool(staged);
+        cache.prefetch_load(&*store, key(1, 0, Bitwidth::B2)).unwrap();
+        assert_eq!(cache.resident_bytes(), (2 * each, staged));
+        // The pool holds one blob of this size: staging a second evicts the
+        // first, and the main map is untouched either way.
+        cache.prefetch_load(&*store, key(1, 1, Bitwidth::B2)).unwrap();
+        let (main, pool) = cache.resident_bytes();
+        assert_eq!(main, 2 * each);
+        assert!(pool <= staged);
+        assert_eq!(pool, cache.prefetch_stats().resident_bytes);
+        // A demand miss promotes the staged blob: its bytes change budgets.
+        cache.get_or_load(&*store, key(1, 1, Bitwidth::B2)).unwrap();
+        assert_eq!(cache.resident_bytes().1, 0);
+        assert!(cache.resident_bytes().0 <= cache.capacity());
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //!   flash job, charged once on the contended track;
 //! - [`loader`] — the layer-granular [`LayerRequest`] / [`LoadedLayer`]
 //!   pair the scheduler's lanes carry.
+//!
+//! **Ownership of shard bytes:** one writer at construction, then shared
+//! and immutable. A [`ShardSource`] builds or decodes a blob's payload once;
+//! `load`, the cache, the staging pool and the scheduler's fan-out pass
+//! handles to it (`QuantizedBlob::clone` is a reference count), and nothing
+//! downstream can write through one. Byte budgets are charged per holder
+//! from `byte_size()` regardless.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

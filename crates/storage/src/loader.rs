@@ -52,9 +52,10 @@ impl LayerRequest {
 
 /// The result of one layer load.
 ///
-/// Blobs are `Arc`-shared: when the scheduler batches identical requests
-/// from co-resident engagements, every recipient's `LoadedLayer` points at
-/// the same decoded payload (read-mostly fan-out, no copies).
+/// Blobs are shared, never copied: each is a handle to the payload the
+/// source or the shard cache holds, and when the scheduler batches identical
+/// requests from co-resident engagements every recipient's `LoadedLayer`
+/// points at the same one.
 #[derive(Debug, Clone)]
 pub struct LoadedLayer {
     /// The layer that was loaded.

@@ -12,6 +12,11 @@ use crate::store::{ShardKey, ShardSource};
 /// A [`ShardSource`] that quantizes a model's shards up front and serves
 /// them from memory — no filesystem, same interface and failure modes as the
 /// disk store (missing versions still error).
+///
+/// **Ownership:** the store is the one writer of every payload, at
+/// [`MemStore::build`] or [`MemStore::insert`]; [`ShardSource::load`] hands
+/// out a handle to that copy, never a copy of it. `insert` and `remove`
+/// swap which blob a key names and cannot change a blob already handed out.
 #[derive(Debug, Default)]
 pub struct MemStore {
     blobs: RwLock<HashMap<ShardKey, QuantizedBlob>>,
@@ -23,9 +28,10 @@ impl MemStore {
         let cfg = model.config();
         let mut blobs = HashMap::new();
         for id in cfg.shard_ids() {
-            let flat = model.shard(id).flatten();
-            for &bw in bitwidths {
-                blobs.insert(ShardKey::new(id, bw), QuantizedBlob::quantize(&flat, bw, quant));
+            let versions =
+                QuantizedBlob::quantize_all(&model.shard(id).flatten(), bitwidths, quant);
+            for (&bw, blob) in bitwidths.iter().zip(versions) {
+                blobs.insert(ShardKey::new(id, bw), blob);
             }
         }
         Self { blobs: RwLock::new(blobs) }

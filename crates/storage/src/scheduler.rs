@@ -1323,9 +1323,9 @@ fn contended_service(
 
 /// Services one request against the source (through the cache when
 /// present), returning the loaded layer plus how many of its bytes were
-/// cache-resident at dispatch (contended-track accounting). Blobs are
-/// wrapped in `Arc`s so a batched dispatch fans the payload out by
-/// reference counting rather than copying.
+/// cache-resident at dispatch (contended-track accounting). Each blob is a
+/// handle to the source's (or the cache's) one payload; a batched dispatch
+/// fans the [`LoadedLayer`] out to its members by cloning handles.
 fn service(shared: &Shared, req: &LayerRequest) -> Result<(LoadedLayer, u64), StorageError> {
     let mut blobs = Vec::with_capacity(req.items.len());
     let mut bytes = 0u64;

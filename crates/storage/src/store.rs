@@ -82,14 +82,21 @@ impl ShardStore {
         fs::create_dir_all(&dir)?;
         let cfg = model.config().clone();
         let mut manifest = Manifest::new(cfg.clone(), bitwidths.to_vec());
+        let bitwidths = manifest.bitwidths.clone();
         for layer in 0..cfg.layers as u16 {
-            for &bw in &manifest.bitwidths.clone() {
+            // One fit and one sort per shard: `versions[slice][k]` is the
+            // shard at `bitwidths[k]`.
+            let versions: Vec<Vec<QuantizedBlob>> = (0..cfg.heads as u16)
+                .map(|slice| {
+                    let flat = model.shard(ShardId::new(layer, slice)).flatten();
+                    QuantizedBlob::quantize_all(&flat, &bitwidths, quant)
+                })
+                .collect();
+            for (k, &bw) in bitwidths.iter().enumerate() {
                 let mut file_bytes = Vec::new();
                 let mut locs = Vec::with_capacity(cfg.heads);
-                for slice in 0..cfg.heads as u16 {
-                    let shard = model.shard(ShardId::new(layer, slice));
-                    let blob = QuantizedBlob::quantize(&shard.flatten(), bw, quant);
-                    let record = format::encode_blob(&blob);
+                for shard_versions in &versions {
+                    let record = format::encode_blob(&shard_versions[k]);
                     locs.push(RecordLoc {
                         offset: file_bytes.len() as u64,
                         len: record.len() as u32,

@@ -1,5 +1,7 @@
 //! The full sharded model: synthesis, teacher forward, submodel forward.
 
+use std::sync::Arc;
+
 use sti_tensor::{stats, Matrix, Rng};
 
 use crate::assemble::AssembledSubmodel;
@@ -20,8 +22,18 @@ use crate::weights::{LayerWeights, ShardWeights};
 /// 2. **Resident parameters** — embedding, layer norms, biases, and the
 ///    classifier head stay in memory (paper §6) and are shared by every
 ///    submodel execution.
+///
+/// **Ownership:** one writer at construction, then shared and immutable.
+/// The weights sit behind a reference count and no method reaches them
+/// mutably, so `clone()` is a handle to the same model: every engine and
+/// server built over one task reads the residents of the one copy.
 #[derive(Debug, Clone)]
 pub struct Model {
+    weights: Arc<Weights>,
+}
+
+#[derive(Debug)]
+struct Weights {
     cfg: ModelConfig,
     embedding: Embedding,
     layers: Vec<LayerWeights>,
@@ -42,27 +54,27 @@ impl Model {
         let embedding = Embedding::synthetic(&cfg, rng.next_u64());
         let layers = (0..cfg.layers).map(|l| synthetic_layer(&cfg, &mut rng, l, pattern)).collect();
         let classifier = Classifier::synthetic(&cfg, rng.next_u64());
-        Self { cfg, embedding, layers, classifier }
+        Self { weights: Arc::new(Weights { cfg, embedding, layers, classifier }) }
     }
 
     /// The model configuration.
     pub fn config(&self) -> &ModelConfig {
-        &self.cfg
+        &self.weights.cfg
     }
 
     /// The resident embedding tables.
     pub fn embedding(&self) -> &Embedding {
-        &self.embedding
+        &self.weights.embedding
     }
 
     /// The classifier head.
     pub fn classifier(&self) -> &Classifier {
-        &self.classifier
+        &self.weights.classifier
     }
 
     /// All layers (full fidelity).
     pub fn layers(&self) -> &[LayerWeights] {
-        &self.layers
+        &self.weights.layers
     }
 
     /// Full-fidelity weights of one shard.
@@ -71,13 +83,13 @@ impl Model {
     ///
     /// Panics if `id` is out of range.
     pub fn shard(&self, id: ShardId) -> &ShardWeights {
-        &self.layers[id.layer as usize].shards[id.slice as usize]
+        &self.weights.layers[id.layer as usize].shards[id.slice as usize]
     }
 
     /// Runs the full `N × M` model at full fidelity — the teacher.
     pub fn forward_full(&self, tokens: &[u32]) -> Vec<f32> {
         let slices: Vec<Vec<usize>> =
-            (0..self.cfg.layers).map(|_| (0..self.cfg.heads).collect()).collect();
+            (0..self.weights.cfg.layers).map(|_| (0..self.weights.cfg.heads).collect()).collect();
         self.forward_submodel(tokens, &slices)
     }
 
@@ -97,10 +109,10 @@ impl Model {
         first: usize,
         layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
     ) -> Matrix {
-        let mut residents = self.layers[first..].iter().map(|l| &l.resident);
+        let mut residents = self.weights.layers[first..].iter().map(|l| &l.resident);
         layers.into_iter().fold(x, |x, (slice_idxs, shards)| {
             let resident = residents.next().expect("submodel deeper than model");
-            layer_forward(&x, &shards, slice_idxs, resident, &self.cfg)
+            layer_forward(&x, &shards, slice_idxs, resident, &self.weights.cfg)
         })
     }
 
@@ -118,9 +130,13 @@ impl Model {
         let width = slices_per_layer[0].len();
         let layers = slices_per_layer.iter().enumerate().map(|(l, slices)| {
             assert_eq!(slices.len(), width, "submodel layers must share one width");
-            (slices.as_slice(), slices.iter().map(|&s| &self.layers[l].shards[s]).collect())
+            (slices.as_slice(), slices.iter().map(|&s| &self.weights.layers[l].shards[s]).collect())
         });
-        self.classifier.logits(&self.forward_layers(self.embedding.embed(tokens), 0, layers))
+        self.weights.classifier.logits(&self.forward_layers(
+            self.weights.embedding.embed(tokens),
+            0,
+            layers,
+        ))
     }
 
     /// Runs an externally assembled submodel (dequantized shards) through
@@ -131,12 +147,16 @@ impl Model {
     /// Panics if the submodel is empty or deeper than the model.
     pub fn forward_assembled(&self, tokens: &[u32], submodel: &AssembledSubmodel) -> Vec<f32> {
         assert!(submodel.depth() > 0, "assembled submodel is empty");
-        assert!(submodel.depth() <= self.cfg.layers, "submodel deeper than model");
+        assert!(submodel.depth() <= self.weights.cfg.layers, "submodel deeper than model");
         let layers = submodel
             .layers()
             .iter()
             .map(|asm| (asm.slice_idxs.as_slice(), asm.shards.iter().collect()));
-        self.classifier.logits(&self.forward_layers(self.embedding.embed(tokens), 0, layers))
+        self.weights.classifier.logits(&self.forward_layers(
+            self.weights.embedding.embed(tokens),
+            0,
+            layers,
+        ))
     }
 
     /// Runs an assembled submodel and returns `(predicted class, softmax
@@ -161,14 +181,14 @@ impl Model {
     /// Bytes of resident (non-streamed) parameters: embedding, layer norms,
     /// biases, classifier.
     pub fn resident_byte_size(&self) -> usize {
-        self.embedding.byte_size()
-            + self.layers.iter().map(|l| l.resident.byte_size()).sum::<usize>()
-            + self.classifier.byte_size()
+        self.weights.embedding.byte_size()
+            + self.weights.layers.iter().map(|l| l.resident.byte_size()).sum::<usize>()
+            + self.weights.classifier.byte_size()
     }
 
     /// FP32 bytes of all sharded (streamable) parameters.
     pub fn sharded_byte_size(&self) -> usize {
-        self.cfg.layer_fp32_bytes() * self.cfg.layers
+        self.weights.cfg.layer_fp32_bytes() * self.weights.cfg.layers
     }
 }
 

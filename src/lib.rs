@@ -213,6 +213,21 @@
 //! `tests/quant_invariants.rs`), compared by `to_bits` in debug and release
 //! builds. No `unsafe`, no target features, no switch.
 //!
+//! The *byte* path of the same shard is one copy long. A weight payload has
+//! one writer, at construction — `QuantizedBlob::quantize_all` in
+//! `MemStore::build`, or the record decoder of the disk store — and is
+//! shared and immutable from then on: `MemStore::load`, a `ShardCache` hit
+//! or admit, the prefetch staging pool and its demand promote, a
+//! `PreloadBuffer` fill and the `LoadedLayer` the scheduler fans out to a
+//! batch all hand on a reference-counted handle to that payload, and the
+//! first new bytes are the FP32 segments `WorkingBuffer::assemble` decodes
+//! for one layer. Budgets, evictions and hit rates are still counted per
+//! holder from `byte_size()`, so no simulated number knows the bytes are
+//! shared. `Model` follows the same rule: its `clone()` is a handle, so
+//! however many engines and servers a process builds over one task it holds
+//! the weights once as the FP32 teacher and once as the quantised store
+//! (`tests/memory_sharing.rs` pins both with an allocation counter).
+//!
 //! The single-app engine path (`StiEngine::builder(..)`) works exactly as
 //! in the seed; see `crates/pipeline` for both facades, and the
 //! [`prelude`] for one-stop imports. The `baselines` module implements the

@@ -240,3 +240,145 @@ fn engine_survives_budget_shrink_to_zero() {
     let inf = engine.infer(&[9, 1]).unwrap();
     assert!(inf.class < 2);
 }
+
+/// What a blob holds, copied out so a later comparison cannot alias it.
+fn contents(blob: &QuantizedBlob) -> (Vec<u8>, Vec<u32>, Vec<(u32, u32)>) {
+    (
+        blob.packed().to_vec(),
+        blob.centroids().iter().map(|c| c.to_bits()).collect(),
+        blob.outliers().iter().map(|&(at, v)| (at, v.to_bits())).collect(),
+    )
+}
+
+/// Payloads are shared between the store, the shard cache and every preload
+/// buffer, so the store's mutators must only ever swap which blob a key
+/// names: a blob a server already cached or preloaded keeps its bytes, and
+/// the server keeps serving from them.
+#[test]
+fn replacing_or_removing_a_stored_shard_leaves_handed_out_blobs_untouched() {
+    let (task, device, hw, importance) = setup();
+    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let server =
+        StiServer::builder(task.model().clone(), store.clone(), hw, device.flash, importance)
+            .target(SimTime::from_ms(400))
+            .preload_budget(16 << 10)
+            .widths(&[2, 4])
+            .build();
+    let session = server.session().unwrap();
+    assert!(session.preload_used() > 0, "the session preloaded shards");
+    let before = session.infer(&[3, 1, 4]).unwrap();
+    assert!(server.shard_cache_resident_bytes().0 > 0, "and the engagement warmed the cache");
+
+    // Every shard version the plan touches, as the store handed it out,
+    // preloaded ones first.
+    let plan = session.plan();
+    let preloaded = plan.preload.iter().map(|&(id, bw)| ShardKey::new(id, bw));
+    let streamed = plan.layers.iter().flat_map(|pl| {
+        pl.items().map(|(slice, bw)| ShardKey::new(ShardId::new(pl.layer, slice), bw))
+    });
+    let mut planned: Vec<ShardKey> = preloaded.collect();
+    let preloaded = planned.len();
+    planned.extend(streamed.filter(|key| !plan.preload.contains(&(key.id, key.bitwidth))));
+    assert!(preloaded >= 2 && planned.len() > preloaded, "both kinds of holder are exercised");
+    let handed_out: Vec<QuantizedBlob> = planned.iter().map(|&k| store.load(k).unwrap()).collect();
+    let snapshot: Vec<_> = handed_out.iter().map(contents).collect();
+
+    // Replace every other key with other weights and remove the rest.
+    let imposter = QuantizedBlob::quantize(
+        &vec![0.125f32; handed_out[0].len()],
+        Bitwidth::B2,
+        &QuantConfig::default(),
+    );
+    let sabotage = |range: std::ops::Range<usize>| {
+        for i in range {
+            if i % 2 == 0 {
+                store.insert(planned[i], imposter.clone());
+                assert_eq!(store.load(planned[i]).unwrap(), imposter);
+            } else {
+                assert_eq!(store.remove(planned[i]).as_ref(), Some(&handed_out[i]));
+                assert!(matches!(store.load(planned[i]), Err(StorageError::MissingShard { .. })));
+            }
+        }
+    };
+    // Preloaded shards never go back to the store: the session reads its
+    // own handles, so it answers from the same bytes.
+    sabotage(0..preloaded);
+    let after = session.infer(&[3, 1, 4]).unwrap();
+    assert_eq!(after.outcome.logits, before.outcome.logits);
+    assert_eq!(after.outcome.loaded_bytes, before.outcome.loaded_bytes);
+    // Streamed shards are sized from the store on every request, so the
+    // server would now see the new versions; the old ones, still held by the
+    // shard cache and by this test, are what they were.
+    sabotage(preloaded..planned.len());
+    for (blob, old) in handed_out.iter().zip(&snapshot) {
+        assert_eq!(&contents(blob), old, "a handed-out blob changed under its holder");
+    }
+}
+
+/// Sharing the payload changes nothing about how a bad blob fails: parts
+/// that disagree are refused with the same typed errors, and a well-formed
+/// blob of the wrong shape planted in the store is a plan mismatch at
+/// assembly, not a panic.
+#[test]
+fn corrupt_blobs_built_from_parts_still_fail_typed() {
+    use sti_quant::QuantError;
+    let weights: Vec<f32> = (0..64).map(|i| (i as f32 / 5.0).cos()).collect();
+    let good = QuantizedBlob::quantize(&weights, Bitwidth::B4, &QuantConfig::default());
+    let parts = |packed: Vec<u8>, centroids: Vec<f32>, outliers: Vec<(u32, f32)>| {
+        QuantizedBlob::from_parts(Bitwidth::B4, 64, packed, centroids, outliers)
+    };
+    let (packed, centroids) = (good.packed().to_vec(), good.centroids().to_vec());
+    assert_eq!(
+        QuantizedBlob::from_parts(Bitwidth::B4, 0, vec![], vec![], vec![]).unwrap_err(),
+        QuantError::EmptyInput
+    );
+    assert_eq!(
+        parts(packed[..31].to_vec(), centroids.clone(), vec![]).unwrap_err(),
+        QuantError::IndexOutOfRange { index: 31, dictionary: 32 }
+    );
+    assert_eq!(
+        parts(packed.clone(), centroids[..15].to_vec(), vec![]).unwrap_err(),
+        QuantError::IndexOutOfRange { index: 15, dictionary: 16 }
+    );
+    assert_eq!(
+        parts(packed.clone(), centroids.clone(), vec![(64, 1.0)]).unwrap_err(),
+        QuantError::OutlierOffsetOutOfRange { offset: 64, len: 64 }
+    );
+    assert_eq!(
+        QuantizedBlob::from_parts(Bitwidth::Full, 64, vec![0; 255], vec![], vec![]).unwrap_err(),
+        QuantError::IndexOutOfRange { index: 255, dictionary: 256 }
+    );
+    assert_eq!(parts(packed, centroids, good.outliers().to_vec()).unwrap(), good);
+
+    let (task, device, hw, importance) = setup();
+    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let plan = plan_for(&hw, &importance);
+    let pl = &plan.layers[0];
+    store.insert(ShardKey::new(ShardId::new(pl.layer, pl.slices[0]), pl.bitwidths[0]), good);
+    let exec = PipelineExecutor::new(task.model(), store, device.flash, &hw);
+    let err = exec.execute(&plan, &PreloadBuffer::new(0), &[1, 2]).unwrap_err();
+    assert!(matches!(err, PipelineError::PlanMismatch(_)), "unexpected error: {err}");
+}
+
+/// `==` on blobs compares what they hold, never which allocation holds it.
+#[test]
+fn blob_equality_is_by_content_not_by_pointer() {
+    let weights: Vec<f32> = (0..300).map(|i| (i as f32 / 11.0).sin()).collect();
+    let quant = QuantConfig::default();
+    for bw in Bitwidth::ALL {
+        let a = QuantizedBlob::quantize(&weights, bw, &quant);
+        let b = QuantizedBlob::quantize(&weights, bw, &quant);
+        assert_ne!(a.packed().as_ptr(), b.packed().as_ptr(), "two quantisations, two payloads");
+        assert_eq!(a, b, "{bw}");
+        assert_eq!(a.clone().packed().as_ptr(), a.packed().as_ptr(), "a clone is a handle");
+
+        let mut nudged = weights.clone();
+        nudged[7] += 0.5;
+        assert_ne!(QuantizedBlob::quantize(&nudged, bw, &quant), a, "{bw}");
+    }
+    let (b2, b3) = (Bitwidth::B2, Bitwidth::B3);
+    assert_ne!(
+        QuantizedBlob::quantize(&weights, b2, &quant),
+        QuantizedBlob::quantize(&weights, b3, &quant)
+    );
+}

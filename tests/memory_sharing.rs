@@ -1,0 +1,195 @@
+//! Deterministic memory pins for the one-copy rule: a weight payload is
+//! written once, then shared and immutable, so loading, caching, staging and
+//! preloading a shard — and building another server over the same task —
+//! allocate handles, not copies. `peak_rss_mb` shows the same thing end to
+//! end but only through the benchmark; these pins count heap bytes directly
+//! and compare payload addresses, so they repeat exactly on any machine.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use sti::prelude::*;
+use sti::TaskContext;
+
+/// The system allocator, counting every byte it is asked for (a realloc
+/// counts in full: it may move the block) and every byte still held.
+struct Counting;
+
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+static HELD: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are relaxed statistics
+// that publish no other data and never influence what is returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        HELD.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as they came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        HELD.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        HELD.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: `ptr` and `layout` describe a live block of this allocator,
+        // which is `System` underneath.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        HELD.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The counter is process-wide and the harness runs tests on parallel
+/// threads, so every test in this file holds this lock for its whole body.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn serialised() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Heap bytes `(requested, still held)` process-wide across `work`: the
+/// first counts transients too, the second is what `work` left allocated.
+fn heap_bytes_across<T>(work: impl FnOnce() -> T) -> (T, u64, i64) {
+    let (requested, held) = (REQUESTED.load(Ordering::Relaxed), HELD.load(Ordering::Relaxed));
+    let out = work();
+    let requested = REQUESTED.load(Ordering::Relaxed) - requested;
+    (out, requested, HELD.load(Ordering::Relaxed) - held)
+}
+
+const KIB: u64 = 1024;
+
+/// A task at the shipped scale (1.98 MiB of FP32 shard weights) with a flat
+/// importance profile injected, so no pin pays for profiling.
+fn scaled_context() -> TaskContext {
+    let cfg = ModelConfig::scaled_bert();
+    let ctx = TaskContext::with_config(TaskKind::Sst2, cfg.clone());
+    let scores = (0..cfg.total_shards()).map(|i| 0.5 + i as f64 * 1e-3).collect();
+    assert!(ctx.set_importance(ImportanceProfile::from_scores(cfg.layers, cfg.heads, scores, 0.4)));
+    ctx
+}
+
+fn all_keys(cfg: &ModelConfig) -> Vec<ShardKey> {
+    let ids = cfg.shard_ids();
+    ids.flat_map(|id| Bitwidth::ALL.map(|bw| ShardKey::new(id, bw))).collect()
+}
+
+#[test]
+fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let store = ctx.shard_source();
+    let keys = all_keys(ctx.task().model().config());
+    let cache = ShardCache::new(64 << 20);
+    for &key in &keys {
+        cache.get_or_load(&*store, key).unwrap();
+    }
+    assert_eq!(cache.len(), keys.len(), "every key is resident before the hits are counted");
+
+    let (payload_bytes, requested, _) = heap_bytes_across(|| {
+        let mut payload_bytes = 0u64;
+        for &key in keys.iter().cycle().take(1000) {
+            payload_bytes += store.load(key).unwrap().byte_size() as u64;
+        }
+        for &key in keys.iter().cycle().take(1000) {
+            payload_bytes += cache.get_or_load(&*store, key).unwrap().byte_size() as u64;
+        }
+        payload_bytes
+    });
+    assert_eq!(cache.stats().hits, 1000);
+    assert!(payload_bytes > 4 << 20, "the loop handed out {payload_bytes} payload bytes");
+    assert!(
+        requested < 64 * KIB,
+        "2000 loads handed out {payload_bytes} payload bytes and allocated {requested}"
+    );
+}
+
+#[test]
+fn a_second_server_on_one_context_does_not_copy_the_model() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let cfg = ServeConfig::default();
+    let shard_weights = ctx.task().model().sharded_byte_size() as u64;
+    assert!(shard_weights > 1900 * KIB, "the pin is about a 2 MiB model");
+    // The first build also builds the context's store; the second is the
+    // marginal cost of a server. Its transients (the hardware profile
+    // quantises probe shards) come and go; what it keeps is the pin.
+    let first = build_server(&ctx, &cfg);
+    let (second, _, kept) = heap_bytes_across(|| build_server(&ctx, &cfg));
+    assert!(
+        kept < 512 * KIB as i64,
+        "a second server over {shard_weights} bytes of shard weights keeps {kept} bytes"
+    );
+    // Both serve, from the same residents.
+    let a = first.session().unwrap().infer(&[1, 2, 3]).unwrap();
+    let b = second.session().unwrap().infer(&[1, 2, 3]).unwrap();
+    assert_eq!(a.outcome.logits, b.outcome.logits);
+}
+
+#[test]
+fn every_hop_hands_on_the_stores_one_payload() {
+    let _guard = serialised();
+    let model = Model::synthetic(11, ModelConfig::tiny());
+    let store = MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default());
+    let id = ShardId::new(1, 2);
+    let key = ShardKey::new(id, Bitwidth::B4);
+    let payload = |blob: &QuantizedBlob| {
+        (blob.packed().as_ptr(), blob.centroids().as_ptr(), blob.outliers().as_ptr())
+    };
+    let in_store = store.load(key).unwrap();
+    assert_eq!(payload(&store.load(key).unwrap()), payload(&in_store), "load twice");
+
+    // Cache: the miss admits the store's payload, the hit returns it.
+    let cache = ShardCache::new(1 << 20);
+    let (missed, resident) = cache.get_or_load_tracked(&store, key).unwrap();
+    assert!(!resident);
+    assert_eq!(payload(&missed), payload(&in_store), "cache miss");
+    let (hit, resident) = cache.get_or_load_tracked(&store, key).unwrap();
+    assert!(resident);
+    assert_eq!(payload(&hit), payload(&in_store), "cache hit");
+    let cached = CachedSource::new(Arc::new(store), Arc::new(cache));
+    assert_eq!(payload(&cached.load(key).unwrap()), payload(&in_store), "cached source");
+
+    // Staging pool: staged cold, pinned from the main map, promoted on a
+    // demand miss — the same payload each time.
+    let cold = ShardKey::new(id, Bitwidth::B6);
+    let cold_in_store = cached.backing().load(cold).unwrap();
+    let cache = cached.cache();
+    cache.enable_prefetch_pool(1 << 20);
+    assert!(cache.prefetch_load(&**cached.backing(), cold).unwrap().0 > 0, "staged from flash");
+    assert!(cache.prefetch_load(&**cached.backing(), key).unwrap().1 > 0, "pinned");
+    let (promoted, resident) = cache.get_or_load_tracked(&**cached.backing(), cold).unwrap();
+    assert!(resident, "the staged blob was promoted, not reloaded");
+    assert_eq!(cache.prefetch_stats().hits, 1);
+    assert_eq!(payload(&promoted), payload(&cold_in_store), "pool promote");
+    cache.clear();
+    let (pinned, resident) = cache.get_or_load_tracked(&**cached.backing(), key).unwrap();
+    assert!(resident, "the pinned handle outlives the main map's");
+    assert_eq!(payload(&pinned), payload(&in_store), "pool pin");
+
+    // Preload buffer: filled the way the engine and the server fill it.
+    let mut preload = PreloadBuffer::new(1 << 20);
+    preload.insert(id, cached.load(key).unwrap()).unwrap();
+    assert_eq!(payload(preload.get(id).unwrap()), payload(&in_store), "preload entry");
+
+    // And the model: a clone is the same weights.
+    let twin = model.clone();
+    assert_eq!(twin.layers().as_ptr(), model.layers().as_ptr());
+    assert!(std::ptr::eq(twin.embedding(), model.embedding()));
+    assert!(std::ptr::eq(twin.classifier(), model.classifier()));
+}

@@ -2,8 +2,10 @@
 //! weight distributions (not just the synthetic generator's).
 
 use proptest::prelude::*;
+use sti_nlp::{Task, TaskKind};
 use sti_pipeline::WorkingBuffer;
-use sti_quant::{bitpack, Bitwidth, QuantConfig, QuantError, QuantizedBlob};
+use sti_quant::centroid::CentroidDictionary;
+use sti_quant::{bitpack, Bitwidth, GaussianFit, QuantConfig, QuantError, QuantizedBlob};
 use sti_storage::format;
 use sti_tensor::stats;
 use sti_transformer::synthetic::synthetic_shard;
@@ -31,6 +33,103 @@ fn unpack_lookup_patch(blob: &QuantizedBlob) -> Vec<f32> {
         out[offset as usize] = value;
     }
     out
+}
+
+/// The quantiser as it stood before `quantize_all`, spelled out from its
+/// public parts: every bitwidth runs its own Gaussian fit, builds its own
+/// outlier set and inlier list, and sorts that list inside
+/// `CentroidDictionary::build`.
+fn quantize_one_at_a_time(weights: &[f32], bw: Bitwidth, cfg: &QuantConfig) -> QuantizedBlob {
+    let len = weights.len() as u32;
+    if bw.is_full() {
+        let raw = weights.iter().flat_map(|w| w.to_le_bytes()).collect();
+        return QuantizedBlob::from_parts(bw, len, raw, Vec::new(), Vec::new()).unwrap();
+    }
+    let fit = GaussianFit::fit(weights);
+    let outlier_idx = fit.outlier_indexes(weights, cfg.outlier_log_likelihood);
+    let outlier_set: std::collections::HashSet<u32> = outlier_idx.iter().copied().collect();
+    let inliers: Vec<f32> = weights
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !outlier_set.contains(&(*i as u32)))
+        .map(|(_, &w)| w)
+        .collect();
+    let population: &[f32] = if inliers.is_empty() { weights } else { &inliers };
+    let dict = CentroidDictionary::build(population, bw.centroid_count());
+    let indexes: Vec<u16> = weights
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| if outlier_set.contains(&(i as u32)) { 0 } else { dict.assign(w) })
+        .collect();
+    let outliers = outlier_idx.iter().map(|&i| (i, weights[i as usize])).collect();
+    let packed = bitpack::pack(&indexes, bw.bits());
+    QuantizedBlob::from_parts(bw, len, packed, dict.centroids().to_vec(), outliers).unwrap()
+}
+
+/// `quantize_all` equals the one-at-a-time quantiser part for part — packed
+/// bytes, centroid bits, outlier table — at every bitwidth, in request order,
+/// and `quantize` is its one-bitwidth case.
+fn assert_one_sort_equals_one_at_a_time(weights: &[f32], cfg: &QuantConfig, what: &str) {
+    let all = QuantizedBlob::quantize_all(weights, &Bitwidth::ALL, cfg);
+    assert_eq!(all.len(), Bitwidth::ALL.len());
+    for (blob, bw) in all.iter().zip(Bitwidth::ALL) {
+        let oracle = quantize_one_at_a_time(weights, bw, cfg);
+        assert_eq!(blob.bitwidth(), bw, "{what}");
+        assert_eq!(blob.len(), weights.len(), "{what} {bw}");
+        assert_eq!(blob.packed(), oracle.packed(), "{what} {bw}: packed");
+        assert_eq!(bits_of(blob.centroids()), bits_of(oracle.centroids()), "{what} {bw}");
+        let table = |b: &QuantizedBlob| -> Vec<(u32, u32)> {
+            b.outliers().iter().map(|&(at, v)| (at, v.to_bits())).collect()
+        };
+        assert_eq!(table(blob), table(&oracle), "{what} {bw}: outliers");
+        assert_eq!(&QuantizedBlob::quantize(weights, bw, cfg), blob, "{what} {bw}: quantize");
+    }
+    // A subset in another order cuts the same dictionaries.
+    let some = QuantizedBlob::quantize_all(weights, &[Bitwidth::Full, Bitwidth::B2], cfg);
+    assert_eq!(some, [all[5].clone(), all[0].clone()], "{what}: subset");
+}
+
+#[test]
+fn quantize_all_equals_the_per_bitwidth_quantiser_on_every_tasks_shards() {
+    assert_eq!((Bitwidth::ALL[0], Bitwidth::ALL[5]), (Bitwidth::B2, Bitwidth::Full));
+    let quant = QuantConfig::default();
+    for kind in TaskKind::ALL {
+        for cfg in [ModelConfig::tiny(), ModelConfig::scaled_bert()] {
+            let task = Task::build(kind, cfg.clone(), 1, 1);
+            for id in cfg.shard_ids() {
+                let flat = task.model().shard(id).flatten();
+                assert_one_sort_equals_one_at_a_time(&flat, &quant, &format!("{kind} {id}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn quantize_all_keeps_the_all_outlier_fallback_and_signed_zero_ties() {
+    let quant = QuantConfig::default();
+    // Every weight is an outlier under a threshold nothing can meet: the
+    // dictionary population falls back to the whole group.
+    let everything = QuantConfig { outlier_log_likelihood: f32::INFINITY };
+    let spread: Vec<f32> = (0..200).map(|i| (i as f32 / 9.0).sin()).collect();
+    let blob = QuantizedBlob::quantize(&spread, Bitwidth::B3, &everything);
+    assert_eq!(blob.outliers().len(), spread.len(), "the fallback must be exercised");
+    assert_one_sort_equals_one_at_a_time(&spread, &everything, "all-outlier");
+
+    // `-0.0` and `+0.0` compare equal, so only a stable sort over the same
+    // input order keeps them where the per-bitwidth sort left them; cluster
+    // means and boundaries then carry the same sign bits.
+    let mut zeros: Vec<f32> = (0..257)
+        .map(|i| match i % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => (i as f32) * 1e-3,
+            _ => -(i as f32) * 1e-3,
+        })
+        .collect();
+    zeros[100] = 9.0;
+    assert_one_sort_equals_one_at_a_time(&zeros, &quant, "signed zeros");
+    assert_one_sort_equals_one_at_a_time(&[0.0, -0.0, -0.0, 0.0, 0.0, -0.0], &quant, "only zeros");
+    assert_one_sort_equals_one_at_a_time(&[0.25], &quant, "one weight");
 }
 
 /// The working buffer decodes a blob segment by segment into the shard's

@@ -1,6 +1,7 @@
-//! Criterion benchmarks for the shard store: record encode/decode,
-//! layer-grouped reads from a real on-disk store, and the per-hop cost of a
-//! shard's bytes in memory (a `MemStore` load, a warm `ShardCache` hit).
+//! Criterion benchmarks for the shard store: record encode/decode and the
+//! record checksum alone, single-shard and layer-grouped reads from a real
+//! on-disk store (`shardstore_load` beside the `memstore_load` double), and
+//! the per-hop cost of a shard's bytes in memory (a warm `ShardCache` hit).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
@@ -19,20 +20,36 @@ fn bench_record_codec(c: &mut Criterion) {
         b.iter(|| format::decode_blob(&encoded).expect("valid record"))
     });
     group.finish();
+
+    // A 2-bit and a full-fidelity scaled-BERT record are ~1 and ~14 KiB.
+    let mut group = c.benchmark_group("record_checksum");
+    for (name, len) in [("1KiB", 1usize << 10), ("16KiB", 16 << 10)] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(name, |b| b.iter(|| format::checksum(std::hint::black_box(&bytes))));
+    }
+    group.finish();
 }
 
-fn bench_layer_read(c: &mut Criterion) {
+fn bench_disk_reads(c: &mut Criterion) {
     let cfg = ModelConfig::scaled_bert();
     let model = Model::synthetic(9, cfg.clone());
     let dir = std::env::temp_dir().join(format!("sti-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let versions = [Bitwidth::B2, Bitwidth::B6, Bitwidth::Full];
     let store =
-        ShardStore::create(&dir, &model, &[Bitwidth::B2, Bitwidth::B6], &QuantConfig::default())
-            .expect("create store");
+        ShardStore::create(&dir, &model, &versions, &QuantConfig::default()).expect("create store");
     let request: Vec<(u16, Bitwidth)> = (0..cfg.heads as u16).map(|s| (s, Bitwidth::B6)).collect();
     c.bench_function("read_layer_12_shards", |b| {
         b.iter(|| store.read_layer(0, &request).expect("layer reads"))
     });
+    let mut group = c.benchmark_group("shardstore_load");
+    for bw in versions {
+        let key = ShardKey::new(ShardId::new(3, 5), bw);
+        group.throughput(Throughput::Bytes(store.size_bytes(key).expect("stored")));
+        group.bench_function(format!("{bw:?}"), |b| b.iter(|| store.load(key).expect("stored")));
+    }
+    group.finish();
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -58,6 +75,6 @@ fn bench_memory_hops(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_record_codec, bench_layer_read, bench_memory_hops
+    targets = bench_record_codec, bench_disk_reads, bench_memory_hops
 }
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 use sti::prelude::*;
 use sti_planner::schedule::{sequential_makespan, simulate_pipeline, LayerTiming};
 
-use crate::report::TextTable;
+use crate::report::{human_bytes, measured_rss, TextTable};
 
 /// Regenerates the motivating measurements of §2.2 on a DistilBERT-like
 /// 6-layer full-width model (paper numbers in parentheses): per-layer IO of
@@ -34,6 +34,14 @@ pub fn run() -> String {
         ">72%",
     ]);
     t.row(["compute-only lower bound", &compute_only.to_string(), "~0.6 s"]);
+
+    // The memory side of the tension: hold the model, or only its residents.
+    let model = Model::synthetic(1, cfg.clone());
+    let resident = model.resident_byte_size() as u64;
+    let whole = resident + model.sharded_byte_size() as u64;
+    t.row(["hold-the-model memory (analytic)", &human_bytes(whole), "-"]);
+    t.row(["resident parameters only (analytic)", &human_bytes(resident), "-"]);
+    t.row(["this process, model built (measured)", &measured_rss(), "-"]);
 
     format!(
         "Motivation (§2.2): existing paradigms on a DistilBERT-like 6x12 model, Odroid\n\

@@ -19,21 +19,21 @@
 //! ## Quickstart
 //!
 //! ```
-//! use std::sync::Arc;
 //! use sti_core::prelude::*;
 //!
-//! // A synthetic "fine-tuned model" + task (offline stand-in for GLUE).
-//! let cfg = ModelConfig::tiny();
-//! let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
+//! // A synthetic "fine-tuned model" + task (offline stand-in for GLUE), its
+//! // importance profile, and its quantized shard store on flash (a temp
+//! // directory the context removes when it and the engine are dropped).
+//! let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
 //!
-//! // Device + store + importance profile (one-time, per model/device).
+//! // Device profile (one-time, per model/device).
 //! let device = DeviceProfile::odroid_n2();
-//! let hw = HwProfile::measure(&device, &cfg, &QuantConfig::default());
-//! let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-//! let importance = profile_importance(task.model(), task.dev(), &QuantConfig::default());
+//! let hw = HwProfile::measure(&device, ctx.task().model().config(), ctx.quant());
 //!
 //! // Plan once, infer repeatedly.
-//! let engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
+//! let model = ctx.task().model().clone();
+//! let importance = ctx.importance().clone();
+//! let engine = StiEngine::builder(model, ctx.shard_source(), hw, device.flash, importance)
 //!     .target(SimTime::from_ms(300))
 //!     .preload_budget(64 << 10)
 //!     .widths(&[2, 4])

@@ -3,28 +3,30 @@
 //! figure binary in `sti-bench`.
 
 use std::collections::HashMap;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use sti_device::{DeviceProfile, HwProfile, SimTime};
 use sti_nlp::{Task, TaskKind};
 use sti_planner::{profile_importance, ExecutionPlan, ImportanceProfile};
-use sti_quant::{Bitwidth, QuantConfig};
-use sti_storage::{MemStore, ShardKey, ShardSource};
-use sti_transformer::{AssembledSubmodel, ModelConfig, ShardId, ShardWeights};
+use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
+use sti_storage::{ShardKey, ShardSource, ShardStore, StorageError};
+use sti_transformer::{AssembledSubmodel, Model, ModelConfig, ShardId, ShardWeights};
 
 use crate::baselines::Baseline;
 
 /// A materialized task plus the per-model caches every experiment shares:
 /// the shard-importance profile (`N·M` dev-set probes, each resumed from the
 /// one kept baseline pass),
-/// dequantized shard weights per fidelity, and the quantized shard store
-/// that engines, servers, and executors stream from.
+/// dequantized shard weights per fidelity, and the on-disk quantized shard
+/// store that engines, servers, and executors stream from.
 pub struct TaskContext {
     task: Task,
     quant: QuantConfig,
     importance: OnceLock<ImportanceProfile>,
-    shard_source: OnceLock<Arc<MemStore>>,
+    shard_source: OnceLock<Arc<ContextStore>>,
     dequant_cache: Mutex<HashMap<(ShardId, Bitwidth), ShardWeights>>,
 }
 
@@ -75,15 +77,31 @@ impl TaskContext {
         self.importance.set(profile).is_ok()
     }
 
-    /// The task's quantized shard store (all bitwidths), built on first use
+    /// The task's quantized shard store (all bitwidths): a [`ShardStore`]
+    /// written to a fresh directory under [`std::env::temp_dir`] on first use
     /// and shared — engines, serving runtimes, and executors created from
-    /// one context stream from the same store.
-    pub fn shard_source(&self) -> Arc<MemStore> {
+    /// one context stream from the same files, and the process holds no copy
+    /// of the quantised model. The directory is removed when the context and
+    /// every handle returned here have been dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directory cannot be created or the store cannot be
+    /// written (temp dir missing, read-only or full); the message names the
+    /// path and the OS error. There is no in-memory fallback.
+    pub fn shard_source(&self) -> Arc<dyn ShardSource> {
+        self.context_store().clone()
+    }
+
+    /// Where [`shard_source`](Self::shard_source) keeps its files (builds
+    /// the store on first use, like it).
+    pub fn shard_store_dir(&self) -> &Path {
+        self.context_store().0.dir()
+    }
+
+    fn context_store(&self) -> &Arc<ContextStore> {
         self.shard_source
-            .get_or_init(|| {
-                Arc::new(MemStore::build(self.task.model(), &Bitwidth::ALL, &self.quant))
-            })
-            .clone()
+            .get_or_init(|| Arc::new(ContextStore::create(self.task.model(), &self.quant)))
     }
 
     /// Dequantized weights of one shard at one fidelity, cached.
@@ -124,6 +142,52 @@ impl TaskContext {
             .map(|e| self.task.model().predict_assembled(&e.tokens, &sub).0)
             .collect();
         (self.task.test_accuracy(&preds), self.task.test_f1(&preds))
+    }
+}
+
+/// A context's [`ShardStore`] and the temp directory it owns: dropping the
+/// last handle removes the directory.
+struct ContextStore(ShardStore);
+
+impl ContextStore {
+    fn create(model: &Model, quant: &QuantConfig) -> Self {
+        // Unique per context within the process; the pid keeps processes
+        // apart. A name left behind by a killed process with a recycled pid
+        // is skipped, not reused.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("sti-ctx-{}-{n}", std::process::id()));
+            match std::fs::create_dir(&dir) {
+                Ok(()) => break dir,
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => panic!("cannot create the shard store directory {}: {e}", dir.display()),
+            }
+        };
+        match ShardStore::create(&dir, model, &Bitwidth::ALL, quant) {
+            Ok(store) => Self(store),
+            Err(e) => {
+                let _ = std::fs::remove_dir_all(&dir);
+                panic!("cannot write the shard store under {}: {e}", dir.display())
+            }
+        }
+    }
+}
+
+impl Drop for ContextStore {
+    fn drop(&mut self) {
+        // Nothing to report to: a directory that cannot be removed is left.
+        let _ = std::fs::remove_dir_all(self.0.dir());
+    }
+}
+
+impl ShardSource for ContextStore {
+    fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
+        self.0.load(key)
+    }
+
+    fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
+        self.0.size_bytes(key)
     }
 }
 

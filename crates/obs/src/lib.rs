@@ -23,6 +23,10 @@
 //!    before rendering, so the byte output is independent of the host
 //!    order in which threads emitted them.
 //!
+//! Beside the three, one host-side reading: [`process_rss_kib`] reports the
+//! resident set the OS measures, for printing next to analytic byte
+//! accounting. It is not an instrument and appears in no export.
+//!
 //! ## The determinism contract
 //!
 //! Observability never perturbs simulated results: instruments record,
@@ -47,10 +51,12 @@
 
 pub mod export;
 pub mod metrics;
+pub mod process;
 pub mod span;
 
 pub use export::{chrome_trace_json, TrackFilter};
 pub use metrics::{
     Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
+pub use process::process_rss_kib;
 pub use span::{ObsSink, SpanArgs, SpanEvent, SpanPhase, SpanRing, TrackKind};

@@ -12,8 +12,12 @@
 //! - [`manifest`] — the store index mapping `(layer, slice, bitwidth)` to
 //!   file offsets;
 //! - [`store::ShardStore`] — create/open a store directory, read shards and
-//!   layer groups;
-//! - [`memstore::MemStore`] — an in-memory [`ShardSource`] for tests;
+//!   layer groups. This is the flash every serving path streams from: a
+//!   `load` is a positional read on a cached file handle, verified and
+//!   decoded, and the store keeps none of the bytes it returns;
+//! - [`memstore::MemStore`] — the same [`ShardSource`] with the whole
+//!   quantised model held in RAM: the unit-test double (and fault-injection
+//!   handle) for the disk store, not something a serving process builds;
 //! - [`cache::ShardCache`] — a shared, byte-budgeted LRU cache of compressed
 //!   blobs that fronts any source ([`cache::CachedSource`]) so concurrent
 //!   engagements reuse each other's reads;
@@ -30,8 +34,10 @@
 //! and immutable. A [`ShardSource`] builds or decodes a blob's payload once;
 //! `load`, the cache, the staging pool and the scheduler's fan-out pass
 //! handles to it (`QuantizedBlob::clone` is a reference count), and nothing
-//! downstream can write through one. Byte budgets are charged per holder
-//! from `byte_size()` regardless.
+//! downstream can write through one. Over a [`ShardStore`] there is no copy
+//! outside the cache: a payload lives exactly as long as its handles do.
+//! Byte budgets are charged per holder from `byte_size()` regardless, and
+//! [`ShardSource::size_bytes`] is that same payload size for every source.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

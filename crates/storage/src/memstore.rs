@@ -1,4 +1,4 @@
-//! In-memory shard source for tests and examples.
+//! In-memory shard source: the unit-test double for [`ShardStore`](crate::ShardStore).
 
 use std::collections::HashMap;
 
@@ -9,9 +9,15 @@ use sti_transformer::Model;
 use crate::error::StorageError;
 use crate::store::{ShardKey, ShardSource};
 
-/// A [`ShardSource`] that quantizes a model's shards up front and serves
-/// them from memory — no filesystem, same interface and failure modes as the
-/// disk store (missing versions still error).
+/// A [`ShardSource`] that quantizes a model's shards up front and keeps every
+/// version in memory — no filesystem, same interface, sizes and failure modes
+/// as the disk store (missing versions still error), plus `insert` / `remove`
+/// for fault injection.
+///
+/// It holds the whole quantised model in RAM, which is what STI exists to
+/// avoid: nothing built from a `TaskContext` uses it (those stream from an
+/// on-disk `ShardStore`). It serves unit tests, the small example apps, and
+/// the CLI when no `--store` directory is given.
 ///
 /// **Ownership:** the store is the one writer of every payload, at
 /// [`MemStore::build`] or [`MemStore::insert`]; [`ShardSource::load`] hands

@@ -1,9 +1,11 @@
 //! The on-disk shard store.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 use sti_transformer::{Model, ShardId};
@@ -28,8 +30,9 @@ impl ShardKey {
     }
 }
 
-/// Anything that can produce shard blobs: the on-disk store, or an in-memory
-/// test double.
+/// Anything that can produce shard blobs: the on-disk [`ShardStore`] that
+/// serving paths stream from, a cache in front of one, or the in-memory
+/// [`MemStore`](crate::MemStore) unit tests substitute for it.
 pub trait ShardSource: Send + Sync {
     /// Loads one shard version.
     ///
@@ -38,7 +41,11 @@ pub trait ShardSource: Send + Sync {
     /// Returns an error if the shard is missing or its record is corrupt.
     fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError>;
 
-    /// Serialized size of one shard version in bytes.
+    /// Payload bytes of one shard version — [`QuantizedBlob::byte_size`] of
+    /// what [`load`](Self::load) returns, which is what the device model
+    /// charges IO for. It means the same for every source: record framing
+    /// ([`format::RECORD_OVERHEAD`]) is a property of a file, reported by
+    /// [`Manifest::bytes_at`] / [`ShardStore::total_bytes`], not of a shard.
     ///
     /// # Errors
     ///
@@ -51,10 +58,19 @@ pub trait ShardSource: Send + Sync {
 /// Layout: one `layer_LL_KKbit.stis` file per `(layer, bitwidth)` holding the
 /// layer's `M` shard records consecutively in slice order (co-location,
 /// paper §6), plus a `manifest.stim` index.
+///
+/// Reads take `&self` and are safe from any number of threads: each layer
+/// file is opened on its first read and the handle kept, and every record is
+/// one positional read (no shared cursor), verified and decoded on the way
+/// out. Nothing a read returns stays resident in the store.
 #[derive(Debug)]
 pub struct ShardStore {
     dir: PathBuf,
     manifest: Manifest,
+    /// One slot per `(layer, bitwidth bits)` the manifest promises, filled
+    /// by the first read of that file. A failed open is not remembered, so
+    /// a missing file fails every read of it and no other.
+    files: HashMap<(u16, u8), OnceLock<fs::File>>,
 }
 
 impl ShardStore {
@@ -111,7 +127,17 @@ impl ShardStore {
         }
         let mut mf = fs::File::create(dir.join(Self::MANIFEST_FILE))?;
         mf.write_all(&manifest.encode())?;
-        Ok(Self { dir, manifest })
+        Ok(Self::over(dir, manifest))
+    }
+
+    fn over(dir: PathBuf, manifest: Manifest) -> Self {
+        let layers = 0..manifest.config.layers as u16;
+        let files = layers
+            .flat_map(|l| {
+                manifest.bitwidths.iter().map(move |bw| ((l, bw.bits()), OnceLock::new()))
+            })
+            .collect();
+        Self { dir, manifest, files }
     }
 
     /// Opens an existing store.
@@ -126,7 +152,7 @@ impl ShardStore {
         if !manifest.is_complete() {
             return Err(StorageError::corrupt("manifest", "incomplete shard index"));
         }
-        Ok(Self { dir, manifest })
+        Ok(Self::over(dir, manifest))
     }
 
     /// The store's manifest.
@@ -139,41 +165,45 @@ impl ShardStore {
         &self.dir
     }
 
-    /// Reads the records of several shards of *one layer* as grouped IO:
-    /// one file open per distinct bitwidth, sequential record reads.
+    /// Reads, verifies and decodes one shard record: one positional read on
+    /// the layer file's cached handle.
+    fn read_record(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
+        let missing = StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() };
+        let Some(loc) = self.manifest.locate(key.id, key.bitwidth) else { return Err(missing) };
+        let Some(slot) = self.files.get(&(key.id.layer, key.bitwidth.bits())) else {
+            return Err(missing);
+        };
+        let file = match slot.get() {
+            Some(file) => file,
+            None => {
+                let name = Manifest::layer_file_name(key.id.layer, key.bitwidth);
+                let opened = fs::File::open(self.dir.join(name))?;
+                // Two first readers may both open; one handle is kept.
+                slot.get_or_init(|| opened)
+            }
+        };
+        let mut record = vec![0u8; loc.len as usize];
+        file.read_exact_at(&mut record, loc.offset)?;
+        Ok(format::decode_blob(&record)?.0)
+    }
+
+    /// Reads the records of several shards of *one layer*, in request order,
+    /// over the layer files' cached handles.
     ///
     /// `slices` pairs each slice index with its requested bitwidth.
     ///
     /// # Errors
     ///
-    /// Fails if any shard is missing or corrupt.
+    /// Fails if any shard is missing, unreadable or corrupt.
     pub fn read_layer(
         &self,
         layer: u16,
         slices: &[(u16, Bitwidth)],
     ) -> Result<Vec<QuantizedBlob>, StorageError> {
-        let mut handles: BTreeMap<Bitwidth, fs::File> = BTreeMap::new();
-        let mut out = Vec::with_capacity(slices.len());
-        for &(slice, bw) in slices {
-            let id = ShardId::new(layer, slice);
-            let loc = self
-                .manifest
-                .locate(id, bw)
-                .ok_or(StorageError::MissingShard { id, bits: bw.bits() })?;
-            let file = match handles.entry(bw) {
-                std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    let path = self.dir.join(Manifest::layer_file_name(layer, bw));
-                    e.insert(fs::File::open(path)?)
-                }
-            };
-            let mut buf = vec![0u8; loc.len as usize];
-            file.seek(SeekFrom::Start(loc.offset))?;
-            file.read_exact(&mut buf)?;
-            let (blob, _) = format::decode_blob(&buf)?;
-            out.push(blob);
-        }
-        Ok(out)
+        slices
+            .iter()
+            .map(|&(slice, bw)| self.read_record(ShardKey::new(ShardId::new(layer, slice), bw)))
+            .collect()
     }
 
     /// Total stored bytes per bitwidth (for the storage-overhead experiment).
@@ -189,15 +219,17 @@ impl ShardStore {
 
 impl ShardSource for ShardStore {
     fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
-        let blobs = self.read_layer(key.id.layer, &[(key.id.slice, key.bitwidth)])?;
-        Ok(blobs.into_iter().next().expect("read_layer returns one blob per request"))
+        self.read_record(key)
     }
 
     fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
-        self.manifest
+        let loc = self
+            .manifest
             .locate(key.id, key.bitwidth)
-            .map(|loc| loc.len as u64)
-            .ok_or(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() })
+            .ok_or(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() })?;
+        (loc.len as u64)
+            .checked_sub(format::RECORD_OVERHEAD as u64)
+            .ok_or_else(|| StorageError::corrupt("manifest", "record shorter than its framing"))
     }
 }
 
@@ -302,14 +334,41 @@ mod tests {
     }
 
     #[test]
-    fn size_bytes_matches_record_length() {
-        let (store, _, dir) = tiny_store("size");
-        let key = ShardKey::new(ShardId::new(0, 1), Bitwidth::B6);
-        let on_disk = store.size_bytes(key).unwrap();
-        let blob = store.load(key).unwrap();
-        // Record adds a fixed header + checksum on top of the payload.
-        assert!(on_disk > blob.byte_size() as u64);
-        assert!(on_disk < blob.byte_size() as u64 + 64);
+    fn size_bytes_is_the_payload_and_the_manifest_counts_the_framing() {
+        let (store, model, dir) = tiny_store("size");
+        let mut payload = 0u64;
+        for id in model.config().shard_ids() {
+            let key = ShardKey::new(id, Bitwidth::B6);
+            let blob = store.load(key).unwrap();
+            assert_eq!(store.size_bytes(key).unwrap(), blob.byte_size() as u64);
+            let loc = store.manifest().locate(id, Bitwidth::B6).unwrap();
+            assert_eq!(loc.len as usize, blob.byte_size() + format::RECORD_OVERHEAD);
+            payload += blob.byte_size() as u64;
+        }
+        let framing = (model.config().total_shards() * format::RECORD_OVERHEAD) as u64;
+        assert_eq!(store.manifest().bytes_at(Bitwidth::B6), payload + framing);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn layer_files_are_opened_once_and_read_from_many_threads() {
+        let (store, model, dir) = tiny_store("handles");
+        let key = ShardKey::new(ShardId::new(1, 3), Bitwidth::B2);
+        let first = store.load(key).unwrap();
+        // The handle outlives the name: a second open would fail here.
+        fs::remove_file(dir.join(Manifest::layer_file_name(1, Bitwidth::B2))).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for slice in 0..model.config().heads as u16 {
+                        let k = ShardKey::new(ShardId::new(1, slice), Bitwidth::B2);
+                        assert!(store.load(k).is_ok());
+                    }
+                    assert_eq!(store.load(key).unwrap(), first);
+                });
+            }
+        });
+        assert_eq!(store.read_layer(1, &[(3, Bitwidth::B2)]).unwrap(), vec![first]);
         fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -213,20 +213,28 @@
 //! `tests/quant_invariants.rs`), compared by `to_bits` in debug and release
 //! builds. No `unsafe`, no target features, no switch.
 //!
-//! The *byte* path of the same shard is one copy long. A weight payload has
-//! one writer, at construction — `QuantizedBlob::quantize_all` in
-//! `MemStore::build`, or the record decoder of the disk store — and is
-//! shared and immutable from then on: `MemStore::load`, a `ShardCache` hit
-//! or admit, the prefetch staging pool and its demand promote, a
+//! The *byte* path of the same shard is file → `pread` → verify → decode →
+//! handles. A `TaskContext` writes its quantised model once, as a
+//! `ShardStore` of layer-grouped record files under the temp dir, and holds
+//! no copy of it: `ShardSource::load` is one positional read on the layer
+//! file's cached handle, the record's word-folded checksum over every byte
+//! read, and one decode into a `QuantizedBlob` — the only writer that
+//! payload ever has. From there it is shared and immutable: a `ShardCache`
+//! admit or hit, the prefetch staging pool and its demand promote, a
 //! `PreloadBuffer` fill and the `LoadedLayer` the scheduler fans out to a
 //! batch all hand on a reference-counted handle to that payload, and the
 //! first new bytes are the FP32 segments `WorkingBuffer::assemble` decodes
-//! for one layer. Budgets, evictions and hit rates are still counted per
-//! holder from `byte_size()`, so no simulated number knows the bytes are
-//! shared. `Model` follows the same rule: its `clone()` is a handle, so
-//! however many engines and servers a process builds over one task it holds
-//! the weights once as the FP32 teacher and once as the quantised store
-//! (`tests/memory_sharing.rs` pins both with an allocation counter).
+//! for one layer. So there is no copy outside the cache: a payload no
+//! holder keeps is freed, and the next load reads it from flash again,
+//! which is the cost the paper's IO thread pays. Budgets, evictions and hit
+//! rates are counted per holder from `byte_size()` — also what
+//! `ShardSource::size_bytes` reports for every source, so no simulated
+//! number knows where the bytes came from or that they are shared. `Model`
+//! follows the same ownership rule: its `clone()` is a handle, so however
+//! many engines and servers a process builds over one task it holds the
+//! FP32 teacher once and the quantised model not at all
+//! (`tests/memory_sharing.rs` pins both with an allocation counter;
+//! `MemStore`, which does hold every payload, is the unit-test double).
 //!
 //! The single-app engine path (`StiEngine::builder(..)`) works exactly as
 //! in the seed; see `crates/pipeline` for both facades, and the

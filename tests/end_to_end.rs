@@ -42,6 +42,90 @@ fn full_lifecycle_on_disk_store() {
 }
 
 #[test]
+fn an_engine_on_disk_equals_an_engine_in_memory_bit_for_bit() {
+    let (task, device, hw, importance) = tiny_setup();
+    let dir = std::env::temp_dir().join(format!("sti-e2e-twin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let quant = QuantConfig::default();
+    let on_disk: Arc<dyn ShardSource> =
+        Arc::new(ShardStore::create(&dir, task.model(), &Bitwidth::ALL, &quant).unwrap());
+    let in_memory: Arc<dyn ShardSource> =
+        Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &quant));
+    // One meaning for `size_bytes`: what the device model is charged.
+    for id in task.model().config().shard_ids() {
+        for bw in Bitwidth::ALL {
+            let key = ShardKey::new(id, bw);
+            assert_eq!(on_disk.size_bytes(key).unwrap(), in_memory.size_bytes(key).unwrap());
+            assert_eq!(on_disk.load(key).unwrap(), in_memory.load(key).unwrap());
+        }
+    }
+    let engine = |source: Arc<dyn ShardSource>| {
+        StiEngine::builder(
+            task.model().clone(),
+            source,
+            hw.clone(),
+            device.flash,
+            importance.clone(),
+        )
+        .target(SimTime::from_ms(300))
+        .preload_budget(8 << 10)
+        .widths(&[2, 4])
+        .build()
+        .unwrap()
+    };
+    let (disk, memory) = (engine(on_disk), engine(in_memory));
+    assert_eq!(disk.plan(), memory.plan());
+    for tokens in [&[1u32, 2, 3, 4][..], &[9, 8, 7], &[5]] {
+        let (d, m) = (disk.infer(tokens).unwrap(), memory.infer(tokens).unwrap());
+        assert_eq!(d.class, m.class);
+        let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&d.probabilities), bits(&m.probabilities));
+        assert_eq!(d.outcome.timeline, m.outcome.timeline);
+        assert_eq!(d.outcome.loaded_bytes, m.outcome.loaded_bytes);
+        assert!(d.outcome.loaded_bytes > 0, "the plan streams past its preload buffer");
+    }
+    drop(disk);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_contexts_store_directory_lives_exactly_as_long_as_its_handles() {
+    let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
+    let dir = ctx.shard_store_dir().to_path_buf();
+    assert!(dir.starts_with(std::env::temp_dir()));
+    assert!(dir.join(ShardStore::MANIFEST_FILE).is_file());
+    let server = build_server(&ctx, &ServeConfig::default());
+    drop(ctx);
+    assert!(dir.is_dir(), "a server still streams from the store");
+    assert!(server.session().unwrap().infer(&[1, 2, 3]).is_ok());
+    drop(server);
+    assert!(!dir.exists(), "the last handle removes the directory");
+}
+
+#[test]
+fn contexts_built_in_parallel_never_share_a_directory() {
+    let barrier = std::sync::Barrier::new(4);
+    let dirs: Vec<std::path::PathBuf> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
+                    barrier.wait();
+                    let dir = ctx.shard_store_dir().to_path_buf();
+                    // Every context is alive here: no name can be a reuse.
+                    barrier.wait();
+                    dir
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("context thread panicked")).collect()
+    });
+    let distinct: std::collections::BTreeSet<_> = dirs.iter().collect();
+    assert_eq!(distinct.len(), dirs.len(), "{dirs:?}");
+    assert!(dirs.iter().all(|d| !d.exists()), "every context removed its own directory");
+}
+
+#[test]
 fn engine_accuracy_tracks_runner_accuracy() {
     // The engine's pipelined execution and the runner's direct evaluation
     // must agree: same plan, same dequantized weights, same predictions.

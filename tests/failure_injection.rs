@@ -5,9 +5,10 @@
 use std::sync::Arc;
 
 use sti::prelude::*;
+use sti::TaskContext;
 use sti_pipeline::{PipelineExecutor, PreloadBuffer};
 use sti_planner::{plan_two_stage, ImportanceProfile};
-use sti_storage::manifest::Manifest;
+use sti_storage::manifest::{Manifest, RecordLoc};
 use sti_storage::StorageError;
 
 fn setup() -> (Task, DeviceProfile, HwProfile, ImportanceProfile) {
@@ -106,6 +107,70 @@ fn deleted_layer_file_fails_reads_not_open() {
     assert!(store.read_layer(0, &[(0, Bitwidth::B2)]).is_ok());
     assert!(store.read_layer(1, &[(0, Bitwidth::B2)]).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// On a context-built server that streams every shard of every engagement
+/// from the context's on-disk store (no preload, a cache smaller than one
+/// shard): damages every version of one layer (whichever the plan streams is
+/// hit), expects `Session::infer` to fail with a typed storage error and no
+/// panic, then restores the files and expects the healthy answer bit for
+/// bit: a failed read leaves nothing partial behind in the server.
+fn infer_over_damaged_layer(
+    layer: u16,
+    damage: impl Fn(&mut Vec<u8>, &[RecordLoc]),
+) -> StorageError {
+    let ctx = TaskContext::with_config(TaskKind::Qnli, ModelConfig::tiny());
+    let cfg = ServeConfig { preload_bytes: 0, shard_cache_bytes: 1 << 10, ..Default::default() };
+    let server = build_server(&ctx, &cfg);
+    let session = server.session().unwrap();
+    let healthy = session.infer(&[1, 2, 3]).unwrap();
+    assert!(healthy.outcome.loaded_bytes > 0, "the engagement streams from flash");
+    let manifest = ShardStore::open(ctx.shard_store_dir()).unwrap().manifest().clone();
+    let mut originals = Vec::new();
+    for bw in Bitwidth::ALL {
+        let path = ctx.shard_store_dir().join(Manifest::layer_file_name(layer, bw));
+        let original = std::fs::read(&path).unwrap();
+        let locs: Vec<RecordLoc> = (0..manifest.config.heads as u16)
+            .map(|slice| manifest.locate(ShardId::new(layer, slice), bw).unwrap())
+            .collect();
+        let mut damaged = original.clone();
+        damage(&mut damaged, &locs);
+        std::fs::write(&path, damaged).unwrap();
+        originals.push((path, original));
+    }
+    let err = match session.infer(&[1, 2, 3]) {
+        Err(PipelineError::Storage(e)) => e,
+        other => panic!("expected a typed storage error, got {other:?}"),
+    };
+    for (path, original) in originals {
+        std::fs::write(path, original).unwrap();
+    }
+    let repaired = session.infer(&[1, 2, 3]).unwrap();
+    assert_eq!(repaired.outcome.logits, healthy.outcome.logits);
+    assert_eq!(repaired.outcome.timeline, healthy.outcome.timeline);
+    assert_eq!(repaired.outcome.loaded_bytes, healthy.outcome.loaded_bytes);
+    err
+}
+
+#[test]
+fn a_layer_file_truncated_mid_record_fails_infer_with_a_typed_io_error() {
+    // Cut inside the first record: it is short and every later one is gone.
+    let err = infer_over_damaged_layer(1, |bytes, locs| bytes.truncate(locs[0].len as usize / 2));
+    assert!(
+        matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+        "unexpected error: {err}"
+    );
+}
+
+#[test]
+fn a_flipped_byte_in_every_record_fails_infer_with_a_typed_corrupt_error() {
+    let err = infer_over_damaged_layer(0, |bytes, locs| {
+        for loc in locs {
+            bytes[loc.offset as usize + loc.len as usize / 2] ^= 0x10;
+        }
+    });
+    assert!(matches!(err, StorageError::Corrupt { .. }), "unexpected error: {err}");
+    assert!(err.to_string().contains("checksum mismatch"), "{err}");
 }
 
 #[test]

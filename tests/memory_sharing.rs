@@ -1,7 +1,8 @@
 //! Deterministic memory pins for the one-copy rule: a weight payload is
 //! written once, then shared and immutable, so loading, caching, staging and
 //! preloading a shard — and building another server over the same task —
-//! allocate handles, not copies. `peak_rss_mb` shows the same thing end to
+//! allocate handles, not copies; and a context's store is on flash, so the
+//! process holds an index to the quantised model, never the model. `peak_rss_mb` shows the same thing end to
 //! end but only through the benchmark; these pins count heap bytes directly
 //! and compare payload addresses, so they repeat exactly on any machine.
 
@@ -92,12 +93,14 @@ fn all_keys(cfg: &ModelConfig) -> Vec<ShardKey> {
 #[test]
 fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
     let _guard = serialised();
-    let ctx = scaled_context();
-    let store = ctx.shard_source();
-    let keys = all_keys(ctx.task().model().config());
+    // An in-memory store: the pin is about what a holder of the payload
+    // hands out, and `MemStore` is the source that holds every payload.
+    let model = Model::synthetic(11, ModelConfig::scaled_bert());
+    let store = MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default());
+    let keys = all_keys(model.config());
     let cache = ShardCache::new(64 << 20);
     for &key in &keys {
-        cache.get_or_load(&*store, key).unwrap();
+        cache.get_or_load(&store, key).unwrap();
     }
     assert_eq!(cache.len(), keys.len(), "every key is resident before the hits are counted");
 
@@ -107,7 +110,7 @@ fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
             payload_bytes += store.load(key).unwrap().byte_size() as u64;
         }
         for &key in keys.iter().cycle().take(1000) {
-            payload_bytes += cache.get_or_load(&*store, key).unwrap().byte_size() as u64;
+            payload_bytes += cache.get_or_load(&store, key).unwrap().byte_size() as u64;
         }
         payload_bytes
     });
@@ -117,6 +120,78 @@ fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
         requested < 64 * KIB,
         "2000 loads handed out {payload_bytes} payload bytes and allocated {requested}"
     );
+}
+
+#[test]
+fn the_contexts_store_keeps_an_index_not_the_model() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let shard_weights = ctx.task().model().sharded_byte_size() as u64;
+    assert!(shard_weights > 1900 * KIB, "the pin is about a 2 MiB model at six bitwidths");
+    // Quantising and writing are transients; what stays is the manifest and
+    // one file slot per (layer, bitwidth).
+    let (store, _, kept) = heap_bytes_across(|| ctx.shard_source());
+    assert!(
+        kept < 256 * KIB as i64,
+        "a store over {shard_weights} bytes of shard weights keeps {kept} heap bytes"
+    );
+    assert!(store.load(ShardKey::new(ShardId::new(0, 0), Bitwidth::B2)).is_ok());
+}
+
+#[test]
+fn a_thousand_flash_loads_request_what_they_return_and_keep_nothing() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let store = ctx.shard_source();
+    let keys = all_keys(ctx.task().model().config());
+    // Open every layer file first: handles are kept, by design.
+    for &key in &keys {
+        store.load(key).unwrap();
+    }
+    let (payload_bytes, requested, kept) = heap_bytes_across(|| {
+        let mut payload_bytes = 0u64;
+        for &key in keys.iter().cycle().take(1000) {
+            payload_bytes += store.load(key).unwrap().byte_size() as u64;
+        }
+        payload_bytes
+    });
+    assert!(payload_bytes > 2 << 20, "the loop read {payload_bytes} payload bytes");
+    // A load allocates the record it reads and the payload it decodes from
+    // it, plus a few hundred bytes of framing, tables and the handle.
+    assert!(
+        requested >= payload_bytes && requested < 2 * payload_bytes + 1000 * 256,
+        "1000 loads returned {payload_bytes} payload bytes and requested {requested}"
+    );
+    // Headroom for the test harness's own output only.
+    assert!(kept < 4 * KIB as i64, "1000 dropped blobs left {kept} heap bytes behind");
+}
+
+#[test]
+fn a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let store = ctx.shard_source();
+    let keys = all_keys(ctx.task().model().config());
+    let cache = ShardCache::new(64 << 20);
+    let misses: Vec<QuantizedBlob> =
+        keys.iter().map(|&key| cache.get_or_load(&*store, key).unwrap()).collect();
+
+    let (hits, requested, _) = heap_bytes_across(|| {
+        let hit = |&key| cache.get_or_load_tracked(&*store, key).unwrap();
+        keys.iter().cycle().take(1000).map(hit).collect::<Vec<_>>()
+    });
+    let payload_bytes: u64 = hits.iter().map(|(blob, _)| blob.byte_size() as u64).sum();
+    assert!(payload_bytes > 2 << 20, "the hits handed out {payload_bytes} payload bytes");
+    assert!(
+        requested < 64 * KIB,
+        "1000 warm hits handed out {payload_bytes} payload bytes and allocated {requested}"
+    );
+    // The cache owns the only in-RAM copy: a hit is the payload the miss
+    // decoded, not a second read.
+    for ((hit, resident), miss) in hits.iter().zip(misses.iter().cycle()) {
+        assert!(resident);
+        assert_eq!(hit.packed().as_ptr(), miss.packed().as_ptr());
+    }
 }
 
 #[test]

@@ -21,15 +21,23 @@
 //!    the event loop and pins outcome equality against the sequential
 //!    replay.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, Weak};
 
 use proptest::prelude::*;
 use sti::prelude::*;
 use sti::TaskContext;
 
-fn ctx() -> &'static TaskContext {
-    static CTX: OnceLock<TaskContext> = OnceLock::new();
-    CTX.get_or_init(|| TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()))
+/// One context for the suite, shared by the tests running at the moment and
+/// dropped with the last of them. A `static` context would never drop, and
+/// its on-disk shard store would outlive the test process.
+fn ctx() -> Arc<TaskContext> {
+    static CTX: Mutex<Weak<TaskContext>> = Mutex::new(Weak::new());
+    let mut slot = CTX.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    slot.upgrade().unwrap_or_else(|| {
+        let fresh = Arc::new(TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()));
+        *slot = Arc::downgrade(&fresh);
+        fresh
+    })
 }
 
 fn serve_config(
@@ -52,8 +60,9 @@ fn serve_config(
 /// and admission rejections are identical. Returns `(event, sequential)`
 /// for aggregate comparisons the caller wants on top.
 fn replay_both(trace: &ServingTrace, cfg: &ServeConfig) -> (ServeReport, ServeReport) {
-    let event = replay_event(&build_server(ctx(), cfg), trace).unwrap();
-    let sequential = replay_sequential(&build_server(ctx(), cfg), trace).unwrap();
+    let ctx = ctx();
+    let event = replay_event(&build_server(&ctx, cfg), trace).unwrap();
+    let sequential = replay_sequential(&build_server(&ctx, cfg), trace).unwrap();
     assert_eq!(event.outcomes, sequential.outcomes, "event vs sequential outcomes diverged");
     assert_eq!(
         event.contention.gate, sequential.contention.gate,
@@ -94,6 +103,7 @@ fn event_replay_matches_sequential_on_smoke_and_burst() {
 
 #[test]
 fn batched_mix_trace_matches_sequential_and_reproduces_run_twice() {
+    let ctx = ctx();
     let trace = load_trace("examples/traces/mix.json").expect("shipped example parses");
     let cfg = serve_config(
         BackpressureMode::Queue(SimTime::from_ms(2_000)),
@@ -113,7 +123,7 @@ fn batched_mix_trace_matches_sequential_and_reproduces_run_twice() {
     assert!(event.contention.batched_dispatches > 0, "co-arrivals coalesce on the event loop");
     assert!(event.contention.flash_busy < sequential.contention.flash_busy);
     // Run-twice determinism: the whole report reproduces, heap ops included.
-    let again = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
+    let again = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
     assert_eq!(event.outcomes, again.outcomes);
     assert_eq!(event.contention, again.contention);
     assert_eq!(event.rejected_clients, again.rejected_clients);
@@ -231,6 +241,7 @@ proptest! {
         ),
         queue_mode in any::<bool>(),
     ) {
+        let ctx = ctx();
         let trace = ServingTrace {
             clients: clients
                 .iter()
@@ -253,8 +264,8 @@ proptest! {
             BackpressureMode::Shed
         };
         let cfg = serve_config(mode, None, PreloadPolicy::PerSession);
-        let event = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
-        let sequential = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
+        let event = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
+        let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
         prop_assert_eq!(event.outcomes, sequential.outcomes);
         prop_assert_eq!(event.contention.gate, sequential.contention.gate);
         prop_assert_eq!(event.rejected_clients, sequential.rejected_clients);

@@ -21,14 +21,22 @@
 //! reviews the diff like any other.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, Weak};
 
 use sti::prelude::*;
 use sti::TaskContext;
 
-fn ctx() -> &'static TaskContext {
-    static CTX: OnceLock<TaskContext> = OnceLock::new();
-    CTX.get_or_init(|| TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()))
+/// One context for the suite, shared by the tests running at the moment and
+/// dropped with the last of them. A `static` context would never drop, and
+/// its on-disk shard store would outlive the test process.
+fn ctx() -> Arc<TaskContext> {
+    static CTX: Mutex<Weak<TaskContext>> = Mutex::new(Weak::new());
+    let mut slot = CTX.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    slot.upgrade().unwrap_or_else(|| {
+        let fresh = Arc::new(TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()));
+        *slot = Arc::downgrade(&fresh);
+        fresh
+    })
 }
 
 /// `--channels 4 --backpressure queue --max-queue-ms 2000 --batch-window
@@ -71,10 +79,11 @@ fn check(name: &str, actual: &str) {
 }
 
 fn replay_against_goldens(config: &str, cfg: &ServeConfig) {
+    let ctx = ctx();
     for fixture in ["smoke", "burst", "mix", "recurrent"] {
         let trace =
             load_trace(format!("examples/traces/{fixture}.json")).expect("shipped example parses");
-        let server = build_server(ctx(), cfg);
+        let server = build_server(&ctx, cfg);
         // As `sti serve --trace-out` does: the live ring adds the
         // admission markers to the session tracks.
         server.set_obs_sink(ObsSink::ring(8 << 20));

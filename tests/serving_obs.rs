@@ -16,14 +16,22 @@
 //!    sink installed reports the same outcomes and gate decisions as one
 //!    without.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, Weak};
 
 use sti::prelude::*;
 use sti::TaskContext;
 
-fn ctx() -> &'static TaskContext {
-    static CTX: OnceLock<TaskContext> = OnceLock::new();
-    CTX.get_or_init(|| TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()))
+/// One context for the suite, shared by the tests running at the moment and
+/// dropped with the last of them. A `static` context would never drop, and
+/// its on-disk shard store would outlive the test process.
+fn ctx() -> Arc<TaskContext> {
+    static CTX: Mutex<Weak<TaskContext>> = Mutex::new(Weak::new());
+    let mut slot = CTX.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    slot.upgrade().unwrap_or_else(|| {
+        let fresh = Arc::new(TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()));
+        *slot = Arc::downgrade(&fresh);
+        fresh
+    })
 }
 
 fn serve_config(backpressure: BackpressureMode) -> ServeConfig {
@@ -42,13 +50,14 @@ fn export(report: &ServeReport) -> String {
 
 #[test]
 fn event_replays_export_byte_identical_traces_on_every_fixture() {
+    let ctx = ctx();
     for path in
         ["examples/traces/smoke.json", "examples/traces/burst.json", "examples/traces/mix.json"]
     {
         let trace = load_trace(path).expect("shipped example parses");
         let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-        let a = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
-        let b = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
+        let a = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
+        let b = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
         assert_eq!(export(&a), export(&b), "{path}: event replays must export identically");
         assert!(!a.spans.is_empty(), "{path}: the replay emits spans");
     }
@@ -56,24 +65,26 @@ fn event_replays_export_byte_identical_traces_on_every_fixture() {
 
 #[test]
 fn sequential_replays_export_byte_identical_traces() {
+    let ctx = ctx();
     for path in ["examples/traces/smoke.json", "examples/traces/burst.json"] {
         let trace = load_trace(path).expect("shipped example parses");
         let cfg = serve_config(BackpressureMode::Shed);
-        let a = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
-        let b = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
+        let a = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
+        let b = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
         assert_eq!(export(&a), export(&b), "{path}: sequential replays must export identically");
     }
 }
 
 #[test]
 fn sequential_and_event_exports_agree_on_the_deterministic_tracks() {
+    let ctx = ctx();
     // Batching off: the oracle's and the executor's dispatch logs replay to
     // the same canonical flash timeline, so even the flash track matches.
     for path in ["examples/traces/smoke.json", "examples/traces/mix.json"] {
         let trace = load_trace(path).expect("shipped example parses");
         let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-        let sequential = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
-        let event = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
+        let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
+        let event = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
         assert_eq!(
             export(&sequential),
             export(&event),
@@ -84,9 +95,10 @@ fn sequential_and_event_exports_agree_on_the_deterministic_tracks() {
 
 #[test]
 fn gate_spans_surface_the_deciding_reason() {
+    let ctx = ctx();
     let trace = load_trace("examples/traces/mix.json").expect("shipped example parses");
     let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-    let report = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
+    let report = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
     let gate_spans: Vec<&SpanEvent> =
         report.spans.iter().filter(|s| s.name.starts_with("gate.")).collect();
     assert!(!gate_spans.is_empty(), "a gated mix emits gate spans");
@@ -111,11 +123,12 @@ fn gate_spans_surface_the_deciding_reason() {
 
 #[test]
 fn a_live_sink_never_perturbs_simulated_results() {
+    let ctx = ctx();
     let trace = load_trace("examples/traces/mix.json").expect("shipped example parses");
     let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-    let bare_server = build_server(ctx(), &cfg);
+    let bare_server = build_server(&ctx, &cfg);
     let bare = replay_event(&bare_server, &trace).unwrap();
-    let traced_server = build_server(ctx(), &cfg);
+    let traced_server = build_server(&ctx, &cfg);
     traced_server.set_obs_sink(ObsSink::ring(4 << 20));
     let traced = replay_event(&traced_server, &trace).unwrap();
     assert_eq!(bare.outcomes, traced.outcomes, "instruments record, they never decide");
@@ -136,7 +149,7 @@ fn a_live_sink_never_perturbs_simulated_results() {
     );
     // Sink-on exports stay driver-independent too: the added admission
     // markers are a pure function of the (serialized) open sequence.
-    let traced_sequential_server = build_server(ctx(), &cfg);
+    let traced_sequential_server = build_server(&ctx, &cfg);
     traced_sequential_server.set_obs_sink(ObsSink::ring(4 << 20));
     let traced_sequential = replay_sequential(&traced_sequential_server, &trace).unwrap();
     assert_eq!(
@@ -148,9 +161,10 @@ fn a_live_sink_never_perturbs_simulated_results() {
 
 #[test]
 fn metrics_snapshot_reconciles_with_the_legacy_stats() {
+    let ctx = ctx();
     let trace = load_trace("examples/traces/mix.json").expect("shipped example parses");
     let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-    let report = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
+    let report = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
     let m = &report.metrics;
     assert_eq!(m.counters["serving.engagements"], report.serving_stats.engagements);
     assert_eq!(m.counters["io.requests"], report.io_stats.requests);

@@ -16,15 +16,23 @@
 //!    heap-op count. The sequential oracle agrees with the event engine on
 //!    the entire demand side.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, Weak};
 
 use proptest::prelude::*;
 use sti::prelude::*;
 use sti::TaskContext;
 
-fn ctx() -> &'static TaskContext {
-    static CTX: OnceLock<TaskContext> = OnceLock::new();
-    CTX.get_or_init(|| TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()))
+/// One context for the suite, shared by the tests running at the moment and
+/// dropped with the last of them. A `static` context would never drop, and
+/// its on-disk shard store would outlive the test process.
+fn ctx() -> Arc<TaskContext> {
+    static CTX: Mutex<Weak<TaskContext>> = Mutex::new(Weak::new());
+    let mut slot = CTX.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    slot.upgrade().unwrap_or_else(|| {
+        let fresh = Arc::new(TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny()));
+        *slot = Arc::downgrade(&fresh);
+        fresh
+    })
 }
 
 /// Zero preload and a tiny main cache: every engagement streams and
@@ -59,12 +67,13 @@ fn sans_speculative_label(gate: &[GateDecision]) -> Vec<GateDecision> {
 
 #[test]
 fn recurrent_fixture_prefetch_pays_without_hurting_the_demand_track() {
+    let ctx = ctx();
     let trace = load_trace("examples/traces/recurrent.json").expect("shipped fixture parses");
     let dram = true; // so pool hits re-price on the contended track
     let off_cfg = serve_config(false, dram, BackpressureMode::Off);
     let on_cfg = serve_config(true, dram, BackpressureMode::Off);
-    let off = replay_event(&build_server(ctx(), &off_cfg), &trace).unwrap();
-    let on = replay_event(&build_server(ctx(), &on_cfg), &trace).unwrap();
+    let off = replay_event(&build_server(&ctx, &off_cfg), &trace).unwrap();
+    let on = replay_event(&build_server(&ctx, &on_cfg), &trace).unwrap();
 
     // Speculation actually happened and served later demand misses.
     assert!(off.prefetch.is_none(), "prefetch off reports no prefetch block");
@@ -93,10 +102,11 @@ fn recurrent_fixture_prefetch_pays_without_hurting_the_demand_track() {
 
 #[test]
 fn recurrent_fixture_event_replay_is_deterministic_run_twice() {
+    let ctx = ctx();
     let trace = load_trace("examples/traces/recurrent.json").expect("shipped fixture parses");
     let cfg = serve_config(true, true, BackpressureMode::Off);
-    let a = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
-    let b = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
+    let a = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
+    let b = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
     assert_eq!(a.outcomes, b.outcomes);
     assert_eq!(a.contention, b.contention, "speculative pricing is deterministic too");
     assert_eq!(a.prefetch, b.prefetch);
@@ -105,6 +115,7 @@ fn recurrent_fixture_event_replay_is_deterministic_run_twice() {
 
 #[test]
 fn recurrent_fixture_event_matches_sequential_on_the_demand_side() {
+    let ctx = ctx();
     let trace = load_trace("examples/traces/recurrent.json").expect("shipped fixture parses");
     // DRAM residency off: contended pricing is independent of *when* the
     // background class stages bytes, so the event executor and the
@@ -112,8 +123,8 @@ fn recurrent_fixture_event_matches_sequential_on_the_demand_side() {
     // agree on the whole demand side even though their speculative timing
     // differs.
     let cfg = serve_config(true, false, BackpressureMode::Off);
-    let event = replay_event(&build_server(ctx(), &cfg), &trace).unwrap();
-    let sequential = replay_sequential(&build_server(ctx(), &cfg), &trace).unwrap();
+    let event = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
+    let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
     assert_eq!(event.outcomes, sequential.outcomes);
     assert_eq!(event.rejected_clients, sequential.rejected_clients);
     // Record order and scheduler lane ids follow execution order — client
@@ -152,6 +163,7 @@ proptest! {
         ),
         queue_mode in any::<bool>(),
     ) {
+        let ctx = ctx();
         let trace = ServingTrace {
             clients: clients
                 .iter()
@@ -176,9 +188,9 @@ proptest! {
         // DRAM residency off: the contended track prices every byte at
         // flash speed regardless of cache state, so the fenced demand side
         // must be *bit-identical*, not merely no worse.
-        let off = replay_event(&build_server(ctx(), &serve_config(false, false, mode)), &trace)
+        let off = replay_event(&build_server(&ctx, &serve_config(false, false, mode)), &trace)
             .unwrap();
-        let on = replay_event(&build_server(ctx(), &serve_config(true, false, mode)), &trace)
+        let on = replay_event(&build_server(&ctx, &serve_config(true, false, mode)), &trace)
             .unwrap();
         prop_assert_eq!(&on.outcomes, &off.outcomes);
         prop_assert_eq!(&on.rejected_clients, &off.rejected_clients);

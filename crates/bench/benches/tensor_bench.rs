@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks for the tensor kernels: dense matmul at the
-//! shapes the transformer actually uses, a whole-layer forward pass, and its
+//! shapes the transformer actually uses, the two transcendental loops at one
+//! shard's shapes, a whole-layer forward pass (full and CLS-only), and its
 //! attention and FFN halves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sti_tensor::{ops, Matrix, Rng};
+use sti_tensor::{activation, ops, softmax, Matrix, Rng};
 use sti_transformer::attention::attention;
 use sti_transformer::ffn::ffn;
-use sti_transformer::layer::layer_forward;
+use sti_transformer::layer::{layer_forward, layer_forward_cls};
 use sti_transformer::synthetic::{synthetic_layer, GainPattern};
 use sti_transformer::{ModelConfig, ShardWeights};
 
@@ -46,6 +47,29 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one shard pays for its transcendentals: `tanh` over its `l × d_ff/M`
+/// FFN activations and `exp` over its head's `l × l` attention scores. Each
+/// iteration restores the input first (a 1 KiB copy), so the values stay
+/// the forward pass's.
+fn bench_transcendentals(c: &mut Criterion) {
+    let cfg = ModelConfig::scaled_bert();
+    let mut rng = Rng::new(3);
+    let (l, f) = (cfg.seq_len, cfg.ffn_per_shard());
+    let gelu: fn(&mut Matrix) = activation::gelu_inplace;
+    for (name, cols, kernel) in
+        [("gelu_inplace", f, gelu), ("softmax_rows", l, softmax::softmax_rows)]
+    {
+        let input = random_matrix(&mut rng, l, cols);
+        let mut m = input.clone();
+        c.bench_function(format!("{name}/{l}x{cols}"), |bch| {
+            bch.iter(|| {
+                m.as_mut_slice().copy_from_slice(input.as_slice());
+                kernel(&mut m);
+            })
+        });
+    }
+}
+
 fn bench_layer_forward(c: &mut Criterion) {
     let cfg = ModelConfig::scaled_bert();
     let mut rng = Rng::new(2);
@@ -57,6 +81,10 @@ fn bench_layer_forward(c: &mut Criterion) {
         let idxs: Vec<usize> = (0..m).collect();
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |bch, _| {
             bch.iter(|| layer_forward(&x, &refs, &idxs, &layer.resident, &cfg))
+        });
+        // The last executed layer: the CLS row only.
+        group.bench_with_input(BenchmarkId::new("cls", m), &m, |bch, _| {
+            bch.iter(|| layer_forward_cls(&x, &refs, &idxs, &layer.resident, &cfg))
         });
     }
     group.finish();
@@ -72,6 +100,6 @@ fn bench_layer_forward(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_layer_forward
+    targets = bench_matmul, bench_transcendentals, bench_layer_forward
 }
 criterion_main!(benches);

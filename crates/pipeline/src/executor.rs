@@ -21,7 +21,7 @@ use sti_quant::QuantizedBlob;
 use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardKey, ShardSource};
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::stats::argmax;
-use sti_transformer::layer::layer_forward;
+use sti_transformer::layer::{layer_forward, layer_forward_cls};
 use sti_transformer::{AssembledSubmodel, Model, ShardId, ShardWeights};
 
 use crate::buffers::{PreloadBuffer, WorkingBuffer};
@@ -217,7 +217,10 @@ impl<'a> PipelineExecutor<'a> {
             let shard_refs: Vec<&ShardWeights> = shards.iter().collect();
             let slice_idxs: Vec<usize> = pl.slices.iter().map(|&s| s as usize).collect();
             let resident = &self.model.layers()[l].resident;
-            x = layer_forward(&x, &shard_refs, &slice_idxs, resident, &cfg);
+            // Only the classifier reads the last layer: its CLS row is enough.
+            let forward =
+                if l + 1 == plan.layers.len() { layer_forward_cls } else { layer_forward };
+            x = forward(&x, &shard_refs, &slice_idxs, resident, &cfg);
 
             timings.push(LayerTiming { io: io_delay, comp: self.hw.t_comp(pl.slices.len()) });
         }

@@ -198,8 +198,7 @@ pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> 
         let probs: Vec<Vec<f32>> = entering
             .iter()
             .map(|states| {
-                let hidden = model.forward_layers(states[first].clone(), first, layers());
-                let mut probs = model.classifier().logits(&hidden);
+                let mut probs = model.forward_logits(states[first].clone(), first, layers());
                 softmax_slice(&mut probs);
                 probs
             })

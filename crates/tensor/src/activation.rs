@@ -1,6 +1,6 @@
 //! Element-wise activation functions.
 
-use crate::Matrix;
+use crate::{math, Matrix};
 
 /// GELU (Gaussian Error Linear Unit) using the `tanh` approximation from the
 /// original BERT implementation.
@@ -8,25 +8,15 @@ use crate::Matrix;
 /// `gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`
 pub fn gelu(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + math::tanh(SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)))
 }
 
-/// Applies [`gelu`] to every element of `m` in place.
+/// Applies [`gelu`] to every element of `m` in place. The in-tree `tanh` is
+/// straight-line code, so this loop vectorises.
 pub fn gelu_inplace(m: &mut Matrix) {
     for x in m.as_mut_slice() {
         *x = gelu(*x);
     }
-}
-
-/// Rectified linear unit.
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-/// Numerically stable hyperbolic-tangent shortcut kept for symmetry with the
-/// other activations (delegates to `f32::tanh`).
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
 }
 
 #[cfg(test)]
@@ -56,12 +46,6 @@ mod tests {
             assert!(y >= prev);
             prev = y;
         }
-    }
-
-    #[test]
-    fn relu_clamps_negatives() {
-        assert_eq!(relu(-3.0), 0.0);
-        assert_eq!(relu(4.5), 4.5);
     }
 
     #[test]

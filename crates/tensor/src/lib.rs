@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod activation;
+mod math;
 pub mod matrix;
 pub mod norm;
 pub mod ops;

@@ -1,6 +1,6 @@
 //! Numerically stable row-wise softmax.
 
-use crate::Matrix;
+use crate::{math, Matrix};
 
 /// Applies a numerically stable softmax to a single slice in place.
 ///
@@ -11,11 +11,12 @@ pub fn softmax_slice(row: &mut [f32]) {
         return;
     }
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
+    // Exponentiate first and sum after: the sum must stay in ascending
+    // order, and a loop that carries it would not vectorise.
     for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
+        *x = math::exp(*x - max);
     }
+    let sum = row.iter().fold(0.0, |sum, x| sum + x);
     if sum > 0.0 {
         for x in row.iter_mut() {
             *x /= sum;

@@ -26,47 +26,54 @@ pub fn project_qkv(x: &Matrix, shard: &ShardWeights, qkv: &mut Matrix) {
 ///
 /// Panics if `shards` is empty or shapes are inconsistent with `cfg`.
 pub fn attention(x: &Matrix, shards: &[&ShardWeights], cfg: &ModelConfig) -> Matrix {
-    attend(x, shards, cfg, false)
+    attend(x, shards, cfg, false, x.rows())
 }
 
 /// Attention proper, bidirectional or `causal` (position `i` attends to
-/// `j ≤ i` only). Scratch is allocated once and overwritten by every slice.
+/// `j ≤ i` only), for the leading `queries` positions: the result is the
+/// first `queries` rows of the full `l × d` output, bit for bit, because
+/// every kernel below computes a row of its output from that row of its
+/// input alone. Keys and values are projected for all `l` positions either
+/// way. Scratch is allocated once and overwritten by every slice.
 pub(crate) fn attend(
     x: &Matrix,
     shards: &[&ShardWeights],
     cfg: &ModelConfig,
     causal: bool,
+    queries: usize,
 ) -> Matrix {
     assert!(!shards.is_empty(), "attention needs at least one slice");
     let (l, d, hd) = (x.rows(), cfg.hidden, cfg.head_dim());
     assert_eq!(x.cols(), d, "input width must equal hidden size");
+    assert!(queries <= l, "more query rows than positions");
     let scale = 1.0 / (hd as f32).sqrt();
 
-    let mut out = Matrix::zeros(l, d);
+    let mut out = Matrix::zeros(queries, d);
     let mut qkv = Matrix::zeros(l, 3 * hd);
     let mut v = Matrix::zeros(l, hd);
-    let mut scores = Matrix::zeros(l, l);
-    let mut head = Matrix::zeros(l, hd);
-    let mut projected = Matrix::zeros(l, d);
+    let mut scores = Matrix::zeros(queries, l);
+    let mut head = Matrix::zeros(queries, hd);
+    let mut projected = Matrix::zeros(queries, d);
     for shard in shards {
         project_qkv(x, shard, &mut qkv);
-        let v_rows = v.as_mut_slice().chunks_exact_mut(hd);
-        for (i, (qkv_i, v_i)) in qkv.rows_iter().zip(v_rows).enumerate() {
+        for (qkv_i, v_i) in qkv.rows_iter().zip(v.as_mut_slice().chunks_exact_mut(hd)) {
             v_i.copy_from_slice(&qkv_i[2 * hd..]);
+        }
+        for (i, qkv_i) in qkv.rows_iter().take(queries).enumerate() {
             for (score, qkv_j) in scores.row_mut(i).iter_mut().zip(qkv.rows_iter()) {
                 *score = ops::dot(&qkv_i[..hd], &qkv_j[hd..2 * hd]); // q_i · k_j
             }
         }
         ops::scale_inplace(&mut scores, scale);
         if causal {
-            for i in 0..l {
+            for i in 0..queries {
                 scores.row_mut(i)[i + 1..].fill(f32::NEG_INFINITY);
             }
         }
         softmax::softmax_rows(&mut scores);
 
-        ops::matmul_into(&scores, &v, &mut head); // l × hd
-        ops::matmul_into(&head, &shard.o, &mut projected); // l × d
+        ops::matmul_into(&scores, &v, &mut head); // queries × hd
+        ops::matmul_into(&head, &shard.o, &mut projected); // queries × d
         ops::add_inplace(&mut out, &projected);
     }
     // Width rescaling: keep the residual-stream magnitude independent of the

@@ -27,7 +27,7 @@ use crate::weights::{LayerResident, ShardWeights};
 ///
 /// Panics if `shards` is empty or shapes are inconsistent with `cfg`.
 pub fn causal_attention(x: &Matrix, shards: &[&ShardWeights], cfg: &ModelConfig) -> Matrix {
-    crate::attention::attend(x, shards, cfg, true)
+    crate::attention::attend(x, shards, cfg, true, x.rows())
 }
 
 /// One decoder layer: causal attention + FFN, both post-norm with residuals,

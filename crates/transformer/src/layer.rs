@@ -3,7 +3,7 @@
 use sti_tensor::norm::layernorm_inplace;
 use sti_tensor::{ops, Matrix};
 
-use crate::attention::attention;
+use crate::attention::{attend, attention};
 use crate::config::ModelConfig;
 use crate::ffn::ffn;
 use crate::weights::{LayerResident, ShardWeights};
@@ -25,6 +25,25 @@ pub fn layer_forward(
     cfg: &ModelConfig,
 ) -> Matrix {
     finish_layer(x, attention(x, shards, cfg), shards, slice_idxs, resident, cfg)
+}
+
+/// [`layer_forward`] for a layer whose output only the classifier reads:
+/// returns row 0 of it — the CLS position, as a `1 × d` matrix — bit for
+/// bit, having run attention for that one query (over every position's key
+/// and value) and the residuals, norms and FFN on that one row.
+///
+/// # Panics
+///
+/// Panics if `shards` is empty or lengths mismatch.
+pub fn layer_forward_cls(
+    x: &Matrix,
+    shards: &[&ShardWeights],
+    slice_idxs: &[usize],
+    resident: &LayerResident,
+    cfg: &ModelConfig,
+) -> Matrix {
+    let cls = Matrix::from_rows(&[x.row(0)]);
+    finish_layer(&cls, attend(x, shards, cfg, false, 1), shards, slice_idxs, resident, cfg)
 }
 
 /// Everything of a post-norm layer after its attention — `LN(x + attn)`,
@@ -107,6 +126,44 @@ mod tests {
         let a = layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
         let b = layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
         assert_eq!(a, b);
+    }
+
+    /// `layer_forward_cls` is row 0 of `layer_forward`, whichever loops the
+    /// 4-row matmul tiles it no longer shares take. A zero row and a zero in
+    /// row 0 put the projections of `x` on the zero-skipping loops; a row
+    /// scaled by 64 has a query so large that its attention weights underflow
+    /// to exact zeros, so `scores · V` skips for row 0 itself (row 0 scaled)
+    /// or for its tile only (row 1 scaled).
+    #[test]
+    fn layer_forward_cls_equals_row_zero_of_layer_forward_bit_for_bit() {
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cfg in [ModelConfig::tiny(), ModelConfig::scaled_bert()] {
+            let mut rng = Rng::new(0x636c_7321);
+            let layer = synthetic_layer(&cfg, &mut rng, 1, GainPattern::BottomHeavy);
+            let mut x = Matrix::zeros(cfg.seq_len, cfg.hidden);
+            rng.fill_gaussian(x.as_mut_slice(), 0.0, 1.0);
+            x.row_mut(cfg.seq_len - 1).fill(0.0);
+            x.row_mut(0)[3] = 0.0;
+            for scaled_row in [None, Some(0), Some(1)] {
+                let mut x = x.clone();
+                if let Some(row) = scaled_row {
+                    x.row_mut(row).iter_mut().for_each(|v| *v *= 64.0);
+                }
+                for m in [1, 3, cfg.heads] {
+                    // Distinct slices, not a prefix and not in order.
+                    let idxs: Vec<usize> = (0..m).map(|i| (5 * i + 1) % cfg.heads).collect();
+                    let refs: Vec<&ShardWeights> = idxs.iter().map(|&s| &layer.shards[s]).collect();
+                    let full = layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
+                    let cls = layer_forward_cls(&x, &refs, &idxs, &layer.resident, &cfg);
+                    assert_eq!(cls.shape(), (1, cfg.hidden));
+                    assert_eq!(
+                        bits(cls.row(0)),
+                        bits(full.row(0)),
+                        "m = {m}, scaled row {scaled_row:?}, {cfg:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// `layer_forward` and `decoder_layer_forward` against the composition

@@ -8,7 +8,7 @@ use crate::assemble::AssembledSubmodel;
 use crate::classifier::Classifier;
 use crate::config::{ModelConfig, ShardId};
 use crate::embedding::Embedding;
-use crate::layer::layer_forward;
+use crate::layer::{layer_forward, layer_forward_cls};
 use crate::synthetic::{synthetic_layer, GainPattern};
 use crate::weights::{LayerWeights, ShardWeights};
 
@@ -93,12 +93,12 @@ impl Model {
         self.forward_submodel(tokens, &slices)
     }
 
-    /// The one layer loop every forward path shares: feeds hidden state `x`
-    /// through consecutive layers starting at layer `first`, layer
-    /// `first + i` executing the `i`-th item of `layers` — its slice indexes
-    /// and their weights in matching order — against this model's resident
-    /// parameters. `first > 0` resumes from a hidden state an earlier call
-    /// produced, which is bit-identical to one uninterrupted pass.
+    /// Feeds hidden state `x` through consecutive layers starting at layer
+    /// `first`, layer `first + i` executing the `i`-th item of `layers` — its
+    /// slice indexes and their weights in matching order — against this
+    /// model's resident parameters. `first > 0` resumes from a hidden state
+    /// an earlier call produced, which is bit-identical to one uninterrupted
+    /// pass.
     ///
     /// # Panics
     ///
@@ -109,11 +109,45 @@ impl Model {
         first: usize,
         layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
     ) -> Matrix {
+        self.run_layers(x, first, layers, false)
+    }
+
+    /// Class logits of [`Model::forward_layers`]' final hidden state. The
+    /// classifier reads the CLS row only, so the last layer computes that row
+    /// alone ([`layer_forward_cls`]): the same bits for one row's worth of
+    /// attention scores, residuals, norms and FFN instead of `l`. With no
+    /// layers, the logits of `x` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` runs past the model's depth.
+    pub fn forward_logits<'a>(
+        &self,
+        x: Matrix,
+        first: usize,
+        layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
+    ) -> Vec<f32> {
+        self.weights.classifier.logits(&self.run_layers(x, first, layers, true))
+    }
+
+    /// The one layer loop every forward path shares; `cls_only` runs the
+    /// last layer for the CLS row alone.
+    fn run_layers<'a>(
+        &self,
+        mut x: Matrix,
+        first: usize,
+        layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
+        cls_only: bool,
+    ) -> Matrix {
         let mut residents = self.weights.layers[first..].iter().map(|l| &l.resident);
-        layers.into_iter().fold(x, |x, (slice_idxs, shards)| {
+        let mut layers = layers.into_iter().peekable();
+        while let Some((slice_idxs, shards)) = layers.next() {
             let resident = residents.next().expect("submodel deeper than model");
-            layer_forward(&x, &shards, slice_idxs, resident, &self.weights.cfg)
-        })
+            let forward =
+                if cls_only && layers.peek().is_none() { layer_forward_cls } else { layer_forward };
+            x = forward(&x, &shards, slice_idxs, resident, &self.weights.cfg);
+        }
+        x
     }
 
     /// Runs a submodel over the model's own full-fidelity weights.
@@ -132,11 +166,7 @@ impl Model {
             assert_eq!(slices.len(), width, "submodel layers must share one width");
             (slices.as_slice(), slices.iter().map(|&s| &self.weights.layers[l].shards[s]).collect())
         });
-        self.weights.classifier.logits(&self.forward_layers(
-            self.weights.embedding.embed(tokens),
-            0,
-            layers,
-        ))
+        self.forward_logits(self.weights.embedding.embed(tokens), 0, layers)
     }
 
     /// Runs an externally assembled submodel (dequantized shards) through
@@ -152,11 +182,7 @@ impl Model {
             .layers()
             .iter()
             .map(|asm| (asm.slice_idxs.as_slice(), asm.shards.iter().collect()));
-        self.weights.classifier.logits(&self.forward_layers(
-            self.weights.embedding.embed(tokens),
-            0,
-            layers,
-        ))
+        self.forward_logits(self.weights.embedding.embed(tokens), 0, layers)
     }
 
     /// Runs an assembled submodel and returns `(predicted class, softmax
@@ -248,6 +274,40 @@ mod tests {
         let resumed = m.forward_layers(entering_1, 1, [layer(1)]);
         assert_eq!(resumed, m.forward_layers(embedded, 0, [layer(0), layer(1)]));
         assert_eq!(m.classifier().logits(&resumed), m.forward_full(&[4, 9, 2]));
+    }
+
+    /// The CLS-only last layer is invisible in the logits: every path that
+    /// ends in the classifier equals the classifier over full hidden states,
+    /// at depth one (the last layer is the first), with out-of-order slices,
+    /// resumed mid-model, and with no layer left to run.
+    #[test]
+    fn logits_equal_the_classifier_over_full_hidden_states_bit_for_bit() {
+        let bits = |logits: Vec<f32>| logits.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let m = tiny_model();
+        let embedded = || m.embedding().embed(&[6, 0, 61]);
+        fn grid<'a>(
+            m: &'a Model,
+            slices: &'a [&'a [usize]],
+        ) -> impl Iterator<Item = (&'a [usize], Vec<&'a ShardWeights>)> {
+            let layers = m.layers().iter().zip(slices);
+            layers.map(|(layer, &s)| (s, s.iter().map(|&i| &layer.shards[i]).collect()))
+        }
+        let grids: [&[&[usize]]; 3] =
+            [&[&[2, 0]], &[&[3, 1, 0], &[0, 2, 3]], &[&[0, 1, 2, 3], &[0, 1, 2, 3]]];
+        for slices in grids {
+            let hidden = m.forward_layers(embedded(), 0, grid(&m, slices));
+            let want = bits(m.classifier().logits(&hidden));
+            assert_eq!(bits(m.forward_logits(embedded(), 0, grid(&m, slices))), want);
+            let owned: Vec<Vec<usize>> = slices.iter().map(|s| s.to_vec()).collect();
+            assert_eq!(bits(m.forward_submodel(&[6, 0, 61], &owned)), want);
+            let sub = AssembledSubmodel::from_model_slices(m.layers(), &owned, m.config());
+            assert_eq!(bits(m.forward_assembled(&[6, 0, 61], &sub)), want);
+            // Resumed at the last layer, and past it.
+            let entering = m.forward_layers(embedded(), 0, grid(&m, slices).take(slices.len() - 1));
+            let last = grid(&m, slices).skip(slices.len() - 1);
+            assert_eq!(bits(m.forward_logits(entering, slices.len() - 1, last)), want);
+            assert_eq!(bits(m.forward_logits(hidden, slices.len(), [])), want);
+        }
     }
 
     #[test]

@@ -207,7 +207,11 @@
 //! are one multiply); and `sti_tensor::ops::matmul_into` is register-tiled
 //! (4×8 and 4×4 accumulator tiles held in locals across the `k` loop) while
 //! each output element still accumulates in ascending `k`, one rounded
-//! multiply and one rounded add per term, zero terms skipped. The kernel
+//! multiply and one rounded add per term, zero terms skipped. GELU's `tanh`
+//! and the softmax's `exp` are in-tree, made of IEEE-exact operations (their
+//! bits are the code's, not the host libm's, and their loops vectorise), and
+//! the last executed layer computes only the CLS row the classifier reads
+//! (`layer::layer_forward_cls`). The kernel
 //! and layer compositions these replaced survive as test oracles
 //! (`ops::tests`, `sti-transformer`'s `oracle` module,
 //! `tests/quant_invariants.rs`), compared by `to_bits` in debug and release

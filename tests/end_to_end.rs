@@ -88,6 +88,55 @@ fn an_engine_on_disk_equals_an_engine_in_memory_bit_for_bit() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The executor runs its last planned layer for the CLS row alone. That is
+/// invisible: the outcome equals the same plan — the same preloaded and
+/// streamed shards — assembled and run through a full `layer_forward` for
+/// every layer, and the simulated device is charged exactly what the plan
+/// predicted (a whole last layer included) for exactly the bytes the
+/// assembly streamed.
+#[test]
+fn an_engine_outcome_equals_its_plan_run_through_full_layers_bit_for_bit() {
+    use sti_pipeline::executor::assemble_plan_submodel;
+    let ctx = sti::TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
+    let device = DeviceProfile::odroid_n2();
+    let model = ctx.task().model();
+    let hw = HwProfile::measure(&device, model.config(), ctx.quant());
+    let source = ctx.shard_source();
+    let engine = StiEngine::builder(
+        model.clone(),
+        source.clone(),
+        hw,
+        device.flash,
+        ctx.importance().clone(),
+    )
+    .target(SimTime::from_ms(300))
+    .preload_budget(8 << 10)
+    .widths(&[2, 4])
+    .build()
+    .unwrap();
+    let plan = engine.plan();
+    let mut preload = PreloadBuffer::new(plan.preload_budget_bytes);
+    for &(id, bw) in &plan.preload {
+        preload.insert(id, source.load(ShardKey::new(id, bw)).unwrap()).unwrap();
+    }
+    let (submodel, streamed) = assemble_plan_submodel(model, plan, &preload, &*source).unwrap();
+    assert!(!plan.preload.is_empty() && streamed > 0, "both kinds of shard must take part");
+    let layers = || {
+        submodel.layers().iter().map(|asm| (asm.slice_idxs.as_slice(), asm.shards.iter().collect()))
+    };
+    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for tokens in [&[1u32, 2, 3, 4][..], &[9, 8, 7], &[5]] {
+        let inf = engine.infer(tokens).unwrap();
+        let hidden = model.forward_layers(model.embedding().embed(tokens), 0, layers());
+        let logits = model.classifier().logits(&hidden);
+        assert_eq!(bits(&inf.outcome.logits), bits(&logits));
+        assert_eq!(bits(&inf.probabilities), bits(&model.classifier().probabilities(&hidden)));
+        assert_eq!(Some(inf.class), sti_tensor::stats::argmax(&logits));
+        assert_eq!(inf.outcome.timeline, plan.predicted);
+        assert_eq!(inf.outcome.loaded_bytes, streamed);
+    }
+}
+
 #[test]
 fn a_contexts_store_directory_lives_exactly_as_long_as_its_handles() {
     let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());

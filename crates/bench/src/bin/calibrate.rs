@@ -1,7 +1,7 @@
 //! Calibration check: teacher-agreement accuracy as a function of submodel
 //! depth, width, and bitwidth. Used to validate that the synthetic accuracy
-//! substrate degrades gracefully along all three elasticity axes (DESIGN.md
-//! §1) before trusting the table/figure reproductions.
+//! substrate degrades gracefully along all three elasticity axes before
+//! trusting the table/figure reproductions.
 
 use sti::prelude::*;
 use sti::TaskContext;

@@ -1,4 +1,4 @@
-//! Ablations of STI's individual design choices (DESIGN.md §4).
+//! Ablations of STI's individual design choices.
 
 use sti::prelude::*;
 use sti::{run_experiment, Experiment};
@@ -195,7 +195,7 @@ fn quantizer_ablation() -> String {
 /// Runs all ablations.
 pub fn run() -> String {
     format!(
-        "Ablations of STI's design choices (DESIGN.md §4).\n\n{}\n{}\n{}\n{}\n{}",
+        "Ablations of STI's design choices.\n\n{}\n{}\n{}\n{}\n{}",
         preload_ablation(),
         two_pass_ablation(),
         io_grain_ablation(),

@@ -1,6 +1,6 @@
 //! One module per reproduced table/figure. Each exposes `run() -> String`
-//! producing the report text; the `bin/` wrappers emit it to stdout and
-//! `bench_results/`.
+//! producing the report text; the `exp` binary (`exp -- tab5`, `exp -- all`)
+//! emits it to stdout and `bench_results/`.
 
 pub mod ablation;
 pub mod fig1;

@@ -33,7 +33,7 @@ pub fn run() -> String {
     }
     format!(
         "Table 2: platforms in evaluation (device models calibrated to the paper's measured\n\
-         IO/compute skew; see DESIGN.md on the dimensional scaling).\n\n{}",
+         IO/compute skew; see sti_device::DeviceProfile on the dimensional scaling).\n\n{}",
         t.render()
     )
 }

@@ -1,12 +1,13 @@
 //! # sti-bench
 //!
 //! The experiment harness of the reproduction. Every table and figure of the
-//! paper's evaluation has a binary that regenerates it (see DESIGN.md §3):
+//! paper's evaluation has a module under [`experiments`] that regenerates
+//! it, and one binary runs them by name:
 //!
 //! ```text
-//! cargo run --release -p sti-bench --bin tab5      # Table 5
-//! cargo run --release -p sti-bench --bin fig7      # Figure 7
-//! cargo run --release -p sti-bench --bin exp_all   # everything
+//! cargo run --release -p sti-bench --bin exp -- tab5   # Table 5
+//! cargo run --release -p sti-bench --bin exp -- fig7   # Figure 7
+//! cargo run --release -p sti-bench --bin exp -- all    # everything
 //! ```
 //!
 //! Criterion micro-benchmarks (`cargo bench -p sti-bench`) cover the hot

@@ -18,16 +18,18 @@
 //! Two producers feed the simulator, both through `TopologyQueueSim`:
 //!
 //! - the **measured** path: `sti_storage::IoScheduler` records its actual
-//!   dispatch sequence and replays it (`topology_sim_from_events`), so
-//!   serving reports can quote the contended latency each engagement
-//!   *would* have seen on real hardware;
+//!   dispatch sequence and the serving runtime's contention ledger
+//!   (`sti-pipeline`, `ContentionLedger::replay` — the one place a dispatch
+//!   log becomes jobs) replays it, so serving reports can quote the
+//!   contended latency each engagement *would* have seen on real hardware;
 //! - the **predictive** path: `sti_planner::ServingMix` submits the open
 //!   sessions' per-layer jobs (and the live scheduler backlog) on their
 //!   placed channels to predict contended latency before admitting or
 //!   gating an engagement.
 //!
 //! Service times are computed by the caller, which is where the opt-in
-//! DRAM-residency mode lives: bytes served from a host-side shard cache can
+//! DRAM-residency mode lives (on the measured path, in the ledger): bytes
+//! served from a host-side shard cache can
 //! be charged against a DRAM-speed [`FlashModel`]
 //! ([`FlashModel::dram_residency`]) instead of flash — the
 //! capacity-planning experiment the roadmap asks for.

@@ -10,10 +10,10 @@ use crate::flash::FlashModel;
 ///
 /// The presets are calibrated against the paper's measurements on the
 /// *paper-scale* models, mapped onto this reproduction's dimensionally scaled
-/// model (DESIGN.md §1): the absolute bandwidth constants are chosen so that
-/// a full-fidelity (32-bit) layer load costs ≈339 ms and a full-width layer
-/// computation ≈95 ms on the Odroid profile — the IO/compute skew of §2.2
-/// that motivates the whole system.
+/// model (`sti-transformer`'s `ModelConfig` presets): the absolute bandwidth
+/// constants are chosen so that a full-fidelity (32-bit) layer load costs
+/// ≈339 ms and a full-width layer computation ≈95 ms on the Odroid profile —
+/// the IO/compute skew of §2.2 that motivates the whole system.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceProfile {
     /// Human-readable platform name.

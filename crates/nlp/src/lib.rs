@@ -10,8 +10,7 @@
 //! label-noise rate calibrated to the paper's gold (DistilBERT) accuracy.
 //! Accuracy of any submodel is then *measured* — real forward passes, real
 //! agreement counting — and genuinely degrades with fewer layers/shards/bits,
-//! which is the property every experiment in the paper exercises (see
-//! DESIGN.md §1).
+//! which is the property every experiment in the paper exercises.
 //!
 //! ```
 //! use sti_nlp::{Task, TaskKind};

@@ -93,7 +93,7 @@ pub struct GateDecision {
     /// Whether the decision came from the second gate pass: the session was
     /// the equal-arrival earliest and was re-gated against later-opened
     /// co-arriving load (queue mode only; see
-    /// [`ServingMix::gate`](sti_planner::mix::ServingMix::gate)).
+    /// [`ServingMix::gate_all`](sti_planner::mix::ServingMix::gate_all)).
     pub re_gated: bool,
     /// What drove the decision: the deciding mix digest and the load the
     /// prediction ran against.

@@ -973,8 +973,7 @@ impl StiServer {
     /// [`StiServer::contention_report`] starts fresh. The uncontended track
     /// and all counters are untouched.
     pub fn reset_contention_log(&self) {
-        self.inner.scheduler.clear_flash_events();
-        self.inner.scheduler.clear_speculative_events();
+        self.inner.scheduler.clear_event_logs();
         self.inner.ledger.clear();
     }
 

@@ -5,8 +5,7 @@
 //! `AIB(k) = AIB(k-1) + T_comp(k-1)`, with `AIB(0)` seeded by the "bonus IO"
 //! of the preload buffer (plus the compute-planning slack `T − n·T_comp`,
 //! which this implementation folds into layer 0 so that cold starts — no
-//! preload buffer — can still afford the first layer's low-bit IO; see
-//! DESIGN.md).
+//! preload buffer — can still afford the first layer's low-bit IO).
 //!
 //! Charging a shard's IO at layer `k` debits `AIB(k)` *and every subsequent
 //! layer's budget* — loading it delays all yet-to-execute layers but not

@@ -18,12 +18,12 @@
 //!   and the candidate's pipeline recurrence runs over the contended
 //!   completions.
 //! - [`ServingMix::min_delay`] is the two-phase minimal-queue-delay
-//!   search, and [`ServingMix::gate`] is the deterministic gate walk:
+//!   search, and [`ServingMix::gate_all`] is the deterministic gate walk:
 //!   sessions in `(arrival, token)` order, each earlier SLO session's
 //!   decision replayed against the lanes accumulated
 //!   so far — including the *second gate pass* that re-gates an
 //!   equal-arrival earliest session once later-opened co-arriving load
-//!   exists (queue mode only; see [`ServingMix::gate`]).
+//!   exists (queue mode only; see [`ServingMix::gate_all`]).
 //! - [`ServingMix::digest`] is the one memo identity: both the SLO-search
 //!   cache key ([`ServingPlanKey`](crate::serving::ServingPlanKey)) and the
 //!   server's per-session gate memo hash the mix through here, so a
@@ -511,9 +511,13 @@ impl ServingMix {
         }
     }
 
-    /// Runs the deterministic gate walk for the session holding `token`
-    /// (which must be in the mix, with an [`SloProfile`]); returns `None`
-    /// when that session carries no SLO.
+    /// Runs the deterministic gate walk once, pricing **every** open SLO
+    /// session; returns `(token, outcome)` per SLO session in walk order.
+    /// Plain target sessions (no [`SloProfile`]) are never gated and skip
+    /// lane assembly entirely. The decided-lane prefix is computed once and
+    /// shared by every later decision, and the server memoizes the walk per
+    /// mix digest, so after a registry change exactly one walk re-simulates
+    /// and every other session's gate decision is a lookup.
     ///
     /// Sessions are walked in `(arrival, token)` order. Each earlier SLO
     /// session's own decision is replayed against the lanes accumulated so
@@ -539,40 +543,17 @@ impl ServingMix {
     /// subset of what admission priced). The whole walk — sweep order,
     /// sweep cap, convergence test — is a pure function of the mix, so
     /// concurrent and sequential replays decide identically.
-    pub fn gate(&self, token: u64, policy: GatePolicy) -> Option<GateOutcome> {
-        let outcomes = self.walk_gate(policy, Some(token));
-        match outcomes.last() {
-            Some(&(t, outcome)) if t == token => outcome,
-            _ => panic!("gate candidate token {token} is not in the mix"),
-        }
-    }
-
-    /// Runs the full gate walk once, pricing **every** open SLO session —
-    /// the delta-re-prediction entry point. Each session's outcome is
-    /// bit-identical to [`ServingMix::gate`] for its token (the walk is the
-    /// same; it just doesn't stop), but the decided-lane prefix is computed
-    /// once and shared by every later decision instead of being replayed
-    /// per candidate. Plain target sessions (no [`SloProfile`]) skip lane
-    /// assembly entirely. The server memoizes this per mix digest, so after
-    /// a registry change exactly one walk re-simulates and every other
-    /// session's gate decision is a lookup.
     pub fn gate_all(&self, policy: GatePolicy) -> Vec<(u64, GateOutcome)> {
-        self.walk_gate(policy, None)
+        self.walk_gate(policy)
             .into_iter()
             .filter_map(|(t, outcome)| outcome.map(|o| (t, o)))
             .collect()
     }
 
-    /// The shared `(arrival, token)` walk behind [`ServingMix::gate`] and
-    /// [`ServingMix::gate_all`]: returns `(token, outcome)` per session
-    /// visited in walk order (`None` for plain target sessions, which are
-    /// never gated). With `stop_at`, the walk returns right after that
-    /// token's entry — the early-exit [`ServingMix::gate`] contract.
-    fn walk_gate(
-        &self,
-        policy: GatePolicy,
-        stop_at: Option<u64>,
-    ) -> Vec<(u64, Option<GateOutcome>)> {
+    /// The `(arrival, token)` walk behind [`ServingMix::gate_all`]:
+    /// `(token, outcome)` per session visited, in walk order (`None` for
+    /// plain target sessions, which are never gated).
+    fn walk_gate(&self, policy: GatePolicy) -> Vec<(u64, Option<GateOutcome>)> {
         /// Sweep cap for the co-arrival fixed point: iteration is
         /// Gauss–Seidel and converges in 2 sweeps for the common
         /// one-gated-session case (re-decide + confirm); the cap only binds
@@ -597,7 +578,6 @@ impl ServingMix {
             }
             let decided_before = decided.len();
             let outcome_base = outcomes.len();
-            let mut stop_pos: Option<usize> = None;
             // Initial pass: each member decided in token order against the
             // external backlog, everything decided before it, and the raw
             // loads of strictly-later arrivals — equal-arrival later tokens
@@ -608,9 +588,6 @@ impl ServingMix {
             // own, which keeps the walk O(decisions · lanes), not
             // O(sessions · lanes).
             for &s in &order[start..end] {
-                if stop_at == Some(s.token) {
-                    stop_pos = Some(outcomes.len());
-                }
                 match &s.slo {
                     None => {
                         outcomes.push((s.token, None));
@@ -635,14 +612,6 @@ impl ServingMix {
                             });
                         }
                     }
-                }
-            }
-            // A plain stop token can return right away — group iteration
-            // never touches a `None` outcome.
-            if let Some(p) = stop_pos {
-                if order[start + (p - outcome_base)].slo.is_none() {
-                    outcomes.truncate(p + 1);
-                    return outcomes;
                 }
             }
             // Second pass, iterated to a fixed point (queue mode only):
@@ -716,13 +685,6 @@ impl ServingMix {
                         None => decided.push(Lane { arrival, jobs: s.load.jobs.clone() }),
                     }
                 }
-            }
-            // An SLO stop token had to wait for its whole co-arrival group
-            // to settle — the early-exit `gate` contract still ends the
-            // returned walk at the requested token.
-            if let Some(p) = stop_pos {
-                outcomes.truncate(p + 1);
-                return outcomes;
             }
             start = end;
         }
@@ -841,7 +803,7 @@ struct LaneArena {
 
 /// One initial-pass gate decision for a profile at an arrival. Co-arrival
 /// re-gating is the walk's fixed-point sweep, not this function's job
-/// (queue mode only; see [`ServingMix::gate`]).
+/// (queue mode only; see [`ServingMix::gate_all`]).
 #[allow(clippy::too_many_arguments)]
 fn decide(
     arena: &mut LaneArena,

@@ -62,8 +62,11 @@ impl PrefetchMode {
     }
 }
 
-/// Prefetcher knobs. [`PrefetchConfig::default`] is off; `markov(budget)`
-/// enables prediction with the given per-plan byte budget.
+/// Prefetcher knobs: the mode and the byte budget. [`PrefetchConfig::default`]
+/// is off; `markov(budget)` enables prediction with the given per-plan byte
+/// budget. The model's own constants (confidence floor, sample minimum,
+/// rejection-cache TTL and capacity, edge cap) have one value in use and
+/// are not options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchConfig {
     /// Off / Markov.
@@ -73,17 +76,17 @@ pub struct PrefetchConfig {
     pub budget_bytes: u64,
     /// Minimum follow confidence (`follows / (follows + breaks)`) an edge
     /// needs before its successor is worth staging.
-    pub confidence_floor: f64,
+    pub(crate) confidence_floor: f64,
     /// Minimum observations of an edge's source before its statistics are
     /// trusted at all.
-    pub min_samples: u32,
+    pub(crate) min_samples: u32,
     /// Rejection-cache TTL in observations: a prediction whose outcome was
     /// wrong silences its edge for `ttl * strikes` further observations.
-    pub rejection_ttl: u64,
+    pub(crate) rejection_ttl: u64,
     /// LRU capacity of the rejection cache.
-    pub rejection_cap: usize,
+    pub(crate) rejection_cap: usize,
     /// Cap on stored Markov edges (LRU-evicted beyond this).
-    pub max_edges: usize,
+    pub(crate) max_edges: usize,
 }
 
 impl Default for PrefetchConfig {

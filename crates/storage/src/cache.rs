@@ -43,8 +43,7 @@ use sti_quant::QuantizedBlob;
 use crate::error::StorageError;
 use crate::store::{ShardKey, ShardSource};
 
-/// Counters describing cache effectiveness since construction (or the last
-/// [`ShardCache::reset_stats`]).
+/// Counters describing cache effectiveness since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCacheStats {
     /// Lookups served from the cache.
@@ -227,11 +226,6 @@ impl ShardCache {
     /// Effectiveness counters.
     pub fn stats(&self) -> ShardCacheStats {
         self.inner.lock().stats
-    }
-
-    /// Zeroes the effectiveness counters (resident blobs are kept).
-    pub fn reset_stats(&self) {
-        self.inner.lock().stats = ShardCacheStats::default();
     }
 
     /// Looks a blob up, refreshing its recency on a hit.
@@ -432,11 +426,6 @@ impl CachedSource {
     /// The shared cache.
     pub fn cache(&self) -> &Arc<ShardCache> {
         &self.cache
-    }
-
-    /// The backing source.
-    pub fn backing(&self) -> &Arc<dyn ShardSource> {
-        &self.source
     }
 }
 

@@ -23,7 +23,12 @@
 //!   engagements reuse each other's reads;
 //! - [`scheduler::IoScheduler`] — the IO pool multiplexing layer-granular
 //!   load requests from many concurrent engagements over one flash model
-//!   (FIFO per engagement, round-robin across engagements);
+//!   (FIFO per engagement, round-robin across engagements). Inside it, a
+//!   lane state machine with no thread or store in it (`lanes`), the code
+//!   that services what it picks (`dispatch`) and the backlog snapshots
+//!   (`backlog`). It records what it dispatched
+//!   ([`FlashDispatchEvent`]) and simulates nothing: replaying that log
+//!   on a contended device is `sti-pipeline`'s ledger's job;
 //! - [`batcher`] — shared-IO batching policy: byte-identical layer requests
 //!   from engagements arriving within a window coalesce into one fan-out
 //!   flash job, charged once on the contended track;

@@ -10,7 +10,7 @@ use std::fmt;
 /// (importance maps, AIB accounting, submodel search) matches the paper,
 /// while the hidden width is reduced so real CPU inference runs at laptop
 /// speed. The device models in `sti-device` are calibrated against these
-/// scaled sizes (see DESIGN.md §1).
+/// scaled sizes (see its `DeviceProfile`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ModelConfig {
     /// Number of transformer layers `N`.

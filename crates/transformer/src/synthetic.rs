@@ -1,11 +1,12 @@
 //! Deterministic synthetic weight generation.
 //!
 //! Real fine-tuned checkpoints are unavailable offline, so models are
-//! synthesized (see DESIGN.md §1): weights are Gaussian with a small fraction
-//! of planted heavy-tail outliers — the distribution GOBO quantization is
-//! designed for — and each shard gets a seeded *gain* so different "tasks"
-//! (seeds) exhibit different shard-importance structure, mirroring the
-//! distinct heatmaps of paper Figure 5.
+//! synthesized (`sti-nlp`'s crate docs describe the task substrate built on
+//! them): weights are Gaussian with a small fraction of planted heavy-tail
+//! outliers — the distribution GOBO quantization is designed for — and each
+//! shard gets a seeded *gain* so different "tasks" (seeds) exhibit different
+//! shard-importance structure, mirroring the distinct heatmaps of paper
+//! Figure 5.
 
 use sti_tensor::norm::LayerNormParams;
 use sti_tensor::{Matrix, Rng};

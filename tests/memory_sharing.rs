@@ -237,23 +237,24 @@ fn every_hop_hands_on_the_stores_one_payload() {
     let (hit, resident) = cache.get_or_load_tracked(&store, key).unwrap();
     assert!(resident);
     assert_eq!(payload(&hit), payload(&in_store), "cache hit");
-    let cached = CachedSource::new(Arc::new(store), Arc::new(cache));
+    let store = Arc::new(store);
+    let cached = CachedSource::new(store.clone(), Arc::new(cache));
     assert_eq!(payload(&cached.load(key).unwrap()), payload(&in_store), "cached source");
 
     // Staging pool: staged cold, pinned from the main map, promoted on a
     // demand miss — the same payload each time.
     let cold = ShardKey::new(id, Bitwidth::B6);
-    let cold_in_store = cached.backing().load(cold).unwrap();
+    let cold_in_store = store.load(cold).unwrap();
     let cache = cached.cache();
     cache.enable_prefetch_pool(1 << 20);
-    assert!(cache.prefetch_load(&**cached.backing(), cold).unwrap().0 > 0, "staged from flash");
-    assert!(cache.prefetch_load(&**cached.backing(), key).unwrap().1 > 0, "pinned");
-    let (promoted, resident) = cache.get_or_load_tracked(&**cached.backing(), cold).unwrap();
+    assert!(cache.prefetch_load(&*store, cold).unwrap().0 > 0, "staged from flash");
+    assert!(cache.prefetch_load(&*store, key).unwrap().1 > 0, "pinned");
+    let (promoted, resident) = cache.get_or_load_tracked(&*store, cold).unwrap();
     assert!(resident, "the staged blob was promoted, not reloaded");
     assert_eq!(cache.prefetch_stats().hits, 1);
     assert_eq!(payload(&promoted), payload(&cold_in_store), "pool promote");
     cache.clear();
-    let (pinned, resident) = cache.get_or_load_tracked(&**cached.backing(), key).unwrap();
+    let (pinned, resident) = cache.get_or_load_tracked(&*store, key).unwrap();
     assert!(resident, "the pinned handle outlives the main map's");
     assert_eq!(payload(&pinned), payload(&in_store), "pool pin");
 

@@ -148,7 +148,7 @@ proptest! {
     /// mutually co-arriving SLO sessions (plus optional plain co-residents)
     /// in queue mode converges on mutually consistent delays — each
     /// member's prediction at its decided delay, against the others'
-    /// decided positions, meets its SLO — and `gate` ≡ `gate_all`.
+    /// decided positions, meets its SLO.
     #[test]
     fn co_arrival_gate_fixed_point_converges(
         members in 2usize..5,
@@ -188,10 +188,6 @@ proptest! {
         }
         let all = mix.gate_all(policy);
         prop_assert_eq!(all.len(), members, "every SLO member is priced");
-        // The early-exit walk agrees with the shared one at the fixed point.
-        for &(token, outcome) in &all {
-            prop_assert_eq!(mix.gate(token, policy), Some(outcome));
-        }
         // Generous SLOs: the group queues, it never sheds — and the decided
         // delays are mutually consistent: re-predicting each member at its
         // decided position, against a mix rebuilt with every co-arrival at

@@ -11,9 +11,9 @@
 //!    retargeting session does not co-run with itself) is now a clone +
 //!    `remove_session` view; it must predict bit-identically to a mix
 //!    rebuilt from scratch without that session.
-//! 3. **`gate_all` ≡ `gate`.** The shared full walk prices every SLO
-//!    session bit-identically to the per-token early-exit walk it
-//!    memoizes for.
+//! 3. **`gate_all` prices SLO sessions only.** The one gate walk returns
+//!    an outcome for every SLO session of a mixed population and none for
+//!    a plain one.
 //! 4. **Fleet sweep smoke.** `fleet_sweep` opens real fleets against a
 //!    real server on the virtual clock and reports a well-formed ledger.
 //! 5. **Open/teardown equivalence.** The batch `open_fleet` path and the
@@ -212,7 +212,7 @@ proptest! {
 }
 
 #[test]
-fn gate_all_matches_per_token_gate() {
+fn gate_all_prices_every_slo_session_and_no_plain_one() {
     let (hw, imp) = fixture();
     let fast = plan_two_stage(&hw, &imp, SimTime::from_ms(200), 0, &WIDTHS, &Bitwidth::ALL);
     let slow = plan_two_stage(&hw, &imp, SimTime::from_ms(2_000), 0, &WIDTHS, &Bitwidth::ALL);
@@ -232,13 +232,6 @@ fn gate_all_matches_per_token_gate() {
         for policy in [GatePolicy::Shed, GatePolicy::Queue(SimTime::from_ms(100))] {
             let all = mix.gate_all(policy);
             assert_eq!(all.len(), 7, "every SLO session is priced, plain ones are not");
-            for &(token, outcome) in &all {
-                assert_eq!(
-                    mix.gate(token, policy),
-                    Some(outcome),
-                    "shared walk diverged from the early-exit walk for {token}"
-                );
-            }
         }
     }
 }

@@ -14,7 +14,7 @@ use sti_obs::{Histogram, MetricsRegistry, ObsSink, SpanArgs, SpanEvent, TrackKin
 
 fn sample_event(t: u64) -> SpanEvent {
     SpanEvent::complete(TrackKind::Session, 7, "gate.delay", t, t + 40)
-        .with_args(SpanArgs::new().with("digest", 42).with("backlog_bytes", 1 << 20))
+        .with_args(SpanArgs::new().with("digest", 42).with("predicted_us", 1 << 20))
 }
 
 fn bench_sinks(c: &mut Criterion) {

@@ -27,7 +27,7 @@ pub fn usage() -> String {
      \x20                                  per identical layer read (0 = off)\n\
      \x20             [--backpressure off|queue|shed]  infer-time gate for SLO engagements:\n\
      \x20                                  queue = delay an engagement (simulated time) until\n\
-     \x20                                  the live flash-queue prediction meets its SLO,\n\
+     \x20                                  the open-session prediction meets its SLO,\n\
      \x20                                  shed = fail fast instead of missing\n\
      \x20             [--max-queue-ms 100] queue-mode patience: shed when even this delay\n\
      \x20                                  cannot save the engagement\n\
@@ -500,7 +500,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         ),
     };
     // Structured gate reasons: which co-runner lane the delayed/shed
-    // decisions blame, and the backlog volume the predictions priced.
+    // decisions blame.
     let gated: Vec<&GateDecision> =
         contention.gate.iter().filter(|d| d.shed || d.delay > SimTime::ZERO).collect();
     let gate_reason_line = if contention.gate.is_empty() {
@@ -514,20 +514,13 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
                 *blamed.entry(token).or_insert(0) += 1;
             }
         }
-        let peak_backlog = gated.iter().map(|d| d.reason.backlog_bytes).max().unwrap_or(0);
         match blamed.iter().max_by_key(|(token, count)| (**count, std::cmp::Reverse(**token))) {
             Some((&token, &count)) => format!(
-                "{} of {} decisions delayed/shed; co-runner lane {token} dominated {count} \
-                 (peak backlog {peak_backlog} bytes)",
+                "{} of {} decisions delayed/shed; co-runner lane {token} dominated {count}",
                 gated.len(),
                 contention.gate.len(),
             ),
-            None => format!(
-                "{} of {} decisions delayed/shed by external backlog alone \
-                 (peak {peak_backlog} bytes)",
-                gated.len(),
-                contention.gate.len(),
-            ),
+            None => "no co-runner lane to blame".to_string(),
         }
     };
     let queueing_us: Vec<u64> =

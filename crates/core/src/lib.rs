@@ -135,9 +135,9 @@ pub mod prelude {
     };
     pub use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
     pub use sti_storage::{
-        BacklogSnapshot, BatchPolicy, BatchStats, CachedSource, ChannelBacklog, FlashDispatchEvent,
-        IoChannel, IoScheduler, LayerRequest, LoadedLayer, MemStore, QueuedIo, ShardCache,
-        ShardCacheStats, ShardKey, ShardSource, ShardStore,
+        BatchPolicy, BatchStats, CachedSource, FlashDispatchEvent, IoChannel, IoScheduler,
+        LayerRequest, LoadedLayer, MemStore, ShardCache, ShardCacheStats, ShardKey, ShardSource,
+        ShardStore,
     };
     pub use sti_transformer::{Model, ModelConfig, ShardId};
 }

@@ -66,7 +66,7 @@ pub struct ServeConfig {
     /// flash job per identical layer request (`None`: batching off).
     pub batch_window: Option<SimTime>,
     /// Infer-time backpressure for SLO clients: queue (delay an engagement
-    /// until the live flash-queue prediction meets its SLO) or shed (fail
+    /// until the open-session prediction meets its SLO) or shed (fail
     /// fast instead of missing). Shed engagements produce no outcome and
     /// are counted in the contention report's gate log.
     pub backpressure: BackpressureMode,

@@ -23,9 +23,8 @@
 //!   log becomes jobs) replays it, so serving reports can quote the
 //!   contended latency each engagement *would* have seen on real hardware;
 //! - the **predictive** path: `sti_planner::ServingMix` submits the open
-//!   sessions' per-layer jobs (and the live scheduler backlog) on their
-//!   placed channels to predict contended latency before admitting or
-//!   gating an engagement.
+//!   sessions' per-layer jobs on their placed channels to predict
+//!   contended latency before admitting or gating an engagement.
 //!
 //! Service times are computed by the caller, which is where the opt-in
 //! DRAM-residency mode lives (on the measured path, in the ledger): bytes

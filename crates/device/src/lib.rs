@@ -37,9 +37,8 @@
 //!   not a separate queue.
 //!
 //! Terminology: a **device channel** is a hardware lane of the flash
-//! package (this crate); an **engagement IO lane** (`IoChannel` /
-//! `ChannelBacklog` in `sti-storage`) is one engagement's request stream
-//! into the scheduler. Placement maps lane traffic onto device channels
+//! package (this crate); an **engagement IO lane** (`IoChannel` in
+//! `sti-storage`) is one engagement's request stream into the scheduler. Placement maps lane traffic onto device channels
 //! via [`DeviceTopology::channel_for`].
 //!
 //! The planner and pipeline interact with hardware *only* through the

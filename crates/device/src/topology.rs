@@ -29,9 +29,9 @@
 //! single-channel report equals [`FlashQueueSim::run`]'s as a value.
 //!
 //! **Naming.** "Device channel" here is a hardware lane of the flash
-//! package — distinct from the *engagement IO lanes* (`IoChannel`,
-//! `ChannelBacklog` in `sti-storage`) that carry one engagement's request
-//! stream to the scheduler. An engagement's lane fans its requests out
+//! package — distinct from the *engagement IO lanes* (`IoChannel` in
+//! `sti-storage`) that carry one engagement's request stream to the
+//! scheduler. An engagement's lane fans its requests out
 //! across device channels according to placement.
 
 use crate::flash_queue::{CompletedJob, FlashJob, FlashQueueReport, FlashQueueSim};
@@ -90,7 +90,7 @@ impl DeviceTopology {
     ///
     /// The stripe folds in *before* mixing, so a stripe shift is exactly a
     /// signature shift (`channel_for(sig, s) == channel_for(sig + s, 0)`)
-    /// and the backlog's stripe-folded signatures recover the placement.
+    /// and a load's stripe-folded signatures recover the placement.
     pub fn channel_for(&self, content_sig: u64, stripe: u16) -> u16 {
         // Content signatures are structured (layer indices, shard slices),
         // so a bare modulus aliases whole signature classes onto one

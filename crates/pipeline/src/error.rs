@@ -32,7 +32,7 @@ pub enum PipelineError {
         co_runners: usize,
     },
     /// The infer-time backpressure gate shed the engagement: against the
-    /// live flash-queue backlog, its predicted contended latency misses the
+    /// sessions open now, its predicted contended latency misses the
     /// session SLO even at the best admissible queue delay.
     Backpressure {
         /// Best achievable predicted contended latency (at the gate's
@@ -62,7 +62,7 @@ impl fmt::Display for PipelineError {
                 write!(
                     f,
                     "backpressure shed: predicted contended latency {predicted} misses the \
-                     {slo} SLO against the live flash backlog"
+                     {slo} SLO against the open sessions"
                 )
             }
         }

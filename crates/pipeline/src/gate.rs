@@ -3,20 +3,20 @@
 //! Admission decides once, at session open — but SLOs are violated by
 //! *bursts*, mid-session. With a [`BackpressureMode`] configured, every
 //! SLO engagement first passes this gate, which re-runs the contended
-//! prediction against the queue as it stands now and either delays the
+//! prediction against the sessions open now and either delays the
 //! engagement on the simulated timeline until the prediction meets its SLO
 //! (`Queue`, bounded by a maximum delay) or fails fast with
 //! [`PipelineError::Backpressure`] (`Shed`). Shed engagements never touch
 //! the scheduler, so the uncontended determinism contract is untouched.
 //!
 //! **Determinism.** Gate decisions must be identical between concurrent
-//! and sequential replays of the same trace, so co-resident sessions are
-//! priced from the open-session registry — populated deterministically at
-//! session open — rather than from their racy live queue entries. The
-//! gate builds a `ServingMix` of the registry plus whatever *external*
-//! backlog remains once lanes owned by registered sessions are excluded
-//! (the registry already prices those), and `ServingMix::gate_all` runs
-//! the deterministic walk: sessions in `(arrival, token)` order, each
+//! and sequential replays of the same trace, so they are a pure function
+//! of the open-session registry — populated deterministically at session
+//! open — and of nothing else: like the paper's planner (§5), the gate
+//! prices profiled loads, never the racy live queue. Every demand lane on
+//! the server's scheduler belongs to a registered session, so the registry
+//! already prices all of it. `ServingMix::gate_all` runs the deterministic
+//! walk: sessions in `(arrival, token)` order, each
 //! earlier SLO session's decision replayed, equal-arrival later tokens
 //! excluded on the first pass and re-gated against on the second (queue
 //! mode — an equal-arrival earliest session does not run blind ahead of
@@ -32,25 +32,25 @@
 //! one read guard of the registry lock, so a walk is always memoized under
 //! the digest of exactly the state it saw; the guard is released before
 //! the walk runs, so opens and drops never wait behind one. On a memo hit
-//! the live mix is never cloned — the rolling digest (O(backlog), flat in
-//! fleet size) is the whole cost.
+//! the live mix is never cloned — the rolling digest (O(1), flat in fleet
+//! size) is the whole cost.
 //!
-//! [`Gate::decide`] reads the scheduler only through two closures, so the
-//! gate is unit-testable over a hand-built registry.
+//! [`Gate::decide`] takes the subject, the registry and one closure — the
+//! advisory speculative-bytes label, the only scheduler state it sees and
+//! one no decision reads — so it is unit-testable over a hand-built registry.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use sti_device::SimTime;
 use sti_obs::{Counter, Histogram, MetricsRegistry};
 use sti_planner::mix::{GateOutcome, GatePolicy, MixLaneSummary, ServingMix};
-use sti_storage::BacklogSnapshot;
 
 use crate::error::PipelineError;
 
-/// What the server does, per engagement, when the live flash-queue
-/// prediction says the engagement would miss its session's SLO *now* —
+/// What the server does, per engagement, when the contended prediction
+/// over the open sessions says the engagement would miss its SLO *now* —
 /// admission's mid-session counterpart. Only SLO sessions are gated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressureMode {
@@ -103,9 +103,9 @@ pub struct GateDecision {
 /// The structured *why* behind a [`GateDecision`]: the mix digest the
 /// decision was memoized under and a summary of the load the contended
 /// prediction priced — so a shed or delay line in the serve report can
-/// name the co-runner lane and backlog volume that crowded the session
-/// out. A pure function of the mix (`ServingMix::lane_summary`), so
-/// replays derive identical reasons.
+/// name the co-runner lane that crowded the session out. A pure function
+/// of the mix (`ServingMix::lane_summary`), so replays derive identical
+/// reasons.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GateReason {
     /// The mix digest the decision was computed (and memoized) under.
@@ -113,23 +113,18 @@ pub struct GateReason {
     /// Open co-runner sessions the prediction priced (the deciding
     /// session itself excluded).
     pub co_runners: usize,
-    /// External-backlog channels with queued or in-flight work.
-    pub backlog_channels: usize,
-    /// Serialized bytes queued in the external backlog.
-    pub backlog_bytes: u64,
     /// The heaviest co-runner lane by total streamed service time, as
     /// `(registry token, total service time)` — the lane most responsible
     /// for the contention the prediction saw. `None` when the session had
     /// the mix to itself.
     pub dominant_lane: Option<(u64, SimTime)>,
     /// Speculative prefetch bytes queued behind the scheduler when the
-    /// decision was shaped — labelled separately from
-    /// [`GateReason::backlog_bytes`] so a blame line never attributes a
-    /// delay or shed to background speculation. A reporting label only:
-    /// the gate walk, the mix digest, and the contended prediction never
-    /// read it (speculative jobs are excluded from demand backlog
-    /// snapshots), so `shed`/`delay`/`predicted` are bit-identical with
-    /// the prefetcher on or off. Always zero with prefetch off.
+    /// decision was shaped — labelled apart from the demand load so a
+    /// blame line never attributes a delay or shed to background
+    /// speculation. A reporting label only: the gate walk, the mix digest,
+    /// and the contended prediction never read it, so
+    /// `shed`/`delay`/`predicted` are bit-identical with the prefetcher on
+    /// or off. Always zero with prefetch off.
     pub speculative_bytes: u64,
 }
 
@@ -149,18 +144,13 @@ pub(crate) struct GateSubject<'a> {
     pub(crate) memo: &'a Mutex<Option<(u64, GateDecision)>>,
 }
 
-/// The gate's policy, memo, lane-ownership set and instruments.
+/// The gate's policy, walk memo and instruments.
 pub(crate) struct Gate {
     pub(crate) mode: BackpressureMode,
     /// The last full gate walk, keyed by the mix digest it ran against.
     /// Decisions stay a pure function of the mix, so sharing the walk
     /// across sessions changes nothing observable.
     walk_memo: Mutex<Option<GateWalkMemo>>,
-    /// Scheduler lanes of engagements currently executing. The gate prices
-    /// registered sessions from the registry (deterministic) and must not
-    /// double-count their live queue entries; only lanes *not* in this set
-    /// count as external backlog.
-    owned_lanes: Mutex<HashSet<u64>>,
     decisions: Counter,
     delay_us: Histogram,
     predicted_us: Histogram,
@@ -173,7 +163,6 @@ impl Gate {
         Self {
             mode,
             walk_memo: Mutex::new(None),
-            owned_lanes: Mutex::new(HashSet::new()),
             decisions: registry.counter("gate.decisions"),
             delay_us: registry.histogram("gate.delay_us"),
             predicted_us: registry.histogram("gate.predicted_us"),
@@ -182,30 +171,14 @@ impl Gate {
         }
     }
 
-    /// Opens an engagement's scheduler lane and marks it session-owned in
-    /// one critical section shared with [`Gate::decide`]'s backlog
-    /// snapshot, so no gate can observe the lane unowned (and price its
-    /// session twice). `open` returns the lane with its id.
-    pub(crate) fn claim_lane<L>(&self, open: impl FnOnce() -> (u64, L)) -> L {
-        let mut owned = self.owned_lanes.lock();
-        let (id, lane) = open();
-        owned.insert(id);
-        lane
-    }
-
-    pub(crate) fn release_lane(&self, id: u64) {
-        self.owned_lanes.lock().remove(&id);
-    }
-
     /// The decision one engagement of `who` is subject to right now
     /// (`None` with the gate off). Pure: nothing is counted or logged.
-    /// `backlog` snapshots the scheduler's live queue; `speculative_bytes`
-    /// reads the speculative backlog label stamped into the reason.
+    /// `speculative_bytes` reads the speculative backlog label stamped
+    /// into the reason.
     pub(crate) fn decide(
         &self,
         who: GateSubject<'_>,
         registry: &RwLock<ServingMix>,
-        backlog: impl FnOnce() -> BacklogSnapshot,
         speculative_bytes: impl FnOnce() -> u64,
     ) -> Option<GateDecision> {
         let policy = match self.mode {
@@ -213,27 +186,13 @@ impl Gate {
             BackpressureMode::Queue(max) => GatePolicy::Queue(max),
             BackpressureMode::Shed => GatePolicy::Shed,
         };
-        // Start from the live queue, minus lanes the registry prices. The
-        // snapshot is taken under the ownership lock (see `claim_lane`).
-        let external = {
-            let owned = self.owned_lanes.lock();
-            let live = backlog();
-            BacklogSnapshot {
-                channels: live
-                    .channels
-                    .into_iter()
-                    .filter(|c| !owned.contains(&c.channel))
-                    .collect(),
-                batch_window: live.batch_window,
-            }
-        };
         // The decision is a pure function of the mix. One read guard covers
         // the digest probe, both memo lookups and — on a miss — the snapshot
         // (see the module docs); `Err` carries that snapshot out, to be
         // walked once the guard has dropped.
         let (digest, memoized) = {
             let mix = registry.read();
-            let digest = mix.digest_with(&external);
+            let digest = mix.digest();
             if let Some((seen, decision)) = *who.memo.lock() {
                 if seen == digest {
                     return Some(decision);
@@ -242,7 +201,7 @@ impl Gate {
             let memoized = self.walk_memo.lock().as_ref().and_then(|(seen, walk, summary)| {
                 (*seen == digest).then(|| (walk.clone(), *summary))
             });
-            (digest, memoized.ok_or_else(|| mix.clone().with_backlog(external)))
+            (digest, memoized.ok_or_else(|| mix.clone()))
         };
         let (walk, summary) = memoized.unwrap_or_else(|mix| {
             let summary = mix.lane_summary();
@@ -254,7 +213,7 @@ impl Gate {
         let outcome = *walk.get(&who.token).expect("an open SLO session is always in the registry");
         // The walk prices demand lanes only; the speculative in-flight
         // label is stamped in after the fact, so a report can show
-        // speculation separately from the demand backlog that actually
+        // speculation separately from the demand load that actually
         // drove the decision. Advisory: a memoized decision keeps the
         // label it was shaped with.
         let decision = GateDecision {
@@ -268,8 +227,6 @@ impl Gate {
             reason: GateReason {
                 digest,
                 co_runners: summary.sessions.saturating_sub(1),
-                backlog_channels: summary.backlog_channels,
-                backlog_bytes: summary.backlog_bytes,
                 dominant_lane: summary
                     .dominant_excluding(who.token)
                     .map(|(token, us)| (token, SimTime::from_us(us))),
@@ -312,7 +269,6 @@ mod tests {
     use std::cell::Cell;
     use sti_planner::mix::SloProfile;
     use sti_planner::{CoRunnerLoad, IoSharing, LayerIoJob};
-    use sti_storage::{ChannelBacklog, QueuedIo};
 
     fn server_with_backpressure(mode: BackpressureMode) -> StiServer {
         tiny_server(|b| b.preload_budget(0).backpressure(mode))
@@ -330,17 +286,6 @@ mod tests {
         let load = CoRunnerLoad { jobs: Arc::from(jobs), arrival: SimTime::ZERO };
         let profile = SloProfile { jobs: jobs.map(Some).to_vec(), comp: ms(1), slo };
         registry.write().upsert_session(token, load, Some(profile));
-    }
-
-    /// One queued 10 ms read on scheduler lane `lane`.
-    fn queued_lane(lane: u64) -> ChannelBacklog {
-        ChannelBacklog {
-            channel: lane,
-            arrival: SimTime::ZERO,
-            effective_arrival: SimTime::ZERO,
-            inflight: false,
-            queued: vec![QueuedIo { sig: 900 + lane, bytes: 4_096, service: ms(10) }],
-        }
     }
 
     type Memo = Mutex<Option<(u64, GateDecision)>>;
@@ -368,9 +313,7 @@ mod tests {
             77
         };
         let memos = [Memo::default(), Memo::default()];
-        let decide = |t: usize| {
-            gate.decide(subject(t as u64, slo, &memos[t]), &registry, Default::default, label)
-        };
+        let decide = |t: usize| gate.decide(subject(t as u64, slo, &memos[t]), &registry, label);
         for token in [0usize, 1] {
             let d = decide(token).expect("the gate is on");
             let want = oracle[&(token as u64)];
@@ -394,32 +337,36 @@ mod tests {
         assert_eq!((alone.reason.co_runners, alone.reason.dominant_lane), (0, None));
         // Deciding is pure: nothing was counted.
         assert_eq!(gate.shed_engagements.get() + gate.decisions.get(), 0);
+        // Without a mode the gate is off and reads nothing.
+        let off = Gate::new(BackpressureMode::Off, &MetricsRegistry::new());
+        let unreachable = || -> u64 { panic!("an off gate never reads the scheduler") };
+        assert_eq!(off.decide(subject(1, slo, &memos[1]), &registry, unreachable), None);
     }
 
     #[test]
-    fn the_gate_is_off_without_a_mode_and_owned_lanes_are_not_external_backlog() {
-        let registry = RwLock::new(ServingMix::new(IoSharing::Exclusive));
-        register(&registry, 0, ms(60_000));
-        let memo = Memo::default();
-        let off = Gate::new(BackpressureMode::Off, &MetricsRegistry::new());
-        let unreachable = || -> BacklogSnapshot { panic!("an off gate never reads the queue") };
-        assert_eq!(off.decide(subject(0, ms(60_000), &memo), &registry, unreachable, || 0), None);
-
-        let gate = Gate::new(BackpressureMode::Queue(ms(60_000)), &MetricsRegistry::new());
-        // Lane 42 belongs to a registered session's running engagement —
-        // the registry already prices it; lane 43 is genuinely external.
-        gate.claim_lane(|| (42, ()));
-        let live = || BacklogSnapshot {
-            channels: vec![queued_lane(42), queued_lane(43)],
-            batch_window: None,
+    fn a_decision_is_the_same_whatever_the_scheduler_holds_queued() {
+        // Four SLO sessions; with `issued` of them holding an engagement's
+        // requests queued on their lanes behind a parked pool, the fourth
+        // asks the gate. The registry is the same either way, and so is the
+        // whole decision — digest, prediction, delay and reason.
+        let decision_with = |issued: usize| {
+            let srv = server_with_backpressure(BackpressureMode::Queue(ms(60_000)));
+            let slo = floor_slo(&srv);
+            let sessions: Vec<_> = (0..4).map(|_| srv.session_with_slo(slo, 0).unwrap()).collect();
+            srv.pause_io();
+            let pending: Vec<_> =
+                sessions[..issued].iter().map(|s| s.infer_issue(&[1, 2]).unwrap()).collect();
+            assert_eq!(srv.queued_io_requests() > 0, issued > 0);
+            let decision = sessions[3].gate_decision().expect("the gate is on");
+            srv.resume_io();
+            for (session, pending) in sessions.iter().zip(pending) {
+                session.infer_complete(pending).unwrap();
+            }
+            decision
         };
-        let owned = gate.decide(subject(0, ms(60_000), &memo), &registry, live, || 0).unwrap();
-        assert_eq!((owned.reason.backlog_channels, owned.reason.backlog_bytes), (1, 4_096));
-        gate.release_lane(42);
-        let released = gate.decide(subject(0, ms(60_000), &memo), &registry, live, || 0).unwrap();
-        assert_eq!((released.reason.backlog_channels, released.reason.backlog_bytes), (2, 8_192));
-        assert_ne!(released.reason.digest, owned.reason.digest);
-        assert!(released.predicted > owned.predicted, "more external backlog, more contention");
+        let idle = decision_with(0);
+        assert!(idle.delay > SimTime::ZERO, "three co-arriving sessions ahead force a wait");
+        assert_eq!(decision_with(3), idle);
     }
 
     #[test]

@@ -524,7 +524,6 @@ impl ContentionLedger {
             let args = SpanArgs::new()
                 .with("digest", d.reason.digest)
                 .with("predicted_us", d.predicted.as_us())
-                .with("backlog_bytes", d.reason.backlog_bytes)
                 .with("dominant", d.reason.dominant_lane.map_or(u64::MAX, |(t, _)| t));
             let at = d.arrival.as_us();
             let span = if d.shed {

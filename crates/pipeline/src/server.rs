@@ -26,7 +26,7 @@
 //! | `RwLock<ServingMix>` (`live_mix`) | token → load / SLO profile / stripe of every open session, in token order | the mix every contended prediction runs against, and its digest |
 //! | [`MemoTable`]s (`sti_planner::cache`) | plans, SLO-search outcomes, preload buffers per knob set | compute outside the lock, first insert wins |
 //! | `Admission` (`admission`) | the [`AdmissionMode`] and the `serving.*_sessions` instruments | take or reject an SLO search outcome, for an open or a retarget |
-//! | `Gate` (`gate`) | the walk memo, the lane-ownership set, the `gate.*` instruments | delay or shed one engagement ([`BackpressureMode`]) |
+//! | `Gate` (`gate`) | the walk memo, the `gate.*` instruments | delay or shed one engagement ([`BackpressureMode`]) |
 //! | `ContentionLedger` (`ledger`) | the engagement and gate logs | the one contended replay behind [`ContentionReport`] and the span export |
 //! | `PrefetchDriver` (`prefetch`) | the Markov model and its key → working-set table | which speculative jobs a completion triggers |
 //!
@@ -89,8 +89,8 @@ use sti_planner::{
 };
 use sti_quant::Bitwidth;
 use sti_storage::{
-    BacklogSnapshot, BatchPolicy, CachedSource, IoChannel, IoScheduler, IoSchedulerStats,
-    ShardCache, ShardCacheStats, ShardKey, ShardSource,
+    BatchPolicy, CachedSource, IoChannel, IoScheduler, IoSchedulerStats, ShardCache,
+    ShardCacheStats, ShardKey, ShardSource,
 };
 use sti_transformer::Model;
 
@@ -249,7 +249,7 @@ impl StiServerBuilder {
 
     /// Infer-time backpressure policy for SLO sessions (default
     /// [`BackpressureMode::Off`]): before each engagement, the server
-    /// re-runs the contended prediction against the live flash-queue mix
+    /// re-runs the contended prediction against the open-session registry
     /// and either delays the engagement until the prediction meets its SLO
     /// (`Queue`) or fails fast with [`PipelineError::Backpressure`]
     /// (`Shed`). Admission decides at session open; this gate reacts to
@@ -931,12 +931,13 @@ impl StiServer {
     }
 
     /// The live registry mix's rolling digest — the identity the SLO-plan
-    /// cache and both gate memos key on. Maintained incrementally
-    /// (O(1) per open/close/retarget), so this call costs one read guard
-    /// plus a hash of the (empty) backlog, flat in fleet size; fleet-scale
-    /// probes use it to measure mix-digest time.
+    /// cache and both gate memos key on, and exactly what a gate decision
+    /// is memoized under. Maintained incrementally (O(1) per
+    /// open/close/retarget), so this call costs one read guard plus one
+    /// small hash, flat in fleet size; fleet-scale probes use it to measure
+    /// mix-digest time.
     pub fn mix_digest(&self) -> u64 {
-        self.inner.live_mix.read().digest_with(&BacklogSnapshot::default())
+        self.inner.live_mix.read().digest()
     }
 
     /// Replays the recorded dispatch sequence through the flash-queue
@@ -1068,10 +1069,10 @@ pub struct Session {
     /// signatures and into the IO lane the session's engagements stream
     /// through.
     stripe: u16,
-    /// The last backpressure-gate decision, keyed by a digest of the gate's
-    /// inputs (candidate arrival, external backlog, open-load registry):
-    /// decisions are a pure function of those, so repeat engagements
-    /// against an unchanged mix skip the queue simulations.
+    /// The last backpressure-gate decision, keyed by the digest of the
+    /// gate's one input, the open-load registry (this session's arrival
+    /// included): decisions are a pure function of it, so repeat
+    /// engagements against an unchanged mix skip the queue simulations.
     gate_memo: Mutex<Option<(u64, GateDecision)>>,
     /// Idle gap between this session's successive engagements on the
     /// simulated timeline (see [`Session::set_issue_gap`]; zero — the
@@ -1088,14 +1089,12 @@ impl Drop for Session {
     }
 }
 
-/// RAII in-flight accounting for one engagement and its scheduler lane
-/// (see [`Session::infer_issue`]): the in-flight counter and the lane's
-/// session-ownership mark settle when the engagement finishes or errors
-/// out.
-struct InFlight(Arc<ServerInner>, u64);
+/// RAII in-flight accounting for one engagement (see
+/// [`Session::infer_issue`]): the in-flight counter settles when the
+/// engagement finishes or errors out.
+struct InFlight(Arc<ServerInner>);
 impl Drop for InFlight {
     fn drop(&mut self) {
-        self.0.gate.release_lane(self.1);
         self.0.active_engagements.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -1108,9 +1107,17 @@ impl Drop for InFlight {
 /// dropping a pending engagement without completing it cleans up exactly
 /// like an errored `infer` — the channel is torn down and the counters
 /// settle. The type is opaque: its only use is to be handed back to
-/// `infer_complete` on the session that issued it.
+/// `infer_complete` on the session that issued it. It remembers what it
+/// was issued under: the session may be retargeted before it completes,
+/// and the engagement still finishes on the plan its requests were for.
 pub struct PendingEngagement {
     channel: IoChannel,
+    /// The issuing session's registry token.
+    session: u64,
+    /// The plan, preload buffer and knobs the requests were issued for.
+    planned: Planned,
+    /// The stripe the lane was opened on.
+    stripe: u16,
     /// Per-layer: whether the issue half enqueued a request for the layer
     /// (false = fully preloaded), so the complete half receives exactly
     /// what was requested.
@@ -1302,12 +1309,7 @@ impl Session {
             slo: self.planned.slo?,
             memo: &self.gate_memo,
         };
-        inner.gate.decide(
-            who,
-            &inner.live_mix,
-            || inner.scheduler.backlog_snapshot(),
-            || inner.scheduler.speculative_backlog_bytes(),
-        )
+        inner.gate.decide(who, &inner.live_mix, || inner.scheduler.speculative_backlog_bytes())
     }
 
     /// Executes one engagement over the planned pipeline, streaming through
@@ -1331,7 +1333,7 @@ impl Session {
     }
 
     /// The **issue half** of [`Session::infer`]: runs the backpressure
-    /// gate, claims an IO lane on the shared scheduler, and enqueues every
+    /// gate, opens an IO lane on the shared scheduler, and enqueues every
     /// streaming layer's request — then returns without waiting for a
     /// single byte. The returned [`PendingEngagement`] owns the lane (and
     /// the in-flight accounting); hand it back to
@@ -1373,18 +1375,15 @@ impl Session {
         let seq = self.engagement_seq.fetch_add(1, Ordering::SeqCst);
         let base = self.arrival + SimTime::from_us(self.issue_gap.as_us().saturating_mul(seq));
         let issue = base + gate_delay;
-        // The lane is marked session-owned as it opens, so a concurrent
-        // gate prices this session from the registry, not from the live
-        // queue too.
-        let channel = inner.gate.claim_lane(|| {
-            let lane = inner.scheduler.channel_striped_at(issue, self.stripe);
-            (lane.id(), lane)
-        });
-        let in_flight = InFlight(self.inner.clone(), channel.id());
+        let in_flight = InFlight(self.inner.clone());
+        let channel = inner.scheduler.channel_striped_at(issue, self.stripe);
         let Planned { plan, preload, .. } = &self.planned;
         let has_request = self.executor().issue_on(&channel, plan, preload)?;
         Ok(PendingEngagement {
             channel,
+            session: self.token,
+            planned: self.planned.clone(),
+            stripe: self.stripe,
             has_request,
             issue,
             tokens: tokens.to_vec(),
@@ -1400,10 +1399,18 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails on storage errors or plan/model mismatch.
+    /// Fails on storage errors or plan/model mismatch —
+    /// [`PipelineError::PlanMismatch`] also when `pending` was issued by a
+    /// different session.
     pub fn infer_complete(&self, pending: PendingEngagement) -> Result<Inference, PipelineError> {
         let inner = &*self.inner;
-        let Planned { plan, preload, .. } = &self.planned;
+        if pending.session != self.token {
+            return Err(PipelineError::PlanMismatch(format!(
+                "engagement issued by session {} completed on session {}",
+                pending.session, self.token
+            )));
+        }
+        let Planned { plan, preload, target, preload_budget, slo, .. } = &pending.planned;
         let outcome = self.executor().complete_on(
             &pending.channel,
             plan,
@@ -1419,7 +1426,7 @@ impl Session {
         inner.ledger.record_engagement(EngagementRecord {
             channel: pending.channel.id(),
             session: self.token,
-            slo: self.planned.slo,
+            slo: *slo,
             issue: pending.issue,
             layer_has_io,
             comp: inner.hw.t_comp(plan.shape.width),
@@ -1435,15 +1442,15 @@ impl Session {
         // staging pool, never the demand event log.
         if let Some(pf) = &inner.prefetch {
             let key = PrefetchKey {
-                target_us: self.planned.target.as_us(),
-                preload_bytes: self.planned.preload_budget,
-                slo_us: self.planned.slo.map_or(0, |s| s.as_us()),
-                stripe: self.stripe,
+                target_us: target.as_us(),
+                preload_bytes: *preload_budget,
+                slo_us: slo.map_or(0, |s| s.as_us()),
+                stripe: pending.stripe,
             };
             let target = || PrefetchTarget {
                 plan: plan.clone(),
                 preload: preload.clone(),
-                stripe: self.stripe,
+                stripe: pending.stripe,
             };
             let now = pending.issue + outcome.timeline.makespan;
             let topology = inner.scheduler.topology();
@@ -1772,6 +1779,40 @@ pub(crate) mod tests {
         assert!(matches!(s.retarget_slo(floor), Err(PipelineError::AdmissionRejected { .. })));
         assert_eq!(s.plan(), &before, "a rejected retarget leaves the session untouched");
         assert_eq!(s.slo(), Some(SimTime::from_ms(8_000)));
+    }
+
+    #[test]
+    fn a_retarget_between_issue_and_complete_finishes_the_engagement_on_its_issued_plan() {
+        // Depth 1 → 2, width 4 → 2 and depth 2 → 1 on the tiny model: the
+        // requests are on the lane for the plan at issue, whatever the
+        // session plans next.
+        for (issued, retargeted) in [(20, 40), (100, 40), (100, 20)] {
+            let run = |retarget: bool| {
+                let srv = tiny_server(|b| b.preload_budget(0));
+                let mut s = srv.session_with(SimTime::from_ms(issued), 0).unwrap();
+                let shape = s.plan().shape;
+                let pending = s.infer_issue(&[1, 2, 3]).unwrap();
+                if retarget {
+                    s.set_target(SimTime::from_ms(retargeted)).unwrap();
+                    assert_ne!(s.plan().shape, shape, "{issued} → {retargeted} ms moves the shape");
+                }
+                let inf = s.infer_complete(pending).unwrap();
+                assert_eq!(inf.submodel, shape);
+                let outcome = inf.outcome;
+                let ran = (inf.class, inf.probabilities, outcome.timeline, outcome.loaded_bytes);
+                (ran, srv.contention_report())
+            };
+            assert_eq!(run(true), run(false), "issued at {issued} ms, retargeted to {retargeted}");
+        }
+    }
+
+    #[test]
+    fn a_pending_engagement_completes_only_on_the_session_that_issued_it() {
+        let srv = server();
+        let (a, b) = (srv.session().unwrap(), srv.session().unwrap());
+        let pending = a.infer_issue(&[1, 2, 3]).unwrap();
+        assert!(matches!(b.infer_complete(pending), Err(PipelineError::PlanMismatch(_))));
+        assert_eq!(srv.serving_stats().engagements, 0);
     }
 
     #[test]

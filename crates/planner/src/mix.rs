@@ -3,15 +3,16 @@
 //!
 //! SLO admission, the infer-time backpressure gate, and the gate's replay
 //! of earlier sessions' decisions all ask the same contended-latency
-//! question; hand-assembling co-runner lanes, arrivals, batching windows,
-//! and backlogs per caller is where the arrival-offset and memo-eviction
-//! bugs of the backpressure PR crept in. This module answers all three
+//! question; hand-assembling co-runner lanes, arrivals and batching
+//! windows per caller is where the arrival-offset and memo-eviction bugs
+//! of the backpressure PR crept in. This module answers all three
 //! through one abstraction:
 //!
 //! - [`ServingMix`] canonically represents a prediction's inputs: the
 //!   open-session registry (each co-runner's [`CoRunnerLoad`] with its
-//!   token and, for SLO sessions, its [`SloProfile`]), an optional external
-//!   [`BacklogSnapshot`] of live queued IO, and the [`IoSharing`] mode.
+//!   token and, for SLO sessions, its [`SloProfile`]), the [`IoSharing`]
+//!   mode and the device topology — and nothing measured live: like the
+//!   paper's planner (§5), predictions run on profiled delays only.
 //! - [`ServingMix::predict`] is the *single* contended-latency core: every
 //!   lane's FIFO job queue rides the discrete-event flash simulator
 //!   round-robin, byte-identical in-window jobs coalesce under batching,
@@ -55,13 +56,13 @@
 //! core routes each job to its device channel by
 //! `DeviceTopology::channel_for` over the job's placement-adjusted
 //! signature (lane stripes are folded into sigs at load construction —
-//! [`CoRunnerLoad::from_plan_striped`] — mirroring the IO scheduler's
-//! backlog fold), the delay search drains per channel, and
+//! [`CoRunnerLoad::from_plan_striped`] — the same fold the IO scheduler's
+//! placement applies), the delay search drains per channel, and
 //! [`plan_for_slo_mix`] ranks the candidate's stripe offsets as a
 //! placement axis beside the `|S|` placements. A "channel" here is always
 //! a *device channel* (hardware lane of the flash package); an
 //! engagement's request stream into the scheduler is an *IO lane*
-//! (`IoChannel` / `ChannelBacklog` in `sti-storage`).
+//! (`IoChannel` in `sti-storage`).
 //!
 //! # Fleet-scale incrementality
 //!
@@ -103,7 +104,7 @@ use std::sync::Arc;
 
 use sti_device::{DeviceTopology, FlashJob, HwProfile, SimTime, TopologyQueueSim};
 use sti_quant::Bitwidth;
-use sti_storage::{BacklogSnapshot, LayerRequest};
+use sti_storage::LayerRequest;
 use sti_transformer::ShardId;
 
 use crate::importance::ImportanceProfile;
@@ -213,8 +214,8 @@ pub enum PreloadPolicy {
 }
 
 /// One co-runner lane of a prediction: a FIFO job queue arriving at an
-/// offset. Jobs are `Arc`-shared with the registry entry (or backlog
-/// snapshot) they came from, so lane assembly never copies jobs.
+/// offset. Jobs are `Arc`-shared with the registry entry they came from,
+/// so lane assembly never copies jobs.
 #[derive(Debug, Clone)]
 struct Lane {
     arrival: SimTime,
@@ -222,25 +223,12 @@ struct Lane {
 }
 
 /// A compact, `Copy` summary of the load a gate decision ran against —
-/// the explainability payload behind a structured gate *reason*: how much
-/// external backlog was queued, how many sessions were open, and which
-/// co-runner lanes dominate by total streamed service time. Computed once
-/// per gate walk (O(sessions + backlog)) and shared by every decision
-/// priced from that walk.
+/// the explainability payload behind a structured gate *reason*: how many
+/// sessions were open and which co-runner lanes dominate by total streamed
+/// service time. Computed once per gate walk (O(sessions)) and shared by
+/// every decision priced from that walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MixLaneSummary {
-    /// Channels in the external backlog with queued or in-flight work.
-    pub backlog_channels: usize,
-    /// Serialized bytes queued in the external backlog (demand class only;
-    /// speculative prefetch bytes are labelled apart in
-    /// [`MixLaneSummary::speculative_bytes`]).
-    pub backlog_bytes: u64,
-    /// Estimated bytes of queued background-class speculative (prefetch)
-    /// jobs at decision time. Reporting-only: the gate walk, the digest,
-    /// and the contended prediction never read it — speculation is fenced
-    /// out of demand pricing, and this label keeps blame lines honest about
-    /// which class owns the bytes. Zero when prefetch is off.
-    pub speculative_bytes: u64,
     /// Open sessions in the mix.
     pub sessions: usize,
     /// The two heaviest co-runner lanes as `(token, total service µs)`,
@@ -259,13 +247,12 @@ impl MixLaneSummary {
 }
 
 /// The canonical workload mix a contended prediction runs against: the
-/// open-session registry (in token order), an external backlog of live
-/// queued IO, and the IO-sharing mode. See the module docs.
+/// open-session registry (in token order), the IO-sharing mode and the
+/// device topology. See the module docs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingMix {
     /// Keyed by [`MixSession::token`]: iteration is always in token order.
     sessions: BTreeMap<u64, MixSession>,
-    backlog: BacklogSnapshot,
     sharing: IoSharing,
     /// The device topology predictions simulate (one FIFO queue per
     /// device channel).
@@ -282,7 +269,6 @@ impl ServingMix {
     pub fn new(sharing: IoSharing) -> Self {
         Self {
             sessions: BTreeMap::new(),
-            backlog: BacklogSnapshot::default(),
             sharing,
             topology: DeviceTopology::single(),
             session_fold: 0,
@@ -297,21 +283,6 @@ impl ServingMix {
             mix.push_session(i as u64, load.clone(), None);
         }
         mix
-    }
-
-    /// A mix that is purely an external backlog (the raw gate view when no
-    /// registry exists).
-    pub fn from_backlog(snapshot: &BacklogSnapshot, sharing: IoSharing) -> Self {
-        Self::new(sharing).with_backlog(snapshot.clone())
-    }
-
-    /// Attaches an external backlog (live queued IO *not* owned by any
-    /// registered session). Backlog lanes ride at their effective arrivals,
-    /// ahead of session lanes in dispatch order.
-    #[must_use]
-    pub fn with_backlog(mut self, snapshot: BacklogSnapshot) -> Self {
-        self.backlog = snapshot;
-        self
     }
 
     /// Attaches the device topology predictions simulate (default: one
@@ -366,48 +337,40 @@ impl ServingMix {
         self.sessions.len()
     }
 
-    /// The IO-sharing mode predictions use.
-    pub fn sharing(&self) -> IoSharing {
-        self.sharing
-    }
-
     /// The one memo identity of the mix: every input a prediction (or a
-    /// gate decision) depends on — sharing mode, the external backlog, and
-    /// each session's token, arrival, jobs, and gate profile. The SLO-plan
+    /// gate decision) depends on — sharing mode, topology, and each
+    /// session's token, arrival, jobs, and gate profile. The SLO-plan
     /// cache and the per-session gate memo both key on this, so a registry
     /// change invalidates them consistently.
     ///
-    /// The session part is the rolling fold maintained by the mutators, so
-    /// this is O(backlog) regardless of fleet size; only the (small, live)
-    /// external backlog is rehashed per call.
+    /// The session part is `(count, fold)` — the rolling fold maintained
+    /// by the mutators stands in for the sessions themselves — so this is
+    /// O(1) regardless of fleet size. The single-channel topology folds in
+    /// as the identity (every digest minted before topologies existed, and
+    /// every `C = 1` deployment today, is bit-identical); multi-channel
+    /// shapes rehash, so plans and gate decisions made under different
+    /// placements never collide in the memo tables.
     pub fn digest(&self) -> u64 {
-        self.digest_with(&self.backlog)
+        let mut h = DefaultHasher::new();
+        self.sharing.window().map(|w| w.as_us()).hash(&mut h);
+        (self.sessions.len() as u64, self.session_fold).hash(&mut h);
+        let digest = h.finish();
+        if self.topology.is_single() {
+            return digest;
+        }
+        let mut h = DefaultHasher::new();
+        (digest, self.topology.channel_count()).hash(&mut h);
+        h.finish()
     }
 
-    /// [`ServingMix::digest`] as if `backlog` were attached: what a gate
-    /// computes against a fresh live snapshot without cloning the registry
-    /// (`digest_with(b) == clone().with_backlog(b).digest()` by
-    /// construction).
-    pub fn digest_with(&self, backlog: &BacklogSnapshot) -> u64 {
-        digest_with_topology(
-            digest_from_parts(self.sharing, backlog, self.sessions.len() as u64, self.session_fold),
-            self.topology,
-        )
-    }
-
-    /// The raw lane set of the mix: external backlog lanes first (at their
-    /// effective arrivals), then every session's load at its own arrival.
-    /// Session job slices are `Arc`-shared with the registry — no job is
-    /// copied.
+    /// The raw lane set of the mix: every session's load at its own
+    /// arrival, in token order. Job slices are `Arc`-shared with the
+    /// registry — no job is copied.
     fn raw_lanes(&self) -> Vec<Lane> {
-        let mut lanes = self.raw_backlog_lanes();
-        lanes.reserve(self.sessions.len());
-        lanes.extend(
-            self.sessions
-                .values()
-                .map(|s| Lane { arrival: s.load.arrival, jobs: s.load.jobs.clone() }),
-        );
-        lanes
+        self.sessions
+            .values()
+            .map(|s| Lane { arrival: s.load.arrival, jobs: s.load.jobs.clone() })
+            .collect()
     }
 
     /// Predicts the candidate engagement's contended end-to-end latency
@@ -455,19 +418,14 @@ impl ServingMix {
     }
 
     /// Content signatures every in-window participant of the mix streams:
-    /// the union of queued-backlog and session-load signatures whose lane
-    /// arrival falls within the batching window of `arrival`. Empty under
+    /// the union of session-load signatures whose lane arrival falls within
+    /// the batching window of `arrival`. Empty under
     /// [`IoSharing::Exclusive`] — without batching nothing is shared.
     pub fn streamed_sigs_in_window(&self, arrival: SimTime) -> HashSet<u64> {
         let Some(window) = self.sharing.window() else {
             return HashSet::new();
         };
         let mut sigs = HashSet::new();
-        for c in &self.backlog.channels {
-            if gap(c.effective_arrival, arrival) <= window {
-                sigs.extend(c.queued.iter().map(|q| q.sig));
-            }
-        }
         for s in self.sessions.values() {
             if gap(s.load.arrival, arrival) <= window {
                 sigs.extend(s.load.jobs.iter().map(|j| j.sig));
@@ -476,10 +434,9 @@ impl ServingMix {
         sigs
     }
 
-    /// Summarizes the mix's lanes for gate-reason reporting: backlog
-    /// volume, session count, and the top co-runner lanes by total
-    /// streamed service time. A pure function of the mix, so every replay
-    /// derives identical reasons.
+    /// Summarizes the mix's lanes for gate-reason reporting: session count
+    /// and the top co-runner lanes by total streamed service time. A pure
+    /// function of the mix, so every replay derives identical reasons.
     pub fn lane_summary(&self) -> MixLaneSummary {
         // Ranks `a` above `b`: more service first, lower token on ties.
         fn outranks(a: (u64, u64), b: (u64, u64)) -> bool {
@@ -500,15 +457,7 @@ impl ServingMix {
                 }
             }
         }
-        MixLaneSummary {
-            backlog_channels: self.backlog.channels.len(),
-            backlog_bytes: self.backlog.queued_bytes(),
-            // The mix models demand lanes only; the serving layer stamps
-            // the speculative label in after the walk.
-            speculative_bytes: 0,
-            sessions: self.sessions.len(),
-            heaviest,
-        }
+        MixLaneSummary { sessions: self.sessions.len(), heaviest }
     }
 
     /// Runs the deterministic gate walk once, pricing **every** open SLO
@@ -564,7 +513,6 @@ impl ServingMix {
         let mut arena = LaneArena::default();
         let mut order: Vec<&MixSession> = self.sessions.values().collect();
         order.sort_by_key(|s| (s.load.arrival, s.token));
-        let base = self.raw_backlog_lanes();
         let mut decided: Vec<Lane> = Vec::with_capacity(self.sessions.len());
         let mut outcomes: Vec<(u64, Option<GateOutcome>)> = Vec::new();
         let mut start = 0usize;
@@ -578,9 +526,9 @@ impl ServingMix {
             }
             let decided_before = decided.len();
             let outcome_base = outcomes.len();
-            // Initial pass: each member decided in token order against the
-            // external backlog, everything decided before it, and the raw
-            // loads of strictly-later arrivals — equal-arrival later tokens
+            // Initial pass: each member decided in token order against
+            // everything decided before it and the raw loads of
+            // strictly-later arrivals — equal-arrival later tokens
             // excluded, the deterministic tie-break that staggers
             // co-arriving gated sessions instead of deadlocking them on
             // each other. Plain target sessions are never gated: their load
@@ -594,7 +542,7 @@ impl ServingMix {
                         decided.push(Lane { arrival, jobs: s.load.jobs.clone() });
                     }
                     Some(profile) => {
-                        let first = lanes_for(&base, &decided, &order[end..], arrival);
+                        let first = lanes_for(&decided, &order[end..], arrival);
                         let outcome = decide(
                             &mut arena,
                             &first,
@@ -634,7 +582,6 @@ impl ServingMix {
                             continue;
                         }
                         lanes.clear();
-                        lanes.extend_from_slice(&base);
                         lanes.extend_from_slice(&decided[..decided_before]);
                         for (o, &other) in order[start..end].iter().enumerate() {
                             if o == m {
@@ -690,75 +637,17 @@ impl ServingMix {
         }
         outcomes
     }
-
-    fn raw_backlog_lanes(&self) -> Vec<Lane> {
-        self.backlog
-            .channels
-            .iter()
-            .map(|c| Lane {
-                arrival: c.effective_arrival,
-                jobs: c
-                    .queued
-                    .iter()
-                    .map(|q| LayerIoJob { sig: q.sig, service: q.service })
-                    .collect(),
-            })
-            .collect()
-    }
 }
 
-/// Lanes an initial-pass decision predicts against: the external backlog,
-/// everything already decided, and the raw loads of the strictly-later
-/// arrivals in `later`.
-fn lanes_for(
-    base: &[Lane],
-    decided: &[Lane],
-    later: &[&MixSession],
-    arrival: SimTime,
-) -> Vec<Lane> {
-    let mut lanes: Vec<Lane> = base.to_vec();
-    lanes.extend_from_slice(decided);
+/// Lanes an initial-pass decision predicts against: everything already
+/// decided, and the raw loads of the strictly-later arrivals in `later`.
+fn lanes_for(decided: &[Lane], later: &[&MixSession], arrival: SimTime) -> Vec<Lane> {
+    let mut lanes: Vec<Lane> = decided.to_vec();
     for other in later {
         debug_assert!(other.load.arrival > arrival);
         lanes.push(Lane { arrival: other.load.arrival, jobs: other.load.jobs.clone() });
     }
     lanes
-}
-
-/// The hash behind [`ServingMix::digest_with`] before the topology fold:
-/// sharing mode, the external backlog, and the session part as
-/// `(total_sessions, fold)` — the rolling fold stands in for the sessions
-/// themselves.
-fn digest_from_parts(
-    sharing: IoSharing,
-    backlog: &BacklogSnapshot,
-    total_sessions: u64,
-    fold: u64,
-) -> u64 {
-    let mut h = DefaultHasher::new();
-    sharing.window().map(|w| w.as_us()).hash(&mut h);
-    for c in &backlog.channels {
-        (c.channel, c.arrival.as_us(), c.effective_arrival.as_us(), c.inflight).hash(&mut h);
-        for q in &c.queued {
-            (q.sig, q.bytes, q.service.as_us()).hash(&mut h);
-        }
-    }
-    (total_sessions, fold).hash(&mut h);
-    h.finish()
-}
-
-/// Folds the device topology into a mix digest. The single-channel shape
-/// is the identity — every digest minted before topologies existed (and
-/// every `C = 1` deployment today) is bit-identical — while multi-channel
-/// shapes rehash, so plans and gate decisions made under
-/// different placements never collide in the memo tables.
-fn digest_with_topology(digest: u64, topology: DeviceTopology) -> u64 {
-    if topology.is_single() {
-        return digest;
-    }
-    let mut h = DefaultHasher::new();
-    (digest, topology.channel_count()).hash(&mut h);
-    h.finish()
 }
 
 /// The per-session sub-digest of the rolling fold: everything a prediction
@@ -1188,7 +1077,6 @@ pub fn plan_for_slo_mix(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sti_storage::{ChannelBacklog, QueuedIo};
 
     /// A hand-built session: one job whose signature and service time, the
     /// arrival and the optional gate profile all derive from `x`, so a
@@ -1245,20 +1133,6 @@ mod tests {
                     prop_assert!(mix.sessions().map(|s| s.token).eq(survivors.keys().copied()));
                     prop_assert_eq!(mix.digest(), rebuilt(&survivors, topology).digest());
                 }
-                let backlog = BacklogSnapshot {
-                    channels: vec![ChannelBacklog {
-                        channel: 7,
-                        arrival: SimTime::from_us(40),
-                        effective_arrival: SimTime::from_us(40),
-                        inflight: true,
-                        queued: vec![QueuedIo { sig: 9, bytes: 64, service: SimTime::from_us(30) }],
-                    }],
-                    batch_window: None,
-                };
-                prop_assert_eq!(
-                    mix.digest_with(&backlog),
-                    mix.clone().with_backlog(backlog.clone()).digest()
-                );
                 prop_assert_eq!(mix, rebuilt(&survivors, topology));
             }
         }

@@ -13,16 +13,16 @@
 //! [`ServingMix::predict`] in
 //! [`crate::mix`]. A [`ServingMix`] canonically
 //! represents the world as the predictor sees it (the open-session
-//! registry's [`CoRunnerLoad`]s with arrivals and gate profiles, an
-//! optional live [`BacklogSnapshot`](sti_storage::BacklogSnapshot), and
-//! the [`IoSharing`] mode). Callers build the mix that states their
-//! question and ask it directly:
+//! registry's [`CoRunnerLoad`]s with arrivals and gate profiles, and the
+//! [`IoSharing`] mode — profiled loads only, never live queue state).
+//! Callers build the mix that states their question and ask it directly:
 //!
 //! - admission: [`ServingMix::from_co_runners`] (or the server's live
 //!   registry) + [`ServingMix::predict`], candidate riding last in each
 //!   round-robin round;
-//! - the gate: [`ServingMix::from_backlog`] / `with_backlog` +
-//!   [`ServingMix::predict`] for an engagement submitted *now*, and
+//! - the gate: the server's live registry +
+//!   [`ServingMix::gate_all`](crate::mix::ServingMix::gate_all), whose walk
+//!   asks [`ServingMix::predict`] for each SLO session at its arrival and
 //!   [`ServingMix::min_delay`] for the smallest delay at which that
 //!   prediction meets the SLO;
 //! - [`plan_for_slo_mix`](crate::mix::plan_for_slo_mix) — the `(T, |S|)`
@@ -39,7 +39,6 @@
 //! invalidates both consistently. The table is bounded
 //! (`ServingPlanCache::MAX_ENTRIES`).
 
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use sti_device::{CompletedJob, HwProfile, SimTime};
@@ -115,7 +114,8 @@ pub fn layer_io_jobs(hw: &HwProfile, plan: &ExecutionPlan) -> Vec<Option<LayerIo
             let bytes: u64 = items.iter().map(|&(_, bw)| hw.shard_bytes(bw)).sum();
             // The signature is `LayerRequest::content_sig` of the request
             // the executor will issue for this layer, so plan-derived jobs
-            // and live backlog snapshots agree on batchability identity.
+            // and the scheduler's queued requests agree on batchability
+            // identity.
             (bytes > 0).then(|| LayerIoJob {
                 sig: LayerRequest { layer: pl.layer, items }.content_sig(),
                 service: hw.request_latency + hw.transfer_delay(bytes),
@@ -172,21 +172,6 @@ impl CoRunnerLoad {
                 .collect(),
             arrival,
         }
-    }
-
-    /// Order-sensitive digest of a co-runner mix, for memo keys: two
-    /// open-session sets with equal digests predict identically. Arrival
-    /// offsets are part of the identity — the same loads at different
-    /// offsets contend differently.
-    pub fn digest(loads: &[CoRunnerLoad]) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for load in loads {
-            (load.jobs.len(), load.arrival.as_us()).hash(&mut hasher);
-            for job in load.jobs.iter() {
-                (job.sig, job.service.as_us()).hash(&mut hasher);
-            }
-        }
-        hasher.finish()
     }
 }
 
@@ -376,9 +361,8 @@ pub(crate) fn search_ladder(
 /// SLO in the `target` slot) plus what the contention prediction assumed —
 /// the co-runner count, the **mix digest**
 /// ([`ServingMix::digest`], which folds in
-/// every session's token, load, arrival, and gate profile, the external
-/// backlog, and the sharing mode), the candidate's arrival, and the `|S|`
-/// placement policy. The server's gate memo hashes the same digest, so a
+/// every session's token, load, arrival, and gate profile, and the
+/// sharing mode), the candidate's arrival, and the `|S|` placement policy. The server's gate memo hashes the same digest, so a
 /// registry change invalidates both caches consistently.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ServingPlanKey {
@@ -424,7 +408,6 @@ mod tests {
     use crate::mix::plan_for_slo_mix;
     use sti_device::DeviceProfile;
     use sti_quant::QuantConfig;
-    use sti_storage::{BacklogSnapshot, ChannelBacklog, QueuedIo};
     use sti_transformer::ModelConfig;
 
     fn hw() -> HwProfile {
@@ -661,18 +644,16 @@ mod tests {
         let b = CoRunnerLoad::from_plan(&hw, &plan_at(1_000, 0));
         let one_a = std::slice::from_ref(&a);
         let one_b = std::slice::from_ref(&b);
-        assert_eq!(
-            CoRunnerLoad::digest(one_a),
-            CoRunnerLoad::digest(one_a),
-            "digests are deterministic"
-        );
-        assert_ne!(CoRunnerLoad::digest(one_a), CoRunnerLoad::digest(one_b));
-        assert_ne!(CoRunnerLoad::digest(one_a), CoRunnerLoad::digest(&[a.clone(), a.clone()]));
+        let digest =
+            |co: &[CoRunnerLoad]| ServingMix::from_co_runners(co, IoSharing::Exclusive).digest();
+        assert_eq!(digest(one_a), digest(one_a), "digests are deterministic");
+        assert_ne!(digest(one_a), digest(one_b));
+        assert_ne!(digest(one_a), digest(&[a.clone(), a.clone()]));
         // The same load at a different arrival offset contends differently,
         // so the offset is part of the digest.
         let mut late = a.clone();
         late.arrival = SimTime::from_ms(500);
-        assert_ne!(CoRunnerLoad::digest(one_a), CoRunnerLoad::digest(std::slice::from_ref(&late)));
+        assert_ne!(digest(one_a), digest(std::slice::from_ref(&late)));
         let base = PlanKey::new("m", SimTime::from_ms(600), 0, &WIDTHS, &Bitwidth::ALL);
         let key = |arrival, sharing| {
             let mix = ServingMix::from_co_runners(one_b, sharing);
@@ -710,23 +691,14 @@ mod tests {
         assert_eq!(late_candidate, alone, "a drained queue does not delay a late candidate");
     }
 
-    /// A synthetic one-channel backlog of `n` jobs with the given service
-    /// time each.
-    fn backlog(n: usize, service: SimTime, arrival: SimTime) -> BacklogSnapshot {
-        BacklogSnapshot {
-            channels: vec![ChannelBacklog {
-                channel: 7,
-                arrival,
-                effective_arrival: arrival,
-                inflight: false,
-                queued: vec![QueuedIo { sig: 1, bytes: 1 << 20, service }; n],
-            }],
-            batch_window: None,
-        }
+    /// A synthetic co-runner lane of `n` queued jobs with the given
+    /// service time each.
+    fn backlog(n: usize, service: SimTime, arrival: SimTime) -> CoRunnerLoad {
+        CoRunnerLoad { jobs: vec![LayerIoJob { sig: 1, service }; n].into(), arrival }
     }
 
-    fn against(snapshot: &BacklogSnapshot) -> ServingMix {
-        ServingMix::from_backlog(snapshot, IoSharing::Exclusive)
+    fn against(co: &[CoRunnerLoad]) -> ServingMix {
+        ServingMix::from_co_runners(co, IoSharing::Exclusive)
     }
 
     #[test]
@@ -737,13 +709,13 @@ mod tests {
         let service = SimTime::from_ms(40);
         let mut last = alone;
         for n in [1usize, 4, 16] {
-            let predicted = against(&backlog(n, service, SimTime::ZERO)).predict(&load);
+            let predicted = against(&[backlog(n, service, SimTime::ZERO)]).predict(&load);
             assert!(predicted >= last, "a deeper backlog cannot predict faster");
             last = predicted;
         }
         // Submitting after the backlog drains restores the solo latency.
         let drained =
-            against(&backlog(16, service, SimTime::ZERO)).predict(&load.delayed(service * 16));
+            against(&[backlog(16, service, SimTime::ZERO)]).predict(&load.delayed(service * 16));
         assert_eq!(drained, alone, "past the drain point the backlog is invisible");
     }
 
@@ -752,7 +724,7 @@ mod tests {
         let hw = hw();
         let load = load_of(&hw, &plan_at(300, 0));
         let alone = ServingMix::default().predict(&load);
-        let mix = against(&backlog(8, SimTime::from_ms(50), SimTime::ZERO));
+        let mix = against(&[backlog(8, SimTime::from_ms(50), SimTime::ZERO)]);
         let generous = SimTime::from_ms(600_000);
         // No backlog: zero delay, prediction unchanged.
         let (d, p) = ServingMix::default().min_delay(&load, generous, generous).unwrap();
@@ -784,14 +756,11 @@ mod tests {
         let slo = alone + SimTime::from_ms(20);
         // Co-arriving backlog alone: the delay clears its drain point.
         let co_arriving = backlog(8, SimTime::from_ms(50), SimTime::ZERO);
-        let (d1, _) = against(&co_arriving).min_delay(&load, slo, generous).unwrap();
+        let (d1, _) =
+            against(std::slice::from_ref(&co_arriving)).min_delay(&load, slo, generous).unwrap();
         // Add a second lane arriving right where that delay would land the
         // engagement: the search must climb past it too.
-        let mut both = co_arriving.clone();
-        let mut late = backlog(8, SimTime::from_ms(50), d1).channels.remove(0);
-        late.channel = 8;
-        both.channels.push(late);
-        let both = against(&both);
+        let both = against(&[co_arriving, backlog(8, SimTime::from_ms(50), d1)]);
         let (d2, predicted) = both.min_delay(&load, slo, generous).unwrap();
         assert!(d2 > d1, "a window the delay lands in must lengthen the wait: {d2} <= {d1}");
         assert!(predicted <= slo);
@@ -803,24 +772,13 @@ mod tests {
         let hw = hw();
         let load = load_of(&hw, &plan_at(300, 0));
         // A backlog that is exactly another engagement of the same plan,
-        // co-arriving on one channel.
-        let snap = BacklogSnapshot {
-            channels: vec![ChannelBacklog {
-                channel: 3,
-                arrival: SimTime::ZERO,
-                effective_arrival: SimTime::ZERO,
-                inflight: false,
-                queued: load
-                    .jobs
-                    .iter()
-                    .flatten()
-                    .map(|j| QueuedIo { sig: j.sig, bytes: 0, service: j.service })
-                    .collect(),
-            }],
-            batch_window: Some(SimTime::from_ms(1)),
-        };
-        let exclusive = against(&snap).predict(&load);
-        let shared = ServingMix::from_backlog(&snap, batched()).predict(&load);
+        // co-arriving on one lane.
+        let twin = [CoRunnerLoad {
+            jobs: load.jobs.iter().flatten().copied().collect(),
+            arrival: SimTime::ZERO,
+        }];
+        let exclusive = against(&twin).predict(&load);
+        let shared = ServingMix::from_co_runners(&twin, batched()).predict(&load);
         let alone = ServingMix::default().predict(&load);
         assert!(exclusive > alone, "an exclusive twin contends");
         assert_eq!(shared, alone, "a byte-identical in-window backlog batches away");

@@ -24,11 +24,10 @@
 //! - [`scheduler::IoScheduler`] — the IO pool multiplexing layer-granular
 //!   load requests from many concurrent engagements over one flash model
 //!   (FIFO per engagement, round-robin across engagements). Inside it, a
-//!   lane state machine with no thread or store in it (`lanes`), the code
-//!   that services what it picks (`dispatch`) and the backlog snapshots
-//!   (`backlog`). It records what it dispatched
-//!   ([`FlashDispatchEvent`]) and simulates nothing: replaying that log
-//!   on a contended device is `sti-pipeline`'s ledger's job;
+//!   lane state machine with no thread or store in it (`lanes`) and the
+//!   code that services what it picks (`dispatch`). It records what it
+//!   dispatched ([`FlashDispatchEvent`]) and simulates nothing: replaying
+//!   that log on a contended device is `sti-pipeline`'s ledger's job;
 //! - [`batcher`] — shared-IO batching policy: byte-identical layer requests
 //!   from engagements arriving within a window coalesce into one fan-out
 //!   flash job, charged once on the contended track;
@@ -62,8 +61,5 @@ pub use cache::{CachedSource, PrefetchPoolStats, ShardCache, ShardCacheStats};
 pub use error::StorageError;
 pub use loader::{LayerRequest, LoadedLayer};
 pub use memstore::MemStore;
-pub use scheduler::{
-    BacklogSnapshot, ChannelBacklog, FlashDispatchEvent, IoChannel, IoScheduler, IoSchedulerStats,
-    QueuedIo, SpeculativeJob,
-};
+pub use scheduler::{FlashDispatchEvent, IoChannel, IoScheduler, IoSchedulerStats, SpeculativeJob};
 pub use store::{ShardKey, ShardSource, ShardStore};

@@ -13,22 +13,21 @@
 //! - an optional shared [`ShardCache`] absorbs redundant reads across
 //!   engagements executing overlapping submodels.
 //!
-//! The scheduler schedules, and nothing else. It is four modules, each
+//! The scheduler schedules, and nothing else. It is three modules, each
 //! stating its invariants at the top: `lanes` is the lane state machine —
 //! queues, the round-robin pick with batching and placement, delivery, the
 //! two dispatch logs — as plain data that a test can drive one operation
 //! at a time; `dispatch` services a pick (the storage load, the `io.*`
-//! instruments) and hands the result back; `backlog` prices a copy of the
-//! queues into a [`BacklogSnapshot`]; and this module is the public API
-//! and the worker pool. The pool's own invariants: one mutex guards the
+//! instruments) and hands the result back; and this module is the public
+//! API and the worker pool. The pool's own invariants: one mutex guards the
 //! lane machine and the pool's two flags, a storage load never runs under
 //! it, and shutdown — including a worker dying mid-service — surfaces as
 //! [`StorageError::SchedulerShutdown`] on `request`/`recv` instead of
 //! hanging or panicking a serving thread.
 //!
-//! **Two kinds of "channel".** An [`IoChannel`] (and a [`ChannelBacklog`]
-//! entry) is an engagement IO *lane*: one engagement's request stream,
-//! identified by the `channel`/engagement id on events and reports. A
+//! **Two kinds of "channel".** An [`IoChannel`] is an engagement IO
+//! *lane*: one engagement's request stream, identified by the
+//! `channel`/engagement id on events and reports. A
 //! **device channel** is a hardware lane of the flash package, named by
 //! [`DeviceTopology`]: placement maps each request to the device channel
 //! `DeviceTopology::channel_for(content_sig, lane_stripe)`, where the
@@ -65,7 +64,6 @@
 //! contended track records one event with the member list so the replay
 //! charges the bytes once.
 
-mod backlog;
 mod dispatch;
 mod lanes;
 
@@ -83,7 +81,6 @@ use crate::error::StorageError;
 use crate::loader::{LayerRequest, LoadedLayer};
 use crate::store::ShardSource;
 
-pub use self::backlog::{BacklogSnapshot, ChannelBacklog, QueuedIo};
 pub use self::dispatch::IoSchedulerStats;
 pub use self::lanes::{FlashDispatchEvent, SpeculativeJob};
 
@@ -365,9 +362,9 @@ impl IoScheduler {
     }
 
     /// Estimated bytes of queued speculative jobs — the background-class
-    /// backlog, labelled apart from [`IoScheduler::backlog_snapshot`]'s
-    /// demand lanes so gate blame and contended predictions never charge
-    /// prefetch work to demand traffic. Always zero when prefetch is off.
+    /// backlog, a label gate reasons carry apart from the demand load they
+    /// price, so blame never charges prefetch work to demand traffic.
+    /// Always zero when prefetch is off.
     pub fn speculative_backlog_bytes(&self) -> u64 {
         self.shared.lock_state().lanes.speculative_backlog_bytes()
     }
@@ -377,20 +374,6 @@ impl IoScheduler {
     /// pool, `hit_bytes` = pinned from the main cache).
     pub fn speculative_events(&self) -> Vec<FlashDispatchEvent> {
         self.shared.lock_state().lanes.spec_log.in_order()
-    }
-
-    /// Snapshots the live flash queue: every open channel's queued requests
-    /// (with bytes, device-model service times, and batchability
-    /// signatures), its effective arrival, and the batch-window state. The
-    /// picture is advisory — requests keep dispatching while the caller
-    /// looks at it — and sized outside the scheduler lock, so taking one
-    /// never stalls the worker pool on storage lookups.
-    pub fn backlog_snapshot(&self) -> BacklogSnapshot {
-        let (lanes, window) = {
-            let state = self.shared.lock_state();
-            (state.lanes.queued_lanes(), state.lanes.policy.window())
-        };
-        backlog::assemble(lanes, window, &*self.shared.source, self.shared.flash)
     }
 
     /// Drops the demand and the speculative event log (numbering continues,

@@ -147,16 +147,6 @@ pub(super) enum Pick {
     Spec(SpeculativeJob),
 }
 
-/// One lane's queue structure as a backlog snapshot copies it out.
-pub(super) struct QueuedLane {
-    pub(super) id: u64,
-    pub(super) arrival: SimTime,
-    pub(super) effective_arrival: SimTime,
-    pub(super) inflight: bool,
-    pub(super) stripe: u16,
-    pub(super) requests: Vec<LayerRequest>,
-}
-
 /// A dispatch log and its numbering. Dispatches are logged as they finish,
 /// in whatever order their loads return; `seq` restores dispatch order.
 #[derive(Default)]
@@ -188,7 +178,7 @@ impl DispatchLog {
 /// The lanes, the round-robin turn queue, the speculative class and the
 /// two dispatch logs (see the module docs for what holds between them).
 pub(super) struct SchedState {
-    pub(super) policy: BatchPolicy,
+    policy: BatchPolicy,
     /// Placement is a pure function of the topology.
     topology: DeviceTopology,
     lanes: HashMap<u64, Lane>,
@@ -441,24 +431,6 @@ impl SchedState {
     /// Estimated bytes of queued speculative jobs.
     pub(super) fn speculative_backlog_bytes(&self) -> u64 {
         self.spec.iter().map(|job| job.bytes).sum()
-    }
-
-    /// Every lane with queued or in-flight work, in lane-id order, with a
-    /// copy of its queue (which the in-flight request has left).
-    pub(super) fn queued_lanes(&self) -> Vec<QueuedLane> {
-        let mut lanes = Vec::with_capacity(self.lanes.len());
-        lanes.extend(self.lanes.iter().filter(|(_, lane)| lane.has_work()).map(|(&id, lane)| {
-            QueuedLane {
-                id,
-                arrival: lane.arrival,
-                effective_arrival: lane.effective_arrival,
-                inflight: lane.inflight,
-                stripe: lane.stripe,
-                requests: lane.pending.iter().cloned().collect(),
-            }
-        }));
-        lanes.sort_unstable_by_key(|lane| lane.id);
-        lanes
     }
 }
 

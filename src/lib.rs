@@ -34,7 +34,7 @@
 //! into one fan-out flash job, so N identical co-runners pay near-1× flash
 //! instead of N×). SLO sessions are admission-checked at open and — with a
 //! `BackpressureMode` configured — gated again before every engagement
-//! against the live flash-queue backlog: queue (delay until the predicted
+//! against the open-session registry: queue (delay until the predicted
 //! contended latency meets the SLO) or shed (fail fast instead of
 //! missing). Apps hold lightweight [`prelude::Session`] handles.
 //! Sharing is invisible to results: a single session reproduces the engine
@@ -77,7 +77,7 @@
 //! same model ([`prelude::TopologyQueueSim`] — one single-server
 //! `FlashQueueSim` per channel): the post-replay contention report,
 //! `ServingMix::predict`/`min_delay` (admission and the gate simulate
-//! per-channel lanes against per-device-channel backlog), and the SLO
+//! the open sessions' lanes on their device channels), and the SLO
 //! search. Placement is a *stripe*: each session's request signatures are
 //! offset by its stripe and hashed to a channel
 //! (`DeviceTopology::channel_for`), so byte-identical requests from two
@@ -150,7 +150,7 @@
 //! over every session's next decision — and `gate_p50_us`/`gate_p90_us`/
 //! `gate_p99_us` give the tail from a log₂-bucket histogram.
 //! `tests/serving_fleet.rs` pins the incremental digest equal to a
-//! from-scratch rehash under arbitrary register/retarget/drop/backlog
+//! from-scratch rehash under arbitrary register/retarget/drop
 //! interleavings. Each entry is stamped with its device `channels` (and
 //! the constant `exec_mode: "event"`, kept so rows from the retired
 //! threaded executor keep their merge identity), and carries

@@ -3,9 +3,8 @@
 //! 1. **Incremental digest ≡ full rehash.** `ServingMix` maintains its
 //!    digest as a rolling per-session fold updated O(1) by
 //!    `upsert_session`/`remove_session`/`push_session`. A proptest drives
-//!    arbitrary interleavings of register / retarget / drop /
-//!    backlog-attach and pins the rolling digest equal to a from-scratch
-//!    rebuild's — the memo identity behind the SLO-plan cache and both
+//!    arbitrary interleavings of register / retarget / drop and pins the
+//!    rolling digest equal to a from-scratch rebuild's — the memo identity behind the SLO-plan cache and both
 //!    gate memos never drifts from the full rehash it replaced.
 //! 2. **Excluded views are rebuilds.** The server's `exclude` path (a
 //!    retargeting session does not co-run with itself) is now a clone +
@@ -93,30 +92,12 @@ fn rebuild(
     mix
 }
 
-fn backlog_from(hw: &HwProfile, plan: &ExecutionPlan) -> BacklogSnapshot {
-    let jobs: Vec<LayerIoJob> = layer_io_jobs(hw, plan).into_iter().flatten().collect();
-    BacklogSnapshot {
-        channels: vec![ChannelBacklog {
-            channel: 7,
-            arrival: SimTime::from_us(40),
-            effective_arrival: SimTime::from_us(40),
-            inflight: true,
-            queued: jobs
-                .iter()
-                .map(|j| QueuedIo { sig: j.sig, bytes: 64, service: j.service })
-                .collect(),
-        }],
-        batch_window: None,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary interleavings of register / retarget / drop keep the
-    /// rolling digest equal to a from-scratch rebuild's, with and without
-    /// an attached backlog, and excluded-session views predict
-    /// bit-identically to rebuilds.
+    /// rolling digest equal to a from-scratch rebuild's, and
+    /// excluded-session views predict bit-identically to rebuilds.
     #[test]
     fn incremental_digest_equals_full_rehash(
         seed in 1u64..u64::MAX,
@@ -181,18 +162,6 @@ proptest! {
             let fresh = rebuild(&model, &plans, &hw, sharing);
             prop_assert_eq!(mix.digest(), fresh.digest(), "rolling digest drifted at op");
         }
-        // Backlog attach: `digest_with` is the no-clone view of attaching.
-        let backlog = backlog_from(&hw, &plans[2]);
-        let fresh = rebuild(&model, &plans, &hw, sharing);
-        prop_assert_eq!(
-            mix.digest_with(&backlog),
-            fresh.clone().with_backlog(backlog.clone()).digest(),
-            "digest_with must equal attach-then-digest"
-        );
-        prop_assert_eq!(mix.clone().with_backlog(backlog.clone()).digest(), {
-            let m = mix.clone();
-            m.digest_with(&backlog)
-        });
         // Excluded views ≡ rebuilds without the session, bit for bit.
         let probe = EngagementLoad::from_plan(&hw, &plans[0], SimTime::ZERO);
         for &(token, ..) in &model {
@@ -227,8 +196,6 @@ fn gate_all_prices_every_slo_session_and_no_plain_one() {
                 .then(|| SloProfile::from_plan(&hw, plan, SimTime::from_ms(150 + t * 40)));
             mix.push_session(t, CoRunnerLoad::from_plan_at(&hw, plan, arrival), slo);
         }
-        let backlog = backlog_from(&hw, &slow);
-        let mix = mix.with_backlog(backlog);
         for policy in [GatePolicy::Shed, GatePolicy::Queue(SimTime::from_ms(100))] {
             let all = mix.gate_all(policy);
             assert_eq!(all.len(), 7, "every SLO session is priced, plain ones are not");
@@ -309,15 +276,15 @@ fn rebuilt_digest<'a>(hw: &HwProfile, survivors: impl Iterator<Item = &'a Sessio
             s.slo().map(|slo| SloProfile::from_plan(hw, s.plan(), slo)),
         );
     }
-    mix.digest_with(&BacklogSnapshot::default())
+    mix.digest()
 }
 
 /// Host threads against the single registry lock: four threads open and
 /// drop plain sessions while an SLO session probes its gate and the mix
 /// digest in a loop and a fifth thread admits an SLO session. The barrier
 /// starts them together; the test finishing is the no-lock-order-inversion
-/// check (`slo_planning`, the gate's `owned_lanes`, the registry lock), and
-/// the settled digest must equal a rebuild from the survivors.
+/// check (`slo_planning`, the registry lock), and the settled digest must
+/// equal a rebuild from the survivors.
 #[test]
 fn concurrent_opens_drops_and_gate_probes_settle_to_the_rebuild_digest() {
     let (ctx, cfg) = queue_gated();

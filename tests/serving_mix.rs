@@ -76,25 +76,13 @@ fn mix_digest_distinguishes_every_gate_relevant_change() {
         Some(SloProfile::from_plan(&hw, &plan, SimTime::from_ms(900))),
     );
     assert_ne!(with_slo.digest(), other_slo.digest());
-    // A different arrival, sharing mode, or an external backlog all count.
+    // A different arrival or sharing mode counts too.
     let mut late = ServingMix::new(IoSharing::Exclusive);
     late.push_session(0, CoRunnerLoad::from_plan_at(&hw, &plan, SimTime::from_ms(7)), None);
     assert_ne!(base.digest(), late.digest());
     let mut shared = ServingMix::new(batched());
     shared.push_session(0, load.clone(), None);
     assert_ne!(base.digest(), shared.digest());
-    let backlog = BacklogSnapshot {
-        channels: vec![ChannelBacklog {
-            channel: 3,
-            arrival: SimTime::ZERO,
-            effective_arrival: SimTime::ZERO,
-            inflight: false,
-            queued: vec![QueuedIo { sig: 1, bytes: 2, service: SimTime::from_ms(1) }],
-        }],
-        batch_window: None,
-    };
-    let with_backlog = base.clone().with_backlog(backlog);
-    assert_ne!(base.digest(), with_backlog.digest());
 }
 
 /// Replays a trace through both replays under a plan-sharing policy and pins

@@ -105,7 +105,7 @@ fn gate_spans_surface_the_deciding_reason() {
     for span in &gate_spans {
         assert_eq!(span.kind, TrackKind::Session);
         let keys: Vec<&str> = span.args.entries().iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, ["digest", "predicted_us", "backlog_bytes", "dominant"]);
+        assert_eq!(keys, ["digest", "predicted_us", "dominant"]);
     }
     // The structured reason on the decision log matches what the walk saw:
     // the digest is the memo identity, and a session never blames itself.

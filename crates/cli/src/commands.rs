@@ -94,24 +94,25 @@ fn device(name: &str) -> Result<DeviceProfile, ArgError> {
     }
 }
 
-fn build_task(args: &Args) -> Result<Task, ArgError> {
-    let kind = task_kind(args.require("task")?)?;
-    Ok(Task::build_default(kind, ModelConfig::scaled_bert()))
+fn build_context(args: &Args) -> Result<TaskContext, ArgError> {
+    Ok(TaskContext::new(task_kind(args.require("task")?)?))
 }
 
-fn build_engine(args: &Args, task: &Task) -> Result<StiEngine, ArgError> {
+/// The engine `plan`, `infer` and `generate` run: it streams from the
+/// `--store` directory when one is named, and otherwise from the context's
+/// own on-disk store.
+fn build_engine(args: &Args, ctx: &TaskContext) -> Result<StiEngine, ArgError> {
     let dev = device(args.get_or("device", "odroid"))?;
-    let cfg = task.model().config().clone();
-    let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-    let source: Arc<dyn ShardSource> = match args.get("store") {
+    let model = ctx.task().model();
+    let hw = HwProfile::measure(&dev, model.config(), ctx.quant());
+    let source = match args.get("store") {
         Some(dir) => {
             Arc::new(ShardStore::open(dir).map_err(|e| ArgError(format!("open store: {e}")))?)
         }
-        None => Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default())),
+        None => ctx.shard_source(),
     };
     eprintln!("profiling shard importance (one-time per model)...");
-    let importance = profile_importance(task.model(), task.dev(), &QuantConfig::default());
-    StiEngine::builder(task.model().clone(), source, hw, dev.flash, importance)
+    StiEngine::builder(model.clone(), source, hw, dev.flash, ctx.importance().clone())
         .target(SimTime::from_ms(args.get_u64("target-ms", 200)?))
         .preload_budget(args.get_u64("preload-kb", 16)? << 10)
         .build()
@@ -119,7 +120,8 @@ fn build_engine(args: &Args, task: &Task) -> Result<StiEngine, ArgError> {
 }
 
 fn cmd_preprocess(args: &Args) -> Result<String, ArgError> {
-    let task = build_task(args)?;
+    let ctx = build_context(args)?;
+    let task = ctx.task();
     let out = args.require("out")?;
     let store = ShardStore::create(out, task.model(), &Bitwidth::ALL, &QuantConfig::default())
         .map_err(|e| ArgError(format!("create store: {e}")))?;
@@ -155,24 +157,23 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_importance(args: &Args) -> Result<String, ArgError> {
-    let task = build_task(args)?;
+    let ctx = build_context(args)?;
     eprintln!("profiling (N*M probes on the dev set)...");
-    let profile = profile_importance(task.model(), task.dev(), &QuantConfig::default());
     Ok(format!(
         "{} shard importance (9 = most important):\n{}",
-        task.kind().name(),
-        profile.heatmap_string()
+        ctx.task().kind().name(),
+        ctx.importance().heatmap_string()
     ))
 }
 
 fn cmd_plan(args: &Args) -> Result<String, ArgError> {
-    let task = build_task(args)?;
-    let engine = build_engine(args, &task)?;
+    let ctx = build_context(args)?;
+    let engine = build_engine(args, &ctx)?;
     let plan = engine.plan();
     Ok(format!(
         "plan for {} @ T={} |S|={}B:\n  submodel {} ({} shards), predicted makespan {}, \
          preload {} shards\n  bitwidth grid ('*' = preloaded):\n{}",
-        task.kind().name(),
+        ctx.task().kind().name(),
         plan.target,
         plan.preload_budget_bytes,
         plan.shape,
@@ -184,10 +185,10 @@ fn cmd_plan(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_infer(args: &Args) -> Result<String, ArgError> {
-    let task = build_task(args)?;
+    let ctx = build_context(args)?;
     let text = args.require("text")?.to_string();
-    let engine = build_engine(args, &task)?;
-    let tokens = HashingTokenizer::new(task.model().config().vocab).tokenize(&text);
+    let engine = build_engine(args, &ctx)?;
+    let tokens = HashingTokenizer::new(ctx.task().model().config().vocab).tokenize(&text);
     let inf = engine.infer(&tokens).map_err(|e| ArgError(format!("inference: {e}")))?;
     Ok(format!(
         "\"{text}\" -> class {} (p = {:.3})\n  submodel {}, streamed {} bytes, makespan {}\n",
@@ -200,11 +201,11 @@ fn cmd_infer(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_generate(args: &Args) -> Result<String, ArgError> {
-    let task = build_task(args)?;
+    let ctx = build_context(args)?;
     let text = args.require("text")?.to_string();
     let steps = checked_usize("steps", args.get_u64("steps", 5)?)?;
-    let engine = build_engine(args, &task)?;
-    let tokens = HashingTokenizer::new(task.model().config().vocab).tokenize(&text);
+    let engine = build_engine(args, &ctx)?;
+    let tokens = HashingTokenizer::new(ctx.task().model().config().vocab).tokenize(&text);
     let g = engine.generate(&tokens, steps).map_err(|e| ArgError(format!("generate: {e}")))?;
     Ok(format!(
         "\"{text}\" -> {} generated token ids: {:?}\n  first step {}, each further step {}\n",
@@ -650,6 +651,23 @@ mod tests {
         assert!(report.contains("total"));
         assert!(ShardStore::open(&dir).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_engine_streams_from_its_contexts_store_and_leaves_nothing_behind() {
+        let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
+        let args = Args::parse(["infer", "--target-ms", "300"]).unwrap();
+        let engine = build_engine(&args, &ctx).unwrap();
+        args.reject_unread().unwrap();
+        let dir = ctx.shard_store_dir().to_path_buf();
+        let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(name.starts_with("sti-ctx-"), "{}", dir.display());
+        let inference = engine.infer(&[1, 2, 3]).unwrap();
+        assert!(inference.outcome.loaded_bytes > 0, "the engine streamed from flash");
+        drop(ctx);
+        assert!(dir.is_dir(), "the engine's handle keeps the store alive");
+        drop(engine);
+        assert!(!dir.exists(), "{} outlived the context and the engine", dir.display());
     }
 
     #[test]

@@ -35,9 +35,9 @@
 //! the live mix is never cloned — the rolling digest (O(1), flat in fleet
 //! size) is the whole cost.
 //!
-//! [`Gate::decide`] takes the subject, the registry and one closure — the
-//! advisory speculative-bytes label, the only scheduler state it sees and
-//! one no decision reads — so it is unit-testable over a hand-built registry.
+//! [`Gate::decide`] takes the subject and the registry, nothing else: no
+//! scheduler state reaches a decision, not even as a label, so it is
+//! unit-testable over a hand-built registry.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,14 +118,6 @@ pub struct GateReason {
     /// for the contention the prediction saw. `None` when the session had
     /// the mix to itself.
     pub dominant_lane: Option<(u64, SimTime)>,
-    /// Speculative prefetch bytes queued behind the scheduler when the
-    /// decision was shaped — labelled apart from the demand load so a
-    /// blame line never attributes a delay or shed to background
-    /// speculation. A reporting label only: the gate walk, the mix digest,
-    /// and the contended prediction never read it, so
-    /// `shed`/`delay`/`predicted` are bit-identical with the prefetcher on
-    /// or off. Always zero with prefetch off.
-    pub speculative_bytes: u64,
 }
 
 /// One memoized full gate walk: the mix digest it ran against, every open
@@ -146,7 +138,7 @@ pub(crate) struct GateSubject<'a> {
 
 /// The gate's policy, walk memo and instruments.
 pub(crate) struct Gate {
-    pub(crate) mode: BackpressureMode,
+    mode: BackpressureMode,
     /// The last full gate walk, keyed by the mix digest it ran against.
     /// Decisions stay a pure function of the mix, so sharing the walk
     /// across sessions changes nothing observable.
@@ -173,13 +165,10 @@ impl Gate {
 
     /// The decision one engagement of `who` is subject to right now
     /// (`None` with the gate off). Pure: nothing is counted or logged.
-    /// `speculative_bytes` reads the speculative backlog label stamped
-    /// into the reason.
     pub(crate) fn decide(
         &self,
         who: GateSubject<'_>,
         registry: &RwLock<ServingMix>,
-        speculative_bytes: impl FnOnce() -> u64,
     ) -> Option<GateDecision> {
         let policy = match self.mode {
             BackpressureMode::Off => return None,
@@ -211,11 +200,6 @@ impl Gate {
             (walk, summary)
         });
         let outcome = *walk.get(&who.token).expect("an open SLO session is always in the registry");
-        // The walk prices demand lanes only; the speculative in-flight
-        // label is stamped in after the fact, so a report can show
-        // speculation separately from the demand load that actually
-        // drove the decision. Advisory: a memoized decision keeps the
-        // label it was shaped with.
         let decision = GateDecision {
             session: who.token,
             arrival: who.arrival,
@@ -230,7 +214,6 @@ impl Gate {
                 dominant_lane: summary
                     .dominant_excluding(who.token)
                     .map(|(token, us)| (token, SimTime::from_us(us))),
-                speculative_bytes: speculative_bytes(),
             },
         };
         *who.memo.lock() = Some((digest, decision));
@@ -266,8 +249,8 @@ mod tests {
     use super::*;
     use crate::server::tests::{floor_slo, tiny_server};
     use crate::server::StiServer;
-    use std::cell::Cell;
     use sti_planner::mix::SloProfile;
+    use sti_planner::prefetch::PrefetchConfig;
     use sti_planner::{CoRunnerLoad, IoSharing, LayerIoJob};
 
     fn server_with_backpressure(mode: BackpressureMode) -> StiServer {
@@ -307,13 +290,8 @@ mod tests {
             mix.gate_all(GatePolicy::Shed).into_iter().collect();
         assert!(!oracle[&0].shed && oracle[&1].shed, "the later token rides behind the earlier");
 
-        let labels = Cell::new(0u64);
-        let label = || {
-            labels.set(labels.get() + 1);
-            77
-        };
         let memos = [Memo::default(), Memo::default()];
-        let decide = |t: usize| gate.decide(subject(t as u64, slo, &memos[t]), &registry, label);
+        let decide = |t: usize| gate.decide(subject(t as u64, slo, &memos[t]), &registry);
         for token in [0usize, 1] {
             let d = decide(token).expect("the gate is on");
             let want = oracle[&(token as u64)];
@@ -322,13 +300,12 @@ mod tests {
                 (want.predicted, want.delay, want.shed, want.re_gated)
             );
             assert_eq!((d.session, d.slo, d.reason.digest), (token as u64, slo, digest));
-            assert_eq!((d.reason.co_runners, d.reason.speculative_bytes), (1, 77));
+            assert_eq!(d.reason.co_runners, 1);
             assert_eq!(d.reason.dominant_lane, Some((1 - token as u64, ms(20))));
             // A repeat against the unchanged mix is the session memo: the
-            // decision is returned as shaped, the label is not re-read.
-            let shaped = labels.get();
+            // decision is returned as shaped.
+            assert_eq!(memos[token].lock().map(|(seen, _)| seen), Some(digest));
             assert_eq!(decide(token), Some(d));
-            assert_eq!(labels.get(), shaped);
         }
         // A registry change moves the digest and the decision follows.
         registry.write().remove_session(0);
@@ -337,36 +314,65 @@ mod tests {
         assert_eq!((alone.reason.co_runners, alone.reason.dominant_lane), (0, None));
         // Deciding is pure: nothing was counted.
         assert_eq!(gate.shed_engagements.get() + gate.decisions.get(), 0);
-        // Without a mode the gate is off and reads nothing.
+        // Without a mode the gate is off.
         let off = Gate::new(BackpressureMode::Off, &MetricsRegistry::new());
-        let unreachable = || -> u64 { panic!("an off gate never reads the scheduler") };
-        assert_eq!(off.decide(subject(1, slo, &memos[1]), &registry, unreachable), None);
+        assert_eq!(off.decide(subject(1, slo, &memos[1]), &registry), None);
+    }
+
+    /// What the scheduler holds queued when the gate is asked.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Queued {
+        Nothing,
+        /// Three sessions' engagements, issued behind the parked pool.
+        Demand,
+        /// Prefetch stages a recurrent session's completions submitted.
+        Speculation,
     }
 
     #[test]
     fn a_decision_is_the_same_whatever_the_scheduler_holds_queued() {
-        // Four SLO sessions; with `issued` of them holding an engagement's
-        // requests queued on their lanes behind a parked pool, the fourth
-        // asks the gate. The registry is the same either way, and so is the
-        // whole decision — digest, prediction, delay and reason.
-        let decision_with = |issued: usize| {
-            let srv = server_with_backpressure(BackpressureMode::Queue(ms(60_000)));
+        // Four SLO sessions on a Markov-prefetch server; with demand
+        // requests or speculative stages queued behind a parked pool, the
+        // fourth asks the gate. The registry is the same either way, and so
+        // is the whole decision — digest, prediction, delay and reason.
+        let decision_with = |queued: Queued| {
+            let srv = tiny_server(|b| {
+                b.preload_budget(0)
+                    .backpressure(BackpressureMode::Queue(ms(60_000)))
+                    .prefetch(PrefetchConfig::markov(1 << 20))
+            });
             let slo = floor_slo(&srv);
             let sessions: Vec<_> = (0..4).map(|_| srv.session_with_slo(slo, 0).unwrap()).collect();
             srv.pause_io();
+            let issued = if queued == Queued::Demand { 3 } else { 0 };
             let pending: Vec<_> =
                 sessions[..issued].iter().map(|s| s.infer_issue(&[1, 2]).unwrap()).collect();
-            assert_eq!(srv.queued_io_requests() > 0, issued > 0);
+            assert_eq!(srv.queued_io_requests() > 0, queued == Queued::Demand);
+            if queued == Queued::Speculation {
+                // The second completion of one knob set predicts a third:
+                // its stages are submitted, and nothing runs them.
+                for _ in 0..2 {
+                    let engagement = sessions[0].infer_issue(&[1, 2]).unwrap();
+                    srv.drive_io();
+                    sessions[0].infer_complete(engagement).unwrap();
+                }
+                let report = srv.prefetch_report().unwrap();
+                assert_eq!((report.model.plans, report.jobs), (1, 0), "stages queued, none run");
+            }
             let decision = sessions[3].gate_decision().expect("the gate is on");
+            if queued == Queued::Speculation {
+                assert!(srv.drive_io() > 0, "the stages were queued when the gate decided");
+            }
             srv.resume_io();
             for (session, pending) in sessions.iter().zip(pending) {
                 session.infer_complete(pending).unwrap();
             }
             decision
         };
-        let idle = decision_with(0);
+        let idle = decision_with(Queued::Nothing);
         assert!(idle.delay > SimTime::ZERO, "three co-arriving sessions ahead force a wait");
-        assert_eq!(decision_with(3), idle);
+        assert_eq!(decision_with(Queued::Demand), idle);
+        assert_eq!(decision_with(Queued::Speculation), idle);
     }
 
     #[test]

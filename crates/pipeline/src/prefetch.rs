@@ -134,7 +134,7 @@ fn speculative_jobs(
     source: &dyn ShardSource,
 ) -> Vec<SpeculativeJob> {
     let mut budget = plan.budget_bytes;
-    let mut jobs: BTreeMap<u16, (Vec<ShardKey>, u64)> = BTreeMap::new();
+    let mut jobs: BTreeMap<u16, Vec<ShardKey>> = BTreeMap::new();
     'layers: for pl in &target.plan.layers {
         let items: Vec<(u16, Bitwidth)> = pl
             .items()
@@ -155,17 +155,14 @@ fn speculative_jobs(
                 break 'layers;
             }
             budget -= bytes;
-            let entry = jobs.entry(dc).or_default();
-            entry.0.push(key);
-            entry.1 += bytes;
+            jobs.entry(dc).or_default().push(key);
         }
     }
     jobs.into_iter()
-        .map(|(device_channel, (keys, bytes))| SpeculativeJob {
+        .map(|(device_channel, keys)| SpeculativeJob {
             session: plan.client,
             device_channel,
             arrival: plan.emitted_at,
-            bytes,
             keys,
         })
         .collect()
@@ -229,7 +226,7 @@ mod tests {
         assert!(pool.hits > 0, "staged shards must serve the next engagement's misses");
         assert!(pool.hit_bytes > 0);
         // Contended pricing exists, charges the speculative service time,
-        // and the speculative label never leaks into demand aggregates.
+        // and speculation never leaks into demand aggregates.
         let contention = srv.contention_report();
         let spec = contention.prefetch.expect("prefetch pricing present when enabled");
         // The third completion may have emitted (and run) another plan by

@@ -334,7 +334,6 @@ impl StiServerBuilder {
                 default_preload_budget: self.default_preload_budget,
                 plan_cache: PlanCache::new(),
                 preloads: MemoTable::default(),
-                batch: self.batch,
                 plan_sharing: self.plan_sharing,
                 slo_cache: ServingPlanCache::new(),
                 slo_planning: Mutex::new(()),
@@ -411,8 +410,6 @@ struct ServerInner {
     /// One immutable, shared preload buffer per plan key (read-mostly state:
     /// filled once, then only read through `Arc`s).
     preloads: MemoTable<PlanKey, PreloadBuffer>,
-    /// Shared-IO batching policy the scheduler runs (and admission models).
-    batch: BatchPolicy,
     /// `|S|` placement policy for SLO searches.
     plan_sharing: PreloadPolicy,
     /// Memoized SLO searches, keyed by knobs + mix digest + `|S|` policy.
@@ -764,11 +761,6 @@ impl StiServer {
         self.inner.scheduler.stats()
     }
 
-    /// The shared-IO batching policy this server runs.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        self.inner.batch
-    }
-
     /// Quiesces the IO scheduler: engagements keep queuing layer requests
     /// but nothing dispatches until [`StiServer::resume_io`]. Tests and
     /// benches use the pair to queue a whole co-resident workload and
@@ -996,16 +988,6 @@ impl StiServer {
             self.inner.shard_cache.prefetch_stats(),
             &self.inner.scheduler.speculative_events(),
         ))
-    }
-
-    /// The infer-time backpressure policy this server runs.
-    pub fn backpressure(&self) -> BackpressureMode {
-        self.inner.gate.mode
-    }
-
-    /// The `|S|` placement policy this server's SLO searches run under.
-    pub fn plan_sharing(&self) -> PreloadPolicy {
-        self.inner.plan_sharing
     }
 
     /// Installs a re-profiled importance table and drops every plan derived
@@ -1309,7 +1291,7 @@ impl Session {
             slo: self.planned.slo?,
             memo: &self.gate_memo,
         };
-        inner.gate.decide(who, &inner.live_mix, || inner.scheduler.speculative_backlog_bytes())
+        inner.gate.decide(who, &inner.live_mix)
     }
 
     /// Executes one engagement over the planned pipeline, streaming through

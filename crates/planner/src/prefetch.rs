@@ -7,11 +7,12 @@
 //! completed engagement is an observation `(client, engagement key, time)`,
 //! where the **engagement key** is the interned `(model, knob-set)` identity
 //! of what the client just ran ([`EngagementKey`]: target, preload budget,
-//! SLO, stripe). A per-client chain tracks which key followed which — and
-//! the inter-arrival gap between them — feeding a shared store of per-pair
-//! 4-state [`MarkovEdge`]s keyed by [`KeyId`] pairs. Unlike preload-ng's
-//! exe pairs, *self*-edges are meaningful here (a recurrent client re-runs
-//! the same knob set), so the store keeps them.
+//! SLO, stripe). A per-client chain remembers the client's previous key,
+//! feeding a shared store of per-pair [`MarkovEdge`]s keyed by [`KeyId`]
+//! pairs — each edge two counters, follows and breaks, and nothing a
+//! prediction does not read. Unlike preload-ng's exe pairs, *self*-edges are
+//! meaningful here (a recurrent client re-runs the same knob set), so the
+//! store keeps them.
 //!
 //! At each observation the model may emit a [`PrefetchPlan`]: the successor
 //! key with the highest follow confidence at or above the configured floor,
@@ -135,24 +136,14 @@ pub struct EngagementKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KeyId(pub u32);
 
-/// One directed engagement-pair edge `A → B`: a 4-state Markov chain over
-/// the pair-observation state of the owning client's stream restricted to
-/// `{A, B}` (state bits: bit 0 = last observation was `A`, bit 1 = it was
-/// `B`; state 3 only occurs on self-edges), plus the direct follow/break
-/// counters the prediction confidence derives from and the inter-arrival
-/// gap statistics of observed `A → B` transitions.
+/// One directed engagement-pair edge `A → B`: the follow/break counters the
+/// prediction confidence derives from.
 #[derive(Debug, Clone, Default)]
 pub struct MarkovEdge {
-    /// `transitions[s][t]`: times the pair state moved `s → t`.
-    pub transitions: [[u32; 4]; 4],
     /// Times `B` was observed immediately after `A` on one client's chain.
     pub follows: u32,
     /// Times something other than `B` followed `A`.
     pub breaks: u32,
-    /// Summed inter-arrival gap over observed `A → B` follows, in µs.
-    pub gap_total_us: u64,
-    /// Number of gap samples in [`MarkovEdge::gap_total_us`].
-    pub gap_samples: u32,
     /// Observation counter at last touch (LRU victim selection).
     last_touch: u64,
 }
@@ -173,20 +164,6 @@ impl MarkovEdge {
     pub fn samples(&self) -> u32 {
         self.follows + self.breaks
     }
-
-    /// Mean observed `A → B` inter-arrival gap (zero without samples).
-    pub fn mean_gap(&self) -> SimTime {
-        if self.gap_samples == 0 {
-            SimTime::ZERO
-        } else {
-            SimTime::from_us(self.gap_total_us / self.gap_samples as u64)
-        }
-    }
-
-    /// The pair state of one observation w.r.t. this edge's endpoints.
-    fn pair_state(key: KeyId, a: KeyId, b: KeyId) -> usize {
-        (usize::from(key == a)) | (usize::from(key == b) << 1)
-    }
 }
 
 /// A budgeted speculation order: warm the predicted next engagement's
@@ -195,21 +172,13 @@ impl MarkovEdge {
 pub struct PrefetchPlan {
     /// The client (session token) the prediction is for.
     pub client: u64,
-    /// The engagement key the client just completed.
-    pub from: KeyId,
     /// The predicted next engagement key.
     pub predicted: KeyId,
-    /// The deciding edge's follow confidence.
-    pub confidence: f64,
     /// Byte cap on what the executor may stage for this plan.
     pub budget_bytes: u64,
     /// Simulated time the plan was emitted (the triggering engagement's
     /// completion) — speculative jobs arrive on the contended track here.
     pub emitted_at: SimTime,
-    /// Mean observed gap until the predicted engagement (zero when the
-    /// edge has no gap samples yet) — the idle window the speculation is
-    /// expected to fit into.
-    pub expected_gap: SimTime,
 }
 
 /// Counters describing the model's behaviour (report surface).
@@ -246,11 +215,11 @@ struct PendingPlan {
     predicted: KeyId,
 }
 
-/// One client's observation chain: its previous engagement key and
-/// completion time, plus the outstanding prediction awaiting feedback.
+/// One client's observation chain: its previous engagement key, plus the
+/// outstanding prediction awaiting feedback.
 #[derive(Debug, Default)]
 struct ClientChain {
-    prev: Option<(KeyId, SimTime)>,
+    prev: Option<KeyId>,
     pending: Option<PendingPlan>,
 }
 
@@ -261,7 +230,6 @@ struct ClientChain {
 pub struct Prefetcher {
     cfg: PrefetchConfig,
     keys: HashMap<EngagementKey, KeyId>,
-    interned: Vec<EngagementKey>,
     edges: HashMap<(KeyId, KeyId), MarkovEdge>,
     /// Source-key index over `edges` (targets in insertion order).
     by_src: HashMap<KeyId, Vec<KeyId>>,
@@ -278,7 +246,6 @@ impl Prefetcher {
         Self {
             cfg,
             keys: HashMap::new(),
-            interned: Vec::new(),
             edges: HashMap::new(),
             by_src: HashMap::new(),
             clients: HashMap::new(),
@@ -288,30 +255,16 @@ impl Prefetcher {
         }
     }
 
-    /// The configured knobs.
-    pub fn config(&self) -> &PrefetchConfig {
-        &self.cfg
-    }
-
-    /// Interns an engagement key, returning its stable id.
+    /// Interns an engagement key, returning its stable id (ids count up
+    /// from zero in first-seen order).
     pub fn intern(&mut self, key: EngagementKey) -> KeyId {
-        if let Some(&id) = self.keys.get(&key) {
-            return id;
-        }
-        let id = KeyId(self.interned.len() as u32);
-        self.keys.insert(key, id);
-        self.interned.push(key);
-        id
-    }
-
-    /// The key behind an interned id.
-    pub fn key(&self, id: KeyId) -> Option<&EngagementKey> {
-        self.interned.get(id.0 as usize)
+        let next = KeyId(self.keys.len() as u32);
+        *self.keys.entry(key).or_insert(next)
     }
 
     /// Distinct engagement keys observed.
     pub fn key_count(&self) -> usize {
-        self.interned.len()
+        self.keys.len()
     }
 
     /// Stored Markov edges.
@@ -339,7 +292,7 @@ impl Prefetcher {
         let obs = self.obs_count;
         let chain = self.clients.entry(client).or_default();
         let pending = chain.pending.take();
-        let prev = chain.prev.replace((key, now));
+        let prev = chain.prev.replace(key);
 
         // Admission feedback: did the outstanding prediction come true?
         if let Some(p) = pending {
@@ -364,24 +317,17 @@ impl Prefetcher {
         }
 
         // Chain transition: update every out-edge of `prev` (follow for the
-        // observed target, break for the rest) and the pair-state machine
-        // of the taken edge.
-        if let Some((prev, t0)) = prev {
+        // observed target, break for the rest).
+        if let Some(prev) = prev {
             self.edges.entry((prev, key)).or_insert_with(|| {
                 self.by_src.entry(prev).or_default().push(key);
                 MarkovEdge::default()
             });
-            let gap = now.saturating_sub(t0);
             for &tgt in self.by_src.get(&prev).map(Vec::as_slice).unwrap_or(&[]) {
                 let edge = self.edges.get_mut(&(prev, tgt)).expect("indexed edge exists");
                 edge.last_touch = obs;
                 if tgt == key {
                     edge.follows += 1;
-                    edge.gap_total_us += gap.as_us();
-                    edge.gap_samples += 1;
-                    let from = MarkovEdge::pair_state(prev, prev, tgt);
-                    let to = MarkovEdge::pair_state(key, prev, tgt);
-                    edge.transitions[from][to] += 1;
                 } else {
                     edge.breaks += 1;
                 }
@@ -425,16 +371,13 @@ impl Prefetcher {
             }
         }
         self.stats.rejected += silenced;
-        let (predicted, edge) = best?;
+        let (predicted, _) = best?;
         self.stats.plans += 1;
         let plan = PrefetchPlan {
             client,
-            from: key,
             predicted,
-            confidence: edge.confidence(),
             budget_bytes: self.cfg.budget_bytes,
             emitted_at: now,
-            expected_gap: edge.mean_gap(),
         };
         self.clients.get_mut(&client).expect("chain created above").pending =
             Some(PendingPlan { from: key, predicted });
@@ -470,13 +413,11 @@ mod tests {
         assert_eq!(plan.emitted_at, SimTime::from_ms(2));
         let plan = p.observe(7, a, SimTime::from_ms(3)).expect("still confident");
         assert_eq!(plan.predicted, a);
-        assert_eq!(plan.from, a);
-        assert!(plan.confidence >= 1.0);
         assert_eq!(plan.emitted_at, SimTime::from_ms(3));
     }
 
     #[test]
-    fn alternating_clients_learn_cross_edges_and_gaps() {
+    fn alternating_clients_learn_cross_edges() {
         let mut p = markov();
         let a = p.intern(key(1));
         let b = p.intern(key(2));
@@ -488,13 +429,11 @@ mod tests {
         let ab = p.edge(a, b).expect("A→B learned");
         assert_eq!(ab.follows, 3);
         assert_eq!(ab.breaks, 0);
-        assert_eq!(ab.mean_gap(), SimTime::from_ms(10));
         // The prediction after an A observation is B.
         let plan = p
             .observe(1, a, SimTime::from_ms(60))
             .unwrap_or_else(|| p.observe(1, b, SimTime::from_ms(70)).expect("B→A predicted"));
         assert!(plan.predicted == b || plan.predicted == a);
-        assert_eq!(plan.expected_gap, SimTime::from_ms(10));
     }
 
     #[test]
@@ -567,29 +506,12 @@ mod tests {
                 let client = i % 3;
                 let k = keys[(i % 3) as usize];
                 if let Some(plan) = p.observe(client, k, SimTime::from_us(i * 500)) {
-                    emitted.push((plan.client, plan.from, plan.predicted));
+                    emitted.push((plan.client, plan.predicted));
                 }
             }
             (emitted, p.stats())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn four_state_edge_counts_transitions() {
-        let mut p = markov();
-        let a = p.intern(key(1));
-        let b = p.intern(key(2));
-        p.observe(1, a, SimTime::from_ms(0));
-        p.observe(1, b, SimTime::from_ms(1));
-        let ab = p.edge(a, b).expect("edge exists");
-        // prev=A is state 0b01, key=B is state 0b10 for the (A,B) pair.
-        assert_eq!(ab.transitions[1][2], 1);
-        // Self edge: state 3 → 3.
-        p.observe(2, a, SimTime::from_ms(0));
-        p.observe(2, a, SimTime::from_ms(1));
-        let aa = p.edge(a, a).expect("self edge exists");
-        assert_eq!(aa.transitions[3][3], 1);
     }
 
     #[test]

@@ -361,17 +361,9 @@ impl IoScheduler {
         self.shared.work_cv.notify_one();
     }
 
-    /// Estimated bytes of queued speculative jobs — the background-class
-    /// backlog, a label gate reasons carry apart from the demand load they
-    /// price, so blame never charges prefetch work to demand traffic.
-    /// Always zero when prefetch is off.
-    pub fn speculative_backlog_bytes(&self) -> u64 {
-        self.shared.lock_state().lanes.speculative_backlog_bytes()
-    }
-
-    /// The speculative event log so far, in dispatch order (see the
-    /// field notes on [`SpeculativeJob`]: `bytes` = flash-loaded into the
-    /// pool, `hit_bytes` = pinned from the main cache).
+    /// The speculative event log so far, in dispatch order (`bytes` =
+    /// flash-loaded into the pool, `hit_bytes` = pinned from the main
+    /// cache).
     pub fn speculative_events(&self) -> Vec<FlashDispatchEvent> {
         self.shared.lock_state().lanes.spec_log.in_order()
     }

@@ -93,9 +93,6 @@ pub struct SpeculativeJob {
     pub device_channel: u16,
     /// Simulated submission time (the triggering engagement's completion).
     pub arrival: SimTime,
-    /// Estimated serialized bytes of `keys` (backlog labelling; the event
-    /// records what was actually flash-loaded).
-    pub bytes: u64,
     /// The shards to stage.
     pub keys: Vec<ShardKey>,
 }
@@ -426,11 +423,6 @@ impl SchedState {
     /// Requests queued across all lanes, not counting in-flight ones.
     pub(super) fn queued_requests(&self) -> usize {
         self.lanes.values().map(|lane| lane.pending.len()).sum()
-    }
-
-    /// Estimated bytes of queued speculative jobs.
-    pub(super) fn speculative_backlog_bytes(&self) -> u64 {
-        self.spec.iter().map(|job| job.bytes).sum()
     }
 }
 
@@ -850,7 +842,6 @@ mod tests {
                                     session: a,
                                     device_channel: b as u16 % channels,
                                     arrival: SimTime::from_us(a),
-                                    bytes: 64,
                                     keys: Vec::new(),
                                 });
                             }

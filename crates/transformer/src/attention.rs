@@ -26,11 +26,10 @@ pub fn project_qkv(x: &Matrix, shard: &ShardWeights, qkv: &mut Matrix) {
 ///
 /// Panics if `shards` is empty or shapes are inconsistent with `cfg`.
 pub fn attention(x: &Matrix, shards: &[&ShardWeights], cfg: &ModelConfig) -> Matrix {
-    attend(x, shards, cfg, false, x.rows())
+    attend(x, shards, cfg, x.rows())
 }
 
-/// Attention proper, bidirectional or `causal` (position `i` attends to
-/// `j ≤ i` only), for the leading `queries` positions: the result is the
+/// Attention proper for the leading `queries` positions: the result is the
 /// first `queries` rows of the full `l × d` output, bit for bit, because
 /// every kernel below computes a row of its output from that row of its
 /// input alone. Keys and values are projected for all `l` positions either
@@ -39,7 +38,6 @@ pub(crate) fn attend(
     x: &Matrix,
     shards: &[&ShardWeights],
     cfg: &ModelConfig,
-    causal: bool,
     queries: usize,
 ) -> Matrix {
     assert!(!shards.is_empty(), "attention needs at least one slice");
@@ -65,11 +63,6 @@ pub(crate) fn attend(
             }
         }
         ops::scale_inplace(&mut scores, scale);
-        if causal {
-            for i in 0..queries {
-                scores.row_mut(i)[i + 1..].fill(f32::NEG_INFINITY);
-            }
-        }
         softmax::softmax_rows(&mut scores);
 
         ops::matmul_into(&scores, &v, &mut head); // queries × hd

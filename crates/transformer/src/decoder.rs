@@ -9,38 +9,16 @@
 //! execution of the (already loaded or streamed) submodel, so the pipeline
 //! economics carry over unchanged: weights amortize across steps exactly as
 //! they do across back-to-back classifications (§3.3).
-
-use sti_tensor::{stats, Matrix};
+//!
+//! A step computes only the newest position: each layer keeps its slices'
+//! keys and values (`kv_cache`), so one token costs one row of Q/K/V per
+//! slice and attention against the cached keys — O(l), where recomputing the
+//! whole sequence costs O(l²). The recompute decoder survives as the test
+//! oracle (`oracle::generate`), pinned token for token.
 
 use crate::assemble::AssembledSubmodel;
-use crate::config::ModelConfig;
-use crate::layer::finish_layer;
+use crate::kv_cache::DecoderSession;
 use crate::model::Model;
-use crate::weights::{LayerResident, ShardWeights};
-
-/// Causal multi-head attention: position `i` may only attend to `j ≤ i`.
-///
-/// Identical to [`crate::attention::attention`] except for the causal mask
-/// applied before the softmax.
-///
-/// # Panics
-///
-/// Panics if `shards` is empty or shapes are inconsistent with `cfg`.
-pub fn causal_attention(x: &Matrix, shards: &[&ShardWeights], cfg: &ModelConfig) -> Matrix {
-    crate::attention::attend(x, shards, cfg, true, x.rows())
-}
-
-/// One decoder layer: causal attention + FFN, both post-norm with residuals,
-/// over a subset of slices.
-pub fn decoder_layer_forward(
-    x: &Matrix,
-    shards: &[&ShardWeights],
-    slice_idxs: &[usize],
-    resident: &LayerResident,
-    cfg: &ModelConfig,
-) -> Matrix {
-    finish_layer(x, causal_attention(x, shards, cfg), shards, slice_idxs, resident, cfg)
-}
 
 /// A greedy generation result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,40 +49,22 @@ pub fn generate(
     prompt: &[u32],
     steps: usize,
 ) -> Generation {
-    assert!(!prompt.is_empty(), "generation needs a non-empty prompt");
-    assert!(submodel.depth() > 0, "assembled submodel is empty");
-    let cfg = model.config().clone();
-    assert!(submodel.depth() <= cfg.layers, "submodel deeper than model");
-
-    let mut tokens: Vec<u32> = prompt.to_vec();
-    tokens.truncate(cfg.seq_len);
+    let seq_len = model.config().seq_len;
+    let mut session = DecoderSession::new(model, submodel, &prompt[..prompt.len().min(seq_len)]);
     let mut generated = 0usize;
-
-    while generated < steps && tokens.len() < cfg.seq_len {
-        let next = next_token(model, submodel, &tokens);
-        tokens.push(next);
+    while generated < steps && session.len() < seq_len {
+        session.step(model, submodel);
         generated += 1;
     }
-    Generation { tokens, generated }
-}
-
-/// Predicts the next token for a sequence (greedy argmax over the weight-tied
-/// vocabulary head).
-pub fn next_token(model: &Model, submodel: &AssembledSubmodel, tokens: &[u32]) -> u32 {
-    let cfg = model.config();
-    let mut x = model.embedding().embed_exact(tokens);
-    for (l, asm) in submodel.layers().iter().enumerate() {
-        let refs: Vec<&ShardWeights> = asm.shards.iter().collect();
-        x = decoder_layer_forward(&x, &refs, &asm.slice_idxs, &model.layers()[l].resident, cfg);
-    }
-    let last = x.row(x.rows() - 1);
-    let logits = model.embedding().project_to_vocab(last);
-    stats::argmax(&logits).expect("non-empty vocabulary") as u32
+    Generation { tokens: session.into_tokens(), generated }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::oracle;
     use crate::ModelConfig;
 
     fn setup() -> (Model, AssembledSubmodel) {
@@ -117,15 +77,15 @@ mod tests {
 
     #[test]
     fn causal_mask_blocks_future_positions() {
-        // Changing a *later* token must not change an *earlier* position's
-        // output under causal attention.
+        // The recompute oracle generation is pinned to is causal: changing a
+        // *later* token must not change an *earlier* position's output.
         let cfg = ModelConfig::tiny();
         let model = Model::synthetic(3, cfg.clone());
         let shard = &model.layers()[0].shards[0];
         let a = model.embedding().embed_exact(&[1, 2, 3]);
         let b = model.embedding().embed_exact(&[1, 2, 63]);
-        let out_a = causal_attention(&a, &[shard], &cfg);
-        let out_b = causal_attention(&b, &[shard], &cfg);
+        let out_a = oracle::attention(&a, &[shard], &cfg, true);
+        let out_b = oracle::attention(&b, &[shard], &cfg, true);
         for pos in 0..2 {
             for c in 0..cfg.hidden {
                 assert!(
@@ -159,6 +119,10 @@ mod tests {
         let g = generate(&model, &sub, &prompt, 100);
         assert_eq!(g.tokens.len(), seq_len);
         assert_eq!(g.generated, 2);
+        // A prompt longer than the model's window is clipped to it.
+        let long: Vec<u32> = (0..seq_len as u32 + 3).collect();
+        let g = generate(&model, &sub, &long, 5);
+        assert_eq!((g.tokens.len(), g.generated), (seq_len, 0));
     }
 
     #[test]
@@ -187,5 +151,40 @@ mod tests {
     fn empty_prompt_is_rejected() {
         let (model, sub) = setup();
         let _ = generate(&model, &sub, &[], 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The KV-cached decoder against the recompute oracle, token for
+        /// token: random prompts (clipped or not), random submodels — any
+        /// depth and width, each layer's slices distinct and out of order —
+        /// and random step counts, at the tiny and the shipped model scale.
+        #[test]
+        fn generate_equals_the_recompute_oracle(
+            scaled in any::<bool>(),
+            prompt in proptest::collection::vec(0u32..1024, 1..16),
+            depth in 0usize..12,
+            width in 0usize..12,
+            keys in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 12..13), 12..13),
+            steps in 0usize..16,
+        ) {
+            let cfg = if scaled { ModelConfig::scaled_bert() } else { ModelConfig::tiny() };
+            let model = Model::synthetic(23, cfg.clone());
+            let slices: Vec<Vec<usize>> = keys[..1 + depth % cfg.layers]
+                .iter()
+                .map(|keys| {
+                    let mut order: Vec<usize> = (0..cfg.heads).collect();
+                    order.sort_by_key(|&s| keys[s]);
+                    order.truncate(1 + width % cfg.heads);
+                    order
+                })
+                .collect();
+            let sub = AssembledSubmodel::from_model_slices(model.layers(), &slices, &cfg);
+            prop_assert_eq!(
+                generate(&model, &sub, &prompt, steps),
+                oracle::generate(&model, &sub, &prompt, steps)
+            );
+        }
     }
 }

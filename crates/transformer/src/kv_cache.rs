@@ -1,11 +1,11 @@
-//! Incremental decoding with per-layer key/value caches.
+//! Incremental decoding with per-layer key/value caches: the step
+//! [`crate::decoder::generate`] runs.
 //!
-//! [`crate::decoder::generate`] recomputes the whole sequence every step —
-//! O(l²) per token. Real generative serving caches each layer's keys and
-//! values so a step only computes the newest position: exactly one row of
-//! Q/K/V per slice, attention against the cached keys, and a point-wise FFN
-//! on that row. This module implements that path and is verified (in tests)
-//! to produce bit-identical generations to the recompute path.
+//! A step computes only the newest position — exactly one row of Q/K/V per
+//! slice, attention against the cached keys, and the row-wise rest of the
+//! layer on that row — where recomputing the whole sequence costs O(l²) per
+//! token. Its tokens equal the recompute path's (`oracle::generate`), and its
+//! hidden states the unpacked step's bit for bit (tests below).
 
 use sti_tensor::{ops, softmax, stats, Matrix};
 
@@ -13,6 +13,7 @@ use crate::assemble::AssembledSubmodel;
 use crate::attention::project_qkv;
 use crate::layer::finish_layer;
 use crate::model::Model;
+use crate::weights::ShardWeights;
 
 /// Cached keys/values of one layer: one growing `len × head_dim` matrix pair
 /// per executed slice.
@@ -22,24 +23,11 @@ struct LayerKv {
     values: Vec<Matrix>,
 }
 
-/// An incremental decoding session over an assembled submodel.
-///
-/// The session owns its KV cache; the model and submodel are borrowed per
-/// call so one submodel can serve many sessions.
-///
-/// ```
-/// use sti_transformer::{kv_cache::DecoderSession, AssembledSubmodel, Model, ModelConfig};
-///
-/// let cfg = ModelConfig::tiny();
-/// let model = Model::synthetic(1, cfg.clone());
-/// let slices: Vec<Vec<usize>> = (0..cfg.layers).map(|_| (0..cfg.heads).collect()).collect();
-/// let sub = AssembledSubmodel::from_model_slices(model.layers(), &slices, &cfg);
-/// let mut session = DecoderSession::new(&model, &sub, &[1, 2]);
-/// let next = session.step(&model, &sub);
-/// assert!((next as usize) < cfg.vocab);
-/// ```
+/// An incremental decoding session over an assembled submodel: the tokens fed
+/// or generated so far and every layer's KV cache. The model and submodel are
+/// borrowed per call.
 #[derive(Debug, Clone)]
-pub struct DecoderSession {
+pub(crate) struct DecoderSession {
     tokens: Vec<u32>,
     layers: Vec<LayerKv>,
     /// Hidden state of the newest position after each full feed/step.
@@ -54,8 +42,8 @@ impl DecoderSession {
     ///
     /// Panics if the prompt is empty or longer than the model's maximum
     /// sequence length, or the submodel is empty/deeper than the model.
-    pub fn new(model: &Model, submodel: &AssembledSubmodel, prompt: &[u32]) -> Self {
-        assert!(!prompt.is_empty(), "decoder session needs a non-empty prompt");
+    pub(crate) fn new(model: &Model, submodel: &AssembledSubmodel, prompt: &[u32]) -> Self {
+        assert!(!prompt.is_empty(), "generation needs a non-empty prompt");
         assert!(submodel.depth() > 0, "assembled submodel is empty");
         let cfg = model.config();
         assert!(submodel.depth() <= cfg.layers, "submodel deeper than model");
@@ -82,29 +70,14 @@ impl DecoderSession {
         session
     }
 
-    /// The tokens fed or generated so far.
-    pub fn tokens(&self) -> &[u32] {
-        &self.tokens
-    }
-
     /// Number of cached positions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tokens.len()
     }
 
-    /// Whether the session is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// Cached KV bytes across all layers (grows linearly with positions —
-    /// the memory the paper's classification pipeline never pays).
-    pub fn cache_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .flat_map(|l| l.keys.iter().chain(l.values.iter()))
-            .map(|m| m.len() * 4)
-            .sum()
+    /// The tokens fed or generated.
+    pub(crate) fn into_tokens(self) -> Vec<u32> {
+        self.tokens
     }
 
     /// Greedily decodes the next token, appending it to the session.
@@ -112,18 +85,17 @@ impl DecoderSession {
     /// # Panics
     ///
     /// Panics if the sequence is already at the model's maximum length.
-    pub fn step(&mut self, model: &Model, submodel: &AssembledSubmodel) -> u32 {
+    pub(crate) fn step(&mut self, model: &Model, submodel: &AssembledSubmodel) {
         assert!(self.tokens.len() < model.config().seq_len, "sequence already at maximum length");
         let logits = model.embedding().project_to_vocab(&self.last_hidden);
         let next = stats::argmax(&logits).expect("non-empty vocabulary") as u32;
         self.advance(model, submodel, next);
-        next
     }
 
     /// Processes one new token: computes its hidden state through every
     /// layer using (and extending) the KV caches.
     fn advance(&mut self, model: &Model, submodel: &AssembledSubmodel, token: u32) {
-        let cfg = model.config().clone();
+        let cfg = model.config();
         let pos = self.tokens.len();
         self.tokens.push(token);
 
@@ -156,8 +128,8 @@ impl DecoderSession {
             ops::scale_inplace(&mut attn_out, cfg.heads as f32 / asm.shards.len() as f32);
 
             // The rest of the layer is row-wise: it runs on the single row.
-            let shard_refs: Vec<&crate::weights::ShardWeights> = asm.shards.iter().collect();
-            x = finish_layer(&x, attn_out, &shard_refs, &asm.slice_idxs, resident, &cfg);
+            let shard_refs: Vec<&ShardWeights> = asm.shards.iter().collect();
+            x = finish_layer(&x, attn_out, &shard_refs, &asm.slice_idxs, resident, cfg);
         }
         self.last_hidden = x.row(0).to_vec();
     }
@@ -171,31 +143,11 @@ fn append_row(m: &mut Matrix, row: &[f32]) {
     *m = Matrix::from_vec(data.len() / cols, cols, data);
 }
 
-/// Generates `steps` tokens after `prompt` using the KV-cached incremental
-/// path. Produces identical output to [`crate::decoder::generate`] at O(1)
-/// attention cost per step instead of O(l²) recompute.
-pub fn generate_incremental(
-    model: &Model,
-    submodel: &AssembledSubmodel,
-    prompt: &[u32],
-    steps: usize,
-) -> crate::decoder::Generation {
-    let cfg = model.config();
-    let mut prompt_clipped = prompt.to_vec();
-    prompt_clipped.truncate(cfg.seq_len);
-    let mut session = DecoderSession::new(model, submodel, &prompt_clipped);
-    let mut generated = 0usize;
-    while generated < steps && session.len() < cfg.seq_len {
-        session.step(model, submodel);
-        generated += 1;
-    }
-    crate::decoder::Generation { tokens: session.tokens.clone(), generated }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder;
+    use crate::decoder::generate;
+    use crate::oracle;
     use crate::ModelConfig;
 
     fn setup() -> (Model, AssembledSubmodel) {
@@ -210,8 +162,8 @@ mod tests {
     fn incremental_matches_recompute_path() {
         let (model, sub) = setup();
         for prompt in [vec![1u32], vec![5, 6], vec![9, 2, 7]] {
-            let fast = generate_incremental(&model, &sub, &prompt, 4);
-            let slow = decoder::generate(&model, &sub, &prompt, 4);
+            let fast = generate(&model, &sub, &prompt, 4);
+            let slow = oracle::generate(&model, &sub, &prompt, 4);
             assert_eq!(fast, slow, "KV-cache path diverged for prompt {prompt:?}");
         }
     }
@@ -222,21 +174,27 @@ mod tests {
         let model = Model::synthetic(32, cfg.clone());
         let slices: Vec<Vec<usize>> = (0..cfg.layers).map(|_| vec![1, 3]).collect();
         let sub = AssembledSubmodel::from_model_slices(model.layers(), &slices, &cfg);
-        let fast = generate_incremental(&model, &sub, &[4, 4], 3);
-        let slow = decoder::generate(&model, &sub, &[4, 4], 3);
+        let fast = generate(&model, &sub, &[4, 4], 3);
+        let slow = oracle::generate(&model, &sub, &[4, 4], 3);
         assert_eq!(fast, slow);
     }
 
     #[test]
     fn cache_grows_linearly_with_positions() {
+        // Cached KV bytes across all layers: the memory the paper's
+        // classification pipeline never pays.
+        let cache_bytes = |session: &DecoderSession| -> usize {
+            let matrices = session.layers.iter().flat_map(|l| l.keys.iter().chain(&l.values));
+            matrices.map(|m| m.len() * 4).sum()
+        };
         let (model, sub) = setup();
         let mut session = DecoderSession::new(&model, &sub, &[1]);
-        let per_pos = session.cache_bytes();
+        let per_pos = cache_bytes(&session);
         assert!(per_pos > 0);
         session.step(&model, &sub);
-        assert_eq!(session.cache_bytes(), 2 * per_pos);
+        assert_eq!(cache_bytes(&session), 2 * per_pos);
         session.step(&model, &sub);
-        assert_eq!(session.cache_bytes(), 3 * per_pos);
+        assert_eq!(cache_bytes(&session), 3 * per_pos);
     }
 
     #[test]
@@ -244,7 +202,7 @@ mod tests {
         let (model, sub) = setup();
         let seq_len = model.config().seq_len;
         let prompt: Vec<u32> = (0..seq_len as u32).collect();
-        let g = generate_incremental(&model, &sub, &prompt, 5);
+        let g = generate(&model, &sub, &prompt, 5);
         assert_eq!(g.generated, 0);
         assert_eq!(g.tokens.len(), seq_len);
     }
@@ -256,7 +214,7 @@ mod tests {
         let seq_len = model.config().seq_len;
         let prompt: Vec<u32> = (0..seq_len as u32).collect();
         let mut session = DecoderSession::new(&model, &sub, &prompt);
-        let _ = session.step(&model, &sub);
+        session.step(&model, &sub);
     }
 
     /// Every cached step against the composition it replaced (three unpacked

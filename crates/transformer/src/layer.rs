@@ -43,12 +43,12 @@ pub fn layer_forward_cls(
     cfg: &ModelConfig,
 ) -> Matrix {
     let cls = Matrix::from_rows(&[x.row(0)]);
-    finish_layer(&cls, attend(x, shards, cfg, false, 1), shards, slice_idxs, resident, cfg)
+    finish_layer(&cls, attend(x, shards, cfg, 1), shards, slice_idxs, resident, cfg)
 }
 
 /// Everything of a post-norm layer after its attention — `LN(x + attn)`,
-/// then `LN(· + FFN(·))` — which the encoder layer, the decoder layer and
-/// the KV-cached decoding step share.
+/// then `LN(· + FFN(·))` — which the encoder layer and the KV-cached
+/// decoding step share.
 pub(crate) fn finish_layer(
     x: &Matrix,
     mut attn_out: Matrix,
@@ -71,7 +71,6 @@ pub(crate) fn finish_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decoder::decoder_layer_forward;
     use crate::oracle;
     use crate::synthetic::{synthetic_layer, GainPattern};
     use sti_tensor::Rng;
@@ -166,10 +165,9 @@ mod tests {
         }
     }
 
-    /// `layer_forward` and `decoder_layer_forward` against the composition
-    /// they replaced (three unpacked projections and fresh intermediates per
-    /// slice), at one, three and all slices, with a padding row of zeros in
-    /// the input.
+    /// `layer_forward` against the composition it replaced (three unpacked
+    /// projections and fresh intermediates per slice), at one, three and all
+    /// slices, with a padding row of zeros in the input.
     #[test]
     fn layer_forward_equals_the_unpacked_per_shard_composition_bit_for_bit() {
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -183,14 +181,9 @@ mod tests {
                 // Distinct slices, not a prefix and not in order.
                 let idxs: Vec<usize> = (0..m).map(|i| (5 * i + 1) % cfg.heads).collect();
                 let refs: Vec<&ShardWeights> = idxs.iter().map(|&s| &layer.shards[s]).collect();
-                let encoder = layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
-                let decoder = decoder_layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
-                for (new, causal) in [(&encoder, false), (&decoder, true)] {
-                    let old =
-                        oracle::layer_forward(&x, &refs, &idxs, &layer.resident, &cfg, causal);
-                    assert_eq!(bits(new), bits(&old), "m = {m}, causal = {causal}, {cfg:?}");
-                }
-                assert_ne!(bits(&encoder), bits(&decoder), "the mask must matter");
+                let new = layer_forward(&x, &refs, &idxs, &layer.resident, &cfg);
+                let old = oracle::layer_forward(&x, &refs, &idxs, &layer.resident, &cfg, false);
+                assert_eq!(bits(&new), bits(&old), "m = {m}, {cfg:?}");
             }
         }
     }

@@ -35,7 +35,7 @@ pub mod config;
 pub mod decoder;
 pub mod embedding;
 pub mod ffn;
-pub mod kv_cache;
+mod kv_cache;
 pub mod layer;
 pub mod model;
 #[cfg(test)]

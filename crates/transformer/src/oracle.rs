@@ -2,13 +2,16 @@
 //! scratch was hoisted: per slice, three separate `d × d/M` projections and a
 //! fresh matrix for every intermediate, all through `ops::matmul`. Every
 //! logit, label and golden in the repository was produced by this
-//! composition, so the production path is pinned to it bit for bit.
+//! composition, so the production path is pinned to it bit for bit. The
+//! decoder as it was before the KV cache — every step recomputes the whole
+//! sequence under a causal mask — is here too, pinned token for token.
 
 use sti_tensor::norm::layernorm_inplace;
-use sti_tensor::{activation, ops, softmax, Matrix};
+use sti_tensor::{activation, ops, softmax, stats, Matrix};
 
 use crate::assemble::AssembledSubmodel;
 use crate::config::ModelConfig;
+use crate::decoder::Generation;
 use crate::model::Model;
 use crate::weights::{LayerResident, ShardWeights};
 
@@ -145,4 +148,38 @@ pub(crate) fn kv_cache_hidden_states(
             x.into_vec()
         })
         .collect()
+}
+
+/// The old `decoder::generate`: greedy decoding that recomputes the whole
+/// sequence for every token.
+pub(crate) fn generate(
+    model: &Model,
+    submodel: &AssembledSubmodel,
+    prompt: &[u32],
+    steps: usize,
+) -> Generation {
+    let cfg = model.config();
+    let mut tokens: Vec<u32> = prompt.to_vec();
+    tokens.truncate(cfg.seq_len);
+    let mut generated = 0usize;
+    while generated < steps && tokens.len() < cfg.seq_len {
+        let next = next_token(model, submodel, &tokens);
+        tokens.push(next);
+        generated += 1;
+    }
+    Generation { tokens, generated }
+}
+
+/// The old `decoder::next_token`: the greedy argmax over the weight-tied
+/// vocabulary head after a causal pass over all of `tokens`.
+pub(crate) fn next_token(model: &Model, submodel: &AssembledSubmodel, tokens: &[u32]) -> u32 {
+    let cfg = model.config();
+    let mut x = model.embedding().embed_exact(tokens);
+    for (l, asm) in submodel.layers().iter().enumerate() {
+        let refs: Vec<&ShardWeights> = asm.shards.iter().collect();
+        let resident = &model.layers()[l].resident;
+        x = layer_forward(&x, &refs, &asm.slice_idxs, resident, cfg, true);
+    }
+    let logits = model.embedding().project_to_vocab(x.row(x.rows() - 1));
+    stats::argmax(&logits).expect("non-empty vocabulary") as u32
 }

@@ -11,33 +11,38 @@
 //! memory the two models would cost 2x the whole-model footprint; with STI
 //! each keeps only a few-KB preload buffer.
 
-use std::sync::Arc;
-
 use sti::prelude::*;
 
+/// One model's engine, streaming from its context's store on flash (the
+/// engine's handle keeps the store's directory until the engine drops).
 fn build_engine(
     kind: TaskKind,
     device: &DeviceProfile,
     target_ms: u64,
     preload: u64,
-) -> Result<(StiEngine, Task), Box<dyn std::error::Error>> {
+) -> Result<StiEngine, Box<dyn std::error::Error>> {
     let cfg = ModelConfig::scaled_bert();
-    let task = Task::build(kind, cfg.clone(), 16, 32);
+    let ctx = TaskContext::with_config(kind, cfg.clone());
     let hw = HwProfile::measure(device, &cfg, &QuantConfig::default());
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
     eprintln!("[setup] profiling importance for {}...", kind.name());
-    let importance = profile_importance(task.model(), task.dev(), &QuantConfig::default());
-    let engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
-        .target(SimTime::from_ms(target_ms))
-        .preload_budget(preload)
-        .build()?;
-    Ok((engine, task))
+    let importance = ctx.importance().clone();
+    let engine = StiEngine::builder(
+        ctx.task().model().clone(),
+        ctx.shard_source(),
+        hw,
+        device.flash,
+        importance,
+    )
+    .target(SimTime::from_ms(target_ms))
+    .preload_budget(preload)
+    .build()?;
+    Ok(engine)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = DeviceProfile::odroid_n2();
-    let (sentiment, _t1) = build_engine(TaskKind::Sst2, &device, 150, 8 << 10)?;
-    let (paraphrase, _t2) = build_engine(TaskKind::Qqp, &device, 400, 8 << 10)?;
+    let sentiment = build_engine(TaskKind::Sst2, &device, 150, 8 << 10)?;
+    let paraphrase = build_engine(TaskKind::Qqp, &device, 400, 8 << 10)?;
 
     let whole_model_bytes =
         ModelConfig::scaled_bert().layer_fp32_bytes() * ModelConfig::scaled_bert().layers;

@@ -4,11 +4,9 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Walks the full STI lifecycle of paper §3.2 on an in-memory store: cloud
+//! Walks the full STI lifecycle of paper §3.2 on an on-disk shard store: cloud
 //! preprocessing (shard + quantize), device profiling, importance profiling,
 //! two-stage planning, and pipelined execution.
-
-use std::sync::Arc;
 
 use sti::prelude::*;
 
@@ -22,11 +20,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cfg.total_shards(),
         cfg.shard_param_count()
     );
-    let task = Task::build(TaskKind::Sst2, cfg.clone(), 16, 32);
+    let ctx = TaskContext::with_config(TaskKind::Sst2, cfg.clone());
 
-    // 2. Cloud preprocessing: quantize every shard at every fidelity.
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    println!("store: {} shard versions", store.len());
+    // 2. Cloud preprocessing: quantize every shard at every fidelity into a
+    // store on flash (a temp directory, removed when the last handle drops).
+    let store = ctx.shard_source();
+    println!("store: {}", ctx.shard_store_dir().display());
 
     // 3. Install-time profiling: device capability + shard importance.
     let device = DeviceProfile::odroid_n2();
@@ -39,13 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hw.t_comp(cfg.heads)
     );
     println!("profiling shard importance (one-time)...");
-    let importance = profile_importance(task.model(), task.dev(), &QuantConfig::default());
+    let importance = ctx.importance().clone();
 
     // 4. The engine: plan once for T = 200 ms with a 16 KB preload buffer.
-    let engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
-        .target(SimTime::from_ms(200))
-        .preload_budget(16 << 10)
-        .build()?;
+    let engine =
+        StiEngine::builder(ctx.task().model().clone(), store, hw, device.flash, importance)
+            .target(SimTime::from_ms(200))
+            .preload_budget(16 << 10)
+            .build()?;
     let plan = engine.plan();
     println!(
         "\nplan: submodel {}, preload {} shards ({} bytes), predicted makespan {}",

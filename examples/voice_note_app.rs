@@ -9,23 +9,22 @@
 //! preload buffer so already-loaded shards are cached and the freed IO
 //! bandwidth buys higher-fidelity versions of the rest (§3.3).
 
-use std::sync::Arc;
-
 use sti::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ModelConfig::scaled_bert();
-    let task = Task::build(TaskKind::Sst2, cfg.clone(), 16, 32);
+    let ctx = TaskContext::with_config(TaskKind::Sst2, cfg.clone());
     let device = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&device, &cfg, &QuantConfig::default());
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = ctx.shard_source();
     println!("profiling shard importance (one-time)...");
-    let importance = profile_importance(task.model(), task.dev(), &QuantConfig::default());
+    let importance = ctx.importance().clone();
 
-    let mut engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
-        .target(SimTime::from_ms(200))
-        .preload_budget(8 << 10)
-        .build()?;
+    let mut engine =
+        StiEngine::builder(ctx.task().model().clone(), store, hw, device.flash, importance)
+            .target(SimTime::from_ms(200))
+            .preload_budget(8 << 10)
+            .build()?;
 
     let tokenizer = HashingTokenizer::new(cfg.vocab);
     let turns = [

@@ -101,11 +101,10 @@
 //! stripe)` engagement keeps coming back after a think-time gap. With
 //! `sti serve --prefetch markov` (off by default) the server learns that
 //! recurrence online — each completion feeds a per-client chain of
-//! interned [`prelude::EngagementKey`]s whose pairwise `MarkovEdge`s
-//! carry follow/break confidence, inter-arrival gap statistics, and a
-//! TTL'd rejection cache — and emits a budgeted `PrefetchPlan`
-//! (`--prefetch-budget-kb`, confidence floor) naming the predicted next
-//! working set. The executor stages those shards into a bounded
+//! interned [`prelude::EngagementKey`]s whose pairwise `MarkovEdge`s count
+//! follows and breaks, behind a TTL'd rejection cache — and emits a
+//! budgeted `PrefetchPlan` (`--prefetch-budget-kb`, confidence floor)
+//! naming the predicted next working set. The executor stages those shards into a bounded
 //! **staging pool** beside the `ShardCache` as *background-class* flash
 //! jobs: `IoScheduler` dispatches them only when no demand IO is
 //! runnable, and the contended track prices them into the **idle
@@ -116,11 +115,11 @@
 //! pool (with `dram_residency` on, at DRAM speed on the contended
 //! track); a wrong prediction costs only the wasted bytes and silences
 //! its edge. The fence is pinned by `tests/serving_prefetch.rs`:
-//! outcomes, contended rows, gate decisions, and SLO verdicts are
-//! bit-identical to the prefetch-off run (the gate's
-//! `GateReason::speculative_bytes` is an advisory label the walk never
-//! reads), and the serve report + `prefetch.*` metrics/span track show
-//! the hit rate, speculated bytes, and evictions.
+//! outcomes, contended rows, whole gate decisions, and SLO verdicts are
+//! bit-identical to the prefetch-off run (the gate takes the open-session
+//! registry and nothing else, so no scheduler state — speculative or
+//! demand — can reach a decision), and the serve report + `prefetch.*`
+//! metrics/span track show the hit rate, speculated bytes, and evictions.
 //!
 //! ## Fleet mode and the perf ledger
 //!

@@ -3,9 +3,8 @@
 //! 1. **Speculation never touches the demand path.** A proptest replays
 //!    random traces with `--prefetch markov` and `--prefetch off` and pins
 //!    the demand side bit-identical: per-engagement outcomes, contended
-//!    rows, gate decisions (modulo the advisory `speculative_bytes`
-//!    label, which is zero with prefetch off by construction), admission
-//!    rejections, and the serving counters.
+//!    rows, whole gate decisions, admission rejections, and the serving
+//!    counters.
 //! 2. **Correct predictions pay.** On the shipped recurrent fixture the
 //!    staging pool serves real bytes to later demand misses, and with
 //!    DRAM-residency accounting the contended p50 is no worse than the
@@ -49,20 +48,6 @@ fn serve_config(markov: bool, dram: bool, backpressure: BackpressureMode) -> Ser
         prefetch: if markov { PrefetchConfig::markov(64 << 10) } else { PrefetchConfig::default() },
         ..Default::default()
     }
-}
-
-/// Gate decisions with the advisory speculative-backlog label cleared —
-/// the one field allowed to differ between prefetch-on and prefetch-off
-/// runs (it is zero with prefetch off by construction, and the gate walk
-/// never reads it).
-fn sans_speculative_label(gate: &[GateDecision]) -> Vec<GateDecision> {
-    gate.iter()
-        .map(|d| {
-            let mut d = *d;
-            d.reason.speculative_bytes = 0;
-            d
-        })
-        .collect()
 }
 
 #[test]
@@ -141,11 +126,7 @@ fn recurrent_fixture_event_matches_sequential_on_the_demand_side() {
         rows
     };
     assert_eq!(rows(&event), rows(&sequential));
-    assert_eq!(
-        sans_speculative_label(&event.contention.gate),
-        sans_speculative_label(&sequential.contention.gate),
-        "gate decisions agree modulo the wall-clock-sampled speculation label"
-    );
+    assert_eq!(event.contention.gate, sequential.contention.gate);
     assert!(event.prefetch.is_some(), "both replays run the prefetcher");
     assert!(sequential.prefetch.is_some());
 }
@@ -197,12 +178,7 @@ proptest! {
         prop_assert_eq!(&on.contention.engagements, &off.contention.engagements);
         prop_assert_eq!(on.contention.flash_busy, off.contention.flash_busy);
         prop_assert_eq!(on.serving_stats, off.serving_stats);
-        // Prefetch off never stamps a speculative label, so the off gate
-        // log doubles as its own normalized form.
-        prop_assert_eq!(
-            sans_speculative_label(&on.contention.gate),
-            off.contention.gate.clone()
-        );
+        prop_assert_eq!(&on.contention.gate, &off.contention.gate);
         prop_assert_eq!(
             on.contention.slo_hit_rate(),
             off.contention.slo_hit_rate(),

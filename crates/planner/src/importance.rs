@@ -157,8 +157,9 @@ fn into_top(m: usize, slices: Vec<u16>) -> Vec<u16> {
 /// state entering every layer, and each probe resumes at layer `l` from that
 /// state: `N·M·(N + 1)/2 + N` layer evaluations per example instead of
 /// `(N·M + 1)·N`, every score bit-identical to a probe run from the
-/// embedding. Grid dequantization and the probes each spread over the
-/// available cores; the baselines run on the calling thread.
+/// embedding. The probes spread over the available cores and hand back one
+/// `f64` each; the 2-bit grid and the baselines, which the probes read and
+/// which outlive them, are built on the calling thread.
 pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> ImportanceProfile {
     let cfg = model.config();
     assert!(!dev.is_empty(), "importance profiling needs a non-empty dev set");
@@ -221,13 +222,23 @@ pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> 
 
 /// Every shard of the grid round-tripped through 2-bit quantization, in
 /// `layer·M + slice` order.
+///
+/// Serial, on the calling thread, at about twice the wall time of a
+/// parallel build: the grid is the profile's largest buffer, and built on
+/// workers it would land in their allocator arenas while this thread's
+/// heap still holds memory freed by earlier work, raising the process's
+/// peak.
 fn floor_grid(model: &Model, quant: &QuantConfig) -> Vec<ShardWeights> {
     let cfg = model.config();
-    parallel_map(cfg.total_shards(), |i| {
-        let flat = model.layers()[i / cfg.heads].shards[i % cfg.heads].flatten();
-        let blob = QuantizedBlob::quantize(&flat, Bitwidth::B2, quant);
-        ShardWeights::from_flat(&blob.dequantize(), cfg)
-    })
+    model
+        .layers()
+        .iter()
+        .flat_map(|layer| &layer.shards)
+        .map(|shard| {
+            let blob = QuantizedBlob::quantize(&shard.flatten(), Bitwidth::B2, quant);
+            ShardWeights::from_flat(&blob.dequantize(), cfg)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -343,6 +354,29 @@ mod tests {
                 profile_importance_oracle(task.model(), task.dev(), &quant),
                 "{kind}"
             );
+        }
+    }
+
+    /// The floor the probes run on is the 2-bit version `ShardStore::create`
+    /// writes (one `quantize_all` over every bitwidth per shard), so the
+    /// profile measures importance on the weights the engine streams. The
+    /// oracle above shares `floor_grid`; this pin does not.
+    #[test]
+    fn floor_grid_is_the_stored_two_bit_weights_on_every_task() {
+        for kind in TaskKind::ALL {
+            let task = Task::build(kind, ModelConfig::tiny(), 6, 4);
+            let (model, quant) = (task.model(), QuantConfig::default());
+            let floor = floor_grid(model, &quant);
+            assert_eq!(floor.len(), model.config().total_shards(), "{kind}");
+            for (weights, id) in floor.iter().zip(model.config().shard_ids()) {
+                let stored =
+                    QuantizedBlob::quantize_all(&model.shard(id).flatten(), &Bitwidth::ALL, &quant)
+                        .into_iter()
+                        .find(|blob| blob.bitwidth() == Bitwidth::B2)
+                        .expect("the store keeps a 2-bit version");
+                let bits = |w: Vec<f32>| w.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                assert_eq!(bits(weights.flatten()), bits(stored.dequantize()), "{kind} {id:?}");
+            }
         }
     }
 

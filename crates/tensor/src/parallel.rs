@@ -1,9 +1,23 @@
 //! Tiny data-parallel helper built on crossbeam scoped threads.
 //!
-//! The experiment harness evaluates hundreds of (device, latency, baseline,
-//! task) combinations, each an independent pure function; `parallel_map`
-//! spreads them over the available cores without pulling in a full thread-pool
-//! dependency.
+//! `parallel_map` spreads independent pure functions over the available
+//! cores without pulling in a full thread-pool dependency: the teacher labels
+//! of a synthetic dataset, the importance probes, and the 2³² sweeps of the
+//! in-tree transcendentals.
+//!
+//! Results land in slots the calling thread allocates. Anything else a worker
+//! allocates comes from its own allocator arena; handed back, it would
+//! outlive the worker, and once the caller freed it the allocator would keep
+//! it cached and could keep the worker's heap resident, so the process's
+//! peak memory would depend on which thread built what. Results are
+//! therefore `Copy` — a `Copy` value owns no heap memory — and the compiler
+//! enforces it. A large result that outlives the call (the importance
+//! profile's 2-bit grid) is built on the caller's thread instead.
+//!
+//! ```compile_fail,E0277
+//! // A `Vec` owns heap memory, so no worker may return one.
+//! let _ = sti_tensor::parallel::parallel_map(2, |_| vec![0u8; 4]);
+//! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -21,6 +35,8 @@ fn worker_count(items: usize) -> usize {
 /// `f` must be `Sync` because multiple workers call it concurrently. Work is
 /// distributed dynamically via an atomic cursor, so uneven item costs (e.g.
 /// importance probes over submodels of different sizes) still balance well.
+/// `T` is `Copy` so that no result carries a worker's heap back to the
+/// caller (see the module doc).
 ///
 /// ```
 /// let squares = sti_tensor::parallel::parallel_map(5, |i| i * i);
@@ -28,7 +44,7 @@ fn worker_count(items: usize) -> usize {
 /// ```
 pub fn parallel_map<T, F>(items: usize, f: F) -> Vec<T>
 where
-    T: Send,
+    T: Send + Copy,
     F: Fn(usize) -> T + Sync,
 {
     parallel_map_with(worker_count(items), items, f)
@@ -39,7 +55,7 @@ where
 /// every worker count; only the wall time differs.
 fn parallel_map_with<T, F>(workers: usize, items: usize, f: F) -> Vec<T>
 where
-    T: Send,
+    T: Send + Copy,
     F: Fn(usize) -> T + Sync,
 {
     if workers <= 1 || items == 0 {

@@ -22,9 +22,17 @@
 //!   (`sti-pipeline`, `ContentionLedger::replay` — the one place a dispatch
 //!   log becomes jobs) replays it, so serving reports can quote the
 //!   contended latency each engagement *would* have seen on real hardware;
-//! - the **predictive** path: `sti_planner::ServingMix` submits the open
-//!   sessions' per-layer jobs on their placed channels to predict
-//!   contended latency before admitting or gating an engagement.
+//! - the **predictive** path under batching: `sti_planner::ServingMix`
+//!   submits the open sessions' per-layer jobs on their placed channels,
+//!   coalescing byte-identical in-window jobs, to predict contended latency
+//!   before admitting or gating an engagement.
+//!
+//! Unbatched predictions do not come here. Without batching no arrival is
+//! ever raised, so `ServingMix` folds each channel's queue in closed form:
+//! the Lindley recursion `free = max(free, arrival) + service` over the
+//! jobs in arrival order, which is this queue's `run` with nothing
+//! recorded. Integer `SimTime` makes the fold exact, and the planner's
+//! tests hold it equal to this simulator.
 //!
 //! Service times are computed by the caller, which is where the opt-in
 //! DRAM-residency mode lives (on the measured path, in the ledger): bytes

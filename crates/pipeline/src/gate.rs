@@ -26,7 +26,7 @@
 //! identity the SLO-plan cache keys on — at two levels: per session
 //! ([`GateSubject::memo`]: repeat engagements against an unchanged mix
 //! skip everything) and per *walk* (one walk prices every open SLO
-//! session, so after a registry change exactly one engagement re-simulates
+//! session, so after a registry change exactly one engagement re-prices
 //! and every other session's first decision is a lookup). The probe
 //! digest and, on a miss, the snapshot the walk runs over are taken under
 //! one read guard of the registry lock, so a walk is always memoized under

@@ -677,7 +677,7 @@ impl StiServer {
 
     /// Opens a session planned against a latency **SLO** instead of a raw
     /// target: the serving planner searches `(T, |S|)` so the session's
-    /// *contended* latency — predicted by the flash-queue simulator with
+    /// *contended* latency — predicted by the flash-queue model with
     /// the currently open sessions' **actual** streaming loads as
     /// co-runners, under the server's shared-IO batching mode — meets
     /// `slo`. Search results are memoized per `(knobs, co-runner mix,

@@ -13,11 +13,12 @@
 //!   token and, for SLO sessions, its [`SloProfile`]), the [`IoSharing`]
 //!   mode and the device topology — and nothing measured live: like the
 //!   paper's planner (§5), predictions run on profiled delays only.
-//! - [`ServingMix::predict`] is the *single* contended-latency core: every
-//!   lane's FIFO job queue rides the discrete-event flash simulator
-//!   round-robin, byte-identical in-window jobs coalesce under batching,
-//!   and the candidate's pipeline recurrence runs over the contended
-//!   completions.
+//! - [`ServingMix::predict`] is the contended-latency query: every lane's
+//!   FIFO job queue is served round-robin on its device channels, and the
+//!   candidate's pipeline recurrence runs over the contended completions.
+//!   Unbatched predictions fold each channel's queue in closed form (see
+//!   below); batched ones, where byte-identical in-window jobs coalesce,
+//!   run the discrete-event flash simulator.
 //! - [`ServingMix::min_delay`] is the two-phase minimal-queue-delay
 //!   search, and [`ServingMix::gate_all`] is the deterministic gate walk:
 //!   sessions in `(arrival, token)` order, each earlier SLO session's
@@ -47,13 +48,42 @@
 //! wins, so batched co-residents shift their preload budget onto un-shared
 //! layers — and admit at tighter SLOs — exactly when the mix says it pays.
 //!
+//! # The closed form of an unbatched prediction
+//!
+//! Under [`IoSharing::Exclusive`] no arrival is ever raised, and every
+//! candidate job arrives at the candidate's own arrival `a`. Each device
+//! channel is one single-server queue, FIFO by `(arrival, submission)`,
+//! and the candidate's job is submitted last in each round. So on each
+//! channel:
+//!
+//! - lanes arriving after `a` are served after every candidate job, so they
+//!   are skipped;
+//! - lanes arriving before `a` matter only through the channel's free time:
+//!   the Lindley fold `free = max(free, a') + s` over their jobs in
+//!   ascending arrival `a'`. Jobs sharing an arrival leave the same free
+//!   time in any order, because after the first of them `free >= a'`;
+//! - lanes arriving exactly at `a` interleave round by round, with the
+//!   candidate last in each round.
+//!
+//! `SimTime` is an integer and `max` and `+` are exact, so the fold equals
+//! the simulator bit for bit; this module's tests compare the two with
+//! `==`, and an `#[ignore]`d release test does so at the `fleet_admit`
+//! shape. A prediction then costs O(N) lane handles plus a sort of the
+//! lanes arriving by `a`, where simulating the queues builds O(N·k) jobs
+//! and completions. The delay search's drain times are the same fold, in
+//! both sharing modes.
+//!
+//! Batched windows raise per-lane cursors as groups form, so batched
+//! predictions still run [`TopologyQueueSim`], and so does the contention
+//! ledger's replay of a live run.
+//!
 //! # Device-channel placement
 //!
-//! The mix carries the [`DeviceTopology`] predictions simulate
-//! ([`ServingMix::with_topology`]). Every prediction rides
-//! [`TopologyQueueSim`] — one `FlashQueueSim` single-server queue per
-//! device channel, so `C = 1` is that queue verbatim — and the prediction
-//! core routes each job to its device channel by
+//! The mix carries the [`DeviceTopology`] predictions model
+//! ([`ServingMix::with_topology`]): one single-server FIFO queue per device
+//! channel, `FlashQueueSim`'s discipline `C` times over as in
+//! [`TopologyQueueSim`], so `C = 1` is that queue verbatim. A prediction
+//! routes each job to its device channel by
 //! `DeviceTopology::channel_for` over the job's placement-adjusted
 //! signature (lane stripes are folded into sigs at load construction —
 //! [`CoRunnerLoad::from_plan_striped`] — the same fold the IO scheduler's
@@ -82,20 +112,22 @@
 //!   other sessions). The fold is pinned equal to a from-scratch rebuild
 //!   by this module's property test and `tests/serving_fleet.rs`, so the
 //!   SLO-plan memo and the gate memo keep their invalidation semantics.
-//! - **Allocation-free lanes.** [`CoRunnerLoad`] job slices are
+//! - **Shared lanes, recycled scratch.** [`CoRunnerLoad`] job slices are
 //!   `Arc`-shared; assembling lanes (and replaying decided sessions in the
-//!   gate walk) clones pointers, never jobs, and `predict_over_lanes`
-//!   recycles its round/group/cursor scratch through a lane arena across
-//!   the dozens of predictions a delay search runs.
+//!   gate walk) clones pointers, never jobs. An unbatched prediction
+//!   allocates no job or completion at all (see the closed form above).
+//!   The arrival-order index, the per-channel free times and the batched
+//!   simulator's round/group/cursor buffers are recycled through a lane
+//!   arena across the dozens of predictions a delay search runs.
 //! - **Delta re-prediction.** [`ServingMix::gate_all`] runs the
 //!   `(arrival, token)` walk once and prices *every* open SLO session:
 //!   each later decision reuses the decided-lane prefix the walk has
 //!   already accumulated (the unchanged round-robin schedule prefix)
-//!   instead of re-simulating it, and plain target sessions skip lane
+//!   instead of re-assembling it, and plain target sessions skip lane
 //!   assembly entirely — they always contribute. The server memoizes the
 //!   walk per mix digest, so after a registry append exactly one walk
-//!   re-simulates the affected suffix and every other session's decision
-//!   is a lookup.
+//!   re-prices the affected suffix and every other session's decision is a
+//!   lookup.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet};
@@ -254,8 +286,8 @@ pub struct ServingMix {
     /// Keyed by [`MixSession::token`]: iteration is always in token order.
     sessions: BTreeMap<u64, MixSession>,
     sharing: IoSharing,
-    /// The device topology predictions simulate (one FIFO queue per
-    /// device channel).
+    /// The device topology predictions model (one FIFO queue per device
+    /// channel).
     topology: DeviceTopology,
     /// Rolling fold of per-session sub-digests (see [`ServingMix::digest`]):
     /// a wrapping sum of finalized sub-digests, updated O(1) by
@@ -285,7 +317,7 @@ impl ServingMix {
         mix
     }
 
-    /// Attaches the device topology predictions simulate (default: one
+    /// Attaches the device topology predictions model (default: one
     /// channel). Every lane's jobs route to per-channel queues through
     /// `DeviceTopology::channel_for` over their placement-adjusted
     /// signatures.
@@ -295,7 +327,7 @@ impl ServingMix {
         self
     }
 
-    /// The device topology predictions simulate.
+    /// The device topology predictions model.
     pub fn topology(&self) -> DeviceTopology {
         self.topology
     }
@@ -374,12 +406,18 @@ impl ServingMix {
     }
 
     /// Predicts the candidate engagement's contended end-to-end latency
-    /// against the mix: every lane's jobs queue at its arrival, the
-    /// candidate's ride last in each round-robin round, and the topology
-    /// simulator decides who waits for whom.
+    /// against the mix: every lane's jobs queue at its arrival on their
+    /// device channels, the candidate's ride last in each round-robin
+    /// round, and each channel serves FIFO by arrival.
     ///
-    /// This is the **single** prediction core — admission, the gate, and
-    /// the delay search are all views over it.
+    /// Admission, the gate and the delay search are all views over this
+    /// query. Unbatched, it is the closed form of the module docs: lanes
+    /// arriving after the candidate are skipped, earlier ones fold into one
+    /// free time per channel, and co-arriving ones interleave with the
+    /// candidate round by round. That is exact, because unbatched sharing
+    /// never raises an arrival and `SimTime` arithmetic is integer. A
+    /// batched prediction runs [`TopologyQueueSim`], whose groups raise the
+    /// arrivals of the lanes they join.
     pub fn predict(&self, load: &EngagementLoad) -> SimTime {
         self.predict_over(&self.raw_lanes(), load)
     }
@@ -388,7 +426,14 @@ impl ServingMix {
     /// [`ServingMix::raw_lanes`], so a search that scores many candidates
     /// against one mix walks the registry once.
     fn predict_over(&self, lanes: &[Lane], load: &EngagementLoad) -> SimTime {
-        predict_over_lanes_in(&mut LaneArena::default(), lanes, load, self.sharing, self.topology)
+        predict_over_lanes_in(
+            &mut LaneArena::default(),
+            lanes,
+            None,
+            load,
+            self.sharing,
+            self.topology,
+        )
     }
 
     /// Searches the smallest arrival delay (up to `max_delay`) at which the
@@ -571,13 +616,17 @@ impl ServingMix {
             // maximum delay cannot absorb the widened mix, and a first-pass
             // shed stays shed. Shed mode skips this entirely, so the gate
             // keeps pricing a subset of what admission priced.
-            if matches!(policy, GatePolicy::Queue(_)) && end - start > 1 {
+            if let (GatePolicy::Queue(max), true) = (policy, end - start > 1) {
                 let mut lanes: Vec<Lane> = Vec::new();
                 for _ in 0..MAX_SWEEPS {
                     let mut moved = false;
                     for (m, &s) in order[start..end].iter().enumerate() {
-                        let Some(profile) = &s.slo else { continue };
-                        let Some(cur) = outcomes[outcome_base + m].1 else { unreachable!() };
+                        // SLO members, each with its standing outcome;
+                        // plain members are never gated.
+                        let (Some(profile), Some(cur)) = (&s.slo, outcomes[outcome_base + m].1)
+                        else {
+                            continue;
+                        };
                         if cur.shed {
                             continue;
                         }
@@ -602,7 +651,6 @@ impl ServingMix {
                                 jobs: other.load.jobs.clone(),
                             });
                         }
-                        let GatePolicy::Queue(max) = policy else { unreachable!() };
                         if let Ok((delay, predicted)) = min_delay_over_lanes_in(
                             &mut arena,
                             &lanes,
@@ -676,12 +724,18 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Reusable scratch for [`predict_over_lanes_in`]: the candidate jobs,
-/// per-lane arrival cursors, round assembly, and batching groups are
-/// recycled across predictions — a delay search runs dozens against the
-/// same lane set, and a gate walk one per decision.
+/// Reusable scratch for the predictors: a delay search runs dozens of
+/// predictions against the same lane set, and a gate walk one search per
+/// decision.
+///
+/// The closed form needs the indices of the lanes it folds, in arrival
+/// order, and one free time per device channel. The simulator behind batched predictions recycles the
+/// candidate's jobs, per-lane arrival cursors, round assembly and batching
+/// groups.
 #[derive(Default)]
 struct LaneArena {
+    by_arrival: Vec<usize>,
+    free: Vec<SimTime>,
     candidate: Vec<LayerIoJob>,
     cursors: Vec<SimTime>,
     round: Vec<(usize, LayerIoJob)>,
@@ -706,7 +760,7 @@ fn decide(
     let load = profile.load_at(arrival);
     match policy {
         GatePolicy::Shed => {
-            let predicted = predict_over_lanes_in(arena, first, &load, sharing, topology);
+            let predicted = predict_over_lanes_in(arena, first, None, &load, sharing, topology);
             GateOutcome {
                 predicted,
                 delay: SimTime::ZERO,
@@ -728,24 +782,127 @@ fn decide(
     }
 }
 
-/// The shared prediction core: `lanes` are co-runner FIFO job queues (each
-/// with an arrival offset), the candidate's jobs ride last in each
-/// round-robin round, and [`TopologyQueueSim`] decides who waits for whom.
-/// Returns the candidate's end-to-end latency from its arrival. Scratch is
-/// caller-owned (see [`LaneArena`]).
+/// The prediction every view shares: `lanes` are co-runner FIFO job queues
+/// (each with an arrival offset), of which only those arriving by `cutoff`
+/// count (all of them for `None`); the candidate's jobs ride last in each
+/// round-robin round. Returns the candidate's end-to-end latency from its
+/// arrival. Unbatched sharing takes the closed form ([`fold_predict`]),
+/// batched sharing the simulator ([`simulate`]). Scratch is caller-owned
+/// (see [`LaneArena`]).
+fn predict_over_lanes_in(
+    arena: &mut LaneArena,
+    lanes: &[Lane],
+    cutoff: Option<SimTime>,
+    load: &EngagementLoad,
+    sharing: IoSharing,
+    topology: DeviceTopology,
+) -> SimTime {
+    #[cfg(test)]
+    if tests::oracle_on() {
+        return simulate(arena, lanes, cutoff, load, sharing, topology);
+    }
+    match sharing {
+        IoSharing::Exclusive => fold_predict(arena, lanes, cutoff, load, topology),
+        IoSharing::Batched(_) => simulate(arena, lanes, cutoff, load, sharing, topology),
+    }
+}
+
+/// Fills `order` with the indices of the lanes arriving by `bound`, in
+/// ascending arrival (the order among equal arrivals is unspecified).
+fn index_by_arrival(order: &mut Vec<usize>, lanes: &[Lane], bound: SimTime) {
+    order.clear();
+    order.extend((0..lanes.len()).filter(|&i| lanes[i].arrival <= bound));
+    order.sort_unstable_by_key(|&i| lanes[i].arrival);
+}
+
+/// Serves `job`, arriving at `arrival`, on its device channel: one step of
+/// the Lindley recursion `free = max(free, arrival) + service`. Returns the
+/// job's completion.
+fn serve(
+    free: &mut [SimTime],
+    topology: DeviceTopology,
+    arrival: SimTime,
+    job: LayerIoJob,
+) -> SimTime {
+    // Lane stripes are already folded into the sigs, so stripe 0 is the
+    // resolved placement.
+    let c = topology.channel_for(job.sig, 0) as usize;
+    free[c] = free[c].max(arrival) + job.service;
+    free[c]
+}
+
+/// Per-channel free times once every job of the lanes in `order` (indices
+/// in ascending arrival) has been served. Each channel serves FIFO by
+/// arrival, and jobs sharing an arrival leave the same free time in any
+/// order, so arrival order is all the fold needs.
+fn fold_lanes(free: &mut Vec<SimTime>, lanes: &[Lane], order: &[usize], topology: DeviceTopology) {
+    free.clear();
+    free.resize(topology.channel_count() as usize, SimTime::ZERO);
+    for &i in order {
+        let lane = &lanes[i];
+        for &job in lane.jobs.iter() {
+            serve(free, topology, lane.arrival, job);
+        }
+    }
+}
+
+/// The closed form of an unbatched prediction (see the module docs): lanes
+/// arriving after the candidate's arrival `a` are skipped, lanes arriving
+/// before it fold into each channel's free time, and lanes arriving at `a`
+/// interleave with the candidate round by round, the candidate last in
+/// each round. Equal to [`simulate`] without a window, bit for bit.
+fn fold_predict(
+    arena: &mut LaneArena,
+    lanes: &[Lane],
+    cutoff: Option<SimTime>,
+    load: &EngagementLoad,
+    topology: DeviceTopology,
+) -> SimTime {
+    let LaneArena { by_arrival, free, .. } = arena;
+    let a = load.arrival;
+    index_by_arrival(by_arrival, lanes, cutoff.map_or(a, |c| c.min(a)));
+    let tied = by_arrival.partition_point(|&i| lanes[i].arrival < a);
+    fold_lanes(free, lanes, &by_arrival[..tied], topology);
+    let co_arrived = &by_arrival[tied..];
+    let mut round = 0;
+    let io_ends: Vec<Option<SimTime>> = load
+        .jobs
+        .iter()
+        .map(|job| {
+            job.map(|job| {
+                for &i in co_arrived {
+                    if let Some(&theirs) = lanes[i].jobs.get(round) {
+                        serve(free, topology, a, theirs);
+                    }
+                }
+                round += 1;
+                serve(free, topology, a, job)
+            })
+        })
+        .collect();
+    contended_makespan(a, &io_ends, &vec![load.comp; load.jobs.len()])
+}
+
+/// The discrete-event prediction behind batched sharing: every lane
+/// arriving by `cutoff` (all of them for `None`) queues its jobs at its
+/// arrival, the candidate's ride last in each round-robin round,
+/// byte-identical jobs of in-window engagements coalesce into one shared
+/// read, and [`TopologyQueueSim`] decides who waits for whom. Without a
+/// window it is the closed form's test oracle.
 ///
 /// Per-lane arrival cursors are monotone: when a job joins a batch, every
 /// member's cursor is raised to the batch arrival (the job exists only once
 /// its last member has arrived), mirroring the scheduler's
 /// effective-arrival discipline so per-lane FIFO survives the replay.
-fn predict_over_lanes_in(
+fn simulate(
     arena: &mut LaneArena,
     lanes: &[Lane],
+    cutoff: Option<SimTime>,
     load: &EngagementLoad,
     sharing: IoSharing,
     topology: DeviceTopology,
 ) -> SimTime {
-    let LaneArena { candidate, cursors, round, group_jobs, group_members, extra } = arena;
+    let LaneArena { candidate, cursors, round, group_jobs, group_members, extra, .. } = arena;
     candidate.clear();
     candidate.extend(load.jobs.iter().copied().flatten());
     let candidate_id = lanes.len();
@@ -763,6 +920,7 @@ fn predict_over_lanes_in(
             lanes
                 .iter()
                 .enumerate()
+                .filter(|(_, l)| cutoff.is_none_or(|c| l.arrival <= c))
                 .filter_map(|(e, l)| l.jobs.get(r).map(|&j| (e, j)))
                 .chain(candidate.get(r).map(|&j| (candidate_id, j))),
         );
@@ -821,6 +979,26 @@ fn predict_over_lanes_in(
     contended_makespan(load.arrival, &io_ends, &comps)
 }
 
+/// When every device channel has served every job of the lanes arriving by
+/// `cutoff`: the device goes idle when its slowest channel does. Drains
+/// never batch, so this is the closed form's fold with nothing after it, in
+/// either sharing mode.
+fn drain_by(
+    arena: &mut LaneArena,
+    lanes: &[Lane],
+    cutoff: SimTime,
+    topology: DeviceTopology,
+) -> SimTime {
+    #[cfg(test)]
+    if tests::oracle_on() {
+        return tests::simulated_drain(lanes, cutoff, topology);
+    }
+    let LaneArena { by_arrival, free, .. } = arena;
+    index_by_arrival(by_arrival, lanes, cutoff);
+    fold_lanes(free, lanes, by_arrival, topology);
+    free.iter().copied().fold(SimTime::ZERO, SimTime::max)
+}
+
 /// The two-phase minimal-delay search over a lane set (the engine behind
 /// [`ServingMix::min_delay`] and the gate walk), probing the predictor
 /// dozens of times against the same lanes through one [`LaneArena`]:
@@ -845,39 +1023,27 @@ fn min_delay_over_lanes_in(
     slo: SimTime,
     max_delay: SimTime,
 ) -> Result<(SimTime, SimTime), SimTime> {
-    let now = predict_over_lanes_in(arena, lanes, load, sharing, topology);
+    let predict = |arena: &mut LaneArena, cutoff, delay| {
+        predict_over_lanes_in(arena, lanes, cutoff, &load.delayed(delay), sharing, topology)
+    };
+    let now = predict(arena, None, SimTime::ZERO);
     if now <= slo {
         return Ok((SimTime::ZERO, now));
     }
-    // Drain time of every queued job on a lane arriving by `cutoff`. The
-    // device goes idle when its *slowest* channel does, so jobs route to
-    // their placed channels first.
-    let drain_by = |cutoff: SimTime| {
-        let mut sim = TopologyQueueSim::new(topology);
-        for (e, l) in lanes.iter().enumerate().filter(|(_, l)| l.arrival <= cutoff) {
-            for j in l.jobs.iter() {
-                sim.submit_on(
-                    topology.channel_for(j.sig, 0),
-                    FlashJob { engagement: e as u64, arrival: l.arrival, service: j.service },
-                );
-            }
-        }
-        sim.drain_time()
-    };
-    // Phase 1: monotone search against the already-arrived backlog. Early
-    // lanes are `Arc`-shared clones — pointer copies, not job copies.
-    let early: Vec<Lane> = lanes.iter().filter(|l| l.arrival <= load.arrival).cloned().collect();
-    let cap = drain_by(load.arrival).saturating_sub(load.arrival).min(max_delay);
-    if predict_over_lanes_in(arena, &early, &load.delayed(cap), sharing, topology) > slo {
-        return Err(predict_over_lanes_in(arena, lanes, &load.delayed(cap), sharing, topology));
+    // Phase 1: monotone search against the already-arrived backlog, the
+    // lanes arriving by the candidate's own arrival.
+    let early = Some(load.arrival);
+    let cap =
+        drain_by(arena, lanes, load.arrival, topology).saturating_sub(load.arrival).min(max_delay);
+    if predict(arena, early, cap) > slo {
+        return Err(predict(arena, None, cap));
     }
     // Smallest delay in [0, cap] whose early-backlog prediction meets the
     // SLO; invariant: the early prediction at `hi` meets the SLO.
     let (mut lo, mut hi) = (0u64, cap.as_us());
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let probe = &load.delayed(SimTime::from_us(mid));
-        if predict_over_lanes_in(arena, &early, probe, sharing, topology) <= slo {
+        if predict(arena, early, SimTime::from_us(mid)) <= slo {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -886,12 +1052,12 @@ fn min_delay_over_lanes_in(
     // Phase 2: climb past any later-arriving windows the delay landed in.
     let mut delay = SimTime::from_us(hi);
     loop {
-        let predicted =
-            predict_over_lanes_in(arena, lanes, &load.delayed(delay), sharing, topology);
+        let predicted = predict(arena, None, delay);
         if predicted <= slo {
             return Ok((delay, predicted));
         }
-        let next = drain_by(load.arrival + delay).saturating_sub(load.arrival);
+        let next =
+            drain_by(arena, lanes, load.arrival + delay, topology).saturating_sub(load.arrival);
         if next <= delay || next > max_delay {
             return Err(predicted);
         }
@@ -1016,8 +1182,9 @@ pub fn plan_for_slo_mix(
             let shared = (policy == PreloadPolicy::SharingAware)
                 .then(|| mix.streamed_sigs_in_window(arrival))
                 .filter(|sigs| !sigs.is_empty());
-            let mut best: Option<LadderStep> = None;
-            for stripe in 0..mix.topology().channel_count() {
+            // Stripe 0 first; a later stripe wins only by a strictly lower
+            // prediction.
+            let step_on = |stripe: u16| {
                 let predict = |plan: &ExecutionPlan| {
                     let load = EngagementLoad::from_plan_striped(hw, plan, arrival, stripe);
                     mix.predict_over(&lanes, &load)
@@ -1064,11 +1231,15 @@ pub fn plan_for_slo_mix(
                         }
                     }
                 }
-                if best.as_ref().is_none_or(|b| step.predicted < b.predicted) {
-                    best = Some(step);
+                step
+            };
+            (1..mix.topology().channel_count()).map(step_on).fold(step_on(0), |best, step| {
+                if step.predicted < best.predicted {
+                    step
+                } else {
+                    best
                 }
-            }
-            best.expect("a topology has at least one channel")
+            })
         },
     )
 }
@@ -1077,6 +1248,247 @@ pub fn plan_for_slo_mix(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::Cell;
+    use sti_device::DeviceProfile;
+    use sti_quant::QuantConfig;
+    use sti_transformer::ModelConfig;
+
+    thread_local! {
+        /// Set by [`oracle`]: this thread's predictions and drains run the
+        /// simulator in every sharing mode.
+        static ORACLE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn oracle_on() -> bool {
+        ORACLE.with(Cell::get)
+    }
+
+    /// `work` with every prediction and drain priced by the simulator: the
+    /// reference the closed form must equal. Test threads are not shared,
+    /// so the switch reaches no other test.
+    fn oracle<T>(work: impl FnOnce() -> T) -> T {
+        ORACLE.with(|on| on.set(true));
+        let out = work();
+        ORACLE.with(|on| on.set(false));
+        out
+    }
+
+    /// The drain as the simulator prices it: every job of the lanes
+    /// arriving by `cutoff`, submitted at its lane's arrival on its device
+    /// channel.
+    pub(super) fn simulated_drain(
+        lanes: &[Lane],
+        cutoff: SimTime,
+        topology: DeviceTopology,
+    ) -> SimTime {
+        let mut sim = TopologyQueueSim::new(topology);
+        for (e, l) in lanes.iter().enumerate().filter(|(_, l)| l.arrival <= cutoff) {
+            for j in l.jobs.iter() {
+                sim.submit_on(
+                    topology.channel_for(j.sig, 0),
+                    FlashJob { engagement: e as u64, arrival: l.arrival, service: j.service },
+                );
+            }
+        }
+        sim.drain_time()
+    }
+
+    /// Arrival slots are 40 µs apart, so a handful of them makes ties
+    /// common.
+    const SLOT_US: u64 = 40;
+
+    fn job((sig, service_us): (u64, u64)) -> LayerIoJob {
+        LayerIoJob { sig, service: SimTime::from_us(service_us) }
+    }
+
+    /// Lanes from drawn `(arrival slot, [(sig, service µs)])`.
+    fn lanes_of(drawn: &[(u64, Vec<(u64, u64)>)]) -> Vec<Lane> {
+        drawn
+            .iter()
+            .map(|(slot, jobs)| Lane {
+                arrival: SimTime::from_us(slot * SLOT_US),
+                jobs: jobs.iter().copied().map(job).collect(),
+            })
+            .collect()
+    }
+
+    /// A candidate from drawn `[(kind, sig, service µs)]` layers (kind 0 is
+    /// a preload-covered `None` layer), a compute delay and an arrival slot.
+    fn candidate_of(layers: &[(u8, u64, u64)], comp_us: u64, slot: u64) -> EngagementLoad {
+        EngagementLoad {
+            jobs: layers
+                .iter()
+                .map(|&(kind, sig, us)| (kind > 0).then(|| job((sig, us))))
+                .collect(),
+            comp: SimTime::from_us(comp_us),
+            arrival: SimTime::from_us(slot * SLOT_US),
+        }
+    }
+
+    const TOPOLOGIES: [u16; 3] = [1, 2, 4];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The closed form against the simulator core without a window,
+        /// compared with `==`: predictions with and without the delay
+        /// search's early cutoff (the candidate also delayed onto every
+        /// lane's arrival), drains at every arrival, and the delay search in
+        /// both sharing modes (its drains are the fold in either), on one,
+        /// two and four device channels.
+        #[test]
+        fn any_lane_set_predicts_drains_and_searches_as_the_simulator_does(
+            drawn in proptest::collection::vec(
+                (0u64..6, proptest::collection::vec((0u64..16, 1u64..400), 0..13)),
+                0..10,
+            ),
+            layers in proptest::collection::vec((0u8..3, 0u64..16, 1u64..400), 0..13),
+            knobs in (0u64..60, 0u64..6, 0u64..4_000, 0u64..4_000),
+        ) {
+            let (comp_us, slot, slo_us, max_us) = knobs;
+            let lanes = lanes_of(&drawn);
+            let load = candidate_of(&layers, comp_us, slot);
+            let (slo, max) = (SimTime::from_us(slo_us), SimTime::from_us(max_us));
+            let mut arrivals: Vec<SimTime> = lanes.iter().map(|l| l.arrival).collect();
+            arrivals.push(load.arrival);
+            for channels in TOPOLOGIES {
+                let topology = DeviceTopology::with_channels(channels);
+                let arena = &mut LaneArena::default();
+                let exclusive = IoSharing::Exclusive;
+                let predict = |arena: &mut LaneArena, cutoff, load: &EngagementLoad| {
+                    predict_over_lanes_in(arena, &lanes, cutoff, load, exclusive, topology)
+                };
+                let want = oracle(|| predict(arena, None, &load));
+                prop_assert_eq!(predict(arena, None, &load), want);
+                for &at in arrivals.iter().filter(|&&at| at >= load.arrival) {
+                    let delayed = load.delayed(at - load.arrival);
+                    for cutoff in [None, Some(load.arrival)] {
+                        let want = oracle(|| predict(arena, cutoff, &delayed));
+                        prop_assert_eq!(predict(arena, cutoff, &delayed), want);
+                    }
+                }
+                for &cutoff in &arrivals {
+                    let want = simulated_drain(&lanes, cutoff, topology);
+                    prop_assert_eq!(drain_by(arena, &lanes, cutoff, topology), want);
+                }
+                for sharing in [exclusive, IoSharing::Batched(SimTime::from_us(SLOT_US))] {
+                    let search = |arena: &mut LaneArena| {
+                        min_delay_over_lanes_in(arena, &lanes, &load, sharing, topology, slo, max)
+                    };
+                    let want = oracle(|| search(arena));
+                    prop_assert_eq!(search(arena), want);
+                }
+            }
+        }
+
+        /// The whole gate walk, queue and shed, in both sharing modes,
+        /// against the simulator: sessions at tied and distinct arrivals,
+        /// some carrying an SLO (their profiles lead with a preload-covered
+        /// layer when drawn so).
+        #[test]
+        fn any_registry_gates_as_the_simulator_does(
+            drawn in proptest::collection::vec(
+                (0u64..6, proptest::collection::vec((0u64..16, 1u64..400), 0..13)),
+                0..10,
+            ),
+            slos in proptest::collection::vec((0u8..3, 0u64..3_000), 10..11),
+            knobs in (0u64..60, 0u64..3_000),
+        ) {
+            let (comp_us, max_us) = knobs;
+            for channels in TOPOLOGIES {
+                for sharing in [IoSharing::Exclusive, IoSharing::Batched(SimTime::from_us(SLOT_US))]
+                {
+                    let topology = DeviceTopology::with_channels(channels);
+                    let mut mix = ServingMix::new(sharing).with_topology(topology);
+                    for (token, (lane, &(kind, slo_us))) in
+                        lanes_of(&drawn).into_iter().zip(&slos).enumerate()
+                    {
+                        let profile = (kind > 0).then(|| SloProfile {
+                            jobs: (kind == 2)
+                                .then_some(None)
+                                .into_iter()
+                                .chain(lane.jobs.iter().copied().map(Some))
+                                .collect(),
+                            comp: SimTime::from_us(comp_us),
+                            slo: SimTime::from_us(slo_us),
+                        });
+                        let load = CoRunnerLoad { jobs: lane.jobs, arrival: lane.arrival };
+                        mix.push_session(token as u64, load, profile);
+                    }
+                    for policy in [GatePolicy::Queue(SimTime::from_us(max_us)), GatePolicy::Shed] {
+                        let want = oracle(|| mix.gate_all(policy));
+                        prop_assert_eq!(mix.gate_all(policy), want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The closed form against the simulator at the `fleet_admit` shape:
+    /// 2 000 unbatched sessions on four device channels arriving 100 ms
+    /// apart, eight live SLO sessions below 1 s, and an SLO candidate
+    /// admitted among them. Seconds in release, far longer unoptimised.
+    #[test]
+    #[ignore = "run under --release with --ignored"]
+    fn the_fleet_admit_shape_admits_and_gates_as_the_simulator_does() {
+        let hw = HwProfile::measure(
+            &DeviceProfile::odroid_n2(),
+            &ModelConfig::scaled_bert(),
+            &QuantConfig::default(),
+        );
+        let scores = (0..144).map(|i| 0.5 + (i % 7) as f64 * 0.01).collect();
+        let importance = ImportanceProfile::from_scores(12, 12, scores, 0.48);
+        let (widths, preload) = ([3, 6, 9, 12], 16 << 10);
+        let plans: Vec<ExecutionPlan> = (160..=240)
+            .map(|ms| {
+                let target = SimTime::from_ms(ms);
+                plan_two_stage(&hw, &importance, target, preload, &widths, &Bitwidth::ALL)
+            })
+            .collect();
+        let mut mix =
+            ServingMix::new(IoSharing::Exclusive).with_topology(DeviceTopology::with_channels(4));
+        for token in 0..2_000u64 {
+            let plan = &plans[(token * 7 % 81) as usize];
+            let arrival = SimTime::from_ms(token * 100);
+            let load = CoRunnerLoad::from_plan_striped(&hw, plan, arrival, (token % 4) as u16);
+            mix.push_session(token, load, None);
+        }
+        // Two of the eight land exactly on a fleet session's arrival, and
+        // SLOs of 180–320 ms leave the walk delays, sheds and re-gates.
+        for k in 0..8u64 {
+            let (plan, stripe) = (&plans[(k * 13 % 81) as usize], (k % 4) as u16);
+            let arrival = SimTime::from_us(k * 125_000);
+            let slo = SimTime::from_ms(180 + k * 20);
+            let load = CoRunnerLoad::from_plan_striped(&hw, plan, arrival, stripe);
+            mix.push_session(
+                2_000 + k,
+                load,
+                Some(SloProfile::from_plan_striped(&hw, plan, slo, stripe)),
+            );
+        }
+        for (arrival_us, slo_ms) in [(300_000, 500), (437_512, 750), (900_000, 1_000)] {
+            let (arrival, slo) = (SimTime::from_us(arrival_us), SimTime::from_ms(slo_ms));
+            let search = || {
+                plan_for_slo_mix(
+                    &hw,
+                    &importance,
+                    slo,
+                    arrival,
+                    &mix,
+                    PreloadPolicy::PerSession,
+                    preload,
+                    &widths,
+                    &Bitwidth::ALL,
+                )
+            };
+            assert_eq!(search(), oracle(search), "admission at {arrival_us} µs");
+        }
+        for policy in [GatePolicy::Queue(SimTime::from_ms(200)), GatePolicy::Shed] {
+            let walk = mix.gate_all(policy);
+            assert_eq!(walk.len(), 8);
+            assert_eq!(walk, oracle(|| mix.gate_all(policy)), "{policy:?}");
+        }
+    }
 
     /// A hand-built session: one job whose signature and service time, the
     /// arrival and the optional gate profile all derive from `x`, so a

@@ -74,11 +74,11 @@
 //! independent *device channels* — per-channel FIFO queues with tiered
 //! service times (flash, or the opt-in DRAM-residency tier for
 //! cache-resident bytes). Every contended-track consumer runs on the
-//! same model ([`prelude::TopologyQueueSim`] — one single-server
-//! `FlashQueueSim` per channel): the post-replay contention report,
-//! `ServingMix::predict`/`min_delay` (admission and the gate simulate
-//! the open sessions' lanes on their device channels), and the SLO
-//! search. Placement is a *stripe*: each session's request signatures are
+//! same model (one single-server FIFO queue per channel, which
+//! [`prelude::TopologyQueueSim`] simulates as `C` × `FlashQueueSim`): the
+//! post-replay contention report, `ServingMix::predict`/`min_delay`
+//! (admission and the gate queue the open sessions' lanes on their device
+//! channels, folded in closed form when unbatched), and the SLO search. Placement is a *stripe*: each session's request signatures are
 //! offset by its stripe and hashed to a channel
 //! (`DeviceTopology::channel_for`), so byte-identical requests from two
 //! sessions coalesce into one batched flash job only when placed on the

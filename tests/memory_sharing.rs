@@ -216,6 +216,49 @@ fn a_second_server_on_one_context_does_not_copy_the_model() {
     assert_eq!(a.outcome.logits, b.outcome.logits);
 }
 
+/// `n` unbatched sessions on four device channels arriving 100 ms apart,
+/// each streaming eight 20 ms layer jobs (about the `fleet_admit` load: the
+/// device ~40 % busy), and an SLO candidate that co-arrives with the eleventh
+/// at 1 s, with two of its twelve layers preload-covered.
+fn fleet(n: u64) -> (ServingMix, EngagementLoad) {
+    let job = |sig| LayerIoJob { sig, service: SimTime::from_ms(20) };
+    let mut mix =
+        ServingMix::new(IoSharing::Exclusive).with_topology(DeviceTopology::with_channels(4));
+    for token in 0..n {
+        let jobs = (0..8).map(|layer| job(token * 16 + layer)).collect();
+        mix.push_session(
+            token,
+            CoRunnerLoad { jobs, arrival: SimTime::from_ms(token * 100) },
+            None,
+        );
+    }
+    let jobs = (0..12u64).map(|layer| (layer % 6 != 0).then(|| job(layer))).collect();
+    (mix, EngagementLoad { jobs, comp: SimTime::from_ms(5), arrival: SimTime::from_ms(1_000) })
+}
+
+#[test]
+fn an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet() {
+    let _guard = serialised();
+    let (mix, load) = fleet(2_000);
+    let alone = ServingMix::new(IoSharing::Exclusive).with_topology(mix.topology()).predict(&load);
+    let (contended, predict_bytes, _) = heap_bytes_across(|| mix.predict(&load));
+    assert!(contended > alone, "the candidate queues behind the fleet: {contended:?}");
+    // The uncontended latency as the SLO: the search probes for the delay at
+    // which the backlog has drained.
+    let (_, min_delay_bytes, _) =
+        heap_bytes_across(|| mix.min_delay(&load, alone, SimTime::from_ms(200)));
+    // Simulating the fleet would build every lane's jobs and completions:
+    // 2.4 MiB per prediction and 4.6 MiB per search at this size. The closed
+    // form folds the lanes arriving by the candidate into one free time per
+    // channel and requests 48 and 55 KiB. What remains is mostly the lane
+    // handles (`raw_lanes`: one 24-byte `Lane` per session, 47 KiB here).
+    assert!(predict_bytes < 96 * KIB, "a prediction over 2 000 sessions requested {predict_bytes}");
+    assert!(
+        min_delay_bytes < 96 * KIB,
+        "a delay search over 2 000 sessions requested {min_delay_bytes}"
+    );
+}
+
 #[test]
 fn every_hop_hands_on_the_stores_one_payload() {
     let _guard = serialised();

@@ -431,8 +431,9 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let server = build_server(&ctx, &cfg);
     if trace_out.is_some() || metrics_out.is_some() {
         // A live ring sink adds the host/engine color tracks and the
-        // admission markers; the deterministic tracks are assembled from
-        // the server's logs either way.
+        // admission markers, and is what makes the event report carry the
+        // span stream (the deterministic tracks come from the server's
+        // logs). Without it the report's `spans` stay empty.
         server.set_obs_sink(ObsSink::ring(8 << 20));
     }
     let event =

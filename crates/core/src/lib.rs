@@ -69,11 +69,12 @@
 //! and the engine's `heap_ops` beside the admission/gate/digest columns,
 //! and [`merge_fleet_ledger`] folds repeated sweeps into one ledger
 //! keyed by `(exec_mode, channels, fleet points)`. Every
-//! [`ServeReport`] also carries the
-//! deterministic observability stream — virtual-clock spans (export with
-//! [`sti_obs::chrome_trace_json`]) and a merged metrics snapshot — which
-//! is byte-identical run to run on the deterministic tracks; see
-//! `sti_obs` and `tests/serving_obs.rs`.
+//! [`ServeReport`] also carries a merged metrics snapshot and, when the
+//! server has a live sink, the virtual-clock span stream (export with
+//! [`sti_obs::chrome_trace_json`]; without a sink, read
+//! `StiServer::trace_spans` after the replay). Both are byte-identical run
+//! to run on the deterministic tracks; see `sti_obs` and
+//! `tests/serving_obs.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

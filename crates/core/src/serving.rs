@@ -224,6 +224,12 @@ pub struct ServeReport {
     /// deterministic session/flash tracks plus whatever the live sink
     /// buffered. Feed to [`sti_obs::chrome_trace_json`] for a
     /// Chrome-trace / Perfetto file.
+    ///
+    /// Filled only when the server has a live sink
+    /// ([`StiServer::set_obs_sink`]); with tracing off it is empty, and a
+    /// caller that wants the deterministic tracks reads
+    /// [`StiServer::trace_spans`] after the replay (the logs it is built
+    /// from persist until [`StiServer::reset_contention_log`]).
     pub spans: Vec<SpanEvent>,
     /// Merged instrument snapshot across the serving path (`serving.*`,
     /// `gate.*`, `io.*`; event replays add `engine.*`).
@@ -365,7 +371,7 @@ fn report(
             .filter_map(|(i, s)| s.is_none().then_some(i))
             .collect(),
         heap_ops: 0,
-        spans: server.trace_spans(),
+        spans: if server.obs_sink().enabled() { server.trace_spans() } else { Vec::new() },
         metrics: server.metrics_snapshot(),
         prefetch: server.prefetch_report(),
     }

@@ -293,7 +293,9 @@ impl SpanRing {
 /// Where emitted spans go. Cloning a sink shares the backing ring.
 #[derive(Clone, Default)]
 pub enum ObsSink {
-    /// Tracing disabled: `span` is a no-op branch, nothing is stored.
+    /// Tracing disabled: `span` is a no-op branch, nothing is stored — and
+    /// replays leave their report's span stream empty rather than assemble
+    /// it (the serving layer reads [`ObsSink::enabled`] for that).
     #[default]
     Null,
     /// Tracing enabled: events land in the shared ring.

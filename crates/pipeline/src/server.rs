@@ -844,7 +844,8 @@ impl StiServer {
     /// dispatch spans) to `sink`, and shares it with the IO scheduler.
     /// The deterministic span stream is assembled separately by
     /// [`StiServer::trace_spans`]; the live sink only adds color for
-    /// single-run inspection.
+    /// single-run inspection. Installing one is also what makes a replay's
+    /// report assemble that stream.
     pub fn set_obs_sink(&self, sink: ObsSink) {
         self.inner.scheduler.set_obs_sink(sink.clone());
         *self.inner.obs.lock() = sink;
@@ -887,6 +888,11 @@ impl StiServer {
     /// inspection; [`TrackFilter::Deterministic`](sti_obs::TrackFilter)
     /// keeps host/engine tracks out of deterministic exports. The result
     /// is sorted by the canonical span key.
+    ///
+    /// Each call re-simulates the dispatch log and holds the whole stream,
+    /// so a replay's report calls it only when a live sink is installed.
+    /// Without one, call this after the replay; the logs persist until
+    /// [`StiServer::reset_contention_log`].
     pub fn trace_spans(&self) -> Vec<SpanEvent> {
         let inner = &*self.inner;
         let mut spans = inner

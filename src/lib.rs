@@ -169,7 +169,9 @@
 //!
 //! - **Spans.** Every engagement, flash job, and gate decision becomes a
 //!   [`prelude::SpanEvent`] on a `(track, name, tick)` virtual timeline,
-//!   assembled canonically from the server's logs after the replay.
+//!   assembled canonically from the server's logs after the replay
+//!   (`StiServer::trace_spans`; a replay's report carries the stream only
+//!   when a live sink is installed).
 //!   Scheduler channel ids are remapped to stable
 //!   `(session, engagement)` ids, so the deterministic tracks
 //!   (session/channel/flash — [`prelude::TrackFilter::Deterministic`])

@@ -216,6 +216,33 @@ fn a_second_server_on_one_context_does_not_copy_the_model() {
     assert_eq!(a.outcome.logits, b.outcome.logits);
 }
 
+/// What a bare `replay_sequential` of `examples/traces/burst.json` requests
+/// at the shipped scale. A report used to assemble the span stream whether
+/// or not anyone read it: 44 467 551 B requested across the replay. Without
+/// a sink it no longer does: 43 941 115 B. The difference, 526 436 B, is
+/// exactly what `trace_spans` requests for the stream's 537 spans when the
+/// caller asks for it afterwards. The bound sits between the two.
+#[test]
+fn a_bare_replay_does_not_assemble_the_span_stream() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let trace = load_trace("examples/traces/burst.json").expect("shipped example parses");
+    let server = build_server(&ctx, &ServeConfig::default());
+    let (report, requested, _) = heap_bytes_across(|| replay_sequential(&server, &trace));
+    assert!(report.unwrap().spans.is_empty(), "a bare report assembles no spans");
+    const BOUND: u64 = 44_200_000;
+    assert!(requested < BOUND, "a bare replay of burst.json requested {requested} bytes");
+    // The stream is still there on demand, and building it inside the
+    // replay would have crossed the bound.
+    let (spans, stream_bytes, _) = heap_bytes_across(|| server.trace_spans());
+    assert!(!spans.is_empty(), "the logs still hold the stream");
+    assert!(
+        requested + stream_bytes > BOUND,
+        "the {} spans requested {stream_bytes} bytes; the bound no longer separates them",
+        spans.len()
+    );
+}
+
 /// `n` unbatched sessions on four device channels arriving 100 ms apart,
 /// each streaming eight 20 ms layer jobs (about the `fleet_admit` load: the
 /// device ~40 % busy), and an SLO candidate that co-arrives with the eleventh

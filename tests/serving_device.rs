@@ -254,10 +254,18 @@ fn striped_replay_observability_is_deterministic_and_per_channel() {
         ..Default::default()
     };
     let trace = load_trace("examples/traces/mix.json").expect("shipped example parses");
-    let a = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
-    let b = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
-    let export = |r: &ServeReport| chrome_trace_json(&r.spans, TrackFilter::Deterministic);
-    assert_eq!(export(&a), export(&b), "striped deterministic tracks are byte-identical");
+    // A bare report carries no spans: read the stream from the server's
+    // logs after the replay.
+    let replay = || {
+        let server = build_server(&ctx, &cfg);
+        let report = replay_event(&server, &trace).unwrap();
+        let spans = server.trace_spans();
+        assert!(!spans.is_empty(), "the striped replay logs a span stream");
+        (report, chrome_trace_json(&spans, TrackFilter::Deterministic))
+    };
+    let (a, a_trace) = replay();
+    let (b, b_trace) = replay();
+    assert_eq!(a_trace, b_trace, "striped deterministic tracks are byte-identical");
     assert_eq!(a.metrics.to_json(), b.metrics.to_json(), "striped metrics reproduce");
     let metrics = a.metrics.to_json();
     assert!(metrics.contains("io.channel."), "C=4 mints per-channel instruments: {metrics}");

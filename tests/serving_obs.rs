@@ -16,6 +16,13 @@
 //! 4. **Observability never perturbs results.** A replay with a live ring
 //!    sink installed reports the same outcomes and gate decisions as one
 //!    without.
+//! 5. **A bare report assembles no spans.** Without a sink a replay's
+//!    `ServeReport::spans` is empty, and `StiServer::trace_spans` read after
+//!    the replay is the sink-on stream minus what the sink itself recorded.
+//!
+//! Tests 1–4 read a bare server's stream through `trace_spans` after the
+//! replay and assert it is non-empty, so no comparison passes on two empty
+//! streams.
 
 use std::sync::{Arc, Mutex, Weak};
 
@@ -44,9 +51,39 @@ fn serve_config(backpressure: BackpressureMode) -> ServeConfig {
     }
 }
 
-/// The deterministic-track export of one replay.
-fn export(report: &ServeReport) -> String {
-    chrome_trace_json(&report.spans, TrackFilter::Deterministic)
+/// `--channels 4 --backpressure queue --max-queue-ms 2000 --batch-window
+/// 500 --prefetch markov` on top of the defaults, as `serving_golden` runs.
+fn stacked_flags() -> ServeConfig {
+    ServeConfig {
+        channels: 4,
+        backpressure: BackpressureMode::Queue(SimTime::from_ms(2_000)),
+        batch_window: Some(SimTime::from_us(500)),
+        prefetch: PrefetchConfig::markov(64 << 10),
+        ..Default::default()
+    }
+}
+
+type Replay = fn(&StiServer, &ServingTrace) -> Result<ServeReport, PipelineError>;
+
+/// The deterministic-track export of a span stream.
+fn export(spans: &[SpanEvent]) -> String {
+    chrome_trace_json(spans, TrackFilter::Deterministic)
+}
+
+/// Replays `trace` on a fresh server without a sink and returns the stream
+/// `trace_spans` assembles from its logs afterwards, with the report.
+fn bare_replay(
+    ctx: &TaskContext,
+    cfg: &ServeConfig,
+    trace: &ServingTrace,
+    replay: Replay,
+) -> (ServeReport, Vec<SpanEvent>) {
+    let server = build_server(ctx, cfg);
+    let report = replay(&server, trace).unwrap();
+    assert!(report.spans.is_empty(), "a bare report assembles no spans");
+    let spans = server.trace_spans();
+    assert!(!spans.is_empty(), "the bare server's logs hold a span stream");
+    (report, spans)
 }
 
 #[test]
@@ -57,10 +94,9 @@ fn event_replays_export_byte_identical_traces_on_every_fixture() {
     {
         let trace = load_trace(path).expect("shipped example parses");
         let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-        let a = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
-        let b = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
+        let a = bare_replay(&ctx, &cfg, &trace, replay_event).1;
+        let b = bare_replay(&ctx, &cfg, &trace, replay_event).1;
         assert_eq!(export(&a), export(&b), "{path}: event replays must export identically");
-        assert!(!a.spans.is_empty(), "{path}: the replay emits spans");
     }
 }
 
@@ -70,8 +106,8 @@ fn sequential_replays_export_byte_identical_traces() {
     for path in ["examples/traces/smoke.json", "examples/traces/burst.json"] {
         let trace = load_trace(path).expect("shipped example parses");
         let cfg = serve_config(BackpressureMode::Shed);
-        let a = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
-        let b = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
+        let a = bare_replay(&ctx, &cfg, &trace, replay_sequential).1;
+        let b = bare_replay(&ctx, &cfg, &trace, replay_sequential).1;
         assert_eq!(export(&a), export(&b), "{path}: sequential replays must export identically");
     }
 }
@@ -84,8 +120,8 @@ fn sequential_and_event_exports_agree_on_the_deterministic_tracks() {
     for path in ["examples/traces/smoke.json", "examples/traces/mix.json"] {
         let trace = load_trace(path).expect("shipped example parses");
         let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-        let sequential = replay_sequential(&build_server(&ctx, &cfg), &trace).unwrap();
-        let event = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
+        let sequential = bare_replay(&ctx, &cfg, &trace, replay_sequential).1;
+        let event = bare_replay(&ctx, &cfg, &trace, replay_event).1;
         assert_eq!(
             export(&sequential),
             export(&event),
@@ -99,9 +135,9 @@ fn gate_spans_surface_the_deciding_reason() {
     let ctx = ctx();
     let trace = load_trace("examples/traces/mix.json").expect("shipped example parses");
     let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-    let report = replay_event(&build_server(&ctx, &cfg), &trace).unwrap();
+    let (report, spans) = bare_replay(&ctx, &cfg, &trace, replay_event);
     let gate_spans: Vec<&SpanEvent> =
-        report.spans.iter().filter(|s| s.name.starts_with("gate.")).collect();
+        spans.iter().filter(|s| s.name.starts_with("gate.")).collect();
     assert!(!gate_spans.is_empty(), "a gated mix emits gate spans");
     for span in &gate_spans {
         assert_eq!(span.kind, TrackKind::Session);
@@ -118,7 +154,7 @@ fn gate_spans_surface_the_deciding_reason() {
         }
     }
     // And the export renders them (instants or completes on session tracks).
-    let json = export(&report);
+    let json = export(&spans);
     assert!(json.contains("\"gate."), "gate spans reach the Chrome-trace export");
 }
 
@@ -127,8 +163,7 @@ fn a_live_sink_never_perturbs_simulated_results() {
     let ctx = ctx();
     let trace = load_trace("examples/traces/mix.json").expect("shipped example parses");
     let cfg = serve_config(BackpressureMode::Queue(SimTime::from_ms(2_000)));
-    let bare_server = build_server(&ctx, &cfg);
-    let bare = replay_event(&bare_server, &trace).unwrap();
+    let (bare, bare_stream) = bare_replay(&ctx, &cfg, &trace, replay_event);
     let traced_server = build_server(&ctx, &cfg);
     traced_server.set_obs_sink(ObsSink::ring(4 << 20));
     let traced = replay_event(&traced_server, &trace).unwrap();
@@ -136,8 +171,8 @@ fn a_live_sink_never_perturbs_simulated_results() {
     assert_eq!(bare.contention.gate, traced.contention.gate);
     // The sink adds spans (admission markers on session tracks, engine/host
     // color) but every log-derived span of the bare run is still there.
-    assert!(traced.spans.len() > bare.spans.len());
-    for span in &bare.spans {
+    assert!(traced.spans.len() > bare_stream.len());
+    for span in &bare_stream {
         assert!(traced.spans.contains(span), "traced run dropped a log-derived span: {span:?}");
     }
     assert!(
@@ -145,7 +180,7 @@ fn a_live_sink_never_perturbs_simulated_results() {
         "the live sink contributed engine/host color spans"
     );
     assert!(
-        bare.spans.iter().all(|s| s.kind.deterministic()),
+        bare_stream.iter().all(|s| s.kind.deterministic()),
         "without a sink only log-derived spans exist"
     );
     // Sink-on exports stay driver-independent too: the added admission
@@ -154,10 +189,47 @@ fn a_live_sink_never_perturbs_simulated_results() {
     traced_sequential_server.set_obs_sink(ObsSink::ring(4 << 20));
     let traced_sequential = replay_sequential(&traced_sequential_server, &trace).unwrap();
     assert_eq!(
-        export(&traced),
-        export(&traced_sequential),
+        export(&traced.spans),
+        export(&traced_sequential.spans),
         "deterministic-track export with a live sink must not depend on who drives the sessions"
     );
+}
+
+/// Tracing off is the report's switch too: a bare replay leaves
+/// `spans` empty, and the bare server's `trace_spans` read afterwards is the
+/// sink-on report's stream minus what the sink itself recorded (the
+/// `admission.*` markers and the engine/host color tracks) — on every
+/// shipped fixture, both executors, default and stacked flags.
+#[test]
+fn a_bare_report_leaves_the_stream_to_trace_spans() {
+    let ctx = ctx();
+    let from_the_sink = |s: &SpanEvent| {
+        s.name.starts_with("admission.") || matches!(s.kind, TrackKind::Engine | TrackKind::Host)
+    };
+    let replays: [(&str, Replay); 2] = [("event", replay_event), ("sequential", replay_sequential)];
+    // Only SLO admissions leave markers, so some fixtures have none; the
+    // subtraction must still remove some somewhere.
+    let mut markers = 0;
+    for (config, cfg) in [("default", ServeConfig::default()), ("stacked", stacked_flags())] {
+        for fixture in ["smoke", "burst", "mix", "recurrent"] {
+            let trace = load_trace(format!("examples/traces/{fixture}.json"))
+                .expect("shipped example parses");
+            for (executor, replay) in replays {
+                let bare = bare_replay(&ctx, &cfg, &trace, replay).1;
+                let traced_server = build_server(&ctx, &cfg);
+                traced_server.set_obs_sink(ObsSink::ring(8 << 20));
+                let traced = replay(&traced_server, &trace).unwrap().spans;
+                markers += traced.iter().filter(|s| s.name.starts_with("admission.")).count();
+                let log_derived: Vec<SpanEvent> =
+                    traced.into_iter().filter(|s| !from_the_sink(s)).collect();
+                assert_eq!(
+                    bare, log_derived,
+                    "{fixture}.{config} {executor}: trace_spans is the sink-on stream"
+                );
+            }
+        }
+    }
+    assert!(markers > 0, "the sink recorded admission markers");
 }
 
 #[test]

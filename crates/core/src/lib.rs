@@ -132,7 +132,7 @@ pub mod prelude {
         EngagementLoad, ExecutionPlan, GateOutcome, GatePolicy, ImportanceProfile, IoSharing,
         LayerIoJob, MixLaneSummary, MixSession, PlanCache, PlanCacheStats, PlanKey, PrefetchConfig,
         PrefetchMode, PrefetchPlan, PrefetcherStats, PreloadPolicy, ServingMix, ServingPlan,
-        ServingPlanCache, ServingPlanKey, SloProfile, SubmodelShape,
+        SloProfile, SubmodelShape,
     };
     pub use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
     pub use sti_storage::{

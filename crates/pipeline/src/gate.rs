@@ -22,8 +22,8 @@
 //! mode — an equal-arrival earliest session does not run blind ahead of
 //! later-opened co-arriving load).
 //!
-//! **Memoization.** Decisions are memoized per mix digest — the same
-//! identity the SLO-plan cache keys on — at two levels: per session
+//! **Memoization.** Decisions are memoized per mix digest
+//! (`ServingMix::digest`) at two levels: per session
 //! ([`GateSubject::memo`]: repeat engagements against an unchanged mix
 //! skip everything) and per *walk* (one walk prices every open SLO
 //! session, so after a registry change exactly one engagement re-prices

@@ -24,7 +24,7 @@
 //! | piece | owns | decides |
 //! |---|---|---|
 //! | `RwLock<ServingMix>` (`live_mix`) | token → load / SLO profile / stripe of every open session, in token order | the mix every contended prediction runs against, and its digest |
-//! | [`MemoTable`]s (`sti_planner::cache`) | plans, SLO-search outcomes, preload buffers per knob set | compute outside the lock, first insert wins |
+//! | [`MemoTable`]s (`sti_planner::cache`) | plans and preload buffers per knob set | compute outside the lock, first insert wins |
 //! | `Admission` (`admission`) | the [`AdmissionMode`] and the `serving.*_sessions` instruments | take or reject an SLO search outcome, for an open or a retarget |
 //! | `Gate` (`gate`) | the walk memo, the `gate.*` instruments | delay or shed one engagement ([`BackpressureMode`]) |
 //! | `ContentionLedger` (`ledger`) | the engagement and gate logs | the one contended replay behind [`ContentionReport`] and the span export |
@@ -54,9 +54,8 @@
 //! building a [`ServingMix`] from the
 //! open-session registry (each session's actual [`CoRunnerLoad`] plus, for
 //! SLO sessions, its [`SloProfile`]) and handing it to `sti_planner::mix`.
-//! The server never assembles prediction lanes by hand; the mix's digest is
-//! the one memo identity shared by the SLO-plan cache and the gate memos,
-//! so a registry change invalidates both consistently.
+//! The server never assembles prediction lanes by hand; the gate memos key
+//! on the mix's digest, so a registry change invalidates them.
 //! [`AdmissionMode::Enforce`] rejects sessions whose best plan still
 //! misses: backpressure before the queue, not after.
 //!
@@ -82,7 +81,7 @@ use sti_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, ObsSink, SpanEve
 use sti_planner::compute_plan::dynabert_widths_for;
 use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix, SloProfile};
 use sti_planner::prefetch::{EngagementKey as PrefetchKey, PrefetchConfig};
-use sti_planner::serving::{ServingPlan, ServingPlanCache, ServingPlanKey};
+use sti_planner::serving::ServingPlan;
 use sti_planner::{
     plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, IoSharing, MemoTable,
     PlanCache, PlanCacheStats, PlanKey,
@@ -323,7 +322,7 @@ impl StiServerBuilder {
                 plan_cache: PlanCache::new(),
                 preloads: MemoTable::default(),
                 plan_sharing: self.plan_sharing,
-                slo_cache: ServingPlanCache::new(),
+                slo_searches: AtomicU64::new(0),
                 slo_planning: Mutex::new(()),
                 open_sessions: AtomicUsize::new(0),
                 next_session_token: AtomicU64::new(0),
@@ -400,8 +399,9 @@ struct ServerInner {
     preloads: MemoTable<PlanKey, PreloadBuffer>,
     /// `|S|` placement policy for SLO searches.
     plan_sharing: PreloadPolicy,
-    /// Memoized SLO searches, keyed by knobs + mix digest + `|S|` policy.
-    slo_cache: ServingPlanCache,
+    /// SLO searches run, for [`StiServer::slo_plan_stats`]. Not a registry
+    /// instrument, so the metrics snapshot does not carry it.
+    slo_searches: AtomicU64,
     /// Serializes SLO planning (opens and retargets): the mix cannot
     /// change between the admission verdict and the registration of the
     /// admitted load, so two racing SLO opens can never both admit against
@@ -472,25 +472,21 @@ impl ServerInner {
                 if let Some(token) = exclude {
                     mix.remove_session(token);
                 }
-                let key = ServingPlanKey::for_mix(
-                    self.plan_key(slo, preload_budget),
+                // Not memoized: the mix folds in every open session's
+                // token, and tokens are never reused, so the search's
+                // inputs almost never repeat.
+                self.slo_searches.fetch_add(1, Ordering::SeqCst);
+                let served = Arc::new(plan_for_slo_mix(
+                    &self.hw,
+                    &self.importance.read(),
+                    slo,
                     arrival,
                     &mix,
                     self.plan_sharing,
-                );
-                let served = self.slo_cache.get_or_plan(&key, || {
-                    plan_for_slo_mix(
-                        &self.hw,
-                        &self.importance.read(),
-                        slo,
-                        arrival,
-                        &mix,
-                        self.plan_sharing,
-                        preload_budget,
-                        &self.widths,
-                        &self.bitwidths,
-                    )
-                });
+                    preload_budget,
+                    &self.widths,
+                    &self.bitwidths,
+                ));
                 // A fresh open is judged as the token it would take.
                 let open_token =
                     exclude.is_none().then(|| self.next_session_token.load(Ordering::SeqCst));
@@ -680,8 +676,7 @@ impl StiServer {
     /// *contended* latency — predicted by the flash-queue model with
     /// the currently open sessions' **actual** streaming loads as
     /// co-runners, under the server's shared-IO batching mode — meets
-    /// `slo`. Search results are memoized per `(knobs, co-runner mix,
-    /// sharing)`.
+    /// `slo`. Every call runs the search; see [`StiServer::slo_plan_stats`].
     ///
     /// # Errors
     ///
@@ -905,10 +900,10 @@ impl StiServer {
         spans
     }
 
-    /// SLO-search memo counters (hits mean a session reused a search done
-    /// for the same knobs and co-runner count).
+    /// SLO searches run so far (opens and retargets), as `misses`. `hits`
+    /// is always zero: searches are not memoized.
     pub fn slo_plan_stats(&self) -> PlanCacheStats {
-        self.inner.slo_cache.stats()
+        PlanCacheStats { hits: 0, misses: self.inner.slo_searches.load(Ordering::SeqCst) }
     }
 
     /// Sessions currently open (the co-runner count the next SLO admission
@@ -917,12 +912,11 @@ impl StiServer {
         self.inner.open_sessions.load(Ordering::SeqCst)
     }
 
-    /// The live registry mix's rolling digest — the identity the SLO-plan
-    /// cache and both gate memos key on, and exactly what a gate decision
-    /// is memoized under. Maintained incrementally (O(1) per
-    /// open/close/retarget), so this call costs one read guard plus one
-    /// small hash, flat in fleet size; fleet-scale probes use it to measure
-    /// mix-digest time.
+    /// The live registry mix's rolling digest — the identity both gate
+    /// memos key on, and exactly what a gate decision is memoized under.
+    /// Maintained incrementally (O(1) per open/close/retarget), so this
+    /// call costs one read guard plus one small hash, flat in fleet size;
+    /// fleet-scale probes use it to measure mix-digest time.
     pub fn mix_digest(&self) -> u64 {
         self.inner.live_mix.read().digest()
     }
@@ -1004,7 +998,6 @@ impl StiServer {
         // clears below and resurrecting stale state.
         self.inner.generation.fetch_add(1, Ordering::SeqCst);
         self.inner.plan_cache.clear();
-        self.inner.slo_cache.clear();
         self.inner.preloads.clear();
         self.inner.shard_cache.clear();
     }
@@ -1801,16 +1794,38 @@ pub(crate) mod tests {
         assert_eq!(srv.serving_stats().engagements, 0);
     }
 
+    /// The one case a search memo could hit — a session drops and the same
+    /// request meets the identical registry — searches again and gets what
+    /// a hit would have returned.
     #[test]
-    fn slo_searches_are_memoized_per_co_runner_count() {
-        let srv = server_with_admission(AdmissionMode::Disabled);
+    fn a_reopen_against_an_identical_registry_searches_again_and_plans_the_same() {
+        let srv = server_with_admission(AdmissionMode::Enforce);
         let slo = SimTime::from_ms(5_000);
-        let _a = srv.session_with_slo(slo, 0).unwrap(); // co=0: miss
-        let _b = srv.session_with_slo(slo, 0).unwrap(); // co=1: miss
-        let _c = srv.session_with_slo(slo, 0).unwrap(); // co=2: miss
-        drop(_c);
-        let _d = srv.session_with_slo(slo, 0).unwrap(); // co=2 again: hit
+        let _a = srv.session_with_slo(slo, 0).unwrap();
+        let _b = srv.session_with_slo(slo, 0).unwrap();
+        let registry = srv.mix_digest();
+        let c = srv.session_with_slo(slo, 0).unwrap();
+        let (served, plan) = (c.serving_plan().unwrap().clone(), c.plan().clone());
+        drop(c);
+        assert_eq!(srv.mix_digest(), registry, "the reopen meets the identical registry");
+        let d = srv.session_with_slo(slo, 0).unwrap();
+        assert_eq!(d.serving_plan(), Some(&served));
+        assert_eq!(d.plan(), &plan);
+        assert_eq!(srv.serving_stats().admitted_sessions, 4);
         let stats = srv.slo_plan_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 3));
+        assert_eq!((stats.hits, stats.misses), (0, 4));
+
+        // A rejection repeats too: a rejected open registers nothing.
+        let floor = floor_slo(&srv);
+        let rejected = || match srv.session_with_slo(floor, 0) {
+            Err(PipelineError::AdmissionRejected { predicted, slo, co_runners }) => {
+                (predicted, slo, co_runners)
+            }
+            other => panic!("the floor SLO cannot hold beside three sessions: {other:?}"),
+        };
+        assert_eq!(rejected(), rejected());
+        let stats = srv.slo_plan_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 6));
+        assert_eq!(srv.serving_stats().rejected_sessions, 2);
     }
 }

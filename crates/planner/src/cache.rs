@@ -10,9 +10,8 @@
 //! model fingerprint, target `T`, preload budget `|S|`, the allowed
 //! submodel widths, and the bitwidth set available in the store. Plans are
 //! handed out as `Arc`s (they are immutable once planned), and
-//! [`MemoTable::invalidate`] / [`MemoTable::clear`] drop entries when
-//! something the key cannot see changes (e.g. a re-profiled importance
-//! table or a rebuilt store).
+//! [`MemoTable::clear`] drops every entry when something the key cannot
+//! see changes (e.g. a re-profiled importance table or a rebuilt store).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -63,57 +62,45 @@ impl PlanKey {
     }
 }
 
-/// Hit/miss/invalidation counters.
+/// Hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that ran the planner.
     pub misses: u64,
-    /// Entries dropped by `invalidate`, `clear`, or a bound eviction.
-    pub invalidations: u64,
 }
 
 #[derive(Debug)]
 struct MemoInner<K, V> {
-    /// Each entry with its insertion stamp (the eviction age).
-    entries: HashMap<K, (u64, Arc<V>)>,
-    next_seq: u64,
+    entries: HashMap<K, Arc<V>>,
     stats: PlanCacheStats,
 }
 
-/// A thread-safe memo table: the one implementation behind [`PlanCache`],
-/// [`ServingPlanCache`](crate::serving::ServingPlanCache), and the
-/// server's preload-buffer table.
+/// A thread-safe memo table: the one implementation behind [`PlanCache`]
+/// and the server's preload-buffer table.
 ///
 /// Values are computed **outside** the lock, so a slow fill never
 /// serializes lookups of other keys; when two callers race on one key the
 /// first insert wins (fills are deterministic, so both computed the same
-/// value). Reaching `MAX` entries evicts the oldest-inserted **half**
-/// (counted as invalidations) — recently inserted entries survive, where a
-/// whole-table flush would recompute every live key on each overflow. The
-/// default `MAX` never evicts.
+/// value). The table is unbounded: entries stay until
+/// [`MemoTable::clear`].
 #[derive(Debug)]
-pub struct MemoTable<K, V, const MAX: usize = { usize::MAX }> {
+pub struct MemoTable<K, V> {
     inner: Mutex<MemoInner<K, V>>,
 }
 
 /// The memo table of execution plans (see the module docs).
 pub type PlanCache = MemoTable<PlanKey, ExecutionPlan>;
 
-impl<K, V, const MAX: usize> Default for MemoTable<K, V, MAX> {
+impl<K, V> Default for MemoTable<K, V> {
     fn default() -> Self {
-        let inner =
-            MemoInner { entries: HashMap::new(), next_seq: 0, stats: PlanCacheStats::default() };
+        let inner = MemoInner { entries: HashMap::new(), stats: PlanCacheStats::default() };
         Self { inner: Mutex::new(inner) }
     }
 }
 
-impl<K: Hash + Eq + Clone, V, const MAX: usize> MemoTable<K, V, MAX> {
-    /// Entry bound: reaching it evicts the oldest-inserted half rather
-    /// than growing (or flushing everything).
-    pub const MAX_ENTRIES: usize = MAX;
-
+impl<K: Hash + Eq + Clone, V> MemoTable<K, V> {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
@@ -134,11 +121,10 @@ impl<K: Hash + Eq + Clone, V, const MAX: usize> MemoTable<K, V, MAX> {
         self.inner.lock().stats
     }
 
-    /// The cached value for `key`, if present, counting a hit or a miss
-    /// (entries have no recency — eviction is by insertion age).
-    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+    /// The cached value for `key`, if present, counting a hit or a miss.
+    fn get(&self, key: &K) -> Option<Arc<V>> {
         let mut inner = self.inner.lock();
-        let found = inner.entries.get(key).map(|(_, v)| v.clone());
+        let found = inner.entries.get(key).cloned();
         match found {
             Some(_) => inner.stats.hits += 1,
             None => inner.stats.misses += 1,
@@ -170,37 +156,13 @@ impl<K: Hash + Eq + Clone, V, const MAX: usize> MemoTable<K, V, MAX> {
             return Ok(value);
         }
         let value = Arc::new(fill()?);
-        let mut inner = self.inner.lock();
-        if inner.entries.len() >= MAX && !inner.entries.contains_key(key) {
-            // The median insertion stamp splits the table; entries at or
-            // above it stay.
-            let mut seqs: Vec<u64> = inner.entries.values().map(|&(seq, _)| seq).collect();
-            seqs.sort_unstable();
-            let cutoff = seqs[seqs.len() / 2];
-            let before = inner.entries.len();
-            inner.entries.retain(|_, &mut (seq, _)| seq >= cutoff);
-            inner.stats.invalidations += (before - inner.entries.len()) as u64;
-        }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        Ok(inner.entries.entry(key.clone()).or_insert((seq, value)).1.clone())
-    }
-
-    /// Drops the entry for `key`, returning whether one was present. The
-    /// next lookup recomputes.
-    pub fn invalidate(&self, key: &K) -> bool {
-        let mut inner = self.inner.lock();
-        let removed = inner.entries.remove(key).is_some();
-        inner.stats.invalidations += removed as u64;
-        removed
+        Ok(self.inner.lock().entries.entry(key.clone()).or_insert(value).clone())
     }
 
     /// Drops every entry (importance re-profiled, store rebuilt, device
     /// re-measured — anything the key cannot express).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.stats.invalidations += inner.entries.len() as u64;
-        inner.entries.clear();
+        self.inner.lock().entries.clear();
     }
 }
 
@@ -270,29 +232,19 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_forces_replan() {
-        let cache = PlanCache::new();
-        let k = key(300, 0);
-        cache.get_or_plan(&k, || plan_for(300, 0));
-        assert!(cache.invalidate(&k));
-        assert!(!cache.invalidate(&k), "second invalidation is a no-op");
-        let mut replanned = false;
-        cache.get_or_plan(&k, || {
-            replanned = true;
-            plan_for(300, 0)
-        });
-        assert!(replanned);
-        assert_eq!(cache.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn clear_empties_and_counts() {
+    fn clear_empties_and_forces_replan() {
         let cache = PlanCache::new();
         cache.get_or_plan(&key(200, 0), || plan_for(200, 0));
         cache.get_or_plan(&key(300, 0), || plan_for(300, 0));
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidations, 2);
+        let mut replanned = false;
+        cache.get_or_plan(&key(300, 0), || {
+            replanned = true;
+            plan_for(300, 0)
+        });
+        assert!(replanned);
+        assert_eq!(cache.stats().misses, 3);
     }
 
     #[test]

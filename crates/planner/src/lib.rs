@@ -54,5 +54,5 @@ pub use prefetch::{
 pub use schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 pub use serving::{
     align_io_completions, contended_makespan, layer_io_jobs, CoRunnerLoad, EngagementLoad,
-    IoSharing, LayerIoJob, ServingPlan, ServingPlanCache, ServingPlanKey,
+    IoSharing, LayerIoJob, ServingPlan,
 };

@@ -26,9 +26,8 @@
 //!   so far — including the *second gate pass* that re-gates an
 //!   equal-arrival earliest session once later-opened co-arriving load
 //!   exists (queue mode only; see [`ServingMix::gate_all`]).
-//! - [`ServingMix::digest`] is the one memo identity: both the SLO-search
-//!   cache key ([`ServingPlanKey`](crate::serving::ServingPlanKey)) and the
-//!   server's per-session gate memo hash the mix through here, so a
+//! - [`ServingMix::digest`] is the one memo identity: the server's two
+//!   gate memos (per session and per walk) hash the mix through here, so a
 //!   registry change invalidates them consistently.
 //!
 //! # Sharing-aware `|S|`
@@ -111,7 +110,7 @@
 //!   [`ServingMix::remove_session`] O(1) digest updates (no rehash of the
 //!   other sessions). The fold is pinned equal to a from-scratch rebuild
 //!   by this module's property test and `tests/serving_fleet.rs`, so the
-//!   SLO-plan memo and the gate memo keep their invalidation semantics.
+//!   gate memos keep their invalidation semantics.
 //! - **Shared lanes, recycled scratch.** [`CoRunnerLoad`] job slices are
 //!   `Arc`-shared; assembling lanes (and replaying decided sessions in the
 //!   gate walk) clones pointers, never jobs. An unbatched prediction
@@ -371,9 +370,9 @@ impl ServingMix {
 
     /// The one memo identity of the mix: every input a prediction (or a
     /// gate decision) depends on — sharing mode, topology, and each
-    /// session's token, arrival, jobs, and gate profile. The SLO-plan
-    /// cache and the per-session gate memo both key on this, so a registry
-    /// change invalidates them consistently.
+    /// session's token, arrival, jobs, and gate profile. The server's gate
+    /// memos key on this, so a registry change invalidates them
+    /// consistently.
     ///
     /// The session part is `(count, fold)` — the rolling fold maintained
     /// by the mutators stands in for the sessions themselves — so this is

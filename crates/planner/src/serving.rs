@@ -31,13 +31,17 @@
 //!   (sharing-aware preload; see [`crate::mix`]).
 //!
 //! Predictions use profiled (maximum) shard bytes and full overlap, which
-//! biases conservative. Search outcomes are memoized in
-//! [`ServingPlanCache`] under a [`ServingPlanKey`] — the ordinary
-//! [`PlanKey`] plus the **mix digest**
-//! ([`ServingMix::digest`]), the same
-//! identity the server's gate memo hashes, so a registry change
-//! invalidates both consistently. The table is bounded
-//! (`ServingPlanCache::MAX_ENTRIES`).
+//! biases conservative. Search outcomes are not memoized. A search is a
+//! pure function of its inputs, and the mix among them
+//! ([`ServingMix::digest`]) folds in every open session's token. Tokens
+//! are never reused, so the inputs repeat only when a session drops and
+//! the same request meets an identical registry.
+//!
+//! [`ServingMix`]: crate::mix::ServingMix
+//! [`ServingMix::predict`]: crate::mix::ServingMix::predict
+//! [`ServingMix::from_co_runners`]: crate::mix::ServingMix::from_co_runners
+//! [`ServingMix::min_delay`]: crate::mix::ServingMix::min_delay
+//! [`ServingMix::digest`]: crate::mix::ServingMix::digest
 
 use std::sync::Arc;
 
@@ -46,10 +50,8 @@ use sti_quant::Bitwidth;
 use sti_storage::LayerRequest;
 use sti_transformer::ShardId;
 
-use crate::cache::{MemoTable, PlanKey};
 use crate::importance::ImportanceProfile;
 use crate::io_plan::plan_two_stage;
-use crate::mix::{PreloadPolicy, ServingMix};
 use crate::plan::ExecutionPlan;
 
 /// Whether co-resident engagements' IO is modeled as shared or exclusive.
@@ -357,55 +359,10 @@ pub(crate) fn search_ladder(
     best.expect("the target ladder is non-empty")
 }
 
-/// The memo key of an SLO search: the ordinary planning knobs (with the
-/// SLO in the `target` slot) plus what the contention prediction assumed —
-/// the co-runner count, the **mix digest**
-/// ([`ServingMix::digest`], which folds in
-/// every session's token, load, arrival, and gate profile, and the
-/// sharing mode), the candidate's arrival, and the `|S|` placement policy. The server's gate memo hashes the same digest, so a
-/// registry change invalidates both caches consistently.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ServingPlanKey {
-    /// Model/SLO/|S|/width/bitwidth knobs (`target` holds the SLO).
-    pub base: PlanKey,
-    /// Co-runner count folded into the key: a busier server genuinely needs
-    /// a different plan.
-    pub co_runners: usize,
-    /// The mix digest the search predicted against.
-    pub mix_digest: u64,
-    /// The candidate's arrival offset the search assumed.
-    pub arrival: SimTime,
-    /// The `|S|` placement policy the search ran under.
-    pub policy: PreloadPolicy,
-}
-
-impl ServingPlanKey {
-    /// Builds a key for a
-    /// [`plan_for_slo_mix`](crate::mix::plan_for_slo_mix) search.
-    pub fn for_mix(
-        base: PlanKey,
-        arrival: SimTime,
-        mix: &ServingMix,
-        policy: PreloadPolicy,
-    ) -> Self {
-        Self { base, co_runners: mix.co_runners(), mix_digest: mix.digest(), arrival, policy }
-    }
-}
-
-/// The memo table of SLO-search outcomes, memoized alongside the ordinary
-/// [`PlanCache`](crate::cache::PlanCache) on the same [`MemoTable`].
-///
-/// The table is bounded: keys carry the co-runner-mix digest, so a
-/// long-lived server with session churn mints fresh keys indefinitely.
-/// Reaching `ServingPlanCache::MAX_ENTRIES` (1024) evicts the
-/// oldest-inserted **half** of the table — live mixes' hot entries were
-/// inserted recently and survive.
-pub type ServingPlanCache = MemoTable<ServingPlanKey, ServingPlan, 1024>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mix::plan_for_slo_mix;
+    use crate::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix};
     use sti_device::DeviceProfile;
     use sti_quant::QuantConfig;
     use sti_transformer::ModelConfig;
@@ -537,45 +494,6 @@ mod tests {
         assert!(served.predicted_contended > served.slo);
     }
 
-    #[test]
-    fn serving_cache_flushes_at_its_bound() {
-        // One real search, cloned into every slot: the bound is about
-        // growth under key churn (co-runner digests), not search cost.
-        let served = slo_search(SimTime::from_ms(600), &ServingMix::default(), 0);
-        let cache = ServingPlanCache::new();
-        let base = PlanKey::new("m", SimTime::from_ms(600), 0, &WIDTHS, &Bitwidth::ALL);
-        let key_for = |digest: u64| ServingPlanKey {
-            base: base.clone(),
-            co_runners: 1,
-            mix_digest: digest,
-            arrival: SimTime::ZERO,
-            policy: PreloadPolicy::PerSession,
-        };
-        let max = ServingPlanCache::MAX_ENTRIES as u64;
-        for digest in 0..=max {
-            cache.get_or_plan(&key_for(digest), || served.clone());
-        }
-        // Hitting the bound evicts the oldest-inserted half only: the
-        // recently minted (hot) keys survive, the stale half is dropped.
-        assert_eq!(
-            cache.len(),
-            ServingPlanCache::MAX_ENTRIES / 2 + 1,
-            "half the table plus the entry that triggered the eviction"
-        );
-        assert_eq!(cache.stats().invalidations, max / 2);
-        assert_eq!(cache.stats().misses, max + 1);
-        // A hot (recently inserted) key survives the eviction...
-        cache.get_or_plan(&key_for(max - 1), || panic!("hot key must hit, not re-search"));
-        assert_eq!(cache.stats().hits, 1);
-        // ...while the oldest-inserted keys were the ones dropped.
-        let mut searched = false;
-        cache.get_or_plan(&key_for(0), || {
-            searched = true;
-            served.clone()
-        });
-        assert!(searched, "the oldest key was evicted");
-    }
-
     /// The batching window planner tests model (any in-window value works:
     /// clone-modeled co-runners co-arrive at time zero).
     fn batched() -> IoSharing {
@@ -654,16 +572,8 @@ mod tests {
         let mut late = a.clone();
         late.arrival = SimTime::from_ms(500);
         assert_ne!(digest(one_a), digest(std::slice::from_ref(&late)));
-        let base = PlanKey::new("m", SimTime::from_ms(600), 0, &WIDTHS, &Bitwidth::ALL);
-        let key = |arrival, sharing| {
-            let mix = ServingMix::from_co_runners(one_b, sharing);
-            ServingPlanKey::for_mix(base.clone(), arrival, &mix, PreloadPolicy::PerSession)
-        };
-        let k1 = key(SimTime::ZERO, batched());
-        let k2 = key(SimTime::ZERO, IoSharing::Exclusive);
-        assert_ne!(k1, k2, "sharing mode is part of the key");
-        let k3 = key(SimTime::from_ms(5), IoSharing::Exclusive);
-        assert_ne!(k2, k3, "the candidate arrival is part of the key");
+        let batched_digest = ServingMix::from_co_runners(one_a, batched()).digest();
+        assert_ne!(digest(one_a), batched_digest, "the sharing mode is part of the digest");
     }
 
     #[test]
@@ -782,35 +692,5 @@ mod tests {
         let alone = ServingMix::default().predict(&load);
         assert!(exclusive > alone, "an exclusive twin contends");
         assert_eq!(shared, alone, "a byte-identical in-window backlog batches away");
-    }
-
-    #[test]
-    fn serving_cache_memoizes_per_mix() {
-        let hw = hw();
-        let cache = ServingPlanCache::new();
-        let slo = SimTime::from_ms(600);
-        let base = PlanKey::new("m", slo, 0, &WIDTHS, &Bitwidth::ALL);
-        let resident = plan_at(600, 0);
-        let mut searches = 0;
-        for co in [0usize, 2, 0, 2, 0] {
-            let mix = clones(&hw, &resident, co, IoSharing::Exclusive);
-            let key = ServingPlanKey::for_mix(
-                base.clone(),
-                SimTime::ZERO,
-                &mix,
-                PreloadPolicy::PerSession,
-            );
-            cache.get_or_plan(&key, || {
-                searches += 1;
-                slo_search(slo, &mix, 0)
-            });
-        }
-        assert_eq!(searches, 2, "one search per distinct mix");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (3, 2));
-        assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidations, 2);
     }
 }

@@ -7,6 +7,7 @@
 //! and compare payload addresses, so they repeat exactly on any machine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -240,6 +241,48 @@ fn a_bare_replay_does_not_assemble_the_span_stream() {
         requested + stream_bytes > BOUND,
         "the {} spans requested {stream_bytes} bytes; the bound no longer separates them",
         spans.len()
+    );
+}
+
+/// Opens `cycles` SLO sessions on `server`, each against the registry the
+/// previous open changed, and keeps only the newest three open.
+fn slo_churn(server: &StiServer, open: &mut VecDeque<Session>, cycles: u64) {
+    for cycle in 0..cycles {
+        let arrival = SimTime::from_us(cycle % 5 * 250);
+        let session = server.session_with_slo_at(SimTime::from_ms(5_000), 0, arrival);
+        open.push_back(session.expect("a generous SLO admits"));
+        if open.len() > 3 {
+            open.pop_front();
+        }
+    }
+}
+
+/// What a server keeps of an SLO search once its session has dropped. Every
+/// open takes a fresh token, and the mix every search runs against folds the
+/// tokens in, so a memo of searches never hit and only grew: 2 124 B per
+/// search, 67 968 and 135 936 B across the two phases here. Nothing is kept
+/// now (0 and 0 B); the bound is headroom for the harness.
+#[test]
+fn slo_session_churn_leaves_no_heap_behind_per_search() {
+    const K: u64 = 32;
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let cfg = ServeConfig {
+        admission: AdmissionMode::Enforce,
+        batch_window: Some(SimTime::from_ms(1)),
+        ..ServeConfig::default()
+    };
+    let server = build_server(&ctx, &cfg);
+    let mut open = VecDeque::new();
+    // Plans, preload buffers and registry nodes come to stay on first use.
+    slo_churn(&server, &mut open, K);
+    let ((), _, kept_k) = heap_bytes_across(|| slo_churn(&server, &mut open, K));
+    let ((), _, kept_2k) = heap_bytes_across(|| slo_churn(&server, &mut open, 2 * K));
+    assert_eq!(server.slo_plan_stats().misses, 4 * K, "every open searched");
+    assert!(
+        (kept_2k - kept_k).abs() < 4 * KIB as i64,
+        "{K} searches kept {kept_k} heap bytes and {} kept {kept_2k}",
+        2 * K
     );
 }
 

@@ -4,8 +4,8 @@
 //!    digest as a rolling per-session fold updated O(1) by
 //!    `upsert_session`/`remove_session`/`push_session`. A proptest drives
 //!    arbitrary interleavings of register / retarget / drop and pins the
-//!    rolling digest equal to a from-scratch rebuild's — the memo identity behind the SLO-plan cache and both
-//!    gate memos never drifts from the full rehash it replaced.
+//!    rolling digest equal to a from-scratch rebuild's — the memo identity
+//!    behind both gate memos never drifts from the full rehash it replaced.
 //! 2. **Excluded views are rebuilds.** The server's `exclude` path (a
 //!    retargeting session does not co-run with itself) is now a clone +
 //!    `remove_session` view; it must predict bit-identically to a mix

@@ -14,7 +14,7 @@
 //!    pins that the sharing-aware placement never preloads a layer a
 //!    batched in-window co-resident already streams.
 //! 3. **Digest convergence.** `ServingMix::digest` — the one memo identity
-//!    behind both the SLO-plan cache and the gate memo — distinguishes
+//!    behind the gate memos — distinguishes
 //!    every registry change that can alter a prediction or a gate replay.
 
 use std::sync::Arc;

@@ -41,12 +41,6 @@ impl FlashModel {
         self.request_latency + self.transfer_delay(bytes)
     }
 
-    /// Delay of loading a group of byte counts as a single co-located
-    /// request (one latency, summed payload).
-    pub fn grouped_request_delay<I: IntoIterator<Item = u64>>(&self, groups: I) -> SimTime {
-        self.request_delay(groups.into_iter().sum())
-    }
-
     /// A DRAM-speed service model for the opt-in cache-residency mode of the
     /// contended track: bytes already resident in a host-side shard cache
     /// are charged against this model instead of flash, so capacity-planning
@@ -77,16 +71,6 @@ mod tests {
     fn request_delay_adds_latency_once() {
         let f = flash();
         assert_eq!(f.request_delay(1_000_000), SimTime::from_ms(1_002));
-    }
-
-    #[test]
-    fn grouped_request_beats_individual_requests() {
-        let f = flash();
-        let shards = [10_000u64; 12];
-        let grouped = f.grouped_request_delay(shards);
-        let individual: SimTime = shards.iter().map(|&b| f.request_delay(b)).sum();
-        assert!(grouped < individual, "co-location must amortize request latency");
-        assert_eq!(individual - grouped, f.request_latency * 11);
     }
 
     #[test]

@@ -15,24 +15,21 @@
 //! order, producing per-job start/completion times, total flash busy time,
 //! and the maximum queue depth observed.
 //!
-//! Two producers feed the simulator, both through `TopologyQueueSim`:
+//! One producer feeds the simulator, through `TopologyQueueSim`: the
+//! **measured** path. `sti_storage::IoScheduler` records its actual
+//! dispatch sequence and the serving runtime's contention ledger
+//! (`sti-pipeline`, `ContentionLedger::replay` — the one place a dispatch
+//! log becomes jobs) replays it, so serving reports can quote the contended
+//! latency each engagement *would* have seen on real hardware.
 //!
-//! - the **measured** path: `sti_storage::IoScheduler` records its actual
-//!   dispatch sequence and the serving runtime's contention ledger
-//!   (`sti-pipeline`, `ContentionLedger::replay` — the one place a dispatch
-//!   log becomes jobs) replays it, so serving reports can quote the
-//!   contended latency each engagement *would* have seen on real hardware;
-//! - the **predictive** path under batching: `sti_planner::ServingMix`
-//!   submits the open sessions' per-layer jobs on their placed channels,
-//!   coalescing byte-identical in-window jobs, to predict contended latency
-//!   before admitting or gating an engagement.
-//!
-//! Unbatched predictions do not come here. Without batching no arrival is
-//! ever raised, so `ServingMix` folds each channel's queue in closed form:
-//! the Lindley recursion `free = max(free, arrival) + service` over the
-//! jobs in arrival order, which is this queue's `run` with nothing
-//! recorded. Integer `SimTime` makes the fold exact, and the planner's
-//! tests hold it equal to this simulator.
+//! Predictions do not come here. `sti_planner::ServingMix` knows every
+//! job's arrival before serving any (batching groups raise arrivals, but
+//! no completion feeds back into one), so it folds each channel's queue in
+//! closed form: the Lindley recursion `free = max(free, arrival) + service`
+//! over the jobs in `(arrival, submission)` order, which is this queue's
+//! `run` with nothing recorded. Integer `SimTime` makes the fold exact, and
+//! the planner's tests hold it equal to this simulator in both sharing
+//! modes.
 //!
 //! Service times are computed by the caller, which is where the opt-in
 //! DRAM-residency mode lives (on the measured path, in the ledger): bytes
@@ -89,11 +86,6 @@ impl CompletedJob {
     /// Time the job waited behind other work before service began.
     pub fn queue_delay(&self) -> SimTime {
         self.start - self.arrival
-    }
-
-    /// Arrival-to-completion span (service plus queueing).
-    pub fn contended_latency(&self) -> SimTime {
-        self.completion - self.arrival
     }
 }
 
@@ -231,16 +223,6 @@ impl FlashQueueSim {
         Self::default()
     }
 
-    /// When the queue would next go idle: the makespan of everything
-    /// submitted so far (zero for an empty queue). An engagement arriving at
-    /// or after this time has the flash to itself.
-    pub fn drain_time(&self) -> SimTime {
-        if self.jobs.is_empty() {
-            return SimTime::ZERO;
-        }
-        self.run().makespan
-    }
-
     /// Submits a job, returning its sequence number. Jobs with equal
     /// arrival times are served in submission order, so submitting each
     /// engagement's requests in issue order preserves its FIFO contract.
@@ -260,17 +242,6 @@ impl FlashQueueSim {
             self.shared.insert(seq, extra_recipients.to_vec());
         }
         seq
-    }
-
-    /// Number of submitted jobs (shared jobs count once, regardless of
-    /// fan-out).
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no jobs have been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
     }
 
     /// Serves every submitted job on the single flash channel.
@@ -418,7 +389,7 @@ mod tests {
         }
         let r = sim.run();
         for (c, j) in r.completions.iter().map(|c| (c, &sim.jobs[c.seq])) {
-            assert!(c.contended_latency() >= j.service);
+            assert!(c.completion - c.arrival >= j.service);
             assert_eq!(c.completion - c.start, j.service);
         }
     }
@@ -454,20 +425,6 @@ mod tests {
         assert_eq!(mine.len(), 2);
         assert!(mine[0].seq < mine[1].seq);
         assert!(mine[0].completion <= mine[1].start);
-    }
-
-    #[test]
-    fn drain_time_is_the_makespan_of_everything_submitted() {
-        let mut sim = FlashQueueSim::new();
-        assert_eq!(sim.drain_time(), SimTime::ZERO);
-        sim.submit(job(0, 0, 5));
-        sim.submit(job(1, 2, 5));
-        assert_eq!(sim.drain_time(), SimTime::from_ms(10));
-        // A late arrival gates the drain: the queue idles until it shows up.
-        let mut gapped = FlashQueueSim::new();
-        gapped.submit(job(0, 0, 1));
-        gapped.submit(job(1, 50, 1));
-        assert_eq!(gapped.drain_time(), SimTime::from_ms(51));
     }
 
     #[test]

@@ -142,11 +142,6 @@ impl TopologyQueueSim {
         }
     }
 
-    /// The topology this simulator serves.
-    pub fn topology(&self) -> DeviceTopology {
-        self.topology
-    }
-
     /// Submits a job on `device_channel`, returning its global submission
     /// sequence. Within a channel, jobs with equal arrival times are
     /// served in submission order (the per-channel FIFO contract).
@@ -182,23 +177,6 @@ impl TopologyQueueSim {
         self.global[c].push(seq);
         self.submitted += 1;
         seq
-    }
-
-    /// Number of submitted jobs across all channels (shared jobs count
-    /// once).
-    pub fn len(&self) -> usize {
-        self.submitted
-    }
-
-    /// Whether no jobs have been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.submitted == 0
-    }
-
-    /// When the whole device would next go idle: the latest channel drain
-    /// time (zero for an empty device).
-    pub fn drain_time(&self) -> SimTime {
-        self.queues.iter().map(FlashQueueSim::drain_time).max().unwrap_or(SimTime::ZERO)
     }
 
     /// Serves every submitted job: each channel's [`FlashQueueSim::run`],
@@ -276,12 +254,6 @@ impl TopologyReport {
         mine
     }
 
-    /// When the engagement's last job completed on any channel (`None` if
-    /// it had no jobs).
-    pub fn last_completion_of(&self, engagement: u64) -> Option<SimTime> {
-        self.channels.iter().filter_map(|c| c.last_completion_of(engagement)).max()
-    }
-
     /// Emits every channel's timeline as virtual-clock spans: device
     /// channel `c`'s waits/services/depth go to flash track `c`, so the
     /// Chrome-trace export shows one row per device channel. `C = 1`
@@ -330,7 +302,6 @@ mod tests {
         assert_eq!(got.completions(), want.completions);
         for e in [0u64, 1, 2, 7, 8] {
             assert_eq!(got.completions_of(e), want.completions_of(e));
-            assert_eq!(got.last_completion_of(e), want.last_completion_of(e));
         }
     }
 
@@ -432,12 +403,9 @@ mod tests {
         assert_eq!((r.channels[0].max_depth, r.channels[1].max_depth), (2, 2));
         assert_eq!(r.busy(), SimTime::from_ms(21));
         assert_eq!(r.makespan(), SimTime::from_ms(33));
-        assert_eq!(sim.drain_time(), SimTime::from_ms(33));
         assert_eq!(r.max_depth(), 2);
         // Engagement 1 spans both channels; merged order is (arrival, seq).
         assert_eq!(r.completions_of(1), vec![done(1, 3, 0, 6, 8), done(1, 2, 2, 5, 9)]);
-        assert_eq!(r.last_completion_of(0), Some(SimTime::from_ms(33)));
-        assert_eq!(r.last_completion_of(7), Some(SimTime::from_ms(5)));
     }
 
     #[test]
@@ -453,7 +421,6 @@ mod tests {
         assert_eq!(r.makespan(), SimTime::ZERO);
         assert_eq!(r.max_depth(), 0);
         assert!(r.completions().is_empty());
-        assert_eq!(TopologyQueueSim::new(DeviceTopology::single()).drain_time(), SimTime::ZERO);
     }
 
     #[test]

@@ -1042,7 +1042,7 @@ pub struct Session {
     /// The last backpressure-gate decision, keyed by the digest of the
     /// gate's one input, the open-load registry (this session's arrival
     /// included): decisions are a pure function of it, so repeat
-    /// engagements against an unchanged mix skip the queue simulations.
+    /// engagements against an unchanged mix skip the queue predictions.
     gate_memo: Mutex<Option<(u64, GateDecision)>>,
     /// Idle gap between this session's successive engagements on the
     /// simulated timeline (see [`Session::set_issue_gap`]; zero — the

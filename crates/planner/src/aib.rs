@@ -65,16 +65,6 @@ impl AibLedger {
         }
     }
 
-    /// Credits `cost` back to `layer` and all subsequent layers (used when a
-    /// tentative allocation is rolled back, and by back-to-back replanning
-    /// when cached shards free their IO, §3.3).
-    pub fn refund(&mut self, layer: usize, cost: SimTime) {
-        let c = cost.as_us() as i128;
-        for b in &mut self.budgets[layer..] {
-            *b += c;
-        }
-    }
-
     /// Whether all budgets are non-negative (the plan-validity invariant).
     pub fn is_valid(&self) -> bool {
         self.budgets.iter().all(|&b| b >= 0)
@@ -166,15 +156,6 @@ mod tests {
         assert_eq!(ledger.headroom_us(0), 50_000);
         assert_eq!(ledger.headroom_us(1), 150_000);
         assert_eq!(ledger.headroom_us(2), 220_000);
-    }
-
-    #[test]
-    fn refund_reverses_charge() {
-        let mut ledger = AibLedger::new(4, ms(100), ms(0));
-        let before = ledger.clone();
-        ledger.charge(1, ms(77));
-        ledger.refund(1, ms(77));
-        assert_eq!(ledger, before);
     }
 
     #[test]

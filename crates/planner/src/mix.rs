@@ -16,9 +16,8 @@
 //! - [`ServingMix::predict`] is the contended-latency query: every lane's
 //!   FIFO job queue is served round-robin on its device channels, and the
 //!   candidate's pipeline recurrence runs over the contended completions.
-//!   Unbatched predictions fold each channel's queue in closed form (see
-//!   below); batched ones, where byte-identical in-window jobs coalesce,
-//!   run the discrete-event flash simulator.
+//!   Predictions fold each channel's queue in closed form (see below),
+//!   unbatched and batched, where byte-identical in-window jobs coalesce.
 //! - [`ServingMix::min_delay`] is the two-phase minimal-queue-delay
 //!   search, and [`ServingMix::gate_all`] is the deterministic gate walk:
 //!   sessions in `(arrival, token)` order, each earlier SLO session's
@@ -47,41 +46,42 @@
 //! wins, so batched co-residents shift their preload budget onto un-shared
 //! layers — and admit at tighter SLOs — exactly when the mix says it pays.
 //!
-//! # The closed form of an unbatched prediction
+//! # The closed form of a prediction
 //!
-//! Under [`IoSharing::Exclusive`] no arrival is ever raised, and every
-//! candidate job arrives at the candidate's own arrival `a`. Each device
-//! channel is one single-server queue, FIFO by `(arrival, submission)`,
-//! and the candidate's job is submitted last in each round. So on each
-//! channel:
+//! A prediction knows every arrival before it serves a job: batching raises
+//! lane cursors only while a round is grouped, and no completion feeds back
+//! into an arrival. So each device channel is one single-server queue, FIFO
+//! by `(arrival, submission)`, and serving it is the Lindley fold
+//! `free = max(free, a') + s`. `SimTime` is an integer and `max` and `+`
+//! are exact, so the fold equals the simulator bit for bit; this module's
+//! tests compare the two with `==`, and an `#[ignore]`d release test does
+//! so at the `fleet_admit` shape.
+//!
+//! Under [`IoSharing::Exclusive`] every candidate job arrives at the
+//! candidate's own arrival `a`, last in its round. So on each channel:
 //!
 //! - lanes arriving after `a` are served after every candidate job, so they
 //!   are skipped;
-//! - lanes arriving before `a` matter only through the channel's free time:
-//!   the Lindley fold `free = max(free, a') + s` over their jobs in
-//!   ascending arrival `a'`. Jobs sharing an arrival leave the same free
-//!   time in any order, because after the first of them `free >= a'`;
+//! - lanes arriving before `a` matter only through the channel's free time,
+//!   folded in ascending arrival (jobs sharing an arrival leave the same
+//!   free time in any order, because after the first of them `free >= a'`);
 //! - lanes arriving exactly at `a` interleave round by round, with the
 //!   candidate last in each round.
 //!
-//! `SimTime` is an integer and `max` and `+` are exact, so the fold equals
-//! the simulator bit for bit; this module's tests compare the two with
-//! `==`, and an `#[ignore]`d release test does so at the `fleet_admit`
-//! shape. A prediction then costs O(N) lane handles plus a sort of the
-//! lanes arriving by `a`, where simulating the queues builds O(N·k) jobs
-//! and completions. The delay search's drain times are the same fold, in
-//! both sharing modes.
-//!
-//! Batched windows raise per-lane cursors as groups form, so batched
-//! predictions still run [`TopologyQueueSim`], and so does the contention
-//! ledger's replay of a live run.
+//! That costs O(N) lane handles plus a sort of the lanes arriving by `a`.
+//! Under [`IoSharing::Batched`] a later lane can raise the candidate's
+//! cursor, so every lane's jobs are grouped into reads, each at its latest
+//! member's arrival, and one sort by `(arrival, submission)` orders every
+//! channel's fold. The delay search's drains are the fold with nothing
+//! after it, in both modes. Only the contention ledger's replay of a live
+//! run still runs the simulator.
 //!
 //! # Device-channel placement
 //!
 //! The mix carries the [`DeviceTopology`] predictions model
 //! ([`ServingMix::with_topology`]): one single-server FIFO queue per device
 //! channel, `FlashQueueSim`'s discipline `C` times over as in
-//! [`TopologyQueueSim`], so `C = 1` is that queue verbatim. A prediction
+//! `TopologyQueueSim`, so `C = 1` is that queue verbatim. A prediction
 //! routes each job to its device channel by
 //! `DeviceTopology::channel_for` over the job's placement-adjusted
 //! signature (lane stripes are folded into sigs at load construction —
@@ -113,11 +113,12 @@
 //!   gate memos keep their invalidation semantics.
 //! - **Shared lanes, recycled scratch.** [`CoRunnerLoad`] job slices are
 //!   `Arc`-shared; assembling lanes (and replaying decided sessions in the
-//!   gate walk) clones pointers, never jobs. An unbatched prediction
-//!   allocates no job or completion at all (see the closed form above).
-//!   The arrival-order index, the per-channel free times and the batched
-//!   simulator's round/group/cursor buffers are recycled through a lane
-//!   arena across the dozens of predictions a delay search runs.
+//!   gate walk) clones pointers, never jobs. No prediction allocates a
+//!   completion, and an unbatched one no job either (see the closed form
+//!   above). The service-order index, the per-channel free times and the
+//!   batched grouping's round, group, cursor and read buffers are recycled
+//!   through a lane arena across the dozens of predictions a delay search
+//!   runs.
 //! - **Delta re-prediction.** [`ServingMix::gate_all`] runs the
 //!   `(arrival, token)` walk once and prices *every* open SLO session:
 //!   each later decision reuses the decided-lane prefix the walk has
@@ -133,7 +134,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use sti_device::{DeviceTopology, FlashJob, HwProfile, SimTime, TopologyQueueSim};
+use sti_device::{DeviceTopology, HwProfile, SimTime};
 use sti_quant::Bitwidth;
 use sti_storage::LayerRequest;
 use sti_transformer::ShardId;
@@ -142,8 +143,8 @@ use crate::importance::ImportanceProfile;
 use crate::io_plan::{plan_two_stage, replan_with_preload};
 use crate::plan::ExecutionPlan;
 use crate::serving::{
-    align_io_completions, contended_makespan, layer_io_jobs, search_ladder, CoRunnerLoad,
-    EngagementLoad, IoSharing, LadderStep, LayerIoJob, ServingPlan,
+    contended_makespan, layer_io_jobs, search_ladder, CoRunnerLoad, EngagementLoad, IoSharing,
+    LadderStep, LayerIoJob, ServingPlan,
 };
 
 /// What the gate needs to replay an SLO session's decisions
@@ -410,13 +411,11 @@ impl ServingMix {
     /// round, and each channel serves FIFO by arrival.
     ///
     /// Admission, the gate and the delay search are all views over this
-    /// query. Unbatched, it is the closed form of the module docs: lanes
-    /// arriving after the candidate are skipped, earlier ones fold into one
-    /// free time per channel, and co-arriving ones interleave with the
-    /// candidate round by round. That is exact, because unbatched sharing
-    /// never raises an arrival and `SimTime` arithmetic is integer. A
-    /// batched prediction runs [`TopologyQueueSim`], whose groups raise the
-    /// arrivals of the lanes they join.
+    /// query. It is the closed form of the module docs in both sharing
+    /// modes: batched, each round's byte-identical in-window jobs first
+    /// group into one read at their latest member's arrival. That is exact,
+    /// because no completion feeds back into an arrival and `SimTime`
+    /// arithmetic is integer.
     pub fn predict(&self, load: &EngagementLoad) -> SimTime {
         self.predict_over(&self.raw_lanes(), load)
     }
@@ -425,14 +424,8 @@ impl ServingMix {
     /// [`ServingMix::raw_lanes`], so a search that scores many candidates
     /// against one mix walks the registry once.
     fn predict_over(&self, lanes: &[Lane], load: &EngagementLoad) -> SimTime {
-        predict_over_lanes_in(
-            &mut LaneArena::default(),
-            lanes,
-            None,
-            load,
-            self.sharing,
-            self.topology,
-        )
+        let arena = &mut LaneArena::default();
+        predict_over_lanes_in(arena, lanes, None, load, self.sharing, self.topology)
     }
 
     /// Searches the smallest arrival delay (up to `max_delay`) at which the
@@ -509,7 +502,7 @@ impl ServingMix {
     /// Plain target sessions (no [`SloProfile`]) are never gated and skip
     /// lane assembly entirely. The decided-lane prefix is computed once and
     /// shared by every later decision, and the server memoizes the walk per
-    /// mix digest, so after a registry change exactly one walk re-simulates
+    /// mix digest, so after a registry change exactly one walk re-prices
     /// and every other session's gate decision is a lookup.
     ///
     /// Sessions are walked in `(arrival, token)` order. Each earlier SLO
@@ -727,20 +720,21 @@ fn mix64(mut x: u64) -> u64 {
 /// predictions against the same lane set, and a gate walk one search per
 /// decision.
 ///
-/// The closed form needs the indices of the lanes it folds, in arrival
-/// order, and one free time per device channel. The simulator behind batched predictions recycles the
-/// candidate's jobs, per-lane arrival cursors, round assembly and batching
-/// groups.
+/// Both folds need an index in service order and one free time per device
+/// channel. The round grouping of a batched prediction recycles the
+/// candidate's jobs, per-lane arrival cursors, round assembly, batching
+/// groups and the reads it submits.
 #[derive(Default)]
 struct LaneArena {
     by_arrival: Vec<usize>,
     free: Vec<SimTime>,
-    candidate: Vec<LayerIoJob>,
+    candidate: Vec<(usize, LayerIoJob)>,
     cursors: Vec<SimTime>,
-    round: Vec<(usize, LayerIoJob)>,
-    group_jobs: Vec<LayerIoJob>,
-    group_members: Vec<Vec<usize>>,
-    extra: Vec<u64>,
+    round: Vec<(usize, LayerIoJob, usize)>,
+    groups: Vec<(LayerIoJob, usize, SimTime)>,
+    /// One read per batching group: its arrival, its job, and the
+    /// candidate layer it completes when the candidate is a member.
+    reads: Vec<(SimTime, LayerIoJob, Option<usize>)>,
 }
 
 /// One initial-pass gate decision for a profile at an arrival. Co-arrival
@@ -785,9 +779,9 @@ fn decide(
 /// (each with an arrival offset), of which only those arriving by `cutoff`
 /// count (all of them for `None`); the candidate's jobs ride last in each
 /// round-robin round. Returns the candidate's end-to-end latency from its
-/// arrival. Unbatched sharing takes the closed form ([`fold_predict`]),
-/// batched sharing the simulator ([`simulate`]). Scratch is caller-owned
-/// (see [`LaneArena`]).
+/// arrival, folding each device channel's queue in closed form: over the
+/// lanes unbatched ([`fold_predict`]), over the reads of the round grouping
+/// batched ([`batched_predict`]). Scratch is caller-owned ([`LaneArena`]).
 fn predict_over_lanes_in(
     arena: &mut LaneArena,
     lanes: &[Lane],
@@ -798,11 +792,11 @@ fn predict_over_lanes_in(
 ) -> SimTime {
     #[cfg(test)]
     if tests::oracle_on() {
-        return simulate(arena, lanes, cutoff, load, sharing, topology);
+        return tests::simulated_predict(arena, lanes, cutoff, load, sharing.window(), topology);
     }
     match sharing {
         IoSharing::Exclusive => fold_predict(arena, lanes, cutoff, load, topology),
-        IoSharing::Batched(_) => simulate(arena, lanes, cutoff, load, sharing, topology),
+        IoSharing::Batched(window) => batched_predict(arena, lanes, cutoff, load, window, topology),
     }
 }
 
@@ -849,7 +843,7 @@ fn fold_lanes(free: &mut Vec<SimTime>, lanes: &[Lane], order: &[usize], topology
 /// arriving after the candidate's arrival `a` are skipped, lanes arriving
 /// before it fold into each channel's free time, and lanes arriving at `a`
 /// interleave with the candidate round by round, the candidate last in
-/// each round. Equal to [`simulate`] without a window, bit for bit.
+/// each round. Equal to the simulator without a window, bit for bit.
 fn fold_predict(
     arena: &mut LaneArena,
     lanes: &[Lane],
@@ -882,100 +876,102 @@ fn fold_predict(
     contended_makespan(a, &io_ends, &vec![load.comp; load.jobs.len()])
 }
 
-/// The discrete-event prediction behind batched sharing: every lane
-/// arriving by `cutoff` (all of them for `None`) queues its jobs at its
-/// arrival, the candidate's ride last in each round-robin round,
-/// byte-identical jobs of in-window engagements coalesce into one shared
-/// read, and [`TopologyQueueSim`] decides who waits for whom. Without a
-/// window it is the closed form's test oracle.
+/// The round grouping behind a batched prediction: every lane arriving by
+/// `cutoff` (all of them for `None`) queues its jobs at its arrival, the
+/// candidate's ride last in each round-robin round, and byte-identical
+/// jobs of engagements within `window` of each other coalesce into one
+/// shared read. Leaves the reads in `arena.reads`, in submission order.
 ///
 /// Per-lane arrival cursors are monotone: when a job joins a batch, every
 /// member's cursor is raised to the batch arrival (the job exists only once
 /// its last member has arrived), mirroring the scheduler's
 /// effective-arrival discipline so per-lane FIFO survives the replay.
-fn simulate(
+fn group_rounds(
     arena: &mut LaneArena,
     lanes: &[Lane],
     cutoff: Option<SimTime>,
     load: &EngagementLoad,
-    sharing: IoSharing,
-    topology: DeviceTopology,
-) -> SimTime {
-    let LaneArena { candidate, cursors, round, group_jobs, group_members, extra, .. } = arena;
+    window: Option<SimTime>,
+) {
+    let LaneArena { candidate, cursors, round, groups, reads, .. } = arena;
     candidate.clear();
-    candidate.extend(load.jobs.iter().copied().flatten());
+    candidate.extend(load.jobs.iter().enumerate().filter_map(|(k, j)| j.map(|j| (k, j))));
     let candidate_id = lanes.len();
     let rounds = candidate.len().max(lanes.iter().map(|l| l.jobs.len()).max().unwrap_or(0));
     // Arrival cursors, one per lane plus the candidate's at the end.
     cursors.clear();
     cursors.extend(lanes.iter().map(|l| l.arrival));
     cursors.push(load.arrival);
-    let window = sharing.window();
-    let mut sim = TopologyQueueSim::new(topology);
+    reads.clear();
+    reads.reserve(candidate.len() + lanes.iter().map(|l| l.jobs.len()).sum::<usize>());
     for r in 0..rounds {
-        // This round's jobs in dispatch order: lanes, then candidate.
+        // This round's jobs in dispatch order, lanes then candidate, each
+        // with the group it joins.
         round.clear();
         round.extend(
             lanes
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| cutoff.is_none_or(|c| l.arrival <= c))
-                .filter_map(|(e, l)| l.jobs.get(r).map(|&j| (e, j)))
-                .chain(candidate.get(r).map(|&j| (candidate_id, j))),
+                .filter_map(|(e, l)| l.jobs.get(r).map(|&j| (e, j, 0)))
+                .chain(candidate.get(r).map(|&(_, j)| (candidate_id, j, 0))),
         );
-        // Group batchable jobs: one submission per signature, fanned out to
-        // every in-window engagement that issued it this round. Group
-        // buffers are recycled across rounds and predictions.
-        let mut live_groups = 0usize;
-        for &(engagement, job) in round.iter() {
-            let mut joined = false;
-            if let Some(w) = window {
-                for g in 0..live_groups {
-                    if group_jobs[g] == job
-                        && gap(cursors[group_members[g][0]], cursors[engagement]) <= w
-                    {
-                        group_members[g].push(engagement);
-                        joined = true;
-                        break;
-                    }
-                }
-            }
-            if !joined {
-                if live_groups == group_jobs.len() {
-                    group_jobs.push(job);
-                    group_members.push(Vec::new());
-                } else {
-                    group_jobs[live_groups] = job;
-                    group_members[live_groups].clear();
-                }
-                group_members[live_groups].push(engagement);
-                live_groups += 1;
-            }
+        // One read per signature, fanned out to every engagement within the
+        // window of the group's first member: a group is its job, its first
+        // member and its latest member's arrival.
+        groups.clear();
+        for (engagement, job, group) in round.iter_mut() {
+            let (e, job) = (*engagement, *job);
+            let joins = window.and_then(|w| {
+                groups
+                    .iter()
+                    .position(|&(j, first, _)| j == job && gap(cursors[first], cursors[e]) <= w)
+            });
+            *group = joins.unwrap_or_else(|| {
+                groups.push((job, e, SimTime::ZERO));
+                groups.len() - 1
+            });
+            groups[*group].2 = groups[*group].2.max(cursors[e]);
         }
-        for g in 0..live_groups {
-            let members = &group_members[g];
-            let arrival = members.iter().map(|&e| cursors[e]).max().expect("groups are non-empty");
-            for &e in members.iter() {
-                cursors[e] = arrival;
-            }
-            extra.clear();
-            extra.extend(members[1..].iter().map(|&e| e as u64));
-            // Lane stripes are already folded into the sigs, so stripe 0 is
-            // the resolved placement.
-            sim.submit_shared_on(
-                topology.channel_for(group_jobs[g].sig, 0),
-                FlashJob { engagement: members[0] as u64, arrival, service: group_jobs[g].service },
-                extra,
-            );
+        for &(e, _, g) in round.iter() {
+            cursors[e] = groups[g].2;
+        }
+        // The candidate issues last in its round.
+        let rides = round.last().filter(|&&(e, _, _)| e == candidate_id).map(|&(_, _, g)| g);
+        reads.extend(groups.iter().enumerate().map(|(g, &(job, _, arrival))| {
+            (arrival, job, (rides == Some(g)).then(|| candidate[r].0))
+        }));
+    }
+}
+
+/// A batched prediction: the round grouping's reads, each channel served
+/// FIFO by `(arrival, submission)` through [`serve`], which keeps channels
+/// apart, so one sort orders them all. The candidate's completions are
+/// those of the reads it rides.
+fn batched_predict(
+    arena: &mut LaneArena,
+    lanes: &[Lane],
+    cutoff: Option<SimTime>,
+    load: &EngagementLoad,
+    window: SimTime,
+    topology: DeviceTopology,
+) -> SimTime {
+    group_rounds(arena, lanes, cutoff, load, Some(window));
+    let LaneArena { by_arrival, free, reads, .. } = arena;
+    by_arrival.clear();
+    by_arrival.extend(0..reads.len());
+    by_arrival.sort_unstable_by_key(|&i| (reads[i].0, i));
+    free.clear();
+    free.resize(topology.channel_count() as usize, SimTime::ZERO);
+    let mut io_ends = vec![None; load.jobs.len()];
+    for &i in by_arrival.iter() {
+        let (arrival, job, candidate_layer) = reads[i];
+        let done = serve(free, topology, arrival, job);
+        if let Some(layer) = candidate_layer {
+            io_ends[layer] = Some(done);
         }
     }
-    let comps = vec![load.comp; load.jobs.len()];
-    let has_io: Vec<bool> = load.jobs.iter().map(Option::is_some).collect();
-    // Arrivals are monotone per engagement, so the report's merged
-    // `(arrival, seq)` order is the candidate's issue order.
-    let io_ends = align_io_completions(&has_io, &sim.run().completions_of(candidate_id as u64))
-        .expect("the simulator served every submitted job");
-    contended_makespan(load.arrival, &io_ends, &comps)
+    contended_makespan(load.arrival, &io_ends, &vec![load.comp; load.jobs.len()])
 }
 
 /// When every device channel has served every job of the lanes arriving by
@@ -1244,11 +1240,14 @@ pub fn plan_for_slo_mix(
 }
 
 #[cfg(test)]
+// The queue simulator is this module's oracle and nothing else.
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
+    use crate::serving::align_io_completions;
     use proptest::prelude::*;
     use std::cell::Cell;
-    use sti_device::DeviceProfile;
+    use sti_device::{DeviceProfile, FlashJob, TopologyQueueSim};
     use sti_quant::QuantConfig;
     use sti_transformer::ModelConfig;
 
@@ -1263,13 +1262,42 @@ mod tests {
     }
 
     /// `work` with every prediction and drain priced by the simulator: the
-    /// reference the closed form must equal. Test threads are not shared,
-    /// so the switch reaches no other test.
+    /// reference the folds must equal. Test threads are not shared, so the
+    /// switch reaches no other test.
     fn oracle<T>(work: impl FnOnce() -> T) -> T {
         ORACLE.with(|on| on.set(true));
         let out = work();
         ORACLE.with(|on| on.set(false));
         out
+    }
+
+    /// The prediction as the simulator prices it: the reads of the same
+    /// round grouping, each submitted at its arrival on its device channel,
+    /// and the candidate's completions merged in `(arrival, seq)` order.
+    pub(super) fn simulated_predict(
+        arena: &mut LaneArena,
+        lanes: &[Lane],
+        cutoff: Option<SimTime>,
+        load: &EngagementLoad,
+        window: Option<SimTime>,
+        topology: DeviceTopology,
+    ) -> SimTime {
+        group_rounds(arena, lanes, cutoff, load, window);
+        let mut sim = TopologyQueueSim::new(topology);
+        for &(arrival, read, candidate_layer) in &arena.reads {
+            sim.submit_on(
+                topology.channel_for(read.sig, 0),
+                FlashJob {
+                    engagement: candidate_layer.is_some() as u64,
+                    arrival,
+                    service: read.service,
+                },
+            );
+        }
+        let has_io: Vec<bool> = load.jobs.iter().map(Option::is_some).collect();
+        let io_ends = align_io_completions(&has_io, &sim.run().completions_of(1))
+            .expect("the simulator served one read per streamed layer");
+        contended_makespan(load.arrival, &io_ends, &vec![load.comp; load.jobs.len()])
     }
 
     /// The drain as the simulator prices it: every job of the lanes
@@ -1289,18 +1317,22 @@ mod tests {
                 );
             }
         }
-        sim.drain_time()
+        sim.run().makespan()
     }
 
     /// Arrival slots are 40 µs apart, so a handful of them makes ties
     /// common.
     const SLOT_US: u64 = 40;
 
-    fn job((sig, service_us): (u64, u64)) -> LayerIoJob {
-        LayerIoJob { sig, service: SimTime::from_us(service_us) }
+    /// Service times are whole multiples of this, so drawn jobs often match
+    /// in both signature and service, and batch.
+    const SERVICE_US: u64 = 30;
+
+    fn job((sig, services): (u64, u64)) -> LayerIoJob {
+        LayerIoJob { sig, service: SimTime::from_us(services * SERVICE_US) }
     }
 
-    /// Lanes from drawn `(arrival slot, [(sig, service µs)])`.
+    /// Lanes from drawn `(arrival slot, [(sig, services)])`.
     fn lanes_of(drawn: &[(u64, Vec<(u64, u64)>)]) -> Vec<Lane> {
         drawn
             .iter()
@@ -1311,13 +1343,13 @@ mod tests {
             .collect()
     }
 
-    /// A candidate from drawn `[(kind, sig, service µs)]` layers (kind 0 is
-    /// a preload-covered `None` layer), a compute delay and an arrival slot.
+    /// A candidate from drawn `[(kind, sig, services)]` layers (kind 0 is a
+    /// preload-covered `None` layer), a compute delay and an arrival slot.
     fn candidate_of(layers: &[(u8, u64, u64)], comp_us: u64, slot: u64) -> EngagementLoad {
         EngagementLoad {
             jobs: layers
                 .iter()
-                .map(|&(kind, sig, us)| (kind > 0).then(|| job((sig, us))))
+                .map(|&(kind, sig, services)| (kind > 0).then(|| job((sig, services))))
                 .collect(),
             comp: SimTime::from_us(comp_us),
             arrival: SimTime::from_us(slot * SLOT_US),
@@ -1329,20 +1361,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The closed form against the simulator core without a window,
-        /// compared with `==`: predictions with and without the delay
-        /// search's early cutoff (the candidate also delayed onto every
-        /// lane's arrival), drains at every arrival, and the delay search in
-        /// both sharing modes (its drains are the fold in either), on one,
-        /// two and four device channels.
+        /// Both folds against the simulator, compared with `==`: predictions
+        /// with and without the delay search's early cutoff (the candidate
+        /// also delayed onto every lane's arrival), drains at every arrival,
+        /// and the delay search, on one, two and four device channels. Each
+        /// runs unbatched and under two drawn windows: one below the slot
+        /// spacing, so groups form only at tied arrivals, and one spanning
+        /// several slots, so they also form across raised cursors. The
+        /// candidate issues last in its round, so it is a non-primary member
+        /// of every group it shares.
         #[test]
         fn any_lane_set_predicts_drains_and_searches_as_the_simulator_does(
             drawn in proptest::collection::vec(
-                (0u64..6, proptest::collection::vec((0u64..16, 1u64..400), 0..13)),
+                (0u64..6, proptest::collection::vec((0u64..8, 1u64..4), 0..13)),
                 0..10,
             ),
-            layers in proptest::collection::vec((0u8..3, 0u64..16, 1u64..400), 0..13),
+            layers in proptest::collection::vec((0u8..3, 0u64..8, 1u64..4), 0..13),
             knobs in (0u64..60, 0u64..6, 0u64..4_000, 0u64..4_000),
+            windows in (0u64..SLOT_US, 2 * SLOT_US..6 * SLOT_US),
         ) {
             let (comp_us, slot, slo_us, max_us) = knobs;
             let lanes = lanes_of(&drawn);
@@ -1350,27 +1386,29 @@ mod tests {
             let (slo, max) = (SimTime::from_us(slo_us), SimTime::from_us(max_us));
             let mut arrivals: Vec<SimTime> = lanes.iter().map(|l| l.arrival).collect();
             arrivals.push(load.arrival);
+            let (narrow, wide) = (SimTime::from_us(windows.0), SimTime::from_us(windows.1));
             for channels in TOPOLOGIES {
                 let topology = DeviceTopology::with_channels(channels);
                 let arena = &mut LaneArena::default();
-                let exclusive = IoSharing::Exclusive;
-                let predict = |arena: &mut LaneArena, cutoff, load: &EngagementLoad| {
-                    predict_over_lanes_in(arena, &lanes, cutoff, load, exclusive, topology)
-                };
-                let want = oracle(|| predict(arena, None, &load));
-                prop_assert_eq!(predict(arena, None, &load), want);
-                for &at in arrivals.iter().filter(|&&at| at >= load.arrival) {
-                    let delayed = load.delayed(at - load.arrival);
-                    for cutoff in [None, Some(load.arrival)] {
-                        let want = oracle(|| predict(arena, cutoff, &delayed));
-                        prop_assert_eq!(predict(arena, cutoff, &delayed), want);
-                    }
-                }
                 for &cutoff in &arrivals {
                     let want = simulated_drain(&lanes, cutoff, topology);
                     prop_assert_eq!(drain_by(arena, &lanes, cutoff, topology), want);
                 }
-                for sharing in [exclusive, IoSharing::Batched(SimTime::from_us(SLOT_US))] {
+                for sharing in
+                    [IoSharing::Exclusive, IoSharing::Batched(narrow), IoSharing::Batched(wide)]
+                {
+                    let predict = |arena: &mut LaneArena, cutoff, load: &EngagementLoad| {
+                        predict_over_lanes_in(arena, &lanes, cutoff, load, sharing, topology)
+                    };
+                    let want = oracle(|| predict(arena, None, &load));
+                    prop_assert_eq!(predict(arena, None, &load), want);
+                    for &at in arrivals.iter().filter(|&&at| at >= load.arrival) {
+                        let delayed = load.delayed(at - load.arrival);
+                        for cutoff in [None, Some(load.arrival)] {
+                            let want = oracle(|| predict(arena, cutoff, &delayed));
+                            prop_assert_eq!(predict(arena, cutoff, &delayed), want);
+                        }
+                    }
                     let search = |arena: &mut LaneArena| {
                         min_delay_over_lanes_in(arena, &lanes, &load, sharing, topology, slo, max)
                     };
@@ -1387,7 +1425,7 @@ mod tests {
         #[test]
         fn any_registry_gates_as_the_simulator_does(
             drawn in proptest::collection::vec(
-                (0u64..6, proptest::collection::vec((0u64..16, 1u64..400), 0..13)),
+                (0u64..6, proptest::collection::vec((0u64..8, 1u64..4), 0..13)),
                 0..10,
             ),
             slos in proptest::collection::vec((0u8..3, 0u64..3_000), 10..11),
@@ -1423,10 +1461,11 @@ mod tests {
         }
     }
 
-    /// The closed form against the simulator at the `fleet_admit` shape:
-    /// 2 000 unbatched sessions on four device channels arriving 100 ms
-    /// apart, eight live SLO sessions below 1 s, and an SLO candidate
-    /// admitted among them. Seconds in release, far longer unoptimised.
+    /// Both folds against the simulator at the `fleet_admit` shape: 2 000
+    /// sessions on four device channels arriving 100 ms apart, eight live
+    /// SLO sessions below 1 s, and an SLO candidate admitted among them;
+    /// unbatched, and batched under `burst_shared`'s 2 ms window. Seconds
+    /// in release, far longer unoptimised.
     #[test]
     #[ignore = "run under --release with --ignored"]
     fn the_fleet_admit_shape_admits_and_gates_as_the_simulator_does() {
@@ -1444,48 +1483,50 @@ mod tests {
                 plan_two_stage(&hw, &importance, target, preload, &widths, &Bitwidth::ALL)
             })
             .collect();
-        let mut mix =
-            ServingMix::new(IoSharing::Exclusive).with_topology(DeviceTopology::with_channels(4));
-        for token in 0..2_000u64 {
-            let plan = &plans[(token * 7 % 81) as usize];
-            let arrival = SimTime::from_ms(token * 100);
-            let load = CoRunnerLoad::from_plan_striped(&hw, plan, arrival, (token % 4) as u16);
-            mix.push_session(token, load, None);
-        }
-        // Two of the eight land exactly on a fleet session's arrival, and
-        // SLOs of 180–320 ms leave the walk delays, sheds and re-gates.
-        for k in 0..8u64 {
-            let (plan, stripe) = (&plans[(k * 13 % 81) as usize], (k % 4) as u16);
-            let arrival = SimTime::from_us(k * 125_000);
-            let slo = SimTime::from_ms(180 + k * 20);
-            let load = CoRunnerLoad::from_plan_striped(&hw, plan, arrival, stripe);
-            mix.push_session(
-                2_000 + k,
-                load,
-                Some(SloProfile::from_plan_striped(&hw, plan, slo, stripe)),
-            );
-        }
-        for (arrival_us, slo_ms) in [(300_000, 500), (437_512, 750), (900_000, 1_000)] {
-            let (arrival, slo) = (SimTime::from_us(arrival_us), SimTime::from_ms(slo_ms));
-            let search = || {
-                plan_for_slo_mix(
-                    &hw,
-                    &importance,
-                    slo,
-                    arrival,
-                    &mix,
-                    PreloadPolicy::PerSession,
-                    preload,
-                    &widths,
-                    &Bitwidth::ALL,
-                )
-            };
-            assert_eq!(search(), oracle(search), "admission at {arrival_us} µs");
-        }
-        for policy in [GatePolicy::Queue(SimTime::from_ms(200)), GatePolicy::Shed] {
-            let walk = mix.gate_all(policy);
-            assert_eq!(walk.len(), 8);
-            assert_eq!(walk, oracle(|| mix.gate_all(policy)), "{policy:?}");
+        for sharing in [IoSharing::Exclusive, IoSharing::Batched(SimTime::from_ms(2))] {
+            let mut mix = ServingMix::new(sharing).with_topology(DeviceTopology::with_channels(4));
+            for token in 0..2_000u64 {
+                let plan = &plans[(token * 7 % 81) as usize];
+                let arrival = SimTime::from_ms(token * 100);
+                let load = CoRunnerLoad::from_plan_striped(&hw, plan, arrival, (token % 4) as u16);
+                mix.push_session(token, load, None);
+            }
+            // Two of the eight land exactly on a fleet session's arrival
+            // (the first on the session it batches with), and SLOs of
+            // 180–320 ms leave the walk delays, sheds and re-gates.
+            for k in 0..8u64 {
+                let (plan, stripe) = (&plans[(k * 13 % 81) as usize], (k % 4) as u16);
+                let arrival = SimTime::from_us(k * 125_000);
+                let slo = SimTime::from_ms(180 + k * 20);
+                let load = CoRunnerLoad::from_plan_striped(&hw, plan, arrival, stripe);
+                mix.push_session(
+                    2_000 + k,
+                    load,
+                    Some(SloProfile::from_plan_striped(&hw, plan, slo, stripe)),
+                );
+            }
+            for (arrival_us, slo_ms) in [(300_000, 500), (437_512, 750), (900_000, 1_000)] {
+                let (arrival, slo) = (SimTime::from_us(arrival_us), SimTime::from_ms(slo_ms));
+                let search = || {
+                    plan_for_slo_mix(
+                        &hw,
+                        &importance,
+                        slo,
+                        arrival,
+                        &mix,
+                        PreloadPolicy::PerSession,
+                        preload,
+                        &widths,
+                        &Bitwidth::ALL,
+                    )
+                };
+                assert_eq!(search(), oracle(search), "{sharing:?}: admission at {arrival_us} µs");
+            }
+            for policy in [GatePolicy::Queue(SimTime::from_ms(200)), GatePolicy::Shed] {
+                let walk = mix.gate_all(policy);
+                assert_eq!(walk.len(), 8);
+                assert_eq!(walk, oracle(|| mix.gate_all(policy)), "{sharing:?}: {policy:?}");
+            }
         }
     }
 

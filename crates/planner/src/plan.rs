@@ -94,17 +94,6 @@ impl ExecutionPlan {
         self.preload.iter().any(|&(pid, _)| pid == id)
     }
 
-    /// Count of shards per planned bitwidth, for reporting.
-    pub fn bitwidth_histogram(&self) -> std::collections::BTreeMap<Bitwidth, usize> {
-        let mut hist = std::collections::BTreeMap::new();
-        for layer in &self.layers {
-            for &bw in &layer.bitwidths {
-                *hist.entry(bw).or_insert(0) += 1;
-            }
-        }
-        hist
-    }
-
     /// Renders the plan as the per-shard bitwidth grid of paper Figure 8,
     /// one row per layer, `*` marking preloaded shards.
     pub fn grid_string(&self) -> String {
@@ -181,15 +170,6 @@ mod tests {
         let plan = sample_plan();
         assert!(plan.is_preloaded(ShardId::new(0, 0)));
         assert!(!plan.is_preloaded(ShardId::new(1, 1)));
-    }
-
-    #[test]
-    fn histogram_counts_all_shards() {
-        let plan = sample_plan();
-        let hist = plan.bitwidth_histogram();
-        assert_eq!(hist[&Bitwidth::B2], 3);
-        assert_eq!(hist[&Bitwidth::B6], 1);
-        assert_eq!(hist.values().sum::<usize>(), 6);
     }
 
     #[test]

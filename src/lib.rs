@@ -78,7 +78,8 @@
 //! [`prelude::TopologyQueueSim`] simulates as `C` × `FlashQueueSim`): the
 //! post-replay contention report, `ServingMix::predict`/`min_delay`
 //! (admission and the gate queue the open sessions' lanes on their device
-//! channels, folded in closed form when unbatched), and the SLO search. Placement is a *stripe*: each session's request signatures are
+//! channels, folded in closed form with or without batching), and the SLO
+//! search. Placement is a *stripe*: each session's request signatures are
 //! offset by its stripe and hashed to a channel
 //! (`DeviceTopology::channel_for`), so byte-identical requests from two
 //! sessions coalesce into one batched flash job only when placed on the

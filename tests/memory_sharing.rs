@@ -286,14 +286,13 @@ fn slo_session_churn_leaves_no_heap_behind_per_search() {
     );
 }
 
-/// `n` unbatched sessions on four device channels arriving 100 ms apart,
-/// each streaming eight 20 ms layer jobs (about the `fleet_admit` load: the
-/// device ~40 % busy), and an SLO candidate that co-arrives with the eleventh
-/// at 1 s, with two of its twelve layers preload-covered.
-fn fleet(n: u64) -> (ServingMix, EngagementLoad) {
+/// `n` sessions under `sharing` on four device channels arriving 100 ms
+/// apart, each streaming eight 20 ms layer jobs (about the `fleet_admit`
+/// load: the device ~40 % busy), and an SLO candidate that co-arrives with
+/// the eleventh at 1 s, with two of its twelve layers preload-covered.
+fn fleet(n: u64, sharing: IoSharing) -> (ServingMix, EngagementLoad) {
     let job = |sig| LayerIoJob { sig, service: SimTime::from_ms(20) };
-    let mut mix =
-        ServingMix::new(IoSharing::Exclusive).with_topology(DeviceTopology::with_channels(4));
+    let mut mix = ServingMix::new(sharing).with_topology(DeviceTopology::with_channels(4));
     for token in 0..n {
         let jobs = (0..8).map(|layer| job(token * 16 + layer)).collect();
         mix.push_session(
@@ -309,7 +308,7 @@ fn fleet(n: u64) -> (ServingMix, EngagementLoad) {
 #[test]
 fn an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet() {
     let _guard = serialised();
-    let (mix, load) = fleet(2_000);
+    let (mix, load) = fleet(2_000, IoSharing::Exclusive);
     let alone = ServingMix::new(IoSharing::Exclusive).with_topology(mix.topology()).predict(&load);
     let (contended, predict_bytes, _) = heap_bytes_across(|| mix.predict(&load));
     assert!(contended > alone, "the candidate queues behind the fleet: {contended:?}");
@@ -326,6 +325,33 @@ fn an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fl
     assert!(
         min_delay_bytes < 96 * KIB,
         "a delay search over 2 000 sessions requested {min_delay_bytes}"
+    );
+}
+
+/// The same fleet batched under `burst_shared`'s 2 ms window. A batched
+/// prediction used to submit every grouped read to the queue simulator and
+/// run it: 2 497 068 B per prediction and 4 817 876 B per search at this
+/// size. Folding the reads per channel requests 1 127 360 and 1 138 016 B,
+/// mostly the reads themselves (one 40-byte read per job of every lane, a
+/// grouping that must see the later lanes too) and their service order.
+/// The bound sits between the two.
+#[test]
+fn a_batched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet() {
+    let _guard = serialised();
+    let (mix, load) = fleet(2_000, IoSharing::Batched(SimTime::from_ms(2)));
+    let alone = ServingMix::new(IoSharing::Exclusive).with_topology(mix.topology()).predict(&load);
+    let (contended, predict_bytes, _) = heap_bytes_across(|| mix.predict(&load));
+    assert!(contended > alone, "the candidate queues behind the fleet: {contended:?}");
+    let (_, min_delay_bytes, _) =
+        heap_bytes_across(|| mix.min_delay(&load, alone, SimTime::from_ms(200)));
+    const BOUND: u64 = 1536 * KIB;
+    assert!(
+        predict_bytes < BOUND,
+        "a batched prediction over 2 000 sessions requested {predict_bytes}"
+    );
+    assert!(
+        min_delay_bytes < BOUND,
+        "a batched delay search over 2 000 sessions requested {min_delay_bytes}"
     );
 }
 

@@ -150,7 +150,6 @@ proptest! {
             }
             prop_assert_eq!(&got.channels[c], &want, "channel {} of {}", c, channels);
         }
-        prop_assert_eq!(topo.drain_time(), got.makespan());
         if channels == 1 {
             // Global and channel-local sequences coincide: the report is
             // the single queue's, verbatim.

@@ -22,12 +22,13 @@
 //! mode — an equal-arrival earliest session does not run blind ahead of
 //! later-opened co-arriving load).
 //!
-//! **Memoization.** Decisions are memoized per mix digest
-//! (`ServingMix::digest`) at two levels: per session
-//! ([`GateSubject::memo`]: repeat engagements against an unchanged mix
-//! skip everything) and per *walk* (one walk prices every open SLO
-//! session, so after a registry change exactly one engagement re-prices
-//! and every other session's first decision is a lookup). The probe
+//! **Memoization.** Decisions are memoized once, per *walk*, keyed by the
+//! mix digest (`ServingMix::digest`): one walk prices every open SLO
+//! session, so after a registry change exactly one engagement re-prices,
+//! and every later decision against the unchanged mix — the same
+//! session's repeats included — is one `HashMap` lookup. Sessions keep no
+//! memo of their own: a decision is a pure function of the digest, so a
+//! second level could only return what the walk memo does. The probe
 //! digest and, on a miss, the snapshot the walk runs over are taken under
 //! one read guard of the registry lock, so a walk is always memoized under
 //! the digest of exactly the state it saw; the guard is released before
@@ -127,13 +128,10 @@ pub struct GateReason {
 type GateWalkMemo = (u64, Arc<HashMap<u64, GateOutcome>>, MixLaneSummary);
 
 /// The session one gate decision is for.
-pub(crate) struct GateSubject<'a> {
+pub(crate) struct GateSubject {
     pub(crate) token: u64,
     pub(crate) arrival: SimTime,
     pub(crate) slo: SimTime,
-    /// The session's last decision, keyed by the mix digest it was made
-    /// under.
-    pub(crate) memo: &'a Mutex<Option<(u64, GateDecision)>>,
 }
 
 /// The gate's policy, walk memo and instruments.
@@ -167,7 +165,7 @@ impl Gate {
     /// (`None` with the gate off). Pure: nothing is counted or logged.
     pub(crate) fn decide(
         &self,
-        who: GateSubject<'_>,
+        who: GateSubject,
         registry: &RwLock<ServingMix>,
     ) -> Option<GateDecision> {
         let policy = match self.mode {
@@ -176,17 +174,12 @@ impl Gate {
             BackpressureMode::Shed => GatePolicy::Shed,
         };
         // The decision is a pure function of the mix. One read guard covers
-        // the digest probe, both memo lookups and — on a miss — the snapshot
+        // the digest probe, the memo lookup and — on a miss — the snapshot
         // (see the module docs); `Err` carries that snapshot out, to be
         // walked once the guard has dropped.
         let (digest, memoized) = {
             let mix = registry.read();
             let digest = mix.digest();
-            if let Some((seen, decision)) = *who.memo.lock() {
-                if seen == digest {
-                    return Some(decision);
-                }
-            }
             let memoized = self.walk_memo.lock().as_ref().and_then(|(seen, walk, summary)| {
                 (*seen == digest).then(|| (walk.clone(), *summary))
             });
@@ -200,7 +193,7 @@ impl Gate {
             (walk, summary)
         });
         let outcome = *walk.get(&who.token).expect("an open SLO session is always in the registry");
-        let decision = GateDecision {
+        Some(GateDecision {
             session: who.token,
             arrival: who.arrival,
             slo: who.slo,
@@ -215,9 +208,7 @@ impl Gate {
                     .dominant_excluding(who.token)
                     .map(|(token, us)| (token, SimTime::from_us(us))),
             },
-        };
-        *who.memo.lock() = Some((digest, decision));
-        Some(decision)
+        })
     }
 
     /// Counts a decision an engagement is about to act on and turns it
@@ -261,28 +252,32 @@ mod tests {
         SimTime::from_ms(n)
     }
 
-    /// Registers session `token`: two 10 ms reads of its own bytes with
-    /// 1 ms of compute per layer (21 ms alone), co-arriving at time zero,
-    /// held to `slo`.
-    fn register(registry: &RwLock<ServingMix>, token: u64, slo: SimTime) {
+    /// Registers (or, the way `Session::set_arrival` does, re-registers)
+    /// session `token`: two 10 ms reads of its own bytes with 1 ms of
+    /// compute per layer (21 ms alone), arriving at `arrival`, held to
+    /// `slo`.
+    fn register_at(registry: &RwLock<ServingMix>, token: u64, slo: SimTime, arrival: SimTime) {
         let jobs = [1, 2].map(|layer| LayerIoJob { sig: token * 10 + layer, service: ms(10) });
-        let load = CoRunnerLoad { jobs: Arc::from(jobs), arrival: SimTime::ZERO };
-        let profile = SloProfile { jobs: jobs.map(Some).to_vec(), comp: ms(1), slo };
+        let load = CoRunnerLoad { jobs: Arc::from(jobs), arrival };
+        let profile = SloProfile { jobs: Arc::from(jobs.map(Some)), comp: ms(1), slo };
         registry.write().upsert_session(token, load, Some(profile));
     }
 
-    type Memo = Mutex<Option<(u64, GateDecision)>>;
+    fn subject(token: u64, arrival: SimTime, slo: SimTime) -> GateSubject {
+        GateSubject { token, arrival, slo }
+    }
 
-    fn subject(token: u64, slo: SimTime, memo: &Memo) -> GateSubject<'_> {
-        GateSubject { token, arrival: SimTime::ZERO, slo, memo }
+    /// The digest and the address of the walk the gate's memo holds.
+    fn memoized(gate: &Gate) -> Option<(u64, *const HashMap<u64, GateOutcome>)> {
+        gate.walk_memo.lock().as_ref().map(|(digest, walk, _)| (*digest, Arc::as_ptr(walk)))
     }
 
     #[test]
-    fn decisions_equal_the_mix_walk_and_are_memoized_per_session_and_per_walk() {
+    fn decisions_equal_the_mix_walk_and_are_memoized_per_walk() {
         let registry = RwLock::new(ServingMix::new(IoSharing::Exclusive));
         let slo = ms(25);
-        register(&registry, 0, slo);
-        register(&registry, 1, slo);
+        register_at(&registry, 0, slo, SimTime::ZERO);
+        register_at(&registry, 1, slo, SimTime::ZERO);
         let gate = Gate::new(BackpressureMode::Shed, &MetricsRegistry::new());
         let mix = registry.read().clone();
         let digest = mix.digest();
@@ -290,33 +285,49 @@ mod tests {
             mix.gate_all(GatePolicy::Shed).into_iter().collect();
         assert!(!oracle[&0].shed && oracle[&1].shed, "the later token rides behind the earlier");
 
-        let memos = [Memo::default(), Memo::default()];
-        let decide = |t: usize| gate.decide(subject(t as u64, slo, &memos[t]), &registry);
-        for token in [0usize, 1] {
-            let d = decide(token).expect("the gate is on");
-            let want = oracle[&(token as u64)];
+        let decide = |token: u64, arrival| gate.decide(subject(token, arrival, slo), &registry);
+        let first = decide(0, SimTime::ZERO).expect("the gate is on");
+        let walk = memoized(&gate).expect("the first decision walked");
+        assert_eq!(walk.0, digest);
+        for token in [0u64, 1] {
+            let d = decide(token, SimTime::ZERO).expect("the gate is on");
+            let want = oracle[&token];
             assert_eq!(
                 (d.predicted, d.delay, d.shed, d.re_gated),
                 (want.predicted, want.delay, want.shed, want.re_gated)
             );
-            assert_eq!((d.session, d.slo, d.reason.digest), (token as u64, slo, digest));
+            assert_eq!((d.session, d.slo, d.reason.digest), (token, slo, digest));
             assert_eq!(d.reason.co_runners, 1);
-            assert_eq!(d.reason.dominant_lane, Some((1 - token as u64, ms(20))));
-            // A repeat against the unchanged mix is the session memo: the
-            // decision is returned as shaped.
-            assert_eq!(memos[token].lock().map(|(seen, _)| seen), Some(digest));
-            assert_eq!(decide(token), Some(d));
+            assert_eq!(d.reason.dominant_lane, Some((1 - token, ms(20))));
+            // The one walk priced both sessions: the other's first decision
+            // and every repeat are lookups of it.
+            assert_eq!(memoized(&gate), Some(walk));
+            assert_eq!(decide(token, SimTime::ZERO), Some(d));
         }
+        assert_eq!(decide(0, SimTime::ZERO), Some(first));
+
+        // Session 0 moves away and back: the mix returns to the earlier
+        // digest while the memo holds the walk from away, so the decision
+        // is walked again — and equals the first.
+        register_at(&registry, 0, slo, ms(50));
+        let away = decide(0, ms(50)).unwrap();
+        assert_ne!(away.reason.digest, digest);
+        assert_eq!(memoized(&gate).map(|(seen, _)| seen), Some(away.reason.digest));
+        register_at(&registry, 0, slo, SimTime::ZERO);
+        assert_eq!(registry.read().digest(), digest, "back at the earlier digest");
+        assert_eq!(decide(0, SimTime::ZERO), Some(first));
+        assert_eq!(memoized(&gate).map(|(seen, _)| seen), Some(digest), "re-walked");
+
         // A registry change moves the digest and the decision follows.
         registry.write().remove_session(0);
-        let alone = decide(1).unwrap();
+        let alone = decide(1, SimTime::ZERO).unwrap();
         assert!(!alone.shed && alone.reason.digest != digest);
         assert_eq!((alone.reason.co_runners, alone.reason.dominant_lane), (0, None));
         // Deciding is pure: nothing was counted.
         assert_eq!(gate.shed_engagements.get() + gate.decisions.get(), 0);
         // Without a mode the gate is off.
         let off = Gate::new(BackpressureMode::Off, &MetricsRegistry::new());
-        assert_eq!(off.decide(subject(1, slo, &memos[1]), &registry), None);
+        assert_eq!(off.decide(subject(1, SimTime::ZERO, slo), &registry), None);
     }
 
     /// What the scheduler holds queued when the gate is asked.

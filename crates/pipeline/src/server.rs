@@ -11,9 +11,13 @@
 //! engagements).
 //!
 //! [`StiServer`] owns all of that; [`Session`] is a lightweight handle an
-//! app holds, carrying only its knobs and `Arc`s to the resolved plan and
-//! preload buffer. Sessions are cheap to open, independently retargetable,
-//! and safe to drive from concurrent threads.
+//! app holds, carrying only its token, arrival and stripe plus an `Arc` to
+//! the record its planning call resolved (knobs, plan, preload buffer).
+//! What a plan determines is computed once per plan, not per session: an
+//! `open_fleet` batch shares one record, and the streaming jobs and gate
+//! profile a session registers are built once per (record, device-channel
+//! stripe) and shared by pointer. Sessions are cheap to open, independently
+//! retargetable, and safe to drive from concurrent threads.
 //!
 //! # Shape: stores, services, one orchestrator
 //!
@@ -54,8 +58,8 @@
 //! building a [`ServingMix`] from the
 //! open-session registry (each session's actual [`CoRunnerLoad`] plus, for
 //! SLO sessions, its [`SloProfile`]) and handing it to `sti_planner::mix`.
-//! The server never assembles prediction lanes by hand; the gate memos key
-//! on the mix's digest, so a registry change invalidates them.
+//! The server never assembles prediction lanes by hand; the gate memo keys
+//! on the mix's digest, so a registry change invalidates it.
 //! [`AdmissionMode::Enforce`] rejects sessions whose best plan still
 //! misses: backpressure before the queue, not after.
 //!
@@ -73,7 +77,7 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use sti_device::{DeviceTopology, FlashModel, HwProfile, SimTime};
@@ -83,8 +87,8 @@ use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix, SloProfile};
 use sti_planner::prefetch::{EngagementKey as PrefetchKey, PrefetchConfig};
 use sti_planner::serving::ServingPlan;
 use sti_planner::{
-    plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, IoSharing, MemoTable,
-    PlanCache, PlanCacheStats, PlanKey,
+    plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, IoSharing, LayerIoJob,
+    MemoTable, PlanCache, PlanCacheStats, PlanKey,
 };
 use sti_quant::Bitwidth;
 use sti_storage::{
@@ -357,7 +361,9 @@ enum Knobs {
 
 /// Everything the planning path decides for a session — what
 /// `Session::install` registers and the session then executes against.
-#[derive(Clone)]
+/// One record per planning call, shared behind an `Arc` by every session
+/// it opened (a whole `open_fleet` batch) and every engagement in flight
+/// on it.
 struct Planned {
     target: SimTime,
     preload_budget: u64,
@@ -366,6 +372,30 @@ struct Planned {
     slo: Option<SimTime>,
     /// The SLO search outcome, when SLO-planned.
     serving: Option<Arc<ServingPlan>>,
+    /// What a session on this record registers, per device-channel stripe:
+    /// built on first use, then shared by every session on the stripe.
+    loads: Box<[OnceLock<StripeLoads>]>,
+}
+
+/// A plan's registered loads on one device-channel stripe.
+struct StripeLoads {
+    /// The streaming jobs, as every session's [`CoRunnerLoad`] holds them.
+    jobs: Arc<[LayerIoJob]>,
+    /// The gate profile, for an SLO-planned record.
+    profile: Option<SloProfile>,
+}
+
+impl Planned {
+    /// The loads a session on `stripe` registers, computed at most once per
+    /// stripe. Job signatures carry the stripe's placement fold, so every
+    /// contended prediction routes — and batches — the session's jobs on
+    /// the device channels it streams through.
+    fn loads_on(&self, hw: &HwProfile, stripe: u16) -> &StripeLoads {
+        self.loads[stripe as usize].get_or_init(|| StripeLoads {
+            jobs: CoRunnerLoad::from_plan_striped(hw, &self.plan, SimTime::ZERO, stripe).jobs,
+            profile: self.slo.map(|slo| SloProfile::from_plan_striped(hw, &self.plan, slo, stripe)),
+        })
+    }
 }
 
 struct ServerInner {
@@ -459,7 +489,7 @@ impl ServerInner {
         &self,
         knobs: Knobs,
         preload_budget: u64,
-        install: impl FnOnce(Planned) -> R,
+        install: impl FnOnce(Arc<Planned>) -> R,
     ) -> Result<R, PipelineError> {
         let (target, slo, serving, _serialized) = match knobs {
             Knobs::Raw { target } => (target, None, None, None),
@@ -495,7 +525,10 @@ impl ServerInner {
             }
         };
         let (plan, preload) = self.resolve(target, preload_budget, serving.as_deref())?;
-        Ok(install(Planned { target, preload_budget, plan, preload, slo, serving }))
+        let loads =
+            (0..self.scheduler.topology().channel_count()).map(|_| OnceLock::new()).collect();
+        let planned = Planned { target, preload_budget, plan, preload, slo, serving, loads };
+        Ok(install(Arc::new(planned)))
     }
 
     /// Resolves (plan, preload buffer) for a knob combination through both
@@ -557,21 +590,13 @@ impl ServerInner {
     /// Registers (or refreshes, after a retarget or `set_arrival`) a
     /// session's streaming IO load — at its arrival offset — in the live
     /// registry mix; SLO sessions also register their gate profile. An
-    /// in-place upsert: the mix's rolling digest updates in O(1). `stripe`
-    /// is folded into the registered job signatures, so every contended
-    /// prediction routes — and batches — this session's jobs on the device
-    /// channels it actually streams through.
-    fn register_load(
-        &self,
-        token: u64,
-        plan: &ExecutionPlan,
-        arrival: SimTime,
-        slo: Option<SimTime>,
-        stripe: u16,
-    ) {
-        let load = CoRunnerLoad::from_plan_striped(&self.hw, plan, arrival, stripe);
-        let slo = slo.map(|slo| SloProfile::from_plan_striped(&self.hw, plan, slo, stripe));
-        self.live_mix.write().upsert_session(token, load, slo);
+    /// in-place upsert: the mix's rolling digest updates in O(1). The loads
+    /// are `planned`'s for `stripe` ([`Planned::loads_on`]), so a
+    /// registration clones pointers to jobs the plan already determined.
+    fn register_load(&self, token: u64, planned: &Planned, arrival: SimTime, stripe: u16) {
+        let StripeLoads { jobs, profile } = planned.loads_on(&self.hw, stripe);
+        let load = CoRunnerLoad { jobs: jobs.clone(), arrival };
+        self.live_mix.write().upsert_session(token, load, profile.clone());
     }
 
     /// The default device-channel stripe for a session without an SLO
@@ -652,8 +677,10 @@ impl StiServer {
     /// Opens `count` sessions with uniform knobs in one call. The knobs
     /// are resolved through the plan/preload caches **once**, so pooled
     /// fleet bring-up pays the caches' global locks per *batch* instead of
-    /// per open — the per-open path touches only the token counter and the
-    /// open-session registry. Equivalent to `count` calls to
+    /// per open, and every session of the batch shares one plan record and
+    /// its streaming jobs, built once per device-channel stripe — the
+    /// per-open path touches only the token counter and the open-session
+    /// registry. Equivalent to `count` calls to
     /// [`StiServer::session_with`]: the resulting digest (and every gate
     /// decision derived from it) is identical either way.
     ///
@@ -912,8 +939,9 @@ impl StiServer {
         self.inner.open_sessions.load(Ordering::SeqCst)
     }
 
-    /// The live registry mix's rolling digest — the identity both gate
-    /// memos key on, and exactly what a gate decision is memoized under.
+    /// The live registry mix's rolling digest — the identity the gate's
+    /// walk memo keys on, and exactly what a gate decision is memoized
+    /// under.
     /// Maintained incrementally (O(1) per open/close/retarget), so this
     /// call costs one read guard plus one small hash, flat in fleet size;
     /// fleet-scale probes use it to measure mix-digest time.
@@ -1012,8 +1040,13 @@ impl std::fmt::Debug for StiServer {
     }
 }
 
-/// One app's handle onto a [`StiServer`]: its latency/memory knobs plus
-/// shared references to the resolved plan and preload buffer.
+/// One app's handle onto a [`StiServer`]: its token, arrival and stripe,
+/// plus a shared handle to the knobs, plan and preload buffer it was
+/// planned with.
+///
+/// A session holds nothing its plan already determines: the plan record
+/// is shared with every session the same planning call opened, and its
+/// registered loads with every session on the same plan and stripe.
 ///
 /// Sessions are `Send + Sync`; `infer`/`generate` take `&self`, so one
 /// session can serve engagements from multiple threads, and many sessions
@@ -1027,7 +1060,7 @@ pub struct Session {
     arrival: SimTime,
     /// The knobs, plan and preload buffer the planning path last resolved
     /// for this session.
-    planned: Planned,
+    planned: Arc<Planned>,
     /// This session's current contribution to
     /// [`ServingStats::preload_bytes_reallocated`], so a retarget replaces
     /// rather than re-adds it.
@@ -1039,11 +1072,6 @@ pub struct Session {
     /// signatures and into the IO lane the session's engagements stream
     /// through.
     stripe: u16,
-    /// The last backpressure-gate decision, keyed by the digest of the
-    /// gate's one input, the open-load registry (this session's arrival
-    /// included): decisions are a pure function of it, so repeat
-    /// engagements against an unchanged mix skip the queue predictions.
-    gate_memo: Mutex<Option<(u64, GateDecision)>>,
     /// Idle gap between this session's successive engagements on the
     /// simulated timeline (see [`Session::set_issue_gap`]; zero — the
     /// legacy back-to-back issue clock — by default).
@@ -1085,7 +1113,7 @@ pub struct PendingEngagement {
     /// The issuing session's registry token.
     session: u64,
     /// The plan, preload buffer and knobs the requests were issued for.
-    planned: Planned,
+    planned: Arc<Planned>,
     /// The stripe the lane was opened on.
     stripe: u16,
     /// Per-layer: whether the issue half enqueued a request for the layer
@@ -1103,7 +1131,7 @@ pub struct PendingEngagement {
 impl Session {
     /// Opens a session on `planned`, arriving at `arrival`, under a fresh
     /// registry token.
-    fn open(inner: &Arc<ServerInner>, planned: Planned, arrival: SimTime) -> Session {
+    fn open(inner: &Arc<ServerInner>, planned: Arc<Planned>, arrival: SimTime) -> Session {
         let token = inner.next_session_token.fetch_add(1, Ordering::SeqCst);
         inner.open_sessions.fetch_add(1, Ordering::SeqCst);
         let mut session = Session {
@@ -1113,7 +1141,6 @@ impl Session {
             planned,
             realloc_bytes: 0,
             stripe: 0,
-            gate_memo: Mutex::new(None),
             issue_gap: SimTime::ZERO,
             engagement_seq: AtomicU64::new(0),
         };
@@ -1122,7 +1149,7 @@ impl Session {
     }
 
     /// Adopts a fresh planning outcome in place (a retarget).
-    fn adopt(&mut self, planned: Planned) {
+    fn adopt(&mut self, planned: Arc<Planned>) {
         self.planned = planned;
         self.install(Origin::Retarget { replaces: self.realloc_bytes });
     }
@@ -1137,9 +1164,8 @@ impl Session {
             Some(served) => served.stripe,
             None => inner.default_stripe(self.token),
         };
-        let Planned { plan, slo, serving, .. } = &self.planned;
-        inner.register_load(self.token, plan, self.arrival, *slo, self.stripe);
-        if let Some(served) = serving {
+        inner.register_load(self.token, &self.planned, self.arrival, self.stripe);
+        if let Some(served) = &self.planned.serving {
             inner.admission.admitted(served, origin, self.token, self.arrival, &inner.obs.lock());
             self.realloc_bytes = served.preload_bytes_reallocated;
         }
@@ -1194,13 +1220,7 @@ impl Session {
     /// uncontended (deterministic) track is unaffected.
     pub fn set_arrival(&mut self, arrival: SimTime) {
         self.arrival = arrival;
-        self.inner.register_load(
-            self.token,
-            &self.planned.plan,
-            arrival,
-            self.planned.slo,
-            self.stripe,
-        );
+        self.inner.register_load(self.token, &self.planned, arrival, self.stripe);
     }
 
     /// Sets the idle gap between this session's successive engagements on
@@ -1273,12 +1293,7 @@ impl Session {
     /// determinism argument and its memoization.
     pub fn gate_decision(&self) -> Option<GateDecision> {
         let inner = &*self.inner;
-        let who = GateSubject {
-            token: self.token,
-            arrival: self.arrival,
-            slo: self.planned.slo?,
-            memo: &self.gate_memo,
-        };
+        let who = GateSubject { token: self.token, arrival: self.arrival, slo: self.planned.slo? };
         inner.gate.decide(who, &inner.live_mix)
     }
 
@@ -1354,7 +1369,7 @@ impl Session {
         let issue = base + gate_delay;
         let in_flight = InFlight(self.inner.clone());
         let channel = inner.scheduler.channel_striped_at(issue, self.stripe);
-        let Planned { plan, preload, .. } = &self.planned;
+        let Planned { plan, preload, .. } = &*self.planned;
         let has_request = self.executor().issue_on(&channel, plan, preload)?;
         Ok(PendingEngagement {
             channel,
@@ -1389,7 +1404,7 @@ impl Session {
                 pending.session, self.token
             )));
         }
-        let Planned { plan, preload, target, preload_budget, slo, .. } = &pending.planned;
+        let Planned { plan, preload, target, preload_budget, slo, .. } = &*pending.planned;
         let outcome = self.executor().complete_on(
             &pending.channel,
             plan,
@@ -1469,7 +1484,7 @@ impl Session {
         steps: usize,
     ) -> Result<GenerationOutcome, PipelineError> {
         let inner = &*self.inner;
-        let Planned { plan, preload, .. } = &self.planned;
+        let Planned { plan, preload, .. } = &*self.planned;
         let (submodel, loaded_bytes) =
             assemble_plan_submodel(&inner.model, plan, preload, &*inner.cached_source)?;
         let generation = sti_transformer::decoder::generate(&inner.model, &submodel, prompt, steps);

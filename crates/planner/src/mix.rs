@@ -25,9 +25,9 @@
 //!   so far — including the *second gate pass* that re-gates an
 //!   equal-arrival earliest session once later-opened co-arriving load
 //!   exists (queue mode only; see [`ServingMix::gate_all`]).
-//! - [`ServingMix::digest`] is the one memo identity: the server's two
-//!   gate memos (per session and per walk) hash the mix through here, so a
-//!   registry change invalidates them consistently.
+//! - [`ServingMix::digest`] is the one memo identity: the server's gate
+//!   memo (one per walk) hashes the mix through here, so a registry change
+//!   invalidates it.
 //!
 //! # Sharing-aware `|S|`
 //!
@@ -110,10 +110,14 @@
 //!   [`ServingMix::remove_session`] O(1) digest updates (no rehash of the
 //!   other sessions). The fold is pinned equal to a from-scratch rebuild
 //!   by this module's property test and `tests/serving_fleet.rs`, so the
-//!   gate memos keep their invalidation semantics.
-//! - **Shared lanes, recycled scratch.** [`CoRunnerLoad`] job slices are
-//!   `Arc`-shared; assembling lanes (and replaying decided sessions in the
-//!   gate walk) clones pointers, never jobs. No prediction allocates a
+//!   gate memo keeps its invalidation semantics.
+//! - **Shared lanes, recycled scratch.** Job slices are `Arc`-shared: the
+//!   [`CoRunnerLoad`], [`SloProfile`] and [`EngagementLoad`] of every
+//!   session on one plan and stripe point at the same jobs (the server
+//!   builds them once per plan and stripe), and a registry entry holds its
+//!   gate profile behind an `Arc` too. Assembling lanes, replaying decided
+//!   sessions in the gate walk, pricing a profile and re-timing a delay
+//!   probe clone pointers, never jobs. No prediction allocates a
 //!   completion, and an unbatched one no job either (see the closed form
 //!   above). The service-order index, the per-channel free times and the
 //!   batched grouping's round, group, cursor and read buffers are recycled
@@ -143,8 +147,8 @@ use crate::importance::ImportanceProfile;
 use crate::io_plan::{plan_two_stage, replan_with_preload};
 use crate::plan::ExecutionPlan;
 use crate::serving::{
-    contended_makespan, layer_io_jobs, search_ladder, CoRunnerLoad, EngagementLoad, IoSharing,
-    LadderStep, LayerIoJob, ServingPlan,
+    contended_makespan, search_ladder, striped_layer_io_jobs, CoRunnerLoad, EngagementLoad,
+    IoSharing, LadderStep, LayerIoJob, ServingPlan,
 };
 
 /// What the gate needs to replay an SLO session's decisions
@@ -153,8 +157,10 @@ use crate::serving::{
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SloProfile {
     /// Per-layer IO jobs of one engagement (`None` for preload-covered
-    /// layers).
-    pub jobs: Vec<Option<LayerIoJob>>,
+    /// layers). `Arc`-shared: every session on one plan and stripe holds
+    /// the same slice, and each walk decision clones a pointer into the
+    /// [`EngagementLoad`] it prices.
+    pub jobs: Arc<[Option<LayerIoJob>]>,
     /// Per-layer compute delay (uniform across a plan's layers).
     pub comp: SimTime,
     /// The SLO the session's engagements are held to.
@@ -177,12 +183,7 @@ impl SloProfile {
         slo: SimTime,
         stripe: u16,
     ) -> Self {
-        let mut jobs = layer_io_jobs(hw, plan);
-        if stripe != 0 {
-            for job in jobs.iter_mut() {
-                *job = job.map(|j| j.striped(stripe));
-            }
-        }
+        let jobs = striped_layer_io_jobs(hw, plan, stripe);
         Self { jobs, comp: hw.t_comp(plan.shape.width), slo }
     }
 
@@ -193,7 +194,10 @@ impl SloProfile {
 
 /// One open session as the mix sees it: its registry token (open order —
 /// the gate's deterministic tie-break), its streaming load, and its gate
-/// profile when it carries an SLO.
+/// profile when it carries an SLO. Both loads are handles: the job slices
+/// are `Arc`-shared with every session on the same plan and stripe, and the
+/// gate profile sits behind its own `Arc`, so a plain session's entry is
+/// its token, its arrival and two pointers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MixSession {
     /// The session's registry token.
@@ -202,7 +206,7 @@ pub struct MixSession {
     pub load: CoRunnerLoad,
     /// The session's gate profile (`None` for plain target sessions, which
     /// are never gated).
-    pub slo: Option<SloProfile>,
+    pub slo: Option<Arc<SloProfile>>,
 }
 
 /// What the infer-time gate does with an engagement predicted to miss.
@@ -344,7 +348,7 @@ impl ServingMix {
     /// rolling digest in O(1) — the in-place registration path of a
     /// long-lived server (open, `set_arrival`, retarget).
     pub fn upsert_session(&mut self, token: u64, load: CoRunnerLoad, slo: Option<SloProfile>) {
-        let session = MixSession { token, load, slo };
+        let session = MixSession { token, load, slo: slo.map(Arc::new) };
         self.session_fold = self.session_fold.wrapping_add(mix64(session_digest(&session)));
         if let Some(old) = self.sessions.insert(token, session) {
             self.session_fold = self.session_fold.wrapping_sub(mix64(session_digest(&old)));
@@ -372,8 +376,7 @@ impl ServingMix {
     /// The one memo identity of the mix: every input a prediction (or a
     /// gate decision) depends on — sharing mode, topology, and each
     /// session's token, arrival, jobs, and gate profile. The server's gate
-    /// memos key on this, so a registry change invalidates them
-    /// consistently.
+    /// memo keys on this, so a registry change invalidates it.
     ///
     /// The session part is `(count, fold)` — the rolling fold maintained
     /// by the mutators stands in for the sessions themselves — so this is
@@ -1537,7 +1540,7 @@ mod tests {
         let job = LayerIoJob { sig: x ^ 0x5bd1, service: SimTime::from_us(40 + x % 7) };
         let load = CoRunnerLoad { arrival: SimTime::from_us(x % 500), jobs: Arc::from([job]) };
         let slo = x.is_multiple_of(3).then(|| SloProfile {
-            jobs: vec![Some(job)],
+            jobs: Arc::from([Some(job)]),
             comp: SimTime::from_us(5),
             slo: SimTime::from_ms(1 + x % 9),
         });

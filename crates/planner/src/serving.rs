@@ -109,21 +109,30 @@ pub fn layer_io_jobs(hw: &HwProfile, plan: &ExecutionPlan) -> Vec<Option<LayerIo
     plan.layers
         .iter()
         .map(|pl| {
-            let items: Vec<(u16, Bitwidth)> = pl
-                .items()
-                .filter(|&(slice, _)| !plan.is_preloaded(ShardId::new(pl.layer, slice)))
-                .collect();
-            let bytes: u64 = items.iter().map(|&(_, bw)| hw.shard_bytes(bw)).sum();
+            let streamed = || {
+                pl.items().filter(|&(slice, _)| !plan.is_preloaded(ShardId::new(pl.layer, slice)))
+            };
+            let bytes: u64 = streamed().map(|(_, bw)| hw.shard_bytes(bw)).sum();
             // The signature is `LayerRequest::content_sig` of the request
             // the executor will issue for this layer, so plan-derived jobs
             // and the scheduler's queued requests agree on batchability
             // identity.
             (bytes > 0).then(|| LayerIoJob {
-                sig: LayerRequest { layer: pl.layer, items }.content_sig(),
+                sig: LayerRequest::sig_of(pl.layer, streamed()),
                 service: hw.request_latency + hw.transfer_delay(bytes),
             })
         })
         .collect()
+}
+
+/// [`layer_io_jobs`] placed on device-channel stripe `stripe`
+/// ([`LayerIoJob::striped`]), as one shareable slice.
+pub(crate) fn striped_layer_io_jobs(
+    hw: &HwProfile,
+    plan: &ExecutionPlan,
+    stripe: u16,
+) -> Arc<[Option<LayerIoJob>]> {
+    layer_io_jobs(hw, plan).into_iter().map(|job| job.map(|j| j.striped(stripe))).collect()
 }
 
 /// An open co-runner's streaming IO load: its layer jobs in issue order
@@ -183,7 +192,9 @@ impl CoRunnerLoad {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngagementLoad {
     /// Per-layer IO jobs, `None` for layers the preload buffer covers.
-    pub jobs: Vec<Option<LayerIoJob>>,
+    /// `Arc`-shared: a delay probe re-times the engagement by cloning a
+    /// pointer.
+    pub jobs: Arc<[Option<LayerIoJob>]>,
     /// Per-layer compute delay (uniform across a plan's layers).
     pub comp: SimTime,
     /// The engagement's arrival on the simulated timeline.
@@ -194,7 +205,7 @@ impl EngagementLoad {
     /// Builds the gate's view of one engagement of `plan` arriving at
     /// `arrival`.
     pub fn from_plan(hw: &HwProfile, plan: &ExecutionPlan, arrival: SimTime) -> Self {
-        Self { jobs: layer_io_jobs(hw, plan), comp: hw.t_comp(plan.shape.width), arrival }
+        Self::from_plan_striped(hw, plan, arrival, 0)
     }
 
     /// [`EngagementLoad::from_plan`] placed on device-channel stripe
@@ -205,13 +216,8 @@ impl EngagementLoad {
         arrival: SimTime,
         stripe: u16,
     ) -> Self {
-        let mut load = Self::from_plan(hw, plan, arrival);
-        if stripe != 0 {
-            for job in load.jobs.iter_mut() {
-                *job = job.map(|j| j.striped(stripe));
-            }
-        }
-        load
+        let jobs = striped_layer_io_jobs(hw, plan, stripe);
+        Self { jobs, comp: hw.t_comp(plan.shape.width), arrival }
     }
 
     /// The same engagement submitted `delay` later.

@@ -380,9 +380,10 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         }
         if let Some(path) = bench_out {
             // Merge into the existing ledger instead of clobbering it: an
-            // entry with the same (channels, prefetch, sessions column) is
-            // replaced in place, anything else appends — history survives,
-            // and an unreadable or malformed ledger is left untouched.
+            // entry with the same (exec_mode, channels, prefetch, sessions
+            // column) is replaced in place, anything else appends — history
+            // survives, and an unreadable or malformed ledger is left
+            // untouched.
             merge_fleet_ledger_file(path, &json).map_err(|e| ArgError(e.to_string()))?;
             report.push_str(&format!("fleet ledger written to {path}\n"));
         }

@@ -68,7 +68,7 @@
 //! *simulated* second — the column that scales with the channel count)
 //! and the engine's `heap_ops` beside the admission/gate/digest columns,
 //! and [`merge_fleet_ledger`] folds repeated sweeps into one ledger
-//! keyed by `(exec_mode, channels, fleet points)`. Every
+//! keyed by `(exec_mode, channels, prefetch, fleet points)`. Every
 //! [`ServeReport`] also carries a merged metrics snapshot and, when the
 //! server has a live sink, the virtual-clock span stream (export with
 //! [`sti_obs::chrome_trace_json`]; without a sink, read
@@ -129,10 +129,9 @@ pub mod prelude {
     pub use sti_planner::{
         layer_io_jobs, plan_compute, plan_for_slo_mix, plan_io, plan_two_stage, profile_importance,
         reallocate_preload_for_mix, replan_with_preload, CoRunnerLoad, EngagementKey,
-        EngagementLoad, ExecutionPlan, GateOutcome, GatePolicy, ImportanceProfile, IoSharing,
-        LayerIoJob, MixLaneSummary, MixSession, PlanCache, PlanCacheStats, PlanKey, PrefetchConfig,
-        PrefetchMode, PrefetchPlan, PrefetcherStats, PreloadPolicy, ServingMix, ServingPlan,
-        SloProfile, SubmodelShape,
+        EngagementLoad, ExecutionPlan, GateOutcome, ImportanceProfile, IoSharing, LayerIoJob,
+        MixSession, PlanCache, PlanCacheStats, PlanKey, PrefetchConfig, PrefetchMode, PrefetchPlan,
+        PrefetcherStats, PreloadPolicy, ServingMix, ServingPlan, SloProfile, SubmodelShape,
     };
     pub use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
     pub use sti_storage::{

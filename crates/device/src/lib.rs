@@ -66,4 +66,4 @@ pub use flash::FlashModel;
 pub use flash_queue::{CompletedJob, FlashJob, FlashQueueReport, FlashQueueSim};
 pub use profile::DeviceProfile;
 pub use profiler::HwProfile;
-pub use topology::{DeviceTopology, TopologyQueueSim, TopologyReport};
+pub use topology::{content_sig, DeviceTopology, TopologyQueueSim, TopologyReport};

@@ -34,9 +34,12 @@
 //! scheduler. An engagement's lane fans its requests out
 //! across device channels according to placement.
 
+use std::hash::{Hash, Hasher};
+
 use crate::flash_queue::{CompletedJob, FlashJob, FlashQueueReport, FlashQueueSim};
 use crate::SimTime;
 use sti_obs::ObsSink;
+use sti_quant::Bitwidth;
 
 /// The device's contended-path shape: how many independent flash channels
 /// it exposes.
@@ -101,6 +104,19 @@ impl DeviceTopology {
         z ^= z >> 31;
         (z % self.channels as u64) as u16
     }
+}
+
+/// The content signature [`DeviceTopology::channel_for`] places: a hash of
+/// one layer read's layer and `(slice, bits)` items, in order. Equal
+/// signatures read identical bytes, so queued requests and plan-derived IO
+/// jobs agree on batchability.
+pub fn content_sig(layer: u16, items: impl IntoIterator<Item = (u16, Bitwidth)>) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    layer.hash(&mut hasher);
+    for (slice, bw) in items {
+        (slice, bw.bits()).hash(&mut hasher);
+    }
+    hasher.finish()
 }
 
 /// A multi-channel queue over a [`DeviceTopology`]: one [`FlashQueueSim`]

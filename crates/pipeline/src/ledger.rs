@@ -37,10 +37,9 @@ use sti_device::{
     CompletedJob, DeviceTopology, FlashJob, FlashModel, SimTime, TopologyQueueSim, TopologyReport,
 };
 use sti_obs::{ObsSink, SpanArgs, SpanEvent, TrackKind};
+use sti_planner::gate::GateDecision;
 use sti_planner::{align_io_completions, contended_makespan};
 use sti_storage::FlashDispatchEvent;
-
-use crate::gate::GateDecision;
 
 /// One engagement on the contended track: the latency it would have seen on
 /// the contended flash device (its striped device channels) versus its

@@ -36,8 +36,9 @@
 //!   prediction — with every serving *decision* in a module of its own
 //!   beside it (single-purpose services, a thin orchestrator):
 //!   - `admission` — the SLO admission verdict and its counters;
-//!   - `gate` — the infer-time backpressure gate, its walk memo and its
-//!     lane-ownership set;
+//!   - `sti_planner::gate` — the infer-time backpressure gate and its walk
+//!     memo, beside the mix it prices (the server counts and acts on its
+//!     decisions);
 //!   - `ledger` — the contended-track ledger: engagement and gate logs and
 //!     the one replay behind the contention report and the span export;
 //!   - `prefetch` — the Markov prefetch driver (model, working-set table,
@@ -52,7 +53,6 @@ pub mod buffers;
 pub mod engine;
 pub mod error;
 pub mod executor;
-mod gate;
 mod ledger;
 mod prefetch;
 pub mod server;

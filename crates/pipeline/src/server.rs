@@ -30,7 +30,7 @@
 //! | `RwLock<ServingMix>` (`live_mix`) | token → load / SLO profile / stripe of every open session, in token order | the mix every contended prediction runs against, and its digest |
 //! | [`MemoTable`]s (`sti_planner::cache`) | plans and preload buffers per knob set | compute outside the lock, first insert wins |
 //! | `Admission` (`admission`) | the [`AdmissionMode`] and the `serving.*_sessions` instruments | take or reject an SLO search outcome, for an open or a retarget |
-//! | `Gate` (`gate`) | the walk memo, the `gate.*` instruments | delay or shed one engagement ([`BackpressureMode`]) |
+//! | [`Gate`] ([`sti_planner::gate`]) | the [`BackpressureMode`] and the walk memo | delay or shed one engagement; `Session::infer_issue` counts the decision on the `gate.*` instruments and acts on it |
 //! | `ContentionLedger` (`ledger`) | the engagement and gate logs | the one contended replay behind [`ContentionReport`] and the span export |
 //! | `PrefetchDriver` (`prefetch`) | the Markov model and its key → working-set table | which speculative jobs a completion triggers |
 //!
@@ -81,8 +81,9 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use sti_device::{DeviceTopology, FlashModel, HwProfile, SimTime};
-use sti_obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, ObsSink, SpanEvent};
+use sti_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ObsSink, SpanEvent};
 use sti_planner::compute_plan::dynabert_widths_for;
+use sti_planner::gate::Gate;
 use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix, SloProfile};
 use sti_planner::prefetch::{EngagementKey as PrefetchKey, PrefetchConfig};
 use sti_planner::serving::ServingPlan;
@@ -102,14 +103,13 @@ use crate::buffers::PreloadBuffer;
 use crate::engine::{GenerationOutcome, Inference};
 use crate::error::PipelineError;
 use crate::executor::{assemble_plan_submodel, PipelineExecutor};
-use crate::gate::{Gate, GateSubject};
 use crate::ledger::{ContentionLedger, EngagementRecord};
 use crate::prefetch::{PrefetchDriver, PrefetchTarget};
 
 pub use crate::admission::AdmissionMode;
-pub use crate::gate::{BackpressureMode, GateDecision, GateReason};
 pub use crate::ledger::{ContentionReport, EngagementContention, PrefetchContention};
 pub use crate::prefetch::PrefetchReport;
+pub use sti_planner::gate::{BackpressureMode, GateDecision, GateReason};
 
 /// Admission and engagement counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -333,7 +333,8 @@ impl StiServerBuilder {
                 live_mix: RwLock::new(ServingMix::new(sharing).with_topology(self.topology)),
                 active_engagements: AtomicUsize::new(0),
                 admission: Admission::new(self.admission, &registry),
-                gate: Gate::new(self.backpressure, &registry),
+                gate: Gate::new(self.backpressure),
+                gate_counts: GateCounts::new(&registry),
                 ledger: ContentionLedger::new(self.flash, self.dram, self.topology),
                 prefetch: self.prefetch.enabled().then(|| PrefetchDriver::new(self.prefetch)),
                 engagements: registry.counter("serving.engagements"),
@@ -457,6 +458,7 @@ struct ServerInner {
     active_engagements: AtomicUsize,
     admission: Admission,
     gate: Gate,
+    gate_counts: GateCounts,
     ledger: ContentionLedger,
     /// The Markov prefetch runtime (`None` with prefetch off — the
     /// completion path then pays a single branch).
@@ -472,6 +474,47 @@ struct ServerInner {
     /// Live span sink (admission instants here, host-track dispatch spans
     /// via the scheduler); defaults to [`ObsSink::Null`].
     obs: Mutex<ObsSink>,
+}
+
+/// The gate's instruments: what the server counts as it acts on a
+/// [`GateDecision`].
+struct GateCounts {
+    decisions: Counter,
+    delay_us: Histogram,
+    predicted_us: Histogram,
+    shed_engagements: Counter,
+    queued_engagements: Counter,
+}
+
+impl GateCounts {
+    fn new(registry: &MetricsRegistry) -> Self {
+        Self {
+            decisions: registry.counter("gate.decisions"),
+            delay_us: registry.histogram("gate.delay_us"),
+            predicted_us: registry.histogram("gate.predicted_us"),
+            shed_engagements: registry.counter("serving.shed_engagements"),
+            queued_engagements: registry.counter("serving.queued_engagements"),
+        }
+    }
+
+    /// Counts a decision an engagement is about to act on and turns it into
+    /// the queue delay to apply, or into [`PipelineError::Backpressure`].
+    fn enforce(&self, decision: &GateDecision) -> Result<SimTime, PipelineError> {
+        self.decisions.incr();
+        self.delay_us.record(decision.delay.as_us());
+        self.predicted_us.record(decision.predicted.as_us());
+        if decision.shed {
+            self.shed_engagements.incr();
+            return Err(PipelineError::Backpressure {
+                predicted: decision.predicted,
+                slo: decision.slo,
+            });
+        }
+        if decision.delay > SimTime::ZERO {
+            self.queued_engagements.incr();
+        }
+        Ok(decision.delay)
+    }
 }
 
 impl ServerInner {
@@ -826,15 +869,16 @@ impl StiServer {
     /// named instruments (the instruments are the source of truth; this
     /// struct is the stable report shape).
     pub fn serving_stats(&self) -> ServingStats {
-        let ServerInner { admission, gate, engagements, peak_engagements, .. } = &*self.inner;
+        let ServerInner { admission, gate_counts, engagements, peak_engagements, .. } =
+            &*self.inner;
         ServingStats {
             admitted_sessions: admission.admitted_sessions.get(),
             rejected_sessions: admission.rejected_sessions.get(),
             monitor_violations: admission.monitor_violations.get(),
             engagements: engagements.get(),
             peak_concurrent_engagements: peak_engagements.max() as usize,
-            shed_engagements: gate.shed_engagements.get(),
-            queued_engagements: gate.queued_engagements.get(),
+            shed_engagements: gate_counts.shed_engagements.get(),
+            queued_engagements: gate_counts.queued_engagements.get(),
             preload_bytes_reallocated: admission.preload_bytes_reallocated.get(),
         }
     }
@@ -1289,12 +1333,11 @@ impl Session {
     /// subject to right now. `None` when the gate is off or the session
     /// carries no SLO. Pure: no queue state is touched, nothing is logged
     /// to the gate log; fleet-scale probes use this to measure per-decision
-    /// gate cost without real IO. See the `gate` module for the walk, its
-    /// determinism argument and its memoization.
+    /// gate cost without real IO. See [`sti_planner::gate`] for the walk,
+    /// its determinism argument and its memoization.
     pub fn gate_decision(&self) -> Option<GateDecision> {
         let inner = &*self.inner;
-        let who = GateSubject { token: self.token, arrival: self.arrival, slo: self.planned.slo? };
-        inner.gate.decide(who, &inner.live_mix)
+        inner.gate.decide(self.token, self.arrival, self.planned.slo?, &inner.live_mix)
     }
 
     /// Executes one engagement over the planned pipeline, streaming through
@@ -1353,7 +1396,7 @@ impl Session {
         let gate_delay = match self.gate_decision() {
             Some(decision) => {
                 inner.ledger.record_gate(decision);
-                inner.gate.enforce(&decision)?
+                inner.gate_counts.enforce(&decision)?
             }
             None => SimTime::ZERO,
         };
@@ -1518,7 +1561,7 @@ pub(crate) mod tests {
     use sti_transformer::ModelConfig;
 
     /// The shared unit-test fixture (this module's tests and the
-    /// `admission`/`gate`/`ledger`/`prefetch` ones that drive their piece
+    /// `admission`/`ledger`/`prefetch` ones that drive their piece
     /// through a real server): a tiny-model server over an in-memory
     /// store, widths `{2, 4}`, otherwise `configure`d by the caller.
     pub(crate) fn tiny_server(
@@ -1842,5 +1885,256 @@ pub(crate) mod tests {
         let stats = srv.slo_plan_stats();
         assert_eq!((stats.hits, stats.misses), (0, 6));
         assert_eq!(srv.serving_stats().rejected_sessions, 2);
+    }
+
+    fn server_with_backpressure(mode: BackpressureMode) -> StiServer {
+        tiny_server(|b| b.preload_budget(0).backpressure(mode))
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_ms(n)
+    }
+
+    /// What the scheduler holds queued when the gate is asked.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Queued {
+        Nothing,
+        /// Three sessions' engagements, issued while dispatch is paused.
+        Demand,
+        /// Prefetch stages a recurrent session's completions submitted.
+        Speculation,
+    }
+
+    #[test]
+    fn a_decision_is_the_same_whatever_the_scheduler_holds_queued() {
+        // Four SLO sessions on a Markov-prefetch server; with demand
+        // requests or speculative stages queued while dispatch is paused, the
+        // fourth asks the gate. The registry is the same either way, and so
+        // is the whole decision — digest, prediction, delay and reason.
+        let decision_with = |queued: Queued| {
+            let srv = tiny_server(|b| {
+                b.preload_budget(0)
+                    .backpressure(BackpressureMode::Queue(ms(60_000)))
+                    .prefetch(PrefetchConfig::markov(1 << 20))
+            });
+            let slo = floor_slo(&srv);
+            let sessions: Vec<_> = (0..4).map(|_| srv.session_with_slo(slo, 0).unwrap()).collect();
+            srv.pause_io();
+            let issued = if queued == Queued::Demand { 3 } else { 0 };
+            let pending: Vec<_> =
+                sessions[..issued].iter().map(|s| s.infer_issue(&[1, 2]).unwrap()).collect();
+            assert_eq!(srv.queued_io_requests() > 0, queued == Queued::Demand);
+            if queued == Queued::Speculation {
+                // The second completion of one knob set predicts a third:
+                // its stages are submitted, and nothing runs them.
+                for _ in 0..2 {
+                    let engagement = sessions[0].infer_issue(&[1, 2]).unwrap();
+                    srv.drive_io();
+                    sessions[0].infer_complete(engagement).unwrap();
+                }
+                let report = srv.prefetch_report().unwrap();
+                assert_eq!((report.model.plans, report.jobs), (1, 0), "stages queued, none run");
+            }
+            let decision = sessions[3].gate_decision().expect("the gate is on");
+            if queued == Queued::Speculation {
+                assert!(srv.drive_io() > 0, "the stages were queued when the gate decided");
+            }
+            srv.resume_io();
+            for (session, pending) in sessions.iter().zip(pending) {
+                session.infer_complete(pending).unwrap();
+            }
+            decision
+        };
+        let idle = decision_with(Queued::Nothing);
+        assert!(idle.delay > SimTime::ZERO, "three co-arriving sessions ahead force a wait");
+        assert_eq!(decision_with(Queued::Demand), idle);
+        assert_eq!(decision_with(Queued::Speculation), idle);
+    }
+
+    #[test]
+    fn enforcing_a_decision_counts_it_and_turns_it_into_a_delay_or_a_shed() {
+        let gate = GateCounts::new(&MetricsRegistry::new());
+        let decision = |delay: SimTime, shed: bool| GateDecision {
+            session: 0,
+            arrival: SimTime::ZERO,
+            slo: ms(25),
+            predicted: ms(30),
+            delay,
+            shed,
+            re_gated: false,
+            reason: GateReason::default(),
+        };
+        assert_eq!(gate.enforce(&decision(SimTime::ZERO, false)).unwrap(), SimTime::ZERO);
+        assert_eq!(gate.enforce(&decision(ms(4), false)).unwrap(), ms(4));
+        match gate.enforce(&decision(SimTime::ZERO, true)) {
+            Err(PipelineError::Backpressure { predicted, slo }) => {
+                assert_eq!((predicted, slo), (ms(30), ms(25)));
+            }
+            other => panic!("expected a shed, got {other:?}"),
+        }
+        let counts =
+            (gate.decisions.get(), gate.queued_engagements.get(), gate.shed_engagements.get());
+        assert_eq!(counts, (3, 1, 1));
+        assert_eq!(gate.delay_us.snapshot().count(), 3);
+    }
+
+    #[test]
+    fn shed_gate_fails_fast_when_the_backlog_predicts_a_miss() {
+        let srv = server_with_backpressure(BackpressureMode::Shed);
+        let slo = floor_slo(&srv);
+        // Both sessions admit (admission is disabled); the gate, not
+        // admission, is under test.
+        let first = srv.session_with_slo(slo, 0).unwrap();
+        let second = srv.session_with_slo(slo, 0).unwrap();
+        // The first-arriving session has the queue to itself and runs.
+        first.infer(&[1, 2]).expect("the first session's engagement passes the gate");
+        // The second's prediction rides behind the first's registered load
+        // and misses the floor SLO: shed, before touching the scheduler.
+        match second.infer(&[1, 2]) {
+            Err(PipelineError::Backpressure { predicted, slo: got }) => {
+                assert!(predicted > got);
+                assert_eq!(got, slo);
+            }
+            other => panic!("expected a backpressure shed, got {other:?}"),
+        }
+        let stats = srv.serving_stats();
+        assert_eq!((stats.engagements, stats.shed_engagements), (1, 1));
+        let report = srv.contention_report();
+        assert_eq!(report.engagements.len(), 1, "shed engagements never execute");
+        assert_eq!(report.gate.len(), 2);
+        assert_eq!(report.shed_count(), 1);
+        assert_eq!(report.slo_hit_rate(), Some(1.0), "what ran met its SLO");
+        // Harvesting resets the gate log too.
+        srv.reset_contention_log();
+        assert!(srv.contention_report().gate.is_empty());
+    }
+
+    #[test]
+    fn queue_gate_delays_instead_of_shedding_and_the_measured_track_agrees() {
+        let srv = server_with_backpressure(BackpressureMode::Queue(SimTime::from_ms(60_000)));
+        let slo = floor_slo(&srv);
+        let first = srv.session_with_slo(slo, 0).unwrap();
+        let second = srv.session_with_slo(slo, 0).unwrap();
+        first.infer(&[1, 2]).unwrap();
+        second.infer(&[1, 2]).expect("queue mode waits instead of shedding");
+        let stats = srv.serving_stats();
+        assert_eq!(
+            (stats.engagements, stats.shed_engagements, stats.queued_engagements),
+            (2, 0, 1)
+        );
+        let report = srv.contention_report();
+        assert_eq!(report.shed_count(), 0);
+        assert_eq!(report.queue_delayed(), 1);
+        assert!(report.max_queue_delay() > SimTime::ZERO);
+        // The delayed engagement queued past the first's window, so the
+        // measured contended track meets the SLO both engagements carry.
+        assert_eq!(report.slo_hit_rate(), Some(1.0));
+        // With a maximum delay too small to drain the backlog, the same
+        // engagement is shed instead.
+        let strict = server_with_backpressure(BackpressureMode::Queue(SimTime::from_us(1)));
+        let tight = floor_slo(&strict);
+        let a = strict.session_with_slo(tight, 0).unwrap();
+        let b = strict.session_with_slo(tight, 0).unwrap();
+        a.infer(&[3]).unwrap();
+        assert!(
+            matches!(b.infer(&[3]), Err(PipelineError::Backpressure { .. })),
+            "a 1µs patience cannot absorb a full co-runner engagement"
+        );
+    }
+
+    #[test]
+    fn queue_delay_prices_sessions_arriving_during_the_wait() {
+        // A queue delay can land an engagement inside the window of a
+        // session that arrives *after* it — the delay search must price
+        // that load too, not just what was ahead at the original arrival.
+        let run = |with_late_heavy: bool| {
+            let srv = server_with_backpressure(BackpressureMode::Queue(SimTime::from_ms(60_000)));
+            let full = srv.session_with(SimTime::from_ms(10_000), 0).unwrap();
+            // ~20% slack over the full-model makespan: meetable alone, not
+            // behind a heavy co-runner.
+            let makespan = full.plan().predicted.makespan.as_us();
+            let slo = SimTime::from_us(makespan + makespan / 5);
+            drop(full);
+            let mut tight = srv.session_with_slo(slo, 0).unwrap();
+            tight.set_arrival(SimTime::from_us(100));
+            // A heavy co-runner already queued at time zero...
+            let _early = srv.session_with(SimTime::from_ms(10_000), 0).unwrap();
+            // ...and optionally another arriving 2 ms in — inside any
+            // delay that clears the first one.
+            let _late = with_late_heavy.then(|| {
+                let mut s = srv.session_with(SimTime::from_ms(10_000), 0).unwrap();
+                s.set_arrival(SimTime::from_ms(2));
+                s
+            });
+            tight.infer(&[1, 2]).expect("queue mode waits instead of shedding");
+            let report = srv.contention_report();
+            let decision = report.gate[0];
+            assert!(!decision.shed);
+            assert!(decision.delay > SimTime::ZERO, "the early heavy load forces a wait");
+            assert_eq!(report.slo_hit_rate(), Some(1.0));
+            decision.delay
+        };
+        let without = run(false);
+        let with = run(true);
+        assert!(
+            with > without,
+            "a session arriving during the wait must lengthen it: {with} <= {without}"
+        );
+    }
+
+    #[test]
+    fn repeat_engagements_reuse_the_gate_decision_until_the_mix_changes() {
+        let srv = server_with_backpressure(BackpressureMode::Queue(SimTime::from_ms(60_000)));
+        let slo = floor_slo(&srv);
+        let a = srv.session_with_slo(slo, 0).unwrap();
+        let b = srv.session_with_slo(slo, 0).unwrap();
+        // Fixed-point gate pass: `a` and `b` mutually co-arrive, so the
+        // walk iterates until their decisions are consistent — `b` (the
+        // later token) queues behind `a`, and `a`, re-gated against `b`'s
+        // *decided* (delayed) position rather than its raw arrival, keeps
+        // the queue head with no wait of its own.
+        a.infer(&[1]).unwrap();
+        a.infer(&[2]).unwrap();
+        let report = srv.contention_report();
+        assert_eq!(report.gate.len(), 2, "every engagement logs a decision");
+        let a_token = report.gate.iter().map(|d| d.session).min().unwrap();
+        let a_decisions: Vec<_> = report.gate.iter().filter(|d| d.session == a_token).collect();
+        assert_eq!(a_decisions.len(), 2);
+        assert_eq!(a_decisions[0], a_decisions[1], "an unchanged mix reuses the decision");
+        assert_eq!(
+            a_decisions[0].delay,
+            SimTime::ZERO,
+            "at the fixed point the earliest token runs first, not behind its own follower"
+        );
+        assert!(a_decisions[0].re_gated, "the decision went through the co-arrival iteration");
+        assert_eq!(report.re_gated_count(), 2);
+        // A registry change (a session closing) invalidates the memo: with
+        // the queue to itself, the next engagement needs no delay.
+        drop(b);
+        a.infer(&[3]).unwrap();
+        let report = srv.contention_report();
+        let last = report.gate.iter().rfind(|d| d.session == a_token).unwrap();
+        assert_eq!(last.delay, SimTime::ZERO, "the mix changed, the decision follows");
+        assert!(!last.re_gated, "no co-arriving later session remains to re-gate against");
+    }
+
+    #[test]
+    fn gate_is_inert_without_an_slo_or_with_mode_off() {
+        // Off mode: SLO sessions never gate.
+        let off = server_with_backpressure(BackpressureMode::Off);
+        let slo = floor_slo(&off);
+        let a = off.session_with_slo(slo, 0).unwrap();
+        let b = off.session_with_slo(slo, 0).unwrap();
+        a.infer(&[1]).unwrap();
+        b.infer(&[1]).expect("mode off never sheds");
+        assert!(off.contention_report().gate.is_empty());
+        // Shed mode, but target sessions (no SLO): nothing to gate on.
+        let shed = server_with_backpressure(BackpressureMode::Shed);
+        let s1 = shed.session_with(SimTime::from_ms(300), 0).unwrap();
+        let s2 = shed.session_with(SimTime::from_ms(300), 0).unwrap();
+        s1.infer(&[1]).unwrap();
+        s2.infer(&[1]).expect("sessions without an SLO are never gated");
+        assert!(shed.contention_report().gate.is_empty());
+        assert_eq!(shed.serving_stats().shed_engagements, 0);
     }
 }

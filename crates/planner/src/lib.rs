@@ -19,6 +19,9 @@
 //! Shard importance itself is profiled by [`importance`] exactly as §5.2
 //! describes: fix the grid at 2-bit, raise one shard to full fidelity, and
 //! measure dev-set accuracy.
+//!
+//! For serving, [`mix`] prices an engagement against the open sessions and
+//! [`gate`] turns that price into the infer-time backpressure decision.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +29,7 @@
 pub mod aib;
 pub mod cache;
 pub mod compute_plan;
+pub mod gate;
 pub mod importance;
 pub mod io_plan;
 pub mod mix;
@@ -43,8 +47,8 @@ pub use io_plan::{
     plan_io, plan_io_greedy_only, plan_two_stage, replan_with_preload, IoPlanInputs,
 };
 pub use mix::{
-    plan_for_slo_mix, reallocate_preload_for_mix, GateOutcome, GatePolicy, MixLaneSummary,
-    MixSession, PreloadPolicy, ServingMix, SloProfile,
+    plan_for_slo_mix, reallocate_preload_for_mix, GateOutcome, MixSession, PreloadPolicy,
+    ServingMix, SloProfile,
 };
 pub use plan::{ExecutionPlan, PlannedLayer, SubmodelShape};
 pub use prefetch::{

@@ -25,8 +25,8 @@
 //!   so far — including the *second gate pass* that re-gates an
 //!   equal-arrival earliest session once later-opened co-arriving load
 //!   exists (queue mode only; see [`ServingMix::gate_all`]).
-//! - [`ServingMix::digest`] is the one memo identity: the server's gate
-//!   memo (one per walk) hashes the mix through here, so a registry change
+//! - [`ServingMix::digest`] is the one memo identity: the gate's walk memo
+//!   ([`crate::gate`]) hashes the mix through here, so a registry change
 //!   invalidates it.
 //!
 //! # Sharing-aware `|S|`
@@ -128,7 +128,7 @@
 //!   each later decision reuses the decided-lane prefix the walk has
 //!   already accumulated (the unchanged round-robin schedule prefix)
 //!   instead of re-assembling it, and plain target sessions skip lane
-//!   assembly entirely — they always contribute. The server memoizes the
+//!   assembly entirely — they always contribute. The gate memoizes the
 //!   walk per mix digest, so after a registry append exactly one walk
 //!   re-prices the affected suffix and every other session's decision is a
 //!   lookup.
@@ -138,11 +138,11 @@ use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use sti_device::{DeviceTopology, HwProfile, SimTime};
+use sti_device::{content_sig, DeviceTopology, HwProfile, SimTime};
 use sti_quant::Bitwidth;
-use sti_storage::LayerRequest;
 use sti_transformer::ShardId;
 
+use crate::gate::BackpressureMode;
 use crate::importance::ImportanceProfile;
 use crate::io_plan::{plan_two_stage, replan_with_preload};
 use crate::plan::ExecutionPlan;
@@ -209,16 +209,6 @@ pub struct MixSession {
     pub slo: Option<Arc<SloProfile>>,
 }
 
-/// What the infer-time gate does with an engagement predicted to miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatePolicy {
-    /// Delay the engagement until the prediction meets the SLO, up to this
-    /// maximum; shed if even that cannot save it.
-    Queue(SimTime),
-    /// Fail fast whenever the prediction misses — never wait.
-    Shed,
-}
-
 /// One gate decision, as the mix computes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateOutcome {
@@ -256,30 +246,6 @@ pub enum PreloadPolicy {
 struct Lane {
     arrival: SimTime,
     jobs: Arc<[LayerIoJob]>,
-}
-
-/// A compact, `Copy` summary of the load a gate decision ran against —
-/// the explainability payload behind a structured gate *reason*: how many
-/// sessions were open and which co-runner lanes dominate by total streamed
-/// service time. Computed once per gate walk (O(sessions)) and shared by
-/// every decision priced from that walk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MixLaneSummary {
-    /// Open sessions in the mix.
-    pub sessions: usize,
-    /// The two heaviest co-runner lanes as `(token, total service µs)`,
-    /// heaviest first; equal loads rank by lower token. Keeping two lets a
-    /// session name its dominant *co-runner* in O(1) even when it is
-    /// itself the heaviest lane.
-    pub heaviest: [Option<(u64, u64)>; 2],
-}
-
-impl MixLaneSummary {
-    /// The heaviest co-runner lane that is not `token` itself (the session
-    /// asking "who is crowding me out").
-    pub fn dominant_excluding(&self, token: u64) -> Option<(u64, u64)> {
-        self.heaviest.iter().flatten().copied().find(|&(t, _)| t != token)
-    }
 }
 
 /// The canonical workload mix a contended prediction runs against: the
@@ -375,7 +341,7 @@ impl ServingMix {
 
     /// The one memo identity of the mix: every input a prediction (or a
     /// gate decision) depends on — sharing mode, topology, and each
-    /// session's token, arrival, jobs, and gate profile. The server's gate
+    /// session's token, arrival, jobs, and gate profile. The gate's walk
     /// memo keys on this, so a registry change invalidates it.
     ///
     /// The session part is `(count, fold)` — the rolling fold maintained
@@ -474,37 +440,11 @@ impl ServingMix {
         sigs
     }
 
-    /// Summarizes the mix's lanes for gate-reason reporting: session count
-    /// and the top co-runner lanes by total streamed service time. A pure
-    /// function of the mix, so every replay derives identical reasons.
-    pub fn lane_summary(&self) -> MixLaneSummary {
-        // Ranks `a` above `b`: more service first, lower token on ties.
-        fn outranks(a: (u64, u64), b: (u64, u64)) -> bool {
-            a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
-        }
-        let mut heaviest: [Option<(u64, u64)>; 2] = [None; 2];
-        for s in self.sessions.values() {
-            let service: u64 = s.load.jobs.iter().map(|j| j.service.as_us()).sum();
-            let mut cand = (s.token, service);
-            for slot in &mut heaviest {
-                match slot {
-                    Some(held) if outranks(cand, *held) => cand = std::mem::replace(held, cand),
-                    Some(_) => {}
-                    None => {
-                        *slot = Some(cand);
-                        break;
-                    }
-                }
-            }
-        }
-        MixLaneSummary { sessions: self.sessions.len(), heaviest }
-    }
-
     /// Runs the deterministic gate walk once, pricing **every** open SLO
     /// session; returns `(token, outcome)` per SLO session in walk order.
     /// Plain target sessions (no [`SloProfile`]) are never gated and skip
     /// lane assembly entirely. The decided-lane prefix is computed once and
-    /// shared by every later decision, and the server memoizes the walk per
+    /// shared by every later decision, and the gate memoizes the walk per
     /// mix digest, so after a registry change exactly one walk re-prices
     /// and every other session's gate decision is a lookup.
     ///
@@ -532,8 +472,11 @@ impl ServingMix {
     /// subset of what admission priced). The whole walk — sweep order,
     /// sweep cap, convergence test — is a pure function of the mix, so
     /// concurrent and sequential replays decide identically.
-    pub fn gate_all(&self, policy: GatePolicy) -> Vec<(u64, GateOutcome)> {
-        self.walk_gate(policy)
+    ///
+    /// With [`BackpressureMode::Off`] every SLO session is priced at its
+    /// arrival and none is delayed or shed.
+    pub fn gate_all(&self, mode: BackpressureMode) -> Vec<(u64, GateOutcome)> {
+        self.walk_gate(mode)
             .into_iter()
             .filter_map(|(t, outcome)| outcome.map(|o| (t, o)))
             .collect()
@@ -542,7 +485,7 @@ impl ServingMix {
     /// The `(arrival, token)` walk behind [`ServingMix::gate_all`]:
     /// `(token, outcome)` per session visited, in walk order (`None` for
     /// plain target sessions, which are never gated).
-    fn walk_gate(&self, policy: GatePolicy) -> Vec<(u64, Option<GateOutcome>)> {
+    fn walk_gate(&self, mode: BackpressureMode) -> Vec<(u64, Option<GateOutcome>)> {
         /// Sweep cap for the co-arrival fixed point: iteration is
         /// Gauss–Seidel and converges in 2 sweeps for the common
         /// one-gated-session case (re-decide + confirm); the cap only binds
@@ -590,7 +533,7 @@ impl ServingMix {
                             arrival,
                             self.sharing,
                             self.topology,
-                            policy,
+                            mode,
                         );
                         outcomes.push((s.token, Some(outcome)));
                         if !outcome.shed {
@@ -611,7 +554,7 @@ impl ServingMix {
             // maximum delay cannot absorb the widened mix, and a first-pass
             // shed stays shed. Shed mode skips this entirely, so the gate
             // keeps pricing a subset of what admission priced.
-            if let (GatePolicy::Queue(max), true) = (policy, end - start > 1) {
+            if let (BackpressureMode::Queue(max), true) = (mode, end - start > 1) {
                 let mut lanes: Vec<Lane> = Vec::new();
                 for _ in 0..MAX_SWEEPS {
                     let mut moved = false;
@@ -751,20 +694,20 @@ fn decide(
     arrival: SimTime,
     sharing: IoSharing,
     topology: DeviceTopology,
-    policy: GatePolicy,
+    mode: BackpressureMode,
 ) -> GateOutcome {
     let load = profile.load_at(arrival);
-    match policy {
-        GatePolicy::Shed => {
+    match mode {
+        BackpressureMode::Off | BackpressureMode::Shed => {
             let predicted = predict_over_lanes_in(arena, first, None, &load, sharing, topology);
             GateOutcome {
                 predicted,
                 delay: SimTime::ZERO,
-                shed: predicted > profile.slo,
+                shed: mode == BackpressureMode::Shed && predicted > profile.slo,
                 re_gated: false,
             }
         }
-        GatePolicy::Queue(max) => {
+        BackpressureMode::Queue(max) => {
             match min_delay_over_lanes_in(arena, first, &load, sharing, topology, profile.slo, max)
             {
                 Err(predicted) => {
@@ -1090,7 +1033,7 @@ pub fn reallocate_preload_for_mix(
     let covered: Vec<bool> = plan
         .layers
         .iter()
-        .map(|pl| shared_sigs.contains(&LayerRequest::sig_of(pl.layer, pl.items())))
+        .map(|pl| shared_sigs.contains(&content_sig(pl.layer, pl.items())))
         .collect();
     if !covered.iter().any(|&c| c) {
         return None;
@@ -1455,9 +1398,9 @@ mod tests {
                         let load = CoRunnerLoad { jobs: lane.jobs, arrival: lane.arrival };
                         mix.push_session(token as u64, load, profile);
                     }
-                    for policy in [GatePolicy::Queue(SimTime::from_us(max_us)), GatePolicy::Shed] {
-                        let want = oracle(|| mix.gate_all(policy));
-                        prop_assert_eq!(mix.gate_all(policy), want);
+                    for mode in [BackpressureMode::Queue(SimTime::from_us(max_us)), BackpressureMode::Shed] {
+                        let want = oracle(|| mix.gate_all(mode));
+                        prop_assert_eq!(mix.gate_all(mode), want);
                     }
                 }
             }
@@ -1525,10 +1468,10 @@ mod tests {
                 };
                 assert_eq!(search(), oracle(search), "{sharing:?}: admission at {arrival_us} µs");
             }
-            for policy in [GatePolicy::Queue(SimTime::from_ms(200)), GatePolicy::Shed] {
-                let walk = mix.gate_all(policy);
+            for mode in [BackpressureMode::Queue(SimTime::from_ms(200)), BackpressureMode::Shed] {
+                let walk = mix.gate_all(mode);
                 assert_eq!(walk.len(), 8);
-                assert_eq!(walk, oracle(|| mix.gate_all(policy)), "{sharing:?}: {policy:?}");
+                assert_eq!(walk, oracle(|| mix.gate_all(mode)), "{sharing:?}: {mode:?}");
             }
         }
     }

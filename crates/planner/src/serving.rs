@@ -45,9 +45,8 @@
 
 use std::sync::Arc;
 
-use sti_device::{CompletedJob, HwProfile, SimTime};
+use sti_device::{content_sig, CompletedJob, HwProfile, SimTime};
 use sti_quant::Bitwidth;
-use sti_storage::LayerRequest;
 use sti_transformer::ShardId;
 
 use crate::importance::ImportanceProfile;
@@ -113,12 +112,12 @@ pub fn layer_io_jobs(hw: &HwProfile, plan: &ExecutionPlan) -> Vec<Option<LayerIo
                 pl.items().filter(|&(slice, _)| !plan.is_preloaded(ShardId::new(pl.layer, slice)))
             };
             let bytes: u64 = streamed().map(|(_, bw)| hw.shard_bytes(bw)).sum();
-            // The signature is `LayerRequest::content_sig` of the request
-            // the executor will issue for this layer, so plan-derived jobs
-            // and the scheduler's queued requests agree on batchability
+            // The signature is the content signature of the request the
+            // executor will issue for this layer, so plan-derived jobs and
+            // the scheduler's queued requests agree on batchability
             // identity.
             (bytes > 0).then(|| LayerIoJob {
-                sig: LayerRequest::sig_of(pl.layer, streamed()),
+                sig: content_sig(pl.layer, streamed()),
                 service: hw.request_latency + hw.transfer_delay(bytes),
             })
         })

@@ -23,30 +23,13 @@ pub struct LayerRequest {
 }
 
 impl LayerRequest {
-    /// Content signature of the request: a hash of the layer and every
-    /// `(slice, bits)` item, in order. Two requests with equal signatures
-    /// read identical bytes — the identity the shared-IO batcher matches on
-    /// and the serving planner's `LayerIoJob` carries, so queued requests
-    /// and plan-derived IO jobs can be compared for batchability.
+    /// Content signature of the request ([`sti_device::content_sig`] of its
+    /// layer and items): two requests with equal signatures read identical
+    /// bytes — the identity the shared-IO batcher matches on and the
+    /// serving planner's `LayerIoJob` carries, so queued requests and
+    /// plan-derived IO jobs can be compared for batchability.
     pub fn content_sig(&self) -> u64 {
-        Self::sig_of(self.layer, self.items.iter().copied())
-    }
-
-    /// [`LayerRequest::content_sig`] without materializing a request: the
-    /// signature of a layer read covering exactly `items`, in order. The
-    /// serving planner uses this to ask "what would this layer's request
-    /// look like on the wire" — e.g. the full-layer signature of a plan
-    /// whose preload buffer is hypothetically empty — so plan-derived jobs
-    /// and co-residents' registered loads share one batchability identity
-    /// with the requests on the wire.
-    pub fn sig_of(layer: u16, items: impl IntoIterator<Item = (u16, Bitwidth)>) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        layer.hash(&mut hasher);
-        for (slice, bw) in items {
-            (slice, bw.bits()).hash(&mut hasher);
-        }
-        hasher.finish()
+        sti_device::content_sig(self.layer, self.items.iter().copied())
     }
 }
 

@@ -243,7 +243,7 @@ proptest! {
             .collect();
         let arrival = SimTime::from_us(arrival_us);
         let slo = SimTime::from_ms(slo_ms);
-        let policy = GatePolicy::Queue(SimTime::from_ms(30_000));
+        let policy = BackpressureMode::Queue(SimTime::from_ms(30_000));
         // Tokens 0..members co-arrive with SLOs; plain sessions follow.
         let mut mix = ServingMix::new(IoSharing::Exclusive);
         for m in 0..members {

@@ -196,7 +196,7 @@ fn gate_all_prices_every_slo_session_and_no_plain_one() {
                 .then(|| SloProfile::from_plan(&hw, plan, SimTime::from_ms(150 + t * 40)));
             mix.push_session(t, CoRunnerLoad::from_plan_at(&hw, plan, arrival), slo);
         }
-        for policy in [GatePolicy::Shed, GatePolicy::Queue(SimTime::from_ms(100))] {
+        for policy in [BackpressureMode::Shed, BackpressureMode::Queue(SimTime::from_ms(100))] {
             let all = mix.gate_all(policy);
             assert_eq!(all.len(), 7, "every SLO session is priced, plain ones are not");
         }

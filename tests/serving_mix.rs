@@ -406,7 +406,7 @@ proptest! {
             let covered: Vec<bool> = plan
                 .layers
                 .iter()
-                .map(|pl| shared.contains(&LayerRequest::sig_of(pl.layer, pl.items())))
+                .map(|pl| shared.contains(&sti_device::content_sig(pl.layer, pl.items())))
                 .collect();
             for &(id, _) in &realloc.preload {
                 prop_assert!(

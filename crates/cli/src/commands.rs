@@ -38,11 +38,6 @@ pub fn usage() -> String {
      \x20                                  un-shared layer wants the budget)\n\
      \x20             [--device d] [--target-ms 200] [--preload-kb 16]\n\
      \x20             [--shard-cache-kb 4096]          replay a multi-client trace\n\
-     \x20             [--fleet 100,1000,10000]  synthetic fleet sweep: open N sessions per\n\
-     \x20                                  size, measure per-decision admission/gate cost\n\
-     \x20                                  (near-flat in N); forces queue backpressure when\n\
-     \x20                                  --backpressure is off\n\
-     \x20             [--fleet-slo-sessions 4] [--fleet-decisions 512]\n\
      \x20             [--channels 1]       device channels on the simulated flash: C per-\n\
      \x20                                  channel FIFO lanes striped across by placement\n\
      \x20                                  (1 = the legacy single-channel device, bit-\n\
@@ -64,10 +59,6 @@ pub fn usage() -> String {
      \x20             [--metrics-out metrics.json]  write the merged instrument snapshot\n\
      \x20                                  (serving.*/gate.*/io.* counters, gauges, and\n\
      \x20                                  histogram percentiles)\n\
-     \x20             [--bench-out BENCH_serving.json]  merge the fleet sweep into the perf\n\
-     \x20                                  ledger: the entry with the same channels,\n\
-     \x20                                  prefetch, and sizes is replaced, new\n\
-     \x20                                  configurations append\n\
      \n\
      Replays run on the deterministic discrete-event engine (one OS thread, N\n\
      clients) and are checked against a sequential replay of the same trace. A flag\n\
@@ -289,7 +280,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let channels_raw = args.get_u64("channels", 1)?.max(1);
     let channels = u16::try_from(channels_raw)
         .map_err(|_| ArgError(format!("--channels {channels_raw} exceeds {}", u16::MAX)))?;
-    let mut cfg = ServeConfig {
+    let cfg = ServeConfig {
         device: device(args.get_or("device", "odroid"))?,
         target: SimTime::from_ms(args.get_u64("target-ms", 200)?),
         preload_bytes: args.get_u64("preload-kb", 16)? << 10,
@@ -309,86 +300,6 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         "bert" => ModelConfig::scaled_bert(),
         other => return Err(ArgError(format!("unknown model '{other}' (bert|tiny)"))),
     };
-    if let Some(list) = args.get("fleet") {
-        if args.get("trace").is_some() {
-            return Err(ArgError("--fleet runs a synthetic sweep; drop --trace".into()));
-        }
-        let sizes = list
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| {
-                let v: u64 = s
-                    .trim()
-                    .parse()
-                    .map_err(|_| ArgError(format!("--fleet: '{s}' is not a fleet size")))?;
-                checked_usize("fleet", v)
-            })
-            .collect::<Result<Vec<_>, ArgError>>()?;
-        if sizes.is_empty() {
-            return Err(ArgError("--fleet needs at least one size (e.g. 100,1000)".into()));
-        }
-        let fleet = FleetConfig {
-            sizes,
-            slo_sessions: checked_usize(
-                "fleet-slo-sessions",
-                args.get_u64("fleet-slo-sessions", 4)?.max(1),
-            )?,
-            decisions: checked_usize(
-                "fleet-decisions",
-                args.get_u64("fleet-decisions", 512)?.max(1),
-            )?,
-            channels,
-        };
-        if matches!(cfg.backpressure, BackpressureMode::Off) {
-            // The sweep measures the gate; give it one by default.
-            cfg.backpressure = backpressure_mode("queue", args.get_u64("max-queue-ms", 100)?)?;
-        }
-        let bench_out = args.get("bench-out");
-        args.reject_unread()?;
-        let ctx = TaskContext::with_config(kind, model_cfg);
-        eprintln!("profiling shard importance (one-time per model)...");
-        ctx.importance();
-        let points =
-            fleet_sweep(&ctx, &cfg, &fleet).map_err(|e| ArgError(format!("fleet sweep: {e}")))?;
-        let json = fleet_report_json(&points);
-        let mut report = String::new();
-        for p in &points {
-            report.push_str(&format!(
-                "fleet N={:<7} C={} open {:.3?}  admission mean {:.3?}  gate cold {:.3?}  \
-                 gate mean {:.3?}  digest {:.3?}  {:.0} decisions/s  \
-                 {:.0} engagements/s ({} heap_ops, {:.0} contended eng/sim-s)\n",
-                p.sessions,
-                p.channels,
-                p.open_wall,
-                p.admission_mean,
-                p.gate_cold,
-                p.gate_mean,
-                p.digest_mean,
-                p.decisions_per_sec,
-                p.engagements_per_sec,
-                p.heap_ops,
-                p.contended_eps,
-            ));
-        }
-        if let (Some(first), Some(last)) = (points.first(), points.last()) {
-            let ratio = last.gate_mean.as_secs_f64() / first.gate_mean.as_secs_f64().max(1e-12);
-            report.push_str(&format!(
-                "fleet gate per-decision near-flat: N={} -> N={} mean-latency ratio {ratio:.2}x \
-                 (memoized digest+lookup steady state)\n",
-                first.sessions, last.sessions,
-            ));
-        }
-        if let Some(path) = bench_out {
-            // Merge into the existing ledger instead of clobbering it: an
-            // entry with the same (exec_mode, channels, prefetch, sessions
-            // column) is replaced in place, anything else appends — history
-            // survives, and an unreadable or malformed ledger is left
-            // untouched.
-            merge_fleet_ledger_file(path, &json).map_err(|e| ArgError(e.to_string()))?;
-            report.push_str(&format!("fleet ledger written to {path}\n"));
-        }
-        return Ok(report);
-    }
     // Validate the workload before the (slow) importance profiling pass.
     let synthetic_sessions = checked_usize("sessions", args.get_u64("sessions", 8)?)?;
     let synthetic_engagements = checked_usize("engagements", args.get_u64("engagements", 4)?)?;
@@ -723,16 +634,26 @@ mod tests {
 
     #[test]
     fn serve_rejects_flags_it_does_not_read() {
-        // The retired executor knob must not be swallowed: the run would be
-        // stamped as something it was not.
+        // Retired knobs must not be swallowed: the run would be stamped as
+        // something it was not.
+        for (flag, value) in [("exec", "threaded"), ("fleet", "4")] {
+            let flag_arg = format!("--{flag}");
+            let args = Args::parse([
+                "serve",
+                "--task",
+                "sst2",
+                "--model",
+                "tiny",
+                flag_arg.as_str(),
+                value,
+            ])
+            .unwrap();
+            let err = dispatch(&args).unwrap_err();
+            assert!(err.to_string().contains(&format!("unknown flag --{flag}")), "{err}");
+        }
+        // Same for a typo, on the replay path and on a light command.
         let args =
-            Args::parse(["serve", "--task", "sst2", "--model", "tiny", "--exec", "threaded"])
-                .unwrap();
-        let err = dispatch(&args).unwrap_err();
-        assert!(err.to_string().contains("unknown flag --exec"), "{err}");
-        // Same for a typo, on the fleet path and on a light command.
-        let args =
-            Args::parse(["serve", "--task", "sst2", "--fleet", "4", "--chanels", "4"]).unwrap();
+            Args::parse(["serve", "--task", "sst2", "--model", "tiny", "--chanels", "4"]).unwrap();
         let err = dispatch(&args).unwrap_err();
         assert!(err.to_string().contains("unknown flag --chanels"), "{err}");
         let args = Args::parse(["profile", "--devcie", "jetson"]).unwrap();
@@ -841,83 +762,6 @@ mod tests {
             let err = checked_usize("sessions", u64::MAX).unwrap_err();
             assert!(err.to_string().contains("address width"), "{err}");
         }
-    }
-
-    #[test]
-    fn serve_fleet_rejects_bad_sweeps() {
-        let args = Args::parse(["serve", "--task", "sst2", "--fleet", "nope"]).unwrap();
-        let err = dispatch(&args).unwrap_err();
-        assert!(err.to_string().contains("not a fleet size"), "{err}");
-        let args = Args::parse(["serve", "--task", "sst2", "--fleet", ","]).unwrap();
-        assert!(dispatch(&args).is_err());
-        let args =
-            Args::parse(["serve", "--task", "sst2", "--fleet", "4", "--trace", "t.json"]).unwrap();
-        let err = dispatch(&args).unwrap_err();
-        assert!(err.to_string().contains("drop --trace"), "{err}");
-    }
-
-    #[test]
-    fn serve_fleet_sweeps_and_writes_the_ledger() {
-        let path = std::env::temp_dir().join(format!("sti-cli-fleet-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let args = Args::parse([
-            "serve",
-            "--task",
-            "sst2",
-            "--model",
-            "tiny",
-            "--fleet",
-            "4,8",
-            "--fleet-slo-sessions",
-            "2",
-            "--fleet-decisions",
-            "16",
-            "--bench-out",
-            path.to_str().unwrap(),
-        ])
-        .unwrap();
-        let report = dispatch(&args).unwrap();
-        assert!(report.contains("fleet N=6"), "{report}");
-        assert!(report.contains("fleet N=10"), "{report}");
-        assert!(report.contains("near-flat"), "{report}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert!(json.contains("\"bench\": \"serving_fleet\""), "{json}");
-        assert!(json.contains("\"sessions\": 10"), "{json}");
-        // The ledger key column is the constant "event"; default is
-        // single-channel.
-        assert!(json.contains("\"exec_mode\": \"event\""), "{json}");
-        assert!(json.contains("\"channels\": 1"), "{json}");
-    }
-
-    #[test]
-    fn serve_fleet_accepts_a_channel_count() {
-        let path =
-            std::env::temp_dir().join(format!("sti-cli-fleet-c4-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let args = Args::parse([
-            "serve",
-            "--task",
-            "sst2",
-            "--model",
-            "tiny",
-            "--fleet",
-            "4",
-            "--fleet-slo-sessions",
-            "2",
-            "--fleet-decisions",
-            "8",
-            "--channels",
-            "4",
-            "--bench-out",
-            path.to_str().unwrap(),
-        ])
-        .unwrap();
-        let report = dispatch(&args).unwrap();
-        assert!(report.contains("C=4"), "{report}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert!(json.contains("\"channels\": 4"), "{json}");
     }
 
     #[test]

@@ -58,19 +58,16 @@
 //! oracle that *defines* the uncontended track — per-engagement outcomes
 //! and gate decisions are identical between the two by contract (event ≡
 //! sequential), and `Session::infer` driven from N host threads matches
-//! both on outcomes (`tests/serving_runtime.rs`). [`fleet_sweep`]
-//! scales the open-session registry to fleet sizes and
-//! [`fleet_report_json`] writes the perf ledger (`BENCH_serving.json`):
-//! entries carry the constant `exec_mode: "event"` (a ledger-key column
-//! kept so historical rows still merge) and the device `channels`
-//! ([`ServeConfig::channels`] / `sti serve --channels N`), points add
-//! `engagements_per_sec`, `contended_eps` (replay engagements per
-//! *simulated* second — the column that scales with the channel count)
-//! and the engine's `heap_ops` beside the admission/gate/digest columns,
-//! and [`merge_fleet_ledger`] folds repeated sweeps into one ledger
-//! keyed by `(exec_mode, channels, prefetch, fleet points)`. Every
-//! [`ServeReport`] also carries a merged metrics snapshot and, when the
-//! server has a live sink, the virtual-clock span stream (export with
+//! both on outcomes (`tests/serving_runtime.rs`). A steady-state gate
+//! decision costs the same at any fleet size: the registry's digest is a
+//! rolling fold, and one walk memo keyed by it answers every repeat.
+//! `tests/memory_sharing.rs` pins such decisions at zero heap bytes over
+//! 2 000 open sessions, `tests/serving_fleet.rs` gates, replays against
+//! and tears down 100 000, and the benchmark's `fleet_admit` workload
+//! times each layer. `BENCH_serving.json` is the frozen record of a
+//! retired fleet sweep. Every [`ServeReport`] also carries a merged
+//! metrics snapshot and, when the server has a live sink, the
+//! virtual-clock span stream (export with
 //! [`sti_obs::chrome_trace_json`]; without a sink, read
 //! `StiServer::trace_spans` after the replay). Both are byte-identical run
 //! to run on the deterministic tracks; see `sti_obs` and
@@ -88,9 +85,8 @@ pub mod trace_file;
 pub use baselines::Baseline;
 pub use runner::{run_experiment, Experiment, RunResult, TaskContext};
 pub use serving::{
-    build_server, fleet_report_json, fleet_sweep, merge_fleet_ledger, merge_fleet_ledger_file,
-    replay_event, replay_sequential, ClientTrace, EngagementOutcome, FleetConfig, FleetPoint,
-    LedgerError, ServeConfig, ServeReport, ServingTrace,
+    build_server, replay_event, replay_sequential, ClientTrace, EngagementOutcome, ServeConfig,
+    ServeReport, ServingTrace,
 };
 /// The discrete-event executor now lives beside the device models it
 /// simulates (`sti_device::engine`); this alias keeps `sti_core::engine`
@@ -106,9 +102,8 @@ pub mod prelude {
     pub use crate::gold::gold_accuracy;
     pub use crate::runner::{run_experiment, Experiment, RunResult, TaskContext};
     pub use crate::serving::{
-        build_server, fleet_report_json, fleet_sweep, merge_fleet_ledger, merge_fleet_ledger_file,
-        replay_event, replay_sequential, ClientTrace, EngagementOutcome, FleetConfig, FleetPoint,
-        LedgerError, ServeConfig, ServeReport, ServingTrace,
+        build_server, replay_event, replay_sequential, ClientTrace, EngagementOutcome, ServeConfig,
+        ServeReport, ServingTrace,
     };
     pub use crate::trace_file::{load_trace, parse_trace, TraceFileError};
     pub use sti_device::{

@@ -27,21 +27,19 @@
 //! (queue delays and sheds; shed engagements produce no outcome in either
 //! replay, and the decisions themselves are deterministic).
 
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use sti_device::{DeviceProfile, HwProfile, SimTime};
-use sti_obs::{Histogram, MetricsSnapshot, SpanEvent};
+use sti_obs::{MetricsSnapshot, SpanEvent};
 use sti_pipeline::{
     AdmissionMode, BackpressureMode, ContentionReport, PendingEngagement, PipelineError,
     PrefetchReport, ServingStats, Session, StiServer,
 };
-use sti_planner::{PlanCacheStats, PrefetchConfig, PrefetchMode, PreloadPolicy};
+use sti_planner::{PlanCacheStats, PrefetchConfig, PreloadPolicy};
 use sti_storage::{BatchPolicy, IoSchedulerStats, ShardCacheStats};
 
 use crate::engine::{Component, ComponentId, Engine, System};
 use crate::runner::TaskContext;
-use crate::trace_file::{parse_objects, Json, TraceFileError};
 
 /// Server-level knobs for a serving experiment.
 #[derive(Debug, Clone)]
@@ -624,420 +622,6 @@ pub fn replay_event(
     Ok(rep)
 }
 
-/// Knobs for the synthetic fleet sweep: how many sessions each point opens
-/// and how many gate decisions it samples.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Fleet sizes to sweep (open sessions per point).
-    pub sizes: Vec<usize>,
-    /// SLO sessions opened on top of each fleet (the gated population the
-    /// probes run against).
-    pub slo_sessions: usize,
-    /// Steady-state gate decisions sampled per point, round-robin over the
-    /// SLO sessions.
-    pub decisions: usize,
-    /// Device channels on each point's simulated flash (stamped on the
-    /// ledger record; `1` is the legacy single-channel device).
-    pub channels: u16,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self {
-            sizes: vec![100, 1_000, 10_000, 100_000],
-            slo_sessions: 4,
-            decisions: 512,
-            channels: 1,
-        }
-    }
-}
-
-/// One point of the fleet sweep — the perf-ledger record behind
-/// `BENCH_serving.json`.
-#[derive(Debug, Clone)]
-pub struct FleetPoint {
-    /// Open sessions at this point (plain fleet + SLO probes).
-    pub sessions: usize,
-    /// Wall time to open the whole plain fleet.
-    pub open_wall: Duration,
-    /// Mean wall time to admit one SLO session against the full fleet
-    /// (SLO search + admission prediction; plan-cache hits after the
-    /// first).
-    pub admission_mean: Duration,
-    /// The one cold gate decision after the registry settles: pays for the
-    /// full `(arrival, token)` walk that every later decision reuses.
-    pub gate_cold: Duration,
-    /// Mean steady-state per-decision gate latency (memoized path: rolling
-    /// digest + lookup — the near-flat number).
-    pub gate_mean: Duration,
-    /// Median steady-state per-decision gate latency in µs, from a
-    /// log₂-bucket [`Histogram`] over the sampled decisions (each
-    /// percentile is its bucket's inclusive upper bound).
-    pub gate_p50_us: f64,
-    /// 90th-percentile steady-state gate latency in µs (bucketed).
-    pub gate_p90_us: f64,
-    /// 99th-percentile steady-state gate latency in µs (bucketed).
-    pub gate_p99_us: f64,
-    /// Steady-state decisions sampled.
-    pub gate_decisions: usize,
-    /// Steady-state gate decisions per wall-clock second.
-    pub decisions_per_sec: f64,
-    /// Mean time to compute the live mix's rolling digest.
-    pub digest_mean: Duration,
-    /// Device channels on the point's simulated flash (`1` = the legacy
-    /// single-channel device).
-    pub channels: u16,
-    /// Engagements completed per wall-clock second in the replay phase
-    /// (a small fixed trace served against the full open fleet).
-    pub engagements_per_sec: f64,
-    /// Replay-phase engagements per *simulated* second on the contended
-    /// track (total engagements over the contended queue makespan) — the
-    /// column that scales with the device-channel count: striping the
-    /// same trace across more channels shrinks the contended makespan.
-    pub contended_eps: f64,
-    /// Event-engine heap operations in the replay phase.
-    pub heap_ops: u64,
-    /// Prefetch mode the point's server ran (stamped on the ledger
-    /// record; [`PrefetchMode::Off`] is the legacy schedule).
-    pub prefetch: PrefetchMode,
-    /// Fraction of staged prefetch bytes a later demand miss consumed
-    /// (0 with prefetch off or nothing staged).
-    pub prefetch_hit_rate: f64,
-    /// KiB the replay's speculation read from flash during idle windows.
-    pub prefetch_speculated_kb: u64,
-    /// Median contended per-engagement latency in µs over the replay
-    /// phase — the column a working prefetcher moves.
-    pub contended_p50_us: f64,
-}
-
-/// Sweeps synthetic fleets of [`FleetConfig::sizes`] open sessions and
-/// measures per-decision admission/gate cost at each size — the tentpole
-/// claim being that the steady-state gate path is near-flat in fleet size
-/// (rolling digest + memo lookup, no registry rebuild).
-///
-/// Each point builds a fresh server, opens the plain fleet with one
-/// [`StiServer::open_fleet`] call (timed), admits
-/// [`FleetConfig::slo_sessions`] SLO sessions (timed individually), then
-/// probes: the mix digest, the one cold full-walk gate decision, and
-/// [`FleetConfig::decisions`] steady-state decisions round-robin over the
-/// SLO sessions. A small fixed engagement trace is
-/// then replayed against the live fleet ([`replay_event`]) for the
-/// throughput/heap-ops columns. Everything runs on the virtual
-/// clock — gate delays land on the simulated timeline, never as real
-/// sleeps — so a 100k-session point completes in seconds. Teardown drops
-/// sessions in a seeded random permutation: each close is one O(log N)
-/// removal from the registry's token-keyed map wherever the token falls,
-/// so the whole teardown stays O(N log N).
-///
-/// # Panics
-///
-/// Panics when `cfg.backpressure` is [`BackpressureMode::Off`] (there would
-/// be no gate to measure) or when `fleet.slo_sessions` is zero.
-///
-/// # Errors
-///
-/// Returns the first session-open or admission error.
-pub fn fleet_sweep(
-    ctx: &TaskContext,
-    cfg: &ServeConfig,
-    fleet: &FleetConfig,
-) -> Result<Vec<FleetPoint>, PipelineError> {
-    assert!(
-        !matches!(cfg.backpressure, BackpressureMode::Off),
-        "fleet sweep measures the backpressure gate; configure queue or shed mode"
-    );
-    assert!(fleet.slo_sessions > 0, "fleet sweep needs at least one SLO session to gate");
-    // Generous default: the sweep measures decision *cost*, not sheds.
-    let slo = cfg.slo.unwrap_or(SimTime::from_ms(60_000));
-    // The fleet's channel knob overrides the serve config's: every point in
-    // one sweep runs the same device topology, stamped on its ledger row.
-    let channels = fleet.channels.max(1);
-    let cfg = &ServeConfig { channels, ..cfg.clone() };
-    let mut points = Vec::with_capacity(fleet.sizes.len());
-    for &n in &fleet.sizes {
-        let server = build_server(ctx, cfg);
-
-        let open_start = std::time::Instant::now();
-        let plain = server.open_fleet(n, cfg.target, cfg.preload_bytes)?;
-        let open_wall = open_start.elapsed();
-
-        let mut slo_sessions = Vec::with_capacity(fleet.slo_sessions);
-        let admit_start = std::time::Instant::now();
-        for _ in 0..fleet.slo_sessions {
-            slo_sessions.push(server.session_with_slo(slo, cfg.preload_bytes)?);
-        }
-        let admission_mean = admit_start.elapsed() / fleet.slo_sessions as u32;
-
-        const DIGEST_PROBES: u32 = 64;
-        let digest_start = std::time::Instant::now();
-        for _ in 0..DIGEST_PROBES {
-            std::hint::black_box(server.mix_digest());
-        }
-        let digest_mean = digest_start.elapsed() / DIGEST_PROBES;
-
-        // The registry is settled: the next decision pays for the one full
-        // walk every later decision (any session) reuses.
-        let cold_start = std::time::Instant::now();
-        let cold = slo_sessions[0].gate_decision();
-        let gate_cold = cold_start.elapsed();
-        assert!(cold.is_some(), "an SLO session under queue/shed mode always gates");
-
-        // Per-decision latencies feed a log₂ histogram so the ledger
-        // carries tail percentiles, not just the mean; the mean itself is
-        // still computed over the whole loop (per-decision `Instant`
-        // reads included — a few tens of ns of overhead, identical at
-        // every fleet size, so the near-flat comparison is unaffected).
-        let gate_hist = Histogram::new();
-        let steady_start = std::time::Instant::now();
-        for i in 0..fleet.decisions {
-            let session = &slo_sessions[i % slo_sessions.len()];
-            let t = std::time::Instant::now();
-            std::hint::black_box(session.gate_decision());
-            gate_hist.record(t.elapsed().as_nanos() as u64);
-        }
-        let steady = steady_start.elapsed();
-        let gate_mean = steady / fleet.decisions.max(1) as u32;
-        let decisions_per_sec = fleet.decisions as f64 / steady.as_secs_f64().max(1e-9);
-        let gate_snap = gate_hist.snapshot();
-        let gate_pct_us = |p: f64| gate_snap.percentile(p) as f64 / 1000.0;
-
-        // Engagement-replay phase: a small fixed trace served against the
-        // full open fleet. Fixed size so the engagements/sec column
-        // compares across fleet sizes.
-        const REPLAY_CLIENTS: usize = 8;
-        const REPLAY_ENGAGEMENTS: usize = 4;
-        let trace = ServingTrace::synthetic(ctx, cfg, REPLAY_CLIENTS, REPLAY_ENGAGEMENTS);
-        let replay = replay_event(&server, &trace)?;
-        let contended_secs = replay.contention.queue_makespan.as_us() as f64 / 1e6;
-        let contended_eps = trace.total_engagements() as f64 / contended_secs.max(1e-9);
-        let pf = replay.prefetch;
-
-        points.push(FleetPoint {
-            sessions: n + fleet.slo_sessions,
-            open_wall,
-            admission_mean,
-            gate_cold,
-            gate_mean,
-            gate_p50_us: gate_pct_us(0.50),
-            gate_p90_us: gate_pct_us(0.90),
-            gate_p99_us: gate_pct_us(0.99),
-            gate_decisions: fleet.decisions,
-            decisions_per_sec,
-            digest_mean,
-            channels,
-            engagements_per_sec: replay.engagements_per_sec(),
-            contended_eps,
-            heap_ops: replay.heap_ops,
-            prefetch: pf.as_ref().map_or(PrefetchMode::Off, |p| p.mode),
-            prefetch_hit_rate: pf.as_ref().map_or(0.0, |p| p.pool.hit_rate()),
-            prefetch_speculated_kb: pf.as_ref().map_or(0, |p| p.speculated_bytes >> 10),
-            contended_p50_us: replay.contention.latency_percentile(0.50).as_us() as f64,
-        });
-
-        // Seeded-permutation teardown: sessions close in a shuffled order,
-        // so removals land anywhere in the registry instead of always at
-        // its tail — the random-churn pattern a long-lived fleet actually
-        // sees. Deterministic seed: the teardown (and its digest trail)
-        // replays identically run to run.
-        let mut order: Vec<usize> = (0..plain.len()).collect();
-        let mut rng = fleet_rng(n as u64);
-        for i in (1..order.len()).rev() {
-            let j = (rng.step() % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        let mut plain: Vec<Option<Session>> = plain.into_iter().map(Some).collect();
-        for i in order {
-            plain[i] = None;
-        }
-        drop(plain);
-        while slo_sessions.pop().is_some() {}
-    }
-    Ok(points)
-}
-
-/// Tiny xorshift64* stream for the teardown permutation — seeded, so the
-/// sweep is replayable; no external RNG dependency.
-struct FleetRng(u64);
-
-impl FleetRng {
-    fn step(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
-fn fleet_rng(n: u64) -> FleetRng {
-    FleetRng(0x5157_u64 ^ ((n << 1) | 1))
-}
-
-/// Renders a fleet sweep as one `BENCH_serving.json` perf-ledger entry
-/// (schema v5): `{"bench": "serving_fleet", "unit": "us", "exec_mode":
-/// ..., "channels": ..., "prefetch": ..., "sweep": [...]}` with one
-/// record per point carrying `sessions`, `open_total_us`,
-/// `admission_mean_us`, `gate_cold_us`, `gate_mean_us`, the bucketed gate
-/// tail (`gate_p50_us`/`gate_p90_us`/`gate_p99_us`), `gate_decisions`,
-/// `decisions_per_sec`, `digest_mean_us`, `engagements_per_sec`,
-/// `contended_eps`, `heap_ops`, and the v5 prefetch columns
-/// (`contended_p50_us`, `prefetch_hit_rate`, `prefetch_speculated_kb`).
-/// `channels` (v4) is the device-channel count the sweep's servers
-/// simulated (entries predating it were all single-channel),
-/// `contended_eps` (v4) is the replay's simulated contended throughput,
-/// and `prefetch` (v5) is the speculation mode the servers ran (entries
-/// predating it all ran without one). `exec_mode` is the constant
-/// `"event"`: the column stays in the merge key so ledger rows recorded
-/// under the retired threaded executor keep their identity. The ledger
-/// file itself is a JSON *array* of such entries — one per
-/// topology/prefetch configuration — merged across PRs by
-/// [`merge_fleet_ledger`] so regressions diff against history.
-pub fn fleet_report_json(points: &[FleetPoint]) -> String {
-    let us = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e6);
-    let channels = points.first().map_or(1, |p| p.channels);
-    let prefetch = points.first().map_or(PrefetchMode::Off, |p| p.prefetch);
-    let mut out = format!(
-        "{{\n  \"bench\": \"serving_fleet\",\n  \"unit\": \"us\",\n  \"exec_mode\": \"event\",\n  \"channels\": {},\n  \"prefetch\": \"{}\",\n  \"sweep\": [\n",
-        channels,
-        prefetch.label()
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"sessions\": {}, \"open_total_us\": {}, ",
-                "\"admission_mean_us\": {}, \"gate_cold_us\": {}, ",
-                "\"gate_mean_us\": {}, \"gate_p50_us\": {:.3}, ",
-                "\"gate_p90_us\": {:.3}, \"gate_p99_us\": {:.3}, ",
-                "\"gate_decisions\": {}, ",
-                "\"decisions_per_sec\": {:.1}, \"digest_mean_us\": {}, ",
-                "\"engagements_per_sec\": {:.1}, \"contended_eps\": {:.1}, ",
-                "\"heap_ops\": {}, \"contended_p50_us\": {:.1}, ",
-                "\"prefetch_hit_rate\": {:.4}, ",
-                "\"prefetch_speculated_kb\": {}}}{}\n"
-            ),
-            p.sessions,
-            us(p.open_wall),
-            us(p.admission_mean),
-            us(p.gate_cold),
-            us(p.gate_mean),
-            p.gate_p50_us,
-            p.gate_p90_us,
-            p.gate_p99_us,
-            p.gate_decisions,
-            p.decisions_per_sec,
-            us(p.digest_mean),
-            p.engagements_per_sec,
-            p.contended_eps,
-            p.heap_ops,
-            p.contended_p50_us,
-            p.prefetch_hit_rate,
-            p.prefetch_speculated_kb,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Why a perf ledger was left untouched.
-#[derive(Debug)]
-pub struct LedgerError {
-    /// The ledger file.
-    pub path: PathBuf,
-    /// What is wrong with it: it exists but cannot be read or written
-    /// ([`TraceFileError::Io`]), or its contents are not the JSON a ledger
-    /// holds ([`TraceFileError::Syntax`] / [`TraceFileError::Schema`]).
-    pub cause: TraceFileError,
-}
-
-impl std::fmt::Display for LedgerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "perf ledger '{}': {}", self.path.display(), self.cause)
-    }
-}
-
-impl std::error::Error for LedgerError {}
-
-/// A ledger entry's identity: its executor (`"threaded"` when the field
-/// is absent — entries predating the `exec_mode` column were all
-/// threaded), its device-channel count (`1` when absent — entries
-/// predating the `channels` column were all single-channel), its
-/// prefetch mode (`"off"` when absent — entries predating the
-/// `prefetch` column ran without speculation), and its swept `sessions`
-/// column.
-fn ledger_entry_key(entry: &Json) -> Result<(String, u64, String, Vec<u64>), TraceFileError> {
-    let text = |field: &str, default: &str| match entry.field(field) {
-        None => Ok(default.to_string()),
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(TraceFileError::Schema(format!("\"{field}\" must be a string"))),
-    };
-    let channels = entry.field("channels").map_or(Ok(1), |c| c.as_num("\"channels\""))?;
-    let sessions = match entry.field("sweep") {
-        None => Vec::new(),
-        Some(Json::Arr(points)) => points
-            .iter()
-            .filter_map(|p| p.field("sessions"))
-            .map(|n| n.as_num("sweep[].sessions"))
-            .collect::<Result<_, _>>()?,
-        Some(_) => return Err(TraceFileError::Schema("\"sweep\" must be an array".into())),
-    };
-    Ok((text("exec_mode", "threaded")?, channels, text("prefetch", "off")?, sessions))
-}
-
-/// Merges freshly-rendered [`fleet_report_json`] entries into the text of
-/// an existing `BENCH_serving.json` array **without clobbering history**:
-/// an entry whose `(exec_mode, channels, prefetch, sessions column)`
-/// matches an existing one replaces it in place (same configuration
-/// re-measured), anything else appends. Both texts are read as JSON — the
-/// identity columns as fields, the float columns as raw text — and every
-/// surviving entry is written back byte for byte, so a no-op merge
-/// round-trips the ledger exactly. Pass a missing ledger as
-/// `existing: ""`.
-///
-/// # Errors
-///
-/// Fails, merging nothing, when either text is not a JSON array of
-/// objects (or one bare object) — a truncated ledger is an error, never a
-/// silently shorter one.
-pub fn merge_fleet_ledger(existing: &str, entry: &str) -> Result<String, TraceFileError> {
-    let keyed = |text| {
-        parse_objects(text)?
-            .into_iter()
-            .map(|(source, json)| Ok((ledger_entry_key(&json)?, source)))
-            .collect::<Result<Vec<_>, TraceFileError>>()
-    };
-    let mut entries = keyed(existing)?;
-    for fresh in keyed(entry)? {
-        match entries.iter_mut().find(|(key, _)| *key == fresh.0) {
-            Some(slot) => *slot = fresh,
-            None => entries.push(fresh),
-        }
-    }
-    let sources: Vec<&str> = entries.into_iter().map(|(_, source)| source).collect();
-    Ok(format!("[\n{}\n]\n", sources.join(",\n")))
-}
-
-/// [`merge_fleet_ledger`] against the ledger file at `path`: only a
-/// *missing* file counts as an empty ledger. Any other read failure
-/// (permissions, invalid UTF-8) and any malformed content is an error
-/// naming the path, and the file is left untouched.
-///
-/// # Errors
-///
-/// Fails when the ledger exists but cannot be read, parsed, or rewritten.
-pub fn merge_fleet_ledger_file(path: impl AsRef<Path>, entry: &str) -> Result<(), LedgerError> {
-    let path = path.as_ref();
-    let fail = |cause| LedgerError { path: path.to_path_buf(), cause };
-    let existing = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(fail(e.into())),
-    };
-    let merged = merge_fleet_ledger(&existing, entry).map_err(fail)?;
-    std::fs::write(path, merged).map_err(|e| fail(e.into()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,197 +748,6 @@ mod tests {
         assert!(event.outcomes[1].is_empty());
         assert_eq!(event.outcomes, sequential.outcomes);
         assert_eq!(event.serving_stats.rejected_sessions, 1);
-    }
-
-    #[test]
-    fn fleet_ledger_merge_replaces_matching_entries_and_appends_new() {
-        let existing = concat!(
-            "[\n",
-            "{\n  \"bench\": \"serving_fleet\",\n  \"unit\": \"us\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.1}\n  ]\n},\n",
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.2}\n  ]\n}\n",
-            "]\n"
-        );
-        // Pre-`exec_mode` entries count as threaded: this update shares the
-        // first entry's (threaded, [104]) identity and replaces it.
-        let update = concat!(
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"threaded\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.3}\n  ]\n}\n"
-        );
-        let merged = merge_fleet_ledger(existing, update).unwrap();
-        assert!(merged.contains("0.3"), "replacement entry present");
-        assert!(!merged.contains("0.1"), "clobbered only the matching entry");
-        assert!(merged.contains("0.2"), "the event entry survives");
-        assert_eq!(merged.matches("serving_fleet").count(), 2);
-        // A different sessions column is a new configuration: appends.
-        let novel = concat!(
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 204, \"gate_mean_us\": 0.4}\n  ]\n}\n"
-        );
-        let grown = merge_fleet_ledger(&merged, novel).unwrap();
-        assert_eq!(grown.matches("serving_fleet").count(), 3);
-        assert!(grown.contains("0.2") && grown.contains("0.3") && grown.contains("0.4"));
-        assert!(grown.starts_with("[\n") && grown.ends_with("\n]\n"));
-    }
-
-    #[test]
-    fn fleet_ledger_merge_keys_on_channels_too() {
-        // v4: the device-channel count is part of an entry's identity, and
-        // pre-`channels` entries count as single-channel.
-        let existing = concat!(
-            "[\n",
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.1}\n  ]\n}\n",
-            "]\n"
-        );
-        // Same executor and sessions, C=4: a new configuration — appends.
-        let striped = concat!(
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"channels\": 4,\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.2}\n  ]\n}\n"
-        );
-        let grown = merge_fleet_ledger(existing, striped).unwrap();
-        assert_eq!(grown.matches("serving_fleet").count(), 2);
-        assert!(grown.contains("0.1") && grown.contains("0.2"));
-        // An explicit `"channels": 1` entry shares the legacy identity and
-        // replaces it in place.
-        let single = concat!(
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"channels\": 1,\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.3}\n  ]\n}\n"
-        );
-        let merged = merge_fleet_ledger(&grown, single).unwrap();
-        assert_eq!(merged.matches("serving_fleet").count(), 2);
-        assert!(!merged.contains("0.1"), "the pre-channels entry was replaced");
-        assert!(merged.contains("0.2") && merged.contains("0.3"));
-    }
-
-    #[test]
-    fn fleet_ledger_merge_keys_on_prefetch_mode_too() {
-        // v5: the prefetch mode is part of an entry's identity, and
-        // pre-`prefetch` entries count as "off". The sweep records' own
-        // prefetch_* columns must not confuse the key probe.
-        let existing = concat!(
-            "[\n",
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.1, ",
-            "\"prefetch_hit_rate\": 0.0000, \"prefetch_speculated_kb\": 0}\n  ]\n}\n",
-            "]\n"
-        );
-        // Same executor and sessions, markov speculation: a new
-        // configuration — appends.
-        let markov = concat!(
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"prefetch\": \"markov\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.2, ",
-            "\"prefetch_hit_rate\": 0.7500, \"prefetch_speculated_kb\": 64}\n  ]\n}\n"
-        );
-        let grown = merge_fleet_ledger(existing, markov).unwrap();
-        assert_eq!(grown.matches("serving_fleet").count(), 2);
-        assert!(grown.contains("0.1") && grown.contains("0.2"));
-        // An explicit `"prefetch": "off"` entry shares the legacy
-        // identity and replaces it in place; the markov entry survives a
-        // re-merge of itself byte-identically (round-trip).
-        let off = concat!(
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"prefetch\": \"off\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 104, \"gate_mean_us\": 0.3}\n  ]\n}\n"
-        );
-        let merged = merge_fleet_ledger(&grown, off).unwrap();
-        assert_eq!(merged.matches("serving_fleet").count(), 2);
-        assert!(!merged.contains("0.1"), "the pre-prefetch entry was replaced");
-        assert!(merged.contains("0.2") && merged.contains("0.3"));
-        assert_eq!(merge_fleet_ledger(&merged, markov).unwrap(), merged, "v5 re-merge is a no-op");
-    }
-
-    #[test]
-    fn fleet_ledger_merge_starts_from_empty_and_is_idempotent() {
-        let entry = concat!(
-            "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-            "  \"sweep\": [\n    {\"sessions\": 12, \"gate_mean_us\": 0.5}\n  ]\n}\n"
-        );
-        let first = merge_fleet_ledger("", entry).unwrap();
-        assert!(first.starts_with("[\n{") && first.ends_with("}\n]\n"));
-        assert_eq!(
-            merge_fleet_ledger(&first, entry).unwrap(),
-            first,
-            "re-merging the same entry is a no-op"
-        );
-    }
-
-    #[test]
-    fn a_no_op_merge_round_trips_the_checked_in_ledger_byte_for_byte() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-        let ledger = std::fs::read_to_string(path).unwrap();
-        assert_eq!(merge_fleet_ledger(&ledger, "").unwrap(), ledger, "nothing fresh to merge");
-        // Re-merging any entry it already holds replaces like with like.
-        let entries = parse_objects(&ledger).unwrap();
-        assert!(entries.len() >= 2, "the checked-in ledger carries history");
-        for (source, _) in entries {
-            assert_eq!(merge_fleet_ledger(&ledger, source).unwrap(), ledger);
-        }
-    }
-
-    /// A fresh scratch directory for one ledger-file test.
-    fn scratch_dir(test: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("sti-ledger-{test}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    const ENTRY: &str = concat!(
-        "{\n  \"bench\": \"serving_fleet\",\n  \"exec_mode\": \"event\",\n",
-        "  \"sweep\": [\n    {\"sessions\": 12, \"gate_mean_us\": 0.5}\n  ]\n}\n"
-    );
-
-    #[test]
-    fn a_truncated_ledger_is_an_error_and_the_file_is_left_untouched() {
-        let whole = merge_fleet_ledger(&merge_fleet_ledger("", ENTRY).unwrap(), ENTRY).unwrap();
-        // Cut inside the only entry: brace counting used to drop it
-        // silently and write back a ledger without it.
-        let truncated = &whole[..whole.len() - 12];
-        let err = merge_fleet_ledger(truncated, ENTRY).unwrap_err();
-        assert!(matches!(err, TraceFileError::Syntax { .. }), "{err}");
-        // Malformed fields are errors too, not defaults.
-        let err = merge_fleet_ledger("[{\"channels\": \"four\"}]", ENTRY).unwrap_err();
-        assert!(matches!(err, TraceFileError::Schema(_)), "{err}");
-        for junk in ["[{}, ]", "[{}] trailing", "{} {}", "42"] {
-            assert!(merge_fleet_ledger(junk, ENTRY).is_err(), "{junk}");
-        }
-
-        let dir = scratch_dir("truncated");
-        let path = dir.join("BENCH_serving.json");
-        std::fs::write(&path, truncated).unwrap();
-        let err = merge_fleet_ledger_file(&path, ENTRY).unwrap_err();
-        assert_eq!(err.path, path);
-        assert!(err.to_string().contains(path.to_str().unwrap()), "{err}");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), truncated, "left as found");
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn only_a_missing_ledger_counts_as_empty_an_unreadable_one_is_an_error() {
-        let dir = scratch_dir("unreadable");
-        // Missing: the merge starts a new ledger.
-        let fresh = dir.join("fresh.json");
-        merge_fleet_ledger_file(&fresh, ENTRY).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&fresh).unwrap(),
-            merge_fleet_ledger("", ENTRY).unwrap()
-        );
-        // Present but unreadable as text (invalid UTF-8): `unwrap_or_default`
-        // used to treat this as empty and overwrite the file.
-        let binary = dir.join("binary.json");
-        std::fs::write(&binary, [0xff, 0xfe, 0x00]).unwrap();
-        let err = merge_fleet_ledger_file(&binary, ENTRY).unwrap_err();
-        assert!(matches!(err.cause, TraceFileError::Io(_)), "{err}");
-        assert!(err.to_string().contains("binary.json"), "{err}");
-        assert_eq!(std::fs::read(&binary).unwrap(), [0xff, 0xfe, 0x00], "left as found");
-        // A path that is not a file at all.
-        let err = merge_fleet_ledger_file(&dir, ENTRY).unwrap_err();
-        assert!(matches!(err.cause, TraceFileError::Io(_)), "{err}");
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

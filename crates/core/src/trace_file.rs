@@ -45,7 +45,7 @@ use sti_device::SimTime;
 
 use crate::serving::{ClientTrace, ServingTrace};
 
-/// Errors from reading a JSON file — a trace, or the perf ledger.
+/// Errors from reading a JSON trace file.
 #[derive(Debug)]
 pub enum TraceFileError {
     /// The file could not be read.
@@ -88,9 +88,9 @@ impl From<std::io::Error> for TraceFileError {
     }
 }
 
-/// A parsed JSON value (the subset the trace and perf-ledger schemas need).
+/// A parsed JSON value (the subset the trace schema needs).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
+enum Json {
     Null,
     Bool(bool),
     /// Unsigned integers only: every number in a trace is a count, token
@@ -99,8 +99,7 @@ pub(crate) enum Json {
     /// A numeric token that is not an unsigned integer in range (negative,
     /// fractional, exponent, or wider than `u64`). Kept as text so the
     /// schema layer can reject it **naming the field**, instead of a
-    /// generic parse failure at a byte offset (and so the ledger's float
-    /// columns pass through unparsed).
+    /// generic parse failure at a byte offset.
     BadNum(String),
     Str(String),
     Arr(Vec<Json>),
@@ -297,46 +296,15 @@ fn parse_json(text: &str) -> Result<Json, TraceFileError> {
     Ok(value)
 }
 
-/// Parses `text` — a JSON array of objects, one bare object, or nothing —
-/// into each object's **source text** beside its parsed value, so a caller
-/// can read fields as data and still write entries back byte for byte.
-pub(crate) fn parse_objects(text: &str) -> Result<Vec<(&str, Json)>, TraceFileError> {
-    let mut p = Parser::new(text);
-    let mut objects = Vec::new();
-    let in_array = p.peek() == Some(b'[');
-    if in_array {
-        p.pos += 1;
-    }
-    while p.peek() == Some(b'{') {
-        let start = p.pos;
-        let value = p.object()?;
-        objects.push((&text[start..p.pos], value));
-        if !(in_array && p.peek() == Some(b',')) {
-            break;
-        }
-        p.pos += 1;
-        if p.peek() != Some(b'{') {
-            return Err(p.error("expected an object after ','"));
-        }
-    }
-    if in_array {
-        p.expect(b']')?;
-    }
-    match p.peek() {
-        Some(_) => Err(p.error("expected a JSON array of objects")),
-        None => Ok(objects),
-    }
-}
-
 impl Json {
-    pub(crate) fn field<'a>(&'a self, name: &str) -> Option<&'a Json> {
+    fn field<'a>(&'a self, name: &str) -> Option<&'a Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    pub(crate) fn as_num(&self, what: &str) -> Result<u64, TraceFileError> {
+    fn as_num(&self, what: &str) -> Result<u64, TraceFileError> {
         match self {
             Json::Num(n) => Ok(*n),
             Json::BadNum(text) => Err(TraceFileError::Schema(format!(

@@ -122,45 +122,25 @@
 //! demand — can reach a decision), and the serve report + `prefetch.*`
 //! metrics/span track show the hit rate, speculated bytes, and evictions.
 //!
-//! ## Fleet mode and the perf ledger
+//! ## Serving a fleet
 //!
 //! The serving runtime scales past "dozens of sessions" by making every
 //! per-decision cost independent of fleet size: the server keeps one
 //! **live `ServingMix`** — one token-keyed ordered map behind one lock —
-//! updated in place on open/close/retarget (never rebuilt per decision), the mix's digest is a **rolling per-session
-//! fold** updated O(1) by those mutators, session job lists are
-//! `Arc`-shared (lane assembly clones pointers, not jobs), and one full
-//! gate walk per registry change prices *every* open SLO session — each
-//! session's steady-state gate decision is a digest + memo lookup.
-//!
-//! `sti serve --fleet 100,1000,10000,100000` sweeps synthetic fleets on
-//! the virtual clock (gate delays land on the simulated timeline, never as
-//! real sleeps) and `--bench-out BENCH_serving.json` writes the perf
-//! ledger checked into the repo root:
-//!
-//! ```json
-//! { "bench": "serving_fleet", "unit": "us", "sweep": [
-//!   { "sessions": 104, "open_total_us": 113.6, "admission_mean_us": 33.5,
-//!     "gate_cold_us": 73.0, "gate_mean_us": 0.078, "gate_decisions": 512,
-//!     "decisions_per_sec": 12756945.3, "digest_mean_us": 0.024 } ] }
-//! ```
-//!
-//! `gate_mean_us` is the near-flat number (memoized steady state);
-//! `gate_cold_us` is the one full walk a registry change costs, amortized
-//! over every session's next decision — and `gate_p50_us`/`gate_p90_us`/
-//! `gate_p99_us` give the tail from a log₂-bucket histogram.
-//! `tests/serving_fleet.rs` pins the incremental digest equal to a
-//! from-scratch rehash under arbitrary register/retarget/drop
-//! interleavings. Each entry is stamped with its device `channels` (and
-//! the constant `exec_mode: "event"`, kept so rows from the retired
-//! threaded executor keep their merge identity), and carries
-//! `contended_eps` — replay engagements per
-//! *simulated* second on the contended track, the column that scales
-//! with the channel count, plus the prefetcher's `prefetch_hit_rate`,
-//! `prefetch_speculated_kb`, and `contended_p50_us` columns. Re-running
-//! `--bench-out` against an existing ledger *merges* by `(exec_mode,
-//! channels, prefetch, fleet points)` instead of clobbering, so
-//! per-topology and prefetch-on/off sweeps accumulate in one file.
+//! updated in place on open/close/retarget (never rebuilt per decision),
+//! the mix's digest is a **rolling per-session fold** updated O(1) by
+//! those mutators, session job lists are `Arc`-shared, and one full gate
+//! walk per registry change prices *every* open SLO session — each
+//! session's steady-state gate decision is a digest probe plus one lookup
+//! in the walk memo. Two pins hold this without a wall clock:
+//! `tests/memory_sharing.rs` counts 0 heap bytes across 1 000 steady-state
+//! decisions over 2 000 open sessions, and `tests/serving_fleet.rs` opens
+//! 100 000 sessions on one and on four device channels, gates them,
+//! replays a trace against them and drains them in random order (it also
+//! pins the rolling digest equal to a from-scratch rehash). The
+//! benchmark's `fleet_admit` workload times open, admission, the cold and
+//! steady gate and the digest per layer. `BENCH_serving.json` is the
+//! frozen record of the retired `serve --fleet` sweep.
 //!
 //! ## Deterministic observability (`sti-obs`)
 //!

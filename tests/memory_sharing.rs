@@ -300,7 +300,9 @@ fn slo_session_churn_leaves_no_heap_behind_per_search() {
 /// (one record per batch, one slice per stripe), and a session holds its
 /// token, arrival, stripe and handles: 314 520 B, 157 B per session, and
 /// 356 allocations, most of them registry B-tree nodes. The bounds sit
-/// between.
+/// between. Against that fleet, 1 000 steady-state gate decisions of an
+/// SLO session request 0 B; with the walk memo disabled, each re-walks the
+/// mix and the thousand request 594 580 000 B.
 #[test]
 fn an_open_fleet_holds_only_what_its_sessions_do_not_share() {
     const N: usize = 2_000;
@@ -332,6 +334,22 @@ fn an_open_fleet_holds_only_what_its_sessions_do_not_share() {
     assert!(
         allocations <= 2_000,
         "opening and spreading {N} sessions made {allocations} allocations"
+    );
+
+    // One SLO session gated against the fleet: the cold decision pays for
+    // the walk, and every later decision under the same digest is a memo
+    // lookup that requests nothing from the heap, whatever the fleet size.
+    let slo = server.session_with_slo(SimTime::from_ms(60_000), cfg.preload_bytes).unwrap();
+    let cold = slo.gate_decision().expect("an SLO session under queue mode gates");
+    let ((), steady, _) = heap_bytes_across(|| {
+        for _ in 0..1_000 {
+            let decision = slo.gate_decision().expect("still gated");
+            assert_eq!(decision.reason.digest, cold.reason.digest);
+        }
+    });
+    assert_eq!(
+        steady, 0,
+        "1 000 steady-state gate decisions over {N} sessions requested {steady} B"
     );
 }
 

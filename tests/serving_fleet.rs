@@ -13,11 +13,13 @@
 //! 3. **`gate_all` prices SLO sessions only.** The one gate walk returns
 //!    an outcome for every SLO session of a mixed population and none for
 //!    a plain one.
-//! 4. **Fleet sweep smoke.** `fleet_sweep` opens real fleets against a
-//!    real server on the virtual clock and reports a well-formed ledger.
-//! 5. **Open/teardown equivalence.** The batch `open_fleet` path and the
-//!    sweep's seeded-permutation teardown both leave the registry
-//!    bit-identical to from-scratch rebuilds.
+//! 4. **Fleet scale.** 100 000 open sessions on one and on four device
+//!    channels: repeated gate decisions agree, a trace replayed against the
+//!    live fleet is served in full, and a seeded random-order teardown
+//!    drains the registry to the empty mix's digest.
+//! 5. **Open/teardown equivalence.** The batch `open_fleet` path and a
+//!    seeded-permutation teardown both leave the registry bit-identical to
+//!    from-scratch rebuilds.
 //! 6. **One lock, many host threads.** Concurrent opens, drops, gate
 //!    probes and an SLO admission against the single registry lock finish
 //!    (no lock-order inversion) and leave the digest equal to a rebuild
@@ -203,35 +205,57 @@ fn gate_all_prices_every_slo_session_and_no_plain_one() {
     }
 }
 
+/// Fleet scale, checked by counts rather than a wall clock. On one and on
+/// four device channels: 100 000 plain sessions open in one batch and four
+/// SLO sessions are admitted against them; repeated gate decisions agree;
+/// an 8 × 4 synthetic trace replayed against the live fleet serves every
+/// engagement; and the fleet, dropped in a seeded random order, leaves the
+/// registry empty with the empty mix's digest. Each close is one O(log N)
+/// removal wherever its token falls, so the teardown stays O(N log N); CI
+/// runs this suite under a timeout as the backstop against a close that
+/// has gone quadratic.
 #[test]
-fn fleet_sweep_reports_a_well_formed_ledger() {
-    let (ctx, cfg) = queue_gated();
-    let fleet = FleetConfig { sizes: vec![8, 32], slo_sessions: 2, decisions: 24, channels: 1 };
-    let points = fleet_sweep(&ctx, &cfg, &fleet).unwrap();
-    assert_eq!(points.len(), 2);
-    assert_eq!(points[0].sessions, 10);
-    assert_eq!(points[1].sessions, 34);
-    for p in &points {
-        assert_eq!(p.gate_decisions, 24);
-        assert!(p.decisions_per_sec > 0.0);
-        assert!(p.gate_cold > std::time::Duration::ZERO);
-        assert!(p.engagements_per_sec > 0.0, "the replay phase served engagements");
-        assert!(p.heap_ops > 0, "points count the engine's heap traffic");
+fn a_hundred_thousand_session_fleet_gates_replays_and_drains() {
+    const N: usize = 100_000;
+    for channels in [1u16, 4] {
+        let (ctx, cfg) = queue_gated();
+        let cfg = ServeConfig { channels, ..cfg };
+        let server = build_server(&ctx, &cfg);
+        let plain = server.open_fleet(N, cfg.target, cfg.preload_bytes).unwrap();
+        let slo: Vec<Session> = (0..4)
+            .map(|_| server.session_with_slo(SimTime::from_ms(60_000), cfg.preload_bytes).unwrap())
+            .collect();
+        assert_eq!(server.open_sessions(), N + slo.len());
+        for session in &slo {
+            let first = session.gate_decision().expect("an SLO session under queue mode gates");
+            assert_eq!(session.gate_decision(), Some(first), "C = {channels}");
+        }
+
+        let trace = ServingTrace::synthetic(&ctx, &cfg, 8, 4);
+        let replay = replay_event(&server, &trace).unwrap();
+        let served: usize = replay.outcomes.iter().map(Vec::len).sum();
+        assert_eq!(served, 32, "C = {channels}: every engagement is served");
+        assert!(replay.heap_ops > 0, "the engine counts its heap traffic");
+
+        let mut order: Vec<usize> = (0..N).collect();
+        let mut rng = Rng(0x5157 ^ u64::from(channels));
+        for i in (1..N).rev() {
+            order.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+        }
+        let mut plain: Vec<Option<Session>> = plain.into_iter().map(Some).collect();
+        for i in order {
+            plain[i] = None;
+        }
+        drop(slo);
+        assert_eq!(server.open_sessions(), 0, "C = {channels}");
+        let empty = ServingMix::new(IoSharing::Exclusive).with_topology(server.device_topology());
+        assert_eq!(server.mix_digest(), empty.digest(), "C = {channels}: the registry drained");
     }
-    let json = fleet_report_json(&points);
-    assert!(json.contains("\"bench\": \"serving_fleet\""), "{json}");
-    assert!(json.contains("\"sessions\": 34"), "{json}");
-    assert!(json.contains("\"gate_mean_us\""), "{json}");
-    // The constant key column that lets pre-existing ledger rows merge.
-    assert!(json.contains("\"exec_mode\": \"event\""), "{json}");
-    assert!(json.contains("\"channels\": 1"), "{json}");
-    assert!(json.contains("\"engagements_per_sec\""), "{json}");
-    assert!(json.contains("\"heap_ops\""), "{json}");
 }
 
 /// Seeded-permutation teardown ≡ from-scratch rebuild. Opening a mixed
 /// plain/SLO fleet at varying arrivals, then dropping a permuted subset
-/// (the order the fleet sweep's teardown phase uses: removals land
+/// (the order the fleet-scale test tears down in: removals land
 /// anywhere in the registry, not just at its tail), must leave the
 /// registry's rolling digest bit-identical to a `ServingMix` rebuilt from
 /// the survivors alone.

@@ -23,7 +23,7 @@ fn engine_fixture() -> (StiEngine, Vec<u32>) {
         (0..cfg.total_shards()).map(|i| 0.5 + (i % 9) as f64 * 0.01).collect(),
         0.45,
     );
-    let engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
+    let engine = StiEngine::builder(task.model().clone(), store, hw, importance)
         .target(SimTime::from_ms(300))
         .preload_budget(8 << 10)
         .widths(&[2, 4])

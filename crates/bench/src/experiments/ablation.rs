@@ -85,7 +85,7 @@ fn io_grain_ablation() -> String {
         let bws = vec![Bitwidth::B6; m];
         let layer_grain = LayerTiming { io: hw.layer_io_delay(&bws), comp: hw.t_comp(m) };
         let shard_grain = LayerTiming {
-            io: bws.iter().map(|&bw| hw.request_latency + hw.t_io_shard(bw)).sum(),
+            io: bws.iter().map(|&bw| hw.flash.request_delay(hw.shard_bytes(bw))).sum(),
             comp: hw.t_comp(m),
         };
         let a = simulate_pipeline(&[layer_grain; 6], SimTime::ZERO).makespan;

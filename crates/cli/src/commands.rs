@@ -103,7 +103,7 @@ fn build_engine(args: &Args, ctx: &TaskContext) -> Result<StiEngine, ArgError> {
         None => ctx.shard_source(),
     };
     eprintln!("profiling shard importance (one-time per model)...");
-    StiEngine::builder(model.clone(), source, hw, dev.flash, ctx.importance().clone())
+    StiEngine::builder(model.clone(), source, hw, ctx.importance().clone())
         .target(SimTime::from_ms(args.get_u64("target-ms", 200)?))
         .preload_budget(args.get_u64("preload-kb", 16)? << 10)
         .build()
@@ -131,7 +131,7 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
     let mut report = format!(
         "device {} — flash {} B/s (+{} per request)\n\nT_io per shard:\n",
-        hw.device_name, hw.bandwidth_bytes_per_sec, hw.request_latency
+        hw.device_name, hw.flash.bandwidth_bytes_per_sec, hw.flash.request_latency
     );
     for bw in Bitwidth::ALL {
         report.push_str(&format!(

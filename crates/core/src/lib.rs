@@ -33,7 +33,7 @@
 //! // Plan once, infer repeatedly.
 //! let model = ctx.task().model().clone();
 //! let importance = ctx.importance().clone();
-//! let engine = StiEngine::builder(model, ctx.shard_source(), hw, device.flash, importance)
+//! let engine = StiEngine::builder(model, ctx.shard_source(), hw, importance)
 //!     .target(SimTime::from_ms(300))
 //!     .preload_budget(64 << 10)
 //!     .widths(&[2, 4])
@@ -130,9 +130,8 @@ pub mod prelude {
     };
     pub use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
     pub use sti_storage::{
-        BatchPolicy, BatchStats, CachedSource, FlashDispatchEvent, IoChannel, IoScheduler,
-        LayerRequest, LoadedLayer, MemStore, ShardCache, ShardCacheStats, ShardKey, ShardSource,
-        ShardStore,
+        BatchStats, CachedSource, FlashDispatchEvent, IoChannel, IoScheduler, LayerRequest,
+        LoadedLayer, MemStore, ShardCache, ShardCacheStats, ShardKey, ShardSource, ShardStore,
     };
     pub use sti_transformer::{Model, ModelConfig, ShardId};
 }

@@ -29,14 +29,14 @@
 
 use std::time::Duration;
 
-use sti_device::{DeviceProfile, HwProfile, SimTime};
+use sti_device::{DeviceProfile, HwProfile, IoSharing, SimTime};
 use sti_obs::{MetricsSnapshot, SpanEvent};
 use sti_pipeline::{
     AdmissionMode, BackpressureMode, ContentionReport, PendingEngagement, PipelineError,
     PrefetchReport, ServingStats, Session, StiServer,
 };
 use sti_planner::{PlanCacheStats, PrefetchConfig, PreloadPolicy};
-use sti_storage::{BatchPolicy, IoSchedulerStats, ShardCacheStats};
+use sti_storage::{IoSchedulerStats, ShardCacheStats};
 
 use crate::engine::{Component, ComponentId, Engine, System};
 use crate::runner::TaskContext;
@@ -252,15 +252,15 @@ pub fn build_server(ctx: &TaskContext, cfg: &ServeConfig) -> StiServer {
     let model = ctx.task().model().clone();
     let model_cfg = model.config().clone();
     let hw = HwProfile::measure(&cfg.device, &model_cfg, ctx.quant());
-    StiServer::builder(model, ctx.shard_source(), hw, cfg.device.flash, ctx.importance().clone())
+    StiServer::builder(model, ctx.shard_source(), hw, ctx.importance().clone())
         .target(cfg.target)
         .preload_budget(cfg.preload_bytes)
         .shard_cache_bytes(cfg.shard_cache_bytes)
         .admission(cfg.admission)
         .dram_residency(cfg.dram_residency)
         .batch_policy(match cfg.batch_window {
-            Some(window) => BatchPolicy::Window(window),
-            None => BatchPolicy::Off,
+            Some(window) => IoSharing::Batched(window),
+            None => IoSharing::Exclusive,
         })
         .backpressure(cfg.backpressure)
         .plan_sharing(cfg.plan_sharing)

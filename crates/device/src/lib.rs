@@ -43,7 +43,11 @@
 //!
 //! The planner and pipeline interact with hardware *only* through the
 //! profiled [`profiler::HwProfile`], exactly as in the paper — so swapping
-//! the simulation for real measurements is a local change.
+//! the simulation for real measurements is a local change. The profile
+//! carries the device's [`FlashModel`] itself, and [`IoSharing`] (beside
+//! [`content_sig`]) is the one statement of which reads share a flash job:
+//! the planner's predictions and the IO scheduler's charges read the same
+//! two values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,4 +70,4 @@ pub use flash::FlashModel;
 pub use flash_queue::{CompletedJob, FlashJob, FlashQueueReport, FlashQueueSim};
 pub use profile::DeviceProfile;
 pub use profiler::HwProfile;
-pub use topology::{content_sig, DeviceTopology, TopologyQueueSim, TopologyReport};
+pub use topology::{content_sig, DeviceTopology, IoSharing, TopologyQueueSim, TopologyReport};

@@ -15,6 +15,7 @@ use sti_transformer::synthetic::synthetic_shard;
 use sti_transformer::ModelConfig;
 
 use crate::clock::SimTime;
+use crate::flash::FlashModel;
 use crate::profile::DeviceProfile;
 
 /// Number of sample shards quantized per bitwidth when measuring shard
@@ -22,7 +23,9 @@ use crate::profile::DeviceProfile;
 /// per-shard outlier-count variation.
 const BYTE_PROBE_SHARDS: u64 = 8;
 
-/// The profiled capability tables the planner and pipeline consume.
+/// The profiled capability tables the planner and pipeline consume, and
+/// the device's flash model: the one timing model both the planner's IO
+/// budgets and the IO scheduler's charges are computed from.
 ///
 /// ```
 /// use sti_device::{DeviceProfile, HwProfile};
@@ -47,10 +50,9 @@ pub struct HwProfile {
     pub seq_len: usize,
     /// DVFS level the compute table was profiled at.
     pub freq: f64,
-    /// Per-request IO latency (paid once per layer-grouped load).
-    pub request_latency: SimTime,
-    /// Flash streaming bandwidth.
-    pub bandwidth_bytes_per_sec: u64,
+    /// The device's flash: per-request latency (paid once per layer-grouped
+    /// load) plus streaming bandwidth.
+    pub flash: FlashModel,
     /// Conservative (max-observed) serialized shard bytes per bitwidth.
     shard_bytes: BTreeMap<Bitwidth, u64>,
     /// Per-layer compute delay (decompression + execution) indexed by `m-1`.
@@ -78,8 +80,7 @@ impl HwProfile {
             heads: cfg.heads,
             seq_len: cfg.seq_len,
             freq: device.freq,
-            request_latency: device.flash.request_latency,
-            bandwidth_bytes_per_sec: device.flash.bandwidth_bytes_per_sec,
+            flash: device.flash,
             shard_bytes,
             t_comp,
         }
@@ -92,7 +93,7 @@ impl HwProfile {
 
     /// Streaming IO delay of one shard at `bw` (no request latency).
     pub fn t_io_shard(&self, bw: Bitwidth) -> SimTime {
-        self.transfer_delay(self.shard_bytes(bw))
+        self.flash.transfer_delay(self.shard_bytes(bw))
     }
 
     /// Per-layer compute delay (decompression + execution) at width `m`.
@@ -105,12 +106,6 @@ impl HwProfile {
         self.t_comp[m - 1]
     }
 
-    /// Streaming delay for an arbitrary byte count (used to convert preload
-    /// memory into bonus IO budget).
-    pub fn transfer_delay(&self, bytes: u64) -> SimTime {
-        SimTime::from_us((bytes * 1_000_000).div_ceil(self.bandwidth_bytes_per_sec))
-    }
-
     /// Delay of loading one layer's selected shard versions as a single
     /// co-located IO request.
     pub fn layer_io_delay(&self, bitwidths: &[Bitwidth]) -> SimTime {
@@ -118,7 +113,7 @@ impl HwProfile {
             return SimTime::ZERO;
         }
         let total: u64 = bitwidths.iter().map(|&bw| self.shard_bytes(bw)).sum();
-        self.request_latency + self.transfer_delay(total)
+        self.flash.request_delay(total)
     }
 }
 
@@ -179,7 +174,7 @@ mod tests {
         let bws = vec![Bitwidth::B6; 12];
         let grouped = hw.layer_io_delay(&bws);
         let individual: SimTime =
-            bws.iter().map(|&bw| hw.request_latency + hw.t_io_shard(bw)).sum();
+            bws.iter().map(|&bw| hw.flash.request_delay(hw.shard_bytes(bw))).sum();
         assert!(grouped < individual);
         assert_eq!(hw.layer_io_delay(&[]), SimTime::ZERO);
     }

@@ -119,6 +119,36 @@ pub fn content_sig(layer: u16, items: impl IntoIterator<Item = (u16, Bitwidth)>)
     hasher.finish()
 }
 
+/// Whether co-resident engagements' byte-identical reads share one flash
+/// job: the IO scheduler's batching policy and the contended predictors'
+/// sharing mode are this one value, so the two cannot disagree on which
+/// reads coalesce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum IoSharing {
+    /// Every engagement pays for its own reads (the default).
+    #[default]
+    Exclusive,
+    /// Byte-identical layer reads of engagements whose arrivals fall within
+    /// this window of each other coalesce into one flash job.
+    Batched(SimTime),
+}
+
+impl IoSharing {
+    /// The batching arrival window, when reads are shared.
+    pub fn window(&self) -> Option<SimTime> {
+        match self {
+            IoSharing::Exclusive => None,
+            IoSharing::Batched(w) => Some(*w),
+        }
+    }
+
+    /// The window test: whether engagements arriving at `a` and `b` may
+    /// share a read, `|a − b| ≤ window` (never, when exclusive).
+    pub fn shares(&self, a: SimTime, b: SimTime) -> bool {
+        self.window().is_some_and(|w| a.max(b) - a.min(b) <= w)
+    }
+}
+
 /// A multi-channel queue over a [`DeviceTopology`]: one [`FlashQueueSim`]
 /// per device channel under one global submission clock.
 ///
@@ -374,6 +404,16 @@ mod tests {
         let hit: std::collections::HashSet<u16> =
             (0..64u64).map(|sig| quad.channel_for(sig, 0)).collect();
         assert_eq!(hit.len(), 4, "consecutive signatures cover every channel");
+    }
+
+    #[test]
+    fn the_sharing_window_is_closed_and_symmetric() {
+        let us = SimTime::from_us;
+        let batched = IoSharing::Batched(us(500));
+        assert!(batched.shares(us(100), us(600)), "exactly the window apart shares");
+        assert!(batched.shares(us(600), us(100)), "the test is symmetric");
+        assert!(!batched.shares(us(0), us(501)));
+        assert!(!IoSharing::Exclusive.shares(us(0), us(0)), "exclusive never shares");
     }
 
     #[test]

@@ -42,18 +42,6 @@ impl Dataset {
     pub fn examples(&self) -> &[Example] {
         &self.examples
     }
-
-    /// Class balance: fraction of examples labeled with each class.
-    pub fn class_balance(&self, classes: usize) -> Vec<f64> {
-        let mut counts = vec![0usize; classes];
-        for ex in &self.examples {
-            if ex.label < classes {
-                counts[ex.label] += 1;
-            }
-        }
-        let n = self.examples.len().max(1) as f64;
-        counts.into_iter().map(|c| c as f64 / n).collect()
-    }
 }
 
 impl FromIterator<Example> for Dataset {
@@ -84,14 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn class_balance_sums_to_one() {
-        let d = Dataset::new(vec![ex(0), ex(1), ex(1), ex(1)]);
-        let bal = d.class_balance(2);
-        assert!((bal[0] - 0.25).abs() < 1e-9);
-        assert!((bal[1] - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
     fn collect_and_extend() {
         let mut d: Dataset = (0..3).map(|i| ex(i % 2)).collect();
         d.extend([ex(0)]);
@@ -102,6 +82,6 @@ mod tests {
     fn empty_dataset_is_safe() {
         let d = Dataset::default();
         assert!(d.is_empty());
-        assert_eq!(d.class_balance(2), vec![0.0, 0.0]);
+        assert_eq!(d.iter().count(), 0);
     }
 }

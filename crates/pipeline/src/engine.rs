@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use sti_device::{FlashModel, HwProfile, SimTime};
+use sti_device::{HwProfile, SimTime};
 use sti_planner::compute_plan::dynabert_widths_for;
 use sti_planner::{plan_two_stage, ExecutionPlan, ImportanceProfile};
 use sti_quant::Bitwidth;
@@ -53,7 +53,6 @@ pub struct StiEngineBuilder {
     model: Model,
     source: Arc<dyn ShardSource>,
     hw: HwProfile,
-    flash: FlashModel,
     importance: ImportanceProfile,
     target: SimTime,
     preload_budget: u64,
@@ -97,7 +96,6 @@ impl StiEngineBuilder {
             model: self.model,
             source: self.source,
             hw: self.hw,
-            flash: self.flash,
             importance: self.importance,
             target: self.target,
             preload_budget: self.preload_budget,
@@ -116,7 +114,6 @@ pub struct StiEngine {
     model: Model,
     source: Arc<dyn ShardSource>,
     hw: HwProfile,
-    flash: FlashModel,
     importance: ImportanceProfile,
     target: SimTime,
     preload_budget: u64,
@@ -128,13 +125,12 @@ pub struct StiEngine {
 
 impl StiEngine {
     /// Starts building an engine for a model whose shards live in `source`,
-    /// on a device described by `hw`/`flash`, with shard importance already
-    /// profiled (a one-time, per-model effort, §3.2).
+    /// on the device `hw` profiles (its flash model included), with shard
+    /// importance already profiled (a one-time, per-model effort, §3.2).
     pub fn builder(
         model: Model,
         source: Arc<dyn ShardSource>,
         hw: HwProfile,
-        flash: FlashModel,
         importance: ImportanceProfile,
     ) -> StiEngineBuilder {
         let widths = dynabert_widths_for(model.config().heads);
@@ -142,7 +138,6 @@ impl StiEngine {
             model,
             source,
             hw,
-            flash,
             importance,
             target: SimTime::from_ms(200),
             preload_budget: 1 << 20,
@@ -202,8 +197,7 @@ impl StiEngine {
     /// Fails on storage errors or plan/model mismatch.
     pub fn infer(&self, tokens: &[u32]) -> Result<Inference, PipelineError> {
         let plan = self.plan();
-        let executor =
-            PipelineExecutor::new(&self.model, self.source.clone(), self.flash, &self.hw);
+        let executor = PipelineExecutor::new(&self.model, self.source.clone(), &self.hw);
         let outcome = executor.execute(plan, &self.preload, tokens)?;
         Ok(Inference {
             class: outcome.class,
@@ -301,7 +295,7 @@ mod tests {
             (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
             0.45,
         );
-        StiEngine::builder(task.model().clone(), source, hw, dev.flash, importance)
+        StiEngine::builder(task.model().clone(), source, hw, importance)
             .target(SimTime::from_ms(300))
             .preload_budget(64 << 10)
             .widths(&[2, 4])

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sti_device::{FlashModel, HwProfile, SimTime};
+use sti_device::{HwProfile, SimTime};
 use sti_planner::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 use sti_planner::ExecutionPlan;
 use sti_quant::QuantizedBlob;
@@ -50,7 +50,6 @@ pub struct ExecutionOutcome {
 pub struct PipelineExecutor<'a> {
     model: &'a Model,
     source: Arc<dyn ShardSource>,
-    flash: FlashModel,
     hw: &'a HwProfile,
 }
 
@@ -59,14 +58,10 @@ impl<'a> PipelineExecutor<'a> {
     ///
     /// `model` provides the resident parameters (embedding, layer norms,
     /// biases, classifier); shard weights come exclusively from `source` and
-    /// the preload buffer.
-    pub fn new(
-        model: &'a Model,
-        source: Arc<dyn ShardSource>,
-        flash: FlashModel,
-        hw: &'a HwProfile,
-    ) -> Self {
-        Self { model, source, flash, hw }
+    /// the preload buffer. `hw` prices compute and, through its flash
+    /// model, the private scheduler [`PipelineExecutor::execute`] loads on.
+    pub fn new(model: &'a Model, source: Arc<dyn ShardSource>, hw: &'a HwProfile) -> Self {
+        Self { model, source, hw }
     }
 
     /// Runs one inference over `plan` through a private, single-engagement
@@ -83,7 +78,7 @@ impl<'a> PipelineExecutor<'a> {
         preload: &PreloadBuffer,
         tokens: &[u32],
     ) -> Result<ExecutionOutcome, PipelineError> {
-        let scheduler = IoScheduler::spawn(self.source.clone(), self.flash, None);
+        let scheduler = IoScheduler::spawn(self.source.clone(), self.hw.flash, None);
         let channel = scheduler.channel();
         let has_request = self.issue_on(&channel, plan, preload)?;
         self.complete_on(&channel, plan, preload, tokens, &has_request)
@@ -270,7 +265,6 @@ mod tests {
     struct Fixture {
         task: Task,
         hw: HwProfile,
-        flash: FlashModel,
         source: Arc<MemStore>,
         importance: ImportanceProfile,
     }
@@ -289,7 +283,7 @@ mod tests {
             (0..cfg.total_shards()).map(|i| 0.5 + i as f64 * 1e-3).collect(),
             0.4,
         );
-        Fixture { task, hw, flash: dev.flash, source, importance }
+        Fixture { task, hw, source, importance }
     }
 
     fn make_plan(f: &Fixture, target_ms: u64, preload_bytes: u64) -> sti_planner::ExecutionPlan {
@@ -318,7 +312,7 @@ mod tests {
     fn executes_a_cold_start_plan() {
         let f = fixture();
         let plan = make_plan(&f, 400, 0);
-        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), f.flash, &f.hw);
+        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
         let out = exec.execute(&plan, &PreloadBuffer::new(0), &[1, 2, 3]).unwrap();
         assert_eq!(out.logits.len(), 2);
         assert!(out.loaded_bytes > 0);
@@ -332,7 +326,7 @@ mod tests {
         let cold_plan = make_plan(&f, 400, 0);
         let warm_plan = make_plan(&f, 400, 1 << 20);
         assert!(!warm_plan.preload.is_empty());
-        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), f.flash, &f.hw);
+        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
 
         let cold = exec.execute(&cold_plan, &PreloadBuffer::new(0), &[5, 6]).unwrap();
         let warm = exec.execute(&warm_plan, &fill_preload(&f, &warm_plan), &[5, 6]).unwrap();
@@ -344,7 +338,7 @@ mod tests {
     fn executor_prediction_matches_plan_for_full_loads() {
         let f = fixture();
         let plan = make_plan(&f, 400, 0);
-        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), f.flash, &f.hw);
+        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
         let out = exec.execute(&plan, &PreloadBuffer::new(0), &[7]).unwrap();
         // Measured makespan should be close to the planner's conservative
         // prediction (real blobs are never larger than the profiled max).
@@ -359,7 +353,7 @@ mod tests {
         let pl = &plan.layers[0];
         let key = sti_storage::ShardKey::new(ShardId::new(pl.layer, pl.slices[0]), pl.bitwidths[0]);
         f.source.remove(key);
-        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), f.flash, &f.hw);
+        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
         let err = exec.execute(&plan, &PreloadBuffer::new(0), &[1]).unwrap_err();
         assert!(matches!(err, PipelineError::Storage(_)));
     }
@@ -368,7 +362,7 @@ mod tests {
     fn deterministic_outcomes() {
         let f = fixture();
         let plan = make_plan(&f, 300, 0);
-        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), f.flash, &f.hw);
+        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
         let a = exec.execute(&plan, &PreloadBuffer::new(0), &[9, 9]).unwrap();
         let b = exec.execute(&plan, &PreloadBuffer::new(0), &[9, 9]).unwrap();
         assert_eq!(a.logits, b.logits);
@@ -396,7 +390,7 @@ mod tests {
             aib_satisfied: true,
             predicted: simulate_pipeline(&[], SimTime::ZERO),
         };
-        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), f.flash, &f.hw);
+        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
         let out = exec.execute(&plan, &PreloadBuffer::new(0), &[3, 4, 5]).unwrap();
         let direct = f.task.model().forward_full(&[3, 4, 5]);
         for (a, b) in out.logits.iter().zip(&direct) {

@@ -19,6 +19,11 @@
 //!   sequential runs exactly (shared caches buy host throughput, not
 //!   simulated-time shortcuts).
 //!
+//! Both are built from a model, a shard source, an importance profile and
+//! one `HwProfile`. The profile carries the device's flash model, so the
+//! planner's IO budgets, the IO schedulers' charges and the contended
+//! replay all price a read with the same function.
+//!
 //! Layer by layer:
 //!
 //! - [`buffers`] — the preload buffer (persistent, capacity-bounded,

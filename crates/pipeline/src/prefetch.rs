@@ -18,15 +18,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sti_device::{DeviceTopology, SimTime};
+use sti_device::{content_sig, DeviceTopology, SimTime};
 use sti_planner::prefetch::{
     EngagementKey, KeyId, PrefetchConfig, PrefetchMode, PrefetchPlan, Prefetcher, PrefetcherStats,
 };
 use sti_planner::ExecutionPlan;
 use sti_quant::Bitwidth;
-use sti_storage::{
-    FlashDispatchEvent, LayerRequest, PrefetchPoolStats, ShardKey, ShardSource, SpeculativeJob,
-};
+use sti_storage::{FlashDispatchEvent, PrefetchPoolStats, ShardKey, ShardSource, SpeculativeJob};
 use sti_transformer::ShardId;
 
 use crate::buffers::PreloadBuffer;
@@ -143,7 +141,7 @@ fn speculative_jobs(
         if items.is_empty() {
             continue;
         }
-        let sig = LayerRequest { layer: pl.layer, items: items.clone() }.content_sig();
+        let sig = content_sig(pl.layer, items.iter().copied());
         let dc = topology.channel_for(sig, target.stripe);
         for (slice, bw) in items {
             let key = ShardKey::new(ShardId::new(pl.layer, slice), bw);

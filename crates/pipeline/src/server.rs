@@ -80,7 +80,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
-use sti_device::{DeviceTopology, FlashModel, HwProfile, SimTime};
+use sti_device::{DeviceTopology, FlashModel, HwProfile, IoSharing, SimTime};
 use sti_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ObsSink, SpanEvent};
 use sti_planner::compute_plan::dynabert_widths_for;
 use sti_planner::gate::Gate;
@@ -88,13 +88,13 @@ use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix, SloProfile};
 use sti_planner::prefetch::{EngagementKey as PrefetchKey, PrefetchConfig};
 use sti_planner::serving::ServingPlan;
 use sti_planner::{
-    plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, IoSharing, LayerIoJob,
-    MemoTable, PlanCache, PlanCacheStats, PlanKey,
+    plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, LayerIoJob, MemoTable,
+    PlanCache, PlanCacheStats, PlanKey,
 };
 use sti_quant::Bitwidth;
 use sti_storage::{
-    BatchPolicy, CachedSource, IoChannel, IoScheduler, IoSchedulerStats, ShardCache,
-    ShardCacheStats, ShardKey, ShardSource,
+    CachedSource, IoChannel, IoScheduler, IoSchedulerStats, ShardCache, ShardCacheStats, ShardKey,
+    ShardSource,
 };
 use sti_transformer::Model;
 
@@ -142,7 +142,6 @@ pub struct StiServerBuilder {
     model: Model,
     source: Arc<dyn ShardSource>,
     hw: HwProfile,
-    flash: FlashModel,
     importance: ImportanceProfile,
     default_target: SimTime,
     default_preload_budget: u64,
@@ -151,7 +150,7 @@ pub struct StiServerBuilder {
     shard_cache_bytes: u64,
     admission: AdmissionMode,
     dram: Option<FlashModel>,
-    batch: BatchPolicy,
+    sharing: IoSharing,
     backpressure: BackpressureMode,
     plan_sharing: PreloadPolicy,
     topology: DeviceTopology,
@@ -227,16 +226,16 @@ impl StiServerBuilder {
         self
     }
 
-    /// Shared-IO batching policy (default [`BatchPolicy::Off`]): with a
-    /// window configured, sessions requesting byte-identical layers within
-    /// it share one flash job — N identical co-runners pay near-1× flash
-    /// instead of N×. SLO admission then predicts with
-    /// [`IoSharing::Batched`], so windows of co-arriving sessions admit
-    /// where an unbatched prediction would reject. Per-engagement
-    /// *results* are unaffected (the determinism contract holds either
-    /// way).
-    pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
-        self.batch = policy;
+    /// Shared-IO batching (default [`IoSharing::Exclusive`]): under
+    /// [`IoSharing::Batched`], sessions requesting byte-identical layers
+    /// within the window share one flash job — N identical co-runners pay
+    /// near-1× flash instead of N×. The IO scheduler batches and every
+    /// contended prediction (admission, the gate) prices under this one
+    /// value, so windows of co-arriving sessions admit where an unbatched
+    /// prediction would reject. Per-engagement *results* are unaffected
+    /// (the determinism contract holds either way).
+    pub fn batch_policy(mut self, sharing: IoSharing) -> Self {
+        self.sharing = sharing;
         self
     }
 
@@ -293,9 +292,9 @@ impl StiServerBuilder {
             Arc::new(CachedSource::new(self.source.clone(), shard_cache.clone()));
         let scheduler = IoScheduler::spawn_topology(
             self.source.clone(),
-            self.flash,
+            self.hw.flash,
             Some(shard_cache.clone()),
-            self.batch,
+            self.sharing,
             self.topology,
         );
         let cfg = self.model.config();
@@ -303,10 +302,6 @@ impl StiServerBuilder {
             "model-{}x{}-h{}-f{}-v{}",
             cfg.layers, cfg.heads, cfg.hidden, cfg.ffn, cfg.vocab
         );
-        let sharing = match self.batch.window() {
-            Some(window) => IoSharing::Batched(window),
-            None => IoSharing::Exclusive,
-        };
         let registry = MetricsRegistry::new();
         StiServer {
             inner: Arc::new(ServerInner {
@@ -314,8 +309,8 @@ impl StiServerBuilder {
                 cached_source,
                 shard_cache,
                 scheduler,
+                ledger: ContentionLedger::new(self.hw.flash, self.dram, self.topology),
                 hw: self.hw,
-                flash: self.flash,
                 importance: RwLock::new(self.importance),
                 bitwidths: self.bitwidths,
                 widths: self.widths,
@@ -330,12 +325,11 @@ impl StiServerBuilder {
                 slo_planning: Mutex::new(()),
                 open_sessions: AtomicUsize::new(0),
                 next_session_token: AtomicU64::new(0),
-                live_mix: RwLock::new(ServingMix::new(sharing).with_topology(self.topology)),
+                live_mix: RwLock::new(ServingMix::new(self.sharing).with_topology(self.topology)),
                 active_engagements: AtomicUsize::new(0),
                 admission: Admission::new(self.admission, &registry),
                 gate: Gate::new(self.backpressure),
                 gate_counts: GateCounts::new(&registry),
-                ledger: ContentionLedger::new(self.flash, self.dram, self.topology),
                 prefetch: self.prefetch.enabled().then(|| PrefetchDriver::new(self.prefetch)),
                 engagements: registry.counter("serving.engagements"),
                 peak_engagements: registry.gauge("serving.peak_concurrent_engagements"),
@@ -407,7 +401,6 @@ struct ServerInner {
     shard_cache: Arc<ShardCache>,
     scheduler: IoScheduler,
     hw: HwProfile,
-    flash: FlashModel,
     /// Behind a lock so a re-profiled table can be installed at runtime
     /// ([`StiServer::set_importance`]); plans derived from the old table are
     /// dropped at the same time.
@@ -661,13 +654,13 @@ pub struct StiServer {
 
 impl StiServer {
     /// Starts building a server for a model whose shards live in `source`,
-    /// on a device described by `hw`/`flash`, with shard importance already
-    /// profiled (one-time, per model, §3.2).
+    /// on the device `hw` profiles (its flash model is what the scheduler,
+    /// the planner and the contended replay all charge), with shard
+    /// importance already profiled (one-time, per model, §3.2).
     pub fn builder(
         model: Model,
         source: Arc<dyn ShardSource>,
         hw: HwProfile,
-        flash: FlashModel,
         importance: ImportanceProfile,
     ) -> StiServerBuilder {
         let widths = dynabert_widths_for(model.config().heads);
@@ -675,7 +668,6 @@ impl StiServer {
             model,
             source,
             hw,
-            flash,
             importance,
             default_target: SimTime::from_ms(200),
             default_preload_budget: 1 << 20,
@@ -684,7 +676,7 @@ impl StiServer {
             shard_cache_bytes: 4 << 20,
             admission: AdmissionMode::Disabled,
             dram: None,
-            batch: BatchPolicy::Off,
+            sharing: IoSharing::Exclusive,
             backpressure: BackpressureMode::Off,
             plan_sharing: PreloadPolicy::PerSession,
             topology: DeviceTopology::single(),
@@ -1505,12 +1497,7 @@ impl Session {
     }
 
     fn executor(&self) -> PipelineExecutor<'_> {
-        PipelineExecutor::new(
-            &self.inner.model,
-            self.inner.cached_source.clone(),
-            self.inner.flash,
-            &self.inner.hw,
-        )
+        PipelineExecutor::new(&self.inner.model, self.inner.cached_source.clone(), &self.inner.hw)
     }
 
     /// Generative extension: greedily decodes `steps` tokens after
@@ -1579,7 +1566,7 @@ pub(crate) mod tests {
             (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
             0.45,
         );
-        let builder = StiServer::builder(task.model().clone(), source, hw, dev.flash, importance);
+        let builder = StiServer::builder(task.model().clone(), source, hw, importance);
         configure(builder.widths(&[2, 4])).build()
     }
 
@@ -1738,22 +1725,22 @@ pub(crate) mod tests {
 
     #[test]
     fn batching_admits_identical_sessions_an_unbatched_prediction_rejects() {
-        let build = |policy: BatchPolicy| {
+        let build = |sharing: IoSharing| {
             tiny_server(|b| {
-                b.preload_budget(0).admission(AdmissionMode::Enforce).batch_policy(policy)
+                b.preload_budget(0).admission(AdmissionMode::Enforce).batch_policy(sharing)
             })
         };
-        let slo = floor_slo(&build(BatchPolicy::Off));
+        let slo = floor_slo(&build(IoSharing::Exclusive));
 
         // Unbatched: a second identical-SLO session queues behind the
         // first's reads and is rejected (the pre-batching behaviour).
-        let unbatched = build(BatchPolicy::Off);
+        let unbatched = build(IoSharing::Exclusive);
         let _first = unbatched.session_with_slo(slo, 0).unwrap();
         assert!(unbatched.session_with_slo(slo, 0).is_err());
 
         // Batched: identical sessions share every read, so the contended
         // prediction collapses to the uncontended one and both admit.
-        let batched = build(BatchPolicy::from_window_us(1_000));
+        let batched = build(IoSharing::Batched(SimTime::from_us(1_000)));
         let _a = batched.session_with_slo(slo, 0).unwrap();
         let b = batched.session_with_slo(slo, 0).expect("shared IO admits the identical session");
         let served = b.serving_plan().unwrap();

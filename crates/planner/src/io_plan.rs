@@ -6,8 +6,6 @@ use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
 use crate::aib::AibLedger;
-#[cfg(test)]
-use crate::compute_plan::DYNABERT_WIDTHS;
 use crate::compute_plan::{plan_compute, ComputeChoice};
 use crate::importance::ImportanceProfile;
 use crate::plan::{ExecutionPlan, PlannedLayer};
@@ -111,7 +109,7 @@ fn predict_with_preload(
             let io = if pending.is_empty() {
                 SimTime::ZERO
             } else {
-                hw.request_latency + hw.transfer_delay(pending.iter().sum())
+                hw.flash.request_delay(pending.iter().sum())
             };
             LayerTiming { io, comp: t_comp }
         })
@@ -166,12 +164,12 @@ fn allocate(
     // Budget ledger. AIB(0) folds in the compute-planning slack so cold
     // starts can afford layer 0's IO (see aib module docs).
     let t_comp = hw.t_comp(m);
-    let bonus = hw.transfer_delay(preload_budget);
+    let bonus = hw.flash.transfer_delay(preload_budget);
     let slack = inputs.choice.slack(inputs.target);
     let mut ledger = AibLedger::new(n, t_comp, bonus + slack);
     // Each layer's grouped IO request pays the flash latency once.
     for k in 0..n {
-        ledger.charge(k, hw.request_latency);
+        ledger.charge(k, hw.flash.request_latency);
     }
 
     let mut compressed: Vec<Bitwidth> =
@@ -284,6 +282,7 @@ pub fn plan_two_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compute_plan::DYNABERT_WIDTHS;
     use sti_device::DeviceProfile;
     use sti_quant::QuantConfig;
     use sti_tensor::Rng;

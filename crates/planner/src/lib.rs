@@ -58,5 +58,8 @@ pub use prefetch::{
 pub use schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 pub use serving::{
     align_io_completions, contended_makespan, layer_io_jobs, CoRunnerLoad, EngagementLoad,
-    IoSharing, LayerIoJob, ServingPlan,
+    LayerIoJob, ServingPlan,
 };
+/// The sharing mode every contended prediction runs under — the IO
+/// scheduler's batching policy, defined once in `sti-device`.
+pub use sti_device::IoSharing;

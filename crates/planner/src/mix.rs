@@ -138,7 +138,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use sti_device::{content_sig, DeviceTopology, HwProfile, SimTime};
+use sti_device::{content_sig, DeviceTopology, HwProfile, IoSharing, SimTime};
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
@@ -147,8 +147,8 @@ use crate::importance::ImportanceProfile;
 use crate::io_plan::{plan_two_stage, replan_with_preload};
 use crate::plan::ExecutionPlan;
 use crate::serving::{
-    contended_makespan, search_ladder, striped_layer_io_jobs, CoRunnerLoad, EngagementLoad,
-    IoSharing, LadderStep, LayerIoJob, ServingPlan,
+    contended_makespan, striped_layer_io_jobs, CoRunnerLoad, EngagementLoad, LayerIoJob,
+    ServingPlan,
 };
 
 /// What the gate needs to replay an SLO session's decisions
@@ -428,12 +428,9 @@ impl ServingMix {
     /// the batching window of `arrival`. Empty under
     /// [`IoSharing::Exclusive`] — without batching nothing is shared.
     pub fn streamed_sigs_in_window(&self, arrival: SimTime) -> HashSet<u64> {
-        let Some(window) = self.sharing.window() else {
-            return HashSet::new();
-        };
         let mut sigs = HashSet::new();
         for s in self.sessions.values() {
-            if gap(s.load.arrival, arrival) <= window {
+            if self.sharing.shares(s.load.arrival, arrival) {
                 sigs.extend(s.load.jobs.iter().map(|j| j.sig));
             }
         }
@@ -738,11 +735,11 @@ fn predict_over_lanes_in(
 ) -> SimTime {
     #[cfg(test)]
     if tests::oracle_on() {
-        return tests::simulated_predict(arena, lanes, cutoff, load, sharing.window(), topology);
+        return tests::simulated_predict(arena, lanes, cutoff, load, sharing, topology);
     }
     match sharing {
         IoSharing::Exclusive => fold_predict(arena, lanes, cutoff, load, topology),
-        IoSharing::Batched(window) => batched_predict(arena, lanes, cutoff, load, window, topology),
+        IoSharing::Batched(_) => batched_predict(arena, lanes, cutoff, load, sharing, topology),
     }
 }
 
@@ -825,8 +822,8 @@ fn fold_predict(
 /// The round grouping behind a batched prediction: every lane arriving by
 /// `cutoff` (all of them for `None`) queues its jobs at its arrival, the
 /// candidate's ride last in each round-robin round, and byte-identical
-/// jobs of engagements within `window` of each other coalesce into one
-/// shared read. Leaves the reads in `arena.reads`, in submission order.
+/// jobs of engagements `sharing` lets share coalesce into one read.
+/// Leaves the reads in `arena.reads`, in submission order.
 ///
 /// Per-lane arrival cursors are monotone: when a job joins a batch, every
 /// member's cursor is raised to the batch arrival (the job exists only once
@@ -837,7 +834,7 @@ fn group_rounds(
     lanes: &[Lane],
     cutoff: Option<SimTime>,
     load: &EngagementLoad,
-    window: Option<SimTime>,
+    sharing: IoSharing,
 ) {
     let LaneArena { candidate, cursors, round, groups, reads, .. } = arena;
     candidate.clear();
@@ -862,16 +859,17 @@ fn group_rounds(
                 .filter_map(|(e, l)| l.jobs.get(r).map(|&j| (e, j, 0)))
                 .chain(candidate.get(r).map(|&(_, j)| (candidate_id, j, 0))),
         );
-        // One read per signature, fanned out to every engagement within the
-        // window of the group's first member: a group is its job, its first
+        // One read per signature, fanned out to every engagement sharing
+        // with the group's first member: a group is its job, its first
         // member and its latest member's arrival.
         groups.clear();
         for (engagement, job, group) in round.iter_mut() {
             let (e, job) = (*engagement, *job);
-            let joins = window.and_then(|w| {
-                groups
-                    .iter()
-                    .position(|&(j, first, _)| j == job && gap(cursors[first], cursors[e]) <= w)
+            // Exclusive reads never join a group: skip the scan.
+            let joins = sharing.window().and_then(|_| {
+                groups.iter().position(|&(j, first, _)| {
+                    j == job && sharing.shares(cursors[first], cursors[e])
+                })
             });
             *group = joins.unwrap_or_else(|| {
                 groups.push((job, e, SimTime::ZERO));
@@ -899,10 +897,10 @@ fn batched_predict(
     lanes: &[Lane],
     cutoff: Option<SimTime>,
     load: &EngagementLoad,
-    window: SimTime,
+    sharing: IoSharing,
     topology: DeviceTopology,
 ) -> SimTime {
-    group_rounds(arena, lanes, cutoff, load, Some(window));
+    group_rounds(arena, lanes, cutoff, load, sharing);
     let LaneArena { by_arrival, free, reads, .. } = arena;
     by_arrival.clear();
     by_arrival.extend(0..reads.len());
@@ -1006,11 +1004,6 @@ fn min_delay_over_lanes_in(
     }
 }
 
-/// Absolute gap between two simulated times.
-pub(crate) fn gap(a: SimTime, b: SimTime) -> SimTime {
-    a.max(b) - a.min(b)
-}
-
 /// Re-selects a plan's preload set for a mix: layers whose full streamed
 /// signature an in-window co-resident already streams score ~0 (the batch
 /// fan-out delivers them anyway) and are never preloaded; the budget goes
@@ -1066,6 +1059,15 @@ pub fn reallocate_preload_for_mix(
     Some((replan_with_preload(hw, plan, selection), freed))
 }
 
+/// Target-latency search ladder, as fractions of the SLO in per-mille.
+/// Descending, so the first hit is the highest-FLOPs plan that fits: the
+/// search keeps `|S|` at the session's memory grant (preload only ever
+/// shortens latency) and walks `T` down until the contended prediction
+/// meets the SLO. If even the smallest rung misses, the least-bad plan is
+/// returned with `meets_slo: false`.
+const TARGET_LADDER_PER_MILLE: [u64; 12] =
+    [1000, 800, 650, 500, 400, 300, 220, 160, 120, 80, 50, 30];
+
 /// The mix-aware SLO search: walks the target ladder (plan each descending
 /// `T` with the unmodified two-stage planner, stop at the first rung whose
 /// contended prediction meets the SLO), scores every rung with
@@ -1111,78 +1113,81 @@ pub fn plan_for_slo_mix(
     bitwidths: &[Bitwidth],
 ) -> ServingPlan {
     let lanes = mix.raw_lanes();
-    search_ladder(
-        hw,
-        importance,
-        slo,
-        mix.co_runners(),
-        preload_bytes,
-        widths,
-        bitwidths,
-        |target, default| {
-            let shared = (policy == PreloadPolicy::SharingAware)
-                .then(|| mix.streamed_sigs_in_window(arrival))
-                .filter(|sigs| !sigs.is_empty());
-            // Stripe 0 first; a later stripe wins only by a strictly lower
-            // prediction.
-            let step_on = |stripe: u16| {
-                let predict = |plan: &ExecutionPlan| {
-                    let load = EngagementLoad::from_plan_striped(hw, plan, arrival, stripe);
-                    mix.predict_over(&lanes, &load)
-                };
-                let mut step = LadderStep {
-                    predicted: predict(&default),
-                    preload_bytes_reallocated: 0,
-                    stripe,
-                    plan: default.clone(),
-                };
-                if let Some(sigs) = &shared {
-                    // The mix's signatures carry their lanes' placement
-                    // folds; un-shift by the candidate's stripe so the
-                    // raw-sig coverage test only matches layers a
-                    // co-resident streams *on the same device channel*.
-                    let local: HashSet<u64> = if stripe == 0 {
-                        sigs.clone()
-                    } else {
-                        sigs.iter().map(|s| s.wrapping_sub(stripe as u64)).collect()
-                    };
-                    let default_preload_bytes: u64 =
-                        step.plan.preload.iter().map(|&(_, bw)| hw.shard_bytes(bw)).sum();
-                    if let Some((alt, freed)) = reallocate_preload_for_mix(hw, &step.plan, &local) {
-                        let p = predict(&alt);
-                        if p < step.predicted {
-                            step = LadderStep {
-                                plan: alt,
-                                predicted: p,
-                                preload_bytes_reallocated: freed,
-                                stripe,
-                            };
-                        }
-                    }
-                    if preload_bytes > 0 && default_preload_bytes > 0 {
-                        let zero = plan_two_stage(hw, importance, target, 0, widths, bitwidths);
-                        let p = predict(&zero);
-                        if p < step.predicted {
-                            step = LadderStep {
-                                plan: zero,
-                                predicted: p,
-                                preload_bytes_reallocated: default_preload_bytes,
-                                stripe,
-                            };
-                        }
-                    }
-                }
-                step
-            };
-            (1..mix.topology().channel_count()).map(step_on).fold(step_on(0), |best, step| {
-                if step.predicted < best.predicted {
-                    step
+    let shared = (policy == PreloadPolicy::SharingAware)
+        .then(|| mix.streamed_sigs_in_window(arrival))
+        .filter(|sigs| !sigs.is_empty());
+    let mut best: Option<ServingPlan> = None;
+    let mut seen_target = SimTime::ZERO;
+    for per_mille in TARGET_LADDER_PER_MILLE {
+        let target = SimTime::from_us((slo.as_us() * per_mille / 1000).max(1));
+        if target == seen_target {
+            continue;
+        }
+        seen_target = target;
+        let default = plan_two_stage(hw, importance, target, preload_bytes, widths, bitwidths);
+        // One placement of this rung, scored by the mix prediction.
+        let placed = |plan: ExecutionPlan, stripe: u16, preload_bytes_reallocated: u64| {
+            let load = EngagementLoad::from_plan_striped(hw, &plan, arrival, stripe);
+            let predicted = mix.predict_over(&lanes, &load);
+            ServingPlan {
+                plan,
+                slo,
+                co_runners: mix.co_runners(),
+                target,
+                preload_bytes,
+                predicted_contended: predicted,
+                meets_slo: predicted <= slo,
+                preload_bytes_reallocated,
+                stripe,
+            }
+        };
+        // Stripe 0 first; a later stripe wins only by a strictly lower
+        // prediction.
+        let rung_on = |stripe: u16| {
+            let mut rung = placed(default.clone(), stripe, 0);
+            if let Some(sigs) = &shared {
+                // The mix's signatures carry their lanes' placement folds;
+                // un-shift by the candidate's stripe so the raw-sig coverage
+                // test only matches layers a co-resident streams *on the
+                // same device channel*.
+                let local: HashSet<u64> = if stripe == 0 {
+                    sigs.clone()
                 } else {
-                    best
+                    sigs.iter().map(|s| s.wrapping_sub(stripe as u64)).collect()
+                };
+                let default_preload_bytes: u64 =
+                    default.preload.iter().map(|&(_, bw)| hw.shard_bytes(bw)).sum();
+                if let Some((alt, freed)) = reallocate_preload_for_mix(hw, &default, &local) {
+                    let alt = placed(alt, stripe, freed);
+                    if alt.predicted_contended < rung.predicted_contended {
+                        rung = alt;
+                    }
                 }
-            })
-        },
-    )
+                if preload_bytes > 0 && default_preload_bytes > 0 {
+                    let zero = plan_two_stage(hw, importance, target, 0, widths, bitwidths);
+                    let zero = placed(zero, stripe, default_preload_bytes);
+                    if zero.predicted_contended < rung.predicted_contended {
+                        rung = zero;
+                    }
+                }
+            }
+            rung
+        };
+        let rung = (1..mix.topology().channel_count()).map(rung_on).fold(rung_on(0), |best, r| {
+            if r.predicted_contended < best.predicted_contended {
+                r
+            } else {
+                best
+            }
+        });
+        if rung.meets_slo {
+            return rung;
+        }
+        if best.as_ref().is_none_or(|b| rung.predicted_contended < b.predicted_contended) {
+            best = Some(rung);
+        }
+    }
+    best.expect("the target ladder is non-empty")
 }
 
 #[cfg(test)]
@@ -1225,10 +1230,10 @@ mod tests {
         lanes: &[Lane],
         cutoff: Option<SimTime>,
         load: &EngagementLoad,
-        window: Option<SimTime>,
+        sharing: IoSharing,
         topology: DeviceTopology,
     ) -> SimTime {
-        group_rounds(arena, lanes, cutoff, load, window);
+        group_rounds(arena, lanes, cutoff, load, sharing);
         let mut sim = TopologyQueueSim::new(topology);
         for &(arrival, read, candidate_layer) in &arena.reads {
             sim.submit_on(

@@ -14,7 +14,7 @@
 //! [`crate::mix`]. A [`ServingMix`] canonically
 //! represents the world as the predictor sees it (the open-session
 //! registry's [`CoRunnerLoad`]s with arrivals and gate profiles, and the
-//! [`IoSharing`] mode — profiled loads only, never live queue state).
+//! [`IoSharing`](crate::IoSharing) mode — profiled loads only, never live queue state).
 //! Callers build the mix that states their question and ask it directly:
 //!
 //! - admission: [`ServingMix::from_co_runners`] (or the server's live
@@ -46,36 +46,9 @@
 use std::sync::Arc;
 
 use sti_device::{content_sig, CompletedJob, HwProfile, SimTime};
-use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
-use crate::importance::ImportanceProfile;
-use crate::io_plan::plan_two_stage;
 use crate::plan::ExecutionPlan;
-
-/// Whether co-resident engagements' IO is modeled as shared or exclusive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoSharing {
-    /// Every engagement pays for its own reads (the scheduler's
-    /// `BatchPolicy::Off` behaviour, and the default).
-    #[default]
-    Exclusive,
-    /// Byte-identical layer jobs issued in the same dispatch round, by
-    /// engagements whose arrivals fall within this window of each other,
-    /// coalesce into one flash read (the scheduler's shared-IO batching
-    /// under `BatchPolicy::Window`).
-    Batched(SimTime),
-}
-
-impl IoSharing {
-    /// The batching arrival window, when sharing is modeled.
-    pub fn window(&self) -> Option<SimTime> {
-        match self {
-            IoSharing::Exclusive => None,
-            IoSharing::Batched(w) => Some(*w),
-        }
-    }
-}
 
 /// One streaming layer's IO job: a content signature (what would be read)
 /// plus the device-model service time.
@@ -83,7 +56,7 @@ impl IoSharing {
 pub struct LayerIoJob {
     /// Signature of the job's `(layer, shard set, bitwidths)` — two jobs
     /// with equal signatures read identical bytes and may share one flash
-    /// read under [`IoSharing::Batched`].
+    /// read under [`IoSharing::Batched`](crate::IoSharing::Batched).
     pub sig: u64,
     /// Uncontended device-model service time of the job.
     pub service: SimTime,
@@ -118,7 +91,7 @@ pub fn layer_io_jobs(hw: &HwProfile, plan: &ExecutionPlan) -> Vec<Option<LayerIo
             // identity.
             (bytes > 0).then(|| LayerIoJob {
                 sig: content_sig(pl.layer, streamed()),
-                service: hw.request_latency + hw.transfer_delay(bytes),
+                service: hw.flash.request_delay(bytes),
             })
         })
         .collect()
@@ -297,79 +270,14 @@ pub struct ServingPlan {
     pub stripe: u16,
 }
 
-/// Target-latency search ladder, as fractions of the SLO in per-mille.
-/// Descending, so the first hit is the highest-FLOPs plan that fits: the
-/// search keeps `|S|` at the session's memory grant (preload only ever
-/// shortens latency) and walks `T` down until the contended prediction
-/// meets the SLO. If even the smallest rung misses, the least-bad plan is
-/// returned with `meets_slo: false`.
-const TARGET_LADDER_PER_MILLE: [u64; 12] =
-    [1000, 800, 650, 500, 400, 300, 220, 160, 120, 80, 50, 30];
-
-/// One evaluated ladder rung: the plan the rung settled on (possibly a
-/// mix-aware `|S|` re-placement of the default), its predicted contended
-/// latency, and the default-prefix bytes the placement moved.
-pub(crate) struct LadderStep {
-    pub(crate) plan: ExecutionPlan,
-    pub(crate) predicted: SimTime,
-    pub(crate) preload_bytes_reallocated: u64,
-    /// Device-channel stripe the rung placed the candidate on (always 0
-    /// for single-channel searches).
-    pub(crate) stripe: u16,
-}
-
-/// The shared ladder walk of every SLO search: plan each descending target
-/// with the unmodified two-stage planner, hand the rung to `eval` (which
-/// scores it — and may swap in a better `|S|` placement), stop at the
-/// first hit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search_ladder(
-    hw: &HwProfile,
-    importance: &ImportanceProfile,
-    slo: SimTime,
-    co_runners: usize,
-    preload_bytes: u64,
-    widths: &[usize],
-    bitwidths: &[Bitwidth],
-    eval: impl Fn(SimTime, ExecutionPlan) -> LadderStep,
-) -> ServingPlan {
-    let mut best: Option<ServingPlan> = None;
-    let mut seen_target = SimTime::ZERO;
-    for per_mille in TARGET_LADDER_PER_MILLE {
-        let target = SimTime::from_us((slo.as_us() * per_mille / 1000).max(1));
-        if target == seen_target {
-            continue;
-        }
-        seen_target = target;
-        let plan = plan_two_stage(hw, importance, target, preload_bytes, widths, bitwidths);
-        let step = eval(target, plan);
-        let candidate = ServingPlan {
-            plan: step.plan,
-            slo,
-            co_runners,
-            target,
-            preload_bytes,
-            predicted_contended: step.predicted,
-            meets_slo: step.predicted <= slo,
-            preload_bytes_reallocated: step.preload_bytes_reallocated,
-            stripe: step.stripe,
-        };
-        if candidate.meets_slo {
-            return candidate;
-        }
-        if best.as_ref().is_none_or(|b| candidate.predicted_contended < b.predicted_contended) {
-            best = Some(candidate);
-        }
-    }
-    best.expect("the target ladder is non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::importance::ImportanceProfile;
+    use crate::io_plan::plan_two_stage;
     use crate::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix};
-    use sti_device::DeviceProfile;
-    use sti_quant::QuantConfig;
+    use sti_device::{DeviceProfile, IoSharing};
+    use sti_quant::{Bitwidth, QuantConfig};
     use sti_transformer::ModelConfig;
 
     fn hw() -> HwProfile {

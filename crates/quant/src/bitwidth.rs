@@ -84,12 +84,6 @@ impl Bitwidth {
             (len * self.bits() as usize).div_ceil(8)
         }
     }
-
-    /// The next higher fidelity, if any.
-    pub fn next_up(self) -> Option<Bitwidth> {
-        let idx = Self::ALL.iter().position(|&b| b == self).expect("bitwidth in ALL");
-        Self::ALL.get(idx + 1).copied()
-    }
 }
 
 impl TryFrom<u8> for Bitwidth {
@@ -163,13 +157,6 @@ mod tests {
     #[should_panic(expected = "no centroid dictionary")]
     fn centroid_count_panics_on_full() {
         let _ = Bitwidth::Full.centroid_count();
-    }
-
-    #[test]
-    fn next_up_walks_the_ladder() {
-        assert_eq!(Bitwidth::B2.next_up(), Some(Bitwidth::B3));
-        assert_eq!(Bitwidth::B6.next_up(), Some(Bitwidth::Full));
-        assert_eq!(Bitwidth::Full.next_up(), None);
     }
 
     #[test]

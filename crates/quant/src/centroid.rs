@@ -71,13 +71,6 @@ impl CentroidDictionary {
         Self { centroids, boundaries }
     }
 
-    /// Reconstructs a dictionary from stored centroids (boundaries are only
-    /// needed for assignment at quantization time, not for decompression).
-    pub fn from_centroids(centroids: Vec<f32>) -> Self {
-        let boundaries = centroids.windows(2).map(|pair| (pair[0] + pair[1]) / 2.0).collect();
-        Self { centroids, boundaries }
-    }
-
     /// The centroid values.
     pub fn centroids(&self) -> &[f32] {
         &self.centroids
@@ -167,15 +160,6 @@ mod tests {
         assert_eq!(dict.len(), 8);
         let idx = dict.assign(1.0);
         assert!((dict.lookup(idx) - 1.0).abs() < 1.5);
-    }
-
-    #[test]
-    fn from_centroids_round_trips_lookup() {
-        let dict = CentroidDictionary::from_centroids(vec![-1.0, 0.0, 1.0]);
-        assert_eq!(dict.lookup(0), -1.0);
-        assert_eq!(dict.lookup(2), 1.0);
-        assert_eq!(dict.assign(0.9), 2);
-        assert_eq!(dict.assign(-0.9), 0);
     }
 
     #[test]

@@ -273,11 +273,6 @@ impl QuantizedBlob {
             + self.payload.outliers.len() * 8
     }
 
-    /// Fraction of weights preserved as outliers.
-    pub fn outlier_fraction(&self) -> f64 {
-        self.payload.outliers.len() as f64 / self.payload.len as f64
-    }
-
     /// Packed index bytes (raw f32 bytes for full fidelity).
     pub fn packed(&self) -> &[u8] {
         &self.payload.packed
@@ -359,8 +354,9 @@ mod tests {
     fn outlier_fraction_is_small_on_gaussian_weights() {
         let weights = gaussian_weights(5, 8192);
         let blob = QuantizedBlob::quantize(&weights, Bitwidth::B3, &QuantConfig::default());
-        assert!(blob.outlier_fraction() < 0.02, "fraction {}", blob.outlier_fraction());
-        assert!(blob.outlier_fraction() > 0.0, "planted outliers should be detected");
+        let fraction = blob.payload.outliers.len() as f64 / blob.payload.len as f64;
+        assert!(fraction < 0.02, "fraction {fraction}");
+        assert!(fraction > 0.0, "planted outliers should be detected");
     }
 
     #[test]

@@ -11,17 +11,14 @@
 //! to every member channel (blobs are shared `Arc`s, so the fan-out is
 //! reference counting, not copying).
 //!
-//! This module holds the policy and the matching rule; the scheduler owns
-//! the dispatch loop that applies them:
-//!
-//! - [`BatchPolicy`] — off, or a simulated-time **arrival window**: two
-//!   engagements may share a job only if their arrival offsets (the times
-//!   their channels were opened at, see
-//!   [`IoScheduler::channel_at`](crate::scheduler::IoScheduler::channel_at))
-//!   differ by at most the window;
-//! - [`batchable`] — the eligibility predicate: byte-identical request
-//!   (same layer, same `(slice, bitwidth)` items) and arrivals within the
-//!   window.
+//! The scheduler owns the dispatch loop; this module holds the matching
+//! rule, [`batchable`]: a byte-identical request (same layer, same
+//! `(slice, bitwidth)` items) from an engagement the scheduler's
+//! [`IoSharing`] lets share — its arrival offset (the time its channel was
+//! opened at, see
+//! [`IoScheduler::channel_at`](crate::scheduler::IoScheduler::channel_at))
+//! within the window of the leader's. The window test itself is
+//! [`IoSharing::shares`], the one the contended predictors apply too.
 //!
 //! **What batching may and may not change.** The uncontended track's
 //! determinism contract is untouched: every member channel receives a
@@ -33,85 +30,26 @@
 //! its fan-out recorded, the flash-queue replay charges the bytes once, and
 //! the difference shows up as flash-bytes-saved in serving reports.
 
-use sti_device::SimTime;
+use sti_device::{IoSharing, SimTime};
 
 use crate::loader::LayerRequest;
 
-/// When the scheduler may coalesce identical layer requests from distinct
-/// engagements into one fan-out flash job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// Never batch: every engagement pays for its own reads (the pre-batching
-    /// behaviour, and the default).
-    #[default]
-    Off,
-    /// Batch requests from engagements whose simulated arrival times differ
-    /// by at most this window.
-    Window(SimTime),
-}
-
-impl BatchPolicy {
-    /// Builds a policy from a window in microseconds; zero disables
-    /// batching (the CLI convention for `--batch-window`).
-    pub fn from_window_us(us: u64) -> Self {
-        if us == 0 {
-            BatchPolicy::Off
-        } else {
-            BatchPolicy::Window(SimTime::from_us(us))
-        }
-    }
-
-    /// The arrival window, when batching is enabled.
-    pub fn window(&self) -> Option<SimTime> {
-        match self {
-            BatchPolicy::Off => None,
-            BatchPolicy::Window(w) => Some(*w),
-        }
-    }
-
-    /// Whether batching is enabled at all.
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, BatchPolicy::Window(_))
-    }
-}
-
-impl std::fmt::Display for BatchPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchPolicy::Off => f.write_str("off"),
-            BatchPolicy::Window(w) => write!(f, "window({w})"),
-        }
-    }
-}
-
-/// Whether `candidate` may join a batch led by `leader` under `policy`:
+/// Whether `candidate` may join a batch led by `leader` under `sharing`:
 /// the requests must be byte-identical (same layer, same `(slice,
 /// bitwidth)` items in the same order — the model is fixed per scheduler)
-/// and the two engagements' arrival times must differ by at most the
-/// policy's window.
+/// and `sharing` must let the two arrivals share ([`IoSharing::shares`]).
 pub fn batchable(
-    policy: BatchPolicy,
+    sharing: IoSharing,
     leader: &LayerRequest,
     leader_arrival: SimTime,
     candidate: &LayerRequest,
     candidate_arrival: SimTime,
 ) -> bool {
-    let Some(window) = policy.window() else {
-        return false;
-    };
-    if leader != candidate {
-        return false;
-    }
-    let gap = if leader_arrival >= candidate_arrival {
-        leader_arrival - candidate_arrival
-    } else {
-        candidate_arrival - leader_arrival
-    };
-    gap <= window
+    leader == candidate && sharing.shares(leader_arrival, candidate_arrival)
 }
 
-/// Per-scheduler batching counters (all zero when the policy is
-/// [`BatchPolicy::Off`]).
+/// Per-scheduler batching counters (all zero under
+/// [`IoSharing::Exclusive`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Dispatches that carried more than one engagement's request.
@@ -135,35 +73,37 @@ mod tests {
         LayerRequest { layer, items: items.to_vec() }
     }
 
+    fn window_us(us: u64) -> IoSharing {
+        IoSharing::Batched(SimTime::from_us(us))
+    }
+
     #[test]
-    fn off_policy_never_batches() {
+    fn exclusive_sharing_never_batches() {
         let r = req(0, &[(0, Bitwidth::B2)]);
-        assert!(!batchable(BatchPolicy::Off, &r, SimTime::ZERO, &r, SimTime::ZERO));
-        assert!(!BatchPolicy::Off.is_enabled());
-        assert_eq!(BatchPolicy::from_window_us(0), BatchPolicy::Off);
+        assert!(!batchable(IoSharing::Exclusive, &r, SimTime::ZERO, &r, SimTime::ZERO));
     }
 
     #[test]
     fn identical_requests_within_the_window_batch() {
-        let policy = BatchPolicy::from_window_us(500);
+        let sharing = window_us(500);
         let r = req(3, &[(0, Bitwidth::B2), (1, Bitwidth::B6)]);
-        assert!(batchable(policy, &r, SimTime::ZERO, &r, SimTime::ZERO));
-        assert!(batchable(policy, &r, SimTime::from_us(100), &r, SimTime::from_us(600)));
+        assert!(batchable(sharing, &r, SimTime::ZERO, &r, SimTime::ZERO));
+        assert!(batchable(sharing, &r, SimTime::from_us(100), &r, SimTime::from_us(600)));
         // The window is symmetric: a later leader batches an earlier
         // candidate too.
-        assert!(batchable(policy, &r, SimTime::from_us(600), &r, SimTime::from_us(100)));
+        assert!(batchable(sharing, &r, SimTime::from_us(600), &r, SimTime::from_us(100)));
     }
 
     #[test]
     fn arrivals_outside_the_window_do_not_batch() {
-        let policy = BatchPolicy::from_window_us(500);
+        let sharing = window_us(500);
         let r = req(3, &[(0, Bitwidth::B2)]);
-        assert!(!batchable(policy, &r, SimTime::ZERO, &r, SimTime::from_us(501)));
+        assert!(!batchable(sharing, &r, SimTime::ZERO, &r, SimTime::from_us(501)));
     }
 
     #[test]
     fn different_requests_never_batch() {
-        let policy = BatchPolicy::from_window_us(500);
+        let sharing = window_us(500);
         let a = req(3, &[(0, Bitwidth::B2)]);
         for other in [
             req(4, &[(0, Bitwidth::B2)]),                    // different layer
@@ -171,7 +111,7 @@ mod tests {
             req(3, &[(0, Bitwidth::B6)]),                    // different bitwidth
             req(3, &[(0, Bitwidth::B2), (1, Bitwidth::B2)]), // different shard set
         ] {
-            assert!(!batchable(policy, &a, SimTime::ZERO, &other, SimTime::ZERO), "{other:?}");
+            assert!(!batchable(sharing, &a, SimTime::ZERO, &other, SimTime::ZERO), "{other:?}");
         }
     }
 }

@@ -104,70 +104,12 @@ struct CacheEntry {
     last_used: u64,
 }
 
-/// The speculative side pool: same LRU shape as the main cache, but its own
-/// budget and counters, and entries leave by demand *take* (promote) rather
-/// than lookup.
+/// A byte-budgeted LRU map of blob handles: the one recency discipline the
+/// main cache and the staging pool share. Every lookup and every admission
+/// takes a tick; an admission that cannot fit the whole budget takes none.
 #[derive(Debug)]
-struct PoolInner {
+struct Lru {
     budget: u64,
-    map: HashMap<ShardKey, CacheEntry>,
-    recency: BTreeMap<u64, ShardKey>,
-    used: u64,
-    tick: u64,
-    stats: PrefetchPoolStats,
-}
-
-impl PoolInner {
-    fn new(budget: u64) -> Self {
-        Self {
-            budget,
-            map: HashMap::new(),
-            recency: BTreeMap::new(),
-            used: 0,
-            tick: 0,
-            stats: PrefetchPoolStats::default(),
-        }
-    }
-
-    fn contains(&self, key: ShardKey) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    fn admit(&mut self, key: ShardKey, blob: &QuantizedBlob) -> bool {
-        let bytes = blob.byte_size() as u64;
-        if bytes > self.budget {
-            return false;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(old) = self.map.remove(&key) {
-            self.recency.remove(&old.last_used);
-            self.used -= old.bytes;
-        }
-        while self.used + bytes > self.budget {
-            let (_, victim) = self.recency.pop_first().expect("used > 0 implies a staged entry");
-            let evicted = self.map.remove(&victim).expect("victim is staged");
-            self.used -= evicted.bytes;
-            self.stats.evictions += 1;
-        }
-        self.used += bytes;
-        self.recency.insert(tick, key);
-        self.map.insert(key, CacheEntry { blob: blob.clone(), bytes, last_used: tick });
-        true
-    }
-
-    fn take(&mut self, key: ShardKey) -> Option<QuantizedBlob> {
-        let entry = self.map.remove(&key)?;
-        self.recency.remove(&entry.last_used);
-        self.used -= entry.bytes;
-        self.stats.hits += 1;
-        self.stats.hit_bytes += entry.bytes;
-        Some(entry.blob)
-    }
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
     map: HashMap<ShardKey, CacheEntry>,
     /// Recency index: `last_used` tick -> key. Ticks are unique, so the
     /// first entry is always the LRU victim — eviction is O(log n) instead
@@ -175,13 +117,98 @@ struct CacheInner {
     recency: BTreeMap<u64, ShardKey>,
     used: u64,
     tick: u64,
+}
+
+impl Lru {
+    fn new(budget: u64) -> Self {
+        Self { budget, map: HashMap::new(), recency: BTreeMap::new(), used: 0, tick: 0 }
+    }
+
+    /// Looks `key` up, refreshing its recency on a hit.
+    fn get(&mut self, key: ShardKey) -> Option<QuantizedBlob> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self.map.get_mut(&key)?;
+        let stale = std::mem::replace(&mut entry.last_used, tick);
+        let blob = entry.blob.clone();
+        self.recency.remove(&stale);
+        self.recency.insert(tick, key);
+        Some(blob)
+    }
+
+    /// Admits `blob`, replacing any entry under `key` and evicting
+    /// least-recently-used entries until it fits. Returns how many were
+    /// evicted, or `None` when the blob exceeds the whole budget (nothing
+    /// changes).
+    fn insert(&mut self, key: ShardKey, blob: &QuantizedBlob) -> Option<u64> {
+        let bytes = blob.byte_size() as u64;
+        if bytes > self.budget {
+            return None;
+        }
+        self.tick += 1;
+        let tick = self.tick;
+        self.remove(key);
+        let mut evicted = 0;
+        while self.used + bytes > self.budget {
+            let (_, victim) = self.recency.pop_first().expect("used > 0 implies a resident entry");
+            let entry = self.map.remove(&victim).expect("victim is resident");
+            self.used -= entry.bytes;
+            evicted += 1;
+        }
+        self.used += bytes;
+        self.recency.insert(tick, key);
+        self.map.insert(key, CacheEntry { blob: blob.clone(), bytes, last_used: tick });
+        Some(evicted)
+    }
+
+    /// Removes `key`'s entry, if resident.
+    fn remove(&mut self, key: ShardKey) -> Option<CacheEntry> {
+        let entry = self.map.remove(&key)?;
+        self.recency.remove(&entry.last_used);
+        self.used -= entry.bytes;
+        Some(entry)
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+        self.recency.clear();
+        self.used = 0;
+    }
+}
+
+/// The speculative side pool: the main cache's LRU with its own budget and
+/// counters, whose entries leave by demand *take* (promote) rather than
+/// lookup.
+#[derive(Debug)]
+struct PoolInner {
+    lru: Lru,
+    stats: PrefetchPoolStats,
+}
+
+impl PoolInner {
+    fn admit(&mut self, key: ShardKey, blob: &QuantizedBlob) -> bool {
+        let Some(evicted) = self.lru.insert(key, blob) else { return false };
+        self.stats.evictions += evicted;
+        true
+    }
+
+    fn take(&mut self, key: ShardKey) -> Option<QuantizedBlob> {
+        let entry = self.lru.remove(key)?;
+        self.stats.hits += 1;
+        self.stats.hit_bytes += entry.bytes;
+        Some(entry.blob)
+    }
+}
+
+#[derive(Debug)]
+struct CacheInner {
+    lru: Lru,
     stats: ShardCacheStats,
 }
 
 /// A thread-safe LRU cache of compressed shard blobs under a byte budget.
 #[derive(Debug)]
 pub struct ShardCache {
-    capacity: u64,
     inner: Mutex<CacheInner>,
     /// Prefetch staging pool; `None` until enabled. Guarded separately from
     /// `inner` (never held together) so the demand path's lock behaviour is
@@ -193,17 +220,18 @@ impl ShardCache {
     /// Creates a cache with the given byte budget. A budget of zero disables
     /// caching (every lookup misses, nothing is admitted).
     pub fn new(capacity: u64) -> Self {
-        Self { capacity, inner: Mutex::new(CacheInner::default()), pool: Mutex::new(None) }
+        let inner = CacheInner { lru: Lru::new(capacity), stats: ShardCacheStats::default() };
+        Self { inner: Mutex::new(inner), pool: Mutex::new(None) }
     }
 
     /// The configured byte budget.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.inner.lock().lru.budget
     }
 
     /// Bytes currently resident.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().used
+        self.inner.lock().lru.used
     }
 
     /// Budgeted bytes currently held, `(main map, staging pool)` — each
@@ -215,12 +243,12 @@ impl ShardCache {
 
     /// Number of blobs currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().lru.map.len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().map.is_empty()
+        self.inner.lock().lru.map.is_empty()
     }
 
     /// Effectiveness counters.
@@ -231,56 +259,26 @@ impl ShardCache {
     /// Looks a blob up, refreshing its recency on a hit.
     pub fn get(&self, key: ShardKey) -> Option<QuantizedBlob> {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&key) {
-            Some(entry) => {
-                let stale = entry.last_used;
-                entry.last_used = tick;
-                let blob = entry.blob.clone();
-                inner.recency.remove(&stale);
-                inner.recency.insert(tick, key);
-                inner.stats.hits += 1;
-                Some(blob)
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
+        let blob = inner.lru.get(key);
+        match blob {
+            Some(_) => inner.stats.hits += 1,
+            None => inner.stats.misses += 1,
         }
+        blob
     }
 
     /// Admits a blob, evicting least-recently-used entries until it fits.
     /// Blobs larger than the whole budget are silently not cached.
     pub fn insert(&self, key: ShardKey, blob: &QuantizedBlob) {
-        let bytes = blob.byte_size() as u64;
-        if bytes > self.capacity {
-            return;
-        }
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.remove(&key) {
-            inner.recency.remove(&old.last_used);
-            inner.used -= old.bytes;
+        if let Some(evicted) = inner.lru.insert(key, blob) {
+            inner.stats.evictions += evicted;
         }
-        while inner.used + bytes > self.capacity {
-            let (_, victim) = inner.recency.pop_first().expect("used > 0 implies a resident entry");
-            let evicted = inner.map.remove(&victim).expect("victim is resident");
-            inner.used -= evicted.bytes;
-            inner.stats.evictions += 1;
-        }
-        inner.used += bytes;
-        inner.recency.insert(tick, key);
-        inner.map.insert(key, CacheEntry { blob: blob.clone(), bytes, last_used: tick });
     }
 
     /// Drops every resident blob (counters are kept).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.recency.clear();
-        inner.used = 0;
+        self.inner.lock().lru.clear();
     }
 
     /// Loads through the cache: a hit returns the resident blob, a miss
@@ -333,14 +331,15 @@ impl ShardCache {
     /// Enables the prefetch staging pool with its own byte budget (idempotent;
     /// re-enabling resets the pool).
     pub fn enable_prefetch_pool(&self, budget: u64) {
-        *self.pool.lock() = Some(PoolInner::new(budget));
+        *self.pool.lock() =
+            Some(PoolInner { lru: Lru::new(budget), stats: PrefetchPoolStats::default() });
     }
 
     /// Staging-pool counters (zero when the pool was never enabled).
     pub fn prefetch_stats(&self) -> PrefetchPoolStats {
         let pool = self.pool.lock();
         match pool.as_ref() {
-            Some(p) => PrefetchPoolStats { resident_bytes: p.used, ..p.stats },
+            Some(p) => PrefetchPoolStats { resident_bytes: p.lru.used, ..p.stats },
             None => PrefetchPoolStats::default(),
         }
     }
@@ -366,7 +365,7 @@ impl ShardCache {
         {
             let pool = self.pool.lock();
             match pool.as_ref() {
-                Some(p) if !p.contains(key) => {}
+                Some(p) if !p.lru.map.contains_key(&key) => {}
                 // Already staged, or pool disabled: nothing to do.
                 _ => return Ok((0, 0)),
             }
@@ -398,7 +397,7 @@ impl ShardCache {
     /// Looks a blob up without touching recency or the hit/miss counters —
     /// the speculative path's residency probe.
     fn peek(&self, key: ShardKey) -> Option<QuantizedBlob> {
-        self.inner.lock().map.get(&key).map(|e| e.blob.clone())
+        self.inner.lock().lru.map.get(&key).map(|e| e.blob.clone())
     }
 
     /// Removes a staged blob for demand promotion, counting the hit.

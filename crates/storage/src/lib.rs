@@ -29,9 +29,10 @@
 //!   code that services what it picks (`dispatch`). It records what it
 //!   dispatched ([`FlashDispatchEvent`]) and simulates nothing: replaying
 //!   that log on a contended device is `sti-pipeline`'s ledger's job;
-//! - [`batcher`] — shared-IO batching policy: byte-identical layer requests
-//!   from engagements arriving within a window coalesce into one fan-out
-//!   flash job, charged once on the contended track;
+//! - [`batcher`] — shared-IO batching: under an `IoSharing` window
+//!   (`sti-device`), byte-identical layer requests from engagements
+//!   arriving within it coalesce into one fan-out flash job, charged once
+//!   on the contended track;
 //! - [`loader`] — the layer-granular [`LayerRequest`] / [`LoadedLayer`]
 //!   pair the scheduler's lanes carry.
 //!
@@ -57,7 +58,7 @@ pub mod memstore;
 pub mod scheduler;
 pub mod store;
 
-pub use batcher::{BatchPolicy, BatchStats};
+pub use batcher::BatchStats;
 pub use cache::{CachedSource, PrefetchPoolStats, ShardCache, ShardCacheStats};
 pub use error::StorageError;
 pub use loader::{LayerRequest, LoadedLayer};

@@ -66,10 +66,10 @@
 //!   of that feeds back into execution results; it exists for serving
 //!   reports, the SLO planner, and admission control.
 //!
-//! **Shared-IO batching** (policy, matching rule and what it may change:
-//! [`crate::batcher`]): under an enabled [`BatchPolicy`], a dispatch may
+//! **Shared-IO batching** (matching rule and what it may change:
+//! [`crate::batcher`]): under [`IoSharing::Batched`], a dispatch may
 //! coalesce byte-identical head-of-queue requests from other lanes whose
-//! arrivals fall inside the policy window — *and* whose placement resolves
+//! arrivals fall inside the window — *and* whose placement resolves
 //! to the **same device channel** (two lanes striping the same bytes onto
 //! different channels issue two reads; there is no cross-channel fan-out).
 //! The flash services the group as **one** job, every member lane receives
@@ -82,12 +82,11 @@ mod lanes;
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use sti_device::{DeviceTopology, FlashModel, SimTime};
+use sti_device::{DeviceTopology, FlashModel, IoSharing, SimTime};
 use sti_obs::{MetricsRegistry, MetricsSnapshot, ObsSink};
 
 use self::dispatch::IoInstruments;
 use self::lanes::{Pick, SchedState};
-use crate::batcher::BatchPolicy;
 use crate::cache::ShardCache;
 use crate::error::StorageError;
 use crate::loader::{LayerRequest, LoadedLayer};
@@ -199,20 +198,20 @@ impl IoScheduler {
         flash: FlashModel,
         cache: Option<Arc<ShardCache>>,
     ) -> Self {
-        Self::spawn_batched(source, flash, cache, BatchPolicy::Off)
+        Self::spawn_batched(source, flash, cache, IoSharing::Exclusive)
     }
 
-    /// Builds the scheduler with an explicit shared-IO [`BatchPolicy`]:
-    /// under an enabled policy, byte-identical head-of-queue requests from
-    /// channels arriving within the policy window are coalesced into one
-    /// fan-out flash job (see [`crate::batcher`]).
+    /// Builds the scheduler with an explicit shared-IO mode: under
+    /// [`IoSharing::Batched`], byte-identical head-of-queue requests from
+    /// channels arriving within the window are coalesced into one fan-out
+    /// flash job (see [`crate::batcher`]).
     pub fn spawn_batched(
         source: Arc<dyn ShardSource>,
         flash: FlashModel,
         cache: Option<Arc<ShardCache>>,
-        policy: BatchPolicy,
+        sharing: IoSharing,
     ) -> Self {
-        Self::spawn_topology(source, flash, cache, policy, DeviceTopology::single())
+        Self::spawn_topology(source, flash, cache, sharing, DeviceTopology::single())
     }
 
     /// Builds the scheduler over an explicit [`DeviceTopology`]: placement
@@ -225,7 +224,7 @@ impl IoScheduler {
         source: Arc<dyn ShardSource>,
         flash: FlashModel,
         cache: Option<Arc<ShardCache>>,
-        policy: BatchPolicy,
+        sharing: IoSharing,
         topology: DeviceTopology,
     ) -> Self {
         let registry = MetricsRegistry::new();
@@ -235,7 +234,7 @@ impl IoScheduler {
             cache,
             flash,
             state: Mutex::new(Driver {
-                lanes: SchedState::new(policy, topology),
+                lanes: SchedState::new(sharing, topology),
                 paused: false,
                 shutdown: false,
                 driving: false,
@@ -520,9 +519,9 @@ mod tests {
 
     /// A paused scheduler, so tests can queue a whole workload before the
     /// first dispatch (deterministic batching).
-    pub(super) fn paused_sched(policy: BatchPolicy, topology: DeviceTopology) -> IoScheduler {
+    pub(super) fn paused_sched(sharing: IoSharing, topology: DeviceTopology) -> IoScheduler {
         let (store, _, flash) = fixture(0);
-        let sched = IoScheduler::spawn_topology(store, flash, None, policy, topology);
+        let sched = IoScheduler::spawn_topology(store, flash, None, sharing, topology);
         sched.pause_dispatch();
         sched
     }
@@ -643,7 +642,8 @@ mod tests {
 
     #[test]
     fn identical_requests_coalesce_into_one_fanout_dispatch() {
-        let sched = paused_sched(BatchPolicy::from_window_us(1_000), DeviceTopology::single());
+        let sched =
+            paused_sched(IoSharing::Batched(SimTime::from_us(1_000)), DeviceTopology::single());
         let channels: Vec<IoChannel> = (0..4).map(|_| sched.channel()).collect();
         for layer in 0..2u16 {
             for ch in &channels {
@@ -688,8 +688,12 @@ mod tests {
     fn failed_batch_delivers_an_error_to_every_member() {
         let (store, _, flash) = fixture(0);
         store.remove(ShardKey::new(ShardId::new(1, 0), Bitwidth::B2));
-        let sched =
-            IoScheduler::spawn_batched(store, flash, None, BatchPolicy::from_window_us(1_000));
+        let sched = IoScheduler::spawn_batched(
+            store,
+            flash,
+            None,
+            IoSharing::Batched(SimTime::from_us(1_000)),
+        );
         sched.pause_dispatch();
         let channels: Vec<IoChannel> = (0..3).map(|_| sched.channel()).collect();
         for ch in &channels {
@@ -707,7 +711,7 @@ mod tests {
 
     #[test]
     fn pause_holds_work_and_resume_releases_it() {
-        let sched = paused_sched(BatchPolicy::Off, DeviceTopology::single());
+        let sched = paused_sched(IoSharing::Exclusive, DeviceTopology::single());
         let ch = sched.channel();
         ch.request(request(0, 0)).unwrap();
         std::thread::scope(|s| {

@@ -45,7 +45,7 @@ pub struct IoSchedulerStats {
     /// (a direct measure of flash contention under concurrency).
     pub contended_requests: u64,
     /// Shared-IO batching counters (all zero under
-    /// [`BatchPolicy::Off`](crate::BatchPolicy::Off)).
+    /// [`IoSharing::Exclusive`](sti_device::IoSharing::Exclusive)).
     pub batch: BatchStats,
 }
 
@@ -239,13 +239,12 @@ fn service(shared: &Shared, req: &LayerRequest) -> Result<(LoadedLayer, u64), St
 
 #[cfg(test)]
 mod tests {
-    use sti_device::{DeviceTopology, SimTime};
+    use sti_device::{DeviceTopology, IoSharing, SimTime};
     use sti_quant::Bitwidth;
     use sti_transformer::ShardId;
 
     use super::super::tests::{fixture, paused_sched, request};
     use super::super::{IoScheduler, SpeculativeJob};
-    use crate::batcher::BatchPolicy;
     use crate::loader::LayerRequest;
     use crate::store::ShardKey;
 
@@ -355,7 +354,7 @@ mod tests {
     #[test]
     fn striped_lanes_route_dispatches_across_device_channels() {
         let topo = DeviceTopology::with_channels(4);
-        let sched = paused_sched(BatchPolicy::Off, topo);
+        let sched = paused_sched(IoSharing::Exclusive, topo);
         let a = sched.channel_striped_at(SimTime::ZERO, 0);
         let b = sched.channel_striped_at(SimTime::ZERO, 1);
         a.request(request(0, 0)).unwrap();
@@ -379,7 +378,7 @@ mod tests {
         assert_eq!(busy.iter().filter(|&&v| v > 0).count(), 2);
         sched.shutdown();
         // Single-channel schedulers mint no per-channel instruments.
-        let single = paused_sched(BatchPolicy::Off, DeviceTopology::single());
+        let single = paused_sched(IoSharing::Exclusive, DeviceTopology::single());
         let snap = single.metrics_snapshot();
         assert!(snap.counters.keys().all(|n| !n.starts_with("io.channel.")));
     }

@@ -36,9 +36,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use sti_device::{DeviceTopology, SimTime};
+use sti_device::{DeviceTopology, IoSharing, SimTime};
 
-use crate::batcher::{batchable, BatchPolicy};
+use crate::batcher::batchable;
 use crate::error::StorageError;
 use crate::loader::{LayerRequest, LoadedLayer};
 use crate::store::ShardKey;
@@ -175,7 +175,7 @@ impl DispatchLog {
 /// The lanes, the round-robin turn queue, the speculative class and the
 /// two dispatch logs (see the module docs for what holds between them).
 pub(super) struct SchedState {
-    policy: BatchPolicy,
+    sharing: IoSharing,
     /// Placement is a pure function of the topology.
     topology: DeviceTopology,
     lanes: HashMap<u64, Lane>,
@@ -193,9 +193,9 @@ pub(super) struct SchedState {
 }
 
 impl SchedState {
-    pub(super) fn new(policy: BatchPolicy, topology: DeviceTopology) -> Self {
+    pub(super) fn new(sharing: IoSharing, topology: DeviceTopology) -> Self {
         Self {
-            policy,
+            sharing,
             topology,
             lanes: HashMap::new(),
             turn_queue: VecDeque::new(),
@@ -260,14 +260,14 @@ impl SchedState {
         self.spec.remove(idx).map(Pick::Spec)
     }
 
-    /// Picks the next request round-robin. Under an enabled batch policy,
+    /// Picks the next request round-robin. Under [`IoSharing::Batched`],
     /// other lanes' byte-identical head-of-queue requests within the
     /// arrival window join the dispatch — if their placement resolves to
     /// the same device channel. With `only` set, lanes whose head resolves
     /// to a different device channel keep their turn-queue position for
     /// that channel's own dispatcher.
     fn pick_demand(&mut self, only: Option<u16>) -> Option<Dispatch> {
-        let (policy, topology) = (self.policy, self.topology);
+        let (sharing, topology) = (self.sharing, self.topology);
         let depth = self.lanes.values().filter(|lane| lane.has_work()).count();
         for _ in 0..self.turn_queue.len() {
             let id = self.turn_queue.pop_front()?;
@@ -288,7 +288,7 @@ impl SchedState {
             let seq = self.demand_log.take_seq();
 
             let mut members: Vec<(u64, LayerRequest)> = Vec::new();
-            if policy.is_enabled() {
+            if sharing != IoSharing::Exclusive {
                 // Candidates in lane-id order so fan-out composition is
                 // deterministic once the queues are.
                 let mut candidates: Vec<u64> = self
@@ -298,7 +298,7 @@ impl SchedState {
                         cid != id
                             && !c.inflight
                             && c.pending.front().is_some_and(|head| {
-                                batchable(policy, &req, leader_arrival, head, c.arrival)
+                                batchable(sharing, &req, leader_arrival, head, c.arrival)
                                     && topology.channel_for(head.content_sig(), c.stripe)
                                         == device_channel
                             })
@@ -453,8 +453,8 @@ mod tests {
         StorageError::Corrupt { context: "test".into(), reason: "injected".into() }
     }
 
-    fn single(policy: BatchPolicy) -> SchedState {
-        SchedState::new(policy, DeviceTopology::single())
+    fn single(sharing: IoSharing) -> SchedState {
+        SchedState::new(sharing, DeviceTopology::single())
     }
 
     fn pick_demand(state: &mut SchedState, only: Option<u16>) -> Option<Dispatch> {
@@ -483,7 +483,7 @@ mod tests {
 
     #[test]
     fn batching_respects_the_arrival_window() {
-        let mut state = single(BatchPolicy::from_window_us(100));
+        let mut state = single(IoSharing::Batched(SimTime::from_us(100)));
         let near_a = state.open(SimTime::ZERO, 0);
         let near_b = state.open(SimTime::from_us(100), 0);
         let far = state.open(SimTime::from_ms(10), 0);
@@ -502,8 +502,8 @@ mod tests {
 
     /// Two co-arriving lanes read `request(0, 0)` and `other`: the fan-out
     /// of each logged dispatch.
-    fn fanouts_of_a_co_arriving_pair(policy: BatchPolicy, other: LayerRequest) -> Vec<usize> {
-        let mut state = single(policy);
+    fn fanouts_of_a_co_arriving_pair(sharing: IoSharing, other: LayerRequest) -> Vec<usize> {
+        let mut state = single(sharing);
         let a = state.open(SimTime::ZERO, 0);
         let b = state.open(SimTime::ZERO, 0);
         state.request(a, request(0, 0));
@@ -515,19 +515,19 @@ mod tests {
     #[test]
     fn different_requests_do_not_coalesce() {
         // Same layer, different slice.
-        let window = BatchPolicy::from_window_us(1_000);
+        let window = IoSharing::Batched(SimTime::from_us(1_000));
         assert_eq!(fanouts_of_a_co_arriving_pair(window, request(0, 1)), [1, 1]);
         assert_eq!(fanouts_of_a_co_arriving_pair(window, request(0, 0)), [2]);
     }
 
     #[test]
-    fn off_policy_never_batches_even_when_requests_align() {
-        assert_eq!(fanouts_of_a_co_arriving_pair(BatchPolicy::Off, request(0, 0)), [1, 1]);
+    fn exclusive_sharing_never_batches_even_when_requests_align() {
+        assert_eq!(fanouts_of_a_co_arriving_pair(IoSharing::Exclusive, request(0, 0)), [1, 1]);
     }
 
     #[test]
     fn batched_event_arrival_is_the_latest_member_and_stays_monotone() {
-        let mut state = single(BatchPolicy::from_window_us(500));
+        let mut state = single(IoSharing::Batched(SimTime::from_us(500)));
         let early = state.open(SimTime::ZERO, 0);
         let late = state.open(SimTime::from_us(400), 0);
         // Layer 0 batches; layer 1 runs solo on the early lane.
@@ -549,7 +549,7 @@ mod tests {
     #[test]
     fn batching_requires_same_device_channel_placement() {
         let topo = DeviceTopology::with_channels(4);
-        let mut state = SchedState::new(BatchPolicy::from_window_us(1_000), topo);
+        let mut state = SchedState::new(IoSharing::Batched(SimTime::from_us(1_000)), topo);
         let same_a = state.open(SimTime::ZERO, 0);
         let same_b = state.open(SimTime::ZERO, 0);
         let elsewhere = state.open(SimTime::ZERO, 1);
@@ -569,7 +569,7 @@ mod tests {
     #[test]
     fn a_filtered_pick_takes_one_device_channels_heads_and_leaves_the_rest_queued() {
         let topo = DeviceTopology::with_channels(2);
-        let mut state = SchedState::new(BatchPolicy::Off, topo);
+        let mut state = SchedState::new(IoSharing::Exclusive, topo);
         let a = state.open(SimTime::ZERO, 0);
         let b = state.open(SimTime::ZERO, 1);
         state.request(a, request(0, 0));
@@ -591,7 +591,7 @@ mod tests {
     fn a_lane_dropped_with_its_request_in_flight_is_logged_and_never_comes_back() {
         for dropped_is_leader in [true, false] {
             for load_fails in [false, true] {
-                let mut state = single(BatchPolicy::from_window_us(1_000));
+                let mut state = single(IoSharing::Batched(SimTime::from_us(1_000)));
                 let leader = state.open(SimTime::ZERO, 0);
                 let member = state.open(SimTime::ZERO, 0);
                 for id in [leader, member] {
@@ -720,13 +720,13 @@ mod tests {
         fn any_op_order_keeps_the_lane_invariants(
             ops in proptest::collection::vec((0u8..9, 0u64..64, 0u64..64), 1..90),
         ) {
-            for (policy, channels) in [
-                (BatchPolicy::Off, 1),
-                (BatchPolicy::from_window_us(300), 1),
-                (BatchPolicy::from_window_us(300), 3),
+            for (sharing, channels) in [
+                (IoSharing::Exclusive, 1),
+                (IoSharing::Batched(SimTime::from_us(300)), 1),
+                (IoSharing::Batched(SimTime::from_us(300)), 3),
             ] {
                 let topology = DeviceTopology::with_channels(channels);
-                let mut state = SchedState::new(policy, topology);
+                let mut state = SchedState::new(sharing, topology);
                 let mut shadows: BTreeMap<u64, Shadow> = BTreeMap::new();
                 let mut outstanding: Vec<Dispatch> = Vec::new();
                 let mut next_seq = 0u64;
@@ -780,13 +780,13 @@ mod tests {
                                     prop_assert_eq!(on(lead, &d.req), d.device_channel);
                                     let lead_arrival = lead.arrival;
                                     prop_assert!(d.arrival >= lead_arrival);
-                                    prop_assert!(d.members.is_empty() || policy.is_enabled());
+                                    prop_assert!(d.members.is_empty() || sharing != IoSharing::Exclusive);
                                     prop_assert!(d.members.windows(2).all(|w| w[0].0 < w[1].0));
                                     for (id, req) in &d.members {
                                         let m = shadows.get_mut(id).unwrap();
                                         prop_assert_eq!(m.queued.pop_front().as_ref(), Some(req));
                                         prop_assert!(batchable(
-                                            policy, &d.req, lead_arrival, req, m.arrival
+                                            sharing, &d.req, lead_arrival, req, m.arrival
                                         ));
                                         prop_assert_eq!(on(m, req), d.device_channel);
                                         prop_assert!(d.arrival >= m.arrival);

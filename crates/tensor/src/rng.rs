@@ -38,12 +38,6 @@ impl Rng {
         Self { state, spare_gaussian: None }
     }
 
-    /// Derives an independent child generator; used to give each layer / shard
-    /// / task its own stream without coupling their draws.
-    pub fn fork(&mut self, stream: u64) -> Rng {
-        Rng::new(self.next_u64() ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
@@ -151,15 +145,6 @@ mod tests {
         let var: f32 = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.02, "mean {mean} too far from 0");
         assert!((var - 1.0).abs() < 0.05, "variance {var} too far from 1");
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = Rng::new(5);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..32).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 2);
     }
 
     #[test]

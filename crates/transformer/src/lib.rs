@@ -38,9 +38,6 @@ pub mod ffn;
 mod kv_cache;
 pub mod layer;
 pub mod model;
-#[cfg(test)]
-mod oracle;
-pub mod shard;
 pub mod synthetic;
 pub mod weights;
 
@@ -48,3 +45,6 @@ pub use assemble::AssembledSubmodel;
 pub use config::{ModelConfig, ShardId};
 pub use model::Model;
 pub use weights::{LayerResident, LayerWeights, ShardWeights};
+
+#[cfg(test)]
+mod oracle;

@@ -22,11 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("profiling shard importance (one-time)...");
     let importance = ctx.importance().clone();
 
-    let engine =
-        StiEngine::builder(ctx.task().model().clone(), store, hw, device.flash, importance)
-            .target(SimTime::from_ms(300))
-            .preload_budget(16 << 10)
-            .build()?;
+    let engine = StiEngine::builder(ctx.task().model().clone(), store, hw, importance)
+        .target(SimTime::from_ms(300))
+        .preload_budget(16 << 10)
+        .build()?;
     println!("planned submodel: {}\n", engine.plan().shape);
 
     let tokenizer = HashingTokenizer::new(cfg.vocab);

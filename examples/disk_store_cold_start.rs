@@ -42,16 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tokens = tokenizer.tokenize("does the warranty cover water damage");
 
     for (label, budget) in [("cold start (|S| = 0)", 0u64), ("warm (|S| = 16KB)", 16 << 10)] {
-        let engine = StiEngine::builder(
-            task.model().clone(),
-            store.clone(),
-            hw.clone(),
-            device.flash,
-            importance.clone(),
-        )
-        .target(SimTime::from_ms(200))
-        .preload_budget(budget)
-        .build()?;
+        let engine =
+            StiEngine::builder(task.model().clone(), store.clone(), hw.clone(), importance.clone())
+                .target(SimTime::from_ms(200))
+                .preload_budget(budget)
+                .build()?;
         let inf = engine.infer(&tokens)?;
         println!(
             "\n{label}: submodel {}, class {}, streamed {}B, makespan {}, stalls {}",

@@ -26,16 +26,10 @@ fn build_engine(
     let hw = HwProfile::measure(device, &cfg, &QuantConfig::default());
     eprintln!("[setup] profiling importance for {}...", kind.name());
     let importance = ctx.importance().clone();
-    let engine = StiEngine::builder(
-        ctx.task().model().clone(),
-        ctx.shard_source(),
-        hw,
-        device.flash,
-        importance,
-    )
-    .target(SimTime::from_ms(target_ms))
-    .preload_budget(preload)
-    .build()?;
+    let engine = StiEngine::builder(ctx.task().model().clone(), ctx.shard_source(), hw, importance)
+        .target(SimTime::from_ms(target_ms))
+        .preload_budget(preload)
+        .build()?;
     Ok(engine)
 }
 

@@ -41,11 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let importance = ctx.importance().clone();
 
     // 4. The engine: plan once for T = 200 ms with a 16 KB preload buffer.
-    let engine =
-        StiEngine::builder(ctx.task().model().clone(), store, hw, device.flash, importance)
-            .target(SimTime::from_ms(200))
-            .preload_budget(16 << 10)
-            .build()?;
+    let engine = StiEngine::builder(ctx.task().model().clone(), store, hw, importance)
+        .target(SimTime::from_ms(200))
+        .preload_budget(16 << 10)
+        .build()?;
     let plan = engine.plan();
     println!(
         "\nplan: submodel {}, preload {} shards ({} bytes), predicted makespan {}",

@@ -20,11 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("profiling shard importance (one-time)...");
     let importance = ctx.importance().clone();
 
-    let mut engine =
-        StiEngine::builder(ctx.task().model().clone(), store, hw, device.flash, importance)
-            .target(SimTime::from_ms(200))
-            .preload_budget(8 << 10)
-            .build()?;
+    let mut engine = StiEngine::builder(ctx.task().model().clone(), store, hw, importance)
+        .target(SimTime::from_ms(200))
+        .preload_budget(8 << 10)
+        .build()?;
 
     let tokenizer = HashingTokenizer::new(cfg.vocab);
     let turns = [

@@ -29,7 +29,7 @@
 //! compressed blobs, shared read-mostly preload buffers, and an
 //! `IoScheduler` that multiplexes layer requests from N concurrent
 //! engagements over one flash model (FIFO per engagement, round-robin
-//! across engagements, and — under a `BatchPolicy` window — **shared-IO
+//! across engagements, and — under an `IoSharing` window — **shared-IO
 //! batching**: co-resident sessions' byte-identical layer loads coalesce
 //! into one fan-out flash job, so N identical co-runners pay near-1× flash
 //! instead of N×). SLO sessions are admission-checked at open and — with a

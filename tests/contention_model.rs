@@ -26,7 +26,7 @@ fn server(admission: AdmissionMode) -> StiServer {
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
     let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    StiServer::builder(task.model().clone(), source, hw, dev.flash, importance_for(&cfg))
+    StiServer::builder(task.model().clone(), source, hw, importance_for(&cfg))
         .target(SimTime::from_ms(300))
         .preload_budget(0)
         .widths(&[2, 4])
@@ -39,6 +39,51 @@ fn server(admission: AdmissionMode) -> StiServer {
 /// unsatisfiable under any co-runner.
 fn floor_makespan(srv: &StiServer) -> SimTime {
     srv.session_with(SimTime::from_us(1), 0).expect("floor session").plan().predicted.makespan
+}
+
+/// The batching window is closed, and the scheduler and the predictor
+/// apply the same one: two identical engagements arriving exactly `w` apart
+/// share their reads in both, `w + 1 µs` apart in neither.
+#[test]
+fn the_window_boundary_is_the_same_in_the_scheduler_and_the_predictor() {
+    let cfg = ModelConfig::tiny();
+    let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 6);
+    let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, &QuantConfig::default());
+    let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let plan = plan_two_stage(
+        &hw,
+        &importance_for(&cfg),
+        SimTime::from_ms(300),
+        0,
+        &[2, 4],
+        &Bitwidth::ALL,
+    );
+    let solo = plan.predicted.makespan;
+    let request = LayerRequest { layer: 0, items: plan.layers[0].items().collect() };
+    let window = SimTime::from_ms(1);
+    let sharing = IoSharing::Batched(window);
+    for (apart, shared) in [(window, true), (window + SimTime::from_us(1), false)] {
+        // The scheduler, with both requests queued before the first dispatch.
+        let sched = IoScheduler::spawn_batched(source.clone(), hw.flash, None, sharing);
+        sched.pause_dispatch();
+        let lanes = [sched.channel_at(SimTime::ZERO), sched.channel_at(apart)];
+        for lane in &lanes {
+            lane.request(request.clone()).unwrap();
+        }
+        sched.resume_dispatch();
+        for lane in &lanes {
+            lane.recv().unwrap();
+        }
+        let fanouts: Vec<usize> =
+            sched.flash_events().iter().map(FlashDispatchEvent::fanout).collect();
+        assert_eq!(fanouts, if shared { vec![2] } else { vec![1, 1] }, "{apart} apart");
+        sched.shutdown();
+
+        // The predictor: the later engagement against the earlier one.
+        let mix = ServingMix::from_co_runners(&[CoRunnerLoad::from_plan(&hw, &plan)], sharing);
+        let predicted = mix.predict(&EngagementLoad::from_plan(&hw, &plan, apart));
+        assert_eq!(predicted == solo, shared, "{apart} apart: predicted {predicted}, solo {solo}");
+    }
 }
 
 #[test]

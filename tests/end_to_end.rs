@@ -5,18 +5,18 @@ use std::sync::Arc;
 
 use sti::prelude::*;
 
-fn tiny_setup() -> (Task, DeviceProfile, HwProfile, ImportanceProfile) {
+fn tiny_setup() -> (Task, HwProfile, ImportanceProfile) {
     let cfg = ModelConfig::tiny();
     let task = Task::build(TaskKind::Sst2, cfg.clone(), 6, 8);
     let device = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&device, &cfg, &QuantConfig::default());
     let importance = profile_importance(task.model(), task.dev(), &QuantConfig::default());
-    (task, device, hw, importance)
+    (task, hw, importance)
 }
 
 #[test]
 fn full_lifecycle_on_disk_store() {
-    let (task, device, hw, importance) = tiny_setup();
+    let (task, hw, importance) = tiny_setup();
     let dir = std::env::temp_dir().join(format!("sti-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -28,7 +28,7 @@ fn full_lifecycle_on_disk_store() {
 
     // Device-side open + engine.
     let store = Arc::new(ShardStore::open(&dir).unwrap());
-    let engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
+    let engine = StiEngine::builder(task.model().clone(), store, hw, importance)
         .target(SimTime::from_ms(400))
         .preload_budget(16 << 10)
         .widths(&[2, 4])
@@ -43,7 +43,7 @@ fn full_lifecycle_on_disk_store() {
 
 #[test]
 fn an_engine_on_disk_equals_an_engine_in_memory_bit_for_bit() {
-    let (task, device, hw, importance) = tiny_setup();
+    let (task, hw, importance) = tiny_setup();
     let dir = std::env::temp_dir().join(format!("sti-e2e-twin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let quant = QuantConfig::default();
@@ -60,18 +60,12 @@ fn an_engine_on_disk_equals_an_engine_in_memory_bit_for_bit() {
         }
     }
     let engine = |source: Arc<dyn ShardSource>| {
-        StiEngine::builder(
-            task.model().clone(),
-            source,
-            hw.clone(),
-            device.flash,
-            importance.clone(),
-        )
-        .target(SimTime::from_ms(300))
-        .preload_budget(8 << 10)
-        .widths(&[2, 4])
-        .build()
-        .unwrap()
+        StiEngine::builder(task.model().clone(), source, hw.clone(), importance.clone())
+            .target(SimTime::from_ms(300))
+            .preload_budget(8 << 10)
+            .widths(&[2, 4])
+            .build()
+            .unwrap()
     };
     let (disk, memory) = (engine(on_disk), engine(in_memory));
     assert_eq!(disk.plan(), memory.plan());
@@ -102,18 +96,12 @@ fn an_engine_outcome_equals_its_plan_run_through_full_layers_bit_for_bit() {
     let model = ctx.task().model();
     let hw = HwProfile::measure(&device, model.config(), ctx.quant());
     let source = ctx.shard_source();
-    let engine = StiEngine::builder(
-        model.clone(),
-        source.clone(),
-        hw,
-        device.flash,
-        ctx.importance().clone(),
-    )
-    .target(SimTime::from_ms(300))
-    .preload_budget(8 << 10)
-    .widths(&[2, 4])
-    .build()
-    .unwrap();
+    let engine = StiEngine::builder(model.clone(), source.clone(), hw, ctx.importance().clone())
+        .target(SimTime::from_ms(300))
+        .preload_budget(8 << 10)
+        .widths(&[2, 4])
+        .build()
+        .unwrap();
     let plan = engine.plan();
     let mut preload = PreloadBuffer::new(plan.preload_budget_bytes);
     for &(id, bw) in &plan.preload {
@@ -192,17 +180,12 @@ fn engine_accuracy_tracks_runner_accuracy() {
     let hw = HwProfile::measure(&device, &cfg, ctx.quant());
     let store =
         Arc::new(MemStore::build(ctx.task().model(), &Bitwidth::ALL, &QuantConfig::default()));
-    let engine = StiEngine::builder(
-        ctx.task().model().clone(),
-        store,
-        hw,
-        device.flash,
-        ctx.importance().clone(),
-    )
-    .target(SimTime::from_ms(300))
-    .preload_budget(4 << 10)
-    .build()
-    .unwrap();
+    let engine =
+        StiEngine::builder(ctx.task().model().clone(), store, hw, ctx.importance().clone())
+            .target(SimTime::from_ms(300))
+            .preload_budget(4 << 10)
+            .build()
+            .unwrap();
 
     assert_eq!(engine.plan().shape, result.plan.shape);
     let preds: Vec<usize> =
@@ -247,9 +230,9 @@ fn baseline_ordering_holds_on_tiny_grid() {
 
 #[test]
 fn replanning_is_only_triggered_by_parameter_changes() {
-    let (task, device, hw, importance) = tiny_setup();
+    let (task, hw, importance) = tiny_setup();
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    let mut engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
+    let mut engine = StiEngine::builder(task.model().clone(), store, hw, importance)
         .target(SimTime::from_ms(250))
         .preload_budget(4 << 10)
         .widths(&[2, 4])
@@ -266,21 +249,15 @@ fn replanning_is_only_triggered_by_parameter_changes() {
 
 #[test]
 fn preload_budget_bounds_memory_and_improves_warmup() {
-    let (task, device, hw, importance) = tiny_setup();
+    let (task, hw, importance) = tiny_setup();
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
     let build = |budget: u64| {
-        StiEngine::builder(
-            task.model().clone(),
-            store.clone(),
-            hw.clone(),
-            device.flash,
-            importance.clone(),
-        )
-        .target(SimTime::from_ms(300))
-        .preload_budget(budget)
-        .widths(&[2, 4])
-        .build()
-        .unwrap()
+        StiEngine::builder(task.model().clone(), store.clone(), hw.clone(), importance.clone())
+            .target(SimTime::from_ms(300))
+            .preload_budget(budget)
+            .widths(&[2, 4])
+            .build()
+            .unwrap()
     };
     let cold = build(0);
     let warm = build(32 << 10);

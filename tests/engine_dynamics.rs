@@ -68,18 +68,12 @@ fn throttled_execution_takes_real_wall_time() {
     let cfg = task.model().config().clone();
     let hw = HwProfile::measure(&device, &cfg, &QuantConfig::default());
     let build = || {
-        StiEngine::builder(
-            task.model().clone(),
-            store.clone(),
-            hw.clone(),
-            device.flash,
-            importance.clone(),
-        )
-        .target(SimTime::from_ms(250))
-        .preload_budget(0)
-        .widths(&[2, 4])
-        .build()
-        .unwrap()
+        StiEngine::builder(task.model().clone(), store.clone(), hw.clone(), importance.clone())
+            .target(SimTime::from_ms(250))
+            .preload_budget(0)
+            .widths(&[2, 4])
+            .build()
+            .unwrap()
     };
     let first = build().infer(&[1, 2]).unwrap();
     let second = build().infer(&[1, 2]).unwrap();
@@ -97,7 +91,7 @@ fn back_to_back_engagement_reuses_cached_shards() {
     let (task, device, importance, store) = fixture();
     let cfg = task.model().config().clone();
     let hw = HwProfile::measure(&device, &cfg, &QuantConfig::default());
-    let mut engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
+    let mut engine = StiEngine::builder(task.model().clone(), store, hw, importance)
         .target(SimTime::from_ms(250))
         .preload_budget(2 << 10)
         .widths(&[2, 4])
@@ -125,7 +119,7 @@ fn concurrent_inference_is_safe_and_deterministic() {
     let cfg = task.model().config().clone();
     let hw = HwProfile::measure(&device, &cfg, &QuantConfig::default());
     let engine = std::sync::Arc::new(
-        StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
+        StiEngine::builder(task.model().clone(), store, hw, importance)
             .target(SimTime::from_ms(250))
             .preload_budget(4 << 10)
             .widths(&[2, 4])

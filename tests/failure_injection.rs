@@ -11,7 +11,7 @@ use sti_planner::{plan_two_stage, ImportanceProfile};
 use sti_storage::manifest::{Manifest, RecordLoc};
 use sti_storage::StorageError;
 
-fn setup() -> (Task, DeviceProfile, HwProfile, ImportanceProfile) {
+fn setup() -> (Task, HwProfile, ImportanceProfile) {
     let cfg = ModelConfig::tiny();
     let task = Task::build(TaskKind::Qnli, cfg.clone(), 4, 4);
     let device = DeviceProfile::odroid_n2();
@@ -22,7 +22,7 @@ fn setup() -> (Task, DeviceProfile, HwProfile, ImportanceProfile) {
         (0..cfg.total_shards()).map(|i| 0.5 + (i % 4) as f64 * 0.02).collect(),
         0.42,
     );
-    (task, device, hw, importance)
+    (task, hw, importance)
 }
 
 fn plan_for(hw: &HwProfile, importance: &ImportanceProfile) -> ExecutionPlan {
@@ -31,7 +31,7 @@ fn plan_for(hw: &HwProfile, importance: &ImportanceProfile) -> ExecutionPlan {
 
 #[test]
 fn missing_version_fails_with_missing_shard() {
-    let (task, device, hw, importance) = setup();
+    let (task, hw, importance) = setup();
     let store = Arc::new(MemStore::build(
         task.model(),
         &[Bitwidth::B2, Bitwidth::Full],
@@ -44,7 +44,7 @@ fn missing_version_fails_with_missing_shard() {
         .iter()
         .flat_map(|l| l.bitwidths.iter())
         .any(|bw| *bw != Bitwidth::B2 && *bw != Bitwidth::Full);
-    let exec = PipelineExecutor::new(task.model(), store, device.flash, &hw);
+    let exec = PipelineExecutor::new(task.model(), store, &hw);
     let result = exec.execute(&plan, &PreloadBuffer::new(0), &[1, 2]);
     if needs_missing {
         let err = result.unwrap_err();
@@ -57,7 +57,7 @@ fn missing_version_fails_with_missing_shard() {
 
 #[test]
 fn corrupt_disk_record_surfaces_as_corrupt_error() {
-    let (task, device, hw, importance) = setup();
+    let (task, hw, importance) = setup();
     let dir = std::env::temp_dir().join(format!("sti-failinj-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store =
@@ -73,7 +73,7 @@ fn corrupt_disk_record_surfaces_as_corrupt_error() {
         }
         std::fs::write(&path, bytes).unwrap();
     }
-    let exec = PipelineExecutor::new(task.model(), Arc::new(store), device.flash, &hw);
+    let exec = PipelineExecutor::new(task.model(), Arc::new(store), &hw);
     let err = exec.execute(&plan, &PreloadBuffer::new(0), &[3]).unwrap_err();
     assert!(matches!(err, PipelineError::Storage(_)), "unexpected error: {err}");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -81,7 +81,7 @@ fn corrupt_disk_record_surfaces_as_corrupt_error() {
 
 #[test]
 fn truncated_manifest_fails_to_open() {
-    let (task, _, _, _) = setup();
+    let (task, _, _) = setup();
     let dir = std::env::temp_dir().join(format!("sti-failinj-manifest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store =
@@ -96,7 +96,7 @@ fn truncated_manifest_fails_to_open() {
 
 #[test]
 fn deleted_layer_file_fails_reads_not_open() {
-    let (task, _, _, _) = setup();
+    let (task, _, _) = setup();
     let dir = std::env::temp_dir().join(format!("sti-failinj-delete-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store =
@@ -175,7 +175,7 @@ fn a_flipped_byte_in_every_record_fails_infer_with_a_typed_corrupt_error() {
 
 #[test]
 fn oversized_preload_request_is_rejected_not_truncated() {
-    let (task, _, _, _) = setup();
+    let (task, _, _) = setup();
     let store = MemStore::build(task.model(), &[Bitwidth::Full], &QuantConfig::default());
     let blob =
         sti_storage::ShardSource::load(&store, ShardKey::new(ShardId::new(0, 0), Bitwidth::Full))
@@ -190,7 +190,7 @@ fn oversized_preload_request_is_rejected_not_truncated() {
 fn scheduler_shutdown_mid_burst_halts_the_event_loop_cleanly() {
     use sti_storage::{IoChannel, IoScheduler, LayerRequest};
 
-    let (task, _, _, _) = setup();
+    let (task, _, _) = setup();
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
     // Event-host mode: the loop is the only dispatcher.
     let sched = IoScheduler::spawn(store, FlashModel::new(1_000_000, SimTime::from_ms(1)), None);
@@ -288,9 +288,9 @@ fn scheduler_shutdown_mid_burst_halts_the_event_loop_cleanly() {
 
 #[test]
 fn engine_survives_budget_shrink_to_zero() {
-    let (task, device, hw, importance) = setup();
+    let (task, hw, importance) = setup();
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    let mut engine = StiEngine::builder(task.model().clone(), store, hw, device.flash, importance)
+    let mut engine = StiEngine::builder(task.model().clone(), store, hw, importance)
         .target(SimTime::from_ms(400))
         .preload_budget(16 << 10)
         .widths(&[2, 4])
@@ -319,14 +319,13 @@ fn contents(blob: &QuantizedBlob) -> (Vec<u8>, Vec<u32>, Vec<(u32, u32)>) {
 /// the server keeps serving from them.
 #[test]
 fn replacing_or_removing_a_stored_shard_leaves_handed_out_blobs_untouched() {
-    let (task, device, hw, importance) = setup();
+    let (task, hw, importance) = setup();
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    let server =
-        StiServer::builder(task.model().clone(), store.clone(), hw, device.flash, importance)
-            .target(SimTime::from_ms(400))
-            .preload_budget(16 << 10)
-            .widths(&[2, 4])
-            .build();
+    let server = StiServer::builder(task.model().clone(), store.clone(), hw, importance)
+        .target(SimTime::from_ms(400))
+        .preload_budget(16 << 10)
+        .widths(&[2, 4])
+        .build();
     let session = server.session().unwrap();
     assert!(session.preload_used() > 0, "the session preloaded shards");
     let before = session.infer(&[3, 1, 4]).unwrap();
@@ -413,12 +412,12 @@ fn corrupt_blobs_built_from_parts_still_fail_typed() {
     );
     assert_eq!(parts(packed, centroids, good.outliers().to_vec()).unwrap(), good);
 
-    let (task, device, hw, importance) = setup();
+    let (task, hw, importance) = setup();
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
     let plan = plan_for(&hw, &importance);
     let pl = &plan.layers[0];
     store.insert(ShardKey::new(ShardId::new(pl.layer, pl.slices[0]), pl.bitwidths[0]), good);
-    let exec = PipelineExecutor::new(task.model(), store, device.flash, &hw);
+    let exec = PipelineExecutor::new(task.model(), store, &hw);
     let err = exec.execute(&plan, &PreloadBuffer::new(0), &[1, 2]).unwrap_err();
     assert!(matches!(err, PipelineError::PlanMismatch(_)), "unexpected error: {err}");
 }

@@ -123,7 +123,7 @@ fn scheduler_event_log_upholds_the_queue_invariants() {
     );
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-    let server = StiServer::builder(task.model().clone(), source, hw, dev.flash, importance)
+    let server = StiServer::builder(task.model().clone(), source, hw, importance)
         .target(SimTime::from_ms(300))
         .preload_budget(0)
         .widths(&[2, 4])

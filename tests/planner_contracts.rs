@@ -95,7 +95,7 @@ proptest! {
             let compute: SimTime =
                 (0..plan.shape.depth).map(|_| hw.t_comp(plan.shape.width)).sum();
             let slack = target.saturating_sub(compute);
-            let bonus = hw.transfer_delay(preload_kb << 10);
+            let bonus = hw.flash.transfer_delay(preload_kb << 10);
             prop_assert!(
                 plan.predicted.total_stall <= slack + bonus,
                 "stall {} exceeds granted budget {} for {}",
@@ -103,6 +103,34 @@ proptest! {
                 slack + bonus,
                 plan.shape
             );
+        }
+    }
+
+    /// The planner and the IO path price a layer read with one flash model:
+    /// each planned layer's predicted IO span equals the service of its
+    /// `layer_io_jobs` job (what the contended track and the gate charge),
+    /// or zero when the preload buffer covers the layer.
+    #[test]
+    fn predicted_io_spans_equal_the_layer_io_jobs(
+        bandwidth in 100u64..2000,
+        target_ms in 60u64..1000,
+        preload_kb in 0u64..128,
+        seed in any::<u64>(),
+    ) {
+        let hw = hw_for(bandwidth, 8, 500);
+        let plan = plan_two_stage(
+            &hw,
+            &importance_from_seed(seed),
+            SimTime::from_ms(target_ms),
+            preload_kb << 10,
+            &DYNABERT_WIDTHS,
+            &Bitwidth::ALL,
+        );
+        let jobs = layer_io_jobs(&hw, &plan);
+        prop_assert_eq!(jobs.len(), plan.predicted.layers.len());
+        for (k, (job, layer)) in jobs.iter().zip(&plan.predicted.layers).enumerate() {
+            let span = layer.io_end - layer.io_start;
+            prop_assert_eq!(span, job.map_or(SimTime::ZERO, |j| j.service), "layer {}", k);
         }
     }
 

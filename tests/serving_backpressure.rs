@@ -42,7 +42,7 @@ fn server(backpressure: BackpressureMode) -> StiServer {
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
     let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    StiServer::builder(task.model().clone(), source, hw, dev.flash, importance_for(&cfg))
+    StiServer::builder(task.model().clone(), source, hw, importance_for(&cfg))
         .preload_budget(0)
         .widths(&[2, 4])
         .backpressure(backpressure)

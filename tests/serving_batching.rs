@@ -143,7 +143,7 @@ fn store_fixture() -> (Arc<MemStore>, FlashModel) {
 fn replay_workload(
     store: Arc<MemStore>,
     flash: FlashModel,
-    policy: BatchPolicy,
+    policy: IoSharing,
     workload: &[(SimTime, Vec<LayerRequest>)],
 ) -> (Vec<Vec<LoadedLayer>>, Vec<FlashDispatchEvent>) {
     let sched = IoScheduler::spawn_batched(store, flash, None, policy);
@@ -194,9 +194,9 @@ proptest! {
 
         let (store, flash) = store_fixture();
         let (unbatched_layers, unbatched_events) =
-            replay_workload(store.clone(), flash, BatchPolicy::Off, &workload);
+            replay_workload(store.clone(), flash, IoSharing::Exclusive, &workload);
         let (batched_layers, batched_events) =
-            replay_workload(store, flash, BatchPolicy::Window(window), &workload);
+            replay_workload(store, flash, IoSharing::Batched(window), &workload);
 
         // Contended flash bytes (each event charged once) can only shrink.
         let charged = |events: &[FlashDispatchEvent]| -> u64 {

@@ -38,20 +38,15 @@ fn engine_and_server(preload_budget: u64) -> (StiEngine, StiServer) {
     let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
     let importance = importance_for(&cfg);
 
-    let engine = StiEngine::builder(
-        task.model().clone(),
-        source.clone(),
-        hw.clone(),
-        dev.flash,
-        importance.clone(),
-    )
-    .target(SimTime::from_ms(300))
-    .preload_budget(preload_budget)
-    .widths(&[2, 4])
-    .build()
-    .expect("engine builds");
+    let engine =
+        StiEngine::builder(task.model().clone(), source.clone(), hw.clone(), importance.clone())
+            .target(SimTime::from_ms(300))
+            .preload_budget(preload_budget)
+            .widths(&[2, 4])
+            .build()
+            .expect("engine builds");
 
-    let server = StiServer::builder(task.model().clone(), source, hw, dev.flash, importance)
+    let server = StiServer::builder(task.model().clone(), source, hw, importance)
         .target(SimTime::from_ms(300))
         .preload_budget(preload_budget)
         .widths(&[2, 4])
@@ -160,7 +155,6 @@ fn eight_concurrent_sessions_match_sequential_execution() {
             ctx.task().model().clone(),
             source.clone(),
             hw.clone(),
-            cfg.device.flash,
             ctx.importance().clone(),
         )
         .target(client.target)
@@ -215,16 +209,15 @@ fn shard_cache_serves_under_budget() {
         .expect("probe blob")
         .byte_size() as u64;
     let budget = probe * 2;
-    let server =
-        StiServer::builder(task.model().clone(), source, hw, dev.flash, importance_for(&cfg))
-            .target(SimTime::from_ms(300))
-            .preload_budget(0)
-            .widths(&[2, 4])
-            // Single fidelity so every streamed blob is admissible under the
-            // tiny budget and eviction pressure is guaranteed.
-            .bitwidths(&[Bitwidth::B2])
-            .shard_cache_bytes(budget)
-            .build();
+    let server = StiServer::builder(task.model().clone(), source, hw, importance_for(&cfg))
+        .target(SimTime::from_ms(300))
+        .preload_budget(0)
+        .widths(&[2, 4])
+        // Single fidelity so every streamed blob is admissible under the
+        // tiny budget and eviction pressure is guaranteed.
+        .bitwidths(&[Bitwidth::B2])
+        .shard_cache_bytes(budget)
+        .build();
 
     let session = server.session().expect("session opens");
     let baseline = session.infer(&[5, 6]).expect("first engagement");

@@ -200,9 +200,13 @@ pub struct ServeReport {
     /// Host wall-clock time for the whole replay.
     pub wall: Duration,
     /// Plan-cache counters after the replay (sessions open up front in
-    /// client order, so uniform knobs miss once and hit thereafter).
+    /// client order, so uniform knobs miss once and hit thereafter). A
+    /// knob set whose plan nothing held any more when a session asked for
+    /// it counts as a miss: it was planned again.
     pub plan_stats: PlanCacheStats,
-    /// Distinct knob combinations planned and cached.
+    /// Distinct knob combinations whose plan is held when the replay
+    /// ends (by its still-open sessions, or the prefetcher) — not every
+    /// knob set the server ever planned.
     pub distinct_plans: usize,
     /// Shard-cache counters after the replay.
     pub shard_stats: ShardCacheStats,

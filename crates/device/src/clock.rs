@@ -8,9 +8,9 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// A point or span on the simulated timeline, in microseconds.
 ///
 /// All experiment timing is computed over simulated time so results are
-/// deterministic and independent of the host machine; the threaded pipeline
-/// can optionally map simulated delays onto wall-clock sleeps for
-/// demonstration.
+/// deterministic and independent of the host machine. Nothing maps a
+/// simulated delay onto the wall clock: simulated IO and queueing never
+/// sleep, so a host runs a simulated second as fast as it can compute it.
 ///
 /// ```
 /// use sti_device::SimTime;

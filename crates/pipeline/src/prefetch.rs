@@ -103,6 +103,19 @@ impl PrefetchDriver {
         speculative_jobs(&plan, &target, topology, source)
     }
 
+    /// Drops a closed session's chain. Session tokens are never reused, so
+    /// no later observation could have continued it.
+    pub(crate) fn forget(&self, client: u64) {
+        self.model.lock().forget(client);
+    }
+
+    /// Chains the model holds: one per session that completed an engagement
+    /// and has not closed.
+    #[cfg(test)]
+    pub(crate) fn client_count(&self) -> usize {
+        self.model.lock().client_count()
+    }
+
     /// The end-to-end report over the staging pool's counters and the
     /// scheduler's speculative dispatch log.
     pub(crate) fn report(

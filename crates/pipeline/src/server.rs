@@ -5,8 +5,9 @@
 //! traffic runs **many** concurrent engagements of the same model, and
 //! almost everything they need is shareable: the model's resident
 //! parameters, compressed shard blobs (a shared [`ShardCache`]), execution
-//! plans and preload buffers (one per knob set — replanning happens only on
-//! knob changes, §3.2), and the flash device itself (an [`IoScheduler`]
+//! plans and preload buffers (one per knob set in use — replanning happens
+//! only on knob changes, §3.2, and a knob set nobody holds any more is
+//! freed), and the flash device itself (an [`IoScheduler`]
 //! multiplexing layer requests FIFO-per-engagement, round-robin across
 //! engagements).
 //!
@@ -28,7 +29,7 @@
 //! | piece | owns | decides |
 //! |---|---|---|
 //! | `RwLock<ServingMix>` (`live_mix`) | token → load / SLO profile / stripe of every open session, in token order | the mix every contended prediction runs against, and its digest |
-//! | [`MemoTable`]s (`sti_planner::cache`) | plans and preload buffers per knob set | compute outside the lock, first insert wins |
+//! | [`MemoTable`]s (`sti_planner::cache`) | weak handles to the plans and preload buffers of the knob sets in use | compute outside the lock, first insert wins; a dropped entry replans |
 //! | `Admission` (`admission`) | the [`AdmissionMode`] and the `serving.*_sessions` instruments | take or reject an SLO search outcome, for an open or a retarget |
 //! | [`Gate`] ([`sti_planner::gate`]) | the [`BackpressureMode`] and the walk memo | delay or shed one engagement; `Session::infer_issue` counts the decision on the `gate.*` instruments and acts on it |
 //! | `ContentionLedger` (`ledger`) | the engagement and gate logs | the one contended replay behind [`ContentionReport`] and the span export |
@@ -282,7 +283,7 @@ impl StiServerBuilder {
 
     /// Builds the IO scheduler and returns the ready server. No planning
     /// happens yet — plans and preload buffers materialize lazily, once per
-    /// knob combination, when sessions open.
+    /// knob combination in use, when sessions open.
     pub fn build(self) -> StiServer {
         let shard_cache = Arc::new(ShardCache::new(self.shard_cache_bytes));
         if self.prefetch.enabled() {
@@ -409,17 +410,19 @@ struct ServerInner {
     widths: Vec<usize>,
     fingerprint: String,
     /// Bumped by [`StiServer::invalidate_plans`] and folded into every
-    /// [`PlanKey`], so a session that raced an invalidation inserts its
-    /// stale plan (and preload buffer) under an unreachable key instead of
-    /// repopulating the cleared caches. Plans and preload buffers are keyed
-    /// identically, so a plan can never be paired with a buffer built for a
-    /// different generation.
+    /// [`PlanKey`], so no lookup after an invalidation reaches a plan (or
+    /// preload buffer) of an earlier generation, and a session that raced
+    /// the invalidation inserts its stale plan under an unreachable key.
+    /// Plans and preload buffers are keyed identically, so a plan can never
+    /// be paired with a buffer built for a different generation.
     generation: AtomicU64,
     default_target: SimTime,
     default_preload_budget: u64,
+    /// Weak handles to the plans in use, one per plan key.
     plan_cache: PlanCache,
-    /// One immutable, shared preload buffer per plan key (read-mostly state:
-    /// filled once, then only read through `Arc`s).
+    /// One immutable, shared preload buffer per plan key in use (read-mostly
+    /// state: filled once, then only read through `Arc`s; freed with the
+    /// last holder, like the plans).
     preloads: MemoTable<PlanKey, PreloadBuffer>,
     /// `|S|` placement policy for SLO searches.
     plan_sharing: PreloadPolicy,
@@ -568,7 +571,8 @@ impl ServerInner {
     }
 
     /// Resolves (plan, preload buffer) for a knob combination through both
-    /// caches, planning and filling at most once per combination. An SLO
+    /// caches, planning and filling at most once while anything holds the
+    /// combination's plan and buffer. An SLO
     /// search that settled on the default byte-prefix placement (always,
     /// under [`PreloadPolicy::PerSession`]) resolves the same way — and if
     /// an importance reprofile raced the search, the freshly resolved plan
@@ -694,7 +698,8 @@ impl StiServer {
 
     /// Opens a session with explicit knobs. The plan and preload buffer are
     /// resolved through the shared caches: the first session with a given
-    /// knob combination plans and fills, later ones attach for free.
+    /// knob combination plans and fills, and later ones attach for free
+    /// while anything still holds that plan.
     ///
     /// # Errors
     ///
@@ -783,7 +788,8 @@ impl StiServer {
         self.inner.model.resident_byte_size()
     }
 
-    /// Plan-cache effectiveness counters.
+    /// Plan-cache effectiveness counters. A lookup of a knob set whose
+    /// plan nothing holds any more is a miss: it replans.
     pub fn plan_stats(&self) -> PlanCacheStats {
         self.inner.plan_cache.stats()
     }
@@ -852,7 +858,10 @@ impl StiServer {
         self.inner.scheduler.topology()
     }
 
-    /// Number of distinct knob combinations currently planned.
+    /// Number of distinct knob combinations whose plan something still
+    /// holds (an open session, an engagement in flight, the prefetcher's
+    /// working-set table) — not every knob set ever planned: the plan
+    /// cache drops a plan once nothing holds it.
     pub fn cached_plans(&self) -> usize {
         self.inner.plan_cache.len()
     }
@@ -1051,18 +1060,18 @@ impl StiServer {
         self.invalidate_plans();
     }
 
-    /// Drops every cached plan, preload buffer, and cached shard blob,
-    /// forcing the next session (or knob change) to replan and re-read.
-    /// Called by [`StiServer::set_importance`]; call it directly when the
-    /// backing store's blobs were regenerated out-of-band. Sessions already
-    /// open keep executing their old plan until they change knobs.
+    /// Makes every cached plan and preload buffer unreachable and drops
+    /// every cached shard blob, forcing the next session (or knob change)
+    /// to replan and re-read. Called by [`StiServer::set_importance`]; call
+    /// it directly when the backing store's blobs were regenerated
+    /// out-of-band. Sessions already open keep executing their old plan
+    /// until they change knobs.
     pub fn invalidate_plans(&self) {
-        // Bump the generation *first*: resolutions already in flight then
-        // land under a key no future lookup uses, rather than racing the
-        // clears below and resurrecting stale state.
+        // Every plan key folds the generation in, so bumping it is the
+        // whole invalidation: no later lookup reaches an old entry, and the
+        // tables hold old plans and buffers only weakly, so each is freed
+        // once the last session running it lets go.
         self.inner.generation.fetch_add(1, Ordering::SeqCst);
-        self.inner.plan_cache.clear();
-        self.inner.preloads.clear();
         self.inner.shard_cache.clear();
     }
 }
@@ -1119,6 +1128,9 @@ pub struct Session {
 impl Drop for Session {
     fn drop(&mut self) {
         self.inner.live_mix.write().remove_session(self.token);
+        if let Some(pf) = &self.inner.prefetch {
+            pf.forget(self.token);
+        }
         self.inner.open_sessions.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -1646,6 +1658,45 @@ pub(crate) mod tests {
         let after = srv.session().unwrap();
         assert!(!Arc::ptr_eq(&before.planned.plan, &after.planned.plan));
         assert_eq!(srv.plan_stats().misses, 2, "new table must force a replan");
+    }
+
+    #[test]
+    fn a_knob_set_nobody_holds_is_freed_and_planned_again() {
+        let srv = server();
+        let first = srv.session().unwrap();
+        let plan = first.plan().clone();
+        drop(first);
+        assert_eq!(srv.cached_plans(), 0, "the last session took the plan with it");
+        let again = srv.session().unwrap();
+        assert_eq!(again.plan(), &plan, "replanning is deterministic");
+        let stats = srv.plan_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2));
+        assert_eq!(srv.cached_plans(), 1);
+    }
+
+    /// A closed session's Markov chain goes with it: ten thousand open →
+    /// engage → close cycles, three sessions open at a time, leave one
+    /// chain per open session, not one per session ever opened.
+    #[test]
+    fn closed_sessions_leave_no_prefetch_chain_behind() {
+        const CYCLES: u64 = 10_000;
+        let srv = tiny_server(|b| b.preload_budget(0).prefetch(PrefetchConfig::markov(1 << 20)));
+        let chains = || srv.inner.prefetch.as_ref().expect("prefetch is on").client_count();
+        let mut open = std::collections::VecDeque::new();
+        for _ in 0..CYCLES {
+            let session = srv.session().unwrap();
+            session.infer(&[1, 2, 3]).unwrap();
+            open.push_back(session);
+            if open.len() > 3 {
+                open.pop_front();
+            }
+        }
+        assert_eq!(srv.open_sessions(), 3);
+        assert_eq!(chains(), 3, "one chain per open session");
+        drop(open);
+        assert_eq!(chains(), 0);
+        let model = srv.prefetch_report().unwrap().model;
+        assert_eq!(model.observations, CYCLES, "every engagement was still observed");
     }
 
     #[test]

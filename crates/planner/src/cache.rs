@@ -9,13 +9,14 @@
 //! [`PlanCache`] memoizes [`ExecutionPlan`]s under a [`PlanKey`] — the
 //! model fingerprint, target `T`, preload budget `|S|`, the allowed
 //! submodel widths, and the bitwidth set available in the store. Plans are
-//! handed out as `Arc`s (they are immutable once planned), and
-//! [`MemoTable::clear`] drops every entry when something the key cannot
-//! see changes (e.g. a re-profiled importance table or a rebuilt store).
+//! handed out as `Arc`s (they are immutable once planned), and the table
+//! holds them only weakly: a plan lives exactly as long as something that
+//! runs it holds it (the app holds its plan, §3.2), so a knob set nobody
+//! uses any more costs nothing, and using it again replans.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 use sti_device::SimTime;
@@ -26,8 +27,9 @@ use crate::plan::ExecutionPlan;
 /// Everything the two-stage planner's output depends on, in hashable form.
 ///
 /// Anything *not* in the key (the importance profile, the device tables)
-/// must be constant for the cache's lifetime; owners that change those call
-/// [`MemoTable::clear`].
+/// must be constant for the cache's lifetime; owners that change those
+/// fold a generation into `model`, which leaves the old entries
+/// unreachable.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Identifies the model (and implicitly its importance profile).
@@ -73,7 +75,7 @@ pub struct PlanCacheStats {
 
 #[derive(Debug)]
 struct MemoInner<K, V> {
-    entries: HashMap<K, Arc<V>>,
+    entries: HashMap<K, Weak<V>>,
     stats: PlanCacheStats,
 }
 
@@ -83,8 +85,10 @@ struct MemoInner<K, V> {
 /// Values are computed **outside** the lock, so a slow fill never
 /// serializes lookups of other keys; when two callers race on one key the
 /// first insert wins (fills are deterministic, so both computed the same
-/// value). The table is unbounded: entries stay until
-/// [`MemoTable::clear`].
+/// value). Entries are [`Weak`]: a value lives as long as a caller holds
+/// its `Arc`, a lookup of a dropped value is a miss that fills again, and
+/// every insert prunes the dead entries, so the table holds only what is
+/// in use.
 #[derive(Debug)]
 pub struct MemoTable<K, V> {
     inner: Mutex<MemoInner<K, V>>,
@@ -106,14 +110,14 @@ impl<K: Hash + Eq + Clone, V> MemoTable<K, V> {
         Self::default()
     }
 
-    /// Number of cached entries.
+    /// Number of entries some caller still holds.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().entries.values().filter(|value| value.strong_count() > 0).count()
     }
 
-    /// Whether the table holds nothing.
+    /// Whether no caller holds any entry.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
+        self.len() == 0
     }
 
     /// Counters.
@@ -121,10 +125,11 @@ impl<K: Hash + Eq + Clone, V> MemoTable<K, V> {
         self.inner.lock().stats
     }
 
-    /// The cached value for `key`, if present, counting a hit or a miss.
+    /// The cached value for `key`, if some caller still holds it, counting
+    /// a hit or a miss.
     fn get(&self, key: &K) -> Option<Arc<V>> {
         let mut inner = self.inner.lock();
-        let found = inner.entries.get(key).cloned();
+        let found = inner.entries.get(key).and_then(Weak::upgrade);
         match found {
             Some(_) => inner.stats.hits += 1,
             None => inner.stats.misses += 1,
@@ -156,13 +161,13 @@ impl<K: Hash + Eq + Clone, V> MemoTable<K, V> {
             return Ok(value);
         }
         let value = Arc::new(fill()?);
-        Ok(self.inner.lock().entries.entry(key.clone()).or_insert(value).clone())
-    }
-
-    /// Drops every entry (importance re-profiled, store rebuilt, device
-    /// re-measured — anything the key cannot express).
-    pub fn clear(&self) {
-        self.inner.lock().entries.clear();
+        let mut inner = self.inner.lock();
+        inner.entries.retain(|_, held| held.strong_count() > 0);
+        if let Some(winner) = inner.entries.get(key).and_then(Weak::upgrade) {
+            return Ok(winner);
+        }
+        inner.entries.insert(key.clone(), Arc::downgrade(&value));
+        Ok(value)
     }
 }
 
@@ -202,12 +207,15 @@ mod tests {
     fn same_knobs_plan_once() {
         let cache = PlanCache::new();
         let mut planned = 0;
-        for _ in 0..3 {
-            cache.get_or_plan(&key(300, 1 << 10), || {
-                planned += 1;
-                plan_for(300, 1 << 10)
-            });
-        }
+        // The caller holds what it gets, the way a session holds its plan.
+        let _held: Vec<_> = (0..3)
+            .map(|_| {
+                cache.get_or_plan(&key(300, 1 << 10), || {
+                    planned += 1;
+                    plan_for(300, 1 << 10)
+                })
+            })
+            .collect();
         assert_eq!(planned, 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
@@ -216,9 +224,11 @@ mod tests {
     #[test]
     fn knob_changes_miss() {
         let cache = PlanCache::new();
-        cache.get_or_plan(&key(300, 1 << 10), || plan_for(300, 1 << 10));
-        cache.get_or_plan(&key(400, 1 << 10), || plan_for(400, 1 << 10));
-        cache.get_or_plan(&key(300, 2 << 10), || plan_for(300, 2 << 10));
+        let _held = [
+            cache.get_or_plan(&key(300, 1 << 10), || plan_for(300, 1 << 10)),
+            cache.get_or_plan(&key(400, 1 << 10), || plan_for(400, 1 << 10)),
+            cache.get_or_plan(&key(300, 2 << 10), || plan_for(300, 2 << 10)),
+        ];
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats().misses, 3);
     }
@@ -232,19 +242,35 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_and_forces_replan() {
+    fn a_dropped_plan_is_a_miss_that_replans_an_equal_one() {
         let cache = PlanCache::new();
-        cache.get_or_plan(&key(200, 0), || plan_for(200, 0));
-        cache.get_or_plan(&key(300, 0), || plan_for(300, 0));
-        cache.clear();
-        assert!(cache.is_empty());
+        let first = cache.get_or_plan(&key(300, 0), || plan_for(300, 0));
+        let expected = ExecutionPlan::clone(&first);
+        drop(first);
+        assert!(cache.is_empty(), "nothing holds the plan, so the table does not");
         let mut replanned = false;
-        cache.get_or_plan(&key(300, 0), || {
+        let again = cache.get_or_plan(&key(300, 0), || {
             replanned = true;
             plan_for(300, 0)
         });
         assert!(replanned);
-        assert_eq!(cache.stats().misses, 3);
+        assert_eq!(*again, expected, "replanning is deterministic");
+        assert_eq!(cache.stats(), PlanCacheStats { hits: 0, misses: 2 });
+    }
+
+    #[test]
+    fn len_counts_live_entries_and_an_insert_prunes_the_dead() {
+        let cache = PlanCache::new();
+        let kept = cache.get_or_plan(&key(200, 0), || plan_for(200, 0));
+        drop(cache.get_or_plan(&key(300, 0), || plan_for(300, 0)));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.inner.lock().entries.len(), 2, "the dead entry waits for an insert");
+        let newer = cache.get_or_plan(&key(400, 0), || plan_for(400, 0));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.inner.lock().entries.len(), 2, "the insert pruned the dead entry");
+        assert!(Arc::ptr_eq(&kept, &cache.get_or_plan(&key(200, 0), || unreachable!())));
+        drop((kept, newer));
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -272,6 +272,18 @@ impl Prefetcher {
         self.edges.len()
     }
 
+    /// Clients with a chain, i.e. observed and not forgotten.
+    pub fn client_count(&self) -> usize {
+        self.clients.len()
+    }
+
+    /// Drops `client`'s chain (its previous key and any prediction still
+    /// awaiting feedback). Call it when the client is gone for good: the
+    /// next observation of the same id would start a fresh chain.
+    pub fn forget(&mut self, client: u64) {
+        self.clients.remove(&client);
+    }
+
     /// The edge for a directed key pair, if observed.
     pub fn edge(&self, from: KeyId, to: KeyId) -> Option<&MarkovEdge> {
         self.edges.get(&(from, to))
@@ -414,6 +426,23 @@ mod tests {
         let plan = p.observe(7, a, SimTime::from_ms(3)).expect("still confident");
         assert_eq!(plan.predicted, a);
         assert_eq!(plan.emitted_at, SimTime::from_ms(3));
+    }
+
+    #[test]
+    fn a_forgotten_client_drops_its_chain_and_keeps_the_edges() {
+        let mut p = markov();
+        let a = p.intern(key(1));
+        p.observe(1, a, SimTime::from_ms(1));
+        p.observe(2, a, SimTime::from_ms(2));
+        p.observe(2, a, SimTime::from_ms(3));
+        assert_eq!(p.client_count(), 2);
+        p.forget(1);
+        assert_eq!(p.client_count(), 1);
+        assert_eq!(p.edge(a, a).expect("client 2 chained A→A").follows, 1);
+        // Client 2's chain survived: its next A is a second follow.
+        p.observe(2, a, SimTime::from_ms(4));
+        assert_eq!(p.edge(a, a).unwrap().follows, 2);
+        assert_eq!(p.client_count(), 1);
     }
 
     #[test]

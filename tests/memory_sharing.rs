@@ -291,6 +291,49 @@ fn slo_session_churn_leaves_no_heap_behind_per_search() {
     );
 }
 
+/// Retargets `session` through the targets `T` = 300 ms + `first` µs and
+/// the `count - 1` that follow, 1 µs apart: each one a knob set the server
+/// has not planned.
+fn knob_churn(session: &mut Session, first: u64, count: u64) {
+    for t in first..first + count {
+        session.set_target(SimTime::from_us(300_000 + t)).expect("a raw target always plans");
+    }
+}
+
+/// What a server keeps of a knob set its one session has moved away from.
+/// The plan cache and the preload-buffer table used to keep every plan and
+/// buffer they ever made: 17 583 B per knob set here (a 16 KiB `|S|`, and a
+/// 1 KiB shard cache that holds none of the buffer's blobs), 562 656 and
+/// 1 125 312 B across the two phases. They hold only weak handles now, so
+/// a plan lives as long as the session running it: 0 and 0 B are kept,
+/// and one plan is cached at a time. The bound is headroom for the
+/// harness.
+#[test]
+fn knob_churn_keeps_only_the_plan_in_use() {
+    const K: u64 = 32;
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let cfg = ServeConfig {
+        preload_bytes: 16 << 10,
+        shard_cache_bytes: 1 << 10,
+        ..ServeConfig::default()
+    };
+    let server = build_server(&ctx, &cfg);
+    let mut session = server.session_with(cfg.target, cfg.preload_bytes).unwrap();
+    assert!(session.preload_used() > 8 * KIB, "the pin is about a filled |S|");
+    // Registry nodes and the first plan come to stay on first use.
+    knob_churn(&mut session, 0, K);
+    let ((), _, kept_k) = heap_bytes_across(|| knob_churn(&mut session, K, K));
+    let ((), _, kept_2k) = heap_bytes_across(|| knob_churn(&mut session, 2 * K, 2 * K));
+    assert_eq!(server.plan_stats().misses, 4 * K + 1, "every knob set planned");
+    assert_eq!(server.cached_plans(), 1, "only the session's own plan is cached");
+    assert!(
+        (kept_2k - kept_k).abs() < 4 * KIB as i64,
+        "{K} knob sets kept {kept_k} heap bytes and {} kept {kept_2k}",
+        2 * K
+    );
+}
+
 /// What an open session holds at the `fleet_admit` shape: four device
 /// channels, its knobs, 2 000 sessions opened in one batch and then spread
 /// 100 ms apart. Every session used to carry its own plan record and gate

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// flags it never read ([`Args::reject_unread`]) instead of dropping a typo
 /// silently.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Args {
+pub(crate) struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
     flags: BTreeMap<String, String>,
@@ -17,7 +17,7 @@ pub struct Args {
 
 /// Errors from argument parsing or validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub String);
 
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -35,7 +35,7 @@ impl Args {
     ///
     /// Fails on a missing subcommand, a flag without a value, or a
     /// positional token where a flag was expected.
-    pub fn parse<I, S>(argv: I) -> Result<Args, ArgError>
+    pub(crate) fn parse<I, S>(argv: I) -> Result<Args, ArgError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -55,7 +55,7 @@ impl Args {
     }
 
     /// A string flag, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.read.borrow_mut().insert(key.to_string());
         self.flags.get(key).map(String::as_str)
     }
@@ -68,7 +68,7 @@ impl Args {
     /// # Errors
     ///
     /// Names the unread flag.
-    pub fn reject_unread(&self) -> Result<(), ArgError> {
+    pub(crate) fn reject_unread(&self) -> Result<(), ArgError> {
         let read = self.read.borrow();
         match self.flags.keys().find(|k| !read.contains(*k)) {
             Some(key) => Err(ArgError(format!(
@@ -80,7 +80,7 @@ impl Args {
     }
 
     /// A string flag with a default.
-    pub fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
+    pub(crate) fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.get(key).unwrap_or(default)
     }
 
@@ -89,7 +89,7 @@ impl Args {
     /// # Errors
     ///
     /// Fails when the flag is absent.
-    pub fn require(&self, key: &str) -> Result<&str, ArgError> {
+    pub(crate) fn require(&self, key: &str) -> Result<&str, ArgError> {
         self.get(key).ok_or_else(|| ArgError(format!("missing required flag --{key}")))
     }
 
@@ -98,7 +98,7 @@ impl Args {
     /// # Errors
     ///
     /// Fails when the value does not parse.
-    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, ArgError> {
+    pub(crate) fn get_u64(&self, key: &str, default: u64) -> Result<u64, ArgError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => {

@@ -7,7 +7,7 @@ use sti::prelude::*;
 use crate::args::{ArgError, Args};
 
 /// Usage text.
-pub fn usage() -> String {
+pub(crate) fn usage() -> String {
     "usage: sti <command> [--flag value ...]\n\
      \n\
      commands:\n\
@@ -514,7 +514,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
 }
 
 /// Routes a parsed command line to its implementation.
-pub fn dispatch(args: &Args) -> Result<String, ArgError> {
+pub(crate) fn dispatch(args: &Args) -> Result<String, ArgError> {
     let report = match args.command.as_str() {
         "preprocess" => cmd_preprocess(args),
         "profile" => cmd_profile(args),

@@ -9,6 +9,8 @@
 //! sti serve      --task sst2 --sessions 8 --engagements 4  # multi-client serving trace
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod args;
 mod commands;
 

@@ -75,6 +75,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod baselines;
 pub mod gold;
@@ -107,8 +108,8 @@ pub mod prelude {
     };
     pub use crate::trace_file::{load_trace, parse_trace, TraceFileError};
     pub use sti_device::{
-        ComputeModel, DeviceProfile, DeviceTopology, FlashJob, FlashModel, FlashQueueSim,
-        HwProfile, PowerModel, SimTime, TopologyQueueSim, TopologyReport,
+        ComputeModel, DeviceProfile, DeviceTopology, FlashJob, FlashModel, HwProfile, PowerModel,
+        SimTime, TopologyQueueSim, TopologyReport,
     };
     pub use sti_nlp::{Dataset, HashingTokenizer, Task, TaskKind};
     pub use sti_obs::{

@@ -106,14 +106,21 @@ enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// How deep arrays and objects may nest. The schema nests five levels;
+/// the bound turns a hostile file of open brackets into a syntax error
+/// instead of a stack overflow in the recursive descent.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0 }
+        Self { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn error(&self, reason: impl Into<String>) -> TraceFileError {
@@ -155,8 +162,16 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, TraceFileError> {
         match self.peek().ok_or_else(|| self.error("unexpected end of input"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self
+                        .error(format!("arrays and objects nest deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                nested
+            }
             b'"' => Ok(Json::Str(self.string()?)),
             b'0'..=b'9' | b'-' => self.number(),
             b't' if self.eat_literal("true") => Ok(Json::Bool(true)),
@@ -500,6 +515,28 @@ mod tests {
         assert!(matches!(err, TraceFileError::Syntax { .. }), "{err}");
         let err = parse_trace("{ \"clients\": [] } trailing").unwrap_err();
         assert!(err.to_string().contains("trailing"));
+    }
+
+    #[test]
+    fn arrays_nested_past_the_bound_are_a_syntax_error_not_a_stack_overflow() {
+        let err = parse_trace(&"[".repeat(200_000)).unwrap_err();
+        match err {
+            TraceFileError::Syntax { at, reason } => {
+                assert_eq!(at, MAX_DEPTH, "the first bracket past the bound");
+                assert!(reason.contains("deeper than 64 levels"), "{reason}");
+            }
+            other => panic!("expected a syntax error, got {other}"),
+        }
+        // At the bound the reader still parses; the schema rejects the file.
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(matches!(parse_trace(&at_bound), Err(TraceFileError::Schema(_))));
+    }
+
+    #[test]
+    fn objects_nested_past_the_bound_are_a_syntax_error_not_a_stack_overflow() {
+        let err = parse_trace(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(matches!(err, TraceFileError::Syntax { .. }), "{err}");
+        assert!(err.to_string().contains("deeper than 64 levels"), "{err}");
     }
 
     #[test]

@@ -1,26 +1,29 @@
-//! Discrete-event simulation of one contended flash *device channel*.
+//! Discrete-event simulation of the contended flash device: one FIFO
+//! single-server queue per *device channel*.
 //!
 //! The uncontended track of the dual-track accounting model charges each
 //! engagement the device-model delay of its own requests in isolation; this
-//! module is the **contended track** of a single-channel device: one
-//! single-server queue, and the only implementation of it. (A device with
-//! `C` channels hosts one of these per channel — see
-//! [`TopologyQueueSim`](crate::topology::TopologyQueueSim), which is how
-//! every production caller reaches this code; "device channel" means a
-//! hardware lane of the flash package, not an engagement's per-session IO
-//! lane in `sti-storage`.) Callers submit [`FlashJob`]s
-//! — one per dispatched layer
-//! request, carrying the simulated arrival time and the device-model service
-//! time — and [`FlashQueueSim::run`] serves them in `(arrival, submission)`
-//! order, producing per-job start/completion times, total flash busy time,
-//! and the maximum queue depth observed.
+//! module is the **contended track**, and the only implementation of it.
+//! Real flash exposes `C` independent channels (a [`DeviceTopology`]);
+//! callers submit [`FlashJob`]s — one per dispatched layer request,
+//! carrying the simulated arrival time and the device-model service time —
+//! on a channel, and [`TopologyQueueSim::run`] serves each channel in
+//! `(arrival, submission)` order, producing per-job start/completion times,
+//! busy time, and the maximum queue depth observed. Channels share no
+//! state, so they serve concurrently and a dispatch striped across
+//! channels overlaps where one channel would queue. A job's submission
+//! index is its sequence number on every channel, so completions merged
+//! across channels stay ordered by one submission clock. ("Device channel"
+//! means a hardware lane of the flash package, not an engagement's
+//! per-session IO lane — `IoChannel` in `sti-storage` — which fans its
+//! requests out across device channels according to placement.)
 //!
-//! One producer feeds the simulator, through `TopologyQueueSim`: the
-//! **measured** path. `sti_storage::IoScheduler` records its actual
-//! dispatch sequence and the serving runtime's contention ledger
-//! (`sti-pipeline`, `ContentionLedger::replay` — the one place a dispatch
-//! log becomes jobs) replays it, so serving reports can quote the contended
-//! latency each engagement *would* have seen on real hardware.
+//! One producer feeds the simulator: the **measured** path.
+//! `sti_storage::IoScheduler` records its actual dispatch sequence and the
+//! serving runtime's contention ledger (`sti-pipeline`,
+//! `ContentionLedger::replay` — the one place a dispatch log becomes jobs)
+//! replays it, so serving reports can quote the contended latency each
+//! engagement *would* have seen on real hardware.
 //!
 //! Predictions do not come here. `sti_planner::ServingMix` knows every
 //! job's arrival before serving any (batching groups raise arrivals, but
@@ -33,29 +36,30 @@
 //!
 //! Service times are computed by the caller, which is where the opt-in
 //! DRAM-residency mode lives (on the measured path, in the ledger): bytes
-//! served from a host-side shard cache can
-//! be charged against a DRAM-speed [`FlashModel`]
-//! ([`FlashModel::dram_residency`]) instead of flash — the
-//! capacity-planning experiment the roadmap asks for.
+//! served from a host-side shard cache can be charged against a DRAM-speed
+//! [`FlashModel`] ([`FlashModel::dram_residency`]) instead of flash — a
+//! service-time tier, not a separate queue.
 //!
 //! **Shared (batched) jobs.** The IO scheduler can coalesce identical layer
 //! requests from co-resident engagements into one flash job that fans its
-//! payload out to every member. [`FlashQueueSim::submit_shared`] models
-//! that: the job's service time is charged **once**, and the report carries
-//! a mirrored [`CompletedJob`] per extra recipient with the same
+//! payload out to every member. [`TopologyQueueSim::submit_shared_on`]
+//! models that: the job's service time is charged **once**, and the report
+//! carries a mirrored [`CompletedJob`] per extra recipient with the same
 //! start/completion times — so per-engagement pipeline replays see the
 //! shared completion while busy-time accounting pays for a single read.
 //!
+//! **Determinism.** The run is a pure function of the submitted jobs.
+//!
+//! [`DeviceTopology`]: crate::topology::DeviceTopology
 //! [`FlashModel`]: crate::flash::FlashModel
 //! [`FlashModel::dram_residency`]: crate::flash::FlashModel::dram_residency
 
-use std::collections::HashMap;
-
-use sti_obs::{ObsSink, SpanArgs, SpanEvent, TrackKind};
+use sti_obs::{SpanArgs, SpanEvent, TrackKind};
 
 use crate::clock::SimTime;
+use crate::topology::DeviceTopology;
 
-/// One request on the contended flash channel.
+/// One request on a contended flash channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashJob {
     /// The engagement (channel) the job belongs to.
@@ -89,12 +93,12 @@ impl CompletedJob {
     }
 }
 
-/// The outcome of one simulation run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One device channel's outcome of a run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlashQueueReport {
-    /// Jobs in service order.
+    /// Jobs in service order, each shared job followed by its mirrors.
     pub completions: Vec<CompletedJob>,
-    /// Total time the flash spent serving (the sum of service times — the
+    /// Total time the channel spent serving (the sum of service times — the
     /// conservation law the property tests pin down).
     pub busy: SimTime,
     /// Completion time of the last job.
@@ -103,205 +107,231 @@ pub struct FlashQueueReport {
     pub max_depth: usize,
 }
 
-impl FlashQueueReport {
-    /// This engagement's completions, in service (= submission) order.
-    pub fn completions_of(&self, engagement: u64) -> Vec<CompletedJob> {
-        self.completions.iter().copied().filter(|c| c.engagement == engagement).collect()
-    }
-
-    /// When the engagement's last job completed (`None` if it had no jobs).
-    pub fn last_completion_of(&self, engagement: u64) -> Option<SimTime> {
-        self.completions.iter().filter(|c| c.engagement == engagement).map(|c| c.completion).max()
-    }
-
-    /// Emits this run's channel timeline as virtual-clock spans on
-    /// [`TrackKind::Flash`] track `track`: a `flash.wait` interval for each
-    /// job that queued, a `flash.service` interval per *served* job (shared
-    /// jobs once, with their fan-out as an arg — the flash read them once),
-    /// and a `flash.depth` counter sampled at every service start. Idle
-    /// time is the gaps between service intervals.
-    ///
-    /// All ticks are simulated µs straight from the report, so the emitted
-    /// stream is a pure function of the run.
-    pub fn emit_spans(&self, sink: &ObsSink, track: u64) {
-        if !sink.enabled() {
-            return;
-        }
-        // Unique served jobs in service order; mirrored completions of a
-        // shared job follow their primary and reuse its seq, so collapse
-        // them into a fan-out count.
-        struct Served {
-            seq: usize,
-            arrival: SimTime,
-            start: SimTime,
-            completion: SimTime,
-            engagement: u64,
-            fanout: u64,
-        }
-        let mut served: Vec<Served> = Vec::new();
-        for c in &self.completions {
-            match served.last_mut() {
-                Some(last) if last.seq == c.seq => last.fanout += 1,
-                _ => served.push(Served {
-                    seq: c.seq,
-                    arrival: c.arrival,
-                    start: c.start,
-                    completion: c.completion,
-                    engagement: c.engagement,
-                    fanout: 1,
-                }),
-            }
-        }
-        // Service order is arrival order, so this is already sorted — it
-        // answers "how many jobs have arrived by time t" for the depth
-        // counter, mirroring the accounting in [`FlashQueueSim::run`].
-        let arrivals: Vec<SimTime> = served.iter().map(|j| j.arrival).collect();
-        for (done, job) in served.iter().enumerate() {
-            let args = SpanArgs::new()
-                .with("seq", job.seq as u64)
-                .with("engagement", job.engagement)
-                .with("fanout", job.fanout);
-            if job.start > job.arrival {
-                sink.span(
-                    SpanEvent::complete(
-                        TrackKind::Flash,
-                        track,
-                        "flash.wait",
-                        job.arrival.as_us(),
-                        job.start.as_us(),
-                    )
-                    .with_args(args),
-                );
-            }
-            sink.span(
-                SpanEvent::complete(
-                    TrackKind::Flash,
-                    track,
-                    "flash.service",
-                    job.start.as_us(),
-                    job.completion.as_us(),
-                )
-                .with_args(args),
-            );
-            let arrived = arrivals.partition_point(|&a| a <= job.start).max(done + 1);
-            sink.span(SpanEvent::counter(
-                TrackKind::Flash,
-                track,
-                "flash.depth",
-                job.start.as_us(),
-                (arrived - done) as u64,
-            ));
-        }
-    }
+/// A submitted job: its device channel and the extra recipients of a
+/// shared read.
+#[derive(Debug, Clone)]
+struct Submitted {
+    channel: u16,
+    job: FlashJob,
+    extra_recipients: Box<[u64]>,
 }
 
-/// A single-server discrete-event queue over the flash channel.
+/// A discrete-event queue over a [`DeviceTopology`]: one FIFO single-server
+/// queue per device channel, under one submission clock.
 ///
 /// ```
-/// use sti_device::{FlashJob, FlashQueueSim, SimTime};
+/// use sti_device::{DeviceTopology, FlashJob, SimTime, TopologyQueueSim};
 ///
-/// let mut sim = FlashQueueSim::new();
-/// sim.submit(FlashJob { engagement: 0, arrival: SimTime::ZERO, service: SimTime::from_ms(10) });
-/// sim.submit(FlashJob { engagement: 1, arrival: SimTime::ZERO, service: SimTime::from_ms(10) });
+/// let mut sim = TopologyQueueSim::new(DeviceTopology::with_channels(2));
+/// let job = |e| FlashJob { engagement: e, arrival: SimTime::ZERO, service: SimTime::from_ms(10) };
+/// sim.submit_on(0, job(0));
+/// sim.submit_on(1, job(1));
 /// let report = sim.run();
-/// // The second engagement queues behind the first on the one channel.
-/// assert_eq!(report.completions[1].queue_delay(), SimTime::from_ms(10));
-/// assert_eq!(report.busy, SimTime::from_ms(20));
+/// // Different channels: neither engagement queues behind the other.
+/// assert_eq!(report.makespan(), SimTime::from_ms(10));
+/// assert_eq!(report.busy(), SimTime::from_ms(20));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct FlashQueueSim {
-    jobs: Vec<FlashJob>,
-    /// Extra recipients of shared (batched) jobs, keyed by job sequence
-    /// number: the flash serves the job once, and the report mirrors its
-    /// completion to every engagement listed here.
-    shared: HashMap<usize, Vec<u64>>,
+#[derive(Debug, Clone)]
+pub struct TopologyQueueSim {
+    topology: DeviceTopology,
+    /// Jobs in submission order: a job's index is its sequence number.
+    jobs: Vec<Submitted>,
 }
 
-impl FlashQueueSim {
-    /// An empty simulator.
-    pub fn new() -> Self {
-        Self::default()
+impl TopologyQueueSim {
+    /// An empty simulator over `topology`.
+    pub fn new(topology: DeviceTopology) -> Self {
+        Self { topology, jobs: Vec::new() }
     }
 
-    /// Submits a job, returning its sequence number. Jobs with equal
-    /// arrival times are served in submission order, so submitting each
-    /// engagement's requests in issue order preserves its FIFO contract.
-    pub fn submit(&mut self, job: FlashJob) -> usize {
-        self.jobs.push(job);
+    /// Submits a job on `device_channel`, returning its sequence number.
+    /// Within a channel, jobs with equal arrival times are served in
+    /// submission order, so submitting each engagement's requests in issue
+    /// order preserves its FIFO contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device_channel` is not a channel of the topology.
+    pub fn submit_on(&mut self, device_channel: u16, job: FlashJob) -> usize {
+        self.submit_shared_on(device_channel, job, &[])
+    }
+
+    /// Submits a shared (batched) job on `device_channel`: the flash serves
+    /// it once — its service time is charged to busy time once — and on
+    /// completion every engagement in `extra_recipients` receives a
+    /// mirrored [`CompletedJob`] with the same sequence number, start, and
+    /// completion as the primary `job.engagement`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device_channel` is not a channel of the topology.
+    pub fn submit_shared_on(
+        &mut self,
+        device_channel: u16,
+        job: FlashJob,
+        extra_recipients: &[u64],
+    ) -> usize {
+        let channels = self.topology.channel_count();
+        assert!(
+            device_channel < channels,
+            "device channel {device_channel} out of range: the topology has {channels} channel(s)"
+        );
+        self.jobs.push(Submitted {
+            channel: device_channel,
+            job,
+            extra_recipients: extra_recipients.into(),
+        });
         self.jobs.len() - 1
     }
 
-    /// Submits a shared (batched) job: the flash serves it once — its
-    /// service time is charged to busy time once — and on completion every
-    /// engagement in `extra_recipients` receives a mirrored
-    /// [`CompletedJob`] with the same sequence number, start, and
-    /// completion as the primary `job.engagement`.
-    pub fn submit_shared(&mut self, job: FlashJob, extra_recipients: &[u64]) -> usize {
-        let seq = self.submit(job);
-        if !extra_recipients.is_empty() {
-            self.shared.insert(seq, extra_recipients.to_vec());
+    /// Serves every submitted job. Discipline, per channel: FIFO by
+    /// `(arrival, seq)` — the next job to start is the channel's
+    /// earliest-arrived not-yet-served job, ties broken by submission
+    /// order. `start = max(arrival, server_free)`.
+    pub fn run(&self) -> TopologyReport {
+        // Service order: stable by (channel, arrival), so submission order
+        // breaks ties and each channel's jobs form one run.
+        let mut order: Vec<usize> = (0..self.jobs.len()).collect();
+        order.sort_by_key(|&seq| (self.jobs[seq].channel, self.jobs[seq].job.arrival));
+        let mut channels =
+            vec![FlashQueueReport::default(); self.topology.channel_count() as usize];
+        for run in order.chunk_by(|&a, &b| self.jobs[a].channel == self.jobs[b].channel) {
+            channels[self.jobs[run[0]].channel as usize] = self.serve(run);
         }
-        seq
+        TopologyReport { channels }
     }
 
-    /// Serves every submitted job on the single flash channel.
-    ///
-    /// Discipline: global FIFO by `(arrival, seq)` — the next job to start
-    /// is the earliest-arrived not-yet-served job, ties broken by
-    /// submission order. `start = max(arrival, server_free)`.
-    pub fn run(&self) -> FlashQueueReport {
-        // Service order: stable FIFO by arrival (submission order breaks
-        // ties because the sort is stable over submission-ordered input).
-        let mut order: Vec<usize> = (0..self.jobs.len()).collect();
-        order.sort_by_key(|&i| self.jobs[i].arrival);
-        // Arrival times alone, sorted, to answer "how many jobs have
-        // arrived by time t" when measuring queue depth.
-        let arrivals: Vec<SimTime> = order.iter().map(|&i| self.jobs[i].arrival).collect();
-
-        let mut completions = Vec::with_capacity(self.jobs.len());
-        let mut busy = SimTime::ZERO;
-        let mut max_depth = 0usize;
+    /// The single-server fold over one channel's jobs, in service order.
+    fn serve(&self, order: &[usize]) -> FlashQueueReport {
+        let mut report = FlashQueueReport::default();
         let mut server_free = SimTime::ZERO;
-
-        for (served, &idx) in order.iter().enumerate() {
-            let job = self.jobs[idx];
+        for (served, &seq) in order.iter().enumerate() {
+            let Submitted { job, extra_recipients, .. } = &self.jobs[seq];
             let start = job.arrival.max(server_free);
             let completion = start + job.service;
             server_free = completion;
-            busy += job.service;
+            report.busy += job.service;
 
             // Depth at this service start: jobs arrived by `start` that have
             // not completed. Earlier jobs in service order all completed by
             // the old `server_free <= start`, so the depth is the arrived
             // count minus the jobs already served (including this one).
-            let arrived = arrivals.partition_point(|&a| a <= start).max(served + 1);
-            let depth = arrived - served;
-            max_depth = max_depth.max(depth);
+            let arrived =
+                order.partition_point(|&i| self.jobs[i].job.arrival <= start).max(served + 1);
+            report.max_depth = report.max_depth.max(arrived - served);
 
-            completions.push(CompletedJob {
-                engagement: job.engagement,
-                seq: idx,
+            // A shared job's completion fans out to every extra recipient:
+            // same timeline, no extra busy time (the read happened once).
+            let recipients =
+                std::iter::once(job.engagement).chain(extra_recipients.iter().copied());
+            report.completions.extend(recipients.map(|engagement| CompletedJob {
+                engagement,
+                seq,
                 arrival: job.arrival,
                 start,
                 completion,
-            });
-            // Fan a shared job's completion out to every extra recipient:
-            // same timeline, no extra busy time (the read happened once).
-            if let Some(recipients) = self.shared.get(&idx) {
-                for &engagement in recipients {
-                    completions.push(CompletedJob {
-                        engagement,
-                        seq: idx,
-                        arrival: job.arrival,
+            }));
+        }
+        report.makespan = server_free;
+        report
+    }
+}
+
+/// The outcome of one run: a [`FlashQueueReport`] per device channel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopologyReport {
+    /// Per-channel reports, indexed by device channel.
+    pub channels: Vec<FlashQueueReport>,
+}
+
+impl TopologyReport {
+    /// Total flash busy time across channels (the conservation law: the
+    /// sum of service times).
+    pub fn busy(&self) -> SimTime {
+        self.channels.iter().map(|c| c.busy).sum()
+    }
+
+    /// Completion time of the last job on any channel.
+    pub fn makespan(&self) -> SimTime {
+        self.channels.iter().map(|c| c.makespan).max().unwrap_or(SimTime::ZERO)
+    }
+
+    /// Largest per-channel queue depth observed on any channel.
+    pub fn max_depth(&self) -> usize {
+        self.channels.iter().map(|c| c.max_depth).max().unwrap_or(0)
+    }
+
+    /// All completions merged across channels, ordered by `(arrival, seq)`
+    /// — the cross-channel analogue of one channel's service order (and
+    /// exactly it when `C = 1`).
+    pub fn completions(&self) -> Vec<CompletedJob> {
+        let mut all: Vec<CompletedJob> =
+            self.channels.iter().flat_map(|c| c.completions.iter().copied()).collect();
+        all.sort_by_key(|c| (c.arrival, c.seq));
+        all
+    }
+
+    /// This engagement's completions across every channel, in merged
+    /// submission order.
+    pub fn completions_of(&self, engagement: u64) -> Vec<CompletedJob> {
+        self.completions().into_iter().filter(|c| c.engagement == engagement).collect()
+    }
+
+    /// Every channel's timeline as virtual-clock spans on
+    /// [`TrackKind::Flash`] track `c` for device channel `c`, so the
+    /// Chrome-trace export shows one row per channel: a `flash.wait`
+    /// interval for each job that queued, a `flash.service` interval per
+    /// *served* job (shared jobs once, with their fan-out as an arg — the
+    /// flash read them once), and a `flash.depth` counter sampled at every
+    /// service start. Idle time is the gaps between service intervals.
+    ///
+    /// All ticks are simulated µs straight from the report, so the stream
+    /// is a pure function of the run.
+    pub fn spans(&self) -> Vec<SpanEvent> {
+        let mut spans = Vec::new();
+        for (track, channel) in self.channels.iter().enumerate() {
+            let track = track as u64;
+            // Served jobs in service order: a shared job's mirrors follow
+            // it and reuse its seq. Service order is arrival order, so the
+            // list also answers "how many jobs have arrived by time t" for
+            // the depth counter, as in `run`.
+            let served: Vec<&[CompletedJob]> =
+                channel.completions.chunk_by(|a, b| a.seq == b.seq).collect();
+            for (done, fanout) in served.iter().enumerate() {
+                let job = fanout[0];
+                let args = SpanArgs::new()
+                    .with("seq", job.seq as u64)
+                    .with("engagement", job.engagement)
+                    .with("fanout", fanout.len() as u64);
+                let (arrival, start, completion) =
+                    (job.arrival.as_us(), job.start.as_us(), job.completion.as_us());
+                if start > arrival {
+                    spans.push(
+                        SpanEvent::complete(TrackKind::Flash, track, "flash.wait", arrival, start)
+                            .with_args(args),
+                    );
+                }
+                spans.push(
+                    SpanEvent::complete(
+                        TrackKind::Flash,
+                        track,
+                        "flash.service",
                         start,
                         completion,
-                    });
-                }
+                    )
+                    .with_args(args),
+                );
+                let arrived = served.partition_point(|s| s[0].arrival <= job.start).max(done + 1);
+                spans.push(SpanEvent::counter(
+                    TrackKind::Flash,
+                    track,
+                    "flash.depth",
+                    start,
+                    (arrived - done) as u64,
+                ));
             }
         }
-
-        let makespan = completions.iter().map(|c| c.completion).max().unwrap_or(SimTime::ZERO);
-        FlashQueueReport { completions, busy, makespan, max_depth }
+        spans
     }
 }
 
@@ -317,61 +347,70 @@ mod tests {
         }
     }
 
+    /// One channel: the discipline every channel of a topology runs.
+    fn single() -> TopologyQueueSim {
+        TopologyQueueSim::new(DeviceTopology::single())
+    }
+
+    fn last_completion_of(r: &TopologyReport, engagement: u64) -> Option<SimTime> {
+        r.completions_of(engagement).iter().map(|c| c.completion).max()
+    }
+
     #[test]
     fn single_engagement_serves_back_to_back() {
-        let mut sim = FlashQueueSim::new();
+        let mut sim = single();
         for _ in 0..3 {
-            sim.submit(job(0, 0, 5));
+            sim.submit_on(0, job(0, 0, 5));
         }
         let r = sim.run();
-        assert_eq!(r.busy, SimTime::from_ms(15));
-        assert_eq!(r.makespan, SimTime::from_ms(15));
-        let ends: Vec<u64> = r.completions.iter().map(|c| c.completion.as_us() / 1000).collect();
+        assert_eq!(r.busy(), SimTime::from_ms(15));
+        assert_eq!(r.makespan(), SimTime::from_ms(15));
+        let ends: Vec<u64> = r.completions().iter().map(|c| c.completion.as_us() / 1000).collect();
         assert_eq!(ends, vec![5, 10, 15]);
     }
 
     #[test]
     fn contention_delays_the_second_engagement() {
-        let mut sim = FlashQueueSim::new();
-        sim.submit(job(0, 0, 10));
-        sim.submit(job(1, 0, 10));
+        let mut sim = single();
+        sim.submit_on(0, job(0, 0, 10));
+        sim.submit_on(0, job(1, 0, 10));
         let r = sim.run();
-        let a = r.last_completion_of(0).unwrap();
-        let b = r.last_completion_of(1).unwrap();
+        let a = last_completion_of(&r, 0).unwrap();
+        let b = last_completion_of(&r, 1).unwrap();
         assert_eq!(a, SimTime::from_ms(10));
         assert_eq!(b, SimTime::from_ms(20), "engagement 1 queues behind 0");
-        assert_eq!(r.max_depth, 2);
+        assert_eq!(r.max_depth(), 2);
     }
 
     #[test]
     fn late_arrival_does_not_queue() {
-        let mut sim = FlashQueueSim::new();
-        sim.submit(job(0, 0, 5));
-        sim.submit(job(1, 50, 5));
+        let mut sim = single();
+        sim.submit_on(0, job(0, 0, 5));
+        sim.submit_on(0, job(1, 50, 5));
         let r = sim.run();
-        assert_eq!(r.completions[1].queue_delay(), SimTime::ZERO);
-        assert_eq!(r.makespan, SimTime::from_ms(55));
-        assert_eq!(r.max_depth, 1, "no overlap, no queueing");
+        assert_eq!(r.completions()[1].queue_delay(), SimTime::ZERO);
+        assert_eq!(r.makespan(), SimTime::from_ms(55));
+        assert_eq!(r.max_depth(), 1, "no overlap, no queueing");
     }
 
     #[test]
     fn equal_arrivals_serve_in_submission_order() {
-        let mut sim = FlashQueueSim::new();
+        let mut sim = single();
         for e in [2u64, 0, 1] {
-            sim.submit(job(e, 0, 1));
+            sim.submit_on(0, job(e, 0, 1));
         }
         let r = sim.run();
-        let order: Vec<u64> = r.completions.iter().map(|c| c.engagement).collect();
+        let order: Vec<u64> = r.completions().iter().map(|c| c.engagement).collect();
         assert_eq!(order, vec![2, 0, 1]);
     }
 
     #[test]
     fn per_engagement_fifo_is_preserved_under_interleaving() {
-        let mut sim = FlashQueueSim::new();
+        let mut sim = single();
         // Round-robin interleave of two engagements, 3 jobs each.
         for k in 0..3u64 {
-            sim.submit(job(0, k, 4));
-            sim.submit(job(1, k, 4));
+            sim.submit_on(0, job(0, k, 4));
+            sim.submit_on(0, job(1, k, 4));
         }
         let r = sim.run();
         for e in [0u64, 1] {
@@ -382,13 +421,13 @@ mod tests {
 
     #[test]
     fn contended_latency_is_never_below_service() {
-        let mut sim = FlashQueueSim::new();
+        let mut sim = single();
         for e in 0..4u64 {
-            sim.submit(job(e, 0, 3));
-            sim.submit(job(e, 1, 2));
+            sim.submit_on(0, job(e, 0, 3));
+            sim.submit_on(0, job(e, 1, 2));
         }
         let r = sim.run();
-        for (c, j) in r.completions.iter().map(|c| (c, &sim.jobs[c.seq])) {
+        for (c, j) in r.completions().iter().map(|c| (c, &sim.jobs[c.seq].job)) {
             assert!(c.completion - c.arrival >= j.service);
             assert_eq!(c.completion - c.start, j.service);
         }
@@ -396,30 +435,30 @@ mod tests {
 
     #[test]
     fn shared_jobs_charge_once_and_mirror_completions() {
-        let mut sim = FlashQueueSim::new();
+        let mut sim = single();
         // One batched job fanned out to engagements {0, 1, 2}, then an
         // exclusive job for engagement 3 behind it.
-        sim.submit_shared(job(0, 0, 10), &[1, 2]);
-        sim.submit(job(3, 0, 5));
+        sim.submit_shared_on(0, job(0, 0, 10), &[1, 2]);
+        sim.submit_on(0, job(3, 0, 5));
         let r = sim.run();
-        assert_eq!(r.busy, SimTime::from_ms(15), "shared service is charged once");
-        assert_eq!(r.completions.len(), 4, "one mirror per extra recipient");
+        assert_eq!(r.busy(), SimTime::from_ms(15), "shared service is charged once");
+        assert_eq!(r.completions().len(), 4, "one mirror per extra recipient");
         for e in [0u64, 1, 2] {
             let mine = r.completions_of(e);
             assert_eq!(mine.len(), 1);
             assert_eq!(mine[0].start, SimTime::ZERO);
             assert_eq!(mine[0].completion, SimTime::from_ms(10), "recipients share the timeline");
         }
-        assert_eq!(r.last_completion_of(3), Some(SimTime::from_ms(15)));
-        assert_eq!(r.makespan, SimTime::from_ms(15));
+        assert_eq!(last_completion_of(&r, 3), Some(SimTime::from_ms(15)));
+        assert_eq!(r.makespan(), SimTime::from_ms(15));
     }
 
     #[test]
     fn shared_jobs_preserve_member_fifo() {
-        let mut sim = FlashQueueSim::new();
+        let mut sim = single();
         // Engagement 1 rides engagement 0's batches for two layers.
-        sim.submit_shared(job(0, 0, 4), &[1]);
-        sim.submit_shared(job(0, 0, 4), &[1]);
+        sim.submit_shared_on(0, job(0, 0, 4), &[1]);
+        sim.submit_shared_on(0, job(0, 0, 4), &[1]);
         let r = sim.run();
         let mine = r.completions_of(1);
         assert_eq!(mine.len(), 2);
@@ -429,23 +468,21 @@ mod tests {
 
     #[test]
     fn empty_sim_reports_zeroes() {
-        let r = FlashQueueSim::new().run();
-        assert_eq!(r.busy, SimTime::ZERO);
-        assert_eq!(r.makespan, SimTime::ZERO);
-        assert_eq!(r.max_depth, 0);
-        assert!(r.completions.is_empty());
+        for channels in [1, 3] {
+            let r = TopologyQueueSim::new(DeviceTopology::with_channels(channels)).run();
+            assert_eq!(r.busy(), SimTime::ZERO);
+            assert_eq!(r.makespan(), SimTime::ZERO);
+            assert_eq!(r.max_depth(), 0);
+            assert!(r.completions().is_empty());
+        }
     }
 
     #[test]
-    fn emitted_spans_cover_waits_services_and_depth() {
-        let mut sim = FlashQueueSim::new();
-        sim.submit_shared(job(0, 0, 10), &[1, 2]); // served once, fanout 3
-        sim.submit(job(3, 0, 5)); // queues behind the batch
-        let r = sim.run();
-        let sink = ObsSink::ring(1 << 16);
-        r.emit_spans(&sink, 0);
-        let (events, dropped) = sink.drain();
-        assert_eq!(dropped, 0);
+    fn spans_cover_waits_services_and_depth() {
+        let mut sim = single();
+        sim.submit_shared_on(0, job(0, 0, 10), &[1, 2]); // served once, fanout 3
+        sim.submit_on(0, job(3, 0, 5)); // queues behind the batch
+        let events = sim.run().spans();
         let services: Vec<_> = events.iter().filter(|e| e.name == "flash.service").collect();
         assert_eq!(services.len(), 2, "shared job serves once");
         assert_eq!(services[0].args.entries()[2], ("fanout", 3));
@@ -458,21 +495,123 @@ mod tests {
             .map(|e| e.args.entries()[0].1)
             .collect();
         assert_eq!(depths, vec![2, 1]);
-        // Null sink records nothing.
-        let null = ObsSink::Null;
-        r.emit_spans(&null, 0);
-        assert!(null.drain().0.is_empty());
     }
 
     #[test]
     fn busy_time_is_conserved() {
-        let mut sim = FlashQueueSim::new();
+        let mut sim = single();
         let services = [7u64, 3, 11, 2, 5];
         for (i, &s) in services.iter().enumerate() {
-            sim.submit(job(i as u64 % 2, (i as u64) * 2, s));
+            sim.submit_on(0, job(i as u64 % 2, (i as u64) * 2, s));
         }
         let r = sim.run();
-        assert_eq!(r.busy, SimTime::from_ms(services.iter().sum()));
-        assert!(r.makespan >= r.busy, "one server can never finish before its busy time");
+        assert_eq!(r.busy(), SimTime::from_ms(services.iter().sum()));
+        assert!(r.makespan() >= r.busy(), "one server can never finish before its busy time");
+    }
+
+    #[test]
+    fn channels_serve_concurrently() {
+        let mut sim = TopologyQueueSim::new(DeviceTopology::with_channels(2));
+        sim.submit_on(0, job(0, 0, 10));
+        sim.submit_on(1, job(1, 0, 10));
+        let r = sim.run();
+        assert_eq!(r.makespan(), SimTime::from_ms(10), "no cross-channel queueing");
+        assert_eq!(r.busy(), SimTime::from_ms(20));
+        assert_eq!(r.max_depth(), 1);
+        for e in [0u64, 1] {
+            assert_eq!(r.completions_of(e)[0].queue_delay(), SimTime::ZERO);
+        }
+    }
+
+    #[test]
+    fn within_a_channel_the_fifo_discipline_is_unchanged() {
+        let mut sim = TopologyQueueSim::new(DeviceTopology::with_channels(3));
+        sim.submit_on(2, job(0, 0, 10));
+        sim.submit_on(2, job(1, 0, 10));
+        let r = sim.run();
+        assert_eq!(r.completions_of(1)[0].queue_delay(), SimTime::from_ms(10));
+        assert_eq!(r.makespan(), SimTime::from_ms(20));
+        assert!(r.channels[0].completions.is_empty());
+    }
+
+    #[test]
+    fn merged_completions_carry_submission_sequences() {
+        let mut sim = TopologyQueueSim::new(DeviceTopology::with_channels(2));
+        let s0 = sim.submit_on(0, job(0, 0, 5));
+        let s1 = sim.submit_on(1, job(0, 0, 5));
+        let s2 = sim.submit_on(0, job(0, 1, 5));
+        assert_eq!((s0, s1, s2), (0, 1, 2));
+        let mine = sim.run().completions_of(0);
+        let seqs: Vec<usize> = mine.iter().map(|c| c.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2], "submission order across channels");
+    }
+
+    #[test]
+    fn two_channel_golden_timeline() {
+        // Hand-computed, so the arithmetic keeps a pin that does not go
+        // through another simulator. Channel 0 serves a shared job, two
+        // jobs that queue behind it, and a late arrival after an idle gap;
+        // channel 1 serves two same-instant jobs back to back.
+        let mut sim = TopologyQueueSim::new(DeviceTopology::with_channels(2));
+        assert_eq!(sim.submit_shared_on(0, job(0, 0, 5), &[7]), 0);
+        assert_eq!(sim.submit_on(1, job(2, 0, 6)), 1);
+        assert_eq!(sim.submit_on(0, job(1, 2, 4)), 2);
+        assert_eq!(sim.submit_on(1, job(1, 0, 2)), 3);
+        assert_eq!(sim.submit_on(0, job(3, 3, 1)), 4);
+        assert_eq!(sim.submit_on(0, job(0, 30, 3)), 5);
+        let done = |engagement, seq, arrival, start, completion| CompletedJob {
+            engagement,
+            seq,
+            arrival: SimTime::from_ms(arrival),
+            start: SimTime::from_ms(start),
+            completion: SimTime::from_ms(completion),
+        };
+        let r = sim.run();
+        assert_eq!(
+            r.channels[0].completions,
+            vec![
+                done(0, 0, 0, 0, 5),
+                done(7, 0, 0, 0, 5), // the shared job's mirror
+                done(1, 2, 2, 5, 9),
+                done(3, 4, 3, 9, 10),
+                done(0, 5, 30, 30, 33), // late arrival: the channel idled
+            ]
+        );
+        assert_eq!(r.channels[1].completions, vec![done(2, 1, 0, 0, 6), done(1, 3, 0, 6, 8)]);
+        assert_eq!(
+            (r.channels[0].busy, r.channels[1].busy),
+            (SimTime::from_ms(13), SimTime::from_ms(8))
+        );
+        assert_eq!(
+            (r.channels[0].makespan, r.channels[1].makespan),
+            (SimTime::from_ms(33), SimTime::from_ms(8))
+        );
+        assert_eq!((r.channels[0].max_depth, r.channels[1].max_depth), (2, 2));
+        assert_eq!(r.busy(), SimTime::from_ms(21));
+        assert_eq!(r.makespan(), SimTime::from_ms(33));
+        assert_eq!(r.max_depth(), 2);
+        // Engagement 1 spans both channels; merged order is (arrival, seq).
+        assert_eq!(r.completions_of(1), vec![done(1, 3, 0, 6, 8), done(1, 2, 2, 5, 9)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "device channel 2 out of range: the topology has 2 channel(s)")]
+    fn submitting_on_a_channel_the_topology_lacks_panics_readably() {
+        TopologyQueueSim::new(DeviceTopology::with_channels(2)).submit_on(2, job(0, 0, 1));
+    }
+
+    #[test]
+    fn spans_use_one_track_per_device_channel() {
+        let mut sim = TopologyQueueSim::new(DeviceTopology::with_channels(2));
+        sim.submit_on(0, job(0, 0, 5));
+        sim.submit_on(1, job(1, 0, 5));
+        let tracks: Vec<u64> = sim
+            .run()
+            .spans()
+            .iter()
+            .filter(|e| e.name == "flash.service")
+            .map(|e| e.track)
+            .collect();
+        assert_eq!(tracks, vec![0, 1], "one flash track per device channel");
     }
 }

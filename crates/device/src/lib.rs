@@ -23,15 +23,15 @@
 //!   its own requests in isolation — deterministic, bit-identical whether an
 //!   engagement runs alone or next to seven neighbours (the serving
 //!   runtime's determinism contract);
-//! - the **contended track** ([`flash_queue`], generalized by [`topology`])
-//!   is a discrete-event queue over the device's flash channels: dispatch
-//!   sequences from the IO scheduler (measured) or interleaved plan
-//!   replicas (predictive) are served FIFO-by-arrival per channel, yielding
-//!   the per-engagement completion times a serving-SLO planner and
-//!   admission controller reason about. [`DeviceTopology`] names the shape
-//!   (`C` independent channels) and [`TopologyQueueSim`] is one
-//!   [`FlashQueueSim`] per channel under a global submission clock — the
-//!   single-server fold exists once, and `C = 1` is that queue verbatim.
+//! - the **contended track** ([`flash_queue`]) is a discrete-event queue
+//!   over the device's flash channels: dispatch sequences from the IO
+//!   scheduler are served FIFO-by-arrival per channel, yielding the
+//!   per-engagement completion times a serving-SLO planner and admission
+//!   controller reason about. [`DeviceTopology`] names the shape (`C`
+//!   independent channels) and [`TopologyQueueSim`] serves one
+//!   single-server queue per channel under one submission clock — the
+//!   single-server fold exists once, and a job's submission index is its
+//!   sequence number.
 //!   [`FlashModel::dram_residency`] supplies the opt-in cheaper service time
 //!   for bytes resident in a host-side shard cache — a service-time tier,
 //!   not a separate queue.
@@ -51,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod clock;
 pub mod compute;
@@ -67,7 +68,7 @@ pub use compute::ComputeModel;
 pub use energy::PowerModel;
 pub use engine::{Component, ComponentId, Engine, EngineReport, System};
 pub use flash::FlashModel;
-pub use flash_queue::{CompletedJob, FlashJob, FlashQueueReport, FlashQueueSim};
+pub use flash_queue::{CompletedJob, FlashJob, FlashQueueReport, TopologyQueueSim, TopologyReport};
 pub use profile::DeviceProfile;
 pub use profiler::HwProfile;
-pub use topology::{content_sig, DeviceTopology, IoSharing, TopologyQueueSim, TopologyReport};
+pub use topology::{content_sig, DeviceTopology, IoSharing};

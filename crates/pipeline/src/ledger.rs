@@ -36,7 +36,7 @@ use parking_lot::Mutex;
 use sti_device::{
     CompletedJob, DeviceTopology, FlashJob, FlashModel, SimTime, TopologyQueueSim, TopologyReport,
 };
-use sti_obs::{ObsSink, SpanArgs, SpanEvent, TrackKind};
+use sti_obs::{SpanArgs, SpanEvent, TrackKind};
 use sti_planner::gate::GateDecision;
 use sti_planner::{align_io_completions, contended_makespan};
 use sti_storage::FlashDispatchEvent;
@@ -495,10 +495,7 @@ impl ContentionLedger {
     ) -> Vec<SpanEvent> {
         let log = self.engagements.lock();
         let (report, rows) = self.replay(&log, events, true);
-        let jobs: usize = report.channels.iter().map(|c| c.completions.len()).sum();
-        let ring = ObsSink::ring((jobs * 4 + 64) * std::mem::size_of::<SpanEvent>());
-        report.emit_spans(&ring);
-        let (mut spans, _) = ring.drain();
+        let mut spans = report.spans();
         // Session-track engagement intervals: issue → contended completion.
         for r in &rows {
             spans.push(
@@ -623,14 +620,13 @@ mod tests {
         let events =
             vec![event(0, 0, 0, 3), event(1, 1, 0, 4), event(2, 0, 0, 5), event(3, 1, 0, 6)];
         let report = device_timeline(&ledger(), events);
-        let report = report.single();
-        assert_eq!(report.completions.len(), 4);
+        assert_eq!(report.completions().len(), 4);
         // Busy-time conservation: the contended queue does exactly the
         // uncontended work, just serialized.
-        assert_eq!(report.busy, ms(3 + 4 + 5 + 6));
+        assert_eq!(report.busy(), ms(3 + 4 + 5 + 6));
         // Lane 0's contended completion can only be later than its own
         // back-to-back service time.
-        assert!(report.last_completion_of(0).unwrap() >= ms(3 + 5));
+        assert!(report.completions_of(0).last().unwrap().completion >= ms(3 + 5));
         // FIFO per lane survives the replay.
         for lane in [0, 1] {
             let mine = report.completions_of(lane);
@@ -657,17 +653,16 @@ mod tests {
         };
         let flash_only = run(None);
         let with_dram = run(Some(FlashModel::dram_residency()));
-        let (flash_only, with_dram) = (flash_only.single(), with_dram.single());
         // Under the residency model the resident request's service time
         // collapses; the cold one is unchanged.
-        assert_eq!(with_dram.completions[0].completion, flash_only.completions[0].completion);
-        assert!(with_dram.busy < flash_only.busy);
+        assert_eq!(with_dram.completions()[0].completion, flash_only.completions()[0].completion);
+        assert!(with_dram.busy() < flash_only.busy());
     }
 
     #[test]
     fn lane_arrival_offsets_shift_the_contended_track() {
         let report = device_timeline(&ledger(), vec![event(0, 0, 500, 5)]);
-        assert_eq!(report.single().completions[0].arrival, ms(500));
+        assert_eq!(report.completions()[0].arrival, ms(500));
         assert!(report.makespan() >= ms(500));
     }
 
@@ -709,16 +704,17 @@ mod tests {
         ];
         let ledger = ledger();
         // An independently fed single-server queue over the same dispatch log.
-        let mut reference = sti_device::FlashQueueSim::new();
+        let mut reference = TopologyQueueSim::new(DeviceTopology::single());
         for e in &events {
             let service = ledger.contended_service(e);
-            reference.submit_shared(
+            reference.submit_shared_on(
+                0,
                 FlashJob { engagement: e.channel, arrival: e.arrival, service },
                 &e.members,
             );
         }
         let topo = device_timeline(&ledger, events);
-        assert_eq!(*topo.single(), reference.run(), "C = 1 replay is bit-identical");
+        assert_eq!(topo, reference.run(), "C = 1 replay is bit-identical");
         // The raised arrival keeps lane 0's FIFO through the replay.
         let mine = topo.completions_of(0);
         assert_eq!(mine.len(), 3);

@@ -66,7 +66,7 @@
 //!
 //! **Shared-IO batching and device topology** are configured on the
 //! builder ([`StiServerBuilder::batch_policy`],
-//! [`StiServerBuilder::device_topology`]) and priced the same way: both
+//! [`StiServerBuilder::channels`]) and priced the same way: both
 //! are invisible to the uncontended track — per-engagement results stay
 //! bit-identical to solo, single-channel runs — and both are folded into
 //! every contended prediction and into the contended replay (a batched
@@ -184,23 +184,21 @@ impl StiServerBuilder {
         self
     }
 
-    /// The simulated device's flash topology (default: one channel — the
-    /// legacy device). With `C > 1`, the IO scheduler
-    /// stripes each session's shard placement across device channels, the
-    /// contended track replays per-channel FIFO queues, batching coalesces
-    /// only same-channel byte-identical requests, and the SLO search ranks
-    /// *which* channels a candidate stripes across alongside its
-    /// `(T, |S|)` placements. `C = 1` reproduces the single-channel server
-    /// bit-identically.
-    pub fn device_topology(mut self, topology: DeviceTopology) -> Self {
-        self.topology = topology;
+    /// The simulated device's flash topology: `channels` independent flash
+    /// channels (default: one — the legacy device). With `C > 1`, the IO
+    /// scheduler stripes each session's shard placement across device
+    /// channels, the contended track replays per-channel FIFO queues,
+    /// batching coalesces only same-channel byte-identical requests, and
+    /// the SLO search ranks *which* channels a candidate stripes across
+    /// alongside its `(T, |S|)` placements. `C = 1` reproduces the
+    /// single-channel server bit-identically.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channels` is zero.
+    pub fn channels(mut self, channels: u16) -> Self {
+        self.topology = DeviceTopology::with_channels(channels);
         self
-    }
-
-    /// Convenience for [`StiServerBuilder::device_topology`]: `channels`
-    /// independent flash channels.
-    pub fn channels(self, channels: u16) -> Self {
-        self.device_topology(DeviceTopology::with_channels(channels))
     }
 
     /// Byte budget of the shared compressed-shard cache (default 4 MiB;

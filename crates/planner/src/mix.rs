@@ -80,8 +80,7 @@
 //!
 //! The mix carries the [`DeviceTopology`] predictions model
 //! ([`ServingMix::with_topology`]): one single-server FIFO queue per device
-//! channel, `FlashQueueSim`'s discipline `C` times over as in
-//! `TopologyQueueSim`, so `C = 1` is that queue verbatim. A prediction
+//! channel, the discipline `TopologyQueueSim` serves. A prediction
 //! routes each job to its device channel by
 //! `DeviceTopology::channel_for` over the job's placement-adjusted
 //! signature (lane stripes are folded into sigs at load construction —

@@ -75,8 +75,8 @@
 //! service times (flash, or the opt-in DRAM-residency tier for
 //! cache-resident bytes). Every contended-track consumer runs on the
 //! same model (one single-server FIFO queue per channel, which
-//! [`prelude::TopologyQueueSim`] simulates as `C` × `FlashQueueSim`): the
-//! post-replay contention report, `ServingMix::predict`/`min_delay`
+//! [`prelude::TopologyQueueSim`] simulates): the post-replay contention
+//! report, `ServingMix::predict`/`min_delay`
 //! (admission and the gate queue the open sessions' lanes on their device
 //! channels, folded in closed form with or without batching), and the SLO
 //! search. Placement is a *stripe*: each session's request signatures are
@@ -90,9 +90,8 @@
 //! that fails on one channel can succeed by striping across four
 //! (`tests/serving_device.rs` pins exactly that, plus per-channel
 //! busy-time conservation and FIFO). `C = 1` (the default) has no
-//! placement freedom, and the simulator at `C = 1` is exactly one
-//! `FlashQueueSim`; `sti serve --channels N`
-//! sets the topology everywhere, and per-device-channel span tracks and
+//! placement freedom; `sti serve --channels N` sets the topology
+//! everywhere, and per-device-channel span tracks and
 //! `io.channel.<c>.*` metrics make each channel's busy time, queued
 //! bytes, and batch fan-out observable.
 //!
@@ -232,5 +231,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use sti_core::*;

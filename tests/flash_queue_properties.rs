@@ -27,13 +27,13 @@ fn build_jobs(samples: &[(u64, u64, u64)]) -> Vec<FlashJob> {
         .collect()
 }
 
-fn run(jobs: &[FlashJob]) -> (FlashQueueSim, sti_device::FlashQueueReport) {
-    let mut sim = FlashQueueSim::new();
+/// Serves `jobs` on one device channel.
+fn run(jobs: &[FlashJob]) -> TopologyReport {
+    let mut sim = TopologyQueueSim::new(DeviceTopology::single());
     for &job in jobs {
-        sim.submit(job);
+        sim.submit_on(0, job);
     }
-    let report = sim.run();
-    (sim, report)
+    sim.run()
 }
 
 proptest! {
@@ -44,12 +44,12 @@ proptest! {
         samples in proptest::collection::vec((0u64..5, 0u64..20_000, 1u64..10_000), 1..60),
     ) {
         let jobs = build_jobs(&samples);
-        let (_, report) = run(&jobs);
+        let report = run(&jobs);
         let total: SimTime = jobs.iter().map(|j| j.service).sum();
-        prop_assert_eq!(report.busy, total);
-        prop_assert_eq!(report.completions.len(), jobs.len());
+        prop_assert_eq!(report.busy(), total);
+        prop_assert_eq!(report.completions().len(), jobs.len());
         // A single server can never finish earlier than its busy time.
-        prop_assert!(report.makespan >= report.busy);
+        prop_assert!(report.makespan() >= report.busy());
     }
 
     #[test]
@@ -57,9 +57,8 @@ proptest! {
         samples in proptest::collection::vec((0u64..5, 0u64..20_000, 1u64..10_000), 1..60),
     ) {
         let jobs = build_jobs(&samples);
-        let (sim, report) = run(&jobs);
-        let _ = &sim;
-        for c in &report.completions {
+        let report = run(&jobs);
+        for c in &report.completions() {
             let job = jobs[c.seq];
             // Per job: queueing can only add latency over the service time.
             prop_assert!(c.completion >= c.arrival + job.service);
@@ -74,7 +73,12 @@ proptest! {
             }
             let first_arrival = mine.iter().map(|j| j.arrival).min().unwrap_or(SimTime::ZERO);
             let service_sum: SimTime = mine.iter().map(|j| j.service).sum();
-            let last = report.last_completion_of(engagement).expect("engagement has jobs");
+            let last = report
+                .completions_of(engagement)
+                .iter()
+                .map(|c| c.completion)
+                .max()
+                .expect("engagement has jobs");
             prop_assert!(
                 last >= first_arrival + service_sum,
                 "engagement {}: contended end {} beats uncontended floor {}",
@@ -90,7 +94,7 @@ proptest! {
         samples in proptest::collection::vec((0u64..5, 0u64..20_000, 1u64..10_000), 1..60),
     ) {
         let jobs = build_jobs(&samples);
-        let (_, report) = run(&jobs);
+        let report = run(&jobs);
         // Per engagement: completions in submission order, non-overlapping.
         for engagement in 0..5u64 {
             let mine = report.completions_of(engagement);
@@ -100,7 +104,7 @@ proptest! {
             }
         }
         // Globally: one flash channel, jobs in service order never overlap.
-        for pair in report.completions.windows(2) {
+        for pair in report.completions().windows(2) {
             prop_assert!(pair[0].completion <= pair[1].start);
         }
     }

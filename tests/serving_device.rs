@@ -5,9 +5,9 @@
 //!    conservation channel by channel, FIFO service order within a
 //!    channel, each channel's server never overlaps two jobs, and no job
 //!    ever migrates to a channel it was not submitted to.
-//! 2. **A channel ≡ one `FlashQueueSim`.** For `C ∈ 1..=4` every
+//! 2. **A channel ≡ one independent queue.** For `C ∈ 1..=4` every
 //!    channel's report is bit-identical to an independently fed
-//!    single-server queue on arbitrary job streams (shared jobs included),
+//!    single-channel queue on arbitrary job streams (shared jobs included),
 //!    and a `channels: 1` server reproduces the default server's outcomes,
 //!    gate decisions, and contended latencies on every shipped fixture.
 //! 3. **Placement wins admissions.** Striping a fleet across `C = 4`
@@ -117,9 +117,9 @@ proptest! {
         }
     }
 
-    /// Every channel ≡ one `FlashQueueSim`, at the simulator level: for
+    /// Every channel ≡ one independent queue, at the simulator level: for
     /// `C ∈ 1..=4`, channel `c`'s report is exactly an independently fed
-    /// single-server queue of the jobs routed to `c`, its sequence numbers
+    /// single-channel queue of the jobs routed to `c`, its sequence numbers
     /// mapped through the global submission order — shared jobs included.
     #[test]
     fn every_channel_is_bitwise_an_independent_flash_queue_sim(
@@ -131,20 +131,21 @@ proptest! {
     ) {
         let routed = build_routed_jobs(&samples);
         let mut topo = TopologyQueueSim::new(DeviceTopology::with_channels(channels));
-        let mut queues = vec![FlashQueueSim::new(); channels as usize];
+        let mut queues =
+            vec![TopologyQueueSim::new(DeviceTopology::single()); channels as usize];
         let mut global: Vec<Vec<usize>> = vec![Vec::new(); channels as usize];
         for (seq, &(channel, job)) in routed.iter().enumerate() {
             let c = channel % channels;
             // Every third job is a batch fanned out to a foreign recipient.
             let recipients: &[u64] = if seq % 3 == 0 { &[100 + job.engagement] } else { &[] };
             prop_assert_eq!(topo.submit_shared_on(c, job, recipients), seq);
-            queues[c as usize].submit_shared(job, recipients);
+            queues[c as usize].submit_shared_on(0, job, recipients);
             global[c as usize].push(seq);
         }
         let got = topo.run();
         prop_assert_eq!(got.channels.len(), channels as usize);
         for (c, queue) in queues.iter().enumerate() {
-            let mut want = queue.run();
+            let mut want = queue.run().channels.remove(0);
             for done in &mut want.completions {
                 done.seq = global[c][done.seq];
             }
@@ -154,8 +155,8 @@ proptest! {
             // Global and channel-local sequences coincide: the report is
             // the single queue's, verbatim.
             let want = queues[0].run();
-            prop_assert_eq!(got.single(), &want);
-            prop_assert_eq!(got.completions(), want.completions);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(got.completions(), want.completions());
         }
     }
 }

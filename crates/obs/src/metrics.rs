@@ -8,6 +8,7 @@
 //! [`MetricsSnapshot`] — plain sorted maps that merge across registries
 //! and render to deterministic JSON.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -256,9 +257,14 @@ enum Instrument {
 /// A registry of named instruments. Handles are resolved once (at
 /// subsystem construction) and cached by the caller; the registry map is
 /// only locked at registration and snapshot time, never per increment.
+///
+/// The registry owns its names: a literal is borrowed for free, and a name
+/// built at run time (`format!("io.channel.{c}.busy_us")`) is stored once
+/// and freed with the registry. Snapshots list names in string order,
+/// however they were passed in.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    instruments: Mutex<BTreeMap<&'static str, Instrument>>,
+    instruments: Mutex<BTreeMap<Cow<'static, str>, Instrument>>,
 }
 
 impl MetricsRegistry {
@@ -272,11 +278,17 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different kind.
-    pub fn counter(&self, name: &'static str) -> Counter {
+    pub fn counter(&self, name: impl Into<Cow<'static, str>>) -> Counter {
+        let name = name.into();
         let mut map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
-        match map.entry(name).or_insert_with(|| Instrument::Counter(Counter::new())) {
-            Instrument::Counter(c) => c.clone(),
-            _ => panic!("instrument {name} is not a counter"),
+        match map.get(&*name) {
+            Some(Instrument::Counter(c)) => c.clone(),
+            Some(_) => panic!("instrument {name} is not a counter"),
+            None => {
+                let c = Counter::new();
+                map.insert(name, Instrument::Counter(c.clone()));
+                c
+            }
         }
     }
 
@@ -285,11 +297,17 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
+    pub fn gauge(&self, name: impl Into<Cow<'static, str>>) -> Gauge {
+        let name = name.into();
         let mut map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
-        match map.entry(name).or_insert_with(|| Instrument::Gauge(Gauge::new())) {
-            Instrument::Gauge(g) => g.clone(),
-            _ => panic!("instrument {name} is not a gauge"),
+        match map.get(&*name) {
+            Some(Instrument::Gauge(g)) => g.clone(),
+            Some(_) => panic!("instrument {name} is not a gauge"),
+            None => {
+                let g = Gauge::new();
+                map.insert(name, Instrument::Gauge(g.clone()));
+                g
+            }
         }
     }
 
@@ -298,11 +316,17 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different kind.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
+    pub fn histogram(&self, name: impl Into<Cow<'static, str>>) -> Histogram {
+        let name = name.into();
         let mut map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
-        match map.entry(name).or_insert_with(|| Instrument::Histogram(Histogram::new())) {
-            Instrument::Histogram(h) => h.clone(),
-            _ => panic!("instrument {name} is not a histogram"),
+        match map.get(&*name) {
+            Some(Instrument::Histogram(h)) => h.clone(),
+            Some(_) => panic!("instrument {name} is not a histogram"),
+            None => {
+                let h = Histogram::new();
+                map.insert(name, Instrument::Histogram(h.clone()));
+                h
+            }
         }
     }
 
@@ -310,7 +334,7 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
         let mut snap = MetricsSnapshot::default();
-        for (&name, inst) in map.iter() {
+        for (name, inst) in map.iter() {
             match inst {
                 Instrument::Counter(c) => {
                     snap.counters.insert(name.to_string(), c.get());
@@ -460,7 +484,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("a").add(3);
         reg.counter("a").add(4);
-        assert_eq!(reg.counter("a").get(), 7);
+        // A name built at run time finds the literal's instrument.
+        reg.counter(String::from("a")).add(1);
+        assert_eq!(reg.counter("a").get(), 8);
     }
 
     #[test]

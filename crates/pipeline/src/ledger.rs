@@ -217,7 +217,8 @@ fn price_speculation(spec: &[FlashDispatchEvent], demand: &TopologyReport) -> Pr
         per_dc.entry(e.device_channel).or_default().push(e);
     }
     for (dc, mut jobs) in per_dc {
-        jobs.sort_by_key(|e| (e.arrival, e.seq));
+        // Stable: jobs arriving together keep their log order.
+        jobs.sort_by_key(|e| e.arrival);
         let mut intervals: Vec<(SimTime, SimTime)> = demand
             .channels
             .get(dc as usize)
@@ -579,9 +580,8 @@ mod tests {
     }
 
     /// A dispatch of `service_ms` on device channel 0, led by `lane`.
-    fn event(seq: u64, lane: u64, arrival_ms: u64, service_ms: u64) -> FlashDispatchEvent {
+    fn event(lane: u64, arrival_ms: u64, service_ms: u64) -> FlashDispatchEvent {
         FlashDispatchEvent {
-            seq,
             channel: lane,
             device_channel: 0,
             arrival: ms(arrival_ms),
@@ -617,8 +617,7 @@ mod tests {
     #[test]
     fn the_replay_serves_the_dispatch_sequence() {
         // Lanes 0 and 1 stream two layers each, dispatched round-robin.
-        let events =
-            vec![event(0, 0, 0, 3), event(1, 1, 0, 4), event(2, 0, 0, 5), event(3, 1, 0, 6)];
+        let events = vec![event(0, 0, 3), event(1, 0, 4), event(0, 0, 5), event(1, 0, 6)];
         let report = device_timeline(&ledger(), events);
         assert_eq!(report.completions().len(), 4);
         // Busy-time conservation: the contended queue does exactly the
@@ -642,10 +641,10 @@ mod tests {
         // cache-resident at dispatch.
         let bytes = 64 << 10;
         let cold =
-            FlashDispatchEvent { bytes, io_delay: flash.request_delay(bytes), ..event(0, 0, 0, 0) };
+            FlashDispatchEvent { bytes, io_delay: flash.request_delay(bytes), ..event(0, 0, 0) };
         let warm = FlashDispatchEvent {
             hit_bytes: bytes,
-            ..FlashDispatchEvent { seq: 1, channel: 1, ..cold.clone() }
+            ..FlashDispatchEvent { channel: 1, ..cold.clone() }
         };
         let run = |dram: Option<FlashModel>| {
             let ledger = ContentionLedger::new(flash, dram, DeviceTopology::single());
@@ -661,7 +660,7 @@ mod tests {
 
     #[test]
     fn lane_arrival_offsets_shift_the_contended_track() {
-        let report = device_timeline(&ledger(), vec![event(0, 0, 500, 5)]);
+        let report = device_timeline(&ledger(), vec![event(0, 500, 5)]);
         assert_eq!(report.completions()[0].arrival, ms(500));
         assert!(report.makespan() >= ms(500));
     }
@@ -674,7 +673,7 @@ mod tests {
             DeviceTopology::with_channels(2),
         );
         let events =
-            vec![event(0, 0, 0, 5), FlashDispatchEvent { device_channel: 1, ..event(1, 1, 0, 5) }];
+            vec![event(0, 0, 5), FlashDispatchEvent { device_channel: 1, ..event(1, 0, 5) }];
         let striped = device_timeline(&two, events.clone());
         for lane in [0, 1] {
             assert_eq!(striped.completions_of(lane)[0].queue_delay(), SimTime::ZERO);
@@ -692,16 +691,13 @@ mod tests {
         // with the later arrival; lane 0 then reads a third layer alone, at
         // the arrival the batches raised it to.
         let at = SimTime::from_us(200);
-        let shared = |seq: u64, service_ms: u64| FlashDispatchEvent {
+        let shared = |service_ms: u64| FlashDispatchEvent {
             arrival: at,
             members: vec![1],
-            ..event(seq, 0, 0, service_ms)
+            ..event(0, 0, service_ms)
         };
-        let events = vec![
-            shared(0, 3),
-            shared(1, 4),
-            FlashDispatchEvent { arrival: at, ..event(2, 0, 0, 5) },
-        ];
+        let events =
+            vec![shared(3), shared(4), FlashDispatchEvent { arrival: at, ..event(0, 0, 5) }];
         let ledger = ledger();
         // An independently fed single-server queue over the same dispatch log.
         let mut reference = TopologyQueueSim::new(DeviceTopology::single());
@@ -726,7 +722,7 @@ mod tests {
         let ledger = ledger();
         ledger.record_engagement(record(10, 0, &[true]));
         ledger.record_engagement(record(11, 1, &[true]));
-        let shared = FlashDispatchEvent { members: vec![11], ..event(0, 10, 0, 5) };
+        let shared = FlashDispatchEvent { members: vec![11], ..event(10, 0, 5) };
         let report = ledger.report(vec![shared], None, 0);
         // One 5 ms read, mirrored to both lanes: each engagement sees
         // 5 ms IO + 2 ms compute, exactly its solo makespan.
@@ -747,7 +743,7 @@ mod tests {
         ledger.record_engagement(record(10, 0, &[true]));
         // Lane 11 wanted two layers but only one dispatch ever completed.
         ledger.record_engagement(record(11, 1, &[true, true]));
-        let events = vec![event(0, 10, 0, 5), event(1, 11, 0, 5)];
+        let events = vec![event(10, 0, 5), event(11, 0, 5)];
         let report = ledger.report(events.clone(), None, 0);
         assert_eq!(report.engagements.len(), 1, "no coherent timeline, no row");
         assert_eq!(report.engagements[0].session, 0);
@@ -771,7 +767,7 @@ mod tests {
         ledger.record_engagement(record(10, 0, &[true]));
         ledger.record_engagement(record(11, 1, &[true]));
         ledger.record_engagement(record(12, 0, &[true]));
-        let events = vec![event(0, 10, 0, 5), event(1, 11, 0, 5), event(2, 12, 0, 5)];
+        let events = vec![event(10, 0, 5), event(11, 0, 5), event(12, 0, 5)];
         let report = ledger.report(events, None, 0);
         let row = |lane: u64| *report.engagements.iter().find(|e| e.channel == lane).unwrap();
         assert_eq!((row(10).issue, row(10).initial_queueing), (SimTime::ZERO, SimTime::ZERO));
@@ -792,12 +788,8 @@ mod tests {
             let ledger = ledger();
             ledger.record_engagement(record(lanes[0], 0, &[true]));
             ledger.record_engagement(record(lanes[1], 1, &[true]));
-            let by_session = [event(0, lanes[0], 0, 5), event(0, lanes[1], 1, 5)];
-            let events = order
-                .iter()
-                .enumerate()
-                .map(|(seq, &i)| FlashDispatchEvent { seq: seq as u64, ..by_session[i].clone() })
-                .collect();
+            let by_session = [event(lanes[0], 0, 5), event(lanes[1], 1, 5)];
+            let events = order.iter().map(|&i| by_session[i].clone()).collect();
             let mut spans = ledger.spans(events, &[]);
             spans.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
             spans
@@ -818,13 +810,13 @@ mod tests {
         let ledger = ledger();
         ledger.record_engagement(record(10, 0, &[true]));
         // Demand holds the channel over 10..20 ms.
-        let demand = vec![event(0, 10, 10, 10)];
+        let demand = vec![event(10, 10, 10)];
         let spec = [
             // Arrives at 5 ms wanting 10 ms: runs 5..10, yields to demand,
             // resumes 20..25.
-            FlashDispatchEvent { bytes: 4_000, hit_bytes: 1_000, ..event(0, 0, 5, 10) },
+            FlashDispatchEvent { bytes: 4_000, hit_bytes: 1_000, ..event(0, 5, 10) },
             // Arrives in the clear: 30..32, untouched.
-            FlashDispatchEvent { bytes: 2_000, ..event(1, 0, 30, 2) },
+            FlashDispatchEvent { bytes: 2_000, ..event(0, 30, 2) },
         ];
         let report = ledger.report(demand, Some(&spec), 0);
         assert_eq!(

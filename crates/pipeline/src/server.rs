@@ -322,7 +322,6 @@ impl StiServerBuilder {
                 plan_sharing: self.plan_sharing,
                 slo_searches: AtomicU64::new(0),
                 slo_planning: Mutex::new(()),
-                open_sessions: AtomicUsize::new(0),
                 next_session_token: AtomicU64::new(0),
                 live_mix: RwLock::new(ServingMix::new(self.sharing).with_topology(self.topology)),
                 active_engagements: AtomicUsize::new(0),
@@ -434,8 +433,6 @@ struct ServerInner {
     /// unconditionally, so a racing plain open is indistinguishable from
     /// one that lands just after the verdict and is not serialized.
     slo_planning: Mutex<()>,
-    /// Sessions currently open.
-    open_sessions: AtomicUsize,
     /// Monotonic token handed to each session, keying `live_mix`.
     next_session_token: AtomicU64,
     /// The open-session registry — each open session's actual streaming IO
@@ -979,7 +976,7 @@ impl StiServer {
     /// Sessions currently open (the co-runner count the next SLO admission
     /// will plan against).
     pub fn open_sessions(&self) -> usize {
-        self.inner.open_sessions.load(Ordering::SeqCst)
+        self.inner.live_mix.read().co_runners()
     }
 
     /// The live registry mix's rolling digest — the identity the gate's
@@ -1129,7 +1126,6 @@ impl Drop for Session {
         if let Some(pf) = &self.inner.prefetch {
             pf.forget(self.token);
         }
-        self.inner.open_sessions.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1179,7 +1175,6 @@ impl Session {
     /// registry token.
     fn open(inner: &Arc<ServerInner>, planned: Arc<Planned>, arrival: SimTime) -> Session {
         let token = inner.next_session_token.fetch_add(1, Ordering::SeqCst);
-        inner.open_sessions.fetch_add(1, Ordering::SeqCst);
         let mut session = Session {
             inner: inner.clone(),
             token,
@@ -1458,16 +1453,14 @@ impl Session {
             &pending.has_request,
         )?;
 
-        // Contended-track record: which layers streamed (an IO span in the
-        // timeline) and the uniform per-layer compute delay.
-        let layer_has_io: Vec<bool> =
-            outcome.timeline.layers.iter().map(|l| l.io_end > l.io_start).collect();
+        // Contended-track record: which layers streamed (the request mask
+        // `infer_issue` built) and the uniform per-layer compute delay.
         inner.ledger.record_engagement(EngagementRecord {
             channel: pending.channel.id(),
             session: self.token,
             slo: *slo,
             issue: pending.issue,
-            layer_has_io,
+            layer_has_io: pending.has_request,
             comp: inner.hw.t_comp(plan.shape.width),
             uncontended: outcome.timeline.makespan,
         });

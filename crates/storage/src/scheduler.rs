@@ -383,12 +383,11 @@ impl IoScheduler {
     /// flash-loaded into the pool, `hit_bytes` = pinned from the main
     /// cache).
     pub fn speculative_events(&self) -> Vec<FlashDispatchEvent> {
-        self.shared.lock_state().lanes.spec_log.in_order()
+        self.shared.lock_state().lanes.spec_log.clone()
     }
 
-    /// Drops the demand and the speculative event log (numbering continues,
-    /// so later events still sort after anything already harvested). The
-    /// logs otherwise grow by one entry per serviced request.
+    /// Drops the demand and the speculative event log. The logs otherwise
+    /// grow by one entry per serviced request.
     pub fn clear_event_logs(&self) {
         let mut state = self.shared.lock_state();
         state.lanes.demand_log.clear();
@@ -397,7 +396,7 @@ impl IoScheduler {
 
     /// The contended-track event log so far, in dispatch order.
     pub fn flash_events(&self) -> Vec<FlashDispatchEvent> {
-        self.shared.lock_state().lanes.demand_log.in_order()
+        self.shared.lock_state().lanes.demand_log.clone()
     }
 
     /// Shuts the scheduler down. A dispatch already running lands; queued

@@ -79,11 +79,6 @@ struct DeviceChannelInstruments {
 
 impl IoInstruments {
     pub(super) fn resolve(registry: &MetricsRegistry, topology: DeviceTopology) -> Self {
-        // Instrument names are `&'static str`; device-channel names are
-        // minted once per spawn (bounded by the topology's channel count).
-        let name = |c: u16, suffix: &str| -> &'static str {
-            Box::leak(format!("io.channel.{c}.{suffix}").into_boxed_str())
-        };
         let channels = if topology.channel_count() > 1 { topology.channel_count() } else { 0 };
         Self {
             requests: registry.counter("io.requests"),
@@ -99,9 +94,9 @@ impl IoInstruments {
             service_us: registry.histogram("io.service_us"),
             per_channel: (0..channels)
                 .map(|c| DeviceChannelInstruments {
-                    busy_us: registry.counter(name(c, "busy_us")),
-                    queued_bytes: registry.counter(name(c, "queued_bytes")),
-                    batch_fanout: registry.gauge(name(c, "batch_fanout")),
+                    busy_us: registry.counter(format!("io.channel.{c}.busy_us")),
+                    queued_bytes: registry.counter(format!("io.channel.{c}.queued_bytes")),
+                    batch_fanout: registry.gauge(format!("io.channel.{c}.batch_fanout")),
                 })
                 .collect(),
         }
@@ -176,7 +171,6 @@ fn run_dispatch(shared: &Shared, dispatch: Dispatch) {
                 let start = dispatch.arrival.as_us();
                 let end = (dispatch.arrival + loaded.io_delay).as_us();
                 let args = SpanArgs::new()
-                    .with("seq", dispatch.seq)
                     .with("fanout", 1 + dispatch.members.len() as u64)
                     .with("bytes", loaded.bytes)
                     .with("hit_bytes", *hit_bytes);

@@ -27,12 +27,13 @@
 //!   — and to fail — on the member's own dispatch.
 //! - **Effective arrival.** A lane's dispatches are stamped with
 //!   non-decreasing arrivals (a batch raises every participant to its
-//!   latest member's), so the `(arrival, seq)` order a replay serves the
-//!   log in preserves each lane's FIFO; `seq` strictly increases in pick
-//!   order.
+//!   latest member's), so the `(arrival, log position)` order a replay
+//!   serves the log in preserves each lane's FIFO. A lane's next dispatch
+//!   is picked only after its last one landed, so the log lists each lane's
+//!   jobs in its pick order.
 //! - **Fencing.** A speculative job is picked only when no demand request
-//!   is dispatchable for the same device-channel filter, is numbered and
-//!   logged apart from demand, and touches no lane.
+//!   is dispatchable for the same device-channel filter, is logged apart
+//!   from demand, and touches no lane.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -48,8 +49,6 @@ use crate::store::ShardKey;
 /// with the fan-out recipients in [`FlashDispatchEvent::members`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashDispatchEvent {
-    /// Dispatch sequence number (the order requests reached the flash).
-    pub seq: u64,
     /// The engagement IO lane that led the dispatch.
     pub channel: u64,
     /// The device channel placement resolved the request onto
@@ -127,8 +126,6 @@ pub(super) struct Dispatch {
     pub(super) req: LayerRequest,
     /// Lanes with queued or in-flight work observed at the pick.
     pub(super) depth: usize,
-    /// Dispatch sequence number (contended-track event ordering).
-    pub(super) seq: u64,
     /// The leader's effective arrival, raised to the latest member's.
     pub(super) arrival: SimTime,
     /// Where placement put the leader's request (and every member's).
@@ -144,34 +141,6 @@ pub(super) enum Pick {
     Spec(SpeculativeJob),
 }
 
-/// A dispatch log and its numbering. Dispatches are logged as they finish,
-/// in whatever order their loads return; `seq` restores dispatch order.
-#[derive(Default)]
-pub(super) struct DispatchLog {
-    next_seq: u64,
-    events: Vec<FlashDispatchEvent>,
-}
-
-impl DispatchLog {
-    fn take_seq(&mut self) -> u64 {
-        self.next_seq += 1;
-        self.next_seq - 1
-    }
-
-    /// The log so far, in dispatch order.
-    pub(super) fn in_order(&self) -> Vec<FlashDispatchEvent> {
-        let mut events = self.events.clone();
-        events.sort_by_key(|e| e.seq);
-        events
-    }
-
-    /// Drops the events; numbering continues, so later ones still sort
-    /// after anything already harvested.
-    pub(super) fn clear(&mut self) {
-        self.events.clear();
-    }
-}
-
 /// The lanes, the round-robin turn queue, the speculative class and the
 /// two dispatch logs (see the module docs for what holds between them).
 pub(super) struct SchedState {
@@ -184,12 +153,14 @@ pub(super) struct SchedState {
     next_lane_id: u64,
     /// Queued speculative (prefetch) jobs, FIFO.
     spec: VecDeque<SpeculativeJob>,
-    /// Every serviced demand dispatch (the contended track).
-    pub(super) demand_log: DispatchLog,
-    /// Every serviced speculative job, numbered and kept apart so the
+    /// Every serviced demand dispatch (the contended track), in the order
+    /// the dispatches landed. One driver at a time runs pick → load → land,
+    /// so that is also the order they were picked.
+    pub(super) demand_log: Vec<FlashDispatchEvent>,
+    /// Every serviced speculative job, in landing order, kept apart so the
     /// demand log is bit-identical with and without prefetch (`bytes` =
     /// flash-loaded into the pool, `hit_bytes` = pinned from the cache).
-    pub(super) spec_log: DispatchLog,
+    pub(super) spec_log: Vec<FlashDispatchEvent>,
 }
 
 impl SchedState {
@@ -201,8 +172,8 @@ impl SchedState {
             turn_queue: VecDeque::new(),
             next_lane_id: 0,
             spec: VecDeque::new(),
-            demand_log: DispatchLog::default(),
-            spec_log: DispatchLog::default(),
+            demand_log: Vec::new(),
+            spec_log: Vec::new(),
         }
     }
 
@@ -285,7 +256,6 @@ impl SchedState {
             lane.inflight = true;
             let leader_arrival = lane.arrival;
             let mut batch_arrival = lane.effective_arrival;
-            let seq = self.demand_log.take_seq();
 
             let mut members: Vec<(u64, LayerRequest)> = Vec::new();
             if sharing != IoSharing::Exclusive {
@@ -329,7 +299,6 @@ impl SchedState {
                 channel_id: id,
                 req,
                 depth,
-                seq,
                 arrival: batch_arrival,
                 device_channel,
                 members,
@@ -348,11 +317,10 @@ impl SchedState {
         dispatch: Dispatch,
         result: Result<(LoadedLayer, u64), StorageError>,
     ) {
-        let Dispatch { channel_id, seq, arrival, device_channel, members, .. } = dispatch;
+        let Dispatch { channel_id, arrival, device_channel, members, .. } = dispatch;
         let result = match result {
             Ok((loaded, hit_bytes)) => {
-                self.demand_log.events.push(FlashDispatchEvent {
-                    seq,
+                self.demand_log.push(FlashDispatchEvent {
                     channel: channel_id,
                     device_channel,
                     arrival,
@@ -407,9 +375,7 @@ impl SchedState {
         if flash_bytes == 0 && pinned_bytes == 0 {
             return;
         }
-        let seq = self.spec_log.take_seq();
-        self.spec_log.events.push(FlashDispatchEvent {
-            seq,
+        self.spec_log.push(FlashDispatchEvent {
             channel: job.session,
             device_channel: job.device_channel,
             arrival: job.arrival,
@@ -497,7 +463,7 @@ mod tests {
         assert!(state.pick(None).is_none());
         land(&mut state, pair);
         land(&mut state, solo);
-        assert_eq!(state.demand_log.in_order().len(), 2, "only the in-window pair coalesces");
+        assert_eq!(state.demand_log.len(), 2, "only the in-window pair coalesces");
     }
 
     /// Two co-arriving lanes read `request(0, 0)` and `other`: the fan-out
@@ -509,7 +475,7 @@ mod tests {
         state.request(a, request(0, 0));
         state.request(b, other);
         drain(&mut state);
-        state.demand_log.in_order().iter().map(FlashDispatchEvent::fanout).collect()
+        state.demand_log.iter().map(FlashDispatchEvent::fanout).collect()
     }
 
     #[test]
@@ -535,15 +501,14 @@ mod tests {
         state.request(late, request(0, 0));
         state.request(early, request(1, 0));
         drain(&mut state);
-        let events = state.demand_log.in_order();
+        let events = &state.demand_log;
         assert_eq!(events.len(), 2);
         let (batch, solo) = (&events[0], &events[1]);
         assert_eq!((batch.fanout(), solo.fanout()), (2, 1));
         assert_eq!(batch.arrival, SimTime::from_us(400), "the job exists once all members have");
         // The early lane's later event inherits the raised arrival so the
-        // (arrival, seq) replay order preserves its FIFO.
+        // replay's (arrival, log position) order preserves its FIFO.
         assert_eq!((solo.channel, solo.arrival), (early, SimTime::from_us(400)));
-        assert!(solo.seq > batch.seq);
     }
 
     #[test]
@@ -609,7 +574,7 @@ mod tests {
 
                 if load_fails {
                     state.finish(dispatch, Err(injected()));
-                    assert!(state.demand_log.in_order().is_empty(), "a failed load is not logged");
+                    assert!(state.demand_log.is_empty(), "a failed load is not logged");
                     if dropped_is_leader {
                         // The error had nobody to go to; the member retries
                         // the same request first.
@@ -621,7 +586,7 @@ mod tests {
                     land(&mut state, dispatch);
                     // The device did the work: the job is logged with its
                     // full member list, delivered to the survivor alone.
-                    let events = state.demand_log.in_order();
+                    let events = &state.demand_log;
                     assert_eq!((events.len(), events[0].channel), (1, leader));
                     assert_eq!(events[0].members, [member]);
                     let got = state.pop_completed(survivor).unwrap().unwrap().unwrap();
@@ -696,15 +661,13 @@ mod tests {
             .collect();
         due.sort_unstable();
         assert_eq!(queued_live, due);
-        // Effective arrival: in dispatch order, a lane's events never step
-        // back in time, and `seq` never repeats.
-        let events = state.demand_log.in_order();
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+        // Effective arrival: in landing order, a lane's events never step
+        // back in time.
         let mut last: BTreeMap<u64, SimTime> = BTreeMap::new();
-        for e in &events {
+        for (at, e) in state.demand_log.iter().enumerate() {
             for lane in std::iter::once(e.channel).chain(e.members.iter().copied()) {
                 let prev = last.insert(lane, e.arrival).unwrap_or(SimTime::ZERO);
-                assert!(prev <= e.arrival, "lane {lane} event arrivals step back at seq {}", e.seq);
+                assert!(prev <= e.arrival, "lane {lane} steps back in time at log entry {at}");
             }
         }
     }
@@ -729,7 +692,6 @@ mod tests {
                 let mut state = SchedState::new(sharing, topology);
                 let mut shadows: BTreeMap<u64, Shadow> = BTreeMap::new();
                 let mut outstanding: Vec<Dispatch> = Vec::new();
-                let mut next_seq = 0u64;
                 let nth_live = |shadows: &BTreeMap<u64, Shadow>, n: u64| {
                     shadows.keys().copied().nth(n as usize % shadows.len().max(1))
                 };
@@ -770,8 +732,6 @@ mod tests {
                             match state.pick(only) {
                                 Some(Pick::Demand(d)) => {
                                     prop_assert!(dispatchable);
-                                    prop_assert_eq!(d.seq, next_seq, "seq counts picks");
-                                    next_seq += 1;
                                     prop_assert_eq!(d.depth, depth);
                                     prop_assert!(only.is_none_or(|dc| dc == d.device_channel));
                                     prop_assert_eq!(state.spec.len(), spec_before);
@@ -798,18 +758,18 @@ mod tests {
                                 Some(Pick::Spec(job)) => {
                                     prop_assert!(!dispatchable);
                                     prop_assert!(only.is_none_or(|dc| dc == job.device_channel));
-                                    let demand = state.demand_log.events.len();
-                                    let spec = state.spec_log.events.len();
+                                    let demand = state.demand_log.len();
+                                    let spec = state.spec_log.len();
                                     state.finish_speculative(&job, 64, 0, SimTime::from_us(5));
-                                    prop_assert_eq!(state.demand_log.events.len(), demand);
-                                    prop_assert_eq!(state.spec_log.events.len(), spec + 1);
+                                    prop_assert_eq!(state.demand_log.len(), demand);
+                                    prop_assert_eq!(state.spec_log.len(), spec + 1);
                                 }
                                 None => prop_assert!(!dispatchable),
                             }
                         }
                         5 | 6 if !outstanding.is_empty() => {
                             let d = outstanding.remove(a as usize % outstanding.len());
-                            let logged = state.demand_log.events.len();
+                            let logged = state.demand_log.len();
                             if op == 5 {
                                 let layer = loaded(&d.req);
                                 for id in participants(&d) {
@@ -818,7 +778,7 @@ mod tests {
                                     }
                                 }
                                 state.finish(d, Ok((layer, b)));
-                                prop_assert_eq!(state.demand_log.events.len(), logged + 1);
+                                prop_assert_eq!(state.demand_log.len(), logged + 1);
                             } else {
                                 if let Some(s) = shadows.get_mut(&d.channel_id) {
                                     s.delivered.push_back(Err(()));
@@ -829,7 +789,7 @@ mod tests {
                                     }
                                 }
                                 state.finish(d, Err(injected()));
-                                prop_assert_eq!(state.demand_log.events.len(), logged);
+                                prop_assert_eq!(state.demand_log.len(), logged);
                             }
                         }
                         7 => {

@@ -222,6 +222,26 @@ fn a_second_server_on_one_context_does_not_copy_the_model() {
     assert_eq!(a.outcome.logits, b.outcome.logits);
 }
 
+/// What building and dropping a server on four device channels keeps. The
+/// scheduler names three instruments per channel
+/// (`io.channel.<c>.{busy_us, queued_bytes, batch_fanout}`), and while the
+/// metrics registry took only `&'static str` names it leaked them on every
+/// build: 280 B per cycle here (a single-channel server, which has no such
+/// names, kept 0 B). The registry owns its names now, and every cycle keeps
+/// 0 B.
+#[test]
+fn building_and_dropping_a_multi_channel_server_keeps_nothing() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let cfg = ServeConfig { channels: 4, ..ServeConfig::default() };
+    // The context's store comes to stay on the first build.
+    drop(build_server(&ctx, &cfg));
+    for cycle in 1..=3 {
+        let ((), _, kept) = heap_bytes_across(|| drop(build_server(&ctx, &cfg)));
+        assert_eq!(kept, 0, "build-and-drop cycle {cycle} of a 4-channel server kept {kept} B");
+    }
+}
+
 /// What a bare `replay_sequential` of `examples/traces/burst.json` requests
 /// at the shipped scale. A report used to assemble the span stream whether
 /// or not anyone read it: 44 467 551 B requested across the replay. Without

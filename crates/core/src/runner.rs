@@ -80,9 +80,12 @@ impl TaskContext {
     /// The task's quantized shard store (all bitwidths): a [`ShardStore`]
     /// written to a fresh directory under [`std::env::temp_dir`] on first use
     /// and shared — engines, serving runtimes, and executors created from
-    /// one context stream from the same files, and the process holds no copy
-    /// of the quantised model. The directory is removed when the context and
-    /// every handle returned here have been dropped.
+    /// one context stream from the same files and share the same payloads:
+    /// a load of a shard some holder on this store still has (any server's
+    /// cache, preload buffer or in-flight layer) returns that holder's copy.
+    /// The process holds no copy of the quantised model beyond what those
+    /// holders keep. The directory is removed when the context and every
+    /// handle returned here have been dropped.
     ///
     /// # Panics
     ///

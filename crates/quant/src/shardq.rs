@@ -5,7 +5,7 @@ use crate::bitwidth::Bitwidth;
 use crate::centroid::CentroidDictionary;
 use crate::error::QuantError;
 use crate::gaussian::GaussianFit;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Parameters of the quantization process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,6 +35,10 @@ impl Default for QuantConfig {
 /// mutably, so `clone()` is a handle to the same bytes — a store, the shard
 /// cache, a staging pool, a preload buffer and an in-flight layer all hold
 /// one copy between them — and `==` compares contents, never pointers.
+/// [`downgrade`](Self::downgrade) gives a [`WeakBlob`] that finds the payload
+/// while any handle is alive and keeps none of its bytes: the on-disk store
+/// indexes what it has decoded that way, so every reader of one store shares
+/// the copy a live holder has.
 ///
 /// ```
 /// use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
@@ -47,6 +51,22 @@ impl Default for QuantConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedBlob {
     payload: Arc<Payload>,
+}
+
+/// A weak handle to a [`QuantizedBlob`]'s payload
+/// ([`QuantizedBlob::downgrade`]): it finds the payload while some handle to
+/// it is alive, and holds none of its bytes. The default handle finds
+/// nothing and holds no allocation.
+#[derive(Debug, Clone, Default)]
+pub struct WeakBlob {
+    payload: Weak<Payload>,
+}
+
+impl WeakBlob {
+    /// A handle to the payload, if some [`QuantizedBlob`] still holds it.
+    pub fn upgrade(&self) -> Option<QuantizedBlob> {
+        self.payload.upgrade().map(|payload| QuantizedBlob { payload })
+    }
 }
 
 #[derive(Debug, PartialEq)]
@@ -248,6 +268,11 @@ impl QuantizedBlob {
         }
     }
 
+    /// A weak handle to this blob's payload (see [`WeakBlob`]).
+    pub fn downgrade(&self) -> WeakBlob {
+        WeakBlob { payload: Arc::downgrade(&self.payload) }
+    }
+
     /// The blob's bitwidth.
     pub fn bitwidth(&self) -> Bitwidth {
         self.payload.bitwidth
@@ -410,5 +435,17 @@ mod tests {
         let mut buf = vec![0.0f32; 300];
         blob.dequantize_into(&mut buf);
         assert_eq!(buf, blob.dequantize());
+    }
+
+    #[test]
+    fn a_weak_blob_finds_the_payload_only_while_a_handle_lives() {
+        let weights = gaussian_weights(9, 64);
+        let blob = QuantizedBlob::quantize(&weights, Bitwidth::B3, &QuantConfig::default());
+        let weak = blob.downgrade();
+        let found = weak.upgrade().expect("a handle is alive");
+        assert_eq!(found.packed().as_ptr(), blob.packed().as_ptr());
+        drop((blob, found));
+        assert!(weak.upgrade().is_none());
+        assert!(WeakBlob::default().upgrade().is_none());
     }
 }

@@ -14,7 +14,9 @@
 //! - [`store::ShardStore`] — create/open a store directory, read shards and
 //!   layer groups. This is the flash every serving path streams from: a
 //!   `load` is a positional read on a cached file handle, verified and
-//!   decoded, and the store keeps none of the bytes it returns;
+//!   decoded, unless some holder still has the shard's payload, which the
+//!   store's weak index then hands out; the store keeps none of the bytes
+//!   it returns;
 //! - [`memstore::MemStore`] — the same [`ShardSource`] with the whole
 //!   quantised model held in RAM: the unit-test double (and fault-injection
 //!   handle) for the disk store, not something a serving process builds;
@@ -41,7 +43,8 @@
 //! `load`, the cache, the staging pool and the scheduler's fan-out pass
 //! handles to it (`QuantizedBlob::clone` is a reference count), and nothing
 //! downstream can write through one. Over a [`ShardStore`] there is no copy
-//! outside the cache: a payload lives exactly as long as its handles do.
+//! outside the cache, and one copy per shard however many caches read the
+//! store: a payload lives exactly as long as its handles do.
 //! Byte budgets are charged per holder from `byte_size()` regardless, and
 //! [`ShardSource::size_bytes`] is that same payload size for every source.
 

@@ -7,7 +7,8 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
+use parking_lot::Mutex;
+use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob, WeakBlob};
 use sti_transformer::{Model, ShardId};
 
 use crate::error::StorageError;
@@ -34,7 +35,9 @@ impl ShardKey {
 /// serving paths stream from, a cache in front of one, or the in-memory
 /// [`MemStore`](crate::MemStore) unit tests substitute for it.
 pub trait ShardSource: Send + Sync {
-    /// Loads one shard version.
+    /// Loads one shard version. The blob may be a payload another holder
+    /// already has (a cache, a preload buffer, an in-flight layer): its
+    /// bytes are the ones a read of the record would decode.
     ///
     /// # Errors
     ///
@@ -62,7 +65,13 @@ pub trait ShardSource: Send + Sync {
 /// Reads take `&self` and are safe from any number of threads: each layer
 /// file is opened on its first read and the handle kept, and every record is
 /// one positional read (no shared cursor), verified and decoded on the way
-/// out. Nothing a read returns stays resident in the store.
+/// out. Nothing a read returns stays resident in the store: it indexes the
+/// payloads it has decoded only weakly, so a load while any holder (a
+/// cache, a preload buffer, a staging pool, an in-flight layer of any
+/// reader of this store) still has the shard's payload returns that
+/// payload instead of decoding a second copy, and a load once every holder
+/// has dropped it reads the record again. The index is sized once for the
+/// manifest's keys.
 #[derive(Debug)]
 pub struct ShardStore {
     dir: PathBuf,
@@ -71,6 +80,41 @@ pub struct ShardStore {
     /// by the first read of that file. A failed open is not remembered, so
     /// a missing file fails every read of it and no other.
     files: HashMap<(u16, u8), OnceLock<fs::File>>,
+    /// What every load consults before it reads.
+    index: Mutex<PayloadIndex>,
+}
+
+/// The store's one place where a decoded payload is published for other
+/// readers to find: one weak handle per manifest key, so it keeps no
+/// payload bytes alive.
+#[derive(Debug)]
+struct PayloadIndex {
+    /// One slot per key, at [`ShardStore::slot`]; sized once, never grown.
+    slots: Vec<WeakBlob>,
+    /// Publishes since dead slots were last swept.
+    published: usize,
+}
+
+impl PayloadIndex {
+    /// Publishes a freshly decoded `blob` in `slot` and returns it, or
+    /// returns the live payload a racing reader published first (both
+    /// decoded the same record). A dead slot keeps its payload's
+    /// reference-count header allocated, so once per key-count publishes
+    /// the dead slots are emptied: O(1) amortised per publish.
+    fn publish(&mut self, slot: usize, blob: QuantizedBlob) -> QuantizedBlob {
+        if let Some(winner) = self.slots[slot].upgrade() {
+            return winner;
+        }
+        if self.published == self.slots.len() {
+            for weak in self.slots.iter_mut().filter(|weak| weak.upgrade().is_none()) {
+                *weak = WeakBlob::default();
+            }
+            self.published = 0;
+        }
+        self.slots[slot] = blob.downgrade();
+        self.published += 1;
+        blob
+    }
 }
 
 impl ShardStore {
@@ -137,7 +181,9 @@ impl ShardStore {
                 manifest.bitwidths.iter().map(move |bw| ((l, bw.bits()), OnceLock::new()))
             })
             .collect();
-        Self { dir, manifest, files }
+        let keys = manifest.config.total_shards() * manifest.bitwidths.len();
+        let index = PayloadIndex { slots: vec![WeakBlob::default(); keys], published: 0 };
+        Self { dir, manifest, files, index: Mutex::new(index) }
     }
 
     /// Opens an existing store.
@@ -165,6 +211,17 @@ impl ShardStore {
         &self.dir
     }
 
+    /// `key`'s index slot, in `(layer, slice, bitwidth)` order over the
+    /// manifest's shape, or `None` for a key the store does not hold.
+    fn slot(&self, key: ShardKey) -> Option<usize> {
+        let cfg = &self.manifest.config;
+        let (layer, slice) = (key.id.layer as usize, key.id.slice as usize);
+        let bitwidths = &self.manifest.bitwidths;
+        let bw = bitwidths.iter().position(|&b| b == key.bitwidth)?;
+        (layer < cfg.layers && slice < cfg.heads)
+            .then(|| (layer * cfg.heads + slice) * bitwidths.len() + bw)
+    }
+
     /// Reads, verifies and decodes one shard record: one positional read on
     /// the layer file's cached handle.
     fn read_record(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
@@ -187,8 +244,8 @@ impl ShardStore {
         Ok(format::decode_blob(&record)?.0)
     }
 
-    /// Reads the records of several shards of *one layer*, in request order,
-    /// over the layer files' cached handles.
+    /// Loads several shards of *one layer*, in request order, as
+    /// [`ShardSource::load`] does each.
     ///
     /// `slices` pairs each slice index with its requested bitwidth.
     ///
@@ -202,7 +259,7 @@ impl ShardStore {
     ) -> Result<Vec<QuantizedBlob>, StorageError> {
         slices
             .iter()
-            .map(|&(slice, bw)| self.read_record(ShardKey::new(ShardId::new(layer, slice), bw)))
+            .map(|&(slice, bw)| self.load(ShardKey::new(ShardId::new(layer, slice), bw)))
             .collect()
     }
 
@@ -219,7 +276,15 @@ impl ShardStore {
 
 impl ShardSource for ShardStore {
     fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
-        self.read_record(key)
+        let Some(slot) = self.slot(key) else {
+            return Err(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() });
+        };
+        if let Some(live) = self.index.lock().slots[slot].upgrade() {
+            return Ok(live);
+        }
+        // Read and decode outside the lock: a miss never stalls a lookup.
+        let blob = self.read_record(key)?;
+        Ok(self.index.lock().publish(slot, blob))
     }
 
     fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
@@ -369,6 +434,47 @@ mod tests {
             }
         });
         assert_eq!(store.read_layer(1, &[(3, Bitwidth::B2)]).unwrap(), vec![first]);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_load_returns_the_payload_a_live_handle_has_and_reads_again_once_none_does() {
+        let (store, _, dir) = tiny_store("live");
+        let key = ShardKey::new(ShardId::new(1, 2), Bitwidth::B6);
+        let held = store.load(key).unwrap();
+        assert_eq!(store.load(key).unwrap().packed().as_ptr(), held.packed().as_ptr());
+        // Empty the layer file under the open handle: only a read sees it.
+        let path = dir.join(Manifest::layer_file_name(1, Bitwidth::B6));
+        fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+        assert_eq!(store.load(key).unwrap().packed().as_ptr(), held.packed().as_ptr());
+        drop(held);
+        let err = store.load(key).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "a load with no live handle reads the record: {err}"
+        );
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn ten_thousand_load_and_drop_cycles_keep_the_index_within_its_sized_capacity() {
+        let (store, model, dir) = tiny_store("bounded");
+        let keys: Vec<ShardKey> = model
+            .config()
+            .shard_ids()
+            .flat_map(|id| store.manifest().bitwidths.iter().map(move |&bw| ShardKey::new(id, bw)))
+            .collect();
+        let mut slots: Vec<usize> = keys.iter().map(|&key| store.slot(key).unwrap()).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..keys.len()).collect::<Vec<_>>(), "one slot per key");
+        assert_eq!(store.index.lock().slots.capacity(), keys.len());
+        for &key in keys.iter().cycle().take(10_000) {
+            drop(store.load(key).unwrap());
+        }
+        let index = store.index.lock();
+        assert_eq!(index.slots.capacity(), keys.len(), "the index never grows past its sizing");
+        assert!(index.slots.iter().all(|weak| weak.upgrade().is_none()));
+        drop(index);
         fs::remove_dir_all(dir).unwrap();
     }
 }

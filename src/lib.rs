@@ -204,7 +204,10 @@
 //! no copy of it: `ShardSource::load` is one positional read on the layer
 //! file's cached handle, the record's word-folded checksum over every byte
 //! read, and one decode into a `QuantizedBlob` — the only writer that
-//! payload ever has. From there it is shared and immutable: a `ShardCache`
+//! payload ever has. The store indexes that payload weakly, so while any
+//! holder has it, every load of the shard, from any server, engine or
+//! executor on the store, returns it instead of decoding a second copy.
+//! From there it is shared and immutable: a `ShardCache`
 //! admit or hit, the prefetch staging pool and its demand promote, a
 //! `PreloadBuffer` fill and the `LoadedLayer` the scheduler fans out to a
 //! batch all hand on a reference-counted handle to that payload, and the

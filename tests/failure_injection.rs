@@ -109,6 +109,33 @@ fn deleted_layer_file_fails_reads_not_open() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A load is served from a payload some holder still has, the way a cache
+/// hit is, so damage to its record goes unseen until every handle drops;
+/// the next load reads the record and fails with the typed error.
+#[test]
+fn a_record_damaged_under_a_live_payload_fails_only_once_the_payload_drops() {
+    let (task, _, _) = setup();
+    let dir = std::env::temp_dir().join(format!("sti-failinj-live-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store =
+        ShardStore::create(&dir, task.model(), &[Bitwidth::B4], &QuantConfig::default()).unwrap();
+    let id = ShardId::new(1, 2);
+    let key = ShardKey::new(id, Bitwidth::B4);
+    let held = store.load(key).unwrap();
+    let path = dir.join(Manifest::layer_file_name(1, Bitwidth::B4));
+    let loc = store.manifest().locate(id, Bitwidth::B4).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[loc.offset as usize + loc.len as usize / 2] ^= 0x10;
+    std::fs::write(&path, bytes).unwrap();
+
+    let live = store.load(key).unwrap();
+    assert_eq!(live.packed().as_ptr(), held.packed().as_ptr(), "the live payload, not a read");
+    drop((held, live));
+    let err = store.load(key).unwrap_err();
+    assert!(matches!(err, StorageError::Corrupt { .. }), "unexpected error: {err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// On a context-built server that streams every shard of every engagement
 /// from the context's on-disk store (no preload, a cache smaller than one
 /// shard): damages every version of one layer (whichever the plan streams is

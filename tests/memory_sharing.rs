@@ -200,6 +200,39 @@ fn a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload() {
     }
 }
 
+/// Two caches over one context store, as two servers on one context have.
+/// Each used to decode its own copy of every shard it missed: cache B's
+/// fill of every key requested 7 125 364 B, more than twice the 3 462 344
+/// payload bytes (each load reads a record and decodes a payload from it).
+/// The store now hands out the payload cache A holds, and the fill requests
+/// 93 540 B, all of it cache B's own map and recency tree for 864 keys.
+/// The bound sits between.
+#[test]
+fn a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let store = ctx.shard_source();
+    let keys = all_keys(ctx.task().model().config());
+    let (a, b) = (ShardCache::new(64 << 20), ShardCache::new(64 << 20));
+    let held: Vec<QuantizedBlob> =
+        keys.iter().map(|&key| a.get_or_load(&*store, key).unwrap()).collect();
+    let payload_bytes: u64 = held.iter().map(|blob| blob.byte_size() as u64).sum();
+    assert!(payload_bytes > 2 << 20, "cache A holds {payload_bytes} payload bytes");
+
+    let ((), requested, _) = heap_bytes_across(|| {
+        for (&key, in_a) in keys.iter().zip(&held) {
+            let (blob, resident) = b.get_or_load_tracked(&*store, key).unwrap();
+            assert!(!resident);
+            assert_eq!(blob.packed().as_ptr(), in_a.packed().as_ptr());
+        }
+    });
+    assert_eq!(b.stats().misses, keys.len() as u64, "every key missed cache B");
+    assert!(
+        requested < 128 * KIB,
+        "cache B's fill of {payload_bytes} payload bytes requested {requested}"
+    );
+}
+
 #[test]
 fn a_second_server_on_one_context_does_not_copy_the_model() {
     let _guard = serialised();

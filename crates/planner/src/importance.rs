@@ -11,10 +11,10 @@ use serde::{Deserialize, Serialize};
 use sti_nlp::metrics::soft_accuracy;
 use sti_nlp::Dataset;
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
-use sti_tensor::parallel::parallel_map;
+use sti_tensor::parallel::parallel_map_scratch;
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::Matrix;
-use sti_transformer::{Model, ShardId, ShardWeights};
+use sti_transformer::{Model, ModelConfig, ShardId, ShardWeights};
 
 /// The profiled importance of every shard in the grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -148,7 +148,7 @@ fn into_top(m: usize, slices: Vec<u16>) -> Vec<u16> {
     slices.into_iter().take(m).collect()
 }
 
-/// Runs the §5.2 profiling procedure: dequantize the whole grid at 2-bit,
+/// Runs the §5.2 profiling procedure: quantize the whole grid at 2-bit,
 /// then for each shard swap in its full-fidelity weights and measure soft
 /// dev accuracy.
 ///
@@ -157,20 +157,19 @@ fn into_top(m: usize, slices: Vec<u16>) -> Vec<u16> {
 /// state entering every layer, and each probe resumes at layer `l` from that
 /// state: `N·M·(N + 1)/2 + N` layer evaluations per example instead of
 /// `(N·M + 1)·N`, every score bit-identical to a probe run from the
-/// embedding. The probes spread over the available cores and hand back one
-/// `f64` each; the 2-bit grid and the baselines, which the probes read and
-/// which outlive them, are built on the calling thread.
+/// embedding. The floor stays quantized (about 1 KiB a shard at
+/// `scaled_bert()`, against 14 KiB decoded), and a pass decodes it one layer
+/// at a time into one reused decoded layer, advancing every dev example
+/// through each layer it decodes. The probes spread over the available
+/// cores and hand back one `f64` each. Everything that outlives a probe —
+/// the floor, the baselines, and each worker's decoded layer — is built on
+/// the calling thread (see `sti_tensor::parallel`).
 pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> ImportanceProfile {
     let cfg = model.config();
     assert!(!dev.is_empty(), "importance profiling needs a non-empty dev set");
     let (n, m) = (cfg.layers, cfg.heads);
-
-    // Decompressed 2-bit weights of the entire grid, computed once; probes
-    // borrow them.
-    let floor = floor_grid(model, quant);
-    let all_slices: Vec<usize> = (0..m).collect();
-    let floor_layer =
-        |l: usize| (all_slices.as_slice(), floor[l * m..(l + 1) * m].iter().collect::<Vec<_>>());
+    let floor = floor_blobs(model, quant);
+    let floor_layer = |l: usize| &floor[l * m..(l + 1) * m];
 
     // entering[e][l]: example e's hidden state entering layer l of the
     // all-2-bit grid; entering[e][n] is the baseline's final state. Built on
@@ -178,66 +177,122 @@ pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> 
     // small buffer a worker allocates and this thread frees stays cached by
     // the allocator and can pin the worker's freed heap, so peak memory
     // would vary from run to run.
-    let entering: Vec<Vec<Matrix>> = (0..dev.len())
+    let mut entering: Vec<Vec<Matrix>> = dev
+        .iter()
         .map(|e| {
-            let mut states = vec![model.embedding().embed(&dev.examples()[e].tokens)];
-            for l in 0..n {
-                states.push(model.forward_layers(states[l].clone(), l, [floor_layer(l)]));
-            }
+            let mut states = Vec::with_capacity(n + 1);
+            states.push(model.embedding().embed(&e.tokens));
             states
         })
         .collect();
+    let mut layer = FloorLayer::new(cfg);
+    for l in 0..n {
+        layer.decode(floor_layer(l));
+        for states in &mut entering {
+            let next = model.forward_layers(states[l].clone(), l, [layer.with(None)]);
+            states.push(next);
+        }
+    }
+    drop(layer);
 
-    // Soft dev accuracy of the floor grid resumed at layer `first`, with
-    // slice `s` of that layer swapped for `weights` if an upgrade is given;
-    // `first == n` runs no layer and scores the baseline itself.
+    // Probe (first, s): the floor resumed at layer `first` with slice `s` of
+    // that layer at full fidelity.
     let labels: Vec<usize> = dev.iter().map(|e| e.label).collect();
-    let score = |first: usize, upgrade: Option<(usize, &ShardWeights)>| {
-        let layers = || {
-            (first..n).map(|l| {
-                let mut layer = floor_layer(l);
-                if let (true, Some((s, weights))) = (l == first, upgrade) {
-                    layer.1[s] = weights;
-                }
-                layer
-            })
-        };
-        let probs: Vec<Vec<f32>> = entering
-            .iter()
-            .map(|states| {
-                let mut probs = model.forward_logits(states[first].clone(), first, layers());
-                softmax_slice(&mut probs);
-                probs
-            })
-            .collect();
-        soft_accuracy(&probs, &labels)
-    };
-    let scores = parallel_map(n * m, |i| {
-        let (l, s) = (i / m, i % m);
-        score(l, Some((s, &model.layers()[l].shards[s])))
-    });
-    let baseline = score(n, None);
+    let scores = parallel_map_scratch(
+        n * m,
+        || FloorLayer::new(cfg),
+        |layer, i| {
+            let (first, s) = (i / m, i % m);
+            let upgrade = |l: usize| (l == first).then(|| (s, &model.layers()[l].shards[s]));
+            let mut states: Vec<Matrix> = entering.iter().map(|st| st[first].clone()).collect();
+            for l in first..n - 1 {
+                layer.decode(floor_layer(l));
+                states = states
+                    .into_iter()
+                    .map(|x| model.forward_layers(x, l, [layer.with(upgrade(l))]))
+                    .collect();
+            }
+            layer.decode(floor_layer(n - 1));
+            let logits = states
+                .into_iter()
+                .map(|x| model.forward_logits(x, n - 1, [layer.with(upgrade(n - 1))]));
+            soft_score(logits, &labels)
+        },
+    );
+    let baseline = soft_score(entering.iter().map(|st| model.classifier().logits(&st[n])), &labels);
     ImportanceProfile::from_scores(n, m, scores, baseline)
 }
 
-/// Every shard of the grid round-tripped through 2-bit quantization, in
-/// `layer·M + slice` order.
-///
-/// Serial, on the calling thread, at about twice the wall time of a
-/// parallel build: the grid is the profile's largest buffer, and built on
-/// workers it would land in their allocator arenas while this thread's
-/// heap still holds memory freed by earlier work, raising the process's
-/// peak.
-fn floor_grid(model: &Model, quant: &QuantConfig) -> Vec<ShardWeights> {
-    let cfg = model.config();
+/// Soft dev accuracy of one class-logit vector per dev example.
+fn soft_score(logits: impl Iterator<Item = Vec<f32>>, labels: &[usize]) -> f64 {
+    let probs: Vec<Vec<f32>> = logits
+        .map(|mut probs| {
+            softmax_slice(&mut probs);
+            probs
+        })
+        .collect();
+    soft_accuracy(&probs, labels)
+}
+
+/// Every shard of the grid quantized at 2-bit, in `layer·M + slice` order:
+/// the floor the probes run on.
+fn floor_blobs(model: &Model, quant: &QuantConfig) -> Vec<QuantizedBlob> {
     model
         .layers()
         .iter()
         .flat_map(|layer| &layer.shards)
-        .map(|shard| {
-            let blob = QuantizedBlob::quantize(&shard.flatten(), Bitwidth::B2, quant);
-            ShardWeights::from_flat(&blob.dequantize(), cfg)
-        })
+        .map(|shard| QuantizedBlob::quantize(&shard.flatten(), Bitwidth::B2, quant))
+        .collect()
+}
+
+/// One layer of the floor decoded to FP32, overwritten in place for each
+/// layer a pass walks: `M` shards and the flat buffer a blob decodes into.
+struct FloorLayer {
+    all_slices: Vec<usize>,
+    shards: Vec<ShardWeights>,
+    flat: Vec<f32>,
+}
+
+impl FloorLayer {
+    fn new(cfg: &ModelConfig) -> Self {
+        Self {
+            all_slices: (0..cfg.heads).collect(),
+            shards: (0..cfg.heads).map(|_| ShardWeights::zeros(cfg)).collect(),
+            flat: vec![0.0; cfg.shard_param_count()],
+        }
+    }
+
+    /// Decodes one floor layer's `M` blobs into this layer.
+    fn decode(&mut self, blobs: &[QuantizedBlob]) {
+        for (shard, blob) in self.shards.iter_mut().zip(blobs) {
+            blob.dequantize_into(&mut self.flat);
+            shard.copy_from_flat(&self.flat);
+        }
+    }
+
+    /// The decoded layer as a forward pass takes it, with slice `s` swapped
+    /// for `weights` if an upgrade is given.
+    fn with<'a>(
+        &'a self,
+        upgrade: Option<(usize, &'a ShardWeights)>,
+    ) -> (&'a [usize], Vec<&'a ShardWeights>) {
+        let mut shards: Vec<&ShardWeights> = self.shards.iter().collect();
+        if let Some((s, weights)) = upgrade {
+            shards[s] = weights;
+        }
+        (&self.all_slices, shards)
+    }
+}
+
+/// Every shard of the grid round-tripped through 2-bit quantization, in
+/// `layer·M + slice` order: the floor [`profile_importance`] decodes layer
+/// by layer, held whole as the oracle's.
+#[cfg(test)]
+fn floor_grid(model: &Model, quant: &QuantConfig) -> Vec<ShardWeights> {
+    let cfg = model.config();
+    floor_blobs(model, quant)
+        .iter()
+        .map(|blob| ShardWeights::from_flat(&blob.dequantize(), cfg))
         .collect()
 }
 
@@ -245,7 +300,8 @@ fn floor_grid(model: &Model, quant: &QuantConfig) -> Vec<ShardWeights> {
 mod tests {
     use super::*;
     use sti_nlp::{Task, TaskKind};
-    use sti_transformer::{AssembledSubmodel, ModelConfig};
+    use sti_tensor::parallel::parallel_map;
+    use sti_transformer::AssembledSubmodel;
 
     /// §5.2 as the paper states it, kept as the oracle: every probe clones
     /// the whole grid into a fresh submodel and runs it from the embedding.

@@ -9,10 +9,18 @@
 //! allocates comes from its own allocator arena; handed back, it would
 //! outlive the worker, and once the caller freed it the allocator would keep
 //! it cached and could keep the worker's heap resident, so the process's
-//! peak memory would depend on which thread built what. Results are
-//! therefore `Copy` — a `Copy` value owns no heap memory — and the compiler
-//! enforces it. A large result that outlives the call (the importance
-//! profile's 2-bit grid) is built on the caller's thread instead.
+//! peak memory would depend on which thread built what. So the rule has two
+//! halves:
+//!
+//! - Results are `Copy` — a `Copy` value owns no heap memory — and the
+//!   compiler enforces it.
+//! - A buffer a worker needs for every item (the importance profiler's one
+//!   decoded layer) is a scratch value [`parallel_map_scratch`] builds on
+//!   the calling thread, lends to one worker for the whole call and frees on
+//!   the calling thread afterwards. The worker overwrites it in place;
+//!   growing it would reallocate it in the worker's arena.
+//!
+//! A large value that outlives the call is built on the caller's thread.
 //!
 //! ```compile_fail,E0277
 //! // A `Vec` owns heap memory, so no worker may return one.
@@ -47,33 +55,63 @@ where
     T: Send + Copy,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_with(worker_count(items), items, f)
+    parallel_map_scratch(items, || (), |(), i| f(i))
 }
 
-/// [`parallel_map`] on exactly `workers` threads. Item `i`'s result depends
-/// on `f(i)` alone and lands in slot `i`, so the output is the same for
-/// every worker count; only the wall time differs.
-fn parallel_map_with<T, F>(workers: usize, items: usize, f: F) -> Vec<T>
+/// [`parallel_map`] with a scratch value per worker: `scratch` is called on
+/// the calling thread once per worker, and `f(scratch, i)` gets the scratch
+/// of the worker that runs item `i`, to overwrite in place (see the module
+/// doc). A result must not depend on what earlier items left in the
+/// scratch, since which worker runs which item varies from run to run.
+///
+/// ```
+/// use sti_tensor::parallel::parallel_map_scratch;
+/// let sums = parallel_map_scratch(4, || vec![0u64; 8], |buf, i| {
+///     buf.fill(i as u64);
+///     buf.iter().sum::<u64>()
+/// });
+/// assert_eq!(sums, vec![0, 8, 16, 24]);
+/// ```
+pub fn parallel_map_scratch<S, T, F>(items: usize, scratch: impl FnMut() -> S, f: F) -> Vec<T>
 where
+    S: Send,
     T: Send + Copy,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
-    if workers <= 1 || items == 0 {
-        return (0..items).map(f).collect();
+    map_on(worker_count(items), items, scratch, f)
+}
+
+/// [`parallel_map_scratch`] on exactly `workers` threads. Item `i`'s result
+/// depends on `f(_, i)` alone and lands in slot `i`, so the output is the
+/// same for every worker count; only the wall time differs.
+fn map_on<S, T, F>(workers: usize, items: usize, scratch: impl FnMut() -> S, f: F) -> Vec<T>
+where
+    S: Send,
+    T: Send + Copy,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    if items == 0 {
+        return Vec::new();
+    }
+    let mut scratches: Vec<S> = std::iter::repeat_with(scratch).take(workers.max(1)).collect();
+    if let [only] = scratches.as_mut_slice() {
+        return (0..items).map(|i| f(only, i)).collect();
     }
 
     let cursor = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<T>>> = (0..items).map(|_| Mutex::new(None)).collect();
 
     crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|_| loop {
+        let handles: Vec<_> = scratches
+            .iter_mut()
+            .map(|scratch| {
+                let (cursor, results, f) = (&cursor, &results, &f);
+                scope.spawn(move |_| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= items {
                         break;
                     }
-                    let value = f(i);
+                    let value = f(scratch, i);
                     *results[i].lock().expect("result slot poisoned") = Some(value);
                 })
             })
@@ -98,6 +136,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::{self, ThreadId};
 
     #[test]
     fn preserves_input_order() {
@@ -117,6 +156,15 @@ mod tests {
         assert_eq!(out, vec![41]);
     }
 
+    /// Which thread built a scratch, which one used it, and for how many
+    /// items.
+    #[derive(Default)]
+    struct Tally {
+        built_on: Option<ThreadId>,
+        used_on: Option<ThreadId>,
+        items: usize,
+    }
+
     #[test]
     fn results_do_not_depend_on_the_worker_count() {
         // CI runners and the 2-vCPU sandbox differ in core count; what a
@@ -124,12 +172,28 @@ mod tests {
         // floating point, so a slot written by the wrong item would show.
         let item = |i: usize| (0..=i).fold(0.1f32, |acc, k| acc * 1.000_1 + k as f32 * 0.3);
         let sequential: Vec<u32> = (0..37).map(|i| item(i).to_bits()).collect();
+        let caller = thread::current().id();
         for workers in [1, 2, 7] {
-            let out = parallel_map_with(workers, 37, |i| item(i).to_bits());
+            let mut tallies: Vec<Tally> = (0..workers).map(|_| Tally::default()).collect();
+            let mut unused = tallies.iter_mut();
+            let build = || {
+                let tally = unused.next().expect("one scratch per worker");
+                tally.built_on = Some(thread::current().id());
+                tally
+            };
+            let out = map_on(workers, 37, build, |tally, i| {
+                let worker = thread::current().id();
+                assert_eq!(*tally.used_on.get_or_insert(worker), worker, "a scratch changed hands");
+                tally.items += 1;
+                item(i).to_bits()
+            });
             assert_eq!(out, sequential, "{workers} workers");
+            // Every scratch came from the caller, and only its worker wrote it.
+            assert!(tallies.iter().all(|t| t.built_on == Some(caller)), "{workers} workers");
+            assert_eq!(tallies.iter().map(|t| t.items).sum::<usize>(), 37, "{workers} workers");
         }
         // More workers than items: the surplus threads find the cursor spent.
-        assert_eq!(parallel_map_with(7, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(map_on(7, 3, || (), |(), i| i), vec![0, 1, 2]);
     }
 
     #[test]

@@ -83,6 +83,18 @@ impl ShardWeights {
         out
     }
 
+    /// A shard of zeros shaped for `cfg`: a slot that
+    /// [`copy_from_flat`](ShardWeights::copy_from_flat) fills.
+    pub fn zeros(cfg: &ModelConfig) -> Self {
+        let (d, hd, f) = (cfg.hidden, cfg.head_dim(), cfg.ffn_per_shard());
+        Self {
+            qkv: Matrix::zeros(d, 3 * hd),
+            o: Matrix::zeros(hd, d),
+            ffn1: Matrix::zeros(d, f),
+            ffn2: Matrix::zeros(f, d),
+        }
+    }
+
     /// Rebuilds a shard from a flat weight group produced by [`flatten`]
     /// (after a round trip through quantization and storage).
     ///
@@ -98,28 +110,62 @@ impl ShardWeights {
             cfg.shard_param_count(),
             "flat weight group has wrong length for this config"
         );
-        Self::from_flat_with(cfg, |at, out| out.copy_from_slice(&flat[at..at + out.len()]))
+        let mut shard = Self::zeros(cfg);
+        shard.copy_from_flat(flat);
+        shard
+    }
+
+    /// [`from_flat`](ShardWeights::from_flat) in place: overwrites every
+    /// weight of this shard from a flat weight group, allocating nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat.len()` does not equal this shard's parameter count.
+    pub fn copy_from_flat(&mut self, flat: &[f32]) {
+        assert_eq!(
+            flat.len(),
+            self.param_count(),
+            "flat weight group has wrong length for this shard"
+        );
+        let (qkv, mut rest) = flat.split_at(self.qkv.len());
+        self.pack_qkv(qkv);
+        for m in [&mut self.o, &mut self.ffn1, &mut self.ffn2] {
+            let (segment, tail) = rest.split_at(m.len());
+            m.as_mut_slice().copy_from_slice(segment);
+            rest = tail;
+        }
     }
 
     /// Rebuilds a shard from a flat weight group that is read segment by
     /// segment: `read(at, out)` fills `out` with the group's weights
     /// `[at, at + out.len())`. Segments are asked for in ascending order and
-    /// together cover `[0, cfg.shard_param_count())` once. Each is read
-    /// straight into a matrix — for `o`, `ffn1` and `ffn2` the one the
-    /// kernels will multiply by, so a decoder writes those weights once.
+    /// together cover `[0, cfg.shard_param_count())` once. Q, K and V are
+    /// read as one segment and packed; `o`, `ffn1` and `ffn2` are each read
+    /// straight into the matrix the kernels will multiply by, so a decoder
+    /// writes those weights once.
     pub fn from_flat_with(cfg: &ModelConfig, mut read: impl FnMut(usize, &mut [f32])) -> Self {
-        let d = cfg.hidden;
-        let hd = cfg.head_dim();
-        let f = cfg.ffn_per_shard();
-        let mut at = 0;
-        let mut take = |rows: usize, cols: usize| {
-            let mut m = Matrix::zeros(rows, cols);
+        let mut shard = Self::zeros(cfg);
+        let mut qkv = vec![0.0; shard.qkv.len()];
+        read(0, &mut qkv);
+        shard.pack_qkv(&qkv);
+        let mut at = qkv.len();
+        for m in [&mut shard.o, &mut shard.ffn1, &mut shard.ffn2] {
             read(at, m.as_mut_slice());
             at += m.len();
-            m
-        };
-        let (q, k, v) = (take(d, hd), take(d, hd), take(d, hd));
-        Self::new(&q, &k, &v, take(hd, d), take(d, f), take(f, d))
+        }
+        shard
+    }
+
+    /// Writes Q, K and V, given as three consecutive row-major `d × d/M`
+    /// matrices (the order [`flatten`](ShardWeights::flatten) emits), into
+    /// the packed `[Q | K | V]` operand.
+    fn pack_qkv(&mut self, flat: &[f32]) {
+        let (d, hd) = (self.qkv.rows(), self.qkv.cols() / 3);
+        for (block, matrix) in flat.chunks_exact(d * hd).enumerate() {
+            for (r, row) in matrix.chunks_exact(hd).enumerate() {
+                self.qkv.row_mut(r)[block * hd..(block + 1) * hd].copy_from_slice(row);
+            }
+        }
     }
 
     /// Number of parameters in the shard.
@@ -233,6 +279,20 @@ mod tests {
         });
         assert_eq!(next, flat.len());
         assert_eq!(shard.flatten(), flat);
+    }
+
+    #[test]
+    fn copy_from_flat_refills_a_used_shard_as_from_flat_builds_one() {
+        let bits = |s: &ShardWeights| {
+            [&s.qkv, &s.o, &s.ffn1, &s.ffn2]
+                .map(|m| m.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>())
+        };
+        for cfg in [ModelConfig::tiny(), ModelConfig::scaled_bert()] {
+            let mut shard = synthetic::synthetic_shard(&cfg, 3, 1.0);
+            let flat = synthetic::synthetic_shard(&cfg, 4, 1.0).flatten();
+            shard.copy_from_flat(&flat);
+            assert_eq!(bits(&shard), bits(&ShardWeights::from_flat(&flat, &cfg)));
+        }
     }
 
     #[test]

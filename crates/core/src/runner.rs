@@ -2,32 +2,30 @@
 //! latency, and preload budget — the machinery behind every table and
 //! figure binary in `sti-bench`.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use sti_device::{DeviceProfile, HwProfile, SimTime};
 use sti_nlp::{Task, TaskKind};
+use sti_pipeline::executor::assemble_plan_submodel;
+use sti_pipeline::PreloadBuffer;
 use sti_planner::{profile_importance, ExecutionPlan, ImportanceProfile};
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 use sti_storage::{ShardKey, ShardSource, ShardStore, StorageError};
-use sti_transformer::{AssembledSubmodel, Model, ModelConfig, ShardId, ShardWeights};
+use sti_transformer::{AssembledSubmodel, Model, ModelConfig};
 
 use crate::baselines::Baseline;
 
-/// A materialized task plus the per-model caches every experiment shares:
+/// A materialized task plus the per-model state every experiment shares:
 /// the shard-importance profile (`N·M` dev-set probes, each resumed from the
-/// one kept baseline pass),
-/// dequantized shard weights per fidelity, and the on-disk quantized shard
-/// store that engines, servers, and executors stream from.
+/// one kept baseline pass) and the on-disk quantized shard store that
+/// engines, servers, executors and plan evaluations stream from.
 pub struct TaskContext {
     task: Task,
     quant: QuantConfig,
     importance: OnceLock<ImportanceProfile>,
     shard_source: OnceLock<Arc<ContextStore>>,
-    dequant_cache: Mutex<HashMap<(ShardId, Bitwidth), ShardWeights>>,
 }
 
 impl TaskContext {
@@ -45,7 +43,6 @@ impl TaskContext {
             quant: QuantConfig::default(),
             importance: OnceLock::new(),
             shard_source: OnceLock::new(),
-            dequant_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -107,31 +104,13 @@ impl TaskContext {
             .get_or_init(|| Arc::new(ContextStore::create(self.task.model(), &self.quant)))
     }
 
-    /// Dequantized weights of one shard at one fidelity, cached.
-    fn dequantized(&self, id: ShardId, bw: Bitwidth) -> ShardWeights {
-        if let Some(w) = self.dequant_cache.lock().get(&(id, bw)) {
-            return w.clone();
-        }
-        let blob = self
-            .shard_source()
-            .load(ShardKey::new(id, bw))
-            .expect("the context's store holds every shard at every bitwidth");
-        let weights = ShardWeights::from_flat(&blob.dequantize(), self.task.model().config());
-        self.dequant_cache.lock().insert((id, bw), weights.clone());
-        weights
-    }
-
-    /// Materializes a plan's submodel at its planned fidelities.
+    /// Materializes a plan's submodel at its planned fidelities, every
+    /// shard streamed from [`shard_source`](Self::shard_source).
     pub fn assemble_plan(&self, plan: &ExecutionPlan) -> AssembledSubmodel {
-        let mut sub = AssembledSubmodel::new();
-        for pl in &plan.layers {
-            let shards: Vec<ShardWeights> = pl
-                .items()
-                .map(|(slice, bw)| self.dequantized(ShardId::new(pl.layer, slice), bw))
-                .collect();
-            sub.push_layer(pl.slices.iter().map(|&s| s as usize).collect(), shards);
-        }
-        sub
+        let source = self.shard_source();
+        assemble_plan_submodel(self.task.model(), plan, &PreloadBuffer::default(), &*source)
+            .expect("the context's store holds every shard at every bitwidth")
+            .0
     }
 
     /// Measures a plan's accuracy (and binary F1) on the task's test split —
@@ -352,15 +331,5 @@ mod tests {
         let r2 = run_experiment(&c, &exp(Baseline::StdPipeline(Bitwidth::B6), 400));
         assert_eq!(r1.accuracy, r2.accuracy);
         assert_eq!(r1.plan, r2.plan);
-    }
-
-    #[test]
-    fn dequant_cache_accelerates_reuse() {
-        let c = ctx();
-        let _ = run_experiment(&c, &exp(Baseline::Sti, 300));
-        let cached = c.dequant_cache.lock().len();
-        assert!(cached > 0, "cache should be warm after a run");
-        let _ = run_experiment(&c, &exp(Baseline::Sti, 300));
-        assert_eq!(c.dequant_cache.lock().len(), cached, "second run adds nothing new");
     }
 }

@@ -1,37 +1,54 @@
 //! The two memory buffers STI allocates (paper §3.1).
 
-use std::collections::HashMap;
-
-use sti_quant::QuantizedBlob;
+use sti_quant::{Bitwidth, QuantizedBlob};
+use sti_storage::{ShardKey, ShardSource};
 use sti_transformer::{ModelConfig, ShardId, ShardWeights};
 
 use crate::error::PipelineError;
 
-/// The preload buffer: a small, capacity-bounded cache of *compressed*
-/// shards that persists across executions for as long as the app lives.
+/// The preload buffer: the *compressed* shards one plan chose to keep
+/// resident, held for as long as the plan is in use.
 ///
-/// Shards from bottom layers are the valuable ones (they are needed first,
-/// §5.5), so when the buffer shrinks it evicts from the **top** layers
-/// downward.
+/// A plan changes only when `T` or `|S|` does (§3.2), so a buffer is built
+/// once from its plan's preload list and never edited: a replan builds a
+/// new buffer and swaps it in. Lookups binary-search the id-sorted entries.
 #[derive(Debug, Default)]
 pub struct PreloadBuffer {
-    capacity: u64,
     used: u64,
-    blobs: HashMap<ShardId, QuantizedBlob>,
+    blobs: Box<[(ShardId, QuantizedBlob)]>,
 }
 
 impl PreloadBuffer {
-    /// Creates an empty buffer with the given byte capacity.
-    pub fn new(capacity: u64) -> Self {
-        Self { capacity, used: 0, blobs: HashMap::new() }
+    /// Loads every `(shard, fidelity)` of `preload` from `source` into a
+    /// buffer of `capacity` bytes — a plan's `preload_budget_bytes` and
+    /// `preload`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a shard cannot be loaded, or with
+    /// [`PipelineError::PreloadOverflow`] if the shards do not fit.
+    pub fn fill(
+        capacity: u64,
+        preload: &[(ShardId, Bitwidth)],
+        source: &dyn ShardSource,
+    ) -> Result<Self, PipelineError> {
+        let mut used = 0u64;
+        let mut blobs = Vec::with_capacity(preload.len());
+        for &(id, bw) in preload {
+            let blob = source.load(ShardKey::new(id, bw))?;
+            let bytes = blob.byte_size() as u64;
+            let available = capacity - used;
+            if bytes > available {
+                return Err(PipelineError::PreloadOverflow { needed: bytes, available });
+            }
+            used += bytes;
+            blobs.push((id, blob));
+        }
+        blobs.sort_unstable_by_key(|&(id, _)| id);
+        Ok(Self { used, blobs: blobs.into_boxed_slice() })
     }
 
-    /// Byte capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently held.
+    /// Bytes held.
     pub fn used_bytes(&self) -> u64 {
         self.used
     }
@@ -48,73 +65,13 @@ impl PreloadBuffer {
 
     /// Whether a shard is resident.
     pub fn contains(&self, id: ShardId) -> bool {
-        self.blobs.contains_key(&id)
+        self.get(id).is_some()
     }
 
     /// Borrows a resident shard's blob.
     pub fn get(&self, id: ShardId) -> Option<&QuantizedBlob> {
-        self.blobs.get(&id)
-    }
-
-    /// Admits a shard.
-    ///
-    /// Replacing an already-resident shard first releases its bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::PreloadOverflow`] if the blob does not fit;
-    /// the buffer is unchanged in that case.
-    pub fn insert(&mut self, id: ShardId, blob: QuantizedBlob) -> Result<(), PipelineError> {
-        let bytes = blob.byte_size() as u64;
-        let freed = self.blobs.get(&id).map_or(0, |b| b.byte_size() as u64);
-        let available = self.capacity - self.used + freed;
-        if bytes > available {
-            return Err(PipelineError::PreloadOverflow { needed: bytes, available });
-        }
-        if let Some(old) = self.blobs.insert(id, blob) {
-            self.used -= old.byte_size() as u64;
-        }
-        self.used += bytes;
-        Ok(())
-    }
-
-    /// Removes a shard, returning its blob.
-    pub fn remove(&mut self, id: ShardId) -> Option<QuantizedBlob> {
-        let blob = self.blobs.remove(&id)?;
-        self.used -= blob.byte_size() as u64;
-        Some(blob)
-    }
-
-    /// Drops everything.
-    pub fn clear(&mut self) {
-        self.blobs.clear();
-        self.used = 0;
-    }
-
-    /// Changes the capacity. When shrinking, evicts shards from the top
-    /// layers downward (within a layer, highest slice first) until the
-    /// contents fit (§5.5: bottom layers are needed early, preserve them).
-    pub fn resize(&mut self, capacity: u64) {
-        self.capacity = capacity;
-        if self.used <= capacity {
-            return;
-        }
-        let mut ids: Vec<ShardId> = self.blobs.keys().copied().collect();
-        // Top layers (and top slices) first.
-        ids.sort_by(|a, b| b.cmp(a));
-        for id in ids {
-            if self.used <= capacity {
-                break;
-            }
-            self.remove(id);
-        }
-    }
-
-    /// Ids currently resident, in (layer, slice) order.
-    pub fn resident_ids(&self) -> Vec<ShardId> {
-        let mut ids: Vec<ShardId> = self.blobs.keys().copied().collect();
-        ids.sort();
-        ids
+        let at = self.blobs.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        Some(&self.blobs[at].1)
     }
 }
 
@@ -176,7 +133,8 @@ impl WorkingBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sti_quant::{Bitwidth, QuantConfig};
+    use sti_quant::QuantConfig;
+    use sti_storage::MemStore;
     use sti_transformer::synthetic::synthetic_shard;
     use sti_transformer::Model;
 
@@ -186,53 +144,32 @@ mod tests {
     }
 
     #[test]
-    fn insert_tracks_bytes_and_rejects_overflow() {
+    fn fill_tracks_bytes_and_rejects_overflow() {
         let cfg = ModelConfig::tiny();
-        let b = blob(&cfg, 1, Bitwidth::B6);
-        let bytes = b.byte_size() as u64;
-        let mut buf = PreloadBuffer::new(bytes + 10);
-        buf.insert(ShardId::new(0, 0), b.clone()).unwrap();
-        assert_eq!(buf.used_bytes(), bytes);
-        let err = buf.insert(ShardId::new(0, 1), b).unwrap_err();
-        assert!(matches!(err, PipelineError::PreloadOverflow { .. }));
-        assert_eq!(buf.len(), 1, "failed insert must not change the buffer");
+        let store =
+            MemStore::build(&Model::synthetic(1, cfg), &[Bitwidth::B6], &QuantConfig::default());
+        let (a, b) = ((ShardId::new(1, 0), Bitwidth::B6), (ShardId::new(0, 1), Bitwidth::B6));
+        let size = |(id, bw)| store.load(ShardKey::new(id, bw)).unwrap().byte_size() as u64;
+        let buf = PreloadBuffer::fill(size(a) + 10, &[a], &store).unwrap();
+        assert_eq!((buf.used_bytes(), buf.len()), (size(a), 1));
+        assert!(buf.contains(a.0) && !buf.contains(b.0));
+        let err = PreloadBuffer::fill(size(a) + 10, &[a, b], &store).unwrap_err();
+        let expected = PipelineError::PreloadOverflow { needed: size(b), available: 10 };
+        assert_eq!(err.to_string(), expected.to_string());
     }
 
     #[test]
-    fn replacing_a_shard_releases_its_bytes() {
+    fn lookups_find_every_entry_whatever_the_fill_order() {
         let cfg = ModelConfig::tiny();
-        let big = blob(&cfg, 1, Bitwidth::B6);
-        let small = blob(&cfg, 1, Bitwidth::B2);
-        let mut buf = PreloadBuffer::new(big.byte_size() as u64);
-        buf.insert(ShardId::new(0, 0), big).unwrap();
-        buf.insert(ShardId::new(0, 0), small.clone()).unwrap();
-        assert_eq!(buf.used_bytes(), small.byte_size() as u64);
-    }
-
-    #[test]
-    fn resize_evicts_top_layers_first() {
-        let cfg = ModelConfig::tiny();
-        let b = blob(&cfg, 2, Bitwidth::B2);
-        let each = b.byte_size() as u64;
-        let mut buf = PreloadBuffer::new(each * 4);
-        for (l, s) in [(0u16, 0u16), (0, 1), (1, 0), (1, 1)] {
-            buf.insert(ShardId::new(l, s), b.clone()).unwrap();
+        let store =
+            MemStore::build(&Model::synthetic(2, cfg), &[Bitwidth::B2], &QuantConfig::default());
+        let ids = [ShardId::new(1, 1), ShardId::new(0, 0), ShardId::new(1, 0)];
+        let preload: Vec<_> = ids.iter().map(|&id| (id, Bitwidth::B2)).collect();
+        let buf = PreloadBuffer::fill(1 << 20, &preload, &store).unwrap();
+        for id in ids {
+            assert_eq!(buf.get(id), Some(&store.load(ShardKey::new(id, Bitwidth::B2)).unwrap()));
         }
-        buf.resize(each * 2);
-        let resident = buf.resident_ids();
-        assert_eq!(resident, vec![ShardId::new(0, 0), ShardId::new(0, 1)]);
-        assert!(buf.used_bytes() <= buf.capacity());
-    }
-
-    #[test]
-    fn clear_resets_accounting() {
-        let cfg = ModelConfig::tiny();
-        let b = blob(&cfg, 3, Bitwidth::B2);
-        let mut buf = PreloadBuffer::new(1 << 20);
-        buf.insert(ShardId::new(0, 0), b).unwrap();
-        buf.clear();
-        assert!(buf.is_empty());
-        assert_eq!(buf.used_bytes(), 0);
+        assert!(buf.get(ShardId::new(0, 1)).is_none());
     }
 
     #[test]

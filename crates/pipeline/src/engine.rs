@@ -3,7 +3,9 @@
 //! An app links the engine, names the model it expects to execute, its
 //! target latency `T`, and a preload-buffer size `|S|`. The engine plans a
 //! pipeline **once** and executes it repeatedly; replanning happens only
-//! when the app (or OS) changes `T` or `|S|`.
+//! when the app (or OS) changes `T` or `|S|`. A replan builds the new plan
+//! and fills its preload buffer before it replaces anything, so a replan
+//! that fails leaves the engine as it was.
 
 use std::sync::Arc;
 
@@ -11,42 +13,12 @@ use sti_device::{HwProfile, SimTime};
 use sti_planner::compute_plan::dynabert_widths_for;
 use sti_planner::{plan_two_stage, ExecutionPlan, ImportanceProfile};
 use sti_quant::Bitwidth;
-use sti_storage::{ShardKey, ShardSource};
+use sti_storage::ShardSource;
 use sti_transformer::Model;
 
 use crate::buffers::PreloadBuffer;
 use crate::error::PipelineError;
-use crate::executor::{ExecutionOutcome, PipelineExecutor};
-
-/// The result of one generative (decoder) engagement.
-#[derive(Debug, Clone)]
-pub struct GenerationOutcome {
-    /// Prompt plus generated continuation.
-    pub tokens: Vec<u32>,
-    /// Number of tokens generated (excludes the prompt).
-    pub generated: usize,
-    /// Simulated latency of the first step (streams the submodel through
-    /// the pipeline, same as a classification).
-    pub first_step: SimTime,
-    /// Simulated compute-only latency of each subsequent step (weights are
-    /// already resident in the working set).
-    pub per_step: SimTime,
-    /// Bytes streamed from storage (paid once, amortized over all steps).
-    pub loaded_bytes: u64,
-}
-
-/// The result of one engine inference.
-#[derive(Debug, Clone)]
-pub struct Inference {
-    /// Predicted class.
-    pub class: usize,
-    /// Softmax class probabilities.
-    pub probabilities: Vec<f32>,
-    /// The executed submodel shape.
-    pub submodel: sti_planner::SubmodelShape,
-    /// Full execution details (timeline, bytes, buffers).
-    pub outcome: ExecutionOutcome,
-}
+use crate::executor::{GenerationOutcome, Inference, PipelineExecutor};
 
 /// Builder for [`StiEngine`].
 pub struct StiEngineBuilder {
@@ -92,20 +64,25 @@ impl StiEngineBuilder {
     ///
     /// Fails if preload shards cannot be loaded from the store.
     pub fn build(self) -> Result<StiEngine, PipelineError> {
-        let mut engine = StiEngine {
+        let (plan, preload) = plan_and_fill(
+            &self.hw,
+            &self.importance,
+            &self.widths,
+            &self.bitwidths,
+            &*self.source,
+            self.target,
+            self.preload_budget,
+        )?;
+        Ok(StiEngine {
             model: self.model,
             source: self.source,
             hw: self.hw,
             importance: self.importance,
-            target: self.target,
-            preload_budget: self.preload_budget,
             bitwidths: self.bitwidths,
             widths: self.widths,
-            plan: None,
-            preload: PreloadBuffer::new(self.preload_budget),
-        };
-        engine.replan()?;
-        Ok(engine)
+            plan,
+            preload,
+        })
     }
 }
 
@@ -115,11 +92,9 @@ pub struct StiEngine {
     source: Arc<dyn ShardSource>,
     hw: HwProfile,
     importance: ImportanceProfile,
-    target: SimTime,
-    preload_budget: u64,
     bitwidths: Vec<Bitwidth>,
     widths: Vec<usize>,
-    plan: Option<ExecutionPlan>,
+    plan: ExecutionPlan,
     preload: PreloadBuffer,
 }
 
@@ -148,12 +123,12 @@ impl StiEngine {
 
     /// The current execution plan.
     pub fn plan(&self) -> &ExecutionPlan {
-        self.plan.as_ref().expect("engine always holds a plan after build")
+        &self.plan
     }
 
     /// The current target latency.
     pub fn target(&self) -> SimTime {
-        self.target
+        self.plan.target
     }
 
     /// Bytes currently held in the preload buffer.
@@ -172,22 +147,23 @@ impl StiEngine {
     ///
     /// # Errors
     ///
-    /// Fails if new preload shards cannot be loaded.
+    /// Fails if new preload shards cannot be loaded; the engine then keeps
+    /// its target, plan and buffer.
     pub fn set_target(&mut self, target: SimTime) -> Result<(), PipelineError> {
-        self.target = target;
-        self.replan()
+        self.replan(target, self.plan.preload_budget_bytes)
     }
 
     /// Updates the preload budget and replans. Growing the budget lets the
     /// planner redistribute freed IO bandwidth to higher-fidelity versions
-    /// (the back-to-back execution scenario of §3.3); shrinking evicts.
+    /// (the back-to-back execution scenario of §3.3). The new plan's buffer
+    /// is built afresh, holding exactly the shards that plan preloads.
     ///
     /// # Errors
     ///
-    /// Fails if new preload shards cannot be loaded.
+    /// Fails if new preload shards cannot be loaded; the engine then keeps
+    /// its budget, plan and buffer.
     pub fn set_preload_budget(&mut self, bytes: u64) -> Result<(), PipelineError> {
-        self.preload_budget = bytes;
-        self.replan()
+        self.replan(self.plan.target, bytes)
     }
 
     /// Executes one inference over the planned pipeline.
@@ -196,24 +172,13 @@ impl StiEngine {
     ///
     /// Fails on storage errors or plan/model mismatch.
     pub fn infer(&self, tokens: &[u32]) -> Result<Inference, PipelineError> {
-        let plan = self.plan();
-        let executor = PipelineExecutor::new(&self.model, self.source.clone(), &self.hw);
-        let outcome = executor.execute(plan, &self.preload, tokens)?;
-        Ok(Inference {
-            class: outcome.class,
-            probabilities: outcome.probabilities.clone(),
-            submodel: plan.shape,
-            outcome,
-        })
+        let outcome = self.executor().execute(&self.plan, &self.preload, tokens)?;
+        Ok(Inference::new(&self.plan, outcome))
     }
 
     /// Generative extension (paper §3.4 future work): greedily decodes
-    /// `steps` tokens after `prompt` over the planned submodel.
-    ///
-    /// The submodel's shards are streamed **once** (the same pipelined IO a
-    /// classification pays) and then reused for every step, so per-step cost
-    /// is compute-only — the amortization that makes STI's economics carry
-    /// over to generation.
+    /// `steps` tokens after `prompt` over the planned submodel, streamed
+    /// once and reused every step.
     ///
     /// # Errors
     ///
@@ -223,84 +188,99 @@ impl StiEngine {
         prompt: &[u32],
         steps: usize,
     ) -> Result<GenerationOutcome, PipelineError> {
-        let plan = self.plan();
-        let (submodel, loaded_bytes) = crate::executor::assemble_plan_submodel(
-            &self.model,
-            plan,
-            &self.preload,
-            &*self.source,
-        )?;
-        let generation = sti_transformer::decoder::generate(&self.model, &submodel, prompt, steps);
-        let per_step = self.hw.t_comp(plan.shape.width) * plan.shape.depth as u64;
-        Ok(GenerationOutcome {
-            tokens: generation.tokens,
-            generated: generation.generated,
-            first_step: plan.predicted.makespan,
-            per_step,
-            loaded_bytes,
-        })
+        self.executor().generate(&self.plan, &self.preload, prompt, steps)
     }
 
-    fn replan(&mut self) -> Result<(), PipelineError> {
-        let plan = plan_two_stage(
+    fn executor(&self) -> PipelineExecutor<'_> {
+        PipelineExecutor::new(&self.model, self.source.clone(), &self.hw)
+    }
+
+    /// Plans for `(target, bytes)` and fills the new plan's buffer while the
+    /// current one still holds its shards (over a [`sti_storage::ShardStore`]
+    /// a kept shard is handed back, not decoded again), then swaps both in.
+    fn replan(&mut self, target: SimTime, bytes: u64) -> Result<(), PipelineError> {
+        let (plan, preload) = plan_and_fill(
             &self.hw,
             &self.importance,
-            self.target,
-            self.preload_budget,
             &self.widths,
             &self.bitwidths,
-        );
-        self.preload.resize(self.preload_budget);
-        // Refill: drop shards no longer wanted, admit newly planned ones at
-        // their planned fidelity.
-        for id in self.preload.resident_ids() {
-            let still_wanted = plan.preload.iter().any(|&(pid, bw)| {
-                pid == id && self.preload.get(id).map(|b| b.bitwidth()) == Some(bw)
-            });
-            if !still_wanted {
-                self.preload.remove(id);
-            }
-        }
-        for &(id, bw) in &plan.preload {
-            if self.preload.get(id).map(|b| b.bitwidth()) == Some(bw) {
-                continue;
-            }
-            let blob = self.source.load(ShardKey::new(id, bw))?;
-            self.preload.insert(id, blob)?;
-        }
-        self.plan = Some(plan);
+            &*self.source,
+            target,
+            bytes,
+        )?;
+        self.plan = plan;
+        self.preload = preload;
         Ok(())
     }
+}
+
+/// Plans the pipeline for `(target, preload_budget)` and fills its preload
+/// buffer from `source`.
+fn plan_and_fill(
+    hw: &HwProfile,
+    importance: &ImportanceProfile,
+    widths: &[usize],
+    bitwidths: &[Bitwidth],
+    source: &dyn ShardSource,
+    target: SimTime,
+    preload_budget: u64,
+) -> Result<(ExecutionPlan, PreloadBuffer), PipelineError> {
+    let plan = plan_two_stage(hw, importance, target, preload_budget, widths, bitwidths);
+    let preload = PreloadBuffer::fill(plan.preload_budget_bytes, &plan.preload, source)?;
+    Ok((plan, preload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use sti_device::DeviceProfile;
     use sti_nlp::{Task, TaskKind};
-    use sti_quant::QuantConfig;
-    use sti_storage::MemStore;
+    use sti_quant::{QuantConfig, QuantizedBlob};
+    use sti_storage::{MemStore, ShardKey, ShardStore, StorageError};
     use sti_transformer::ModelConfig;
 
-    fn engine() -> StiEngine {
-        let cfg = ModelConfig::tiny();
-        let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
-        let dev = DeviceProfile::odroid_n2();
-        let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-        let source =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    fn engine_on(source: Arc<dyn ShardSource>, model: &Model, budget: u64) -> StiEngine {
+        let cfg = model.config();
+        let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), cfg, &QuantConfig::default());
         let importance = ImportanceProfile::from_scores(
             cfg.layers,
             cfg.heads,
             (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
             0.45,
         );
-        StiEngine::builder(task.model().clone(), source, hw, importance)
+        StiEngine::builder(model.clone(), source, hw, importance)
             .target(SimTime::from_ms(300))
-            .preload_budget(64 << 10)
+            .preload_budget(budget)
             .widths(&[2, 4])
             .build()
             .unwrap()
+    }
+
+    fn engine() -> StiEngine {
+        let task = Task::build(TaskKind::Sst2, ModelConfig::tiny(), 4, 4);
+        let source =
+            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+        engine_on(source, task.model(), 64 << 10)
+    }
+
+    /// A store whose loads fail while `broken` is set.
+    struct Breakable {
+        store: MemStore,
+        broken: AtomicBool,
+    }
+
+    impl ShardSource for Breakable {
+        fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
+            if self.broken.load(Ordering::SeqCst) {
+                return Err(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() });
+            }
+            self.store.load(key)
+        }
+
+        fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
+            self.store.size_bytes(key)
+        }
     }
 
     #[test]
@@ -343,9 +323,62 @@ mod tests {
         let before = e.preload_used();
         e.set_preload_budget(1 << 20).unwrap();
         assert!(e.preload_used() >= before);
-        // Shrinking evicts back below the cap.
+        // Shrinking rebuilds below the cap.
         e.set_preload_budget(8 << 10).unwrap();
         assert!(e.preload_used() <= 8 << 10);
+        assert_eq!(e.preload.len(), e.plan().preload.len());
+    }
+
+    #[test]
+    fn a_failed_replan_leaves_the_engine_as_it_was() {
+        let task = Task::build(TaskKind::Sst2, ModelConfig::tiny(), 4, 4);
+        let store = MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default());
+        let source = Arc::new(Breakable { store, broken: AtomicBool::new(false) });
+        let mut e = engine_on(source.clone(), task.model(), 8 << 10);
+        let (target, plan, used) = (e.target(), e.plan().clone(), e.preload_used());
+        assert!(!plan.preload.is_empty(), "the replans below must load shards to fail");
+        let before = e.infer(&[1, 2, 3]).unwrap();
+
+        source.broken.store(true, Ordering::SeqCst);
+        assert!(e.set_preload_budget(1 << 20).is_err());
+        assert!(e.set_target(SimTime::from_ms(1_000)).is_err());
+        source.broken.store(false, Ordering::SeqCst);
+
+        assert_eq!((e.target(), e.plan(), e.preload_used()), (target, &plan, used));
+        let after = e.infer(&[1, 2, 3]).unwrap();
+        assert_eq!(after.outcome.loaded_bytes, before.outcome.loaded_bytes);
+        assert_eq!(after.outcome.timeline, before.outcome.timeline);
+    }
+
+    #[test]
+    fn a_rebuilt_buffer_shares_the_payloads_both_plans_keep() {
+        let model = Model::synthetic(5, ModelConfig::tiny());
+        let dir =
+            std::env::temp_dir().join(format!("sti-engine-test-rebuild-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ShardStore::create(&dir, &model, &Bitwidth::ALL, &QuantConfig::default());
+        let mut e = engine_on(Arc::new(store.unwrap()), &model, 8 << 10);
+        // Weak handles: they keep nothing alive, so an old payload still
+        // reachable after the replan is one the new buffer holds.
+        let old: Vec<_> = e
+            .plan()
+            .preload
+            .iter()
+            .map(|&(id, bw)| (id, bw, e.preload.get(id).unwrap().downgrade()))
+            .collect();
+        e.set_preload_budget(16 << 10).unwrap();
+        let mut kept = 0;
+        for &(id, bw) in &e.plan().preload {
+            if let Some((.., was)) = old.iter().find(|o| (o.0, o.1) == (id, bw)) {
+                let was = was.upgrade().unwrap_or_else(|| panic!("{id} at {bw:?} was dropped"));
+                let now = e.preload.get(id).unwrap();
+                assert_eq!(now.packed().as_ptr(), was.packed().as_ptr(), "{id} decoded again");
+                kept += 1;
+            }
+        }
+        assert!(kept > 0, "the grown plan keeps some of the old preload");
+        drop(e);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -46,6 +46,48 @@ pub struct ExecutionOutcome {
     pub peak_working_bytes: usize,
 }
 
+/// The result of one engagement: an [`ExecutionOutcome`] and the submodel
+/// it ran.
+#[derive(Debug, Clone)]
+pub struct Inference {
+    /// Predicted class.
+    pub class: usize,
+    /// Softmax class probabilities.
+    pub probabilities: Vec<f32>,
+    /// The executed submodel shape.
+    pub submodel: sti_planner::SubmodelShape,
+    /// Full execution details (timeline, bytes, buffers).
+    pub outcome: ExecutionOutcome,
+}
+
+impl Inference {
+    pub(crate) fn new(plan: &ExecutionPlan, outcome: ExecutionOutcome) -> Self {
+        Self {
+            class: outcome.class,
+            probabilities: outcome.probabilities.clone(),
+            submodel: plan.shape,
+            outcome,
+        }
+    }
+}
+
+/// The result of one generative (decoder) engagement.
+#[derive(Debug, Clone)]
+pub struct GenerationOutcome {
+    /// Prompt plus generated continuation.
+    pub tokens: Vec<u32>,
+    /// Number of tokens generated (excludes the prompt).
+    pub generated: usize,
+    /// Simulated latency of the first step (streams the submodel through
+    /// the pipeline, same as a classification).
+    pub first_step: SimTime,
+    /// Simulated compute-only latency of each subsequent step (weights are
+    /// already resident in the working set).
+    pub per_step: SimTime,
+    /// Bytes streamed from storage (paid once, amortized over all steps).
+    pub loaded_bytes: u64,
+}
+
 /// Executes plans against a model's resident parameters and a shard source.
 pub struct PipelineExecutor<'a> {
     model: &'a Model,
@@ -209,6 +251,36 @@ impl<'a> PipelineExecutor<'a> {
             peak_working_bytes: working.peak_bytes(),
         })
     }
+
+    /// Generative extension (paper §3.4 future work): greedily decodes
+    /// `steps` tokens after `prompt` over `plan`'s submodel.
+    ///
+    /// The submodel's shards are streamed **once** (the same bytes a
+    /// classification pays) and then reused for every step, so per-step cost
+    /// is compute-only — the amortization that makes STI's economics carry
+    /// over to generation.
+    ///
+    /// # Errors
+    ///
+    /// Fails if any planned shard cannot be loaded.
+    pub(crate) fn generate(
+        &self,
+        plan: &ExecutionPlan,
+        preload: &PreloadBuffer,
+        prompt: &[u32],
+        steps: usize,
+    ) -> Result<GenerationOutcome, PipelineError> {
+        let (submodel, loaded_bytes) =
+            assemble_plan_submodel(self.model, plan, preload, &*self.source)?;
+        let generation = sti_transformer::decoder::generate(self.model, &submodel, prompt, steps);
+        Ok(GenerationOutcome {
+            tokens: generation.tokens,
+            generated: generation.generated,
+            first_step: plan.predicted.makespan,
+            per_step: self.hw.t_comp(plan.shape.width) * plan.shape.depth as u64,
+            loaded_bytes,
+        })
+    }
 }
 
 /// Materializes a plan's full submodel as dequantized weights, taking each
@@ -300,12 +372,7 @@ mod tests {
     }
 
     fn fill_preload(f: &Fixture, plan: &sti_planner::ExecutionPlan) -> PreloadBuffer {
-        let mut buf = PreloadBuffer::new(plan.preload_budget_bytes);
-        for &(id, bw) in &plan.preload {
-            let blob = f.source.load(sti_storage::ShardKey::new(id, bw)).unwrap();
-            buf.insert(id, blob).unwrap();
-        }
-        buf
+        PreloadBuffer::fill(plan.preload_budget_bytes, &plan.preload, &*f.source).unwrap()
     }
 
     #[test]
@@ -313,7 +380,7 @@ mod tests {
         let f = fixture();
         let plan = make_plan(&f, 400, 0);
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
-        let out = exec.execute(&plan, &PreloadBuffer::new(0), &[1, 2, 3]).unwrap();
+        let out = exec.execute(&plan, &PreloadBuffer::default(), &[1, 2, 3]).unwrap();
         assert_eq!(out.logits.len(), 2);
         assert!(out.loaded_bytes > 0);
         assert!((out.probabilities.iter().sum::<f32>() - 1.0).abs() < 1e-5);
@@ -328,7 +395,7 @@ mod tests {
         assert!(!warm_plan.preload.is_empty());
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
 
-        let cold = exec.execute(&cold_plan, &PreloadBuffer::new(0), &[5, 6]).unwrap();
+        let cold = exec.execute(&cold_plan, &PreloadBuffer::default(), &[5, 6]).unwrap();
         let warm = exec.execute(&warm_plan, &fill_preload(&f, &warm_plan), &[5, 6]).unwrap();
         assert!(warm.loaded_bytes < cold.loaded_bytes);
         assert!(warm.timeline.layers[0].stall <= cold.timeline.layers[0].stall);
@@ -339,7 +406,7 @@ mod tests {
         let f = fixture();
         let plan = make_plan(&f, 400, 0);
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
-        let out = exec.execute(&plan, &PreloadBuffer::new(0), &[7]).unwrap();
+        let out = exec.execute(&plan, &PreloadBuffer::default(), &[7]).unwrap();
         // Measured makespan should be close to the planner's conservative
         // prediction (real blobs are never larger than the profiled max).
         assert!(out.timeline.makespan <= plan.predicted.makespan);
@@ -354,7 +421,7 @@ mod tests {
         let key = sti_storage::ShardKey::new(ShardId::new(pl.layer, pl.slices[0]), pl.bitwidths[0]);
         f.source.remove(key);
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
-        let err = exec.execute(&plan, &PreloadBuffer::new(0), &[1]).unwrap_err();
+        let err = exec.execute(&plan, &PreloadBuffer::default(), &[1]).unwrap_err();
         assert!(matches!(err, PipelineError::Storage(_)));
     }
 
@@ -363,8 +430,8 @@ mod tests {
         let f = fixture();
         let plan = make_plan(&f, 300, 0);
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
-        let a = exec.execute(&plan, &PreloadBuffer::new(0), &[9, 9]).unwrap();
-        let b = exec.execute(&plan, &PreloadBuffer::new(0), &[9, 9]).unwrap();
+        let a = exec.execute(&plan, &PreloadBuffer::default(), &[9, 9]).unwrap();
+        let b = exec.execute(&plan, &PreloadBuffer::default(), &[9, 9]).unwrap();
         assert_eq!(a.logits, b.logits);
         assert_eq!(a.timeline, b.timeline);
     }
@@ -391,7 +458,7 @@ mod tests {
             predicted: simulate_pipeline(&[], SimTime::ZERO),
         };
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
-        let out = exec.execute(&plan, &PreloadBuffer::new(0), &[3, 4, 5]).unwrap();
+        let out = exec.execute(&plan, &PreloadBuffer::default(), &[3, 4, 5]).unwrap();
         let direct = f.task.model().forward_full(&[3, 4, 5]);
         for (a, b) in out.logits.iter().zip(&direct) {
             assert!((a - b).abs() < 1e-4, "pipeline and direct forward disagree: {a} vs {b}");

@@ -26,9 +26,9 @@
 //!
 //! Layer by layer:
 //!
-//! - [`buffers`] — the preload buffer (persistent, capacity-bounded,
-//!   evicting top layers first) and the working buffer (one layer's worth of
-//!   decompressed weights, reused across layers);
+//! - [`buffers`] — the preload buffer (one plan's compressed shards,
+//!   built once from the plan and never edited) and the working buffer (one
+//!   layer's worth of decompressed weights, reused across layers);
 //! - [`executor`] — the pipeline executor: real storage reads and real
 //!   forward passes on the calling thread, with the simulated-time timeline
 //!   accounted per layer; [`executor::PipelineExecutor::issue_on`] and
@@ -65,9 +65,9 @@ pub mod server;
 pub mod trace;
 
 pub use buffers::{PreloadBuffer, WorkingBuffer};
-pub use engine::{GenerationOutcome, Inference, StiEngine, StiEngineBuilder};
+pub use engine::{StiEngine, StiEngineBuilder};
 pub use error::PipelineError;
-pub use executor::{ExecutionOutcome, PipelineExecutor};
+pub use executor::{ExecutionOutcome, GenerationOutcome, Inference, PipelineExecutor};
 pub use server::{
     AdmissionMode, BackpressureMode, ContentionReport, EngagementContention, GateDecision,
     GateReason, PendingEngagement, PrefetchContention, PrefetchReport, ServingStats, Session,

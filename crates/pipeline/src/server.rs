@@ -94,16 +94,15 @@ use sti_planner::{
 };
 use sti_quant::Bitwidth;
 use sti_storage::{
-    CachedSource, IoChannel, IoScheduler, IoSchedulerStats, ShardCache, ShardCacheStats, ShardKey,
+    CachedSource, IoChannel, IoScheduler, IoSchedulerStats, ShardCache, ShardCacheStats,
     ShardSource,
 };
 use sti_transformer::Model;
 
 use crate::admission::{Admission, Origin};
 use crate::buffers::PreloadBuffer;
-use crate::engine::{GenerationOutcome, Inference};
 use crate::error::PipelineError;
-use crate::executor::{assemble_plan_submodel, PipelineExecutor};
+use crate::executor::{GenerationOutcome, Inference, PipelineExecutor};
 use crate::ledger::{ContentionLedger, EngagementRecord};
 use crate::prefetch::{PrefetchDriver, PrefetchTarget};
 
@@ -612,12 +611,7 @@ impl ServerInner {
         // store, and sessions resolving other knob sets must not wait
         // behind that.
         let preload = self.preloads.get_or_try_insert(&key, || {
-            let mut buffer = PreloadBuffer::new(plan.preload_budget_bytes);
-            for &(id, bw) in &plan.preload {
-                let blob = self.cached_source.load(ShardKey::new(id, bw))?;
-                buffer.insert(id, blob)?;
-            }
-            Ok::<_, PipelineError>(buffer)
+            PreloadBuffer::fill(plan.preload_budget_bytes, &plan.preload, &*self.cached_source)
         })?;
         Ok((plan, preload))
     }
@@ -1491,12 +1485,7 @@ impl Session {
             }
         }
 
-        Ok(Inference {
-            class: outcome.class,
-            probabilities: outcome.probabilities.clone(),
-            submodel: plan.shape,
-            outcome,
-        })
+        Ok(Inference::new(plan, outcome))
     }
 
     fn executor(&self) -> PipelineExecutor<'_> {
@@ -1516,18 +1505,8 @@ impl Session {
         prompt: &[u32],
         steps: usize,
     ) -> Result<GenerationOutcome, PipelineError> {
-        let inner = &*self.inner;
         let Planned { plan, preload, .. } = &*self.planned;
-        let (submodel, loaded_bytes) =
-            assemble_plan_submodel(&inner.model, plan, preload, &*inner.cached_source)?;
-        let generation = sti_transformer::decoder::generate(&inner.model, &submodel, prompt, steps);
-        Ok(GenerationOutcome {
-            tokens: generation.tokens,
-            generated: generation.generated,
-            first_step: plan.predicted.makespan,
-            per_step: inner.hw.t_comp(plan.shape.width) * plan.shape.depth as u64,
-            loaded_bytes,
-        })
+        self.executor().generate(plan, preload, prompt, steps)
     }
 }
 

@@ -103,10 +103,7 @@ fn an_engine_outcome_equals_its_plan_run_through_full_layers_bit_for_bit() {
         .build()
         .unwrap();
     let plan = engine.plan();
-    let mut preload = PreloadBuffer::new(plan.preload_budget_bytes);
-    for &(id, bw) in &plan.preload {
-        preload.insert(id, source.load(ShardKey::new(id, bw)).unwrap()).unwrap();
-    }
+    let preload = PreloadBuffer::fill(plan.preload_budget_bytes, &plan.preload, &*source).unwrap();
     let (submodel, streamed) = assemble_plan_submodel(model, plan, &preload, &*source).unwrap();
     assert!(!plan.preload.is_empty() && streamed > 0, "both kinds of shard must take part");
     let layers = || {

@@ -45,7 +45,7 @@ fn missing_version_fails_with_missing_shard() {
         .flat_map(|l| l.bitwidths.iter())
         .any(|bw| *bw != Bitwidth::B2 && *bw != Bitwidth::Full);
     let exec = PipelineExecutor::new(task.model(), store, &hw);
-    let result = exec.execute(&plan, &PreloadBuffer::new(0), &[1, 2]);
+    let result = exec.execute(&plan, &PreloadBuffer::default(), &[1, 2]);
     if needs_missing {
         let err = result.unwrap_err();
         assert!(
@@ -74,7 +74,7 @@ fn corrupt_disk_record_surfaces_as_corrupt_error() {
         std::fs::write(&path, bytes).unwrap();
     }
     let exec = PipelineExecutor::new(task.model(), Arc::new(store), &hw);
-    let err = exec.execute(&plan, &PreloadBuffer::new(0), &[3]).unwrap_err();
+    let err = exec.execute(&plan, &PreloadBuffer::default(), &[3]).unwrap_err();
     assert!(matches!(err, PipelineError::Storage(_)), "unexpected error: {err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -204,13 +204,10 @@ fn a_flipped_byte_in_every_record_fails_infer_with_a_typed_corrupt_error() {
 fn oversized_preload_request_is_rejected_not_truncated() {
     let (task, _, _) = setup();
     let store = MemStore::build(task.model(), &[Bitwidth::Full], &QuantConfig::default());
-    let blob =
-        sti_storage::ShardSource::load(&store, ShardKey::new(ShardId::new(0, 0), Bitwidth::Full))
-            .unwrap();
-    let mut buffer = PreloadBuffer::new(blob.byte_size() as u64 - 1);
-    let err = buffer.insert(ShardId::new(0, 0), blob).unwrap_err();
+    let shard = (ShardId::new(0, 0), Bitwidth::Full);
+    let blob = sti_storage::ShardSource::load(&store, ShardKey::new(shard.0, shard.1)).unwrap();
+    let err = PreloadBuffer::fill(blob.byte_size() as u64 - 1, &[shard], &store).unwrap_err();
     assert!(matches!(err, PipelineError::PreloadOverflow { .. }));
-    assert_eq!(buffer.len(), 0);
 }
 
 #[test]
@@ -445,7 +442,7 @@ fn corrupt_blobs_built_from_parts_still_fail_typed() {
     let pl = &plan.layers[0];
     store.insert(ShardKey::new(ShardId::new(pl.layer, pl.slices[0]), pl.bitwidths[0]), good);
     let exec = PipelineExecutor::new(task.model(), store, &hw);
-    let err = exec.execute(&plan, &PreloadBuffer::new(0), &[1, 2]).unwrap_err();
+    let err = exec.execute(&plan, &PreloadBuffer::default(), &[1, 2]).unwrap_err();
     assert!(matches!(err, PipelineError::PlanMismatch(_)), "unexpected error: {err}");
 }
 

@@ -605,8 +605,7 @@ fn every_hop_hands_on_the_stores_one_payload() {
     assert_eq!(payload(&pinned), payload(&in_store), "pool pin");
 
     // Preload buffer: filled the way the engine and the server fill it.
-    let mut preload = PreloadBuffer::new(1 << 20);
-    preload.insert(id, cached.load(key).unwrap()).unwrap();
+    let preload = PreloadBuffer::fill(1 << 20, &[(id, key.bitwidth)], &cached).unwrap();
     assert_eq!(payload(preload.get(id).unwrap()), payload(&in_store), "preload entry");
 
     // And the model: a clone is the same weights.

@@ -100,15 +100,7 @@ pub fn chrome_trace_json(events: &[SpanEvent], filter: TrackFilter) -> String {
 }
 
 fn track_key(e: &SpanEvent) -> (u8, u64) {
-    let order = match e.kind {
-        TrackKind::Session => 0,
-        TrackKind::Channel => 1,
-        TrackKind::Flash => 2,
-        TrackKind::Engine => 3,
-        TrackKind::Host => 4,
-        TrackKind::Prefetch => 5,
-    };
-    (order, e.track)
+    (e.kind.order(), e.track)
 }
 
 fn phase_code(phase: SpanPhase) -> &'static str {

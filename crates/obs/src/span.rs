@@ -60,7 +60,7 @@ impl TrackKind {
     }
 
     /// Canonical ordering index (export lays tracks out in this order).
-    fn order(self) -> u8 {
+    pub(crate) fn order(self) -> u8 {
         match self {
             TrackKind::Session => 0,
             TrackKind::Channel => 1,

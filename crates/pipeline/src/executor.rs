@@ -13,14 +13,13 @@
 //! IO and compute lives on that simulated timeline: on the host, the loads
 //! run on the calling thread as it receives each layer.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use sti_device::{HwProfile, SimTime};
 use sti_planner::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 use sti_planner::ExecutionPlan;
 use sti_quant::QuantizedBlob;
-use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardKey, ShardSource};
+use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardCache, ShardKey, ShardSource};
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::stats::argmax;
 use sti_transformer::layer::{layer_forward, layer_forward_cls};
@@ -120,7 +119,8 @@ impl<'a> PipelineExecutor<'a> {
         preload: &PreloadBuffer,
         tokens: &[u32],
     ) -> Result<ExecutionOutcome, PipelineError> {
-        let scheduler = IoScheduler::spawn(self.source.clone(), self.hw.flash, None);
+        let scheduler =
+            IoScheduler::spawn(self.source.clone(), self.hw.flash, Arc::new(ShardCache::new(0)));
         let channel = scheduler.channel();
         let has_request = self.issue_on(&channel, plan, preload)?;
         self.complete_on(&channel, plan, preload, tokens, &has_request)
@@ -198,24 +198,25 @@ impl<'a> PipelineExecutor<'a> {
         let mut loaded_bytes = 0u64;
 
         for (l, pl) in plan.layers.iter().enumerate() {
-            let (owned, io_delay) = if has_request[l] {
+            let (streamed, io_delay) = if has_request[l] {
                 let loaded = channel.recv()?;
                 debug_assert_eq!(loaded.layer, pl.layer, "IO completions must arrive in order");
                 loaded_bytes += loaded.bytes;
-                // Under shared-IO batching this map aliases the payload other
-                // engagements received.
-                let map: HashMap<u16, Arc<QuantizedBlob>> = loaded.blobs.into_iter().collect();
-                (map, loaded.io_delay)
+                (loaded.blobs, loaded.io_delay)
             } else {
-                (HashMap::new(), SimTime::ZERO)
+                (Vec::new(), SimTime::ZERO)
             };
 
+            // The streamed blobs arrive in request order: the plan's slices
+            // the preload buffer does not hold. Under shared-IO batching they
+            // alias the payload other engagements received.
+            let mut streamed = streamed.iter();
             let mut blob_refs: Vec<&QuantizedBlob> = Vec::with_capacity(pl.slices.len());
             for &slice in &pl.slices {
                 let id = ShardId::new(pl.layer, slice);
                 let blob = preload
                     .get(id)
-                    .or_else(|| owned.get(&slice).map(Arc::as_ref))
+                    .or_else(|| streamed.next().filter(|(s, _)| *s == slice).map(|(_, b)| b))
                     .ok_or_else(|| {
                         PipelineError::PlanMismatch(format!(
                             "shard {id} neither preloaded nor loaded"
@@ -399,6 +400,23 @@ mod tests {
         let warm = exec.execute(&warm_plan, &fill_preload(&f, &warm_plan), &[5, 6]).unwrap();
         assert!(warm.loaded_bytes < cold.loaded_bytes);
         assert!(warm.timeline.layers[0].stall <= cold.timeline.layers[0].stall);
+    }
+
+    #[test]
+    fn a_shard_neither_preloaded_nor_streamed_is_a_plan_mismatch() {
+        let f = fixture();
+        let plan = make_plan(&f, 400, 1 << 20);
+        assert!(!plan.preload.is_empty());
+        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
+        let cache = Arc::new(ShardCache::new(0));
+        let scheduler = IoScheduler::spawn(f.source.clone(), f.hw.flash, cache);
+        let channel = scheduler.channel();
+        let has_request = exec.issue_on(&channel, &plan, &fill_preload(&f, &plan)).unwrap();
+        // Completed without the buffer the issue skipped, a preloaded slice
+        // meets a blob streamed for another slice, or none at all.
+        let empty = PreloadBuffer::default();
+        let err = exec.complete_on(&channel, &plan, &empty, &[1], &has_request).unwrap_err();
+        assert!(matches!(err, PipelineError::PlanMismatch(_)), "{err:?}");
     }
 
     #[test]

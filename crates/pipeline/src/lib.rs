@@ -10,7 +10,8 @@
 //!
 //! - [`engine::StiEngine`] — the paper's single-app facade: one engagement
 //!   at a time, plan once, execute repeatedly, replan on target/budget
-//!   changes (§3.2), cache shards between back-to-back executions (§3.3);
+//!   changes (§3.2), and keep a preload buffer sized by its preload budget
+//!   between back-to-back executions (§3.3) — it holds no shard cache;
 //! - [`server::StiServer`] — the serving runtime: one server owns the
 //!   model, a shared plan cache, a shared compressed-shard cache, and the
 //!   IO scheduler; lightweight [`server::Session`] handles submit

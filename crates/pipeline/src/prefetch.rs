@@ -66,8 +66,9 @@ pub(crate) struct PrefetchDriver {
     /// the prediction stream is deterministic too.
     model: Mutex<Prefetcher>,
     /// What to materialize when a key is predicted, registered the first
-    /// time the key is *observed* — a prediction always names a key some
-    /// session has already run, so the lookup cannot miss in practice.
+    /// time the key is *observed* since the last plan invalidation — a
+    /// prediction names a key some session has already run, so the lookup
+    /// misses only for a key not run again since then.
     targets: Mutex<HashMap<KeyId, PrefetchTarget>>,
 }
 
@@ -107,6 +108,13 @@ impl PrefetchDriver {
     /// no later observation could have continued it.
     pub(crate) fn forget(&self, client: u64) {
         self.model.lock().forget(client);
+    }
+
+    /// Drops every registered working set, so no invalidated plan is kept
+    /// alive or staged by this table; each key re-registers the plan in use
+    /// at its next observation.
+    pub(crate) fn forget_targets(&self) {
+        self.targets.lock().clear();
     }
 
     /// Chains the model holds: one per session that completed an engagement
@@ -242,5 +250,21 @@ mod tests {
         // priced jobs can only grow past the harvested count.
         assert!(spec.jobs >= report.jobs);
         assert!(spec.busy > SimTime::ZERO || spec.speculated_bytes == 0);
+    }
+
+    /// Invalidation drops both holders of pre-invalidation state: the staged
+    /// shards and the working sets the prefetcher registered.
+    #[test]
+    fn invalidation_drops_staged_shards_and_the_plans_they_were_staged_for() {
+        let srv = prefetch_server();
+        let mut s = srv.session().unwrap();
+        s.set_issue_gap(SimTime::from_ms(50));
+        s.infer(&[1, 2, 3]).unwrap();
+        s.infer(&[1, 2, 3]).unwrap();
+        assert!(srv.shard_cache_resident_bytes().1 > 0, "the prediction staged something");
+        srv.invalidate_plans();
+        assert_eq!(srv.shard_cache_resident_bytes(), (0, 0), "nothing stale stays staged");
+        drop(s);
+        assert_eq!(srv.cached_plans(), 0, "no table keeps an invalidated plan alive");
     }
 }

@@ -282,16 +282,15 @@ impl StiServerBuilder {
     /// happens yet — plans and preload buffers materialize lazily, once per
     /// knob combination in use, when sessions open.
     pub fn build(self) -> StiServer {
-        let shard_cache = Arc::new(ShardCache::new(self.shard_cache_bytes));
-        if self.prefetch.enabled() {
-            shard_cache.enable_prefetch_pool(self.prefetch.budget_bytes);
-        }
+        let pool_bytes = if self.prefetch.enabled() { self.prefetch.budget_bytes } else { 0 };
+        let shard_cache =
+            Arc::new(ShardCache::with_prefetch_pool(self.shard_cache_bytes, pool_bytes));
         let cached_source: Arc<dyn ShardSource> =
             Arc::new(CachedSource::new(self.source.clone(), shard_cache.clone()));
         let scheduler = IoScheduler::spawn_topology(
             self.source.clone(),
             self.hw.flash,
-            Some(shard_cache.clone()),
+            shard_cache.clone(),
             self.sharing,
             self.topology,
         );
@@ -1050,8 +1049,9 @@ impl StiServer {
     }
 
     /// Makes every cached plan and preload buffer unreachable and drops
-    /// every cached shard blob, forcing the next session (or knob change)
-    /// to replan and re-read. Called by [`StiServer::set_importance`]; call
+    /// every cached or staged shard blob and every working set the
+    /// prefetcher registered, forcing the next session (or knob change) to
+    /// replan and re-read. Called by [`StiServer::set_importance`]; call
     /// it directly when the backing store's blobs were regenerated
     /// out-of-band. Sessions already open keep executing their old plan
     /// until they change knobs.
@@ -1062,6 +1062,9 @@ impl StiServer {
         // once the last session running it lets go.
         self.inner.generation.fetch_add(1, Ordering::SeqCst);
         self.inner.shard_cache.clear();
+        if let Some(pf) = &self.inner.prefetch {
+            pf.forget_targets();
+        }
     }
 }
 

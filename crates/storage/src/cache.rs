@@ -23,16 +23,23 @@
 //! ## The prefetch staging pool
 //!
 //! When the serving prefetcher is on, speculatively loaded blobs do **not**
-//! enter the main cache — they land in a bounded side pool
-//! ([`ShardCache::enable_prefetch_pool`]) with its own byte budget and LRU
-//! order. The demand path consults the pool only on a main-cache miss
-//! ([`ShardCache::get_or_load_tracked`] takes the staged blob and promotes
-//! it via the normal `insert`), so the main cache sees exactly the same
-//! mutation sequence it would without prefetch: speculation can never evict
-//! or reorder demand-resident state, which is what keeps prefetch fenced
-//! off from the determinism contract. A promoted blob counts as *resident*
-//! for the contended track's DRAM-residency pricing — that residency is the
-//! entire payoff of a correct prediction.
+//! enter the main cache — they land in a bounded side pool with its own
+//! byte budget and LRU order, sized when the cache is built
+//! ([`ShardCache::with_prefetch_pool`]; [`ShardCache::new`] builds a
+//! zero-budget pool, which stages nothing). The demand path consults the
+//! pool only on a main-cache miss ([`ShardCache::get_or_load_tracked`]
+//! takes the staged blob and promotes it via the normal admission), so the
+//! main cache sees exactly the same mutation sequence it would without
+//! prefetch: speculation can never evict or reorder demand-resident state,
+//! which is what keeps prefetch fenced off from the determinism contract.
+//! A promoted blob counts as *resident* for the contended track's
+//! DRAM-residency pricing — that residency is the entire payoff of a
+//! correct prediction.
+//!
+//! **One lock** guards both maps and their counters, so a lookup and its
+//! promotion, or a stage's staged/pinned check, is one critical section;
+//! only a cold read of the source runs outside it. [`ShardCache::clear`]
+//! drops both maps.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -66,8 +73,8 @@ impl ShardCacheStats {
     }
 }
 
-/// Counters describing the prefetch staging pool (all zero when the pool
-/// was never enabled).
+/// Counters describing the prefetch staging pool (all zero for a cache
+/// built without one).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchPoolStats {
     /// Bytes flash-loaded into the pool by speculative jobs.
@@ -176,109 +183,110 @@ impl Lru {
     }
 }
 
-/// The speculative side pool: the main cache's LRU with its own budget and
-/// counters, whose entries leave by demand *take* (promote) rather than
-/// lookup.
+/// Everything the cache's one lock guards: the main map, the staging pool
+/// (the same LRU with its own budget, whose entries leave by demand *take*
+/// rather than lookup) and both maps' counters.
 #[derive(Debug)]
-struct PoolInner {
-    lru: Lru,
-    stats: PrefetchPoolStats,
-}
-
-impl PoolInner {
-    fn admit(&mut self, key: ShardKey, blob: &QuantizedBlob) -> bool {
-        let Some(evicted) = self.lru.insert(key, blob) else { return false };
-        self.stats.evictions += evicted;
-        true
-    }
-
-    fn take(&mut self, key: ShardKey) -> Option<QuantizedBlob> {
-        let entry = self.lru.remove(key)?;
-        self.stats.hits += 1;
-        self.stats.hit_bytes += entry.bytes;
-        Some(entry.blob)
-    }
-}
-
-#[derive(Debug)]
-struct CacheInner {
-    lru: Lru,
+struct State {
+    main: Lru,
     stats: ShardCacheStats,
+    pool: Lru,
+    pool_stats: PrefetchPoolStats,
 }
 
-/// A thread-safe LRU cache of compressed shard blobs under a byte budget.
+impl State {
+    /// A main-map lookup, counted as a hit or a miss.
+    fn lookup(&mut self, key: ShardKey) -> Option<QuantizedBlob> {
+        let blob = self.main.get(key);
+        match blob {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        blob
+    }
+
+    /// A main-map admission, counting what it evicted.
+    fn admit(&mut self, key: ShardKey, blob: &QuantizedBlob) {
+        if let Some(evicted) = self.main.insert(key, blob) {
+            self.stats.evictions += evicted;
+        }
+    }
+}
+
+/// A thread-safe LRU cache of compressed shard blobs under a byte budget,
+/// with the prefetch staging pool beside it.
 #[derive(Debug)]
 pub struct ShardCache {
-    inner: Mutex<CacheInner>,
-    /// Prefetch staging pool; `None` until enabled. Guarded separately from
-    /// `inner` (never held together) so the demand path's lock behaviour is
-    /// unchanged when prefetch is off.
-    pool: Mutex<Option<PoolInner>>,
+    state: Mutex<State>,
 }
 
 impl ShardCache {
-    /// Creates a cache with the given byte budget. A budget of zero disables
-    /// caching (every lookup misses, nothing is admitted).
+    /// Creates a cache with the given byte budget and no staging pool (a
+    /// zero-budget one). A budget of zero disables caching (every lookup
+    /// misses, nothing is admitted).
     pub fn new(capacity: u64) -> Self {
-        let inner = CacheInner { lru: Lru::new(capacity), stats: ShardCacheStats::default() };
-        Self { inner: Mutex::new(inner), pool: Mutex::new(None) }
+        Self::with_prefetch_pool(capacity, 0)
+    }
+
+    /// Creates a cache with a `capacity`-byte main map and a
+    /// `pool_budget`-byte prefetch staging pool. A pool budget of zero
+    /// stages nothing.
+    pub fn with_prefetch_pool(capacity: u64, pool_budget: u64) -> Self {
+        Self {
+            state: Mutex::new(State {
+                main: Lru::new(capacity),
+                stats: ShardCacheStats::default(),
+                pool: Lru::new(pool_budget),
+                pool_stats: PrefetchPoolStats::default(),
+            }),
+        }
     }
 
     /// The configured byte budget.
     pub fn capacity(&self) -> u64 {
-        self.inner.lock().lru.budget
-    }
-
-    /// Bytes currently resident.
-    pub fn used_bytes(&self) -> u64 {
-        self.inner.lock().lru.used
+        self.state.lock().main.budget
     }
 
     /// Budgeted bytes currently held, `(main map, staging pool)` — each
     /// counted against its own budget from `byte_size()`, whether or not
     /// the two hold handles to the same payload.
     pub fn resident_bytes(&self) -> (u64, u64) {
-        (self.used_bytes(), self.prefetch_stats().resident_bytes)
+        let state = self.state.lock();
+        (state.main.used, state.pool.used)
     }
 
     /// Number of blobs currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().lru.map.len()
+        self.state.lock().main.map.len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().lru.map.is_empty()
+        self.len() == 0
     }
 
     /// Effectiveness counters.
     pub fn stats(&self) -> ShardCacheStats {
-        self.inner.lock().stats
+        self.state.lock().stats
     }
 
     /// Looks a blob up, refreshing its recency on a hit.
     pub fn get(&self, key: ShardKey) -> Option<QuantizedBlob> {
-        let mut inner = self.inner.lock();
-        let blob = inner.lru.get(key);
-        match blob {
-            Some(_) => inner.stats.hits += 1,
-            None => inner.stats.misses += 1,
-        }
-        blob
+        self.state.lock().lookup(key)
     }
 
     /// Admits a blob, evicting least-recently-used entries until it fits.
     /// Blobs larger than the whole budget are silently not cached.
     pub fn insert(&self, key: ShardKey, blob: &QuantizedBlob) {
-        let mut inner = self.inner.lock();
-        if let Some(evicted) = inner.lru.insert(key, blob) {
-            inner.stats.evictions += evicted;
-        }
+        self.state.lock().admit(key, blob);
     }
 
-    /// Drops every resident blob (counters are kept).
+    /// Drops every resident and every staged blob (counters are kept), so
+    /// the next lookup of any key re-reads its source.
     pub fn clear(&self) {
-        self.inner.lock().lru.clear();
+        let mut state = self.state.lock();
+        state.main.clear();
+        state.pool.clear();
     }
 
     /// Loads through the cache: a hit returns the resident blob, a miss
@@ -296,12 +304,12 @@ impl ShardCache {
     }
 
     /// [`ShardCache::get_or_load`] that also reports whether the blob was
-    /// cache-resident, decided atomically with the lookup itself — the IO
-    /// scheduler classifies a request's bytes for the contended track's
-    /// DRAM-residency mode from this flag, and a separate residency
-    /// probe could disagree with what the lookup
-    /// actually did when another worker raced an insert or eviction
-    /// in between.
+    /// resident (main map or staging pool), decided in the same critical
+    /// section as the lookup — the IO scheduler classifies a request's
+    /// bytes for the contended track's DRAM-residency mode from this flag,
+    /// and a separate residency probe could disagree with what the lookup
+    /// actually did when another worker raced an insert or eviction in
+    /// between. Only a cold read runs outside the lock.
     ///
     /// # Errors
     ///
@@ -311,37 +319,32 @@ impl ShardCache {
         source: &dyn ShardSource,
         key: ShardKey,
     ) -> Result<(QuantizedBlob, bool), StorageError> {
-        if let Some(blob) = self.get(key) {
-            return Ok((blob, true));
-        }
-        // Main-cache miss: a staged prefetch can serve it. The blob is
-        // promoted through the normal `insert`, so the main cache mutates
-        // exactly as it would have after `source.load` — but the bytes are
-        // already resident, which is what the contended track's residency
-        // flag records.
-        if let Some(blob) = self.take_prefetched(key) {
-            self.insert(key, &blob);
-            return Ok((blob, true));
+        {
+            let mut state = self.state.lock();
+            if let Some(blob) = state.lookup(key) {
+                return Ok((blob, true));
+            }
+            // Main-map miss: a staged prefetch can serve it. The blob is
+            // promoted through the normal admission, so the main map
+            // mutates exactly as it would have after `source.load` — but
+            // the bytes are already resident, which is what the contended
+            // track's residency flag records.
+            if let Some(staged) = state.pool.remove(key) {
+                state.pool_stats.hits += 1;
+                state.pool_stats.hit_bytes += staged.bytes;
+                state.admit(key, &staged.blob);
+                return Ok((staged.blob, true));
+            }
         }
         let blob = source.load(key)?;
         self.insert(key, &blob);
         Ok((blob, false))
     }
 
-    /// Enables the prefetch staging pool with its own byte budget (idempotent;
-    /// re-enabling resets the pool).
-    pub fn enable_prefetch_pool(&self, budget: u64) {
-        *self.pool.lock() =
-            Some(PoolInner { lru: Lru::new(budget), stats: PrefetchPoolStats::default() });
-    }
-
-    /// Staging-pool counters (zero when the pool was never enabled).
+    /// Staging-pool counters (all zero for a cache built without a pool).
     pub fn prefetch_stats(&self) -> PrefetchPoolStats {
-        let pool = self.pool.lock();
-        match pool.as_ref() {
-            Some(p) => PrefetchPoolStats { resident_bytes: p.lru.used, ..p.stats },
-            None => PrefetchPoolStats::default(),
-        }
+        let state = self.state.lock();
+        PrefetchPoolStats { resident_bytes: state.pool.used, ..state.pool_stats }
     }
 
     /// Stages one shard for a predicted engagement and reports what it cost:
@@ -349,60 +352,41 @@ impl ShardCache {
     /// main-cache-resident shards are "pinned" — the pool takes its own
     /// handle (zero flash bytes; it survives a later demand eviction); cold
     /// shards are read from `source` and charged as flash bytes. The
-    /// main-cache probe is a pure peek: no recency refresh, no hit/miss
-    /// counting, so demand-visible cache state is untouched.
+    /// main-map probe is a pure peek: no recency refresh, no hit/miss
+    /// counting, so demand-visible cache state is untouched. A shard the
+    /// pool's budget cannot hold is not staged and costs `(0, 0)`.
     ///
     /// # Errors
     ///
-    /// Propagates the backing source's error on a cold load. The pool must
-    /// be enabled; calls before [`ShardCache::enable_prefetch_pool`] stage
-    /// nothing and return `(0, 0)`.
+    /// Propagates the backing source's error on a cold load.
     pub fn prefetch_load(
         &self,
         source: &dyn ShardSource,
         key: ShardKey,
     ) -> Result<(u64, u64), StorageError> {
-        {
-            let pool = self.pool.lock();
-            match pool.as_ref() {
-                Some(p) if !p.lru.map.contains_key(&key) => {}
-                // Already staged, or pool disabled: nothing to do.
-                _ => return Ok((0, 0)),
+        let pinned = {
+            let state = self.state.lock();
+            if state.pool.map.contains_key(&key) {
+                return Ok((0, 0));
             }
-        }
-        let pinned = self.peek(key);
-        let (blob, flash_bytes) = match pinned {
-            Some(blob) => (blob, 0),
-            None => {
-                let blob = source.load(key)?;
-                let bytes = blob.byte_size() as u64;
-                (blob, bytes)
-            }
+            state.main.map.get(&key).map(|e| e.blob.clone())
         };
-        let mut pool = self.pool.lock();
-        let Some(p) = pool.as_mut() else { return Ok((0, 0)) };
+        let cold = pinned.is_none();
+        let blob = match pinned {
+            Some(blob) => blob,
+            None => source.load(key)?,
+        };
         let bytes = blob.byte_size() as u64;
-        if !p.admit(key, &blob) {
-            return Ok((0, 0));
-        }
-        if flash_bytes > 0 {
-            p.stats.staged_flash_bytes += flash_bytes;
-            Ok((flash_bytes, 0))
+        let mut state = self.state.lock();
+        let Some(evicted) = state.pool.insert(key, &blob) else { return Ok((0, 0)) };
+        state.pool_stats.evictions += evicted;
+        if cold {
+            state.pool_stats.staged_flash_bytes += bytes;
+            Ok((bytes, 0))
         } else {
-            p.stats.pinned_bytes += bytes;
+            state.pool_stats.pinned_bytes += bytes;
             Ok((0, bytes))
         }
-    }
-
-    /// Looks a blob up without touching recency or the hit/miss counters —
-    /// the speculative path's residency probe.
-    fn peek(&self, key: ShardKey) -> Option<QuantizedBlob> {
-        self.inner.lock().lru.map.get(&key).map(|e| e.blob.clone())
-    }
-
-    /// Removes a staged blob for demand promotion, counting the hit.
-    fn take_prefetched(&self, key: ShardKey) -> Option<QuantizedBlob> {
-        self.pool.lock().as_mut()?.take(key)
     }
 }
 
@@ -487,7 +471,7 @@ mod tests {
         for slice in 0..3u16 {
             cache.insert(key(0, slice, Bitwidth::B2), &blob);
         }
-        assert!(cache.used_bytes() <= cache.capacity());
+        assert!(cache.resident_bytes().0 <= cache.capacity());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // Slice 0 was least recently used, so it is the one gone.
@@ -499,17 +483,16 @@ mod tests {
     fn resident_bytes_reports_main_map_and_pool_separately_under_eviction() {
         let blob = uniform_blob();
         let each = blob.byte_size() as u64;
-        let cache = ShardCache::new(2 * each);
+        let store = store();
+        let staged = store.load(key(1, 0, Bitwidth::B2)).unwrap().byte_size() as u64;
+        let cache = ShardCache::with_prefetch_pool(2 * each, staged);
         assert_eq!(cache.resident_bytes(), (0, 0));
         for slice in 0..3u16 {
             cache.insert(key(0, slice, Bitwidth::B2), &blob);
         }
-        // Three admitted, one evicted; no pool yet.
+        // Three admitted, one evicted; nothing staged yet.
         assert_eq!(cache.resident_bytes(), (2 * each, 0));
 
-        let store = store();
-        let staged = store.load(key(1, 0, Bitwidth::B2)).unwrap().byte_size() as u64;
-        cache.enable_prefetch_pool(staged);
         cache.prefetch_load(&*store, key(1, 0, Bitwidth::B2)).unwrap();
         assert_eq!(cache.resident_bytes(), (2 * each, staged));
         // The pool holds one blob of this size: staging a second evicts the
@@ -573,8 +556,7 @@ mod tests {
     #[test]
     fn prefetch_pool_stages_cold_shards_and_promotes_on_demand_miss() {
         let store = store();
-        let cache = ShardCache::new(1 << 20);
-        cache.enable_prefetch_pool(1 << 20);
+        let cache = ShardCache::with_prefetch_pool(1 << 20, 1 << 20);
         let k = key(0, 0, Bitwidth::B2);
         let (flash, pinned) = cache.prefetch_load(&*store, k).unwrap();
         assert!(flash > 0);
@@ -600,8 +582,7 @@ mod tests {
     #[test]
     fn prefetch_pins_main_resident_shards_at_zero_flash_cost() {
         let store = store();
-        let cache = ShardCache::new(1 << 20);
-        cache.enable_prefetch_pool(1 << 20);
+        let cache = ShardCache::with_prefetch_pool(1 << 20, 1 << 20);
         let k = key(0, 1, Bitwidth::B2);
         cache.get_or_load(&*store, k).unwrap();
         let before = cache.stats();
@@ -619,8 +600,7 @@ mod tests {
         let second = store.load(key(0, 1, Bitwidth::B2)).unwrap().byte_size() as u64;
         // Room for either alone but not both together.
         let budget = first + second - 1;
-        let cache = ShardCache::new(1 << 20);
-        cache.enable_prefetch_pool(budget);
+        let cache = ShardCache::with_prefetch_pool(1 << 20, budget);
         cache.prefetch_load(&*store, key(0, 0, Bitwidth::B2)).unwrap();
         cache.prefetch_load(&*store, key(0, 1, Bitwidth::B2)).unwrap();
         let ps = cache.prefetch_stats();
@@ -629,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_stages_nothing() {
+    fn a_cache_built_without_a_pool_stages_nothing() {
         let store = store();
         let cache = ShardCache::new(1 << 20);
         assert_eq!(cache.prefetch_load(&*store, key(0, 0, Bitwidth::B2)).unwrap(), (0, 0));
@@ -637,9 +617,195 @@ mod tests {
     }
 
     #[test]
+    fn clear_drops_staged_blobs_so_the_next_miss_rereads() {
+        let store = store();
+        let cache = ShardCache::with_prefetch_pool(1 << 20, 1 << 20);
+        let k = key(0, 0, Bitwidth::B2);
+        assert!(cache.prefetch_load(&*store, k).unwrap().0 > 0);
+        cache.clear();
+        assert_eq!(cache.resident_bytes(), (0, 0));
+        let (_, resident) = cache.get_or_load_tracked(&*store, k).unwrap();
+        assert!(!resident, "a cleared pool must not serve a stale staged blob");
+        assert_eq!(cache.prefetch_stats().hits, 0);
+    }
+
+    #[test]
     fn missing_shard_error_passes_through() {
         let store = store();
         let cache = ShardCache::new(1 << 20);
         assert!(cache.get_or_load(&*store, key(0, 0, Bitwidth::B4)).is_err());
+    }
+
+    /// The main map's LRU by Mattson's stack distance, in bytes. Under
+    /// `Lru::insert`'s rule (evict least recent until the new blob fits;
+    /// refuse a blob larger than the budget) the resident set is always
+    /// the longest most-recent prefix of the recency stack of fitting keys
+    /// whose bytes fit. So an access hits exactly when its key was seen
+    /// before, fits the budget, and its own bytes plus the bytes of the
+    /// distinct fitting keys touched since its last access are at most the
+    /// budget; a miss evicts whatever leaves that prefix.
+    struct StackOracle {
+        budget: u64,
+        /// Fitting keys with their bytes, most recent last.
+        stack: Vec<(ShardKey, u64)>,
+        stats: ShardCacheStats,
+    }
+
+    impl StackOracle {
+        fn new(budget: u64) -> Self {
+            Self { budget, stack: Vec::new(), stats: ShardCacheStats::default() }
+        }
+
+        /// `(entries, bytes)` of the resident prefix.
+        fn resident(&self) -> (usize, u64) {
+            let (mut n, mut bytes) = (0, 0);
+            for &(_, b) in self.stack.iter().rev() {
+                if bytes + b > self.budget {
+                    break;
+                }
+                (n, bytes) = (n + 1, bytes + b);
+            }
+            (n, bytes)
+        }
+
+        fn access(&mut self, key: ShardKey, bytes: u64) {
+            if bytes > self.budget {
+                self.stats.misses += 1;
+                return;
+            }
+            let before = self.resident().0;
+            let last = self.stack.iter().rposition(|&(k, _)| k == key);
+            let hit = last.is_some_and(|at| {
+                self.stack[at..].iter().map(|&(_, b)| b).sum::<u64>() <= self.budget
+            });
+            if let Some(at) = last {
+                self.stack.remove(at);
+            }
+            self.stack.push((key, bytes));
+            if hit {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+                self.stats.evictions += (before + 1 - self.resident().0) as u64;
+            }
+        }
+    }
+
+    /// `count` keys whose full-fidelity blobs are 4 to 160 bytes.
+    fn sized_store(seed: u64, count: u16) -> (MemStore, Vec<(ShardKey, u64)>) {
+        let mut rng = sti_tensor::Rng::new(seed);
+        let store = MemStore::default();
+        let keys = (0..count)
+            .map(|slice| {
+                let k = key(0, slice, Bitwidth::Full);
+                let blob = QuantizedBlob::quantize(
+                    &vec![0.5; 1 + rng.next_below(40)],
+                    Bitwidth::Full,
+                    &QuantConfig::default(),
+                );
+                let bytes = blob.byte_size() as u64;
+                store.insert(k, blob);
+                (k, bytes)
+            })
+            .collect();
+        (store, keys)
+    }
+
+    /// A skewed pick (the lower of two uniform draws), so reuse distances
+    /// span the whole stack.
+    fn skewed(rng: &mut sti_tensor::Rng, n: usize) -> usize {
+        rng.next_below(n).min(rng.next_below(n))
+    }
+
+    /// Drives `accesses` seeded demand loads through a cache of `budget`
+    /// bytes, asserting it against the oracle after every one.
+    fn check_against_oracle(
+        store: &MemStore,
+        keys: &[(ShardKey, u64)],
+        budget: u64,
+        seed: u64,
+        accesses: usize,
+    ) {
+        let mut rng = sti_tensor::Rng::new(seed);
+        let cache = ShardCache::new(budget);
+        let mut oracle = StackOracle::new(budget);
+        for i in 0..accesses {
+            let (k, bytes) = keys[skewed(&mut rng, keys.len())];
+            cache.get_or_load(store, k).unwrap();
+            oracle.access(k, bytes);
+            let at = format!("budget {budget}, access {i}");
+            assert_eq!(cache.stats(), oracle.stats, "{at}");
+            assert_eq!(cache.resident_bytes().0, oracle.resident().1, "{at}");
+        }
+    }
+
+    #[test]
+    fn main_map_matches_the_stack_distance_oracle() {
+        for seed in 0..4 {
+            let (store, keys) = sized_store(seed, 24);
+            let total: u64 = keys.iter().map(|&(_, b)| b).sum();
+            // Odd budgets make exact fits and off-by-one overruns visible;
+            // the small ones sit below the largest keys.
+            for budget in [0, 3, 64, 99, 160, 255, 301, 512, total - 1, total] {
+                check_against_oracle(&store, &keys, budget, seed, 2_000);
+            }
+        }
+    }
+
+    #[test]
+    fn speculation_leaves_the_main_map_as_the_demand_stream_alone_leaves_it() {
+        for seed in 0..4 {
+            let (store, keys) = sized_store(seed, 24);
+            for (budget, pool) in [(99, 160), (255, 64), (512, 512)] {
+                let mut rng = sti_tensor::Rng::new(seed);
+                let demand_only = ShardCache::new(budget);
+                let speculating = ShardCache::with_prefetch_pool(budget, pool);
+                let mut oracle = StackOracle::new(budget);
+                for i in 0..2_000 {
+                    let (k, bytes) = keys[skewed(&mut rng, keys.len())];
+                    if rng.next_below(3) == 0 {
+                        speculating.prefetch_load(&store, k).unwrap();
+                        continue;
+                    }
+                    demand_only.get_or_load(&store, k).unwrap();
+                    speculating.get_or_load(&store, k).unwrap();
+                    oracle.access(k, bytes);
+                    let at = format!("budget {budget}, pool {pool}, access {i}");
+                    assert_eq!(speculating.stats(), demand_only.stats(), "{at}");
+                    assert_eq!(speculating.stats(), oracle.stats, "{at}");
+                    let main = speculating.resident_bytes().0;
+                    assert_eq!(main, demand_only.resident_bytes().0, "{at}");
+                    assert_eq!(main, oracle.resident().1, "{at}");
+                }
+                assert!(speculating.prefetch_stats().hits > 0, "the pool served some misses");
+            }
+        }
+    }
+
+    /// The oracle at `scaled_bert()`'s key count (12 x 12 shards at six
+    /// bitwidths) over 10^5 accesses, at every power-of-two budget from
+    /// 1 KiB to the whole store. Seconds in release, so it runs with
+    /// `cargo test --release -p sti-storage -- --ignored`.
+    #[test]
+    #[ignore = "long sweep; run in release with --ignored"]
+    fn stack_distance_oracle_holds_at_every_budget_at_scaled_bert() {
+        let model = Model::synthetic(7, ModelConfig::scaled_bert());
+        let store = MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default());
+        let keys: Vec<(ShardKey, u64)> = model
+            .config()
+            .shard_ids()
+            .flat_map(|id| Bitwidth::ALL.map(|bw| ShardKey::new(id, bw)))
+            .map(|k| (k, store.size_bytes(k).unwrap()))
+            .collect();
+        assert_eq!(keys.len(), 864);
+        let total: u64 = keys.iter().map(|&(_, b)| b).sum();
+        let mut budget = 1 << 10;
+        loop {
+            check_against_oracle(&store, &keys, budget.min(total), 11, 100_000);
+            if budget >= total {
+                break;
+            }
+            budget *= 2;
+        }
     }
 }

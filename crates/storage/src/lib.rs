@@ -22,10 +22,12 @@
 //!   handle) for the disk store, not something a serving process builds;
 //! - [`cache::ShardCache`] — a shared, byte-budgeted LRU cache of compressed
 //!   blobs that fronts any source ([`cache::CachedSource`]) so concurrent
-//!   engagements reuse each other's reads;
+//!   engagements reuse each other's reads, with the prefetch staging pool
+//!   sized beside it at construction, both behind one lock;
 //! - [`scheduler::IoScheduler`] — multiplexes layer-granular load requests
 //!   from many concurrent engagements over one flash model (FIFO per
-//!   engagement, round-robin across engagements), on its callers' threads:
+//!   engagement, round-robin across engagements), every load reading
+//!   through the one shard cache it was built with, on its callers' threads:
 //!   whoever waits for a load drives the queue, one at a time. Inside it, a
 //!   lane state machine with no thread or store in it (`lanes`) and the
 //!   code that services what it picks (`dispatch`). It records what it

@@ -8,8 +8,6 @@
 //! produces [`LoadedLayer`]s, accounting the simulated flash delay of each
 //! grouped request.
 
-use std::sync::Arc;
-
 use sti_device::SimTime;
 use sti_quant::{Bitwidth, QuantizedBlob};
 
@@ -44,7 +42,7 @@ pub struct LoadedLayer {
     /// The layer that was loaded.
     pub layer: u16,
     /// `(slice, blob)` pairs in request order.
-    pub blobs: Vec<(u16, Arc<QuantizedBlob>)>,
+    pub blobs: Vec<(u16, QuantizedBlob)>,
     /// Total serialized bytes fetched.
     pub bytes: u64,
     /// Simulated flash delay of the grouped request.

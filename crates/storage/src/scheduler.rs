@@ -10,8 +10,10 @@
 //!   planning requires arrival order = execution order, paper §5.4);
 //! - across lanes the scheduler dispatches **round-robin**, one layer
 //!   request per turn, so no engagement can starve another;
-//! - an optional shared [`ShardCache`] absorbs redundant reads across
-//!   engagements executing overlapping submodels.
+//! - every load reads through the [`ShardCache`] it was built with, which
+//!   absorbs redundant reads across engagements executing overlapping
+//!   submodels (a zero-budget cache admits nothing, so every read goes to
+//!   the source).
 //!
 //! The scheduler schedules, and nothing else. It is three modules, each
 //! stating its invariants at the top: `lanes` is the lane state machine —
@@ -108,7 +110,7 @@ struct Driver {
 
 struct Shared {
     source: Arc<dyn ShardSource>,
-    cache: Option<Arc<ShardCache>>,
+    cache: Arc<ShardCache>,
     flash: FlashModel,
     state: Mutex<Driver>,
     /// Signals waiters that a dispatch landed, dispatch resumed, or
@@ -192,12 +194,8 @@ impl std::fmt::Debug for IoScheduler {
 impl IoScheduler {
     /// Builds the scheduler with batching disabled (the seed behaviour) on
     /// the single-channel topology ([`IoScheduler::spawn_topology`] takes
-    /// another). `cache`, when given, is shared across all channels.
-    pub fn spawn(
-        source: Arc<dyn ShardSource>,
-        flash: FlashModel,
-        cache: Option<Arc<ShardCache>>,
-    ) -> Self {
+    /// another). `cache` is shared across all channels.
+    pub fn spawn(source: Arc<dyn ShardSource>, flash: FlashModel, cache: Arc<ShardCache>) -> Self {
         Self::spawn_batched(source, flash, cache, IoSharing::Exclusive)
     }
 
@@ -208,7 +206,7 @@ impl IoScheduler {
     pub fn spawn_batched(
         source: Arc<dyn ShardSource>,
         flash: FlashModel,
-        cache: Option<Arc<ShardCache>>,
+        cache: Arc<ShardCache>,
         sharing: IoSharing,
     ) -> Self {
         Self::spawn_topology(source, flash, cache, sharing, DeviceTopology::single())
@@ -223,7 +221,7 @@ impl IoScheduler {
     pub fn spawn_topology(
         source: Arc<dyn ShardSource>,
         flash: FlashModel,
-        cache: Option<Arc<ShardCache>>,
+        cache: Arc<ShardCache>,
         sharing: IoSharing,
         topology: DeviceTopology,
     ) -> Self {
@@ -497,19 +495,21 @@ mod tests {
     use sti_quant::{Bitwidth, QuantConfig};
     use sti_transformer::{Model, ModelConfig, ShardId};
 
-    /// A two-bitwidth store of the tiny model, an optional shard cache and
-    /// a 1 MB/s + 1 ms flash — shared with the submodules' tests.
-    pub(super) fn fixture(
-        cache_bytes: u64,
-    ) -> (Arc<MemStore>, Option<Arc<ShardCache>>, FlashModel) {
+    /// A two-bitwidth store of the tiny model, a shard cache of
+    /// `cache_bytes` (zero caches nothing) and a 1 MB/s + 1 ms flash —
+    /// shared with the submodules' tests.
+    pub(super) fn fixture(cache_bytes: u64) -> (Arc<MemStore>, Arc<ShardCache>, FlashModel) {
         let model = Model::synthetic(2, ModelConfig::tiny());
         let store = Arc::new(MemStore::build(
             &model,
             &[Bitwidth::B2, Bitwidth::B6],
             &QuantConfig::default(),
         ));
-        let cache = (cache_bytes > 0).then(|| Arc::new(ShardCache::new(cache_bytes)));
-        (store, cache, FlashModel::new(1_000_000, SimTime::from_ms(1)))
+        (
+            store,
+            Arc::new(ShardCache::new(cache_bytes)),
+            FlashModel::new(1_000_000, SimTime::from_ms(1)),
+        )
     }
 
     pub(super) fn request(layer: u16, slice: u16) -> LayerRequest {
@@ -519,16 +519,16 @@ mod tests {
     /// A paused scheduler, so tests can queue a whole workload before the
     /// first dispatch (deterministic batching).
     pub(super) fn paused_sched(sharing: IoSharing, topology: DeviceTopology) -> IoScheduler {
-        let (store, _, flash) = fixture(0);
-        let sched = IoScheduler::spawn_topology(store, flash, None, sharing, topology);
+        let (store, cache, flash) = fixture(0);
+        let sched = IoScheduler::spawn_topology(store, flash, cache, sharing, topology);
         sched.pause_dispatch();
         sched
     }
 
     #[test]
     fn single_channel_is_fifo() {
-        let (store, _, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, None);
+        let (store, cache, flash) = fixture(0);
+        let sched = IoScheduler::spawn(store, flash, cache);
         let ch = sched.channel();
         // Layers 0 and 1 twice over, interleaved slices: strictly FIFO.
         let sequence = [(0u16, 0u16), (1, 0), (0, 1), (1, 1)];
@@ -543,8 +543,8 @@ mod tests {
 
     #[test]
     fn channels_are_independent_fifo_lanes() {
-        let (store, _, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, None);
+        let (store, cache, flash) = fixture(0);
+        let sched = IoScheduler::spawn(store, flash, cache);
         let a = sched.channel();
         let b = sched.channel();
         for layer in 0..2u16 {
@@ -562,8 +562,8 @@ mod tests {
 
     #[test]
     fn dropping_a_channel_releases_it() {
-        let (store, _, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, None);
+        let (store, cache, flash) = fixture(0);
+        let sched = IoScheduler::spawn(store, flash, cache);
         // Dropped with its request queued: nobody drove it.
         let ch = sched.channel();
         ch.request(request(0, 0)).unwrap();
@@ -585,8 +585,8 @@ mod tests {
 
     #[test]
     fn shutdown_surfaces_as_error_not_panic() {
-        let (store, _, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, None);
+        let (store, cache, flash) = fixture(0);
+        let sched = IoScheduler::spawn(store, flash, cache);
         let ch = sched.channel();
         sched.shutdown();
         assert!(matches!(ch.request(request(0, 0)), Err(StorageError::SchedulerShutdown)));
@@ -618,7 +618,7 @@ mod tests {
         let (go, go_rx) = mpsc::channel();
         let source = PanickingSource { started: Mutex::new(started_tx), go: Mutex::new(go_rx) };
         let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
-        let sched = IoScheduler::spawn(Arc::new(source), flash, None);
+        let sched = IoScheduler::spawn(Arc::new(source), flash, Arc::new(ShardCache::new(0)));
         let (a, b) = (sched.channel(), sched.channel());
         a.request(request(0, 0)).unwrap();
         b.request(request(1, 0)).unwrap();
@@ -664,7 +664,8 @@ mod tests {
             assert_eq!(loaded.io_delay, first_layer_blobs[0].io_delay);
             assert_eq!(loaded.blobs[0].1, first_layer_blobs[0].blobs[0].1, "fan-out is identical");
             // The payload is shared, not copied.
-            assert!(Arc::ptr_eq(&loaded.blobs[0].1, &first_layer_blobs[0].blobs[0].1));
+            let payload = |l: &LoadedLayer| l.blobs[0].1.packed().as_ptr();
+            assert_eq!(payload(loaded), payload(&first_layer_blobs[0]));
         }
         // Two dispatches (one per layer), each 4-way.
         let stats = sched.stats();
@@ -685,12 +686,12 @@ mod tests {
 
     #[test]
     fn failed_batch_delivers_an_error_to_every_member() {
-        let (store, _, flash) = fixture(0);
+        let (store, cache, flash) = fixture(0);
         store.remove(ShardKey::new(ShardId::new(1, 0), Bitwidth::B2));
         let sched = IoScheduler::spawn_batched(
             store,
             flash,
-            None,
+            cache,
             IoSharing::Batched(SimTime::from_us(1_000)),
         );
         sched.pause_dispatch();

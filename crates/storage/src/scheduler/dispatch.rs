@@ -12,8 +12,6 @@
 //! instrument, no demand lane and no demand event: a wrong prediction's
 //! whole footprint is staging-pool bytes and the speculative log.
 
-use std::sync::Arc;
-
 use sti_device::{DeviceTopology, SimTime};
 use sti_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanArgs, SpanEvent, TrackKind};
 use sti_transformer::ShardId;
@@ -189,12 +187,10 @@ fn run_dispatch(shared: &Shared, dispatch: Dispatch) {
 fn run_spec_dispatch(shared: &Shared, job: SpeculativeJob) {
     let mut flash_bytes = 0u64;
     let mut pinned_bytes = 0u64;
-    if let Some(cache) = &shared.cache {
-        for &key in &job.keys {
-            if let Ok((flash, pinned)) = cache.prefetch_load(&*shared.source, key) {
-                flash_bytes += flash;
-                pinned_bytes += pinned;
-            }
+    for &key in &job.keys {
+        if let Ok((flash, pinned)) = shared.cache.prefetch_load(&*shared.source, key) {
+            flash_bytes += flash;
+            pinned_bytes += pinned;
         }
     }
     let io_delay =
@@ -202,10 +198,10 @@ fn run_spec_dispatch(shared: &Shared, job: SpeculativeJob) {
     shared.land(|lanes| lanes.finish_speculative(&job, flash_bytes, pinned_bytes, io_delay));
 }
 
-/// Services one request against the source (through the cache when
-/// present), returning the loaded layer plus how many of its bytes were
-/// cache-resident at dispatch (contended-track accounting). Each blob is a
-/// handle to the source's (or the cache's) one payload.
+/// Services one request through the cache, returning the loaded layer plus
+/// how many of its bytes were cache-resident at dispatch (contended-track
+/// accounting). Each blob is a handle to the source's (or the cache's) one
+/// payload.
 fn service(shared: &Shared, req: &LayerRequest) -> Result<(LoadedLayer, u64), StorageError> {
     let mut blobs = Vec::with_capacity(req.items.len());
     let mut bytes = 0u64;
@@ -214,17 +210,11 @@ fn service(shared: &Shared, req: &LayerRequest) -> Result<(LoadedLayer, u64), St
         let key = ShardKey::new(ShardId::new(req.layer, slice), bw);
         let size = shared.source.size_bytes(key)?;
         bytes += size;
-        let blob = match &shared.cache {
-            Some(cache) => {
-                let (blob, hit) = cache.get_or_load_tracked(&*shared.source, key)?;
-                if hit {
-                    hit_bytes += size;
-                }
-                blob
-            }
-            None => shared.source.load(key)?,
-        };
-        blobs.push((slice, Arc::new(blob)));
+        let (blob, hit) = shared.cache.get_or_load_tracked(&*shared.source, key)?;
+        if hit {
+            hit_bytes += size;
+        }
+        blobs.push((slice, blob));
     }
     let io_delay =
         if req.items.is_empty() { SimTime::ZERO } else { shared.flash.request_delay(bytes) };
@@ -233,19 +223,22 @@ fn service(shared: &Shared, req: &LayerRequest) -> Result<(LoadedLayer, u64), St
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use sti_device::{DeviceTopology, IoSharing, SimTime};
     use sti_quant::Bitwidth;
     use sti_transformer::ShardId;
 
     use super::super::tests::{fixture, paused_sched, request};
     use super::super::{IoScheduler, SpeculativeJob};
+    use crate::cache::ShardCache;
     use crate::loader::LayerRequest;
     use crate::store::ShardKey;
 
     #[test]
     fn a_request_loads_its_items_in_order_and_an_empty_one_costs_nothing() {
-        let (store, _, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, None);
+        let (store, cache, flash) = fixture(0);
+        let sched = IoScheduler::spawn(store, flash, cache);
         let ch = sched.channel();
         let items = vec![(0, Bitwidth::B2), (1, Bitwidth::B6), (2, Bitwidth::B2)];
         ch.request(LayerRequest { layer: 0, items }).unwrap();
@@ -262,15 +255,15 @@ mod tests {
 
     #[test]
     fn io_delay_is_independent_of_concurrency() {
-        let (store, _, flash) = fixture(0);
+        let (store, cache, flash) = fixture(0);
         // Alone.
-        let sched = IoScheduler::spawn(store.clone(), flash, None);
+        let sched = IoScheduler::spawn(store.clone(), flash, cache.clone());
         let ch = sched.channel();
         ch.request(request(0, 0)).unwrap();
         let alone = ch.recv().unwrap();
         sched.shutdown();
         // Next to a busy neighbour.
-        let sched = IoScheduler::spawn(store, flash, None);
+        let sched = IoScheduler::spawn(store, flash, cache);
         let noisy = sched.channel();
         for _ in 0..4 {
             noisy.request(request(1, 0)).unwrap();
@@ -286,8 +279,7 @@ mod tests {
     #[test]
     fn shared_cache_absorbs_redundant_reads() {
         let (store, cache, flash) = fixture(1 << 20);
-        let cache = cache.unwrap();
-        let sched = IoScheduler::spawn(store, flash, Some(cache.clone()));
+        let sched = IoScheduler::spawn(store, flash, cache.clone());
         let a = sched.channel();
         let b = sched.channel();
         a.request(request(0, 0)).unwrap();
@@ -309,10 +301,10 @@ mod tests {
 
     #[test]
     fn contention_is_measured_not_charged() {
-        let (store, _, flash) = fixture(0);
+        let (store, cache, flash) = fixture(0);
         // Both lanes queue before the first pick, so the first dispatch
         // observes both channels with work.
-        let sched = IoScheduler::spawn(store, flash, None);
+        let sched = IoScheduler::spawn(store, flash, cache);
         let a = sched.channel();
         let b = sched.channel();
         for layer in 0..2u16 {
@@ -333,9 +325,9 @@ mod tests {
 
     #[test]
     fn errors_surface_on_the_right_channel() {
-        let (store, _, flash) = fixture(0);
+        let (store, cache, flash) = fixture(0);
         store.remove(ShardKey::new(ShardId::new(1, 0), Bitwidth::B2));
-        let sched = IoScheduler::spawn(store, flash, None);
+        let sched = IoScheduler::spawn(store, flash, cache);
         let ok = sched.channel();
         let bad = sched.channel();
         ok.request(request(0, 0)).unwrap();
@@ -387,10 +379,9 @@ mod tests {
 
     #[test]
     fn speculative_job_stages_into_pool_without_touching_demand_state() {
-        let (store, cache, flash) = fixture(1 << 20);
-        let cache = cache.unwrap();
-        cache.enable_prefetch_pool(1 << 20);
-        let sched = IoScheduler::spawn(store, flash, Some(cache.clone()));
+        let (store, _, flash) = fixture(0);
+        let cache = Arc::new(ShardCache::with_prefetch_pool(1 << 20, 1 << 20));
+        let sched = IoScheduler::spawn(store, flash, cache.clone());
         sched.pause_dispatch();
         sched.submit_speculative(spec_job(vec![spec_key(0, 0)]));
         assert_eq!(sched.drive_queued(), 1);
@@ -411,10 +402,9 @@ mod tests {
 
     #[test]
     fn demand_always_dispatches_before_queued_speculation() {
-        let (store, cache, flash) = fixture(1 << 20);
-        let cache = cache.unwrap();
-        cache.enable_prefetch_pool(1 << 20);
-        let sched = IoScheduler::spawn(store, flash, Some(cache.clone()));
+        let (store, _, flash) = fixture(0);
+        let cache = Arc::new(ShardCache::with_prefetch_pool(1 << 20, 1 << 20));
+        let sched = IoScheduler::spawn(store, flash, cache.clone());
         sched.pause_dispatch();
         // Speculation submitted *first*, demand for the same shard second.
         sched.submit_speculative(spec_job(vec![spec_key(0, 0)]));
@@ -435,10 +425,9 @@ mod tests {
 
     #[test]
     fn speculative_stage_serves_a_later_demand_miss_as_resident() {
-        let (store, cache, flash) = fixture(1 << 20);
-        let cache = cache.unwrap();
-        cache.enable_prefetch_pool(1 << 20);
-        let sched = IoScheduler::spawn(store, flash, Some(cache.clone()));
+        let (store, _, flash) = fixture(0);
+        let cache = Arc::new(ShardCache::with_prefetch_pool(1 << 20, 1 << 20));
+        let sched = IoScheduler::spawn(store, flash, cache.clone());
         sched.pause_dispatch();
         sched.submit_speculative(spec_job(vec![spec_key(0, 0)]));
         sched.drive_queued();
@@ -456,9 +445,9 @@ mod tests {
     }
 
     #[test]
-    fn speculation_without_a_cache_is_a_silent_no_op() {
-        let (store, _, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, None);
+    fn speculation_a_cache_has_no_pool_for_is_a_silent_no_op() {
+        let (store, cache, flash) = fixture(0);
+        let sched = IoScheduler::spawn(store, flash, cache);
         sched.pause_dispatch();
         sched.submit_speculative(spec_job(vec![spec_key(0, 0)]));
         sched.drive_queued();

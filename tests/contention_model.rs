@@ -64,7 +64,8 @@ fn the_window_boundary_is_the_same_in_the_scheduler_and_the_predictor() {
     let sharing = IoSharing::Batched(window);
     for (apart, shared) in [(window, true), (window + SimTime::from_us(1), false)] {
         // The scheduler, with both requests queued before the first dispatch.
-        let sched = IoScheduler::spawn_batched(source.clone(), hw.flash, None, sharing);
+        let cache = Arc::new(ShardCache::new(0));
+        let sched = IoScheduler::spawn_batched(source.clone(), hw.flash, cache, sharing);
         sched.pause_dispatch();
         let lanes = [sched.channel_at(SimTime::ZERO), sched.channel_at(apart)];
         for lane in &lanes {

@@ -217,7 +217,8 @@ fn scheduler_shutdown_mid_burst_halts_the_event_loop_cleanly() {
     let (task, _, _) = setup();
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
     // Event-host mode: the loop is the only dispatcher.
-    let sched = IoScheduler::spawn(store, FlashModel::new(1_000_000, SimTime::from_ms(1)), None);
+    let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
+    let sched = IoScheduler::spawn(store, flash, Arc::new(ShardCache::new(0)));
     let channel = sched.channel();
 
     struct Ctx {

@@ -575,8 +575,13 @@ fn every_hop_hands_on_the_stores_one_payload() {
     let in_store = store.load(key).unwrap();
     assert_eq!(payload(&store.load(key).unwrap()), payload(&in_store), "load twice");
 
-    // Cache: the miss admits the store's payload, the hit returns it.
-    let cache = ShardCache::new(1 << 20);
+    // Cache: the miss admits the store's payload, the hit returns it. The
+    // main map has room for `key` or `cold` but not both, so promoting
+    // `cold` below evicts `key` from it.
+    let cold = ShardKey::new(id, Bitwidth::B6);
+    let cold_in_store = store.load(cold).unwrap();
+    let room = (in_store.byte_size() + cold_in_store.byte_size() - 1) as u64;
+    let cache = Arc::new(ShardCache::with_prefetch_pool(room, 1 << 20));
     let (missed, resident) = cache.get_or_load_tracked(&store, key).unwrap();
     assert!(!resident);
     assert_eq!(payload(&missed), payload(&in_store), "cache miss");
@@ -584,22 +589,18 @@ fn every_hop_hands_on_the_stores_one_payload() {
     assert!(resident);
     assert_eq!(payload(&hit), payload(&in_store), "cache hit");
     let store = Arc::new(store);
-    let cached = CachedSource::new(store.clone(), Arc::new(cache));
+    let cached = CachedSource::new(store.clone(), cache.clone());
     assert_eq!(payload(&cached.load(key).unwrap()), payload(&in_store), "cached source");
 
     // Staging pool: staged cold, pinned from the main map, promoted on a
     // demand miss — the same payload each time.
-    let cold = ShardKey::new(id, Bitwidth::B6);
-    let cold_in_store = store.load(cold).unwrap();
-    let cache = cached.cache();
-    cache.enable_prefetch_pool(1 << 20);
     assert!(cache.prefetch_load(&*store, cold).unwrap().0 > 0, "staged from flash");
     assert!(cache.prefetch_load(&*store, key).unwrap().1 > 0, "pinned");
     let (promoted, resident) = cache.get_or_load_tracked(&*store, cold).unwrap();
     assert!(resident, "the staged blob was promoted, not reloaded");
     assert_eq!(cache.prefetch_stats().hits, 1);
     assert_eq!(payload(&promoted), payload(&cold_in_store), "pool promote");
-    cache.clear();
+    assert_eq!(cache.len(), 1, "the promotion evicted `key` from the main map");
     let (pinned, resident) = cache.get_or_load_tracked(&*store, key).unwrap();
     assert!(resident, "the pinned handle outlives the main map's");
     assert_eq!(payload(&pinned), payload(&in_store), "pool pin");

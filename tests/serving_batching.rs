@@ -146,7 +146,7 @@ fn replay_workload(
     policy: IoSharing,
     workload: &[(SimTime, Vec<LayerRequest>)],
 ) -> (Vec<Vec<LoadedLayer>>, Vec<FlashDispatchEvent>) {
-    let sched = IoScheduler::spawn_batched(store, flash, None, policy);
+    let sched = IoScheduler::spawn_batched(store, flash, Arc::new(ShardCache::new(0)), policy);
     sched.pause_dispatch();
     let channels: Vec<IoChannel> =
         workload.iter().map(|(arrival, _)| sched.channel_at(*arrival)).collect();
@@ -226,7 +226,7 @@ proptest! {
                 prop_assert_eq!(b.blobs.len(), u.blobs.len());
                 for ((bs, bb), (us, ub)) in b.blobs.iter().zip(&u.blobs) {
                     prop_assert_eq!(bs, us);
-                    prop_assert_eq!(&**bb, &**ub, "fan-out payloads must be bit-identical");
+                    prop_assert_eq!(bb, ub, "fan-out payloads must be bit-identical");
                 }
             }
         }

@@ -38,7 +38,7 @@
 //! - [`engine`] — the single-app facade over the executor;
 //! - [`server`] — the serving facade: builder, orchestration and session
 //!   handles — including the open-session registry, one
-//!   `RwLock<ServingMix>` that is the one input of every contended
+//!   `RwLock<Arc<ServingMix>>` that is the one input of every contended
 //!   prediction — with every serving *decision* in a module of its own
 //!   beside it (single-purpose services, a thin orchestrator):
 //!   - `admission` — the SLO admission verdict and its counters;

@@ -28,7 +28,7 @@
 //!
 //! | piece | owns | decides |
 //! |---|---|---|
-//! | `RwLock<ServingMix>` (`live_mix`) | token → load / SLO profile / stripe of every open session, in token order | the mix every contended prediction runs against, and its digest |
+//! | `RwLock<Arc<ServingMix>>` (`live_mix`) | token → load / SLO profile / stripe of every open session, in a token-sorted slot vector shared copy-on-write | the mix every contended prediction runs against, and its digest |
 //! | [`MemoTable`]s (`sti_planner::cache`) | weak handles to the plans and preload buffers of the knob sets in use | compute outside the lock, first insert wins; a dropped entry replans |
 //! | `Admission` (`admission`) | the [`AdmissionMode`] and the `serving.*_sessions` instruments | take or reject an SLO search outcome, for an open or a retarget |
 //! | [`Gate`] ([`sti_planner::gate`]) | the [`BackpressureMode`] and the walk memo | delay or shed one engagement; `Session::infer_issue` counts the decision on the `gate.*` instruments and acts on it |
@@ -321,7 +321,9 @@ impl StiServerBuilder {
                 slo_searches: AtomicU64::new(0),
                 slo_planning: Mutex::new(()),
                 next_session_token: AtomicU64::new(0),
-                live_mix: RwLock::new(ServingMix::new(self.sharing).with_topology(self.topology)),
+                live_mix: RwLock::new(Arc::new(
+                    ServingMix::new(self.sharing).with_topology(self.topology),
+                )),
                 active_engagements: AtomicUsize::new(0),
                 admission: Admission::new(self.admission, &registry),
                 gate: Gate::new(self.backpressure),
@@ -439,9 +441,12 @@ struct ServerInner {
     /// retarget) runs against, instead of modeling co-runners as clones of
     /// the candidate. Token-ordered, so predictions replay registrations
     /// deterministically. One lock: opens, drops and retargets write for
-    /// the length of one map operation; admission and the gate read for
-    /// the length of a digest or a clone, never across a prediction.
-    live_mix: RwLock<ServingMix>,
+    /// the length of one registry operation; admission and the gate read
+    /// for the length of a digest or an `Arc` clone, never across a
+    /// prediction. Readers share the registry by pointer, and a writer goes
+    /// through `Arc::make_mut`, so the registry is copied only when a write
+    /// lands while a reader's snapshot is alive — once per snapshot.
+    live_mix: RwLock<Arc<ServingMix>>,
     /// Engagements currently executing (peak tracked in
     /// `peak_engagements`).
     active_engagements: AtomicUsize,
@@ -527,12 +532,14 @@ impl ServerInner {
             Knobs::Raw { target } => (target, None, None, None),
             Knobs::Slo { slo, arrival, exclude } => {
                 let serialized = self.slo_planning.lock();
-                // Clone under the guard, predict after it drops: no open or
-                // drop waits behind the search. A retargeting session does
-                // not co-run with itself.
-                let mut mix = self.live_mix.read().clone();
+                // Take a pointer to the registry under the guard, predict
+                // after it drops: no open or drop waits behind the search,
+                // and an open or drop that lands during it pays the copy. A
+                // retargeting session does not co-run with itself: removing
+                // it copies the snapshot, never the live registry.
+                let mut mix = Arc::clone(&self.live_mix.read());
                 if let Some(token) = exclude {
-                    mix.remove_session(token);
+                    Arc::make_mut(&mut mix).remove_session(token);
                 }
                 // Not memoized: the mix folds in every open session's
                 // token, and tokens are never reused, so the search's
@@ -624,7 +631,7 @@ impl ServerInner {
     fn register_load(&self, token: u64, planned: &Planned, arrival: SimTime, stripe: u16) {
         let StripeLoads { jobs, profile } = planned.loads_on(&self.hw, stripe);
         let load = CoRunnerLoad { jobs: jobs.clone(), arrival };
-        self.live_mix.write().upsert_session(token, load, profile.clone());
+        Arc::make_mut(&mut self.live_mix.write()).upsert_session(token, load, profile.clone());
     }
 
     /// The default device-channel stripe for a session without an SLO
@@ -1119,7 +1126,7 @@ pub struct Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.inner.live_mix.write().remove_session(self.token);
+        Arc::make_mut(&mut self.inner.live_mix.write()).remove_session(self.token);
         if let Some(pf) = &self.inner.prefetch {
             pf.forget(self.token);
         }
@@ -2127,6 +2134,34 @@ pub(crate) mod tests {
         let last = report.gate.iter().rfind(|d| d.session == a_token).unwrap();
         assert_eq!(last.delay, SimTime::ZERO, "the mix changed, the decision follows");
         assert!(!last.re_gated, "no co-arriving later session remains to re-gate against");
+    }
+
+    /// The live registry is shared copy-on-write. An SLO open, a retarget's
+    /// search and a cold gate decision each take a pointer to it and let
+    /// go before the write that follows, so every open, retarget and close
+    /// updates the one registry in place. Only a write under a live
+    /// snapshot copies it.
+    #[test]
+    fn slo_opens_retargets_and_cold_gate_decisions_never_copy_the_live_registry() {
+        let srv = server_with_backpressure(BackpressureMode::Queue(ms(60_000)));
+        let live = || Arc::as_ptr(&srv.inner.live_mix.read());
+        let unshared = || Arc::strong_count(&srv.inner.live_mix.read()) == 1;
+        let plain = srv.session().unwrap();
+        let registry = live();
+        let mut slo = srv.session_with_slo(ms(60_000), 0).unwrap();
+        assert!(slo.gate_decision().is_some(), "a cold decision walks the mix");
+        slo.retarget_slo(ms(50_000)).unwrap();
+        drop(plain);
+        let other = srv.session_with_slo(ms(60_000), 0).unwrap();
+        assert!(other.gate_decision().is_some());
+        assert!(unshared() && live() == registry, "nothing copied the live registry");
+        assert_eq!(srv.slo_plan_stats().misses, 3);
+
+        let snapshot = Arc::clone(&srv.inner.live_mix.read());
+        drop(other);
+        assert_ne!(live(), registry, "a close under a snapshot copies");
+        assert_eq!(Arc::as_ptr(&snapshot), registry);
+        assert_eq!((snapshot.co_runners(), srv.open_sessions()), (2, 1));
     }
 
     #[test]

@@ -42,9 +42,13 @@
 //! digest and, on a miss, the snapshot the walk runs over are taken under
 //! one read guard of the registry lock, so a walk is always memoized under
 //! the digest of exactly the state it saw; the guard is released before
-//! the walk runs, so opens and drops never wait behind one. On a memo hit
-//! the live mix is never cloned — the rolling digest (O(1), flat in fleet
-//! size) is the whole cost.
+//! the walk runs, so opens and drops never wait behind one. The registry
+//! is held as an `Arc<ServingMix>`, so the snapshot is a pointer: a cold
+//! decision copies nothing. A writer that lands while a walk still holds
+//! the snapshot pays the copy (`Arc::make_mut`, once per snapshot), and the
+//! walk goes on over the state it was memoized under. On a memo hit the
+//! snapshot is never taken — the rolling digest (O(1), flat in fleet size)
+//! is the whole cost.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -198,7 +202,7 @@ impl Gate {
         token: u64,
         arrival: SimTime,
         slo: SimTime,
-        registry: &RwLock<ServingMix>,
+        registry: &RwLock<Arc<ServingMix>>,
     ) -> Option<GateDecision> {
         if self.mode == BackpressureMode::Off {
             return None;
@@ -213,7 +217,7 @@ impl Gate {
             let memoized = self.walk_memo.lock().as_ref().and_then(|(seen, walk, summary)| {
                 (*seen == digest).then(|| (walk.clone(), *summary))
             });
-            (digest, memoized.ok_or_else(|| mix.clone()))
+            (digest, memoized.ok_or_else(|| Arc::clone(&mix)))
         };
         let (walk, summary) = memoized.unwrap_or_else(|mix| {
             let summary = LaneSummary::of(&mix);
@@ -256,11 +260,11 @@ mod tests {
     /// session `token`: two 10 ms reads of its own bytes with 1 ms of
     /// compute per layer (21 ms alone), arriving at `arrival`, held to
     /// `slo`.
-    fn register_at(registry: &RwLock<ServingMix>, token: u64, slo: SimTime, arrival: SimTime) {
+    fn register_at(registry: &RwLock<Arc<ServingMix>>, token: u64, slo: SimTime, arrival: SimTime) {
         let jobs = [1, 2].map(|layer| LayerIoJob { sig: token * 10 + layer, service: ms(10) });
         let load = CoRunnerLoad { jobs: Arc::from(jobs), arrival };
         let profile = SloProfile { jobs: Arc::from(jobs.map(Some)), comp: ms(1), slo };
-        registry.write().upsert_session(token, load, Some(profile));
+        Arc::make_mut(&mut registry.write()).upsert_session(token, load, Some(profile));
     }
 
     /// The digest and the address of the walk the gate's memo holds.
@@ -270,12 +274,12 @@ mod tests {
 
     #[test]
     fn decisions_equal_the_mix_walk_and_are_memoized_per_walk() {
-        let registry = RwLock::new(ServingMix::new(IoSharing::Exclusive));
+        let registry = RwLock::new(Arc::new(ServingMix::new(IoSharing::Exclusive)));
         let slo = ms(25);
         register_at(&registry, 0, slo, SimTime::ZERO);
         register_at(&registry, 1, slo, SimTime::ZERO);
         let gate = Gate::new(BackpressureMode::Shed);
-        let mix = registry.read().clone();
+        let mix = ServingMix::clone(&registry.read());
         let digest = mix.digest();
         let oracle: HashMap<u64, GateOutcome> =
             mix.gate_all(BackpressureMode::Shed).into_iter().collect();
@@ -315,12 +319,48 @@ mod tests {
         assert_eq!(memoized(&gate).map(|(seen, _)| seen), Some(digest), "re-walked");
 
         // A registry change moves the digest and the decision follows.
-        registry.write().remove_session(0);
+        Arc::make_mut(&mut registry.write()).remove_session(0);
         let alone = decide(1, SimTime::ZERO).unwrap();
         assert!(!alone.shed && alone.reason.digest != digest);
         assert_eq!((alone.reason.co_runners, alone.reason.dominant_lane), (0, None));
         // Without a mode the gate is off.
         let off = Gate::new(BackpressureMode::Off);
         assert_eq!(off.decide(1, SimTime::ZERO, slo, &registry), None);
+    }
+
+    /// The registry is shared copy-on-write: a cold decision walks a
+    /// pointer to it, so the live `Arc` stays unshared once the walk is
+    /// done and a later write copies nothing. A write while a snapshot is
+    /// held copies the registry once, and the snapshot keeps the sessions
+    /// and digest it was taken with.
+    #[test]
+    fn a_cold_decision_copies_nothing_and_a_write_under_a_snapshot_copies_once() {
+        let registry = RwLock::new(Arc::new(ServingMix::new(IoSharing::Exclusive)));
+        let slo = ms(25);
+        for token in 0..4 {
+            register_at(&registry, token, slo, SimTime::ZERO);
+        }
+        let live = || Arc::as_ptr(&registry.read());
+        let before = live();
+        let gate = Gate::new(BackpressureMode::Queue(ms(200)));
+        let cold = gate.decide(0, SimTime::ZERO, slo, &registry).expect("the gate is on");
+        assert_eq!(memoized(&gate).map(|(seen, _)| seen), Some(cold.reason.digest), "walked");
+        assert_eq!(Arc::strong_count(&registry.read()), 1, "the walk let go of its snapshot");
+        register_at(&registry, 4, slo, ms(5));
+        assert_eq!(live(), before, "a write after the walk updates in place");
+
+        let snapshot = Arc::clone(&registry.read());
+        let (tokens, digest) =
+            (snapshot.sessions().map(|s| s.token).collect::<Vec<_>>(), snapshot.digest());
+        register_at(&registry, 5, slo, ms(5));
+        let copied = live();
+        assert_ne!(copied, before, "the first write under a snapshot copies");
+        Arc::make_mut(&mut registry.write()).remove_session(1);
+        register_at(&registry, 6, slo, ms(5));
+        assert_eq!(live(), copied, "and is the only one that does");
+        assert!(snapshot.sessions().map(|s| s.token).eq(tokens));
+        assert_eq!(snapshot.digest(), digest);
+        assert_eq!(Arc::as_ptr(&snapshot), before, "the snapshot kept its registry");
+        assert_ne!(registry.read().digest(), digest);
     }
 }

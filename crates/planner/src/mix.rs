@@ -97,11 +97,16 @@
 //! A serving fleet makes the mix big and the per-decision budget small, so
 //! the mix is built to be maintained, not rebuilt:
 //!
-//! - **One ordered map, incremental digest.** Sessions live in a
-//!   `BTreeMap` keyed by registry token, so token order — the lane order
+//! - **One token-ordered slot vector, incremental digest.** Sessions live
+//!   in a `Vec` sorted by registry token, so token order — the lane order
 //!   predictions replay and the gate's tie-break — is a property of the
-//!   type, not a precondition on callers, and insert, refresh and removal
-//!   are O(log N) wherever the token falls. [`ServingMix::digest`] folds
+//!   type, not a precondition on callers. A server issues tokens in
+//!   ascending order and never reuses one, so an open appends, and a
+//!   lookup (refresh, close) is a binary search. A close leaves a
+//!   tombstone in place, and the vector compacts once tombstones pass half
+//!   its length, so iteration skips them and stays in token order. A slot
+//!   is 40 B, a session's token and handles: a session costs its slot and
+//!   no allocation of its own. [`ServingMix::digest`] folds
 //!   one sub-digest per session (token, arrival, jobs, gate profile) into
 //!   a rolling commutative sum. Commutativity is safe because every
 //!   sub-digest includes its unique token, so a registry *set* determines
@@ -109,14 +114,19 @@
 //!   [`ServingMix::remove_session`] O(1) digest updates (no rehash of the
 //!   other sessions). The fold is pinned equal to a from-scratch rebuild
 //!   by this module's property test and `tests/serving_fleet.rs`, so the
-//!   gate memo keeps its invalidation semantics.
+//!   gate memo keeps its invalidation semantics. A clone copies the live
+//!   sessions only, so the server shares its registry copy-on-write: a
+//!   reader takes an `Arc` to it, and a writer that finds a reader's
+//!   snapshot still alive pays one such copy.
 //! - **Shared lanes, recycled scratch.** Job slices are `Arc`-shared: the
 //!   [`CoRunnerLoad`], [`SloProfile`] and [`EngagementLoad`] of every
 //!   session on one plan and stripe point at the same jobs (the server
 //!   builds them once per plan and stripe), and a registry entry holds its
-//!   gate profile behind an `Arc` too. Assembling lanes, replaying decided
-//!   sessions in the gate walk, pricing a profile and re-timing a delay
-//!   probe clone pointers, never jobs. No prediction allocates a
+//!   gate profile behind an `Arc` too. Assembling lanes and replaying
+//!   decided sessions in the gate walk borrow the registry's job slices
+//!   (a lane is an arrival and a slice reference, so building one touches
+//!   no reference count); pricing a profile and re-timing a delay probe
+//!   clone pointers, never jobs. No prediction allocates a
 //!   completion, and an unbatched one no job either (see the closed form
 //!   above). The service-order index, the per-channel free times and the
 //!   batched grouping's round, group, cursor and read buffers are recycled
@@ -133,7 +143,7 @@
 //!   lookup.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -239,21 +249,67 @@ pub enum PreloadPolicy {
 }
 
 /// One co-runner lane of a prediction: a FIFO job queue arriving at an
-/// offset. Jobs are `Arc`-shared with the registry entry they came from,
-/// so lane assembly never copies jobs.
-#[derive(Debug, Clone)]
-struct Lane {
+/// offset. Jobs are borrowed from the registry entry they came from, so
+/// lane assembly copies no job and touches no reference count.
+#[derive(Debug, Clone, Copy)]
+struct Lane<'a> {
     arrival: SimTime,
-    jobs: Arc<[LayerIoJob]>,
+    jobs: &'a [LayerIoJob],
+}
+
+/// One registry slot: an open session, or the tombstone a close leaves at
+/// the session's token until the next compaction. The tombstone keeps only
+/// the token, which the binary search needs; the session's handles drop
+/// with the close.
+#[derive(Debug, Clone)]
+enum Slot {
+    Live(MixSession),
+    Dead(u64),
+}
+
+impl Slot {
+    fn token(&self) -> u64 {
+        match self {
+            Slot::Live(s) => s.token,
+            Slot::Dead(token) => *token,
+        }
+    }
+
+    fn live(&self) -> Option<&MixSession> {
+        match self {
+            Slot::Live(s) => Some(s),
+            Slot::Dead(_) => None,
+        }
+    }
 }
 
 /// The canonical workload mix a contended prediction runs against: the
 /// open-session registry (in token order), the IO-sharing mode and the
 /// device topology. See the module docs.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The registry is a token-sorted slot vector. Its bounds:
+/// - **Slots.** A close leaves a tombstone, and the vector compacts once
+///   tombstones pass half its length, so it never holds more than twice
+///   as many slots as live sessions.
+/// - **Capacity.** An open at a full vector compacts first if it holds a
+///   tombstone, so the capacity grows only when every slot is live. Churn
+///   at a steady session count — close one, open one — never grows the
+///   vector past what opening that many sessions in a row allocates, and
+///   pays one pass over the slots per `capacity − live` opens.
+/// - **Order.** A server's tokens ascend, so its opens append. An
+///   out-of-order insert, which only tests and anonymous mixes make, lands
+///   at its binary-search position and costs a memmove of the slots after
+///   it.
+///
+/// `Clone` copies the live sessions only, into one exact-capacity
+/// allocation, and equality compares live sessions only: tombstones are
+/// not part of the value.
+#[derive(Debug, Default)]
 pub struct ServingMix {
-    /// Keyed by [`MixSession::token`]: iteration is always in token order.
-    sessions: BTreeMap<u64, MixSession>,
+    /// Sorted by token, tombstones included.
+    slots: Vec<Slot>,
+    /// How many of `slots` are tombstones.
+    tombstones: usize,
     sharing: IoSharing,
     /// The device topology predictions model (one FIFO queue per device
     /// channel).
@@ -261,15 +317,39 @@ pub struct ServingMix {
     /// Rolling fold of per-session sub-digests (see [`ServingMix::digest`]):
     /// a wrapping sum of finalized sub-digests, updated O(1) by
     /// [`ServingMix::upsert_session`] / [`ServingMix::remove_session`]. A
-    /// pure function of `sessions`, so derived equality stays consistent.
+    /// pure function of the live sessions.
     session_fold: u64,
+}
+
+impl Clone for ServingMix {
+    fn clone(&self) -> Self {
+        let mut slots = Vec::with_capacity(self.co_runners());
+        slots.extend(self.slots.iter().filter(|s| s.live().is_some()).cloned());
+        Self {
+            slots,
+            tombstones: 0,
+            sharing: self.sharing,
+            topology: self.topology,
+            session_fold: self.session_fold,
+        }
+    }
+}
+
+impl PartialEq for ServingMix {
+    fn eq(&self, other: &Self) -> bool {
+        self.sharing == other.sharing
+            && self.topology == other.topology
+            && self.session_fold == other.session_fold
+            && self.sessions().eq(other.sessions())
+    }
 }
 
 impl ServingMix {
     /// An empty mix under the given sharing mode.
     pub fn new(sharing: IoSharing) -> Self {
         Self {
-            sessions: BTreeMap::new(),
+            slots: Vec::new(),
+            tombstones: 0,
             sharing,
             topology: DeviceTopology::single(),
             session_fold: 0,
@@ -315,27 +395,58 @@ impl ServingMix {
     pub fn upsert_session(&mut self, token: u64, load: CoRunnerLoad, slo: Option<SloProfile>) {
         let session = MixSession { token, load, slo: slo.map(Arc::new) };
         self.session_fold = self.session_fold.wrapping_add(mix64(session_digest(&session)));
-        if let Some(old) = self.sessions.insert(token, session) {
-            self.session_fold = self.session_fold.wrapping_sub(mix64(session_digest(&old)));
+        match self.slot_of(token) {
+            Ok(i) => match std::mem::replace(&mut self.slots[i], Slot::Live(session)) {
+                Slot::Live(old) => {
+                    self.session_fold = self.session_fold.wrapping_sub(mix64(session_digest(&old)));
+                }
+                Slot::Dead(_) => self.tombstones -= 1,
+            },
+            Err(i) if i == self.slots.len() => {
+                if self.slots.len() == self.slots.capacity() && self.tombstones > 0 {
+                    self.compact();
+                }
+                self.slots.push(Slot::Live(session));
+            }
+            Err(i) => self.slots.insert(i, Slot::Live(session)),
         }
     }
 
     /// Removes the session holding `token` (if present), updating the
     /// rolling digest in O(1). Returns whether a session was removed.
     pub fn remove_session(&mut self, token: u64) -> bool {
-        let Some(old) = self.sessions.remove(&token) else { return false };
+        let Ok(i) = self.slot_of(token) else { return false };
+        let Slot::Live(old) = std::mem::replace(&mut self.slots[i], Slot::Dead(token)) else {
+            return false;
+        };
         self.session_fold = self.session_fold.wrapping_sub(mix64(session_digest(&old)));
+        self.tombstones += 1;
+        if 2 * self.tombstones > self.slots.len() {
+            self.compact();
+        }
         true
     }
 
+    /// The slot holding `token`, or where it would be inserted.
+    fn slot_of(&self, token: u64) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&token, Slot::token)
+    }
+
+    /// Drops every tombstone, keeping the live slots in token order and the
+    /// vector's capacity.
+    fn compact(&mut self) {
+        self.slots.retain(|s| s.live().is_some());
+        self.tombstones = 0;
+    }
+
     /// The sessions in the mix, in ascending token order.
-    pub fn sessions(&self) -> impl ExactSizeIterator<Item = &MixSession> {
-        self.sessions.values()
+    pub fn sessions(&self) -> impl Iterator<Item = &MixSession> {
+        self.slots.iter().filter_map(Slot::live)
     }
 
     /// Number of co-running sessions the mix models.
     pub fn co_runners(&self) -> usize {
-        self.sessions.len()
+        self.slots.len() - self.tombstones
     }
 
     /// The one memo identity of the mix: every input a prediction (or a
@@ -353,7 +464,7 @@ impl ServingMix {
     pub fn digest(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.sharing.window().map(|w| w.as_us()).hash(&mut h);
-        (self.sessions.len() as u64, self.session_fold).hash(&mut h);
+        (self.co_runners() as u64, self.session_fold).hash(&mut h);
         let digest = h.finish();
         if self.topology.is_single() {
             return digest;
@@ -364,13 +475,12 @@ impl ServingMix {
     }
 
     /// The raw lane set of the mix: every session's load at its own
-    /// arrival, in token order. Job slices are `Arc`-shared with the
-    /// registry — no job is copied.
-    fn raw_lanes(&self) -> Vec<Lane> {
-        self.sessions
-            .values()
-            .map(|s| Lane { arrival: s.load.arrival, jobs: s.load.jobs.clone() })
-            .collect()
+    /// arrival, in token order. Job slices are borrowed from the registry —
+    /// no job is copied.
+    fn raw_lanes(&self) -> Vec<Lane<'_>> {
+        let mut lanes = Vec::with_capacity(self.co_runners());
+        lanes.extend(self.sessions().map(|s| Lane { arrival: s.load.arrival, jobs: &s.load.jobs }));
+        lanes
     }
 
     /// Predicts the candidate engagement's contended end-to-end latency
@@ -428,7 +538,7 @@ impl ServingMix {
     /// [`IoSharing::Exclusive`] — without batching nothing is shared.
     pub fn streamed_sigs_in_window(&self, arrival: SimTime) -> HashSet<u64> {
         let mut sigs = HashSet::new();
-        for s in self.sessions.values() {
+        for s in self.sessions() {
             if self.sharing.shares(s.load.arrival, arrival) {
                 sigs.extend(s.load.jobs.iter().map(|j| j.sig));
             }
@@ -490,9 +600,10 @@ impl ServingMix {
         /// way.
         const MAX_SWEEPS: usize = 8;
         let mut arena = LaneArena::default();
-        let mut order: Vec<&MixSession> = self.sessions.values().collect();
+        let mut order: Vec<&MixSession> = Vec::with_capacity(self.co_runners());
+        order.extend(self.sessions());
         order.sort_by_key(|s| (s.load.arrival, s.token));
-        let mut decided: Vec<Lane> = Vec::with_capacity(self.sessions.len());
+        let mut decided: Vec<Lane> = Vec::with_capacity(self.co_runners());
         let mut outcomes: Vec<(u64, Option<GateOutcome>)> = Vec::new();
         let mut start = 0usize;
         while start < order.len() {
@@ -518,7 +629,7 @@ impl ServingMix {
                 match &s.slo {
                     None => {
                         outcomes.push((s.token, None));
-                        decided.push(Lane { arrival, jobs: s.load.jobs.clone() });
+                        decided.push(Lane { arrival, jobs: &s.load.jobs });
                     }
                     Some(profile) => {
                         let first = lanes_for(&decided, &order[end..], arrival);
@@ -535,7 +646,7 @@ impl ServingMix {
                         if !outcome.shed {
                             decided.push(Lane {
                                 arrival: arrival + outcome.delay,
-                                jobs: s.load.jobs.clone(),
+                                jobs: &s.load.jobs,
                             });
                         }
                     }
@@ -574,16 +685,14 @@ impl ServingMix {
                                 Some(oc) if oc.shed => {}
                                 Some(oc) => lanes.push(Lane {
                                     arrival: arrival + oc.delay,
-                                    jobs: other.load.jobs.clone(),
+                                    jobs: &other.load.jobs,
                                 }),
-                                None => lanes.push(Lane { arrival, jobs: other.load.jobs.clone() }),
+                                None => lanes.push(Lane { arrival, jobs: &other.load.jobs }),
                             }
                         }
                         for &other in &order[end..] {
-                            lanes.push(Lane {
-                                arrival: other.load.arrival,
-                                jobs: other.load.jobs.clone(),
-                            });
+                            lanes
+                                .push(Lane { arrival: other.load.arrival, jobs: &other.load.jobs });
                         }
                         if let Ok((delay, predicted)) = min_delay_over_lanes_in(
                             &mut arena,
@@ -609,9 +718,10 @@ impl ServingMix {
                 for (m, &s) in order[start..end].iter().enumerate() {
                     match outcomes[outcome_base + m].1 {
                         Some(oc) if oc.shed => {}
-                        Some(oc) => decided
-                            .push(Lane { arrival: arrival + oc.delay, jobs: s.load.jobs.clone() }),
-                        None => decided.push(Lane { arrival, jobs: s.load.jobs.clone() }),
+                        Some(oc) => {
+                            decided.push(Lane { arrival: arrival + oc.delay, jobs: &s.load.jobs })
+                        }
+                        None => decided.push(Lane { arrival, jobs: &s.load.jobs }),
                     }
                 }
             }
@@ -623,11 +733,15 @@ impl ServingMix {
 
 /// Lanes an initial-pass decision predicts against: everything already
 /// decided, and the raw loads of the strictly-later arrivals in `later`.
-fn lanes_for(decided: &[Lane], later: &[&MixSession], arrival: SimTime) -> Vec<Lane> {
+fn lanes_for<'a>(
+    decided: &[Lane<'a>],
+    later: &[&'a MixSession],
+    arrival: SimTime,
+) -> Vec<Lane<'a>> {
     let mut lanes: Vec<Lane> = decided.to_vec();
     for other in later {
         debug_assert!(other.load.arrival > arrival);
-        lanes.push(Lane { arrival: other.load.arrival, jobs: other.load.jobs.clone() });
+        lanes.push(Lane { arrival: other.load.arrival, jobs: &other.load.jobs });
     }
     lanes
 }
@@ -1197,6 +1311,7 @@ mod tests {
     use crate::serving::align_io_completions;
     use proptest::prelude::*;
     use std::cell::Cell;
+    use std::collections::BTreeMap;
     use sti_device::{DeviceProfile, FlashJob, TopologyQueueSim};
     use sti_quant::QuantConfig;
     use sti_transformer::ModelConfig;
@@ -1282,11 +1397,11 @@ mod tests {
         LayerIoJob { sig, service: SimTime::from_us(services * SERVICE_US) }
     }
 
-    /// Lanes from drawn `(arrival slot, [(sig, services)])`.
-    fn lanes_of(drawn: &[(u64, Vec<(u64, u64)>)]) -> Vec<Lane> {
+    /// Co-runner loads from drawn `(arrival slot, [(sig, services)])`.
+    fn loads_of(drawn: &[(u64, Vec<(u64, u64)>)]) -> Vec<CoRunnerLoad> {
         drawn
             .iter()
-            .map(|(slot, jobs)| Lane {
+            .map(|(slot, jobs)| CoRunnerLoad {
                 arrival: SimTime::from_us(slot * SLOT_US),
                 jobs: jobs.iter().copied().map(job).collect(),
             })
@@ -1331,7 +1446,9 @@ mod tests {
             windows in (0u64..SLOT_US, 2 * SLOT_US..6 * SLOT_US),
         ) {
             let (comp_us, slot, slo_us, max_us) = knobs;
-            let lanes = lanes_of(&drawn);
+            let loads = loads_of(&drawn);
+            let lanes: Vec<Lane> =
+                loads.iter().map(|l| Lane { arrival: l.arrival, jobs: &l.jobs }).collect();
             let load = candidate_of(&layers, comp_us, slot);
             let (slo, max) = (SimTime::from_us(slo_us), SimTime::from_us(max_us));
             let mut arrivals: Vec<SimTime> = lanes.iter().map(|l| l.arrival).collect();
@@ -1387,19 +1504,18 @@ mod tests {
                 {
                     let topology = DeviceTopology::with_channels(channels);
                     let mut mix = ServingMix::new(sharing).with_topology(topology);
-                    for (token, (lane, &(kind, slo_us))) in
-                        lanes_of(&drawn).into_iter().zip(&slos).enumerate()
+                    for (token, (load, &(kind, slo_us))) in
+                        loads_of(&drawn).into_iter().zip(&slos).enumerate()
                     {
                         let profile = (kind > 0).then(|| SloProfile {
                             jobs: (kind == 2)
                                 .then_some(None)
                                 .into_iter()
-                                .chain(lane.jobs.iter().copied().map(Some))
+                                .chain(load.jobs.iter().copied().map(Some))
                                 .collect(),
                             comp: SimTime::from_us(comp_us),
                             slo: SimTime::from_us(slo_us),
                         });
-                        let load = CoRunnerLoad { jobs: lane.jobs, arrival: lane.arrival };
                         mix.push_session(token as u64, load, profile);
                     }
                     for mode in [BackpressureMode::Queue(SimTime::from_us(max_us)), BackpressureMode::Shed] {
@@ -1503,40 +1619,110 @@ mod tests {
         mix
     }
 
+    /// Applies one registry op to `mix` and to the `BTreeMap` oracle of the
+    /// survivors (token → the `x` its session was built from): 0 pushes, 1
+    /// upserts, anything else removes.
+    fn apply(mix: &mut ServingMix, survivors: &mut BTreeMap<u64, u64>, op: u8, token: u64, x: u64) {
+        let (load, slo) = session(x);
+        match op {
+            0 => mix.push_session(token, load, slo),
+            1 => mix.upsert_session(token, load, slo),
+            _ => assert_eq!(mix.remove_session(token), survivors.contains_key(&token)),
+        }
+        if op < 2 {
+            survivors.insert(token, x);
+        } else {
+            survivors.remove(&token);
+        }
+    }
+
+    /// The slot vector's own bounds: its tombstone count is the number of
+    /// dead slots, and it never holds more than twice as many slots as
+    /// live sessions.
+    fn assert_slot_bounds(mix: &ServingMix) {
+        let dead = mix.slots.iter().filter(|s| s.live().is_none()).count();
+        assert_eq!(mix.tombstones, dead);
+        assert!(
+            mix.slots.len() <= 2 * mix.co_runners(),
+            "{} slots hold {} sessions",
+            mix.slots.len(),
+            mix.co_runners()
+        );
+    }
+
+    /// `mix` against the oracle: token order, count, digest and value equal
+    /// a from-scratch rebuild of the survivors, and a clone equals it
+    /// holding no tombstone, in an allocation of exactly the live count.
+    fn assert_matches(mix: &ServingMix, survivors: &BTreeMap<u64, u64>, topology: DeviceTopology) {
+        assert_slot_bounds(mix);
+        assert!(mix.sessions().map(|s| s.token).eq(survivors.keys().copied()));
+        assert_eq!(mix.co_runners(), survivors.len());
+        let rebuilt = rebuilt(survivors, topology);
+        assert_eq!(mix.digest(), rebuilt.digest());
+        assert_eq!(*mix, rebuilt);
+        let clone = mix.clone();
+        assert_eq!(clone, *mix);
+        assert_eq!(clone.tombstones, 0);
+        assert_eq!((clone.slots.len(), clone.slots.capacity()), (survivors.len(), survivors.len()));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Insert / refresh / remove in arbitrary token order (so pushes
-        /// land before, between and after the sessions already held) keep
-        /// the registry in token order and its rolling digest equal to a
-        /// from-scratch rebuild of the survivors, on one channel and four.
+        /// land before, between and after the sessions already held, and
+        /// revive tombstones) keep the registry in token order and its
+        /// rolling digest equal to a from-scratch rebuild of the survivors,
+        /// on one channel and four: up to 200 ops over 64 tokens, half of
+        /// them removals, then a teardown, so sequences compact both when
+        /// tombstones pass half the slots and when an open finds the vector
+        /// full.
         #[test]
         fn any_op_order_keeps_token_order_and_the_rebuild_digest(
-            ops in proptest::collection::vec((0u8..3, 0u64..12, 0u64..1_000), 1..40),
+            ops in proptest::collection::vec((0u8..4, 0u64..64, 0u64..1_000), 1..200),
         ) {
             for topology in [DeviceTopology::single(), DeviceTopology::with_channels(4)] {
                 let mut mix = ServingMix::new(IoSharing::Exclusive).with_topology(topology);
                 let mut survivors: BTreeMap<u64, u64> = BTreeMap::new();
                 for &(op, token, x) in &ops {
-                    let (load, slo) = session(x);
-                    match op {
-                        0 => mix.push_session(token, load, slo),
-                        1 => mix.upsert_session(token, load, slo),
-                        _ => prop_assert_eq!(
-                            mix.remove_session(token),
-                            survivors.contains_key(&token)
-                        ),
-                    }
-                    if op < 2 {
-                        survivors.insert(token, x);
-                    } else {
-                        survivors.remove(&token);
-                    }
-                    prop_assert!(mix.sessions().map(|s| s.token).eq(survivors.keys().copied()));
-                    prop_assert_eq!(mix.digest(), rebuilt(&survivors, topology).digest());
+                    apply(&mut mix, &mut survivors, op, token, x);
+                    assert_matches(&mix, &survivors, topology);
                 }
-                prop_assert_eq!(mix, rebuilt(&survivors, topology));
+                // Then a teardown in the ops' reverse token order, which
+                // empties the registry through the compaction threshold.
+                for &(_, token, x) in ops.iter().rev() {
+                    apply(&mut mix, &mut survivors, 2, token, x);
+                    assert_matches(&mix, &survivors, topology);
+                }
+                prop_assert_eq!(mix.co_runners(), 0);
             }
         }
+    }
+
+    /// The property above at scale, in release (`-- --ignored`): 10⁵
+    /// seeded ops over 10⁴ tokens, inserts at random tokens (before,
+    /// between and after the held ones) included. The slot bounds hold
+    /// after every op, and the whole oracle every thousand.
+    #[test]
+    #[ignore = "run under --release with --ignored"]
+    fn a_hundred_thousand_ops_keep_the_registry_equal_to_its_oracle() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = mix64(state.wrapping_add(0x9e37_79b9_7f4a_7c15));
+            state
+        };
+        let topology = DeviceTopology::with_channels(4);
+        let mut mix = ServingMix::new(IoSharing::Exclusive).with_topology(topology);
+        let mut survivors: BTreeMap<u64, u64> = BTreeMap::new();
+        for i in 0..100_000u32 {
+            let (op, token, x) = ((next() % 4) as u8, next() % 10_000, next() % 1_000);
+            apply(&mut mix, &mut survivors, op, token, x);
+            assert_slot_bounds(&mix);
+            assert_eq!(mix.co_runners(), survivors.len());
+            if i % 1_000 == 999 {
+                assert_matches(&mix, &survivors, topology);
+            }
+        }
+        assert_matches(&mix, &survivors, topology);
     }
 }

@@ -86,8 +86,8 @@ pub mod trace_file;
 pub use baselines::Baseline;
 pub use runner::{run_experiment, Experiment, RunResult, TaskContext};
 pub use serving::{
-    build_server, replay_event, replay_sequential, ClientTrace, EngagementOutcome, ServeConfig,
-    ServeReport, ServingTrace,
+    build_server, replay_event, replay_sequential, ClientTrace, EngagementOutcome, Engagements,
+    EngagementsIter, ServeConfig, ServeReport, ServingTrace,
 };
 /// The discrete-event executor now lives beside the device models it
 /// simulates (`sti_device::engine`); this alias keeps `sti_core::engine`
@@ -103,8 +103,8 @@ pub mod prelude {
     pub use crate::gold::gold_accuracy;
     pub use crate::runner::{run_experiment, Experiment, RunResult, TaskContext};
     pub use crate::serving::{
-        build_server, replay_event, replay_sequential, ClientTrace, EngagementOutcome, ServeConfig,
-        ServeReport, ServingTrace,
+        build_server, replay_event, replay_sequential, ClientTrace, EngagementOutcome, Engagements,
+        ServeConfig, ServeReport, ServingTrace,
     };
     pub use crate::trace_file::{load_trace, parse_trace, TraceFileError};
     pub use sti_device::{

@@ -8,9 +8,10 @@
 //!
 //! A [`ServingTrace`] is a multi-client workload: each client has its own
 //! latency/memory knobs, an optional latency **SLO**, and a FIFO list of
-//! engagements (token sequences — drawn deterministically from the task's
-//! test split by [`ServingTrace::synthetic`], or replayed from a JSON file
-//! via [`crate::trace_file`]). [`replay_event`] is the executor: every
+//! engagements (token sequences, held flat in one [`Engagements`] — drawn
+//! deterministically from the task's test split by
+//! [`ServingTrace::synthetic`], or replayed from a JSON file via
+//! [`crate::trace_file`]). [`replay_event`] is the executor: every
 //! client is a [`Component`] on one simulated clock against one shared
 //! server, on one OS thread. [`replay_sequential`] is the oracle that
 //! defines the uncontended track: the same trace client-by-client,
@@ -27,6 +28,7 @@
 //! (queue delays and sheds; shed engagements produce no outcome in either
 //! replay, and the decisions themselves are deterministic).
 
+use std::fmt;
 use std::time::Duration;
 
 use sti_device::{DeviceProfile, HwProfile, IoSharing, SimTime};
@@ -109,7 +111,131 @@ impl Default for ServeConfig {
     }
 }
 
+/// A client's engagements: token sequences in submission order, stored
+/// back to back.
+///
+/// **Memory shape.** Every token sits in one `Box<[u32]>` and every row's
+/// end offset in one `Box<[usize]>`: two heap blocks per client (an empty
+/// buffer allocates none), holding `4·tokens + 8·engagements` bytes
+/// whatever the engagement count. A `Vec<Vec<u32>>` held one block per
+/// engagement, each with its own spare capacity and malloc header, and a
+/// replay holds its input trace for its whole run.
+///
+/// Rows read as `&[u32]`: by [`Engagements::get`] or indexing, or in order
+/// by [`Engagements::iter`] and `for tokens in &engagements`. Collect one
+/// from any iterator of token rows (`Vec<u32>`, `&[u32]`, arrays, …).
+#[derive(Clone, PartialEq, Eq)]
+pub struct Engagements {
+    /// Every row's tokens, back to back.
+    tokens: Box<[u32]>,
+    /// `ends[i]` is where row `i` stops in `tokens`: non-decreasing, and
+    /// the last one is `tokens.len()`. Row `i` starts where row `i - 1`
+    /// stops (row 0 at zero), so equal buffers mean equal rows.
+    ends: Box<[usize]>,
+}
+
+impl Engagements {
+    /// Wraps a filled buffer. Callers write `tokens` row after row and push
+    /// each row's end as it closes.
+    pub(crate) fn from_parts(tokens: Vec<u32>, ends: Vec<usize>) -> Self {
+        assert!(
+            ends.windows(2).all(|w| w[0] <= w[1]) && ends.last().map_or(0, |&e| e) == tokens.len(),
+            "row ends must be non-decreasing and close the token buffer"
+        );
+        Self { tokens: tokens.into_boxed_slice(), ends: ends.into_boxed_slice() }
+    }
+
+    /// Number of engagements.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no engagements.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `i`-th engagement's tokens, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<&[u32]> {
+        let end = *self.ends.get(i)?;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        Some(&self.tokens[start..end])
+    }
+
+    /// The engagements' tokens in submission order.
+    pub fn iter(&self) -> EngagementsIter<'_> {
+        EngagementsIter { tokens: &self.tokens, ends: self.ends.iter(), start: 0 }
+    }
+}
+
+impl std::ops::Index<usize> for Engagements {
+    type Output = [u32];
+
+    fn index(&self, i: usize) -> &[u32] {
+        self.get(i).unwrap_or_else(|| {
+            panic!("engagement index {i} out of range for {} engagements", self.len())
+        })
+    }
+}
+
+impl fmt::Debug for Engagements {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl<T: AsRef<[u32]>> FromIterator<T> for Engagements {
+    fn from_iter<I: IntoIterator<Item = T>>(rows: I) -> Self {
+        let rows = rows.into_iter();
+        let mut tokens = Vec::new();
+        let mut ends = Vec::with_capacity(rows.size_hint().0);
+        for row in rows {
+            tokens.extend_from_slice(row.as_ref());
+            ends.push(tokens.len());
+        }
+        Self::from_parts(tokens, ends)
+    }
+}
+
+impl<'a> IntoIterator for &'a Engagements {
+    type Item = &'a [u32];
+    type IntoIter = EngagementsIter<'a>;
+
+    fn into_iter(self) -> EngagementsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Engagements`]' rows, from [`Engagements::iter`].
+#[derive(Debug, Clone)]
+pub struct EngagementsIter<'a> {
+    tokens: &'a [u32],
+    ends: std::slice::Iter<'a, usize>,
+    /// Where the next row starts in `tokens`.
+    start: usize,
+}
+
+impl<'a> Iterator for EngagementsIter<'a> {
+    type Item = &'a [u32];
+
+    fn next(&mut self) -> Option<&'a [u32]> {
+        let end = *self.ends.next()?;
+        let row = &self.tokens[self.start..end];
+        self.start = end;
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for EngagementsIter<'_> {}
+
 /// One client's slice of a trace: its knobs and its engagements in order.
+///
+/// A parsed or synthetic client holds two heap blocks, both inside
+/// [`Engagements`], however many engagements it has.
 #[derive(Debug, Clone)]
 pub struct ClientTrace {
     /// The client's target latency.
@@ -134,7 +260,7 @@ pub struct ClientTrace {
     /// the legacy back-to-back issue schedule bit-identical.
     pub idle: SimTime,
     /// Token sequences to classify, in submission order.
-    pub engagements: Vec<Vec<u32>>,
+    pub engagements: Engagements,
 }
 
 /// A multi-client workload.
@@ -164,7 +290,7 @@ impl ServingTrace {
                 arrival: SimTime::ZERO,
                 idle: SimTime::ZERO,
                 engagements: (0..engagements)
-                    .map(|e| examples[(c * engagements + e) % examples.len()].tokens.clone())
+                    .map(|e| &examples[(c * engagements + e) % examples.len()].tokens)
                     .collect(),
             })
             .collect();
@@ -650,6 +776,75 @@ mod tests {
         for (ca, cb) in a.clients.iter().zip(&b.clients) {
             assert_eq!(ca.engagements, cb.engagements);
         }
+    }
+
+    /// splitmix64: the seeded stream the oracle loop draws from.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn engagements_match_the_nested_vec_oracle() {
+        let mut state = 45;
+        for _ in 0..64 {
+            // Up to 200 rows of 0–16 tokens, empty rows included.
+            let rows: Vec<Vec<u32>> = (0..draw(&mut state) % 201)
+                .map(|_| (0..draw(&mut state) % 17).map(|_| draw(&mut state) as u32).collect())
+                .collect();
+            let flat: Engagements = rows.iter().collect();
+            assert_eq!((flat.len(), flat.is_empty()), (rows.len(), rows.is_empty()));
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(flat.get(i), Some(row.as_slice()));
+                assert_eq!(&flat[i], row.as_slice());
+            }
+            assert_eq!(flat.get(rows.len()), None);
+            assert_eq!(flat.get(rows.len() + 7), None);
+            let mut iter = flat.iter();
+            assert_eq!(iter.len(), rows.len());
+            if iter.next().is_some() {
+                assert_eq!(iter.len(), rows.len() - 1, "the exact size counts down");
+            }
+            assert!(flat.iter().eq(rows.iter().map(Vec::as_slice)));
+            assert!((&flat).into_iter().eq(flat.iter()));
+            assert_eq!(format!("{flat:?}"), format!("{rows:?}"));
+            let clone = flat.clone();
+            assert_eq!(clone, flat);
+            assert_eq!(rows.clone().into_iter().collect::<Engagements>(), flat);
+            // The same tokens split at another row boundary are other rows.
+            if rows.len() >= 2 && !rows[0].is_empty() {
+                let mut shifted = rows.clone();
+                let moved = shifted[0].pop().expect("row 0 is not empty");
+                shifted[1].insert(0, moved);
+                assert_ne!(shifted.iter().collect::<Engagements>(), flat);
+            }
+            // A trace rendered from the non-empty rows parses back to them,
+            // client by client.
+            let clients = 1 + draw(&mut state) as usize % 4;
+            let mut oracle = vec![Vec::new(); clients];
+            for (i, row) in rows.iter().filter(|row| !row.is_empty()).enumerate() {
+                oracle[i % clients].push(row.clone());
+            }
+            let rendered: Vec<String> =
+                oracle.iter().map(|rows| format!("{{\"engagements\":{rows:?}}}")).collect();
+            let json = format!("{{\"clients\":[{}]}}", rendered.join(","));
+            let parsed = crate::trace_file::parse_trace(&json).expect("the rendering parses");
+            assert_eq!(parsed.clients.len(), clients);
+            for (client, rows) in parsed.clients.iter().zip(&oracle) {
+                assert!(client.engagements.iter().eq(rows.iter().map(Vec::as_slice)));
+                assert_eq!(client.engagements, rows.iter().collect());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "engagement index 3 out of range for 3 engagements")]
+    fn indexing_past_the_last_engagement_panics() {
+        let flat: Engagements = [[1u32].as_slice(), &[], &[2, 3]].into_iter().collect();
+        let _ = &flat[3];
     }
 
     #[test]

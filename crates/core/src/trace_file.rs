@@ -26,8 +26,11 @@
 //! contended track replays and shared-IO batching compares against the
 //! batch window), and `idle_us` (default 0 — simulated think time
 //! between the client's engagements, opening idle flash windows that a
-//! configured prefetcher fills) are optional. An example lives at
-//! `examples/traces/smoke.json`.
+//! configured prefetcher fills) are optional. No other client key is
+//! accepted, and none may appear twice: `"arival_us"` or a second
+//! `"target_ms"` is a schema error naming `clients[i].<key>`, not a value
+//! silently ignored. Top-level keys other than `clients` (a `comment`, say)
+//! are ignored. An example lives at `examples/traces/smoke.json`.
 //!
 //! The offline vendor stub for `serde` has no-op derives, so this module
 //! carries a minimal recursive-descent JSON reader (objects, arrays,
@@ -36,14 +39,20 @@
 //! the client index and field: a negative `arrival_us`, a fractional
 //! `slo_ms`, or a time value large enough to overflow the simulated
 //! timeline is reported as e.g. `clients[3].arrival_us must be an unsigned
-//! integer, got '-250'` rather than a generic parse failure.
+//! integer, got '-250'` rather than a generic parse failure. A diagnostic's
+//! text is built only when it is returned.
+//!
+//! **Memory.** Each array and object of the JSON tree is one exact-size
+//! allocation, and each client's engagements are copied out of the tree in
+//! one pass into its [`Engagements`]' two blocks, so a parsed trace of `C`
+//! clients holds `1 + 2·C` heap blocks once the tree is dropped.
 
 use std::fmt;
 use std::path::Path;
 
 use sti_device::SimTime;
 
-use crate::serving::{ClientTrace, ServingTrace};
+use crate::serving::{ClientTrace, Engagements, ServingTrace};
 
 /// Errors from reading a JSON trace file.
 #[derive(Debug)]
@@ -116,11 +125,18 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects open around the cursor.
     depth: usize,
+    /// Elements of the arrays open around the cursor, innermost last. An
+    /// array's elements gather here and move out in one exact-size
+    /// allocation when it closes, instead of each array growing its own
+    /// `Vec` by doubling.
+    items: Vec<Json>,
+    /// The same for the fields of the objects open around the cursor.
+    fields: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0, depth: 0 }
+        Self { bytes: text.as_bytes(), pos: 0, depth: 0, items: Vec::new(), fields: Vec::new() }
     }
 
     fn error(&self, reason: impl Into<String>) -> TraceFileError {
@@ -187,22 +203,22 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, TraceFileError> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let start = self.fields.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.expect(b':')?;
             let value = self.value()?;
-            fields.push((key, value));
+            self.fields.push((key, value));
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(Json::Obj(self.fields.drain(start..).collect()));
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
@@ -211,18 +227,19 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<Json, TraceFileError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let start = self.items.len();
         loop {
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.drain(start..).collect()));
                 }
                 _ => return Err(self.error("expected ',' or ']' in array")),
             }
@@ -233,13 +250,26 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one piece, so a
+            // string without escapes costs one allocation. Both stops are
+            // ASCII, so the run ends on a character boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(
+                std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
+                    .expect("input is valid UTF-8"),
+            );
+            self.pos += run;
             match self.bytes.get(self.pos).copied() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash.
                     self.pos += 1;
                     let esc = self
                         .bytes
@@ -260,17 +290,6 @@ impl<'a> Parser<'a> {
                         }
                     });
                     self.pos += 1;
-                }
-                Some(other) => {
-                    // Multi-byte UTF-8 passes through byte-by-byte; the
-                    // input was a &str, so the bytes are valid.
-                    let start = self.pos;
-                    let len = utf8_len(other);
-                    self.pos += len;
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input is valid UTF-8"),
-                    );
                 }
             }
         }
@@ -293,15 +312,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 fn parse_json(text: &str) -> Result<Json, TraceFileError> {
     let mut p = Parser::new(text);
     let value = p.value()?;
@@ -319,7 +329,9 @@ impl Json {
         }
     }
 
-    fn as_num(&self, what: &str) -> Result<u64, TraceFileError> {
+    /// The value as an unsigned integer. `what` names it in the error; it
+    /// is formatted only on that path.
+    fn as_num(&self, what: fmt::Arguments<'_>) -> Result<u64, TraceFileError> {
         match self {
             Json::Num(n) => Ok(*n),
             Json::BadNum(text) => Err(TraceFileError::Schema(format!(
@@ -333,7 +345,12 @@ impl Json {
     /// overflow later unit conversions or timeline arithmetic are rejected
     /// here, naming the field, instead of silently wrapping in release
     /// builds.
-    fn as_bounded_num(&self, what: &str, max: u64, unit: &str) -> Result<u64, TraceFileError> {
+    fn as_bounded_num(
+        &self,
+        what: fmt::Arguments<'_>,
+        max: u64,
+        unit: &str,
+    ) -> Result<u64, TraceFileError> {
         let n = self.as_num(what)?;
         if n > max {
             return Err(TraceFileError::Schema(format!(
@@ -353,17 +370,38 @@ const MAX_ARRIVAL_US: u64 = u64::MAX / 1_000;
 /// Largest accepted preload budget in KiB: `kb << 10` must not wrap.
 const MAX_PRELOAD_KB: u64 = u64::MAX >> 10;
 
+/// The keys a client object may carry: any other key, or one of these
+/// twice, is a schema error (a misspelt `arrival_us` would otherwise
+/// replay silently at arrival zero).
+const CLIENT_KEYS: [&str; 6] =
+    ["target_ms", "preload_kb", "slo_ms", "arrival_us", "idle_us", "engagements"];
+
 fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileError> {
-    if !matches!(json, Json::Obj(_)) {
+    let Json::Obj(fields) = json else {
         return Err(TraceFileError::Schema(format!("clients[{index}] must be an object")));
+    };
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if !CLIENT_KEYS.contains(&key.as_str()) {
+            return Err(TraceFileError::Schema(format!(
+                "clients[{index}].{key} is not a client field (expected one of {})",
+                CLIENT_KEYS.join(", ")
+            )));
+        }
+        if fields[..i].iter().any(|(earlier, _)| earlier == key) {
+            return Err(TraceFileError::Schema(format!(
+                "clients[{index}].{key} appears more than once"
+            )));
+        }
     }
     let target_ms = match json.field("target_ms") {
-        Some(v) => v.as_bounded_num(&format!("clients[{index}].target_ms"), MAX_TIME_MS, "ms")?,
+        Some(v) => {
+            v.as_bounded_num(format_args!("clients[{index}].target_ms"), MAX_TIME_MS, "ms")?
+        }
         None => 200,
     };
     let preload_kb = match json.field("preload_kb") {
         Some(v) => {
-            v.as_bounded_num(&format!("clients[{index}].preload_kb"), MAX_PRELOAD_KB, "KiB")?
+            v.as_bounded_num(format_args!("clients[{index}].preload_kb"), MAX_PRELOAD_KB, "KiB")?
         }
         None => 16,
     };
@@ -372,7 +410,7 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
     let slo = match json.field("slo_ms") {
         Some(Json::Null) | None => None,
         Some(v) => {
-            match v.as_bounded_num(&format!("clients[{index}].slo_ms"), MAX_TIME_MS, "ms")? {
+            match v.as_bounded_num(format_args!("clients[{index}].slo_ms"), MAX_TIME_MS, "ms")? {
                 0 => None,
                 ms => Some(SimTime::from_ms(ms)),
             }
@@ -380,14 +418,16 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
     };
     let arrival_us = match json.field("arrival_us") {
         Some(v) => {
-            v.as_bounded_num(&format!("clients[{index}].arrival_us"), MAX_ARRIVAL_US, "µs")?
+            v.as_bounded_num(format_args!("clients[{index}].arrival_us"), MAX_ARRIVAL_US, "µs")?
         }
         None => 0,
     };
     // Think time between the client's engagements; zero (the default)
     // keeps the legacy back-to-back issue schedule.
     let idle_us = match json.field("idle_us") {
-        Some(v) => v.as_bounded_num(&format!("clients[{index}].idle_us"), MAX_ARRIVAL_US, "µs")?,
+        Some(v) => {
+            v.as_bounded_num(format_args!("clients[{index}].idle_us"), MAX_ARRIVAL_US, "µs")?
+        }
         None => 0,
     };
     let engagements_json = json.field("engagements").ok_or_else(|| {
@@ -398,29 +438,33 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
             "clients[{index}].engagements must be an array of token arrays"
         )));
     };
-    let mut engagements = Vec::with_capacity(rows.len());
+    // One pass writes every row into the flat buffer, sized from the tree
+    // (a row that is not an array counts zero here and fails in order below).
+    let token_count =
+        rows.iter().map(|row| if let Json::Arr(tokens) = row { tokens.len() } else { 0 }).sum();
+    let mut tokens = Vec::with_capacity(token_count);
+    let mut ends = Vec::with_capacity(rows.len());
     for (e, row) in rows.iter().enumerate() {
-        let Json::Arr(tokens) = row else {
+        let Json::Arr(row) = row else {
             return Err(TraceFileError::Schema(format!(
                 "clients[{index}].engagements[{e}] must be a token array"
             )));
         };
-        if tokens.is_empty() {
+        if row.is_empty() {
             return Err(TraceFileError::Schema(format!(
                 "clients[{index}].engagements[{e}] is empty"
             )));
         }
-        let mut seq = Vec::with_capacity(tokens.len());
-        for t in tokens {
-            let n = t.as_num(&format!("clients[{index}].engagements[{e}] token"))?;
+        for t in row {
+            let n = t.as_num(format_args!("clients[{index}].engagements[{e}] token"))?;
             let token = u32::try_from(n).map_err(|_| {
                 TraceFileError::Schema(format!(
                     "clients[{index}].engagements[{e}]: token {n} exceeds u32"
                 ))
             })?;
-            seq.push(token);
+            tokens.push(token);
         }
-        engagements.push(seq);
+        ends.push(tokens.len());
     }
     Ok(ClientTrace {
         target: SimTime::from_ms(target_ms),
@@ -428,7 +472,7 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
         slo,
         arrival: SimTime::from_us(arrival_us),
         idle: SimTime::from_us(idle_us),
-        engagements,
+        engagements: Engagements::from_parts(tokens, ends),
     })
 }
 
@@ -448,11 +492,10 @@ pub fn parse_trace(text: &str) -> Result<ServingTrace, TraceFileError> {
     if items.is_empty() {
         return Err(TraceFileError::Schema("a trace needs at least one client".into()));
     }
-    let clients = items
-        .iter()
-        .enumerate()
-        .map(|(i, c)| client_from_json(i, c))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut clients = Vec::with_capacity(items.len());
+    for (i, client) in items.iter().enumerate() {
+        clients.push(client_from_json(i, client)?);
+    }
     Ok(ServingTrace { clients })
 }
 
@@ -624,9 +667,36 @@ mod tests {
     }
 
     #[test]
+    fn unknown_or_repeated_client_keys_are_schema_errors_naming_the_key() {
+        for (input, needle) in [
+            (
+                r#"{ "clients": [ { "engagements": [[1]] }, { "arival_us": 5000, "engagements": [[1]] } ] }"#,
+                "clients[1].arival_us is not a client field (expected one of target_ms, \
+                 preload_kb, slo_ms, arrival_us, idle_us, engagements)",
+            ),
+            (
+                r#"{ "clients": [ { "target_ms": 300, "engagements": [[1]], "target_ms": 100 } ] }"#,
+                "clients[0].target_ms appears more than once",
+            ),
+            (
+                r#"{ "clients": [ { "engagements": [[1]], "engagements": [[2]] } ] }"#,
+                "clients[0].engagements appears more than once",
+            ),
+            (
+                r#"{ "clients": [ { "comment": "x", "engagements": [[1]] } ] }"#,
+                "clients[0].comment",
+            ),
+        ] {
+            let err = parse_trace(input).unwrap_err();
+            assert!(matches!(err, TraceFileError::Schema(_)), "{input} -> {err}");
+            assert!(err.to_string().contains(needle), "{input} -> {err}");
+        }
+    }
+
+    #[test]
     fn string_escapes_round_trip() {
-        // Unknown keys are tolerated (forward compatibility), including
-        // string values with escapes.
+        // Unknown top-level keys are tolerated (the shipped traces carry a
+        // `comment`), including string values with escapes.
         let trace = parse_trace(
             r#"{ "comment": "a \"quoted\"\nnote", "clients": [ { "engagements": [[1]] } ] }"#,
         )

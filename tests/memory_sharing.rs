@@ -5,8 +5,11 @@
 //! process holds an index to the quantised model, never the model. `peak_rss_mb` shows the same thing end to
 //! end but only through the benchmark; these pins count heap bytes directly
 //! and compare payload addresses, so they repeat exactly on any machine.
+//! The trace pins count the blocks a parsed trace holds and parsing
+//! requests, on the parsing thread only, so they are exact too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -16,7 +19,8 @@ use sti::TaskContext;
 
 /// The system allocator, counting every byte it is asked for (a realloc
 /// counts in full: it may move the block), every byte still held, the most
-/// ever held at once, and every request.
+/// ever held at once, and every request — process-wide, and for the
+/// calling thread its own requests, live blocks and held bytes.
 struct Counting;
 
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
@@ -24,12 +28,30 @@ static HELD: AtomicI64 = AtomicI64::new(0);
 static HIGH_WATER: AtomicI64 = AtomicI64::new(0);
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// `(requests, live blocks, held bytes)` of this thread's own
+    /// allocations: the harness's threads allocate beside a test, so exact
+    /// counts read these.
+    static THREAD_HEAP: Cell<(u64, i64, i64)> = const { Cell::new((0, 0, 0)) };
+}
+
+/// Adds to this thread's request, live-block and held-byte counts.
+fn count_on_thread(requests: u64, live: i64, bytes: i64) {
+    // A const-initialised `Cell` has no destructor, so this never fails;
+    // ignoring the result keeps the allocator panic-free regardless.
+    let _ = THREAD_HEAP.try_with(|c| {
+        let (r, l, b) = c.get();
+        c.set((r + requests, l + live, b + bytes));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are relaxed statistics
 // that publish no other data and never influence what is returned.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_on_thread(1, 1, layout.size() as i64);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         hold(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as they came.
@@ -38,6 +60,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_on_thread(1, 1, layout.size() as i64);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         hold(layout.size() as i64);
         // SAFETY: as above.
@@ -46,6 +69,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_on_thread(1, 0, new_size as i64 - layout.size() as i64);
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
         hold(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` and `layout` describe a live block of this allocator,
@@ -55,6 +79,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         HELD.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        count_on_thread(0, -1, -(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -84,6 +109,15 @@ fn heap_bytes_across<T>(work: impl FnOnce() -> T) -> (T, u64, i64) {
     let out = work();
     let requested = REQUESTED.load(Ordering::Relaxed) - requested;
     (out, requested, HELD.load(Ordering::Relaxed) - held)
+}
+
+/// This thread's heap across `work`: blocks requested (a realloc is a
+/// request), and the blocks and bytes `work` left allocated.
+fn thread_heap_across<T>(work: impl FnOnce() -> T) -> (T, u64, i64, i64) {
+    let (requests, live, bytes) = THREAD_HEAP.with(Cell::get);
+    let out = work();
+    let (requests_after, live_after, bytes_after) = THREAD_HEAP.with(Cell::get);
+    (out, requests_after - requests, live_after - live, bytes_after - bytes)
 }
 
 /// The most heap held at once during `work`, above what was held when it
@@ -663,4 +697,73 @@ fn every_hop_hands_on_the_stores_one_payload() {
     assert_eq!(twin.layers().as_ptr(), model.layers().as_ptr());
     assert!(std::ptr::eq(twin.embedding(), model.embedding()));
     assert!(std::ptr::eq(twin.classifier(), model.classifier()));
+}
+
+/// A trace file of `clients` clients, each with every client key and
+/// `engagements` rows of 1–16 tokens; returns the JSON and its token count.
+fn trace_json(clients: usize, engagements: usize) -> (String, usize) {
+    let mut tokens = 0;
+    let rendered: Vec<String> = (0..clients)
+        .map(|c| {
+            let rows: Vec<Vec<u32>> = (0..engagements)
+                .map(|e| {
+                    (0..1 + (7 * c + 3 * e) % 16).map(|j| (1000 * c + 17 * e + j) as u32).collect()
+                })
+                .collect();
+            tokens += rows.iter().map(Vec::len).sum::<usize>();
+            format!(
+                "{{\"target_ms\":300,\"preload_kb\":16,\"slo_ms\":450,\"arrival_us\":{},\
+                 \"idle_us\":0,\"engagements\":{rows:?}}}",
+                150 * c
+            )
+        })
+        .collect();
+    (format!("{{\"comment\":\"memory pin\",\"clients\":[{}]}}", rendered.join(",")), tokens)
+}
+
+/// A parsed trace is the clients vector plus each client's two flat
+/// buffers: `1 + 2·C` blocks holding `4·tokens + 8·engagements` bytes
+/// beside `size_of::<ClientTrace>()` (the knobs and the two buffer handles)
+/// per client. A `Vec<Vec<u32>>` per client held one block per engagement:
+/// 2 009 blocks and 116 544 B for this trace, against 17 and 84 608 B.
+#[test]
+fn a_parsed_trace_holds_two_blocks_per_client() {
+    let _guard = serialised();
+    let (clients, engagements) = (8, 250);
+    let (json, tokens) = trace_json(clients, engagements);
+    let (trace, _, blocks, bytes) = thread_heap_across(|| parse_trace(&json).unwrap());
+    assert_eq!(trace.total_engagements(), clients * engagements);
+    assert_eq!(blocks, 1 + 2 * clients as i64, "a parsed trace of {clients} clients");
+    let per_client = std::mem::size_of::<ClientTrace>();
+    let bound = 4 * tokens + 8 * clients * engagements + per_client * clients;
+    assert!(
+        bytes <= bound as i64,
+        "{clients} clients of {engagements} engagements and {tokens} tokens hold {bytes} bytes"
+    );
+}
+
+/// Parsing requests one block per engagement — the JSON tree's row array,
+/// allocated once at its exact size — plus k = 10 per client and c = 24 in
+/// all. Per client: its object's fields, six keys, its rows array and its
+/// two flat buffers. In all: the root object, its two keys and the
+/// comment, the clients array and the parsed clients vector (6), and the
+/// parser's two scratch stacks, which double from 4 slots up to the most
+/// items open at once (10 growths here), with 8 to spare. Token
+/// diagnostics are built only on the error path: formatting one per token,
+/// and growing each row by doubling, cost about `2 + tokens` blocks per
+/// engagement, 23 699 requests for this trace against 2 096.
+#[test]
+fn parsing_a_trace_requests_one_block_per_engagement() {
+    let _guard = serialised();
+    const PER_CLIENT: u64 = 10;
+    const FIXED: u64 = 24;
+    let (clients, engagements) = (8, 250);
+    let (json, _) = trace_json(clients, engagements);
+    let (trace, requested, _, _) = thread_heap_across(|| parse_trace(&json).unwrap());
+    let (c, e) = (clients as u64, (clients * engagements) as u64);
+    assert_eq!(trace.total_engagements() as u64, e);
+    assert!(
+        requested <= e + PER_CLIENT * c + FIXED,
+        "parsing {e} engagements over {c} clients requested {requested} blocks"
+    );
 }

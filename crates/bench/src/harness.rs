@@ -4,7 +4,6 @@
 use std::fs;
 use std::path::PathBuf;
 
-use bytes::{Buf, BufMut, BytesMut};
 use sti::prelude::*;
 use sti::TaskContext;
 
@@ -58,27 +57,26 @@ fn importance_cache_path(kind: TaskKind, cfg: &ModelConfig) -> PathBuf {
 fn cache_header(cfg: &ModelConfig, dev_len: usize, quant: &QuantConfig, seed: u64) -> Vec<u8> {
     let &ModelConfig { layers, heads, hidden, ffn, vocab, seq_len, classes } = cfg;
     let &QuantConfig { outlier_log_likelihood } = quant;
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(CACHE_MAGIC);
-    buf.put_u32_le(CACHE_VERSION);
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&CACHE_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&CACHE_VERSION.to_le_bytes());
     for dim in [layers, heads, hidden, ffn, vocab, seq_len, classes, dev_len] {
-        buf.put_u64_le(dim as u64);
+        buf.extend_from_slice(&(dim as u64).to_le_bytes());
     }
-    buf.put_f32_le(outlier_log_likelihood);
-    buf.put_u64_le(seed);
-    buf.to_vec()
+    buf.extend_from_slice(&outlier_log_likelihood.to_le_bytes());
+    buf.extend_from_slice(&seed.to_le_bytes());
+    buf
 }
 
 fn encode_importance(header: &[u8], p: &ImportanceProfile) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(header);
-    buf.put_f64_le(p.baseline());
+    let mut buf = header.to_vec();
+    buf.extend_from_slice(&p.baseline().to_le_bytes());
     for l in 0..p.layers() as u16 {
         for s in 0..p.heads() as u16 {
-            buf.put_f64_le(p.score(ShardId::new(l, s)));
+            buf.extend_from_slice(&p.score(ShardId::new(l, s)).to_le_bytes());
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Reads back a `layers × heads` profile written under `header`. Anything
@@ -90,12 +88,14 @@ fn decode_importance(
     heads: usize,
     bytes: &[u8],
 ) -> Option<ImportanceProfile> {
-    let mut body = bytes.strip_prefix(header)?;
+    let body = bytes.strip_prefix(header)?;
     if body.len() != (1 + layers * heads) * 8 {
         return None;
     }
-    let baseline = body.get_f64_le();
-    let scores: Vec<f64> = (0..layers * heads).map(|_| body.get_f64_le()).collect();
+    let mut values =
+        body.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().expect("an 8-byte chunk")));
+    let baseline = values.next()?;
+    let scores: Vec<f64> = values.collect();
     (baseline.is_finite() && scores.iter().all(|s| s.is_finite()))
         .then(|| ImportanceProfile::from_scores(layers, heads, scores, baseline))
 }

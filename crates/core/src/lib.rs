@@ -52,7 +52,7 @@
 //!
 //! The [`serving`] module turns the single-engagement engine into a
 //! multi-session runtime. [`serving::replay_event`] is the executor:
-//! traces replay on the [`engine`] module's deterministic discrete-event
+//! traces replay on [`sti_device::engine`]'s deterministic discrete-event
 //! engine, where every client is a [`Component`] on one simulated clock
 //! and N clients cost one OS thread. [`serving::replay_sequential`] is the
 //! oracle that *defines* the uncontended track — per-engagement outcomes
@@ -89,17 +89,12 @@ pub use serving::{
     build_server, replay_event, replay_sequential, ClientTrace, EngagementOutcome, Engagements,
     EngagementsIter, ServeConfig, ServeReport, ServingTrace,
 };
-/// The discrete-event executor now lives beside the device models it
-/// simulates (`sti_device::engine`); this alias keeps `sti_core::engine`
-/// paths working.
-pub use sti_device::engine;
 pub use sti_device::engine::{Component, ComponentId, Engine, EngineReport, System};
 pub use trace_file::{load_trace, parse_trace, TraceFileError};
 
 /// One-stop imports for applications and experiments.
 pub mod prelude {
     pub use crate::baselines::Baseline;
-    pub use crate::engine::{Component, ComponentId, Engine, EngineReport, System};
     pub use crate::gold::gold_accuracy;
     pub use crate::runner::{run_experiment, Experiment, RunResult, TaskContext};
     pub use crate::serving::{
@@ -107,6 +102,7 @@ pub mod prelude {
         ServeConfig, ServeReport, ServingTrace,
     };
     pub use crate::trace_file::{load_trace, parse_trace, TraceFileError};
+    pub use sti_device::engine::{Component, ComponentId, Engine, EngineReport, System};
     pub use sti_device::{
         ComputeModel, DeviceProfile, DeviceTopology, FlashJob, FlashModel, HwProfile, PowerModel,
         SimTime, TopologyQueueSim, TopologyReport,

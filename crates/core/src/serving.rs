@@ -31,6 +31,7 @@
 use std::fmt;
 use std::time::Duration;
 
+use sti_device::engine::{Component, ComponentId, Engine, System};
 use sti_device::{DeviceProfile, HwProfile, IoSharing, SimTime};
 use sti_obs::{MetricsSnapshot, SpanEvent};
 use sti_pipeline::{
@@ -40,7 +41,6 @@ use sti_pipeline::{
 use sti_planner::{PlanCacheStats, PrefetchConfig, PreloadPolicy};
 use sti_storage::{IoSchedulerStats, ShardCacheStats};
 
-use crate::engine::{Component, ComponentId, Engine, System};
 use crate::runner::TaskContext;
 
 /// Server-level knobs for a serving experiment.

@@ -32,15 +32,15 @@
 //! silently ignored. Top-level keys other than `clients` (a `comment`, say)
 //! are ignored. An example lives at `examples/traces/smoke.json`.
 //!
-//! The offline vendor stub for `serde` has no-op derives, so this module
-//! carries a minimal recursive-descent JSON reader (objects, arrays,
-//! unsigned integers, strings, booleans, null) — enough for the schema
-//! above, with position-annotated syntax errors. Schema diagnostics name
-//! the client index and field: a negative `arrival_us`, a fractional
-//! `slo_ms`, or a time value large enough to overflow the simulated
-//! timeline is reported as e.g. `clients[3].arrival_us must be an unsigned
-//! integer, got '-250'` rather than a generic parse failure. A diagnostic's
-//! text is built only when it is returned.
+//! The workspace has no `serde`, so this module carries a minimal
+//! recursive-descent JSON reader (objects, arrays, unsigned integers,
+//! strings, booleans, null) — enough for the schema above, with
+//! position-annotated syntax errors. Schema diagnostics name the client
+//! index and field: a negative `arrival_us`, a fractional `slo_ms`, or a
+//! time value large enough to overflow the simulated timeline is reported
+//! as e.g. `clients[3].arrival_us must be an unsigned integer, got '-250'`
+//! rather than a generic parse failure. A diagnostic's text is built only
+//! when it is returned.
 //!
 //! **Memory.** Each array and object of the JSON tree is one exact-size
 //! allocation, and each client's engagements are copied out of the tree in

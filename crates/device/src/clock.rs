@@ -1,6 +1,5 @@
 //! Simulated time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -19,9 +18,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// assert_eq!(t.as_us(), 2_500);
 /// assert!((t.as_ms() - 2.5).abs() < 1e-9);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

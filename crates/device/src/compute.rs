@@ -1,7 +1,5 @@
 //! Computation delay model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimTime;
 
 /// Per-layer computation delay as a function of width `m`, sequence length,
@@ -17,7 +15,7 @@ use crate::clock::SimTime;
 ///   a large fixed cost per kernel on single-example interactive NLP), so a
 ///   12-shard layer costs barely more than a 3-shard layer and the planner
 ///   picks shallow/wide submodels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComputeModel {
     /// Fixed cost per layer, independent of width.
     pub fixed_layer: SimTime,

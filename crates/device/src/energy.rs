@@ -8,12 +8,10 @@
 //! that discussion quantitative: a three-state power model integrated over a
 //! schedule.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimTime;
 
 /// Average power draw (milliwatts) of the SoC in each pipeline state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowerModel {
     /// Power while the compute channel is busy (FLOPs are the major
     /// consumer, §7.2).

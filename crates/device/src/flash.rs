@@ -1,7 +1,5 @@
 //! Storage IO delay model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimTime;
 
 /// A mobile flash device modeled as sustained bandwidth plus a fixed
@@ -11,7 +9,7 @@ use crate::clock::SimTime;
 /// single IO job (§3.1), so the request latency is paid once per layer while
 /// payload bytes stream at the bandwidth — which is why shard-grain IO would
 /// leave bandwidth underutilized (ablated in `sti-bench`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashModel {
     /// Sustained read bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: u64,

@@ -1,7 +1,5 @@
 //! Named device profiles (paper Table 2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimTime;
 use crate::compute::ComputeModel;
 use crate::flash::FlashModel;
@@ -14,7 +12,7 @@ use crate::flash::FlashModel;
 /// constants are chosen so that a full-fidelity (32-bit) layer load costs
 /// ≈339 ms and a full-width layer computation ≈95 ms on the Odroid profile —
 /// the IO/compute skew of §2.2 that motivates the whole system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable platform name.
     pub name: String,

@@ -9,7 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 use sti_transformer::synthetic::synthetic_shard;
 use sti_transformer::ModelConfig;
@@ -40,7 +39,7 @@ const BYTE_PROBE_SHARDS: u64 = 8;
 /// assert!(hw.t_io_shard(Bitwidth::B2) < hw.t_io_shard(Bitwidth::Full));
 /// assert!(hw.t_comp(3) < hw.t_comp(12));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HwProfile {
     /// Name of the profiled device.
     pub device_name: String,

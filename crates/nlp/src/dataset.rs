@@ -1,9 +1,7 @@
 //! Labeled example sets.
 
-use serde::{Deserialize, Serialize};
-
 /// One labeled example: a padded token sequence and its gold class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Example {
     /// Input token ids.
     pub tokens: Vec<u32>,
@@ -12,7 +10,7 @@ pub struct Example {
 }
 
 /// A set of labeled examples (a dev or test split).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dataset {
     examples: Vec<Example>,
 }

@@ -7,7 +7,6 @@
 //! probability assigned to the gold label) so that small dev sets still
 //! produce a total order instead of massive ties.
 
-use serde::{Deserialize, Serialize};
 use sti_nlp::metrics::soft_accuracy;
 use sti_nlp::Dataset;
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
@@ -17,7 +16,7 @@ use sti_tensor::Matrix;
 use sti_transformer::{Model, ModelConfig, ShardId, ShardWeights};
 
 /// The profiled importance of every shard in the grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImportanceProfile {
     layers: usize,
     heads: usize,

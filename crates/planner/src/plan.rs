@@ -1,6 +1,5 @@
 //! The execution plan emitted by the planner.
 
-use serde::{Deserialize, Serialize};
 use sti_device::SimTime;
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
@@ -8,7 +7,7 @@ use sti_transformer::ShardId;
 use crate::schedule::SchedulePrediction;
 
 /// Submodel dimensions: `n` layers × `m` shards per layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubmodelShape {
     /// Depth `n` (bottom layers, closest to input).
     pub depth: usize,
@@ -41,7 +40,7 @@ impl std::fmt::Display for SubmodelShape {
 
 /// One planned layer: which slices execute and at which fidelity each is
 /// loaded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannedLayer {
     /// Source layer index in the original model.
     pub layer: u16,
@@ -60,7 +59,7 @@ impl PlannedLayer {
 
 /// A complete pipeline execution plan: the submodel, per-shard fidelities,
 /// the preload set, and the predicted timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPlan {
     /// Submodel shape.
     pub shape: SubmodelShape,

@@ -6,11 +6,10 @@
 //! have finished. The gap between those two events is the *pipeline bubble*
 //! (compute stall) the paper's planner minimizes.
 
-use serde::{Deserialize, Serialize};
 use sti_device::SimTime;
 
 /// Input timing of one pipeline stage (one layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerTiming {
     /// Duration of the layer's IO job (0 if fully preloaded).
     pub io: SimTime,
@@ -19,7 +18,7 @@ pub struct LayerTiming {
 }
 
 /// The computed timeline of one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerSchedule {
     /// When the layer's IO starts.
     pub io_start: SimTime,
@@ -34,7 +33,7 @@ pub struct LayerSchedule {
 }
 
 /// A predicted pipeline execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulePrediction {
     /// Per-layer timeline.
     pub layers: Vec<LayerSchedule>,

@@ -1,6 +1,5 @@
 //! The fidelity axis: supported shard bitwidths.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::QuantError;
@@ -20,7 +19,7 @@ use crate::error::QuantError;
 /// assert_eq!(Bitwidth::try_from(6).unwrap(), Bitwidth::B6);
 /// assert!(Bitwidth::try_from(7).is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Bitwidth {
     /// 2-bit dictionary indexes (16× smaller than FP32).
     B2,

@@ -19,7 +19,6 @@
 //! One version is decoded. Version 1 (byte-serial FNV-1a) is refused as
 //! "unsupported version": a store is rebuilt from its model, never migrated.
 
-use bytes::{BufMut, BytesMut};
 use sti_quant::{Bitwidth, QuantizedBlob};
 
 use crate::error::StorageError;
@@ -61,25 +60,25 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 
 /// Encodes a blob into a self-contained checksummed record.
 pub fn encode_blob(blob: &QuantizedBlob) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(blob.byte_size() + RECORD_OVERHEAD);
-    buf.put_u32_le(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(blob.bitwidth().bits());
-    buf.put_u32_le(blob.len() as u32);
-    buf.put_u32_le(blob.packed().len() as u32);
-    buf.put_u16_le(blob.centroids().len() as u16);
-    buf.put_u32_le(blob.outliers().len() as u32);
-    buf.put_slice(blob.packed());
+    let mut buf = Vec::with_capacity(blob.byte_size() + RECORD_OVERHEAD);
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.push(VERSION);
+    buf.push(blob.bitwidth().bits());
+    buf.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(blob.packed().len() as u32).to_le_bytes());
+    buf.extend_from_slice(&(blob.centroids().len() as u16).to_le_bytes());
+    buf.extend_from_slice(&(blob.outliers().len() as u32).to_le_bytes());
+    buf.extend_from_slice(blob.packed());
     for &c in blob.centroids() {
-        buf.put_f32_le(c);
+        buf.extend_from_slice(&c.to_le_bytes());
     }
     for &(off, val) in blob.outliers() {
-        buf.put_u32_le(off);
-        buf.put_f32_le(val);
+        buf.extend_from_slice(&off.to_le_bytes());
+        buf.extend_from_slice(&val.to_le_bytes());
     }
     let check = checksum(&buf);
-    buf.put_u64_le(check);
-    buf.to_vec()
+    buf.extend_from_slice(&check.to_le_bytes());
+    buf
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
@@ -197,10 +196,10 @@ mod tests {
 
     #[test]
     fn detects_truncation() {
-        let blob = sample_blob(Bitwidth::B3);
-        let encoded = encode_blob(&blob);
-        for cut in [3usize, 10, encoded.len() - 1] {
-            assert!(decode_blob(&encoded[..cut]).is_err(), "cut at {cut} not detected");
+        let encoded = encode_blob(&sample_blob(Bitwidth::B3));
+        for cut in 0..encoded.len() {
+            let err = decode_blob(&encoded[..cut]).expect_err("a prefix must not decode");
+            assert!(matches!(err, StorageError::Corrupt { .. }), "cut at {cut}: {err}");
         }
     }
 
@@ -270,6 +269,43 @@ mod tests {
         let err = decode_blob(&record).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }));
         assert!(err.to_string().contains("unsupported version 1"), "{err}");
+    }
+
+    /// Lower-case hex to bytes.
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("a hex byte"))
+            .collect()
+    }
+
+    #[test]
+    fn a_fixed_blob_encodes_to_pinned_bytes() {
+        // Pinned bytes: a change here is a format change (bump VERSION).
+        let blob = QuantizedBlob::from_parts(
+            Bitwidth::B2,
+            8,
+            vec![0b1110_0100, 0b0001_1011],
+            vec![-0.5, -0.125, 0.125, 0.5],
+            vec![(3, 1.5)],
+        )
+        .unwrap();
+        let pinned = unhex(concat!(
+            "53544953",         // magic "STIS"
+            "02",               // version
+            "02",               // bits
+            "08000000",         // len
+            "02000000",         // plen
+            "0400",             // ccount
+            "01000000",         // ocount
+            "e41b",             // packed
+            "000000bf000000be", // centroids -0.5, -0.125
+            "0000003e0000003f", // centroids 0.125, 0.5
+            "030000000000c03f", // outlier (3, 1.5)
+            "04d0b36c5b3e6e15", // check
+        ));
+        assert_eq!(encode_blob(&blob), pinned);
+        assert_eq!(decode_blob(&pinned).unwrap(), (blob, pinned.len()));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use bytes::{Buf, BufMut, BytesMut};
 use sti_quant::Bitwidth;
 use sti_transformer::{ModelConfig, ShardId};
 
@@ -88,40 +87,40 @@ impl Manifest {
 
     /// Serializes the manifest.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.push(VERSION);
         let c = &self.config;
-        buf.put_u16_le(c.layers as u16);
-        buf.put_u16_le(c.heads as u16);
-        buf.put_u32_le(c.hidden as u32);
-        buf.put_u32_le(c.ffn as u32);
-        buf.put_u32_le(c.vocab as u32);
-        buf.put_u32_le(c.seq_len as u32);
-        buf.put_u16_le(c.classes as u16);
-        buf.put_u8(self.bitwidths.len() as u8);
-        for bw in &self.bitwidths {
-            buf.put_u8(bw.bits());
-        }
+        buf.extend_from_slice(&(c.layers as u16).to_le_bytes());
+        buf.extend_from_slice(&(c.heads as u16).to_le_bytes());
+        buf.extend_from_slice(&(c.hidden as u32).to_le_bytes());
+        buf.extend_from_slice(&(c.ffn as u32).to_le_bytes());
+        buf.extend_from_slice(&(c.vocab as u32).to_le_bytes());
+        buf.extend_from_slice(&(c.seq_len as u32).to_le_bytes());
+        buf.extend_from_slice(&(c.classes as u16).to_le_bytes());
+        buf.push(self.bitwidths.len() as u8);
+        buf.extend(self.bitwidths.iter().map(|bw| bw.bits()));
         let mut keys: Vec<(u16, u8)> = self.entries.keys().copied().collect();
         keys.sort_unstable();
-        buf.put_u32_le(keys.len() as u32);
+        buf.extend_from_slice(&(keys.len() as u32).to_le_bytes());
         for (layer, bits) in keys {
-            buf.put_u16_le(layer);
-            buf.put_u8(bits);
+            buf.extend_from_slice(&layer.to_le_bytes());
+            buf.push(bits);
             for loc in &self.entries[&(layer, bits)] {
-                buf.put_u64_le(loc.offset);
-                buf.put_u32_le(loc.len);
+                buf.extend_from_slice(&loc.offset.to_le_bytes());
+                buf.extend_from_slice(&loc.len.to_le_bytes());
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Deserializes a manifest.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Corrupt`] on any structural inconsistency.
+    /// Returns [`StorageError::Corrupt`] on any structural inconsistency,
+    /// bytes after the last entry and a repeated `(layer, bitwidth)` entry
+    /// included.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
         let mut cur = bytes;
         let need = |cur: &[u8], n: usize, what: &str| {
@@ -132,21 +131,21 @@ impl Manifest {
             }
         };
         need(cur, 5, "header")?;
-        if cur.get_u32_le() != MAGIC {
+        if u32::from_le_bytes(next(&mut cur)) != MAGIC {
             return Err(StorageError::corrupt("manifest", "bad magic"));
         }
-        if cur.get_u8() != VERSION {
+        if next::<1>(&mut cur)[0] != VERSION {
             return Err(StorageError::corrupt("manifest", "unsupported version"));
         }
         need(cur, 22, "config")?;
         let config = ModelConfig {
-            layers: cur.get_u16_le() as usize,
-            heads: cur.get_u16_le() as usize,
-            hidden: cur.get_u32_le() as usize,
-            ffn: cur.get_u32_le() as usize,
-            vocab: cur.get_u32_le() as usize,
-            seq_len: cur.get_u32_le() as usize,
-            classes: cur.get_u16_le() as usize,
+            layers: u16::from_le_bytes(next(&mut cur)) as usize,
+            heads: u16::from_le_bytes(next(&mut cur)) as usize,
+            hidden: u32::from_le_bytes(next(&mut cur)) as usize,
+            ffn: u32::from_le_bytes(next(&mut cur)) as usize,
+            vocab: u32::from_le_bytes(next(&mut cur)) as usize,
+            seq_len: u32::from_le_bytes(next(&mut cur)) as usize,
+            classes: u16::from_le_bytes(next(&mut cur)) as usize,
         };
         if config.layers == 0
             || config.heads == 0
@@ -157,34 +156,50 @@ impl Manifest {
             return Err(StorageError::corrupt("manifest", "invalid model config"));
         }
         need(cur, 1, "bitwidth count")?;
-        let nbw = cur.get_u8() as usize;
+        let nbw = next::<1>(&mut cur)[0] as usize;
         need(cur, nbw, "bitwidths")?;
         let mut bitwidths = Vec::with_capacity(nbw);
         for _ in 0..nbw {
-            let bits = cur.get_u8();
+            let bits = next::<1>(&mut cur)[0];
             bitwidths.push(
                 Bitwidth::try_from(bits)
                     .map_err(|e| StorageError::corrupt("manifest", e.to_string()))?,
             );
         }
         need(cur, 4, "entry count")?;
-        let nentries = cur.get_u32_le() as usize;
+        let nentries = u32::from_le_bytes(next(&mut cur)) as usize;
         let per_entry = 3 + config.heads * 12;
         need(cur, nentries * per_entry, "entries")?;
         let mut entries = HashMap::with_capacity(nentries);
         for _ in 0..nentries {
-            let layer = cur.get_u16_le();
-            let bits = cur.get_u8();
+            let layer = u16::from_le_bytes(next(&mut cur));
+            let bits = next::<1>(&mut cur)[0];
             let locs: Vec<RecordLoc> = (0..config.heads)
-                .map(|_| RecordLoc { offset: cur.get_u64_le(), len: cur.get_u32_le() })
+                .map(|_| RecordLoc {
+                    offset: u64::from_le_bytes(next(&mut cur)),
+                    len: u32::from_le_bytes(next(&mut cur)),
+                })
                 .collect();
             if layer as usize >= config.layers {
                 return Err(StorageError::corrupt("manifest", "entry layer out of range"));
             }
-            entries.insert((layer, bits), locs);
+            if entries.insert((layer, bits), locs).is_some() {
+                return Err(StorageError::corrupt("manifest", "repeated (layer, bitwidth) entry"));
+            }
+        }
+        if !cur.is_empty() {
+            return Err(StorageError::corrupt("manifest", "trailing bytes after the last entry"));
         }
         Ok(Self { config, bitwidths, entries })
     }
+}
+
+/// Splits the next `N` bytes off `cur`; the caller has checked they are
+/// there.
+fn next<const N: usize>(cur: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = cur.split_first_chunk().expect("length checked before reading");
+    *cur = rest;
+    *head
 }
 
 #[cfg(test)]
@@ -244,7 +259,76 @@ mod tests {
         assert!(Manifest::decode(&bytes).is_err());
 
         let bytes = m.encode();
-        assert!(Manifest::decode(&bytes[..10]).is_err());
+        for cut in 0..bytes.len() {
+            let err = Manifest::decode(&bytes[..cut]).expect_err("a prefix must not decode");
+            assert!(matches!(err, StorageError::Corrupt { .. }), "cut at {cut}: {err}");
+        }
+    }
+
+    /// Lower-case hex to bytes.
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("a hex byte"))
+            .collect()
+    }
+
+    /// One entry of `sample()`: the key, then slice `s` at offset `100·s`,
+    /// length 100.
+    macro_rules! sample_entry {
+        ($key:literal) => {
+            concat!(
+                $key,
+                "000000000000000064000000",
+                "640000000000000064000000",
+                "c80000000000000064000000",
+                "2c0100000000000064000000",
+            )
+        };
+    }
+
+    #[test]
+    fn sample_encodes_to_pinned_bytes() {
+        // Pinned bytes: a change here is a format change (bump VERSION).
+        let pinned = unhex(concat!(
+            "5354494d", // magic "STIM"
+            "01",       // version
+            "0200",     // layers
+            "0400",     // heads
+            "20000000", // hidden
+            "40000000", // ffn
+            "40000000", // vocab
+            "08000000", // seq_len
+            "0200",     // classes
+            "020206",   // bitwidths: count, then 2 and 6
+            "04000000", // entry count
+            sample_entry!("000002"),
+            sample_entry!("000006"),
+            sample_entry!("010002"),
+            sample_entry!("010006"),
+        ));
+        assert_eq!(sample().encode(), pinned);
+    }
+
+    #[test]
+    fn decode_rejects_trailing_bytes() {
+        let mut bytes = sample().encode();
+        bytes.push(0);
+        let err = Manifest::decode(&bytes).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }));
+        assert!(err.to_string().contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_a_repeated_entry() {
+        // Re-key the second entry, (0, 6bit), as the first, (0, 2bit).
+        let mut bytes = sample().encode();
+        let second_entry = 34 + (3 + ModelConfig::tiny().heads * 12);
+        assert_eq!(bytes[second_entry..second_entry + 3], [0, 0, 6]);
+        bytes[second_entry + 2] = 2;
+        let err = Manifest::decode(&bytes).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }));
+        assert!(err.to_string().contains("repeated"), "{err}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Tiny data-parallel helper built on crossbeam scoped threads.
+//! Tiny data-parallel helper built on `std::thread::scope`.
 //!
 //! `parallel_map` spreads independent pure functions over the available
 //! cores without pulling in a full thread-pool dependency: the teacher labels
@@ -101,12 +101,12 @@ where
     let cursor = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<T>>> = (0..items).map(|_| Mutex::new(None)).collect();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = scratches
             .iter_mut()
             .map(|scratch| {
                 let (cursor, results, f) = (&cursor, &results, &f);
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= items {
                         break;
@@ -122,8 +122,7 @@ where
         for h in handles {
             h.join().expect("parallel_map worker panicked");
         }
-    })
-    .expect("parallel_map worker panicked");
+    });
 
     results
         .into_iter()

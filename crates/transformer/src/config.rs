@@ -1,6 +1,5 @@
 //! Model dimensions and shard identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dimensions of a sharded transformer encoder.
@@ -11,7 +10,7 @@ use std::fmt;
 /// while the hidden width is reduced so real CPU inference runs at laptop
 /// speed. The device models in `sti-device` are calibrated against these
 /// scaled sizes (see its `DeviceProfile`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Number of transformer layers `N`.
     pub layers: usize,
@@ -124,9 +123,7 @@ impl Default for ModelConfig {
 
 /// Identifies one shard: `(layer, vertical slice)` — the unit the engine
 /// loads, plans, and prioritizes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardId {
     /// Transformer layer index (0 = closest to input).
     pub layer: u16,

@@ -2,7 +2,8 @@
 
 use sti_quant::{Bitwidth, QuantizedBlob};
 use sti_storage::{ShardKey, ShardSource};
-use sti_transformer::{ModelConfig, ShardId, ShardWeights};
+use sti_tensor::Matrix;
+use sti_transformer::{ModelConfig, ShardId, ShardOperand, ShardWeights};
 
 use crate::error::PipelineError;
 
@@ -75,26 +76,76 @@ impl PreloadBuffer {
     }
 }
 
-/// The working buffer: one layer's worth of decompressed FP32 shard weights.
-/// A layer's shards are dropped before the next layer's are assembled, so its
-/// size does not grow with the model (§3.1); `peak_bytes` is the most it ever
-/// held.
+/// The working buffer (§3.1): where the executor decompresses the shards a
+/// layer computes over.
 ///
-/// Decompression writes each weight once, where the kernels will read it:
-/// every segment of a blob's flat weight group is decoded straight into the
-/// matching matrix of the shard (the Q/K/V quarter through temporaries,
-/// because the packed `[Q | K | V]` operand interleaves it) — no
-/// shard-sized staging copy in between.
+/// The serving path holds **one shard slot**, allocated on first use and
+/// refilled in place: [`WorkingBuffer::layer`] lends a [`CodedLayer`] that
+/// decodes shard `i`'s attention half into the slot when attention reaches
+/// slice `i`, and its FFN half when the FFN does. So the decompressed
+/// weights held at once are one shard's, however wide the layer, and each
+/// weight is still decoded exactly once. [`WorkingBuffer::peak_bytes`]
+/// keeps the paper's model of the buffer: the widest layer's shards at
+/// FP32.
+///
+/// [`WorkingBuffer::assemble`] decodes a whole layer into fresh
+/// [`ShardWeights`] instead, for the callers that want the decoded shards
+/// themselves (the benchmark's per-layer probes and the quantisation
+/// tests).
 #[derive(Debug)]
 pub struct WorkingBuffer {
     cfg: ModelConfig,
     peak_shards: usize,
+    slot: Option<ShardSlot>,
+}
+
+/// The one decoded shard the serving path holds, plus the staging the
+/// packed `[Q | K | V]` operand is decoded through.
+#[derive(Debug)]
+struct ShardSlot {
+    shard: ShardWeights,
+    qkv: Box<[f32]>,
 }
 
 impl WorkingBuffer {
     /// Creates a working buffer for models of shape `cfg`.
     pub fn new(cfg: ModelConfig) -> Self {
-        Self { cfg, peak_shards: 0 }
+        Self { cfg, peak_shards: 0, slot: None }
+    }
+
+    /// Checks that every blob holds one shard of the configured shape, and
+    /// counts the layer toward the peak.
+    fn admit(&mut self, blobs: &[&QuantizedBlob]) -> Result<(), PipelineError> {
+        let expected = self.cfg.shard_param_count();
+        if let Some(blob) = blobs.iter().find(|b| b.len() != expected) {
+            return Err(PipelineError::PlanMismatch(format!(
+                "blob holds {} weights, shard expects {expected}",
+                blob.len()
+            )));
+        }
+        self.peak_shards = self.peak_shards.max(blobs.len());
+        Ok(())
+    }
+
+    /// Lends a layer's blobs to the forward pass as a [`ShardOperand`] that
+    /// decodes one shard half at a time into this buffer's slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::PlanMismatch`] if a blob's length disagrees
+    /// with the configured shard size.
+    pub fn layer<'a>(
+        &'a mut self,
+        blobs: &'a [&'a QuantizedBlob],
+    ) -> Result<CodedLayer<'a>, PipelineError> {
+        self.admit(blobs)?;
+        let cfg = &self.cfg;
+        let slot = self.slot.get_or_insert_with(|| {
+            let shard = ShardWeights::zeros(cfg);
+            let qkv = vec![0.0; shard.qkv.len()].into_boxed_slice();
+            ShardSlot { shard, qkv }
+        });
+        Ok(CodedLayer { blobs, slot })
     }
 
     /// Decompresses a layer's blobs into executable shard weights.
@@ -107,26 +158,53 @@ impl WorkingBuffer {
         &mut self,
         blobs: &[&QuantizedBlob],
     ) -> Result<Vec<ShardWeights>, PipelineError> {
-        let mut out = Vec::with_capacity(blobs.len());
-        for blob in blobs {
-            if blob.len() != self.cfg.shard_param_count() {
-                return Err(PipelineError::PlanMismatch(format!(
-                    "blob holds {} weights, shard expects {}",
-                    blob.len(),
-                    self.cfg.shard_param_count()
-                )));
-            }
-            out.push(ShardWeights::from_flat_with(&self.cfg, |at, segment| {
-                blob.dequantize_range_into(at, segment)
-            }));
-        }
-        self.peak_shards = self.peak_shards.max(blobs.len());
-        Ok(out)
+        self.admit(blobs)?;
+        Ok(blobs
+            .iter()
+            .map(|blob| {
+                ShardWeights::from_flat_with(&self.cfg, |at, segment| {
+                    blob.dequantize_range_into(at, segment)
+                })
+            })
+            .collect())
     }
 
-    /// Peak bytes of decompressed weights held for any single layer so far.
+    /// Peak bytes of decompressed weights a layer needs, over every layer
+    /// so far: the widest layer's shards at FP32 (§3.1's buffer size).
     pub fn peak_bytes(&self) -> usize {
         self.peak_shards * self.cfg.shard_fp32_bytes()
+    }
+}
+
+/// One layer's coded shards, lent to the forward pass by
+/// [`WorkingBuffer::layer`]: the [`ShardOperand`] that decodes slice `i`'s
+/// attention half, then its FFN half, into the working buffer's one slot as
+/// the layer reaches them. The halves are disjoint ranges of the flat weight
+/// group, so every weight is decoded once, by
+/// [`QuantizedBlob::dequantize_range_into`], to the same bits a whole-shard
+/// decode writes.
+#[derive(Debug)]
+pub struct CodedLayer<'a> {
+    blobs: &'a [&'a QuantizedBlob],
+    slot: &'a mut ShardSlot,
+}
+
+impl ShardOperand for CodedLayer<'_> {
+    fn width(&self) -> usize {
+        self.blobs.len()
+    }
+
+    fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
+        let (blob, slot) = (self.blobs[i], &mut *self.slot);
+        slot.shard
+            .read_attention_with(&mut slot.qkv, |at, out| blob.dequantize_range_into(at, out));
+        (&slot.shard.qkv, &slot.shard.o)
+    }
+
+    fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
+        let (blob, slot) = (self.blobs[i], &mut *self.slot);
+        slot.shard.read_ffn_with(|at, out| blob.dequantize_range_into(at, out));
+        (&slot.shard.ffn1, &slot.shard.ffn2)
     }
 }
 
@@ -135,7 +213,9 @@ mod tests {
     use super::*;
     use sti_quant::QuantConfig;
     use sti_storage::MemStore;
-    use sti_transformer::synthetic::synthetic_shard;
+    use sti_tensor::Rng;
+    use sti_transformer::layer::{layer_forward, layer_forward_cls};
+    use sti_transformer::synthetic::{synthetic_layer, synthetic_shard, GainPattern};
     use sti_transformer::Model;
 
     fn blob(cfg: &ModelConfig, seed: u64, bw: Bitwidth) -> QuantizedBlob {
@@ -189,9 +269,11 @@ mod tests {
     fn working_buffer_rejects_wrong_size_blobs() {
         let cfg = ModelConfig::tiny();
         let other = ModelConfig { hidden: 16, ffn: 32, ..ModelConfig::tiny() };
-        let b = blob(&other, 1, Bitwidth::B2);
+        let (good, bad) = (blob(&cfg, 1, Bitwidth::B2), blob(&other, 1, Bitwidth::B2));
         let mut wb = WorkingBuffer::new(cfg);
-        assert!(matches!(wb.assemble(&[&b]), Err(PipelineError::PlanMismatch(_))));
+        assert!(matches!(wb.assemble(&[&good, &bad]), Err(PipelineError::PlanMismatch(_))));
+        assert!(matches!(wb.layer(&[&good, &bad]), Err(PipelineError::PlanMismatch(_))));
+        assert_eq!(wb.peak_bytes(), 0, "a rejected layer is not counted");
     }
 
     #[test]
@@ -202,7 +284,56 @@ mod tests {
         for _ in 0..10 {
             let blobs: Vec<&QuantizedBlob> = (0..cfg.heads).map(|_| &b).collect();
             wb.assemble(&blobs).unwrap();
+            let mut layer = wb.layer(&blobs).unwrap();
+            assert_eq!(layer.width(), cfg.heads);
+            let slot = layer.attention(0).0.as_slice().as_ptr();
+            assert_eq!(layer.attention(cfg.heads - 1).0.as_slice().as_ptr(), slot, "one slot");
         }
         assert_eq!(wb.peak_bytes(), cfg.heads * cfg.shard_fp32_bytes());
+    }
+
+    /// The coded operand against decode-then-`layer_forward`, by `to_bits`:
+    /// every bitwidth, with outliers in both halves of every shard, every
+    /// width from one slice to all (distinct slices, not a prefix and not in
+    /// order), the full layer and its CLS row, at both shipped shapes.
+    #[test]
+    fn a_coded_layer_computes_the_decoded_layers_bits() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        for cfg in [ModelConfig::tiny(), ModelConfig::scaled_bert()] {
+            let mut rng = Rng::new(0x636f_6465);
+            let layer = synthetic_layer(&cfg, &mut rng, 1, GainPattern::BottomHeavy);
+            let resident = &layer.resident;
+            let mut x = Matrix::zeros(cfg.seq_len, cfg.hidden);
+            rng.fill_gaussian(x.as_mut_slice(), 0.0, 1.0);
+            x.row_mut(cfg.seq_len - 1).fill(0.0);
+            for bw in Bitwidth::ALL {
+                let blobs: Vec<QuantizedBlob> = layer
+                    .shards
+                    .iter()
+                    .map(|shard| {
+                        let mut flat = shard.flatten();
+                        let last = flat.len() - 5;
+                        (flat[3], flat[last]) = (2.5, -2.5);
+                        let blob = QuantizedBlob::quantize(&flat, bw, &QuantConfig::default());
+                        assert!(bw.is_full() || blob.outliers().len() >= 2, "{bw:?}");
+                        blob
+                    })
+                    .collect();
+                let mut wb = WorkingBuffer::new(cfg.clone());
+                for m in 1..=cfg.heads {
+                    let idxs: Vec<usize> = (0..m).map(|i| (5 * i + 1) % cfg.heads).collect();
+                    let refs: Vec<&QuantizedBlob> = idxs.iter().map(|&s| &blobs[s]).collect();
+                    let decoded = wb.assemble(&refs).unwrap();
+                    let decoded: Vec<&ShardWeights> = decoded.iter().collect();
+                    let want = layer_forward(&x, &decoded, &idxs, resident, &cfg);
+                    let got = layer_forward(&x, wb.layer(&refs).unwrap(), &idxs, resident, &cfg);
+                    assert_eq!(bits(&got), bits(&want), "{bw:?}, width {m}, {cfg:?}");
+                    let want = layer_forward_cls(&x, &decoded, &idxs, resident, &cfg);
+                    let got =
+                        layer_forward_cls(&x, wb.layer(&refs).unwrap(), &idxs, resident, &cfg);
+                    assert_eq!(bits(&got), bits(&want), "CLS, {bw:?}, width {m}, {cfg:?}");
+                }
+            }
+        }
     }
 }

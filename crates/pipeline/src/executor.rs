@@ -7,6 +7,13 @@
 //! computed while later layers' IO streams in. Preloaded shards skip IO
 //! entirely.
 //!
+//! The working buffer holds one shard, not one layer: the forward pass asks
+//! for each slice's attention half, then its FFN half, as it reaches them,
+//! and [`WorkingBuffer::layer`] decodes just that half of the blob into the
+//! one slot ([`sti_transformer::ShardOperand`] says why every weight is
+//! still decoded once, to the same bits). A layer's decoded shards are never
+//! all live at once.
+//!
 //! Computation is *real* (actual forward passes over dequantized weights);
 //! the per-layer timeline is accounted in simulated device time so that
 //! latency results are deterministic and host-independent. The overlap of
@@ -41,7 +48,8 @@ pub struct ExecutionOutcome {
     pub timeline: SchedulePrediction,
     /// Bytes streamed from storage (excludes preloaded shards).
     pub loaded_bytes: u64,
-    /// Peak decompressed bytes held by the working buffer.
+    /// The working buffer's modelled size (§3.1): the widest executed
+    /// layer's shards at FP32. The executor itself holds one decoded shard.
     pub peak_working_bytes: usize,
 }
 
@@ -225,14 +233,17 @@ impl<'a> PipelineExecutor<'a> {
                 blob_refs.push(blob);
             }
 
-            let shards = working.assemble(&blob_refs)?;
-            let shard_refs: Vec<&ShardWeights> = shards.iter().collect();
+            // Each shard is decoded half by half into the working buffer's
+            // one slot as the layer reaches it, never a whole layer at once.
+            let shards = working.layer(&blob_refs)?;
             let slice_idxs: Vec<usize> = pl.slices.iter().map(|&s| s as usize).collect();
             let resident = &self.model.layers()[l].resident;
             // Only the classifier reads the last layer: its CLS row is enough.
-            let forward =
-                if l + 1 == plan.layers.len() { layer_forward_cls } else { layer_forward };
-            x = forward(&x, &shard_refs, &slice_idxs, resident, &cfg);
+            x = if l + 1 == plan.layers.len() {
+                layer_forward_cls(&x, shards, &slice_idxs, resident, &cfg)
+            } else {
+                layer_forward(&x, shards, &slice_idxs, resident, &cfg)
+            };
 
             timings.push(LayerTiming { io: io_delay, comp: self.hw.t_comp(pl.slices.len()) });
         }
@@ -416,6 +427,22 @@ mod tests {
         // meets a blob streamed for another slice, or none at all.
         let empty = PreloadBuffer::default();
         let err = exec.complete_on(&channel, &plan, &empty, &[1], &has_request).unwrap_err();
+        assert!(matches!(err, PipelineError::PlanMismatch(_)), "{err:?}");
+    }
+
+    /// A store whose shards are shaped for another model: every blob is
+    /// shorter than the executor's shard, so decoding a half of one would
+    /// read past its end. The executor checks each layer's blobs before it
+    /// decodes any and fails with a typed error instead.
+    #[test]
+    fn a_wrong_size_blob_is_a_plan_mismatch_not_a_panic() {
+        let f = fixture();
+        let plan = make_plan(&f, 400, 0);
+        let other = ModelConfig { hidden: 16, ffn: 32, ..f.task.model().config().clone() };
+        let model = Model::synthetic(3, other);
+        let source = Arc::new(MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default()));
+        let exec = PipelineExecutor::new(f.task.model(), source, &f.hw);
+        let err = exec.execute(&plan, &PreloadBuffer::default(), &[1, 2]).unwrap_err();
         assert!(matches!(err, PipelineError::PlanMismatch(_)), "{err:?}");
     }
 

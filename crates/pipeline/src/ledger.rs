@@ -29,6 +29,14 @@
 //! ([`PrefetchContention`]): it adds background rows, never moves a demand
 //! latency. Dispatch events arrive as plain data, so the ledger needs
 //! neither a model nor a scheduler.
+//!
+//! **Lock order.** The server lends the scheduler's logs to a replay in
+//! place ([`IoScheduler::with_event_logs`](sti_storage::IoScheduler::with_event_logs)),
+//! so a report runs under the scheduler's state lock and takes the
+//! ledger's engagement and gate locks inside it: scheduler state first,
+//! then the ledger's logs, never the reverse. Recording an engagement or a
+//! gate decision holds a ledger lock for one push and never waits on the
+//! scheduler under it.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -349,12 +357,10 @@ impl ContentionLedger {
         }
     }
 
-    /// The one contended replay. `events` is the scheduler's dispatch log;
-    /// with `canonical` set it is first remapped onto stable engagement
-    /// ids (`session << 16 | per-session index` — chronological because a
-    /// session runs its engagements serially) and stably re-sorted by
-    /// `(arrival, stable id)`, which only reorders across lanes, never
-    /// within one.
+    /// The one contended replay. `events` is a dispatch log whose jobs
+    /// carry `ids[k]` as the engagement id of `log[k]`: the scheduler's log
+    /// as it is under its lane ids ([`ContentionLedger::report`]), or a
+    /// canonical copy ([`ContentionLedger::spans`]).
     ///
     /// Per-session issue clock: a session issues its next engagement only
     /// once the previous one returned, so each engagement's effective
@@ -366,38 +372,15 @@ impl ContentionLedger {
     fn replay<'a>(
         &self,
         log: &'a [EngagementRecord],
-        mut events: Vec<FlashDispatchEvent>,
-        canonical: bool,
+        ids: Vec<u64>,
+        events: &[FlashDispatchEvent],
     ) -> (TopologyReport, Vec<Replayed<'a>>) {
-        // The engagement id each record's jobs carry in this replay.
-        let mut next_index: HashMap<u64, u64> = HashMap::new();
-        let ids: Vec<u64> = log
-            .iter()
-            .map(|rec| match canonical {
-                false => rec.channel,
-                true => {
-                    let idx = next_index.entry(rec.session).or_insert(0);
-                    *idx += 1;
-                    (rec.session << 16) | (*idx - 1)
-                }
-            })
-            .collect();
-        if canonical {
-            let stable: HashMap<u64, u64> =
-                log.iter().zip(&ids).map(|(rec, &id)| (rec.channel, id)).collect();
-            let remap = |lane: u64| stable.get(&lane).copied().unwrap_or(u64::MAX);
-            for e in &mut events {
-                e.channel = remap(e.channel);
-                e.members.iter_mut().for_each(|m| *m = remap(*m));
-            }
-            events.sort_by_key(|e| (e.arrival, e.channel));
-        }
         // One job per dispatch, routed by its recorded device channel
         // (normalized, so a mismatched topology still routes every job); a
         // batched dispatch is one shared job whose completion is mirrored
         // to every member — the bytes are charged once.
         let mut sim = TopologyQueueSim::new(self.topology);
-        for e in &events {
+        for e in events {
             sim.submit_shared_on(
                 e.device_channel % self.topology.channel_count(),
                 FlashJob {
@@ -409,16 +392,19 @@ impl ContentionLedger {
             );
         }
         let report = sim.run();
-        let mut per_engagement: HashMap<u64, Vec<CompletedJob>> = HashMap::new();
-        for job in report.completions() {
-            per_engagement.entry(job.engagement).or_default().push(job);
-        }
+        // Every engagement's jobs side by side, each run in merged
+        // `(arrival, seq)` order.
+        let mut jobs: Vec<&CompletedJob> =
+            report.channels.iter().flat_map(|c| &c.completions).collect();
+        jobs.sort_unstable_by_key(|j| (j.engagement, j.arrival, j.seq));
         let mut session_clock: HashMap<u64, SimTime> = HashMap::new();
         let rows = log
             .iter()
             .zip(ids)
             .filter_map(|(rec, id)| {
-                let jobs = per_engagement.get(&id).map(Vec::as_slice).unwrap_or(&[]);
+                let first = jobs.partition_point(|j| j.engagement < id);
+                let len = jobs[first..].partition_point(|j| j.engagement == id);
+                let jobs = &jobs[first..first + len];
                 // `None` on a count mismatch: no coherent timeline.
                 let io_ends = align_io_completions(&rec.layer_has_io, jobs)?;
                 let issue = rec
@@ -441,7 +427,7 @@ impl ContentionLedger {
     /// the admission gauge.
     pub(crate) fn report(
         &self,
-        events: Vec<FlashDispatchEvent>,
+        events: &[FlashDispatchEvent],
         speculative: Option<&[FlashDispatchEvent]>,
         preload_bytes_reallocated: u64,
     ) -> ContentionReport {
@@ -453,7 +439,8 @@ impl ContentionLedger {
         let mean_batch_occupancy =
             if events.is_empty() { 0.0 } else { deliveries as f64 / events.len() as f64 };
         let log = self.engagements.lock();
-        let (report, rows) = self.replay(&log, events, false);
+        let lanes = log.iter().map(|rec| rec.channel).collect();
+        let (report, rows) = self.replay(&log, lanes, events);
         let engagements = rows
             .iter()
             .map(|r| EngagementContention {
@@ -489,13 +476,37 @@ impl ContentionLedger {
     /// everything logged so far, unsorted — see
     /// [`StiServer::trace_spans`](crate::server::StiServer::trace_spans)
     /// for the track-by-track contract.
+    ///
+    /// The replay runs in the canonical order: each record's jobs are
+    /// remapped onto a stable engagement id (`session << 16 | per-session
+    /// index` — chronological because a session runs its engagements
+    /// serially), and a copy of the log is stably re-sorted by `(arrival,
+    /// stable id)`, which only reorders across lanes, never within one.
     pub(crate) fn spans(
         &self,
-        events: Vec<FlashDispatchEvent>,
+        events: &[FlashDispatchEvent],
         speculative: &[FlashDispatchEvent],
     ) -> Vec<SpanEvent> {
         let log = self.engagements.lock();
-        let (report, rows) = self.replay(&log, events, true);
+        let mut next_index: HashMap<u64, u64> = HashMap::new();
+        let ids: Vec<u64> = log
+            .iter()
+            .map(|rec| {
+                let idx = next_index.entry(rec.session).or_insert(0);
+                *idx += 1;
+                (rec.session << 16) | (*idx - 1)
+            })
+            .collect();
+        let stable: HashMap<u64, u64> =
+            log.iter().zip(&ids).map(|(rec, &id)| (rec.channel, id)).collect();
+        let remap = |lane: u64| stable.get(&lane).copied().unwrap_or(u64::MAX);
+        let mut events = events.to_vec();
+        for e in &mut events {
+            e.channel = remap(e.channel);
+            e.members.iter_mut().for_each(|m| *m = remap(*m));
+        }
+        events.sort_by_key(|e| (e.arrival, e.channel));
+        let (report, rows) = self.replay(&log, ids, &events);
         let mut spans = report.spans();
         // Session-track engagement intervals: issue → contended completion.
         for r in &rows {
@@ -611,7 +622,7 @@ mod tests {
         ledger: &ContentionLedger,
         events: Vec<FlashDispatchEvent>,
     ) -> TopologyReport {
-        ledger.replay(&[], events, false).0
+        ledger.replay(&[], Vec::new(), &events).0
     }
 
     #[test]
@@ -723,7 +734,7 @@ mod tests {
         ledger.record_engagement(record(10, 0, &[true]));
         ledger.record_engagement(record(11, 1, &[true]));
         let shared = FlashDispatchEvent { members: vec![11], ..event(10, 0, 5) };
-        let report = ledger.report(vec![shared], None, 0);
+        let report = ledger.report(&[shared], None, 0);
         // One 5 ms read, mirrored to both lanes: each engagement sees
         // 5 ms IO + 2 ms compute, exactly its solo makespan.
         assert_eq!(report.engagements.len(), 2);
@@ -744,14 +755,14 @@ mod tests {
         // Lane 11 wanted two layers but only one dispatch ever completed.
         ledger.record_engagement(record(11, 1, &[true, true]));
         let events = vec![event(10, 0, 5), event(11, 0, 5)];
-        let report = ledger.report(events.clone(), None, 0);
+        let report = ledger.report(&events, None, 0);
         assert_eq!(report.engagements.len(), 1, "no coherent timeline, no row");
         assert_eq!(report.engagements[0].session, 0);
         // Its dispatch still occupied the device: the survivor's numbers
         // and the queue aggregates keep it.
         assert_eq!(report.flash_busy, ms(10));
         let engagement_tracks: Vec<u64> = ledger
-            .spans(events, &[])
+            .spans(&events, &[])
             .iter()
             .filter(|s| s.name == "engagement")
             .map(|s| s.track)
@@ -768,7 +779,7 @@ mod tests {
         ledger.record_engagement(record(11, 1, &[true]));
         ledger.record_engagement(record(12, 0, &[true]));
         let events = vec![event(10, 0, 5), event(11, 0, 5), event(12, 0, 5)];
-        let report = ledger.report(events, None, 0);
+        let report = ledger.report(&events, None, 0);
         let row = |lane: u64| *report.engagements.iter().find(|e| e.channel == lane).unwrap();
         assert_eq!((row(10).issue, row(10).initial_queueing), (SimTime::ZERO, SimTime::ZERO));
         // Lane 11 waited out lane 10's 5 ms read before its first byte.
@@ -789,8 +800,8 @@ mod tests {
             ledger.record_engagement(record(lanes[0], 0, &[true]));
             ledger.record_engagement(record(lanes[1], 1, &[true]));
             let by_session = [event(lanes[0], 0, 5), event(lanes[1], 1, 5)];
-            let events = order.iter().map(|&i| by_session[i].clone()).collect();
-            let mut spans = ledger.spans(events, &[]);
+            let events: Vec<_> = order.iter().map(|&i| by_session[i].clone()).collect();
+            let mut spans = ledger.spans(&events, &[]);
             spans.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
             spans
         };
@@ -818,7 +829,7 @@ mod tests {
             // Arrives in the clear: 30..32, untouched.
             FlashDispatchEvent { bytes: 2_000, ..event(0, 30, 2) },
         ];
-        let report = ledger.report(demand, Some(&spec), 0);
+        let report = ledger.report(&demand, Some(&spec), 0);
         assert_eq!(
             report.prefetch,
             Some(PrefetchContention {

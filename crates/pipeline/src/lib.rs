@@ -2,8 +2,8 @@
 //!
 //! STI's execution runtime (paper §3, §5.5): a layerwise IO/compute
 //! pipeline that loads each layer's selected shard versions as one IO job,
-//! decompresses them into a reusable working buffer, and computes the layer
-//! while the next layer's IO is in flight. A small *preload buffer* of
+//! decompresses them shard by shard into a reusable working buffer, and
+//! computes the layer while the next layer's IO is in flight. A small *preload buffer* of
 //! bottom-layer shards warms the pipeline so early layers do not stall.
 //!
 //! Two entry points sit on top of the executor:
@@ -29,7 +29,8 @@
 //!
 //! - [`buffers`] — the preload buffer (one plan's compressed shards,
 //!   built once from the plan and never edited) and the working buffer (one
-//!   layer's worth of decompressed weights, reused across layers);
+//!   shard slot of decompressed weights, refilled half a shard at a time as
+//!   the layer reaches it, reused across layers);
 //! - [`executor`] — the pipeline executor: real storage reads and real
 //!   forward passes on the calling thread, with the simulated-time timeline
 //!   accounted per layer; [`executor::PipelineExecutor::issue_on`] and

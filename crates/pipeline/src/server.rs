@@ -957,9 +957,9 @@ impl StiServer {
     /// [`StiServer::reset_contention_log`].
     pub fn trace_spans(&self) -> Vec<SpanEvent> {
         let inner = &*self.inner;
-        let mut spans = inner
-            .ledger
-            .spans(inner.scheduler.flash_events(), &inner.scheduler.speculative_events());
+        // Lock order: the scheduler's state, then the ledger's logs.
+        let mut spans =
+            inner.scheduler.with_event_logs(|demand, spec| inner.ledger.spans(demand, spec));
         // Live-sink color (admission markers, host-track dispatch spans).
         let (live, _) = inner.obs.lock().drain();
         spans.extend(live);
@@ -1009,13 +1009,14 @@ impl StiServer {
     /// harvesting a report.
     pub fn contention_report(&self) -> ContentionReport {
         let inner = &*self.inner;
-        // Speculation is priced only when a prefetcher runs.
-        let speculative = inner.prefetch.as_ref().map(|_| inner.scheduler.speculative_events());
-        inner.ledger.report(
-            inner.scheduler.flash_events(),
-            speculative.as_deref(),
-            inner.admission.preload_bytes_reallocated.get(),
-        )
+        let reallocated = inner.admission.preload_bytes_reallocated.get();
+        // The logs are read in place. Lock order: the scheduler's state,
+        // then the ledger's logs, never the reverse.
+        inner.scheduler.with_event_logs(|demand, spec| {
+            // Speculation is priced only when a prefetcher runs.
+            let speculative = inner.prefetch.as_ref().map(|_| spec);
+            inner.ledger.report(demand, speculative, reallocated)
+        })
     }
 
     /// Drops the contended-track history (the scheduler's dispatch log, the

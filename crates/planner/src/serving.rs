@@ -43,6 +43,7 @@
 //! [`ServingMix::min_delay`]: crate::mix::ServingMix::min_delay
 //! [`ServingMix::digest`]: crate::mix::ServingMix::digest
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use sti_device::{content_sig, CompletedJob, HwProfile, SimTime};
@@ -206,7 +207,7 @@ impl EngagementLoad {
 /// go through here, so the layer↔job mapping cannot drift between them.
 pub fn align_io_completions(
     has_io: &[bool],
-    completions: &[CompletedJob],
+    completions: &[impl Borrow<CompletedJob>],
 ) -> Option<Vec<Option<SimTime>>> {
     if has_io.iter().filter(|&&has| has).count() != completions.len() {
         return None;
@@ -215,7 +216,7 @@ pub fn align_io_completions(
     Some(
         has_io
             .iter()
-            .map(|&has| has.then(|| next.next().expect("count checked above").completion))
+            .map(|&has| has.then(|| next.next().expect("count checked above").borrow().completion))
             .collect(),
     )
 }

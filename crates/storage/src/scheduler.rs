@@ -397,6 +397,20 @@ impl IoScheduler {
         self.shared.lock_state().lanes.demand_log.clone()
     }
 
+    /// Lends the demand and the speculative event logs, each in dispatch
+    /// order, to `read` without copying them. The scheduler's state lock is
+    /// held across `read`, so nothing dispatches meanwhile, and `read` must
+    /// not call back into this scheduler. A caller that takes locks of its
+    /// own inside `read` takes them after this one, and must never wait for
+    /// this scheduler while holding them.
+    pub fn with_event_logs<R>(
+        &self,
+        read: impl FnOnce(&[FlashDispatchEvent], &[FlashDispatchEvent]) -> R,
+    ) -> R {
+        let state = self.shared.lock_state();
+        read(&state.lanes.demand_log, &state.lanes.spec_log)
+    }
+
     /// Shuts the scheduler down. A dispatch already running lands; queued
     /// requests on still-open channels are abandoned.
     pub fn shutdown(self) {

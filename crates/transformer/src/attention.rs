@@ -3,17 +3,7 @@
 use sti_tensor::{ops, softmax, Matrix};
 
 use crate::config::ModelConfig;
-use crate::weights::ShardWeights;
-
-/// Projects `x` through one slice's packed Q/K/V operand — a single
-/// `l×d · d×3·d/M` multiply — so that row `i` of `qkv` is `[q_i | k_i | v_i]`.
-///
-/// # Panics
-///
-/// Panics if `qkv` is not `x.rows() × 3·d/M`.
-pub fn project_qkv(x: &Matrix, shard: &ShardWeights, qkv: &mut Matrix) {
-    ops::matmul_into(x, &shard.qkv, qkv);
-}
+use crate::operand::ShardOperand;
 
 /// Computes multi-head attention with the given slices' Q/K/V/O weights and
 /// sums their output projections into an `l × d` matrix.
@@ -25,23 +15,28 @@ pub fn project_qkv(x: &Matrix, shard: &ShardWeights, qkv: &mut Matrix) {
 /// # Panics
 ///
 /// Panics if `shards` is empty or shapes are inconsistent with `cfg`.
-pub fn attention(x: &Matrix, shards: &[&ShardWeights], cfg: &ModelConfig) -> Matrix {
-    attend(x, shards, cfg, x.rows())
+pub fn attention(x: &Matrix, shards: impl ShardOperand, cfg: &ModelConfig) -> Matrix {
+    attend(x, shards, cfg, &mut Matrix::zeros(x.rows(), cfg.hidden))
 }
 
-/// Attention proper for the leading `queries` positions: the result is the
-/// first `queries` rows of the full `l × d` output, bit for bit, because
-/// every kernel below computes a row of its output from that row of its
-/// input alone. Keys and values are projected for all `l` positions either
-/// way. Scratch is allocated once and overwritten by every slice.
+/// Attention proper for the leading `queries` positions, where `queries`
+/// is `projected.rows()`: the result is the first `queries` rows of the full
+/// `l × d` output, bit for bit, because every kernel below computes a row of
+/// its output from that row of its input alone. Keys and values are
+/// projected for all `l` positions either way. Scratch is allocated once and
+/// overwritten by every slice; `projected` (`queries × d`) is the caller's,
+/// so the FFN that follows can reuse it. Each slice's attention half is
+/// asked for once, when its turn comes.
 pub(crate) fn attend(
     x: &Matrix,
-    shards: &[&ShardWeights],
+    mut shards: impl ShardOperand,
     cfg: &ModelConfig,
-    queries: usize,
+    projected: &mut Matrix,
 ) -> Matrix {
-    assert!(!shards.is_empty(), "attention needs at least one slice");
+    let width = shards.width();
+    assert!(width > 0, "attention needs at least one slice");
     let (l, d, hd) = (x.rows(), cfg.hidden, cfg.head_dim());
+    let queries = projected.rows();
     assert_eq!(x.cols(), d, "input width must equal hidden size");
     assert!(queries <= l, "more query rows than positions");
     let scale = 1.0 / (hd as f32).sqrt();
@@ -51,9 +46,9 @@ pub(crate) fn attend(
     let mut v = Matrix::zeros(l, hd);
     let mut scores = Matrix::zeros(queries, l);
     let mut head = Matrix::zeros(queries, hd);
-    let mut projected = Matrix::zeros(queries, d);
-    for shard in shards {
-        project_qkv(x, shard, &mut qkv);
+    for slice in 0..width {
+        let (w_qkv, w_o) = shards.attention(slice);
+        ops::matmul_into(x, w_qkv, &mut qkv);
         for (qkv_i, v_i) in qkv.rows_iter().zip(v.as_mut_slice().chunks_exact_mut(hd)) {
             v_i.copy_from_slice(&qkv_i[2 * hd..]);
         }
@@ -66,12 +61,12 @@ pub(crate) fn attend(
         softmax::softmax_rows(&mut scores);
 
         ops::matmul_into(&scores, &v, &mut head); // queries × hd
-        ops::matmul_into(&head, &shard.o, &mut projected); // queries × d
-        ops::add_inplace(&mut out, &projected);
+        ops::matmul_into(&head, w_o, projected); // queries × d
+        ops::add_inplace(&mut out, projected);
     }
     // Width rescaling: keep the residual-stream magnitude independent of the
     // number of executed slices.
-    ops::scale_inplace(&mut out, cfg.heads as f32 / shards.len() as f32);
+    ops::scale_inplace(&mut out, cfg.heads as f32 / width as f32);
     out
 }
 
@@ -79,6 +74,7 @@ pub(crate) fn attend(
 mod tests {
     use super::*;
     use crate::synthetic::synthetic_shard;
+    use crate::weights::ShardWeights;
 
     fn test_input(cfg: &ModelConfig) -> Matrix {
         let mut rng = sti_tensor::Rng::new(77);

@@ -3,14 +3,15 @@
 use sti_tensor::{activation, ops, Matrix};
 
 use crate::config::ModelConfig;
-use crate::weights::ShardWeights;
+use crate::operand::ShardOperand;
 
 /// Computes the FFN with the given slices' neuron blocks.
 ///
 /// Slice `i` owns `d_ff/M` neurons: `h_i = gelu(x · ffn1_i + b1_i)` and the
 /// contributions `h_i · ffn2_i` sum into the output, rescaled by `M/m` like
 /// attention. `slice_idxs` selects which segments of the resident FFN1 bias
-/// belong to each shard.
+/// belong to each shard. Each slice's FFN half is asked for once, when its
+/// turn comes.
 ///
 /// # Panics
 ///
@@ -18,29 +19,42 @@ use crate::weights::ShardWeights;
 /// length.
 pub fn ffn(
     x: &Matrix,
-    shards: &[&ShardWeights],
+    shards: impl ShardOperand,
     slice_idxs: &[usize],
     bias_ffn1: &[f32],
     cfg: &ModelConfig,
 ) -> Matrix {
-    assert!(!shards.is_empty(), "ffn needs at least one slice");
-    assert_eq!(shards.len(), slice_idxs.len(), "shard/slice index length mismatch");
+    ffn_into(x, shards, slice_idxs, bias_ffn1, cfg, &mut Matrix::zeros(x.rows(), cfg.hidden))
+}
+
+/// [`ffn`] with the caller's `l × d` scratch for each slice's projection.
+pub(crate) fn ffn_into(
+    x: &Matrix,
+    mut shards: impl ShardOperand,
+    slice_idxs: &[usize],
+    bias_ffn1: &[f32],
+    cfg: &ModelConfig,
+    projected: &mut Matrix,
+) -> Matrix {
+    let width = shards.width();
+    assert!(width > 0, "ffn needs at least one slice");
+    assert_eq!(width, slice_idxs.len(), "shard/slice index length mismatch");
     let l = x.rows();
     let d = cfg.hidden;
     let f = cfg.ffn_per_shard();
     let mut out = Matrix::zeros(l, d);
     // Scratch, allocated once and overwritten by every slice.
     let mut hidden = Matrix::zeros(l, f);
-    let mut projected = Matrix::zeros(l, d);
-    for (shard, &slice) in shards.iter().zip(slice_idxs) {
-        ops::matmul_into(x, &shard.ffn1, &mut hidden); // l × f
+    for (i, &slice) in slice_idxs.iter().enumerate() {
+        let (ffn1, ffn2) = shards.ffn(i);
+        ops::matmul_into(x, ffn1, &mut hidden); // l × f
         let bias = &bias_ffn1[slice * f..(slice + 1) * f];
         ops::add_bias(&mut hidden, bias);
         activation::gelu_inplace(&mut hidden);
-        ops::matmul_into(&hidden, &shard.ffn2, &mut projected); // l × d
-        ops::add_inplace(&mut out, &projected);
+        ops::matmul_into(&hidden, ffn2, projected); // l × d
+        ops::add_inplace(&mut out, projected);
     }
-    ops::scale_inplace(&mut out, cfg.heads as f32 / shards.len() as f32);
+    ops::scale_inplace(&mut out, cfg.heads as f32 / width as f32);
     out
 }
 

@@ -10,7 +10,6 @@
 use sti_tensor::{ops, softmax, stats, Matrix};
 
 use crate::assemble::AssembledSubmodel;
-use crate::attention::project_qkv;
 use crate::layer::finish_layer;
 use crate::model::Model;
 use crate::weights::ShardWeights;
@@ -112,7 +111,7 @@ impl DecoderSession {
             let mut attn_out = Matrix::zeros(1, cfg.hidden);
             let mut qkv = Matrix::zeros(1, 3 * hd);
             for (s, shard) in asm.shards.iter().enumerate() {
-                project_qkv(&x, shard, &mut qkv); // 1 × 3·hd: [q | k | v]
+                ops::matmul_into(&x, &shard.qkv, &mut qkv); // 1 × 3·hd: [q | k | v]
                 let (q, kv_new) = qkv.row(0).split_at(hd);
                 append_row(&mut kv.keys[s], &kv_new[..hd]);
                 append_row(&mut kv.values[s], &kv_new[hd..]);
@@ -129,7 +128,16 @@ impl DecoderSession {
 
             // The rest of the layer is row-wise: it runs on the single row.
             let shard_refs: Vec<&ShardWeights> = asm.shards.iter().collect();
-            x = finish_layer(&x, attn_out, &shard_refs, &asm.slice_idxs, resident, cfg);
+            let mut projected = Matrix::zeros(1, cfg.hidden);
+            x = finish_layer(
+                &x,
+                attn_out,
+                &shard_refs,
+                &asm.slice_idxs,
+                resident,
+                cfg,
+                &mut projected,
+            );
         }
         self.last_hidden = x.row(0).to_vec();
     }

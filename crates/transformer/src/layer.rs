@@ -3,28 +3,34 @@
 use sti_tensor::norm::layernorm_inplace;
 use sti_tensor::{ops, Matrix};
 
-use crate::attention::{attend, attention};
+use crate::attention::attend;
 use crate::config::ModelConfig;
-use crate::ffn::ffn;
-use crate::weights::{LayerResident, ShardWeights};
+use crate::ffn::ffn_into;
+use crate::operand::ShardOperand;
+use crate::weights::LayerResident;
 
 /// Executes one encoder layer (post-norm, BERT-style) with the given slices:
 /// `x ← LN(x + Attn(x))`, then `x ← LN(x + FFN(x))`.
 ///
-/// `shards[i]` must be the weights of vertical slice `slice_idxs[i]`; the
-/// indexes select the matching resident FFN bias segments.
+/// Shard `i` of `shards` must be the weights of vertical slice
+/// `slice_idxs[i]`; the indexes select the matching resident FFN bias
+/// segments. `shards` is any [`ShardOperand`]: decoded shards as
+/// `&[&ShardWeights]` (or a `Vec` of them), or an operand that decodes
+/// each shard half when the layer reaches it — the same bits either way.
 ///
 /// # Panics
 ///
 /// Panics if `shards` is empty or lengths mismatch.
 pub fn layer_forward(
     x: &Matrix,
-    shards: &[&ShardWeights],
+    mut shards: impl ShardOperand,
     slice_idxs: &[usize],
     resident: &LayerResident,
     cfg: &ModelConfig,
 ) -> Matrix {
-    finish_layer(x, attention(x, shards, cfg), shards, slice_idxs, resident, cfg)
+    let mut projected = Matrix::zeros(x.rows(), cfg.hidden);
+    let attn_out = attend(x, &mut shards, cfg, &mut projected);
+    finish_layer(x, attn_out, shards, slice_idxs, resident, cfg, &mut projected)
 }
 
 /// [`layer_forward`] for a layer whose output only the classifier reads:
@@ -37,31 +43,34 @@ pub fn layer_forward(
 /// Panics if `shards` is empty or lengths mismatch.
 pub fn layer_forward_cls(
     x: &Matrix,
-    shards: &[&ShardWeights],
+    mut shards: impl ShardOperand,
     slice_idxs: &[usize],
     resident: &LayerResident,
     cfg: &ModelConfig,
 ) -> Matrix {
     let cls = Matrix::from_rows(&[x.row(0)]);
-    finish_layer(&cls, attend(x, shards, cfg, 1), shards, slice_idxs, resident, cfg)
+    let mut projected = Matrix::zeros(1, cfg.hidden);
+    let attn_out = attend(x, &mut shards, cfg, &mut projected);
+    finish_layer(&cls, attn_out, shards, slice_idxs, resident, cfg, &mut projected)
 }
 
 /// Everything of a post-norm layer after its attention — `LN(x + attn)`,
 /// then `LN(· + FFN(·))` — which the encoder layer and the KV-cached
-/// decoding step share.
+/// decoding step share. `projected` is `x`-shaped scratch for the FFN.
 pub(crate) fn finish_layer(
     x: &Matrix,
     mut attn_out: Matrix,
-    shards: &[&ShardWeights],
+    shards: impl ShardOperand,
     slice_idxs: &[usize],
     resident: &LayerResident,
     cfg: &ModelConfig,
+    projected: &mut Matrix,
 ) -> Matrix {
     ops::add_bias(&mut attn_out, &resident.bias_attn);
     ops::add_inplace(&mut attn_out, x);
     layernorm_inplace(&mut attn_out, &resident.ln_attn, 1e-6);
 
-    let mut ffn_out = ffn(&attn_out, shards, slice_idxs, &resident.bias_ffn1, cfg);
+    let mut ffn_out = ffn_into(&attn_out, shards, slice_idxs, &resident.bias_ffn1, cfg, projected);
     ops::add_bias(&mut ffn_out, &resident.bias_ffn2);
     ops::add_inplace(&mut ffn_out, &attn_out);
     layernorm_inplace(&mut ffn_out, &resident.ln_ffn, 1e-6);
@@ -73,6 +82,7 @@ mod tests {
     use super::*;
     use crate::oracle;
     use crate::synthetic::{synthetic_layer, GainPattern};
+    use crate::weights::ShardWeights;
     use sti_tensor::Rng;
 
     fn setup() -> (ModelConfig, crate::weights::LayerWeights, Matrix) {

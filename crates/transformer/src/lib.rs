@@ -39,12 +39,14 @@ pub mod ffn;
 mod kv_cache;
 pub mod layer;
 pub mod model;
+mod operand;
 pub mod synthetic;
 pub mod weights;
 
 pub use assemble::AssembledSubmodel;
 pub use config::{ModelConfig, ShardId};
 pub use model::Model;
+pub use operand::ShardOperand;
 pub use weights::{LayerResident, LayerWeights, ShardWeights};
 
 #[cfg(test)]

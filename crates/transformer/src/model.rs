@@ -143,9 +143,12 @@ impl Model {
         let mut layers = layers.into_iter().peekable();
         while let Some((slice_idxs, shards)) = layers.next() {
             let resident = residents.next().expect("submodel deeper than model");
-            let forward =
-                if cls_only && layers.peek().is_none() { layer_forward_cls } else { layer_forward };
-            x = forward(&x, &shards, slice_idxs, resident, &self.weights.cfg);
+            let cfg = &self.weights.cfg;
+            x = if cls_only && layers.peek().is_none() {
+                layer_forward_cls(&x, &shards, slice_idxs, resident, cfg)
+            } else {
+                layer_forward(&x, &shards, slice_idxs, resident, cfg)
+            };
         }
         x
     }

@@ -139,21 +139,43 @@ impl ShardWeights {
     /// Rebuilds a shard from a flat weight group that is read segment by
     /// segment: `read(at, out)` fills `out` with the group's weights
     /// `[at, at + out.len())`. Segments are asked for in ascending order and
-    /// together cover `[0, cfg.shard_param_count())` once. Q, K and V are
-    /// read as one segment and packed; `o`, `ffn1` and `ffn2` are each read
-    /// straight into the matrix the kernels will multiply by, so a decoder
-    /// writes those weights once.
+    /// together cover `[0, cfg.shard_param_count())` once: the attention
+    /// half ([`read_attention_with`](ShardWeights::read_attention_with)),
+    /// then the FFN half ([`read_ffn_with`](ShardWeights::read_ffn_with)).
     pub fn from_flat_with(cfg: &ModelConfig, mut read: impl FnMut(usize, &mut [f32])) -> Self {
         let mut shard = Self::zeros(cfg);
-        let mut qkv = vec![0.0; shard.qkv.len()];
-        read(0, &mut qkv);
-        shard.pack_qkv(&qkv);
-        let mut at = qkv.len();
-        for m in [&mut shard.o, &mut shard.ffn1, &mut shard.ffn2] {
-            read(at, m.as_mut_slice());
-            at += m.len();
-        }
+        shard.read_attention_with(&mut vec![0.0; shard.qkv.len()], &mut read);
+        shard.read_ffn_with(read);
         shard
+    }
+
+    /// Overwrites the attention half — `qkv` and `o`, the flat group's
+    /// weights `[0, 4·d·d/M)` — from a segment reader as
+    /// [`from_flat_with`](ShardWeights::from_flat_with) calls it, allocating
+    /// nothing. Q, K and V are read as one segment into `staging` and packed;
+    /// `o` is read straight into its matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `staging` is not `qkv`'s length.
+    pub fn read_attention_with(
+        &mut self,
+        staging: &mut [f32],
+        mut read: impl FnMut(usize, &mut [f32]),
+    ) {
+        assert_eq!(staging.len(), self.qkv.len(), "Q/K/V staging has wrong length");
+        read(0, staging);
+        self.pack_qkv(staging);
+        read(self.qkv.len(), self.o.as_mut_slice());
+    }
+
+    /// Overwrites the FFN half — `ffn1` and `ffn2`, the flat group's weights
+    /// after the attention half — from a segment reader, each straight into
+    /// its matrix, allocating nothing.
+    pub fn read_ffn_with(&mut self, mut read: impl FnMut(usize, &mut [f32])) {
+        let at = self.qkv.len() + self.o.len();
+        read(at, self.ffn1.as_mut_slice());
+        read(at + self.ffn1.len(), self.ffn2.as_mut_slice());
     }
 
     /// Writes Q, K and V, given as three consecutive row-major `d × d/M`

@@ -182,10 +182,14 @@
 //! from a `QuantizedBlob` to a shard's contribution to the hidden state is
 //! fast *and* frozen bit for bit. `QuantizedBlob::dequantize_range_into`
 //! shifts packed indexes out of a 64-bit window straight into centroids;
-//! `WorkingBuffer::assemble` has it decode each segment of the flat weight
-//! group into the shard matrix the kernels read (`ShardWeights` keeps Q, K
-//! and V packed as one `d × 3·d/M` operand, so a slice's three projections
-//! are one multiply); and `sti_tensor::ops::matmul_into` is register-tiled
+//! the executor's working buffer has it decode each half of a shard — the
+//! attention half when attention reaches the slice, the FFN half when the
+//! FFN does — into the one shard slot the kernels read, reused across the
+//! engagement (`ShardWeights` keeps Q, K and V packed as one `d × 3·d/M`
+//! operand, so a slice's three projections are one multiply; the layer
+//! reads its shards through the `ShardOperand` trait, so decoded shards and
+//! this coded operand run the same layer code); and
+//! `sti_tensor::ops::matmul_into` is register-tiled
 //! (4×8 and 4×4 accumulator tiles held in locals across the `k` loop) while
 //! each output element still accumulates in ascending `k`, one rounded
 //! multiply and one rounded add per term, zero terms skipped. GELU's `tanh`
@@ -211,8 +215,8 @@
 //! admit or hit, the prefetch staging pool and its demand promote, a
 //! `PreloadBuffer` fill and the `LoadedLayer` the scheduler fans out to a
 //! batch all hand on a reference-counted handle to that payload, and the
-//! first new bytes are the FP32 segments `WorkingBuffer::assemble` decodes
-//! for one layer. So there is no copy outside the cache: a payload no
+//! first new bytes are the FP32 segments the working buffer decodes into
+//! its one shard slot. So there is no copy outside the cache: a payload no
 //! holder keeps is freed, and the next load reads it from flash again,
 //! which is the cost the paper's IO thread pays. Budgets, evictions and hit
 //! rates are counted per holder from `byte_size()` — also what

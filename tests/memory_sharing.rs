@@ -20,7 +20,8 @@ use sti::TaskContext;
 /// The system allocator, counting every byte it is asked for (a realloc
 /// counts in full: it may move the block), every byte still held, the most
 /// ever held at once, and every request — process-wide, and for the
-/// calling thread its own requests, live blocks and held bytes.
+/// calling thread its own requests, requested bytes, live blocks and held
+/// bytes.
 struct Counting;
 
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
@@ -29,19 +30,20 @@ static HIGH_WATER: AtomicI64 = AtomicI64::new(0);
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// `(requests, live blocks, held bytes)` of this thread's own
-    /// allocations: the harness's threads allocate beside a test, so exact
-    /// counts read these.
-    static THREAD_HEAP: Cell<(u64, i64, i64)> = const { Cell::new((0, 0, 0)) };
+    /// `(requests, requested bytes, live blocks, held bytes)` of this
+    /// thread's own allocations: the harness's threads allocate beside a
+    /// test, so exact counts read these.
+    static THREAD_HEAP: Cell<(u64, u64, i64, i64)> = const { Cell::new((0, 0, 0, 0)) };
 }
 
-/// Adds to this thread's request, live-block and held-byte counts.
-fn count_on_thread(requests: u64, live: i64, bytes: i64) {
+/// Adds to this thread's request, requested-byte, live-block and held-byte
+/// counts.
+fn count_on_thread(requests: u64, requested: u64, live: i64, bytes: i64) {
     // A const-initialised `Cell` has no destructor, so this never fails;
     // ignoring the result keeps the allocator panic-free regardless.
     let _ = THREAD_HEAP.try_with(|c| {
-        let (r, l, b) = c.get();
-        c.set((r + requests, l + live, b + bytes));
+        let (r, q, l, b) = c.get();
+        c.set((r + requests, q + requested, l + live, b + bytes));
     });
 }
 
@@ -51,7 +53,7 @@ fn count_on_thread(requests: u64, live: i64, bytes: i64) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        count_on_thread(1, 1, layout.size() as i64);
+        count_on_thread(1, layout.size() as u64, 1, layout.size() as i64);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         hold(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as they came.
@@ -60,7 +62,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        count_on_thread(1, 1, layout.size() as i64);
+        count_on_thread(1, layout.size() as u64, 1, layout.size() as i64);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         hold(layout.size() as i64);
         // SAFETY: as above.
@@ -69,7 +71,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        count_on_thread(1, 0, new_size as i64 - layout.size() as i64);
+        count_on_thread(1, new_size as u64, 0, new_size as i64 - layout.size() as i64);
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
         hold(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` and `layout` describe a live block of this allocator,
@@ -79,7 +81,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         HELD.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        count_on_thread(0, -1, -(layout.size() as i64));
+        count_on_thread(0, 0, -1, -(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -114,10 +116,18 @@ fn heap_bytes_across<T>(work: impl FnOnce() -> T) -> (T, u64, i64) {
 /// This thread's heap across `work`: blocks requested (a realloc is a
 /// request), and the blocks and bytes `work` left allocated.
 fn thread_heap_across<T>(work: impl FnOnce() -> T) -> (T, u64, i64, i64) {
-    let (requests, live, bytes) = THREAD_HEAP.with(Cell::get);
+    let (requests, _, live, bytes) = THREAD_HEAP.with(Cell::get);
     let out = work();
-    let (requests_after, live_after, bytes_after) = THREAD_HEAP.with(Cell::get);
+    let (requests_after, _, live_after, bytes_after) = THREAD_HEAP.with(Cell::get);
     (out, requests_after - requests, live_after - live, bytes_after - bytes)
+}
+
+/// The bytes this thread requested across `work` (a realloc counts in
+/// full), transients included.
+fn thread_bytes_requested_across<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let (_, requested, _, _) = THREAD_HEAP.with(Cell::get);
+    let out = work();
+    (out, THREAD_HEAP.with(Cell::get).1 - requested)
 }
 
 /// The most heap held at once during `work`, above what was held when it
@@ -355,10 +365,13 @@ fn building_and_dropping_a_multi_channel_server_keeps_nothing() {
 
 /// What a bare `replay_sequential` of `examples/traces/burst.json` requests
 /// at the shipped scale. A report used to assemble the span stream whether
-/// or not anyone read it: 44 467 551 B requested across the replay. Without
-/// a sink it no longer does: 43 941 115 B. The difference, 526 436 B, is
-/// exactly what `trace_spans` requests for the stream's 537 spans when the
-/// caller asks for it afterwards. The bound sits between the two.
+/// or not anyone read it: 44 467 551 B requested across the replay, then
+/// 43 941 115 B without it. Since an engagement decodes one shard at a time
+/// into one reused slot instead of a whole layer into fresh matrices, and a
+/// report reads the dispatch log in place, the bare replay requests
+/// 6 760 975 B. `trace_spans` requests 481 184 B for the stream's 537 spans
+/// when the caller asks for it afterwards, so a replay that assembled the
+/// stream would request 7 242 159 B. The bound sits between the two.
 #[test]
 fn a_bare_replay_does_not_assemble_the_span_stream() {
     let _guard = serialised();
@@ -367,7 +380,7 @@ fn a_bare_replay_does_not_assemble_the_span_stream() {
     let server = build_server(&ctx, &ServeConfig::default());
     let (report, requested, _) = heap_bytes_across(|| replay_sequential(&server, &trace));
     assert!(report.unwrap().spans.is_empty(), "a bare report assembles no spans");
-    const BOUND: u64 = 44_200_000;
+    const BOUND: u64 = 7_000_000;
     assert!(requested < BOUND, "a bare replay of burst.json requested {requested} bytes");
     // The stream is still there on demand, and building it inside the
     // replay would have crossed the bound.
@@ -377,6 +390,40 @@ fn a_bare_replay_does_not_assemble_the_span_stream() {
         requested + stream_bytes > BOUND,
         "the {} spans requested {stream_bytes} bytes; the bound no longer separates them",
         spans.len()
+    );
+}
+
+/// What the compute half of one warm engagement requests on the calling
+/// thread, for a plan that streams every shard of all 12 × 12 at the
+/// shipped scale. The executor decodes each shard half by half into one
+/// slot reused across the engagement, so the whole engagement — slot,
+/// activations, scratch, outcome and ledger record — requests 151 084 B,
+/// less than one decoded layer takes (12 shards × 14 400 B = 172 800 B).
+/// Decoding each layer whole into fresh matrices requested more than that
+/// per layer.
+#[test]
+fn a_warm_engagement_requests_less_than_one_decoded_layer() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let cfg = ModelConfig::scaled_bert();
+    let serve = ServeConfig { shard_cache_bytes: 64 << 20, ..ServeConfig::default() };
+    let server = build_server(&ctx, &serve);
+    let session = server.session_with(SimTime::from_ms(60_000), 0).unwrap();
+    let engage = || {
+        let pending = session.infer_issue(&[1, 2, 3]).unwrap();
+        server.drive_io();
+        thread_bytes_requested_across(|| session.infer_complete(pending).unwrap())
+    };
+    let (cold, _) = engage();
+    let (warm, requested) = engage();
+    assert_eq!(warm.outcome.logits, cold.outcome.logits);
+    assert_eq!((warm.submodel.depth, warm.submodel.width), (cfg.layers, cfg.heads));
+    assert!(warm.outcome.loaded_bytes > 0, "the plan streams");
+    let one_layer = cfg.heads * cfg.shard_fp32_bytes();
+    assert_eq!(warm.outcome.peak_working_bytes, one_layer, "the modelled buffer is one layer");
+    assert!(
+        requested < one_layer as u64,
+        "a warm engagement requested {requested} B; one decoded layer is {one_layer} B"
     );
 }
 

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use sti_device::{HwProfile, SimTime};
+use sti_device::{DeviceTopology, HwProfile, IoSharing, SimTime};
 use sti_planner::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 use sti_planner::ExecutionPlan;
 use sti_quant::QuantizedBlob;
@@ -127,9 +127,14 @@ impl<'a> PipelineExecutor<'a> {
         preload: &PreloadBuffer,
         tokens: &[u32],
     ) -> Result<ExecutionOutcome, PipelineError> {
-        let scheduler =
-            IoScheduler::spawn(self.source.clone(), self.hw.flash, Arc::new(ShardCache::new(0)));
-        let channel = scheduler.channel();
+        let scheduler = IoScheduler::spawn(
+            self.source.clone(),
+            self.hw.flash,
+            Arc::new(ShardCache::new(0)),
+            IoSharing::Exclusive,
+            DeviceTopology::single(),
+        );
+        let channel = scheduler.channel_striped_at(SimTime::ZERO, 0);
         let has_request = self.issue_on(&channel, plan, preload)?;
         self.complete_on(&channel, plan, preload, tokens, &has_request)
     }
@@ -420,8 +425,9 @@ mod tests {
         assert!(!plan.preload.is_empty());
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
         let cache = Arc::new(ShardCache::new(0));
-        let scheduler = IoScheduler::spawn(f.source.clone(), f.hw.flash, cache);
-        let channel = scheduler.channel();
+        let (sharing, topology) = (IoSharing::Exclusive, DeviceTopology::single());
+        let scheduler = IoScheduler::spawn(f.source.clone(), f.hw.flash, cache, sharing, topology);
+        let channel = scheduler.channel_striped_at(SimTime::ZERO, 0);
         let has_request = exec.issue_on(&channel, &plan, &fill_preload(&f, &plan)).unwrap();
         // Completed without the buffer the issue skipped, a preloaded slice
         // meets a blob streamed for another slice, or none at all.

@@ -124,16 +124,23 @@ impl PrefetchDriver {
         self.model.lock().client_count()
     }
 
-    /// The end-to-end report over the staging pool's counters and the
-    /// scheduler's speculative dispatch log.
+    /// The Markov model's counters.
+    pub(crate) fn model_stats(&self) -> PrefetcherStats {
+        self.model.lock().stats()
+    }
+
+    /// The end-to-end report over the model's counters, the staging pool's
+    /// and the scheduler's speculative dispatch log, which it sums in
+    /// place. It takes no lock, so it may run under the scheduler's.
     pub(crate) fn report(
         &self,
+        model: PrefetcherStats,
         pool: PrefetchPoolStats,
         speculative: &[FlashDispatchEvent],
     ) -> PrefetchReport {
         PrefetchReport {
             mode: self.cfg.mode,
-            model: self.model.lock().stats(),
+            model,
             pool,
             jobs: speculative.len() as u64,
             speculated_bytes: speculative.iter().map(|e| e.bytes).sum(),

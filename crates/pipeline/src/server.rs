@@ -287,7 +287,7 @@ impl StiServerBuilder {
             Arc::new(ShardCache::with_prefetch_pool(self.shard_cache_bytes, pool_bytes));
         let cached_source: Arc<dyn ShardSource> =
             Arc::new(CachedSource::new(self.source.clone(), shard_cache.clone()));
-        let scheduler = IoScheduler::spawn_topology(
+        let scheduler = IoScheduler::spawn(
             self.source.clone(),
             self.hw.flash,
             shard_cache.clone(),
@@ -886,14 +886,10 @@ impl StiServer {
         // `prefetch.*` gauges materialize lazily, at snapshot time, and
         // only when the prefetcher runs — an off-mode server exports no
         // prefetch series at all.
-        if self.inner.prefetch.is_some() {
-            let pool = self.inner.shard_cache.prefetch_stats();
-            let spec = self.inner.scheduler.speculative_events();
+        if let Some(PrefetchReport { pool, speculated_bytes, .. }) = self.prefetch_report() {
             let registry = &self.inner.registry;
             registry.gauge("prefetch.hit_bytes").set(pool.hit_bytes);
-            registry
-                .gauge("prefetch.speculated_bytes")
-                .set(spec.iter().map(|e| e.bytes).sum::<u64>());
+            registry.gauge("prefetch.speculated_bytes").set(speculated_bytes);
             registry.gauge("prefetch.evictions").set(pool.evictions);
             registry.gauge("prefetch.hit_rate_pct").set((pool.hit_rate() * 100.0).round() as u64);
         }
@@ -1042,10 +1038,9 @@ impl StiServer {
     /// staged bytes a later demand miss actually consumed.
     pub fn prefetch_report(&self) -> Option<PrefetchReport> {
         let pf = self.inner.prefetch.as_ref()?;
-        Some(pf.report(
-            self.inner.shard_cache.prefetch_stats(),
-            &self.inner.scheduler.speculative_events(),
-        ))
+        let (model, pool) = (pf.model_stats(), self.inner.shard_cache.prefetch_stats());
+        // The log is summed in place, under the scheduler's lock and no other.
+        Some(self.inner.scheduler.with_event_logs(|_, spec| pf.report(model, pool, spec)))
     }
 
     /// Installs a re-profiled importance table and drops every plan derived

@@ -16,7 +16,7 @@
 //! `(slice, bitwidth)` items) from an engagement the scheduler's
 //! [`IoSharing`] lets share — its arrival offset (the time its channel was
 //! opened at, see
-//! [`IoScheduler::channel_at`](crate::scheduler::IoScheduler::channel_at))
+//! [`IoScheduler::channel_striped_at`](crate::scheduler::IoScheduler::channel_striped_at))
 //! within the window of the leader's. The window test itself is
 //! [`IoSharing::shares`], the one the contended predictors apply too.
 //!

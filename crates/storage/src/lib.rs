@@ -10,7 +10,9 @@
 //!
 //! - [`format`](mod@format) — the binary record encoding (magic, version, checksum);
 //! - [`manifest`] — the store index mapping `(layer, slice, bitwidth)` to
-//!   file offsets;
+//!   file offsets, through the one dense key space
+//!   ([`Manifest::file_index`](manifest::Manifest::file_index)) the store's
+//!   file handles and payload slots share;
 //! - [`store::ShardStore`] — create/open a store directory, read shards and
 //!   layer groups. This is the flash every serving path streams from: a
 //!   `load` is a positional read on a cached file handle, verified and

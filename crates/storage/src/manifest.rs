@@ -1,6 +1,10 @@
 //! The store index: which file and offset holds each shard version.
-
-use std::collections::HashMap;
+//!
+//! One key space: [`Manifest::file_index`] maps `(layer, bitwidth)` to the
+//! dense index that record locations, the store's file handles and its
+//! payload slots all share, so a key the manifest does not declare has no
+//! index anywhere. A serialized entry at an undeclared bitwidth is
+//! [`StorageError::Corrupt`].
 
 use sti_quant::Bitwidth;
 use sti_transformer::{ModelConfig, ShardId};
@@ -27,9 +31,11 @@ pub struct RecordLoc {
 pub struct Manifest {
     /// The model configuration the store was built for.
     pub config: ModelConfig,
-    /// The fidelity versions stored (ascending).
+    /// The fidelity versions stored (strictly ascending).
     pub bitwidths: Vec<Bitwidth>,
-    entries: HashMap<(u16, u8), Vec<RecordLoc>>,
+    /// Each file's `M` record locations in slice order, at
+    /// [`Manifest::file_index`]; empty until the file is registered.
+    files: Vec<Vec<RecordLoc>>,
 }
 
 impl Manifest {
@@ -37,7 +43,8 @@ impl Manifest {
     pub fn new(config: ModelConfig, mut bitwidths: Vec<Bitwidth>) -> Self {
         bitwidths.sort();
         bitwidths.dedup();
-        Self { config, bitwidths, entries: HashMap::new() }
+        let files = vec![Vec::new(); config.layers * bitwidths.len()];
+        Self { config, bitwidths, files }
     }
 
     /// The file holding all of `layer`'s shards at `bw`.
@@ -45,44 +52,50 @@ impl Manifest {
         format!("layer_{layer:02}_{:02}bit.stis", bw.bits())
     }
 
+    /// The dense index of `layer`'s file at `bw`, layer-major then
+    /// ascending bitwidth (`0..layers × bitwidths`), or `None` for a layer
+    /// outside the model shape or a bitwidth the manifest does not declare.
+    pub fn file_index(&self, layer: u16, bw: Bitwidth) -> Option<usize> {
+        let k = self.bitwidths.binary_search(&bw).ok()?;
+        let layer = layer as usize;
+        (layer < self.config.layers).then(|| layer * self.bitwidths.len() + k)
+    }
+
     /// Registers the record locations of one layer file (slice order).
     ///
     /// # Panics
     ///
-    /// Panics if the number of locations differs from the configured `M`.
+    /// Panics if the number of locations differs from the configured `M`,
+    /// or if `(layer, bw)` has no [`Manifest::file_index`].
     pub fn insert_layer(&mut self, layer: u16, bw: Bitwidth, locs: Vec<RecordLoc>) {
         assert_eq!(locs.len(), self.config.heads, "layer must register all M slice records");
-        self.entries.insert((layer, bw.bits()), locs);
+        let file = self.file_index(layer, bw).expect("a declared layer and bitwidth");
+        self.files[file] = locs;
     }
 
     /// Looks up one shard version.
     pub fn locate(&self, id: ShardId, bw: Bitwidth) -> Option<RecordLoc> {
-        self.entries
-            .get(&(id.layer, bw.bits()))
-            .and_then(|locs| locs.get(id.slice as usize))
-            .copied()
+        self.files[self.file_index(id.layer, bw)?].get(id.slice as usize).copied()
     }
 
     /// Whether the manifest holds every `(layer, slice, bitwidth)` record it
     /// promises.
     pub fn is_complete(&self) -> bool {
-        (0..self.config.layers as u16)
-            .all(|l| self.bitwidths.iter().all(|&bw| self.entries.contains_key(&(l, bw.bits()))))
+        self.files.iter().all(|locs| !locs.is_empty())
     }
 
     /// Sum of record bytes at one bitwidth.
     pub fn bytes_at(&self, bw: Bitwidth) -> u64 {
-        self.entries
-            .iter()
-            .filter(|((_, bits), _)| *bits == bw.bits())
-            .flat_map(|(_, locs)| locs.iter())
+        (0..self.config.layers as u16)
+            .filter_map(|layer| self.file_index(layer, bw))
+            .flat_map(|file| &self.files[file])
             .map(|loc| loc.len as u64)
             .sum()
     }
 
     /// Sum of all record bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.bitwidths.iter().map(|&bw| self.bytes_at(bw)).sum()
+        self.files.iter().flatten().map(|loc| loc.len as u64).sum()
     }
 
     /// Serializes the manifest.
@@ -100,13 +113,14 @@ impl Manifest {
         buf.extend_from_slice(&(c.classes as u16).to_le_bytes());
         buf.push(self.bitwidths.len() as u8);
         buf.extend(self.bitwidths.iter().map(|bw| bw.bits()));
-        let mut keys: Vec<(u16, u8)> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        buf.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-        for (layer, bits) in keys {
-            buf.extend_from_slice(&layer.to_le_bytes());
-            buf.push(bits);
-            for loc in &self.entries[&(layer, bits)] {
+        // File-index order is `(layer, bits)` order: bitwidths ascend.
+        let registered = self.files.iter().filter(|locs| !locs.is_empty()).count();
+        buf.extend_from_slice(&(registered as u32).to_le_bytes());
+        let nbw = self.bitwidths.len();
+        for (file, locs) in self.files.iter().enumerate().filter(|(_, locs)| !locs.is_empty()) {
+            buf.extend_from_slice(&((file / nbw) as u16).to_le_bytes());
+            buf.push(self.bitwidths[file % nbw].bits());
+            for loc in locs {
                 buf.extend_from_slice(&loc.offset.to_le_bytes());
                 buf.extend_from_slice(&loc.len.to_le_bytes());
             }
@@ -118,8 +132,10 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Corrupt`] on any structural inconsistency,
-    /// bytes after the last entry and a repeated `(layer, bitwidth)` entry
+    /// Returns [`StorageError::Corrupt`] on any structural inconsistency:
+    /// bitwidths not strictly ascending, an entry whose layer is outside
+    /// the model shape or whose bitwidth the header does not declare, a
+    /// repeated `(layer, bitwidth)` entry, and bytes after the last entry
     /// included.
     pub fn decode(bytes: &[u8]) -> Result<Self, StorageError> {
         let mut cur = bytes;
@@ -158,39 +174,49 @@ impl Manifest {
         need(cur, 1, "bitwidth count")?;
         let nbw = next::<1>(&mut cur)[0] as usize;
         need(cur, nbw, "bitwidths")?;
-        let mut bitwidths = Vec::with_capacity(nbw);
+        let mut bitwidths: Vec<Bitwidth> = Vec::with_capacity(nbw);
         for _ in 0..nbw {
             let bits = next::<1>(&mut cur)[0];
-            bitwidths.push(
-                Bitwidth::try_from(bits)
-                    .map_err(|e| StorageError::corrupt("manifest", e.to_string()))?,
-            );
+            let bw = Bitwidth::try_from(bits)
+                .map_err(|e| StorageError::corrupt("manifest", e.to_string()))?;
+            if bitwidths.last().is_some_and(|&last| last >= bw) {
+                return Err(StorageError::corrupt("manifest", "bitwidths not strictly ascending"));
+            }
+            bitwidths.push(bw);
         }
         need(cur, 4, "entry count")?;
         let nentries = u32::from_le_bytes(next(&mut cur)) as usize;
         let per_entry = 3 + config.heads * 12;
         need(cur, nentries * per_entry, "entries")?;
-        let mut entries = HashMap::with_capacity(nentries);
+        let mut manifest = Self::new(config, bitwidths);
         for _ in 0..nentries {
             let layer = u16::from_le_bytes(next(&mut cur));
             let bits = next::<1>(&mut cur)[0];
-            let locs: Vec<RecordLoc> = (0..config.heads)
+            let locs: Vec<RecordLoc> = (0..manifest.config.heads)
                 .map(|_| RecordLoc {
                     offset: u64::from_le_bytes(next(&mut cur)),
                     len: u32::from_le_bytes(next(&mut cur)),
                 })
                 .collect();
-            if layer as usize >= config.layers {
+            if layer as usize >= manifest.config.layers {
                 return Err(StorageError::corrupt("manifest", "entry layer out of range"));
             }
-            if entries.insert((layer, bits), locs).is_some() {
+            let file = Bitwidth::try_from(bits)
+                .ok()
+                .and_then(|bw| manifest.file_index(layer, bw))
+                .ok_or_else(|| {
+                    let reason = format!("entry bitwidth {bits} is not declared in the header");
+                    StorageError::corrupt("manifest", reason)
+                })?;
+            if !manifest.files[file].is_empty() {
                 return Err(StorageError::corrupt("manifest", "repeated (layer, bitwidth) entry"));
             }
+            manifest.files[file] = locs;
         }
         if !cur.is_empty() {
             return Err(StorageError::corrupt("manifest", "trailing bytes after the last entry"));
         }
-        Ok(Self { config, bitwidths, entries })
+        Ok(manifest)
     }
 }
 
@@ -329,6 +355,63 @@ mod tests {
         let err = Manifest::decode(&bytes).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }));
         assert!(err.to_string().contains("repeated"), "{err}");
+    }
+
+    /// One file's entry bytes: the key, then `M` locations of 100 bytes.
+    fn entry_bytes(layer: u16, bits: u8) -> Vec<u8> {
+        let mut entry = layer.to_le_bytes().to_vec();
+        entry.push(bits);
+        for s in 0..ModelConfig::tiny().heads as u64 {
+            entry.extend_from_slice(&(s * 100).to_le_bytes());
+            entry.extend_from_slice(&100u32.to_le_bytes());
+        }
+        entry
+    }
+
+    #[test]
+    fn decode_rejects_an_entry_at_an_undeclared_bitwidth() {
+        // A 2-bit-only manifest plus an extra (layer 0, 4-bit) entry.
+        let cfg = ModelConfig::tiny();
+        let mut m = Manifest::new(cfg.clone(), vec![Bitwidth::B2]);
+        for l in 0..cfg.layers as u16 {
+            let locs = (0..cfg.heads).map(|s| RecordLoc { offset: s as u64 * 100, len: 100 });
+            m.insert_layer(l, Bitwidth::B2, locs.collect());
+        }
+        let mut bytes = m.encode();
+        assert_eq!(Manifest::decode(&bytes).unwrap(), m);
+        let count_at = 29; // magic, version, config, one bitwidth
+        assert_eq!(bytes[count_at..count_at + 4], (cfg.layers as u32).to_le_bytes());
+        bytes[count_at..count_at + 4].copy_from_slice(&(cfg.layers as u32 + 1).to_le_bytes());
+        bytes.extend(entry_bytes(0, Bitwidth::B4.bits()));
+        let err = Manifest::decode(&bytes).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }));
+        assert!(err.to_string().contains("bitwidth 4 is not declared"), "{err}");
+        assert_eq!(m.file_index(0, Bitwidth::B4), None);
+        assert_eq!(m.locate(ShardId::new(0, 0), Bitwidth::B4), None);
+    }
+
+    #[test]
+    fn decode_rejects_bitwidths_out_of_order() {
+        // Swap the header's 2 and 6: the entries stay where they were.
+        let mut bytes = sample().encode();
+        assert_eq!(bytes[27..30], [2, 2, 6]);
+        bytes.swap(28, 29);
+        let err = Manifest::decode(&bytes).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }));
+        assert!(err.to_string().contains("ascending"), "{err}");
+    }
+
+    #[test]
+    fn file_indexes_are_dense_layer_major_then_bitwidth() {
+        let m = sample();
+        let cfg = ModelConfig::tiny();
+        let indexes: Vec<usize> = (0..cfg.layers as u16)
+            .flat_map(|l| m.bitwidths.iter().map(move |&bw| (l, bw)))
+            .map(|(l, bw)| m.file_index(l, bw).unwrap())
+            .collect();
+        assert_eq!(indexes, (0..cfg.layers * 2).collect::<Vec<_>>());
+        assert_eq!(m.file_index(cfg.layers as u16, Bitwidth::B2), None);
+        assert_eq!(m.file_index(0, Bitwidth::Full), None);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! - **An unwinding dispatch fails the scheduler.** A panicking load unwinds
 //!   on the thread that drove it, after marking the scheduler shut down, so
 //!   every other waiter gets [`StorageError::SchedulerShutdown`] instead of
-//!   hanging; `shutdown` and `Drop` set the same flag.
+//!   hanging; dropping the scheduler sets the same flag.
 //!
 //! **Two kinds of "channel".** An [`IoChannel`] is an engagement IO
 //! *lane*: one engagement's request stream, identified by the
@@ -61,12 +61,12 @@
 //!   sequence as [`FlashDispatchEvent`]s — one per serviced flash job, with
 //!   the lane's simulated arrival time, the device channel placement put it
 //!   on, and byte/cache-hit accounting — and that is all it does for this
-//!   track: the serving runtime's contention ledger (`sti-pipeline`) takes
-//!   the log ([`IoScheduler::flash_events`]) and replays it through the
-//!   per-channel queue simulator of `sti-device` to learn when each request
-//!   *would* have started and completed on the contended device. Nothing
-//!   of that feeds back into execution results; it exists for serving
-//!   reports, the SLO planner, and admission control.
+//!   track: the serving runtime's contention ledger (`sti-pipeline`) reads
+//!   the log in place ([`IoScheduler::with_event_logs`]) and replays it
+//!   through the per-channel queue simulator of `sti-device` to learn when
+//!   each request *would* have started and completed on the contended
+//!   device. Nothing of that feeds back into execution results; it exists
+//!   for serving reports, the SLO planner, and admission control.
 //!
 //! **Shared-IO batching** (matching rule and what it may change:
 //! [`crate::batcher`]): under [`IoSharing::Batched`], a dispatch may
@@ -192,33 +192,15 @@ impl std::fmt::Debug for IoScheduler {
 }
 
 impl IoScheduler {
-    /// Builds the scheduler with batching disabled (the seed behaviour) on
-    /// the single-channel topology ([`IoScheduler::spawn_topology`] takes
-    /// another). `cache` is shared across all channels.
-    pub fn spawn(source: Arc<dyn ShardSource>, flash: FlashModel, cache: Arc<ShardCache>) -> Self {
-        Self::spawn_batched(source, flash, cache, IoSharing::Exclusive)
-    }
-
-    /// Builds the scheduler with an explicit shared-IO mode: under
-    /// [`IoSharing::Batched`], byte-identical head-of-queue requests from
-    /// channels arriving within the window are coalesced into one fan-out
-    /// flash job (see [`crate::batcher`]).
-    pub fn spawn_batched(
-        source: Arc<dyn ShardSource>,
-        flash: FlashModel,
-        cache: Arc<ShardCache>,
-        sharing: IoSharing,
-    ) -> Self {
-        Self::spawn_topology(source, flash, cache, sharing, DeviceTopology::single())
-    }
-
-    /// Builds the scheduler over an explicit [`DeviceTopology`]: placement
-    /// resolves every request to a device channel, batching only coalesces
-    /// same-channel placements, and the contended track records each
-    /// dispatch's device channel for the replay to route by.
-    /// [`DeviceTopology::single`] reproduces
-    /// [`IoScheduler::spawn_batched`] bit-identically.
-    pub fn spawn_topology(
+    /// Builds the scheduler. Every load reads `source` through `cache`,
+    /// which all lanes share. Under [`IoSharing::Batched`], byte-identical
+    /// head-of-queue requests from lanes arriving within the window are
+    /// coalesced into one fan-out flash job (see [`crate::batcher`]);
+    /// [`IoSharing::Exclusive`] gives every request its own job. Placement
+    /// resolves every request to a device channel of `topology`, batching
+    /// only coalesces same-channel placements, and the contended track
+    /// records each dispatch's device channel for the replay to route by.
+    pub fn spawn(
         source: Arc<dyn ShardSource>,
         flash: FlashModel,
         cache: Arc<ShardCache>,
@@ -245,25 +227,14 @@ impl IoScheduler {
         Self { shared, topology }
     }
 
-    /// Opens a channel for one engagement arriving at simulated time zero.
-    /// Requests on the channel are serviced FIFO; distinct channels share
-    /// the flash round-robin.
-    pub fn channel(&self) -> IoChannel {
-        self.channel_at(SimTime::ZERO)
-    }
-
-    /// Opens a channel whose engagement arrives at `arrival` on the
+    /// Opens the lane of one engagement arriving at `arrival` on the
     /// simulated timeline — the arrival the contended track replays its
-    /// requests at. The uncontended track is unaffected. The lane stripes
-    /// at offset 0 (the only placement under a single-channel topology).
-    pub fn channel_at(&self, arrival: SimTime) -> IoChannel {
-        self.channel_striped_at(arrival, 0)
-    }
-
-    /// Opens a lane with an explicit stripe offset: each of its requests
-    /// is placed on device channel `channel_for(content_sig, stripe)`.
-    /// The stripe is normalized modulo the channel count, so under a
-    /// single-channel topology every lane stripes at 0.
+    /// requests at; the uncontended track is unaffected. Requests on the
+    /// lane are serviced FIFO; distinct lanes share the flash round-robin.
+    /// Each request is placed on device channel
+    /// `channel_for(content_sig, stripe)`. The stripe is normalized modulo
+    /// the channel count, so under a single-channel topology every lane
+    /// stripes at 0.
     pub fn channel_striped_at(&self, arrival: SimTime, stripe: u16) -> IoChannel {
         let id = self.shared.lock_state().lanes.open(arrival, stripe);
         IoChannel { shared: self.shared.clone(), id }
@@ -377,13 +348,6 @@ impl IoScheduler {
         }
     }
 
-    /// The speculative event log so far, in dispatch order (`bytes` =
-    /// flash-loaded into the pool, `hit_bytes` = pinned from the main
-    /// cache).
-    pub fn speculative_events(&self) -> Vec<FlashDispatchEvent> {
-        self.shared.lock_state().lanes.spec_log.clone()
-    }
-
     /// Drops the demand and the speculative event log. The logs otherwise
     /// grow by one entry per serviced request.
     pub fn clear_event_logs(&self) {
@@ -392,17 +356,15 @@ impl IoScheduler {
         state.lanes.spec_log.clear();
     }
 
-    /// The contended-track event log so far, in dispatch order.
-    pub fn flash_events(&self) -> Vec<FlashDispatchEvent> {
-        self.shared.lock_state().lanes.demand_log.clone()
-    }
-
-    /// Lends the demand and the speculative event logs, each in dispatch
-    /// order, to `read` without copying them. The scheduler's state lock is
-    /// held across `read`, so nothing dispatches meanwhile, and `read` must
-    /// not call back into this scheduler. A caller that takes locks of its
-    /// own inside `read` takes them after this one, and must never wait for
-    /// this scheduler while holding them.
+    /// Lends the demand (contended-track) and the speculative event logs,
+    /// each in dispatch order, to `read` without copying them; in the
+    /// speculative one, `bytes` were flash-loaded into the prefetch pool
+    /// and `hit_bytes` pinned from the main cache. This is the one way to
+    /// read the logs. The scheduler's state lock is held across `read`, so
+    /// nothing dispatches meanwhile, and `read` must not call back into
+    /// this scheduler. A caller that takes locks of its own inside `read`
+    /// takes them after this one, and must never wait for this scheduler
+    /// while holding them.
     pub fn with_event_logs<R>(
         &self,
         read: impl FnOnce(&[FlashDispatchEvent], &[FlashDispatchEvent]) -> R,
@@ -410,14 +372,10 @@ impl IoScheduler {
         let state = self.shared.lock_state();
         read(&state.lanes.demand_log, &state.lanes.spec_log)
     }
-
-    /// Shuts the scheduler down. A dispatch already running lands; queued
-    /// requests on still-open channels are abandoned.
-    pub fn shutdown(self) {
-        drop(self);
-    }
 }
 
+/// Dropping the scheduler shuts it down: a dispatch already running lands,
+/// and queued requests on still-open lanes are abandoned.
 impl Drop for IoScheduler {
     fn drop(&mut self) {
         self.shared.begin_shutdown();
@@ -534,7 +492,7 @@ mod tests {
     /// first dispatch (deterministic batching).
     pub(super) fn paused_sched(sharing: IoSharing, topology: DeviceTopology) -> IoScheduler {
         let (store, cache, flash) = fixture(0);
-        let sched = IoScheduler::spawn_topology(store, flash, cache, sharing, topology);
+        let sched = IoScheduler::spawn(store, flash, cache, sharing, topology);
         sched.pause_dispatch();
         sched
     }
@@ -542,8 +500,9 @@ mod tests {
     #[test]
     fn single_channel_is_fifo() {
         let (store, cache, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, cache);
-        let ch = sched.channel();
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
         // Layers 0 and 1 twice over, interleaved slices: strictly FIFO.
         let sequence = [(0u16, 0u16), (1, 0), (0, 1), (1, 1)];
         for &(layer, slice) in &sequence {
@@ -552,15 +511,15 @@ mod tests {
         for &(layer, _) in &sequence {
             assert_eq!(ch.recv().unwrap().layer, layer);
         }
-        sched.shutdown();
     }
 
     #[test]
     fn channels_are_independent_fifo_lanes() {
         let (store, cache, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, cache);
-        let a = sched.channel();
-        let b = sched.channel();
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
+        let a = sched.channel_striped_at(SimTime::ZERO, 0);
+        let b = sched.channel_striped_at(SimTime::ZERO, 0);
         for layer in 0..2u16 {
             a.request(request(layer, 0)).unwrap();
             b.request(request(layer, 1)).unwrap();
@@ -571,38 +530,38 @@ mod tests {
         assert_eq!(b.recv().unwrap().layer, 0);
         assert_eq!(b.recv().unwrap().layer, 1);
         assert_eq!(a.recv().unwrap().layer, 1);
-        sched.shutdown();
     }
 
     #[test]
     fn dropping_a_channel_releases_it() {
         let (store, cache, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, cache);
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
         // Dropped with its request queued: nobody drove it.
-        let ch = sched.channel();
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
         ch.request(request(0, 0)).unwrap();
         drop(ch);
         // Remaining channels keep working.
-        let other = sched.channel();
+        let other = sched.channel_striped_at(SimTime::ZERO, 0);
         other.request(request(0, 1)).unwrap();
         assert!(other.recv().is_ok());
         // Dropped while dispatch is paused: the queued request goes with
         // the lane, at once.
         sched.pause_dispatch();
-        let parked = sched.channel();
+        let parked = sched.channel_striped_at(SimTime::ZERO, 0);
         parked.request(request(0, 0)).unwrap();
         assert_eq!(sched.queued_requests(), 1);
         drop(parked);
         assert_eq!(sched.queued_requests(), 0);
-        sched.shutdown();
     }
 
     #[test]
     fn shutdown_surfaces_as_error_not_panic() {
         let (store, cache, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, cache);
-        let ch = sched.channel();
-        sched.shutdown();
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
+        drop(sched);
         assert!(matches!(ch.request(request(0, 0)), Err(StorageError::SchedulerShutdown)));
         assert!(matches!(ch.recv(), Err(StorageError::SchedulerShutdown)));
     }
@@ -632,8 +591,17 @@ mod tests {
         let (go, go_rx) = mpsc::channel();
         let source = PanickingSource { started: Mutex::new(started_tx), go: Mutex::new(go_rx) };
         let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
-        let sched = IoScheduler::spawn(Arc::new(source), flash, Arc::new(ShardCache::new(0)));
-        let (a, b) = (sched.channel(), sched.channel());
+        let sched = IoScheduler::spawn(
+            Arc::new(source),
+            flash,
+            Arc::new(ShardCache::new(0)),
+            IoSharing::Exclusive,
+            DeviceTopology::single(),
+        );
+        let (a, b) = (
+            sched.channel_striped_at(SimTime::ZERO, 0),
+            sched.channel_striped_at(SimTime::ZERO, 0),
+        );
         a.request(request(0, 0)).unwrap();
         b.request(request(1, 0)).unwrap();
         // A drives its own request, the first in round-robin order.
@@ -649,7 +617,7 @@ mod tests {
         let got = got.recv_timeout(Duration::from_secs(10)).expect("B is never stranded");
         assert!(matches!(got, Err(StorageError::SchedulerShutdown)));
         waiter.join().unwrap();
-        let late = sched.channel();
+        let late = sched.channel_striped_at(SimTime::ZERO, 0);
         assert!(matches!(late.request(request(0, 0)), Err(StorageError::SchedulerShutdown)));
     }
 
@@ -657,7 +625,8 @@ mod tests {
     fn identical_requests_coalesce_into_one_fanout_dispatch() {
         let sched =
             paused_sched(IoSharing::Batched(SimTime::from_us(1_000)), DeviceTopology::single());
-        let channels: Vec<IoChannel> = (0..4).map(|_| sched.channel()).collect();
+        let channels: Vec<IoChannel> =
+            (0..4).map(|_| sched.channel_striped_at(SimTime::ZERO, 0)).collect();
         for layer in 0..2u16 {
             for ch in &channels {
                 ch.request(request(layer, 0)).unwrap();
@@ -688,28 +657,24 @@ mod tests {
         assert_eq!(stats.batch.coalesced_requests, 6);
         assert_eq!(stats.batch.max_fanout, 4);
         assert_eq!(stats.batch.flash_bytes_saved, stats.bytes / 4 * 3, "3 of 4 copies saved");
-        let events = sched.flash_events();
+        let events = sched.with_event_logs(|demand, _| demand.to_vec());
         assert_eq!(events.len(), 2, "batched dispatches appear once in the event stream");
         assert!(events.iter().all(|e| e.fanout() == 4));
         // The log charges the bytes once: the flash pays a quarter of the
         // unbatched busy time.
         let logged = events.iter().fold(SimTime::ZERO, |sum, e| sum + e.io_delay);
         assert_eq!(logged * 4, stats.sim_flash_busy);
-        sched.shutdown();
     }
 
     #[test]
     fn failed_batch_delivers_an_error_to_every_member() {
         let (store, cache, flash) = fixture(0);
         store.remove(ShardKey::new(ShardId::new(1, 0), Bitwidth::B2));
-        let sched = IoScheduler::spawn_batched(
-            store,
-            flash,
-            cache,
-            IoSharing::Batched(SimTime::from_us(1_000)),
-        );
+        let batched = IoSharing::Batched(SimTime::from_us(1_000));
+        let sched = IoScheduler::spawn(store, flash, cache, batched, DeviceTopology::single());
         sched.pause_dispatch();
-        let channels: Vec<IoChannel> = (0..3).map(|_| sched.channel()).collect();
+        let channels: Vec<IoChannel> =
+            (0..3).map(|_| sched.channel_striped_at(SimTime::ZERO, 0)).collect();
         for ch in &channels {
             ch.request(request(1, 0)).unwrap(); // the missing shard
             ch.request(request(0, 0)).unwrap(); // a healthy follow-up
@@ -720,13 +685,12 @@ mod tests {
             let ok = ch.recv().unwrap();
             assert_eq!(ok.layer, 0, "FIFO: the healthy request still lands after the error");
         }
-        sched.shutdown();
     }
 
     #[test]
     fn pause_holds_work_and_resume_releases_it() {
         let sched = paused_sched(IoSharing::Exclusive, DeviceTopology::single());
-        let ch = sched.channel();
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
         ch.request(request(0, 0)).unwrap();
         std::thread::scope(|s| {
             let parked = s.spawn(|| ch.recv());
@@ -743,6 +707,5 @@ mod tests {
         assert_eq!(sched.drive_unless_paused(), 0);
         assert_eq!(sched.drive_queued(), 1);
         assert_eq!(ch.recv().unwrap().layer, 1);
-        sched.shutdown();
     }
 }

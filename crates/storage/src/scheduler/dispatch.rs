@@ -238,8 +238,9 @@ mod tests {
     #[test]
     fn a_request_loads_its_items_in_order_and_an_empty_one_costs_nothing() {
         let (store, cache, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, cache);
-        let ch = sched.channel();
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
         let items = vec![(0, Bitwidth::B2), (1, Bitwidth::B6), (2, Bitwidth::B2)];
         ch.request(LayerRequest { layer: 0, items }).unwrap();
         ch.request(LayerRequest { layer: 0, items: vec![] }).unwrap();
@@ -250,38 +251,48 @@ mod tests {
         assert!(loaded.bytes > 0 && loaded.io_delay > SimTime::ZERO);
         let empty = ch.recv().unwrap();
         assert_eq!((empty.bytes, empty.io_delay), (0, SimTime::ZERO));
-        sched.shutdown();
     }
 
     #[test]
     fn io_delay_is_independent_of_concurrency() {
         let (store, cache, flash) = fixture(0);
         // Alone.
-        let sched = IoScheduler::spawn(store.clone(), flash, cache.clone());
-        let ch = sched.channel();
+        let sched = IoScheduler::spawn(
+            store.clone(),
+            flash,
+            cache.clone(),
+            IoSharing::Exclusive,
+            DeviceTopology::single(),
+        );
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
         ch.request(request(0, 0)).unwrap();
         let alone = ch.recv().unwrap();
-        sched.shutdown();
         // Next to a busy neighbour.
-        let sched = IoScheduler::spawn(store, flash, cache);
-        let noisy = sched.channel();
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
+        let noisy = sched.channel_striped_at(SimTime::ZERO, 0);
         for _ in 0..4 {
             noisy.request(request(1, 0)).unwrap();
         }
-        let ch = sched.channel();
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
         ch.request(request(0, 0)).unwrap();
         let contended = ch.recv().unwrap();
         assert_eq!(alone.io_delay, contended.io_delay);
         assert_eq!(alone.bytes, contended.bytes);
-        sched.shutdown();
     }
 
     #[test]
     fn shared_cache_absorbs_redundant_reads() {
         let (store, cache, flash) = fixture(1 << 20);
-        let sched = IoScheduler::spawn(store, flash, cache.clone());
-        let a = sched.channel();
-        let b = sched.channel();
+        let sched = IoScheduler::spawn(
+            store,
+            flash,
+            cache.clone(),
+            IoSharing::Exclusive,
+            DeviceTopology::single(),
+        );
+        let a = sched.channel_striped_at(SimTime::ZERO, 0);
+        let b = sched.channel_striped_at(SimTime::ZERO, 0);
         a.request(request(0, 0)).unwrap();
         a.recv().unwrap();
         b.request(request(0, 0)).unwrap();
@@ -292,11 +303,10 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
         // The contended track saw the residency: the second request's bytes
         // were all cache hits.
-        let events = sched.flash_events();
+        let events = sched.with_event_logs(|demand, _| demand.to_vec());
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].hit_bytes, 0);
         assert_eq!(events[1].hit_bytes, events[1].bytes);
-        sched.shutdown();
     }
 
     #[test]
@@ -304,9 +314,10 @@ mod tests {
         let (store, cache, flash) = fixture(0);
         // Both lanes queue before the first pick, so the first dispatch
         // observes both channels with work.
-        let sched = IoScheduler::spawn(store, flash, cache);
-        let a = sched.channel();
-        let b = sched.channel();
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
+        let a = sched.channel_striped_at(SimTime::ZERO, 0);
+        let b = sched.channel_striped_at(SimTime::ZERO, 0);
         for layer in 0..2u16 {
             a.request(request(layer, 0)).unwrap();
             b.request(request(layer, 1)).unwrap();
@@ -320,21 +331,20 @@ mod tests {
         assert!(stats.bytes > 0);
         assert!(stats.sim_flash_busy > SimTime::ZERO);
         assert!(stats.max_queue_depth >= 2, "two channels queued concurrently");
-        sched.shutdown();
     }
 
     #[test]
     fn errors_surface_on_the_right_channel() {
         let (store, cache, flash) = fixture(0);
         store.remove(ShardKey::new(ShardId::new(1, 0), Bitwidth::B2));
-        let sched = IoScheduler::spawn(store, flash, cache);
-        let ok = sched.channel();
-        let bad = sched.channel();
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
+        let ok = sched.channel_striped_at(SimTime::ZERO, 0);
+        let bad = sched.channel_striped_at(SimTime::ZERO, 0);
         ok.request(request(0, 0)).unwrap();
         bad.request(request(1, 0)).unwrap();
         assert!(ok.recv().is_ok());
         assert!(bad.recv().is_err());
-        sched.shutdown();
     }
 
     #[test]
@@ -348,7 +358,7 @@ mod tests {
         sched.resume_dispatch();
         a.recv().unwrap();
         b.recv().unwrap();
-        let events = sched.flash_events();
+        let events = sched.with_event_logs(|demand, _| demand.to_vec());
         assert_eq!(events.len(), 2);
         let sig = request(0, 0).content_sig();
         assert_eq!(events[0].device_channel, topo.channel_for(sig, 0));
@@ -362,7 +372,6 @@ mod tests {
             .collect();
         assert_eq!(busy.len(), 4, "every device channel has instruments");
         assert_eq!(busy.iter().filter(|&&v| v > 0).count(), 2);
-        sched.shutdown();
         // Single-channel schedulers mint no per-channel instruments.
         let single = paused_sched(IoSharing::Exclusive, DeviceTopology::single());
         let snap = single.metrics_snapshot();
@@ -381,77 +390,92 @@ mod tests {
     fn speculative_job_stages_into_pool_without_touching_demand_state() {
         let (store, _, flash) = fixture(0);
         let cache = Arc::new(ShardCache::with_prefetch_pool(1 << 20, 1 << 20));
-        let sched = IoScheduler::spawn(store, flash, cache.clone());
+        let sched = IoScheduler::spawn(
+            store,
+            flash,
+            cache.clone(),
+            IoSharing::Exclusive,
+            DeviceTopology::single(),
+        );
         sched.pause_dispatch();
         sched.submit_speculative(spec_job(vec![spec_key(0, 0)]));
         assert_eq!(sched.drive_queued(), 1);
         // The stage landed in the pool; the demand log, demand counters,
         // and main cache saw nothing.
-        let spec = sched.speculative_events();
+        let spec = sched.with_event_logs(|_, spec| spec.to_vec());
         assert_eq!(spec.len(), 1);
         assert!(spec[0].bytes > 0, "cold shard was flash-loaded");
         assert_eq!(spec[0].hit_bytes, 0, "nothing was pinned");
         assert_eq!(spec[0].channel, 42);
-        assert!(sched.flash_events().is_empty());
+        assert!(sched.with_event_logs(|demand, _| demand.to_vec()).is_empty());
         assert_eq!(sched.stats().requests, 0);
         assert!(cache.is_empty());
         assert!(cache.prefetch_stats().staged_flash_bytes > 0);
         assert_eq!(sched.drive_queued(), 0, "the job left the queue");
-        sched.shutdown();
     }
 
     #[test]
     fn demand_always_dispatches_before_queued_speculation() {
         let (store, _, flash) = fixture(0);
         let cache = Arc::new(ShardCache::with_prefetch_pool(1 << 20, 1 << 20));
-        let sched = IoScheduler::spawn(store, flash, cache.clone());
+        let sched = IoScheduler::spawn(
+            store,
+            flash,
+            cache.clone(),
+            IoSharing::Exclusive,
+            DeviceTopology::single(),
+        );
         sched.pause_dispatch();
         // Speculation submitted *first*, demand for the same shard second.
         sched.submit_speculative(spec_job(vec![spec_key(0, 0)]));
-        let ch = sched.channel();
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
         ch.request(request(0, 0)).unwrap();
         sched.drive_queued();
         ch.recv().unwrap();
         // Demand won the race: it flash-loaded the shard into the main
         // cache, so the later speculative dispatch found it resident and
         // *pinned* it instead of reading flash.
-        let spec = sched.speculative_events();
+        let spec = sched.with_event_logs(|_, spec| spec.to_vec());
         assert_eq!(spec.len(), 1);
         assert_eq!(spec[0].bytes, 0, "no speculative flash read");
         assert!(spec[0].hit_bytes > 0, "shard was pinned from the main cache");
         assert_eq!(cache.prefetch_stats().staged_flash_bytes, 0);
-        sched.shutdown();
     }
 
     #[test]
     fn speculative_stage_serves_a_later_demand_miss_as_resident() {
         let (store, _, flash) = fixture(0);
         let cache = Arc::new(ShardCache::with_prefetch_pool(1 << 20, 1 << 20));
-        let sched = IoScheduler::spawn(store, flash, cache.clone());
+        let sched = IoScheduler::spawn(
+            store,
+            flash,
+            cache.clone(),
+            IoSharing::Exclusive,
+            DeviceTopology::single(),
+        );
         sched.pause_dispatch();
         sched.submit_speculative(spec_job(vec![spec_key(0, 0)]));
         sched.drive_queued();
         // The prediction comes true: the demand request's bytes are
         // resident on the contended track.
-        let ch = sched.channel();
+        let ch = sched.channel_striped_at(SimTime::ZERO, 0);
         ch.request(request(0, 0)).unwrap();
         sched.drive_queued();
         ch.recv().unwrap();
-        let events = sched.flash_events();
+        let events = sched.with_event_logs(|demand, _| demand.to_vec());
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].hit_bytes, events[0].bytes, "promoted stage counts as resident");
         assert!(cache.prefetch_stats().hit_bytes > 0);
-        sched.shutdown();
     }
 
     #[test]
     fn speculation_a_cache_has_no_pool_for_is_a_silent_no_op() {
         let (store, cache, flash) = fixture(0);
-        let sched = IoScheduler::spawn(store, flash, cache);
+        let sched =
+            IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
         sched.pause_dispatch();
         sched.submit_speculative(spec_job(vec![spec_key(0, 0)]));
         sched.drive_queued();
-        assert!(sched.speculative_events().is_empty());
-        sched.shutdown();
+        assert!(sched.with_event_logs(|_, spec| spec.to_vec()).is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! The on-disk shard store.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
@@ -72,14 +72,20 @@ pub trait ShardSource: Send + Sync {
 /// payload instead of decoding a second copy, and a load once every holder
 /// has dropped it reads the record again. The index is sized once for the
 /// manifest's keys.
+///
+/// One key space: file handles sit at [`Manifest::file_index`] and payload
+/// slots at `file_index · M + slice`, so a key the manifest does not
+/// declare (an undeclared bitwidth, a layer or slice outside the model
+/// shape) is [`StorageError::MissingShard`] from `load` and `size_bytes`
+/// alike.
 #[derive(Debug)]
 pub struct ShardStore {
     dir: PathBuf,
     manifest: Manifest,
-    /// One slot per `(layer, bitwidth bits)` the manifest promises, filled
-    /// by the first read of that file. A failed open is not remembered, so
-    /// a missing file fails every read of it and no other.
-    files: HashMap<(u16, u8), OnceLock<fs::File>>,
+    /// One handle per layer file, at [`Manifest::file_index`], filled by
+    /// the first read of that file. A failed open is not remembered, so a
+    /// missing file fails every read of it and no other.
+    files: Vec<OnceLock<fs::File>>,
     /// What every load consults before it reads.
     index: Mutex<PayloadIndex>,
 }
@@ -89,7 +95,8 @@ pub struct ShardStore {
 /// payload bytes alive.
 #[derive(Debug)]
 struct PayloadIndex {
-    /// One slot per key, at [`ShardStore::slot`]; sized once, never grown.
+    /// One slot per key, at `file_index · M + slice`; sized once, never
+    /// grown.
     slots: Vec<WeakBlob>,
     /// Publishes since dead slots were last swept.
     published: usize,
@@ -175,13 +182,9 @@ impl ShardStore {
     }
 
     fn over(dir: PathBuf, manifest: Manifest) -> Self {
-        let layers = 0..manifest.config.layers as u16;
-        let files = layers
-            .flat_map(|l| {
-                manifest.bitwidths.iter().map(move |bw| ((l, bw.bits()), OnceLock::new()))
-            })
-            .collect();
-        let keys = manifest.config.total_shards() * manifest.bitwidths.len();
+        let file_count = manifest.config.layers * manifest.bitwidths.len();
+        let keys = file_count * manifest.config.heads;
+        let files = (0..file_count).map(|_| OnceLock::new()).collect();
         let index = PayloadIndex { slots: vec![WeakBlob::default(); keys], published: 0 };
         Self { dir, manifest, files, index: Mutex::new(index) }
     }
@@ -211,36 +214,34 @@ impl ShardStore {
         &self.dir
     }
 
-    /// `key`'s index slot, in `(layer, slice, bitwidth)` order over the
-    /// manifest's shape, or `None` for a key the store does not hold.
-    fn slot(&self, key: ShardKey) -> Option<usize> {
-        let cfg = &self.manifest.config;
-        let (layer, slice) = (key.id.layer as usize, key.id.slice as usize);
-        let bitwidths = &self.manifest.bitwidths;
-        let bw = bitwidths.iter().position(|&b| b == key.bitwidth)?;
-        (layer < cfg.layers && slice < cfg.heads)
-            .then(|| (layer * cfg.heads + slice) * bitwidths.len() + bw)
+    /// `key`'s file index and payload slot (`file · M + slice`), with its
+    /// record's location, or `None` for a key the manifest does not declare.
+    fn slot(&self, key: ShardKey) -> Option<(usize, usize, RecordLoc)> {
+        let file = self.manifest.file_index(key.id.layer, key.bitwidth)?;
+        let loc = self.manifest.locate(key.id, key.bitwidth)?;
+        Some((file, file * self.manifest.config.heads + key.id.slice as usize, loc))
     }
 
     /// Reads, verifies and decodes one shard record: one positional read on
-    /// the layer file's cached handle.
-    fn read_record(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
-        let missing = StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() };
-        let Some(loc) = self.manifest.locate(key.id, key.bitwidth) else { return Err(missing) };
-        let Some(slot) = self.files.get(&(key.id.layer, key.bitwidth.bits())) else {
-            return Err(missing);
-        };
-        let file = match slot.get() {
-            Some(file) => file,
+    /// the cached handle of layer file `file`.
+    fn read_record(
+        &self,
+        key: ShardKey,
+        file: usize,
+        loc: RecordLoc,
+    ) -> Result<QuantizedBlob, StorageError> {
+        let handle = &self.files[file];
+        let fd = match handle.get() {
+            Some(fd) => fd,
             None => {
                 let name = Manifest::layer_file_name(key.id.layer, key.bitwidth);
                 let opened = fs::File::open(self.dir.join(name))?;
                 // Two first readers may both open; one handle is kept.
-                slot.get_or_init(|| opened)
+                handle.get_or_init(|| opened)
             }
         };
         let mut record = vec![0u8; loc.len as usize];
-        file.read_exact_at(&mut record, loc.offset)?;
+        fd.read_exact_at(&mut record, loc.offset)?;
         Ok(format::decode_blob(&record)?.0)
     }
 
@@ -276,14 +277,14 @@ impl ShardStore {
 
 impl ShardSource for ShardStore {
     fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
-        let Some(slot) = self.slot(key) else {
+        let Some((file, slot, loc)) = self.slot(key) else {
             return Err(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() });
         };
         if let Some(live) = self.index.lock().slots[slot].upgrade() {
             return Ok(live);
         }
         // Read and decode outside the lock: a miss never stalls a lookup.
-        let blob = self.read_record(key)?;
+        let blob = self.read_record(key, file, loc)?;
         Ok(self.index.lock().publish(slot, blob))
     }
 
@@ -416,6 +417,37 @@ mod tests {
     }
 
     #[test]
+    fn load_and_size_bytes_answer_for_one_key_set() {
+        let (store, model, dir) = tiny_store("keys");
+        let cfg = model.config();
+        let missing = |key: ShardKey| {
+            let is_missing = |r: Result<(), StorageError>| {
+                matches!(r, Err(StorageError::MissingShard { id, bits })
+                    if id == key.id && bits == key.bitwidth.bits())
+            };
+            is_missing(store.load(key).map(drop)) && is_missing(store.size_bytes(key).map(drop))
+        };
+        for id in cfg.shard_ids() {
+            for bw in Bitwidth::ALL {
+                let key = ShardKey::new(id, bw);
+                if store.manifest().bitwidths.contains(&bw) {
+                    let blob = store.load(key).unwrap();
+                    assert_eq!(store.size_bytes(key).unwrap(), blob.byte_size() as u64);
+                } else {
+                    assert!(missing(key), "{key:?} has an undeclared bitwidth");
+                }
+            }
+        }
+        let (layers, heads) = (cfg.layers as u16, cfg.heads as u16);
+        for id in [ShardId::new(layers, 0), ShardId::new(0, heads), ShardId::new(layers, heads)] {
+            for &bw in &store.manifest().bitwidths {
+                assert!(missing(ShardKey::new(id, bw)), "{id:?} is outside the model shape");
+            }
+        }
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
     fn layer_files_are_opened_once_and_read_from_many_threads() {
         let (store, model, dir) = tiny_store("handles");
         let key = ShardKey::new(ShardId::new(1, 3), Bitwidth::B2);
@@ -464,7 +496,7 @@ mod tests {
             .shard_ids()
             .flat_map(|id| store.manifest().bitwidths.iter().map(move |&bw| ShardKey::new(id, bw)))
             .collect();
-        let mut slots: Vec<usize> = keys.iter().map(|&key| store.slot(key).unwrap()).collect();
+        let mut slots: Vec<usize> = keys.iter().map(|&key| store.slot(key).unwrap().1).collect();
         slots.sort_unstable();
         assert_eq!(slots, (0..keys.len()).collect::<Vec<_>>(), "one slot per key");
         assert_eq!(store.index.lock().slots.capacity(), keys.len());

@@ -65,9 +65,11 @@ fn the_window_boundary_is_the_same_in_the_scheduler_and_the_predictor() {
     for (apart, shared) in [(window, true), (window + SimTime::from_us(1), false)] {
         // The scheduler, with both requests queued before the first dispatch.
         let cache = Arc::new(ShardCache::new(0));
-        let sched = IoScheduler::spawn_batched(source.clone(), hw.flash, cache, sharing);
+        let topology = DeviceTopology::single();
+        let sched = IoScheduler::spawn(source.clone(), hw.flash, cache, sharing, topology);
         sched.pause_dispatch();
-        let lanes = [sched.channel_at(SimTime::ZERO), sched.channel_at(apart)];
+        let lanes =
+            [sched.channel_striped_at(SimTime::ZERO, 0), sched.channel_striped_at(apart, 0)];
         for lane in &lanes {
             lane.request(request.clone()).unwrap();
         }
@@ -75,10 +77,9 @@ fn the_window_boundary_is_the_same_in_the_scheduler_and_the_predictor() {
         for lane in &lanes {
             lane.recv().unwrap();
         }
-        let fanouts: Vec<usize> =
-            sched.flash_events().iter().map(FlashDispatchEvent::fanout).collect();
+        let fanouts: Vec<usize> = sched
+            .with_event_logs(|demand, _| demand.iter().map(FlashDispatchEvent::fanout).collect());
         assert_eq!(fanouts, if shared { vec![2] } else { vec![1, 1] }, "{apart} apart");
-        sched.shutdown();
 
         // The predictor: the later engagement against the earlier one.
         let mix = ServingMix::from_co_runners(&[CoRunnerLoad::from_plan(&hw, &plan)], sharing);

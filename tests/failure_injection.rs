@@ -218,8 +218,9 @@ fn scheduler_shutdown_mid_burst_halts_the_event_loop_cleanly() {
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
     // Event-host mode: the loop is the only dispatcher.
     let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
-    let sched = IoScheduler::spawn(store, flash, Arc::new(ShardCache::new(0)));
-    let channel = sched.channel();
+    let (cache, topology) = (Arc::new(ShardCache::new(0)), DeviceTopology::single());
+    let sched = IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, topology);
+    let channel = sched.channel_striped_at(SimTime::ZERO, 0);
 
     struct Ctx {
         sched: Option<IoScheduler>,
@@ -271,7 +272,7 @@ fn scheduler_shutdown_mid_burst_halts_the_event_loop_cleanly() {
         fn tick(&mut self, now: SimTime, sys: &mut System<'_, Ctx>) -> Option<SimTime> {
             sys.ctx.log.push((1, now));
             sys.ctx.channel.request(request(1)).unwrap();
-            sys.ctx.sched.take().expect("first shutdown").shutdown();
+            drop(sys.ctx.sched.take().expect("first shutdown"));
             None
         }
     }

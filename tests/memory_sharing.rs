@@ -393,6 +393,44 @@ fn a_bare_replay_does_not_assemble_the_span_stream() {
     );
 }
 
+/// What reading a prefetch-on server's totals requests on the calling
+/// thread: `metrics_snapshot` and `prefetch_report` each sum the
+/// speculative dispatch log where it lies, so the bytes they request do not
+/// grow with the log — 15 375 B at 100 speculative jobs and at 400. Each
+/// used to copy the whole log: 29 775 B at 100 jobs, 72 975 B at 400.
+#[test]
+fn reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log() {
+    let _guard = serialised();
+    let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
+    let serve = ServeConfig {
+        preload_bytes: 0,
+        shard_cache_bytes: 1 << 10,
+        prefetch: PrefetchConfig::markov(64 << 10),
+        ..ServeConfig::default()
+    };
+    let server = build_server(&ctx, &serve);
+    let session = server.session().unwrap();
+    let jobs = || server.prefetch_report().expect("prefetch is on").jobs;
+    let read_totals = || {
+        thread_bytes_requested_across(|| (server.metrics_snapshot(), server.prefetch_report())).1
+    };
+    let read_at = |n: u64| {
+        while jobs() < n {
+            session.infer(&[1, 2, 3]).unwrap();
+        }
+        // The first read names the `prefetch.*` gauges; the second is the pin.
+        read_totals();
+        (jobs(), read_totals())
+    };
+    let (short, at_short) = read_at(100);
+    let (long, at_long) = read_at(400);
+    assert!(long >= 4 * short, "the log grew from {short} to {long} speculative jobs");
+    assert_eq!(
+        at_long, at_short,
+        "reading the totals requested {at_short} B at {short} speculative jobs, {at_long} B at {long}"
+    );
+}
+
 /// What the compute half of one warm engagement requests on the calling
 /// thread, for a plan that streams every shard of all 12 × 12 at the
 /// shipped scale. The executor decodes each shard half by half into one

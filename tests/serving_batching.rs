@@ -146,10 +146,11 @@ fn replay_workload(
     policy: IoSharing,
     workload: &[(SimTime, Vec<LayerRequest>)],
 ) -> (Vec<Vec<LoadedLayer>>, Vec<FlashDispatchEvent>) {
-    let sched = IoScheduler::spawn_batched(store, flash, Arc::new(ShardCache::new(0)), policy);
+    let cache = Arc::new(ShardCache::new(0));
+    let sched = IoScheduler::spawn(store, flash, cache, policy, DeviceTopology::single());
     sched.pause_dispatch();
     let channels: Vec<IoChannel> =
-        workload.iter().map(|(arrival, _)| sched.channel_at(*arrival)).collect();
+        workload.iter().map(|(arrival, _)| sched.channel_striped_at(*arrival, 0)).collect();
     for ((_, requests), channel) in workload.iter().zip(&channels) {
         for request in requests {
             channel.request(request.clone()).unwrap();
@@ -161,8 +162,7 @@ fn replay_workload(
         .zip(&channels)
         .map(|((_, requests), channel)| requests.iter().map(|_| channel.recv().unwrap()).collect())
         .collect();
-    let events = sched.flash_events();
-    sched.shutdown();
+    let events = sched.with_event_logs(|demand, _| demand.to_vec());
     (received, events)
 }
 

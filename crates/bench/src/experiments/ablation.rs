@@ -59,8 +59,8 @@ fn two_pass_ablation() -> String {
         };
         let two_pass = plan_io(&inputs);
         let greedy = plan_io_greedy_only(&inputs);
-        let (acc_two, _) = ctx.evaluate_plan(&two_pass);
-        let (acc_greedy, _) = ctx.evaluate_plan(&greedy);
+        let (acc_two, _) = ctx.evaluate_plan(&two_pass.layers);
+        let (acc_greedy, _) = ctx.evaluate_plan(&greedy.layers);
         t.row([
             kind.name().to_string(),
             pct(acc_two),
@@ -103,32 +103,21 @@ fn io_grain_ablation() -> String {
 /// Ablation 4: the deeper-on-ties rule of compute planning (§5.3).
 fn depth_tie_ablation() -> String {
     let ctx = harness::context(TaskKind::Sst2);
-    let cfg = ctx.task().model().config().clone();
     let importance = ctx.importance();
     // Equal-shard-count candidates: 8x3, 4x6, 2x12 all execute 24 shards.
     let shapes = [(8usize, 3usize), (4, 6), (2, 12)];
     let mut t = TextTable::new(["shape", "shards", "accuracy (6-bit uniform)"]);
     for (n, m) in shapes {
         let slices = importance.top_slices_per_layer(n, m);
-        let layers = (0..n)
+        let layers: Vec<_> = (0..n)
             .map(|l| sti_planner::PlannedLayer {
                 layer: l as u16,
                 slices: slices[l].clone(),
                 bitwidths: vec![Bitwidth::B6; m],
             })
             .collect();
-        let plan = ExecutionPlan {
-            shape: SubmodelShape::new(n, m),
-            layers,
-            preload: vec![],
-            target: SimTime::from_ms(0),
-            preload_budget_bytes: 0,
-            aib_satisfied: true,
-            predicted: simulate_pipeline(&[], SimTime::ZERO),
-        };
-        let (acc, _) = ctx.evaluate_plan(&plan);
+        let (acc, _) = ctx.evaluate_plan(&layers);
         t.row([format!("{n}x{m}"), (n * m).to_string(), pct(acc)]);
-        let _ = cfg;
     }
     format!(
         "[4] Depth-vs-width at equal FLOPs (24 shards, SST-2): the planner's prefer-deeper\n\

@@ -7,7 +7,7 @@
 
 use sti::prelude::*;
 use sti::TaskContext;
-use sti_planner::{PlannedLayer, SubmodelShape};
+use sti_planner::PlannedLayer;
 use sti_tensor::Rng;
 
 use crate::harness;
@@ -23,30 +23,22 @@ const RANDOM_SEEDS: u64 = 5;
 const UPGRADES: [usize; 3] = [1, 6, 13];
 const PAPER_MB: [f64; 3] = [0.4, 2.0, 4.0];
 
-fn base_plan(ctx: &TaskContext) -> ExecutionPlan {
+/// The `DEPTH x WIDTH` submodel of the most important slices, all 2-bit.
+fn base_layers(ctx: &TaskContext) -> Vec<PlannedLayer> {
     let importance = ctx.importance();
     let slices = importance.top_slices_per_layer(DEPTH, WIDTH);
-    let layers = (0..DEPTH)
+    (0..DEPTH)
         .map(|l| PlannedLayer {
             layer: l as u16,
             slices: slices[l].clone(),
             bitwidths: vec![Bitwidth::B2; WIDTH],
         })
-        .collect();
-    ExecutionPlan {
-        shape: SubmodelShape::new(DEPTH, WIDTH),
-        layers,
-        preload: vec![],
-        target: SimTime::from_ms(0),
-        preload_budget_bytes: 0,
-        aib_satisfied: true,
-        predicted: sti_planner::simulate_pipeline(&[], SimTime::ZERO),
-    }
+        .collect()
 }
 
-fn in_submodel(plan: &ExecutionPlan) -> Vec<(usize, usize)> {
+fn in_submodel(layers: &[PlannedLayer]) -> Vec<(usize, usize)> {
     let mut cells = Vec::new();
-    for (l, pl) in plan.layers.iter().enumerate() {
+    for (l, pl) in layers.iter().enumerate() {
         for pos in 0..pl.slices.len() {
             cells.push((l, pos));
         }
@@ -54,29 +46,29 @@ fn in_submodel(plan: &ExecutionPlan) -> Vec<(usize, usize)> {
     cells
 }
 
-fn upgraded(plan: &ExecutionPlan, cells: &[(usize, usize)]) -> ExecutionPlan {
-    let mut out = plan.clone();
+fn upgraded(layers: &[PlannedLayer], cells: &[(usize, usize)]) -> Vec<PlannedLayer> {
+    let mut out = layers.to_vec();
     for &(l, pos) in cells {
-        out.layers[l].bitwidths[pos] = Bitwidth::B6;
+        out[l].bitwidths[pos] = Bitwidth::B6;
     }
     out
 }
 
-fn accuracy_random(ctx: &TaskContext, plan: &ExecutionPlan, k: usize) -> f64 {
-    let cells = in_submodel(plan);
+fn accuracy_random(ctx: &TaskContext, layers: &[PlannedLayer], k: usize) -> f64 {
+    let cells = in_submodel(layers);
     let mut total = 0.0;
     for seed in 0..RANDOM_SEEDS {
         let mut rng = Rng::new(0xAB1E + seed);
         let mut pick = cells.clone();
         rng.shuffle(&mut pick);
         pick.truncate(k);
-        let (acc, _) = ctx.evaluate_plan(&upgraded(plan, &pick));
+        let (acc, _) = ctx.evaluate_plan(&upgraded(layers, &pick));
         total += acc;
     }
     total / RANDOM_SEEDS as f64
 }
 
-fn accuracy_ours(ctx: &TaskContext, plan: &ExecutionPlan, k: usize) -> f64 {
+fn accuracy_ours(ctx: &TaskContext, layers: &[PlannedLayer], k: usize) -> f64 {
     let importance = ctx.importance();
     let mut chosen = Vec::new();
     for id in importance.ranking() {
@@ -87,11 +79,11 @@ fn accuracy_ours(ctx: &TaskContext, plan: &ExecutionPlan, k: usize) -> f64 {
         if l >= DEPTH {
             continue;
         }
-        if let Some(pos) = plan.layers[l].slices.iter().position(|&s| s == id.slice) {
+        if let Some(pos) = layers[l].slices.iter().position(|&s| s == id.slice) {
             chosen.push((l, pos));
         }
     }
-    let (acc, _) = ctx.evaluate_plan(&upgraded(plan, &chosen));
+    let (acc, _) = ctx.evaluate_plan(&upgraded(layers, &chosen));
     acc
 }
 
@@ -107,12 +99,12 @@ pub fn run() -> String {
     });
     let mut gains = Vec::new();
     for (kind, ctx) in &contexts {
-        let plan = base_plan(ctx);
+        let layers = base_layers(ctx);
         let mut rand_row = vec![kind.name().to_string(), "Random".to_string()];
         let mut ours_row = vec![String::new(), "Ours".to_string()];
         for k in UPGRADES {
-            let r = accuracy_random(ctx, &plan, k);
-            let o = accuracy_ours(ctx, &plan, k);
+            let r = accuracy_random(ctx, &layers, k);
+            let o = accuracy_ours(ctx, &layers, k);
             gains.push((o - r) * 100.0);
             rand_row.push(pct(r));
             ours_row.push(pct(o));

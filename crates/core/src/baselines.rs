@@ -11,12 +11,19 @@
 //! | `PreloadModel(X)` | whole model | one bitwidth X | compute only |
 //! | `Sti` | small buffer | per-shard bitwidths | pipelined |
 //! | `StiNoPreload` | none | per-shard bitwidths | pipelined |
+//!
+//! Every baseline's plan is built by [`ExecutionPlan::new`], so its
+//! predicted timeline comes from the same per-layer IO jobs the planner's
+//! own plans and the contended predictors use. `LoadAndExec` is the one
+//! exception to the pipelined timeline: it folds the constructor's IO and
+//! compute totals into one sequential stage (all IO, then all compute).
 
 use sti_device::{HwProfile, SimTime};
 use sti_planner::compute_plan::dynabert_widths_for;
-use sti_planner::schedule::{sequential_makespan, simulate_pipeline, LayerTiming};
+use sti_planner::schedule::{simulate_pipeline, LayerTiming};
 use sti_planner::{plan_compute, ExecutionPlan, ImportanceProfile, PlannedLayer, SubmodelShape};
 use sti_quant::Bitwidth;
+use sti_transformer::ShardId;
 
 /// A model-execution strategy under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,80 +105,36 @@ impl Baseline {
             Baseline::PreloadModel(bw) => {
                 // Compute-only: same stage-1 search as STI, no IO at all.
                 let choice = plan_compute(hw, max_layers, target, &widths);
-                let shape = choice.shape;
-                let layers = uniform_layers(shape, *bw);
+                let layers = uniform_layers(choice.shape, *bw);
                 // Everything is already in memory: model the whole submodel
                 // as preloaded.
                 let preload = layers
                     .iter()
-                    .flat_map(|pl| {
-                        pl.items()
-                            .map(move |(s, b)| (sti_transformer::ShardId::new(pl.layer, s), b))
-                    })
+                    .flat_map(|pl| pl.items().map(move |(s, b)| (ShardId::new(pl.layer, s), b)))
                     .collect();
-                let timings: Vec<LayerTiming> = (0..shape.depth)
-                    .map(|_| LayerTiming { io: SimTime::ZERO, comp: hw.t_comp(shape.width) })
-                    .collect();
-                ExecutionPlan {
-                    shape,
-                    layers,
-                    preload,
-                    target,
-                    preload_budget_bytes: 0,
-                    aib_satisfied: true,
-                    predicted: simulate_pipeline(&timings, SimTime::ZERO),
-                }
+                ExecutionPlan::new(hw, layers, preload, target, 0, true)
             }
-            Baseline::StdPipeline(bw) => {
-                let shape = best_shape(hw, &widths, max_layers, target, |n, m| {
-                    let timing =
-                        LayerTiming { io: hw.layer_io_delay(&vec![*bw; m]), comp: hw.t_comp(m) };
-                    simulate_pipeline(&vec![timing; n], SimTime::ZERO).makespan
-                });
-                let layers = uniform_layers(shape, *bw);
-                let timing = LayerTiming {
-                    io: hw.layer_io_delay(&vec![*bw; shape.width]),
-                    comp: hw.t_comp(shape.width),
-                };
-                ExecutionPlan {
-                    shape,
-                    layers,
-                    preload: vec![],
+            Baseline::StdPipeline(bw) => best_plan(hw, &widths, max_layers, target, |shape| {
+                ExecutionPlan::new(hw, uniform_layers(shape, *bw), vec![], target, 0, true)
+            }),
+            Baseline::LoadAndExec => best_plan(hw, &widths, max_layers, target, |shape| {
+                let mut plan = ExecutionPlan::new(
+                    hw,
+                    uniform_layers(shape, Bitwidth::Full),
+                    vec![],
                     target,
-                    preload_budget_bytes: 0,
-                    aib_satisfied: true,
-                    predicted: simulate_pipeline(&vec![timing; shape.depth], SimTime::ZERO),
-                }
-            }
-            Baseline::LoadAndExec => {
-                let shape = best_shape(hw, &widths, max_layers, target, |n, m| {
-                    let timing = LayerTiming {
-                        io: hw.layer_io_delay(&vec![Bitwidth::Full; m]),
-                        comp: hw.t_comp(m),
-                    };
-                    sequential_makespan(&vec![timing; n])
-                });
-                let layers = uniform_layers(shape, Bitwidth::Full);
-                let timing = LayerTiming {
-                    io: hw.layer_io_delay(&vec![Bitwidth::Full; shape.width]),
-                    comp: hw.t_comp(shape.width),
+                    0,
+                    true,
+                );
+                // Sequential execution: the timeline is one IO stage (every
+                // layer's load) followed by one compute stage.
+                let stage = LayerTiming {
+                    io: plan.predicted.io_time(),
+                    comp: plan.predicted.compute_time(),
                 };
-                // Sequential execution: represent the timeline as one IO
-                // stage followed by one compute stage.
-                let agg = LayerTiming {
-                    io: timing.io * shape.depth as u64,
-                    comp: timing.comp * shape.depth as u64,
-                };
-                ExecutionPlan {
-                    shape,
-                    layers,
-                    preload: vec![],
-                    target,
-                    preload_budget_bytes: 0,
-                    aib_satisfied: true,
-                    predicted: simulate_pipeline(&[agg], SimTime::ZERO),
-                }
-            }
+                plan.predicted = simulate_pipeline(&[stage], SimTime::ZERO);
+                plan
+            }),
         }
     }
 }
@@ -193,39 +156,37 @@ fn uniform_layers(shape: SubmodelShape, bw: Bitwidth) -> Vec<PlannedLayer> {
         .collect()
 }
 
-/// Largest-then-deepest submodel whose `makespan(n, m)` fits the target.
+/// The largest-then-deepest submodel whose plan's makespan fits the target.
 /// Falls back to `1 × min-width` when nothing fits (all systems degrade at
 /// very low targets, §7.1).
-fn best_shape(
+fn best_plan(
     hw: &HwProfile,
     widths: &[usize],
     max_layers: usize,
     target: SimTime,
-    makespan: impl Fn(usize, usize) -> SimTime,
-) -> SubmodelShape {
-    let mut best: Option<SubmodelShape> = None;
+    plan: impl Fn(SubmodelShape) -> ExecutionPlan,
+) -> ExecutionPlan {
+    let mut best: Option<ExecutionPlan> = None;
     for &m in widths {
         if m > hw.heads {
             continue;
         }
         for n in 1..=max_layers {
-            if makespan(n, m) > target {
+            let cand = plan(SubmodelShape::new(n, m));
+            if cand.predicted.makespan > target {
                 break;
             }
-            let cand = SubmodelShape::new(n, m);
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    cand.shard_count() > b.shard_count()
-                        || (cand.shard_count() == b.shard_count() && cand.depth > b.depth)
-                }
-            };
+            let better = best.as_ref().is_none_or(|b| {
+                let (c, b) = (cand.shape, b.shape);
+                c.shard_count() > b.shard_count()
+                    || (c.shard_count() == b.shard_count() && c.depth > b.depth)
+            });
             if better {
                 best = Some(cand);
             }
         }
     }
-    best.unwrap_or_else(|| SubmodelShape::new(1, widths[0]))
+    best.unwrap_or_else(|| plan(SubmodelShape::new(1, widths[0])))
 }
 
 #[cfg(test)]
@@ -336,9 +297,10 @@ mod tests {
         let imp = importance();
         let plan = Baseline::PreloadModel(Bitwidth::B6).plan(&hw, &imp, SimTime::from_ms(200), 0);
         assert_eq!(plan.predicted.total_stall, SimTime::ZERO);
-        assert!(plan.layers.iter().all(|pl| pl
-            .items()
-            .all(|(s, _)| plan.is_preloaded(sti_transformer::ShardId::new(pl.layer, s)))));
+        assert!(plan
+            .layers
+            .iter()
+            .all(|pl| pl.items().all(|(s, _)| plan.is_preloaded(ShardId::new(pl.layer, s)))));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use sti_device::{DeviceProfile, HwProfile, SimTime};
 use sti_nlp::{Task, TaskKind};
 use sti_pipeline::executor::assemble_plan_submodel;
 use sti_pipeline::PreloadBuffer;
-use sti_planner::{profile_importance, ExecutionPlan, ImportanceProfile};
+use sti_planner::{profile_importance, ExecutionPlan, ImportanceProfile, PlannedLayer};
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 use sti_storage::{ShardKey, ShardSource, ShardStore, StorageError};
 use sti_transformer::{AssembledSubmodel, Model, ModelConfig};
@@ -104,19 +104,21 @@ impl TaskContext {
             .get_or_init(|| Arc::new(ContextStore::create(self.task.model(), &self.quant)))
     }
 
-    /// Materializes a plan's submodel at its planned fidelities, every
-    /// shard streamed from [`shard_source`](Self::shard_source).
-    pub fn assemble_plan(&self, plan: &ExecutionPlan) -> AssembledSubmodel {
+    /// Materializes a plan's submodel (its `layers`) at their planned
+    /// fidelities, every shard streamed from
+    /// [`shard_source`](Self::shard_source).
+    pub fn assemble_plan(&self, layers: &[PlannedLayer]) -> AssembledSubmodel {
         let source = self.shard_source();
-        assemble_plan_submodel(self.task.model(), plan, &PreloadBuffer::default(), &*source)
-            .expect("the context's store holds every shard at every bitwidth")
+        assemble_plan_submodel(self.task.model(), layers, &PreloadBuffer::default(), &*source)
+            .expect("the context's store holds every shard of the model's shape at every bitwidth")
             .0
     }
 
-    /// Measures a plan's accuracy (and binary F1) on the task's test split —
-    /// real forward passes over the dequantized submodel.
-    pub fn evaluate_plan(&self, plan: &ExecutionPlan) -> (f64, f64) {
-        let sub = self.assemble_plan(plan);
+    /// Measures the accuracy (and binary F1) of a plan's submodel (its
+    /// `layers`) on the task's test split — real forward passes over the
+    /// dequantized submodel.
+    pub fn evaluate_plan(&self, layers: &[PlannedLayer]) -> (f64, f64) {
+        let sub = self.assemble_plan(layers);
         let preds: Vec<usize> = self
             .task
             .test()
@@ -222,7 +224,7 @@ pub fn run_experiment(ctx: &TaskContext, exp: &Experiment) -> RunResult {
     let hw = HwProfile::measure(&exp.device, &cfg, ctx.quant());
     let importance = ctx.importance();
     let plan = exp.baseline.plan(&hw, importance, exp.target, exp.preload_bytes);
-    let (accuracy, f1) = ctx.evaluate_plan(&plan);
+    let (accuracy, f1) = ctx.evaluate_plan(&plan.layers);
     let makespan = plan.predicted.makespan;
 
     let working_bytes = plan.shape.width as u64 * cfg.shard_fp32_bytes() as u64;

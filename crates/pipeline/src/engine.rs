@@ -238,7 +238,7 @@ mod tests {
     use sti_nlp::{Task, TaskKind};
     use sti_quant::{QuantConfig, QuantizedBlob};
     use sti_storage::{MemStore, ShardKey, ShardStore, StorageError};
-    use sti_transformer::ModelConfig;
+    use sti_transformer::{ModelConfig, ShardId};
 
     fn engine_on(source: Arc<dyn ShardSource>, model: &Model, budget: u64) -> StiEngine {
         let cfg = model.config();
@@ -390,6 +390,31 @@ mod tests {
         assert!(g.per_step <= g.first_step, "later steps must be IO-free");
         // Deterministic.
         assert_eq!(e.generate(&[1, 2], 5).unwrap().tokens, g.tokens);
+    }
+
+    /// A blob shorter than the model's shard at a key the plan streams:
+    /// generation assembles the submodel through the working buffer, which
+    /// checks every blob's length before it decodes, so the engine fails
+    /// with the typed error the serving path returns, not a panic.
+    #[test]
+    fn generating_over_a_wrong_size_blob_is_a_plan_mismatch_not_a_panic() {
+        let task = Task::build(TaskKind::Sst2, ModelConfig::tiny(), 4, 4);
+        let store =
+            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+        let e = engine_on(store.clone(), task.model(), 0);
+        let plan = e.plan();
+        let key = plan
+            .layers
+            .iter()
+            .flat_map(|pl| {
+                pl.items().map(|(slice, bw)| ShardKey::new(ShardId::new(pl.layer, slice), bw))
+            })
+            .find(|key| !plan.is_preloaded(key.id))
+            .expect("the plan streams a shard");
+        let weights: Vec<f32> = (0..256).map(|i| (i % 7) as f32 * 0.1 - 0.3).collect();
+        store.insert(key, QuantizedBlob::quantize(&weights, key.bitwidth, &QuantConfig::default()));
+        let err = e.generate(&[1, 2], 1).unwrap_err();
+        assert!(matches!(err, PipelineError::PlanMismatch(_)), "{err:?}");
     }
 
     #[test]

@@ -24,13 +24,13 @@ use std::sync::Arc;
 
 use sti_device::{DeviceTopology, HwProfile, IoSharing, SimTime};
 use sti_planner::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
-use sti_planner::ExecutionPlan;
+use sti_planner::{ExecutionPlan, PlannedLayer};
 use sti_quant::QuantizedBlob;
 use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardCache, ShardKey, ShardSource};
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::stats::argmax;
 use sti_transformer::layer::{layer_forward, layer_forward_cls};
-use sti_transformer::{AssembledSubmodel, Model, ShardId, ShardWeights};
+use sti_transformer::{AssembledSubmodel, Model, ShardId};
 
 use crate::buffers::{PreloadBuffer, WorkingBuffer};
 use crate::error::PipelineError;
@@ -288,7 +288,7 @@ impl<'a> PipelineExecutor<'a> {
         steps: usize,
     ) -> Result<GenerationOutcome, PipelineError> {
         let (submodel, loaded_bytes) =
-            assemble_plan_submodel(self.model, plan, preload, &*self.source)?;
+            assemble_plan_submodel(self.model, &plan.layers, preload, &*self.source)?;
         let generation = sti_transformer::decoder::generate(self.model, &submodel, prompt, steps);
         Ok(GenerationOutcome {
             tokens: generation.tokens,
@@ -300,42 +300,47 @@ impl<'a> PipelineExecutor<'a> {
     }
 }
 
-/// Materializes a plan's full submodel as dequantized weights, taking each
-/// shard from the preload buffer when resident and from `source` otherwise.
+/// Materializes a plan's submodel (its `layers`) as dequantized weights,
+/// taking each shard from the preload buffer when resident and from
+/// `source` otherwise.
 ///
 /// Returns the submodel plus the serialized bytes streamed from `source`
 /// (preloaded shards cost nothing — they were paid for at plan time). Both
 /// the single-app engine and server sessions use this for the generative
-/// path, where the submodel is streamed once and reused every step.
+/// path, where the submodel is streamed once and reused every step. Each
+/// layer decodes through [`WorkingBuffer::assemble`], which checks every
+/// blob's length first.
 ///
 /// # Errors
 ///
-/// Fails if any planned shard is missing from both the buffer and `source`.
+/// Fails if any planned shard is missing from both the buffer and `source`,
+/// or with [`PipelineError::PlanMismatch`] if a blob's length disagrees with
+/// the model's shard size.
 pub fn assemble_plan_submodel(
     model: &Model,
-    plan: &ExecutionPlan,
+    layers: &[PlannedLayer],
     preload: &PreloadBuffer,
     source: &dyn ShardSource,
 ) -> Result<(AssembledSubmodel, u64), PipelineError> {
-    let cfg = model.config().clone();
+    let mut working = WorkingBuffer::new(model.config().clone());
     let mut loaded_bytes = 0u64;
     let mut submodel = AssembledSubmodel::new();
-    for pl in &plan.layers {
-        let mut shards = Vec::with_capacity(pl.slices.len());
+    for pl in layers {
+        let mut blobs = Vec::with_capacity(pl.slices.len());
         for (slice, bw) in pl.items() {
             let id = ShardId::new(pl.layer, slice);
-            let streamed;
             let blob = match preload.get(id) {
-                Some(blob) => blob,
+                Some(blob) => blob.clone(),
                 None => {
                     let key = ShardKey::new(id, bw);
                     loaded_bytes += source.size_bytes(key)?;
-                    streamed = source.load(key)?;
-                    &streamed
+                    source.load(key)?
                 }
             };
-            shards.push(ShardWeights::from_flat(&blob.dequantize(), &cfg));
+            blobs.push(blob);
         }
+        let refs: Vec<&QuantizedBlob> = blobs.iter().collect();
+        let shards = working.assemble(&refs)?;
         submodel.push_layer(pl.slices.iter().map(|&s| s as usize).collect(), shards);
     }
     Ok((submodel, loaded_bytes))
@@ -491,23 +496,15 @@ mod tests {
     fn full_fidelity_plan_matches_direct_forward() {
         let f = fixture();
         let cfg = f.task.model().config().clone();
-        // Hand-build a full-grid, full-fidelity plan.
-        let layers: Vec<sti_planner::PlannedLayer> = (0..cfg.layers as u16)
-            .map(|layer| sti_planner::PlannedLayer {
+        // A full-grid, full-fidelity plan.
+        let layers: Vec<PlannedLayer> = (0..cfg.layers as u16)
+            .map(|layer| PlannedLayer {
                 layer,
                 slices: (0..cfg.heads as u16).collect(),
                 bitwidths: vec![Bitwidth::Full; cfg.heads],
             })
             .collect();
-        let plan = sti_planner::ExecutionPlan {
-            shape: sti_planner::SubmodelShape::new(cfg.layers, cfg.heads),
-            layers,
-            preload: vec![],
-            target: SimTime::from_ms(10_000),
-            preload_budget_bytes: 0,
-            aib_satisfied: true,
-            predicted: simulate_pipeline(&[], SimTime::ZERO),
-        };
+        let plan = ExecutionPlan::new(&f.hw, layers, vec![], SimTime::from_ms(10_000), 0, true);
         let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
         let out = exec.execute(&plan, &PreloadBuffer::default(), &[3, 4, 5]).unwrap();
         let direct = f.task.model().forward_full(&[3, 4, 5]);

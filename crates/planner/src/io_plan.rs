@@ -1,5 +1,10 @@
 //! Stage 2: IO planning — two-pass bitwidth allocation under AIBs
 //! (paper §5.4).
+//!
+//! The allocation picks slices, bitwidths and the preload prefix;
+//! [`ExecutionPlan::new`] then predicts the timeline, so a plan from
+//! [`plan_io`] and one re-selected by [`replan_with_preload`] are priced by
+//! the same layer IO jobs the contended predictors use.
 
 use sti_device::{HwProfile, SimTime};
 use sti_quant::Bitwidth;
@@ -10,7 +15,6 @@ use crate::compute_plan::{plan_compute, ComputeChoice};
 use crate::importance::ImportanceProfile;
 use crate::plan::{ExecutionPlan, PlannedLayer};
 use crate::preload::select_preload;
-use crate::schedule::{simulate_pipeline, LayerTiming};
 
 /// Inputs to IO planning.
 #[derive(Debug, Clone, Copy)]
@@ -51,13 +55,11 @@ pub fn plan_io_greedy_only(inputs: &IoPlanInputs<'_>) -> ExecutionPlan {
 fn plan_io_impl(inputs: &IoPlanInputs<'_>, skip_uniform_pass: bool) -> ExecutionPlan {
     let hw = inputs.hw;
     let shape = inputs.choice.shape;
-    let (n, m) = (shape.depth, shape.width);
     assert!(!inputs.bitwidths.is_empty(), "no fidelity versions available");
 
     // Which slices execute: per-layer most important (§5.2 profiles guide
     // both slice choice and fidelity allocation).
-    let slices = inputs.importance.top_slices_per_layer(n, m);
-    let t_comp = hw.t_comp(m);
+    let slices = inputs.importance.top_slices_per_layer(shape.depth, shape.width);
 
     // The "bonus IO" of the preload buffer is only real for bytes the buffer
     // can actually hold after allocation — upgrading the first shards to
@@ -75,46 +77,7 @@ fn plan_io_impl(inputs: &IoPlanInputs<'_>, skip_uniform_pass: bool) -> Execution
         effective_budget = actual;
     };
 
-    let predicted = predict_with_preload(hw, &layers, &preload, t_comp);
-
-    ExecutionPlan {
-        shape,
-        layers,
-        preload,
-        target: inputs.target,
-        preload_budget_bytes: inputs.preload_bytes,
-        aib_satisfied,
-        predicted,
-    }
-}
-
-/// Predicts the pipeline timeline of an allocation with preloaded shards
-/// removed from their layers' IO jobs.
-fn predict_with_preload(
-    hw: &HwProfile,
-    layers: &[PlannedLayer],
-    preload: &[(ShardId, Bitwidth)],
-    t_comp: SimTime,
-) -> crate::schedule::SchedulePrediction {
-    let timings: Vec<LayerTiming> = layers
-        .iter()
-        .map(|pl| {
-            let pending: Vec<u64> = pl
-                .items()
-                .filter(|&(slice, _)| {
-                    !preload.iter().any(|&(pid, _)| pid == ShardId::new(pl.layer, slice))
-                })
-                .map(|(_, bw)| hw.shard_bytes(bw))
-                .collect();
-            let io = if pending.is_empty() {
-                SimTime::ZERO
-            } else {
-                hw.flash.request_delay(pending.iter().sum())
-            };
-            LayerTiming { io, comp: t_comp }
-        })
-        .collect();
-    simulate_pipeline(&timings, SimTime::ZERO)
+    ExecutionPlan::new(hw, layers, preload, inputs.target, inputs.preload_bytes, aib_satisfied)
 }
 
 /// Rebuilds a plan with an explicit preload set: the submodel, slice
@@ -135,17 +98,14 @@ pub fn replan_with_preload(
     plan: &ExecutionPlan,
     preload: Vec<(ShardId, Bitwidth)>,
 ) -> ExecutionPlan {
-    let t_comp = hw.t_comp(plan.shape.width);
-    let predicted = predict_with_preload(hw, &plan.layers, &preload, t_comp);
-    ExecutionPlan {
-        shape: plan.shape,
-        layers: plan.layers.clone(),
+    ExecutionPlan::new(
+        hw,
+        plan.layers.clone(),
         preload,
-        target: plan.target,
-        preload_budget_bytes: plan.preload_budget_bytes,
-        aib_satisfied: plan.aib_satisfied,
-        predicted,
-    }
+        plan.target,
+        plan.preload_budget_bytes,
+        plan.aib_satisfied,
+    )
 }
 
 type Allocation = (Vec<PlannedLayer>, Vec<(ShardId, Bitwidth)>, bool);

@@ -1,10 +1,19 @@
 //! The execution plan emitted by the planner.
+//!
+//! [`ExecutionPlan::new`] is the one way to build a plan: it derives the
+//! shape from the layers and predicts the uncontended timeline from the
+//! same per-layer IO jobs ([`layer_io_jobs`](crate::serving::layer_io_jobs))
+//! every contended load prices. The two-stage planner, its preload
+//! re-selection and the comparison baselines all build through it; only
+//! the `Load&Exec` baseline then folds the prediction into one sequential
+//! stage.
 
-use sti_device::SimTime;
+use sti_device::{HwProfile, SimTime};
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
-use crate::schedule::SchedulePrediction;
+use crate::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
+use crate::serving::plan_layer_jobs;
 
 /// Submodel dimensions: `n` layers × `m` shards per layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,8 +67,10 @@ impl PlannedLayer {
 }
 
 /// A complete pipeline execution plan: the submodel, per-shard fidelities,
-/// the preload set, and the predicted timeline.
+/// the preload set, and the predicted timeline. Built only by
+/// [`ExecutionPlan::new`]; the fields are public to read.
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub struct ExecutionPlan {
     /// Submodel shape.
     pub shape: SubmodelShape,
@@ -80,6 +91,36 @@ pub struct ExecutionPlan {
 }
 
 impl ExecutionPlan {
+    /// Builds a plan over `layers` and predicts its uncontended timeline.
+    ///
+    /// The shape is `(layers.len(), width)`. Layer `k`'s IO is the service
+    /// time of its [`layer_io_jobs`](crate::serving::layer_io_jobs) job,
+    /// zero when `preload` covers the whole layer; its compute is
+    /// `hw.t_comp(width)`; [`simulate_pipeline`] runs the recurrence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty, a layer selects no slice, or the layers
+    /// disagree on their width.
+    pub fn new(
+        hw: &HwProfile,
+        layers: Vec<PlannedLayer>,
+        preload: Vec<(ShardId, Bitwidth)>,
+        target: SimTime,
+        preload_budget_bytes: u64,
+        aib_satisfied: bool,
+    ) -> Self {
+        let width = layers.first().map_or(0, |pl| pl.slices.len());
+        assert!(layers.iter().all(|pl| pl.slices.len() == width), "layers differ in width");
+        let shape = SubmodelShape::new(layers.len(), width);
+        let comp = hw.t_comp(width);
+        let timings: Vec<LayerTiming> = plan_layer_jobs(hw, &layers, &preload)
+            .map(|job| LayerTiming { io: job.map_or(SimTime::ZERO, |j| j.service), comp })
+            .collect();
+        let predicted = simulate_pipeline(&timings, SimTime::ZERO);
+        Self { shape, layers, preload, target, preload_budget_bytes, aib_satisfied, predicted }
+    }
+
     /// The planned bitwidth of a shard, if it is part of the submodel.
     pub fn bitwidth_of(&self, id: ShardId) -> Option<Bitwidth> {
         self.layers.get(id.layer as usize).and_then(|pl| {
@@ -90,7 +131,7 @@ impl ExecutionPlan {
 
     /// Whether a shard is in the preload set.
     pub fn is_preloaded(&self, id: ShardId) -> bool {
-        self.preload.iter().any(|&(pid, _)| pid == id)
+        in_preload(&self.preload, id)
     }
 
     /// Renders the plan as the per-shard bitwidth grid of paper Figure 8,
@@ -108,6 +149,11 @@ impl ExecutionPlan {
         }
         out
     }
+}
+
+/// Whether `id` is in a preload set.
+pub(crate) fn in_preload(preload: &[(ShardId, Bitwidth)], id: ShardId) -> bool {
+    preload.iter().any(|&(pid, _)| pid == id)
 }
 
 #[cfg(test)]

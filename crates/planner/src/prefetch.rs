@@ -15,7 +15,7 @@
 //! store keeps them.
 //!
 //! At each observation the model may emit a [`PrefetchPlan`]: the successor
-//! key with the highest follow confidence at or above the configured floor,
+//! key with the highest follow confidence at or above the confidence floor,
 //! plus the byte budget the executor may stage for it. Plans pass an
 //! admission policy first — a TTL/LRU **rejection cache** of predictions
 //! that keep being wrong (the client's actual next key disagreed), with TTL
@@ -63,11 +63,26 @@ impl PrefetchMode {
     }
 }
 
+/// Minimum follow confidence (`follows / (follows + breaks)`) an edge
+/// needs before its successor is worth staging.
+const CONFIDENCE_FLOOR: f64 = 0.5;
+/// Minimum observations of an edge's source before its statistics are
+/// trusted at all.
+const MIN_SAMPLES: u32 = 1;
+/// Rejection-cache TTL in observations: a prediction whose outcome was
+/// wrong silences its edge for `REJECTION_TTL * strikes` further
+/// observations.
+const REJECTION_TTL: u64 = 8;
+/// LRU capacity of the rejection cache.
+const REJECTION_CAP: usize = 256;
+/// Cap on stored Markov edges (LRU-evicted beyond this).
+const MAX_EDGES: usize = 4096;
+
 /// Prefetcher knobs: the mode and the byte budget. [`PrefetchConfig::default`]
 /// is off; `markov(budget)` enables prediction with the given per-plan byte
 /// budget. The model's own constants (confidence floor, sample minimum,
-/// rejection-cache TTL and capacity, edge cap) have one value in use and
-/// are not options.
+/// rejection-cache TTL and capacity, edge cap) are module constants, not
+/// options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchConfig {
     /// Off / Markov.
@@ -75,39 +90,18 @@ pub struct PrefetchConfig {
     /// Byte cap per emitted plan — also the staging-pool budget the
     /// executor warms into.
     pub budget_bytes: u64,
-    /// Minimum follow confidence (`follows / (follows + breaks)`) an edge
-    /// needs before its successor is worth staging.
-    pub(crate) confidence_floor: f64,
-    /// Minimum observations of an edge's source before its statistics are
-    /// trusted at all.
-    pub(crate) min_samples: u32,
-    /// Rejection-cache TTL in observations: a prediction whose outcome was
-    /// wrong silences its edge for `ttl * strikes` further observations.
-    pub(crate) rejection_ttl: u64,
-    /// LRU capacity of the rejection cache.
-    pub(crate) rejection_cap: usize,
-    /// Cap on stored Markov edges (LRU-evicted beyond this).
-    pub(crate) max_edges: usize,
 }
 
 impl Default for PrefetchConfig {
     fn default() -> Self {
-        Self {
-            mode: PrefetchMode::Off,
-            budget_bytes: 64 << 10,
-            confidence_floor: 0.5,
-            min_samples: 1,
-            rejection_ttl: 8,
-            rejection_cap: 256,
-            max_edges: 4096,
-        }
+        Self { mode: PrefetchMode::Off, budget_bytes: 64 << 10 }
     }
 }
 
 impl PrefetchConfig {
     /// Markov prediction with an explicit per-plan byte budget.
     pub fn markov(budget_bytes: u64) -> Self {
-        Self { mode: PrefetchMode::Markov, budget_bytes, ..Self::default() }
+        Self { mode: PrefetchMode::Markov, budget_bytes }
     }
 
     /// Whether prediction is enabled at all.
@@ -313,16 +307,15 @@ impl Prefetcher {
                 self.rejections.remove(&(p.from, p.predicted));
             } else {
                 self.stats.mispredicted += 1;
-                let ttl = self.cfg.rejection_ttl;
                 let r = self.rejections.entry((p.from, p.predicted)).or_insert(Rejection {
                     until_obs: 0,
                     strikes: 0,
                     last_touch: obs,
                 });
                 r.strikes += 1;
-                r.until_obs = obs + ttl * r.strikes as u64;
+                r.until_obs = obs + REJECTION_TTL * r.strikes as u64;
                 r.last_touch = obs;
-                if self.rejections.len() > self.cfg.rejection_cap {
+                if self.rejections.len() > REJECTION_CAP {
                     evict_lru(&mut self.rejections);
                 }
             }
@@ -344,7 +337,7 @@ impl Prefetcher {
                     edge.breaks += 1;
                 }
             }
-            if self.edges.len() > self.cfg.max_edges {
+            if self.edges.len() > MAX_EDGES {
                 if let Some((&victim, _)) =
                     self.edges.iter().min_by_key(|(k, e)| (e.last_touch, **k))
                 {
@@ -361,9 +354,7 @@ impl Prefetcher {
         let mut silenced = 0u64;
         for &tgt in self.by_src.get(&key).map(Vec::as_slice).unwrap_or(&[]) {
             let edge = &self.edges[&(key, tgt)];
-            if edge.samples() < self.cfg.min_samples
-                || edge.confidence() < self.cfg.confidence_floor
-            {
+            if edge.samples() < MIN_SAMPLES || edge.confidence() < CONFIDENCE_FLOOR {
                 continue;
             }
             if self.rejections.get(&(key, tgt)).is_some_and(|r| obs < r.until_obs) {
@@ -467,34 +458,24 @@ mod tests {
 
     #[test]
     fn confidence_floor_blocks_coin_flip_edges() {
-        let mut p = Prefetcher::new(PrefetchConfig {
-            mode: PrefetchMode::Markov,
-            confidence_floor: 0.75,
-            ..PrefetchConfig::default()
-        });
+        let mut p = markov();
         let a = p.intern(key(1));
-        let b = p.intern(key(2));
-        let c = p.intern(key(3));
-        // A→B, A→C evenly: both edges sit at 0.5 < 0.75 once both exist.
-        for i in 0..8u64 {
+        let successors = [p.intern(key(2)), p.intern(key(3)), p.intern(key(4))];
+        // A→B, A→C, A→D in turn: each edge sits near one in three, under
+        // the floor, once all three exist.
+        for i in 0..9u64 {
             p.observe(1, a, SimTime::from_ms(i * 20));
-            p.observe(1, if i % 2 == 0 { b } else { c }, SimTime::from_ms(i * 20 + 10));
+            p.observe(1, successors[i as usize % 3], SimTime::from_ms(i * 20 + 10));
         }
-        assert!(
-            p.observe(1, a, SimTime::from_ms(400)).is_none(),
-            "neither successor clears the floor"
-        );
-        let ab = p.edge(a, b).expect("edge exists");
-        assert!(ab.confidence() < 0.75);
+        assert!(p.observe(1, a, SimTime::from_ms(400)).is_none(), "no successor clears the floor");
+        for s in successors {
+            assert!(p.edge(a, s).expect("edge exists").confidence() < CONFIDENCE_FLOOR);
+        }
     }
 
     #[test]
     fn mispredictions_feed_the_rejection_cache_with_escalating_ttl() {
-        let mut p = Prefetcher::new(PrefetchConfig {
-            mode: PrefetchMode::Markov,
-            rejection_ttl: 2,
-            ..PrefetchConfig::default()
-        });
+        let mut p = markov();
         let a = p.intern(key(1));
         let b = p.intern(key(2));
         // Teach a confident A→A self edge...
@@ -511,6 +492,14 @@ mod tests {
         let plan = p.observe(1, a, SimTime::from_ms(20));
         assert!(plan.is_none() || plan.unwrap().predicted != a);
         assert!(p.stats().rejected > rejected_before);
+        // The strike silences A→A until the misprediction's observation
+        // (the 4th) plus one TTL; A→A is the best admitted edge after that.
+        for obs in 6..4 + REJECTION_TTL {
+            let plan = p.observe(1, a, SimTime::from_ms(obs));
+            assert!(plan.is_none_or(|plan| plan.predicted != a), "observation {obs}");
+        }
+        let plan = p.observe(1, a, SimTime::from_ms(4 + REJECTION_TTL));
+        assert_eq!(plan.map(|plan| plan.predicted), Some(a));
     }
 
     #[test]
@@ -545,15 +534,12 @@ mod tests {
 
     #[test]
     fn edge_store_respects_its_cap() {
-        let mut p = Prefetcher::new(PrefetchConfig {
-            mode: PrefetchMode::Markov,
-            max_edges: 4,
-            ..PrefetchConfig::default()
-        });
-        let keys: Vec<KeyId> = (0..6).map(|n| p.intern(key(n))).collect();
+        let mut p = markov();
+        // One chain over MAX_EDGES + 2 keys: MAX_EDGES + 1 distinct edges.
+        let keys: Vec<KeyId> = (0..MAX_EDGES as u64 + 2).map(|n| p.intern(key(n))).collect();
         for (i, &k) in keys.iter().enumerate() {
             p.observe(1, k, SimTime::from_ms(i as u64));
         }
-        assert!(p.edge_count() <= 4);
+        assert!(p.edge_count() <= MAX_EDGES);
     }
 }

@@ -47,9 +47,10 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 use sti_device::{content_sig, CompletedJob, HwProfile, SimTime};
+use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
-use crate::plan::ExecutionPlan;
+use crate::plan::{in_preload, ExecutionPlan, PlannedLayer};
 
 /// One streaming layer's IO job: a content signature (what would be read)
 /// plus the device-model service time.
@@ -78,24 +79,31 @@ impl LayerIoJob {
 /// Per-layer IO jobs of a plan: `Some` for layers that stream, `None` for
 /// layers fully covered by the preload buffer. The signature identifies the
 /// exact bytes read, so equal signatures across plans mean batchable jobs.
+/// [`ExecutionPlan::new`] predicts the plan's uncontended timeline from the
+/// same jobs.
 pub fn layer_io_jobs(hw: &HwProfile, plan: &ExecutionPlan) -> Vec<Option<LayerIoJob>> {
-    plan.layers
-        .iter()
-        .map(|pl| {
-            let streamed = || {
-                pl.items().filter(|&(slice, _)| !plan.is_preloaded(ShardId::new(pl.layer, slice)))
-            };
-            let bytes: u64 = streamed().map(|(_, bw)| hw.shard_bytes(bw)).sum();
-            // The signature is the content signature of the request the
-            // executor will issue for this layer, so plan-derived jobs and
-            // the scheduler's queued requests agree on batchability
-            // identity.
-            (bytes > 0).then(|| LayerIoJob {
-                sig: content_sig(pl.layer, streamed()),
-                service: hw.flash.request_delay(bytes),
-            })
+    plan_layer_jobs(hw, &plan.layers, &plan.preload).collect()
+}
+
+/// [`layer_io_jobs`] over a plan's parts, before the plan exists.
+pub(crate) fn plan_layer_jobs<'a>(
+    hw: &'a HwProfile,
+    layers: &'a [PlannedLayer],
+    preload: &'a [(ShardId, Bitwidth)],
+) -> impl Iterator<Item = Option<LayerIoJob>> + 'a {
+    layers.iter().map(move |pl| {
+        let streamed =
+            || pl.items().filter(|&(slice, _)| !in_preload(preload, ShardId::new(pl.layer, slice)));
+        let bytes: u64 = streamed().map(|(_, bw)| hw.shard_bytes(bw)).sum();
+        // The signature is the content signature of the request the
+        // executor will issue for this layer, so plan-derived jobs and
+        // the scheduler's queued requests agree on batchability
+        // identity.
+        (bytes > 0).then(|| LayerIoJob {
+            sig: content_sig(pl.layer, streamed()),
+            service: hw.flash.request_delay(bytes),
         })
-        .collect()
+    })
 }
 
 /// [`layer_io_jobs`] placed on device-channel stripe `stripe`

@@ -39,7 +39,10 @@
 //! **One lock** guards both maps and their counters, so a lookup and its
 //! promotion, or a stage's staged/pinned check, is one critical section;
 //! only a cold read of the source runs outside it. [`ShardCache::clear`]
-//! drops both maps.
+//! drops both maps. Blobs enter and leave only through
+//! [`ShardCache::get_or_load`] / [`ShardCache::get_or_load_tracked`]
+//! (demand) and [`ShardCache::prefetch_load`] (speculation): there is no
+//! bare lookup or insert a caller could pair and race between.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -270,17 +273,6 @@ impl ShardCache {
         self.state.lock().stats
     }
 
-    /// Looks a blob up, refreshing its recency on a hit.
-    pub fn get(&self, key: ShardKey) -> Option<QuantizedBlob> {
-        self.state.lock().lookup(key)
-    }
-
-    /// Admits a blob, evicting least-recently-used entries until it fits.
-    /// Blobs larger than the whole budget are silently not cached.
-    pub fn insert(&self, key: ShardKey, blob: &QuantizedBlob) {
-        self.state.lock().admit(key, blob);
-    }
-
     /// Drops every resident and every staged blob (counters are kept), so
     /// the next lookup of any key re-reads its source.
     pub fn clear(&self) {
@@ -337,7 +329,7 @@ impl ShardCache {
             }
         }
         let blob = source.load(key)?;
-        self.insert(key, &blob);
+        self.state.lock().admit(key, &blob);
         Ok((blob, false))
     }
 
@@ -469,14 +461,14 @@ mod tests {
         // Room for exactly two blobs.
         let cache = ShardCache::new(2 * each);
         for slice in 0..3u16 {
-            cache.insert(key(0, slice, Bitwidth::B2), &blob);
+            cache.state.lock().admit(key(0, slice, Bitwidth::B2), &blob);
         }
         assert!(cache.resident_bytes().0 <= cache.capacity());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // Slice 0 was least recently used, so it is the one gone.
-        assert!(cache.get(key(0, 0, Bitwidth::B2)).is_none());
-        assert!(cache.get(key(0, 2, Bitwidth::B2)).is_some());
+        assert!(cache.state.lock().lookup(key(0, 0, Bitwidth::B2)).is_none());
+        assert!(cache.state.lock().lookup(key(0, 2, Bitwidth::B2)).is_some());
     }
 
     #[test]
@@ -488,7 +480,7 @@ mod tests {
         let cache = ShardCache::with_prefetch_pool(2 * each, staged);
         assert_eq!(cache.resident_bytes(), (0, 0));
         for slice in 0..3u16 {
-            cache.insert(key(0, slice, Bitwidth::B2), &blob);
+            cache.state.lock().admit(key(0, slice, Bitwidth::B2), &blob);
         }
         // Three admitted, one evicted; nothing staged yet.
         assert_eq!(cache.resident_bytes(), (2 * each, 0));
@@ -513,13 +505,13 @@ mod tests {
         let blob = uniform_blob();
         let each = blob.byte_size() as u64;
         let cache = ShardCache::new(2 * each);
-        cache.insert(key(0, 0, Bitwidth::B2), &blob);
-        cache.insert(key(0, 1, Bitwidth::B2), &blob);
+        cache.state.lock().admit(key(0, 0, Bitwidth::B2), &blob);
+        cache.state.lock().admit(key(0, 1, Bitwidth::B2), &blob);
         // Touch slice 0 so slice 1 becomes the LRU victim.
-        cache.get(key(0, 0, Bitwidth::B2)).unwrap();
-        cache.insert(key(0, 2, Bitwidth::B2), &blob);
-        assert!(cache.get(key(0, 0, Bitwidth::B2)).is_some());
-        assert!(cache.get(key(0, 1, Bitwidth::B2)).is_none());
+        cache.state.lock().lookup(key(0, 0, Bitwidth::B2)).unwrap();
+        cache.state.lock().admit(key(0, 2, Bitwidth::B2), &blob);
+        assert!(cache.state.lock().lookup(key(0, 0, Bitwidth::B2)).is_some());
+        assert!(cache.state.lock().lookup(key(0, 1, Bitwidth::B2)).is_none());
     }
 
     #[test]

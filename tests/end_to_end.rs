@@ -104,7 +104,8 @@ fn an_engine_outcome_equals_its_plan_run_through_full_layers_bit_for_bit() {
         .unwrap();
     let plan = engine.plan();
     let preload = PreloadBuffer::fill(plan.preload_budget_bytes, &plan.preload, &*source).unwrap();
-    let (submodel, streamed) = assemble_plan_submodel(model, plan, &preload, &*source).unwrap();
+    let (submodel, streamed) =
+        assemble_plan_submodel(model, &plan.layers, &preload, &*source).unwrap();
     assert!(!plan.preload.is_empty() && streamed > 0, "both kinds of shard must take part");
     let layers = || {
         submodel.layers().iter().map(|asm| (asm.slice_idxs.as_slice(), asm.shards.iter().collect()))

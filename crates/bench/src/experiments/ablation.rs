@@ -108,15 +108,7 @@ fn depth_tie_ablation() -> String {
     let shapes = [(8usize, 3usize), (4, 6), (2, 12)];
     let mut t = TextTable::new(["shape", "shards", "accuracy (6-bit uniform)"]);
     for (n, m) in shapes {
-        let slices = importance.top_slices_per_layer(n, m);
-        let layers: Vec<_> = (0..n)
-            .map(|l| sti_planner::PlannedLayer {
-                layer: l as u16,
-                slices: slices[l].clone(),
-                bitwidths: vec![Bitwidth::B6; m],
-            })
-            .collect();
-        let (acc, _) = ctx.evaluate_plan(&layers);
+        let (acc, _) = ctx.evaluate_plan(&importance.top_submodel(n, m, Bitwidth::B6));
         t.row([format!("{n}x{m}"), (n * m).to_string(), pct(acc)]);
     }
     format!(

@@ -41,7 +41,7 @@ pub fn run() -> String {
     let whole = resident + model.sharded_byte_size() as u64;
     t.row(["hold-the-model memory (analytic)", &human_bytes(whole), "-"]);
     t.row(["resident parameters only (analytic)", &human_bytes(resident), "-"]);
-    t.row(["this process, model built (measured)", &measured_rss(), "-"]);
+    eprintln!("[motivation] this process, model built (measured): {}", measured_rss());
 
     format!(
         "Motivation (§2.2): existing paradigms on a DistilBERT-like 6x12 model, Odroid\n\

@@ -6,11 +6,13 @@ use crate::harness;
 use crate::report::{human_bytes, measured_rss, TextTable};
 
 /// Reads the on-disk shard store the SST-2 context serves from (all fidelity
-/// versions) and reports the bytes per version. The paper stores 215 MB of
+/// versions) and reports the bytes per version. The report names where the
+/// store lives, not its path, which holds the process id, so two runs write
+/// the same report. The paper stores 215 MB of
 /// compressed versions next to the 418 MB full model (a 0.51 ratio); the
 /// same ratio should hold here. What serving from that store holds in
-/// memory is printed both ways: the analytic residents and the process's
-/// measured resident set.
+/// memory is printed both ways: the analytic residents in the report, the
+/// process's measured resident set on stderr.
 pub fn run() -> String {
     let ctx = harness::context(TaskKind::Sst2);
     let server = build_server(&ctx, &ServeConfig::default());
@@ -34,19 +36,19 @@ pub fn run() -> String {
         format!("{:.3}x", compressed as f64 / full as f64),
     ]);
 
+    eprintln!("[storage_overhead] this process, teacher model included: {}", measured_rss());
     format!(
-        "Storage overhead (§7.2): a real on-disk N x M x K shard store at {}.\n\n{}\n\
+        "Storage overhead (§7.2): a real on-disk N x M x K shard store, in the context's own\n\
+         directory under the system temp dir (removed when the context drops).\n\n{}\n\
          Compressed versions add {:.0}% on top of the full model\n\
          (paper: 215 MB on top of 418 MB = 51%; dictionary + outlier overhead explains\n\
          the difference from the ideal (2+3+4+5+6)/32 = 62.5% of index payloads).\n\
          Total store: {}.\n\
          Memory of a server streaming from it: {} of resident parameters (analytic,\n\
-         `resident_bytes()`); this process, teacher model included: {}.\n",
-        store.dir().display(),
+         `resident_bytes()`).\n",
         t.render(),
         100.0 * compressed as f64 / full as f64,
         human_bytes(store.total_bytes()),
         human_bytes(server.resident_bytes() as u64),
-        measured_rss(),
     )
 }

@@ -23,19 +23,6 @@ const RANDOM_SEEDS: u64 = 5;
 const UPGRADES: [usize; 3] = [1, 6, 13];
 const PAPER_MB: [f64; 3] = [0.4, 2.0, 4.0];
 
-/// The `DEPTH x WIDTH` submodel of the most important slices, all 2-bit.
-fn base_layers(ctx: &TaskContext) -> Vec<PlannedLayer> {
-    let importance = ctx.importance();
-    let slices = importance.top_slices_per_layer(DEPTH, WIDTH);
-    (0..DEPTH)
-        .map(|l| PlannedLayer {
-            layer: l as u16,
-            slices: slices[l].clone(),
-            bitwidths: vec![Bitwidth::B2; WIDTH],
-        })
-        .collect()
-}
-
 fn in_submodel(layers: &[PlannedLayer]) -> Vec<(usize, usize)> {
     let mut cells = Vec::new();
     for (l, pl) in layers.iter().enumerate() {
@@ -99,7 +86,8 @@ pub fn run() -> String {
     });
     let mut gains = Vec::new();
     for (kind, ctx) in &contexts {
-        let layers = base_layers(ctx);
+        // The `DEPTH x WIDTH` submodel of the most important slices, all 2-bit.
+        let layers = ctx.importance().top_submodel(DEPTH, WIDTH, Bitwidth::B2);
         let mut rand_row = vec![kind.name().to_string(), "Random".to_string()];
         let mut ours_row = vec![String::new(), "Ours".to_string()];
         for k in UPGRADES {

@@ -76,7 +76,9 @@ pub fn human_bytes(bytes: u64) -> String {
 }
 
 /// This process's measured resident set, for printing beside an analytic
-/// byte count: `"3.1MB resident now, 5.0MB at peak"`.
+/// byte count: `"3.1MB resident now, 5.0MB at peak"`. It moves by a few
+/// hundred KB from run to run, so it goes to stderr, never into a report:
+/// two runs of `exp` write the same reports.
 pub fn measured_rss() -> String {
     match sti_obs::process_rss_kib() {
         Some((rss, hwm)) => {

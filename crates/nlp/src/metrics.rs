@@ -53,18 +53,21 @@ pub fn f1_binary(predictions: &[usize], labels: &[usize], positive: usize) -> f6
 /// Panics if lengths mismatch or a label indexes outside its probability row.
 pub fn soft_accuracy(probabilities: &[Vec<f32>], labels: &[usize]) -> f64 {
     assert_eq!(probabilities.len(), labels.len(), "probability/label length mismatch");
-    if probabilities.is_empty() {
+    soft_accuracy_of(probabilities.iter().zip(labels).map(|(p, &l)| {
+        assert!(l < p.len(), "label {l} outside probability row of {}", p.len());
+        p[l]
+    }))
+}
+
+/// [`soft_accuracy`] of the gold labels' probabilities, one per example,
+/// summed in order as they arrive, so no probability row need be kept.
+pub fn soft_accuracy_of(gold: impl Iterator<Item = f32>) -> f64 {
+    let mut examples = 0usize;
+    let sum: f64 = gold.inspect(|_| examples += 1).map(f64::from).sum();
+    if examples == 0 {
         return 0.0;
     }
-    let sum: f64 = probabilities
-        .iter()
-        .zip(labels)
-        .map(|(p, &l)| {
-            assert!(l < p.len(), "label {l} outside probability row of {}", p.len());
-            p[l] as f64
-        })
-        .sum();
-    sum / probabilities.len() as f64
+    sum / examples as f64
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Synthetic GLUE-like tasks (paper Table 3).
 
-use sti_tensor::parallel::parallel_map;
-use sti_tensor::Rng;
+use sti_tensor::parallel::parallel_map_scratch;
+use sti_tensor::{Matrix, Rng};
 use sti_transformer::synthetic::GainPattern;
-use sti_transformer::{Model, ModelConfig};
+use sti_transformer::{ForwardScratch, Model, ModelConfig};
 
 use crate::dataset::{Dataset, Example};
 use crate::metrics;
@@ -212,7 +212,13 @@ fn generate_split(model: &Model, kind: TaskKind, rng: &mut Rng, size: usize) -> 
             (tokens, flip)
         })
         .collect();
-    let teacher = parallel_map(size, |i| model.predict_full(&drawn[i].0));
+    // Each worker labels in a hidden state and a forward scratch this
+    // thread built, so it allocates nothing (see `sti_tensor::parallel`).
+    let teacher = parallel_map_scratch(
+        size,
+        || (Matrix::zeros(cfg.seq_len, cfg.hidden), ForwardScratch::new(cfg)),
+        |(x, scratch), i| model.predict_full_with(&drawn[i].0, x, scratch),
+    );
     drawn
         .into_iter()
         .zip(teacher)

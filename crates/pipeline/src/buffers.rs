@@ -3,7 +3,9 @@
 use sti_quant::{Bitwidth, QuantizedBlob};
 use sti_storage::{ShardKey, ShardSource};
 use sti_tensor::Matrix;
-use sti_transformer::{ModelConfig, ShardId, ShardOperand, ShardWeights};
+use sti_transformer::{
+    ForwardScratch, LayerResident, ModelConfig, ShardId, ShardOperand, ShardWeights,
+};
 
 use crate::error::PipelineError;
 
@@ -77,75 +79,125 @@ impl PreloadBuffer {
 }
 
 /// The working buffer (§3.1): where the executor decompresses the shards a
-/// layer computes over.
+/// layer computes over, and computes it.
 ///
-/// The serving path holds **one shard slot**, allocated on first use and
-/// refilled in place: [`WorkingBuffer::layer`] lends a [`CodedLayer`] that
-/// decodes shard `i`'s attention half into the slot when attention reaches
-/// slice `i`, and its FFN half when the FFN does. So the decompressed
-/// weights held at once are one shard's, however wide the layer, and each
-/// weight is still decoded exactly once. [`WorkingBuffer::peak_bytes`]
-/// keeps the paper's model of the buffer: the widest layer's shards at
-/// FP32.
+/// The serving path, [`WorkingBuffer::forward_layer`], holds **one shard
+/// slot**, refilled in place: the layer's [`ShardOperand`] decodes shard
+/// `i`'s attention half into the slot when attention reaches slice `i`, and
+/// its FFN half when the FFN does. So the decompressed weights held at once
+/// are one shard's, however wide the layer, and each weight is still
+/// decoded exactly once. Beside the slot it keeps the [`ForwardScratch`]
+/// every layer runs in and the staged layer's slice indexes and blob
+/// handles. All of it is built on the first layer and reused by every
+/// later one, so an engagement allocates nothing per layer here.
+/// [`WorkingBuffer::peak_bytes`] keeps the paper's model of the buffer: the
+/// widest layer's shards at FP32.
 ///
 /// [`WorkingBuffer::assemble`] decodes a whole layer into fresh
 /// [`ShardWeights`] instead, for the callers that want the decoded shards
-/// themselves (the benchmark's per-layer probes and the quantisation
-/// tests).
+/// themselves (the benchmark's per-layer probes, the generation path and
+/// the quantisation tests).
 #[derive(Debug)]
 pub struct WorkingBuffer {
     cfg: ModelConfig,
     peak_shards: usize,
-    slot: Option<ShardSlot>,
+    /// The staged layer: each executed slice's index, and a handle to its
+    /// coded blob, in execution order.
+    slices: Vec<usize>,
+    blobs: Vec<QuantizedBlob>,
+    /// The serving path's memory, built on its first layer.
+    memory: Option<LayerMemory>,
 }
 
-/// The one decoded shard the serving path holds, plus the staging the
-/// packed `[Q | K | V]` operand is decoded through.
+/// The one decoded shard the serving path holds, the staging the packed
+/// `[Q | K | V]` operand is decoded through, and the forward pass's scratch.
 #[derive(Debug)]
-struct ShardSlot {
+struct LayerMemory {
     shard: ShardWeights,
     qkv: Box<[f32]>,
+    forward: ForwardScratch,
+}
+
+/// Checks that every blob holds one shard of `cfg`'s shape.
+fn check_blobs<'b>(
+    cfg: &ModelConfig,
+    blobs: impl IntoIterator<Item = &'b QuantizedBlob>,
+) -> Result<(), PipelineError> {
+    let expected = cfg.shard_param_count();
+    match blobs.into_iter().find(|b| b.len() != expected) {
+        Some(blob) => Err(PipelineError::PlanMismatch(format!(
+            "blob holds {} weights, shard expects {expected}",
+            blob.len()
+        ))),
+        None => Ok(()),
+    }
 }
 
 impl WorkingBuffer {
     /// Creates a working buffer for models of shape `cfg`.
     pub fn new(cfg: ModelConfig) -> Self {
-        Self { cfg, peak_shards: 0, slot: None }
+        Self { cfg, peak_shards: 0, slices: Vec::new(), blobs: Vec::new(), memory: None }
     }
 
-    /// Checks that every blob holds one shard of the configured shape, and
-    /// counts the layer toward the peak.
-    fn admit(&mut self, blobs: &[&QuantizedBlob]) -> Result<(), PipelineError> {
-        let expected = self.cfg.shard_param_count();
-        if let Some(blob) = blobs.iter().find(|b| b.len() != expected) {
-            return Err(PipelineError::PlanMismatch(format!(
-                "blob holds {} weights, shard expects {expected}",
-                blob.len()
-            )));
-        }
-        self.peak_shards = self.peak_shards.max(blobs.len());
-        Ok(())
-    }
-
-    /// Lends a layer's blobs to the forward pass as a [`ShardOperand`] that
-    /// decodes one shard half at a time into this buffer's slot.
+    /// Runs one encoder layer over the hidden state `x` in place, on
+    /// `shards` — each executed slice's index and its coded blob, in
+    /// execution order — and `resident`, the layer's resident parameters;
+    /// `cls_only` leaves the CLS row alone, for a layer only the classifier
+    /// reads. Each shard is decoded half by half into the one slot as the
+    /// layer reaches it: the same bits as decoding the layer and calling
+    /// `layer_forward` over it.
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::PlanMismatch`] if a blob's length disagrees
-    /// with the configured shard size.
-    pub fn layer<'a>(
-        &'a mut self,
-        blobs: &'a [&'a QuantizedBlob],
-    ) -> Result<CodedLayer<'a>, PipelineError> {
-        self.admit(blobs)?;
+    /// Returns the first error `shards` yields, or
+    /// [`PipelineError::PlanMismatch`] if a blob's length disagrees with
+    /// the configured shard size; either way before any compute.
+    pub fn forward_layer<'b>(
+        &mut self,
+        x: &mut Matrix,
+        shards: impl IntoIterator<Item = Result<(usize, &'b QuantizedBlob), PipelineError>>,
+        resident: &LayerResident,
+        cls_only: bool,
+    ) -> Result<(), PipelineError> {
+        let staged = self.stage(shards);
+        if staged.is_ok() {
+            self.run_staged(x, resident, cls_only);
+        }
+        // The handles go with the layer, as the streamed blobs they alias do.
+        self.blobs.clear();
+        staged
+    }
+
+    fn stage<'b>(
+        &mut self,
+        shards: impl IntoIterator<Item = Result<(usize, &'b QuantizedBlob), PipelineError>>,
+    ) -> Result<(), PipelineError> {
+        self.slices.clear();
+        self.blobs.clear();
+        for shard in shards {
+            let (slice, blob) = shard?;
+            self.slices.push(slice);
+            self.blobs.push(blob.clone());
+        }
+        check_blobs(&self.cfg, &self.blobs)?;
+        self.peak_shards = self.peak_shards.max(self.blobs.len());
+        Ok(())
+    }
+
+    fn run_staged(&mut self, x: &mut Matrix, resident: &LayerResident, cls_only: bool) {
         let cfg = &self.cfg;
-        let slot = self.slot.get_or_insert_with(|| {
+        let memory = self.memory.get_or_insert_with(|| {
             let shard = ShardWeights::zeros(cfg);
             let qkv = vec![0.0; shard.qkv.len()].into_boxed_slice();
-            ShardSlot { shard, qkv }
+            LayerMemory { shard, qkv, forward: ForwardScratch::new(cfg) }
         });
-        Ok(CodedLayer { blobs, slot })
+        let LayerMemory { shard, qkv, forward } = memory;
+        let layer = CodedLayer { blobs: &self.blobs, shard, qkv };
+        if cls_only {
+            forward.layer_cls(x, layer, &self.slices, resident, cfg);
+        } else {
+            forward.layer(x, layer, &self.slices, resident, cfg);
+        }
     }
 
     /// Decompresses a layer's blobs into executable shard weights.
@@ -158,7 +210,8 @@ impl WorkingBuffer {
         &mut self,
         blobs: &[&QuantizedBlob],
     ) -> Result<Vec<ShardWeights>, PipelineError> {
-        self.admit(blobs)?;
+        check_blobs(&self.cfg, blobs.iter().copied())?;
+        self.peak_shards = self.peak_shards.max(blobs.len());
         Ok(blobs
             .iter()
             .map(|blob| {
@@ -176,17 +229,16 @@ impl WorkingBuffer {
     }
 }
 
-/// One layer's coded shards, lent to the forward pass by
-/// [`WorkingBuffer::layer`]: the [`ShardOperand`] that decodes slice `i`'s
-/// attention half, then its FFN half, into the working buffer's one slot as
-/// the layer reaches them. The halves are disjoint ranges of the flat weight
-/// group, so every weight is decoded once, by
-/// [`QuantizedBlob::dequantize_range_into`], to the same bits a whole-shard
-/// decode writes.
-#[derive(Debug)]
-pub struct CodedLayer<'a> {
-    blobs: &'a [&'a QuantizedBlob],
-    slot: &'a mut ShardSlot,
+/// One layer's coded shards as the forward pass reads them: the
+/// [`ShardOperand`] that decodes slice `i`'s attention half, then its FFN
+/// half, into the working buffer's one slot as the layer reaches them. The
+/// halves are disjoint ranges of the flat weight group, so every weight is
+/// decoded once, by [`QuantizedBlob::dequantize_range_into`], to the same
+/// bits a whole-shard decode writes.
+struct CodedLayer<'a> {
+    blobs: &'a [QuantizedBlob],
+    shard: &'a mut ShardWeights,
+    qkv: &'a mut [f32],
 }
 
 impl ShardOperand for CodedLayer<'_> {
@@ -195,16 +247,15 @@ impl ShardOperand for CodedLayer<'_> {
     }
 
     fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        let (blob, slot) = (self.blobs[i], &mut *self.slot);
-        slot.shard
-            .read_attention_with(&mut slot.qkv, |at, out| blob.dequantize_range_into(at, out));
-        (&slot.shard.qkv, &slot.shard.o)
+        let blob = &self.blobs[i];
+        self.shard.read_attention_with(self.qkv, |at, out| blob.dequantize_range_into(at, out));
+        (&self.shard.qkv, &self.shard.o)
     }
 
     fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        let (blob, slot) = (self.blobs[i], &mut *self.slot);
-        slot.shard.read_ffn_with(|at, out| blob.dequantize_range_into(at, out));
-        (&slot.shard.ffn1, &slot.shard.ffn2)
+        let blob = &self.blobs[i];
+        self.shard.read_ffn_with(|at, out| blob.dequantize_range_into(at, out));
+        (&self.shard.ffn1, &self.shard.ffn2)
     }
 }
 
@@ -265,14 +316,26 @@ mod tests {
         assert_eq!(wb.peak_bytes(), cfg.shard_fp32_bytes());
     }
 
+    /// `(slice, blob)` pairs as [`WorkingBuffer::forward_layer`] takes them.
+    fn staged<'b>(
+        idxs: &'b [usize],
+        blobs: &'b [&'b QuantizedBlob],
+    ) -> impl Iterator<Item = Result<(usize, &'b QuantizedBlob), PipelineError>> + 'b {
+        idxs.iter().zip(blobs).map(|(&slice, &blob)| Ok((slice, blob)))
+    }
+
     #[test]
     fn working_buffer_rejects_wrong_size_blobs() {
         let cfg = ModelConfig::tiny();
         let other = ModelConfig { hidden: 16, ffn: 32, ..ModelConfig::tiny() };
         let (good, bad) = (blob(&cfg, 1, Bitwidth::B2), blob(&other, 1, Bitwidth::B2));
+        let resident = LayerResident::identity(&cfg);
+        let mut x = Matrix::zeros(cfg.seq_len, cfg.hidden);
         let mut wb = WorkingBuffer::new(cfg);
         assert!(matches!(wb.assemble(&[&good, &bad]), Err(PipelineError::PlanMismatch(_))));
-        assert!(matches!(wb.layer(&[&good, &bad]), Err(PipelineError::PlanMismatch(_))));
+        let blobs = [&good, &bad];
+        let err = wb.forward_layer(&mut x, staged(&[0, 1], &blobs), &resident, false).unwrap_err();
+        assert!(matches!(err, PipelineError::PlanMismatch(_)), "{err:?}");
         assert_eq!(wb.peak_bytes(), 0, "a rejected layer is not counted");
     }
 
@@ -281,18 +344,23 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let mut wb = WorkingBuffer::new(cfg.clone());
         let b = blob(&cfg, 4, Bitwidth::B4);
+        let resident = LayerResident::identity(&cfg);
+        let mut x = Matrix::filled(cfg.seq_len, cfg.hidden, 0.5);
+        let idxs: Vec<usize> = (0..cfg.heads).collect();
+        let blobs: Vec<&QuantizedBlob> = idxs.iter().map(|_| &b).collect();
+        let mut slot = None;
         for _ in 0..10 {
-            let blobs: Vec<&QuantizedBlob> = (0..cfg.heads).map(|_| &b).collect();
             wb.assemble(&blobs).unwrap();
-            let mut layer = wb.layer(&blobs).unwrap();
-            assert_eq!(layer.width(), cfg.heads);
-            let slot = layer.attention(0).0.as_slice().as_ptr();
-            assert_eq!(layer.attention(cfg.heads - 1).0.as_slice().as_ptr(), slot, "one slot");
+            wb.forward_layer(&mut x, staged(&idxs, &blobs), &resident, false).unwrap();
+            let memory = wb.memory.as_ref().expect("built on the first layer");
+            let at = memory.shard.qkv.as_slice().as_ptr();
+            assert_eq!(*slot.get_or_insert(at), at, "one slot");
+            assert!(wb.blobs.is_empty(), "no handle outlives its layer");
         }
         assert_eq!(wb.peak_bytes(), cfg.heads * cfg.shard_fp32_bytes());
     }
 
-    /// The coded operand against decode-then-`layer_forward`, by `to_bits`:
+    /// The coded layer against decode-then-`layer_forward`, by `to_bits`:
     /// every bitwidth, with outliers in both halves of every shard, every
     /// width from one slice to all (distinct slices, not a prefix and not in
     /// order), the full layer and its CLS row, at both shipped shapes.
@@ -326,11 +394,12 @@ mod tests {
                     let decoded = wb.assemble(&refs).unwrap();
                     let decoded: Vec<&ShardWeights> = decoded.iter().collect();
                     let want = layer_forward(&x, &decoded, &idxs, resident, &cfg);
-                    let got = layer_forward(&x, wb.layer(&refs).unwrap(), &idxs, resident, &cfg);
+                    let mut got = x.clone();
+                    wb.forward_layer(&mut got, staged(&idxs, &refs), resident, false).unwrap();
                     assert_eq!(bits(&got), bits(&want), "{bw:?}, width {m}, {cfg:?}");
                     let want = layer_forward_cls(&x, &decoded, &idxs, resident, &cfg);
-                    let got =
-                        layer_forward_cls(&x, wb.layer(&refs).unwrap(), &idxs, resident, &cfg);
+                    let mut got = x.clone();
+                    wb.forward_layer(&mut got, staged(&idxs, &refs), resident, true).unwrap();
                     assert_eq!(bits(&got), bits(&want), "CLS, {bw:?}, width {m}, {cfg:?}");
                 }
             }

@@ -9,10 +9,11 @@
 //!
 //! The working buffer holds one shard, not one layer: the forward pass asks
 //! for each slice's attention half, then its FFN half, as it reaches them,
-//! and [`WorkingBuffer::layer`] decodes just that half of the blob into the
-//! one slot ([`sti_transformer::ShardOperand`] says why every weight is
-//! still decoded once, to the same bits). A layer's decoded shards are never
-//! all live at once.
+//! and [`WorkingBuffer::forward_layer`] decodes just that half of the blob
+//! into the one slot ([`sti_transformer::ShardOperand`] says why every
+//! weight is still decoded once, to the same bits). A layer's decoded shards
+//! are never all live at once, and the layer's activations live in the same
+//! buffer's forward scratch, reused from layer to layer.
 //!
 //! Computation is *real* (actual forward passes over dequantized weights);
 //! the per-layer timeline is accounted in simulated device time so that
@@ -29,7 +30,6 @@ use sti_quant::QuantizedBlob;
 use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardCache, ShardKey, ShardSource};
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::stats::argmax;
-use sti_transformer::layer::{layer_forward, layer_forward_cls};
 use sti_transformer::{AssembledSubmodel, Model, ShardId};
 
 use crate::buffers::{PreloadBuffer, WorkingBuffer};
@@ -204,8 +204,7 @@ impl<'a> PipelineExecutor<'a> {
         tokens: &[u32],
         has_request: &[bool],
     ) -> Result<ExecutionOutcome, PipelineError> {
-        let cfg = self.model.config().clone();
-        let mut working = WorkingBuffer::new(cfg.clone());
+        let mut working = WorkingBuffer::new(self.model.config().clone());
         let mut x = self.model.embedding().embed(tokens);
         let mut timings = Vec::with_capacity(plan.layers.len());
         let mut loaded_bytes = 0u64;
@@ -224,8 +223,7 @@ impl<'a> PipelineExecutor<'a> {
             // the preload buffer does not hold. Under shared-IO batching they
             // alias the payload other engagements received.
             let mut streamed = streamed.iter();
-            let mut blob_refs: Vec<&QuantizedBlob> = Vec::with_capacity(pl.slices.len());
-            for &slice in &pl.slices {
+            let shards = pl.slices.iter().map(|&slice| {
                 let id = ShardId::new(pl.layer, slice);
                 let blob = preload
                     .get(id)
@@ -235,20 +233,13 @@ impl<'a> PipelineExecutor<'a> {
                             "shard {id} neither preloaded nor loaded"
                         ))
                     })?;
-                blob_refs.push(blob);
-            }
-
+                Ok((usize::from(slice), blob))
+            });
             // Each shard is decoded half by half into the working buffer's
             // one slot as the layer reaches it, never a whole layer at once.
-            let shards = working.layer(&blob_refs)?;
-            let slice_idxs: Vec<usize> = pl.slices.iter().map(|&s| s as usize).collect();
-            let resident = &self.model.layers()[l].resident;
             // Only the classifier reads the last layer: its CLS row is enough.
-            x = if l + 1 == plan.layers.len() {
-                layer_forward_cls(&x, shards, &slice_idxs, resident, &cfg)
-            } else {
-                layer_forward(&x, shards, &slice_idxs, resident, &cfg)
-            };
+            let resident = &self.model.layers()[l].resident;
+            working.forward_layer(&mut x, shards, resident, l + 1 == plan.layers.len())?;
 
             timings.push(LayerTiming { io: io_delay, comp: self.hw.t_comp(pl.slices.len()) });
         }

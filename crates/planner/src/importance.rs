@@ -7,13 +7,15 @@
 //! probability assigned to the gold label) so that small dev sets still
 //! produce a total order instead of massive ties.
 
-use sti_nlp::metrics::soft_accuracy;
+use sti_nlp::metrics::soft_accuracy_of;
 use sti_nlp::Dataset;
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 use sti_tensor::parallel::parallel_map_scratch;
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::Matrix;
-use sti_transformer::{Model, ModelConfig, ShardId, ShardWeights};
+use sti_transformer::{ForwardScratch, Model, ModelConfig, ShardId, ShardOperand, ShardWeights};
+
+use crate::plan::PlannedLayer;
 
 /// The profiled importance of every shard in the grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,6 +114,20 @@ impl ImportanceProfile {
             .collect()
     }
 
+    /// The `depth × m` submodel of each of the first `depth` layers' `m`
+    /// most important slices ([`ImportanceProfile::top_slices_per_layer`]),
+    /// every shard at `bitwidth`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m > heads` or `depth > layers`.
+    pub fn top_submodel(&self, depth: usize, m: usize, bitwidth: Bitwidth) -> Vec<PlannedLayer> {
+        let layers = self.top_slices_per_layer(depth, m).into_iter().zip(0u16..);
+        layers
+            .map(|(slices, layer)| PlannedLayer { layer, slices, bitwidths: vec![bitwidth; m] })
+            .collect()
+    }
+
     /// Renders the grid as the heatmap of paper Figure 5: one row per layer
     /// (layer 0 at the top), digits 0–9 scaled between the minimum and
     /// maximum gain (9 = most important).
@@ -159,23 +175,25 @@ fn into_top(m: usize, slices: Vec<u16>) -> Vec<u16> {
 /// embedding. The floor stays quantized (about 1 KiB a shard at
 /// `scaled_bert()`, against 14 KiB decoded), and a pass decodes it one layer
 /// at a time into one reused decoded layer, advancing every dev example
-/// through each layer it decodes. The probes spread over the available
-/// cores and hand back one `f64` each. Everything that outlives a probe —
-/// the floor, the baselines, and each worker's decoded layer — is built on
-/// the calling thread (see `sti_tensor::parallel`).
+/// through each layer it decodes.
+///
+/// The probes spread over the available cores and hand back one `f64`
+/// each. A worker allocates nothing (see `sti_tensor::parallel`): each
+/// borrows a probe scratch the calling thread built — its decoded layer,
+/// one hidden state per dev example, overwritten from the baseline's rather
+/// than cloned, and the [`ForwardScratch`] every layer runs in. The floor
+/// and the baselines are built on the calling thread too.
 pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> ImportanceProfile {
     let cfg = model.config();
     assert!(!dev.is_empty(), "importance profiling needs a non-empty dev set");
     let (n, m) = (cfg.layers, cfg.heads);
     let floor = floor_blobs(model, quant);
     let floor_layer = |l: usize| &floor[l * m..(l + 1) * m];
+    let slices = model.all_slices();
 
     // entering[e][l]: example e's hidden state entering layer l of the
     // all-2-bit grid; entering[e][n] is the baseline's final state. Built on
-    // the calling thread (about 1% of the profile's layer evaluations): a
-    // small buffer a worker allocates and this thread frees stays cached by
-    // the allocator and can pin the worker's freed heap, so peak memory
-    // would vary from run to run.
+    // the calling thread (about 1% of the profile's layer evaluations).
     let mut entering: Vec<Vec<Matrix>> = dev
         .iter()
         .map(|e| {
@@ -184,53 +202,60 @@ pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> 
             states
         })
         .collect();
-    let mut layer = FloorLayer::new(cfg);
+    let mut scratch = ProbeScratch::new(cfg, 0);
     for l in 0..n {
-        layer.decode(floor_layer(l));
+        scratch.layer.decode(floor_layer(l));
+        let resident = &model.layers()[l].resident;
         for states in &mut entering {
-            let next = model.forward_layers(states[l].clone(), l, [layer.with(None)]);
+            let mut next = states[l].clone();
+            scratch.forward.layer(&mut next, scratch.layer.with(None), slices, resident, cfg);
             states.push(next);
         }
     }
-    drop(layer);
+    drop(scratch);
 
     // Probe (first, s): the floor resumed at layer `first` with slice `s` of
     // that layer at full fidelity.
     let labels: Vec<usize> = dev.iter().map(|e| e.label).collect();
     let scores = parallel_map_scratch(
         n * m,
-        || FloorLayer::new(cfg),
-        |layer, i| {
+        || ProbeScratch::new(cfg, dev.len()),
+        |ProbeScratch { layer, states, forward }, i| {
             let (first, s) = (i / m, i % m);
             let upgrade = |l: usize| (l == first).then(|| (s, &model.layers()[l].shards[s]));
-            let mut states: Vec<Matrix> = entering.iter().map(|st| st[first].clone()).collect();
+            for (x, entering) in states.iter_mut().zip(&entering) {
+                x.clone_from(&entering[first]);
+            }
             for l in first..n - 1 {
                 layer.decode(floor_layer(l));
-                states = states
-                    .into_iter()
-                    .map(|x| model.forward_layers(x, l, [layer.with(upgrade(l))]))
-                    .collect();
+                let resident = &model.layers()[l].resident;
+                for x in states.iter_mut() {
+                    forward.layer(x, layer.with(upgrade(l)), slices, resident, cfg);
+                }
             }
             layer.decode(floor_layer(n - 1));
-            let logits = states
-                .into_iter()
-                .map(|x| model.forward_logits(x, n - 1, [layer.with(upgrade(n - 1))]));
-            soft_score(logits, &labels)
+            let resident = &model.layers()[n - 1].resident;
+            let gold = states.iter_mut().zip(&labels).map(|(x, &label)| {
+                forward.layer_cls(x, layer.with(upgrade(n - 1)), slices, resident, cfg);
+                gold_probability(forward.logits(model.classifier(), x), label)
+            });
+            soft_accuracy_of(gold)
         },
     );
-    let baseline = soft_score(entering.iter().map(|st| model.classifier().logits(&st[n])), &labels);
+    let baseline = soft_accuracy_of(
+        entering
+            .iter()
+            .zip(&labels)
+            .map(|(st, &label)| gold_probability(&mut model.classifier().logits(&st[n]), label)),
+    );
     ImportanceProfile::from_scores(n, m, scores, baseline)
 }
 
-/// Soft dev accuracy of one class-logit vector per dev example.
-fn soft_score(logits: impl Iterator<Item = Vec<f32>>, labels: &[usize]) -> f64 {
-    let probs: Vec<Vec<f32>> = logits
-        .map(|mut probs| {
-            softmax_slice(&mut probs);
-            probs
-        })
-        .collect();
-    soft_accuracy(&probs, labels)
+/// The softmax probability `logits` (overwritten with the softmax) give the
+/// gold `label`.
+fn gold_probability(logits: &mut [f32], label: usize) -> f32 {
+    softmax_slice(logits);
+    logits[label]
 }
 
 /// Every shard of the grid quantized at 2-bit, in `layer·M + slice` order:
@@ -244,10 +269,28 @@ fn floor_blobs(model: &Model, quant: &QuantConfig) -> Vec<QuantizedBlob> {
         .collect()
 }
 
+/// What one probe writes, built on the calling thread and lent to one
+/// worker for the whole profile: one decoded floor layer, one hidden state
+/// per dev example and the forward pass's scratch.
+struct ProbeScratch {
+    layer: FloorLayer,
+    states: Vec<Matrix>,
+    forward: ForwardScratch,
+}
+
+impl ProbeScratch {
+    fn new(cfg: &ModelConfig, examples: usize) -> Self {
+        Self {
+            layer: FloorLayer::new(cfg),
+            states: (0..examples).map(|_| Matrix::zeros(cfg.seq_len, cfg.hidden)).collect(),
+            forward: ForwardScratch::new(cfg),
+        }
+    }
+}
+
 /// One layer of the floor decoded to FP32, overwritten in place for each
 /// layer a pass walks: `M` shards and the flat buffer a blob decodes into.
 struct FloorLayer {
-    all_slices: Vec<usize>,
     shards: Vec<ShardWeights>,
     flat: Vec<f32>,
 }
@@ -255,7 +298,6 @@ struct FloorLayer {
 impl FloorLayer {
     fn new(cfg: &ModelConfig) -> Self {
         Self {
-            all_slices: (0..cfg.heads).collect(),
             shards: (0..cfg.heads).map(|_| ShardWeights::zeros(cfg)).collect(),
             flat: vec![0.0; cfg.shard_param_count()],
         }
@@ -269,17 +311,42 @@ impl FloorLayer {
         }
     }
 
-    /// The decoded layer as a forward pass takes it, with slice `s` swapped
-    /// for `weights` if an upgrade is given.
-    fn with<'a>(
-        &'a self,
-        upgrade: Option<(usize, &'a ShardWeights)>,
-    ) -> (&'a [usize], Vec<&'a ShardWeights>) {
-        let mut shards: Vec<&ShardWeights> = self.shards.iter().collect();
-        if let Some((s, weights)) = upgrade {
-            shards[s] = weights;
+    /// The decoded layer as the forward pass's operand, every slice in
+    /// order, with slice `s` read from `weights` if an upgrade is given.
+    fn with<'a>(&'a self, upgrade: Option<(usize, &'a ShardWeights)>) -> FloorOperand<'a> {
+        FloorOperand { layer: self, upgrade }
+    }
+}
+
+/// A decoded floor layer with at most one slice upgraded: the
+/// [`ShardOperand`] a probe's layer runs on.
+struct FloorOperand<'a> {
+    layer: &'a FloorLayer,
+    upgrade: Option<(usize, &'a ShardWeights)>,
+}
+
+impl FloorOperand<'_> {
+    fn shard(&self, i: usize) -> &ShardWeights {
+        match self.upgrade {
+            Some((s, weights)) if s == i => weights,
+            _ => &self.layer.shards[i],
         }
-        (&self.all_slices, shards)
+    }
+}
+
+impl ShardOperand for FloorOperand<'_> {
+    fn width(&self) -> usize {
+        self.layer.shards.len()
+    }
+
+    fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
+        let shard = self.shard(i);
+        (&shard.qkv, &shard.o)
+    }
+
+    fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
+        let shard = self.shard(i);
+        (&shard.ffn1, &shard.ffn2)
     }
 }
 
@@ -298,6 +365,7 @@ fn floor_grid(model: &Model, quant: &QuantConfig) -> Vec<ShardWeights> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sti_nlp::metrics::soft_accuracy;
     use sti_nlp::{Task, TaskKind};
     use sti_tensor::parallel::parallel_map;
     use sti_transformer::AssembledSubmodel;
@@ -357,6 +425,11 @@ mod tests {
         let top = p.top_slices_per_layer(2, 2);
         assert_eq!(top[0], vec![1, 2]); // scores 0.80, 0.60
         assert_eq!(top[1], vec![0, 2]); // scores 0.70, 0.65
+        let layers = p.top_submodel(2, 2, Bitwidth::B6);
+        for (l, (pl, slices)) in layers.iter().zip(&top).enumerate() {
+            assert_eq!((pl.layer as usize, &pl.slices), (l, slices));
+            assert_eq!(pl.bitwidths, [Bitwidth::B6; 2]);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m.cols(), 3);
 /// assert_eq!(m[(1, 2)], 0.0);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -111,6 +111,15 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Reshapes the matrix to `rows × cols` in place, keeping its buffer:
+    /// elements keep their row-major positions and new ones are zero, so
+    /// scratch reshaped to another layer's shape is overwritten before it is
+    /// read. Allocates only if `rows · cols` exceeds the buffer's capacity.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
+    }
+
     /// Consumes the matrix and returns the underlying buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
@@ -199,6 +208,19 @@ impl Matrix {
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in max_abs_diff");
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
+    }
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
+    }
+
+    /// Copies `source` into this matrix's buffer, allocating only if it is
+    /// too small, so a caller can overwrite scratch with a kept state.
+    fn clone_from(&mut self, source: &Self) {
+        (self.rows, self.cols) = (source.rows, source.cols);
+        self.data.clone_from(&source.data);
     }
 }
 
@@ -295,6 +317,19 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[1.5, 2.25]]);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn reshape_and_clone_from_reuse_the_buffer() {
+        let mut m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let buffer = m.as_slice().as_ptr();
+        m.reshape(1, 2);
+        assert_eq!(m, Matrix::from_rows(&[&[1.0, 2.0]]));
+        m.reshape(2, 2);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 0.0, 0.0]);
+        m.clone_from(&Matrix::from_rows(&[&[7.0], &[8.0], &[9.0]]));
+        assert_eq!(m, Matrix::from_rows(&[&[7.0], &[8.0], &[9.0]]));
+        assert_eq!(m.as_slice().as_ptr(), buffer, "no call outgrew the buffer");
     }
 
     #[test]

@@ -5,22 +5,27 @@
 //! of a synthetic dataset, the importance probes, and the 2³² sweeps of the
 //! in-tree transcendentals.
 //!
-//! Results land in slots the calling thread allocates. Anything else a worker
-//! allocates comes from its own allocator arena; handed back, it would
-//! outlive the worker, and once the caller freed it the allocator would keep
-//! it cached and could keep the worker's heap resident, so the process's
-//! peak memory would depend on which thread built what. So the rule has two
-//! halves:
+//! Results land in slots the calling thread allocates. The rule: **a worker
+//! allocates nothing — its result is `Copy`, every buffer it writes is lent
+//! from the caller.** Whatever a worker allocates comes from its own
+//! allocator arena; the allocator keeps the arena for the rest of the
+//! process and may keep its pages resident even once every block in it is
+//! freed. So any allocation on a worker, however small, makes the
+//! process's resident memory depend on which thread ran what.
 //!
 //! - Results are `Copy` — a `Copy` value owns no heap memory — and the
 //!   compiler enforces it.
-//! - A buffer a worker needs for every item (the importance profiler's one
-//!   decoded layer) is a scratch value [`parallel_map_scratch`] builds on
-//!   the calling thread, lends to one worker for the whole call and frees on
-//!   the calling thread afterwards. The worker overwrites it in place;
-//!   growing it would reallocate it in the worker's arena.
+//! - Every buffer a worker writes (the importance profiler's decoded layer,
+//!   hidden states and forward-pass scratch; the teacher's hidden state and
+//!   scratch) is a scratch value [`parallel_map_scratch`] builds on the
+//!   calling thread, lends to one worker for the whole call and frees on the
+//!   calling thread afterwards. The worker overwrites it in place, never
+//!   growing it past what the caller sized it for.
 //!
-//! A large value that outlives the call is built on the caller's thread.
+//! A value that outlives the call is built on the caller's thread. Nothing
+//! but review enforces the second half; a memory pin in the root crate's
+//! tests (`tests/memory_sharing.rs`) counts the blocks the set-up's workers
+//! request and expects none.
 //!
 //! ```compile_fail,E0277
 //! // A `Vec` owns heap memory, so no worker may return one.

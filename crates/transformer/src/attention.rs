@@ -3,6 +3,7 @@
 use sti_tensor::{ops, softmax, Matrix};
 
 use crate::config::ModelConfig;
+use crate::layer::ForwardScratch;
 use crate::operand::ShardOperand;
 
 /// Computes multi-head attention with the given slices' Q/K/V/O weights and
@@ -16,39 +17,45 @@ use crate::operand::ShardOperand;
 ///
 /// Panics if `shards` is empty or shapes are inconsistent with `cfg`.
 pub fn attention(x: &Matrix, shards: impl ShardOperand, cfg: &ModelConfig) -> Matrix {
-    attend(x, shards, cfg, &mut Matrix::zeros(x.rows(), cfg.hidden))
+    let mut scratch = ForwardScratch::new(cfg);
+    attend(x, x.rows(), shards, cfg, &mut scratch);
+    scratch.attn
 }
 
-/// Attention proper for the leading `queries` positions, where `queries`
-/// is `projected.rows()`: the result is the first `queries` rows of the full
+/// Attention proper for the leading `queries` positions, into
+/// `scratch.attn` (`queries × d`): the first `queries` rows of the full
 /// `l × d` output, bit for bit, because every kernel below computes a row of
 /// its output from that row of its input alone. Keys and values are
-/// projected for all `l` positions either way. Scratch is allocated once and
-/// overwritten by every slice; `projected` (`queries × d`) is the caller's,
-/// so the FFN that follows can reuse it. Each slice's attention half is
-/// asked for once, when its turn comes.
+/// projected for all `l` positions either way. Every buffer is the
+/// scratch's, reshaped and overwritten by every slice, so nothing here
+/// allocates once the scratch is as large as the input. Each slice's
+/// attention half is asked for once, when its turn comes.
 pub(crate) fn attend(
     x: &Matrix,
+    queries: usize,
     mut shards: impl ShardOperand,
     cfg: &ModelConfig,
-    projected: &mut Matrix,
-) -> Matrix {
+    scratch: &mut ForwardScratch,
+) {
     let width = shards.width();
     assert!(width > 0, "attention needs at least one slice");
     let (l, d, hd) = (x.rows(), cfg.hidden, cfg.head_dim());
-    let queries = projected.rows();
     assert_eq!(x.cols(), d, "input width must equal hidden size");
     assert!(queries <= l, "more query rows than positions");
     let scale = 1.0 / (hd as f32).sqrt();
 
-    let mut out = Matrix::zeros(queries, d);
-    let mut qkv = Matrix::zeros(l, 3 * hd);
-    let mut v = Matrix::zeros(l, hd);
-    let mut scores = Matrix::zeros(queries, l);
-    let mut head = Matrix::zeros(queries, hd);
+    let ForwardScratch { attn: out, qkv, v, scores, head, projected, .. } = scratch;
+    out.reshape(queries, d);
+    // The slices' sum starts from +0.0 whatever an earlier layer left here.
+    out.as_mut_slice().fill(0.0);
+    qkv.reshape(l, 3 * hd);
+    v.reshape(l, hd);
+    scores.reshape(queries, l);
+    head.reshape(queries, hd);
+    projected.reshape(queries, d);
     for slice in 0..width {
         let (w_qkv, w_o) = shards.attention(slice);
-        ops::matmul_into(x, w_qkv, &mut qkv);
+        ops::matmul_into(x, w_qkv, qkv);
         for (qkv_i, v_i) in qkv.rows_iter().zip(v.as_mut_slice().chunks_exact_mut(hd)) {
             v_i.copy_from_slice(&qkv_i[2 * hd..]);
         }
@@ -57,17 +64,16 @@ pub(crate) fn attend(
                 *score = ops::dot(&qkv_i[..hd], &qkv_j[hd..2 * hd]); // q_i · k_j
             }
         }
-        ops::scale_inplace(&mut scores, scale);
-        softmax::softmax_rows(&mut scores);
+        ops::scale_inplace(scores, scale);
+        softmax::softmax_rows(scores);
 
-        ops::matmul_into(&scores, &v, &mut head); // queries × hd
-        ops::matmul_into(&head, w_o, projected); // queries × d
-        ops::add_inplace(&mut out, projected);
+        ops::matmul_into(scores, v, head); // queries × hd
+        ops::matmul_into(head, w_o, projected); // queries × d
+        ops::add_inplace(out, projected);
     }
     // Width rescaling: keep the residual-stream magnitude independent of the
     // number of executed slices.
-    ops::scale_inplace(&mut out, cfg.heads as f32 / width as f32);
-    out
+    ops::scale_inplace(out, cfg.heads as f32 / width as f32);
 }
 
 #[cfg(test)]

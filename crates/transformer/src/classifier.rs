@@ -27,10 +27,22 @@ impl Classifier {
     ///
     /// Panics if `hidden` is empty or its width disagrees with the head.
     pub fn logits(&self, hidden: &Matrix) -> Vec<f32> {
+        let mut out = vec![0.0; self.classes()];
+        self.logits_into(hidden, &mut out);
+        out
+    }
+
+    /// [`Classifier::logits`] into `out`, one logit per class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hidden` is empty, its width disagrees with the head, or
+    /// `out` is not one entry per class.
+    pub fn logits_into(&self, hidden: &Matrix, out: &mut [f32]) {
         assert!(hidden.rows() > 0, "classifier needs at least one token");
         assert_eq!(hidden.cols(), self.weight.rows(), "hidden width mismatch");
         let cls = hidden.row(0);
-        let mut out = self.bias.clone();
+        out.copy_from_slice(&self.bias);
         for (j, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (i, &h) in cls.iter().enumerate() {
@@ -38,7 +50,6 @@ impl Classifier {
             }
             *o += acc;
         }
-        out
     }
 
     /// Softmax probabilities over classes.

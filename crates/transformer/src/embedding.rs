@@ -34,9 +34,16 @@ impl Embedding {
     /// Sequences shorter than `seq_len` are padded with token 0; longer ones
     /// are truncated (the paper pads all inputs to a constant length, §5.3).
     pub fn embed(&self, tokens: &[u32]) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.embed_into(tokens, &mut out);
+        out
+    }
+
+    /// [`Embedding::embed`] into `out`, reshaped to `seq_len × d` in place.
+    pub fn embed_into(&self, tokens: &[u32], out: &mut Matrix) {
         let seq_len = self.position.rows();
         let d = self.token.cols();
-        let mut out = Matrix::zeros(seq_len, d);
+        out.reshape(seq_len, d);
         for pos in 0..seq_len {
             let tok = tokens.get(pos).copied().unwrap_or(0) as usize % self.token.rows();
             let t_row = self.token.row(tok);
@@ -46,8 +53,7 @@ impl Embedding {
                 o_row[i] = t_row[i] + p_row[i];
             }
         }
-        layernorm_inplace(&mut out, &self.norm, 1e-6);
-        out
+        layernorm_inplace(out, &self.norm, 1e-6);
     }
 
     /// Embeds a token sequence at its exact length (no padding) — the

@@ -3,6 +3,7 @@
 use sti_tensor::{activation, ops, Matrix};
 
 use crate::config::ModelConfig;
+use crate::layer::ForwardScratch;
 use crate::operand::ShardOperand;
 
 /// Computes the FFN with the given slices' neuron blocks.
@@ -24,38 +25,40 @@ pub fn ffn(
     bias_ffn1: &[f32],
     cfg: &ModelConfig,
 ) -> Matrix {
-    ffn_into(x, shards, slice_idxs, bias_ffn1, cfg, &mut Matrix::zeros(x.rows(), cfg.hidden))
+    let mut scratch = ForwardScratch::new(cfg);
+    scratch.attn.clone_from(x);
+    ffn_into(shards, slice_idxs, bias_ffn1, cfg, &mut scratch);
+    scratch.out
 }
 
-/// [`ffn`] with the caller's `l × d` scratch for each slice's projection.
+/// [`ffn`] of `scratch.attn` — the attention sublayer's output — into
+/// `scratch.out`, through the scratch's `hidden` and `projected`.
 pub(crate) fn ffn_into(
-    x: &Matrix,
     mut shards: impl ShardOperand,
     slice_idxs: &[usize],
     bias_ffn1: &[f32],
     cfg: &ModelConfig,
-    projected: &mut Matrix,
-) -> Matrix {
+    scratch: &mut ForwardScratch,
+) {
     let width = shards.width();
     assert!(width > 0, "ffn needs at least one slice");
     assert_eq!(width, slice_idxs.len(), "shard/slice index length mismatch");
-    let l = x.rows();
-    let d = cfg.hidden;
-    let f = cfg.ffn_per_shard();
-    let mut out = Matrix::zeros(l, d);
-    // Scratch, allocated once and overwritten by every slice.
-    let mut hidden = Matrix::zeros(l, f);
+    let ForwardScratch { attn: x, hidden, projected, out, .. } = scratch;
+    let (l, d, f) = (x.rows(), cfg.hidden, cfg.ffn_per_shard());
+    out.reshape(l, d);
+    out.as_mut_slice().fill(0.0);
+    hidden.reshape(l, f);
+    projected.reshape(l, d);
     for (i, &slice) in slice_idxs.iter().enumerate() {
         let (ffn1, ffn2) = shards.ffn(i);
-        ops::matmul_into(x, ffn1, &mut hidden); // l × f
+        ops::matmul_into(x, ffn1, hidden); // l × f
         let bias = &bias_ffn1[slice * f..(slice + 1) * f];
-        ops::add_bias(&mut hidden, bias);
-        activation::gelu_inplace(&mut hidden);
-        ops::matmul_into(&hidden, ffn2, projected); // l × d
-        ops::add_inplace(&mut out, projected);
+        ops::add_bias(hidden, bias);
+        activation::gelu_inplace(hidden);
+        ops::matmul_into(hidden, ffn2, projected); // l × d
+        ops::add_inplace(out, projected);
     }
-    ops::scale_inplace(&mut out, cfg.heads as f32 / width as f32);
-    out
+    ops::scale_inplace(out, cfg.heads as f32 / width as f32);
 }
 
 #[cfg(test)]

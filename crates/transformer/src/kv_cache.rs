@@ -10,7 +10,7 @@
 use sti_tensor::{ops, softmax, stats, Matrix};
 
 use crate::assemble::AssembledSubmodel;
-use crate::layer::finish_layer;
+use crate::layer::{finish_layer, ForwardScratch};
 use crate::model::Model;
 use crate::weights::ShardWeights;
 
@@ -101,6 +101,7 @@ impl DecoderSession {
         // Embed just the new position (embedding layer-norm is row-wise).
         let full = model.embedding().embed_exact(&self.tokens);
         let mut x = Matrix::from_vec(1, cfg.hidden, full.row(pos).to_vec());
+        let mut scratch = ForwardScratch::new(cfg);
 
         for (l, asm) in submodel.layers().iter().enumerate() {
             let resident = &model.layers()[l].resident;
@@ -128,16 +129,9 @@ impl DecoderSession {
 
             // The rest of the layer is row-wise: it runs on the single row.
             let shard_refs: Vec<&ShardWeights> = asm.shards.iter().collect();
-            let mut projected = Matrix::zeros(1, cfg.hidden);
-            x = finish_layer(
-                &x,
-                attn_out,
-                &shard_refs,
-                &asm.slice_idxs,
-                resident,
-                cfg,
-                &mut projected,
-            );
+            scratch.attn = attn_out;
+            finish_layer(&x, &shard_refs, &asm.slice_idxs, resident, cfg, &mut scratch);
+            std::mem::swap(&mut x, &mut scratch.out);
         }
         self.last_hidden = x.row(0).to_vec();
     }

@@ -4,6 +4,7 @@ use sti_tensor::norm::layernorm_inplace;
 use sti_tensor::{ops, Matrix};
 
 use crate::attention::attend;
+use crate::classifier::Classifier;
 use crate::config::ModelConfig;
 use crate::ffn::ffn_into;
 use crate::operand::ShardOperand;
@@ -17,20 +18,22 @@ use crate::weights::LayerResident;
 /// segments. `shards` is any [`ShardOperand`]: decoded shards as
 /// `&[&ShardWeights]` (or a `Vec` of them), or an operand that decodes
 /// each shard half when the layer reaches it — the same bits either way.
+/// This allocates its result and a fresh [`ForwardScratch`];
+/// [`ForwardScratch::layer`] runs the same layer in the caller's memory.
 ///
 /// # Panics
 ///
 /// Panics if `shards` is empty or lengths mismatch.
 pub fn layer_forward(
     x: &Matrix,
-    mut shards: impl ShardOperand,
+    shards: impl ShardOperand,
     slice_idxs: &[usize],
     resident: &LayerResident,
     cfg: &ModelConfig,
 ) -> Matrix {
-    let mut projected = Matrix::zeros(x.rows(), cfg.hidden);
-    let attn_out = attend(x, &mut shards, cfg, &mut projected);
-    finish_layer(x, attn_out, shards, slice_idxs, resident, cfg, &mut projected)
+    let mut x = x.clone();
+    ForwardScratch::new(cfg).layer(&mut x, shards, slice_idxs, resident, cfg);
+    x
 }
 
 /// [`layer_forward`] for a layer whose output only the classifier reads:
@@ -43,38 +46,154 @@ pub fn layer_forward(
 /// Panics if `shards` is empty or lengths mismatch.
 pub fn layer_forward_cls(
     x: &Matrix,
-    mut shards: impl ShardOperand,
-    slice_idxs: &[usize],
-    resident: &LayerResident,
-    cfg: &ModelConfig,
-) -> Matrix {
-    let cls = Matrix::from_rows(&[x.row(0)]);
-    let mut projected = Matrix::zeros(1, cfg.hidden);
-    let attn_out = attend(x, &mut shards, cfg, &mut projected);
-    finish_layer(&cls, attn_out, shards, slice_idxs, resident, cfg, &mut projected)
-}
-
-/// Everything of a post-norm layer after its attention — `LN(x + attn)`,
-/// then `LN(· + FFN(·))` — which the encoder layer and the KV-cached
-/// decoding step share. `projected` is `x`-shaped scratch for the FFN.
-pub(crate) fn finish_layer(
-    x: &Matrix,
-    mut attn_out: Matrix,
     shards: impl ShardOperand,
     slice_idxs: &[usize],
     resident: &LayerResident,
     cfg: &ModelConfig,
-    projected: &mut Matrix,
 ) -> Matrix {
-    ops::add_bias(&mut attn_out, &resident.bias_attn);
-    ops::add_inplace(&mut attn_out, x);
-    layernorm_inplace(&mut attn_out, &resident.ln_attn, 1e-6);
+    let mut x = x.clone();
+    ForwardScratch::new(cfg).layer_cls(&mut x, shards, slice_idxs, resident, cfg);
+    x
+}
 
-    let mut ffn_out = ffn_into(&attn_out, shards, slice_idxs, &resident.bias_ffn1, cfg, projected);
-    ops::add_bias(&mut ffn_out, &resident.bias_ffn2);
-    ops::add_inplace(&mut ffn_out, &attn_out);
-    layernorm_inplace(&mut ffn_out, &resident.ln_ffn, 1e-6);
-    ffn_out
+/// The working memory of the encoder forward pass, owned by its caller and
+/// sized once from a [`ModelConfig`]: every intermediate a layer writes —
+/// attention's packed projections, values, scores, head and projection, the
+/// FFN's hidden activations, the sublayer outputs — and the class logits.
+/// The hidden state itself is the caller's `x`: a layer writes its output
+/// into the scratch and swaps buffers with `x`, so the state and the
+/// scratch's output buffer alternate from layer to layer.
+///
+/// Once built, a pass over inputs no longer than `cfg.seq_len` allocates
+/// nothing (provided `x` was as large, since buffers trade places), which
+/// is what lets a worker thread run forward passes in memory its caller
+/// lent it (`sti_tensor::parallel`). Every buffer is overwritten before it
+/// is read, so a result never depends on what an earlier call left behind:
+/// the same bits as the allocating [`layer_forward`], whichever widths,
+/// inputs or models the scratch served before.
+#[derive(Debug)]
+pub struct ForwardScratch {
+    /// Attention's accumulator, then the attention sublayer's output
+    /// `LN(x + Attn(x))`, which the FFN reads (`queries × d`).
+    pub(crate) attn: Matrix,
+    /// One slice's packed `[q | k | v]` projections (`l × 3·d/M`).
+    pub(crate) qkv: Matrix,
+    /// One slice's values, contiguous (`l × d/M`).
+    pub(crate) v: Matrix,
+    /// One slice's attention weights (`queries × l`).
+    pub(crate) scores: Matrix,
+    /// One slice's attended values (`queries × d/M`).
+    pub(crate) head: Matrix,
+    /// One slice's output projection, attention's or the FFN's
+    /// (`queries × d`).
+    pub(crate) projected: Matrix,
+    /// One slice's FFN activations (`queries × d_ff/M`).
+    pub(crate) hidden: Matrix,
+    /// The FFN's accumulator, then the layer's output (`queries × d`).
+    pub(crate) out: Matrix,
+    logits: Vec<f32>,
+}
+
+impl ForwardScratch {
+    /// Scratch for layers of shape `cfg` over up to `cfg.seq_len` positions.
+    pub fn new(cfg: &ModelConfig) -> Self {
+        let (l, d, hd) = (cfg.seq_len, cfg.hidden, cfg.head_dim());
+        Self {
+            attn: Matrix::zeros(l, d),
+            qkv: Matrix::zeros(l, 3 * hd),
+            v: Matrix::zeros(l, hd),
+            scores: Matrix::zeros(l, l),
+            head: Matrix::zeros(l, hd),
+            projected: Matrix::zeros(l, d),
+            hidden: Matrix::zeros(l, cfg.ffn_per_shard()),
+            out: Matrix::zeros(l, d),
+            logits: vec![0.0; cfg.classes],
+        }
+    }
+
+    /// Runs one encoder layer over `x` in place: [`layer_forward`] without
+    /// the allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty or lengths mismatch.
+    pub fn layer(
+        &mut self,
+        x: &mut Matrix,
+        shards: impl ShardOperand,
+        slice_idxs: &[usize],
+        resident: &LayerResident,
+        cfg: &ModelConfig,
+    ) {
+        let positions = x.rows();
+        self.run(x, positions, shards, slice_idxs, resident, cfg);
+    }
+
+    /// Runs a layer only the classifier reads over `x` in place, leaving
+    /// its CLS row (`1 × d`): [`layer_forward_cls`] without the
+    /// allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty or lengths mismatch.
+    pub fn layer_cls(
+        &mut self,
+        x: &mut Matrix,
+        shards: impl ShardOperand,
+        slice_idxs: &[usize],
+        resident: &LayerResident,
+        cfg: &ModelConfig,
+    ) {
+        self.run(x, 1, shards, slice_idxs, resident, cfg);
+    }
+
+    fn run(
+        &mut self,
+        x: &mut Matrix,
+        queries: usize,
+        mut shards: impl ShardOperand,
+        slice_idxs: &[usize],
+        resident: &LayerResident,
+        cfg: &ModelConfig,
+    ) {
+        attend(x, queries, &mut shards, cfg, self);
+        finish_layer(x, shards, slice_idxs, resident, cfg, self);
+        std::mem::swap(x, &mut self.out);
+    }
+
+    /// The class logits of the final hidden state `hidden`, written into
+    /// the scratch: [`Classifier::logits`] without the allocation.
+    pub fn logits(&mut self, classifier: &Classifier, hidden: &Matrix) -> &mut [f32] {
+        classifier.logits_into(hidden, &mut self.logits);
+        &mut self.logits
+    }
+}
+
+/// Everything of a post-norm layer after its attention, which is in
+/// `scratch.attn` — `LN(x + attn)`, then `LN(· + FFN(·))` into
+/// `scratch.out` — shared by the encoder layer and the KV-cached decoding
+/// step. The residual is the leading `scratch.attn.rows()` rows of `x`.
+pub(crate) fn finish_layer(
+    x: &Matrix,
+    shards: impl ShardOperand,
+    slice_idxs: &[usize],
+    resident: &LayerResident,
+    cfg: &ModelConfig,
+    scratch: &mut ForwardScratch,
+) {
+    let attn = &mut scratch.attn;
+    assert!(attn.rows() <= x.rows() && attn.cols() == x.cols(), "residual shape mismatch");
+    ops::add_bias(attn, &resident.bias_attn);
+    for (a, r) in attn.as_mut_slice().iter_mut().zip(x.as_slice()) {
+        *a += *r;
+    }
+    layernorm_inplace(attn, &resident.ln_attn, 1e-6);
+
+    ffn_into(shards, slice_idxs, &resident.bias_ffn1, cfg, scratch);
+    let ForwardScratch { attn, out, .. } = scratch;
+    ops::add_bias(out, &resident.bias_ffn2);
+    ops::add_inplace(out, attn);
+    layernorm_inplace(out, &resident.ln_ffn, 1e-6);
 }
 
 #[cfg(test)]
@@ -170,6 +289,46 @@ mod tests {
                         bits(full.row(0)),
                         "m = {m}, scaled row {scaled_row:?}, {cfg:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// One scratch serves every call in turn — each width from one slice to
+    /// all (distinct slices, not a prefix and not in order), full and
+    /// CLS-only layers, inputs with and without a zero row, both shipped
+    /// shapes interleaved — and each result equals a fresh scratch's bit for
+    /// bit, so nothing a call leaves behind reaches the next one.
+    #[test]
+    fn a_reused_scratch_computes_a_fresh_scratchs_bits() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cases: Vec<_> = [ModelConfig::tiny(), ModelConfig::scaled_bert()]
+            .into_iter()
+            .map(|cfg| {
+                let mut rng = Rng::new(0x6469_7274);
+                let layer = synthetic_layer(&cfg, &mut rng, 1, GainPattern::BottomHeavy);
+                let mut x = Matrix::zeros(cfg.seq_len, cfg.hidden);
+                rng.fill_gaussian(x.as_mut_slice(), 0.0, 1.0);
+                let mut padded = x.clone();
+                padded.row_mut(cfg.seq_len - 1).fill(0.0);
+                (cfg, layer, [x, padded])
+            })
+            .collect();
+        let mut dirty = ForwardScratch::new(&ModelConfig::tiny());
+        for m in 1..=ModelConfig::scaled_bert().heads {
+            for (cfg, layer, inputs) in cases.iter().filter(|(cfg, ..)| m <= cfg.heads) {
+                let idxs: Vec<usize> = (0..m).map(|i| (5 * i + 1) % cfg.heads).collect();
+                let refs: Vec<&ShardWeights> = idxs.iter().map(|&s| &layer.shards[s]).collect();
+                let resident = &layer.resident;
+                for x in inputs {
+                    let mut got = x.clone();
+                    dirty.layer(&mut got, &refs, &idxs, resident, cfg);
+                    let fresh = layer_forward(x, &refs, &idxs, resident, cfg);
+                    assert_eq!(bits(&got), bits(&fresh), "m = {m}, {cfg:?}");
+                    let mut got = x.clone();
+                    dirty.layer_cls(&mut got, &refs, &idxs, resident, cfg);
+                    let fresh = layer_forward_cls(x, &refs, &idxs, resident, cfg);
+                    assert_eq!(bits(&got), bits(&fresh), "CLS, m = {m}, {cfg:?}");
                 }
             }
         }

@@ -14,7 +14,9 @@
 //! - [`ShardWeights`] / [`LayerWeights`] — the sharded parameter layout of
 //!   Table 1, with flattening to 1-D weight groups for quantization;
 //! - [`Model`] — synthetic-weight model generation, full forward, and
-//!   submodel forward over externally assembled (e.g. dequantized) shards.
+//!   submodel forward over externally assembled (e.g. dequantized) shards;
+//! - [`ForwardScratch`] — the caller-owned working memory every forward
+//!   pass runs in, so a warm pass allocates nothing per layer.
 //!
 //! ```
 //! use sti_transformer::{Model, ModelConfig};
@@ -45,6 +47,7 @@ pub mod weights;
 
 pub use assemble::AssembledSubmodel;
 pub use config::{ModelConfig, ShardId};
+pub use layer::ForwardScratch;
 pub use model::Model;
 pub use operand::ShardOperand;
 pub use weights::{LayerResident, LayerWeights, ShardWeights};

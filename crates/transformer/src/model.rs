@@ -8,7 +8,8 @@ use crate::assemble::AssembledSubmodel;
 use crate::classifier::Classifier;
 use crate::config::{ModelConfig, ShardId};
 use crate::embedding::Embedding;
-use crate::layer::{layer_forward, layer_forward_cls};
+use crate::layer::ForwardScratch;
+use crate::operand::ShardOperand;
 use crate::synthetic::{synthetic_layer, GainPattern};
 use crate::weights::{LayerWeights, ShardWeights};
 
@@ -38,6 +39,8 @@ struct Weights {
     embedding: Embedding,
     layers: Vec<LayerWeights>,
     classifier: Classifier,
+    /// `0..M`: the slice indexes of a full-width layer.
+    all_slices: Vec<usize>,
 }
 
 impl Model {
@@ -54,7 +57,8 @@ impl Model {
         let embedding = Embedding::synthetic(&cfg, rng.next_u64());
         let layers = (0..cfg.layers).map(|l| synthetic_layer(&cfg, &mut rng, l, pattern)).collect();
         let classifier = Classifier::synthetic(&cfg, rng.next_u64());
-        Self { weights: Arc::new(Weights { cfg, embedding, layers, classifier }) }
+        let all_slices = (0..cfg.heads).collect();
+        Self { weights: Arc::new(Weights { cfg, embedding, layers, classifier, all_slices }) }
     }
 
     /// The model configuration.
@@ -86,11 +90,22 @@ impl Model {
         &self.weights.layers[id.layer as usize].shards[id.slice as usize]
     }
 
+    /// The slice indexes of a full-width layer, `0..M`.
+    pub fn all_slices(&self) -> &[usize] {
+        &self.weights.all_slices
+    }
+
     /// Runs the full `N × M` model at full fidelity — the teacher.
     pub fn forward_full(&self, tokens: &[u32]) -> Vec<f32> {
-        let slices: Vec<Vec<usize>> =
-            (0..self.weights.cfg.layers).map(|_| (0..self.weights.cfg.heads).collect()).collect();
-        self.forward_submodel(tokens, &slices)
+        let mut x = self.weights.embedding.embed(tokens);
+        let mut scratch = ForwardScratch::new(&self.weights.cfg);
+        self.run_layers(&mut x, 0, self.full_layers(), true, &mut scratch);
+        self.weights.classifier.logits(&x)
+    }
+
+    /// Every layer at full width and fidelity, as the layer loop takes it.
+    fn full_layers(&self) -> impl Iterator<Item = (&[usize], &LayerWeights)> {
+        self.weights.layers.iter().map(|layer| (self.all_slices(), layer))
     }
 
     /// Feeds hidden state `x` through consecutive layers starting at layer
@@ -105,52 +120,56 @@ impl Model {
     /// Panics if `layers` runs past the model's depth.
     pub fn forward_layers<'a>(
         &self,
-        x: Matrix,
+        mut x: Matrix,
         first: usize,
         layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
     ) -> Matrix {
-        self.run_layers(x, first, layers, false)
+        let mut scratch = ForwardScratch::new(&self.weights.cfg);
+        self.run_layers(&mut x, first, layers, false, &mut scratch);
+        x
     }
 
     /// Class logits of [`Model::forward_layers`]' final hidden state. The
     /// classifier reads the CLS row only, so the last layer computes that row
-    /// alone ([`layer_forward_cls`]): the same bits for one row's worth of
-    /// attention scores, residuals, norms and FFN instead of `l`. With no
-    /// layers, the logits of `x` itself.
+    /// alone ([`ForwardScratch::layer_cls`]): the same bits for one row's
+    /// worth of attention scores, residuals, norms and FFN instead of `l`.
+    /// With no layers, the logits of `x` itself.
     ///
     /// # Panics
     ///
     /// Panics if `layers` runs past the model's depth.
     pub fn forward_logits<'a>(
         &self,
-        x: Matrix,
-        first: usize,
-        layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
-    ) -> Vec<f32> {
-        self.weights.classifier.logits(&self.run_layers(x, first, layers, true))
-    }
-
-    /// The one layer loop every forward path shares; `cls_only` runs the
-    /// last layer for the CLS row alone.
-    fn run_layers<'a>(
-        &self,
         mut x: Matrix,
         first: usize,
         layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
+    ) -> Vec<f32> {
+        let mut scratch = ForwardScratch::new(&self.weights.cfg);
+        self.run_layers(&mut x, first, layers, true, &mut scratch);
+        self.weights.classifier.logits(&x)
+    }
+
+    /// The one layer loop every forward path shares, over `x` in place;
+    /// `cls_only` runs the last layer for the CLS row alone.
+    fn run_layers<'a, S: ShardOperand>(
+        &self,
+        x: &mut Matrix,
+        first: usize,
+        layers: impl IntoIterator<Item = (&'a [usize], S)>,
         cls_only: bool,
-    ) -> Matrix {
+        scratch: &mut ForwardScratch,
+    ) {
         let mut residents = self.weights.layers[first..].iter().map(|l| &l.resident);
         let mut layers = layers.into_iter().peekable();
         while let Some((slice_idxs, shards)) = layers.next() {
             let resident = residents.next().expect("submodel deeper than model");
             let cfg = &self.weights.cfg;
-            x = if cls_only && layers.peek().is_none() {
-                layer_forward_cls(&x, &shards, slice_idxs, resident, cfg)
+            if cls_only && layers.peek().is_none() {
+                scratch.layer_cls(x, shards, slice_idxs, resident, cfg);
             } else {
-                layer_forward(&x, &shards, slice_idxs, resident, cfg)
-            };
+                scratch.layer(x, shards, slice_idxs, resident, cfg);
+            }
         }
-        x
     }
 
     /// Runs a submodel over the model's own full-fidelity weights.
@@ -203,8 +222,23 @@ impl Model {
 
     /// Teacher prediction: full model, full fidelity.
     pub fn predict_full(&self, tokens: &[u32]) -> usize {
-        let logits = self.forward_full(tokens);
-        stats::argmax(&logits).expect("at least one class")
+        let mut x = Matrix::zeros(0, 0);
+        self.predict_full_with(tokens, &mut x, &mut ForwardScratch::new(&self.weights.cfg))
+    }
+
+    /// [`Model::predict_full`] in the caller's memory: `x` holds the hidden
+    /// state (the embedding first, the final CLS row last) and `scratch`
+    /// everything else, so with both sized for this model it allocates
+    /// nothing.
+    pub fn predict_full_with(
+        &self,
+        tokens: &[u32],
+        x: &mut Matrix,
+        scratch: &mut ForwardScratch,
+    ) -> usize {
+        self.weights.embedding.embed_into(tokens, x);
+        self.run_layers(x, 0, self.full_layers(), true, scratch);
+        stats::argmax(scratch.logits(&self.weights.classifier, x)).expect("at least one class")
     }
 
     /// Bytes of resident (non-streamed) parameters: embedding, layer norms,

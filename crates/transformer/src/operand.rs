@@ -2,7 +2,7 @@
 
 use sti_tensor::Matrix;
 
-use crate::weights::ShardWeights;
+use crate::weights::{LayerWeights, ShardWeights};
 
 /// The weights of one layer's executed slices, handed out half a shard at a
 /// time, in the order the layer reads them: attention asks for shard `i`'s
@@ -19,7 +19,9 @@ use crate::weights::ShardWeights;
 ///
 /// Decoded shards implement it as any borrowed slice of shard references:
 /// `layer_forward(&x, &refs, …)` takes a `&Vec<&ShardWeights>`, a
-/// `&[&ShardWeights]` or a `&[&ShardWeights; N]` as it is.
+/// `&[&ShardWeights]` or a `&[&ShardWeights; N]` as it is, and an owned
+/// `Vec<&ShardWeights>` too. A whole layer, `&LayerWeights`, is every one
+/// of its slices in order, with no list of references built.
 pub trait ShardOperand {
     /// The number of executed slices (the layer's width).
     fn width(&self) -> usize;
@@ -46,6 +48,34 @@ impl<'a, T: AsRef<[&'a ShardWeights]> + ?Sized> ShardOperand for &'a T {
     fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
         let shard = (**self).as_ref()[i];
         (&shard.ffn1, &shard.ffn2)
+    }
+}
+
+impl ShardOperand for Vec<&ShardWeights> {
+    fn width(&self) -> usize {
+        self.len()
+    }
+
+    fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
+        (&self[i].qkv, &self[i].o)
+    }
+
+    fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
+        (&self[i].ffn1, &self[i].ffn2)
+    }
+}
+
+impl ShardOperand for &LayerWeights {
+    fn width(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
+        (&self.shards[i].qkv, &self.shards[i].o)
+    }
+
+    fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
+        (&self.shards[i].ffn1, &self.shards[i].ffn2)
     }
 }
 

@@ -170,6 +170,14 @@ impl ShardSource for ContextStore {
         self.0.load(key)
     }
 
+    fn load_buffered(
+        &self,
+        key: ShardKey,
+        record: &mut Vec<u8>,
+    ) -> Result<QuantizedBlob, StorageError> {
+        self.0.load_buffered(key, record)
+    }
+
     fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
         self.0.size_bytes(key)
     }

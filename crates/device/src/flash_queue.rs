@@ -18,21 +18,28 @@
 //! per-session IO lane — `IoChannel` in `sti-storage` — which fans its
 //! requests out across device channels according to placement.)
 //!
-//! One producer feeds the simulator: the **measured** path.
-//! `sti_storage::IoScheduler` records its actual dispatch sequence and the
-//! serving runtime's contention ledger (`sti-pipeline`,
-//! `ContentionLedger::replay` — the one place a dispatch log becomes jobs)
-//! replays it, so serving reports can quote the contended latency each
-//! engagement *would* have seen on real hardware.
+//! **One fold, two callers.** The single-server discipline lives in one
+//! function, [`serve_channel`]: `start = max(arrival, server_free)` over a
+//! channel's jobs in service order, with busy time, makespan and depth
+//! accounted on the way. [`TopologyQueueSim::run`] calls it over its
+//! submitted jobs and materialises a [`CompletedJob`] per recipient. The
+//! serving runtime's contention ledger (`sti-pipeline`) calls it over
+//! `sti_storage::IoScheduler`'s recorded dispatch log *by index*, where
+//! the log lies, keeping only each job's `(start, completion)`: a report
+//! copies no job and builds no completion list, and it quotes the
+//! contended latency each engagement *would* have seen on real hardware
+//! from the same arithmetic the simulator runs. Its span export lays that
+//! timeline out as a [`TopologyReport`], whose [`TopologyReport::spans`] is
+//! the flash-track renderer.
 //!
 //! Predictions do not come here. `sti_planner::ServingMix` knows every
 //! job's arrival before serving any (batching groups raise arrivals, but
 //! no completion feeds back into one), so it folds each channel's queue in
 //! closed form: the Lindley recursion `free = max(free, arrival) + service`
-//! over the jobs in `(arrival, submission)` order, which is this queue's
-//! `run` with nothing recorded. Integer `SimTime` makes the fold exact, and
-//! the planner's tests hold it equal to this simulator in both sharing
-//! modes.
+//! over the jobs in `(arrival, submission)` order, which is
+//! [`serve_channel`] with nothing recorded. Integer `SimTime` makes the
+//! fold exact, and the planner's tests hold it equal to this simulator in
+//! both sharing modes.
 //!
 //! Service times are computed by the caller, which is where the opt-in
 //! DRAM-residency mode lives (on the measured path, in the ledger): bytes
@@ -201,40 +208,81 @@ impl TopologyQueueSim {
         TopologyReport { channels }
     }
 
-    /// The single-server fold over one channel's jobs, in service order.
+    /// One channel's report: [`serve_channel`] over its jobs, each served
+    /// job's completion fanned out to its extra recipients.
     fn serve(&self, order: &[usize]) -> FlashQueueReport {
-        let mut report = FlashQueueReport::default();
-        let mut server_free = SimTime::ZERO;
-        for (served, &seq) in order.iter().enumerate() {
-            let Submitted { job, extra_recipients, .. } = &self.jobs[seq];
-            let start = job.arrival.max(server_free);
-            let completion = start + job.service;
-            server_free = completion;
-            report.busy += job.service;
-
-            // Depth at this service start: jobs arrived by `start` that have
-            // not completed. Earlier jobs in service order all completed by
-            // the old `server_free <= start`, so the depth is the arrived
-            // count minus the jobs already served (including this one).
-            let arrived =
-                order.partition_point(|&i| self.jobs[i].job.arrival <= start).max(served + 1);
-            report.max_depth = report.max_depth.max(arrived - served);
-
-            // A shared job's completion fans out to every extra recipient:
-            // same timeline, no extra busy time (the read happened once).
-            let recipients =
-                std::iter::once(job.engagement).chain(extra_recipients.iter().copied());
-            report.completions.extend(recipients.map(|engagement| CompletedJob {
-                engagement,
-                seq,
-                arrival: job.arrival,
-                start,
-                completion,
-            }));
-        }
-        report.makespan = server_free;
-        report
+        let mut completions = Vec::new();
+        let served = serve_channel(
+            order,
+            |seq| self.jobs[seq].job.arrival,
+            |seq| self.jobs[seq].job.service,
+            |seq, start, completion| {
+                // A shared job's completion fans out to every extra
+                // recipient: same timeline, no extra busy time (the read
+                // happened once).
+                let Submitted { job, extra_recipients, .. } = &self.jobs[seq];
+                let recipients =
+                    std::iter::once(job.engagement).chain(extra_recipients.iter().copied());
+                completions.extend(recipients.map(|engagement| CompletedJob {
+                    engagement,
+                    seq,
+                    arrival: job.arrival,
+                    start,
+                    completion,
+                }));
+            },
+        );
+        let ChannelService { busy, makespan, max_depth } = served;
+        FlashQueueReport { completions, busy, makespan, max_depth }
     }
+}
+
+/// What serving one device channel adds up to: its busy time, the
+/// completion of its last job and its deepest queue.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChannelService {
+    /// The sum of the service times.
+    pub busy: SimTime,
+    /// Completion time of the last job (zero for none).
+    pub makespan: SimTime,
+    /// Largest number of jobs queued or in service at any service start.
+    pub max_depth: usize,
+}
+
+/// The single-server FIFO fold — the one every contended replay runs, the
+/// simulator's [`TopologyQueueSim::run`] and the serving ledger's in-place
+/// replay of a dispatch log alike.
+///
+/// `order` is one device channel's jobs in service order: ascending
+/// arrival, ties in submission order. Each job starts at
+/// `max(arrival, server_free)` and completes `service` later; `served`
+/// receives every job with its start and completion, in `order`. Jobs are
+/// whatever the caller indexes them by, so a caller with its jobs already
+/// in a log folds the log where it lies.
+pub fn serve_channel<J: Copy>(
+    order: &[J],
+    arrival: impl Fn(J) -> SimTime,
+    service: impl Fn(J) -> SimTime,
+    mut served: impl FnMut(J, SimTime, SimTime),
+) -> ChannelService {
+    let mut out = ChannelService::default();
+    let mut server_free = SimTime::ZERO;
+    for (done, &job) in order.iter().enumerate() {
+        let start = arrival(job).max(server_free);
+        let cost = service(job);
+        let completion = start + cost;
+        server_free = completion;
+        out.busy += cost;
+        // Depth at this service start: jobs arrived by `start` that have
+        // not completed. Earlier jobs in service order all completed by the
+        // old `server_free <= start`, so the depth is the arrived count
+        // minus the jobs already served (including this one).
+        let arrived = order.partition_point(|&j| arrival(j) <= start).max(done + 1);
+        out.max_depth = out.max_depth.max(arrived - done);
+        served(job, start, completion);
+    }
+    out.makespan = server_free;
+    out
 }
 
 /// The outcome of one run: a [`FlashQueueReport`] per device channel.

@@ -68,7 +68,10 @@ pub use compute::ComputeModel;
 pub use energy::PowerModel;
 pub use engine::{Component, ComponentId, Engine, EngineReport, System};
 pub use flash::FlashModel;
-pub use flash_queue::{CompletedJob, FlashJob, FlashQueueReport, TopologyQueueSim, TopologyReport};
+pub use flash_queue::{
+    serve_channel, ChannelService, CompletedJob, FlashJob, FlashQueueReport, TopologyQueueSim,
+    TopologyReport,
+};
 pub use profile::DeviceProfile;
 pub use profiler::HwProfile;
 pub use topology::{content_sig, DeviceTopology, IoSharing};

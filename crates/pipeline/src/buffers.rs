@@ -1,7 +1,18 @@
-//! The two memory buffers STI allocates (paper §3.1).
+//! The two memory buffers STI allocates (paper §3.1): the preload buffer
+//! of `|S|` bytes a plan keeps resident, and the working buffer for the
+//! layer in flight.
+//!
+//! The working buffer is also where a streamed layer's *deferred* shards —
+//! misses the shard cache cannot keep, which the IO scheduler dispatches
+//! and charges but, outside a batch, does not read
+//! ([`sti_storage::loader`]) — are
+//! materialised: [`WorkingBuffer::materialise`] reads them when their layer
+//! comes up, through one record buffer per engagement, and the layer drops
+//! them when it ends. An engagement so holds the payload of one streamed
+//! layer at a time, plus one record, beside the compute memory below.
 
 use sti_quant::{Bitwidth, QuantizedBlob};
-use sti_storage::{ShardKey, ShardSource};
+use sti_storage::{LoadedLayer, ShardKey, ShardSource};
 use sti_tensor::Matrix;
 use sti_transformer::{
     ForwardScratch, LayerResident, ModelConfig, ShardId, ShardOperand, ShardWeights,
@@ -88,8 +99,10 @@ impl PreloadBuffer {
 /// are one shard's, however wide the layer, and each weight is still
 /// decoded exactly once. Beside the slot it keeps the [`ForwardScratch`]
 /// every layer runs in and the staged layer's slice indexes and blob
-/// handles. All of it is built on the first layer and reused by every
-/// later one, so an engagement allocates nothing per layer here.
+/// handles, and the record buffer deferred shards are read through
+/// ([`WorkingBuffer::materialise`]). All of it is built on the first layer
+/// that needs it and reused by every later one, so an engagement allocates
+/// nothing per layer here.
 /// [`WorkingBuffer::peak_bytes`] keeps the paper's model of the buffer: the
 /// widest layer's shards at FP32.
 ///
@@ -105,6 +118,9 @@ pub struct WorkingBuffer {
     /// coded blob, in execution order.
     slices: Vec<usize>,
     blobs: Vec<QuantizedBlob>,
+    /// The record buffer every deferred shard is read through, sized by
+    /// the largest record read so far.
+    record: Vec<u8>,
     /// The serving path's memory, built on its first layer.
     memory: Option<LayerMemory>,
 }
@@ -136,7 +152,30 @@ fn check_blobs<'b>(
 impl WorkingBuffer {
     /// Creates a working buffer for models of shape `cfg`.
     pub fn new(cfg: ModelConfig) -> Self {
-        Self { cfg, peak_shards: 0, slices: Vec::new(), blobs: Vec::new(), memory: None }
+        Self {
+            cfg,
+            peak_shards: 0,
+            slices: Vec::new(),
+            blobs: Vec::new(),
+            record: Vec::new(),
+            memory: None,
+        }
+    }
+
+    /// Reads `loaded`'s deferred shards from `source`, through this
+    /// buffer's one record buffer, so the layer can be computed; they live
+    /// as long as `loaded` does — the layer in flight.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first read error, as the typed storage error a read at
+    /// dispatch would have raised.
+    pub fn materialise(
+        &mut self,
+        loaded: &mut LoadedLayer,
+        source: &dyn ShardSource,
+    ) -> Result<(), PipelineError> {
+        Ok(loaded.materialise(source, &mut self.record)?)
     }
 
     /// Runs one encoder layer over the hidden state `x` in place, on

@@ -7,6 +7,15 @@
 //! computed while later layers' IO streams in. Preloaded shards skip IO
 //! entirely.
 //!
+//! A streamed layer is dispatched ahead and materialised when compute
+//! reaches it: the shards the IO scheduler deferred (on an unbatched
+//! dispatch, misses the shard cache cannot keep) are read and decoded as
+//! their layer comes up
+//! ([`WorkingBuffer::materialise`]) and dropped when it ends, so an
+//! engagement holds one layer of them at a time, not every layer it has
+//! dispatched. A read error then surfaces from the compute half
+//! ([`PipelineExecutor::complete_on`]) as the same typed storage error.
+//!
 //! The working buffer holds one shard, not one layer: the forward pass asks
 //! for each slice's attention half, then its FFN half, as it reaches them,
 //! and [`WorkingBuffer::forward_layer`] decodes just that half of the blob
@@ -192,10 +201,14 @@ impl<'a> PipelineExecutor<'a> {
     /// [`PipelineExecutor::issue_on`]'s mask for the same `(channel, plan,
     /// preload)` triple.
     ///
+    /// The IO was dispatched before this runs; the shards the dispatch
+    /// deferred are read here, from this executor's source, one layer at a
+    /// time.
+    ///
     /// # Errors
     ///
     /// Fails if a shard is missing from both the preload buffer and the
-    /// store, or storage reads fail.
+    /// store, or storage reads fail — a deferred shard's read included.
     pub fn complete_on(
         &self,
         channel: &IoChannel,
@@ -211,10 +224,13 @@ impl<'a> PipelineExecutor<'a> {
 
         for (l, pl) in plan.layers.iter().enumerate() {
             let (streamed, io_delay) = if has_request[l] {
-                let loaded = channel.recv()?;
+                let mut loaded = channel.recv()?;
                 debug_assert_eq!(loaded.layer, pl.layer, "IO completions must arrive in order");
+                // The shards the dispatch deferred are read now, as the
+                // layer comes up, and dropped with it.
+                working.materialise(&mut loaded, &*self.source)?;
                 loaded_bytes += loaded.bytes;
-                (loaded.blobs, loaded.io_delay)
+                (loaded.shards, loaded.io_delay)
             } else {
                 (Vec::new(), SimTime::ZERO)
             };
@@ -227,7 +243,9 @@ impl<'a> PipelineExecutor<'a> {
                 let id = ShardId::new(pl.layer, slice);
                 let blob = preload
                     .get(id)
-                    .or_else(|| streamed.next().filter(|(s, _)| *s == slice).map(|(_, b)| b))
+                    .or_else(|| {
+                        streamed.next().filter(|(s, _)| *s == slice).and_then(|(_, b)| b.blob())
+                    })
                     .ok_or_else(|| {
                         PipelineError::PlanMismatch(format!(
                             "shard {id} neither preloaded nor loaded"

@@ -3,22 +3,37 @@
 //! Alongside the deterministic per-engagement results, the server keeps
 //! the dual-track accounting of `sti_storage::scheduler`: the scheduler
 //! logs every dispatched request and stops there; the dispatch log is
-//! replayed *here* through the per-channel flash queues
-//! ([`sti_device::TopologyQueueSim`]) to quote each engagement's
-//! *contended* latency — one job per dispatch at its recorded arrival and
-//! device channel, a batched dispatch as one shared job, cache-resident
-//! bytes re-priced at DRAM speed under the opt-in residency mode.
-//! [`ContentionLedger`] owns the server's half of the accounting — one
-//! [`EngagementRecord`] per executed engagement, one [`GateDecision`] per
-//! gated one — and the **single replay** both consumers share (the only
-//! place a dispatch log meets a queue simulator):
+//! replayed *here* on the per-channel flash queues to quote each
+//! engagement's *contended* latency — one job per dispatch at its recorded
+//! arrival and device channel, a batched dispatch as one shared job,
+//! cache-resident bytes re-priced at DRAM speed under the opt-in residency
+//! mode. [`ContentionLedger`] owns the server's half of the accounting —
+//! one [`EngagementRecord`] per executed engagement, one [`GateDecision`]
+//! per gated one — and the **single replay** both consumers share:
 //! [`ContentionLedger::report`] replays the dispatch log in *dispatch
 //! order* under the scheduler's lane ids (what the device saw);
-//! [`ContentionLedger::spans`] replays it in the
-//! *canonical* `(arrival, stable engagement id)` order, which the event
-//! and sequential replays of one trace agree on, so the deterministic span
-//! tracks export byte-identically. The two orders stay distinct on
-//! purpose; only the code is shared.
+//! [`ContentionLedger::spans`] replays it in the *canonical* `(arrival,
+//! stable engagement id)` order, which the event and sequential replays of
+//! one trace agree on, so the deterministic span tracks export
+//! byte-identically. The two orders stay distinct on purpose; only the
+//! code is shared.
+//!
+//! **The replay runs in place.** The log is not copied into a simulator.
+//! The replay sorts the events' indices into service order (a `u32` per
+//! job) and hands each device channel's run to
+//! [`sti_device::serve_channel`], the single-server fold the queue
+//! simulator itself runs, which leaves each job's `(start, completion)`
+//! at its log index. An engagement's jobs are then found through one
+//! sorted `(lane, event)` index per delivery, a batched job's members
+//! included, and speculation is priced against the same per-channel busy
+//! intervals, read where they lie. No job is copied and no completion list
+//! is built, so a report's transient heap is those three arrays and the
+//! rows. The span export renders the same replay's flash tracks through
+//! [`TopologyReport::spans`], which owns that format: only there is the
+//! timeline laid out as a completion list, and the log is replayed once.
+//! The replay the ledger ran before — the log copied into the simulator,
+//! a completion list gathered per engagement — survives as the oracle its
+//! tests hold the in-place report equal to, on generated logs.
 //!
 //! **Invariants.** A session runs its engagements serially, so each
 //! session's records and gate decisions are chronological. An engagement
@@ -38,11 +53,12 @@
 //! gate decision holds a ledger lock for one push and never waits on the
 //! scheduler under it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use parking_lot::Mutex;
 use sti_device::{
-    CompletedJob, DeviceTopology, FlashJob, FlashModel, SimTime, TopologyQueueSim, TopologyReport,
+    serve_channel, ChannelService, CompletedJob, DeviceTopology, FlashModel, FlashQueueReport,
+    SimTime, TopologyReport,
 };
 use sti_obs::{SpanArgs, SpanEvent, TrackKind};
 use sti_planner::gate::GateDecision;
@@ -211,38 +227,37 @@ impl ContentionReport {
 }
 
 /// Prices the recorded speculative dispatches into the **idle windows** of
-/// an already-computed demand replay: per device channel, a speculative
+/// an already-replayed demand timeline: per device channel, a speculative
 /// job accumulates service time only while the demand timeline is idle —
 /// any demand busy interval overlapping its window pushes it out (counted
 /// in `preempted`), never the other way around. Demand completions are
 /// inputs here, so speculation cannot move a demand latency by
 /// construction; what it *costs* (channel time, flash bytes) is still
-/// charged for real.
-fn price_speculation(spec: &[FlashDispatchEvent], demand: &TopologyReport) -> PrefetchContention {
+/// charged for real. The busy intervals are read off the demand replay's
+/// arrays where they lie.
+fn price_speculation(spec: &[FlashDispatchEvent], demand: &Timeline<'_>) -> PrefetchContention {
     let mut out = PrefetchContention::default();
-    let mut per_dc: BTreeMap<u16, Vec<&FlashDispatchEvent>> = BTreeMap::new();
-    for e in spec {
-        per_dc.entry(e.device_channel).or_default().push(e);
-    }
-    for (dc, mut jobs) in per_dc {
-        // Stable: jobs arriving together keep their log order.
-        jobs.sort_by_key(|e| e.arrival);
-        let mut intervals: Vec<(SimTime, SimTime)> = demand
-            .channels
-            .get(dc as usize)
-            .map(|c| c.completions.iter().map(|j| (j.start, j.completion)).collect())
-            .unwrap_or_default();
-        intervals.sort_unstable();
+    // Each device channel's speculative queue, FIFO by arrival; jobs
+    // arriving together keep their log order.
+    let mut queue: Vec<u32> = (0..log_index(spec.len())).collect();
+    queue.sort_unstable_by_key(|&k| {
+        let e = &spec[k as usize];
+        (e.device_channel, e.arrival, k)
+    });
+    let channel_of = |k: u32| spec[k as usize].device_channel;
+    for jobs in queue.chunk_by(|&a, &b| channel_of(a) == channel_of(b)) {
+        let intervals = demand.busy_intervals(channel_of(jobs[0]));
         // The channel serves its speculative queue FIFO in the gaps, so a
         // job starts no earlier than the previous one finished.
         let mut cursor = SimTime::ZERO;
-        for e in jobs {
+        for &k in jobs {
+            let e = &spec[k as usize];
             let service = e.io_delay;
             let earliest = cursor.max(e.arrival);
             let mut t = earliest;
             let mut rem = service;
             let mut cut = false;
-            for &(s, end) in &intervals {
+            for (s, end) in intervals.clone() {
                 if end <= t || rem == SimTime::ZERO {
                     continue;
                 }
@@ -272,6 +287,90 @@ fn price_speculation(spec: &[FlashDispatchEvent], demand: &TopologyReport) -> Pr
         }
     }
     out
+}
+
+/// A dispatch log's index type: the in-place replay keeps a `u32` per job
+/// and per delivery, not a pointer.
+fn log_index(len: usize) -> u32 {
+    u32::try_from(len).expect("a dispatch log holds fewer than 2^32 events")
+}
+
+/// A demand dispatch log replayed on the contended device **in place**:
+/// the jobs are the log's events, named by their index, and the replay
+/// keeps per job only its place in service order and its `(start,
+/// completion)` — no copy of the log and no completion list. Each device
+/// channel's run is served by [`serve_channel`], the simulator's own fold.
+struct Timeline<'e> {
+    events: &'e [FlashDispatchEvent],
+    channel_count: u16,
+    /// Event indices in service order: channel by channel, each channel's
+    /// jobs by arrival, ties in log order.
+    order: Vec<u32>,
+    /// Each event's `(start, completion)`, at its log index.
+    times: Vec<(SimTime, SimTime)>,
+    /// Busy time, makespan and deepest queue, per device channel.
+    channels: Vec<ChannelService>,
+}
+
+impl Timeline<'_> {
+    /// The device channel `events[k]` is served on: its recorded channel,
+    /// normalized, so a mismatched topology still routes every job.
+    fn channel(&self, k: u32) -> u16 {
+        self.events[k as usize].device_channel % self.channel_count
+    }
+
+    /// Device channel `dc`'s busy intervals, in service order — which is
+    /// ascending `(start, completion)` order, since one server's starts
+    /// never decrease. Empty for a channel outside the topology.
+    fn busy_intervals(&self, dc: u16) -> impl Iterator<Item = (SimTime, SimTime)> + Clone + '_ {
+        let lo = self.order.partition_point(|&k| self.channel(k) < dc);
+        let hi = self.order.partition_point(|&k| self.channel(k) <= dc);
+        self.order[lo..hi].iter().map(|&k| self.times[k as usize])
+    }
+
+    fn busy(&self) -> SimTime {
+        self.channels.iter().map(|c| c.busy).sum()
+    }
+
+    fn makespan(&self) -> SimTime {
+        self.channels.iter().map(|c| c.makespan).max().unwrap_or(SimTime::ZERO)
+    }
+
+    fn max_depth(&self) -> usize {
+        self.channels.iter().map(|c| c.max_depth).max().unwrap_or(0)
+    }
+
+    /// The timeline in the queue simulator's report shape, which
+    /// [`TopologyReport::spans`] renders: each channel's jobs in service
+    /// order, `seq` the log index, a batched job's members mirrored after
+    /// it — what [`sti_device::TopologyQueueSim`] reports for the log
+    /// submitted in order.
+    fn to_report(&self) -> TopologyReport {
+        let mut channels: Vec<FlashQueueReport> = self
+            .channels
+            .iter()
+            .map(|c| FlashQueueReport {
+                completions: Vec::new(),
+                busy: c.busy,
+                makespan: c.makespan,
+                max_depth: c.max_depth,
+            })
+            .collect();
+        for &k in &self.order {
+            let e = &self.events[k as usize];
+            let (start, completion) = self.times[k as usize];
+            let lanes = std::iter::once(e.channel).chain(e.members.iter().copied());
+            let completions = &mut channels[self.channel(k) as usize].completions;
+            completions.extend(lanes.map(|engagement| CompletedJob {
+                engagement,
+                seq: k as usize,
+                arrival: e.arrival,
+                start,
+                completion,
+            }));
+        }
+        TopologyReport { channels }
+    }
 }
 
 /// What one engagement contributed to the contended track: enough to replay
@@ -357,10 +456,32 @@ impl ContentionLedger {
         }
     }
 
-    /// The one contended replay. `events` is a dispatch log whose jobs
-    /// carry `ids[k]` as the engagement id of `log[k]`: the scheduler's log
-    /// as it is under its lane ids ([`ContentionLedger::report`]), or a
-    /// canonical copy ([`ContentionLedger::spans`]).
+    /// The one contended replay of a dispatch log (see [`Timeline`]): one
+    /// job per dispatch at its recorded arrival and device channel, priced
+    /// by [`ContentionLedger::contended_service`]; a batched dispatch is
+    /// one job, charged once, that completes for every member.
+    fn timeline<'e>(&self, events: &'e [FlashDispatchEvent]) -> Timeline<'e> {
+        let channel_count = self.topology.channel_count();
+        let channel = |k: u32| events[k as usize].device_channel % channel_count;
+        let mut order: Vec<u32> = (0..log_index(events.len())).collect();
+        order.sort_unstable_by_key(|&k| (channel(k), events[k as usize].arrival, k));
+        let mut times = vec![(SimTime::ZERO, SimTime::ZERO); events.len()];
+        let mut channels = vec![ChannelService::default(); channel_count as usize];
+        for run in order.chunk_by(|&a, &b| channel(a) == channel(b)) {
+            channels[channel(run[0]) as usize] = serve_channel(
+                run,
+                |k| events[k as usize].arrival,
+                |k| self.contended_service(&events[k as usize]),
+                |k, start, completion| times[k as usize] = (start, completion),
+            );
+        }
+        Timeline { events, channel_count, order, times, channels }
+    }
+
+    /// Each record's row on `timeline`, in record order. `ids[i]` is the
+    /// engagement id `log[i]`'s jobs carry in the timeline's events: the
+    /// scheduler's lane ids ([`ContentionLedger::report`]), or stable ids
+    /// on a canonical copy ([`ContentionLedger::spans`]).
     ///
     /// Per-session issue clock: a session issues its next engagement only
     /// once the previous one returned, so each engagement's effective
@@ -369,55 +490,38 @@ impl ContentionLedger {
     /// remains between that issue and the first flash service start is
     /// genuine initial queueing — co-runners occupying the channel before
     /// the engagement got its first byte.
-    fn replay<'a>(
-        &self,
+    fn rows<'a>(
         log: &'a [EngagementRecord],
-        ids: Vec<u64>,
-        events: &[FlashDispatchEvent],
-    ) -> (TopologyReport, Vec<Replayed<'a>>) {
-        // One job per dispatch, routed by its recorded device channel
-        // (normalized, so a mismatched topology still routes every job); a
-        // batched dispatch is one shared job whose completion is mirrored
-        // to every member — the bytes are charged once.
-        let mut sim = TopologyQueueSim::new(self.topology);
-        for e in events {
-            sim.submit_shared_on(
-                e.device_channel % self.topology.channel_count(),
-                FlashJob {
-                    engagement: e.channel,
-                    arrival: e.arrival,
-                    service: self.contended_service(e),
-                },
-                &e.members,
-            );
+        ids: impl IntoIterator<Item = u64> + 'a,
+        timeline: &'a Timeline<'_>,
+    ) -> impl Iterator<Item = Replayed<'a>> + 'a {
+        let events = timeline.events;
+        // Every delivery as `(lane, event)`: a leader's and each member's.
+        // Sorted, each engagement's deliveries form one run in merged
+        // `(arrival, event)` order.
+        let deliveries = events.iter().map(FlashDispatchEvent::fanout).sum();
+        let mut by_lane: Vec<(u64, u32)> = Vec::with_capacity(deliveries);
+        for (k, e) in (0..log_index(events.len())).zip(events) {
+            let lanes = std::iter::once(e.channel).chain(e.members.iter().copied());
+            by_lane.extend(lanes.map(|lane| (lane, k)));
         }
-        let report = sim.run();
-        // Every engagement's jobs side by side, each run in merged
-        // `(arrival, seq)` order.
-        let mut jobs: Vec<&CompletedJob> =
-            report.channels.iter().flat_map(|c| &c.completions).collect();
-        jobs.sort_unstable_by_key(|j| (j.engagement, j.arrival, j.seq));
+        by_lane.sort_unstable_by_key(|&(lane, k)| (lane, events[k as usize].arrival, k));
         let mut session_clock: HashMap<u64, SimTime> = HashMap::new();
-        let rows = log
-            .iter()
-            .zip(ids)
-            .filter_map(|(rec, id)| {
-                let first = jobs.partition_point(|j| j.engagement < id);
-                let len = jobs[first..].partition_point(|j| j.engagement == id);
-                let jobs = &jobs[first..first + len];
-                // `None` on a count mismatch: no coherent timeline.
-                let io_ends = align_io_completions(&rec.layer_has_io, jobs)?;
-                let issue = rec
-                    .issue
-                    .max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
-                let start = jobs.first().map_or(issue, |j| j.start);
-                let comps = vec![rec.comp; rec.layer_has_io.len()];
-                let contended = contended_makespan(start, &io_ends, &comps);
-                session_clock.insert(rec.session, start + contended);
-                Some(Replayed { rec, id, issue, start, contended })
-            })
-            .collect();
-        (report, rows)
+        log.iter().zip(ids).filter_map(move |(rec, id)| {
+            let first = by_lane.partition_point(|d| d.0 < id);
+            let len = by_lane[first..].partition_point(|d| d.0 == id);
+            let mine = by_lane[first..first + len].iter().map(|&(_, k)| timeline.times[k as usize]);
+            // `None` on a count mismatch: no coherent timeline.
+            let io_ends =
+                align_io_completions(&rec.layer_has_io, mine.clone().map(|(_, end)| end))?;
+            let issue =
+                rec.issue.max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
+            let start = mine.clone().next().map_or(issue, |(start, _)| start);
+            let comps = vec![rec.comp; rec.layer_has_io.len()];
+            let contended = contended_makespan(start, &io_ends, &comps);
+            session_clock.insert(rec.session, start + contended);
+            Some(Replayed { rec, id, issue, start, contended })
+        })
     }
 
     /// Replays `events` (the demand dispatch log, in dispatch order) and
@@ -438,11 +542,10 @@ impl ContentionLedger {
         let deliveries: usize = events.iter().map(FlashDispatchEvent::fanout).sum();
         let mean_batch_occupancy =
             if events.is_empty() { 0.0 } else { deliveries as f64 / events.len() as f64 };
+        let timeline = self.timeline(events);
         let log = self.engagements.lock();
-        let lanes = log.iter().map(|rec| rec.channel).collect();
-        let (report, rows) = self.replay(&log, lanes, events);
-        let engagements = rows
-            .iter()
+        let lanes = log.iter().map(|rec| rec.channel);
+        let engagements = Self::rows(&log, lanes, &timeline)
             .map(|r| EngagementContention {
                 channel: r.rec.channel,
                 session: r.rec.session,
@@ -460,15 +563,15 @@ impl ContentionLedger {
         gate.sort_by_key(|d| d.session);
         ContentionReport {
             engagements,
-            flash_busy: report.busy(),
-            queue_makespan: report.makespan(),
-            max_queue_depth: report.max_depth(),
+            flash_busy: timeline.busy(),
+            queue_makespan: timeline.makespan(),
+            max_queue_depth: timeline.max_depth(),
             batched_dispatches,
             flash_bytes_saved,
             mean_batch_occupancy,
             gate,
             preload_bytes_reallocated,
-            prefetch: speculative.map(|spec| price_speculation(spec, &report)),
+            prefetch: speculative.map(|spec| price_speculation(spec, &timeline)),
         }
     }
 
@@ -506,10 +609,10 @@ impl ContentionLedger {
             e.members.iter_mut().for_each(|m| *m = remap(*m));
         }
         events.sort_by_key(|e| (e.arrival, e.channel));
-        let (report, rows) = self.replay(&log, ids, &events);
-        let mut spans = report.spans();
+        let timeline = self.timeline(&events);
+        let mut spans = timeline.to_report().spans();
         // Session-track engagement intervals: issue → contended completion.
-        for r in &rows {
+        for r in Self::rows(&log, ids, &timeline) {
             spans.push(
                 SpanEvent::complete(
                     TrackKind::Session,
@@ -575,7 +678,7 @@ mod tests {
     use super::*;
     use crate::server::tests::tiny_server;
     use crate::server::StiServer;
-    use sti_device::DeviceProfile;
+    use sti_device::{DeviceProfile, FlashJob, TopologyQueueSim};
 
     fn server() -> StiServer {
         tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
@@ -617,19 +720,274 @@ mod tests {
         }
     }
 
-    /// The replayed device timeline of `events` alone (no engagements).
-    fn device_timeline(
-        ledger: &ContentionLedger,
-        events: Vec<FlashDispatchEvent>,
-    ) -> TopologyReport {
-        ledger.replay(&[], Vec::new(), &events).0
+    /// The report as the replay built it before it ran in place: the log
+    /// copied into a queue simulator with its own single-server loop, a
+    /// completion list per channel, each engagement's completions gathered
+    /// from it, and speculation priced against every completion. Kept as
+    /// the oracle the in-place report must equal; it shares no replay code
+    /// with it, the fold included.
+    mod oracle {
+        use std::collections::{BTreeMap, HashMap};
+
+        use sti_device::{CompletedJob, FlashQueueReport, SimTime, TopologyReport};
+        use sti_planner::{align_io_completions, contended_makespan};
+        use sti_storage::FlashDispatchEvent;
+
+        use super::super::{
+            ContentionLedger, ContentionReport, EngagementContention, PrefetchContention,
+        };
+
+        /// The queue simulator as it ran before its fold was shared: per
+        /// channel FIFO by `(arrival, submission)`, a batched job's
+        /// completion mirrored to its members.
+        fn simulate(ledger: &ContentionLedger, events: &[FlashDispatchEvent]) -> TopologyReport {
+            let count = ledger.topology.channel_count();
+            let channel = |seq: usize| events[seq].device_channel % count;
+            let mut order: Vec<usize> = (0..events.len()).collect();
+            order.sort_by_key(|&seq| (channel(seq), events[seq].arrival));
+            let mut channels = vec![FlashQueueReport::default(); count as usize];
+            for run in order.chunk_by(|&a, &b| channel(a) == channel(b)) {
+                let report = &mut channels[channel(run[0]) as usize];
+                let mut server_free = SimTime::ZERO;
+                for (served, &seq) in run.iter().enumerate() {
+                    let e = &events[seq];
+                    let service = ledger.contended_service(e);
+                    let start = e.arrival.max(server_free);
+                    let completion = start + service;
+                    server_free = completion;
+                    report.busy += service;
+                    let arrived =
+                        run.partition_point(|&i| events[i].arrival <= start).max(served + 1);
+                    report.max_depth = report.max_depth.max(arrived - served);
+                    let recipients = std::iter::once(e.channel).chain(e.members.iter().copied());
+                    report.completions.extend(recipients.map(|engagement| CompletedJob {
+                        engagement,
+                        seq,
+                        arrival: e.arrival,
+                        start,
+                        completion,
+                    }));
+                }
+                report.makespan = server_free;
+            }
+            TopologyReport { channels }
+        }
+
+        pub(super) fn report(
+            ledger: &ContentionLedger,
+            events: &[FlashDispatchEvent],
+            speculative: Option<&[FlashDispatchEvent]>,
+            preload_bytes_reallocated: u64,
+        ) -> ContentionReport {
+            let batched_dispatches = events.iter().filter(|e| e.fanout() > 1).count() as u64;
+            let flash_bytes_saved: u64 =
+                events.iter().map(|e| e.bytes * e.members.len() as u64).sum();
+            let deliveries: usize = events.iter().map(FlashDispatchEvent::fanout).sum();
+            let mean_batch_occupancy =
+                if events.is_empty() { 0.0 } else { deliveries as f64 / events.len() as f64 };
+            let report = simulate(ledger, events);
+            let mut jobs: Vec<&CompletedJob> =
+                report.channels.iter().flat_map(|c| &c.completions).collect();
+            jobs.sort_unstable_by_key(|j| (j.engagement, j.arrival, j.seq));
+            let mut session_clock: HashMap<u64, SimTime> = HashMap::new();
+            let log = ledger.engagements.lock();
+            let engagements = log
+                .iter()
+                .filter_map(|rec| {
+                    let id = rec.channel;
+                    let first = jobs.partition_point(|j| j.engagement < id);
+                    let len = jobs[first..].partition_point(|j| j.engagement == id);
+                    let jobs = &jobs[first..first + len];
+                    let io_ends =
+                        align_io_completions(&rec.layer_has_io, jobs.iter().map(|j| j.completion))?;
+                    let issue = rec
+                        .issue
+                        .max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
+                    let start = jobs.first().map_or(issue, |j| j.start);
+                    let comps = vec![rec.comp; rec.layer_has_io.len()];
+                    let contended = contended_makespan(start, &io_ends, &comps);
+                    session_clock.insert(rec.session, start + contended);
+                    Some(EngagementContention {
+                        channel: rec.channel,
+                        session: rec.session,
+                        uncontended: rec.uncontended,
+                        contended,
+                        issue,
+                        initial_queueing: start.saturating_sub(issue),
+                        slo: rec.slo,
+                    })
+                })
+                .collect();
+            drop(log);
+            let mut gate = ledger.gate.lock().clone();
+            gate.sort_by_key(|d| d.session);
+            ContentionReport {
+                engagements,
+                flash_busy: report.busy(),
+                queue_makespan: report.makespan(),
+                max_queue_depth: report.max_depth(),
+                batched_dispatches,
+                flash_bytes_saved,
+                mean_batch_occupancy,
+                gate,
+                preload_bytes_reallocated,
+                prefetch: speculative.map(|spec| price_speculation(spec, &report)),
+            }
+        }
+
+        fn price_speculation(
+            spec: &[FlashDispatchEvent],
+            demand: &TopologyReport,
+        ) -> PrefetchContention {
+            let mut out = PrefetchContention::default();
+            let mut per_dc: BTreeMap<u16, Vec<&FlashDispatchEvent>> = BTreeMap::new();
+            for e in spec {
+                per_dc.entry(e.device_channel).or_default().push(e);
+            }
+            for (dc, mut jobs) in per_dc {
+                jobs.sort_by_key(|e| e.arrival);
+                let mut intervals: Vec<(SimTime, SimTime)> = demand
+                    .channels
+                    .get(dc as usize)
+                    .map(|c| c.completions.iter().map(|j| (j.start, j.completion)).collect())
+                    .unwrap_or_default();
+                intervals.sort_unstable();
+                let mut cursor = SimTime::ZERO;
+                for e in jobs {
+                    let service = e.io_delay;
+                    let earliest = cursor.max(e.arrival);
+                    let mut t = earliest;
+                    let mut rem = service;
+                    let mut cut = false;
+                    for &(s, end) in &intervals {
+                        if end <= t || rem == SimTime::ZERO {
+                            continue;
+                        }
+                        if s >= t + rem {
+                            break;
+                        }
+                        if s > t {
+                            rem = rem.saturating_sub(s.saturating_sub(t));
+                        }
+                        t = end;
+                        cut = true;
+                    }
+                    let finish = t + rem;
+                    out.jobs += 1;
+                    out.speculated_bytes += e.bytes;
+                    out.pinned_bytes += e.hit_bytes;
+                    out.busy += service;
+                    if cut || finish > earliest + service {
+                        out.preempted += 1;
+                    }
+                    out.makespan = out.makespan.max(finish);
+                    cursor = finish;
+                }
+            }
+            out
+        }
+    }
+
+    /// One generated workload: a ledger of `C ∈ {1, 2, 4}` channels (DRAM
+    /// residency on or off), engagement records, the dispatch log their
+    /// jobs came from, and a speculative log or none.
+    fn generated(
+        seed: u64,
+    ) -> (ContentionLedger, Vec<FlashDispatchEvent>, Option<Vec<FlashDispatchEvent>>) {
+        let mut rng = sti_tensor::Rng::new(seed);
+        let mut below = |n: usize| rng.next_below(n);
+        let channels = [1u16, 2, 4][below(3)];
+        let dram = (below(2) == 0).then(FlashModel::dram_residency);
+        let flash = DeviceProfile::odroid_n2().flash;
+        let ledger = ContentionLedger::new(flash, dram, DeviceTopology::with_channels(channels));
+        // Lanes 100.., a few sessions; arrivals on a coarse grid, so equal
+        // arrivals are common.
+        let lanes: Vec<u64> = (0..1 + below(7) as u64).map(|i| 100 + 3 * i).collect();
+        let mut events = Vec::new();
+        for _ in 0..below(40) {
+            let leader = lanes[below(lanes.len())];
+            let mut members = Vec::new();
+            if below(3) == 0 {
+                for &lane in &lanes {
+                    if lane != leader && below(2) == 0 {
+                        members.push(lane);
+                    }
+                }
+            }
+            let bytes = 1 + below(64 << 10) as u64;
+            let hit_bytes = [0, bytes, bytes / 2][below(3)];
+            events.push(FlashDispatchEvent {
+                channel: leader,
+                // Out-of-range channels too: the replay normalizes them.
+                device_channel: below(channels as usize + 1) as u16,
+                arrival: ms(below(6) as u64),
+                bytes,
+                hit_bytes,
+                io_delay: SimTime::from_us(below(4_000) as u64),
+                members,
+            });
+        }
+        // One record per lane whose streamed layers match its deliveries,
+        // preload-covered layers between them; one record in a few gets
+        // one streamed layer too many, so it drops out.
+        for (i, &lane) in lanes.iter().enumerate() {
+            let delivered =
+                events.iter().filter(|e| e.channel == lane || e.members.contains(&lane)).count();
+            let mismatched = below(4) == 0;
+            let mut layer_has_io = Vec::new();
+            for _ in 0..delivered + usize::from(mismatched) {
+                if below(3) == 0 {
+                    layer_has_io.push(false);
+                }
+                layer_has_io.push(true);
+            }
+            ledger.record_engagement(EngagementRecord {
+                channel: lane,
+                session: (i % 3) as u64,
+                slo: (below(2) == 0).then(|| ms(5)),
+                issue: ms(below(4) as u64),
+                layer_has_io,
+                comp: SimTime::from_us(below(2_000) as u64),
+                uncontended: ms(3),
+            });
+        }
+        let speculative = (below(2) == 0).then(|| {
+            (0..below(12))
+                .map(|_| FlashDispatchEvent {
+                    bytes: below(8 << 10) as u64,
+                    hit_bytes: below(4 << 10) as u64,
+                    device_channel: below(channels as usize + 1) as u16,
+                    ..event(7, below(12) as u64, below(4) as u64)
+                })
+                .collect()
+        });
+        (ledger, events, speculative)
+    }
+
+    /// The in-place report against the oracle, on 512 generated logs: the
+    /// whole report, equal with `==`.
+    #[test]
+    fn the_in_place_report_equals_the_simulator_oracle() {
+        let (mut kept, mut dropped, mut batched, mut priced) = (0, 0, 0, 0);
+        for seed in 0..512u64 {
+            let (ledger, events, speculative) = generated(seed);
+            let spec = speculative.as_deref();
+            let got = ledger.report(&events, spec, seed);
+            assert_eq!(got, oracle::report(&ledger, &events, spec, seed), "seed {seed}");
+            kept += got.engagements.len();
+            dropped += ledger.engagements.lock().len() - got.engagements.len();
+            batched += got.batched_dispatches;
+            priced += got.prefetch.map_or(0, |p| p.jobs);
+        }
+        assert!(kept > 0 && dropped > 0, "records both replay and drop out");
+        assert!(batched > 0 && priced > 0, "batched jobs and speculation are drawn");
     }
 
     #[test]
     fn the_replay_serves_the_dispatch_sequence() {
         // Lanes 0 and 1 stream two layers each, dispatched round-robin.
         let events = vec![event(0, 0, 3), event(1, 0, 4), event(0, 0, 5), event(1, 0, 6)];
-        let report = device_timeline(&ledger(), events);
+        let report = ledger().timeline(&events).to_report();
         assert_eq!(report.completions().len(), 4);
         // Busy-time conservation: the contended queue does exactly the
         // uncontended work, just serialized.
@@ -659,7 +1017,7 @@ mod tests {
         };
         let run = |dram: Option<FlashModel>| {
             let ledger = ContentionLedger::new(flash, dram, DeviceTopology::single());
-            device_timeline(&ledger, vec![cold.clone(), warm.clone()])
+            ledger.timeline(&[cold.clone(), warm.clone()]).to_report()
         };
         let flash_only = run(None);
         let with_dram = run(Some(FlashModel::dram_residency()));
@@ -671,7 +1029,7 @@ mod tests {
 
     #[test]
     fn lane_arrival_offsets_shift_the_contended_track() {
-        let report = device_timeline(&ledger(), vec![event(0, 500, 5)]);
+        let report = ledger().timeline(&[event(0, 500, 5)]).to_report();
         assert_eq!(report.completions()[0].arrival, ms(500));
         assert!(report.makespan() >= ms(500));
     }
@@ -685,13 +1043,13 @@ mod tests {
         );
         let events =
             vec![event(0, 0, 5), FlashDispatchEvent { device_channel: 1, ..event(1, 0, 5) }];
-        let striped = device_timeline(&two, events.clone());
+        let striped = two.timeline(&events).to_report();
         for lane in [0, 1] {
             assert_eq!(striped.completions_of(lane)[0].queue_delay(), SimTime::ZERO);
         }
         // One channel serializes the same log (the recorded device channel
         // is normalized into the topology).
-        let serial = device_timeline(&ledger(), events);
+        let serial = ledger().timeline(&events).to_report();
         assert_eq!(serial.completions_of(1)[0].queue_delay(), ms(5));
     }
 
@@ -720,7 +1078,7 @@ mod tests {
                 &e.members,
             );
         }
-        let topo = device_timeline(&ledger, events);
+        let topo = ledger.timeline(&events).to_report();
         assert_eq!(topo, reference.run(), "C = 1 replay is bit-identical");
         // The raised arrival keeps lane 0's FIFO through the replay.
         let mine = topo.completions_of(0);

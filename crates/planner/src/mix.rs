@@ -1360,7 +1360,8 @@ mod tests {
             );
         }
         let has_io: Vec<bool> = load.jobs.iter().map(Option::is_some).collect();
-        let io_ends = align_io_completions(&has_io, &sim.run().completions_of(1))
+        let completions = sim.run().completions_of(1);
+        let io_ends = align_io_completions(&has_io, completions.iter().map(|c| c.completion))
             .expect("the simulator served one read per streamed layer");
         contended_makespan(load.arrival, &io_ends, &vec![load.comp; load.jobs.len()])
     }

@@ -43,10 +43,9 @@
 //! [`ServingMix::min_delay`]: crate::mix::ServingMix::min_delay
 //! [`ServingMix::digest`]: crate::mix::ServingMix::digest
 
-use std::borrow::Borrow;
 use std::sync::Arc;
 
-use sti_device::{content_sig, CompletedJob, HwProfile, SimTime};
+use sti_device::{content_sig, HwProfile, SimTime};
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
@@ -207,26 +206,22 @@ impl EngagementLoad {
     }
 }
 
-/// Aligns an engagement's per-layer streaming flags with its completed
-/// queue jobs, positionally: layer `k` takes the next completion when it
-/// streamed, `None` when it was preload-covered. Returns `None` on a count
-/// mismatch (an engagement that errored mid-stream has no coherent
-/// contended timeline). Both the predictive track and the measured replay
-/// go through here, so the layer↔job mapping cannot drift between them.
+/// Aligns an engagement's per-layer streaming flags with the completion
+/// times of its queue jobs, positionally: layer `k` takes the next
+/// completion when it streamed, `None` when it was preload-covered. Returns
+/// `None` on a count mismatch (an engagement that errored mid-stream has no
+/// coherent contended timeline). Both the predictive track and the measured
+/// replay go through here, so the layer↔job mapping cannot drift between
+/// them.
 pub fn align_io_completions(
     has_io: &[bool],
-    completions: &[impl Borrow<CompletedJob>],
+    completions: impl ExactSizeIterator<Item = SimTime>,
 ) -> Option<Vec<Option<SimTime>>> {
     if has_io.iter().filter(|&&has| has).count() != completions.len() {
         return None;
     }
-    let mut next = completions.iter();
-    Some(
-        has_io
-            .iter()
-            .map(|&has| has.then(|| next.next().expect("count checked above").borrow().completion))
-            .collect(),
-    )
+    let mut next = completions;
+    Some(has_io.iter().map(|&has| has.then(|| next.next().expect("count checked above"))).collect())
 }
 
 /// The pipeline recurrence against *absolute* IO completion times: layer

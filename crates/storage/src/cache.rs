@@ -42,7 +42,10 @@
 //! drops both maps. Blobs enter and leave only through
 //! [`ShardCache::get_or_load`] / [`ShardCache::get_or_load_tracked`]
 //! (demand) and [`ShardCache::prefetch_load`] (speculation): there is no
-//! bare lookup or insert a caller could pair and race between.
+//! bare lookup or insert a caller could pair and race between. The IO
+//! scheduler's tracked lookup may leave a miss larger than the whole
+//! budget, which admission would refuse unchanged, unread for the
+//! engagement to read when it computes the layer.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -292,7 +295,8 @@ impl ShardCache {
         source: &dyn ShardSource,
         key: ShardKey,
     ) -> Result<QuantizedBlob, StorageError> {
-        self.get_or_load_tracked(source, key).map(|(blob, _)| blob)
+        let (blob, _) = self.get_or_load_tracked(source, key, None)?;
+        Ok(blob.expect("a lookup given no size reads every miss"))
     }
 
     /// [`ShardCache::get_or_load`] that also reports whether the blob was
@@ -303,18 +307,26 @@ impl ShardCache {
     /// actually did when another worker raced an insert or eviction in
     /// between. Only a cold read runs outside the lock.
     ///
+    /// `defer` is the shard's payload size when the caller can read the
+    /// shard later itself (the IO scheduler's solo dispatch): a miss larger
+    /// than the whole main budget is then not read and comes back as
+    /// `None`. Admission would refuse that blob with no tick, no eviction
+    /// and no counter, so the cache ends exactly as a read-and-refuse would
+    /// have left it. With `defer` at `None` every miss is read.
+    ///
     /// # Errors
     ///
-    /// Propagates the backing source's error on a miss.
+    /// Propagates the backing source's error on a miss it reads.
     pub fn get_or_load_tracked(
         &self,
         source: &dyn ShardSource,
         key: ShardKey,
-    ) -> Result<(QuantizedBlob, bool), StorageError> {
+        defer: Option<u64>,
+    ) -> Result<(Option<QuantizedBlob>, bool), StorageError> {
         {
             let mut state = self.state.lock();
             if let Some(blob) = state.lookup(key) {
-                return Ok((blob, true));
+                return Ok((Some(blob), true));
             }
             // Main-map miss: a staged prefetch can serve it. The blob is
             // promoted through the normal admission, so the main map
@@ -325,12 +337,15 @@ impl ShardCache {
                 state.pool_stats.hits += 1;
                 state.pool_stats.hit_bytes += staged.bytes;
                 state.admit(key, &staged.blob);
-                return Ok((staged.blob, true));
+                return Ok((Some(staged.blob), true));
+            }
+            if defer.is_some_and(|size| size > state.main.budget) {
+                return Ok((None, false));
             }
         }
         let blob = source.load(key)?;
         self.state.lock().admit(key, &blob);
-        Ok((blob, false))
+        Ok((Some(blob), false))
     }
 
     /// Staging-pool counters (all zero for a cache built without a pool).
@@ -407,6 +422,17 @@ impl CachedSource {
 impl ShardSource for CachedSource {
     fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
         self.cache.get_or_load(&*self.source, key)
+    }
+
+    /// Reads past the cache: a cache holds payloads, not records, and a
+    /// buffered load is for a shard the caller drops with its layer, so it
+    /// neither counts a lookup nor admits anything.
+    fn load_buffered(
+        &self,
+        key: ShardKey,
+        record: &mut Vec<u8>,
+    ) -> Result<QuantizedBlob, StorageError> {
+        self.source.load_buffered(key, record)
     }
 
     fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
@@ -559,7 +585,7 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), ShardCacheStats::default());
         // Demand miss promotes: resident flag set, pool drained, hit counted.
-        let (_, resident) = cache.get_or_load_tracked(&*store, k).unwrap();
+        let (_, resident) = cache.get_or_load_tracked(&*store, k, None).unwrap();
         assert!(resident, "staged blob counts as resident");
         let ps = cache.prefetch_stats();
         assert_eq!(ps.hits, 1);
@@ -616,7 +642,7 @@ mod tests {
         assert!(cache.prefetch_load(&*store, k).unwrap().0 > 0);
         cache.clear();
         assert_eq!(cache.resident_bytes(), (0, 0));
-        let (_, resident) = cache.get_or_load_tracked(&*store, k).unwrap();
+        let (_, resident) = cache.get_or_load_tracked(&*store, k, None).unwrap();
         assert!(!resident, "a cleared pool must not serve a stale staged blob");
         assert_eq!(cache.prefetch_stats().hits, 0);
     }

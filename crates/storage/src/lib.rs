@@ -40,7 +40,10 @@
 //!   arriving within it coalesce into one fan-out flash job, charged once
 //!   on the contended track;
 //! - [`loader`] — the layer-granular [`LayerRequest`] / [`LoadedLayer`]
-//!   pair the scheduler's lanes carry.
+//!   pair the scheduler's lanes carry; on an unbatched dispatch a shard no
+//!   cache would keep rides in a `LoadedLayer` as a
+//!   [`LoadedShard::Deferred`] key, read when its layer is computed, not at
+//!   dispatch.
 //!
 //! **Ownership of shard bytes:** one writer at construction, then shared
 //! and immutable. A [`ShardSource`] builds or decodes a blob's payload once;
@@ -69,7 +72,7 @@ pub mod store;
 pub use batcher::BatchStats;
 pub use cache::{CachedSource, PrefetchPoolStats, ShardCache, ShardCacheStats};
 pub use error::StorageError;
-pub use loader::{LayerRequest, LoadedLayer};
+pub use loader::{LayerRequest, LoadedLayer, LoadedShard};
 pub use memstore::MemStore;
 pub use scheduler::{FlashDispatchEvent, IoChannel, IoScheduler, IoSchedulerStats, SpeculativeJob};
 pub use store::{ShardKey, ShardSource, ShardStore};

@@ -62,11 +62,12 @@
 //!   the lane's simulated arrival time, the device channel placement put it
 //!   on, and byte/cache-hit accounting — and that is all it does for this
 //!   track: the serving runtime's contention ledger (`sti-pipeline`) reads
-//!   the log in place ([`IoScheduler::with_event_logs`]) and replays it
-//!   through the per-channel queue simulator of `sti-device` to learn when
-//!   each request *would* have started and completed on the contended
-//!   device. Nothing of that feeds back into execution results; it exists
-//!   for serving reports, the SLO planner, and admission control.
+//!   the log in place ([`IoScheduler::with_event_logs`]) and replays it,
+//!   where it lies, through `sti-device`'s single-server fold per device
+//!   channel to learn when each request *would* have started and
+//!   completed on the contended device. Nothing of that feeds back into
+//!   execution results; it exists for serving reports, the SLO planner,
+//!   and admission control.
 //!
 //! **Shared-IO batching** (matching rule and what it may change:
 //! [`crate::batcher`]): under [`IoSharing::Batched`], a dispatch may
@@ -458,6 +459,7 @@ impl Drop for IoChannel {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -591,10 +593,11 @@ mod tests {
         let (go, go_rx) = mpsc::channel();
         let source = PanickingSource { started: Mutex::new(started_tx), go: Mutex::new(go_rx) };
         let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
+        // A cache that can keep the 1-byte shard, so the dispatch reads it.
         let sched = IoScheduler::spawn(
             Arc::new(source),
             flash,
-            Arc::new(ShardCache::new(0)),
+            Arc::new(ShardCache::new(1 << 10)),
             IoSharing::Exclusive,
             DeviceTopology::single(),
         );
@@ -645,9 +648,12 @@ mod tests {
         for loaded in &first_layer_blobs[1..] {
             assert_eq!(loaded.bytes, first_layer_blobs[0].bytes);
             assert_eq!(loaded.io_delay, first_layer_blobs[0].io_delay);
-            assert_eq!(loaded.blobs[0].1, first_layer_blobs[0].blobs[0].1, "fan-out is identical");
+            // The zero-byte cache keeps nothing, yet a batched dispatch
+            // reads the shard once and hands every member the payload.
+            let blob = |l: &LoadedLayer| l.shards[0].1.blob().expect("a batch reads it").clone();
+            assert_eq!(blob(loaded), blob(&first_layer_blobs[0]), "fan-out is identical");
             // The payload is shared, not copied.
-            let payload = |l: &LoadedLayer| l.blobs[0].1.packed().as_ptr();
+            let payload = |l: &LoadedLayer| blob(l).packed().as_ptr();
             assert_eq!(payload(loaded), payload(&first_layer_blobs[0]));
         }
         // Two dispatches (one per layer), each 4-way.
@@ -664,6 +670,58 @@ mod tests {
         // unbatched busy time.
         let logged = events.iter().fold(SimTime::ZERO, |sum, e| sum + e.io_delay);
         assert_eq!(logged * 4, stats.sim_flash_busy);
+    }
+
+    /// A source that counts the reads it serves.
+    struct CountingSource {
+        inner: MemStore,
+        reads: AtomicUsize,
+    }
+
+    impl ShardSource for CountingSource {
+        fn load(&self, key: ShardKey) -> Result<sti_quant::QuantizedBlob, StorageError> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.load(key)
+        }
+
+        fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
+            self.inner.size_bytes(key)
+        }
+    }
+
+    #[test]
+    fn a_batch_reads_each_record_once_where_a_solo_dispatch_defers_it() {
+        let model = Model::synthetic(2, ModelConfig::tiny());
+        let inner = MemStore::build(&model, &[Bitwidth::B2], &QuantConfig::default());
+        let source = Arc::new(CountingSource { inner, reads: AtomicUsize::new(0) });
+        let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
+        let sched = IoScheduler::spawn(
+            source.clone(),
+            flash,
+            Arc::new(ShardCache::new(0)),
+            IoSharing::Batched(SimTime::from_us(1_000)),
+            DeviceTopology::single(),
+        );
+        sched.pause_dispatch();
+        let channels: Vec<IoChannel> =
+            (0..3).map(|_| sched.channel_striped_at(SimTime::ZERO, 0)).collect();
+        let two_shards =
+            || LayerRequest { layer: 0, items: vec![(0, Bitwidth::B2), (1, Bitwidth::B2)] };
+        for ch in &channels {
+            ch.request(two_shards()).unwrap();
+        }
+        sched.resume_dispatch();
+        for ch in &channels {
+            let loaded = ch.recv().unwrap();
+            assert!(loaded.shards.iter().all(|(_, shard)| shard.blob().is_some()));
+        }
+        assert_eq!(sched.stats().batch.max_fanout, 3);
+        assert_eq!(source.reads.load(Ordering::Relaxed), 2, "one read per shard, not per member");
+        // Alone, the same request leaves both shards for its consumer.
+        channels[0].request(two_shards()).unwrap();
+        let loaded = channels[0].recv().unwrap();
+        assert!(loaded.shards.iter().all(|(_, shard)| shard.blob().is_none()));
+        assert_eq!(source.reads.load(Ordering::Relaxed), 2);
     }
 
     #[test]

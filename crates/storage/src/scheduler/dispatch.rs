@@ -11,6 +11,18 @@
 //! when its own retry lands. A speculative job touches no `io.*`
 //! instrument, no demand lane and no demand event: a wrong prediction's
 //! whole footprint is staging-pool bytes and the speculative log.
+//!
+//! **A dispatch prices; it reads only what the cache keeps.** Sizes come
+//! from the source's index and residency from the cache's lookup, so the
+//! log entry, the instruments and the delay never depend on a payload. On
+//! a dispatch with no batch members, a miss whose payload exceeds the
+//! cache's whole budget is handed on as a deferred key instead of being
+//! read and then refused by admission: the cache ends in the same state
+//! either way, and the engagement reads the shard when it computes the
+//! layer (see [`crate::loader`]). Such a dispatch is charged and logged
+//! even if that later read fails — the failure surfaces from the
+//! consumer's read, not from this dispatch. A batched dispatch still reads
+//! every shard once, so all its members share the one payload.
 
 use sti_device::{DeviceTopology, SimTime};
 use sti_obs::{Counter, Gauge, Histogram, MetricsRegistry, SpanArgs, SpanEvent, TrackKind};
@@ -20,7 +32,7 @@ use super::lanes::{Dispatch, Pick, SpeculativeJob};
 use super::Shared;
 use crate::batcher::BatchStats;
 use crate::error::StorageError;
-use crate::loader::{LayerRequest, LoadedLayer};
+use crate::loader::{LayerRequest, LoadedLayer, LoadedShard};
 use crate::store::ShardKey;
 
 /// Aggregate accounting across every channel the scheduler served.
@@ -160,7 +172,7 @@ pub(super) fn run(shared: &Shared, pick: Pick) {
 /// host-track span, then the lanes' own bookkeeping (event log, fan-out or
 /// failed-batch requeue) under the lock.
 fn run_dispatch(shared: &Shared, dispatch: Dispatch) {
-    let result = service(shared, &dispatch.req);
+    let result = service(shared, &dispatch.req, dispatch.members.is_empty());
     shared.land(|lanes| {
         if let Ok((loaded, hit_bytes)) = &result {
             shared.instruments.record(&dispatch, loaded);
@@ -201,24 +213,34 @@ fn run_spec_dispatch(shared: &Shared, job: SpeculativeJob) {
 /// Services one request through the cache, returning the loaded layer plus
 /// how many of its bytes were cache-resident at dispatch (contended-track
 /// accounting). Each blob is a handle to the source's (or the cache's) one
-/// payload.
-fn service(shared: &Shared, req: &LayerRequest) -> Result<(LoadedLayer, u64), StorageError> {
-    let mut blobs = Vec::with_capacity(req.items.len());
+/// payload. On a `solo` dispatch (no batch members) a miss the cache
+/// cannot keep is handed on unread, as a deferred key
+/// ([`ShardCache::get_or_load_tracked`](crate::ShardCache::get_or_load_tracked));
+/// a batched dispatch reads it once and fans the one payload out to every
+/// member. Pricing reads sizes and residency only, never a payload, so
+/// deferring changes no simulated number.
+fn service(
+    shared: &Shared,
+    req: &LayerRequest,
+    solo: bool,
+) -> Result<(LoadedLayer, u64), StorageError> {
+    let mut shards = Vec::with_capacity(req.items.len());
     let mut bytes = 0u64;
     let mut hit_bytes = 0u64;
     for &(slice, bw) in &req.items {
         let key = ShardKey::new(ShardId::new(req.layer, slice), bw);
         let size = shared.source.size_bytes(key)?;
         bytes += size;
-        let (blob, hit) = shared.cache.get_or_load_tracked(&*shared.source, key)?;
+        let (blob, hit) =
+            shared.cache.get_or_load_tracked(&*shared.source, key, solo.then_some(size))?;
         if hit {
             hit_bytes += size;
         }
-        blobs.push((slice, blob));
+        shards.push((slice, blob.map_or(LoadedShard::Deferred(key), LoadedShard::Blob)));
     }
     let io_delay =
         if req.items.is_empty() { SimTime::ZERO } else { shared.flash.request_delay(bytes) };
-    Ok((LoadedLayer { layer: req.layer, blobs, bytes, io_delay }, hit_bytes))
+    Ok((LoadedLayer { layer: req.layer, shards, bytes, io_delay }, hit_bytes))
 }
 
 #[cfg(test)]
@@ -232,7 +254,7 @@ mod tests {
     use super::super::tests::{fixture, paused_sched, request};
     use super::super::{IoScheduler, SpeculativeJob};
     use crate::cache::ShardCache;
-    use crate::loader::LayerRequest;
+    use crate::loader::{LayerRequest, LoadedShard};
     use crate::store::ShardKey;
 
     #[test]
@@ -245,9 +267,10 @@ mod tests {
         ch.request(LayerRequest { layer: 0, items }).unwrap();
         ch.request(LayerRequest { layer: 0, items: vec![] }).unwrap();
         let loaded = ch.recv().unwrap();
-        assert_eq!(loaded.blobs.len(), 3);
-        assert_eq!(loaded.blobs[1].0, 1);
-        assert_eq!(loaded.blobs[1].1.bitwidth(), Bitwidth::B6);
+        assert_eq!(loaded.shards.len(), 3);
+        // A zero-byte cache keeps nothing, so every shard is deferred.
+        let key = ShardKey::new(ShardId::new(0, 1), Bitwidth::B6);
+        assert_eq!(loaded.shards[1], (1, LoadedShard::Deferred(key)));
         assert!(loaded.bytes > 0 && loaded.io_delay > SimTime::ZERO);
         let empty = ch.recv().unwrap();
         assert_eq!((empty.bytes, empty.io_delay), (0, SimTime::ZERO));

@@ -409,7 +409,7 @@ mod tests {
     fn loaded(req: &LayerRequest) -> LoadedLayer {
         LoadedLayer {
             layer: req.layer,
-            blobs: Vec::new(),
+            shards: Vec::new(),
             bytes: 100 * (1 + req.layer as u64),
             io_delay: SimTime::from_us(50),
         }

@@ -44,6 +44,27 @@ pub trait ShardSource: Send + Sync {
     /// Returns an error if the shard is missing or its record is corrupt.
     fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError>;
 
+    /// Loads one shard version for a caller that keeps it only while it
+    /// computes with it — a deferred shard of the layer in flight — reading
+    /// its record, when a read is needed, into `record`, a buffer the
+    /// caller reuses from shard to shard. The bytes are the ones
+    /// [`load`](Self::load) returns. A source with no records returns
+    /// `load`'s blob; the on-disk [`ShardStore`] returns a payload a live
+    /// holder already has, and otherwise reads into `record` and decodes
+    /// without publishing the result for other readers.
+    ///
+    /// # Errors
+    ///
+    /// As [`load`](Self::load).
+    fn load_buffered(
+        &self,
+        key: ShardKey,
+        record: &mut Vec<u8>,
+    ) -> Result<QuantizedBlob, StorageError> {
+        let _ = record;
+        self.load(key)
+    }
+
     /// Payload bytes of one shard version — [`QuantizedBlob::byte_size`] of
     /// what [`load`](Self::load) returns, which is what the device model
     /// charges IO for. It means the same for every source: record framing
@@ -222,13 +243,27 @@ impl ShardStore {
         Some((file, file * self.manifest.config.heads + key.id.slice as usize, loc))
     }
 
-    /// Reads, verifies and decodes one shard record: one positional read on
-    /// the cached handle of layer file `file`.
+    /// `key`'s payload slot and record, with the payload a live holder
+    /// has, if any.
+    fn locate_live(
+        &self,
+        key: ShardKey,
+    ) -> Result<(usize, usize, RecordLoc, Option<QuantizedBlob>), StorageError> {
+        let Some((file, slot, loc)) = self.slot(key) else {
+            return Err(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() });
+        };
+        Ok((file, slot, loc, self.index.lock().slots[slot].upgrade()))
+    }
+
+    /// Reads, verifies and decodes one shard record into `record`: one
+    /// positional read on the cached handle of layer file `file`. The
+    /// buffer is resized to the record exactly, never beyond.
     fn read_record(
         &self,
         key: ShardKey,
         file: usize,
         loc: RecordLoc,
+        record: &mut Vec<u8>,
     ) -> Result<QuantizedBlob, StorageError> {
         let handle = &self.files[file];
         let fd = match handle.get() {
@@ -240,9 +275,21 @@ impl ShardStore {
                 handle.get_or_init(|| opened)
             }
         };
-        let mut record = vec![0u8; loc.len as usize];
-        fd.read_exact_at(&mut record, loc.offset)?;
-        Ok(format::decode_blob(&record)?.0)
+        record.clear();
+        record.reserve_exact(loc.len as usize);
+        record.resize(loc.len as usize, 0);
+        fd.read_exact_at(record, loc.offset)?;
+        Ok(format::decode_blob(record)?.0)
+    }
+
+    /// Payload bytes of the shards whose payload some holder still has —
+    /// everything decoded from this store that is alive in the process,
+    /// whoever holds it (caches, preload buffers, layers in flight), each
+    /// payload counted once. O(keys), read-only: a dead slot is skipped,
+    /// not swept.
+    pub fn live_payload_bytes(&self) -> u64 {
+        let index = self.index.lock();
+        index.slots.iter().filter_map(WeakBlob::upgrade).map(|blob| blob.byte_size() as u64).sum()
     }
 
     /// Loads several shards of *one layer*, in request order, as
@@ -277,15 +324,27 @@ impl ShardStore {
 
 impl ShardSource for ShardStore {
     fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
-        let Some((file, slot, loc)) = self.slot(key) else {
-            return Err(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() });
-        };
-        if let Some(live) = self.index.lock().slots[slot].upgrade() {
+        let (file, slot, loc, live) = self.locate_live(key)?;
+        if let Some(live) = live {
             return Ok(live);
         }
         // Read and decode outside the lock: a miss never stalls a lookup.
-        let blob = self.read_record(key, file, loc)?;
+        let blob = self.read_record(key, file, loc, &mut Vec::new())?;
         Ok(self.index.lock().publish(slot, blob))
+    }
+
+    /// Unpublished: the caller drops the payload with its layer, and a dead
+    /// slot would keep the payload's reference-count header until a sweep.
+    fn load_buffered(
+        &self,
+        key: ShardKey,
+        record: &mut Vec<u8>,
+    ) -> Result<QuantizedBlob, StorageError> {
+        let (file, _, loc, live) = self.locate_live(key)?;
+        match live {
+            Some(live) => Ok(live),
+            None => self.read_record(key, file, loc, record),
+        }
     }
 
     fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
@@ -485,6 +544,39 @@ mod tests {
             matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
             "a load with no live handle reads the record: {err}"
         );
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn live_payload_bytes_counts_what_holders_keep_and_nothing_once_they_drop() {
+        let (store, _, dir) = tiny_store("live-bytes");
+        assert_eq!(store.live_payload_bytes(), 0, "a fresh store holds nothing");
+        let (a, b) = (
+            ShardKey::new(ShardId::new(0, 1), Bitwidth::B6),
+            ShardKey::new(ShardId::new(1, 0), Bitwidth::Full),
+        );
+        let held_a = store.load(a).unwrap();
+        let held_b = store.load(b).unwrap();
+        let both = (held_a.byte_size() + held_b.byte_size()) as u64;
+        assert_eq!(store.live_payload_bytes(), both);
+        // A second handle to one payload counts it once.
+        let again = store.load(a).unwrap();
+        assert_eq!(store.live_payload_bytes(), both);
+        drop((held_a, again));
+        assert_eq!(store.live_payload_bytes(), held_b.byte_size() as u64);
+        // A buffered load publishes nothing: its payload is its caller's alone.
+        let mut record = Vec::new();
+        let unpublished = store.load_buffered(a, &mut record).unwrap();
+        assert_eq!(record.len(), unpublished.byte_size() + format::RECORD_OVERHEAD);
+        assert_eq!(store.live_payload_bytes(), held_b.byte_size() as u64);
+        // It still hands back a payload a holder has instead of reading.
+        let shared = store.load_buffered(b, &mut record).unwrap();
+        assert_eq!(shared.packed().as_ptr(), held_b.packed().as_ptr());
+        drop((held_b, shared, unpublished));
+        assert_eq!(store.live_payload_bytes(), 0);
+        // Re-read: a fresh load is live again.
+        let reread = store.load(b).unwrap();
+        assert_eq!(store.live_payload_bytes(), reread.byte_size() as u64);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -1,6 +1,23 @@
 //! Failure injection across the storage/pipeline boundary: corrupt stores,
 //! missing versions, truncated files, and shrinking memory must all surface
 //! as typed errors (never hangs, panics, or silent wrong results).
+//!
+//! **Where a read error surfaces.** A shard the shard cache cannot keep (its
+//! payload exceeds the whole budget) is dispatched, priced and logged, but
+//! read only when the engagement computes its layer. A damaged record of
+//! such a shard therefore fails `infer_complete` (or the compute half of
+//! `PipelineExecutor::execute`), with the same typed `StorageError` a read at
+//! dispatch raised, and its dispatch was charged and logged; a failed load
+//! at dispatch used to charge nothing. Shards the cache keeps are still read
+//! at dispatch. The cases this moved from the dispatch to the compute half:
+//! `corrupt_disk_record_surfaces_as_corrupt_error` (the executor's private
+//! zero-byte cache defers every shard),
+//! `a_layer_file_truncated_mid_record_fails_infer_with_a_typed_io_error` and
+//! `a_flipped_byte_in_every_record_fails_infer_with_a_typed_corrupt_error`
+//! (their plans stream every shard at full fidelity, above 1 KiB). And
+//! `a_record_damaged_after_the_drive_fails_the_completion_typed` damages a
+//! record between the two halves. Missing shards still fail at
+//! dispatch, where their size is looked up.
 
 use std::sync::Arc;
 
@@ -198,6 +215,65 @@ fn a_flipped_byte_in_every_record_fails_infer_with_a_typed_corrupt_error() {
     });
     assert!(matches!(err, StorageError::Corrupt { .. }), "unexpected error: {err}");
     assert!(err.to_string().contains("checksum mismatch"), "{err}");
+}
+
+/// A record damaged after its dispatch and before the engagement computes
+/// its layer: the completion fails with the typed error, the dispatch stays
+/// charged, and once the file is restored the next engagement is
+/// bit-identical to the healthy one.
+#[test]
+fn a_record_damaged_after_the_drive_fails_the_completion_typed() {
+    let ctx = TaskContext::with_config(TaskKind::Qnli, ModelConfig::tiny());
+    let cfg = ServeConfig {
+        target: SimTime::from_ms(60_000),
+        preload_bytes: 0,
+        shard_cache_bytes: 1 << 10,
+        ..Default::default()
+    };
+    let server = build_server(&ctx, &cfg);
+    let session = server.session().unwrap();
+    let healthy = session.infer(&[1, 2, 3]).unwrap();
+    let store = ShardStore::open(ctx.shard_store_dir()).unwrap();
+    let plan = session.plan();
+    let layer = &plan.layers[0];
+    let deferred: Vec<(u16, Bitwidth)> = layer
+        .items()
+        .filter(|&(slice, bw)| {
+            let key = ShardKey::new(ShardId::new(layer.layer, slice), bw);
+            store.size_bytes(key).unwrap() > 1 << 10
+        })
+        .collect();
+    assert!(!deferred.is_empty(), "layer {} streams shards the cache cannot keep", layer.layer);
+
+    let pending = session.infer_issue(&[1, 2, 3]).unwrap();
+    let before = server.io_stats().requests;
+    server.drive_io();
+    let dispatched = server.io_stats().requests - before;
+    assert_eq!(dispatched as usize, plan.layers.len(), "every layer was dispatched and charged");
+    // One layer file per bitwidth holds several of the records.
+    let mut originals: Vec<(std::path::PathBuf, Vec<u8>)> = Vec::new();
+    for &(slice, bw) in &deferred {
+        let path = ctx.shard_store_dir().join(Manifest::layer_file_name(layer.layer, bw));
+        if !originals.iter().any(|(p, _)| *p == path) {
+            originals.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+        let loc = store.manifest().locate(ShardId::new(layer.layer, slice), bw).unwrap();
+        let mut damaged = std::fs::read(&path).unwrap();
+        damaged[loc.offset as usize + loc.len as usize / 2] ^= 0x10;
+        std::fs::write(&path, damaged).unwrap();
+    }
+    let err = match session.infer_complete(pending) {
+        Err(PipelineError::Storage(e)) => e,
+        other => panic!("expected a typed storage error, got {other:?}"),
+    };
+    assert!(matches!(err, StorageError::Corrupt { .. }), "unexpected error: {err}");
+    for (path, original) in originals {
+        std::fs::write(path, original).unwrap();
+    }
+    let repaired = session.infer(&[1, 2, 3]).unwrap();
+    assert_eq!(repaired.outcome.logits, healthy.outcome.logits);
+    assert_eq!(repaired.outcome.timeline, healthy.outcome.timeline);
+    assert_eq!(repaired.outcome.loaded_bytes, healthy.outcome.loaded_bytes);
 }
 
 #[test]

@@ -243,7 +243,10 @@ fn a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload() {
         keys.iter().map(|&key| cache.get_or_load(&*store, key).unwrap()).collect();
 
     let (hits, requested, _) = heap_bytes_across(|| {
-        let hit = |&key| cache.get_or_load_tracked(&*store, key).unwrap();
+        let hit = |&key| match cache.get_or_load_tracked(&*store, key, None).unwrap() {
+            (Some(blob), resident) => (blob, resident),
+            (None, _) => unreachable!("a lookup given no size reads every miss"),
+        };
         keys.iter().cycle().take(1000).map(hit).collect::<Vec<_>>()
     });
     let payload_bytes: u64 = hits.iter().map(|(blob, _)| blob.byte_size() as u64).sum();
@@ -281,9 +284,9 @@ fn a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds() {
 
     let ((), requested, _) = heap_bytes_across(|| {
         for (&key, in_a) in keys.iter().zip(&held) {
-            let (blob, resident) = b.get_or_load_tracked(&*store, key).unwrap();
+            let (blob, resident) = b.get_or_load_tracked(&*store, key, None).unwrap();
             assert!(!resident);
-            assert_eq!(blob.packed().as_ptr(), in_a.packed().as_ptr());
+            assert_eq!(blob.unwrap().packed().as_ptr(), in_a.packed().as_ptr());
         }
     });
     assert_eq!(b.stats().misses, keys.len() as u64, "every key missed cache B");
@@ -399,6 +402,7 @@ fn building_and_dropping_a_multi_channel_server_keeps_nothing() {
     let cfg = ServeConfig { channels: 4, ..ServeConfig::default() };
     // The context's store comes to stay on the first build.
     drop(build_server(&ctx, &cfg));
+    wait_for_quiet_harness();
     for cycle in 1..=3 {
         let ((), _, kept) = heap_bytes_across(|| drop(build_server(&ctx, &cfg)));
         assert_eq!(kept, 0, "build-and-drop cycle {cycle} of a 4-channel server kept {kept} B");
@@ -412,16 +416,20 @@ fn building_and_dropping_a_multi_channel_server_keeps_nothing() {
 /// into one reused slot instead of a whole layer into fresh matrices, and a
 /// report reads the dispatch log in place, the bare replay requested
 /// 6 760 975 B; since every layer of an engagement runs in the working
-/// buffer's one forward scratch, it requests 5 155 893 B. `trace_spans`
-/// requests 481 184 B for the stream's 537 spans when the caller asks for it
-/// afterwards, so a replay that assembled the stream would request
-/// 5 637 077 B. The bound sits between the two.
+/// buffer's one forward scratch, 5 155 893 B; since the report replays
+/// the log in place (a 4 MiB cache keeps every shard here, so nothing is
+/// deferred), 5 129 979 B. `trace_spans` requests 457 884 B for the
+/// stream's 537 spans when the caller asks for it afterwards (481 184 B
+/// when it copied the log into the queue simulator), so a replay that
+/// assembled the stream would request 5 587 863 B. The bound sits between
+/// the two.
 #[test]
 fn a_bare_replay_does_not_assemble_the_span_stream() {
     let _guard = serialised();
     let ctx = scaled_context();
     let trace = load_trace("examples/traces/burst.json").expect("shipped example parses");
     let server = build_server(&ctx, &ServeConfig::default());
+    wait_for_quiet_harness();
     let (report, requested, _) = heap_bytes_across(|| replay_sequential(&server, &trace));
     assert!(report.unwrap().spans.is_empty(), "a bare report assembles no spans");
     const BOUND: u64 = 5_400_000;
@@ -509,6 +517,118 @@ fn a_warm_engagement_requests_less_than_one_decoded_layer() {
         "a warm engagement requested {requested} B; one decoded layer is {one_layer} B"
     );
     assert_eq!(requested, 33_408, "a warm engagement's requests");
+}
+
+/// What one contention report requests on the calling thread, per
+/// dispatch event, after a sequential replay of
+/// `examples/traces/burst.json` at the shipped scale (173 dispatch events,
+/// 19 engagements). The report replays the dispatch log in place: per job
+/// a `u32` in service order and a `(start, completion)` pair, per delivery
+/// a `(lane, event)` index, and the rows. 14 768 B, 85 B per event. When it
+/// copied the log into the queue simulator and gathered a completion list
+/// from it, the same report requested 55 964 B, 323 B per event.
+#[test]
+fn a_contention_report_replays_the_dispatch_log_in_place() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let trace = load_trace("examples/traces/burst.json").expect("shipped example parses");
+    let server = build_server(&ctx, &ServeConfig::default());
+    let ran = replay_sequential(&server, &trace).unwrap();
+    // Exclusive IO: one dispatch event per layer request.
+    let events = server.io_stats().requests;
+    let (report, requested) = thread_bytes_requested_across(|| server.contention_report());
+    assert_eq!(report, ran.contention, "the report is a pure function of the logs");
+    assert_eq!((events, report.engagements.len()), (173, 19));
+    assert_eq!(requested, 14_768, "a report of {events} dispatch events");
+    assert_eq!(requested / events, 85, "bytes a report requests per dispatch event");
+}
+
+/// One full-stream engagement at the shipped scale (12 × 12 shards at
+/// full fidelity, 2 073 600 payload bytes), with a shard cache smaller
+/// than any of them and no preload, across `drive_io` and
+/// `infer_complete`. The dispatch defers every shard the cache cannot
+/// keep, so after the drive the store holds none of their payloads, and
+/// the compute half reads each layer's shards as it comes up and drops
+/// them when it ends. The heap high-water is then at most one layer's
+/// payloads (172 800 B), one record (14 428 B), the compute memory of a
+/// warm engagement (33 408 B requested), 96 B per decoded payload beyond
+/// its bytes, and what the drive hands on to the lane (3 584 B): 225 372 B.
+/// It is 224 676 B. The two last terms keep it above the 220 636 B of the
+/// first three alone until a deferred record decodes straight into the
+/// working slot. When the drive read and decoded every streamed layer, the
+/// high-water was the whole engagement's streamed payload, over 2 MB.
+#[test]
+fn an_engagement_holds_one_streamed_layer_at_a_time() {
+    let _guard = serialised();
+    let ctx = scaled_context();
+    let cfg = ModelConfig::scaled_bert();
+    let store = Arc::new(ShardStore::open(ctx.shard_store_dir()).unwrap());
+    let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, ctx.quant());
+    let model = ctx.task().model().clone();
+    let server = StiServer::builder(model, store.clone(), hw, ctx.importance().clone())
+        .shard_cache_bytes(1 << 10)
+        .build();
+    let session = server.session_with(SimTime::from_ms(60_000), 0).unwrap();
+    let keys: Vec<Vec<ShardKey>> = session
+        .plan()
+        .layers
+        .iter()
+        .map(|pl| pl.items().map(|(s, bw)| ShardKey::new(ShardId::new(pl.layer, s), bw)).collect())
+        .collect();
+    let size = |key: &ShardKey| store.size_bytes(*key).unwrap();
+    let payload = |layer: &Vec<ShardKey>| layer.iter().map(size).sum::<u64>();
+    let largest_layer = keys.iter().map(payload).max().unwrap();
+    let streamed: u64 = keys.iter().map(payload).sum();
+    let largest_shard = keys.iter().flatten().max_by_key(|key| size(key)).copied().unwrap();
+    let record = size(&largest_shard) + sti_storage::format::RECORD_OVERHEAD as u64;
+    assert_eq!((keys.len(), keys[0].len(), streamed), (12, 12, 2_073_600), "a full stream");
+    assert_eq!(record, 14_428, "one full-fidelity record");
+    // What one decoded payload requests beyond its payload bytes, once
+    // the layer file is open (its handle's path depends on where the
+    // store lives).
+    let mut buffer = Vec::with_capacity(record as usize);
+    drop(store.load_buffered(largest_shard, &mut buffer).unwrap());
+    let (blob, requested) =
+        thread_bytes_requested_across(|| store.load_buffered(largest_shard, &mut buffer).unwrap());
+    let header = requested - blob.byte_size() as u64;
+    drop(blob);
+
+    let engage = || {
+        let pending = session.infer_issue(&[1, 2, 3]).unwrap();
+        heap_high_water_across(|| {
+            let ((), _, handed_on) = heap_bytes_across(|| {
+                server.drive_io();
+            });
+            let live = store.live_payload_bytes();
+            (session.infer_complete(pending).unwrap(), handed_on, live)
+        })
+    };
+    // The first engagement builds what every later one reuses; the logs
+    // are then emptied so the pinned one does not grow them.
+    let ((first, _, _), _) = engage();
+    server.reset_contention_log();
+    wait_for_quiet_harness();
+    let ((second, handed_on, live), high_water) = engage();
+    assert_eq!(second.outcome.logits, first.outcome.logits);
+    assert_eq!(second.outcome.loaded_bytes, streamed);
+    assert_eq!(live, 0, "after the drive the store holds no payload of a deferred shard");
+    // The two terms beyond one layer, one record and the compute memory,
+    // each pinned: what decoding a payload requests beyond its payload
+    // bytes (a layer decodes 12), and the per-layer `(slice, shard)` lists
+    // the drive hands on to the lane for the compute half.
+    const HEADER: u64 = 96;
+    const HANDED_ON: u64 = 3_584;
+    assert_eq!(header, HEADER, "what one decoded payload requests beyond its bytes");
+    assert_eq!(handed_on as u64, HANDED_ON, "what the drive hands on to the lane");
+    let layer_shards = keys.iter().map(Vec::len).max().unwrap() as u64;
+    let bound = largest_layer + record + 33_408 + layer_shards * HEADER + HANDED_ON;
+    assert_eq!(bound, 225_372);
+    assert!(
+        high_water as u64 <= bound,
+        "high-water {high_water} B; one layer {largest_layer} B, one record {record} B, \
+         {layer_shards} headers of {HEADER} B, {HANDED_ON} B handed on"
+    );
+    assert_eq!(high_water, 224_676, "one full-stream engagement's heap high-water");
 }
 
 /// Opens `cycles` SLO sessions on `server`, each against the registry the
@@ -796,12 +916,12 @@ fn every_hop_hands_on_the_stores_one_payload() {
     let cold_in_store = store.load(cold).unwrap();
     let room = (in_store.byte_size() + cold_in_store.byte_size() - 1) as u64;
     let cache = Arc::new(ShardCache::with_prefetch_pool(room, 1 << 20));
-    let (missed, resident) = cache.get_or_load_tracked(&store, key).unwrap();
+    let (missed, resident) = cache.get_or_load_tracked(&store, key, None).unwrap();
     assert!(!resident);
-    assert_eq!(payload(&missed), payload(&in_store), "cache miss");
-    let (hit, resident) = cache.get_or_load_tracked(&store, key).unwrap();
+    assert_eq!(payload(&missed.unwrap()), payload(&in_store), "cache miss");
+    let (hit, resident) = cache.get_or_load_tracked(&store, key, None).unwrap();
     assert!(resident);
-    assert_eq!(payload(&hit), payload(&in_store), "cache hit");
+    assert_eq!(payload(&hit.unwrap()), payload(&in_store), "cache hit");
     let store = Arc::new(store);
     let cached = CachedSource::new(store.clone(), cache.clone());
     assert_eq!(payload(&cached.load(key).unwrap()), payload(&in_store), "cached source");
@@ -810,14 +930,14 @@ fn every_hop_hands_on_the_stores_one_payload() {
     // demand miss — the same payload each time.
     assert!(cache.prefetch_load(&*store, cold).unwrap().0 > 0, "staged from flash");
     assert!(cache.prefetch_load(&*store, key).unwrap().1 > 0, "pinned");
-    let (promoted, resident) = cache.get_or_load_tracked(&*store, cold).unwrap();
+    let (promoted, resident) = cache.get_or_load_tracked(&*store, cold, None).unwrap();
     assert!(resident, "the staged blob was promoted, not reloaded");
     assert_eq!(cache.prefetch_stats().hits, 1);
-    assert_eq!(payload(&promoted), payload(&cold_in_store), "pool promote");
+    assert_eq!(payload(&promoted.unwrap()), payload(&cold_in_store), "pool promote");
     assert_eq!(cache.len(), 1, "the promotion evicted `key` from the main map");
-    let (pinned, resident) = cache.get_or_load_tracked(&*store, key).unwrap();
+    let (pinned, resident) = cache.get_or_load_tracked(&*store, key, None).unwrap();
     assert!(resident, "the pinned handle outlives the main map's");
-    assert_eq!(payload(&pinned), payload(&in_store), "pool pin");
+    assert_eq!(payload(&pinned.unwrap()), payload(&in_store), "pool pin");
 
     // Preload buffer: filled the way the engine and the server fill it.
     let preload = PreloadBuffer::fill(1 << 20, &[(id, key.bitwidth)], &cached).unwrap();

@@ -146,7 +146,10 @@ fn replay_workload(
     policy: IoSharing,
     workload: &[(SimTime, Vec<LayerRequest>)],
 ) -> (Vec<Vec<LoadedLayer>>, Vec<FlashDispatchEvent>) {
-    let cache = Arc::new(ShardCache::new(0));
+    // A cache that keeps every shard of the tiny model, so each layer
+    // arrives as payloads: a batch's one read fanned out, or a solo read.
+    // Bytes and delays do not depend on cache hits.
+    let cache = Arc::new(ShardCache::new(1 << 20));
     let sched = IoScheduler::spawn(store, flash, cache, policy, DeviceTopology::single());
     sched.pause_dispatch();
     let channels: Vec<IoChannel> =
@@ -223,9 +226,10 @@ proptest! {
                 prop_assert_eq!(b.layer, u.layer);
                 prop_assert_eq!(b.bytes, u.bytes);
                 prop_assert_eq!(b.io_delay, u.io_delay);
-                prop_assert_eq!(b.blobs.len(), u.blobs.len());
-                for ((bs, bb), (us, ub)) in b.blobs.iter().zip(&u.blobs) {
+                prop_assert_eq!(b.shards.len(), u.shards.len());
+                for ((bs, bb), (us, ub)) in b.shards.iter().zip(&u.shards) {
                     prop_assert_eq!(bs, us);
+                    prop_assert!(bb.blob().is_some(), "the cache keeps every shard");
                     prop_assert_eq!(bb, ub, "fan-out payloads must be bit-identical");
                 }
             }

@@ -9,10 +9,6 @@
 //! cargo run --release -p sti-bench --bin exp -- fig7   # Figure 7
 //! cargo run --release -p sti-bench --bin exp -- all    # everything
 //! ```
-//!
-//! Criterion micro-benchmarks (`cargo bench -p sti-bench`) cover the hot
-//! kernels: quantization, bit packing, matmul, planning, pipeline execution,
-//! and the shard store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,8 @@
 //! 1. **Metrics** ([`MetricsRegistry`]): monotonic [`Counter`]s (one
 //!    relaxed atomic add), [`Gauge`]s (set/add/sub plus a high-water
 //!    mark), and fixed log₂-bucket [`Histogram`]s (65 buckets covering the
-//!    full `u64` range; recording is one atomic increment, no allocation).
+//!    full `u64` range; recording is one atomic increment, no allocation,
+//!    as the workspace's `tests/memory_sharing.rs` pins for every kind).
 //!    Snapshots ([`MetricsSnapshot`]) render to deterministic JSON and
 //!    merge across registries, so a server can fold its scheduler's
 //!    registry into one report.
@@ -16,8 +17,9 @@
 //!    `(track, name, tick)` where the tick is a simulated-time µs value.
 //!    The live backend is a byte-bounded overwrite-oldest ring
 //!    ([`SpanRing`]) behind an [`ObsSink`]; the disabled mode
-//!    ([`ObsSink::Null`]) is a branch on an enum variant — no allocation,
-//!    no atomics, nothing to configure away.
+//!    ([`ObsSink::Null`]) is a branch on an enum variant — no allocation
+//!    (pinned beside the instruments), no atomics, nothing to configure
+//!    away.
 //! 3. **Export** ([`chrome_trace_json`]): Chrome-trace/Perfetto JSON.
 //!    Events are canonically sorted by *value* (track, time, name, args)
 //!    before rendering, so the byte output is independent of the host

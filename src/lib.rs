@@ -170,9 +170,10 @@
 //!   the metrics snapshot as sorted JSON with histogram percentiles.
 //!
 //! When no sink is installed the span hot path is a branch on
-//! [`prelude::ObsSink::Null`] — `crates/bench/benches/obs_overhead.rs` pins the
-//! disabled-mode overhead in the noise floor, and
-//! `tests/serving_obs.rs` pins run-twice export determinism plus the
+//! [`prelude::ObsSink::Null`]. `tests/memory_sharing.rs` pins that a
+//! null-sink span, a counter add, a gauge set and a histogram record
+//! request no heap block (`the_instrument_hot_paths_request_no_heap_block`),
+//! and `tests/serving_obs.rs` pins run-twice export determinism plus the
 //! never-perturbs contract.
 //!
 //! ## The compute path of one shard

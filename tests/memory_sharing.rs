@@ -2,49 +2,57 @@
 //! written once, then shared and immutable, so loading, caching, staging and
 //! preloading a shard — and building another server over the same task —
 //! allocate handles, not copies; and a context's store is on flash, so the
-//! process holds an index to the quantised model, never the model. `peak_rss_mb` shows the same thing end to
-//! end but only through the benchmark; these pins count heap bytes directly
-//! and compare payload addresses, so they repeat exactly on any machine.
-//! The trace pins count the blocks a parsed trace holds and parsing
-//! requests, on the parsing thread only, so they are exact too.
+//! process holds an index to the quantised model, never the model.
+//! `peak_rss_mb` shows the same thing end to end but only through the
+//! benchmark; these pins count heap bytes directly and compare payload
+//! addresses, so they repeat exactly on any machine.
+//!
+//! The counts are process-wide, and they are exact because nothing else
+//! runs: this target has no libtest harness (`harness = false` in the root
+//! manifest), and its `main` runs the pins one after another on one thread.
+//! The only other threads are the workers of `parallel_map` that the code
+//! under test spawns, and one pin tells them apart from their caller.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::hint::black_box;
+use std::io::Write;
+use std::panic::catch_unwind;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use sti::prelude::*;
 use sti::TaskContext;
 
-/// The system allocator, counting every byte it is asked for (a realloc
-/// counts in full: it may move the block), every byte still held, the most
-/// ever held at once, and every request — process-wide, and for the
-/// calling thread its own requests, requested bytes, live blocks and held
-/// bytes.
+/// The system allocator, counting every block and byte it is asked for,
+/// every block and byte still held, and the most bytes ever held at once.
 struct Counting;
 
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
 static HELD: AtomicI64 = AtomicI64::new(0);
 static HIGH_WATER: AtomicI64 = AtomicI64::new(0);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// `(requests, requested bytes, live blocks, held bytes)` of this
-    /// thread's own allocations: the harness's threads allocate beside a
-    /// test, so exact counts read these.
-    static THREAD_HEAP: Cell<(u64, u64, i64, i64)> = const { Cell::new((0, 0, 0, 0)) };
+    /// The blocks this thread requested: the one count that tells the
+    /// workers of `parallel_map` apart from the thread that spawned them.
+    static THREAD_REQUESTS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Adds to this thread's request, requested-byte, live-block and held-byte
-/// counts.
-fn count_on_thread(requests: u64, requested: u64, live: i64, bytes: i64) {
+/// Counts one request of `bytes` that leaves `blocks` more blocks and
+/// `held` more bytes allocated.
+fn count(bytes: usize, blocks: i64, held: i64) {
+    REQUESTS.fetch_add(1, Ordering::Relaxed);
+    REQUESTED.fetch_add(bytes as u64, Ordering::Relaxed);
+    LIVE.fetch_add(blocks, Ordering::Relaxed);
+    let now = HELD.fetch_add(held, Ordering::Relaxed) + held;
+    HIGH_WATER.fetch_max(now, Ordering::Relaxed);
     // A const-initialised `Cell` has no destructor, so this never fails;
     // ignoring the result keeps the allocator panic-free regardless.
-    let _ = THREAD_HEAP.try_with(|c| {
-        let (r, q, l, b) = c.get();
-        c.set((r + requests, q + requested, l + live, b + bytes));
-    });
+    let _ = THREAD_REQUESTS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -52,36 +60,29 @@ fn count_on_thread(requests: u64, requested: u64, live: i64, bytes: i64) {
 // that publish no other data and never influence what is returned.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        count_on_thread(1, layout.size() as u64, 1, layout.size() as i64);
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        hold(layout.size() as i64);
+        count(layout.size(), 1, layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as they came.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        count_on_thread(1, layout.size() as u64, 1, layout.size() as i64);
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        hold(layout.size() as i64);
+        count(layout.size(), 1, layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
+    /// A realloc is a request, and counts its new size in full: it may
+    /// move the block.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        count_on_thread(1, new_size as u64, 0, new_size as i64 - layout.size() as i64);
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
-        hold(new_size as i64 - layout.size() as i64);
+        count(new_size, 0, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` and `layout` describe a live block of this allocator,
         // which is `System` underneath.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(1, Ordering::Relaxed);
         HELD.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        count_on_thread(0, 0, -1, -(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -90,53 +91,111 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Adds `bytes` to the held count and raises the high-water mark to match.
-fn hold(bytes: i64) {
-    let held = HELD.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    HIGH_WATER.fetch_max(held, Ordering::Relaxed);
+/// What some work did to the process's heap.
+struct HeapUse {
+    /// Blocks requested (a realloc is a request).
+    requests: u64,
+    /// Bytes requested, transients included (a realloc counts in full).
+    requested: u64,
+    /// Blocks the work left allocated.
+    live: i64,
+    /// Bytes the work left allocated.
+    held: i64,
+    /// The most bytes held at once during the work, above what was held
+    /// when it started.
+    high_water: i64,
 }
 
-/// The counter is process-wide and the harness runs tests on parallel
-/// threads, so every test in this file holds this lock for its whole body.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn serialised() -> MutexGuard<'static, ()> {
-    ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Heap bytes `(requested, still held)` process-wide across `work`: the
-/// first counts transients too, the second is what `work` left allocated.
-fn heap_bytes_across<T>(work: impl FnOnce() -> T) -> (T, u64, i64) {
-    let (requested, held) = (REQUESTED.load(Ordering::Relaxed), HELD.load(Ordering::Relaxed));
+/// Runs `work` and returns what it did to the process's heap. Windows nest:
+/// an inner one hands its peak on to the one around it.
+fn heap_across<T>(work: impl FnOnce() -> T) -> (T, HeapUse) {
+    let (requests, requested) =
+        (REQUESTS.load(Ordering::Relaxed), REQUESTED.load(Ordering::Relaxed));
+    let (live, held) = (LIVE.load(Ordering::Relaxed), HELD.load(Ordering::Relaxed));
+    let outer_peak = HIGH_WATER.swap(held, Ordering::Relaxed);
     let out = work();
-    let requested = REQUESTED.load(Ordering::Relaxed) - requested;
-    (out, requested, HELD.load(Ordering::Relaxed) - held)
+    let peak = HIGH_WATER.fetch_max(outer_peak, Ordering::Relaxed);
+    let heap = HeapUse {
+        requests: REQUESTS.load(Ordering::Relaxed) - requests,
+        requested: REQUESTED.load(Ordering::Relaxed) - requested,
+        live: LIVE.load(Ordering::Relaxed) - live,
+        held: HELD.load(Ordering::Relaxed) - held,
+        high_water: peak - held,
+    };
+    (out, heap)
 }
 
-/// This thread's heap across `work`: blocks requested (a realloc is a
-/// request), and the blocks and bytes `work` left allocated.
-fn thread_heap_across<T>(work: impl FnOnce() -> T) -> (T, u64, i64, i64) {
-    let (requests, _, live, bytes) = THREAD_HEAP.with(Cell::get);
-    let out = work();
-    let (requests_after, _, live_after, bytes_after) = THREAD_HEAP.with(Cell::get);
-    (out, requests_after - requests, live_after - live, bytes_after - bytes)
+/// Heap blocks requested across `work` by threads other than this one:
+/// every request, less this thread's own.
+fn other_threads_requests_across<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let mine = THREAD_REQUESTS.with(Cell::get);
+    let (out, heap) = heap_across(work);
+    (out, heap.requests - (THREAD_REQUESTS.with(Cell::get) - mine))
 }
 
-/// The bytes this thread requested across `work` (a realloc counts in
-/// full), transients included.
-fn thread_bytes_requested_across<T>(work: impl FnOnce() -> T) -> (T, u64) {
-    let (_, requested, _, _) = THREAD_HEAP.with(Cell::get);
-    let out = work();
-    (out, THREAD_HEAP.with(Cell::get).1 - requested)
+/// Names each pin beside its function, in the order given.
+macro_rules! pins {
+    ($($pin:ident),* $(,)?) => {
+        [$((stringify!($pin), $pin as fn())),*]
+    };
 }
 
-/// The most heap held at once during `work`, above what was held when it
-/// started.
-fn heap_high_water_across<T>(work: impl FnOnce() -> T) -> (T, i64) {
-    let start = HELD.load(Ordering::Relaxed);
-    HIGH_WATER.store(start, Ordering::Relaxed);
-    let out = work();
-    (out, HIGH_WATER.load(Ordering::Relaxed) - start)
+/// Runs every pin in file order on this thread, each under `catch_unwind`
+/// so that one failure does not hide the rest, and reports them the way
+/// libtest does; the exit status is a failure if any pin failed. The flags
+/// cargo passes to a test binary (`-q`, `--test-threads`, a name filter)
+/// are ignored, except that `--list` names the pins and runs none.
+fn main() -> ExitCode {
+    let pins = pins![
+        a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads,
+        the_contexts_store_keeps_an_index_not_the_model,
+        a_thousand_flash_loads_request_what_they_return_and_keep_nothing,
+        a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload,
+        a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds,
+        profiling_never_holds_the_decoded_floor_grid,
+        set_ups_worker_threads_request_no_heap_block,
+        a_second_server_on_one_context_does_not_copy_the_model,
+        building_and_dropping_a_multi_channel_server_keeps_nothing,
+        a_bare_replay_does_not_assemble_the_span_stream,
+        reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log,
+        a_warm_engagement_requests_less_than_one_decoded_layer,
+        a_contention_report_replays_the_dispatch_log_in_place,
+        an_engagement_holds_one_streamed_layer_at_a_time,
+        slo_session_churn_leaves_no_heap_behind_per_search,
+        knob_churn_keeps_only_the_plan_in_use,
+        an_open_fleet_holds_only_what_its_sessions_do_not_share,
+        session_churn_at_a_steady_fleet_size_keeps_the_fresh_fleets_heap,
+        an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet,
+        a_batched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet,
+        every_hop_hands_on_the_stores_one_payload,
+        a_parsed_trace_holds_two_blocks_per_client,
+        parsing_a_trace_requests_one_block_per_engagement,
+        the_instrument_hot_paths_request_no_heap_block,
+    ];
+    if std::env::args().any(|arg| arg == "--list") {
+        for (name, _) in pins {
+            println!("{name}: test");
+        }
+        return ExitCode::SUCCESS;
+    }
+    println!("\nrunning {} tests", pins.len());
+    let mut failed = 0;
+    for (name, pin) in pins {
+        print!("test {name} ... ");
+        // Flushed first, so a pin that aborts the process is named.
+        std::io::stdout().flush().expect("stdout is writable");
+        let passed = catch_unwind(pin).is_ok();
+        println!("{}", if passed { "ok" } else { "FAILED" });
+        failed += usize::from(!passed);
+    }
+    let (verdict, status) =
+        if failed == 0 { ("ok", ExitCode::SUCCESS) } else { ("FAILED", ExitCode::FAILURE) };
+    println!(
+        "\ntest result: {verdict}. {} passed; {failed} failed; 0 ignored; 0 measured; \
+         0 filtered out\n",
+        pins.len() - failed
+    );
+    status
 }
 
 const KIB: u64 = 1024;
@@ -156,9 +215,7 @@ fn all_keys(cfg: &ModelConfig) -> Vec<ShardKey> {
     ids.flat_map(|id| Bitwidth::ALL.map(|bw| ShardKey::new(id, bw))).collect()
 }
 
-#[test]
 fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
-    let _guard = serialised();
     // An in-memory store: the pin is about what a holder of the payload
     // hands out, and `MemStore` is the source that holds every payload.
     let model = Model::synthetic(11, ModelConfig::scaled_bert());
@@ -170,7 +227,7 @@ fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
     }
     assert_eq!(cache.len(), keys.len(), "every key is resident before the hits are counted");
 
-    let (payload_bytes, requested, _) = heap_bytes_across(|| {
+    let (payload_bytes, HeapUse { requested, .. }) = heap_across(|| {
         let mut payload_bytes = 0u64;
         for &key in keys.iter().cycle().take(1000) {
             payload_bytes += store.load(key).unwrap().byte_size() as u64;
@@ -188,15 +245,13 @@ fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
     );
 }
 
-#[test]
 fn the_contexts_store_keeps_an_index_not_the_model() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let shard_weights = ctx.task().model().sharded_byte_size() as u64;
     assert!(shard_weights > 1900 * KIB, "the pin is about a 2 MiB model at six bitwidths");
     // Quantising and writing are transients; what stays is the manifest and
     // one file slot per (layer, bitwidth).
-    let (store, _, kept) = heap_bytes_across(|| ctx.shard_source());
+    let (store, HeapUse { held: kept, .. }) = heap_across(|| ctx.shard_source());
     assert!(
         kept < 256 * KIB as i64,
         "a store over {shard_weights} bytes of shard weights keeps {kept} heap bytes"
@@ -204,9 +259,7 @@ fn the_contexts_store_keeps_an_index_not_the_model() {
     assert!(store.load(ShardKey::new(ShardId::new(0, 0), Bitwidth::B2)).is_ok());
 }
 
-#[test]
 fn a_thousand_flash_loads_request_what_they_return_and_keep_nothing() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let store = ctx.shard_source();
     let keys = all_keys(ctx.task().model().config());
@@ -214,7 +267,7 @@ fn a_thousand_flash_loads_request_what_they_return_and_keep_nothing() {
     for &key in &keys {
         store.load(key).unwrap();
     }
-    let (payload_bytes, requested, kept) = heap_bytes_across(|| {
+    let (payload_bytes, HeapUse { requested, held: kept, .. }) = heap_across(|| {
         let mut payload_bytes = 0u64;
         for &key in keys.iter().cycle().take(1000) {
             payload_bytes += store.load(key).unwrap().byte_size() as u64;
@@ -228,13 +281,12 @@ fn a_thousand_flash_loads_request_what_they_return_and_keep_nothing() {
         requested >= payload_bytes && requested < 2 * payload_bytes + 1000 * 256,
         "1000 loads returned {payload_bytes} payload bytes and requested {requested}"
     );
-    // Headroom for the test harness's own output only.
-    assert!(kept < 4 * KIB as i64, "1000 dropped blobs left {kept} heap bytes behind");
+    // Nothing stays. The count may even fall: a load publishes into the
+    // store's weak payload index, which sweeps slots whose payload died.
+    assert!(kept <= 0, "1000 dropped blobs left {kept} heap bytes behind");
 }
 
-#[test]
 fn a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let store = ctx.shard_source();
     let keys = all_keys(ctx.task().model().config());
@@ -242,7 +294,7 @@ fn a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload() {
     let misses: Vec<QuantizedBlob> =
         keys.iter().map(|&key| cache.get_or_load(&*store, key).unwrap()).collect();
 
-    let (hits, requested, _) = heap_bytes_across(|| {
+    let (hits, HeapUse { requested, .. }) = heap_across(|| {
         let hit = |&key| match cache.get_or_load_tracked(&*store, key, None).unwrap() {
             (Some(blob), resident) => (blob, resident),
             (None, _) => unreachable!("a lookup given no size reads every miss"),
@@ -270,9 +322,7 @@ fn a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload() {
 /// The store now hands out the payload cache A holds, and the fill requests
 /// 93 540 B, all of it cache B's own map and recency tree for 864 keys.
 /// The bound sits between.
-#[test]
 fn a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let store = ctx.shard_source();
     let keys = all_keys(ctx.task().model().config());
@@ -282,7 +332,7 @@ fn a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds() {
     let payload_bytes: u64 = held.iter().map(|blob| blob.byte_size() as u64).sum();
     assert!(payload_bytes > 2 << 20, "cache A holds {payload_bytes} payload bytes");
 
-    let ((), requested, _) = heap_bytes_across(|| {
+    let ((), HeapUse { requested, .. }) = heap_across(|| {
         for (&key, in_a) in keys.iter().zip(&held) {
             let (blob, resident) = b.get_or_load_tracked(&*store, key, None).unwrap();
             assert!(!resident);
@@ -305,43 +355,21 @@ fn a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds() {
 /// layer and one decoded shard, beside a hidden state per dev example and
 /// a forward scratch (a few KiB), and what the profiler holds beside them
 /// stays under half a grid on any core count.
-#[test]
 fn profiling_never_holds_the_decoded_floor_grid() {
-    let _guard = serialised();
     let task = Task::build(TaskKind::Sst2, ModelConfig::scaled_bert(), 2, 1);
     let cfg = task.model().config();
     let grid = task.model().sharded_byte_size() as i64;
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let scratch =
         workers.min(cfg.total_shards()) * (cfg.layer_fp32_bytes() + cfg.shard_fp32_bytes());
-    let (profile, high_water) = heap_high_water_across(|| {
-        profile_importance(task.model(), task.dev(), &QuantConfig::default())
-    });
+    let (profile, HeapUse { high_water, .. }) =
+        heap_across(|| profile_importance(task.model(), task.dev(), &QuantConfig::default()));
     assert_eq!(profile.layers() * profile.heads(), cfg.total_shards());
     assert!(
         high_water < grid / 2 + scratch as i64,
         "profiling held up to {high_water} heap bytes at once on {workers} workers \
          ({scratch} B of scratch); a decoded grid is {grid} B"
     );
-}
-
-/// Heap blocks requested across `work` by threads other than this one:
-/// every request process-wide, less this thread's own.
-fn other_threads_requests_across<T>(work: impl FnOnce() -> T) -> (T, u64) {
-    let all = ALLOCATIONS.load(Ordering::Relaxed);
-    let (out, mine, _, _) = thread_heap_across(work);
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - all - mine)
-}
-
-/// Waits for 10 ms in which no other thread requests a heap block: the
-/// harness finishes its bookkeeping for the test before this one after that
-/// test releases the lock, and every other test of this file waits on the
-/// lock without allocating, so after this only the work under test
-/// allocates beside this thread.
-fn wait_for_quiet_harness() {
-    let pause = || std::thread::sleep(std::time::Duration::from_millis(10));
-    let quiet = (0..500).any(|_| other_threads_requests_across(pause).1 == 0);
-    assert!(quiet, "other threads kept requesting heap blocks for five seconds");
 }
 
 /// Set-up's two parallel sections at the shipped scale: the teacher
@@ -351,11 +379,8 @@ fn wait_for_quiet_harness() {
 /// all and no allocator arena of theirs stays resident after set-up. They
 /// used to run the allocating layer functions: about ten matrices per
 /// layer, on every worker.
-#[test]
 fn set_ups_worker_threads_request_no_heap_block() {
-    let _guard = serialised();
     let cfg = ModelConfig::scaled_bert();
-    wait_for_quiet_harness();
     let (task, labelling) =
         other_threads_requests_across(|| Task::build(TaskKind::Sst2, cfg.clone(), 2, 6));
     assert_eq!(labelling, 0, "labelling's workers requested {labelling} heap blocks");
@@ -366,9 +391,7 @@ fn set_ups_worker_threads_request_no_heap_block() {
     assert_eq!(probes, 0, "the probes' workers requested {probes} heap blocks");
 }
 
-#[test]
 fn a_second_server_on_one_context_does_not_copy_the_model() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let cfg = ServeConfig::default();
     let shard_weights = ctx.task().model().sharded_byte_size() as u64;
@@ -377,7 +400,7 @@ fn a_second_server_on_one_context_does_not_copy_the_model() {
     // marginal cost of a server. Its transients (the hardware profile
     // quantises probe shards) come and go; what it keeps is the pin.
     let first = build_server(&ctx, &cfg);
-    let (second, _, kept) = heap_bytes_across(|| build_server(&ctx, &cfg));
+    let (second, HeapUse { held: kept, .. }) = heap_across(|| build_server(&ctx, &cfg));
     assert!(
         kept < 512 * KIB as i64,
         "a second server over {shard_weights} bytes of shard weights keeps {kept} bytes"
@@ -395,16 +418,13 @@ fn a_second_server_on_one_context_does_not_copy_the_model() {
 /// build: 280 B per cycle here (a single-channel server, which has no such
 /// names, kept 0 B). The registry owns its names now, and every cycle keeps
 /// 0 B.
-#[test]
 fn building_and_dropping_a_multi_channel_server_keeps_nothing() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let cfg = ServeConfig { channels: 4, ..ServeConfig::default() };
     // The context's store comes to stay on the first build.
     drop(build_server(&ctx, &cfg));
-    wait_for_quiet_harness();
     for cycle in 1..=3 {
-        let ((), _, kept) = heap_bytes_across(|| drop(build_server(&ctx, &cfg)));
+        let ((), HeapUse { held: kept, .. }) = heap_across(|| drop(build_server(&ctx, &cfg)));
         assert_eq!(kept, 0, "build-and-drop cycle {cycle} of a 4-channel server kept {kept} B");
     }
 }
@@ -423,20 +443,17 @@ fn building_and_dropping_a_multi_channel_server_keeps_nothing() {
 /// when it copied the log into the queue simulator), so a replay that
 /// assembled the stream would request 5 587 863 B. The bound sits between
 /// the two.
-#[test]
 fn a_bare_replay_does_not_assemble_the_span_stream() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let trace = load_trace("examples/traces/burst.json").expect("shipped example parses");
     let server = build_server(&ctx, &ServeConfig::default());
-    wait_for_quiet_harness();
-    let (report, requested, _) = heap_bytes_across(|| replay_sequential(&server, &trace));
+    let (report, HeapUse { requested, .. }) = heap_across(|| replay_sequential(&server, &trace));
     assert!(report.unwrap().spans.is_empty(), "a bare report assembles no spans");
     const BOUND: u64 = 5_400_000;
     assert!(requested < BOUND, "a bare replay of burst.json requested {requested} bytes");
     // The stream is still there on demand, and building it inside the
     // replay would have crossed the bound.
-    let (spans, stream_bytes, _) = heap_bytes_across(|| server.trace_spans());
+    let (spans, HeapUse { requested: stream_bytes, .. }) = heap_across(|| server.trace_spans());
     assert!(!spans.is_empty(), "the logs still hold the stream");
     assert!(
         requested + stream_bytes > BOUND,
@@ -445,14 +462,12 @@ fn a_bare_replay_does_not_assemble_the_span_stream() {
     );
 }
 
-/// What reading a prefetch-on server's totals requests on the calling
-/// thread: `metrics_snapshot` and `prefetch_report` each sum the
+/// What reading a prefetch-on server's totals requests:
+/// `metrics_snapshot` and `prefetch_report` each sum the
 /// speculative dispatch log where it lies, so the bytes they request do not
 /// grow with the log — 15 375 B at 100 speculative jobs and at 400. Each
 /// used to copy the whole log: 29 775 B at 100 jobs, 72 975 B at 400.
-#[test]
 fn reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log() {
-    let _guard = serialised();
     let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
     let serve = ServeConfig {
         preload_bytes: 0,
@@ -463,9 +478,8 @@ fn reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log() {
     let server = build_server(&ctx, &serve);
     let session = server.session().unwrap();
     let jobs = || server.prefetch_report().expect("prefetch is on").jobs;
-    let read_totals = || {
-        thread_bytes_requested_across(|| (server.metrics_snapshot(), server.prefetch_report())).1
-    };
+    let read_totals =
+        || heap_across(|| (server.metrics_snapshot(), server.prefetch_report())).1.requested;
     let read_at = |n: u64| {
         while jobs() < n {
             session.infer(&[1, 2, 3]).unwrap();
@@ -483,8 +497,7 @@ fn reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log() {
     );
 }
 
-/// What the compute half of one warm engagement requests on the calling
-/// thread, for a plan that streams every shard of all 12 × 12 at the
+/// What the compute half of one warm engagement requests, for a plan that streams every shard of all 12 × 12 at the
 /// shipped scale. The executor decodes each shard half by half into one
 /// slot, and runs every layer in one forward scratch, both reused across
 /// the engagement, so the whole engagement — slot, scratch, hidden state,
@@ -492,9 +505,7 @@ fn reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log() {
 /// decoded layer (12 shards × 14 400 B = 172 800 B). With fresh
 /// activations and scratch per layer it requested 151 084 B; decoding each
 /// layer whole into fresh matrices requested more than a layer per layer.
-#[test]
 fn a_warm_engagement_requests_less_than_one_decoded_layer() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let cfg = ModelConfig::scaled_bert();
     let serve = ServeConfig { shard_cache_bytes: 64 << 20, ..ServeConfig::default() };
@@ -503,10 +514,10 @@ fn a_warm_engagement_requests_less_than_one_decoded_layer() {
     let engage = || {
         let pending = session.infer_issue(&[1, 2, 3]).unwrap();
         server.drive_io();
-        thread_bytes_requested_across(|| session.infer_complete(pending).unwrap())
+        heap_across(|| session.infer_complete(pending).unwrap())
     };
     let (cold, _) = engage();
-    let (warm, requested) = engage();
+    let (warm, HeapUse { requested, .. }) = engage();
     assert_eq!(warm.outcome.logits, cold.outcome.logits);
     assert_eq!((warm.submodel.depth, warm.submodel.width), (cfg.layers, cfg.heads));
     assert!(warm.outcome.loaded_bytes > 0, "the plan streams");
@@ -519,24 +530,21 @@ fn a_warm_engagement_requests_less_than_one_decoded_layer() {
     assert_eq!(requested, 33_408, "a warm engagement's requests");
 }
 
-/// What one contention report requests on the calling thread, per
-/// dispatch event, after a sequential replay of
+/// What one contention report requests per dispatch event, after a sequential replay of
 /// `examples/traces/burst.json` at the shipped scale (173 dispatch events,
 /// 19 engagements). The report replays the dispatch log in place: per job
 /// a `u32` in service order and a `(start, completion)` pair, per delivery
 /// a `(lane, event)` index, and the rows. 14 768 B, 85 B per event. When it
 /// copied the log into the queue simulator and gathered a completion list
 /// from it, the same report requested 55 964 B, 323 B per event.
-#[test]
 fn a_contention_report_replays_the_dispatch_log_in_place() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let trace = load_trace("examples/traces/burst.json").expect("shipped example parses");
     let server = build_server(&ctx, &ServeConfig::default());
     let ran = replay_sequential(&server, &trace).unwrap();
     // Exclusive IO: one dispatch event per layer request.
     let events = server.io_stats().requests;
-    let (report, requested) = thread_bytes_requested_across(|| server.contention_report());
+    let (report, HeapUse { requested, .. }) = heap_across(|| server.contention_report());
     assert_eq!(report, ran.contention, "the report is a pure function of the logs");
     assert_eq!((events, report.engagements.len()), (173, 19));
     assert_eq!(requested, 14_768, "a report of {events} dispatch events");
@@ -557,9 +565,7 @@ fn a_contention_report_replays_the_dispatch_log_in_place() {
 /// first three alone until a deferred record decodes straight into the
 /// working slot. When the drive read and decoded every streamed layer, the
 /// high-water was the whole engagement's streamed payload, over 2 MB.
-#[test]
 fn an_engagement_holds_one_streamed_layer_at_a_time() {
-    let _guard = serialised();
     let ctx = scaled_context();
     let cfg = ModelConfig::scaled_bert();
     let store = Arc::new(ShardStore::open(ctx.shard_store_dir()).unwrap());
@@ -588,15 +594,15 @@ fn an_engagement_holds_one_streamed_layer_at_a_time() {
     // store lives).
     let mut buffer = Vec::with_capacity(record as usize);
     drop(store.load_buffered(largest_shard, &mut buffer).unwrap());
-    let (blob, requested) =
-        thread_bytes_requested_across(|| store.load_buffered(largest_shard, &mut buffer).unwrap());
+    let (blob, HeapUse { requested, .. }) =
+        heap_across(|| store.load_buffered(largest_shard, &mut buffer).unwrap());
     let header = requested - blob.byte_size() as u64;
     drop(blob);
 
     let engage = || {
         let pending = session.infer_issue(&[1, 2, 3]).unwrap();
-        heap_high_water_across(|| {
-            let ((), _, handed_on) = heap_bytes_across(|| {
+        heap_across(|| {
+            let ((), HeapUse { held: handed_on, .. }) = heap_across(|| {
                 server.drive_io();
             });
             let live = store.live_payload_bytes();
@@ -607,8 +613,7 @@ fn an_engagement_holds_one_streamed_layer_at_a_time() {
     // are then emptied so the pinned one does not grow them.
     let ((first, _, _), _) = engage();
     server.reset_contention_log();
-    wait_for_quiet_harness();
-    let ((second, handed_on, live), high_water) = engage();
+    let ((second, handed_on, live), HeapUse { high_water, .. }) = engage();
     assert_eq!(second.outcome.logits, first.outcome.logits);
     assert_eq!(second.outcome.loaded_bytes, streamed);
     assert_eq!(live, 0, "after the drive the store holds no payload of a deferred shard");
@@ -648,11 +653,9 @@ fn slo_churn(server: &StiServer, open: &mut VecDeque<Session>, cycles: u64) {
 /// open takes a fresh token, and the mix every search runs against folds the
 /// tokens in, so a memo of searches never hit and only grew: 2 124 B per
 /// search, 67 968 and 135 936 B across the two phases here. Nothing is kept
-/// now (0 and 0 B); the bound is headroom for the harness.
-#[test]
+/// now: 0 and 0 B.
 fn slo_session_churn_leaves_no_heap_behind_per_search() {
     const K: u64 = 32;
-    let _guard = serialised();
     let ctx = scaled_context();
     let cfg = ServeConfig {
         admission: AdmissionMode::Enforce,
@@ -663,11 +666,12 @@ fn slo_session_churn_leaves_no_heap_behind_per_search() {
     let mut open = VecDeque::new();
     // Plans, preload buffers and registry nodes come to stay on first use.
     slo_churn(&server, &mut open, K);
-    let ((), _, kept_k) = heap_bytes_across(|| slo_churn(&server, &mut open, K));
-    let ((), _, kept_2k) = heap_bytes_across(|| slo_churn(&server, &mut open, 2 * K));
+    let ((), HeapUse { held: kept_k, .. }) = heap_across(|| slo_churn(&server, &mut open, K));
+    let ((), HeapUse { held: kept_2k, .. }) = heap_across(|| slo_churn(&server, &mut open, 2 * K));
     assert_eq!(server.slo_plan_stats().misses, 4 * K, "every open searched");
-    assert!(
-        (kept_2k - kept_k).abs() < 4 * KIB as i64,
+    assert_eq!(
+        (kept_k, kept_2k),
+        (0, 0),
         "{K} searches kept {kept_k} heap bytes and {} kept {kept_2k}",
         2 * K
     );
@@ -688,12 +692,9 @@ fn knob_churn(session: &mut Session, first: u64, count: u64) {
 /// 1 KiB shard cache that holds none of the buffer's blobs), 562 656 and
 /// 1 125 312 B across the two phases. They hold only weak handles now, so
 /// a plan lives as long as the session running it: 0 and 0 B are kept,
-/// and one plan is cached at a time. The bound is headroom for the
-/// harness.
-#[test]
+/// and one plan is cached at a time.
 fn knob_churn_keeps_only_the_plan_in_use() {
     const K: u64 = 32;
-    let _guard = serialised();
     let ctx = scaled_context();
     let cfg = ServeConfig {
         preload_bytes: 16 << 10,
@@ -705,12 +706,14 @@ fn knob_churn_keeps_only_the_plan_in_use() {
     assert!(session.preload_used() > 8 * KIB, "the pin is about a filled |S|");
     // Registry nodes and the first plan come to stay on first use.
     knob_churn(&mut session, 0, K);
-    let ((), _, kept_k) = heap_bytes_across(|| knob_churn(&mut session, K, K));
-    let ((), _, kept_2k) = heap_bytes_across(|| knob_churn(&mut session, 2 * K, 2 * K));
+    let ((), HeapUse { held: kept_k, .. }) = heap_across(|| knob_churn(&mut session, K, K));
+    let ((), HeapUse { held: kept_2k, .. }) =
+        heap_across(|| knob_churn(&mut session, 2 * K, 2 * K));
     assert_eq!(server.plan_stats().misses, 4 * K + 1, "every knob set planned");
     assert_eq!(server.cached_plans(), 1, "only the session's own plan is cached");
-    assert!(
-        (kept_2k - kept_k).abs() < 4 * KIB as i64,
+    assert_eq!(
+        (kept_k, kept_2k),
+        (0, 0),
         "{K} knob sets kept {kept_k} heap bytes and {} kept {kept_2k}",
         2 * K
     );
@@ -731,10 +734,8 @@ fn knob_churn_keeps_only_the_plan_in_use() {
 /// fleet, 1 000 steady-state gate decisions of an SLO session request
 /// 0 B; with the walk memo disabled, each re-walks the mix and the
 /// thousand request 594 580 000 B.
-#[test]
 fn an_open_fleet_holds_only_what_its_sessions_do_not_share() {
     const N: usize = 2_000;
-    let _guard = serialised();
     let ctx = scaled_context();
     let cfg = ServeConfig {
         target: SimTime::from_ms(200),
@@ -747,15 +748,13 @@ fn an_open_fleet_holds_only_what_its_sessions_do_not_share() {
     let server = build_server(&ctx, &cfg);
     // The plan and its preload buffer come to stay on first use.
     drop(server.open_fleet(1, cfg.target, cfg.preload_bytes).unwrap());
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
-    let (fleet, _, held) = heap_bytes_across(|| {
+    let (fleet, HeapUse { requests: allocations, held, .. }) = heap_across(|| {
         let mut fleet = server.open_fleet(N, cfg.target, cfg.preload_bytes).unwrap();
         for (i, session) in fleet.iter_mut().enumerate() {
             session.set_arrival(SimTime::from_ms(i as u64 * 100));
         }
         fleet
     });
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
     assert_eq!(server.open_sessions(), fleet.len());
     let per_session = held / N as i64;
     assert!(per_session <= 120, "{N} open sessions hold {per_session} heap bytes each");
@@ -769,7 +768,7 @@ fn an_open_fleet_holds_only_what_its_sessions_do_not_share() {
     // lookup that requests nothing from the heap, whatever the fleet size.
     let slo = server.session_with_slo(SimTime::from_ms(60_000), cfg.preload_bytes).unwrap();
     let cold = slo.gate_decision().expect("an SLO session under queue mode gates");
-    let ((), steady, _) = heap_bytes_across(|| {
+    let ((), HeapUse { requested: steady, .. }) = heap_across(|| {
         for _ in 0..1_000 {
             let decision = slo.gate_decision().expect("still gated");
             assert_eq!(decision.reason.digest, cold.reason.digest);
@@ -803,12 +802,9 @@ impl Rng {
 /// session, so the churn keeps 0 B. A vector that grew instead would keep
 /// 81 920 B (2 048 more slots). The token-keyed B-tree it replaced gave
 /// back 22 912 B over the same churn, as its half-full nodes refilled, but
-/// held 104 000 B more to begin with (see the open-fleet pin). The bound
-/// is headroom for the harness.
-#[test]
+/// held 104 000 B more to begin with (see the open-fleet pin).
 fn session_churn_at_a_steady_fleet_size_keeps_the_fresh_fleets_heap() {
     const N: usize = 2_000;
-    let _guard = serialised();
     let ctx = scaled_context();
     let cfg = ServeConfig { channels: 4, ..ServeConfig::default() };
     let server = build_server(&ctx, &cfg);
@@ -817,14 +813,14 @@ fn session_churn_at_a_steady_fleet_size_keeps_the_fresh_fleets_heap() {
     drop(open());
     let mut fleet: Vec<Session> = (0..N).map(|_| open()).collect();
     let mut rng = Rng(0x5eed_2000);
-    let ((), _, churned) = heap_bytes_across(|| {
+    let ((), HeapUse { held: churned, .. }) = heap_across(|| {
         for _ in 0..10_000 {
             drop(fleet.swap_remove(rng.next() as usize % N));
             fleet.push(open());
         }
     });
     assert_eq!(server.open_sessions(), N);
-    assert!(churned < 4 * KIB as i64, "10 000 close-and-open cycles kept {churned} B");
+    assert_eq!(churned, 0, "10 000 close-and-open cycles kept {churned} B");
 }
 
 /// `n` sessions under `sharing` on four device channels arriving 100 ms
@@ -846,17 +842,15 @@ fn fleet(n: u64, sharing: IoSharing) -> (ServingMix, EngagementLoad) {
     (mix, EngagementLoad { jobs, comp: SimTime::from_ms(5), arrival: SimTime::from_ms(1_000) })
 }
 
-#[test]
 fn an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet() {
-    let _guard = serialised();
     let (mix, load) = fleet(2_000, IoSharing::Exclusive);
     let alone = ServingMix::new(IoSharing::Exclusive).with_topology(mix.topology()).predict(&load);
-    let (contended, predict_bytes, _) = heap_bytes_across(|| mix.predict(&load));
+    let (contended, HeapUse { requested: predict_bytes, .. }) = heap_across(|| mix.predict(&load));
     assert!(contended > alone, "the candidate queues behind the fleet: {contended:?}");
     // The uncontended latency as the SLO: the search probes for the delay at
     // which the backlog has drained.
-    let (_, min_delay_bytes, _) =
-        heap_bytes_across(|| mix.min_delay(&load, alone, SimTime::from_ms(200)));
+    let (_, HeapUse { requested: min_delay_bytes, .. }) =
+        heap_across(|| mix.min_delay(&load, alone, SimTime::from_ms(200)));
     // Simulating the fleet would build every lane's jobs and completions:
     // 2.4 MiB per prediction and 4.6 MiB per search at this size. The closed
     // form folds the lanes arriving by the candidate into one free time per
@@ -876,15 +870,13 @@ fn an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fl
 /// mostly the reads themselves (one 40-byte read per job of every lane, a
 /// grouping that must see the later lanes too) and their service order.
 /// The bound sits between the two.
-#[test]
 fn a_batched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet() {
-    let _guard = serialised();
     let (mix, load) = fleet(2_000, IoSharing::Batched(SimTime::from_ms(2)));
     let alone = ServingMix::new(IoSharing::Exclusive).with_topology(mix.topology()).predict(&load);
-    let (contended, predict_bytes, _) = heap_bytes_across(|| mix.predict(&load));
+    let (contended, HeapUse { requested: predict_bytes, .. }) = heap_across(|| mix.predict(&load));
     assert!(contended > alone, "the candidate queues behind the fleet: {contended:?}");
-    let (_, min_delay_bytes, _) =
-        heap_bytes_across(|| mix.min_delay(&load, alone, SimTime::from_ms(200)));
+    let (_, HeapUse { requested: min_delay_bytes, .. }) =
+        heap_across(|| mix.min_delay(&load, alone, SimTime::from_ms(200)));
     const BOUND: u64 = 1536 * KIB;
     assert!(
         predict_bytes < BOUND,
@@ -896,9 +888,7 @@ fn a_batched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet
     );
 }
 
-#[test]
 fn every_hop_hands_on_the_stores_one_payload() {
-    let _guard = serialised();
     let model = Model::synthetic(11, ModelConfig::tiny());
     let store = MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default());
     let id = ShardId::new(1, 2);
@@ -977,12 +967,11 @@ fn trace_json(clients: usize, engagements: usize) -> (String, usize) {
 /// beside `size_of::<ClientTrace>()` (the knobs and the two buffer handles)
 /// per client. A `Vec<Vec<u32>>` per client held one block per engagement:
 /// 2 009 blocks and 116 544 B for this trace, against 17 and 84 608 B.
-#[test]
 fn a_parsed_trace_holds_two_blocks_per_client() {
-    let _guard = serialised();
     let (clients, engagements) = (8, 250);
     let (json, tokens) = trace_json(clients, engagements);
-    let (trace, _, blocks, bytes) = thread_heap_across(|| parse_trace(&json).unwrap());
+    let (trace, HeapUse { live: blocks, held: bytes, .. }) =
+        heap_across(|| parse_trace(&json).unwrap());
     assert_eq!(trace.total_engagements(), clients * engagements);
     assert_eq!(blocks, 1 + 2 * clients as i64, "a parsed trace of {clients} clients");
     let per_client = std::mem::size_of::<ClientTrace>();
@@ -1003,18 +992,45 @@ fn a_parsed_trace_holds_two_blocks_per_client() {
 /// diagnostics are built only on the error path: formatting one per token,
 /// and growing each row by doubling, cost about `2 + tokens` blocks per
 /// engagement, 23 699 requests for this trace against 2 096.
-#[test]
 fn parsing_a_trace_requests_one_block_per_engagement() {
-    let _guard = serialised();
     const PER_CLIENT: u64 = 10;
     const FIXED: u64 = 24;
     let (clients, engagements) = (8, 250);
     let (json, _) = trace_json(clients, engagements);
-    let (trace, requested, _, _) = thread_heap_across(|| parse_trace(&json).unwrap());
+    let (trace, HeapUse { requests: requested, .. }) = heap_across(|| parse_trace(&json).unwrap());
     let (c, e) = (clients as u64, (clients * engagements) as u64);
     assert_eq!(trace.total_engagements() as u64, e);
     assert!(
         requested <= e + PER_CLIENT * c + FIXED,
         "parsing {e} engagements over {c} clients requested {requested} blocks"
     );
+}
+
+/// The instrument hot paths serving pays per request: a span built with
+/// its arguments and emitted through `ObsSink::Null` (what every run
+/// without a sink takes), a counter add, a gauge set and a histogram
+/// record. Arguments live inline
+/// in the event and every instrument is relaxed atomics behind a shared
+/// handle, so 10 000 calls of each request no heap block.
+fn the_instrument_hot_paths_request_no_heap_block() {
+    const CALLS: u64 = 10_000;
+    let null = ObsSink::Null;
+    let registry = MetricsRegistry::new();
+    let counter = registry.counter("io.requests");
+    let gauge = registry.gauge("io.queued_bytes");
+    let histogram = registry.histogram("io.service_us");
+    let span = |t: u64| {
+        SpanEvent::complete(TrackKind::Session, 7, "gate.delay", t, t + 40)
+            .with_args(SpanArgs::new().with("digest", 42).with("predicted_us", 1 << 20))
+    };
+    let paths: [(&str, &dyn Fn(u64)); 4] = [
+        ("a null-sink span", &|t| null.span(black_box(span(t)))),
+        ("Counter::add", &|_| counter.add(black_box(1))),
+        ("Gauge::set", &|t| gauge.set(black_box(t))),
+        ("Histogram::record", &|t| histogram.record(black_box(t.wrapping_mul(977) & 0xffff))),
+    ];
+    for (path, call) in paths {
+        let ((), HeapUse { requests, .. }) = heap_across(|| (0..CALLS).for_each(call));
+        assert_eq!(requests, 0, "{CALLS} calls of {path} requested {requests} heap blocks");
+    }
 }

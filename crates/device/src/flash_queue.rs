@@ -28,9 +28,10 @@
 //! the log lies, keeping only each job's `(start, completion)`: a report
 //! copies no job and builds no completion list, and it quotes the
 //! contended latency each engagement *would* have seen on real hardware
-//! from the same arithmetic the simulator runs. Its span export lays that
-//! timeline out as a [`TopologyReport`], whose [`TopologyReport::spans`] is
-//! the flash-track renderer.
+//! from the same arithmetic the simulator runs, and renders the flash
+//! tracks of its span export straight from that replay. So a
+//! [`TopologyReport`] is the simulator's output only, which the ledger's
+//! and the planner's oracle tests compare against.
 //!
 //! Predictions do not come here. `sti_planner::ServingMix` knows every
 //! job's arrival before serving any (batching groups raise arrivals, but
@@ -60,8 +61,6 @@
 //! [`DeviceTopology`]: crate::topology::DeviceTopology
 //! [`FlashModel`]: crate::flash::FlashModel
 //! [`FlashModel::dram_residency`]: crate::flash::FlashModel::dram_residency
-
-use sti_obs::{SpanArgs, SpanEvent, TrackKind};
 
 use crate::clock::SimTime;
 use crate::topology::DeviceTopology;
@@ -324,63 +323,6 @@ impl TopologyReport {
     pub fn completions_of(&self, engagement: u64) -> Vec<CompletedJob> {
         self.completions().into_iter().filter(|c| c.engagement == engagement).collect()
     }
-
-    /// Every channel's timeline as virtual-clock spans on
-    /// [`TrackKind::Flash`] track `c` for device channel `c`, so the
-    /// Chrome-trace export shows one row per channel: a `flash.wait`
-    /// interval for each job that queued, a `flash.service` interval per
-    /// *served* job (shared jobs once, with their fan-out as an arg — the
-    /// flash read them once), and a `flash.depth` counter sampled at every
-    /// service start. Idle time is the gaps between service intervals.
-    ///
-    /// All ticks are simulated µs straight from the report, so the stream
-    /// is a pure function of the run.
-    pub fn spans(&self) -> Vec<SpanEvent> {
-        let mut spans = Vec::new();
-        for (track, channel) in self.channels.iter().enumerate() {
-            let track = track as u64;
-            // Served jobs in service order: a shared job's mirrors follow
-            // it and reuse its seq. Service order is arrival order, so the
-            // list also answers "how many jobs have arrived by time t" for
-            // the depth counter, as in `run`.
-            let served: Vec<&[CompletedJob]> =
-                channel.completions.chunk_by(|a, b| a.seq == b.seq).collect();
-            for (done, fanout) in served.iter().enumerate() {
-                let job = fanout[0];
-                let args = SpanArgs::new()
-                    .with("seq", job.seq as u64)
-                    .with("engagement", job.engagement)
-                    .with("fanout", fanout.len() as u64);
-                let (arrival, start, completion) =
-                    (job.arrival.as_us(), job.start.as_us(), job.completion.as_us());
-                if start > arrival {
-                    spans.push(
-                        SpanEvent::complete(TrackKind::Flash, track, "flash.wait", arrival, start)
-                            .with_args(args),
-                    );
-                }
-                spans.push(
-                    SpanEvent::complete(
-                        TrackKind::Flash,
-                        track,
-                        "flash.service",
-                        start,
-                        completion,
-                    )
-                    .with_args(args),
-                );
-                let arrived = served.partition_point(|s| s[0].arrival <= job.start).max(done + 1);
-                spans.push(SpanEvent::counter(
-                    TrackKind::Flash,
-                    track,
-                    "flash.depth",
-                    start,
-                    (arrived - done) as u64,
-                ));
-            }
-        }
-        spans
-    }
 }
 
 #[cfg(test)]
@@ -526,26 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_cover_waits_services_and_depth() {
-        let mut sim = single();
-        sim.submit_shared_on(0, job(0, 0, 10), &[1, 2]); // served once, fanout 3
-        sim.submit_on(0, job(3, 0, 5)); // queues behind the batch
-        let events = sim.run().spans();
-        let services: Vec<_> = events.iter().filter(|e| e.name == "flash.service").collect();
-        assert_eq!(services.len(), 2, "shared job serves once");
-        assert_eq!(services[0].args.entries()[2], ("fanout", 3));
-        let waits: Vec<_> = events.iter().filter(|e| e.name == "flash.wait").collect();
-        assert_eq!(waits.len(), 1, "only the second job queued");
-        assert_eq!((waits[0].start_us, waits[0].end_us), (0, 10_000));
-        let depths: Vec<u64> = events
-            .iter()
-            .filter(|e| e.name == "flash.depth")
-            .map(|e| e.args.entries()[0].1)
-            .collect();
-        assert_eq!(depths, vec![2, 1]);
-    }
-
-    #[test]
     fn busy_time_is_conserved() {
         let mut sim = single();
         let services = [7u64, 3, 11, 2, 5];
@@ -646,20 +568,5 @@ mod tests {
     #[should_panic(expected = "device channel 2 out of range: the topology has 2 channel(s)")]
     fn submitting_on_a_channel_the_topology_lacks_panics_readably() {
         TopologyQueueSim::new(DeviceTopology::with_channels(2)).submit_on(2, job(0, 0, 1));
-    }
-
-    #[test]
-    fn spans_use_one_track_per_device_channel() {
-        let mut sim = TopologyQueueSim::new(DeviceTopology::with_channels(2));
-        sim.submit_on(0, job(0, 0, 5));
-        sim.submit_on(1, job(1, 0, 5));
-        let tracks: Vec<u64> = sim
-            .run()
-            .spans()
-            .iter()
-            .filter(|e| e.name == "flash.service")
-            .map(|e| e.track)
-            .collect();
-        assert_eq!(tracks, vec![0, 1], "one flash track per device channel");
     }
 }

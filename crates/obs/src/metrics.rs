@@ -11,7 +11,9 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 /// A monotonic counter: one relaxed atomic.
 ///
@@ -280,7 +282,7 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different kind.
     pub fn counter(&self, name: impl Into<Cow<'static, str>>) -> Counter {
         let name = name.into();
-        let mut map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
+        let mut map = self.instruments.lock();
         match map.get(&*name) {
             Some(Instrument::Counter(c)) => c.clone(),
             Some(_) => panic!("instrument {name} is not a counter"),
@@ -299,7 +301,7 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different kind.
     pub fn gauge(&self, name: impl Into<Cow<'static, str>>) -> Gauge {
         let name = name.into();
-        let mut map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
+        let mut map = self.instruments.lock();
         match map.get(&*name) {
             Some(Instrument::Gauge(g)) => g.clone(),
             Some(_) => panic!("instrument {name} is not a gauge"),
@@ -318,7 +320,7 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different kind.
     pub fn histogram(&self, name: impl Into<Cow<'static, str>>) -> Histogram {
         let name = name.into();
-        let mut map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
+        let mut map = self.instruments.lock();
         match map.get(&*name) {
             Some(Instrument::Histogram(h)) => h.clone(),
             Some(_) => panic!("instrument {name} is not a histogram"),
@@ -332,7 +334,7 @@ impl MetricsRegistry {
 
     /// Snapshots every instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
+        let map = self.instruments.lock();
         let mut snap = MetricsSnapshot::default();
         for (name, inst) in map.iter() {
             match inst {
@@ -353,7 +355,7 @@ impl MetricsRegistry {
 
     /// Zeroes every instrument (handles stay valid).
     pub fn reset(&self) {
-        let map = self.instruments.lock().unwrap_or_else(|e| e.into_inner());
+        let map = self.instruments.lock();
         for inst in map.values() {
             match inst {
                 Instrument::Counter(c) => c.reset(),

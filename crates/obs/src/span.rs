@@ -10,7 +10,9 @@
 //! buffer bounded in bytes at construction. The disabled backend is
 //! [`ObsSink::Null`] — emitting through it is a single enum-variant branch.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 /// The subsystem a span's track belongs to. The track *id* disambiguates
 /// within a kind (session token, channel index, …).
@@ -257,7 +259,7 @@ impl SpanRing {
 
     /// Appends an event, overwriting the oldest when full.
     pub fn push(&self, event: SpanEvent) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.inner.lock();
         if inner.events.len() < self.capacity {
             inner.events.push(event);
         } else {
@@ -270,7 +272,7 @@ impl SpanRing {
 
     /// Events currently buffered.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).events.len()
+        self.inner.lock().events.len()
     }
 
     /// Whether no events are buffered.
@@ -281,7 +283,7 @@ impl SpanRing {
     /// Drains the buffered events in arrival order, returning them along
     /// with how many older events were overwritten to make room.
     pub fn drain(&self) -> (Vec<SpanEvent>, u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.inner.lock();
         let head = inner.head;
         let mut events = std::mem::take(&mut inner.events);
         events.rotate_left(head);

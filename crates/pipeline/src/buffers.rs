@@ -77,11 +77,6 @@ impl PreloadBuffer {
         self.blobs.is_empty()
     }
 
-    /// Whether a shard is resident.
-    pub fn contains(&self, id: ShardId) -> bool {
-        self.get(id).is_some()
-    }
-
     /// Borrows a resident shard's blob.
     pub fn get(&self, id: ShardId) -> Option<&QuantizedBlob> {
         let at = self.blobs.binary_search_by_key(&id, |&(id, _)| id).ok()?;
@@ -322,7 +317,7 @@ mod tests {
         let size = |(id, bw)| store.load(ShardKey::new(id, bw)).unwrap().byte_size() as u64;
         let buf = PreloadBuffer::fill(size(a) + 10, &[a], &store).unwrap();
         assert_eq!((buf.used_bytes(), buf.len()), (size(a), 1));
-        assert!(buf.contains(a.0) && !buf.contains(b.0));
+        assert!(buf.get(a.0).is_some() && buf.get(b.0).is_none());
         let err = PreloadBuffer::fill(size(a) + 10, &[a, b], &store).unwrap_err();
         let expected = PipelineError::PreloadOverflow { needed: size(b), available: 10 };
         assert_eq!(err.to_string(), expected.to_string());

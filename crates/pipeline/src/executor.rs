@@ -7,6 +7,13 @@
 //! computed while later layers' IO streams in. Preloaded shards skip IO
 //! entirely.
 //!
+//! What a layer streams is the plan's decision
+//! ([`PlannedLayer::streamed`]): the issue half
+//! ([`PipelineExecutor::issue_on`]) requests exactly those items and needs
+//! no preload buffer, and the compute half receives a completion for every
+//! layer the plan says streams. The buffer is read only for the payloads of
+//! the shards the plan holds, which it was filled from.
+//!
 //! A streamed layer is dispatched ahead and materialised when compute
 //! reaches it: the shards the IO scheduler deferred (on an unbatched
 //! dispatch, misses the shard cache cannot keep) are read and decoded as
@@ -35,7 +42,7 @@ use std::sync::Arc;
 use sti_device::{DeviceTopology, HwProfile, IoSharing, SimTime};
 use sti_planner::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 use sti_planner::{ExecutionPlan, PlannedLayer};
-use sti_quant::QuantizedBlob;
+use sti_quant::{Bitwidth, QuantizedBlob};
 use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardCache, ShardKey, ShardSource};
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::stats::argmax;
@@ -144,8 +151,8 @@ impl<'a> PipelineExecutor<'a> {
             DeviceTopology::single(),
         );
         let channel = scheduler.channel_striped_at(SimTime::ZERO, 0);
-        let has_request = self.issue_on(&channel, plan, preload)?;
-        self.complete_on(&channel, plan, preload, tokens, &has_request)
+        self.issue_on(&channel, plan)?;
+        self.complete_on(&channel, plan, preload, tokens)
     }
 
     /// The issue half of an execution on `channel` — an IO lane borrowed
@@ -153,11 +160,11 @@ impl<'a> PipelineExecutor<'a> {
     /// multiplex one flash model and one shard cache: queues every
     /// streamed layer's IO on `channel` up front (the channel services them
     /// back-to-back in FIFO order, exactly like the single IO channel of
-    /// the schedule model) and returns the per-layer "did this layer issue
-    /// a request" mask that [`PipelineExecutor::complete_on`] consumes.
-    /// Event-driven hosts call the halves separately so a whole wave of
-    /// engagements can enqueue before the flash component services any of
-    /// it.
+    /// the schedule model). Each layer requests the items the plan streams
+    /// ([`PlannedLayer::streamed`]); a layer the preload set covers requests
+    /// nothing. Event-driven hosts call the halves separately so a whole
+    /// wave of engagements can enqueue before the flash component services
+    /// any of it.
     ///
     /// The simulated timeline and byte accounting depend only on the plan
     /// and the device model, never on what the scheduler's other channels
@@ -168,12 +175,7 @@ impl<'a> PipelineExecutor<'a> {
     ///
     /// Fails if the plan does not match the model shape or the scheduler
     /// shut down.
-    pub fn issue_on(
-        &self,
-        channel: &IoChannel,
-        plan: &ExecutionPlan,
-        preload: &PreloadBuffer,
-    ) -> Result<Vec<bool>, PipelineError> {
+    pub fn issue_on(&self, channel: &IoChannel, plan: &ExecutionPlan) -> Result<(), PipelineError> {
         let cfg = self.model.config();
         if plan.shape.depth > cfg.layers {
             return Err(PipelineError::PlanMismatch(format!(
@@ -181,25 +183,20 @@ impl<'a> PipelineExecutor<'a> {
                 plan.shape.depth, cfg.layers
             )));
         }
-        let mut has_request = Vec::with_capacity(plan.layers.len());
         for pl in &plan.layers {
-            let pending: Vec<(u16, sti_quant::Bitwidth)> = pl
-                .items()
-                .filter(|&(slice, _)| !preload.contains(ShardId::new(pl.layer, slice)))
-                .collect();
-            has_request.push(!pending.is_empty());
-            if !pending.is_empty() {
-                channel.request(LayerRequest { layer: pl.layer, items: pending })?;
+            let items: Vec<(u16, Bitwidth)> = pl.streamed(&plan.preload).collect();
+            if !items.is_empty() {
+                channel.request(LayerRequest { layer: pl.layer, items })?;
             }
         }
-        Ok(has_request)
+        Ok(())
     }
 
-    /// The compute half of an execution on `channel`: receives each
-    /// issued layer's completion off `channel` (in issue order) and runs
-    /// the forward pass over it. `has_request` is
-    /// [`PipelineExecutor::issue_on`]'s mask for the same `(channel, plan,
-    /// preload)` triple.
+    /// The compute half of an execution on `channel`: receives the
+    /// completion of each layer the plan streams off `channel` (in issue
+    /// order, as [`PipelineExecutor::issue_on`] requested them) and runs
+    /// the forward pass over it, taking the plan's preloaded shards from
+    /// `preload` — a buffer filled from `plan.preload`.
     ///
     /// The IO was dispatched before this runs; the shards the dispatch
     /// deferred are read here, from this executor's source, one layer at a
@@ -215,7 +212,6 @@ impl<'a> PipelineExecutor<'a> {
         plan: &ExecutionPlan,
         preload: &PreloadBuffer,
         tokens: &[u32],
-        has_request: &[bool],
     ) -> Result<ExecutionOutcome, PipelineError> {
         let mut working = WorkingBuffer::new(self.model.config().clone());
         let mut x = self.model.embedding().embed(tokens);
@@ -223,7 +219,7 @@ impl<'a> PipelineExecutor<'a> {
         let mut loaded_bytes = 0u64;
 
         for (l, pl) in plan.layers.iter().enumerate() {
-            let (streamed, io_delay) = if has_request[l] {
+            let (streamed, io_delay) = if pl.streams(&plan.preload) {
                 let mut loaded = channel.recv()?;
                 debug_assert_eq!(loaded.layer, pl.layer, "IO completions must arrive in order");
                 // The shards the dispatch deferred are read now, as the
@@ -236,7 +232,7 @@ impl<'a> PipelineExecutor<'a> {
             };
 
             // The streamed blobs arrive in request order: the plan's slices
-            // the preload buffer does not hold. Under shared-IO batching they
+            // its preload set does not hold. Under shared-IO batching they
             // alias the payload other engagements received.
             let mut streamed = streamed.iter();
             let shards = pl.slices.iter().map(|&slice| {
@@ -361,7 +357,7 @@ mod tests {
     use sti_device::DeviceProfile;
     use sti_nlp::{Task, TaskKind};
     use sti_planner::{plan_compute, plan_io, ImportanceProfile, IoPlanInputs};
-    use sti_quant::{Bitwidth, QuantConfig};
+    use sti_quant::QuantConfig;
     use sti_storage::MemStore;
     use sti_transformer::ModelConfig;
 
@@ -442,11 +438,12 @@ mod tests {
         let (sharing, topology) = (IoSharing::Exclusive, DeviceTopology::single());
         let scheduler = IoScheduler::spawn(f.source.clone(), f.hw.flash, cache, sharing, topology);
         let channel = scheduler.channel_striped_at(SimTime::ZERO, 0);
-        let has_request = exec.issue_on(&channel, &plan, &fill_preload(&f, &plan)).unwrap();
-        // Completed without the buffer the issue skipped, a preloaded slice
-        // meets a blob streamed for another slice, or none at all.
+        exec.issue_on(&channel, &plan).unwrap();
+        // Completed without the buffer its plan's preload set fills, a
+        // preloaded slice meets a blob streamed for another slice, or none
+        // at all.
         let empty = PreloadBuffer::default();
-        let err = exec.complete_on(&channel, &plan, &empty, &[1], &has_request).unwrap_err();
+        let err = exec.complete_on(&channel, &plan, &empty, &[1]).unwrap_err();
         assert!(matches!(err, PipelineError::PlanMismatch(_)), "{err:?}");
     }
 

@@ -28,12 +28,14 @@
 //! included, and speculation is priced against the same per-channel busy
 //! intervals, read where they lie. No job is copied and no completion list
 //! is built, so a report's transient heap is those three arrays and the
-//! rows. The span export renders the same replay's flash tracks through
-//! [`TopologyReport::spans`], which owns that format: only there is the
-//! timeline laid out as a completion list, and the log is replayed once.
-//! The replay the ledger ran before — the log copied into the simulator,
-//! a completion list gathered per engagement — survives as the oracle its
-//! tests hold the in-place report equal to, on generated logs.
+//! rows. The span export renders the flash tracks (`flash.wait`,
+//! `flash.service`, `flash.depth`, one track per device channel) straight
+//! from the same replay, so the log is replayed once and never laid out
+//! as a completion list; this module owns that format. The replay the
+//! ledger ran before — the log copied into the simulator, a completion
+//! list gathered per engagement — survives as the oracle its tests hold
+//! the in-place report equal to, on generated logs, and only the tests lay
+//! the timeline out in the simulator's report shape.
 //!
 //! **Invariants.** A session runs its engagements serially, so each
 //! session's records and gate decisions are chronological. An engagement
@@ -54,12 +56,10 @@
 //! scheduler under it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sti_device::{
-    serve_channel, ChannelService, CompletedJob, DeviceTopology, FlashModel, FlashQueueReport,
-    SimTime, TopologyReport,
-};
+use sti_device::{serve_channel, ChannelService, DeviceTopology, FlashModel, SimTime};
 use sti_obs::{SpanArgs, SpanEvent, TrackKind};
 use sti_planner::gate::GateDecision;
 use sti_planner::{align_io_completions, contended_makespan};
@@ -340,36 +340,51 @@ impl Timeline<'_> {
         self.channels.iter().map(|c| c.max_depth).max().unwrap_or(0)
     }
 
-    /// The timeline in the queue simulator's report shape, which
-    /// [`TopologyReport::spans`] renders: each channel's jobs in service
-    /// order, `seq` the log index, a batched job's members mirrored after
-    /// it — what [`sti_device::TopologyQueueSim`] reports for the log
-    /// submitted in order.
-    fn to_report(&self) -> TopologyReport {
-        let mut channels: Vec<FlashQueueReport> = self
-            .channels
-            .iter()
-            .map(|c| FlashQueueReport {
-                completions: Vec::new(),
-                busy: c.busy,
-                makespan: c.makespan,
-                max_depth: c.max_depth,
-            })
-            .collect();
-        for &k in &self.order {
-            let e = &self.events[k as usize];
-            let (start, completion) = self.times[k as usize];
-            let lanes = std::iter::once(e.channel).chain(e.members.iter().copied());
-            let completions = &mut channels[self.channel(k) as usize].completions;
-            completions.extend(lanes.map(|engagement| CompletedJob {
-                engagement,
-                seq: k as usize,
-                arrival: e.arrival,
-                start,
-                completion,
-            }));
+    /// Every device channel's timeline as virtual-clock spans on
+    /// [`TrackKind::Flash`] track `c` for device channel `c`, so the
+    /// Chrome-trace export shows one row per channel: a `flash.wait`
+    /// interval for each job that queued, a `flash.service` interval per
+    /// served job (a batched job once, its fan-out an arg — the flash read
+    /// it once), and a `flash.depth` counter sampled at every service
+    /// start. Idle time is the gaps between service intervals. Rendered
+    /// straight from the replay: the service order, each job's `(start,
+    /// completion)` and each event's fan-out; a job's `seq` is its log
+    /// index.
+    fn flash_spans(&self) -> Vec<SpanEvent> {
+        let mut spans = Vec::with_capacity(3 * self.order.len());
+        for run in self.order.chunk_by(|&a, &b| self.channel(a) == self.channel(b)) {
+            let track = u64::from(self.channel(run[0]));
+            for (done, &k) in run.iter().enumerate() {
+                let e = &self.events[k as usize];
+                let (start, completion) = self.times[k as usize];
+                let args = SpanArgs::new()
+                    .with("seq", u64::from(k))
+                    .with("engagement", e.channel)
+                    .with("fanout", e.fanout() as u64);
+                let (arrival_us, start_us) = (e.arrival.as_us(), start.as_us());
+                let span = |name, from, to| {
+                    SpanEvent::complete(TrackKind::Flash, track, name, from, to).with_args(args)
+                };
+                if start_us > arrival_us {
+                    spans.push(span("flash.wait", arrival_us, start_us));
+                }
+                spans.push(span("flash.service", start_us, completion.as_us()));
+                // Jobs arrived by this start and not yet served: a
+                // channel's run is in arrival order.
+                let arrived = run
+                    .partition_point(|&j| self.events[j as usize].arrival <= start)
+                    .max(done + 1);
+                let depth = (arrived - done) as u64;
+                spans.push(SpanEvent::counter(
+                    TrackKind::Flash,
+                    track,
+                    "flash.depth",
+                    start_us,
+                    depth,
+                ));
+            }
         }
-        TopologyReport { channels }
+        spans
     }
 }
 
@@ -383,8 +398,9 @@ pub(crate) struct EngagementRecord {
     /// The engagement's issue time on the simulated timeline (session
     /// arrival plus gate delay — the arrival its channel was opened at).
     pub(crate) issue: SimTime,
-    /// Per-layer: did the layer stream through the scheduler?
-    pub(crate) layer_has_io: Vec<bool>,
+    /// Per-layer: did the layer stream through the scheduler? The plan's
+    /// mask, shared by every engagement planned on one call.
+    pub(crate) layer_has_io: Arc<[bool]>,
     /// Per-layer compute delay (uniform across a plan's layers).
     pub(crate) comp: SimTime,
     pub(crate) uncontended: SimTime,
@@ -517,8 +533,7 @@ impl ContentionLedger {
             let issue =
                 rec.issue.max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
             let start = mine.clone().next().map_or(issue, |(start, _)| start);
-            let comps = vec![rec.comp; rec.layer_has_io.len()];
-            let contended = contended_makespan(start, &io_ends, &comps);
+            let contended = contended_makespan(start, &io_ends, rec.comp);
             session_clock.insert(rec.session, start + contended);
             Some(Replayed { rec, id, issue, start, contended })
         })
@@ -610,7 +625,7 @@ impl ContentionLedger {
         }
         events.sort_by_key(|e| (e.arrival, e.channel));
         let timeline = self.timeline(&events);
-        let mut spans = timeline.to_report().spans();
+        let mut spans = timeline.flash_spans();
         // Session-track engagement intervals: issue → contended completion.
         for r in Self::rows(&log, ids, &timeline) {
             spans.push(
@@ -673,12 +688,50 @@ impl ContentionLedger {
     }
 }
 
+/// The queue simulator is these tests' oracle, and only theirs.
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
     use crate::server::tests::tiny_server;
     use crate::server::StiServer;
-    use sti_device::{DeviceProfile, FlashJob, TopologyQueueSim};
+    use sti_device::{
+        CompletedJob, DeviceProfile, FlashJob, FlashQueueReport, TopologyQueueSim, TopologyReport,
+    };
+
+    impl Timeline<'_> {
+        /// The timeline in the queue simulator's report shape: each
+        /// channel's jobs in service order, `seq` the log index, a batched
+        /// job's members mirrored after it — what [`TopologyQueueSim`]
+        /// reports for the log submitted in order, which the tests below
+        /// compare it with.
+        fn to_report(&self) -> TopologyReport {
+            let mut channels: Vec<FlashQueueReport> = self
+                .channels
+                .iter()
+                .map(|c| FlashQueueReport {
+                    completions: Vec::new(),
+                    busy: c.busy,
+                    makespan: c.makespan,
+                    max_depth: c.max_depth,
+                })
+                .collect();
+            for &k in &self.order {
+                let e = &self.events[k as usize];
+                let (start, completion) = self.times[k as usize];
+                let lanes = std::iter::once(e.channel).chain(e.members.iter().copied());
+                let completions = &mut channels[self.channel(k) as usize].completions;
+                completions.extend(lanes.map(|engagement| CompletedJob {
+                    engagement,
+                    seq: k as usize,
+                    arrival: e.arrival,
+                    start,
+                    completion,
+                }));
+            }
+            TopologyReport { channels }
+        }
+    }
 
     fn server() -> StiServer {
         tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
@@ -714,7 +767,7 @@ mod tests {
             session,
             slo: None,
             issue: SimTime::ZERO,
-            layer_has_io: layer_has_io.to_vec(),
+            layer_has_io: layer_has_io.into(),
             comp: ms(2),
             uncontended: ms(7),
         }
@@ -804,8 +857,7 @@ mod tests {
                         .issue
                         .max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
                     let start = jobs.first().map_or(issue, |j| j.start);
-                    let comps = vec![rec.comp; rec.layer_has_io.len()];
-                    let contended = contended_makespan(start, &io_ends, &comps);
+                    let contended = contended_makespan(start, &io_ends, rec.comp);
                     session_clock.insert(rec.session, start + contended);
                     Some(EngagementContention {
                         channel: rec.channel,
@@ -946,7 +998,7 @@ mod tests {
                 session: (i % 3) as u64,
                 slo: (below(2) == 0).then(|| ms(5)),
                 issue: ms(below(4) as u64),
-                layer_has_io,
+                layer_has_io: layer_has_io.into(),
                 comp: SimTime::from_us(below(2_000) as u64),
                 uncontended: ms(3),
             });
@@ -1084,6 +1136,45 @@ mod tests {
         let mine = topo.completions_of(0);
         assert_eq!(mine.len(), 3);
         assert!(mine.windows(2).all(|w| w[0].completion <= w[1].start));
+    }
+
+    #[test]
+    fn spans_cover_waits_services_and_depth() {
+        // A batched job served once (fan-out 3), then one that queues
+        // behind it.
+        let events =
+            [FlashDispatchEvent { members: vec![1, 2], ..event(0, 0, 10) }, event(3, 0, 5)];
+        let spans = ledger().timeline(&events).flash_spans();
+        let services: Vec<_> = spans.iter().filter(|e| e.name == "flash.service").collect();
+        assert_eq!(services.len(), 2, "shared job serves once");
+        assert_eq!(services[0].args.entries()[2], ("fanout", 3));
+        let waits: Vec<_> = spans.iter().filter(|e| e.name == "flash.wait").collect();
+        assert_eq!(waits.len(), 1, "only the second job queued");
+        assert_eq!((waits[0].start_us, waits[0].end_us), (0, 10_000));
+        let depths: Vec<u64> = spans
+            .iter()
+            .filter(|e| e.name == "flash.depth")
+            .map(|e| e.args.entries()[0].1)
+            .collect();
+        assert_eq!(depths, vec![2, 1]);
+    }
+
+    #[test]
+    fn spans_use_one_track_per_device_channel() {
+        let two = ContentionLedger::new(
+            DeviceProfile::odroid_n2().flash,
+            None,
+            DeviceTopology::with_channels(2),
+        );
+        let events = [event(0, 0, 5), FlashDispatchEvent { device_channel: 1, ..event(1, 0, 5) }];
+        let tracks: Vec<u64> = two
+            .timeline(&events)
+            .flash_spans()
+            .iter()
+            .filter(|e| e.name == "flash.service")
+            .map(|e| e.track)
+            .collect();
+        assert_eq!(tracks, vec![0, 1], "one flash track per device channel");
     }
 
     #[test]

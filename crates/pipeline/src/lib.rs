@@ -35,7 +35,8 @@
 //!   forward passes on the calling thread, with the simulated-time timeline
 //!   accounted per layer; [`executor::PipelineExecutor::issue_on`] and
 //!   [`executor::PipelineExecutor::complete_on`] borrow an IO lane from a
-//!   shared scheduler instead of constructing per-run IO state;
+//!   shared scheduler instead of constructing per-run IO state, and stream
+//!   what the plan decides (`sti_planner::PlannedLayer::streamed`);
 //! - [`engine`] — the single-app facade over the executor;
 //! - [`server`] — the serving facade: builder, orchestration and session
 //!   handles — including the open-session registry, one

@@ -12,7 +12,12 @@
 //! costs wasted bytes, never an SLO miss.
 //!
 //! The driver owns the model and the key → working-set table; it returns
-//! jobs instead of submitting them, so it needs no scheduler.
+//! jobs instead of submitting them, so it needs no scheduler. A working set
+//! is a plan and a stripe, never a preload buffer: the plan says what its
+//! engagements stream
+//! ([`PlannedLayer::streamed`](sti_planner::PlannedLayer::streamed)), so the
+//! table keeps no preload payload alive, and a knob set whose last session
+//! closed refills its buffer on its next open.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -23,11 +28,8 @@ use sti_planner::prefetch::{
     EngagementKey, KeyId, PrefetchConfig, PrefetchMode, PrefetchPlan, Prefetcher, PrefetcherStats,
 };
 use sti_planner::ExecutionPlan;
-use sti_quant::Bitwidth;
 use sti_storage::{FlashDispatchEvent, PrefetchPoolStats, ShardKey, ShardSource, SpeculativeJob};
 use sti_transformer::ShardId;
-
-use crate::buffers::PreloadBuffer;
 
 /// The prefetcher's end-to-end report surface: the Markov model's
 /// counters, the staging pool's hit accounting, and the speculative
@@ -49,16 +51,16 @@ pub struct PrefetchReport {
     pub pinned_bytes: u64,
 }
 
-/// The resolved working set behind one engagement key.
+/// The resolved working set behind one engagement key: the plan, which
+/// decides what its engagements stream, and the stripe they stream on.
 #[derive(Clone)]
 pub(crate) struct PrefetchTarget {
     pub(crate) plan: Arc<ExecutionPlan>,
-    pub(crate) preload: Arc<PreloadBuffer>,
     pub(crate) stripe: u16,
 }
 
 /// The shared Markov model plus the key-to-working-set table that turns a
-/// predicted [`KeyId`] back into the concrete plan/preload/stripe to stage.
+/// predicted [`KeyId`] back into the concrete plan and stripe to stage.
 pub(crate) struct PrefetchDriver {
     cfg: PrefetchConfig,
     /// Observations are serialized through this lock; under the event
@@ -150,9 +152,10 @@ impl PrefetchDriver {
 }
 
 /// Turns an emitted [`PrefetchPlan`] into speculative scheduler jobs: the
-/// predicted engagement's *streamed* working set (planned shards not
-/// covered by its preload buffer), grouped onto the device channels its
-/// layer requests would really route to, byte-capped at the plan budget.
+/// predicted engagement's *streamed* working set (what its plan streams,
+/// [`PlannedLayer::streamed`](sti_planner::PlannedLayer::streamed)),
+/// grouped onto the device channels its layer requests would really route
+/// to, byte-capped at the plan budget.
 fn speculative_jobs(
     plan: &PrefetchPlan,
     target: &PrefetchTarget,
@@ -161,17 +164,11 @@ fn speculative_jobs(
 ) -> Vec<SpeculativeJob> {
     let mut budget = plan.budget_bytes;
     let mut jobs: BTreeMap<u16, Vec<ShardKey>> = BTreeMap::new();
+    let preload = &target.plan.preload;
     'layers: for pl in &target.plan.layers {
-        let items: Vec<(u16, Bitwidth)> = pl
-            .items()
-            .filter(|&(slice, _)| !target.preload.contains(ShardId::new(pl.layer, slice)))
-            .collect();
-        if items.is_empty() {
-            continue;
-        }
-        let sig = content_sig(pl.layer, items.iter().copied());
-        let dc = topology.channel_for(sig, target.stripe);
-        for (slice, bw) in items {
+        let streamed = pl.streamed(preload);
+        let dc = topology.channel_for(content_sig(pl.layer, streamed.clone()), target.stripe);
+        for (slice, bw) in streamed {
             let key = ShardKey::new(ShardId::new(pl.layer, slice), bw);
             let bytes = match source.size_bytes(key) {
                 Ok(bytes) if bytes > 0 => bytes,
@@ -197,8 +194,15 @@ fn speculative_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::PipelineExecutor;
     use crate::server::tests::tiny_server;
     use crate::server::StiServer;
+    use sti_device::{DeviceProfile, HwProfile, IoSharing};
+    use sti_planner::{layer_io_jobs, plan_two_stage, ImportanceProfile, LayerIoJob};
+    use sti_quant::{Bitwidth, QuantConfig};
+    use sti_storage::{IoScheduler, MemStore, ShardCache};
+    use sti_tensor::Rng;
+    use sti_transformer::{Model, ModelConfig, ShardId};
 
     fn server() -> StiServer {
         tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
@@ -257,6 +261,104 @@ mod tests {
         // priced jobs can only grow past the harvested count.
         assert!(spec.jobs >= report.jobs);
         assert!(spec.busy > SimTime::ZERO || spec.speculated_bytes == 0);
+    }
+
+    /// One decision, three readers: over two-stage plans at several `(T,
+    /// |S|)` on a 4-channel device, at every stripe, the executor
+    /// dispatches one request per layer the plan streams, in layer order,
+    /// each on the channel its [`layer_io_jobs`] signature places at the
+    /// stripe; and the prefetcher stages exactly those layers' keys, in
+    /// layer order as far as its budget reaches, on the same channels.
+    #[test]
+    fn the_planner_the_scheduler_and_the_prefetcher_agree_on_what_streams() {
+        let cfg = ModelConfig { layers: 6, ..ModelConfig::tiny() };
+        let model = Model::synthetic(53, cfg.clone());
+        let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, &QuantConfig::default());
+        let source = Arc::new(MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default()));
+        let mut rng = Rng::new(53);
+        let scores = (0..cfg.total_shards()).map(|_| f64::from(rng.next_f32())).collect();
+        let importance = ImportanceProfile::from_scores(cfg.layers, cfg.heads, scores, 0.45);
+        let topology = DeviceTopology::with_channels(4);
+        let exec = PipelineExecutor::new(&model, source.clone(), &hw);
+        let size = |key: &ShardKey| source.size_bytes(*key).unwrap();
+        let (mut streamed, mut covered, mut cut) = (0, 0, 0);
+        for (target_ms, preload) in [(40, 0), (60, 2 << 10), (80, 6 << 10), (120, 1 << 20)] {
+            let target = SimTime::from_ms(target_ms);
+            let plan = plan_two_stage(&hw, &importance, target, preload, &[2, 4], &Bitwidth::ALL);
+            // Per streamed layer, in layer order: its keys and its job.
+            let layers: Vec<(Vec<ShardKey>, LayerIoJob)> = plan
+                .layers
+                .iter()
+                .zip(layer_io_jobs(&hw, &plan))
+                .filter_map(|(pl, job)| {
+                    let key = |(slice, bw)| ShardKey::new(ShardId::new(pl.layer, slice), bw);
+                    Some((pl.streamed(&plan.preload).map(key).collect(), job?))
+                })
+                .collect();
+            streamed += layers.len();
+            covered += plan.layers.len() - layers.len();
+            let stream_bytes: u64 = layers.iter().flat_map(|(keys, _)| keys).map(size).sum();
+            let target = PrefetchTarget { plan: Arc::new(plan), stripe: 0 };
+            for stripe in 0..topology.channel_count() {
+                let place = |job: &LayerIoJob| topology.channel_for(job.sig, stripe);
+                let cache = Arc::new(ShardCache::new(0));
+                let sharing = IoSharing::Exclusive;
+                let scheduler =
+                    IoScheduler::spawn(source.clone(), hw.flash, cache, sharing, topology);
+                let lane = scheduler.channel_striped_at(SimTime::ZERO, stripe);
+                exec.issue_on(&lane, &target.plan).unwrap();
+                scheduler.drive_queued();
+                let dispatched: Vec<(u16, u64)> = scheduler.with_event_logs(|demand, _| {
+                    demand.iter().map(|e| (e.device_channel, e.bytes)).collect()
+                });
+                let want: Vec<(u16, u64)> = layers
+                    .iter()
+                    .map(|(keys, job)| (place(job), keys.iter().map(size).sum()))
+                    .collect();
+                assert_eq!(
+                    dispatched, want,
+                    "T = {target_ms} ms, |S| = {preload} B, stripe {stripe}"
+                );
+
+                let target = PrefetchTarget { stripe, ..target.clone() };
+                for budget in [u64::MAX, stream_bytes / 2] {
+                    let prediction = PrefetchPlan {
+                        client: 7,
+                        predicted: KeyId(0),
+                        budget_bytes: budget,
+                        emitted_at: SimTime::ZERO,
+                    };
+                    let staged: Vec<(u16, ShardKey)> =
+                        speculative_jobs(&prediction, &target, topology, &*source)
+                            .into_iter()
+                            .flat_map(|job| {
+                                job.keys.into_iter().map(move |k| (job.device_channel, k))
+                            })
+                            .collect();
+                    // The streamed keys in layer order up to the budget,
+                    // grouped by channel.
+                    let mut left = budget;
+                    let mut want: Vec<(u16, ShardKey)> = Vec::new();
+                    'layers: for (keys, job) in &layers {
+                        for key in keys {
+                            if size(key) > left {
+                                cut += 1;
+                                break 'layers;
+                            }
+                            left -= size(key);
+                            want.push((place(job), *key));
+                        }
+                    }
+                    want.sort_by_key(|&(dc, _)| dc);
+                    assert_eq!(
+                        staged, want,
+                        "T = {target_ms} ms, |S| = {preload} B, stripe {stripe}"
+                    );
+                }
+            }
+        }
+        assert!(streamed > 0 && covered > 0, "plans both stream layers and preload whole ones");
+        assert!(cut > 0, "a budget cuts some staging short");
     }
 
     /// Invalidation drops both holders of pre-invalidation state: the staged

@@ -362,6 +362,10 @@ struct Planned {
     preload_budget: u64,
     plan: Arc<ExecutionPlan>,
     preload: Arc<PreloadBuffer>,
+    /// Per layer of `plan`, whether it streams
+    /// ([`PlannedLayer::streams`](sti_planner::PlannedLayer::streams)): the
+    /// ledger record of every engagement on this record shares it.
+    layer_has_io: Arc<[bool]>,
     slo: Option<SimTime>,
     /// The SLO search outcome, when SLO-planned.
     serving: Option<Arc<ServingPlan>>,
@@ -564,9 +568,11 @@ impl ServerInner {
             }
         };
         let (plan, preload) = self.resolve(target, preload_budget, serving.as_deref())?;
+        let layer_has_io = plan.layers.iter().map(|pl| pl.streams(&plan.preload)).collect();
         let loads =
             (0..self.scheduler.topology().channel_count()).map(|_| OnceLock::new()).collect();
-        let planned = Planned { target, preload_budget, plan, preload, slo, serving, loads };
+        let planned =
+            Planned { target, preload_budget, plan, preload, layer_has_io, slo, serving, loads };
         Ok(install(Arc::new(planned)))
     }
 
@@ -1158,10 +1164,6 @@ pub struct PendingEngagement {
     planned: Arc<Planned>,
     /// The stripe the lane was opened on.
     stripe: u16,
-    /// Per-layer: whether the issue half enqueued a request for the layer
-    /// (false = fully preloaded), so the complete half receives exactly
-    /// what was requested.
-    has_request: Vec<bool>,
     /// The engagement's effective issue time: session arrival advanced by
     /// the per-engagement issue gap, plus the gate delay — the tick its
     /// scheduler channel opened at.
@@ -1409,14 +1411,12 @@ impl Session {
         let issue = base + gate_delay;
         let in_flight = InFlight(self.inner.clone());
         let channel = inner.scheduler.channel_striped_at(issue, self.stripe);
-        let Planned { plan, preload, .. } = &*self.planned;
-        let has_request = self.executor().issue_on(&channel, plan, preload)?;
+        self.executor().issue_on(&channel, &self.planned.plan)?;
         Ok(PendingEngagement {
             channel,
             session: self.token,
             planned: self.planned.clone(),
             stripe: self.stripe,
-            has_request,
             issue,
             tokens: tokens.to_vec(),
             _in_flight: in_flight,
@@ -1444,23 +1444,19 @@ impl Session {
                 pending.session, self.token
             )));
         }
-        let Planned { plan, preload, target, preload_budget, slo, .. } = &*pending.planned;
-        let outcome = self.executor().complete_on(
-            &pending.channel,
-            plan,
-            preload,
-            &pending.tokens,
-            &pending.has_request,
-        )?;
+        let Planned { plan, preload, layer_has_io, target, preload_budget, slo, .. } =
+            &*pending.planned;
+        let outcome =
+            self.executor().complete_on(&pending.channel, plan, preload, &pending.tokens)?;
 
-        // Contended-track record: which layers streamed (the request mask
-        // `infer_issue` built) and the uniform per-layer compute delay.
+        // Contended-track record: which layers streamed (the plan's mask,
+        // shared) and the uniform per-layer compute delay.
         inner.ledger.record_engagement(EngagementRecord {
             channel: pending.channel.id(),
             session: self.token,
             slo: *slo,
             issue: pending.issue,
-            layer_has_io: pending.has_request,
+            layer_has_io: layer_has_io.clone(),
             comp: inner.hw.t_comp(plan.shape.width),
             uncontended: outcome.timeline.makespan,
         });
@@ -1479,11 +1475,7 @@ impl Session {
                 slo_us: slo.map_or(0, |s| s.as_us()),
                 stripe: pending.stripe,
             };
-            let target = || PrefetchTarget {
-                plan: plan.clone(),
-                preload: preload.clone(),
-                stripe: pending.stripe,
-            };
+            let target = || PrefetchTarget { plan: plan.clone(), stripe: pending.stripe };
             let now = pending.issue + outcome.timeline.makespan;
             let topology = inner.scheduler.topology();
             for job in pf.observe(self.token, key, target, now, topology, &*inner.cached_source) {
@@ -1648,6 +1640,26 @@ pub(crate) mod tests {
         let stats = srv.plan_stats();
         assert_eq!((stats.hits, stats.misses), (0, 2));
         assert_eq!(srv.cached_plans(), 1);
+    }
+
+    /// The prefetcher's working-set table holds plans, not preload
+    /// buffers: once the last session on a knob set closes, its buffer is
+    /// freed while the plan the table registered stays.
+    #[test]
+    fn the_prefetcher_keeps_a_closed_knob_sets_plan_but_not_its_preload_buffer() {
+        let srv = tiny_server(|b| {
+            b.target(SimTime::from_ms(300))
+                .preload_budget(64 << 10)
+                .prefetch(PrefetchConfig::markov(1 << 20))
+        });
+        let session = srv.session().unwrap();
+        assert!(session.preload_used() > 0, "|S| > 0: the session holds a buffer");
+        session.infer(&[1, 2, 3]).unwrap();
+        session.infer(&[1, 2, 3]).unwrap();
+        assert_eq!((srv.inner.preloads.len(), srv.cached_plans()), (1, 1));
+        drop(session);
+        assert_eq!(srv.inner.preloads.len(), 0, "no table keeps a closed knob set's buffer");
+        assert_eq!(srv.cached_plans(), 1, "the prefetcher keeps the plan it may stage");
     }
 
     /// A closed session's Markov chain goes with it: ten thousand open →

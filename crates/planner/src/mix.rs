@@ -929,7 +929,7 @@ fn fold_predict(
             })
         })
         .collect();
-    contended_makespan(a, &io_ends, &vec![load.comp; load.jobs.len()])
+    contended_makespan(a, &io_ends, load.comp)
 }
 
 /// The round grouping behind a batched prediction: every lane arriving by
@@ -1028,7 +1028,7 @@ fn batched_predict(
             io_ends[layer] = Some(done);
         }
     }
-    contended_makespan(load.arrival, &io_ends, &vec![load.comp; load.jobs.len()])
+    contended_makespan(load.arrival, &io_ends, load.comp)
 }
 
 /// When every device channel has served every job of the lanes arriving by
@@ -1363,7 +1363,7 @@ mod tests {
         let completions = sim.run().completions_of(1);
         let io_ends = align_io_completions(&has_io, completions.iter().map(|c| c.completion))
             .expect("the simulator served one read per streamed layer");
-        contended_makespan(load.arrival, &io_ends, &vec![load.comp; load.jobs.len()])
+        contended_makespan(load.arrival, &io_ends, load.comp)
     }
 
     /// The drain as the simulator prices it: every job of the lanes

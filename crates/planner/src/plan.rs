@@ -7,6 +7,13 @@
 //! re-selection and the comparison baselines all build through it; only
 //! the `Load&Exec` baseline then folds the prediction into one sequential
 //! stage.
+//!
+//! This module is also the one place that decides which shards a layer
+//! reads from flash: [`PlannedLayer::streamed`], the layer's items outside
+//! the plan's preload set `S` (§3.2, §5.5). The planner's IO jobs, the
+//! executor's layer requests, the ledger's per-layer mask and the
+//! prefetcher's speculative jobs all ask it, so a prediction and the run it
+//! predicts cannot disagree on what streams.
 
 use sti_device::{HwProfile, SimTime};
 use sti_quant::Bitwidth;
@@ -61,8 +68,31 @@ pub struct PlannedLayer {
 
 impl PlannedLayer {
     /// The `(slice, bitwidth)` pairs of this layer.
-    pub fn items(&self) -> impl Iterator<Item = (u16, Bitwidth)> + '_ {
+    pub fn items(&self) -> impl Iterator<Item = (u16, Bitwidth)> + Clone + '_ {
         self.slices.iter().copied().zip(self.bitwidths.iter().copied())
+    }
+
+    /// The `(slice, bitwidth)` items of this layer read from flash under
+    /// `preload`: every item whose shard the list does not hold, in slice
+    /// order. `preload` is a plan's list, in `(layer, slice)` order
+    /// ([`ExecutionPlan::preload`]), so the lookup narrows to this layer's
+    /// run once and binary-searches it per item.
+    pub fn streamed<'a>(
+        &'a self,
+        preload: &'a [(ShardId, Bitwidth)],
+    ) -> impl Iterator<Item = (u16, Bitwidth)> + Clone + 'a {
+        let lo = preload.partition_point(|&(id, _)| id.layer < self.layer);
+        let len = preload[lo..].partition_point(|&(id, _)| id.layer == self.layer);
+        let held = &preload[lo..lo + len];
+        self.items().filter(move |&(slice, _)| {
+            held.binary_search_by_key(&slice, |&(id, _)| id.slice).is_err()
+        })
+    }
+
+    /// Whether this layer reads anything from flash under `preload` (see
+    /// [`PlannedLayer::streamed`]).
+    pub fn streams(&self, preload: &[(ShardId, Bitwidth)]) -> bool {
+        self.streamed(preload).next().is_some()
     }
 }
 
@@ -77,7 +107,8 @@ pub struct ExecutionPlan {
     /// Per-layer slice and bitwidth selections.
     pub layers: Vec<PlannedLayer>,
     /// Shards (with their planned bitwidths) held in the preload buffer,
-    /// in (layer, slice) order.
+    /// in (layer, slice) order, each at most once — the order
+    /// [`PlannedLayer::streamed`] searches.
     pub preload: Vec<(ShardId, Bitwidth)>,
     /// The target latency the plan was built for.
     pub target: SimTime,
@@ -100,8 +131,9 @@ impl ExecutionPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `layers` is empty, a layer selects no slice, or the layers
-    /// disagree on their width.
+    /// Panics if `layers` is empty, a layer selects no slice, the layers
+    /// disagree on their width, or `preload` is not in strictly ascending
+    /// `(layer, slice)` order.
     pub fn new(
         hw: &HwProfile,
         layers: Vec<PlannedLayer>,
@@ -112,6 +144,7 @@ impl ExecutionPlan {
     ) -> Self {
         let width = layers.first().map_or(0, |pl| pl.slices.len());
         assert!(layers.iter().all(|pl| pl.slices.len() == width), "layers differ in width");
+        assert!(preload.is_sorted_by(|a, b| a.0 < b.0), "preload not in (layer, slice) order");
         let shape = SubmodelShape::new(layers.len(), width);
         let comp = hw.t_comp(width);
         let timings: Vec<LayerTiming> = plan_layer_jobs(hw, &layers, &preload)
@@ -131,7 +164,7 @@ impl ExecutionPlan {
 
     /// Whether a shard is in the preload set.
     pub fn is_preloaded(&self, id: ShardId) -> bool {
-        in_preload(&self.preload, id)
+        self.preload.binary_search_by_key(&id, |&(id, _)| id).is_ok()
     }
 
     /// Renders the plan as the per-shard bitwidth grid of paper Figure 8,
@@ -149,11 +182,6 @@ impl ExecutionPlan {
         }
         out
     }
-}
-
-/// Whether `id` is in a preload set.
-pub(crate) fn in_preload(preload: &[(ShardId, Bitwidth)], id: ShardId) -> bool {
-    preload.iter().any(|&(pid, _)| pid == id)
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ use sti_device::{content_sig, HwProfile, SimTime};
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
-use crate::plan::{in_preload, ExecutionPlan, PlannedLayer};
+use crate::plan::{ExecutionPlan, PlannedLayer};
 
 /// One streaming layer's IO job: a content signature (what would be read)
 /// plus the device-model service time.
@@ -91,15 +91,14 @@ pub(crate) fn plan_layer_jobs<'a>(
     preload: &'a [(ShardId, Bitwidth)],
 ) -> impl Iterator<Item = Option<LayerIoJob>> + 'a {
     layers.iter().map(move |pl| {
-        let streamed =
-            || pl.items().filter(|&(slice, _)| !in_preload(preload, ShardId::new(pl.layer, slice)));
-        let bytes: u64 = streamed().map(|(_, bw)| hw.shard_bytes(bw)).sum();
+        let streamed = pl.streamed(preload);
+        let bytes: u64 = streamed.clone().map(|(_, bw)| hw.shard_bytes(bw)).sum();
         // The signature is the content signature of the request the
         // executor will issue for this layer, so plan-derived jobs and
         // the scheduler's queued requests agree on batchability
         // identity.
         (bytes > 0).then(|| LayerIoJob {
-            sig: content_sig(pl.layer, streamed()),
+            sig: content_sig(pl.layer, streamed),
             service: hw.flash.request_delay(bytes),
         })
     })
@@ -226,16 +225,12 @@ pub fn align_io_completions(
 
 /// The pipeline recurrence against *absolute* IO completion times: layer
 /// `k`'s computation starts when both layer `k-1`'s computation and layer
-/// `k`'s (contended) IO have finished. Layers without IO (`None`) are ready
-/// at `start`. Returns the engagement's end-to-end latency from `start`.
-pub fn contended_makespan(
-    start: SimTime,
-    io_ends: &[Option<SimTime>],
-    comps: &[SimTime],
-) -> SimTime {
-    assert_eq!(io_ends.len(), comps.len(), "one IO completion slot per layer");
+/// `k`'s (contended) IO have finished, and takes `comp` — a plan's layers
+/// all compute for the same time. Layers without IO (`None`) are ready at
+/// `start`. Returns the engagement's end-to-end latency from `start`.
+pub fn contended_makespan(start: SimTime, io_ends: &[Option<SimTime>], comp: SimTime) -> SimTime {
     let mut prev_comp_end = start;
-    for (io_end, &comp) in io_ends.iter().zip(comps) {
+    for io_end in io_ends {
         let ready = io_end.unwrap_or(start);
         prev_comp_end = prev_comp_end.max(ready) + comp;
     }
@@ -366,11 +361,11 @@ mod tests {
     fn contended_makespan_matches_hand_computation() {
         let ms = SimTime::from_ms;
         // Two layers, IO ends at 10 and 40, compute 5 each.
-        let got = contended_makespan(SimTime::ZERO, &[Some(ms(10)), Some(ms(40))], &[ms(5); 2]);
+        let got = contended_makespan(SimTime::ZERO, &[Some(ms(10)), Some(ms(40))], ms(5));
         // L0: comp 10..15; L1: waits for IO at 40, comp 40..45.
         assert_eq!(got, ms(45));
         // Preloaded second layer: ready immediately.
-        let got = contended_makespan(SimTime::ZERO, &[Some(ms(10)), None], &[ms(5); 2]);
+        let got = contended_makespan(SimTime::ZERO, &[Some(ms(10)), None], ms(5));
         assert_eq!(got, ms(20));
     }
 

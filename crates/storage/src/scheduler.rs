@@ -83,7 +83,9 @@
 mod dispatch;
 mod lanes;
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, MutexGuard};
+
+use parking_lot::Mutex;
 
 use sti_device::{DeviceTopology, FlashModel, IoSharing, SimTime};
 use sti_obs::{MetricsRegistry, MetricsSnapshot, ObsSink};
@@ -109,11 +111,19 @@ struct Driver {
     driving: bool,
 }
 
+/// The scheduler state's lock. It pairs with [`Shared::wake`], a
+/// `Condvar`, which waits on std's guard; the `parking_lot` stand-in hands
+/// out std guards but offers no `Condvar` over them, so this pair stays on
+/// `std::sync` and recovers a poisoned lock by hand ([`Shared::lock_state`]).
+#[allow(clippy::disallowed_types)]
+type StateLock = std::sync::Mutex<Driver>;
+
 struct Shared {
     source: Arc<dyn ShardSource>,
     cache: Arc<ShardCache>,
     flash: FlashModel,
-    state: Mutex<Driver>,
+    /// On `std::sync`, not `parking_lot`: it pairs with `wake` ([`StateLock`]).
+    state: StateLock,
     /// Signals waiters that a dispatch landed, dispatch resumed, or
     /// shutdown began.
     wake: Condvar,
@@ -214,7 +224,7 @@ impl IoScheduler {
             source,
             cache,
             flash,
-            state: Mutex::new(Driver {
+            state: StateLock::new(Driver {
                 lanes: SchedState::new(sharing, topology),
                 paused: false,
                 shutdown: false,
@@ -264,7 +274,7 @@ impl IoScheduler {
     /// executor-dependent — hence [`sti_obs::TrackKind::Host`], which
     /// deterministic exports exclude).
     pub fn set_obs_sink(&self, sink: ObsSink) {
-        *self.shared.obs.lock().unwrap_or_else(|e| e.into_inner()) = sink;
+        *self.shared.obs.lock() = sink;
     }
 
     /// Parks every [`IoChannel::recv`] caller: queued requests stay
@@ -577,8 +587,8 @@ mod tests {
 
     impl ShardSource for PanickingSource {
         fn load(&self, _key: ShardKey) -> Result<sti_quant::QuantizedBlob, StorageError> {
-            self.started.lock().unwrap().send(()).unwrap();
-            self.go.lock().unwrap().recv().unwrap();
+            self.started.lock().send(()).unwrap();
+            self.go.lock().recv().unwrap();
             panic!("decoder blew up");
         }
 

@@ -176,7 +176,7 @@ fn run_dispatch(shared: &Shared, dispatch: Dispatch) {
     shared.land(|lanes| {
         if let Ok((loaded, hit_bytes)) = &result {
             shared.instruments.record(&dispatch, loaded);
-            let sink = shared.obs.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            let sink = shared.obs.lock().clone();
             if sink.enabled() {
                 let start = dispatch.arrival.as_us();
                 let end = (dispatch.arrival + loaded.io_delay).as_us();

@@ -33,7 +33,8 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+use parking_lot::Mutex;
 
 /// Number of worker threads to use: the machine's parallelism, capped so tiny
 /// inputs don't spawn idle threads.
@@ -117,7 +118,7 @@ where
                         break;
                     }
                     let value = f(scratch, i);
-                    *results[i].lock().expect("result slot poisoned") = Some(value);
+                    *results[i].lock() = Some(value);
                 })
             })
             .collect();
@@ -129,12 +130,7 @@ where
         }
     });
 
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner().expect("result slot poisoned").expect("worker skipped an item")
-        })
-        .collect()
+    results.into_iter().map(|slot| slot.into_inner().expect("worker skipped an item")).collect()
 }
 
 #[cfg(test)]

@@ -438,11 +438,14 @@ fn building_and_dropping_a_multi_channel_server_keeps_nothing() {
 /// 6 760 975 B; since every layer of an engagement runs in the working
 /// buffer's one forward scratch, 5 155 893 B; since the report replays
 /// the log in place (a 4 MiB cache keeps every shard here, so nothing is
-/// deferred), 5 129 979 B. `trace_spans` requests 457 884 B for the
-/// stream's 537 spans when the caller asks for it afterwards (481 184 B
-/// when it copied the log into the queue simulator), so a replay that
-/// assembled the stream would request 5 587 863 B. The bound sits between
-/// the two.
+/// deferred), 5 129 979 B; since an engagement's record shares its plan's
+/// per-layer mask and the replay takes one compute delay per engagement,
+/// 5 128 086 B. `trace_spans` requests 353 980 B for the stream's 537
+/// spans when the caller asks for it afterwards (457 884 B when it laid
+/// the replay out as the queue simulator's report to render the flash
+/// tracks, 481 184 B when it copied the log into the simulator), so a
+/// replay that assembled the stream would request 5 482 066 B. The bound
+/// sits between the two.
 fn a_bare_replay_does_not_assemble_the_span_stream() {
     let ctx = scaled_context();
     let trace = load_trace("examples/traces/burst.json").expect("shipped example parses");
@@ -534,9 +537,11 @@ fn a_warm_engagement_requests_less_than_one_decoded_layer() {
 /// `examples/traces/burst.json` at the shipped scale (173 dispatch events,
 /// 19 engagements). The report replays the dispatch log in place: per job
 /// a `u32` in service order and a `(start, completion)` pair, per delivery
-/// a `(lane, event)` index, and the rows. 14 768 B, 85 B per event. When it
-/// copied the log into the queue simulator and gathered a completion list
-/// from it, the same report requested 55 964 B, 323 B per event.
+/// a `(lane, event)` index, and the rows. 13 384 B, 77 B per event (14 768 B,
+/// 85 B per event, while each row built a per-layer compute vector for the
+/// pipeline recurrence). When it copied the log into the queue simulator
+/// and gathered a completion list from it, the same report requested
+/// 55 964 B, 323 B per event.
 fn a_contention_report_replays_the_dispatch_log_in_place() {
     let ctx = scaled_context();
     let trace = load_trace("examples/traces/burst.json").expect("shipped example parses");
@@ -547,8 +552,8 @@ fn a_contention_report_replays_the_dispatch_log_in_place() {
     let (report, HeapUse { requested, .. }) = heap_across(|| server.contention_report());
     assert_eq!(report, ran.contention, "the report is a pure function of the logs");
     assert_eq!((events, report.engagements.len()), (173, 19));
-    assert_eq!(requested, 14_768, "a report of {events} dispatch events");
-    assert_eq!(requested / events, 85, "bytes a report requests per dispatch event");
+    assert_eq!(requested, 13_384, "a report of {events} dispatch events");
+    assert_eq!(requested / events, 77, "bytes a report requests per dispatch event");
 }
 
 /// One full-stream engagement at the shipped scale (12 × 12 shards at

@@ -89,13 +89,59 @@ fn build_context(args: &Args) -> Result<TaskContext, ArgError> {
     Ok(TaskContext::new(task_kind(args.require("task")?)?))
 }
 
+/// Largest `--*-ms` value: `ms → µs` must not overflow the timeline.
+const MAX_FLAG_MS: u64 = u64::MAX / 1_000;
+/// Largest `--*-kb` value: `kb << 10` must not drop high bits.
+const MAX_FLAG_KB: u64 = u64::MAX >> 10;
+
+/// A millisecond flag as simulated time (`default` when absent).
+fn ms_flag(args: &Args, flag: &str, default: u64) -> Result<SimTime, ArgError> {
+    let ms = args.get_u64(flag, default)?;
+    if ms > MAX_FLAG_MS {
+        return Err(ArgError(format!(
+            "--{flag} {ms} overflows the simulated timeline (max {MAX_FLAG_MS})"
+        )));
+    }
+    Ok(SimTime::from_ms(ms))
+}
+
+/// A KiB flag in bytes (`default` KiB when absent).
+fn kb_flag(args: &Args, flag: &str, default: u64) -> Result<u64, ArgError> {
+    let kb = args.get_u64(flag, default)?;
+    if kb > MAX_FLAG_KB {
+        return Err(ArgError(format!("--{flag} {kb} overflows a byte count (max {MAX_FLAG_KB})")));
+    }
+    Ok(kb << 10)
+}
+
+/// The knobs `plan`, `infer` and `generate` build their engine with, parsed
+/// before the task context is built.
+struct EngineFlags {
+    device: DeviceProfile,
+    target: SimTime,
+    preload_bytes: u64,
+}
+
+impl EngineFlags {
+    fn parse(args: &Args) -> Result<Self, ArgError> {
+        Ok(Self {
+            device: device(args.get_or("device", "odroid"))?,
+            target: ms_flag(args, "target-ms", 200)?,
+            preload_bytes: kb_flag(args, "preload-kb", 16)?,
+        })
+    }
+}
+
 /// The engine `plan`, `infer` and `generate` run: it streams from the
 /// `--store` directory when one is named, and otherwise from the context's
 /// own on-disk store.
-fn build_engine(args: &Args, ctx: &TaskContext) -> Result<StiEngine, ArgError> {
-    let dev = device(args.get_or("device", "odroid"))?;
+fn build_engine(
+    args: &Args,
+    ctx: &TaskContext,
+    flags: &EngineFlags,
+) -> Result<StiEngine, ArgError> {
     let model = ctx.task().model();
-    let hw = HwProfile::measure(&dev, model.config(), ctx.quant());
+    let hw = HwProfile::measure(&flags.device, model.config(), ctx.quant());
     let source = match args.get("store") {
         Some(dir) => {
             Arc::new(ShardStore::open(dir).map_err(|e| ArgError(format!("open store: {e}")))?)
@@ -104,8 +150,8 @@ fn build_engine(args: &Args, ctx: &TaskContext) -> Result<StiEngine, ArgError> {
     };
     eprintln!("profiling shard importance (one-time per model)...");
     StiEngine::builder(model.clone(), source, hw, ctx.importance().clone())
-        .target(SimTime::from_ms(args.get_u64("target-ms", 200)?))
-        .preload_budget(args.get_u64("preload-kb", 16)? << 10)
+        .target(flags.target)
+        .preload_budget(flags.preload_bytes)
         .build()
         .map_err(|e| ArgError(format!("engine build: {e}")))
 }
@@ -158,8 +204,9 @@ fn cmd_importance(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_plan(args: &Args) -> Result<String, ArgError> {
+    let flags = EngineFlags::parse(args)?;
     let ctx = build_context(args)?;
-    let engine = build_engine(args, &ctx)?;
+    let engine = build_engine(args, &ctx, &flags)?;
     let plan = engine.plan();
     Ok(format!(
         "plan for {} @ T={} |S|={}B:\n  submodel {} ({} shards), predicted makespan {}, \
@@ -176,9 +223,10 @@ fn cmd_plan(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_infer(args: &Args) -> Result<String, ArgError> {
-    let ctx = build_context(args)?;
     let text = args.require("text")?.to_string();
-    let engine = build_engine(args, &ctx)?;
+    let flags = EngineFlags::parse(args)?;
+    let ctx = build_context(args)?;
+    let engine = build_engine(args, &ctx, &flags)?;
     let tokens = HashingTokenizer::new(ctx.task().model().config().vocab).tokenize(&text);
     let inf = engine.infer(&tokens).map_err(|e| ArgError(format!("inference: {e}")))?;
     Ok(format!(
@@ -192,10 +240,11 @@ fn cmd_infer(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_generate(args: &Args) -> Result<String, ArgError> {
-    let ctx = build_context(args)?;
     let text = args.require("text")?.to_string();
     let steps = checked_usize("steps", args.get_u64("steps", 5)?)?;
-    let engine = build_engine(args, &ctx)?;
+    let flags = EngineFlags::parse(args)?;
+    let ctx = build_context(args)?;
+    let engine = build_engine(args, &ctx, &flags)?;
     let tokens = HashingTokenizer::new(ctx.task().model().config().vocab).tokenize(&text);
     let g = engine.generate(&tokens, steps).map_err(|e| ArgError(format!("generate: {e}")))?;
     Ok(format!(
@@ -216,21 +265,10 @@ fn admission_mode(name: &str) -> Result<AdmissionMode, ArgError> {
     }
 }
 
-fn backpressure_mode(name: &str, max_queue_ms: u64) -> Result<BackpressureMode, ArgError> {
+fn backpressure_mode(name: &str, max_queue: SimTime) -> Result<BackpressureMode, ArgError> {
     match name.to_lowercase().as_str() {
         "off" => Ok(BackpressureMode::Off),
-        "queue" => {
-            // Bounded so the ms→µs conversion cannot wrap (the same guard
-            // trace files apply to their time fields).
-            const MAX_QUEUE_MS: u64 = u64::MAX / 1_000_000;
-            if max_queue_ms > MAX_QUEUE_MS {
-                return Err(ArgError(format!(
-                    "--max-queue-ms {max_queue_ms} overflows the simulated timeline \
-                     (max {MAX_QUEUE_MS})"
-                )));
-            }
-            Ok(BackpressureMode::Queue(SimTime::from_ms(max_queue_ms)))
-        }
+        "queue" => Ok(BackpressureMode::Queue(max_queue)),
         "shed" => Ok(BackpressureMode::Shed),
         other => Err(ArgError(format!("unknown backpressure mode '{other}' (off|queue|shed)"))),
     }
@@ -258,34 +296,28 @@ fn checked_usize(flag: &str, value: u64) -> Result<usize, ArgError> {
 
 fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let kind = task_kind(args.require("task")?)?;
-    let slo_ms = args.get_u64("slo-ms", 0)?;
+    let slo = ms_flag(args, "slo-ms", 0)?;
     let batch_window_us = args.get_u64("batch-window", 0)?;
     let backpressure =
-        backpressure_mode(args.get_or("backpressure", "off"), args.get_u64("max-queue-ms", 100)?)?;
+        backpressure_mode(args.get_or("backpressure", "off"), ms_flag(args, "max-queue-ms", 100)?)?;
     let plan_sharing = plan_sharing_mode(args.get_or("plan-sharing", "off"))?;
     let prefetch_name = args.get_or("prefetch", "off").to_lowercase();
     let prefetch_mode = PrefetchMode::parse(&prefetch_name)
         .ok_or_else(|| ArgError(format!("unknown prefetch mode '{prefetch_name}' (off|markov)")))?;
-    let prefetch_budget_kb = args.get_u64("prefetch-budget-kb", 64)?;
-    const MAX_PREFETCH_KB: u64 = u64::MAX >> 10;
-    if prefetch_budget_kb > MAX_PREFETCH_KB {
-        return Err(ArgError(format!(
-            "--prefetch-budget-kb {prefetch_budget_kb} overflows (max {MAX_PREFETCH_KB})"
-        )));
-    }
+    let prefetch_budget = kb_flag(args, "prefetch-budget-kb", 64)?;
     let prefetch = match prefetch_mode {
         PrefetchMode::Off => PrefetchConfig::default(),
-        PrefetchMode::Markov => PrefetchConfig::markov(prefetch_budget_kb << 10),
+        PrefetchMode::Markov => PrefetchConfig::markov(prefetch_budget),
     };
     let channels_raw = args.get_u64("channels", 1)?.max(1);
     let channels = u16::try_from(channels_raw)
         .map_err(|_| ArgError(format!("--channels {channels_raw} exceeds {}", u16::MAX)))?;
     let cfg = ServeConfig {
         device: device(args.get_or("device", "odroid"))?,
-        target: SimTime::from_ms(args.get_u64("target-ms", 200)?),
-        preload_bytes: args.get_u64("preload-kb", 16)? << 10,
-        shard_cache_bytes: args.get_u64("shard-cache-kb", 4096)? << 10,
-        slo: (slo_ms > 0).then(|| SimTime::from_ms(slo_ms)),
+        target: ms_flag(args, "target-ms", 200)?,
+        preload_bytes: kb_flag(args, "preload-kb", 16)?,
+        shard_cache_bytes: kb_flag(args, "shard-cache-kb", 4096)?,
+        slo: (slo > SimTime::ZERO).then_some(slo),
         admission: admission_mode(args.get_or("admission", "off"))?,
         dram_residency: args.get_u64("dram-hits", 0)? != 0,
         batch_window: (batch_window_us > 0).then(|| SimTime::from_us(batch_window_us)),
@@ -307,7 +339,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         Some(path) => {
             // A trace file carries its own per-client `slo_ms`; a global
             // default would be silently ignored, so reject the combination.
-            if slo_ms > 0 {
+            if cfg.slo.is_some() {
                 return Err(ArgError(
                     "--slo-ms applies to synthetic traces only; put per-client \"slo_ms\" in the \
                      trace file instead"
@@ -400,10 +432,11 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let prefetch_line = match &event.prefetch {
         None => "off".to_string(),
         Some(p) => format!(
-            "{} budget {prefetch_budget_kb}KiB: prefetch hit rate {:.1}% — {} plans, \
+            "{} budget {}KiB: prefetch hit rate {:.1}% — {} plans, \
              {} speculative jobs, {} B staged from flash, {} B pinned, \
              {} B served to later misses, {} evictions",
             p.mode.label(),
+            prefetch_budget >> 10,
             p.pool.hit_rate() * 100.0,
             p.model.plans,
             p.jobs,
@@ -570,7 +603,7 @@ mod tests {
     fn an_engine_streams_from_its_contexts_store_and_leaves_nothing_behind() {
         let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
         let args = Args::parse(["infer", "--target-ms", "300"]).unwrap();
-        let engine = build_engine(&args, &ctx).unwrap();
+        let engine = build_engine(&args, &ctx, &EngineFlags::parse(&args).unwrap()).unwrap();
         args.reject_unread().unwrap();
         let dir = ctx.shard_store_dir().to_path_buf();
         let name = dir.file_name().unwrap().to_string_lossy().into_owned();
@@ -751,6 +784,44 @@ mod tests {
         assert!(report.contains("exactly reproduce"), "{report}");
         assert!(report.contains("SLO engagements met their SLO"), "{report}");
         assert!(report.contains("batching      off"), "{report}");
+    }
+
+    const MS_FLAGS: [&str; 3] = ["target-ms", "slo-ms", "max-queue-ms"];
+    const KB_FLAGS: [&str; 3] = ["preload-kb", "shard-cache-kb", "prefetch-budget-kb"];
+
+    #[test]
+    fn unit_flags_reject_their_first_overflowing_value_by_name() {
+        let (ms, kb) = ("18446744073709552", "18014398509481984");
+        let serve = MS_FLAGS
+            .map(|f| ("serve", f, ms))
+            .into_iter()
+            .chain(KB_FLAGS.map(|f| ("serve", f, kb)));
+        let engine = ["plan", "infer", "generate"]
+            .into_iter()
+            .flat_map(|cmd| [(cmd, "target-ms", ms), (cmd, "preload-kb", kb)]);
+        for (cmd, flag, value) in serve.chain(engine) {
+            let flag_arg = format!("--{flag}");
+            let args =
+                Args::parse([cmd, "--task", "sst2", "--text", "hi", flag_arg.as_str(), value])
+                    .unwrap();
+            let err = dispatch(&args).unwrap_err();
+            assert!(
+                err.to_string().starts_with(&format!("{flag_arg} {value} overflows")),
+                "{cmd}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn unit_flags_parse_their_largest_value() {
+        for flag in MS_FLAGS {
+            let args = Args::parse(["serve", &format!("--{flag}"), "18446744073709551"]).unwrap();
+            assert_eq!(ms_flag(&args, flag, 0).unwrap().as_us(), 18_446_744_073_709_551_000);
+        }
+        for flag in KB_FLAGS {
+            let args = Args::parse(["serve", &format!("--{flag}"), "18014398509481983"]).unwrap();
+            assert_eq!(kb_flag(&args, flag, 0).unwrap(), u64::MAX - 1023);
+        }
     }
 
     #[test]

@@ -24,92 +24,27 @@
 //! Alongside the deterministic outcomes, the report carries the **contended
 //! track**: the server's flash-queue replay ([`ContentionReport`]), SLO hit
 //! rates, which clients admission control rejected, and — with a
-//! [`BackpressureMode`] configured — the per-engagement gate decisions
-//! (queue delays and sheds; shed engagements produce no outcome in either
-//! replay, and the decisions themselves are deterministic).
+//! [`BackpressureMode`](sti_pipeline::BackpressureMode) configured — the
+//! per-engagement gate decisions (queue delays and sheds; shed engagements
+//! produce no outcome in either replay, and the decisions themselves are
+//! deterministic).
 
 use std::fmt;
 use std::time::Duration;
 
 use sti_device::engine::{Component, ComponentId, Engine, System};
-use sti_device::{DeviceProfile, HwProfile, IoSharing, SimTime};
+use sti_device::{HwProfile, SimTime};
 use sti_obs::{MetricsSnapshot, SpanEvent};
 use sti_pipeline::{
-    AdmissionMode, BackpressureMode, ContentionReport, PendingEngagement, PipelineError,
-    PrefetchReport, ServingStats, Session, StiServer,
+    ContentionReport, PendingEngagement, PipelineError, PrefetchReport, ServingStats, Session,
+    StiServer,
 };
-use sti_planner::{PlanCacheStats, PrefetchConfig, PreloadPolicy};
+use sti_planner::PlanCacheStats;
 use sti_storage::{IoSchedulerStats, ShardCacheStats};
 
+pub use sti_pipeline::ServeConfig;
+
 use crate::runner::TaskContext;
-
-/// Server-level knobs for a serving experiment.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// The device model to serve on.
-    pub device: DeviceProfile,
-    /// Default target latency `T` for sessions.
-    pub target: SimTime,
-    /// Default preload budget `|S|` per knob set, in bytes.
-    pub preload_bytes: u64,
-    /// Read by nothing: the IO scheduler has no worker threads, its callers
-    /// drive the IO. Kept only because existing configuration literals
-    /// still set it.
-    pub io_workers: usize,
-    /// Byte budget of the shared compressed-shard cache.
-    pub shard_cache_bytes: u64,
-    /// Default SLO for synthetic clients (`None`: plain target sessions).
-    pub slo: Option<SimTime>,
-    /// Admission policy for SLO sessions.
-    pub admission: AdmissionMode,
-    /// Opt-in DRAM-residency accounting on the contended track.
-    pub dram_residency: bool,
-    /// Shared-IO batching window: sessions arriving within it share one
-    /// flash job per identical layer request (`None`: batching off).
-    pub batch_window: Option<SimTime>,
-    /// Infer-time backpressure for SLO clients: queue (delay an engagement
-    /// until the open-session prediction meets its SLO) or shed (fail
-    /// fast instead of missing). Shed engagements produce no outcome and
-    /// are counted in the contention report's gate log.
-    pub backpressure: BackpressureMode,
-    /// `|S|` placement policy for SLO searches: per-session byte-prefix
-    /// preload, or sharing-aware placement ranked by marginal contended
-    /// value under the live mix (meaningful with a batching window).
-    pub plan_sharing: PreloadPolicy,
-    /// Flash channels the simulated device exposes
-    /// ([`sti_pipeline::StiServerBuilder::channels`]). Sessions stripe
-    /// their shard placement across channels; `1` (the default) is the
-    /// legacy single-channel device, bit-identical to before the knob
-    /// existed.
-    pub channels: u16,
-    /// Next-engagement prefetcher ([`sti_planner::prefetch`]): off by
-    /// default; [`PrefetchConfig::markov`] predicts each client's next
-    /// engagement at completion and pre-warms the shard cache's staging
-    /// pool with background-class flash jobs. Strictly fenced: demand
-    /// preempts speculation and per-engagement outcomes, gate decisions,
-    /// and SLO verdicts are bit-identical to the prefetch-off run.
-    pub prefetch: PrefetchConfig,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            device: DeviceProfile::odroid_n2(),
-            target: SimTime::from_ms(200),
-            preload_bytes: 16 << 10,
-            io_workers: 2,
-            shard_cache_bytes: 4 << 20,
-            slo: None,
-            admission: AdmissionMode::Disabled,
-            dram_residency: false,
-            batch_window: None,
-            backpressure: BackpressureMode::Off,
-            plan_sharing: PreloadPolicy::PerSession,
-            channels: 1,
-            prefetch: PrefetchConfig::default(),
-        }
-    }
-}
 
 /// A client's engagements: token sequences in submission order, stored
 /// back to back.
@@ -380,23 +315,8 @@ impl ServeReport {
 /// the context's shard store and importance profile.
 pub fn build_server(ctx: &TaskContext, cfg: &ServeConfig) -> StiServer {
     let model = ctx.task().model().clone();
-    let model_cfg = model.config().clone();
-    let hw = HwProfile::measure(&cfg.device, &model_cfg, ctx.quant());
-    StiServer::builder(model, ctx.shard_source(), hw, ctx.importance().clone())
-        .target(cfg.target)
-        .preload_budget(cfg.preload_bytes)
-        .shard_cache_bytes(cfg.shard_cache_bytes)
-        .admission(cfg.admission)
-        .dram_residency(cfg.dram_residency)
-        .batch_policy(match cfg.batch_window {
-            Some(window) => IoSharing::Batched(window),
-            None => IoSharing::Exclusive,
-        })
-        .backpressure(cfg.backpressure)
-        .plan_sharing(cfg.plan_sharing)
-        .channels(cfg.channels.max(1))
-        .prefetch(cfg.prefetch)
-        .build()
+    let hw = HwProfile::measure(&cfg.device, model.config(), ctx.quant());
+    StiServer::new(model, ctx.shard_source(), hw, ctx.importance().clone(), cfg)
 }
 
 /// Opens every client's session in client order — the deterministic
@@ -756,6 +676,7 @@ pub fn replay_event(
 mod tests {
     use super::*;
     use sti_nlp::TaskKind;
+    use sti_pipeline::AdmissionMode;
     use sti_transformer::ModelConfig;
 
     fn ctx() -> TaskContext {

@@ -141,6 +141,7 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServeConfig;
     use crate::server::tests::{floor_slo, tiny_server};
     use crate::server::StiServer;
     use sti_device::{DeviceProfile, HwProfile};
@@ -149,7 +150,7 @@ mod tests {
     use sti_transformer::ModelConfig;
 
     fn server_with_admission(mode: AdmissionMode) -> StiServer {
-        tiny_server(|b| b.preload_budget(0).admission(mode))
+        tiny_server(ServeConfig { preload_bytes: 0, admission: mode, ..ServeConfig::default() })
     }
 
     fn arrival() -> SimTime {

@@ -693,6 +693,7 @@ impl ContentionLedger {
 #[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
+    use crate::config::ServeConfig;
     use crate::server::tests::tiny_server;
     use crate::server::StiServer;
     use sti_device::{
@@ -734,7 +735,11 @@ mod tests {
     }
 
     fn server() -> StiServer {
-        tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
+        tiny_server(ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 64 << 10,
+            ..ServeConfig::default()
+        })
     }
 
     fn ms(n: u64) -> SimTime {
@@ -1371,7 +1376,13 @@ mod tests {
 
     #[test]
     fn dram_residency_shrinks_contended_latency_of_warm_engagements() {
-        let build = |dram: bool| tiny_server(|b| b.preload_budget(0).dram_residency(dram));
+        let build = |dram: bool| {
+            tiny_server(ServeConfig {
+                preload_bytes: 0,
+                dram_residency: dram,
+                ..ServeConfig::default()
+            })
+        };
         let run = |srv: &StiServer| {
             let s = srv.session_with(SimTime::from_ms(300), 0).unwrap();
             s.infer(&[3]).unwrap(); // cold: fills the shard cache

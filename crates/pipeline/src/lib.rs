@@ -38,7 +38,9 @@
 //!   shared scheduler instead of constructing per-run IO state, and stream
 //!   what the plan decides (`sti_planner::PlannedLayer::streamed`);
 //! - [`engine`] — the single-app facade over the executor;
-//! - [`server`] — the serving facade: builder, orchestration and session
+//! - [`config`] — [`ServeConfig`], the one serving configuration: every
+//!   knob a server is built with and its one set of defaults;
+//! - [`server`] — the serving facade: constructor, orchestration and session
 //!   handles — including the open-session registry, one
 //!   `RwLock<Arc<ServingMix>>` that is the one input of every contended
 //!   prediction — with every serving *decision* in a module of its own
@@ -59,6 +61,7 @@
 
 mod admission;
 pub mod buffers;
+pub mod config;
 pub mod engine;
 pub mod error;
 pub mod executor;
@@ -68,11 +71,12 @@ pub mod server;
 pub mod trace;
 
 pub use buffers::{PreloadBuffer, WorkingBuffer};
+pub use config::ServeConfig;
 pub use engine::{StiEngine, StiEngineBuilder};
 pub use error::PipelineError;
 pub use executor::{ExecutionOutcome, GenerationOutcome, Inference, PipelineExecutor};
 pub use server::{
     AdmissionMode, BackpressureMode, ContentionReport, EngagementContention, GateDecision,
     GateReason, PendingEngagement, PrefetchContention, PrefetchReport, ServingStats, Session,
-    StiServer, StiServerBuilder,
+    StiServer,
 };

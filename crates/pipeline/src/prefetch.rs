@@ -194,6 +194,7 @@ fn speculative_jobs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServeConfig;
     use crate::executor::PipelineExecutor;
     use crate::server::tests::tiny_server;
     use crate::server::StiServer;
@@ -205,17 +206,22 @@ mod tests {
     use sti_transformer::{Model, ModelConfig, ShardId};
 
     fn server() -> StiServer {
-        tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
+        tiny_server(ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 64 << 10,
+            ..ServeConfig::default()
+        })
     }
 
     /// A server with a deliberately tiny main shard cache (so demand
     /// misses recur) and the Markov prefetcher on.
     fn prefetch_server() -> StiServer {
-        tiny_server(|b| {
-            b.target(SimTime::from_ms(300))
-                .preload_budget(0)
-                .shard_cache_bytes(1 << 10)
-                .prefetch(PrefetchConfig::markov(1 << 20))
+        tiny_server(ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 0,
+            shard_cache_bytes: 1 << 10,
+            prefetch: PrefetchConfig::markov(1 << 20),
+            ..ServeConfig::default()
         })
     }
 

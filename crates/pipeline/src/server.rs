@@ -22,7 +22,8 @@
 //!
 //! # Shape: stores, services, one orchestrator
 //!
-//! This module is the builder, the orchestration and the session handles.
+//! This module is the constructor, the orchestration and the session
+//! handles; what a server is built with is one [`ServeConfig`].
 //! Every serving *decision* has exactly one implementation, in a module of
 //! its own that is unit-testable without a model:
 //!
@@ -64,14 +65,14 @@
 //! [`AdmissionMode::Enforce`] rejects sessions whose best plan still
 //! misses: backpressure before the queue, not after.
 //!
-//! **Shared-IO batching and device topology** are configured on the
-//! builder ([`StiServerBuilder::batch_policy`],
-//! [`StiServerBuilder::channels`]) and priced the same way: both
-//! are invisible to the uncontended track — per-engagement results stay
-//! bit-identical to solo, single-channel runs — and both are folded into
-//! every contended prediction and into the contended replay (a batched
-//! dispatch appears once; a session's stripe routes its jobs to the device
-//! channels it really streams through). Device channels are distinct from
+//! **Shared-IO batching and device topology** are configured by
+//! [`ServeConfig::batch_window`] and [`ServeConfig::channels`] and priced
+//! the same way: both are invisible to the uncontended track —
+//! per-engagement results stay bit-identical to solo, single-channel runs
+//! — and both are folded into every contended prediction and into the
+//! contended replay (a batched dispatch appears once; a session's stripe
+//! routes its jobs to the device channels it really streams through).
+//! Device channels are distinct from
 //! the scheduler's per-engagement IO lanes ([`IoChannel`]): a lane is one
 //! engagement's FIFO request stream, a device channel is where the
 //! simulated flash serves it.
@@ -86,7 +87,7 @@ use sti_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ObsSi
 use sti_planner::compute_plan::dynabert_widths_for;
 use sti_planner::gate::Gate;
 use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix, SloProfile};
-use sti_planner::prefetch::{EngagementKey as PrefetchKey, PrefetchConfig};
+use sti_planner::prefetch::EngagementKey as PrefetchKey;
 use sti_planner::serving::ServingPlan;
 use sti_planner::{
     plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, LayerIoJob, MemoTable,
@@ -101,6 +102,7 @@ use sti_transformer::Model;
 
 use crate::admission::{Admission, Origin};
 use crate::buffers::PreloadBuffer;
+use crate::config::ServeConfig;
 use crate::error::PipelineError;
 use crate::executor::{GenerationOutcome, Inference, PipelineExecutor};
 use crate::ledger::{ContentionLedger, EngagementRecord};
@@ -135,207 +137,6 @@ pub struct ServingStats {
     /// admitted SLO sessions; zero under
     /// [`PreloadPolicy::PerSession`]).
     pub preload_bytes_reallocated: u64,
-}
-
-/// Builder for [`StiServer`].
-pub struct StiServerBuilder {
-    model: Model,
-    source: Arc<dyn ShardSource>,
-    hw: HwProfile,
-    importance: ImportanceProfile,
-    default_target: SimTime,
-    default_preload_budget: u64,
-    bitwidths: Vec<Bitwidth>,
-    widths: Vec<usize>,
-    shard_cache_bytes: u64,
-    admission: AdmissionMode,
-    dram: Option<FlashModel>,
-    sharing: IoSharing,
-    backpressure: BackpressureMode,
-    plan_sharing: PreloadPolicy,
-    topology: DeviceTopology,
-    prefetch: PrefetchConfig,
-}
-
-impl StiServerBuilder {
-    /// Default target latency `T` for sessions opened without knobs
-    /// (default 200 ms).
-    pub fn target(mut self, target: SimTime) -> Self {
-        self.default_target = target;
-        self
-    }
-
-    /// Default preload-buffer budget `|S|` in bytes (default 1 MiB).
-    pub fn preload_budget(mut self, bytes: u64) -> Self {
-        self.default_preload_budget = bytes;
-        self
-    }
-
-    /// Fidelity versions available in the store (default: all).
-    pub fn bitwidths(mut self, bitwidths: &[Bitwidth]) -> Self {
-        self.bitwidths = bitwidths.to_vec();
-        self
-    }
-
-    /// Allowed submodel widths (default: DynaBERT's {3, 6, 9, 12}).
-    pub fn widths(mut self, widths: &[usize]) -> Self {
-        self.widths = widths.to_vec();
-        self
-    }
-
-    /// The simulated device's flash topology: `channels` independent flash
-    /// channels (default: one — the legacy device). With `C > 1`, the IO
-    /// scheduler stripes each session's shard placement across device
-    /// channels, the contended track replays per-channel FIFO queues,
-    /// batching coalesces only same-channel byte-identical requests, and
-    /// the SLO search ranks *which* channels a candidate stripes across
-    /// alongside its `(T, |S|)` placements. `C = 1` reproduces the
-    /// single-channel server bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels` is zero.
-    pub fn channels(mut self, channels: u16) -> Self {
-        self.topology = DeviceTopology::with_channels(channels);
-        self
-    }
-
-    /// Byte budget of the shared compressed-shard cache (default 4 MiB;
-    /// zero disables cross-engagement blob reuse).
-    pub fn shard_cache_bytes(mut self, bytes: u64) -> Self {
-        self.shard_cache_bytes = bytes;
-        self
-    }
-
-    /// Admission policy for SLO sessions (default
-    /// [`AdmissionMode::Disabled`]).
-    pub fn admission(mut self, mode: AdmissionMode) -> Self {
-        self.admission = mode;
-        self
-    }
-
-    /// Opt-in DRAM-residency mode of the contended track: bytes resident in
-    /// the shared shard cache are charged at DRAM service time
-    /// ([`FlashModel::dram_residency`]) when the dispatch sequence is
-    /// replayed. Off by default (cache hits still pay flash time, the
-    /// conservative accounting).
-    pub fn dram_residency(mut self, enabled: bool) -> Self {
-        self.dram = enabled.then(FlashModel::dram_residency);
-        self
-    }
-
-    /// Shared-IO batching (default [`IoSharing::Exclusive`]): under
-    /// [`IoSharing::Batched`], sessions requesting byte-identical layers
-    /// within the window share one flash job — N identical co-runners pay
-    /// near-1× flash instead of N×. The IO scheduler batches and every
-    /// contended prediction (admission, the gate) prices under this one
-    /// value, so windows of co-arriving sessions admit where an unbatched
-    /// prediction would reject. Per-engagement *results* are unaffected
-    /// (the determinism contract holds either way).
-    pub fn batch_policy(mut self, sharing: IoSharing) -> Self {
-        self.sharing = sharing;
-        self
-    }
-
-    /// Infer-time backpressure policy for SLO sessions (default
-    /// [`BackpressureMode::Off`]): before each engagement, the server
-    /// re-runs the contended prediction against the open-session registry
-    /// and either delays the engagement until the prediction meets its SLO
-    /// (`Queue`) or fails fast with [`PipelineError::Backpressure`]
-    /// (`Shed`). Admission decides at session open; this gate reacts to
-    /// bursts mid-session.
-    pub fn backpressure(mut self, mode: BackpressureMode) -> Self {
-        self.backpressure = mode;
-        self
-    }
-
-    /// `|S|` placement policy for SLO searches (default
-    /// [`PreloadPolicy::PerSession`]). Under
-    /// [`PreloadPolicy::SharingAware`], the search ranks preload
-    /// placements by marginal contended latency under the live mix: a
-    /// layer an in-window co-resident already streams is never preloaded
-    /// while an un-shared layer wants the budget, and a zero-`|S|`
-    /// allocation that rides the co-residents' batches wholesale can win
-    /// outright. Only meaningful with a batching window configured.
-    pub fn plan_sharing(mut self, policy: PreloadPolicy) -> Self {
-        self.plan_sharing = policy;
-        self
-    }
-
-    /// Markov next-engagement prefetching (default
-    /// [`PrefetchMode::Off`](sti_planner::prefetch::PrefetchMode::Off)): at each engagement completion the server
-    /// observes the session's `(model, knob-set)` key in a per-client
-    /// Markov chain, and when an edge clears the confidence floor it
-    /// emits a budgeted `PrefetchPlan` — speculative background flash
-    /// jobs that warm the predicted next engagement's streamed working
-    /// set into the shard cache's staging pool during idle device-channel
-    /// windows. Speculation is priced honestly on the contended track and
-    /// strictly fenced off the demand path: demand dispatches always
-    /// preempt it, gate decisions never read it, and a wrong prediction
-    /// costs wasted bytes, never an SLO miss.
-    pub fn prefetch(mut self, cfg: PrefetchConfig) -> Self {
-        self.prefetch = cfg;
-        self
-    }
-
-    /// Builds the IO scheduler and returns the ready server. No planning
-    /// happens yet — plans and preload buffers materialize lazily, once per
-    /// knob combination in use, when sessions open.
-    pub fn build(self) -> StiServer {
-        let pool_bytes = if self.prefetch.enabled() { self.prefetch.budget_bytes } else { 0 };
-        let shard_cache =
-            Arc::new(ShardCache::with_prefetch_pool(self.shard_cache_bytes, pool_bytes));
-        let cached_source: Arc<dyn ShardSource> =
-            Arc::new(CachedSource::new(self.source.clone(), shard_cache.clone()));
-        let scheduler = IoScheduler::spawn(
-            self.source.clone(),
-            self.hw.flash,
-            shard_cache.clone(),
-            self.sharing,
-            self.topology,
-        );
-        let cfg = self.model.config();
-        let fingerprint = format!(
-            "model-{}x{}-h{}-f{}-v{}",
-            cfg.layers, cfg.heads, cfg.hidden, cfg.ffn, cfg.vocab
-        );
-        let registry = MetricsRegistry::new();
-        StiServer {
-            inner: Arc::new(ServerInner {
-                model: self.model,
-                cached_source,
-                shard_cache,
-                scheduler,
-                ledger: ContentionLedger::new(self.hw.flash, self.dram, self.topology),
-                hw: self.hw,
-                importance: RwLock::new(self.importance),
-                bitwidths: self.bitwidths,
-                widths: self.widths,
-                fingerprint,
-                generation: AtomicU64::new(0),
-                default_target: self.default_target,
-                default_preload_budget: self.default_preload_budget,
-                plan_cache: PlanCache::new(),
-                preloads: MemoTable::default(),
-                plan_sharing: self.plan_sharing,
-                slo_searches: AtomicU64::new(0),
-                slo_planning: Mutex::new(()),
-                next_session_token: AtomicU64::new(0),
-                live_mix: RwLock::new(Arc::new(
-                    ServingMix::new(self.sharing).with_topology(self.topology),
-                )),
-                active_engagements: AtomicUsize::new(0),
-                admission: Admission::new(self.admission, &registry),
-                gate: Gate::new(self.backpressure),
-                gate_counts: GateCounts::new(&registry),
-                prefetch: self.prefetch.enabled().then(|| PrefetchDriver::new(self.prefetch)),
-                engagements: registry.counter("serving.engagements"),
-                peak_engagements: registry.gauge("serving.peak_concurrent_engagements"),
-                registry,
-                obs: Mutex::new(ObsSink::Null),
-            }),
-        }
-    }
 }
 
 /// What a session asks the planning path for.
@@ -658,36 +459,75 @@ pub struct StiServer {
 }
 
 impl StiServer {
-    /// Starts building a server for a model whose shards live in `source`,
-    /// on the device `hw` profiles (its flash model is what the scheduler,
-    /// the planner and the contended replay all charge), with shard
-    /// importance already profiled (one-time, per model, §3.2).
-    pub fn builder(
+    /// Builds a server for a model whose shards live in `source`, on the
+    /// device `hw` profiles (its flash model is what the scheduler, the
+    /// planner and the contended replay all charge), with shard importance
+    /// already profiled (one-time, per model, §3.2), configured by `cfg`
+    /// (which fields it reads: [`ServeConfig`]). No planning happens yet —
+    /// plans and preload buffers materialize lazily, once per knob
+    /// combination in use, when sessions open.
+    pub fn new(
         model: Model,
         source: Arc<dyn ShardSource>,
         hw: HwProfile,
         importance: ImportanceProfile,
-    ) -> StiServerBuilder {
-        let widths = dynabert_widths_for(model.config().heads);
-        StiServerBuilder {
-            model,
-            source,
-            hw,
-            importance,
-            default_target: SimTime::from_ms(200),
-            default_preload_budget: 1 << 20,
-            bitwidths: Bitwidth::ALL.to_vec(),
-            widths,
-            shard_cache_bytes: 4 << 20,
-            admission: AdmissionMode::Disabled,
-            dram: None,
-            sharing: IoSharing::Exclusive,
-            backpressure: BackpressureMode::Off,
-            plan_sharing: PreloadPolicy::PerSession,
-            topology: DeviceTopology::single(),
-            prefetch: PrefetchConfig::default(),
+        cfg: &ServeConfig,
+    ) -> StiServer {
+        let sharing = match cfg.batch_window {
+            Some(window) => IoSharing::Batched(window),
+            None => IoSharing::Exclusive,
+        };
+        let topology = DeviceTopology::with_channels(cfg.channels.max(1));
+        let pool_bytes = if cfg.prefetch.enabled() { cfg.prefetch.budget_bytes } else { 0 };
+        let shard_cache =
+            Arc::new(ShardCache::with_prefetch_pool(cfg.shard_cache_bytes, pool_bytes));
+        let cached_source: Arc<dyn ShardSource> =
+            Arc::new(CachedSource::new(source.clone(), shard_cache.clone()));
+        let scheduler =
+            IoScheduler::spawn(source, hw.flash, shard_cache.clone(), sharing, topology);
+        let model_cfg = model.config();
+        let widths = cfg.widths.clone().unwrap_or_else(|| dynabert_widths_for(model_cfg.heads));
+        let fingerprint = format!(
+            "model-{}x{}-h{}-f{}-v{}",
+            model_cfg.layers, model_cfg.heads, model_cfg.hidden, model_cfg.ffn, model_cfg.vocab
+        );
+        let dram = cfg.dram_residency.then(FlashModel::dram_residency);
+        let registry = MetricsRegistry::new();
+        StiServer {
+            inner: Arc::new(ServerInner {
+                model,
+                cached_source,
+                shard_cache,
+                scheduler,
+                ledger: ContentionLedger::new(hw.flash, dram, topology),
+                hw,
+                importance: RwLock::new(importance),
+                bitwidths: cfg.bitwidths.clone(),
+                widths,
+                fingerprint,
+                generation: AtomicU64::new(0),
+                default_target: cfg.target,
+                default_preload_budget: cfg.preload_bytes,
+                plan_cache: PlanCache::new(),
+                preloads: MemoTable::default(),
+                plan_sharing: cfg.plan_sharing,
+                slo_searches: AtomicU64::new(0),
+                slo_planning: Mutex::new(()),
+                next_session_token: AtomicU64::new(0),
+                live_mix: RwLock::new(Arc::new(ServingMix::new(sharing).with_topology(topology))),
+                active_engagements: AtomicUsize::new(0),
+                admission: Admission::new(cfg.admission, &registry),
+                gate: Gate::new(cfg.backpressure),
+                gate_counts: GateCounts::new(&registry),
+                prefetch: cfg.prefetch.enabled().then(|| PrefetchDriver::new(cfg.prefetch)),
+                engagements: registry.counter("serving.engagements"),
+                peak_engagements: registry.gauge("serving.peak_concurrent_engagements"),
+                registry,
+                obs: Mutex::new(ObsSink::Null),
+            }),
         }
     }
+
     /// Opens a session with the server's default knobs.
     ///
     /// # Errors
@@ -994,7 +834,7 @@ impl StiServer {
     /// Replays the recorded dispatch sequence through the flash-queue
     /// simulator and reports each executed engagement's contended latency
     /// (plus queue aggregates). Under the opt-in DRAM-residency mode
-    /// ([`StiServerBuilder::dram_residency`]), cache-resident bytes are
+    /// ([`ServeConfig::dram_residency`]), cache-resident bytes are
     /// charged at DRAM service time.
     ///
     /// An engagement's contended latency is measured from its **first flash
@@ -1521,8 +1361,8 @@ impl std::fmt::Debug for Session {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use sti_device::DeviceProfile;
     use sti_nlp::{Task, TaskKind};
+    use sti_planner::prefetch::PrefetchConfig;
     use sti_quant::QuantConfig;
     use sti_storage::MemStore;
     use sti_transformer::ModelConfig;
@@ -1530,32 +1370,33 @@ pub(crate) mod tests {
     /// The shared unit-test fixture (this module's tests and the
     /// `admission`/`ledger`/`prefetch` ones that drive their piece
     /// through a real server): a tiny-model server over an in-memory
-    /// store, widths `{2, 4}`, otherwise `configure`d by the caller.
-    pub(crate) fn tiny_server(
-        configure: impl FnOnce(StiServerBuilder) -> StiServerBuilder,
-    ) -> StiServer {
-        let cfg = ModelConfig::tiny();
-        let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
-        let dev = DeviceProfile::odroid_n2();
-        let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
+    /// store, widths `{2, 4}`, otherwise configured by `cfg`.
+    pub(crate) fn tiny_server(cfg: ServeConfig) -> StiServer {
+        let model_cfg = ModelConfig::tiny();
+        let task = Task::build(TaskKind::Sst2, model_cfg.clone(), 4, 4);
+        let hw = HwProfile::measure(&cfg.device, &model_cfg, &QuantConfig::default());
         let source =
             Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
         let importance = ImportanceProfile::from_scores(
-            cfg.layers,
-            cfg.heads,
-            (0..cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
+            model_cfg.layers,
+            model_cfg.heads,
+            (0..model_cfg.total_shards()).map(|i| 0.5 + (i % 5) as f64 * 0.01).collect(),
             0.45,
         );
-        let builder = StiServer::builder(task.model().clone(), source, hw, importance);
-        configure(builder.widths(&[2, 4])).build()
+        let cfg = ServeConfig { widths: Some(vec![2, 4]), ..cfg };
+        StiServer::new(task.model().clone(), source, hw, importance, &cfg)
     }
 
     fn server() -> StiServer {
-        tiny_server(|b| b.target(SimTime::from_ms(300)).preload_budget(64 << 10))
+        tiny_server(ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 64 << 10,
+            ..ServeConfig::default()
+        })
     }
 
     fn server_with_admission(mode: AdmissionMode) -> StiServer {
-        tiny_server(|b| b.preload_budget(0).admission(mode))
+        tiny_server(ServeConfig { preload_bytes: 0, admission: mode, ..ServeConfig::default() })
     }
 
     /// An SLO no plan can meet once co-runners exist: the uncontended
@@ -1563,6 +1404,18 @@ pub(crate) mod tests {
     pub(crate) fn floor_slo(srv: &StiServer) -> SimTime {
         let s = srv.session_with(SimTime::from_us(1), 0).unwrap();
         s.plan().predicted.makespan
+    }
+
+    #[test]
+    fn zero_channels_build_the_single_channel_device() {
+        let srv = tiny_server(ServeConfig { channels: 0, ..ServeConfig::default() });
+        assert_eq!(srv.device_topology().channel_count(), 1);
+    }
+
+    #[test]
+    fn a_default_config_opens_sessions_at_its_16_kib_preload_budget() {
+        let srv = tiny_server(ServeConfig::default());
+        assert_eq!(srv.session().unwrap().plan().preload_budget_bytes, 16 << 10);
     }
 
     #[test]
@@ -1647,10 +1500,11 @@ pub(crate) mod tests {
     /// freed while the plan the table registered stays.
     #[test]
     fn the_prefetcher_keeps_a_closed_knob_sets_plan_but_not_its_preload_buffer() {
-        let srv = tiny_server(|b| {
-            b.target(SimTime::from_ms(300))
-                .preload_budget(64 << 10)
-                .prefetch(PrefetchConfig::markov(1 << 20))
+        let srv = tiny_server(ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 64 << 10,
+            prefetch: PrefetchConfig::markov(1 << 20),
+            ..ServeConfig::default()
         });
         let session = srv.session().unwrap();
         assert!(session.preload_used() > 0, "|S| > 0: the session holds a buffer");
@@ -1668,7 +1522,11 @@ pub(crate) mod tests {
     #[test]
     fn closed_sessions_leave_no_prefetch_chain_behind() {
         const CYCLES: u64 = 10_000;
-        let srv = tiny_server(|b| b.preload_budget(0).prefetch(PrefetchConfig::markov(1 << 20)));
+        let srv = tiny_server(ServeConfig {
+            preload_bytes: 0,
+            prefetch: PrefetchConfig::markov(1 << 20),
+            ..ServeConfig::default()
+        });
         let chains = || srv.inner.prefetch.as_ref().expect("prefetch is on").client_count();
         let mut open = std::collections::VecDeque::new();
         for _ in 0..CYCLES {
@@ -1764,22 +1622,25 @@ pub(crate) mod tests {
 
     #[test]
     fn batching_admits_identical_sessions_an_unbatched_prediction_rejects() {
-        let build = |sharing: IoSharing| {
-            tiny_server(|b| {
-                b.preload_budget(0).admission(AdmissionMode::Enforce).batch_policy(sharing)
+        let build = |batch_window: Option<SimTime>| {
+            tiny_server(ServeConfig {
+                preload_bytes: 0,
+                admission: AdmissionMode::Enforce,
+                batch_window,
+                ..ServeConfig::default()
             })
         };
-        let slo = floor_slo(&build(IoSharing::Exclusive));
+        let slo = floor_slo(&build(None));
 
         // Unbatched: a second identical-SLO session queues behind the
         // first's reads and is rejected (the pre-batching behaviour).
-        let unbatched = build(IoSharing::Exclusive);
+        let unbatched = build(None);
         let _first = unbatched.session_with_slo(slo, 0).unwrap();
         assert!(unbatched.session_with_slo(slo, 0).is_err());
 
         // Batched: identical sessions share every read, so the contended
         // prediction collapses to the uncontended one and both admit.
-        let batched = build(IoSharing::Batched(SimTime::from_us(1_000)));
+        let batched = build(Some(SimTime::from_us(1_000)));
         let _a = batched.session_with_slo(slo, 0).unwrap();
         let b = batched.session_with_slo(slo, 0).expect("shared IO admits the identical session");
         let served = b.serving_plan().unwrap();
@@ -1851,7 +1712,7 @@ pub(crate) mod tests {
         // session plans next.
         for (issued, retargeted) in [(20, 40), (100, 40), (100, 20)] {
             let run = |retarget: bool| {
-                let srv = tiny_server(|b| b.preload_budget(0));
+                let srv = tiny_server(ServeConfig { preload_bytes: 0, ..ServeConfig::default() });
                 let mut s = srv.session_with(SimTime::from_ms(issued), 0).unwrap();
                 let shape = s.plan().shape;
                 let pending = s.infer_issue(&[1, 2, 3]).unwrap();
@@ -1914,7 +1775,7 @@ pub(crate) mod tests {
     }
 
     fn server_with_backpressure(mode: BackpressureMode) -> StiServer {
-        tiny_server(|b| b.preload_budget(0).backpressure(mode))
+        tiny_server(ServeConfig { preload_bytes: 0, backpressure: mode, ..ServeConfig::default() })
     }
 
     fn ms(n: u64) -> SimTime {
@@ -1938,10 +1799,11 @@ pub(crate) mod tests {
         // fourth asks the gate. The registry is the same either way, and so
         // is the whole decision — digest, prediction, delay and reason.
         let decision_with = |queued: Queued| {
-            let srv = tiny_server(|b| {
-                b.preload_budget(0)
-                    .backpressure(BackpressureMode::Queue(ms(60_000)))
-                    .prefetch(PrefetchConfig::markov(1 << 20))
+            let srv = tiny_server(ServeConfig {
+                preload_bytes: 0,
+                backpressure: BackpressureMode::Queue(ms(60_000)),
+                prefetch: PrefetchConfig::markov(1 << 20),
+                ..ServeConfig::default()
             });
             let slo = floor_slo(&srv);
             let sessions: Vec<_> = (0..4).map(|_| srv.session_with_slo(slo, 0).unwrap()).collect();

@@ -26,12 +26,19 @@ fn server(admission: AdmissionMode) -> StiServer {
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
     let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    StiServer::builder(task.model().clone(), source, hw, importance_for(&cfg))
-        .target(SimTime::from_ms(300))
-        .preload_budget(0)
-        .widths(&[2, 4])
-        .admission(admission)
-        .build()
+    StiServer::new(
+        task.model().clone(),
+        source,
+        hw,
+        importance_for(&cfg),
+        &ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 0,
+            widths: Some(vec![2, 4]),
+            admission,
+            ..ServeConfig::default()
+        },
+    )
 }
 
 /// The smallest achievable uncontended makespan on this server: what a

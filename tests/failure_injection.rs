@@ -423,11 +423,18 @@ fn contents(blob: &QuantizedBlob) -> (Vec<u8>, Vec<u32>, Vec<(u32, u32)>) {
 fn replacing_or_removing_a_stored_shard_leaves_handed_out_blobs_untouched() {
     let (task, hw, importance) = setup();
     let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    let server = StiServer::builder(task.model().clone(), store.clone(), hw, importance)
-        .target(SimTime::from_ms(400))
-        .preload_budget(16 << 10)
-        .widths(&[2, 4])
-        .build();
+    let server = StiServer::new(
+        task.model().clone(),
+        store.clone(),
+        hw,
+        importance,
+        &ServeConfig {
+            target: SimTime::from_ms(400),
+            preload_bytes: 16 << 10,
+            widths: Some(vec![2, 4]),
+            ..ServeConfig::default()
+        },
+    );
     let session = server.session().unwrap();
     assert!(session.preload_used() > 0, "the session preloaded shards");
     let before = session.infer(&[3, 1, 4]).unwrap();

@@ -127,11 +127,18 @@ fn scheduler_event_log_upholds_the_queue_invariants() {
     );
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-    let server = StiServer::builder(task.model().clone(), source, hw, importance)
-        .target(SimTime::from_ms(300))
-        .preload_budget(0)
-        .widths(&[2, 4])
-        .build();
+    let server = StiServer::new(
+        task.model().clone(),
+        source,
+        hw,
+        importance,
+        &ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 0,
+            widths: Some(vec![2, 4]),
+            ..ServeConfig::default()
+        },
+    );
     let session = server.session().unwrap();
     for tokens in [[1u32, 2].as_slice(), &[3], &[4, 5]] {
         session.infer(tokens).unwrap();

@@ -576,9 +576,13 @@ fn an_engagement_holds_one_streamed_layer_at_a_time() {
     let store = Arc::new(ShardStore::open(ctx.shard_store_dir()).unwrap());
     let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, ctx.quant());
     let model = ctx.task().model().clone();
-    let server = StiServer::builder(model, store.clone(), hw, ctx.importance().clone())
-        .shard_cache_bytes(1 << 10)
-        .build();
+    let server = StiServer::new(
+        model,
+        store.clone(),
+        hw,
+        ctx.importance().clone(),
+        &ServeConfig { shard_cache_bytes: 1 << 10, ..ServeConfig::default() },
+    );
     let session = server.session_with(SimTime::from_ms(60_000), 0).unwrap();
     let keys: Vec<Vec<ShardKey>> = session
         .plan()

@@ -42,11 +42,18 @@ fn server(backpressure: BackpressureMode) -> StiServer {
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
     let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    StiServer::builder(task.model().clone(), source, hw, importance_for(&cfg))
-        .preload_budget(0)
-        .widths(&[2, 4])
-        .backpressure(backpressure)
-        .build()
+    StiServer::new(
+        task.model().clone(),
+        source,
+        hw,
+        importance_for(&cfg),
+        &ServeConfig {
+            preload_bytes: 0,
+            widths: Some(vec![2, 4]),
+            backpressure,
+            ..ServeConfig::default()
+        },
+    )
 }
 
 /// The bursty fixture the acceptance criteria run on. Returns

@@ -3,10 +3,11 @@
 //! The run-twice suites (`serving_obs`, `serving_event`) pin that one
 //! build reproduces *itself*. This suite pins that a build reproduces the
 //! **previous** one: every shipped trace fixture is replayed on the tiny
-//! model under two configurations — the default flags, and the stacked one
+//! model under three configurations — the default flags, the stacked one
 //! (`--channels 4 --backpressure queue --max-queue-ms 2000 --batch-window
-//! 500 --prefetch markov`) — and three exports are compared byte for byte
-//! against files under `tests/golden/`:
+//! 500 --prefetch markov`), and the residual one, which sets every serving
+//! knob the other two leave at its default — and three exports are
+//! compared byte for byte against files under `tests/golden/`:
 //!
 //! - `<fixture>.<config>.trace.json` — the deterministic-track
 //!   Chrome-trace export ([`chrome_trace_json`]);
@@ -48,6 +49,22 @@ fn stacked_flags() -> ServeConfig {
         backpressure: BackpressureMode::Queue(SimTime::from_ms(2_000)),
         batch_window: Some(SimTime::from_us(500)),
         prefetch: PrefetchConfig::markov(64 << 10),
+        ..Default::default()
+    }
+}
+
+/// Every server knob the default and stacked configurations leave at its
+/// default: `--admission enforce --backpressure shed --plan-sharing mix
+/// --dram-hits 1 --shard-cache-kb 1 --channels 2 --batch-window 500`.
+fn residual_flags() -> ServeConfig {
+    ServeConfig {
+        admission: AdmissionMode::Enforce,
+        backpressure: BackpressureMode::Shed,
+        plan_sharing: PreloadPolicy::SharingAware,
+        dram_residency: true,
+        shard_cache_bytes: 1 << 10,
+        channels: 2,
+        batch_window: Some(SimTime::from_us(500)),
         ..Default::default()
     }
 }
@@ -108,4 +125,9 @@ fn default_flag_replays_match_the_checked_in_goldens() {
 #[test]
 fn stacked_flag_replays_match_the_checked_in_goldens() {
     replay_against_goldens("stacked", &stacked_flags());
+}
+
+#[test]
+fn residual_flag_replays_match_the_checked_in_goldens() {
+    replay_against_goldens("residual", &residual_flags());
 }

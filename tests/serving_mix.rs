@@ -235,11 +235,18 @@ fn sharing_aware_preload_strictly_lowers_the_measured_contended_latency() {
         let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
         let source =
             Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-        StiServer::builder(task.model().clone(), source, hw, importance_for(&cfg))
-            .widths(&WIDTHS)
-            .batch_policy(IoSharing::Batched(SimTime::from_us(1_000)))
-            .plan_sharing(policy)
-            .build()
+        StiServer::new(
+            task.model().clone(),
+            source,
+            hw,
+            importance_for(&cfg),
+            &ServeConfig {
+                widths: Some(WIDTHS.to_vec()),
+                batch_window: Some(SimTime::from_us(1_000)),
+                plan_sharing: policy,
+                ..ServeConfig::default()
+            },
+        )
     };
     let cfg = ModelConfig::tiny();
     let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, &QuantConfig::default());
@@ -333,11 +340,18 @@ fn retarget_slo_replaces_the_reallocated_bytes_contribution() {
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
     let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-    let srv = StiServer::builder(task.model().clone(), source, hw.clone(), importance_for(&cfg))
-        .widths(&WIDTHS)
-        .batch_policy(IoSharing::Batched(SimTime::from_us(1_000)))
-        .plan_sharing(PreloadPolicy::SharingAware)
-        .build();
+    let srv = StiServer::new(
+        task.model().clone(),
+        source,
+        hw.clone(),
+        importance_for(&cfg),
+        &ServeConfig {
+            widths: Some(WIDTHS.to_vec()),
+            batch_window: Some(SimTime::from_us(1_000)),
+            plan_sharing: PreloadPolicy::SharingAware,
+            ..ServeConfig::default()
+        },
+    );
     let slo = plan_two_stage(
         &hw,
         &importance_for(&cfg),

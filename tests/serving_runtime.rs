@@ -46,11 +46,18 @@ fn engine_and_server(preload_budget: u64) -> (StiEngine, StiServer) {
             .build()
             .expect("engine builds");
 
-    let server = StiServer::builder(task.model().clone(), source, hw, importance)
-        .target(SimTime::from_ms(300))
-        .preload_budget(preload_budget)
-        .widths(&[2, 4])
-        .build();
+    let server = StiServer::new(
+        task.model().clone(),
+        source,
+        hw,
+        importance,
+        &ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: preload_budget,
+            widths: Some(vec![2, 4]),
+            ..ServeConfig::default()
+        },
+    );
 
     (engine, server)
 }
@@ -209,15 +216,22 @@ fn shard_cache_serves_under_budget() {
         .expect("probe blob")
         .byte_size() as u64;
     let budget = probe * 2;
-    let server = StiServer::builder(task.model().clone(), source, hw, importance_for(&cfg))
-        .target(SimTime::from_ms(300))
-        .preload_budget(0)
-        .widths(&[2, 4])
-        // Single fidelity so every streamed blob is admissible under the
-        // tiny budget and eviction pressure is guaranteed.
-        .bitwidths(&[Bitwidth::B2])
-        .shard_cache_bytes(budget)
-        .build();
+    let server = StiServer::new(
+        task.model().clone(),
+        source,
+        hw,
+        importance_for(&cfg),
+        &ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 0,
+            widths: Some(vec![2, 4]),
+            // Single fidelity so every streamed blob is admissible under the
+            // tiny budget and eviction pressure is guaranteed.
+            bitwidths: vec![Bitwidth::B2],
+            shard_cache_bytes: budget,
+            ..ServeConfig::default()
+        },
+    );
 
     let session = server.session().expect("session opens");
     let baseline = session.infer(&[5, 6]).expect("first engagement");

@@ -125,26 +125,33 @@ fn quantizer_ablation() -> String {
     let model = ctx.task().model();
     let cfg = model.config().clone();
     let mut t = TextTable::new(["bitwidth", "GOBO mse", "uniform mse", "GOBO acc", "uniform acc"]);
+    // Every shard's full-fidelity weight group, read once from the teacher's
+    // source, in `layer·M + slice` order.
+    let mut slot = ShardWeights::zeros(&cfg);
+    let flats: Vec<Vec<f32>> = cfg
+        .shard_ids()
+        .map(|id| {
+            model.read_shard(id, &mut slot);
+            slot.flatten()
+        })
+        .collect();
     for bw in [Bitwidth::B2, Bitwidth::B3, Bitwidth::B4] {
-        // Reconstruction error over a whole layer's shards.
+        // Reconstruction error over a whole layer's shards (layer 0).
         let mut gobo_mse = 0.0f64;
         let mut uni_mse = 0.0f64;
-        for s in 0..cfg.heads as u16 {
-            let flat = model.shard(ShardId::new(0, s)).flatten();
-            let gobo = QuantizedBlob::quantize(&flat, bw, ctx.quant()).dequantize();
-            let uni = UniformBlob::quantize(&flat, bw).dequantize();
-            gobo_mse += stats::mse(&flat, &gobo) as f64;
-            uni_mse += stats::mse(&flat, &uni) as f64;
+        for flat in &flats[..cfg.heads] {
+            let gobo = QuantizedBlob::quantize(flat, bw, ctx.quant()).dequantize();
+            let uni = UniformBlob::quantize(flat, bw).dequantize();
+            gobo_mse += stats::mse(flat, &gobo) as f64;
+            uni_mse += stats::mse(flat, &uni) as f64;
         }
         // End-to-end accuracy of the full 12x12 grid at this fidelity.
         let eval = |dequant: &dyn Fn(&[f32]) -> Vec<f32>| -> f64 {
             let mut sub = sti_transformer::AssembledSubmodel::new();
-            for l in 0..cfg.layers {
-                let shards: Vec<ShardWeights> = (0..cfg.heads)
-                    .map(|s| {
-                        let flat = model.shard(ShardId::new(l as u16, s as u16)).flatten();
-                        ShardWeights::from_flat(&dequant(&flat), &cfg)
-                    })
+            for layer in flats.chunks_exact(cfg.heads) {
+                let shards: Vec<ShardWeights> = layer
+                    .iter()
+                    .map(|flat| ShardWeights::from_flat(&dequant(flat), &cfg))
                     .collect();
                 sub.push_layer((0..cfg.heads).collect(), shards);
             }

@@ -9,13 +9,18 @@
 //! gold numbers sit near each GLUE task's practical ceiling.
 
 use sti_nlp::Task;
+use sti_transformer::TeacherScratch;
 
-/// Evaluates the unconstrained full model on the task's test split.
+/// Evaluates the unconstrained full model on the task's test split, every
+/// pass in one teacher scratch (each reads the teacher's shards from its
+/// source, a context's shard store included).
 ///
 /// Returns `(accuracy, f1)`.
 pub fn gold_accuracy(task: &Task) -> (f64, f64) {
+    let model = task.model();
+    let mut scratch = TeacherScratch::new(model.config());
     let preds: Vec<usize> =
-        task.test().iter().map(|e| task.model().predict_full(&e.tokens)).collect();
+        task.test().iter().map(|e| model.predict_full_with(&e.tokens, &mut scratch)).collect();
     (task.test_accuracy(&preds), task.test_f1(&preds))
 }
 

@@ -13,19 +13,23 @@ use sti_pipeline::PreloadBuffer;
 use sti_planner::{profile_importance, ExecutionPlan, ImportanceProfile, PlannedLayer};
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 use sti_storage::{ShardKey, ShardSource, ShardStore, StorageError};
-use sti_transformer::{AssembledSubmodel, Model, ModelConfig};
+use sti_transformer::{
+    AssembledSubmodel, Model, ModelConfig, ShardId, ShardWeightSource, ShardWeights,
+};
 
 use crate::baselines::Baseline;
 
 /// A materialized task plus the per-model state every experiment shares:
 /// the shard-importance profile (`N·M` dev-set probes, each resumed from the
 /// one kept baseline pass) and the on-disk quantized shard store that
-/// engines, servers, executors and plan evaluations stream from.
+/// engines, servers, executors and plan evaluations stream from — and that
+/// the task's teacher reads its full-fidelity weights back from, so the
+/// context's model holds only residents.
 pub struct TaskContext {
     task: Task,
     quant: QuantConfig,
     importance: OnceLock<ImportanceProfile>,
-    shard_source: OnceLock<Arc<ContextStore>>,
+    store: Arc<ContextStore>,
 }
 
 impl TaskContext {
@@ -35,15 +39,22 @@ impl TaskContext {
     }
 
     /// Builds the context with a custom model configuration (tests use
-    /// [`ModelConfig::tiny`]).
+    /// [`ModelConfig::tiny`]): builds the task, whose teacher labels its
+    /// splits from the synthesised grid, writes the task's shard store from
+    /// that grid, and re-points the teacher at the store's full-fidelity
+    /// records ([`Task::with_shard_source`]). The grid is dropped before
+    /// this returns: no FP32 shard grid is reachable from the context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store cannot be written; see
+    /// [`shard_source`](Self::shard_source).
     pub fn with_config(kind: TaskKind, cfg: ModelConfig) -> Self {
         let task = Task::build_default(kind, cfg);
-        Self {
-            task,
-            quant: QuantConfig::default(),
-            importance: OnceLock::new(),
-            shard_source: OnceLock::new(),
-        }
+        let quant = QuantConfig::default();
+        let store = Arc::new(ContextStore::create(task.model(), &quant));
+        let task = task.with_shard_source(store.clone());
+        Self { task, quant, importance: OnceLock::new(), store }
     }
 
     /// The underlying task.
@@ -75,33 +86,27 @@ impl TaskContext {
     }
 
     /// The task's quantized shard store (all bitwidths): a [`ShardStore`]
-    /// written to a fresh directory under [`std::env::temp_dir`] on first use
-    /// and shared — engines, serving runtimes, and executors created from
-    /// one context stream from the same files and share the same payloads:
-    /// a load of a shard some holder on this store still has (any server's
-    /// cache, preload buffer or in-flight layer) returns that holder's copy.
-    /// The process holds no copy of the quantised model beyond what those
-    /// holders keep. The directory is removed when the context and every
-    /// handle returned here have been dropped.
+    /// written to a fresh directory under [`std::env::temp_dir`] when the
+    /// context is built, and shared — engines, serving runtimes, executors
+    /// and the task's teacher created from one context stream from the same
+    /// files and share the same payloads: a load of a shard some holder on
+    /// this store still has (any server's cache, preload buffer or in-flight
+    /// layer) returns that holder's copy. The process holds no copy of the
+    /// quantised model beyond what those holders keep. The directory is
+    /// removed when the context and every handle returned here (and every
+    /// clone of the context's model) have been dropped.
     ///
-    /// # Panics
-    ///
-    /// Panics if the directory cannot be created or the store cannot be
-    /// written (temp dir missing, read-only or full); the message names the
-    /// path and the OS error. There is no in-memory fallback.
+    /// The context's build panics if the directory cannot be created or the
+    /// store cannot be written (temp dir missing, read-only or full); the
+    /// message names the path and the OS error. There is no in-memory
+    /// fallback.
     pub fn shard_source(&self) -> Arc<dyn ShardSource> {
-        self.context_store().clone()
+        self.store.clone()
     }
 
-    /// Where [`shard_source`](Self::shard_source) keeps its files (builds
-    /// the store on first use, like it).
+    /// Where [`shard_source`](Self::shard_source) keeps its files.
     pub fn shard_store_dir(&self) -> &Path {
-        self.context_store().0.dir()
-    }
-
-    fn context_store(&self) -> &Arc<ContextStore> {
-        self.shard_source
-            .get_or_init(|| Arc::new(ContextStore::create(self.task.model(), &self.quant)))
+        self.store.0.dir()
     }
 
     /// Materializes a plan's submodel (its `layers`) at their planned
@@ -131,6 +136,7 @@ impl TaskContext {
 
 /// A context's [`ShardStore`] and the temp directory it owns: dropping the
 /// last handle removes the directory.
+#[derive(Debug)]
 struct ContextStore(ShardStore);
 
 impl ContextStore {
@@ -180,6 +186,12 @@ impl ShardSource for ContextStore {
 
     fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
         self.0.size_bytes(key)
+    }
+}
+
+impl ShardWeightSource for ContextStore {
+    fn read_shard(&self, id: ShardId, out: &mut ShardWeights) {
+        self.0.read_shard(id, out);
     }
 }
 
@@ -274,9 +286,56 @@ pub fn run_experiment(ctx: &TaskContext, exp: &Experiment) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sti_nlp::Dataset;
 
     fn ctx() -> TaskContext {
         TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny())
+    }
+
+    /// A context's teacher reads every shard of the grid a bare
+    /// `Task::build` synthesises back from the store, bit for bit, so its
+    /// splits and its importance profile on the first `dev` dev examples
+    /// equal the bare task's.
+    fn assert_the_contexts_teacher_is_the_bare_one(kind: TaskKind, cfg: ModelConfig, dev: usize) {
+        let ctx = TaskContext::with_config(kind, cfg.clone());
+        let bare = Task::build_default(kind, cfg.clone());
+        let bits = |shard: &ShardWeights| -> Vec<u32> {
+            shard.flatten().into_iter().map(f32::to_bits).collect()
+        };
+        let (mut want, mut got) = (ShardWeights::zeros(&cfg), ShardWeights::zeros(&cfg));
+        for id in cfg.shard_ids() {
+            bare.model().read_shard(id, &mut want);
+            ctx.task().model().read_shard(id, &mut got);
+            assert_eq!(bits(&got), bits(&want), "{kind} {id:?}");
+        }
+        assert_eq!((ctx.task().dev(), ctx.task().test()), (bare.dev(), bare.test()), "{kind}");
+        let dev = Dataset::new(bare.dev().examples()[..dev].to_vec());
+        assert_eq!(
+            profile_importance(ctx.task().model(), &dev, ctx.quant()),
+            profile_importance(bare.model(), &dev, ctx.quant()),
+            "{kind}"
+        );
+    }
+
+    #[test]
+    fn a_contexts_teacher_reads_the_synthesised_grid_bit_for_bit_on_every_task() {
+        for kind in TaskKind::ALL {
+            assert_the_contexts_teacher_is_the_bare_one(
+                kind,
+                ModelConfig::tiny(),
+                Task::DEFAULT_DEV,
+            );
+        }
+    }
+
+    /// The shipped scale on the benchmark's 8 dev examples. Seconds in
+    /// release, so CI runs it there (`-- --ignored`).
+    #[test]
+    #[ignore = "scaled_bert() scale: run with --release -- --ignored"]
+    fn a_contexts_teacher_reads_the_synthesised_grid_bit_for_bit_at_scaled_bert() {
+        for kind in TaskKind::ALL {
+            assert_the_contexts_teacher_is_the_bare_one(kind, ModelConfig::scaled_bert(), 8);
+        }
     }
 
     fn exp(baseline: Baseline, t_ms: u64) -> Experiment {

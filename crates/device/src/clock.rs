@@ -56,6 +56,11 @@ impl SimTime {
         self.0 as f64 / 1_000_000.0
     }
 
+    /// Saturating addition (clamps at `u64::MAX` µs).
+    pub fn saturating_add(self, other: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(other.0))
+    }
+
     /// Saturating subtraction (clamps at zero).
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))

@@ -30,8 +30,11 @@ impl FlashModel {
 
     /// Pure streaming delay for `bytes` (no request latency) — used to
     /// convert a preload-buffer size into "bonus IO" budget (paper §5.4.2).
+    /// Computed in `u128`, so no byte count overflows: a delay past
+    /// `u64::MAX` µs saturates there.
     pub fn transfer_delay(&self, bytes: u64) -> SimTime {
-        SimTime::from_us((bytes * 1_000_000).div_ceil(self.bandwidth_bytes_per_sec))
+        let us = (u128::from(bytes) * 1_000_000).div_ceil(u128::from(self.bandwidth_bytes_per_sec));
+        SimTime::from_us(u64::try_from(us).unwrap_or(u64::MAX))
     }
 
     /// Delay of one IO request of `bytes`: request latency + streaming.
@@ -63,6 +66,19 @@ mod tests {
         assert_eq!(f.transfer_delay(1_000_000), SimTime::from_ms(1_000));
         assert_eq!(f.transfer_delay(500_000), SimTime::from_ms(500));
         assert_eq!(f.transfer_delay(0), SimTime::ZERO);
+    }
+
+    #[test]
+    fn transfer_delay_of_any_byte_count_is_exact_or_saturates() {
+        let f = flash();
+        // 2^64 − 1 bytes at 1 MB/s: exactly u64::MAX µs, no overflow.
+        assert_eq!(f.transfer_delay(u64::MAX), SimTime::from_us(u64::MAX));
+        // Past u64::MAX µs at a slower device: saturated.
+        assert_eq!(FlashModel::new(1, SimTime::ZERO).transfer_delay(u64::MAX).as_us(), u64::MAX);
+        // Below the old overflow point the value is the one `u64` gave.
+        let bytes = u64::MAX / 1_000_000;
+        let fast = FlashModel::new(3_000_000, SimTime::ZERO);
+        assert_eq!(fast.transfer_delay(bytes).as_us(), (bytes * 1_000_000).div_ceil(3_000_000));
     }
 
     #[test]

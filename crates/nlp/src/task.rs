@@ -1,9 +1,11 @@
 //! Synthetic GLUE-like tasks (paper Table 3).
 
+use std::sync::Arc;
+
 use sti_tensor::parallel::parallel_map_scratch;
-use sti_tensor::{Matrix, Rng};
+use sti_tensor::Rng;
 use sti_transformer::synthetic::GainPattern;
-use sti_transformer::{ForwardScratch, Model, ModelConfig};
+use sti_transformer::{Model, ModelConfig, ShardWeightSource, TeacherScratch};
 
 use crate::dataset::{Dataset, Example};
 use crate::metrics;
@@ -141,13 +143,24 @@ impl Task {
     pub const DEFAULT_TEST: usize = 128;
 
     /// Builds the task: synthesizes the teacher, generates inputs, labels
-    /// them with the full-fidelity teacher, and applies label noise.
+    /// them with the full-fidelity teacher, and applies label noise. The
+    /// teacher reads its shards from the grid it was synthesised with.
     pub fn build(kind: TaskKind, cfg: ModelConfig, dev_size: usize, test_size: usize) -> Self {
         let model = Model::synthetic_with_pattern(kind.model_seed(), cfg, kind.gain_pattern());
         let mut rng = Rng::new(kind.model_seed() ^ 0x0DA7_A5E7);
         let dev = generate_split(&model, kind, &mut rng, dev_size);
         let test = generate_split(&model, kind, &mut rng, test_size);
         Self { kind, model, dev, test }
+    }
+
+    /// The same task with its teacher reading its shard weights from
+    /// `shards` ([`Model::with_shard_source`]), which must hold this
+    /// teacher's weights bit for bit: a store written from
+    /// [`model`](Self::model). The residents and splits are kept; the
+    /// teacher's old source is dropped with it unless a clone of the model
+    /// still holds it.
+    pub fn with_shard_source(self, shards: Arc<dyn ShardWeightSource>) -> Self {
+        Self { model: self.model.with_shard_source(shards), ..self }
     }
 
     /// Builds the task with default split sizes.
@@ -212,12 +225,13 @@ fn generate_split(model: &Model, kind: TaskKind, rng: &mut Rng, size: usize) -> 
             (tokens, flip)
         })
         .collect();
-    // Each worker labels in a hidden state and a forward scratch this
-    // thread built, so it allocates nothing (see `sti_tensor::parallel`).
+    // Each worker labels in a teacher scratch this thread built, so it
+    // allocates nothing while the teacher reads its synthesised grid (see
+    // `sti_tensor::parallel`).
     let teacher = parallel_map_scratch(
         size,
-        || (Matrix::zeros(cfg.seq_len, cfg.hidden), ForwardScratch::new(cfg)),
-        |(x, scratch), i| model.predict_full_with(&drawn[i].0, x, scratch),
+        || TeacherScratch::new(cfg),
+        |scratch, i| model.predict_full_with(&drawn[i].0, scratch),
     );
     drawn
         .into_iter()

@@ -342,11 +342,13 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let model = Model::synthetic(7, cfg.clone());
         let id = ShardId::new(0, 1);
-        let flat = model.shard(id).flatten();
-        let b = QuantizedBlob::quantize(&flat, Bitwidth::Full, &QuantConfig::default());
+        let mut teacher = ShardWeights::zeros(&cfg);
+        model.read_shard(id, &mut teacher);
+        let b =
+            QuantizedBlob::quantize(&teacher.flatten(), Bitwidth::Full, &QuantConfig::default());
         let mut wb = WorkingBuffer::new(cfg.clone());
         let shards = wb.assemble(&[&b]).unwrap();
-        assert_eq!(&shards[0], model.shard(id));
+        assert_eq!(shards[0], teacher);
         assert_eq!(wb.peak_bytes(), cfg.shard_fp32_bytes());
     }
 

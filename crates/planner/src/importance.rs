@@ -177,17 +177,25 @@ fn into_top(m: usize, slices: Vec<u16>) -> Vec<u16> {
 /// at a time into one reused decoded layer, advancing every dev example
 /// through each layer it decodes.
 ///
-/// The probes spread over the available cores and hand back one `f64`
-/// each. A worker allocates nothing (see `sti_tensor::parallel`): each
-/// borrows a probe scratch the calling thread built — its decoded layer,
-/// one hidden state per dev example, overwritten from the baseline's rather
-/// than cloned, and the [`ForwardScratch`] every layer runs in. The floor
-/// and the baselines are built on the calling thread too.
+/// The full-fidelity weights are read through [`Model::read_shard`] on the
+/// calling thread, whatever the model's shard source: each shard once to
+/// quantize the floor, and each layer's `M` upgrades once, into two reused
+/// layers, before that layer's probes run. The probes of a batch of two
+/// layers spread over the available cores and hand back one `f64` each
+/// (one `parallel_map` per layer would leave a worker idle at each of `N`
+/// batch ends; measured, it cost the profile about 15 % at `scaled_bert()`
+/// on 2 cores). A worker
+/// allocates nothing (see `sti_tensor::parallel`): each borrows a probe
+/// scratch the calling thread built — its decoded layer, one hidden state
+/// per dev example, overwritten from the baseline's rather than cloned, and
+/// the [`ForwardScratch`] every layer runs in. The floor and the baselines
+/// are built on the calling thread too.
 pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> ImportanceProfile {
     let cfg = model.config();
     assert!(!dev.is_empty(), "importance profiling needs a non-empty dev set");
     let (n, m) = (cfg.layers, cfg.heads);
-    let floor = floor_blobs(model, quant);
+    let mut upgrades: Vec<ShardWeights> = (0..2 * m).map(|_| ShardWeights::zeros(cfg)).collect();
+    let floor = floor_blobs(model, quant, &mut upgrades[0]);
     let floor_layer = |l: usize| &floor[l * m..(l + 1) * m];
     let slices = model.all_slices();
 
@@ -215,33 +223,53 @@ pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> 
     drop(scratch);
 
     // Probe (first, s): the floor resumed at layer `first` with slice `s` of
-    // that layer at full fidelity.
+    // that layer at full fidelity. The probes run a batch at a time, each
+    // batch the layers `low` and `n - 1 - low` (the middle layer alone when
+    // `n` is odd): a probe runs `n - first` layers, so every batch costs
+    // `n + 1` layer passes per slice, and its cheap probes come last, so no
+    // worker waits long at a batch's end. Before a batch, the calling thread
+    // reads its layers' upgrades, `upgrades[k·M + s]` for slice `s` of the
+    // batch's `k`-th layer.
     let labels: Vec<usize> = dev.iter().map(|e| e.label).collect();
-    let scores = parallel_map_scratch(
-        n * m,
-        || ProbeScratch::new(cfg, dev.len()),
-        |ProbeScratch { layer, states, forward }, i| {
-            let (first, s) = (i / m, i % m);
-            let upgrade = |l: usize| (l == first).then(|| (s, &model.layers()[l].shards[s]));
-            for (x, entering) in states.iter_mut().zip(&entering) {
-                x.clone_from(&entering[first]);
+    let mut scores = vec![0.0; n * m];
+    for low in 0..n.div_ceil(2) {
+        let pair = [low, n - 1 - low];
+        let firsts = if pair[0] == pair[1] { &pair[..1] } else { &pair[..] };
+        for (k, &first) in firsts.iter().enumerate() {
+            for s in 0..m {
+                model.read_shard(ShardId::new(first as u16, s as u16), &mut upgrades[k * m + s]);
             }
-            for l in first..n - 1 {
-                layer.decode(floor_layer(l));
-                let resident = &model.layers()[l].resident;
-                for x in states.iter_mut() {
-                    forward.layer(x, layer.with(upgrade(l)), slices, resident, cfg);
+        }
+        let upgrades = &upgrades;
+        let batch = parallel_map_scratch(
+            firsts.len() * m,
+            || ProbeScratch::new(cfg, dev.len()),
+            |ProbeScratch { layer, states, forward }, i| {
+                let (first, s) = (firsts[i / m], i % m);
+                let upgrade = |l: usize| (l == first).then(|| (s, &upgrades[i]));
+                for (x, entering) in states.iter_mut().zip(&entering) {
+                    x.clone_from(&entering[first]);
                 }
-            }
-            layer.decode(floor_layer(n - 1));
-            let resident = &model.layers()[n - 1].resident;
-            let gold = states.iter_mut().zip(&labels).map(|(x, &label)| {
-                forward.layer_cls(x, layer.with(upgrade(n - 1)), slices, resident, cfg);
-                gold_probability(forward.logits(model.classifier(), x), label)
-            });
-            soft_accuracy_of(gold)
-        },
-    );
+                for l in first..n - 1 {
+                    layer.decode(floor_layer(l));
+                    let resident = &model.layers()[l].resident;
+                    for x in states.iter_mut() {
+                        forward.layer(x, layer.with(upgrade(l)), slices, resident, cfg);
+                    }
+                }
+                layer.decode(floor_layer(n - 1));
+                let resident = &model.layers()[n - 1].resident;
+                let gold = states.iter_mut().zip(&labels).map(|(x, &label)| {
+                    forward.layer_cls(x, layer.with(upgrade(n - 1)), slices, resident, cfg);
+                    gold_probability(forward.logits(model.classifier(), x), label)
+                });
+                soft_accuracy_of(gold)
+            },
+        );
+        for (i, score) in batch.into_iter().enumerate() {
+            scores[firsts[i / m] * m + i % m] = score;
+        }
+    }
     let baseline = soft_accuracy_of(
         entering
             .iter()
@@ -259,13 +287,15 @@ fn gold_probability(logits: &mut [f32], label: usize) -> f32 {
 }
 
 /// Every shard of the grid quantized at 2-bit, in `layer·M + slice` order:
-/// the floor the probes run on.
-fn floor_blobs(model: &Model, quant: &QuantConfig) -> Vec<QuantizedBlob> {
+/// the floor the probes run on. Each shard is read into `slot` first.
+fn floor_blobs(model: &Model, quant: &QuantConfig, slot: &mut ShardWeights) -> Vec<QuantizedBlob> {
     model
-        .layers()
-        .iter()
-        .flat_map(|layer| &layer.shards)
-        .map(|shard| QuantizedBlob::quantize(&shard.flatten(), Bitwidth::B2, quant))
+        .config()
+        .shard_ids()
+        .map(|id| {
+            model.read_shard(id, slot);
+            QuantizedBlob::quantize(&slot.flatten(), Bitwidth::B2, quant)
+        })
         .collect()
 }
 
@@ -356,7 +386,7 @@ impl ShardOperand for FloorOperand<'_> {
 #[cfg(test)]
 fn floor_grid(model: &Model, quant: &QuantConfig) -> Vec<ShardWeights> {
     let cfg = model.config();
-    floor_blobs(model, quant)
+    floor_blobs(model, quant, &mut ShardWeights::zeros(cfg))
         .iter()
         .map(|blob| ShardWeights::from_flat(&blob.dequantize(), cfg))
         .collect()
@@ -386,7 +416,9 @@ mod tests {
                 let shards = (0..cfg.heads)
                     .map(|s| {
                         if upgraded == Some(l * cfg.heads + s) {
-                            model.shard(ShardId::new(l as u16, s as u16)).clone()
+                            let mut shard = ShardWeights::zeros(cfg);
+                            model.read_shard(ShardId::new(l as u16, s as u16), &mut shard);
+                            shard
                         } else {
                             floor[l * cfg.heads + s].clone()
                         }
@@ -496,12 +528,13 @@ mod tests {
             let (model, quant) = (task.model(), QuantConfig::default());
             let floor = floor_grid(model, &quant);
             assert_eq!(floor.len(), model.config().total_shards(), "{kind}");
+            let mut shard = ShardWeights::zeros(model.config());
             for (weights, id) in floor.iter().zip(model.config().shard_ids()) {
-                let stored =
-                    QuantizedBlob::quantize_all(&model.shard(id).flatten(), &Bitwidth::ALL, &quant)
-                        .into_iter()
-                        .find(|blob| blob.bitwidth() == Bitwidth::B2)
-                        .expect("the store keeps a 2-bit version");
+                model.read_shard(id, &mut shard);
+                let stored = QuantizedBlob::quantize_all(&shard.flatten(), &Bitwidth::ALL, &quant)
+                    .into_iter()
+                    .find(|blob| blob.bitwidth() == Bitwidth::B2)
+                    .expect("the store keeps a 2-bit version");
                 let bits = |w: Vec<f32>| w.into_iter().map(f32::to_bits).collect::<Vec<_>>();
                 assert_eq!(bits(weights.flatten()), bits(stored.dequantize()), "{kind} {id:?}");
             }

@@ -126,7 +126,8 @@ fn allocate(
     let t_comp = hw.t_comp(m);
     let bonus = hw.flash.transfer_delay(preload_budget);
     let slack = inputs.choice.slack(inputs.target);
-    let mut ledger = AibLedger::new(n, t_comp, bonus + slack);
+    // A bonus saturates for an absurd |S|; the ledger itself is `i128`.
+    let mut ledger = AibLedger::new(n, t_comp, bonus.saturating_add(slack));
     // Each layer's grouped IO request pays the flash latency once.
     for k in 0..n {
         ledger.charge(k, hw.flash.request_latency);

@@ -1181,6 +1181,13 @@ pub fn reallocate_preload_for_mix(
 const TARGET_LADDER_PER_MILLE: [u64; 12] =
     [1000, 800, 650, 500, 400, 300, 220, 160, 120, 80, 50, 30];
 
+/// The ladder's rung at `per_mille` of `slo`, at least 1 µs. The product
+/// is taken in `u128`, so any SLO has a rung (never above `slo` itself).
+fn ladder_rung(slo: SimTime, per_mille: u64) -> SimTime {
+    let us = u128::from(slo.as_us()) * u128::from(per_mille) / 1000;
+    SimTime::from_us(u64::try_from(us).expect("a rung is at most the SLO").max(1))
+}
+
 /// The mix-aware SLO search: walks the target ladder (plan each descending
 /// `T` with the unmodified two-stage planner, stop at the first rung whose
 /// contended prediction meets the SLO), scores every rung with
@@ -1232,7 +1239,7 @@ pub fn plan_for_slo_mix(
     let mut best: Option<ServingPlan> = None;
     let mut seen_target = SimTime::ZERO;
     for per_mille in TARGET_LADDER_PER_MILLE {
-        let target = SimTime::from_us((slo.as_us() * per_mille / 1000).max(1));
+        let target = ladder_rung(slo, per_mille);
         if target == seen_target {
             continue;
         }
@@ -1334,6 +1341,21 @@ mod tests {
         let out = work();
         ORACLE.with(|on| on.set(false));
         out
+    }
+
+    #[test]
+    fn ladder_rungs_are_exact_below_the_old_overflow_and_exist_for_any_slo() {
+        let max = SimTime::from_us(u64::MAX);
+        assert_eq!(ladder_rung(max, 1000), max);
+        assert_eq!(ladder_rung(max, 30).as_us(), (u128::from(u64::MAX) * 30 / 1000) as u64);
+        for per_mille in TARGET_LADDER_PER_MILLE {
+            let slo = SimTime::from_us(u64::MAX / 1000);
+            assert_eq!(
+                ladder_rung(slo, per_mille).as_us(),
+                (slo.as_us() * per_mille / 1000).max(1)
+            );
+        }
+        assert_eq!(ladder_rung(SimTime::from_us(1), 30), SimTime::from_us(1));
     }
 
     /// The prediction as the simulator prices it: the reads of the same

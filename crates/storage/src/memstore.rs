@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use parking_lot::RwLock;
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
-use sti_transformer::Model;
+use sti_transformer::{Model, ShardWeights};
 
 use crate::error::StorageError;
 use crate::store::{ShardKey, ShardSource};
@@ -33,9 +33,10 @@ impl MemStore {
     pub fn build(model: &Model, bitwidths: &[Bitwidth], quant: &QuantConfig) -> Self {
         let cfg = model.config();
         let mut blobs = HashMap::new();
+        let mut shard = ShardWeights::zeros(cfg);
         for id in cfg.shard_ids() {
-            let versions =
-                QuantizedBlob::quantize_all(&model.shard(id).flatten(), bitwidths, quant);
+            model.read_shard(id, &mut shard);
+            let versions = QuantizedBlob::quantize_all(&shard.flatten(), bitwidths, quant);
             for (&bw, blob) in bitwidths.iter().zip(versions) {
                 blobs.insert(ShardKey::new(id, bw), blob);
             }
@@ -105,7 +106,9 @@ mod tests {
         let (s, model) = store();
         let id = ShardId::new(0, 1);
         let blob = s.load(ShardKey::new(id, Bitwidth::Full)).unwrap();
-        assert_eq!(blob.dequantize(), model.shard(id).flatten());
+        let mut shard = ShardWeights::zeros(model.config());
+        model.read_shard(id, &mut shard);
+        assert_eq!(blob.dequantize(), shard.flatten());
     }
 
     #[test]

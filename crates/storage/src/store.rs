@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob, WeakBlob};
-use sti_transformer::{Model, ShardId};
+use sti_transformer::{Model, ShardId, ShardWeightSource, ShardWeights};
 
 use crate::error::StorageError;
 use crate::format;
@@ -171,13 +171,14 @@ impl ShardStore {
         let cfg = model.config().clone();
         let mut manifest = Manifest::new(cfg.clone(), bitwidths.to_vec());
         let bitwidths = manifest.bitwidths.clone();
+        let mut shard = ShardWeights::zeros(&cfg);
         for layer in 0..cfg.layers as u16 {
             // One fit and one sort per shard: `versions[slice][k]` is the
             // shard at `bitwidths[k]`.
             let versions: Vec<Vec<QuantizedBlob>> = (0..cfg.heads as u16)
                 .map(|slice| {
-                    let flat = model.shard(ShardId::new(layer, slice)).flatten();
-                    QuantizedBlob::quantize_all(&flat, &bitwidths, quant)
+                    model.read_shard(ShardId::new(layer, slice), &mut shard);
+                    QuantizedBlob::quantize_all(&shard.flatten(), &bitwidths, quant)
                 })
                 .collect();
             for (k, &bw) in bitwidths.iter().enumerate() {
@@ -358,6 +359,30 @@ impl ShardSource for ShardStore {
     }
 }
 
+/// A model's full-fidelity weights read back from the store: a shard's
+/// [`Bitwidth::Full`] record holds its flat weight group as raw `f32`s, so
+/// the weights [`ShardStore::create`] was given come back bit for bit. This
+/// is what lets a `TaskContext` drop the synthesised grid once its store is
+/// written. A read is one record read and decode (a payload a live holder
+/// has is reused and nothing is published), into `out`.
+impl ShardWeightSource for ShardStore {
+    /// # Panics
+    ///
+    /// Panics if the store holds no full-fidelity version of `id` or its
+    /// record cannot be read or decoded; the message names the shard and
+    /// the error.
+    fn read_shard(&self, id: ShardId, out: &mut ShardWeights) {
+        let key = ShardKey::new(id, Bitwidth::Full);
+        match self.load_buffered(key, &mut Vec::new()) {
+            Ok(blob) => out.copy_from_flat(&blob.dequantize()),
+            Err(e) => panic!(
+                "cannot read the full-fidelity weights of {id:?} from {}: {e}",
+                self.dir.display()
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,8 +429,42 @@ mod tests {
         let (store, model, dir) = tiny_store("full");
         let id = ShardId::new(1, 2);
         let blob = store.load(ShardKey::new(id, Bitwidth::Full)).unwrap();
-        assert_eq!(blob.dequantize(), model.shard(id).flatten());
+        let mut shard = ShardWeights::zeros(model.config());
+        model.read_shard(id, &mut shard);
+        assert_eq!(blob.dequantize(), shard.flatten());
         fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A model re-pointed at the store reads every shard back bit for bit,
+    /// and publishes nothing in the payload index while it does.
+    #[test]
+    fn a_model_over_the_store_reads_the_weights_it_was_written_from() {
+        let (store, model, dir) = tiny_store("weights");
+        let store = std::sync::Arc::new(store);
+        let over_store = model.with_shard_source(store.clone());
+        let bits = |shard: &ShardWeights| -> Vec<u32> {
+            shard.flatten().into_iter().map(f32::to_bits).collect()
+        };
+        let (mut want, mut got) =
+            (ShardWeights::zeros(model.config()), ShardWeights::zeros(model.config()));
+        for id in model.config().shard_ids() {
+            model.read_shard(id, &mut want);
+            over_store.read_shard(id, &mut got);
+            assert_eq!(bits(&got), bits(&want), "{id:?}");
+        }
+        assert_eq!(store.live_payload_bytes(), 0);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot read the full-fidelity weights of")]
+    fn a_store_without_full_fidelity_records_cannot_be_a_weight_source() {
+        let model = Model::synthetic(3, ModelConfig::tiny());
+        let dir = temp_dir("no-full");
+        let store = ShardStore::create(&dir, &model, &[Bitwidth::B2], &QuantConfig::default());
+        let store = store.unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        store.read_shard(ShardId::new(0, 0), &mut ShardWeights::zeros(model.config()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Submodels assembled from externally supplied (e.g. dequantized) shards.
 
-use crate::config::ModelConfig;
+use crate::config::ShardId;
+use crate::model::Model;
 use crate::weights::ShardWeights;
 
 /// One layer of an assembled submodel: the selected slice indexes and their
@@ -63,26 +64,26 @@ impl AssembledSubmodel {
         &self.layers
     }
 
-    /// Builds the full-fidelity submodel directly from a model's own weights
-    /// — used by the teacher and by baselines that skip quantization.
+    /// Builds the full-fidelity submodel from a model's own weights, each
+    /// selected shard read through [`Model::read_shard`] — used by the
+    /// teacher and by baselines that skip quantization.
     ///
     /// `slices_per_layer[l]` lists the selected slice indexes of layer `l`.
     ///
     /// # Panics
     ///
-    /// Panics if any slice index is out of range for `cfg`.
-    pub fn from_model_slices(
-        model_layers: &[crate::weights::LayerWeights],
-        slices_per_layer: &[Vec<usize>],
-        cfg: &ModelConfig,
-    ) -> Self {
+    /// Panics if any slice index is out of range for the model.
+    pub fn from_model_slices(model: &Model, slices_per_layer: &[Vec<usize>]) -> Self {
+        let cfg = model.config();
         let mut out = Self::new();
         for (l, slices) in slices_per_layer.iter().enumerate() {
             let shards: Vec<ShardWeights> = slices
                 .iter()
                 .map(|&s| {
                     assert!(s < cfg.heads, "slice {s} out of range");
-                    model_layers[l].shards[s].clone()
+                    let mut shard = ShardWeights::zeros(cfg);
+                    model.read_shard(ShardId::new(l as u16, s as u16), &mut shard);
+                    shard
                 })
                 .collect();
             out.push_layer(slices.clone(), shards);
@@ -94,19 +95,15 @@ impl AssembledSubmodel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synthetic::{synthetic_layer, GainPattern};
-    use sti_tensor::Rng;
+    use crate::config::ModelConfig;
 
-    fn layers(cfg: &ModelConfig, n: usize) -> Vec<crate::weights::LayerWeights> {
-        let mut rng = Rng::new(1);
-        (0..n).map(|l| synthetic_layer(cfg, &mut rng, l, GainPattern::Uniform)).collect()
+    fn model() -> Model {
+        Model::synthetic(1, ModelConfig::tiny())
     }
 
     #[test]
     fn depth_and_width_reflect_pushes() {
-        let cfg = ModelConfig::tiny();
-        let ls = layers(&cfg, 2);
-        let sub = AssembledSubmodel::from_model_slices(&ls, &[vec![0, 1], vec![2, 3]], &cfg);
+        let sub = AssembledSubmodel::from_model_slices(&model(), &[vec![0, 1], vec![2, 3]]);
         assert_eq!(sub.depth(), 2);
         assert_eq!(sub.width(), 2);
     }
@@ -114,17 +111,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "same width")]
     fn rejects_ragged_widths() {
-        let cfg = ModelConfig::tiny();
-        let ls = layers(&cfg, 2);
-        let _ = AssembledSubmodel::from_model_slices(&ls, &[vec![0, 1], vec![2]], &cfg);
+        let _ = AssembledSubmodel::from_model_slices(&model(), &[vec![0, 1], vec![2]]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_bad_slice_index() {
-        let cfg = ModelConfig::tiny();
-        let ls = layers(&cfg, 1);
-        let _ = AssembledSubmodel::from_model_slices(&ls, &[vec![99]], &cfg);
+        let _ = AssembledSubmodel::from_model_slices(&model(), &[vec![99]]);
     }
 
     #[test]

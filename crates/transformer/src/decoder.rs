@@ -65,13 +65,13 @@ mod tests {
 
     use super::*;
     use crate::oracle;
-    use crate::ModelConfig;
+    use crate::{ModelConfig, ShardId, ShardWeights};
 
     fn setup() -> (Model, AssembledSubmodel) {
         let cfg = ModelConfig::tiny();
         let model = Model::synthetic(21, cfg.clone());
         let slices: Vec<Vec<usize>> = (0..cfg.layers).map(|_| (0..cfg.heads).collect()).collect();
-        let sub = AssembledSubmodel::from_model_slices(model.layers(), &slices, &cfg);
+        let sub = AssembledSubmodel::from_model_slices(&model, &slices);
         (model, sub)
     }
 
@@ -81,11 +81,12 @@ mod tests {
         // *later* token must not change an *earlier* position's output.
         let cfg = ModelConfig::tiny();
         let model = Model::synthetic(3, cfg.clone());
-        let shard = &model.layers()[0].shards[0];
+        let mut shard = ShardWeights::zeros(&cfg);
+        model.read_shard(ShardId::new(0, 0), &mut shard);
         let a = model.embedding().embed_exact(&[1, 2, 3]);
         let b = model.embedding().embed_exact(&[1, 2, 63]);
-        let out_a = oracle::attention(&a, &[shard], &cfg, true);
-        let out_b = oracle::attention(&b, &[shard], &cfg, true);
+        let out_a = oracle::attention(&a, &[&shard], &cfg, true);
+        let out_b = oracle::attention(&b, &[&shard], &cfg, true);
         for pos in 0..2 {
             for c in 0..cfg.hidden {
                 assert!(
@@ -141,7 +142,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let model = Model::synthetic(22, cfg.clone());
         let slices: Vec<Vec<usize>> = (0..cfg.layers).map(|_| vec![0, 2]).collect();
-        let sub = AssembledSubmodel::from_model_slices(model.layers(), &slices, &cfg);
+        let sub = AssembledSubmodel::from_model_slices(&model, &slices);
         let g = generate(&model, &sub, &[1], 3);
         assert_eq!(g.generated, 3);
     }
@@ -180,7 +181,7 @@ mod tests {
                     order
                 })
                 .collect();
-            let sub = AssembledSubmodel::from_model_slices(model.layers(), &slices, &cfg);
+            let sub = AssembledSubmodel::from_model_slices(&model, &slices);
             prop_assert_eq!(
                 generate(&model, &sub, &prompt, steps),
                 oracle::generate(&model, &sub, &prompt, steps)

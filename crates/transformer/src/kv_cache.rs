@@ -156,7 +156,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let model = Model::synthetic(31, cfg.clone());
         let slices: Vec<Vec<usize>> = (0..cfg.layers).map(|_| (0..cfg.heads).collect()).collect();
-        let sub = AssembledSubmodel::from_model_slices(model.layers(), &slices, &cfg);
+        let sub = AssembledSubmodel::from_model_slices(&model, &slices);
         (model, sub)
     }
 
@@ -175,7 +175,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let model = Model::synthetic(32, cfg.clone());
         let slices: Vec<Vec<usize>> = (0..cfg.layers).map(|_| vec![1, 3]).collect();
-        let sub = AssembledSubmodel::from_model_slices(model.layers(), &slices, &cfg);
+        let sub = AssembledSubmodel::from_model_slices(&model, &slices);
         let fast = generate(&model, &sub, &[4, 4], 3);
         let slow = oracle::generate(&model, &sub, &[4, 4], 3);
         assert_eq!(fast, slow);
@@ -229,7 +229,7 @@ mod tests {
         let tokens = [3u32, 9, 2, 7, 1];
         for slices in [vec![0, 1, 2, 3], vec![2, 0]] {
             let per_layer: Vec<Vec<usize>> = (0..cfg.layers).map(|_| slices.clone()).collect();
-            let sub = AssembledSubmodel::from_model_slices(model.layers(), &per_layer, &cfg);
+            let sub = AssembledSubmodel::from_model_slices(&model, &per_layer);
             let expected = crate::oracle::kv_cache_hidden_states(&model, &sub, &tokens);
             let mut session = DecoderSession::new(&model, &sub, &tokens[..1]);
             for (fed, old) in expected.iter().enumerate() {

@@ -14,7 +14,10 @@
 //! - [`ShardWeights`] / [`LayerWeights`] — the sharded parameter layout of
 //!   Table 1, with flattening to 1-D weight groups for quantization;
 //! - [`Model`] — synthetic-weight model generation, full forward, and
-//!   submodel forward over externally assembled (e.g. dequantized) shards;
+//!   submodel forward over externally assembled (e.g. dequantized) shards.
+//!   A model holds its residents; its full-fidelity shards are read one at
+//!   a time from a [`ShardWeightSource`] (the synthesised grid, or a shard
+//!   store's full-fidelity records) through [`Model::read_shard`];
 //! - [`ForwardScratch`] — the caller-owned working memory every forward
 //!   pass runs in, so a warm pass allocates nothing per layer.
 //!
@@ -42,15 +45,17 @@ mod kv_cache;
 pub mod layer;
 pub mod model;
 mod operand;
+mod source;
 pub mod synthetic;
 pub mod weights;
 
 pub use assemble::AssembledSubmodel;
 pub use config::{ModelConfig, ShardId};
 pub use layer::ForwardScratch;
-pub use model::Model;
+pub use model::{Model, TeacherScratch};
 pub use operand::ShardOperand;
-pub use weights::{LayerResident, LayerWeights, ShardWeights};
+pub use source::ShardWeightSource;
+pub use weights::{LayerResident, LayerWeights, ModelLayer, ShardWeights};
 
 #[cfg(test)]
 mod oracle;

@@ -10,34 +10,43 @@ use crate::config::{ModelConfig, ShardId};
 use crate::embedding::Embedding;
 use crate::layer::ForwardScratch;
 use crate::operand::ShardOperand;
+use crate::source::{ShardGrid, ShardWeightSource};
 use crate::synthetic::{synthetic_layer, GainPattern};
-use crate::weights::{LayerWeights, ShardWeights};
+use crate::weights::{LayerWeights, ModelLayer, ShardWeights};
 
-/// A complete sharded transformer model with synthetic weights.
+/// A complete sharded transformer model: its resident parameters, and the
+/// source its full-fidelity shard weights are read from.
 ///
 /// The model plays two roles in the reproduction:
 ///
-/// 1. **Teacher / weight source** — its full-fidelity weights define the
-///    ground truth labels of the synthetic tasks and are what gets
-///    quantized into the shard store.
-/// 2. **Resident parameters** — embedding, layer norms, biases, and the
+/// 1. **Resident parameters** — embedding, layer norms, biases, and the
 ///    classifier head stay in memory (paper §6) and are shared by every
-///    submodel execution.
+///    submodel execution. They are all the model holds.
+/// 2. **Teacher / weight source** — its full-fidelity shard weights define
+///    the ground-truth labels of the synthetic tasks and are what gets
+///    quantized into the shard store. Every reader gets them through
+///    [`Model::read_shard`], which writes one shard into memory the caller
+///    owns, from the model's [`ShardWeightSource`]: a synthesised model
+///    reads the in-memory grid it was generated with, and a model
+///    re-pointed with [`Model::with_shard_source`] (a `TaskContext`'s)
+///    reads its shard store's full-fidelity records, the same bits.
 ///
 /// **Ownership:** one writer at construction, then shared and immutable.
-/// The weights sit behind a reference count and no method reaches them
-/// mutably, so `clone()` is a handle to the same model: every engine and
-/// server built over one task reads the residents of the one copy.
+/// The residents and the shard source sit behind reference counts and no
+/// method reaches them mutably, so `clone()` is a handle to the same model:
+/// every engine and server built over one task reads the residents of the
+/// one copy.
 #[derive(Debug, Clone)]
 pub struct Model {
-    weights: Arc<Weights>,
+    residents: Arc<Residents>,
+    shards: Arc<dyn ShardWeightSource>,
 }
 
 #[derive(Debug)]
-struct Weights {
+struct Residents {
     cfg: ModelConfig,
     embedding: Embedding,
-    layers: Vec<LayerWeights>,
+    layers: Vec<ModelLayer>,
     classifier: Classifier,
     /// `0..M`: the slice indexes of a full-width layer.
     all_slices: Vec<usize>,
@@ -51,61 +60,81 @@ impl Model {
 
     /// Generates a model whose shard-importance structure follows `pattern`
     /// (different synthetic tasks use different patterns; cf. paper Fig. 5).
+    /// Its shard weights are read from the in-memory grid generated here.
     pub fn synthetic_with_pattern(seed: u64, cfg: ModelConfig, pattern: GainPattern) -> Self {
         cfg.validate();
         let mut rng = Rng::new(seed);
         let embedding = Embedding::synthetic(&cfg, rng.next_u64());
-        let layers = (0..cfg.layers).map(|l| synthetic_layer(&cfg, &mut rng, l, pattern)).collect();
+        let mut grid = Vec::with_capacity(cfg.total_shards());
+        let layers = (0..cfg.layers)
+            .map(|l| {
+                let LayerWeights { shards, resident } = synthetic_layer(&cfg, &mut rng, l, pattern);
+                grid.extend(shards);
+                ModelLayer { resident }
+            })
+            .collect();
         let classifier = Classifier::synthetic(&cfg, rng.next_u64());
         let all_slices = (0..cfg.heads).collect();
-        Self { weights: Arc::new(Weights { cfg, embedding, layers, classifier, all_slices }) }
+        let shards = Arc::new(ShardGrid::new(cfg.heads, grid));
+        let residents = Residents { cfg, embedding, layers, classifier, all_slices };
+        Self { residents: Arc::new(residents), shards }
+    }
+
+    /// This model's residents over another source of its shard weights —
+    /// a store written from this model — which must hold the same weights
+    /// bit for bit. The residents are shared, not copied; once every handle
+    /// on the old source is gone, so is its memory.
+    pub fn with_shard_source(&self, shards: Arc<dyn ShardWeightSource>) -> Self {
+        Self { residents: self.residents.clone(), shards }
     }
 
     /// The model configuration.
     pub fn config(&self) -> &ModelConfig {
-        &self.weights.cfg
+        &self.residents.cfg
     }
 
     /// The resident embedding tables.
     pub fn embedding(&self) -> &Embedding {
-        &self.weights.embedding
+        &self.residents.embedding
     }
 
     /// The classifier head.
     pub fn classifier(&self) -> &Classifier {
-        &self.weights.classifier
+        &self.residents.classifier
     }
 
-    /// All layers (full fidelity).
-    pub fn layers(&self) -> &[LayerWeights] {
-        &self.weights.layers
+    /// All layers, as the model holds them: their resident parameters.
+    pub fn layers(&self) -> &[ModelLayer] {
+        &self.residents.layers
     }
 
-    /// Full-fidelity weights of one shard.
+    /// Writes shard `id`'s full-fidelity weights into `out` (best shaped
+    /// for this model, [`ShardWeights::zeros`], so nothing is allocated
+    /// for it): the one way to read them, whatever the source.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range.
-    pub fn shard(&self, id: ShardId) -> &ShardWeights {
-        &self.weights.layers[id.layer as usize].shards[id.slice as usize]
+    /// Panics if `id` is out of range, or if the source cannot produce the
+    /// shard (see its [`ShardWeightSource::read_shard`]).
+    pub fn read_shard(&self, id: ShardId, out: &mut ShardWeights) {
+        let cfg = &self.residents.cfg;
+        assert!(
+            (id.layer as usize) < cfg.layers && (id.slice as usize) < cfg.heads,
+            "shard {id:?} is outside the {}x{} model",
+            cfg.layers,
+            cfg.heads
+        );
+        self.shards.read_shard(id, out);
     }
 
     /// The slice indexes of a full-width layer, `0..M`.
     pub fn all_slices(&self) -> &[usize] {
-        &self.weights.all_slices
+        &self.residents.all_slices
     }
 
     /// Runs the full `N × M` model at full fidelity — the teacher.
     pub fn forward_full(&self, tokens: &[u32]) -> Vec<f32> {
-        let mut x = self.weights.embedding.embed(tokens);
-        let mut scratch = ForwardScratch::new(&self.weights.cfg);
-        self.run_layers(&mut x, 0, self.full_layers(), true, &mut scratch);
-        self.weights.classifier.logits(&x)
-    }
-
-    /// Every layer at full width and fidelity, as the layer loop takes it.
-    fn full_layers(&self) -> impl Iterator<Item = (&[usize], &LayerWeights)> {
-        self.weights.layers.iter().map(|layer| (self.all_slices(), layer))
+        self.run_full(tokens, &mut TeacherScratch::new(self.config())).to_vec()
     }
 
     /// Feeds hidden state `x` through consecutive layers starting at layer
@@ -124,7 +153,7 @@ impl Model {
         first: usize,
         layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
     ) -> Matrix {
-        let mut scratch = ForwardScratch::new(&self.weights.cfg);
+        let mut scratch = ForwardScratch::new(self.config());
         self.run_layers(&mut x, first, layers, false, &mut scratch);
         x
     }
@@ -144,12 +173,12 @@ impl Model {
         first: usize,
         layers: impl IntoIterator<Item = (&'a [usize], Vec<&'a ShardWeights>)>,
     ) -> Vec<f32> {
-        let mut scratch = ForwardScratch::new(&self.weights.cfg);
+        let mut scratch = ForwardScratch::new(self.config());
         self.run_layers(&mut x, first, layers, true, &mut scratch);
-        self.weights.classifier.logits(&x)
+        self.classifier().logits(&x)
     }
 
-    /// The one layer loop every forward path shares, over `x` in place;
+    /// The one layer loop every submodel path shares, over `x` in place;
     /// `cls_only` runs the last layer for the CLS row alone.
     fn run_layers<'a, S: ShardOperand>(
         &self,
@@ -159,11 +188,11 @@ impl Model {
         cls_only: bool,
         scratch: &mut ForwardScratch,
     ) {
-        let mut residents = self.weights.layers[first..].iter().map(|l| &l.resident);
+        let cfg = self.config();
+        let mut residents = self.residents.layers[first..].iter().map(|l| &l.resident);
         let mut layers = layers.into_iter().peekable();
         while let Some((slice_idxs, shards)) = layers.next() {
             let resident = residents.next().expect("submodel deeper than model");
-            let cfg = &self.weights.cfg;
             if cls_only && layers.peek().is_none() {
                 scratch.layer_cls(x, shards, slice_idxs, resident, cfg);
             } else {
@@ -172,23 +201,24 @@ impl Model {
         }
     }
 
-    /// Runs a submodel over the model's own full-fidelity weights.
-    ///
-    /// `slices_per_layer[l]` lists the slice indexes executed at layer `l`;
-    /// its length is the submodel depth `n` (the bottom `n` layers run, as
-    /// in depth-adaptive transformers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any layer list is empty or widths are ragged.
-    pub fn forward_submodel(&self, tokens: &[u32], slices_per_layer: &[Vec<usize>]) -> Vec<f32> {
-        assert!(!slices_per_layer.is_empty(), "submodel needs at least one layer");
-        let width = slices_per_layer[0].len();
-        let layers = slices_per_layer.iter().enumerate().map(|(l, slices)| {
-            assert_eq!(slices.len(), width, "submodel layers must share one width");
-            (slices.as_slice(), slices.iter().map(|&s| &self.weights.layers[l].shards[s]).collect())
-        });
-        self.forward_logits(self.weights.embedding.embed(tokens), 0, layers)
+    /// The teacher pass in `scratch`: every layer at full width, its shards
+    /// read into the scratch's layer through [`Model::read_shard`] before
+    /// it runs, the last layer for the CLS row alone. Returns the logits.
+    fn run_full<'s>(&self, tokens: &[u32], scratch: &'s mut TeacherScratch) -> &'s mut [f32] {
+        let TeacherScratch { x, forward, layer } = scratch;
+        let (cfg, slices) = (self.config(), self.all_slices());
+        self.embedding().embed_into(tokens, x);
+        for (l, ModelLayer { resident }) in self.layers().iter().enumerate() {
+            for (s, shard) in layer.iter_mut().enumerate() {
+                self.read_shard(ShardId::new(l as u16, s as u16), shard);
+            }
+            if l + 1 == cfg.layers {
+                forward.layer_cls(x, &mut layer[..], slices, resident, cfg);
+            } else {
+                forward.layer(x, &mut layer[..], slices, resident, cfg);
+            }
+        }
+        forward.logits(self.classifier(), x)
     }
 
     /// Runs an externally assembled submodel (dequantized shards) through
@@ -199,12 +229,12 @@ impl Model {
     /// Panics if the submodel is empty or deeper than the model.
     pub fn forward_assembled(&self, tokens: &[u32], submodel: &AssembledSubmodel) -> Vec<f32> {
         assert!(submodel.depth() > 0, "assembled submodel is empty");
-        assert!(submodel.depth() <= self.weights.cfg.layers, "submodel deeper than model");
+        assert!(submodel.depth() <= self.config().layers, "submodel deeper than model");
         let layers = submodel
             .layers()
             .iter()
             .map(|asm| (asm.slice_idxs.as_slice(), asm.shards.iter().collect()));
-        self.forward_logits(self.weights.embedding.embed(tokens), 0, layers)
+        self.forward_logits(self.embedding().embed(tokens), 0, layers)
     }
 
     /// Runs an assembled submodel and returns `(predicted class, softmax
@@ -222,36 +252,50 @@ impl Model {
 
     /// Teacher prediction: full model, full fidelity.
     pub fn predict_full(&self, tokens: &[u32]) -> usize {
-        let mut x = Matrix::zeros(0, 0);
-        self.predict_full_with(tokens, &mut x, &mut ForwardScratch::new(&self.weights.cfg))
+        self.predict_full_with(tokens, &mut TeacherScratch::new(self.config()))
     }
 
-    /// [`Model::predict_full`] in the caller's memory: `x` holds the hidden
-    /// state (the embedding first, the final CLS row last) and `scratch`
-    /// everything else, so with both sized for this model it allocates
-    /// nothing.
-    pub fn predict_full_with(
-        &self,
-        tokens: &[u32],
-        x: &mut Matrix,
-        scratch: &mut ForwardScratch,
-    ) -> usize {
-        self.weights.embedding.embed_into(tokens, x);
-        self.run_layers(x, 0, self.full_layers(), true, scratch);
-        stats::argmax(scratch.logits(&self.weights.classifier, x)).expect("at least one class")
+    /// [`Model::predict_full`] in the caller's memory: with `scratch` sized
+    /// for this model it allocates nothing beyond what the shard source's
+    /// reads do (the in-memory grid's allocate nothing).
+    pub fn predict_full_with(&self, tokens: &[u32], scratch: &mut TeacherScratch) -> usize {
+        stats::argmax(self.run_full(tokens, scratch)).expect("at least one class")
     }
 
     /// Bytes of resident (non-streamed) parameters: embedding, layer norms,
     /// biases, classifier.
     pub fn resident_byte_size(&self) -> usize {
-        self.weights.embedding.byte_size()
-            + self.weights.layers.iter().map(|l| l.resident.byte_size()).sum::<usize>()
-            + self.weights.classifier.byte_size()
+        self.embedding().byte_size()
+            + self.layers().iter().map(|l| l.resident.byte_size()).sum::<usize>()
+            + self.classifier().byte_size()
     }
 
     /// FP32 bytes of all sharded (streamable) parameters.
     pub fn sharded_byte_size(&self) -> usize {
-        self.weights.cfg.layer_fp32_bytes() * self.weights.cfg.layers
+        self.config().layer_fp32_bytes() * self.config().layers
+    }
+}
+
+/// The memory a full-fidelity teacher pass runs in, owned by its caller
+/// and sized once for a model: the hidden state (the embedding first, the
+/// final CLS row last), the [`ForwardScratch`], and one layer of `M` shards
+/// that [`Model::predict_full_with`] overwrites through
+/// [`Model::read_shard`] layer by layer.
+#[derive(Debug)]
+pub struct TeacherScratch {
+    x: Matrix,
+    forward: ForwardScratch,
+    layer: Vec<ShardWeights>,
+}
+
+impl TeacherScratch {
+    /// Scratch for teacher passes of a model shaped `cfg`.
+    pub fn new(cfg: &ModelConfig) -> Self {
+        Self {
+            x: Matrix::zeros(cfg.seq_len, cfg.hidden),
+            forward: ForwardScratch::new(cfg),
+            layer: (0..cfg.heads).map(|_| ShardWeights::zeros(cfg)).collect(),
+        }
     }
 }
 
@@ -264,6 +308,22 @@ mod tests {
 
     fn tiny_model() -> Model {
         Model::synthetic(42, ModelConfig::tiny())
+    }
+
+    /// Every shard of `m`, read once: `[layer][slice]`.
+    fn read_grid(m: &Model) -> Vec<Vec<ShardWeights>> {
+        let cfg = m.config();
+        (0..cfg.layers as u16)
+            .map(|l| {
+                (0..cfg.heads as u16)
+                    .map(|s| {
+                        let mut shard = ShardWeights::zeros(cfg);
+                        m.read_shard(ShardId::new(l, s), &mut shard);
+                        shard
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -281,31 +341,23 @@ mod tests {
     }
 
     #[test]
-    fn submodel_of_full_size_equals_forward_full() {
+    fn full_width_assembled_submodel_equals_forward_full() {
         let m = tiny_model();
         let cfg = m.config().clone();
         let slices: Vec<Vec<usize>> = (0..cfg.layers).map(|_| (0..cfg.heads).collect()).collect();
-        assert_eq!(m.forward_full(&[7, 8]), m.forward_submodel(&[7, 8], &slices));
-    }
-
-    #[test]
-    fn assembled_full_fidelity_matches_internal_forward() {
-        let m = tiny_model();
-        let cfg = m.config().clone();
-        let slices: Vec<Vec<usize>> = (0..cfg.layers).map(|_| (0..cfg.heads).collect()).collect();
-        let sub = AssembledSubmodel::from_model_slices(m.layers(), &slices, &cfg);
-        let a = m.forward_assembled(&[3, 1], &sub);
-        let b = m.forward_full(&[3, 1]);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5);
+        let sub = AssembledSubmodel::from_model_slices(&m, &slices);
+        let bits = |logits: Vec<f32>| logits.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        for tokens in [&[3, 1][..], &[7, 8], &[63; 9]] {
+            assert_eq!(bits(m.forward_assembled(tokens, &sub)), bits(m.forward_full(tokens)));
         }
     }
 
     #[test]
     fn resuming_from_a_kept_hidden_state_is_bit_identical() {
         let m = tiny_model();
+        let grid = read_grid(&m);
         let all: Vec<usize> = (0..m.config().heads).collect();
-        let layer = |l: usize| (all.as_slice(), m.layers()[l].shards.iter().collect());
+        let layer = |l: usize| (all.as_slice(), grid[l].iter().collect());
         let embedded = m.embedding().embed(&[4, 9, 2]);
         let entering_1 = m.forward_layers(embedded.clone(), 0, [layer(0)]);
         let resumed = m.forward_layers(entering_1, 1, [layer(1)]);
@@ -321,54 +373,79 @@ mod tests {
     fn logits_equal_the_classifier_over_full_hidden_states_bit_for_bit() {
         let bits = |logits: Vec<f32>| logits.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         let m = tiny_model();
+        let weights = read_grid(&m);
         let embedded = || m.embedding().embed(&[6, 0, 61]);
         fn grid<'a>(
-            m: &'a Model,
+            weights: &'a [Vec<ShardWeights>],
             slices: &'a [&'a [usize]],
         ) -> impl Iterator<Item = (&'a [usize], Vec<&'a ShardWeights>)> {
-            let layers = m.layers().iter().zip(slices);
-            layers.map(|(layer, &s)| (s, s.iter().map(|&i| &layer.shards[i]).collect()))
+            let layers = weights.iter().zip(slices);
+            layers.map(|(layer, &s)| (s, s.iter().map(|&i| &layer[i]).collect()))
         }
         let grids: [&[&[usize]]; 3] =
             [&[&[2, 0]], &[&[3, 1, 0], &[0, 2, 3]], &[&[0, 1, 2, 3], &[0, 1, 2, 3]]];
         for slices in grids {
-            let hidden = m.forward_layers(embedded(), 0, grid(&m, slices));
+            let hidden = m.forward_layers(embedded(), 0, grid(&weights, slices));
             let want = bits(m.classifier().logits(&hidden));
-            assert_eq!(bits(m.forward_logits(embedded(), 0, grid(&m, slices))), want);
+            assert_eq!(bits(m.forward_logits(embedded(), 0, grid(&weights, slices))), want);
             let owned: Vec<Vec<usize>> = slices.iter().map(|s| s.to_vec()).collect();
-            assert_eq!(bits(m.forward_submodel(&[6, 0, 61], &owned)), want);
-            let sub = AssembledSubmodel::from_model_slices(m.layers(), &owned, m.config());
+            let sub = AssembledSubmodel::from_model_slices(&m, &owned);
             assert_eq!(bits(m.forward_assembled(&[6, 0, 61], &sub)), want);
             // Resumed at the last layer, and past it.
-            let entering = m.forward_layers(embedded(), 0, grid(&m, slices).take(slices.len() - 1));
-            let last = grid(&m, slices).skip(slices.len() - 1);
+            let before_last = grid(&weights, slices).take(slices.len() - 1);
+            let entering = m.forward_layers(embedded(), 0, before_last);
+            let last = grid(&weights, slices).skip(slices.len() - 1);
             assert_eq!(bits(m.forward_logits(entering, slices.len() - 1, last)), want);
             assert_eq!(bits(m.forward_logits(hidden, slices.len(), [])), want);
         }
+        // The teacher runs the full grid through its own layer loop.
+        let full = grid(&weights, &[&[0, 1, 2, 3], &[0, 1, 2, 3]]);
+        let want = bits(m.classifier().logits(&m.forward_layers(embedded(), 0, full)));
+        assert_eq!(bits(m.forward_full(&[6, 0, 61])), want);
     }
 
     #[test]
     fn narrower_submodel_changes_but_still_predicts() {
         let m = tiny_model();
-        let slices: Vec<Vec<usize>> = vec![vec![0, 1], vec![2, 3]];
-        let logits = m.forward_submodel(&[1, 2, 3], &slices);
+        let sub = AssembledSubmodel::from_model_slices(&m, &[vec![0, 1], vec![2, 3]]);
+        let logits = m.forward_assembled(&[1, 2, 3], &sub);
         assert_eq!(logits.len(), m.config().classes);
         assert!(logits.iter().all(|x| x.is_finite()));
+        assert_ne!(logits, m.forward_full(&[1, 2, 3]));
     }
 
     #[test]
     fn shallow_submodel_runs() {
         let m = tiny_model();
-        let slices: Vec<Vec<usize>> = vec![(0..m.config().heads).collect()];
-        let logits = m.forward_submodel(&[9], &slices);
+        let sub = AssembledSubmodel::from_model_slices(&m, &[(0..m.config().heads).collect()]);
+        let logits = m.forward_assembled(&[9], &sub);
         assert!(logits.iter().all(|x| x.is_finite()));
     }
 
+    /// A read overwrites whatever the slot held, and a model re-pointed at
+    /// another source keeps the residents it shares.
     #[test]
-    fn shard_accessor_matches_layer_storage() {
-        let m = tiny_model();
+    fn read_shard_overwrites_the_slot_and_follows_the_source() {
+        let (m, other) = (tiny_model(), Model::synthetic(43, ModelConfig::tiny()));
         let id = ShardId::new(1, 2);
-        assert_eq!(m.shard(id), &m.layers()[1].shards[2]);
+        let (mut fresh, mut dirty) =
+            (ShardWeights::zeros(m.config()), read_grid(&other)[0][1].clone());
+        m.read_shard(id, &mut fresh);
+        m.read_shard(id, &mut dirty);
+        assert_eq!(dirty, fresh);
+        assert_ne!(fresh, ShardWeights::zeros(m.config()));
+        let repointed = m.with_shard_source(other.shards.clone());
+        repointed.read_shard(id, &mut dirty);
+        assert_eq!(dirty, read_grid(&other)[1][2]);
+        assert!(std::ptr::eq(repointed.embedding(), m.embedding()));
+        assert_eq!(repointed.layers().as_ptr(), m.layers().as_ptr());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 2x4 model")]
+    fn read_shard_rejects_a_slice_past_the_layer() {
+        let m = tiny_model();
+        m.read_shard(ShardId::new(0, 4), &mut ShardWeights::zeros(m.config()));
     }
 
     #[test]
@@ -384,15 +461,11 @@ mod tests {
     fn assembled_too_deep_is_rejected() {
         let m = tiny_model();
         let cfg = m.config().clone();
-        let slices: Vec<Vec<usize>> =
-            (0..cfg.layers + 1).map(|_| (0..cfg.heads).collect()).collect();
+        let grid = read_grid(&m);
         // Build an over-deep submodel by repeating the last layer's weights.
         let mut sub = AssembledSubmodel::new();
-        for l in 0..slices.len() {
-            let src = l.min(cfg.layers - 1);
-            let shards: Vec<_> =
-                (0..cfg.heads).map(|s| m.layers()[src].shards[s].clone()).collect();
-            sub.push_layer((0..cfg.heads).collect(), shards);
+        for l in 0..cfg.layers + 1 {
+            sub.push_layer((0..cfg.heads).collect(), grid[l.min(cfg.layers - 1)].clone());
         }
         let _ = m.forward_assembled(&[1], &sub);
     }
@@ -405,11 +478,11 @@ mod tests {
         let qc = QuantConfig::default();
         // Assemble the full grid from 6-bit round-tripped weights.
         let mut sub = AssembledSubmodel::new();
-        for l in 0..cfg.layers {
-            let shards: Vec<ShardWeights> = (0..cfg.heads)
-                .map(|s| {
-                    let flat = m.layers()[l].shards[s].flatten();
-                    let blob = QuantizedBlob::quantize(&flat, Bitwidth::B6, &qc);
+        for layer in read_grid(&m) {
+            let shards: Vec<ShardWeights> = layer
+                .iter()
+                .map(|shard| {
+                    let blob = QuantizedBlob::quantize(&shard.flatten(), Bitwidth::B6, &qc);
                     ShardWeights::from_flat(&blob.dequantize(), &cfg)
                 })
                 .collect();

@@ -2,7 +2,7 @@
 
 use sti_tensor::Matrix;
 
-use crate::weights::{LayerWeights, ShardWeights};
+use crate::weights::ShardWeights;
 
 /// The weights of one layer's executed slices, handed out half a shard at a
 /// time, in the order the layer reads them: attention asks for shard `i`'s
@@ -20,8 +20,9 @@ use crate::weights::{LayerWeights, ShardWeights};
 /// Decoded shards implement it as any borrowed slice of shard references:
 /// `layer_forward(&x, &refs, …)` takes a `&Vec<&ShardWeights>`, a
 /// `&[&ShardWeights]` or a `&[&ShardWeights; N]` as it is, and an owned
-/// `Vec<&ShardWeights>` too. A whole layer, `&LayerWeights`, is every one
-/// of its slices in order, with no list of references built.
+/// `Vec<&ShardWeights>` too. A decoded layer lent mutably, `&mut
+/// [ShardWeights]`, is every one of its slices in order, with no list of
+/// references built.
 pub trait ShardOperand {
     /// The number of executed slices (the layer's width).
     fn width(&self) -> usize;
@@ -65,17 +66,17 @@ impl ShardOperand for Vec<&ShardWeights> {
     }
 }
 
-impl ShardOperand for &LayerWeights {
+impl ShardOperand for [ShardWeights] {
     fn width(&self) -> usize {
-        self.shards.len()
+        self.len()
     }
 
     fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        (&self.shards[i].qkv, &self.shards[i].o)
+        (&self[i].qkv, &self[i].o)
     }
 
     fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        (&self.shards[i].ffn1, &self.shards[i].ffn2)
+        (&self[i].ffn1, &self[i].ffn2)
     }
 }
 

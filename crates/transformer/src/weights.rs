@@ -41,7 +41,7 @@ pub(crate) fn concat_cols(blocks: &[&Matrix]) -> Matrix {
 /// orientation differs.) Packing is storage only: the flat weight group the
 /// quantizer sees ([`flatten`](ShardWeights::flatten)) keeps Q, K and V as
 /// three consecutive row-major matrices.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ShardWeights {
     /// Query, key and value projections, `d × 3·d/M`, columns `[Q | K | V]`.
     pub qkv: Matrix,
@@ -196,6 +196,26 @@ impl ShardWeights {
     }
 }
 
+impl Clone for ShardWeights {
+    fn clone(&self) -> Self {
+        Self {
+            qkv: self.qkv.clone(),
+            o: self.o.clone(),
+            ffn1: self.ffn1.clone(),
+            ffn2: self.ffn2.clone(),
+        }
+    }
+
+    /// Copies `source` into this shard's buffers, allocating only if one is
+    /// too small: how a shard source fills a caller's slot.
+    fn clone_from(&mut self, source: &Self) {
+        self.qkv.clone_from(&source.qkv);
+        self.o.clone_from(&source.o);
+        self.ffn1.clone_from(&source.ffn1);
+        self.ffn2.clone_from(&source.ffn2);
+    }
+}
+
 /// Per-layer parameters that are *not* sharded and stay resident in memory in
 /// full fidelity (paper §6: layer-norm and biases are tens of KB per layer).
 #[derive(Debug, Clone, PartialEq)]
@@ -232,8 +252,9 @@ impl LayerResident {
     }
 }
 
-/// All parameters of one transformer layer: `M` shards plus the resident
-/// (non-streamed) remainder.
+/// All parameters of one synthesised transformer layer: `M` shards plus the
+/// resident (non-streamed) remainder. A [`Model`](crate::Model) keeps the
+/// remainder as a [`ModelLayer`] and the shards in its shard source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
     /// The `M` vertical slices.
@@ -247,6 +268,15 @@ impl LayerWeights {
     pub fn sharded_param_count(&self) -> usize {
         self.shards.iter().map(ShardWeights::param_count).sum()
     }
+}
+
+/// One layer of a [`Model`](crate::Model) as the model holds it: the
+/// resident parameters alone. The layer's `M` shards are read one at a time
+/// through [`Model::read_shard`](crate::Model::read_shard).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelLayer {
+    /// Layer norms and biases, kept resident.
+    pub resident: LayerResident,
 }
 
 #[cfg(test)]

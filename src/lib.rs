@@ -223,9 +223,13 @@
 //! rates are counted per holder from `byte_size()` — also what
 //! `ShardSource::size_bytes` reports for every source, so no simulated
 //! number knows where the bytes came from or that they are shared. `Model`
-//! follows the same ownership rule: its `clone()` is a handle, so however
-//! many engines and servers a process builds over one task it holds the
-//! FP32 teacher once and the quantised model not at all
+//! follows the same ownership rule: its `clone()` is a handle to its
+//! residents and to the source of its FP32 shard weights, which a
+//! `TaskContext` re-points at its store's full-fidelity records once the
+//! store is written. So however many engines and servers a process builds
+//! over one context it holds the residents once, the FP32 teacher not at
+//! all (every teacher read copies one shard from the store into the
+//! reader's memory), and the quantised model not at all
 //! (`tests/memory_sharing.rs` pins both with an allocation counter;
 //! `MemStore`, which does hold every payload, is the unit-test double).
 //!

@@ -148,6 +148,7 @@ macro_rules! pins {
 fn main() -> ExitCode {
     let pins = pins![
         a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads,
+        a_contexts_model_holds_only_residents,
         the_contexts_store_keeps_an_index_not_the_model,
         a_thousand_flash_loads_request_what_they_return_and_keep_nothing,
         a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload,
@@ -245,17 +246,58 @@ fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
     );
 }
 
+/// What a context keeps once built at the shipped scale: the teacher's
+/// residents (the embedding, layer norms, biases and classifier), the
+/// task's splits, and the store's index and directory name. It used to
+/// keep the synthesised FP32 grid as well: 2 290 458 B beside the name
+/// with its store built, 2 073 600 B of them shard weights. The teacher now
+/// reads its shards back from the store's full-fidelity records, and the
+/// grid is dropped before the build returns: 193 530 B. The count is exact
+/// but for the directory name, whose length depends on the temp dir and
+/// the pid.
+fn a_contexts_model_holds_only_residents() {
+    const HELD_BESIDE_THE_DIRECTORY_NAME: i64 = 193_530;
+    let cfg = ModelConfig::scaled_bert();
+    let (ctx, HeapUse { held, .. }) =
+        heap_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
+    let name = ctx.shard_store_dir().as_os_str().len() as i64;
+    assert_eq!(
+        held - name,
+        HELD_BESIDE_THE_DIRECTORY_NAME,
+        "a context keeps {held} heap bytes, {name} of them its store's directory name"
+    );
+    assert!(held < 512 * KIB as i64, "a context keeps {held} heap bytes");
+    let model = ctx.task().model();
+    assert!(model.resident_byte_size() < held as usize, "the residents are among them");
+    assert!(model.sharded_byte_size() > 1900 * KIB as usize, "the pin is about a 2 MiB model");
+}
+
+/// A context's build writes its store at once, and what the store keeps is
+/// its manifest and one file slot per (layer, bitwidth) and payload slot
+/// per key: quantising and writing are transients, and neither the model
+/// nor a copy of its weights stays. Measured as what a context keeps
+/// beyond a bare task of the same shape less that task's shard grid (its
+/// weights and matrix headers): 23 225 B. It was measured around the
+/// store's first use while the store was built lazily; a context keeping
+/// its grid would keep about 2 MiB more here.
 fn the_contexts_store_keeps_an_index_not_the_model() {
-    let ctx = scaled_context();
-    let shard_weights = ctx.task().model().sharded_byte_size() as u64;
-    assert!(shard_weights > 1900 * KIB, "the pin is about a 2 MiB model at six bitwidths");
-    // Quantising and writing are transients; what stays is the manifest and
-    // one file slot per (layer, bitwidth).
-    let (store, HeapUse { held: kept, .. }) = heap_across(|| ctx.shard_source());
+    let cfg = ModelConfig::scaled_bert();
+    let (task, HeapUse { held: task_held, .. }) =
+        heap_across(|| Task::build_default(TaskKind::Sst2, cfg.clone()));
+    let shard_weights = task.model().sharded_byte_size() as i64;
+    assert!(shard_weights > 1900 * KIB as i64, "the pin is about a 2 MiB model at six bitwidths");
+    drop(task);
+    let (ctx, HeapUse { held: ctx_held, .. }) =
+        heap_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
+    let grid = shard_weights
+        + (cfg.total_shards() * std::mem::size_of::<sti_transformer::ShardWeights>()) as i64;
+    let kept = ctx_held - (task_held - grid);
     assert!(
         kept < 256 * KIB as i64,
-        "a store over {shard_weights} bytes of shard weights keeps {kept} heap bytes"
+        "a store over {shard_weights} bytes of shard weights keeps {kept} heap bytes \
+         (a bare task keeps {task_held}, the context {ctx_held})"
     );
+    let store = ctx.shard_source();
     assert!(store.load(ShardKey::new(ShardId::new(0, 0), Bitwidth::B2)).is_ok());
 }
 
@@ -351,10 +393,14 @@ fn a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds() {
 /// through every probe: the high-water mark was 2 209 896 B on 2 workers,
 /// above the 2 073 600 B grid. It now keeps the floor quantised, and each
 /// worker decodes one layer at a time into a scratch layer the calling
-/// thread built: 644 880 B on 2 workers. A worker's scratch is one decoded
-/// layer and one decoded shard, beside a hidden state per dev example and
-/// a forward scratch (a few KiB), and what the profiler holds beside them
-/// stays under half a grid on any core count.
+/// thread built: 644 880 B on 2 workers, and 992 592 B since the calling
+/// thread reads the full-fidelity upgrades of each batch of two layers
+/// through the model's shard source into two more layers (345 600 B)
+/// instead of borrowing them from a grid in memory. A worker's scratch is
+/// one decoded layer and one
+/// decoded shard, beside a hidden state per dev example and a forward
+/// scratch (a few KiB), and what the profiler holds beside them stays under
+/// half a grid on any core count.
 fn profiling_never_holds_the_decoded_floor_grid() {
     let task = Task::build(TaskKind::Sst2, ModelConfig::scaled_bert(), 2, 1);
     let cfg = task.model().config();
@@ -373,22 +419,33 @@ fn profiling_never_holds_the_decoded_floor_grid() {
 }
 
 /// Set-up's two parallel sections at the shipped scale: the teacher
-/// labelling in `Task::build` and the importance probes. Their worker
-/// threads write only into buffers the calling thread built and lent them,
-/// and hand back `Copy` results, so the workers request no heap block at
-/// all and no allocator arena of theirs stays resident after set-up. They
-/// used to run the allocating layer functions: about ten matrices per
-/// layer, on every worker.
+/// labelling in `Task::build` and the importance probes, on a bare task's
+/// model and on a context's, whose teacher reads its shards from the store.
+/// Their worker threads write only into buffers the calling thread built
+/// and lent them, and hand back `Copy` results, so the workers request no
+/// heap block at all and no allocator arena of theirs stays resident after
+/// set-up: every store read (the floor's weights and each layer's upgrades)
+/// happens on the calling thread. The workers used to run the allocating
+/// layer functions: about ten matrices per layer, on every worker.
 fn set_ups_worker_threads_request_no_heap_block() {
     let cfg = ModelConfig::scaled_bert();
+    let quant = QuantConfig::default();
     let (task, labelling) =
         other_threads_requests_across(|| Task::build(TaskKind::Sst2, cfg.clone(), 2, 6));
     assert_eq!(labelling, 0, "labelling's workers requested {labelling} heap blocks");
-    let (profile, probes) = other_threads_requests_across(|| {
-        profile_importance(task.model(), task.dev(), &QuantConfig::default())
-    });
+    let (profile, probes) =
+        other_threads_requests_across(|| profile_importance(task.model(), task.dev(), &quant));
     assert_eq!(profile.layers() * profile.heads(), cfg.total_shards());
     assert_eq!(probes, 0, "the probes' workers requested {probes} heap blocks");
+
+    let (ctx, building) =
+        other_threads_requests_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
+    assert_eq!(building, 0, "a context build's workers requested {building} heap blocks");
+    let dev = Dataset::new(ctx.task().dev().examples()[..2].to_vec());
+    let (on_store, probes) =
+        other_threads_requests_across(|| profile_importance(ctx.task().model(), &dev, &quant));
+    assert_eq!(on_store.layers() * on_store.heads(), cfg.total_shards());
+    assert_eq!(probes, 0, "the probes' workers over the store requested {probes} heap blocks");
 }
 
 fn a_second_server_on_one_context_does_not_copy_the_model() {
@@ -396,7 +453,7 @@ fn a_second_server_on_one_context_does_not_copy_the_model() {
     let cfg = ServeConfig::default();
     let shard_weights = ctx.task().model().sharded_byte_size() as u64;
     assert!(shard_weights > 1900 * KIB, "the pin is about a 2 MiB model");
-    // The first build also builds the context's store; the second is the
+    // The context's build wrote its store; the second server is the
     // marginal cost of a server. Its transients (the hardware profile
     // quantises probe shards) come and go; what it keeps is the pin.
     let first = build_server(&ctx, &cfg);
@@ -421,8 +478,6 @@ fn a_second_server_on_one_context_does_not_copy_the_model() {
 fn building_and_dropping_a_multi_channel_server_keeps_nothing() {
     let ctx = scaled_context();
     let cfg = ServeConfig { channels: 4, ..ServeConfig::default() };
-    // The context's store comes to stay on the first build.
-    drop(build_server(&ctx, &cfg));
     for cycle in 1..=3 {
         let ((), HeapUse { held: kept, .. }) = heap_across(|| drop(build_server(&ctx, &cfg)));
         assert_eq!(kept, 0, "build-and-drop cycle {cycle} of a 4-channel server kept {kept} B");

@@ -9,18 +9,18 @@
 //! gold numbers sit near each GLUE task's practical ceiling.
 
 use sti_nlp::Task;
-use sti_transformer::TeacherScratch;
 
-/// Evaluates the unconstrained full model on the task's test split, every
-/// pass in one teacher scratch (each reads the teacher's shards from its
-/// source, a context's shard store included).
+/// Evaluates the unconstrained full model on the task's test split, in one
+/// layer-major teacher pass ([`Model::predict_full_all`]) that reads each
+/// of the teacher's shards once from its source, a context's shard store
+/// included.
 ///
 /// Returns `(accuracy, f1)`.
+///
+/// [`Model::predict_full_all`]: sti_transformer::Model::predict_full_all
 pub fn gold_accuracy(task: &Task) -> (f64, f64) {
-    let model = task.model();
-    let mut scratch = TeacherScratch::new(model.config());
-    let preds: Vec<usize> =
-        task.test().iter().map(|e| model.predict_full_with(&e.tokens, &mut scratch)).collect();
+    let tokens: Vec<&[u32]> = task.test().iter().map(|e| e.tokens.as_slice()).collect();
+    let preds = task.model().predict_full_all(&tokens);
     (task.test_accuracy(&preds), task.test_f1(&preds))
 }
 

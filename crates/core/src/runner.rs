@@ -39,21 +39,25 @@ impl TaskContext {
     }
 
     /// Builds the context with a custom model configuration (tests use
-    /// [`ModelConfig::tiny`]): builds the task, whose teacher labels its
-    /// splits from the synthesised grid, writes the task's shard store from
-    /// that grid, and re-points the teacher at the store's full-fidelity
-    /// records ([`Task::with_shard_source`]). The grid is dropped before
-    /// this returns: no FP32 shard grid is reachable from the context.
+    /// [`ModelConfig::tiny`]), in the order that keeps at most one layer of
+    /// FP32 shards in memory: draws the task's teacher (its residents and
+    /// the seeds its shards regenerate from, [`TaskKind::teacher`]), writes
+    /// the task's shard store from it (the one pass that regenerates the
+    /// shards), points the teacher at the store's full-fidelity records,
+    /// and only then draws the splits and labels them
+    /// ([`Task::with_model`]), reading each shard from the store once. No
+    /// FP32 shard grid is ever built.
     ///
     /// # Panics
     ///
     /// Panics if the store cannot be written; see
     /// [`shard_source`](Self::shard_source).
     pub fn with_config(kind: TaskKind, cfg: ModelConfig) -> Self {
-        let task = Task::build_default(kind, cfg);
+        let teacher = kind.teacher(cfg);
         let quant = QuantConfig::default();
-        let store = Arc::new(ContextStore::create(task.model(), &quant));
-        let task = task.with_shard_source(store.clone());
+        let store = Arc::new(ContextStore::create(&teacher, &quant));
+        let teacher = teacher.with_shard_source(store.clone());
+        let task = Task::with_model(kind, teacher, Task::DEFAULT_DEV, Task::DEFAULT_TEST);
         Self { task, quant, importance: OnceLock::new(), store }
     }
 
@@ -176,12 +180,12 @@ impl ShardSource for ContextStore {
         self.0.load(key)
     }
 
-    fn load_buffered(
+    fn load_deferred(
         &self,
         key: ShardKey,
-        record: &mut Vec<u8>,
-    ) -> Result<QuantizedBlob, StorageError> {
-        self.0.load_buffered(key, record)
+        records: &mut Vec<u8>,
+    ) -> Result<Option<QuantizedBlob>, StorageError> {
+        self.0.load_deferred(key, records)
     }
 
     fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
@@ -292,8 +296,8 @@ mod tests {
         TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny())
     }
 
-    /// A context's teacher reads every shard of the grid a bare
-    /// `Task::build` synthesises back from the store, bit for bit, so its
+    /// A context's teacher reads every shard a bare `Task::build`'s teacher
+    /// regenerates from its seeds back from the store, bit for bit, so its
     /// splits and its importance profile on the first `dev` dev examples
     /// equal the bare task's.
     fn assert_the_contexts_teacher_is_the_bare_one(kind: TaskKind, cfg: ModelConfig, dev: usize) {
@@ -318,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn a_contexts_teacher_reads_the_synthesised_grid_bit_for_bit_on_every_task() {
+    fn a_contexts_teacher_reads_the_synthesised_weights_bit_for_bit_on_every_task() {
         for kind in TaskKind::ALL {
             assert_the_contexts_teacher_is_the_bare_one(
                 kind,
@@ -332,7 +336,7 @@ mod tests {
     /// release, so CI runs it there (`-- --ignored`).
     #[test]
     #[ignore = "scaled_bert() scale: run with --release -- --ignored"]
-    fn a_contexts_teacher_reads_the_synthesised_grid_bit_for_bit_at_scaled_bert() {
+    fn a_contexts_teacher_reads_the_synthesised_weights_bit_for_bit_at_scaled_bert() {
         for kind in TaskKind::ALL {
             assert_the_contexts_teacher_is_the_bare_one(kind, ModelConfig::scaled_bert(), 8);
         }

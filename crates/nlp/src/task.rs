@@ -1,11 +1,8 @@
 //! Synthetic GLUE-like tasks (paper Table 3).
 
-use std::sync::Arc;
-
-use sti_tensor::parallel::parallel_map_scratch;
 use sti_tensor::Rng;
 use sti_transformer::synthetic::GainPattern;
-use sti_transformer::{Model, ModelConfig, ShardWeightSource, TeacherScratch};
+use sti_transformer::{Model, ModelConfig};
 
 use crate::dataset::{Dataset, Example};
 use crate::metrics;
@@ -83,6 +80,13 @@ impl TaskKind {
         }
     }
 
+    /// The task's fine-tuned teacher at shape `cfg`: its residents and the
+    /// seeds its shards are regenerated from
+    /// ([`Model::synthetic_with_pattern`]).
+    pub fn teacher(self, cfg: ModelConfig) -> Model {
+        Model::synthetic_with_pattern(self.model_seed(), cfg, self.gain_pattern())
+    }
+
     /// Shard-gain pattern of the teacher (drives the importance map shape).
     pub fn gain_pattern(self) -> GainPattern {
         match self {
@@ -144,23 +148,36 @@ impl Task {
 
     /// Builds the task: synthesizes the teacher, generates inputs, labels
     /// them with the full-fidelity teacher, and applies label noise. The
-    /// teacher reads its shards from the grid it was synthesised with.
+    /// teacher regenerates each shard from its seeds when it is read.
     pub fn build(kind: TaskKind, cfg: ModelConfig, dev_size: usize, test_size: usize) -> Self {
-        let model = Model::synthetic_with_pattern(kind.model_seed(), cfg, kind.gain_pattern());
-        let mut rng = Rng::new(kind.model_seed() ^ 0x0DA7_A5E7);
-        let dev = generate_split(&model, kind, &mut rng, dev_size);
-        let test = generate_split(&model, kind, &mut rng, test_size);
-        Self { kind, model, dev, test }
+        Self::with_model(kind, kind.teacher(cfg), dev_size, test_size)
     }
 
-    /// The same task with its teacher reading its shard weights from
-    /// `shards` ([`Model::with_shard_source`]), which must hold this
-    /// teacher's weights bit for bit: a store written from
-    /// [`model`](Self::model). The residents and splits are kept; the
-    /// teacher's old source is dropped with it unless a clone of the model
-    /// still holds it.
-    pub fn with_shard_source(self, shards: Arc<dyn ShardWeightSource>) -> Self {
-        Self { model: self.model.with_shard_source(shards), ..self }
+    /// Builds the task over `model`, which must be `kind`'s teacher
+    /// ([`TaskKind::teacher`]) with its shard weights read from wherever the
+    /// caller chose: a store written from it, which holds them bit for bit.
+    /// The splits' tokens and label flips are drawn first, dev then test,
+    /// and then `model` labels both splits in one layer-major pass
+    /// ([`Model::predict_full_all`]), which reads each shard once.
+    pub fn with_model(kind: TaskKind, model: Model, dev_size: usize, test_size: usize) -> Self {
+        let mut rng = Rng::new(kind.model_seed() ^ 0x0DA7_A5E7);
+        let cfg = model.config();
+        let dev = draw_split(cfg, kind, &mut rng, dev_size);
+        let test = draw_split(cfg, kind, &mut rng, test_size);
+        let tokens: Vec<&[u32]> = dev.iter().chain(&test).map(|(t, _)| t.as_slice()).collect();
+        let mut teacher = model.predict_full_all(&tokens).into_iter();
+        let mut label = |split: Vec<(Vec<u32>, Option<usize>)>| -> Dataset {
+            split
+                .into_iter()
+                .zip(&mut teacher)
+                .map(|((tokens, flip), teacher)| Example {
+                    tokens,
+                    label: flip.map_or(teacher, |offset| (teacher + offset) % cfg.classes),
+                })
+                .collect()
+        };
+        let (dev, test) = (label(dev), label(test));
+        Self { kind, model, dev, test }
     }
 
     /// Builds the task with default split sizes.
@@ -201,14 +218,18 @@ impl Task {
     }
 }
 
-fn generate_split(model: &Model, kind: TaskKind, rng: &mut Rng, size: usize) -> Dataset {
-    let cfg = model.config();
+/// Draws one split's inputs off `rng`, in example order: each example's
+/// tokens, then its label flip (the class offset to add to the teacher's
+/// answer), if the noise draw says flip. No draw depends on the teacher's
+/// answer, so the teacher labels every split after all are drawn.
+fn draw_split(
+    cfg: &ModelConfig,
+    kind: TaskKind,
+    rng: &mut Rng,
+    size: usize,
+) -> Vec<(Vec<u32>, Option<usize>)> {
     let skew = kind.token_skew();
-    // No draw depends on the teacher's answer, so every example's tokens and
-    // its label flip (the class offset to add, if the noise draw says flip)
-    // come off the one RNG stream first, in example order; that leaves the
-    // teacher's forward passes independent of each other.
-    let drawn: Vec<(Vec<u32>, Option<usize>)> = (0..size)
+    (0..size)
         .map(|_| {
             let len = cfg.seq_len / 2 + rng.next_below(cfg.seq_len / 2 + 1);
             let tokens = (0..len)
@@ -224,28 +245,16 @@ fn generate_split(model: &Model, kind: TaskKind, rng: &mut Rng, size: usize) -> 
                 .then(|| 1 + rng.next_below(cfg.classes - 1));
             (tokens, flip)
         })
-        .collect();
-    // Each worker labels in a teacher scratch this thread built, so it
-    // allocates nothing while the teacher reads its synthesised grid (see
-    // `sti_tensor::parallel`).
-    let teacher = parallel_map_scratch(
-        size,
-        || TeacherScratch::new(cfg),
-        |scratch, i| model.predict_full_with(&drawn[i].0, scratch),
-    );
-    drawn
-        .into_iter()
-        .zip(teacher)
-        .map(|((tokens, flip), teacher)| Example {
-            tokens,
-            label: flip.map_or(teacher, |offset| (teacher + offset) % cfg.classes),
-        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sti_tensor::stats;
+    use sti_transformer::classifier::Classifier;
+    use sti_transformer::synthetic::synthetic_layer;
+    use sti_transformer::{LayerResident, ShardId, ShardWeights};
 
     fn tiny_task(kind: TaskKind) -> Task {
         Task::build(kind, ModelConfig::tiny(), 12, 16)
@@ -267,9 +276,26 @@ mod tests {
     }
 
     /// The labelling loop as it was before the teacher left the RNG's
-    /// critical path: draw, label, flip, one example at a time.
+    /// critical path: draw, label, flip, one example at a time. Its teacher
+    /// is the submodel path over every slice of every layer, each shard read
+    /// once up front, not the layer-major pass under test.
     fn interleaved_split(model: &Model, kind: TaskKind, rng: &mut Rng, size: usize) -> Dataset {
         let cfg = model.config();
+        let grid: Vec<Vec<ShardWeights>> = (0..cfg.layers as u16)
+            .map(|l| {
+                let read = |s| {
+                    let mut shard = ShardWeights::zeros(cfg);
+                    model.read_shard(ShardId::new(l, s), &mut shard);
+                    shard
+                };
+                (0..cfg.heads as u16).map(read).collect()
+            })
+            .collect();
+        let teacher = |tokens: &[u32]| {
+            let layers = grid.iter().map(|layer| (model.all_slices(), layer.iter().collect()));
+            let logits = model.forward_logits(model.embedding().embed(tokens), 0, layers);
+            stats::argmax(&logits).expect("at least one class")
+        };
         (0..size)
             .map(|_| {
                 let len = cfg.seq_len / 2 + rng.next_below(cfg.seq_len / 2 + 1);
@@ -279,7 +305,7 @@ mod tests {
                         1 + (u * (cfg.vocab - 1) as f32) as u32
                     })
                     .collect();
-                let teacher = model.predict_full(&tokens);
+                let teacher = teacher(&tokens);
                 let label = if (rng.next_f32() as f64) < kind.label_noise() {
                     (teacher + 1 + rng.next_below(cfg.classes - 1)) % cfg.classes
                 } else {
@@ -301,6 +327,60 @@ mod tests {
             let flipped =
                 t.test().iter().filter(|e| e.label != t.model().predict_full(&e.tokens)).count();
             assert!(flipped > 0, "{kind}: no flipped label in 40 examples");
+        }
+    }
+
+    /// Every shard `kind`'s teacher reads and every resident it keeps is
+    /// what [`synthetic_layer`], the generator that builds a whole layer,
+    /// draws off the teacher's RNG stream, bit for bit; and the stream ends
+    /// where it did, at the classifier's seed.
+    fn assert_the_teacher_regenerates_synthetic_layers(kind: TaskKind, cfg: ModelConfig) {
+        fn bits<'a>(blocks: impl IntoIterator<Item = &'a [f32]>) -> Vec<u32> {
+            blocks.into_iter().flatten().map(|w| w.to_bits()).collect()
+        }
+        let shard_bits =
+            |s: &ShardWeights| bits([&s.qkv, &s.o, &s.ffn1, &s.ffn2].map(|m| m.as_slice()));
+        let resident_bits = |r: &LayerResident| {
+            let [a, f] = [&r.ln_attn, &r.ln_ffn];
+            bits(
+                [&a.gamma, &a.beta, &f.gamma, &f.beta, &r.bias_attn, &r.bias_ffn1, &r.bias_ffn2]
+                    .map(Vec::as_slice),
+            )
+        };
+        let model = kind.teacher(cfg.clone());
+        let mut rng = Rng::new(kind.model_seed());
+        let _embedding_seed = rng.next_u64();
+        let mut read = ShardWeights::zeros(&cfg);
+        for l in 0..cfg.layers {
+            let want = synthetic_layer(&cfg, &mut rng, l, kind.gain_pattern());
+            let resident = &model.layers()[l].resident;
+            assert_eq!(resident_bits(resident), resident_bits(&want.resident), "{kind} layer {l}");
+            for (s, want) in want.shards.iter().enumerate() {
+                model.read_shard(ShardId::new(l as u16, s as u16), &mut read);
+                assert_eq!(shard_bits(&read), shard_bits(want), "{kind} shard ({l}, {s})");
+            }
+        }
+        assert_eq!(model.classifier(), &Classifier::synthetic(&cfg, rng.next_u64()), "{kind}");
+    }
+
+    /// At `tiny()`, over the four tasks and so all three gain patterns.
+    #[test]
+    fn a_teachers_shards_are_synthetic_layers_bits() {
+        let patterns: Vec<GainPattern> = TaskKind::ALL.map(TaskKind::gain_pattern).to_vec();
+        for pattern in [GainPattern::Uniform, GainPattern::BottomHeavy, GainPattern::TopHeavy] {
+            assert!(patterns.contains(&pattern), "{pattern:?} is some task's");
+        }
+        for kind in TaskKind::ALL {
+            assert_the_teacher_regenerates_synthetic_layers(kind, ModelConfig::tiny());
+        }
+    }
+
+    /// At the shipped scale, for every task: seconds in release.
+    #[test]
+    #[ignore = "shipped scale; CI runs it in release"]
+    fn a_teachers_shards_are_synthetic_layers_bits_at_scaled_bert() {
+        for kind in TaskKind::ALL {
+            assert_the_teacher_regenerates_synthetic_layers(kind, ModelConfig::scaled_bert());
         }
     }
 

@@ -6,13 +6,14 @@
 //! misses the shard cache cannot keep, which the IO scheduler dispatches
 //! and charges but, outside a batch, does not read
 //! ([`sti_storage::loader`]) — are
-//! materialised: [`WorkingBuffer::materialise`] reads them when their layer
-//! comes up, through one record buffer per engagement, and the layer drops
-//! them when it ends. An engagement so holds the payload of one streamed
-//! layer at a time, plus one record, beside the compute memory below.
+//! materialised: [`WorkingBuffer::materialise`] reads their records when
+//! their layer comes up, into one record buffer per engagement, and the
+//! layer decodes each straight from there into its one shard slot. No
+//! payload is built for them. An engagement so holds the records of one
+//! streamed layer at a time beside the compute memory below.
 
 use sti_quant::{Bitwidth, QuantizedBlob};
-use sti_storage::{LoadedLayer, ShardKey, ShardSource};
+use sti_storage::{LoadedLayer, LoadedShard, ShardKey, ShardSource};
 use sti_tensor::Matrix;
 use sti_transformer::{
     ForwardScratch, LayerResident, ModelConfig, ShardId, ShardOperand, ShardWeights,
@@ -90,14 +91,15 @@ impl PreloadBuffer {
 /// The serving path, [`WorkingBuffer::forward_layer`], holds **one shard
 /// slot**, refilled in place: the layer's [`ShardOperand`] decodes shard
 /// `i`'s attention half into the slot when attention reaches slice `i`, and
-/// its FFN half when the FFN does. So the decompressed weights held at once
+/// its FFN half when the FFN does, from its payload or from its record in
+/// the buffer's record buffer. So the decompressed weights held at once
 /// are one shard's, however wide the layer, and each weight is still
 /// decoded exactly once. Beside the slot it keeps the [`ForwardScratch`]
-/// every layer runs in and the staged layer's slice indexes and blob
-/// handles, and the record buffer deferred shards are read through
+/// every layer runs in, the staged layer's slice indexes and shards, and
+/// the record buffer deferred shards are read into
 /// ([`WorkingBuffer::materialise`]). All of it is built on the first layer
 /// that needs it and reused by every later one, so an engagement allocates
-/// nothing per layer here.
+/// nothing per layer here but for a layer wider in records than any before.
 /// [`WorkingBuffer::peak_bytes`] keeps the paper's model of the buffer: the
 /// widest layer's shards at FP32.
 ///
@@ -109,13 +111,14 @@ impl PreloadBuffer {
 pub struct WorkingBuffer {
     cfg: ModelConfig,
     peak_shards: usize,
-    /// The staged layer: each executed slice's index, and a handle to its
-    /// coded blob, in execution order.
+    /// The staged layer: each executed slice's index, and its coded shard,
+    /// in execution order.
     slices: Vec<usize>,
-    blobs: Vec<QuantizedBlob>,
-    /// The record buffer every deferred shard is read through, sized by
-    /// the largest record read so far.
-    record: Vec<u8>,
+    staged: Vec<LoadedShard>,
+    /// The records of the layer's deferred shards, read by
+    /// [`WorkingBuffer::materialise`]; a staged
+    /// [`LoadedShard::Record`] is a range of it.
+    records: Vec<u8>,
     /// The serving path's memory, built on its first layer.
     memory: Option<LayerMemory>,
 }
@@ -129,37 +132,29 @@ struct LayerMemory {
     forward: ForwardScratch,
 }
 
-/// Checks that every blob holds one shard of `cfg`'s shape.
-fn check_blobs<'b>(
-    cfg: &ModelConfig,
-    blobs: impl IntoIterator<Item = &'b QuantizedBlob>,
-) -> Result<(), PipelineError> {
+/// A plan mismatch unless `count` weights are one shard of `cfg`'s.
+fn check_count(cfg: &ModelConfig, count: usize) -> Result<(), PipelineError> {
     let expected = cfg.shard_param_count();
-    match blobs.into_iter().find(|b| b.len() != expected) {
-        Some(blob) => Err(PipelineError::PlanMismatch(format!(
-            "blob holds {} weights, shard expects {expected}",
-            blob.len()
-        ))),
-        None => Ok(()),
+    if count == expected {
+        return Ok(());
     }
+    Err(PipelineError::PlanMismatch(format!(
+        "blob holds {count} weights, shard expects {expected}"
+    )))
 }
 
 impl WorkingBuffer {
-    /// Creates a working buffer for models of shape `cfg`.
+    /// Creates a working buffer for models of shape `cfg`, with room to
+    /// stage a full-width layer.
     pub fn new(cfg: ModelConfig) -> Self {
-        Self {
-            cfg,
-            peak_shards: 0,
-            slices: Vec::new(),
-            blobs: Vec::new(),
-            record: Vec::new(),
-            memory: None,
-        }
+        let (slices, staged) = (Vec::with_capacity(cfg.heads), Vec::with_capacity(cfg.heads));
+        Self { cfg, peak_shards: 0, slices, staged, records: Vec::new(), memory: None }
     }
 
-    /// Reads `loaded`'s deferred shards from `source`, through this
-    /// buffer's one record buffer, so the layer can be computed; they live
-    /// as long as `loaded` does — the layer in flight.
+    /// Reads `loaded`'s deferred shards from `source` into this buffer's one
+    /// record buffer, so the layer can be computed: each becomes a
+    /// [`LoadedShard::Record`] range of it, valid until the next layer is
+    /// materialised ([`LoadedLayer::materialise`]).
     ///
     /// # Errors
     ///
@@ -170,26 +165,28 @@ impl WorkingBuffer {
         loaded: &mut LoadedLayer,
         source: &dyn ShardSource,
     ) -> Result<(), PipelineError> {
-        Ok(loaded.materialise(source, &mut self.record)?)
+        Ok(loaded.materialise(source, &mut self.records)?)
     }
 
     /// Runs one encoder layer over the hidden state `x` in place, on
-    /// `shards` — each executed slice's index and its coded blob, in
-    /// execution order — and `resident`, the layer's resident parameters;
-    /// `cls_only` leaves the CLS row alone, for a layer only the classifier
-    /// reads. Each shard is decoded half by half into the one slot as the
-    /// layer reaches it: the same bits as decoding the layer and calling
-    /// `layer_forward` over it.
+    /// `shards` — each executed slice's index and its coded shard, in
+    /// execution order: a payload, or a record the last
+    /// [`materialise`](Self::materialise) read into this buffer — and
+    /// `resident`, the layer's resident parameters; `cls_only` leaves the
+    /// CLS row alone, for a layer only the classifier reads. Each shard is
+    /// decoded half by half into the one slot as the layer reaches it: the
+    /// same bits as decoding the layer and calling `layer_forward` over it.
     ///
     /// # Errors
     ///
     /// Returns the first error `shards` yields, or
-    /// [`PipelineError::PlanMismatch`] if a blob's length disagrees with
-    /// the configured shard size; either way before any compute.
-    pub fn forward_layer<'b>(
+    /// [`PipelineError::PlanMismatch`] if a shard is still deferred or its
+    /// weight count disagrees with the configured shard size; either way
+    /// before any compute.
+    pub fn forward_layer(
         &mut self,
         x: &mut Matrix,
-        shards: impl IntoIterator<Item = Result<(usize, &'b QuantizedBlob), PipelineError>>,
+        shards: impl IntoIterator<Item = Result<(usize, LoadedShard), PipelineError>>,
         resident: &LayerResident,
         cls_only: bool,
     ) -> Result<(), PipelineError> {
@@ -197,24 +194,29 @@ impl WorkingBuffer {
         if staged.is_ok() {
             self.run_staged(x, resident, cls_only);
         }
-        // The handles go with the layer, as the streamed blobs they alias do.
-        self.blobs.clear();
+        // The handles go with the layer, as the streamed payloads they alias do.
+        self.staged.clear();
         staged
     }
 
-    fn stage<'b>(
+    fn stage(
         &mut self,
-        shards: impl IntoIterator<Item = Result<(usize, &'b QuantizedBlob), PipelineError>>,
+        shards: impl IntoIterator<Item = Result<(usize, LoadedShard), PipelineError>>,
     ) -> Result<(), PipelineError> {
         self.slices.clear();
-        self.blobs.clear();
+        self.staged.clear();
         for shard in shards {
-            let (slice, blob) = shard?;
+            let (slice, shard) = shard?;
             self.slices.push(slice);
-            self.blobs.push(blob.clone());
+            self.staged.push(shard);
         }
-        check_blobs(&self.cfg, &self.blobs)?;
-        self.peak_shards = self.peak_shards.max(self.blobs.len());
+        for (&slice, shard) in self.slices.iter().zip(&self.staged) {
+            let count = shard.weight_count(&self.records).ok_or_else(|| {
+                PipelineError::PlanMismatch(format!("slice {slice} was dispatched but never read"))
+            })?;
+            check_count(&self.cfg, count)?;
+        }
+        self.peak_shards = self.peak_shards.max(self.staged.len());
         Ok(())
     }
 
@@ -226,7 +228,7 @@ impl WorkingBuffer {
             LayerMemory { shard, qkv, forward: ForwardScratch::new(cfg) }
         });
         let LayerMemory { shard, qkv, forward } = memory;
-        let layer = CodedLayer { blobs: &self.blobs, shard, qkv };
+        let layer = CodedLayer { shards: &self.staged, records: &self.records, shard, qkv };
         if cls_only {
             forward.layer_cls(x, layer, &self.slices, resident, cfg);
         } else {
@@ -244,7 +246,7 @@ impl WorkingBuffer {
         &mut self,
         blobs: &[&QuantizedBlob],
     ) -> Result<Vec<ShardWeights>, PipelineError> {
-        check_blobs(&self.cfg, blobs.iter().copied())?;
+        blobs.iter().try_for_each(|blob| check_count(&self.cfg, blob.len()))?;
         self.peak_shards = self.peak_shards.max(blobs.len());
         Ok(blobs
             .iter()
@@ -267,28 +269,32 @@ impl WorkingBuffer {
 /// [`ShardOperand`] that decodes slice `i`'s attention half, then its FFN
 /// half, into the working buffer's one slot as the layer reaches them. The
 /// halves are disjoint ranges of the flat weight group, so every weight is
-/// decoded once, by [`QuantizedBlob::dequantize_range_into`], to the same
-/// bits a whole-shard decode writes.
+/// decoded once, by [`LoadedShard::dequantize_range_into`] (from a payload,
+/// or in place from a record in `records`), to the same bits a whole-shard
+/// decode writes.
 struct CodedLayer<'a> {
-    blobs: &'a [QuantizedBlob],
+    shards: &'a [LoadedShard],
+    records: &'a [u8],
     shard: &'a mut ShardWeights,
     qkv: &'a mut [f32],
 }
 
 impl ShardOperand for CodedLayer<'_> {
     fn width(&self) -> usize {
-        self.blobs.len()
+        self.shards.len()
     }
 
     fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        let blob = &self.blobs[i];
-        self.shard.read_attention_with(self.qkv, |at, out| blob.dequantize_range_into(at, out));
+        let (coded, records) = (&self.shards[i], self.records);
+        self.shard.read_attention_with(self.qkv, |at, out| {
+            coded.dequantize_range_into(records, at, out);
+        });
         (&self.shard.qkv, &self.shard.o)
     }
 
     fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        let blob = &self.blobs[i];
-        self.shard.read_ffn_with(|at, out| blob.dequantize_range_into(at, out));
+        let (coded, records) = (&self.shards[i], self.records);
+        self.shard.read_ffn_with(|at, out| coded.dequantize_range_into(records, at, out));
         (&self.shard.ffn1, &self.shard.ffn2)
     }
 }
@@ -297,6 +303,7 @@ impl ShardOperand for CodedLayer<'_> {
 mod tests {
     use super::*;
     use sti_quant::QuantConfig;
+    use sti_storage::format::encode_blob;
     use sti_storage::MemStore;
     use sti_tensor::Rng;
     use sti_transformer::layer::{layer_forward, layer_forward_cls};
@@ -352,12 +359,13 @@ mod tests {
         assert_eq!(wb.peak_bytes(), cfg.shard_fp32_bytes());
     }
 
-    /// `(slice, blob)` pairs as [`WorkingBuffer::forward_layer`] takes them.
+    /// `(slice, payload)` pairs as [`WorkingBuffer::forward_layer`] takes
+    /// them.
     fn staged<'b>(
         idxs: &'b [usize],
         blobs: &'b [&'b QuantizedBlob],
-    ) -> impl Iterator<Item = Result<(usize, &'b QuantizedBlob), PipelineError>> + 'b {
-        idxs.iter().zip(blobs).map(|(&slice, &blob)| Ok((slice, blob)))
+    ) -> impl Iterator<Item = Result<(usize, LoadedShard), PipelineError>> + 'b {
+        idxs.iter().zip(blobs).map(|(&slice, &blob)| Ok((slice, LoadedShard::Blob(blob.clone()))))
     }
 
     #[test]
@@ -391,7 +399,7 @@ mod tests {
             let memory = wb.memory.as_ref().expect("built on the first layer");
             let at = memory.shard.qkv.as_slice().as_ptr();
             assert_eq!(*slot.get_or_insert(at), at, "one slot");
-            assert!(wb.blobs.is_empty(), "no handle outlives its layer");
+            assert!(wb.staged.is_empty(), "no handle outlives its layer");
         }
         assert_eq!(wb.peak_bytes(), cfg.heads * cfg.shard_fp32_bytes());
     }
@@ -399,7 +407,9 @@ mod tests {
     /// The coded layer against decode-then-`layer_forward`, by `to_bits`:
     /// every bitwidth, with outliers in both halves of every shard, every
     /// width from one slice to all (distinct slices, not a prefix and not in
-    /// order), the full layer and its CLS row, at both shipped shapes.
+    /// order), the full layer and its CLS row, at both shipped shapes; each
+    /// shard once as a payload and once decoded in place from its record in
+    /// the buffer's record buffer, as a deferred shard is.
     #[test]
     fn a_coded_layer_computes_the_decoded_layers_bits() {
         let bits = |m: &Matrix| m.as_slice().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
@@ -424,19 +434,35 @@ mod tests {
                     })
                     .collect();
                 let mut wb = WorkingBuffer::new(cfg.clone());
+                let mut ranges = Vec::new();
+                for blob in &blobs {
+                    let at = wb.records.len() as u32;
+                    wb.records.extend_from_slice(&encode_blob(blob));
+                    ranges.push(at..wb.records.len() as u32);
+                }
                 for m in 1..=cfg.heads {
                     let idxs: Vec<usize> = (0..m).map(|i| (5 * i + 1) % cfg.heads).collect();
                     let refs: Vec<&QuantizedBlob> = idxs.iter().map(|&s| &blobs[s]).collect();
+                    let records = || {
+                        let records = idxs.iter().map(|&s| LoadedShard::Record(ranges[s].clone()));
+                        idxs.iter().copied().zip(records).map(Ok)
+                    };
                     let decoded = wb.assemble(&refs).unwrap();
                     let decoded: Vec<&ShardWeights> = decoded.iter().collect();
                     let want = layer_forward(&x, &decoded, &idxs, resident, &cfg);
                     let mut got = x.clone();
                     wb.forward_layer(&mut got, staged(&idxs, &refs), resident, false).unwrap();
                     assert_eq!(bits(&got), bits(&want), "{bw:?}, width {m}, {cfg:?}");
+                    let mut got = x.clone();
+                    wb.forward_layer(&mut got, records(), resident, false).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "records, {bw:?}, width {m}, {cfg:?}");
                     let want = layer_forward_cls(&x, &decoded, &idxs, resident, &cfg);
                     let mut got = x.clone();
                     wb.forward_layer(&mut got, staged(&idxs, &refs), resident, true).unwrap();
                     assert_eq!(bits(&got), bits(&want), "CLS, {bw:?}, width {m}, {cfg:?}");
+                    let mut got = x.clone();
+                    wb.forward_layer(&mut got, records(), resident, true).unwrap();
+                    assert_eq!(bits(&got), bits(&want), "CLS records, {bw:?}, width {m}, {cfg:?}");
                 }
             }
         }

@@ -15,18 +15,18 @@
 //! the shards the plan holds, which it was filled from.
 //!
 //! A streamed layer is dispatched ahead and materialised when compute
-//! reaches it: the shards the IO scheduler deferred (on an unbatched
-//! dispatch, misses the shard cache cannot keep) are read and decoded as
-//! their layer comes up
-//! ([`WorkingBuffer::materialise`]) and dropped when it ends, so an
+//! reaches it: the records of the shards the IO scheduler deferred (on an
+//! unbatched dispatch, misses the shard cache cannot keep) are read as
+//! their layer comes up ([`WorkingBuffer::materialise`]), decoded in place
+//! with no payload built, and overwritten by the next layer's, so an
 //! engagement holds one layer of them at a time, not every layer it has
 //! dispatched. A read error then surfaces from the compute half
 //! ([`PipelineExecutor::complete_on`]) as the same typed storage error.
 //!
 //! The working buffer holds one shard, not one layer: the forward pass asks
 //! for each slice's attention half, then its FFN half, as it reaches them,
-//! and [`WorkingBuffer::forward_layer`] decodes just that half of the blob
-//! into the one slot ([`sti_transformer::ShardOperand`] says why every
+//! and [`WorkingBuffer::forward_layer`] decodes just that half of the
+//! payload or record into the one slot ([`sti_transformer::ShardOperand`] says why every
 //! weight is still decoded once, to the same bits). A layer's decoded shards
 //! are never all live at once, and the layer's activations live in the same
 //! buffer's forward scratch, reused from layer to layer.
@@ -43,7 +43,9 @@ use sti_device::{DeviceTopology, HwProfile, IoSharing, SimTime};
 use sti_planner::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 use sti_planner::{ExecutionPlan, PlannedLayer};
 use sti_quant::{Bitwidth, QuantizedBlob};
-use sti_storage::{IoChannel, IoScheduler, LayerRequest, ShardCache, ShardKey, ShardSource};
+use sti_storage::{
+    IoChannel, IoScheduler, LayerRequest, LoadedShard, ShardCache, ShardKey, ShardSource,
+};
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::stats::argmax;
 use sti_transformer::{AssembledSubmodel, Model, ShardId};
@@ -231,23 +233,21 @@ impl<'a> PipelineExecutor<'a> {
                 (Vec::new(), SimTime::ZERO)
             };
 
-            // The streamed blobs arrive in request order: the plan's slices
+            // The streamed shards arrive in request order: the plan's slices
             // its preload set does not hold. Under shared-IO batching they
-            // alias the payload other engagements received.
-            let mut streamed = streamed.iter();
+            // alias the payload other engagements received; a deferred one
+            // is its record in the working buffer.
+            let mut streamed = streamed.into_iter();
             let shards = pl.slices.iter().map(|&slice| {
                 let id = ShardId::new(pl.layer, slice);
-                let blob = preload
-                    .get(id)
-                    .or_else(|| {
-                        streamed.next().filter(|(s, _)| *s == slice).and_then(|(_, b)| b.blob())
-                    })
-                    .ok_or_else(|| {
-                        PipelineError::PlanMismatch(format!(
-                            "shard {id} neither preloaded nor loaded"
-                        ))
-                    })?;
-                Ok((usize::from(slice), blob))
+                let shard = match preload.get(id) {
+                    Some(blob) => Some(LoadedShard::Blob(blob.clone())),
+                    None => streamed.next().filter(|(s, _)| *s == slice).map(|(_, shard)| shard),
+                };
+                let shard = shard.ok_or_else(|| {
+                    PipelineError::PlanMismatch(format!("shard {id} neither preloaded nor loaded"))
+                })?;
+                Ok((usize::from(slice), shard))
             });
             // Each shard is decoded half by half into the working buffer's
             // one slot as the layer reaches it, never a whole layer at once.

@@ -183,39 +183,7 @@ impl QuantizedBlob {
         centroids: Vec<f32>,
         outliers: Vec<(u32, f32)>,
     ) -> Result<Self, QuantError> {
-        if len == 0 {
-            return Err(QuantError::EmptyInput);
-        }
-        if bitwidth.is_full() {
-            if packed.len() != len as usize * 4 {
-                return Err(QuantError::IndexOutOfRange {
-                    index: packed.len(),
-                    dictionary: len as usize * 4,
-                });
-            }
-        } else {
-            let needed = bitwidth.payload_bytes(len as usize);
-            if packed.len() < needed {
-                return Err(QuantError::IndexOutOfRange {
-                    index: packed.len(),
-                    dictionary: needed,
-                });
-            }
-            if centroids.len() != bitwidth.centroid_count() {
-                return Err(QuantError::IndexOutOfRange {
-                    index: centroids.len(),
-                    dictionary: bitwidth.centroid_count(),
-                });
-            }
-        }
-        for &(offset, _) in &outliers {
-            if offset >= len {
-                return Err(QuantError::OutlierOffsetOutOfRange {
-                    offset: offset as usize,
-                    len: len as usize,
-                });
-            }
-        }
+        check_parts(bitwidth, len, packed.len(), centroids.len(), outliers.iter().map(|o| o.0))?;
         Ok(Self { payload: Arc::new(Payload { bitwidth, len, packed, centroids, outliers }) })
     }
 
@@ -246,26 +214,16 @@ impl QuantizedBlob {
     ///
     /// Panics if the range runs past the end of the group.
     pub fn dequantize_range_into(&self, start: usize, out: &mut [f32]) {
-        assert!(start + out.len() <= self.payload.len as usize, "dequantize range out of bounds");
-        if self.payload.bitwidth.is_full() {
-            let raw = self.payload.packed[start * 4..].chunks_exact(4);
-            for (slot, chunk) in out.iter_mut().zip(raw) {
-                *slot = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
-            return;
-        }
-        bitpack::unpack_lookup_into(
-            &self.payload.packed,
-            self.payload.bitwidth.bits(),
+        let p = &*self.payload;
+        decode_range(
+            p.bitwidth,
+            p.len,
+            &p.packed,
+            &p.centroids,
+            p.outliers.iter().copied(),
             start,
-            &self.payload.centroids,
             out,
         );
-        for &(offset, value) in &self.payload.outliers {
-            if let Some(slot) = out.get_mut((offset as usize).wrapping_sub(start)) {
-                *slot = value;
-            }
-        }
     }
 
     /// A weak handle to this blob's payload (see [`WeakBlob`]).
@@ -311,6 +269,177 @@ impl QuantizedBlob {
     /// Outlier table.
     pub fn outliers(&self) -> &[(u32, f32)] {
         &self.payload.outliers
+    }
+}
+
+/// Checks that a group's parts agree: a non-empty group, the packed bytes
+/// its bitwidth needs, one centroid per code, every outlier inside.
+fn check_parts(
+    bitwidth: Bitwidth,
+    len: u32,
+    packed: usize,
+    centroids: usize,
+    offsets: impl IntoIterator<Item = u32>,
+) -> Result<(), QuantError> {
+    if len == 0 {
+        return Err(QuantError::EmptyInput);
+    }
+    if bitwidth.is_full() {
+        if packed != len as usize * 4 {
+            return Err(QuantError::IndexOutOfRange {
+                index: packed,
+                dictionary: len as usize * 4,
+            });
+        }
+    } else {
+        let needed = bitwidth.payload_bytes(len as usize);
+        if packed < needed {
+            return Err(QuantError::IndexOutOfRange { index: packed, dictionary: needed });
+        }
+        if centroids != bitwidth.centroid_count() {
+            return Err(QuantError::IndexOutOfRange {
+                index: centroids,
+                dictionary: bitwidth.centroid_count(),
+            });
+        }
+    }
+    match offsets.into_iter().find(|&offset| offset >= len) {
+        Some(offset) => {
+            Err(QuantError::OutlierOffsetOutOfRange { offset: offset as usize, len: len as usize })
+        }
+        None => Ok(()),
+    }
+}
+
+/// Decodes weights `[start, start + out.len())` of a coded group into
+/// `out`: raw little-endian `f32`s at full fidelity; otherwise packed
+/// indexes straight to centroids ([`bitpack::unpack_lookup_into`]; no
+/// index buffer in between), then the outliers that fall in the range
+/// patched.
+fn decode_range(
+    bitwidth: Bitwidth,
+    len: u32,
+    packed: &[u8],
+    centroids: &[f32],
+    outliers: impl IntoIterator<Item = (u32, f32)>,
+    start: usize,
+    out: &mut [f32],
+) {
+    assert!(start + out.len() <= len as usize, "dequantize range out of bounds");
+    if bitwidth.is_full() {
+        let raw = packed[start * 4..].chunks_exact(4);
+        for (slot, chunk) in out.iter_mut().zip(raw) {
+            *slot = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        return;
+    }
+    bitpack::unpack_lookup_into(packed, bitwidth.bits(), start, centroids, out);
+    for (offset, value) in outliers {
+        if let Some(slot) = out.get_mut((offset as usize).wrapping_sub(start)) {
+            *slot = value;
+        }
+    }
+}
+
+/// The largest centroid dictionary, at [`Bitwidth::B6`].
+const MAX_CENTROIDS: usize = 64;
+
+fn f32_le(bytes: &[u8]) -> f32 {
+    f32::from_le_bytes(bytes.try_into().expect("a 4-byte slice"))
+}
+
+/// A coded weight group read in place from the bytes that hold it: the
+/// packed indexes, the centroid table and the outlier table of a shard
+/// record, each as stored (`f32`s and `(u32, f32)` entries, little-endian).
+/// Nothing is copied out: [`dequantize_range_into`](Self::dequantize_range_into)
+/// decodes from the borrowed bytes, to the bits the [`QuantizedBlob`] they
+/// describe decodes to. A deferred shard is decoded this way, from its
+/// record straight into the working buffer's slot, with no payload built.
+#[derive(Debug, Clone, Copy)]
+pub struct CodedView<'a> {
+    bitwidth: Bitwidth,
+    len: u32,
+    packed: &'a [u8],
+    centroids: &'a [u8],
+    outliers: &'a [u8],
+}
+
+impl<'a> CodedView<'a> {
+    /// A view of a group of `len` weights at `bitwidth` over its stored
+    /// parts, checked as [`QuantizedBlob::from_parts`] checks its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`QuantizedBlob::from_parts`]; a centroid table that is not one
+    /// whole `f32` per code is [`QuantError::IndexOutOfRange`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outliers` is not whole 8-byte entries.
+    pub fn new(
+        bitwidth: Bitwidth,
+        len: u32,
+        packed: &'a [u8],
+        centroids: &'a [u8],
+        outliers: &'a [u8],
+    ) -> Result<Self, QuantError> {
+        assert!(outliers.len().is_multiple_of(8), "outlier entries are 8 bytes each");
+        let codes =
+            if centroids.len().is_multiple_of(4) { centroids.len() / 4 } else { usize::MAX };
+        let view = Self { bitwidth, len, packed, centroids, outliers };
+        check_parts(bitwidth, len, packed.len(), codes, view.outlier_entries().map(|o| o.0))?;
+        Ok(view)
+    }
+
+    fn outlier_entries(&self) -> impl Iterator<Item = (u32, f32)> + 'a {
+        let entries = self.outliers.chunks_exact(8);
+        entries.map(|e| (u32::from_le_bytes(e[..4].try_into().expect("4 bytes")), f32_le(&e[4..])))
+    }
+
+    /// The group's bitwidth.
+    pub fn bitwidth(&self) -> Bitwidth {
+        self.bitwidth
+    }
+
+    /// Number of weights in the group.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the group is empty (never true for a checked view).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// [`QuantizedBlob::dequantize_range_into`] from the borrowed bytes: the
+    /// same bits, with the centroid table read onto the stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of the group.
+    pub fn dequantize_range_into(&self, start: usize, out: &mut [f32]) {
+        let mut table = [0.0f32; MAX_CENTROIDS];
+        // One per code when compressed (checked when the view was built); a
+        // full-fidelity decode reads none, whatever the bytes hold.
+        let codes = (self.centroids.len() / 4).min(MAX_CENTROIDS);
+        for (slot, bytes) in table.iter_mut().zip(self.centroids.chunks_exact(4)) {
+            *slot = f32_le(bytes);
+        }
+        let entries = self.outlier_entries();
+        decode_range(self.bitwidth, self.len, self.packed, &table[..codes], entries, start, out);
+    }
+
+    /// The group as a payload of its own: the copy a shared holder keeps.
+    pub fn to_blob(&self) -> QuantizedBlob {
+        let centroids = self.centroids.chunks_exact(4).map(f32_le).collect();
+        let payload = Payload {
+            bitwidth: self.bitwidth,
+            len: self.len,
+            packed: self.packed.to_vec(),
+            centroids,
+            outliers: self.outlier_entries().collect(),
+        };
+        QuantizedBlob { payload: Arc::new(payload) }
     }
 }
 
@@ -435,6 +564,58 @@ mod tests {
         let mut buf = vec![0.0f32; 300];
         blob.dequantize_into(&mut buf);
         assert_eq!(buf, blob.dequantize());
+    }
+
+    /// A blob's tables as a record stores them, little-endian.
+    fn stored_tables(blob: &QuantizedBlob) -> (Vec<u8>, Vec<u8>) {
+        let centroids = blob.centroids().iter().flat_map(|c| c.to_le_bytes()).collect();
+        let outliers = (blob.outliers().iter())
+            .flat_map(|&(at, v)| [at.to_le_bytes(), v.to_le_bytes()].concat())
+            .collect();
+        (centroids, outliers)
+    }
+
+    /// A view over a blob's stored parts decodes every range to the blob's
+    /// bits, and copies back out to the blob.
+    #[test]
+    fn a_view_over_the_stored_parts_decodes_the_blobs_bits() {
+        let weights = gaussian_weights(10, 333);
+        for blob in QuantizedBlob::quantize_all(&weights, &Bitwidth::ALL, &QuantConfig::default()) {
+            let (centroids, outliers) = stored_tables(&blob);
+            let bw = blob.bitwidth();
+            let view = CodedView::new(bw, blob.len() as u32, blob.packed(), &centroids, &outliers)
+                .unwrap();
+            assert_eq!((view.len(), view.bitwidth()), (blob.len(), bw));
+            assert!(bw.is_full() || !blob.outliers().is_empty(), "{bw}: outliers are patched");
+            for (start, end) in [(0, 333), (0, 1), (100, 101), (7, 300), (299, 333), (333, 333)] {
+                let (mut want, mut got) = (vec![0.0f32; end - start], vec![1.0f32; end - start]);
+                blob.dequantize_range_into(start, &mut want);
+                view.dequantize_range_into(start, &mut got);
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{bw} [{start}, {end})");
+            }
+            assert_eq!(view.to_blob(), blob, "{bw}");
+        }
+    }
+
+    #[test]
+    fn a_view_checks_its_parts_as_from_parts_does() {
+        let weights = gaussian_weights(11, 64);
+        let blob = QuantizedBlob::quantize(&weights, Bitwidth::B4, &QuantConfig::default());
+        let (centroids, outliers) = stored_tables(&blob);
+        let view = |len, packed: &[u8], centroids: &[u8], outliers: &[u8]| {
+            CodedView::new(Bitwidth::B4, len, packed, centroids, outliers).map(|_| ())
+        };
+        assert_eq!(view(64, blob.packed(), &centroids, &outliers), Ok(()));
+        assert_eq!(view(0, &[], &[], &[]), Err(QuantError::EmptyInput));
+        assert!(view(64, &[0; 2], &centroids, &outliers).is_err());
+        assert!(view(64, blob.packed(), &centroids[..60], &outliers).is_err());
+        assert!(view(64, blob.packed(), &centroids[..61], &outliers).is_err());
+        let outside = [64u32.to_le_bytes(), 1.0f32.to_le_bytes()].concat();
+        assert_eq!(
+            view(64, blob.packed(), &centroids, &outside),
+            Err(QuantError::OutlierOffsetOutOfRange { offset: 64, len: 64 })
+        );
     }
 
     #[test]

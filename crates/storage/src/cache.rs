@@ -425,14 +425,14 @@ impl ShardSource for CachedSource {
     }
 
     /// Reads past the cache: a cache holds payloads, not records, and a
-    /// buffered load is for a shard the caller drops with its layer, so it
+    /// deferred load is for a shard the caller drops with its layer, so it
     /// neither counts a lookup nor admits anything.
-    fn load_buffered(
+    fn load_deferred(
         &self,
         key: ShardKey,
-        record: &mut Vec<u8>,
-    ) -> Result<QuantizedBlob, StorageError> {
-        self.source.load_buffered(key, record)
+        records: &mut Vec<u8>,
+    ) -> Result<Option<QuantizedBlob>, StorageError> {
+        self.source.load_deferred(key, records)
     }
 
     fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {

@@ -19,7 +19,7 @@
 //! One version is decoded. Version 1 (byte-serial FNV-1a) is refused as
 //! "unsupported version": a store is rebuilt from its model, never migrated.
 
-use sti_quant::{Bitwidth, QuantizedBlob};
+use sti_quant::{Bitwidth, CodedView, QuantizedBlob};
 
 use crate::error::StorageError;
 
@@ -86,65 +86,108 @@ fn u32_at(bytes: &[u8], at: usize) -> u32 {
 }
 
 /// Decodes one record from the front of `bytes`, returning the blob and the
-/// number of bytes consumed.
+/// number of bytes consumed: [`decode_view`]'s view, copied into a payload
+/// of its own.
+///
+/// # Errors
+///
+/// As [`decode_view`].
+pub fn decode_blob(bytes: &[u8]) -> Result<(QuantizedBlob, usize), StorageError> {
+    let (view, total) = decode_view(bytes)?;
+    Ok((view.to_blob(), total))
+}
+
+/// Verifies one record at the front of `bytes` and returns a view of its
+/// coded weights over those bytes, with the number of bytes the record
+/// takes. Nothing is copied: a deferred shard is decoded from its record
+/// buffer through the view ([`CodedView::dequantize_range_into`]).
 ///
 /// # Errors
 ///
 /// Returns [`StorageError::Corrupt`] on bad magic, version, truncation, or
 /// checksum mismatch, and [`StorageError::Quant`] if the payload is
 /// internally inconsistent.
-pub fn decode_blob(bytes: &[u8]) -> Result<(QuantizedBlob, usize), StorageError> {
-    if bytes.len() < HEADER {
-        return Err(StorageError::corrupt("shard record", "truncated header"));
-    }
-    let magic = u32_at(bytes, 0);
-    if magic != MAGIC {
-        return Err(StorageError::corrupt("shard record", format!("bad magic {magic:#x}")));
-    }
-    let version = bytes[4];
-    if version != VERSION {
-        return Err(StorageError::corrupt(
-            "shard record",
-            format!("unsupported version {version}"),
-        ));
-    }
-    let bitwidth = Bitwidth::try_from(bytes[5])
-        .map_err(|e| StorageError::corrupt("shard record", e.to_string()))?;
-    let len = u32_at(bytes, 6);
-    let plen = u32_at(bytes, 10) as u64;
-    let ccount = u16::from_le_bytes([bytes[14], bytes[15]]) as u64;
-    let ocount = u32_at(bytes, 16) as u64;
-
-    // Lengths come from the record: sum them where they cannot wrap and
-    // bound them by what was read before slicing or allocating.
-    let checked = HEADER as u64 + plen + ccount * 4 + ocount * 8;
-    if (bytes.len() as u64) < checked + 8 {
-        return Err(StorageError::corrupt(
-            "shard record",
-            format!("truncated body: have {}, need {}", bytes.len(), checked + 8),
-        ));
-    }
-    let checked = checked as usize;
-    let total = checked + 8;
-    let expected = checksum(&bytes[..checked]);
-    let stored =
-        u64::from_le_bytes(bytes[checked..total].try_into().expect("checksum slice is 8 bytes"));
+pub fn decode_view(bytes: &[u8]) -> Result<(CodedView<'_>, usize), StorageError> {
+    let layout = Layout::of(bytes)?;
+    let expected = checksum(&bytes[..layout.checked]);
+    let stored = u64::from_le_bytes(
+        bytes[layout.checked..layout.total].try_into().expect("checksum slice is 8 bytes"),
+    );
     if expected != stored {
         return Err(StorageError::corrupt(
             "shard record",
             format!("checksum mismatch: stored {stored:#x}, computed {expected:#x}"),
         ));
     }
+    Ok((layout.view(bytes)?, layout.total))
+}
 
-    let (packed, tables) = bytes[HEADER..checked].split_at(plen as usize);
-    let (centroids, outliers) = tables.split_at(ccount as usize * 4);
-    let f32_of = |b: &[u8]| f32::from_le_bytes(b.try_into().expect("a 4-byte slice"));
-    let centroids: Vec<f32> = centroids.chunks_exact(4).map(f32_of).collect();
-    let outliers: Vec<(u32, f32)> =
-        outliers.chunks_exact(8).map(|e| (u32_at(e, 0), f32_of(&e[4..]))).collect();
+/// [`decode_view`] of a record it has already accepted, without verifying
+/// the bytes again: how a record read into a consumer's buffer is decoded
+/// each time the consumer reaches one of its halves.
+///
+/// # Panics
+///
+/// Panics if `bytes` does not start with a record [`decode_view`] accepts.
+pub fn verified_view(bytes: &[u8]) -> CodedView<'_> {
+    Layout::of(bytes).and_then(|layout| layout.view(bytes)).expect("a record decode_view accepted")
+}
 
-    let blob = QuantizedBlob::from_parts(bitwidth, len, packed.to_vec(), centroids, outliers)?;
-    Ok((blob, total))
+/// Where a record's parts sit, read from its header.
+struct Layout {
+    bitwidth: Bitwidth,
+    len: u32,
+    plen: usize,
+    ccount: usize,
+    /// Bytes the checksum covers: the header and the three parts.
+    checked: usize,
+    /// The record's whole length, checksum included.
+    total: usize,
+}
+
+impl Layout {
+    /// The layout `bytes`' header declares, checked against what was read.
+    fn of(bytes: &[u8]) -> Result<Self, StorageError> {
+        if bytes.len() < HEADER {
+            return Err(StorageError::corrupt("shard record", "truncated header"));
+        }
+        let magic = u32_at(bytes, 0);
+        if magic != MAGIC {
+            return Err(StorageError::corrupt("shard record", format!("bad magic {magic:#x}")));
+        }
+        let version = bytes[4];
+        if version != VERSION {
+            return Err(StorageError::corrupt(
+                "shard record",
+                format!("unsupported version {version}"),
+            ));
+        }
+        let bitwidth = Bitwidth::try_from(bytes[5])
+            .map_err(|e| StorageError::corrupt("shard record", e.to_string()))?;
+        let len = u32_at(bytes, 6);
+        let plen = u32_at(bytes, 10) as u64;
+        let ccount = u16::from_le_bytes([bytes[14], bytes[15]]) as u64;
+        let ocount = u32_at(bytes, 16) as u64;
+
+        // Lengths come from the record: sum them where they cannot wrap and
+        // bound them by what was read before slicing.
+        let checked = HEADER as u64 + plen + ccount * 4 + ocount * 8;
+        if (bytes.len() as u64) < checked + 8 {
+            return Err(StorageError::corrupt(
+                "shard record",
+                format!("truncated body: have {}, need {}", bytes.len(), checked + 8),
+            ));
+        }
+        let (plen, ccount, checked) = (plen as usize, ccount as usize, checked as usize);
+        Ok(Self { bitwidth, len, plen, ccount, checked, total: checked + 8 })
+    }
+
+    /// The coded weights over `bytes`, the record this layout was read from.
+    fn view<'a>(&self, bytes: &'a [u8]) -> Result<CodedView<'a>, StorageError> {
+        let (packed, tables) = bytes[HEADER..self.checked].split_at(self.plen);
+        let (centroids, outliers) = tables.split_at(self.ccount * 4);
+        Ok(CodedView::new(self.bitwidth, self.len, packed, centroids, outliers)?)
+    }
 }
 
 #[cfg(test)]

@@ -18,19 +18,24 @@
 //! admission would refuse it unchanged — is a [`LoadedShard::Deferred`]
 //! key: dispatched and charged like any miss, but not read. A batched
 //! dispatch reads such a miss once and fans the payload out, so its
-//! members never read one record each. Its consumer reads it when it computes the layer, through
-//! [`ShardSource::load_buffered`] into one reused record buffer, and drops
-//! it with the layer. So an engagement that streams shards no cache keeps
-//! holds one layer of them, not all of its layers from the drive until
-//! compute reaches them. Every simulated
+//! members never read one record each. Its consumer reads it when it
+//! computes the layer ([`LoadedLayer::materialise`]): the record, through
+//! [`ShardSource::load_deferred`], into one record buffer the consumer
+//! reuses, decoded in place from there and dropped with the layer, with no
+//! payload built. So an engagement that streams shards no cache keeps
+//! holds one layer of their records, not all of its layers from the drive
+//! until compute reaches them. Every simulated
 //! number is made at dispatch and is the same either way; what moves is
 //! where a read error surfaces — from the consumer's read, after the
 //! dispatch was charged and logged.
+
+use std::ops::Range;
 
 use sti_device::SimTime;
 use sti_quant::{Bitwidth, QuantizedBlob};
 
 use crate::error::StorageError;
+use crate::format;
 use crate::store::{ShardKey, ShardSource};
 
 /// A request to load some shard versions of one layer as one IO job.
@@ -62,16 +67,54 @@ pub enum LoadedShard {
     /// A miss the cache cannot keep, dispatched and charged but not read:
     /// the consumer loads it when it computes the layer.
     Deferred(ShardKey),
+    /// A deferred shard its consumer has read: its verified record sits at
+    /// this byte range of the record buffer the consumer handed
+    /// [`LoadedLayer::materialise`], and is decoded from there
+    /// ([`format::verified_view`]). `u32` offsets keep the variant no
+    /// larger than the others: a layer's records are far under 4 GiB.
+    Record(Range<u32>),
 }
 
 impl LoadedShard {
-    /// The payload, unless the shard is still deferred.
+    /// The payload, if the shard arrived as one.
     pub fn blob(&self) -> Option<&QuantizedBlob> {
         match self {
             Self::Blob(blob) => Some(blob),
+            Self::Deferred(_) | Self::Record(_) => None,
+        }
+    }
+
+    /// The shard's weight count, unless it is still deferred. `records` is
+    /// the buffer a [`LoadedShard::Record`] range points into.
+    pub fn weight_count(&self, records: &[u8]) -> Option<usize> {
+        match self {
+            Self::Blob(blob) => Some(blob.len()),
+            Self::Record(at) => Some(format::verified_view(record(records, at)).len()),
             Self::Deferred(_) => None,
         }
     }
+
+    /// Decodes the shard's weights `[start, start + out.len())` into `out`:
+    /// from its payload, or in place from its record in `records` (the
+    /// same bits, [`sti_quant::CodedView`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard is still deferred, or the range runs past it.
+    pub fn dequantize_range_into(&self, records: &[u8], start: usize, out: &mut [f32]) {
+        match self {
+            Self::Blob(blob) => blob.dequantize_range_into(start, out),
+            Self::Record(at) => {
+                format::verified_view(record(records, at)).dequantize_range_into(start, out)
+            }
+            Self::Deferred(key) => panic!("{key:?} was dispatched but never read"),
+        }
+    }
+}
+
+/// The record at `at` in a consumer's record buffer.
+fn record<'r>(records: &'r [u8], at: &Range<u32>) -> &'r [u8] {
+    &records[at.start as usize..at.end as usize]
 }
 
 /// The result of one layer load.
@@ -94,21 +137,38 @@ pub struct LoadedLayer {
 }
 
 impl LoadedLayer {
-    /// Loads every deferred shard from `source` (through `record`, one
-    /// buffer reused from shard to shard), so each entry is a
-    /// [`LoadedShard::Blob`]. Nothing of the dispatch's accounting moves.
+    /// Reads every deferred shard from `source` into `records`, the
+    /// consumer's record buffer, which is emptied first: the records of the
+    /// layer before are done with. Each becomes a [`LoadedShard::Record`]
+    /// range of it, or the [`LoadedShard::Blob`] a live holder has. The
+    /// buffer is sized once for the layer's records, so a buffer reused
+    /// from layer to layer grows only for a wider layer. Nothing of the
+    /// dispatch's accounting moves.
     ///
     /// # Errors
     ///
-    /// Returns the first load error; shards before it are loaded.
+    /// Returns the first load error; shards before it are read.
     pub fn materialise(
         &mut self,
         source: &dyn ShardSource,
-        record: &mut Vec<u8>,
+        records: &mut Vec<u8>,
     ) -> Result<(), StorageError> {
+        records.clear();
+        let mut bytes = 0;
+        for (_, shard) in &self.shards {
+            if let LoadedShard::Deferred(key) = *shard {
+                bytes += source.size_bytes(key)? as usize + format::RECORD_OVERHEAD;
+            }
+        }
+        records.reserve_exact(bytes);
+        let offset = |at: usize| u32::try_from(at).expect("a layer's records fit u32 offsets");
         for (_, shard) in &mut self.shards {
             if let LoadedShard::Deferred(key) = *shard {
-                *shard = LoadedShard::Blob(source.load_buffered(key, record)?);
+                let at = offset(records.len());
+                *shard = match source.load_deferred(key, records)? {
+                    Some(blob) => LoadedShard::Blob(blob),
+                    None => LoadedShard::Record(at..offset(records.len())),
+                };
             }
         }
         Ok(())

@@ -1,9 +1,10 @@
 //! Tiny data-parallel helper built on `std::thread::scope`.
 //!
 //! `parallel_map` spreads independent pure functions over the available
-//! cores without pulling in a full thread-pool dependency: the teacher labels
-//! of a synthetic dataset, the importance probes, and the 2³² sweeps of the
-//! in-tree transcendentals.
+//! cores without pulling in a full thread-pool dependency: the importance
+//! probes and the 2³² sweeps of the in-tree transcendentals;
+//! `parallel_update_scratch` does the same over items each worker updates in
+//! place: the teacher's hidden states, one layer at a time.
 //!
 //! Results land in slots the calling thread allocates. The rule: **a worker
 //! allocates nothing — its result is `Copy`, every buffer it writes is lent
@@ -16,11 +17,13 @@
 //! - Results are `Copy` — a `Copy` value owns no heap memory — and the
 //!   compiler enforces it.
 //! - Every buffer a worker writes (the importance profiler's decoded layer,
-//!   hidden states and forward-pass scratch; the teacher's hidden state and
+//!   hidden states and forward-pass scratch; the teacher's forward-pass
 //!   scratch) is a scratch value [`parallel_map_scratch`] builds on the
 //!   calling thread, lends to one worker for the whole call and frees on the
-//!   calling thread afterwards. The worker overwrites it in place, never
-//!   growing it past what the caller sized it for.
+//!   calling thread afterwards, or an item [`parallel_update_scratch`] lends
+//!   to the worker that runs it (the teacher's hidden states). The worker
+//!   overwrites it in place, never growing it past what the caller sized it
+//!   for.
 //!
 //! A value that outlives the call is built on the caller's thread. Nothing
 //! but review enforces the second half; a memory pin in the root crate's
@@ -31,8 +34,6 @@
 //! // A `Vec` owns heap memory, so no worker may return one.
 //! let _ = sti_tensor::parallel::parallel_map(2, |_| vec![0u8; 4]);
 //! ```
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -47,7 +48,7 @@ fn worker_count(items: usize) -> usize {
 /// in input order.
 ///
 /// `f` must be `Sync` because multiple workers call it concurrently. Work is
-/// distributed dynamically via an atomic cursor, so uneven item costs (e.g.
+/// handed out one item at a time, so uneven item costs (e.g.
 /// importance probes over submodels of different sizes) still balance well.
 /// `T` is `Copy` so that no result carries a worker's heap back to the
 /// caller (see the module doc).
@@ -87,37 +88,83 @@ where
     map_on(worker_count(items), items, scratch, f)
 }
 
-/// [`parallel_map_scratch`] on exactly `workers` threads. Item `i`'s result
-/// depends on `f(_, i)` alone and lands in slot `i`, so the output is the
-/// same for every worker count; only the wall time differs.
+/// [`parallel_map_scratch`] over items the workers update in place:
+/// `f(scratch, i, &mut items[i])` runs once per item, and its result lands
+/// in slot `i`. Each item is lent to the one worker that runs it, as the
+/// scratch is (see the module doc): how the teacher advances every
+/// example's hidden state through one layer it read once.
+///
+/// ```
+/// use sti_tensor::parallel::parallel_update_scratch;
+/// let mut totals = vec![1u64, 2, 3];
+/// let doubled = parallel_update_scratch(&mut totals, || (), |(), i, total| {
+///     *total *= 2;
+///     i
+/// });
+/// assert_eq!((totals, doubled), (vec![2, 4, 6], vec![0, 1, 2]));
+/// ```
+pub fn parallel_update_scratch<S, I, T, F>(
+    items: &mut [I],
+    scratch: impl FnMut() -> S,
+    f: F,
+) -> Vec<T>
+where
+    S: Send,
+    I: Send,
+    T: Send + Copy,
+    F: Fn(&mut S, usize, &mut I) -> T + Sync,
+{
+    update_on(worker_count(items.len()), items, scratch, f)
+}
+
+/// [`parallel_map_scratch`] on exactly `workers` threads.
 fn map_on<S, T, F>(workers: usize, items: usize, scratch: impl FnMut() -> S, f: F) -> Vec<T>
 where
     S: Send,
     T: Send + Copy,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    if items == 0 {
+    // A vector of `()` holds no heap memory, whatever its length.
+    update_on(workers, &mut vec![(); items], scratch, |scratch, i, ()| f(scratch, i))
+}
+
+/// [`parallel_update_scratch`] on exactly `workers` threads. Item `i`'s
+/// result depends on `f(_, i, _)` alone and lands in slot `i`, so the
+/// output is the same for every worker count; only the wall time differs.
+fn update_on<S, I, T, F>(
+    workers: usize,
+    items: &mut [I],
+    scratch: impl FnMut() -> S,
+    f: F,
+) -> Vec<T>
+where
+    S: Send,
+    I: Send,
+    T: Send + Copy,
+    F: Fn(&mut S, usize, &mut I) -> T + Sync,
+{
+    if items.is_empty() {
         return Vec::new();
     }
     let mut scratches: Vec<S> = std::iter::repeat_with(scratch).take(workers.max(1)).collect();
     if let [only] = scratches.as_mut_slice() {
-        return (0..items).map(|i| f(only, i)).collect();
+        return items.iter_mut().enumerate().map(|(i, item)| f(only, i, item)).collect();
     }
 
-    let cursor = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<T>>> = (0..items).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    // Work is handed out one item at a time, so uneven item costs balance.
+    let next = Mutex::new(items.iter_mut().enumerate());
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = scratches
             .iter_mut()
             .map(|scratch| {
-                let (cursor, results, f) = (&cursor, &results, &f);
+                let (next, results, f) = (&next, &results, &f);
                 scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items {
+                    let Some((i, item)) = next.lock().next() else {
                         break;
-                    }
-                    let value = f(scratch, i);
+                    };
+                    let value = f(scratch, i, item);
                     *results[i].lock() = Some(value);
                 })
             })
@@ -194,6 +241,27 @@ mod tests {
         }
         // More workers than items: the surplus threads find the cursor spent.
         assert_eq!(map_on(7, 3, || (), |(), i| i), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn every_item_is_updated_once_whatever_the_worker_count() {
+        let step = |x: f32, i: usize| x * 1.000_1 + i as f32 * 0.3;
+        let want: Vec<u32> = (0..37).map(|i| step(0.1 * i as f32, i).to_bits()).collect();
+        for workers in [1, 2, 7] {
+            let mut items: Vec<f32> = (0..37).map(|i| 0.1 * i as f32).collect();
+            let out = update_on(
+                workers,
+                &mut items,
+                || (),
+                |(), i, x| {
+                    *x = step(*x, i);
+                    x.to_bits()
+                },
+            );
+            assert_eq!(out, want, "{workers} workers' results");
+            assert_eq!(items.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want, "{workers}");
+        }
+        assert!(update_on(2, &mut Vec::<u8>::new(), || (), |(), _, _| 0u8).is_empty());
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! - [`Model`] — synthetic-weight model generation, full forward, and
 //!   submodel forward over externally assembled (e.g. dequantized) shards.
 //!   A model holds its residents; its full-fidelity shards are read one at
-//!   a time from a [`ShardWeightSource`] (the synthesised grid, or a shard
-//!   store's full-fidelity records) through [`Model::read_shard`];
+//!   a time from a [`ShardWeightSource`] (a synthesised model's seeds, from
+//!   which each read regenerates its shard, or a shard store's
+//!   full-fidelity records) through [`Model::read_shard`], and no FP32 grid
+//!   of all shards is ever built;
 //! - [`ForwardScratch`] — the caller-owned working memory every forward
 //!   pass runs in, so a warm pass allocates nothing per layer.
 //!
@@ -52,7 +54,7 @@ pub mod weights;
 pub use assemble::AssembledSubmodel;
 pub use config::{ModelConfig, ShardId};
 pub use layer::ForwardScratch;
-pub use model::{Model, TeacherScratch};
+pub use model::Model;
 pub use operand::ShardOperand;
 pub use source::ShardWeightSource;
 pub use weights::{LayerResident, LayerWeights, ModelLayer, ShardWeights};

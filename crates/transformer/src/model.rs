@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use sti_tensor::parallel::parallel_update_scratch;
 use sti_tensor::{stats, Matrix, Rng};
 
 use crate::assemble::AssembledSubmodel;
@@ -9,10 +10,10 @@ use crate::classifier::Classifier;
 use crate::config::{ModelConfig, ShardId};
 use crate::embedding::Embedding;
 use crate::layer::ForwardScratch;
-use crate::operand::ShardOperand;
-use crate::source::{ShardGrid, ShardWeightSource};
-use crate::synthetic::{synthetic_layer, GainPattern};
-use crate::weights::{LayerWeights, ModelLayer, ShardWeights};
+use crate::operand::{ShardOperand, WholeLayer};
+use crate::source::ShardWeightSource;
+use crate::synthetic::{GainPattern, SeededShards};
+use crate::weights::{ModelLayer, ShardWeights};
 
 /// A complete sharded transformer model: its resident parameters, and the
 /// source its full-fidelity shard weights are read from.
@@ -27,9 +28,10 @@ use crate::weights::{LayerWeights, ModelLayer, ShardWeights};
 ///    quantized into the shard store. Every reader gets them through
 ///    [`Model::read_shard`], which writes one shard into memory the caller
 ///    owns, from the model's [`ShardWeightSource`]: a synthesised model
-///    reads the in-memory grid it was generated with, and a model
+///    regenerates the shard from the seeds it was drawn with, and a model
 ///    re-pointed with [`Model::with_shard_source`] (a `TaskContext`'s)
-///    reads its shard store's full-fidelity records, the same bits.
+///    reads its shard store's full-fidelity records, the same bits. No
+///    model holds the FP32 grid of all its shards, or ever built one.
 ///
 /// **Ownership:** one writer at construction, then shared and immutable.
 /// The residents and the shard source sit behind reference counts and no
@@ -60,24 +62,22 @@ impl Model {
 
     /// Generates a model whose shard-importance structure follows `pattern`
     /// (different synthetic tasks use different patterns; cf. paper Fig. 5).
-    /// Its shard weights are read from the in-memory grid generated here.
+    /// It draws the residents and each shard's seeds, and no shard: a read
+    /// regenerates the shard from its seeds, the weights
+    /// [`synthetic_layer`](crate::synthetic::synthetic_layer) draws from the
+    /// same RNG stream.
     pub fn synthetic_with_pattern(seed: u64, cfg: ModelConfig, pattern: GainPattern) -> Self {
         cfg.validate();
         let mut rng = Rng::new(seed);
         let embedding = Embedding::synthetic(&cfg, rng.next_u64());
-        let mut grid = Vec::with_capacity(cfg.total_shards());
+        let mut seeds = SeededShards::new(&cfg);
         let layers = (0..cfg.layers)
-            .map(|l| {
-                let LayerWeights { shards, resident } = synthetic_layer(&cfg, &mut rng, l, pattern);
-                grid.extend(shards);
-                ModelLayer { resident }
-            })
+            .map(|_| ModelLayer { resident: seeds.draw_layer(&mut rng, pattern) })
             .collect();
         let classifier = Classifier::synthetic(&cfg, rng.next_u64());
         let all_slices = (0..cfg.heads).collect();
-        let shards = Arc::new(ShardGrid::new(cfg.heads, grid));
         let residents = Residents { cfg, embedding, layers, classifier, all_slices };
-        Self { residents: Arc::new(residents), shards }
+        Self { residents: Arc::new(residents), shards: Arc::new(seeds) }
     }
 
     /// This model's residents over another source of its shard weights —
@@ -134,7 +134,9 @@ impl Model {
 
     /// Runs the full `N × M` model at full fidelity — the teacher.
     pub fn forward_full(&self, tokens: &[u32]) -> Vec<f32> {
-        self.run_full(tokens, &mut TeacherScratch::new(self.config())).to_vec()
+        let mut state = [self.embedding().embed(tokens)];
+        self.run_full(&mut state);
+        self.classifier().logits(&state[0])
     }
 
     /// Feeds hidden state `x` through consecutive layers starting at layer
@@ -201,24 +203,36 @@ impl Model {
         }
     }
 
-    /// The teacher pass in `scratch`: every layer at full width, its shards
-    /// read into the scratch's layer through [`Model::read_shard`] before
-    /// it runs, the last layer for the CLS row alone. Returns the logits.
-    fn run_full<'s>(&self, tokens: &[u32], scratch: &'s mut TeacherScratch) -> &'s mut [f32] {
-        let TeacherScratch { x, forward, layer } = scratch;
+    /// The teacher pass, layer-major: each layer's `M` shards are read once
+    /// through [`Model::read_shard`], on the calling thread, into one layer
+    /// of memory, and every hidden state of `states` (embedded inputs) is
+    /// run through that layer before the next is read; the last layer for
+    /// the CLS row alone. The states spread over the available cores, each
+    /// worker running its layers in a [`ForwardScratch`] the calling thread
+    /// built, so a worker allocates nothing (`sti_tensor::parallel`). Each
+    /// state's arithmetic is the per-input pass's, so the bits do not depend
+    /// on how many inputs share the pass.
+    fn run_full(&self, states: &mut [Matrix]) {
         let (cfg, slices) = (self.config(), self.all_slices());
-        self.embedding().embed_into(tokens, x);
+        let mut layer: Vec<ShardWeights> =
+            (0..cfg.heads).map(|_| ShardWeights::zeros(cfg)).collect();
         for (l, ModelLayer { resident }) in self.layers().iter().enumerate() {
             for (s, shard) in layer.iter_mut().enumerate() {
                 self.read_shard(ShardId::new(l as u16, s as u16), shard);
             }
-            if l + 1 == cfg.layers {
-                forward.layer_cls(x, &mut layer[..], slices, resident, cfg);
-            } else {
-                forward.layer(x, &mut layer[..], slices, resident, cfg);
-            }
+            let (layer, cls_only) = (WholeLayer(&layer), l + 1 == cfg.layers);
+            parallel_update_scratch(
+                states,
+                || ForwardScratch::new(cfg),
+                |forward, _, x| {
+                    if cls_only {
+                        forward.layer_cls(x, layer, slices, resident, cfg);
+                    } else {
+                        forward.layer(x, layer, slices, resident, cfg);
+                    }
+                },
+            );
         }
-        forward.logits(self.classifier(), x)
     }
 
     /// Runs an externally assembled submodel (dequantized shards) through
@@ -252,14 +266,26 @@ impl Model {
 
     /// Teacher prediction: full model, full fidelity.
     pub fn predict_full(&self, tokens: &[u32]) -> usize {
-        self.predict_full_with(tokens, &mut TeacherScratch::new(self.config()))
+        self.predict_full_all(&[tokens])[0]
     }
 
-    /// [`Model::predict_full`] in the caller's memory: with `scratch` sized
-    /// for this model it allocates nothing beyond what the shard source's
-    /// reads do (the in-memory grid's allocate nothing).
-    pub fn predict_full_with(&self, tokens: &[u32], scratch: &mut TeacherScratch) -> usize {
-        stats::argmax(self.run_full(tokens, scratch)).expect("at least one class")
+    /// Teacher predictions for every input, in one layer-major pass: each
+    /// shard is read once however many inputs there are (a regenerated
+    /// shard costs about 180 µs at `scaled_bert()`, a store read about
+    /// 11 µs). Each input's arithmetic is the same however many share the
+    /// pass, so its prediction is the one it gets alone
+    /// ([`Model::predict_full`]). Holds one layer of FP32 shards and one
+    /// hidden state per input.
+    pub fn predict_full_all(&self, inputs: &[&[u32]]) -> Vec<usize> {
+        let mut states: Vec<Matrix> =
+            inputs.iter().map(|tokens| self.embedding().embed(tokens)).collect();
+        self.run_full(&mut states);
+        let mut forward = ForwardScratch::new(self.config());
+        let classifier = self.classifier();
+        states
+            .iter()
+            .map(|x| stats::argmax(forward.logits(classifier, x)).expect("at least one class"))
+            .collect()
     }
 
     /// Bytes of resident (non-streamed) parameters: embedding, layer norms,
@@ -273,29 +299,6 @@ impl Model {
     /// FP32 bytes of all sharded (streamable) parameters.
     pub fn sharded_byte_size(&self) -> usize {
         self.config().layer_fp32_bytes() * self.config().layers
-    }
-}
-
-/// The memory a full-fidelity teacher pass runs in, owned by its caller
-/// and sized once for a model: the hidden state (the embedding first, the
-/// final CLS row last), the [`ForwardScratch`], and one layer of `M` shards
-/// that [`Model::predict_full_with`] overwrites through
-/// [`Model::read_shard`] layer by layer.
-#[derive(Debug)]
-pub struct TeacherScratch {
-    x: Matrix,
-    forward: ForwardScratch,
-    layer: Vec<ShardWeights>,
-}
-
-impl TeacherScratch {
-    /// Scratch for teacher passes of a model shaped `cfg`.
-    pub fn new(cfg: &ModelConfig) -> Self {
-        Self {
-            x: Matrix::zeros(cfg.seq_len, cfg.hidden),
-            forward: ForwardScratch::new(cfg),
-            layer: (0..cfg.heads).map(|_| ShardWeights::zeros(cfg)).collect(),
-        }
     }
 }
 

@@ -20,9 +20,7 @@ use crate::weights::ShardWeights;
 /// Decoded shards implement it as any borrowed slice of shard references:
 /// `layer_forward(&x, &refs, …)` takes a `&Vec<&ShardWeights>`, a
 /// `&[&ShardWeights]` or a `&[&ShardWeights; N]` as it is, and an owned
-/// `Vec<&ShardWeights>` too. A decoded layer lent mutably, `&mut
-/// [ShardWeights]`, is every one of its slices in order, with no list of
-/// references built.
+/// `Vec<&ShardWeights>` too.
 pub trait ShardOperand {
     /// The number of executed slices (the layer's width).
     fn width(&self) -> usize;
@@ -66,17 +64,23 @@ impl ShardOperand for Vec<&ShardWeights> {
     }
 }
 
-impl ShardOperand for [ShardWeights] {
+/// A decoded layer, every one of its slices in order, with no list of
+/// references built; any number of threads can run one layer through
+/// operands over it at once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WholeLayer<'a>(pub(crate) &'a [ShardWeights]);
+
+impl ShardOperand for WholeLayer<'_> {
     fn width(&self) -> usize {
-        self.len()
+        self.0.len()
     }
 
     fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        (&self[i].qkv, &self[i].o)
+        (&self.0[i].qkv, &self.0[i].o)
     }
 
     fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        (&self[i].ffn1, &self[i].ffn2)
+        (&self.0[i].ffn1, &self.0[i].ffn2)
     }
 }
 

@@ -7,11 +7,19 @@
 //! shard gets a seeded *gain* so different "tasks" (seeds) exhibit different
 //! shard-importance structure, mirroring the distinct heatmaps of paper
 //! Figure 5.
+//!
+//! Every shard is a pure function of a few seeds: a synthesised model keeps
+//! them ([`Model::synthetic_with_pattern`](crate::Model::synthetic_with_pattern)
+//! walks its RNG for the seeds and the residents only) and regenerates a
+//! shard when it is read, so no grid of FP32 shard weights is ever built.
+//! [`synthetic_layer`] builds a whole layer at once the way the model's
+//! reads do one shard at a time: the oracle they are pinned against.
 
 use sti_tensor::norm::LayerNormParams;
 use sti_tensor::{Matrix, Rng};
 
-use crate::config::ModelConfig;
+use crate::config::{ModelConfig, ShardId};
+use crate::source::ShardWeightSource;
 use crate::weights::{LayerResident, LayerWeights, ShardWeights};
 
 /// Probability that a weight is replaced by a heavy-tail outlier.
@@ -42,16 +50,47 @@ const DEPTH_DECAY: f32 = 0.70;
 /// independent component, so width-truncated submodels stay faithful.
 const HEAD_CORRELATION: f32 = 0.92;
 
+/// One weight: a heavy-tail outlier with probability [`OUTLIER_PROB`], else
+/// Gaussian with standard deviation `std`.
+fn gaussian_weight(rng: &mut Rng, std: f32) -> f32 {
+    if rng.next_f32() < OUTLIER_PROB {
+        rng.next_gaussian_with(0.0, std * OUTLIER_SCALE)
+    } else {
+        rng.next_gaussian_with(0.0, std)
+    }
+}
+
 fn gaussian_matrix(rng: &mut Rng, rows: usize, cols: usize, std: f32) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
     for x in m.as_mut_slice() {
-        *x = if rng.next_f32() < OUTLIER_PROB {
-            rng.next_gaussian_with(0.0, std * OUTLIER_SCALE)
-        } else {
-            rng.next_gaussian_with(0.0, std)
-        };
+        *x = gaussian_weight(rng, std);
     }
     m
+}
+
+/// The weights [`synthetic_shard`]`(cfg, seed, gain)` generates, drawn in
+/// the same order, each handed to `put` with the slot of `out` it belongs
+/// in: Q, K and V are the column blocks of the packed `[Q | K | V]`
+/// operand, each drawn row by row. Builds no matrix.
+fn draw_shard_into(
+    cfg: &ModelConfig,
+    seed: u64,
+    gain: f32,
+    out: &mut ShardWeights,
+    mut put: impl FnMut(&mut f32, f32),
+) {
+    let mut rng = Rng::new(seed);
+    let std = WEIGHT_STD * gain;
+    let mut draw = |slot: &mut f32| put(slot, gaussian_weight(&mut rng, std));
+    let hd = cfg.head_dim();
+    for block in 0..3 {
+        for r in 0..cfg.hidden {
+            out.qkv.row_mut(r)[block * hd..(block + 1) * hd].iter_mut().for_each(&mut draw);
+        }
+    }
+    for m in [&mut out.o, &mut out.ffn1, &mut out.ffn2] {
+        m.as_mut_slice().iter_mut().for_each(&mut draw);
+    }
 }
 
 /// Generates one shard with the given weight gain.
@@ -116,11 +155,17 @@ fn synthetic_layernorm(rng: &mut Rng, dim: usize) -> LayerNormParams {
     p
 }
 
+/// The weights of a shard's mix, `(rho, indep)`: a weight is
+/// `rho * common + indep * private`, with `indep = sqrt(1 - rho^2) * gain`.
+fn mix_weights(gain: f32) -> (f32, f32) {
+    let rho = HEAD_CORRELATION;
+    (rho, (1.0 - rho * rho).sqrt() * gain)
+}
+
 /// Element-wise mix of a layer-common component and a shard-private
 /// component: `rho * common + sqrt(1 - rho^2) * gain * private`.
 fn mix_shard(common: &ShardWeights, private: &ShardWeights, gain: f32) -> ShardWeights {
-    let rho = HEAD_CORRELATION;
-    let indep = (1.0 - rho * rho).sqrt() * gain;
+    let (rho, indep) = mix_weights(gain);
     let mix = |c: &sti_tensor::Matrix, p: &sti_tensor::Matrix| {
         let mut out = c.clone();
         for (o, (cv, pv)) in
@@ -138,8 +183,29 @@ fn mix_shard(common: &ShardWeights, private: &ShardWeights, gain: f32) -> ShardW
     }
 }
 
+/// A layer's resident parameters, drawn off `rng` after its shards' seeds.
+fn synthetic_resident(cfg: &ModelConfig, rng: &mut Rng) -> LayerResident {
+    let mut resident = LayerResident::identity(cfg);
+    resident.ln_attn = synthetic_layernorm(rng, cfg.hidden);
+    resident.ln_ffn = synthetic_layernorm(rng, cfg.hidden);
+    for b in &mut resident.bias_attn {
+        *b = rng.next_gaussian_with(0.0, 0.01);
+    }
+    for b in &mut resident.bias_ffn1 {
+        *b = rng.next_gaussian_with(0.0, 0.01);
+    }
+    for b in &mut resident.bias_ffn2 {
+        *b = rng.next_gaussian_with(0.0, 0.01);
+    }
+    resident
+}
+
 /// Generates one full layer: `M` correlated shards with pattern-derived
 /// gains and depth-decayed update magnitudes, plus resident parameters.
+///
+/// No model is built from it: a [`Model`](crate::Model) draws the same
+/// seeds and residents off its RNG and regenerates each shard when it is
+/// read. This is the oracle those reads are pinned against, bit for bit.
 pub fn synthetic_layer(
     cfg: &ModelConfig,
     rng: &mut Rng,
@@ -157,19 +223,77 @@ pub fn synthetic_layer(
             mix_shard(&common, &private, gain)
         })
         .collect();
-    let mut resident = LayerResident::identity(cfg);
-    resident.ln_attn = synthetic_layernorm(rng, cfg.hidden);
-    resident.ln_ffn = synthetic_layernorm(rng, cfg.hidden);
-    for b in &mut resident.bias_attn {
-        *b = rng.next_gaussian_with(0.0, 0.01);
+    LayerWeights { shards, resident: synthetic_resident(cfg, rng) }
+}
+
+/// The full-fidelity shards of a synthesised model as a function of their
+/// seeds: the [`ShardWeightSource`] of
+/// [`Model::synthetic_with_pattern`](crate::Model::synthetic_with_pattern).
+///
+/// Per layer it keeps the seed of the layer-common component and the depth
+/// decay; per shard, the seed of its private component and its gain: 144
+/// entries at `scaled_bert()`, against 2 073 600 B of weights. A read
+/// regenerates the shard, `rho·common + indep·gain·private`, into the
+/// caller's slot with the draws [`synthetic_layer`] makes, in its order: the
+/// same bits. It costs two shards' worth of draws, so a reader that needs a
+/// shard more than once reads it once into memory of its own (the teacher
+/// goes layer-major, [`Model::predict_full_all`](crate::Model::predict_full_all)),
+/// or reads a store written from it.
+#[derive(Debug)]
+pub(crate) struct SeededShards {
+    cfg: ModelConfig,
+    /// Per layer: the common component's seed and the depth decay.
+    layers: Vec<(u64, f32)>,
+    /// Per shard, in `layer·M + slice` order: the private component's seed
+    /// and the shard's gain.
+    shards: Vec<(u64, f32)>,
+}
+
+impl SeededShards {
+    /// No layer's seeds yet: [`draw_layer`](Self::draw_layer) adds them in
+    /// layer order.
+    pub(crate) fn new(cfg: &ModelConfig) -> Self {
+        Self {
+            cfg: cfg.clone(),
+            layers: Vec::with_capacity(cfg.layers),
+            shards: Vec::with_capacity(cfg.total_shards()),
+        }
     }
-    for b in &mut resident.bias_ffn1 {
-        *b = rng.next_gaussian_with(0.0, 0.01);
+
+    /// Draws the next layer off `rng` as [`synthetic_layer`] does, but for
+    /// its shards' weights: their seeds and gains are kept, and the layer's
+    /// residents are returned.
+    pub(crate) fn draw_layer(&mut self, rng: &mut Rng, pattern: GainPattern) -> LayerResident {
+        let layer = self.layers.len();
+        let decay = DEPTH_DECAY.powi(layer as i32);
+        self.layers.push((rng.next_u64(), decay));
+        for _slice in 0..self.cfg.heads {
+            let jitter = rng.next_f32();
+            let gain = pattern.gain(layer, self.cfg.layers, jitter);
+            self.shards.push((rng.next_u64(), gain));
+        }
+        synthetic_resident(&self.cfg, rng)
     }
-    for b in &mut resident.bias_ffn2 {
-        *b = rng.next_gaussian_with(0.0, 0.01);
+}
+
+impl ShardWeightSource for SeededShards {
+    /// Regenerates the shard into `out`, which is reshaped first if it is
+    /// not shaped for the model; a shaped `out` gets no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is past the drawn layers (the model checks the slice).
+    fn read_shard(&self, id: ShardId, out: &mut ShardWeights) {
+        let (layer, slice) = (id.layer as usize, id.slice as usize);
+        let (common, decay) = self.layers[layer];
+        let (private, gain) = self.shards[layer * self.cfg.heads + slice];
+        if !out.is_shaped_for(&self.cfg) {
+            *out = ShardWeights::zeros(&self.cfg);
+        }
+        draw_shard_into(&self.cfg, common, decay, out, |w, c| *w = c);
+        let (rho, indep) = mix_weights(gain);
+        draw_shard_into(&self.cfg, private, decay, out, |w, p| *w = rho * *w + indep * p);
     }
-    LayerWeights { shards, resident }
 }
 
 #[cfg(test)]

@@ -95,6 +95,16 @@ impl ShardWeights {
         }
     }
 
+    /// Whether every matrix has the shape [`zeros`](ShardWeights::zeros)
+    /// gives it for `cfg`.
+    pub(crate) fn is_shaped_for(&self, cfg: &ModelConfig) -> bool {
+        let (d, hd, f) = (cfg.hidden, cfg.head_dim(), cfg.ffn_per_shard());
+        self.qkv.shape() == (d, 3 * hd)
+            && self.o.shape() == (hd, d)
+            && self.ffn1.shape() == (d, f)
+            && self.ffn2.shape() == (f, d)
+    }
+
     /// Rebuilds a shard from a flat weight group produced by [`flatten`]
     /// (after a round trip through quantization and storage).
     ///
@@ -253,8 +263,10 @@ impl LayerResident {
 }
 
 /// All parameters of one synthesised transformer layer: `M` shards plus the
-/// resident (non-streamed) remainder. A [`Model`](crate::Model) keeps the
-/// remainder as a [`ModelLayer`] and the shards in its shard source.
+/// resident (non-streamed) remainder, as
+/// [`synthetic_layer`](crate::synthetic::synthetic_layer) builds them. A
+/// [`Model`](crate::Model) keeps only the remainder, as a [`ModelLayer`],
+/// and reads the shards from its shard source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerWeights {
     /// The `M` vertical slices.

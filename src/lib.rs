@@ -224,12 +224,15 @@
 //! `ShardSource::size_bytes` reports for every source, so no simulated
 //! number knows where the bytes came from or that they are shared. `Model`
 //! follows the same ownership rule: its `clone()` is a handle to its
-//! residents and to the source of its FP32 shard weights, which a
-//! `TaskContext` re-points at its store's full-fidelity records once the
-//! store is written. So however many engines and servers a process builds
-//! over one context it holds the residents once, the FP32 teacher not at
-//! all (every teacher read copies one shard from the store into the
-//! reader's memory), and the quantised model not at all
+//! residents and to the source of its FP32 shard weights. A synthesised
+//! model's source is its shards' seeds, from which each read regenerates
+//! the shard, and a `TaskContext` writes its store from those seeds before
+//! anything else reads them, then points the teacher at the store's
+//! full-fidelity records. No process builds the FP32 grid. So however many
+//! engines and servers a process builds over one context it holds the
+//! residents once, the FP32 teacher not at all (every teacher read copies
+//! one shard from the store into the reader's memory, and the teacher's
+//! own pass holds one layer), and the quantised model not at all
 //! (`tests/memory_sharing.rs` pins both with an allocation counter;
 //! `MemStore`, which does hold every payload, is the unit-test double).
 //!

@@ -25,6 +25,8 @@ use std::sync::Arc;
 
 use sti::prelude::*;
 use sti::TaskContext;
+use sti_tensor::parallel::parallel_update_scratch;
+use sti_transformer::{ForwardScratch, ShardWeights};
 
 /// The system allocator, counting every block and byte it is asked for,
 /// every block and byte still held, and the most bytes ever held at once.
@@ -150,6 +152,7 @@ fn main() -> ExitCode {
         a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads,
         a_contexts_model_holds_only_residents,
         the_contexts_store_keeps_an_index_not_the_model,
+        a_contexts_build_holds_one_layer_of_fp32_shards_at_most,
         a_thousand_flash_loads_request_what_they_return_and_keep_nothing,
         a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload,
         a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds,
@@ -248,13 +251,14 @@ fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
 
 /// What a context keeps once built at the shipped scale: the teacher's
 /// residents (the embedding, layer norms, biases and classifier), the
-/// task's splits, and the store's index and directory name. It used to
-/// keep the synthesised FP32 grid as well: 2 290 458 B beside the name
-/// with its store built, 2 073 600 B of them shard weights. The teacher now
-/// reads its shards back from the store's full-fidelity records, and the
-/// grid is dropped before the build returns: 193 530 B. The count is exact
-/// but for the directory name, whose length depends on the temp dir and
-/// the pid.
+/// task's splits, and the store's index and directory name: 193 530 B. It
+/// used to keep the synthesised FP32 grid as well: 2 290 458 B beside the
+/// name with its store built, 2 073 600 B of them shard weights. No grid is
+/// built any more: the store is written from the teacher's seeds, and the
+/// labelling then reads each shard from the store's full-fidelity records,
+/// which opens their twelve layer files. A kept file handle is a
+/// descriptor, not heap, so the count did not move. It is exact but for
+/// the directory name, whose length depends on the temp dir and the pid.
 fn a_contexts_model_holds_only_residents() {
     const HELD_BESIDE_THE_DIRECTORY_NAME: i64 = 193_530;
     let cfg = ModelConfig::scaled_bert();
@@ -276,10 +280,10 @@ fn a_contexts_model_holds_only_residents() {
 /// its manifest and one file slot per (layer, bitwidth) and payload slot
 /// per key: quantising and writing are transients, and neither the model
 /// nor a copy of its weights stays. Measured as what a context keeps
-/// beyond a bare task of the same shape less that task's shard grid (its
-/// weights and matrix headers): 23 225 B. It was measured around the
-/// store's first use while the store was built lazily; a context keeping
-/// its grid would keep about 2 MiB more here.
+/// beyond a bare task of the same shape, whose teacher keeps its
+/// residents and its shards' seeds and no weight: 20 638 B beside the
+/// directory name. A context keeping the model's weights would keep about
+/// 2 MiB more here.
 fn the_contexts_store_keeps_an_index_not_the_model() {
     let cfg = ModelConfig::scaled_bert();
     let (task, HeapUse { held: task_held, .. }) =
@@ -289,9 +293,7 @@ fn the_contexts_store_keeps_an_index_not_the_model() {
     drop(task);
     let (ctx, HeapUse { held: ctx_held, .. }) =
         heap_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
-    let grid = shard_weights
-        + (cfg.total_shards() * std::mem::size_of::<sti_transformer::ShardWeights>()) as i64;
-    let kept = ctx_held - (task_held - grid);
+    let kept = ctx_held - task_held;
     assert!(
         kept < 256 * KIB as i64,
         "a store over {shard_weights} bytes of shard weights keeps {kept} heap bytes \
@@ -299,6 +301,51 @@ fn the_contexts_store_keeps_an_index_not_the_model() {
     );
     let store = ctx.shard_source();
     assert!(store.load(ShardKey::new(ShardId::new(0, 0), Bitwidth::B2)).is_ok());
+}
+
+/// The most heap a context's build holds at once at the shipped scale.
+/// The build writes the store from the teacher's seeds, one layer of
+/// shards at a time, and then labels both splits in one layer-major pass:
+/// one layer of FP32 shards read from the store (172 800 B), one padded
+/// hidden state per example of both splits (160 × 2 880 B), what the
+/// context keeps (the residents, the splits and the store's index), and, on
+/// top, either one store read's record and staging (18 028 B)
+/// or the parallel section of a layer (its workers' forward scratch and
+/// threads: 25 112 B on two cores), whichever is larger, and the per-example
+/// bookkeeping. The pin subtracts the larger of a read and a section, which
+/// depends on the core count, measured in the same process: what is left is
+/// exact, 840 626 B beside the directory name on one core and on two, and
+/// 865 738 B in all on two cores. `Task::build` used to reach 2 299 964 B
+/// here, with the whole grid synthesised first.
+fn a_contexts_build_holds_one_layer_of_fp32_shards_at_most() {
+    let cfg = ModelConfig::scaled_bert();
+    let (ctx, HeapUse { held, high_water, .. }) =
+        heap_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
+    let name = ctx.shard_store_dir().as_os_str().len() as i64;
+    let model = ctx.task().model();
+    let mut shard = ShardWeights::zeros(&cfg);
+    let ((), HeapUse { high_water: read, .. }) =
+        heap_across(|| model.read_shard(ShardId::new(11, 11), &mut shard));
+    let mut items = vec![(); Task::DEFAULT_DEV + Task::DEFAULT_TEST];
+    let scratch = || ForwardScratch::new(&cfg);
+    let (_, HeapUse { high_water: section, .. }) =
+        heap_across(|| parallel_update_scratch(&mut items, scratch, |_, _, ()| ()));
+    let layer = cfg.layer_fp32_bytes() as i64;
+    let examples = (Task::DEFAULT_DEV + Task::DEFAULT_TEST) as i64;
+    let states = examples * (cfg.seq_len * cfg.hidden * 4) as i64;
+    let residents = model.resident_byte_size() as i64;
+    assert_eq!((layer, states), (172_800, 460_800));
+    // Per example, a hidden state's matrix header, its input's token
+    // slice and its drawn (tokens, flip) pair: 40 + 16 + 40 B, under 128 B.
+    let bookkeeping = examples * 128;
+    let sum = layer + states + held + read.max(section) + bookkeeping;
+    assert!(high_water < sum, "high-water {high_water} B, over {sum} B");
+    assert_eq!(
+        high_water - name - read.max(section),
+        840_626,
+        "a context build's heap high-water, less a read's {read} B or a parallel section's \
+         {section} B; {held} B kept, {residents} B of residents"
+    );
 }
 
 fn a_thousand_flash_loads_request_what_they_return_and_keep_nothing() {
@@ -418,15 +465,18 @@ fn profiling_never_holds_the_decoded_floor_grid() {
     );
 }
 
-/// Set-up's two parallel sections at the shipped scale: the teacher
-/// labelling in `Task::build` and the importance probes, on a bare task's
-/// model and on a context's, whose teacher reads its shards from the store.
-/// Their worker threads write only into buffers the calling thread built
-/// and lent them, and hand back `Copy` results, so the workers request no
-/// heap block at all and no allocator arena of theirs stays resident after
-/// set-up: every store read (the floor's weights and each layer's upgrades)
-/// happens on the calling thread. The workers used to run the allocating
-/// layer functions: about ten matrices per layer, on every worker.
+/// Set-up's two parallel sections at the shipped scale: the teacher's
+/// layer-major pass (labelling both splits in `Task::build`, and the gold
+/// accuracy) and the importance probes, on a bare task's model, whose
+/// shards are regenerated from their seeds, and on a context's, whose
+/// teacher reads its shards from the store. Their worker threads write only
+/// into buffers the calling thread built and lent them (a layer's shards,
+/// the hidden states, the forward scratch), and hand back `Copy` results,
+/// so the workers request no heap block at all and no allocator arena of
+/// theirs stays resident after set-up: every shard read (regenerated or
+/// from the store) happens on the calling thread. The workers used to run
+/// the allocating layer functions: about ten matrices per layer, on every
+/// worker.
 fn set_ups_worker_threads_request_no_heap_block() {
     let cfg = ModelConfig::scaled_bert();
     let quant = QuantConfig::default();
@@ -441,6 +491,8 @@ fn set_ups_worker_threads_request_no_heap_block() {
     let (ctx, building) =
         other_threads_requests_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
     assert_eq!(building, 0, "a context build's workers requested {building} heap blocks");
+    let (_, gold) = other_threads_requests_across(|| gold_accuracy(ctx.task()));
+    assert_eq!(gold, 0, "the gold pass's workers requested {gold} heap blocks");
     let dev = Dataset::new(ctx.task().dev().examples()[..2].to_vec());
     let (on_store, probes) =
         other_threads_requests_across(|| profile_importance(ctx.task().model(), &dev, &quant));
@@ -555,12 +607,18 @@ fn reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log() {
     );
 }
 
+/// What the compute half of one warm engagement requests at the shipped
+/// scale ([`a_warm_engagement_requests_less_than_one_decoded_layer`]).
+const WARM_ENGAGEMENT: u64 = 33_248;
+
 /// What the compute half of one warm engagement requests, for a plan that streams every shard of all 12 × 12 at the
 /// shipped scale. The executor decodes each shard half by half into one
 /// slot, and runs every layer in one forward scratch, both reused across
 /// the engagement, so the whole engagement — slot, scratch, hidden state,
-/// outcome and ledger record — requests 33 408 B, under a fifth of one
-/// decoded layer (12 shards × 14 400 B = 172 800 B). With fresh
+/// outcome and ledger record — requests 33 248 B, under a fifth of one
+/// decoded layer (12 shards × 14 400 B = 172 800 B). It was 33 408 B while
+/// the working buffer grew its staging lists from empty; they are now
+/// sized for a full-width layer when it is built. With fresh
 /// activations and scratch per layer it requested 151 084 B; decoding each
 /// layer whole into fresh matrices requested more than a layer per layer.
 fn a_warm_engagement_requests_less_than_one_decoded_layer() {
@@ -585,7 +643,7 @@ fn a_warm_engagement_requests_less_than_one_decoded_layer() {
         requested < one_layer as u64,
         "a warm engagement requested {requested} B; one decoded layer is {one_layer} B"
     );
-    assert_eq!(requested, 33_408, "a warm engagement's requests");
+    assert_eq!(requested, WARM_ENGAGEMENT, "a warm engagement's requests");
 }
 
 /// What one contention report requests per dispatch event, after a sequential replay of
@@ -616,14 +674,16 @@ fn a_contention_report_replays_the_dispatch_log_in_place() {
 /// than any of them and no preload, across `drive_io` and
 /// `infer_complete`. The dispatch defers every shard the cache cannot
 /// keep, so after the drive the store holds none of their payloads, and
-/// the compute half reads each layer's shards as it comes up and drops
-/// them when it ends. The heap high-water is then at most one layer's
-/// payloads (172 800 B), one record (14 428 B), the compute memory of a
-/// warm engagement (33 408 B requested), 96 B per decoded payload beyond
-/// its bytes, and what the drive hands on to the lane (3 584 B): 225 372 B.
-/// It is 224 676 B. The two last terms keep it above the 220 636 B of the
-/// first three alone until a deferred record decodes straight into the
-/// working slot. When the drive read and decoded every streamed layer, the
+/// the compute half reads each layer's records as it comes up, decodes
+/// each straight from its record into the working slot, and overwrites
+/// them with the next layer's. The heap high-water is then at most one
+/// layer's records (12 × 14 428 B: 172 800 B of payload and 336 B of
+/// framing), the compute memory of a warm engagement (33 248 B requested)
+/// and what the drive hands on to the lane (3 584 B): 209 968 B, under the
+/// 220 476 B of one layer, one record and the compute memory. It is
+/// 209 464 B. While a deferred record was decoded into a payload of its own, it
+/// was 224 676 B: each payload copied its record's bytes and requested
+/// 96 B more. When the drive read and decoded every streamed layer, the
 /// high-water was the whole engagement's streamed payload, over 2 MB.
 fn an_engagement_holds_one_streamed_layer_at_a_time() {
     let ctx = scaled_context();
@@ -653,15 +713,8 @@ fn an_engagement_holds_one_streamed_layer_at_a_time() {
     let record = size(&largest_shard) + sti_storage::format::RECORD_OVERHEAD as u64;
     assert_eq!((keys.len(), keys[0].len(), streamed), (12, 12, 2_073_600), "a full stream");
     assert_eq!(record, 14_428, "one full-fidelity record");
-    // What one decoded payload requests beyond its payload bytes, once
-    // the layer file is open (its handle's path depends on where the
-    // store lives).
-    let mut buffer = Vec::with_capacity(record as usize);
-    drop(store.load_buffered(largest_shard, &mut buffer).unwrap());
-    let (blob, HeapUse { requested, .. }) =
-        heap_across(|| store.load_buffered(largest_shard, &mut buffer).unwrap());
-    let header = requested - blob.byte_size() as u64;
-    drop(blob);
+    let layer_shards = keys.iter().map(Vec::len).max().unwrap() as u64;
+    let framing = layer_shards * sti_storage::format::RECORD_OVERHEAD as u64;
 
     let engage = || {
         let pending = session.infer_issue(&[1, 2, 3]).unwrap();
@@ -681,23 +734,20 @@ fn an_engagement_holds_one_streamed_layer_at_a_time() {
     assert_eq!(second.outcome.logits, first.outcome.logits);
     assert_eq!(second.outcome.loaded_bytes, streamed);
     assert_eq!(live, 0, "after the drive the store holds no payload of a deferred shard");
-    // The two terms beyond one layer, one record and the compute memory,
-    // each pinned: what decoding a payload requests beyond its payload
-    // bytes (a layer decodes 12), and the per-layer `(slice, shard)` lists
-    // the drive hands on to the lane for the compute half.
-    const HEADER: u64 = 96;
+    // The per-layer `(slice, shard)` lists the drive hands on to the lane
+    // for the compute half: the one term beyond the layer's records and
+    // the compute memory.
     const HANDED_ON: u64 = 3_584;
-    assert_eq!(header, HEADER, "what one decoded payload requests beyond its bytes");
     assert_eq!(handed_on as u64, HANDED_ON, "what the drive hands on to the lane");
-    let layer_shards = keys.iter().map(Vec::len).max().unwrap() as u64;
-    let bound = largest_layer + record + 33_408 + layer_shards * HEADER + HANDED_ON;
-    assert_eq!(bound, 225_372);
+    let bound = largest_layer + framing + WARM_ENGAGEMENT + HANDED_ON;
+    assert_eq!(bound, 209_968);
+    assert!(bound <= largest_layer + record + WARM_ENGAGEMENT, "one layer, a record and compute");
     assert!(
         high_water as u64 <= bound,
-        "high-water {high_water} B; one layer {largest_layer} B, one record {record} B, \
-         {layer_shards} headers of {HEADER} B, {HANDED_ON} B handed on"
+        "high-water {high_water} B; one layer {largest_layer} B and its {framing} B of framing, \
+         {HANDED_ON} B handed on"
     );
-    assert_eq!(high_water, 224_676, "one full-stream engagement's heap high-water");
+    assert_eq!(high_water, 209_464, "one full-stream engagement's heap high-water");
 }
 
 /// Opens `cycles` SLO sessions on `server`, each against the registry the

@@ -127,11 +127,11 @@ fn quantizer_ablation() -> String {
     let mut t = TextTable::new(["bitwidth", "GOBO mse", "uniform mse", "GOBO acc", "uniform acc"]);
     // Every shard's full-fidelity weight group, read once from the teacher's
     // source, in `layer·M + slice` order.
-    let mut slot = ShardWeights::zeros(&cfg);
+    let (mut slot, mut read) = (ShardWeights::zeros(&cfg), model.read_scratch());
     let flats: Vec<Vec<f32>> = cfg
         .shard_ids()
         .map(|id| {
-            model.read_shard(id, &mut slot);
+            model.read_shard(id, &mut slot, &mut read);
             slot.flatten()
         })
         .collect();

@@ -128,7 +128,7 @@ pub mod prelude {
     pub use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
     pub use sti_storage::{
         BatchStats, CachedSource, FlashDispatchEvent, IoChannel, IoScheduler, LayerRequest,
-        LoadedLayer, MemStore, ShardCache, ShardCacheStats, ShardKey, ShardSource, ShardStore,
+        LoadedLayer, ShardCache, ShardCacheStats, ShardKey, ShardSource, ShardStore,
     };
     pub use sti_transformer::{Model, ModelConfig, ShardId};
 }

@@ -3,7 +3,6 @@
 //! figure binary in `sti-bench`.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sti_device::{DeviceProfile, HwProfile, SimTime};
@@ -11,11 +10,9 @@ use sti_nlp::{Task, TaskKind};
 use sti_pipeline::executor::assemble_plan_submodel;
 use sti_pipeline::PreloadBuffer;
 use sti_planner::{profile_importance, ExecutionPlan, ImportanceProfile, PlannedLayer};
-use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
-use sti_storage::{ShardKey, ShardSource, ShardStore, StorageError};
-use sti_transformer::{
-    AssembledSubmodel, Model, ModelConfig, ShardId, ShardWeightSource, ShardWeights,
-};
+use sti_quant::{Bitwidth, QuantConfig};
+use sti_storage::{ShardSource, ShardStore};
+use sti_transformer::{AssembledSubmodel, ModelConfig};
 
 use crate::baselines::Baseline;
 
@@ -29,7 +26,7 @@ pub struct TaskContext {
     task: Task,
     quant: QuantConfig,
     importance: OnceLock<ImportanceProfile>,
-    store: Arc<ContextStore>,
+    store: Arc<ShardStore>,
 }
 
 impl TaskContext {
@@ -55,7 +52,11 @@ impl TaskContext {
     pub fn with_config(kind: TaskKind, cfg: ModelConfig) -> Self {
         let teacher = kind.teacher(cfg);
         let quant = QuantConfig::default();
-        let store = Arc::new(ContextStore::create(&teacher, &quant));
+        let store = ShardStore::create_temp(&teacher, &Bitwidth::ALL, &quant).unwrap_or_else(|e| {
+            let dir = std::env::temp_dir();
+            panic!("cannot write the context's shard store under {}: {e}", dir.display())
+        });
+        let store = Arc::new(store);
         let teacher = teacher.with_shard_source(store.clone());
         let task = Task::with_model(kind, teacher, Task::DEFAULT_DEV, Task::DEFAULT_TEST);
         Self { task, quant, importance: OnceLock::new(), store }
@@ -100,17 +101,17 @@ impl TaskContext {
     /// removed when the context and every handle returned here (and every
     /// clone of the context's model) have been dropped.
     ///
-    /// The context's build panics if the directory cannot be created or the
-    /// store cannot be written (temp dir missing, read-only or full); the
-    /// message names the path and the OS error. There is no in-memory
-    /// fallback.
+    /// The store is [`ShardStore::create_temp`]'s. The context's build
+    /// panics if it cannot be written (temp dir missing, read-only or
+    /// full); the message names the temp dir and the error. There is no
+    /// in-memory fallback.
     pub fn shard_source(&self) -> Arc<dyn ShardSource> {
         self.store.clone()
     }
 
     /// Where [`shard_source`](Self::shard_source) keeps its files.
     pub fn shard_store_dir(&self) -> &Path {
-        self.store.0.dir()
+        self.store.dir()
     }
 
     /// Materializes a plan's submodel (its `layers`) at their planned
@@ -135,67 +136,6 @@ impl TaskContext {
             .map(|e| self.task.model().predict_assembled(&e.tokens, &sub).0)
             .collect();
         (self.task.test_accuracy(&preds), self.task.test_f1(&preds))
-    }
-}
-
-/// A context's [`ShardStore`] and the temp directory it owns: dropping the
-/// last handle removes the directory.
-#[derive(Debug)]
-struct ContextStore(ShardStore);
-
-impl ContextStore {
-    fn create(model: &Model, quant: &QuantConfig) -> Self {
-        // Unique per context within the process; the pid keeps processes
-        // apart. A name left behind by a killed process with a recycled pid
-        // is skipped, not reused.
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = loop {
-            let n = NEXT.fetch_add(1, Ordering::Relaxed);
-            let dir = std::env::temp_dir().join(format!("sti-ctx-{}-{n}", std::process::id()));
-            match std::fs::create_dir(&dir) {
-                Ok(()) => break dir,
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(e) => panic!("cannot create the shard store directory {}: {e}", dir.display()),
-            }
-        };
-        match ShardStore::create(&dir, model, &Bitwidth::ALL, quant) {
-            Ok(store) => Self(store),
-            Err(e) => {
-                let _ = std::fs::remove_dir_all(&dir);
-                panic!("cannot write the shard store under {}: {e}", dir.display())
-            }
-        }
-    }
-}
-
-impl Drop for ContextStore {
-    fn drop(&mut self) {
-        // Nothing to report to: a directory that cannot be removed is left.
-        let _ = std::fs::remove_dir_all(self.0.dir());
-    }
-}
-
-impl ShardSource for ContextStore {
-    fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
-        self.0.load(key)
-    }
-
-    fn load_deferred(
-        &self,
-        key: ShardKey,
-        records: &mut Vec<u8>,
-    ) -> Result<Option<QuantizedBlob>, StorageError> {
-        self.0.load_deferred(key, records)
-    }
-
-    fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
-        self.0.size_bytes(key)
-    }
-}
-
-impl ShardWeightSource for ContextStore {
-    fn read_shard(&self, id: ShardId, out: &mut ShardWeights) {
-        self.0.read_shard(id, out);
     }
 }
 
@@ -291,6 +231,7 @@ pub fn run_experiment(ctx: &TaskContext, exp: &Experiment) -> RunResult {
 mod tests {
     use super::*;
     use sti_nlp::Dataset;
+    use sti_transformer::ShardWeights;
 
     fn ctx() -> TaskContext {
         TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny())
@@ -308,8 +249,8 @@ mod tests {
         };
         let (mut want, mut got) = (ShardWeights::zeros(&cfg), ShardWeights::zeros(&cfg));
         for id in cfg.shard_ids() {
-            bare.model().read_shard(id, &mut want);
-            ctx.task().model().read_shard(id, &mut got);
+            bare.model().read_shard(id, &mut want, &mut bare.model().read_scratch());
+            ctx.task().model().read_shard(id, &mut got, &mut ctx.task().model().read_scratch());
             assert_eq!(bits(&got), bits(&want), "{kind} {id:?}");
         }
         assert_eq!((ctx.task().dev(), ctx.task().test()), (bare.dev(), bare.test()), "{kind}");

@@ -129,6 +129,56 @@ impl IoSharing {
 mod tests {
     use super::*;
 
+    /// A fixed plan's layer reads: layer `l` reads `l % 4 + 1` slices, slice
+    /// `s` at `Bitwidth::ALL[(l + s) % 6]`.
+    fn fixed_plan() -> Vec<(u16, Vec<(u16, Bitwidth)>)> {
+        (0..12u16)
+            .map(|l| {
+                (l, (0..l % 4 + 1).map(|s| (s, Bitwidth::ALL[(l + s) as usize % 6])).collect())
+            })
+            .collect()
+    }
+
+    /// A canary for the hasher under placement. `content_sig` hashes with
+    /// std's `DefaultHasher`, whose algorithm std does not promise to keep
+    /// from one release to the next, and through `channel_for` it decides
+    /// which device channel serves a read: every multi-channel golden and
+    /// simulated metric depends on it. These values were computed once and
+    /// checked in; if they no longer match, the toolchain's hasher changed,
+    /// not this crate, and every placement with more than one channel moved
+    /// with it.
+    #[test]
+    fn content_sig_and_placement_match_their_checked_in_values() {
+        const SIGS: [u64; 12] = [
+            7_815_574_569_662_360_103,
+            11_500_513_833_573_499_698,
+            75_735_604_603_833_570,
+            9_210_168_447_252_576_441,
+            2_793_900_013_803_617_193,
+            12_327_902_102_416_670_069,
+            18_265_417_277_287_256_892,
+            14_044_820_930_622_003_379,
+            5_323_925_352_372_476_732,
+            15_557_432_712_310_016_372,
+            5_057_625_881_334_733_869,
+            11_088_983_867_678_102_573,
+        ];
+        const ON_TWO: [u16; 12] = [0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0];
+        const ON_FOUR: [u16; 12] = [0, 0, 3, 0, 0, 2, 0, 3, 0, 0, 3, 2];
+        let sigs: Vec<u64> =
+            fixed_plan().into_iter().map(|(l, items)| content_sig(l, items)).collect();
+        let on = |c: u16| -> Vec<u16> {
+            let topo = DeviceTopology::with_channels(c);
+            sigs.iter().enumerate().map(|(l, &sig)| topo.channel_for(sig, l as u16 % 3)).collect()
+        };
+        let cause = "std's DefaultHasher no longer hashes as it did when these values were \
+                     checked in, so content_sig, and with it every multi-channel placement, \
+                     golden and simulated metric, moved";
+        assert_eq!(sigs, SIGS, "{cause}");
+        assert_eq!(on(2), ON_TWO, "{cause}");
+        assert_eq!(on(4), ON_FOUR, "{cause}");
+    }
+
     #[test]
     fn channel_for_is_stable_and_covers_all_channels() {
         let single = DeviceTopology::single();

@@ -285,7 +285,7 @@ mod tests {
             .map(|l| {
                 let read = |s| {
                     let mut shard = ShardWeights::zeros(cfg);
-                    model.read_shard(ShardId::new(l, s), &mut shard);
+                    model.read_shard(ShardId::new(l, s), &mut shard, &mut model.read_scratch());
                     shard
                 };
                 (0..cfg.heads as u16).map(read).collect()
@@ -356,7 +356,11 @@ mod tests {
             let resident = &model.layers()[l].resident;
             assert_eq!(resident_bits(resident), resident_bits(&want.resident), "{kind} layer {l}");
             for (s, want) in want.shards.iter().enumerate() {
-                model.read_shard(ShardId::new(l as u16, s as u16), &mut read);
+                model.read_shard(
+                    ShardId::new(l as u16, s as u16),
+                    &mut read,
+                    &mut model.read_scratch(),
+                );
                 assert_eq!(shard_bits(&read), shard_bits(want), "{kind} shard ({l}, {s})");
             }
         }

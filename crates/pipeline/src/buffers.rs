@@ -304,7 +304,7 @@ mod tests {
     use super::*;
     use sti_quant::QuantConfig;
     use sti_storage::format::encode_blob;
-    use sti_storage::MemStore;
+    use sti_storage::ShardStore;
     use sti_tensor::Rng;
     use sti_transformer::layer::{layer_forward, layer_forward_cls};
     use sti_transformer::synthetic::{synthetic_layer, synthetic_shard, GainPattern};
@@ -318,8 +318,12 @@ mod tests {
     #[test]
     fn fill_tracks_bytes_and_rejects_overflow() {
         let cfg = ModelConfig::tiny();
-        let store =
-            MemStore::build(&Model::synthetic(1, cfg), &[Bitwidth::B6], &QuantConfig::default());
+        let store = ShardStore::create_temp(
+            &Model::synthetic(1, cfg),
+            &[Bitwidth::B6],
+            &QuantConfig::default(),
+        )
+        .unwrap();
         let (a, b) = ((ShardId::new(1, 0), Bitwidth::B6), (ShardId::new(0, 1), Bitwidth::B6));
         let size = |(id, bw)| store.load(ShardKey::new(id, bw)).unwrap().byte_size() as u64;
         let buf = PreloadBuffer::fill(size(a) + 10, &[a], &store).unwrap();
@@ -333,8 +337,12 @@ mod tests {
     #[test]
     fn lookups_find_every_entry_whatever_the_fill_order() {
         let cfg = ModelConfig::tiny();
-        let store =
-            MemStore::build(&Model::synthetic(2, cfg), &[Bitwidth::B2], &QuantConfig::default());
+        let store = ShardStore::create_temp(
+            &Model::synthetic(2, cfg),
+            &[Bitwidth::B2],
+            &QuantConfig::default(),
+        )
+        .unwrap();
         let ids = [ShardId::new(1, 1), ShardId::new(0, 0), ShardId::new(1, 0)];
         let preload: Vec<_> = ids.iter().map(|&id| (id, Bitwidth::B2)).collect();
         let buf = PreloadBuffer::fill(1 << 20, &preload, &store).unwrap();
@@ -350,7 +358,7 @@ mod tests {
         let model = Model::synthetic(7, cfg.clone());
         let id = ShardId::new(0, 1);
         let mut teacher = ShardWeights::zeros(&cfg);
-        model.read_shard(id, &mut teacher);
+        model.read_shard(id, &mut teacher, &mut model.read_scratch());
         let b =
             QuantizedBlob::quantize(&teacher.flatten(), Bitwidth::Full, &QuantConfig::default());
         let mut wb = WorkingBuffer::new(cfg.clone());

@@ -234,10 +234,11 @@ fn plan_and_fill(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::OnceLock;
     use sti_device::DeviceProfile;
     use sti_nlp::{Task, TaskKind};
     use sti_quant::{QuantConfig, QuantizedBlob};
-    use sti_storage::{MemStore, ShardKey, ShardStore, StorageError};
+    use sti_storage::{ShardKey, ShardStore, StorageError};
     use sti_transformer::{ModelConfig, ShardId};
 
     fn engine_on(source: Arc<dyn ShardSource>, model: &Model, budget: u64) -> StiEngine {
@@ -259,23 +260,37 @@ mod tests {
 
     fn engine() -> StiEngine {
         let task = Task::build(TaskKind::Sst2, ModelConfig::tiny(), 4, 4);
-        let source =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+        let source = Arc::new(
+            ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+        );
         engine_on(source, task.model(), 64 << 10)
     }
 
-    /// A store whose loads fail while `broken` is set.
-    struct Breakable {
-        store: MemStore,
+    /// A store whose loads fail while `broken` is set, and that hands out
+    /// `swapped`'s blob for its key once that is set.
+    struct Faulty {
+        store: ShardStore,
         broken: AtomicBool,
+        swapped: OnceLock<(ShardKey, QuantizedBlob)>,
     }
 
-    impl ShardSource for Breakable {
+    impl Faulty {
+        fn over(model: &Model) -> Arc<Self> {
+            let store = ShardStore::create_temp(model, &Bitwidth::ALL, &QuantConfig::default());
+            let (broken, swapped) = (AtomicBool::new(false), OnceLock::new());
+            Arc::new(Self { store: store.unwrap(), broken, swapped })
+        }
+    }
+
+    impl ShardSource for Faulty {
         fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
             if self.broken.load(Ordering::SeqCst) {
                 return Err(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() });
             }
-            self.store.load(key)
+            match self.swapped.get() {
+                Some((swapped, blob)) if *swapped == key => Ok(blob.clone()),
+                _ => self.store.load(key),
+            }
         }
 
         fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
@@ -332,8 +347,7 @@ mod tests {
     #[test]
     fn a_failed_replan_leaves_the_engine_as_it_was() {
         let task = Task::build(TaskKind::Sst2, ModelConfig::tiny(), 4, 4);
-        let store = MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default());
-        let source = Arc::new(Breakable { store, broken: AtomicBool::new(false) });
+        let source = Faulty::over(task.model());
         let mut e = engine_on(source.clone(), task.model(), 8 << 10);
         let (target, plan, used) = (e.target(), e.plan().clone(), e.preload_used());
         assert!(!plan.preload.is_empty(), "the replans below must load shards to fail");
@@ -353,10 +367,7 @@ mod tests {
     #[test]
     fn a_rebuilt_buffer_shares_the_payloads_both_plans_keep() {
         let model = Model::synthetic(5, ModelConfig::tiny());
-        let dir =
-            std::env::temp_dir().join(format!("sti-engine-test-rebuild-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ShardStore::create(&dir, &model, &Bitwidth::ALL, &QuantConfig::default());
+        let store = ShardStore::create_temp(&model, &Bitwidth::ALL, &QuantConfig::default());
         let mut e = engine_on(Arc::new(store.unwrap()), &model, 8 << 10);
         // Weak handles: they keep nothing alive, so an old payload still
         // reachable after the replan is one the new buffer holds.
@@ -377,8 +388,6 @@ mod tests {
             }
         }
         assert!(kept > 0, "the grown plan keeps some of the old preload");
-        drop(e);
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -399,9 +408,8 @@ mod tests {
     #[test]
     fn generating_over_a_wrong_size_blob_is_a_plan_mismatch_not_a_panic() {
         let task = Task::build(TaskKind::Sst2, ModelConfig::tiny(), 4, 4);
-        let store =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
-        let e = engine_on(store.clone(), task.model(), 0);
+        let source = Faulty::over(task.model());
+        let e = engine_on(source.clone(), task.model(), 0);
         let plan = e.plan();
         let key = plan
             .layers
@@ -412,7 +420,8 @@ mod tests {
             .find(|key| !plan.is_preloaded(key.id))
             .expect("the plan streams a shard");
         let weights: Vec<f32> = (0..256).map(|i| (i % 7) as f32 * 0.1 - 0.3).collect();
-        store.insert(key, QuantizedBlob::quantize(&weights, key.bitwidth, &QuantConfig::default()));
+        let blob = QuantizedBlob::quantize(&weights, key.bitwidth, &QuantConfig::default());
+        assert!(source.swapped.set((key, blob)).is_ok());
         let err = e.generate(&[1, 2], 1).unwrap_err();
         assert!(matches!(err, PipelineError::PlanMismatch(_)), "{err:?}");
     }

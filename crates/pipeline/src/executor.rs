@@ -358,13 +358,13 @@ mod tests {
     use sti_nlp::{Task, TaskKind};
     use sti_planner::{plan_compute, plan_io, ImportanceProfile, IoPlanInputs};
     use sti_quant::QuantConfig;
-    use sti_storage::MemStore;
+    use sti_storage::ShardStore;
     use sti_transformer::ModelConfig;
 
     struct Fixture {
         task: Task,
         hw: HwProfile,
-        source: Arc<MemStore>,
+        source: Arc<ShardStore>,
         importance: ImportanceProfile,
     }
 
@@ -373,8 +373,9 @@ mod tests {
         let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
         let dev = DeviceProfile::odroid_n2();
         let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-        let source =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+        let source = Arc::new(
+            ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+        );
         // Synthetic flat importance (profiling is exercised elsewhere).
         let importance = ImportanceProfile::from_scores(
             cfg.layers,
@@ -457,7 +458,9 @@ mod tests {
         let plan = make_plan(&f, 400, 0);
         let other = ModelConfig { hidden: 16, ffn: 32, ..f.task.model().config().clone() };
         let model = Model::synthetic(3, other);
-        let source = Arc::new(MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default()));
+        let source = Arc::new(
+            ShardStore::create_temp(&model, &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+        );
         let exec = PipelineExecutor::new(f.task.model(), source, &f.hw);
         let err = exec.execute(&plan, &PreloadBuffer::default(), &[1, 2]).unwrap_err();
         assert!(matches!(err, PipelineError::PlanMismatch(_)), "{err:?}");
@@ -478,11 +481,11 @@ mod tests {
     fn missing_shard_version_fails_cleanly() {
         let f = fixture();
         let plan = make_plan(&f, 400, 0);
-        // Remove one shard version the plan needs.
-        let pl = &plan.layers[0];
-        let key = sti_storage::ShardKey::new(ShardId::new(pl.layer, pl.slices[0]), pl.bitwidths[0]);
-        f.source.remove(key);
-        let exec = PipelineExecutor::new(f.task.model(), f.source.clone(), &f.hw);
+        // A store written without one shard version the plan needs.
+        let missing = plan.layers[0].bitwidths[0];
+        let kept: Vec<Bitwidth> = Bitwidth::ALL.into_iter().filter(|&bw| bw != missing).collect();
+        let source = ShardStore::create_temp(f.task.model(), &kept, &QuantConfig::default());
+        let exec = PipelineExecutor::new(f.task.model(), Arc::new(source.unwrap()), &f.hw);
         let err = exec.execute(&plan, &PreloadBuffer::default(), &[1]).unwrap_err();
         assert!(matches!(err, PipelineError::Storage(_)));
     }

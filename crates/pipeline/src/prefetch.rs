@@ -201,7 +201,7 @@ mod tests {
     use sti_device::{DeviceProfile, HwProfile, IoSharing};
     use sti_planner::{layer_io_jobs, plan_two_stage, ImportanceProfile, LayerIoJob};
     use sti_quant::{Bitwidth, QuantConfig};
-    use sti_storage::{IoScheduler, MemStore, ShardCache};
+    use sti_storage::{IoScheduler, ShardCache, ShardStore};
     use sti_tensor::Rng;
     use sti_transformer::{Model, ModelConfig, ShardId};
 
@@ -280,7 +280,9 @@ mod tests {
         let cfg = ModelConfig { layers: 6, ..ModelConfig::tiny() };
         let model = Model::synthetic(53, cfg.clone());
         let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, &QuantConfig::default());
-        let source = Arc::new(MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default()));
+        let source = Arc::new(
+            ShardStore::create_temp(&model, &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+        );
         let mut rng = Rng::new(53);
         let scores = (0..cfg.total_shards()).map(|_| f64::from(rng.next_f32())).collect();
         let importance = ImportanceProfile::from_scores(cfg.layers, cfg.heads, scores, 0.45);

@@ -1364,19 +1364,20 @@ pub(crate) mod tests {
     use sti_nlp::{Task, TaskKind};
     use sti_planner::prefetch::PrefetchConfig;
     use sti_quant::QuantConfig;
-    use sti_storage::MemStore;
+    use sti_storage::ShardStore;
     use sti_transformer::ModelConfig;
 
     /// The shared unit-test fixture (this module's tests and the
     /// `admission`/`ledger`/`prefetch` ones that drive their piece
-    /// through a real server): a tiny-model server over an in-memory
+    /// through a real server): a tiny-model server over a temporary
     /// store, widths `{2, 4}`, otherwise configured by `cfg`.
     pub(crate) fn tiny_server(cfg: ServeConfig) -> StiServer {
         let model_cfg = ModelConfig::tiny();
         let task = Task::build(TaskKind::Sst2, model_cfg.clone(), 4, 4);
         let hw = HwProfile::measure(&cfg.device, &model_cfg, &QuantConfig::default());
-        let source =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+        let source = Arc::new(
+            ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+        );
         let importance = ImportanceProfile::from_scores(
             model_cfg.layers,
             model_cfg.heads,

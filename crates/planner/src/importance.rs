@@ -13,7 +13,9 @@ use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
 use sti_tensor::parallel::parallel_map_scratch;
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::Matrix;
-use sti_transformer::{ForwardScratch, Model, ModelConfig, ShardId, ShardOperand, ShardWeights};
+use sti_transformer::{
+    ForwardScratch, Model, ModelConfig, ReadScratch, ShardId, ShardOperand, ShardWeights,
+};
 
 use crate::plan::PlannedLayer;
 
@@ -177,25 +179,25 @@ fn into_top(m: usize, slices: Vec<u16>) -> Vec<u16> {
 /// at a time into one reused decoded layer, advancing every dev example
 /// through each layer it decodes.
 ///
-/// The full-fidelity weights are read through [`Model::read_shard`] on the
-/// calling thread, whatever the model's shard source: each shard once to
-/// quantize the floor, and each layer's `M` upgrades once, into two reused
-/// layers, before that layer's probes run. The probes of a batch of two
-/// layers spread over the available cores and hand back one `f64` each
-/// (one `parallel_map` per layer would leave a worker idle at each of `N`
-/// batch ends; measured, it cost the profile about 15 % at `scaled_bert()`
-/// on 2 cores). A worker
-/// allocates nothing (see `sti_tensor::parallel`): each borrows a probe
-/// scratch the calling thread built — its decoded layer, one hidden state
-/// per dev example, overwritten from the baseline's rather than cloned, and
-/// the [`ForwardScratch`] every layer runs in. The floor and the baselines
-/// are built on the calling thread too.
+/// The full-fidelity weights are read through [`Model::read_shard`],
+/// whatever the model's shard source: each shard once on the calling thread
+/// to quantize the floor, and each probe's one upgrade by the worker that
+/// runs the probe. All `N·M` probes are one parallel section over the
+/// available cores, each handing back one `f64`, the longest first: a
+/// probe of layer `l` runs `N − l` layers, so the probes are handed out by
+/// layer from the bottom, and the cheap top-layer probes fill the workers'
+/// last gaps. A worker allocates nothing (see `sti_tensor::parallel`): each
+/// borrows a probe scratch the calling thread built — its decoded layer,
+/// the upgraded shard and the buffers a read works in
+/// ([`Model::read_scratch`]), one hidden state per dev example, overwritten
+/// from the baseline's rather than cloned, and the [`ForwardScratch`] every
+/// layer runs in. The floor and the baselines are built on the calling
+/// thread.
 pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> ImportanceProfile {
     let cfg = model.config();
     assert!(!dev.is_empty(), "importance profiling needs a non-empty dev set");
     let (n, m) = (cfg.layers, cfg.heads);
-    let mut upgrades: Vec<ShardWeights> = (0..2 * m).map(|_| ShardWeights::zeros(cfg)).collect();
-    let floor = floor_blobs(model, quant, &mut upgrades[0]);
+    let floor = floor_blobs(model, quant);
     let floor_layer = |l: usize| &floor[l * m..(l + 1) * m];
     let slices = model.all_slices();
 
@@ -210,66 +212,48 @@ pub fn profile_importance(model: &Model, dev: &Dataset, quant: &QuantConfig) -> 
             states
         })
         .collect();
-    let mut scratch = ProbeScratch::new(cfg, 0);
+    let (mut layer, mut forward) = (FloorLayer::new(cfg), ForwardScratch::new(cfg));
     for l in 0..n {
-        scratch.layer.decode(floor_layer(l));
+        layer.decode(floor_layer(l));
         let resident = &model.layers()[l].resident;
         for states in &mut entering {
             let mut next = states[l].clone();
-            scratch.forward.layer(&mut next, scratch.layer.with(None), slices, resident, cfg);
+            forward.layer(&mut next, layer.with(None), slices, resident, cfg);
             states.push(next);
         }
     }
-    drop(scratch);
+    drop((layer, forward));
 
-    // Probe (first, s): the floor resumed at layer `first` with slice `s` of
-    // that layer at full fidelity. The probes run a batch at a time, each
-    // batch the layers `low` and `n - 1 - low` (the middle layer alone when
-    // `n` is odd): a probe runs `n - first` layers, so every batch costs
-    // `n + 1` layer passes per slice, and its cheap probes come last, so no
-    // worker waits long at a batch's end. Before a batch, the calling thread
-    // reads its layers' upgrades, `upgrades[k·M + s]` for slice `s` of the
-    // batch's `k`-th layer.
+    // Probe `i` is (first, s) = (i / M, i % M): the floor resumed at layer
+    // `first` with slice `s` of that layer at full fidelity, read into the
+    // worker's upgrade slot. Its score lands at `first·M + s`, which is `i`.
     let labels: Vec<usize> = dev.iter().map(|e| e.label).collect();
-    let mut scores = vec![0.0; n * m];
-    for low in 0..n.div_ceil(2) {
-        let pair = [low, n - 1 - low];
-        let firsts = if pair[0] == pair[1] { &pair[..1] } else { &pair[..] };
-        for (k, &first) in firsts.iter().enumerate() {
-            for s in 0..m {
-                model.read_shard(ShardId::new(first as u16, s as u16), &mut upgrades[k * m + s]);
+    let scores = parallel_map_scratch(
+        n * m,
+        || ProbeScratch::new(model, dev.len()),
+        |ProbeScratch { layer, upgrade, read, states, forward }, i| {
+            let (first, s) = (i / m, i % m);
+            model.read_shard(ShardId::new(first as u16, s as u16), upgrade, read);
+            let upgrade = |l: usize| (l == first).then_some((s, &*upgrade));
+            for (x, entering) in states.iter_mut().zip(&entering) {
+                x.clone_from(&entering[first]);
             }
-        }
-        let upgrades = &upgrades;
-        let batch = parallel_map_scratch(
-            firsts.len() * m,
-            || ProbeScratch::new(cfg, dev.len()),
-            |ProbeScratch { layer, states, forward }, i| {
-                let (first, s) = (firsts[i / m], i % m);
-                let upgrade = |l: usize| (l == first).then(|| (s, &upgrades[i]));
-                for (x, entering) in states.iter_mut().zip(&entering) {
-                    x.clone_from(&entering[first]);
+            for l in first..n - 1 {
+                layer.decode(floor_layer(l));
+                let resident = &model.layers()[l].resident;
+                for x in states.iter_mut() {
+                    forward.layer(x, layer.with(upgrade(l)), slices, resident, cfg);
                 }
-                for l in first..n - 1 {
-                    layer.decode(floor_layer(l));
-                    let resident = &model.layers()[l].resident;
-                    for x in states.iter_mut() {
-                        forward.layer(x, layer.with(upgrade(l)), slices, resident, cfg);
-                    }
-                }
-                layer.decode(floor_layer(n - 1));
-                let resident = &model.layers()[n - 1].resident;
-                let gold = states.iter_mut().zip(&labels).map(|(x, &label)| {
-                    forward.layer_cls(x, layer.with(upgrade(n - 1)), slices, resident, cfg);
-                    gold_probability(forward.logits(model.classifier(), x), label)
-                });
-                soft_accuracy_of(gold)
-            },
-        );
-        for (i, score) in batch.into_iter().enumerate() {
-            scores[firsts[i / m] * m + i % m] = score;
-        }
-    }
+            }
+            layer.decode(floor_layer(n - 1));
+            let resident = &model.layers()[n - 1].resident;
+            let gold = states.iter_mut().zip(&labels).map(|(x, &label)| {
+                forward.layer_cls(x, layer.with(upgrade(n - 1)), slices, resident, cfg);
+                gold_probability(forward.logits(model.classifier(), x), label)
+            });
+            soft_accuracy_of(gold)
+        },
+    );
     let baseline = soft_accuracy_of(
         entering
             .iter()
@@ -287,31 +271,38 @@ fn gold_probability(logits: &mut [f32], label: usize) -> f32 {
 }
 
 /// Every shard of the grid quantized at 2-bit, in `layer·M + slice` order:
-/// the floor the probes run on. Each shard is read into `slot` first.
-fn floor_blobs(model: &Model, quant: &QuantConfig, slot: &mut ShardWeights) -> Vec<QuantizedBlob> {
+/// the floor the probes run on. Each shard is read into one slot first.
+fn floor_blobs(model: &Model, quant: &QuantConfig) -> Vec<QuantizedBlob> {
+    let (mut slot, mut read) = (ShardWeights::zeros(model.config()), model.read_scratch());
     model
         .config()
         .shard_ids()
         .map(|id| {
-            model.read_shard(id, slot);
+            model.read_shard(id, &mut slot, &mut read);
             QuantizedBlob::quantize(&slot.flatten(), Bitwidth::B2, quant)
         })
         .collect()
 }
 
 /// What one probe writes, built on the calling thread and lent to one
-/// worker for the whole profile: one decoded floor layer, one hidden state
-/// per dev example and the forward pass's scratch.
+/// worker for the whole profile: one decoded floor layer, the probe's
+/// upgraded shard and the buffers its read works in, one hidden state per
+/// dev example and the forward pass's scratch.
 struct ProbeScratch {
     layer: FloorLayer,
+    upgrade: ShardWeights,
+    read: ReadScratch,
     states: Vec<Matrix>,
     forward: ForwardScratch,
 }
 
 impl ProbeScratch {
-    fn new(cfg: &ModelConfig, examples: usize) -> Self {
+    fn new(model: &Model, examples: usize) -> Self {
+        let cfg = model.config();
         Self {
             layer: FloorLayer::new(cfg),
+            upgrade: ShardWeights::zeros(cfg),
+            read: model.read_scratch(),
             states: (0..examples).map(|_| Matrix::zeros(cfg.seq_len, cfg.hidden)).collect(),
             forward: ForwardScratch::new(cfg),
         }
@@ -386,7 +377,7 @@ impl ShardOperand for FloorOperand<'_> {
 #[cfg(test)]
 fn floor_grid(model: &Model, quant: &QuantConfig) -> Vec<ShardWeights> {
     let cfg = model.config();
-    floor_blobs(model, quant, &mut ShardWeights::zeros(cfg))
+    floor_blobs(model, quant)
         .iter()
         .map(|blob| ShardWeights::from_flat(&blob.dequantize(), cfg))
         .collect()
@@ -417,7 +408,11 @@ mod tests {
                     .map(|s| {
                         if upgraded == Some(l * cfg.heads + s) {
                             let mut shard = ShardWeights::zeros(cfg);
-                            model.read_shard(ShardId::new(l as u16, s as u16), &mut shard);
+                            model.read_shard(
+                                ShardId::new(l as u16, s as u16),
+                                &mut shard,
+                                &mut model.read_scratch(),
+                            );
                             shard
                         } else {
                             floor[l * cfg.heads + s].clone()
@@ -530,7 +525,7 @@ mod tests {
             assert_eq!(floor.len(), model.config().total_shards(), "{kind}");
             let mut shard = ShardWeights::zeros(model.config());
             for (weights, id) in floor.iter().zip(model.config().shard_ids()) {
-                model.read_shard(id, &mut shard);
+                model.read_shard(id, &mut shard, &mut model.read_scratch());
                 let stored = QuantizedBlob::quantize_all(&shard.flatten(), &Bitwidth::ALL, &quant)
                     .into_iter()
                     .find(|blob| blob.bitwidth() == Bitwidth::B2)

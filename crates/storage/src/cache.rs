@@ -449,13 +449,15 @@ impl std::fmt::Debug for dyn ShardSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memstore::MemStore;
+    use crate::store::ShardStore;
+    use std::collections::HashMap;
     use sti_quant::{Bitwidth, QuantConfig};
     use sti_transformer::{Model, ModelConfig, ShardId};
 
-    fn store() -> Arc<MemStore> {
+    fn store() -> Arc<ShardStore> {
         let model = Model::synthetic(3, ModelConfig::tiny());
-        Arc::new(MemStore::build(&model, &[Bitwidth::B2, Bitwidth::B6], &QuantConfig::default()))
+        let bitwidths = [Bitwidth::B2, Bitwidth::B6];
+        Arc::new(ShardStore::create_temp(&model, &bitwidths, &QuantConfig::default()).unwrap())
     }
 
     fn key(layer: u16, slice: u16, bw: Bitwidth) -> ShardKey {
@@ -709,10 +711,25 @@ mod tests {
         }
     }
 
+    /// A source of blobs of whatever sizes a test picks: the cache's
+    /// bookkeeping depends on a blob's size alone, and the oracle tests
+    /// need odd sizes no model shape gives.
+    struct SizedBlobs(HashMap<ShardKey, QuantizedBlob>);
+
+    impl ShardSource for SizedBlobs {
+        fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
+            Ok(self.0[&key].clone())
+        }
+
+        fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
+            Ok(self.0[&key].byte_size() as u64)
+        }
+    }
+
     /// `count` keys whose full-fidelity blobs are 4 to 160 bytes.
-    fn sized_store(seed: u64, count: u16) -> (MemStore, Vec<(ShardKey, u64)>) {
+    fn sized_store(seed: u64, count: u16) -> (SizedBlobs, Vec<(ShardKey, u64)>) {
         let mut rng = sti_tensor::Rng::new(seed);
-        let store = MemStore::default();
+        let mut blobs = HashMap::new();
         let keys = (0..count)
             .map(|slice| {
                 let k = key(0, slice, Bitwidth::Full);
@@ -722,11 +739,11 @@ mod tests {
                     &QuantConfig::default(),
                 );
                 let bytes = blob.byte_size() as u64;
-                store.insert(k, blob);
+                blobs.insert(k, blob);
                 (k, bytes)
             })
             .collect();
-        (store, keys)
+        (SizedBlobs(blobs), keys)
     }
 
     /// A skewed pick (the lower of two uniform draws), so reuse distances
@@ -738,7 +755,7 @@ mod tests {
     /// Drives `accesses` seeded demand loads through a cache of `budget`
     /// bytes, asserting it against the oracle after every one.
     fn check_against_oracle(
-        store: &MemStore,
+        store: &dyn ShardSource,
         keys: &[(ShardKey, u64)],
         budget: u64,
         seed: u64,
@@ -808,7 +825,8 @@ mod tests {
     #[ignore = "long sweep; run in release with --ignored"]
     fn stack_distance_oracle_holds_at_every_budget_at_scaled_bert() {
         let model = Model::synthetic(7, ModelConfig::scaled_bert());
-        let store = MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default());
+        let store = ShardStore::create_temp(&model, &Bitwidth::ALL, &QuantConfig::default());
+        let store = store.unwrap();
         let keys: Vec<(ShardKey, u64)> = model
             .config()
             .shard_ids()

@@ -18,10 +18,10 @@
 //!   `load` is a positional read on a cached file handle, verified and
 //!   decoded, unless some holder still has the shard's payload, which the
 //!   store's weak index then hands out; the store keeps none of the bytes
-//!   it returns;
-//! - [`memstore::MemStore`] — the same [`ShardSource`] with the whole
-//!   quantised model held in RAM: the unit-test double (and fault-injection
-//!   handle) for the disk store, not something a serving process builds;
+//!   it returns. It is the one source of shards: a `TaskContext` and every
+//!   test that needs some store stream from a temporary one
+//!   ([`ShardStore::create_temp`]), which removes its directory when its
+//!   last handle drops;
 //! - [`cache::ShardCache`] — a shared, byte-budgeted LRU cache of compressed
 //!   blobs that fronts any source ([`cache::CachedSource`]) so concurrent
 //!   engagements reuse each other's reads, with the prefetch staging pool
@@ -49,9 +49,9 @@
 //! and immutable. A [`ShardSource`] builds or decodes a blob's payload once;
 //! `load`, the cache, the staging pool and the scheduler's fan-out pass
 //! handles to it (`QuantizedBlob::clone` is a reference count), and nothing
-//! downstream can write through one. Over a [`ShardStore`] there is no copy
-//! outside the cache, and one copy per shard however many caches read the
-//! store: a payload lives exactly as long as its handles do.
+//! downstream can write through one. There is no copy outside the cache,
+//! and one copy per shard however many caches read the store: a payload
+//! lives exactly as long as its handles do.
 //! Byte budgets are charged per holder from `byte_size()` regardless, and
 //! [`ShardSource::size_bytes`] is that same payload size for every source.
 
@@ -65,7 +65,6 @@ pub mod error;
 pub mod format;
 pub mod loader;
 pub mod manifest;
-pub mod memstore;
 pub mod scheduler;
 pub mod store;
 
@@ -73,6 +72,5 @@ pub use batcher::BatchStats;
 pub use cache::{CachedSource, PrefetchPoolStats, ShardCache, ShardCacheStats};
 pub use error::StorageError;
 pub use loader::{LayerRequest, LoadedLayer, LoadedShard};
-pub use memstore::MemStore;
 pub use scheduler::{FlashDispatchEvent, IoChannel, IoScheduler, IoSchedulerStats, SpeculativeJob};
 pub use store::{ShardKey, ShardSource, ShardStore};

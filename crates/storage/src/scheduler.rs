@@ -474,23 +474,19 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::memstore::MemStore;
-    use crate::store::ShardKey;
+    use crate::store::{ShardKey, ShardStore};
     use sti_quant::{Bitwidth, QuantConfig};
-    use sti_transformer::{Model, ModelConfig, ShardId};
+    use sti_transformer::{Model, ModelConfig};
 
     /// A two-bitwidth store of the tiny model, a shard cache of
     /// `cache_bytes` (zero caches nothing) and a 1 MB/s + 1 ms flash —
     /// shared with the submodules' tests.
-    pub(super) fn fixture(cache_bytes: u64) -> (Arc<MemStore>, Arc<ShardCache>, FlashModel) {
+    pub(super) fn fixture(cache_bytes: u64) -> (Arc<ShardStore>, Arc<ShardCache>, FlashModel) {
         let model = Model::synthetic(2, ModelConfig::tiny());
-        let store = Arc::new(MemStore::build(
-            &model,
-            &[Bitwidth::B2, Bitwidth::B6],
-            &QuantConfig::default(),
-        ));
+        let bitwidths = [Bitwidth::B2, Bitwidth::B6];
+        let store = ShardStore::create_temp(&model, &bitwidths, &QuantConfig::default()).unwrap();
         (
-            store,
+            Arc::new(store),
             Arc::new(ShardCache::new(cache_bytes)),
             FlashModel::new(1_000_000, SimTime::from_ms(1)),
         )
@@ -684,7 +680,7 @@ mod tests {
 
     /// A source that counts the reads it serves.
     struct CountingSource {
-        inner: MemStore,
+        inner: ShardStore,
         reads: AtomicUsize,
     }
 
@@ -702,7 +698,8 @@ mod tests {
     #[test]
     fn a_batch_reads_each_record_once_where_a_solo_dispatch_defers_it() {
         let model = Model::synthetic(2, ModelConfig::tiny());
-        let inner = MemStore::build(&model, &[Bitwidth::B2], &QuantConfig::default());
+        let inner = ShardStore::create_temp(&model, &[Bitwidth::B2], &QuantConfig::default());
+        let inner = inner.unwrap();
         let source = Arc::new(CountingSource { inner, reads: AtomicUsize::new(0) });
         let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
         let sched = IoScheduler::spawn(
@@ -737,14 +734,14 @@ mod tests {
     #[test]
     fn failed_batch_delivers_an_error_to_every_member() {
         let (store, cache, flash) = fixture(0);
-        store.remove(ShardKey::new(ShardId::new(1, 0), Bitwidth::B2));
         let batched = IoSharing::Batched(SimTime::from_us(1_000));
         let sched = IoScheduler::spawn(store, flash, cache, batched, DeviceTopology::single());
         sched.pause_dispatch();
         let channels: Vec<IoChannel> =
             (0..3).map(|_| sched.channel_striped_at(SimTime::ZERO, 0)).collect();
         for ch in &channels {
-            ch.request(request(1, 0)).unwrap(); // the missing shard
+            // A version the store does not hold.
+            ch.request(LayerRequest { layer: 1, items: vec![(0, Bitwidth::B4)] }).unwrap();
             ch.request(request(0, 0)).unwrap(); // a healthy follow-up
         }
         sched.resume_dispatch();

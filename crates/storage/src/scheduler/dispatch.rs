@@ -359,13 +359,13 @@ mod tests {
     #[test]
     fn errors_surface_on_the_right_channel() {
         let (store, cache, flash) = fixture(0);
-        store.remove(ShardKey::new(ShardId::new(1, 0), Bitwidth::B2));
         let sched =
             IoScheduler::spawn(store, flash, cache, IoSharing::Exclusive, DeviceTopology::single());
         let ok = sched.channel_striped_at(SimTime::ZERO, 0);
         let bad = sched.channel_striped_at(SimTime::ZERO, 0);
         ok.request(request(0, 0)).unwrap();
-        bad.request(request(1, 0)).unwrap();
+        // A version the store does not hold.
+        bad.request(LayerRequest { layer: 1, items: vec![(0, Bitwidth::B4)] }).unwrap();
         assert!(ok.recv().is_ok());
         assert!(bad.recv().is_err());
     }

@@ -5,15 +5,20 @@ use std::fs;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob, WeakBlob};
-use sti_transformer::{Model, ShardId, ShardWeightSource, ShardWeights};
+use sti_transformer::{Model, ReadScratch, ShardId, ShardWeightSource, ShardWeights};
 
 use crate::error::StorageError;
 use crate::format;
 use crate::manifest::{Manifest, RecordLoc};
+
+/// Room for the longest file name a store writes (`layer_LL_KKbit.stis`,
+/// `manifest.stim`).
+const FILE_NAME_ROOM: usize = 32;
 
 /// Identifies one stored shard version: which shard, at which fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,8 +37,7 @@ impl ShardKey {
 }
 
 /// Anything that can produce shard blobs: the on-disk [`ShardStore`] that
-/// serving paths stream from, a cache in front of one, or the in-memory
-/// [`MemStore`](crate::MemStore) unit tests substitute for it.
+/// serving paths stream from, or a cache in front of one.
 pub trait ShardSource: Send + Sync {
     /// Loads one shard version. The blob may be a payload another holder
     /// already has (a cache, a preload buffer, an in-flight layer): its
@@ -86,7 +90,8 @@ pub trait ShardSource: Send + Sync {
 /// paper §6), plus a `manifest.stim` index.
 ///
 /// Reads take `&self` and are safe from any number of threads: each layer
-/// file is opened on its first read and the handle kept, and every record is
+/// file's handle is kept, from its writing for a store this process
+/// created and from its first read for an opened one, and every record is
 /// one positional read (no shared cursor), verified and decoded on the way
 /// out. Nothing a read returns stays resident in the store: it indexes the
 /// payloads it has decoded only weakly, so a load while any holder (a
@@ -101,13 +106,20 @@ pub trait ShardSource: Send + Sync {
 /// declare (an undeclared bitwidth, a layer or slice outside the model
 /// shape) is [`StorageError::MissingShard`] from `load` and `size_bytes`
 /// alike.
+///
+/// A store made by [`create_temp`](Self::create_temp) owns its directory
+/// and removes it when it drops; one made by [`create`](Self::create) or
+/// [`open`](Self::open) leaves its directory where it is.
 #[derive(Debug)]
 pub struct ShardStore {
     dir: PathBuf,
+    /// Whether dropping the store removes `dir`.
+    temporary: bool,
     manifest: Manifest,
-    /// One handle per layer file, at [`Manifest::file_index`], filled by
-    /// the first read of that file. A failed open is not remembered, so a
-    /// missing file fails every read of it and no other.
+    /// One handle per layer file, at [`Manifest::file_index`]: the handle
+    /// [`create`](Self::create) wrote the file through, or one the first
+    /// read of an opened store's file opens. A failed open is not
+    /// remembered, so a missing file fails every read of it and no other.
     files: Vec<OnceLock<fs::File>>,
     /// What every load consults before it reads.
     index: Mutex<PayloadIndex>,
@@ -166,20 +178,26 @@ impl ShardStore {
         quant: &QuantConfig,
     ) -> Result<Self, StorageError> {
         let dir = dir.as_ref().to_path_buf();
-        if dir.join(Self::MANIFEST_FILE).exists() {
+        // One buffer for every path the store writes: the directory, a
+        // separator and one file name at a time.
+        let mut path = PathBuf::with_capacity(dir.as_os_str().len() + 1 + FILE_NAME_ROOM);
+        path.push(&dir);
+        path.push(Self::MANIFEST_FILE);
+        if path.exists() {
             return Err(StorageError::AlreadyExists(dir));
         }
+        path.pop();
         fs::create_dir_all(&dir)?;
         let cfg = model.config().clone();
-        let mut manifest = Manifest::new(cfg.clone(), bitwidths.to_vec());
-        let bitwidths = manifest.bitwidths.clone();
-        let mut shard = ShardWeights::zeros(&cfg);
+        let mut store = Self::over(dir, Manifest::new(cfg.clone(), bitwidths.to_vec()));
+        let bitwidths = store.manifest.bitwidths.clone();
+        let (mut shard, mut read) = (ShardWeights::zeros(&cfg), model.read_scratch());
         for layer in 0..cfg.layers as u16 {
             // One fit and one sort per shard: `versions[slice][k]` is the
             // shard at `bitwidths[k]`.
             let versions: Vec<Vec<QuantizedBlob>> = (0..cfg.heads as u16)
                 .map(|slice| {
-                    model.read_shard(ShardId::new(layer, slice), &mut shard);
+                    model.read_shard(ShardId::new(layer, slice), &mut shard, &mut read);
                     QuantizedBlob::quantize_all(&shard.flatten(), &bitwidths, quant)
                 })
                 .collect();
@@ -194,15 +212,63 @@ impl ShardStore {
                     });
                     file_bytes.extend_from_slice(&record);
                 }
-                let path = dir.join(Manifest::layer_file_name(layer, bw));
-                let mut f = fs::File::create(&path)?;
+                path.push(Manifest::layer_file_name(layer, bw));
+                let mut f = fs::OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(true)
+                    .open(&path)?;
+                path.pop();
                 f.write_all(&file_bytes)?;
-                manifest.insert_layer(layer, bw, locs);
+                store.manifest.insert_layer(layer, bw, locs);
+                // The store keeps the handle it wrote through; the cell is
+                // fresh, so the set cannot fail.
+                let file = store.manifest.file_index(layer, bw).expect("a declared file");
+                let _ = store.files[file].set(f);
             }
         }
-        let mut mf = fs::File::create(dir.join(Self::MANIFEST_FILE))?;
-        mf.write_all(&manifest.encode())?;
-        Ok(Self::over(dir, manifest))
+        path.push(Self::MANIFEST_FILE);
+        let mut mf = fs::File::create(&path)?;
+        mf.write_all(&store.manifest.encode())?;
+        Ok(store)
+    }
+
+    /// [`create`](Self::create) into a fresh `sti-ctx-<pid>-<n>` directory
+    /// under [`std::env::temp_dir`], which the store removes when it drops
+    /// (behind an `Arc`, when its last handle drops). `n` counts this
+    /// process's stores; a name a killed process with a recycled pid left
+    /// behind is skipped, not reused.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the directory cannot be created or the store cannot be
+    /// written; nothing is left behind.
+    pub fn create_temp(
+        model: &Model,
+        bitwidths: &[Bitwidth],
+        quant: &QuantConfig,
+    ) -> Result<Self, StorageError> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let base = std::env::temp_dir();
+        let dir = loop {
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let name = format!("sti-ctx-{}-{n}", std::process::id());
+            // Sized to fit: the store keeps the path and no slack.
+            let mut dir = PathBuf::with_capacity(base.as_os_str().len() + 1 + name.len());
+            dir.push(&base);
+            dir.push(name);
+            match fs::create_dir(&dir) {
+                Ok(()) => break dir,
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e.into()),
+            }
+        };
+        let mut store = Self::create(&dir, model, bitwidths, quant).inspect_err(|_| {
+            let _ = fs::remove_dir_all(&dir);
+        })?;
+        store.temporary = true;
+        Ok(store)
     }
 
     fn over(dir: PathBuf, manifest: Manifest) -> Self {
@@ -210,7 +276,7 @@ impl ShardStore {
         let keys = file_count * manifest.config.heads;
         let files = (0..file_count).map(|_| OnceLock::new()).collect();
         let index = PayloadIndex { slots: vec![WeakBlob::default(); keys], published: 0 };
-        Self { dir, manifest, files, index: Mutex::new(index) }
+        Self { dir, temporary: false, manifest, files, index: Mutex::new(index) }
     }
 
     /// Opens an existing store.
@@ -325,6 +391,15 @@ impl ShardStore {
     }
 }
 
+impl Drop for ShardStore {
+    fn drop(&mut self) {
+        // Nothing to report to: a directory that cannot be removed is left.
+        if self.temporary {
+            let _ = fs::remove_dir_all(&self.dir);
+        }
+    }
+}
+
 impl ShardSource for ShardStore {
     fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
         let (file, slot, loc, live) = self.locate_live(key)?;
@@ -370,38 +445,50 @@ impl ShardSource for ShardStore {
 /// the weights [`ShardStore::create`] was given come back bit for bit. This
 /// is what a `TaskContext`'s teacher reads once its store is written,
 /// instead of regenerating each shard from its seeds (about 11 µs a read
-/// against 180 µs at `scaled_bert()`). A read is one record read, decoded
-/// in place half by half into `out` (a payload a live holder has is used
-/// instead, and nothing is published): the record and the `[Q | K | V]`
-/// staging are all it allocates.
+/// against 180 µs at `scaled_bert()`). A read is one record read into the
+/// scratch's record buffer, decoded in place half by half into `out`
+/// through its `[Q | K | V]` staging (a payload a live holder has is used
+/// instead, and nothing is published). In a scratch from
+/// [`read_scratch`](ShardWeightSource::read_scratch) it allocates nothing.
 impl ShardWeightSource for ShardStore {
     /// # Panics
     ///
     /// Panics if the store holds no full-fidelity version of `id` or its
     /// record cannot be read or decoded, with a message that names the
     /// shard and the error; or if the record's weight count is not `out`'s.
-    fn read_shard(&self, id: ShardId, out: &mut ShardWeights) {
+    fn read_shard(&self, id: ShardId, out: &mut ShardWeights, scratch: &mut ReadScratch) {
         let key = ShardKey::new(id, Bitwidth::Full);
-        let mut record = Vec::new();
-        let live = self.load_deferred(key, &mut record).unwrap_or_else(|e| {
+        let ReadScratch { record, staging } = scratch;
+        record.clear();
+        let live = self.load_deferred(key, record).unwrap_or_else(|e| {
             panic!(
                 "cannot read the full-fidelity weights of {id:?} from {}: {e}",
                 self.dir.display()
             )
         });
-        let mut staging = vec![0.0; out.qkv.len()];
+        staging.resize(out.qkv.len(), 0.0);
         let mut fill = |len: usize, decode: &dyn Fn(usize, &mut [f32])| {
             assert_eq!(len, out.param_count(), "{id:?}'s record has the wrong length");
-            out.read_attention_with(&mut staging, decode);
+            out.read_attention_with(staging, decode);
             out.read_ffn_with(decode);
         };
         match live {
             Some(blob) => fill(blob.len(), &|at, seg| blob.dequantize_range_into(at, seg)),
             None => {
-                let view = format::verified_view(&record);
+                let view = format::verified_view(record);
                 fill(view.len(), &|at, seg| view.dequantize_range_into(at, seg));
             }
         }
+    }
+
+    /// Room for the longest full-fidelity record and one shard's Q, K and
+    /// V: 18 028 B at `scaled_bert()`.
+    fn read_scratch(&self) -> ReadScratch {
+        let cfg = &self.manifest.config;
+        let full = cfg.shard_ids().filter_map(|id| self.manifest.locate(id, Bitwidth::Full));
+        let record = full.map(|loc| loc.len as usize).max().unwrap_or(0);
+        let staging = vec![0.0; cfg.hidden * 3 * cfg.head_dim()];
+        ReadScratch { record: Vec::with_capacity(record), staging }
     }
 }
 
@@ -410,28 +497,27 @@ mod tests {
     use super::*;
     use sti_transformer::ModelConfig;
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    const BITWIDTHS: [Bitwidth; 3] = [Bitwidth::B2, Bitwidth::B6, Bitwidth::Full];
+
+    /// A directory the test names, for the tests of `create` and `open` at
+    /// a chosen path; every other test streams from a temporary store.
+    fn chosen_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sti-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
 
-    fn tiny_store(tag: &str) -> (ShardStore, Model, PathBuf) {
+    fn tiny_store() -> (ShardStore, Model) {
         let model = Model::synthetic(3, ModelConfig::tiny());
-        let dir = temp_dir(tag);
-        let store = ShardStore::create(
-            &dir,
-            &model,
-            &[Bitwidth::B2, Bitwidth::B6, Bitwidth::Full],
-            &QuantConfig::default(),
-        )
-        .unwrap();
-        (store, model, dir)
+        let store = ShardStore::create_temp(&model, &BITWIDTHS, &QuantConfig::default()).unwrap();
+        (store, model)
     }
 
     #[test]
     fn create_then_open_round_trips_manifest() {
-        let (store, _, dir) = tiny_store("open");
+        let model = Model::synthetic(3, ModelConfig::tiny());
+        let dir = chosen_dir("open");
+        let store = ShardStore::create(&dir, &model, &BITWIDTHS, &QuantConfig::default()).unwrap();
         let reopened = ShardStore::open(&dir).unwrap();
         assert_eq!(reopened.manifest(), store.manifest());
         fs::remove_dir_all(dir).unwrap();
@@ -439,29 +525,58 @@ mod tests {
 
     #[test]
     fn create_refuses_to_overwrite() {
-        let (_store, model, dir) = tiny_store("overwrite");
+        let model = Model::synthetic(3, ModelConfig::tiny());
+        let dir = chosen_dir("overwrite");
+        let _store = ShardStore::create(&dir, &model, &BITWIDTHS, &QuantConfig::default()).unwrap();
         let err =
             ShardStore::create(&dir, &model, &[Bitwidth::B2], &QuantConfig::default()).unwrap_err();
         assert!(matches!(err, StorageError::AlreadyExists(_)));
         fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A temporary store's directory is its own: two stores are apart,
+    /// both named `sti-ctx-<pid>-<n>` under the temp dir, and each
+    /// directory goes when its store's last handle drops, not before. A
+    /// store opened over it leaves it where it is.
+    #[test]
+    fn a_temporary_store_removes_its_directory_when_its_last_handle_drops() {
+        let ((a, _), (b, _)) = (tiny_store(), tiny_store());
+        assert_ne!(a.dir(), b.dir());
+        for store in [&a, &b] {
+            let name = store.dir().file_name().unwrap().to_str().unwrap();
+            assert!(name.starts_with(&format!("sti-ctx-{}-", std::process::id())), "{name}");
+            assert!(store.dir().starts_with(std::env::temp_dir()));
+        }
+        drop(ShardStore::open(b.dir()).unwrap());
+        assert!(
+            b.dir().join(ShardStore::MANIFEST_FILE).exists(),
+            "an opened store removes nothing"
+        );
+        let dir = a.dir().to_path_buf();
+        let a = std::sync::Arc::new(a);
+        let handle = a.clone();
+        drop(a);
+        let key = ShardKey::new(ShardId::new(1, 0), Bitwidth::B6);
+        assert!(handle.load(key).is_ok(), "a live handle still reads the store");
+        drop(handle);
+        assert!(!dir.exists(), "{} outlived its store", dir.display());
+    }
+
     #[test]
     fn full_fidelity_round_trips_weights_exactly() {
-        let (store, model, dir) = tiny_store("full");
+        let (store, model) = tiny_store();
         let id = ShardId::new(1, 2);
         let blob = store.load(ShardKey::new(id, Bitwidth::Full)).unwrap();
         let mut shard = ShardWeights::zeros(model.config());
-        model.read_shard(id, &mut shard);
+        model.read_shard(id, &mut shard, &mut model.read_scratch());
         assert_eq!(blob.dequantize(), shard.flatten());
-        fs::remove_dir_all(dir).unwrap();
     }
 
     /// A model re-pointed at the store reads every shard back bit for bit,
     /// and publishes nothing in the payload index while it does.
     #[test]
     fn a_model_over_the_store_reads_the_weights_it_was_written_from() {
-        let (store, model, dir) = tiny_store("weights");
+        let (store, model) = tiny_store();
         let store = std::sync::Arc::new(store);
         let over_store = model.with_shard_source(store.clone());
         let bits = |shard: &ShardWeights| -> Vec<u32> {
@@ -470,28 +585,26 @@ mod tests {
         let (mut want, mut got) =
             (ShardWeights::zeros(model.config()), ShardWeights::zeros(model.config()));
         for id in model.config().shard_ids() {
-            model.read_shard(id, &mut want);
-            over_store.read_shard(id, &mut got);
+            model.read_shard(id, &mut want, &mut model.read_scratch());
+            over_store.read_shard(id, &mut got, &mut over_store.read_scratch());
             assert_eq!(bits(&got), bits(&want), "{id:?}");
         }
         assert_eq!(store.live_payload_bytes(), 0);
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "cannot read the full-fidelity weights of")]
     fn a_store_without_full_fidelity_records_cannot_be_a_weight_source() {
         let model = Model::synthetic(3, ModelConfig::tiny());
-        let dir = temp_dir("no-full");
-        let store = ShardStore::create(&dir, &model, &[Bitwidth::B2], &QuantConfig::default());
+        let store = ShardStore::create_temp(&model, &[Bitwidth::B2], &QuantConfig::default());
         let store = store.unwrap();
-        fs::remove_dir_all(&dir).unwrap();
-        store.read_shard(ShardId::new(0, 0), &mut ShardWeights::zeros(model.config()));
+        let (mut slot, mut read) = (ShardWeights::zeros(model.config()), store.read_scratch());
+        store.read_shard(ShardId::new(0, 0), &mut slot, &mut read);
     }
 
     #[test]
     fn read_layer_mixes_bitwidths() {
-        let (store, _, dir) = tiny_store("mixed");
+        let (store, _) = tiny_store();
         let blobs = store
             .read_layer(0, &[(0, Bitwidth::B2), (1, Bitwidth::B6), (2, Bitwidth::Full)])
             .unwrap();
@@ -499,20 +612,19 @@ mod tests {
         assert_eq!(blobs[0].bitwidth(), Bitwidth::B2);
         assert_eq!(blobs[1].bitwidth(), Bitwidth::B6);
         assert_eq!(blobs[2].bitwidth(), Bitwidth::Full);
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn missing_shard_is_reported() {
-        let (store, _, dir) = tiny_store("missing");
+        let (store, _) = tiny_store();
         let err = store.load(ShardKey::new(ShardId::new(0, 0), Bitwidth::B4)).unwrap_err();
         assert!(matches!(err, StorageError::MissingShard { .. }));
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn corrupt_record_is_detected() {
-        let (store, _, dir) = tiny_store("corrupt");
+        let (store, _) = tiny_store();
+        let dir = store.dir();
         // Flip a byte in the middle of layer 0's 2-bit file.
         let path = dir.join(Manifest::layer_file_name(0, Bitwidth::B2));
         let mut bytes = fs::read(&path).unwrap();
@@ -526,22 +638,20 @@ mod tests {
             }
         }
         assert!(saw_error, "corruption must surface as an error");
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn storage_accounting_orders_bitwidths() {
-        let (store, _, dir) = tiny_store("bytes");
+        let (store, _) = tiny_store();
         let by_bw = store.stored_bytes_by_bitwidth();
         assert!(by_bw[&Bitwidth::B2] < by_bw[&Bitwidth::B6]);
         assert!(by_bw[&Bitwidth::B6] < by_bw[&Bitwidth::Full]);
         assert_eq!(store.total_bytes(), by_bw.values().sum::<u64>());
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn size_bytes_is_the_payload_and_the_manifest_counts_the_framing() {
-        let (store, model, dir) = tiny_store("size");
+        let (store, model) = tiny_store();
         let mut payload = 0u64;
         for id in model.config().shard_ids() {
             let key = ShardKey::new(id, Bitwidth::B6);
@@ -553,12 +663,11 @@ mod tests {
         }
         let framing = (model.config().total_shards() * format::RECORD_OVERHEAD) as u64;
         assert_eq!(store.manifest().bytes_at(Bitwidth::B6), payload + framing);
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn load_and_size_bytes_answer_for_one_key_set() {
-        let (store, model, dir) = tiny_store("keys");
+        let (store, model) = tiny_store();
         let cfg = model.config();
         let missing = |key: ShardKey| {
             let is_missing = |r: Result<(), StorageError>| {
@@ -584,12 +693,12 @@ mod tests {
                 assert!(missing(ShardKey::new(id, bw)), "{id:?} is outside the model shape");
             }
         }
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn layer_files_are_opened_once_and_read_from_many_threads() {
-        let (store, model, dir) = tiny_store("handles");
+        let (store, model) = tiny_store();
+        let dir = store.dir();
         let key = ShardKey::new(ShardId::new(1, 3), Bitwidth::B2);
         let first = store.load(key).unwrap();
         // The handle outlives the name: a second open would fail here.
@@ -606,12 +715,12 @@ mod tests {
             }
         });
         assert_eq!(store.read_layer(1, &[(3, Bitwidth::B2)]).unwrap(), vec![first]);
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn a_load_returns_the_payload_a_live_handle_has_and_reads_again_once_none_does() {
-        let (store, _, dir) = tiny_store("live");
+        let (store, _) = tiny_store();
+        let dir = store.dir();
         let key = ShardKey::new(ShardId::new(1, 2), Bitwidth::B6);
         let held = store.load(key).unwrap();
         assert_eq!(store.load(key).unwrap().packed().as_ptr(), held.packed().as_ptr());
@@ -625,12 +734,11 @@ mod tests {
             matches!(&err, StorageError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
             "a load with no live handle reads the record: {err}"
         );
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn live_payload_bytes_counts_what_holders_keep_and_nothing_once_they_drop() {
-        let (store, _, dir) = tiny_store("live-bytes");
+        let (store, _) = tiny_store();
         assert_eq!(store.live_payload_bytes(), 0, "a fresh store holds nothing");
         let (a, b) = (
             ShardKey::new(ShardId::new(0, 1), Bitwidth::B6),
@@ -663,12 +771,11 @@ mod tests {
         // Re-read: a fresh load is live again.
         let reread = store.load(b).unwrap();
         assert_eq!(store.live_payload_bytes(), reread.byte_size() as u64);
-        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn ten_thousand_load_and_drop_cycles_keep_the_index_within_its_sized_capacity() {
-        let (store, model, dir) = tiny_store("bounded");
+        let (store, model) = tiny_store();
         let keys: Vec<ShardKey> = model
             .config()
             .shard_ids()
@@ -685,6 +792,5 @@ mod tests {
         assert_eq!(index.slots.capacity(), keys.len(), "the index never grows past its sizing");
         assert!(index.slots.iter().all(|weak| weak.upgrade().is_none()));
         drop(index);
-        fs::remove_dir_all(dir).unwrap();
     }
 }

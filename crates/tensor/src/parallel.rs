@@ -35,7 +35,7 @@
 //! let _ = sti_tensor::parallel::parallel_map(2, |_| vec![0u8; 4]);
 //! ```
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 /// Number of worker threads to use: the machine's parallelism, capped so tiny
 /// inputs don't spawn idle threads.
@@ -155,20 +155,31 @@ where
     // Work is handed out one item at a time, so uneven item costs balance.
     let next = Mutex::new(items.iter_mut().enumerate());
 
+    // A worker frees what spawning it allocated as it exits. None takes an
+    // item while workers are still being spawned (the spawning thread holds
+    // `spawning` until it is done, or unwinds), so none can exit while the
+    // next is being spawned, and the heap's high-water is the same each run.
+    let spawning = RwLock::new(());
     std::thread::scope(|scope| {
+        let all_spawned = spawning.write();
         let handles: Vec<_> = scratches
             .iter_mut()
             .map(|scratch| {
-                let (next, results, f) = (&next, &results, &f);
-                scope.spawn(move || loop {
-                    let Some((i, item)) = next.lock().next() else {
-                        break;
-                    };
-                    let value = f(scratch, i, item);
-                    *results[i].lock() = Some(value);
+                let (next, results, f, spawning) = (&next, &results, &f, &spawning);
+                scope.spawn(move || {
+                    drop(spawning.read());
+                    loop {
+                        // The lock is released before the item runs.
+                        let Some((i, item)) = next.lock().next() else {
+                            break;
+                        };
+                        let value = f(scratch, i, item);
+                        *results[i].lock() = Some(value);
+                    }
                 })
             })
             .collect();
+        drop(all_spawned);
         // The scope alone waits for the closures, not for the threads to
         // exit; joining does, so the next call never races a thread still
         // releasing its allocator state and memory use is the same each run.
@@ -177,7 +188,12 @@ where
         }
     });
 
-    results.into_iter().map(|slot| slot.into_inner().expect("worker skipped an item")).collect()
+    // Into a fresh vector: collecting straight from `results` would keep its
+    // larger slots' allocation behind the results, so what the caller holds
+    // would depend on the worker count.
+    let mut out = Vec::with_capacity(results.len());
+    out.extend(results.into_iter().map(|slot| slot.into_inner().expect("worker skipped an item")));
+    out
 }
 
 #[cfg(test)]

@@ -76,13 +76,14 @@ impl AssembledSubmodel {
     pub fn from_model_slices(model: &Model, slices_per_layer: &[Vec<usize>]) -> Self {
         let cfg = model.config();
         let mut out = Self::new();
+        let mut read = model.read_scratch();
         for (l, slices) in slices_per_layer.iter().enumerate() {
             let shards: Vec<ShardWeights> = slices
                 .iter()
                 .map(|&s| {
                     assert!(s < cfg.heads, "slice {s} out of range");
                     let mut shard = ShardWeights::zeros(cfg);
-                    model.read_shard(ShardId::new(l as u16, s as u16), &mut shard);
+                    model.read_shard(ShardId::new(l as u16, s as u16), &mut shard, &mut read);
                     shard
                 })
                 .collect();

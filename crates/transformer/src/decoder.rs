@@ -82,7 +82,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let model = Model::synthetic(3, cfg.clone());
         let mut shard = ShardWeights::zeros(&cfg);
-        model.read_shard(ShardId::new(0, 0), &mut shard);
+        model.read_shard(ShardId::new(0, 0), &mut shard, &mut model.read_scratch());
         let a = model.embedding().embed_exact(&[1, 2, 3]);
         let b = model.embedding().embed_exact(&[1, 2, 63]);
         let out_a = oracle::attention(&a, &[&shard], &cfg, true);

@@ -56,7 +56,7 @@ pub use config::{ModelConfig, ShardId};
 pub use layer::ForwardScratch;
 pub use model::Model;
 pub use operand::ShardOperand;
-pub use source::ShardWeightSource;
+pub use source::{ReadScratch, ShardWeightSource};
 pub use weights::{LayerResident, LayerWeights, ModelLayer, ShardWeights};
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::config::{ModelConfig, ShardId};
 use crate::embedding::Embedding;
 use crate::layer::ForwardScratch;
 use crate::operand::{ShardOperand, WholeLayer};
-use crate::source::ShardWeightSource;
+use crate::source::{ReadScratch, ShardWeightSource};
 use crate::synthetic::{GainPattern, SeededShards};
 use crate::weights::{ModelLayer, ShardWeights};
 
@@ -108,15 +108,16 @@ impl Model {
         &self.residents.layers
     }
 
-    /// Writes shard `id`'s full-fidelity weights into `out` (best shaped
-    /// for this model, [`ShardWeights::zeros`], so nothing is allocated
-    /// for it): the one way to read them, whatever the source.
+    /// Writes shard `id`'s full-fidelity weights into `out`, working in
+    /// `scratch`: the one way to read them, whatever the source. With `out`
+    /// shaped for this model ([`ShardWeights::zeros`]) and `scratch` from
+    /// [`read_scratch`](Self::read_scratch), it allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range, or if the source cannot produce the
     /// shard (see its [`ShardWeightSource::read_shard`]).
-    pub fn read_shard(&self, id: ShardId, out: &mut ShardWeights) {
+    pub fn read_shard(&self, id: ShardId, out: &mut ShardWeights, scratch: &mut ReadScratch) {
         let cfg = &self.residents.cfg;
         assert!(
             (id.layer as usize) < cfg.layers && (id.slice as usize) < cfg.heads,
@@ -124,7 +125,13 @@ impl Model {
             cfg.layers,
             cfg.heads
         );
-        self.shards.read_shard(id, out);
+        self.shards.read_shard(id, out, scratch);
+    }
+
+    /// A scratch every [`read_shard`](Self::read_shard) of this model fits
+    /// in (see [`ShardWeightSource::read_scratch`]).
+    pub fn read_scratch(&self) -> ReadScratch {
+        self.shards.read_scratch()
     }
 
     /// The slice indexes of a full-width layer, `0..M`.
@@ -205,8 +212,9 @@ impl Model {
 
     /// The teacher pass, layer-major: each layer's `M` shards are read once
     /// through [`Model::read_shard`], on the calling thread, into one layer
-    /// of memory, and every hidden state of `states` (embedded inputs) is
-    /// run through that layer before the next is read; the last layer for
+    /// of memory (through one [`ReadScratch`] for the layer), and every
+    /// hidden state of `states` (embedded inputs) is run through that layer
+    /// before the next is read; the last layer for
     /// the CLS row alone. The states spread over the available cores, each
     /// worker running its layers in a [`ForwardScratch`] the calling thread
     /// built, so a worker allocates nothing (`sti_tensor::parallel`). Each
@@ -217,9 +225,13 @@ impl Model {
         let mut layer: Vec<ShardWeights> =
             (0..cfg.heads).map(|_| ShardWeights::zeros(cfg)).collect();
         for (l, ModelLayer { resident }) in self.layers().iter().enumerate() {
+            // The read buffers live while the layer is read, not through
+            // the section below, whose workers' scratch they would add to.
+            let mut read = self.read_scratch();
             for (s, shard) in layer.iter_mut().enumerate() {
-                self.read_shard(ShardId::new(l as u16, s as u16), shard);
+                self.read_shard(ShardId::new(l as u16, s as u16), shard, &mut read);
             }
+            drop(read);
             let (layer, cls_only) = (WholeLayer(&layer), l + 1 == cfg.layers);
             parallel_update_scratch(
                 states,
@@ -321,7 +333,7 @@ mod tests {
                 (0..cfg.heads as u16)
                     .map(|s| {
                         let mut shard = ShardWeights::zeros(cfg);
-                        m.read_shard(ShardId::new(l, s), &mut shard);
+                        m.read_shard(ShardId::new(l, s), &mut shard, &mut m.read_scratch());
                         shard
                     })
                     .collect()
@@ -433,12 +445,12 @@ mod tests {
         let id = ShardId::new(1, 2);
         let (mut fresh, mut dirty) =
             (ShardWeights::zeros(m.config()), read_grid(&other)[0][1].clone());
-        m.read_shard(id, &mut fresh);
-        m.read_shard(id, &mut dirty);
+        m.read_shard(id, &mut fresh, &mut m.read_scratch());
+        m.read_shard(id, &mut dirty, &mut m.read_scratch());
         assert_eq!(dirty, fresh);
         assert_ne!(fresh, ShardWeights::zeros(m.config()));
         let repointed = m.with_shard_source(other.shards.clone());
-        repointed.read_shard(id, &mut dirty);
+        repointed.read_shard(id, &mut dirty, &mut repointed.read_scratch());
         assert_eq!(dirty, read_grid(&other)[1][2]);
         assert!(std::ptr::eq(repointed.embedding(), m.embedding()));
         assert_eq!(repointed.layers().as_ptr(), m.layers().as_ptr());
@@ -448,7 +460,11 @@ mod tests {
     #[should_panic(expected = "outside the 2x4 model")]
     fn read_shard_rejects_a_slice_past_the_layer() {
         let m = tiny_model();
-        m.read_shard(ShardId::new(0, 4), &mut ShardWeights::zeros(m.config()));
+        m.read_shard(
+            ShardId::new(0, 4),
+            &mut ShardWeights::zeros(m.config()),
+            &mut m.read_scratch(),
+        );
     }
 
     #[test]

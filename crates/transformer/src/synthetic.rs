@@ -19,7 +19,7 @@ use sti_tensor::norm::LayerNormParams;
 use sti_tensor::{Matrix, Rng};
 
 use crate::config::{ModelConfig, ShardId};
-use crate::source::ShardWeightSource;
+use crate::source::{ReadScratch, ShardWeightSource};
 use crate::weights::{LayerResident, LayerWeights, ShardWeights};
 
 /// Probability that a weight is replaced by a heavy-tail outlier.
@@ -283,7 +283,7 @@ impl ShardWeightSource for SeededShards {
     /// # Panics
     ///
     /// Panics if `id` is past the drawn layers (the model checks the slice).
-    fn read_shard(&self, id: ShardId, out: &mut ShardWeights) {
+    fn read_shard(&self, id: ShardId, out: &mut ShardWeights, _: &mut ReadScratch) {
         let (layer, slice) = (id.layer as usize, id.slice as usize);
         let (common, decay) = self.layers[layer];
         let (private, gain) = self.shards[layer * self.cfg.heads + slice];

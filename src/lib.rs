@@ -233,8 +233,11 @@
 //! residents once, the FP32 teacher not at all (every teacher read copies
 //! one shard from the store into the reader's memory, and the teacher's
 //! own pass holds one layer), and the quantised model not at all
-//! (`tests/memory_sharing.rs` pins both with an allocation counter;
-//! `MemStore`, which does hold every payload, is the unit-test double).
+//! (`tests/memory_sharing.rs` pins both with an allocation counter). There
+//! is one source of quantised shards, the on-disk `ShardStore`: a context
+//! and every test that needs some store write a temporary one
+//! (`ShardStore::create_temp`), which removes its directory when its last
+//! handle drops.
 //!
 //! The single-app engine path (`StiEngine::builder(..)`) works exactly as
 //! in the seed; see `crates/pipeline` for both facades, and the

@@ -25,7 +25,9 @@ fn server(admission: AdmissionMode) -> StiServer {
     let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 6);
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-    let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let source = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     StiServer::new(
         task.model().clone(),
         source,
@@ -56,7 +58,9 @@ fn the_window_boundary_is_the_same_in_the_scheduler_and_the_predictor() {
     let cfg = ModelConfig::tiny();
     let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 6);
     let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, &QuantConfig::default());
-    let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let source = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     let plan = plan_two_stage(
         &hw,
         &importance_for(&cfg),

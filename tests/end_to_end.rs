@@ -41,22 +41,26 @@ fn full_lifecycle_on_disk_store() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A store written at a chosen path, closed and opened again from its
+/// manifest, serves the same shards and sizes as a fresh temporary store
+/// written from the same model, and an engine over each answers the same
+/// bits.
 #[test]
-fn an_engine_on_disk_equals_an_engine_in_memory_bit_for_bit() {
+fn an_engine_on_a_reopened_store_equals_one_on_a_fresh_store_bit_for_bit() {
     let (task, hw, importance) = tiny_setup();
     let dir = std::env::temp_dir().join(format!("sti-e2e-twin-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let quant = QuantConfig::default();
-    let on_disk: Arc<dyn ShardSource> =
-        Arc::new(ShardStore::create(&dir, task.model(), &Bitwidth::ALL, &quant).unwrap());
-    let in_memory: Arc<dyn ShardSource> =
-        Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &quant));
+    drop(ShardStore::create(&dir, task.model(), &Bitwidth::ALL, &quant).unwrap());
+    let reopened: Arc<dyn ShardSource> = Arc::new(ShardStore::open(&dir).unwrap());
+    let fresh: Arc<dyn ShardSource> =
+        Arc::new(ShardStore::create_temp(task.model(), &Bitwidth::ALL, &quant).unwrap());
     // One meaning for `size_bytes`: what the device model is charged.
     for id in task.model().config().shard_ids() {
         for bw in Bitwidth::ALL {
             let key = ShardKey::new(id, bw);
-            assert_eq!(on_disk.size_bytes(key).unwrap(), in_memory.size_bytes(key).unwrap());
-            assert_eq!(on_disk.load(key).unwrap(), in_memory.load(key).unwrap());
+            assert_eq!(reopened.size_bytes(key).unwrap(), fresh.size_bytes(key).unwrap());
+            assert_eq!(reopened.load(key).unwrap(), fresh.load(key).unwrap());
         }
     }
     let engine = |source: Arc<dyn ShardSource>| {
@@ -67,7 +71,7 @@ fn an_engine_on_disk_equals_an_engine_in_memory_bit_for_bit() {
             .build()
             .unwrap()
     };
-    let (disk, memory) = (engine(on_disk), engine(in_memory));
+    let (disk, memory) = (engine(reopened), engine(fresh));
     assert_eq!(disk.plan(), memory.plan());
     for tokens in [&[1u32, 2, 3, 4][..], &[9, 8, 7], &[5]] {
         let (d, m) = (disk.infer(tokens).unwrap(), memory.infer(tokens).unwrap());
@@ -176,8 +180,10 @@ fn engine_accuracy_tracks_runner_accuracy() {
     let result = sti::run_experiment(&ctx, &exp);
 
     let hw = HwProfile::measure(&device, &cfg, ctx.quant());
-    let store =
-        Arc::new(MemStore::build(ctx.task().model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = Arc::new(
+        ShardStore::create_temp(ctx.task().model(), &Bitwidth::ALL, &QuantConfig::default())
+            .unwrap(),
+    );
     let engine =
         StiEngine::builder(ctx.task().model().clone(), store, hw, ctx.importance().clone())
             .target(SimTime::from_ms(300))
@@ -229,7 +235,9 @@ fn baseline_ordering_holds_on_tiny_grid() {
 #[test]
 fn replanning_is_only_triggered_by_parameter_changes() {
     let (task, hw, importance) = tiny_setup();
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     let mut engine = StiEngine::builder(task.model().clone(), store, hw, importance)
         .target(SimTime::from_ms(250))
         .preload_budget(4 << 10)
@@ -248,7 +256,9 @@ fn replanning_is_only_triggered_by_parameter_changes() {
 #[test]
 fn preload_budget_bounds_memory_and_improves_warmup() {
     let (task, hw, importance) = tiny_setup();
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     let build = |budget: u64| {
         StiEngine::builder(task.model().clone(), store.clone(), hw.clone(), importance.clone())
             .target(SimTime::from_ms(300))

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use sti::prelude::*;
 use sti_planner::ImportanceProfile;
 
-fn fixture() -> (Task, DeviceProfile, ImportanceProfile, Arc<MemStore>) {
+fn fixture() -> (Task, DeviceProfile, ImportanceProfile, Arc<ShardStore>) {
     let cfg = ModelConfig::tiny();
     let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 6);
     let device = DeviceProfile::odroid_n2();
@@ -17,7 +17,9 @@ fn fixture() -> (Task, DeviceProfile, ImportanceProfile, Arc<MemStore>) {
         (0..cfg.total_shards()).map(|i| 0.5 + (i % 6) as f64 * 0.015).collect(),
         0.44,
     );
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     (task, device, importance, store)
 }
 

@@ -19,7 +19,8 @@
 //! record between the two halves. Missing shards still fail at
 //! dispatch, where their size is looked up.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use sti::prelude::*;
 use sti::TaskContext;
@@ -49,11 +50,14 @@ fn plan_for(hw: &HwProfile, importance: &ImportanceProfile) -> ExecutionPlan {
 #[test]
 fn missing_version_fails_with_missing_shard() {
     let (task, hw, importance) = setup();
-    let store = Arc::new(MemStore::build(
-        task.model(),
-        &[Bitwidth::B2, Bitwidth::Full],
-        &QuantConfig::default(),
-    ));
+    let store = Arc::new(
+        ShardStore::create_temp(
+            task.model(),
+            &[Bitwidth::B2, Bitwidth::Full],
+            &QuantConfig::default(),
+        )
+        .unwrap(),
+    );
     // Planner believes all versions exist; B6 etc. are absent from the store.
     let plan = plan_for(&hw, &importance);
     let needs_missing = plan
@@ -75,15 +79,13 @@ fn missing_version_fails_with_missing_shard() {
 #[test]
 fn corrupt_disk_record_surfaces_as_corrupt_error() {
     let (task, hw, importance) = setup();
-    let dir = std::env::temp_dir().join(format!("sti-failinj-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let store =
-        ShardStore::create(&dir, task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap();
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap();
 
     let plan = plan_for(&hw, &importance);
     // Corrupt every layer-0 file so whichever version the plan chose is hit.
     for bw in Bitwidth::ALL {
-        let path = dir.join(Manifest::layer_file_name(0, bw));
+        let path = store.dir().join(Manifest::layer_file_name(0, bw));
         let mut bytes = std::fs::read(&path).unwrap();
         for b in bytes.iter_mut() {
             *b ^= 0xA5;
@@ -93,7 +95,6 @@ fn corrupt_disk_record_surfaces_as_corrupt_error() {
     let exec = PipelineExecutor::new(task.model(), Arc::new(store), &hw);
     let err = exec.execute(&plan, &PreloadBuffer::default(), &[3]).unwrap_err();
     assert!(matches!(err, PipelineError::Storage(_)), "unexpected error: {err}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -132,14 +133,12 @@ fn deleted_layer_file_fails_reads_not_open() {
 #[test]
 fn a_record_damaged_under_a_live_payload_fails_only_once_the_payload_drops() {
     let (task, _, _) = setup();
-    let dir = std::env::temp_dir().join(format!("sti-failinj-live-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let store =
-        ShardStore::create(&dir, task.model(), &[Bitwidth::B4], &QuantConfig::default()).unwrap();
+        ShardStore::create_temp(task.model(), &[Bitwidth::B4], &QuantConfig::default()).unwrap();
     let id = ShardId::new(1, 2);
     let key = ShardKey::new(id, Bitwidth::B4);
     let held = store.load(key).unwrap();
-    let path = dir.join(Manifest::layer_file_name(1, Bitwidth::B4));
+    let path = store.dir().join(Manifest::layer_file_name(1, Bitwidth::B4));
     let loc = store.manifest().locate(id, Bitwidth::B4).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[loc.offset as usize + loc.len as usize / 2] ^= 0x10;
@@ -150,7 +149,6 @@ fn a_record_damaged_under_a_live_payload_fails_only_once_the_payload_drops() {
     drop((held, live));
     let err = store.load(key).unwrap_err();
     assert!(matches!(err, StorageError::Corrupt { .. }), "unexpected error: {err}");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// On a context-built server that streams every shard of every engagement
@@ -279,7 +277,8 @@ fn a_record_damaged_after_the_drive_fails_the_completion_typed() {
 #[test]
 fn oversized_preload_request_is_rejected_not_truncated() {
     let (task, _, _) = setup();
-    let store = MemStore::build(task.model(), &[Bitwidth::Full], &QuantConfig::default());
+    let store =
+        ShardStore::create_temp(task.model(), &[Bitwidth::Full], &QuantConfig::default()).unwrap();
     let shard = (ShardId::new(0, 0), Bitwidth::Full);
     let blob = sti_storage::ShardSource::load(&store, ShardKey::new(shard.0, shard.1)).unwrap();
     let err = PreloadBuffer::fill(blob.byte_size() as u64 - 1, &[shard], &store).unwrap_err();
@@ -291,7 +290,9 @@ fn scheduler_shutdown_mid_burst_halts_the_event_loop_cleanly() {
     use sti_storage::{IoChannel, IoScheduler, LayerRequest};
 
     let (task, _, _) = setup();
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     // Event-host mode: the loop is the only dispatcher.
     let flash = FlashModel::new(1_000_000, SimTime::from_ms(1));
     let (cache, topology) = (Arc::new(ShardCache::new(0)), DeviceTopology::single());
@@ -391,7 +392,9 @@ fn scheduler_shutdown_mid_burst_halts_the_event_loop_cleanly() {
 #[test]
 fn engine_survives_budget_shrink_to_zero() {
     let (task, hw, importance) = setup();
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     let mut engine = StiEngine::builder(task.model().clone(), store, hw, importance)
         .target(SimTime::from_ms(400))
         .preload_budget(16 << 10)
@@ -415,14 +418,58 @@ fn contents(blob: &QuantizedBlob) -> (Vec<u8>, Vec<u32>, Vec<(u32, u32)>) {
     )
 }
 
+/// A store whose keys a test re-points: [`plant`](Self::plant) makes a key
+/// name another blob, [`withdraw`](Self::withdraw) makes it missing. Its
+/// records are untouched, so a blob already handed out is what it was.
+struct Planted {
+    store: ShardStore,
+    planted: Mutex<HashMap<ShardKey, Option<QuantizedBlob>>>,
+}
+
+impl Planted {
+    fn over(model: &Model) -> Arc<Self> {
+        let store = ShardStore::create_temp(model, &Bitwidth::ALL, &QuantConfig::default());
+        Arc::new(Self { store: store.unwrap(), planted: Mutex::default() })
+    }
+
+    fn plant(&self, key: ShardKey, blob: QuantizedBlob) {
+        self.planted.lock().unwrap().insert(key, Some(blob));
+    }
+
+    /// Makes `key` missing, and returns the blob it named.
+    fn withdraw(&self, key: ShardKey) -> Option<QuantizedBlob> {
+        let named = self.load(key).ok();
+        self.planted.lock().unwrap().insert(key, None);
+        named
+    }
+}
+
+impl ShardSource for Planted {
+    fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
+        match self.planted.lock().unwrap().get(&key) {
+            Some(Some(blob)) => Ok(blob.clone()),
+            Some(None) => Err(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() }),
+            None => self.store.load(key),
+        }
+    }
+
+    fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
+        match self.planted.lock().unwrap().get(&key) {
+            Some(Some(blob)) => Ok(blob.byte_size() as u64),
+            Some(None) => Err(StorageError::MissingShard { id: key.id, bits: key.bitwidth.bits() }),
+            None => self.store.size_bytes(key),
+        }
+    }
+}
+
 /// Payloads are shared between the store, the shard cache and every preload
-/// buffer, so the store's mutators must only ever swap which blob a key
-/// names: a blob a server already cached or preloaded keeps its bytes, and
-/// the server keeps serving from them.
+/// buffer, so re-pointing a key at another blob, or withdrawing it, must
+/// only ever swap which blob a key names: a blob a server already cached or
+/// preloaded keeps its bytes, and the server keeps serving from them.
 #[test]
 fn replacing_or_removing_a_stored_shard_leaves_handed_out_blobs_untouched() {
     let (task, hw, importance) = setup();
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = Planted::over(task.model());
     let server = StiServer::new(
         task.model().clone(),
         store.clone(),
@@ -463,10 +510,10 @@ fn replacing_or_removing_a_stored_shard_leaves_handed_out_blobs_untouched() {
     let sabotage = |range: std::ops::Range<usize>| {
         for i in range {
             if i % 2 == 0 {
-                store.insert(planned[i], imposter.clone());
+                store.plant(planned[i], imposter.clone());
                 assert_eq!(store.load(planned[i]).unwrap(), imposter);
             } else {
-                assert_eq!(store.remove(planned[i]).as_ref(), Some(&handed_out[i]));
+                assert_eq!(store.withdraw(planned[i]).as_ref(), Some(&handed_out[i]));
                 assert!(matches!(store.load(planned[i]), Err(StorageError::MissingShard { .. })));
             }
         }
@@ -522,10 +569,10 @@ fn corrupt_blobs_built_from_parts_still_fail_typed() {
     assert_eq!(parts(packed, centroids, good.outliers().to_vec()).unwrap(), good);
 
     let (task, hw, importance) = setup();
-    let store = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let store = Planted::over(task.model());
     let plan = plan_for(&hw, &importance);
     let pl = &plan.layers[0];
-    store.insert(ShardKey::new(ShardId::new(pl.layer, pl.slices[0]), pl.bitwidths[0]), good);
+    store.plant(ShardKey::new(ShardId::new(pl.layer, pl.slices[0]), pl.bitwidths[0]), good);
     let exec = PipelineExecutor::new(task.model(), store, &hw);
     let err = exec.execute(&plan, &PreloadBuffer::default(), &[1, 2]).unwrap_err();
     assert!(matches!(err, PipelineError::PlanMismatch(_)), "unexpected error: {err}");

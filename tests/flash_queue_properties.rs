@@ -118,7 +118,9 @@ fn scheduler_event_log_upholds_the_queue_invariants() {
     use std::sync::Arc;
     let cfg = ModelConfig::tiny();
     let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
-    let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let source = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     let importance = ImportanceProfile::from_scores(
         cfg.layers,
         cfg.heads,

@@ -25,8 +25,9 @@ use std::sync::Arc;
 
 use sti::prelude::*;
 use sti::TaskContext;
-use sti_tensor::parallel::parallel_update_scratch;
-use sti_transformer::{ForwardScratch, ShardWeights};
+use sti_tensor::parallel::{parallel_map_scratch, parallel_update_scratch};
+use sti_tensor::Matrix;
+use sti_transformer::{ForwardScratch, ReadScratch, ShardWeights};
 
 /// The system allocator, counting every block and byte it is asked for,
 /// every block and byte still held, and the most bytes ever held at once.
@@ -149,6 +150,7 @@ macro_rules! pins {
 /// are ignored, except that `--list` names the pins and runs none.
 fn main() -> ExitCode {
     let pins = pins![
+        set_ups_counted_work_is_the_work_ledgers,
         a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads,
         a_contexts_model_holds_only_residents,
         the_contexts_store_keeps_an_index_not_the_model,
@@ -204,6 +206,11 @@ fn main() -> ExitCode {
 
 const KIB: u64 = 1024;
 
+/// Heap bytes a read scratch holds.
+fn scratch_bytes(scratch: &ReadScratch) -> i64 {
+    (scratch.record.capacity() + scratch.staging.capacity() * std::mem::size_of::<f32>()) as i64
+}
+
 /// A task at the shipped scale (1.98 MiB of FP32 shard weights) with a flat
 /// importance profile injected, so no pin pays for profiling.
 fn scaled_context() -> TaskContext {
@@ -219,11 +226,155 @@ fn all_keys(cfg: &ModelConfig) -> Vec<ShardKey> {
     ids.flat_map(|id| Bitwidth::ALL.map(|bw| ShardKey::new(id, bw))).collect()
 }
 
+/// One row of the work ledger, `BENCH_work.json`: what one set-up step
+/// did to the heap, with the terms that depend on the machine taken out.
+struct WorkRow {
+    name: &'static str,
+    /// Blocks requested (a realloc is a request).
+    blocks: u64,
+    /// Bytes requested, transients included.
+    requested: u64,
+    /// Bytes still held once the step returned, its result included.
+    held: i64,
+    /// The most bytes held at once during the step.
+    high_water: i64,
+}
+
+impl WorkRow {
+    fn line(&self) -> String {
+        format!(
+            "    {{\"name\": \"{}\", \"blocks\": {}, \"requested_bytes\": {}, \"held_bytes\": {}, \
+             \"high_water_bytes\": {}}}",
+            self.name, self.blocks, self.requested, self.held, self.high_water
+        )
+    }
+}
+
+/// Where the work ledger lives: the root of the repository.
+const WORK_LEDGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_work.json");
+
+/// Set-up's counted work at the benchmark's shape, against the work ledger
+/// `BENCH_work.json`: the context build (`TaskContext::with_config` at
+/// `scaled_bert()`), the importance profile on the first 8 dev examples of
+/// its task, and `build_server` with the default configuration over that
+/// context. With `STI_BLESS_WORK=1` in the environment the pin writes the
+/// ledger instead, whole; otherwise it names every row that differs, so a
+/// change that moves set-up's work says which step moved.
+///
+/// A row is the same in every process, in debug and release builds and on
+/// any core count, because what depends on the machine is measured in the
+/// same process and taken out:
+/// - the parallel sections: the build's one per layer (the teacher's
+///   labelling pass) and the profile's one, each measured as a section of
+///   the same shape that does no work (its threads, results and per-worker
+///   scratch: the forward scratch for the teacher, and for a probe its
+///   decoded layer and flat buffer, upgrade slot, read scratch, hidden
+///   states and forward scratch); the build's high-water takes out the
+///   larger of a section and the read scratch the layer is read through,
+///   as `a_contexts_build_holds_one_layer_of_fp32_shards_at_most` does;
+/// - the store's directory path (its length `L`, and `T` of the temp dir
+///   it is under): the build requests the temp dir's path (`T` bytes), the
+///   store's directory path (`L`), the copy `ShardStore::create` keeps
+///   (`L`) and the one buffer it builds every file path in (`L` and a file
+///   name's room), and keeps one path of `L` bytes.
+fn set_ups_counted_work_is_the_work_ledgers() {
+    let cfg = ModelConfig::scaled_bert();
+    let quant = QuantConfig::default();
+    let (ctx, build) = heap_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
+    let dir = ctx.shard_store_dir();
+    let path = dir.as_os_str().len() as i64;
+    let temp = dir.parent().expect("a store directory has a parent").as_os_str().len() as i64;
+    let model = ctx.task().model();
+    let read = scratch_bytes(&model.read_scratch());
+    let mut items = vec![(); Task::DEFAULT_DEV + Task::DEFAULT_TEST];
+    let (_, section) = heap_across(|| {
+        parallel_update_scratch(&mut items, || ForwardScratch::new(&cfg), |_, _, ()| ())
+    });
+    let layers = cfg.layers as u64;
+    let context = WorkRow {
+        name: "task_context_with_config_sst2_scaled_bert",
+        blocks: build.requests - layers * section.requests,
+        requested: build.requested - layers * section.requested - (temp + 3 * path) as u64,
+        held: build.held - path,
+        high_water: build.high_water - path - read.max(section.high_water),
+    };
+
+    let dev = Dataset::new(ctx.task().dev().examples()[..8].to_vec());
+    let (profile, probes) = heap_across(|| profile_importance(model, &dev, &quant));
+    let probe_scratch = || {
+        let layer: Vec<ShardWeights> = (0..cfg.heads).map(|_| ShardWeights::zeros(&cfg)).collect();
+        let states: Vec<Matrix> =
+            (0..dev.len()).map(|_| Matrix::zeros(cfg.seq_len, cfg.hidden)).collect();
+        let flat = vec![0.0f32; cfg.shard_param_count()];
+        (
+            layer,
+            flat,
+            ShardWeights::zeros(&cfg),
+            model.read_scratch(),
+            states,
+            ForwardScratch::new(&cfg),
+        )
+    };
+    let (_, section) =
+        heap_across(|| parallel_map_scratch(cfg.total_shards(), probe_scratch, |_, _| 0.0f64));
+    let profile_row = WorkRow {
+        name: "profile_importance_8_dev_examples",
+        blocks: probes.requests - section.requests,
+        requested: probes.requested - section.requested,
+        held: probes.held,
+        high_water: probes.high_water - section.high_water,
+    };
+    assert!(ctx.set_importance(profile));
+
+    let (server, serve) = heap_across(|| build_server(&ctx, &ServeConfig::default()));
+    let server_row = WorkRow {
+        name: "build_server_default_config",
+        blocks: serve.requests,
+        requested: serve.requested,
+        held: serve.held,
+        high_water: serve.high_water,
+    };
+    drop(server);
+
+    let rows = [context, profile_row, server_row];
+    let lines: Vec<String> = rows.iter().map(WorkRow::line).collect();
+    if std::env::var_os("STI_BLESS_WORK").is_some_and(|v| v == "1") {
+        let ledger = format!(
+            "{{\n  \"about\": \"Set-up's counted heap work at scaled_bert(), written by \
+             tests/memory_sharing.rs under STI_BLESS_WORK=1 and compared by it otherwise; \
+             machine-dependent terms (worker count, temp-dir path) are taken out.\",\n  \
+             \"rows\": [\n{}\n  ]\n}}\n",
+            lines.join(",\n")
+        );
+        std::fs::write(WORK_LEDGER, ledger).expect("the work ledger is writable");
+        return;
+    }
+    let ledger = std::fs::read_to_string(WORK_LEDGER).expect("BENCH_work.json is checked in");
+    let recorded: Vec<&str> = ledger
+        .lines()
+        .map(|line| line.trim_end_matches(','))
+        .filter(|l| l.contains("\"name\""))
+        .collect();
+    let moved: Vec<String> = rows
+        .iter()
+        .zip(&lines)
+        .filter(|(_, line)| !recorded.contains(&line.as_str()))
+        .map(|(row, line)| format!("{}: measured {}", row.name, line.trim()))
+        .collect();
+    assert!(
+        moved.is_empty() && recorded.len() == rows.len(),
+        "set-up's counted work differs from BENCH_work.json (re-record it with \
+         STI_BLESS_WORK=1 and name the rows that moved):\n{}",
+        moved.join("\n")
+    );
+}
+
 fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
-    // An in-memory store: the pin is about what a holder of the payload
-    // hands out, and `MemStore` is the source that holds every payload.
+    // The cache holds every payload, so a load from the store hands out
+    // the one its weak index finds: the pin is about what a holder of the
+    // payload hands out, from the store and from the cache alike.
     let model = Model::synthetic(11, ModelConfig::scaled_bert());
-    let store = MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default());
+    let store = ShardStore::create_temp(&model, &Bitwidth::ALL, &QuantConfig::default()).unwrap();
     let keys = all_keys(model.config());
     let cache = ShardCache::new(64 << 20);
     for &key in &keys {
@@ -251,16 +402,19 @@ fn a_thousand_loads_and_a_thousand_warm_hits_allocate_handles_not_payloads() {
 
 /// What a context keeps once built at the shipped scale: the teacher's
 /// residents (the embedding, layer norms, biases and classifier), the
-/// task's splits, and the store's index and directory name: 193 530 B. It
+/// task's splits, and the store's index and directory name: 193 538 B. It
 /// used to keep the synthesised FP32 grid as well: 2 290 458 B beside the
 /// name with its store built, 2 073 600 B of them shard weights. No grid is
-/// built any more: the store is written from the teacher's seeds, and the
-/// labelling then reads each shard from the store's full-fidelity records,
-/// which opens their twelve layer files. A kept file handle is a
-/// descriptor, not heap, so the count did not move. It is exact but for
-/// the directory name, whose length depends on the temp dir and the pid.
+/// built any more: the store is written from the teacher's seeds, keeping
+/// the handle of each layer file it writes, and the labelling then reads
+/// each shard from the store's full-fidelity records. A kept file handle is
+/// a descriptor, not heap. The count was 193 530 B while the context
+/// wrapped its store in a type of its own; the store now carries whether
+/// it owns its directory itself, one flag, 8 B with its padding. It is
+/// exact but for the directory name, whose length depends on the temp dir
+/// and the pid.
 fn a_contexts_model_holds_only_residents() {
-    const HELD_BESIDE_THE_DIRECTORY_NAME: i64 = 193_530;
+    const HELD_BESIDE_THE_DIRECTORY_NAME: i64 = 193_538;
     let cfg = ModelConfig::scaled_bert();
     let (ctx, HeapUse { held, .. }) =
         heap_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
@@ -281,8 +435,8 @@ fn a_contexts_model_holds_only_residents() {
 /// per key: quantising and writing are transients, and neither the model
 /// nor a copy of its weights stays. Measured as what a context keeps
 /// beyond a bare task of the same shape, whose teacher keeps its
-/// residents and its shards' seeds and no weight: 20 638 B beside the
-/// directory name. A context keeping the model's weights would keep about
+/// residents and its shards' seeds and no weight: 20 646 B beside the
+/// directory name (20 638 B before the store carried its directory flag). A context keeping the model's weights would keep about
 /// 2 MiB more here.
 fn the_contexts_store_keeps_an_index_not_the_model() {
     let cfg = ModelConfig::scaled_bert();
@@ -309,23 +463,25 @@ fn the_contexts_store_keeps_an_index_not_the_model() {
 /// one layer of FP32 shards read from the store (172 800 B), one padded
 /// hidden state per example of both splits (160 × 2 880 B), what the
 /// context keeps (the residents, the splits and the store's index), and, on
-/// top, either one store read's record and staging (18 028 B)
-/// or the parallel section of a layer (its workers' forward scratch and
-/// threads: 25 112 B on two cores), whichever is larger, and the per-example
-/// bookkeeping. The pin subtracts the larger of a read and a section, which
-/// depends on the core count, measured in the same process: what is left is
-/// exact, 840 626 B beside the directory name on one core and on two, and
-/// 865 738 B in all on two cores. `Task::build` used to reach 2 299 964 B
-/// here, with the whole grid synthesised first.
+/// top, either the scratch the layer is read through (one record and one
+/// Q/K/V staging, 18 028 B, which the reads reuse, so a read allocates
+/// nothing) or the parallel section of a layer (its workers' forward
+/// scratch and threads: 25 112 B on two cores), whichever is larger, and
+/// the per-example bookkeeping. The pin subtracts the larger of the read
+/// scratch and a section, which depends on the core count, measured in the
+/// same process: what is left is exact, 840 634 B beside the directory name
+/// on one core and on two, and 865 746 B in all on two cores. It was
+/// 840 626 B while every read allocated its own record and staging (144
+/// pairs per build) and the context wrapped its store in a type of its own
+/// (8 B less). `Task::build` used to reach 2 299 964 B here, with the whole
+/// grid synthesised first.
 fn a_contexts_build_holds_one_layer_of_fp32_shards_at_most() {
     let cfg = ModelConfig::scaled_bert();
     let (ctx, HeapUse { held, high_water, .. }) =
         heap_across(|| TaskContext::with_config(TaskKind::Sst2, cfg.clone()));
     let name = ctx.shard_store_dir().as_os_str().len() as i64;
     let model = ctx.task().model();
-    let mut shard = ShardWeights::zeros(&cfg);
-    let ((), HeapUse { high_water: read, .. }) =
-        heap_across(|| model.read_shard(ShardId::new(11, 11), &mut shard));
+    let read = scratch_bytes(&model.read_scratch());
     let mut items = vec![(); Task::DEFAULT_DEV + Task::DEFAULT_TEST];
     let scratch = || ForwardScratch::new(&cfg);
     let (_, HeapUse { high_water: section, .. }) =
@@ -334,7 +490,7 @@ fn a_contexts_build_holds_one_layer_of_fp32_shards_at_most() {
     let examples = (Task::DEFAULT_DEV + Task::DEFAULT_TEST) as i64;
     let states = examples * (cfg.seq_len * cfg.hidden * 4) as i64;
     let residents = model.resident_byte_size() as i64;
-    assert_eq!((layer, states), (172_800, 460_800));
+    assert_eq!((layer, states, read), (172_800, 460_800, 18_028));
     // Per example, a hidden state's matrix header, its input's token
     // slice and its drawn (tokens, flip) pair: 40 + 16 + 40 B, under 128 B.
     let bookkeeping = examples * 128;
@@ -342,9 +498,9 @@ fn a_contexts_build_holds_one_layer_of_fp32_shards_at_most() {
     assert!(high_water < sum, "high-water {high_water} B, over {sum} B");
     assert_eq!(
         high_water - name - read.max(section),
-        840_626,
-        "a context build's heap high-water, less a read's {read} B or a parallel section's \
-         {section} B; {held} B kept, {residents} B of residents"
+        840_634,
+        "a context build's heap high-water, less the read scratch's {read} B or a parallel \
+         section's {section} B; {held} B kept, {residents} B of residents"
     );
 }
 
@@ -440,12 +596,13 @@ fn a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds() {
 /// through every probe: the high-water mark was 2 209 896 B on 2 workers,
 /// above the 2 073 600 B grid. It now keeps the floor quantised, and each
 /// worker decodes one layer at a time into a scratch layer the calling
-/// thread built: 644 880 B on 2 workers, and 992 592 B since the calling
-/// thread reads the full-fidelity upgrades of each batch of two layers
-/// through the model's shard source into two more layers (345 600 B)
-/// instead of borrowing them from a grid in memory. A worker's scratch is
-/// one decoded layer and one
-/// decoded shard, beside a hidden state per dev example and a forward
+/// thread built: 644 880 B on 2 workers, then 992 592 B while the calling
+/// thread read the full-fidelity upgrades of each batch of two layers into
+/// two more layers (345 600 B). Each worker now reads its own probe's
+/// upgrade into one shard slot of its scratch, through the read scratch
+/// beside it (empty for a bare task's seeded source): 674 080 B on 2
+/// workers. A worker's scratch is one decoded layer and one decoded shard,
+/// beside a hidden state per dev example, a forward scratch and a read
 /// scratch (a few KiB), and what the profiler holds beside them stays under
 /// half a grid on any core count.
 fn profiling_never_holds_the_decoded_floor_grid() {
@@ -473,10 +630,12 @@ fn profiling_never_holds_the_decoded_floor_grid() {
 /// into buffers the calling thread built and lent them (a layer's shards,
 /// the hidden states, the forward scratch), and hand back `Copy` results,
 /// so the workers request no heap block at all and no allocator arena of
-/// theirs stays resident after set-up: every shard read (regenerated or
-/// from the store) happens on the calling thread. The workers used to run
-/// the allocating layer functions: about ten matrices per layer, on every
-/// worker.
+/// theirs stays resident after set-up. The teacher reads its layers on the
+/// calling thread; each probe's worker reads its own upgrade, regenerated
+/// or from the store, into a slot and a read scratch the calling thread
+/// built and sized (`Model::read_scratch`), so a read allocates nothing on
+/// any thread. The workers used to run the allocating layer functions:
+/// about ten matrices per layer, on every worker.
 fn set_ups_worker_threads_request_no_heap_block() {
     let cfg = ModelConfig::scaled_bert();
     let quant = QuantConfig::default();
@@ -1002,9 +1161,13 @@ fn a_batched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet
     );
 }
 
+/// From a store through the cache, the staging pool and a preload buffer,
+/// every hop hands on the payload the store decoded: each hop is a holder,
+/// and a load while any holder has the payload returns it through the
+/// store's weak index.
 fn every_hop_hands_on_the_stores_one_payload() {
     let model = Model::synthetic(11, ModelConfig::tiny());
-    let store = MemStore::build(&model, &Bitwidth::ALL, &QuantConfig::default());
+    let store = ShardStore::create_temp(&model, &Bitwidth::ALL, &QuantConfig::default()).unwrap();
     let id = ShardId::new(1, 2);
     let key = ShardKey::new(id, Bitwidth::B4);
     let payload = |blob: &QuantizedBlob| {

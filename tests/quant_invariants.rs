@@ -98,7 +98,7 @@ fn quantize_all_equals_the_per_bitwidth_quantiser_on_every_tasks_shards() {
             let task = Task::build(kind, cfg.clone(), 1, 1);
             let mut shard = ShardWeights::zeros(&cfg);
             for id in cfg.shard_ids() {
-                task.model().read_shard(id, &mut shard);
+                task.model().read_shard(id, &mut shard, &mut task.model().read_scratch());
                 let flat = shard.flatten();
                 assert_one_sort_equals_one_at_a_time(&flat, &quant, &format!("{kind} {id}"));
             }

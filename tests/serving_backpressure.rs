@@ -41,7 +41,9 @@ fn server(backpressure: BackpressureMode) -> StiServer {
     let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-    let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let source = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     StiServer::new(
         task.model().clone(),
         source,

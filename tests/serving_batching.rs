@@ -130,10 +130,12 @@ fn eight_in_window_sessions_save_seven_eighths_of_flash_bytes_and_shrink_p50() {
 
 /// Scheduler-level fixture for the property tests: a tiny model's store
 /// and a flash model, shared across both policies.
-fn store_fixture() -> (Arc<MemStore>, FlashModel) {
+fn store_fixture() -> (Arc<ShardStore>, FlashModel) {
     let model = Model::synthetic(2, ModelConfig::tiny());
-    let store =
-        Arc::new(MemStore::build(&model, &[Bitwidth::B2, Bitwidth::B6], &QuantConfig::default()));
+    let store = Arc::new(
+        ShardStore::create_temp(&model, &[Bitwidth::B2, Bitwidth::B6], &QuantConfig::default())
+            .unwrap(),
+    );
     (store, FlashModel::new(1_000_000, SimTime::from_ms(1)))
 }
 
@@ -141,7 +143,7 @@ fn store_fixture() -> (Arc<MemStore>, FlashModel) {
 /// under `policy` with dispatch quiesced until everything is queued, and
 /// returns each channel's received layers plus the event log.
 fn replay_workload(
-    store: Arc<MemStore>,
+    store: Arc<ShardStore>,
     flash: FlashModel,
     policy: IoSharing,
     workload: &[(SimTime, Vec<LayerRequest>)],

@@ -233,8 +233,9 @@ fn sharing_aware_preload_strictly_lowers_the_measured_contended_latency() {
         let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
         let dev = DeviceProfile::odroid_n2();
         let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-        let source =
-            Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+        let source = Arc::new(
+            ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+        );
         StiServer::new(
             task.model().clone(),
             source,
@@ -339,7 +340,9 @@ fn retarget_slo_replaces_the_reallocated_bytes_contribution() {
     let task = Task::build(TaskKind::Sst2, cfg.clone(), 4, 4);
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-    let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let source = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     let srv = StiServer::new(
         task.model().clone(),
         source,

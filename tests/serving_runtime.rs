@@ -35,7 +35,9 @@ fn engine_and_server(preload_budget: u64) -> (StiEngine, StiServer) {
     let cfg = task.model().config().clone();
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-    let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let source = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     let importance = importance_for(&cfg);
 
     let engine =
@@ -208,7 +210,9 @@ fn shard_cache_serves_under_budget() {
     let cfg = task.model().config().clone();
     let dev = DeviceProfile::odroid_n2();
     let hw = HwProfile::measure(&dev, &cfg, &QuantConfig::default());
-    let source = Arc::new(MemStore::build(task.model(), &Bitwidth::ALL, &QuantConfig::default()));
+    let source = Arc::new(
+        ShardStore::create_temp(task.model(), &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+    );
     // A budget of roughly two compressed shards: far too small for the
     // whole submodel, so serving must continuously evict.
     let probe = source

@@ -1,6 +1,6 @@
 //! Synthetic GLUE-like tasks (paper Table 3).
 
-use sti_tensor::Rng;
+use sti_tensor::{math, Rng};
 use sti_transformer::synthetic::GainPattern;
 use sti_transformer::{Model, ModelConfig};
 
@@ -236,7 +236,7 @@ fn draw_split(
                 .map(|_| {
                     // Skewed distribution over [1, vocab): u^skew concentrates
                     // mass near token 1.
-                    let u = rng.next_f32().powf(skew);
+                    let u = math::powf(rng.next_f32(), skew);
                     1 + (u * (cfg.vocab - 1) as f32) as u32
                 })
                 .collect();
@@ -301,7 +301,7 @@ mod tests {
                 let len = cfg.seq_len / 2 + rng.next_below(cfg.seq_len / 2 + 1);
                 let tokens: Vec<u32> = (0..len)
                     .map(|_| {
-                        let u = rng.next_f32().powf(kind.token_skew());
+                        let u = math::powf(rng.next_f32(), kind.token_skew());
                         1 + (u * (cfg.vocab - 1) as f32) as u32
                     })
                     .collect();

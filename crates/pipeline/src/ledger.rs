@@ -64,6 +64,7 @@ use sti_obs::{SpanArgs, SpanEvent, TrackKind};
 use sti_planner::gate::GateDecision;
 use sti_planner::{align_io_completions, contended_makespan};
 use sti_storage::FlashDispatchEvent;
+use sti_tensor::math;
 
 /// One engagement on the contended track: the latency it would have seen on
 /// the contended flash device (its striped device channels) versus its
@@ -211,7 +212,7 @@ impl ContentionReport {
         }
         let mut latencies: Vec<SimTime> = self.engagements.iter().map(|e| e.contended).collect();
         latencies.sort_unstable();
-        let rank = ((p * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
+        let rank = (math::ceil(p * latencies.len() as f64) as usize).clamp(1, latencies.len());
         latencies[rank - 1]
     }
 

@@ -98,6 +98,7 @@ use sti_storage::{
     CachedSource, IoChannel, IoScheduler, IoSchedulerStats, ShardCache, ShardCacheStats,
     ShardSource,
 };
+use sti_tensor::math;
 use sti_transformer::Model;
 
 use crate::admission::{Admission, Origin};
@@ -737,7 +738,9 @@ impl StiServer {
             registry.gauge("prefetch.hit_bytes").set(pool.hit_bytes);
             registry.gauge("prefetch.speculated_bytes").set(speculated_bytes);
             registry.gauge("prefetch.evictions").set(pool.evictions);
-            registry.gauge("prefetch.hit_rate_pct").set((pool.hit_rate() * 100.0).round() as u64);
+            registry
+                .gauge("prefetch.hit_rate_pct")
+                .set(math::round(pool.hit_rate() * 100.0) as u64);
         }
         let mut snap = self.inner.registry.snapshot();
         snap.merge(&self.inner.scheduler.metrics_snapshot());

@@ -1,6 +1,7 @@
 //! ASCII rendering of pipeline timelines (used by the Figure 1 experiment).
 
 use sti_planner::schedule::SchedulePrediction;
+use sti_tensor::math;
 
 /// Renders a timeline as a two-row-per-layer ASCII Gantt chart over
 /// simulated time, `width` characters wide:
@@ -16,7 +17,7 @@ pub fn render_gantt(timeline: &SchedulePrediction, width: usize) -> String {
         return String::from("(empty timeline)\n");
     }
     let span = timeline.makespan.as_us() as f64;
-    let scale = |us: u64| ((us as f64 / span) * width as f64).round() as usize;
+    let scale = |us: u64| math::round((us as f64 / span) * width as f64) as usize;
     let mut out = String::new();
     for (i, l) in timeline.layers.iter().enumerate() {
         let io_a = scale(l.io_start.as_us());

@@ -10,6 +10,7 @@
 use sti_nlp::metrics::soft_accuracy_of;
 use sti_nlp::Dataset;
 use sti_quant::{Bitwidth, QuantConfig, QuantizedBlob};
+use sti_tensor::math;
 use sti_tensor::parallel::parallel_map_scratch;
 use sti_tensor::softmax::softmax_slice;
 use sti_tensor::Matrix;
@@ -141,7 +142,7 @@ impl ImportanceProfile {
         for l in 0..self.layers {
             for s in 0..self.heads {
                 let v = self.scores[l * self.heads + s];
-                let digit = ((v - min) / span * 9.0).round() as u32;
+                let digit = math::round((v - min) / span * 9.0) as u32;
                 out.push_str(&format!("{digit} "));
             }
             out.push('\n');

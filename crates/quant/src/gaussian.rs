@@ -6,7 +6,7 @@
 //! log-likelihood under the fit falls below `-4` as an outlier. Outliers are
 //! ~0.1–0.2% of weights and are preserved in full FP32.
 
-use sti_tensor::stats;
+use sti_tensor::{math, stats};
 
 /// A fitted single-component Gaussian.
 ///
@@ -46,19 +46,29 @@ impl GaussianFit {
     /// Log-likelihood of `x` under the fitted Gaussian:
     /// `-0.5·ln(2πσ²) − (x−μ)²/(2σ²)`.
     pub fn log_likelihood(&self, x: f32) -> f32 {
-        let var = self.std * self.std;
-        let norm = -0.5 * (2.0 * std::f32::consts::PI * var).ln();
-        let z = x - self.mean;
-        norm - z * z / (2.0 * var)
+        self.log_density()(x)
+    }
+
+    /// [`log_likelihood`](Self::log_likelihood) with `ln(2πσ²)` taken once,
+    /// for every `x` it is then called with.
+    fn log_density(&self) -> impl Fn(f32) -> f32 {
+        let Self { mean, std } = *self;
+        let var = std * std;
+        let norm = -0.5 * math::ln(2.0 * std::f32::consts::PI * var);
+        move |x| {
+            let z = x - mean;
+            norm - z * z / (2.0 * var)
+        }
     }
 
     /// Indexes of samples whose log-likelihood is below `threshold`
     /// (paper default: `-4.0`).
     pub fn outlier_indexes(&self, samples: &[f32], threshold: f32) -> Vec<u32> {
+        let log_likelihood = self.log_density();
         samples
             .iter()
             .enumerate()
-            .filter(|(_, &x)| self.log_likelihood(x) < threshold)
+            .filter(|(_, &x)| log_likelihood(x) < threshold)
             .map(|(i, _)| i as u32)
             .collect()
     }
@@ -106,6 +116,25 @@ mod tests {
             "too many outliers: {}",
             outliers.len()
         );
+    }
+
+    /// The normaliser taken once per fit changes no bit: the outliers are
+    /// exactly the samples whose own `log_likelihood` is below the threshold.
+    #[test]
+    fn outlier_indexes_equal_the_per_sample_likelihood_filter() {
+        let mut rng = Rng::new(3);
+        for (std, threshold) in [(0.05, -4.0), (0.02, -1.0), (1.0, -2.5), (1e-3, 3.0)] {
+            let mut xs = vec![0.0f32; 4_096];
+            rng.fill_gaussian(&mut xs, 0.1, std);
+            xs[7] = 1.0;
+            let fit = GaussianFit::fit(&xs);
+            let want: Vec<u32> = (0..xs.len() as u32)
+                .filter(|&i| fit.log_likelihood(xs[i as usize]) < threshold)
+                .collect();
+            let got = fit.outlier_indexes(&xs, threshold);
+            assert!(!got.is_empty() && got.len() < xs.len(), "std {std}: {} outliers", got.len());
+            assert_eq!(got, want, "std {std}, threshold {threshold}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::bitpack;
 use crate::bitwidth::Bitwidth;
+use sti_tensor::math;
 
 /// A weight group quantized with uniform min–max levels.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +40,7 @@ impl UniformBlob {
         let span = (max - min).max(1e-12);
         let indexes: Vec<u16> = weights
             .iter()
-            .map(|&w| (((w - min) / span * levels).round() as u16).min(levels as u16))
+            .map(|&w| (math::round(f64::from((w - min) / span * levels)) as u16).min(levels as u16))
             .collect();
         let packed = bitpack::pack(&indexes, bitwidth.bits());
         Self { bitwidth, len: weights.len() as u32, min, max, packed }

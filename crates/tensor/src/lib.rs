@@ -27,7 +27,7 @@
 #![warn(unreachable_pub)]
 
 pub mod activation;
-mod math;
+pub mod math;
 pub mod matrix;
 pub mod norm;
 pub mod ops;

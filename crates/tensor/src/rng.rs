@@ -5,6 +5,8 @@
 //! xoshiro256** generator seeded through SplitMix64 instead of relying on a
 //! crate whose stream might change between versions.
 
+use crate::math;
+
 /// A deterministic xoshiro256** pseudo-random generator.
 ///
 /// ```
@@ -79,10 +81,10 @@ impl Rng {
             u1 = 1e-12;
         }
         let u2 = self.next_f32();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f32::consts::PI * u2;
-        self.spare_gaussian = Some(r * theta.sin());
-        r * theta.cos()
+        let r = (-2.0 * math::ln(u1)).sqrt();
+        let (sin, cos) = math::sin_cos(2.0 * std::f32::consts::PI * u2);
+        self.spare_gaussian = Some(r * sin);
+        r * cos
     }
 
     /// Gaussian sample with the given mean and standard deviation.

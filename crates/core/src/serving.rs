@@ -50,8 +50,8 @@ use crate::runner::TaskContext;
 /// back to back.
 ///
 /// **Memory shape.** Every token sits in one `Box<[u32]>` and every row's
-/// end offset in one `Box<[usize]>`: two heap blocks per client (an empty
-/// buffer allocates none), holding `4·tokens + 8·engagements` bytes
+/// end offset in one `Box<[u32]>`: two heap blocks per client (an empty
+/// buffer allocates none), holding `4·tokens + 4·engagements` bytes
 /// whatever the engagement count. A `Vec<Vec<u32>>` held one block per
 /// engagement, each with its own spare capacity and malloc header, and a
 /// replay holds its input trace for its whole run.
@@ -65,16 +65,18 @@ pub struct Engagements {
     tokens: Box<[u32]>,
     /// `ends[i]` is where row `i` stops in `tokens`: non-decreasing, and
     /// the last one is `tokens.len()`. Row `i` starts where row `i - 1`
-    /// stops (row 0 at zero), so equal buffers mean equal rows.
-    ends: Box<[usize]>,
+    /// stops (row 0 at zero), so equal buffers mean equal rows. A client
+    /// holds at most `u32::MAX` tokens.
+    ends: Box<[u32]>,
 }
 
 impl Engagements {
     /// Wraps a filled buffer. Callers write `tokens` row after row and push
     /// each row's end as it closes.
-    pub(crate) fn from_parts(tokens: Vec<u32>, ends: Vec<usize>) -> Self {
+    pub(crate) fn from_parts(tokens: Vec<u32>, ends: Vec<u32>) -> Self {
+        let last = ends.last().map_or(0, |&e| e as usize);
         assert!(
-            ends.windows(2).all(|w| w[0] <= w[1]) && ends.last().map_or(0, |&e| e) == tokens.len(),
+            ends.windows(2).all(|w| w[0] <= w[1]) && last == tokens.len(),
             "row ends must be non-decreasing and close the token buffer"
         );
         Self { tokens: tokens.into_boxed_slice(), ends: ends.into_boxed_slice() }
@@ -92,8 +94,8 @@ impl Engagements {
 
     /// The `i`-th engagement's tokens, or `None` past the end.
     pub fn get(&self, i: usize) -> Option<&[u32]> {
-        let end = *self.ends.get(i)?;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        let end = *self.ends.get(i)? as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
         Some(&self.tokens[start..end])
     }
 
@@ -126,7 +128,7 @@ impl<T: AsRef<[u32]>> FromIterator<T> for Engagements {
         let mut ends = Vec::with_capacity(rows.size_hint().0);
         for row in rows {
             tokens.extend_from_slice(row.as_ref());
-            ends.push(tokens.len());
+            ends.push(u32::try_from(tokens.len()).expect("a client holds at most u32::MAX tokens"));
         }
         Self::from_parts(tokens, ends)
     }
@@ -145,7 +147,7 @@ impl<'a> IntoIterator for &'a Engagements {
 #[derive(Debug, Clone)]
 pub struct EngagementsIter<'a> {
     tokens: &'a [u32],
-    ends: std::slice::Iter<'a, usize>,
+    ends: std::slice::Iter<'a, u32>,
     /// Where the next row starts in `tokens`.
     start: usize,
 }
@@ -154,7 +156,7 @@ impl<'a> Iterator for EngagementsIter<'a> {
     type Item = &'a [u32];
 
     fn next(&mut self) -> Option<&'a [u32]> {
-        let end = *self.ends.next()?;
+        let end = *self.ends.next()? as usize;
         let row = &self.tokens[self.start..end];
         self.start = end;
         Some(row)

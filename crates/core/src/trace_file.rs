@@ -442,6 +442,7 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
     // (a row that is not an array counts zero here and fails in order below).
     let token_count =
         rows.iter().map(|row| if let Json::Arr(tokens) = row { tokens.len() } else { 0 }).sum();
+    check_token_count(index, token_count)?;
     let mut tokens = Vec::with_capacity(token_count);
     let mut ends = Vec::with_capacity(rows.len());
     for (e, row) in rows.iter().enumerate() {
@@ -464,7 +465,8 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
             })?;
             tokens.push(token);
         }
-        ends.push(tokens.len());
+        // In range: the rows hold `token_count` tokens in all.
+        ends.push(tokens.len() as u32);
     }
     Ok(ClientTrace {
         target: SimTime::from_ms(target_ms),
@@ -474,6 +476,14 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
         idle: SimTime::from_us(idle_us),
         engagements: Engagements::from_parts(tokens, ends),
     })
+}
+
+/// Refuses a client of more than `u32::MAX` tokens, whose row ends would
+/// not fit [`Engagements`]' `u32` offsets.
+fn check_token_count(index: usize, token_count: usize) -> Result<(), TraceFileError> {
+    let too_many =
+        format_args!("clients[{index}] has {token_count} tokens, more than {}", u32::MAX);
+    u32::try_from(token_count).map(drop).map_err(|_| TraceFileError::Schema(too_many.to_string()))
 }
 
 /// Parses a trace from JSON text.
@@ -511,6 +521,18 @@ pub fn load_trace(path: impl AsRef<Path>) -> Result<ServingTrace, TraceFileError
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A client's row ends are `u32`s: one more token than they can count
+    /// is a schema error naming the client, checked on the length alone
+    /// (a file that long is not written here).
+    #[test]
+    fn a_client_of_more_than_u32_max_tokens_is_refused() {
+        let most = u32::MAX as usize;
+        assert!(check_token_count(3, most).is_ok());
+        let err = check_token_count(3, most + 1).unwrap_err();
+        assert!(matches!(&err, TraceFileError::Schema(why) if why.starts_with("clients[3] has")));
+        assert!(err.to_string().contains(&(most + 1).to_string()), "{err}");
+    }
 
     #[test]
     fn parses_the_documented_schema() {

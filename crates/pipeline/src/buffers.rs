@@ -211,10 +211,10 @@ impl WorkingBuffer {
             self.staged.push(shard);
         }
         for (&slice, shard) in self.slices.iter().zip(&self.staged) {
-            let count = shard.weight_count(&self.records).ok_or_else(|| {
+            let view = shard.view(&self.records).ok_or_else(|| {
                 PipelineError::PlanMismatch(format!("slice {slice} was dispatched but never read"))
             })?;
-            check_count(&self.cfg, count)?;
+            check_count(&self.cfg, view.len())?;
         }
         self.peak_shards = self.peak_shards.max(self.staged.len());
         Ok(())
@@ -269,8 +269,8 @@ impl WorkingBuffer {
 /// [`ShardOperand`] that decodes slice `i`'s attention half, then its FFN
 /// half, into the working buffer's one slot as the layer reaches them. The
 /// halves are disjoint ranges of the flat weight group, so every weight is
-/// decoded once, by [`LoadedShard::dequantize_range_into`] (from a payload,
-/// or in place from a record in `records`), to the same bits a whole-shard
+/// decoded once, through the shard's [`LoadedShard::view`] (of a payload's
+/// body, or of a record in `records`), to the same bits a whole-shard
 /// decode writes.
 struct CodedLayer<'a> {
     shards: &'a [LoadedShard],
@@ -285,16 +285,14 @@ impl ShardOperand for CodedLayer<'_> {
     }
 
     fn attention(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        let (coded, records) = (&self.shards[i], self.records);
-        self.shard.read_attention_with(self.qkv, |at, out| {
-            coded.dequantize_range_into(records, at, out);
-        });
+        let coded = self.shards[i].view(self.records).expect("staging checked every shard");
+        self.shard.read_attention_with(self.qkv, |at, out| coded.dequantize_range_into(at, out));
         (&self.shard.qkv, &self.shard.o)
     }
 
     fn ffn(&mut self, i: usize) -> (&Matrix, &Matrix) {
-        let (coded, records) = (&self.shards[i], self.records);
-        self.shard.read_ffn_with(|at, out| coded.dequantize_range_into(records, at, out));
+        let coded = self.shards[i].view(self.records).expect("staging checked every shard");
+        self.shard.read_ffn_with(|at, out| coded.dequantize_range_into(at, out));
         (&self.shard.ffn1, &self.shard.ffn2)
     }
 }
@@ -437,7 +435,7 @@ mod tests {
                         let last = flat.len() - 5;
                         (flat[3], flat[last]) = (2.5, -2.5);
                         let blob = QuantizedBlob::quantize(&flat, bw, &QuantConfig::default());
-                        assert!(bw.is_full() || blob.outliers().len() >= 2, "{bw:?}");
+                        assert!(bw.is_full() || blob.view().outliers().len() >= 2, "{bw:?}");
                         blob
                     })
                     .collect();

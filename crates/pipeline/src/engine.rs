@@ -383,7 +383,7 @@ mod tests {
             if let Some((.., was)) = old.iter().find(|o| (o.0, o.1) == (id, bw)) {
                 let was = was.upgrade().unwrap_or_else(|| panic!("{id} at {bw:?} was dropped"));
                 let now = e.preload.get(id).unwrap();
-                assert_eq!(now.packed().as_ptr(), was.packed().as_ptr(), "{id} decoded again");
+                assert!(now.same_payload(&was), "{id} decoded again");
                 kept += 1;
             }
         }

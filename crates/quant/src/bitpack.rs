@@ -11,9 +11,20 @@
 /// Panics if `bits` is 0 or greater than 16, or if any value does not fit in
 /// `bits` bits.
 pub fn pack(values: &[u16], bits: u8) -> Vec<u8> {
+    let mut out = vec![0u8; (values.len() * bits as usize).div_ceil(8)];
+    pack_into(values, bits, &mut out);
+    out
+}
+
+/// [`pack`] into `out`, which must be zeroed and hold at least the packed
+/// bytes: how a coded shard's body is written in place.
+///
+/// # Panics
+///
+/// As [`pack`], or if `out` is too short.
+pub fn pack_into(values: &[u16], bits: u8, out: &mut [u8]) {
     assert!((1..=16).contains(&bits), "pack supports 1..=16 bits, got {bits}");
     let mask = (1u32 << bits) - 1;
-    let mut out = vec![0u8; (values.len() * bits as usize).div_ceil(8)];
     let mut bit_pos = 0usize;
     for &v in values {
         assert!((v as u32) <= mask, "value {v} does not fit in {bits} bits");
@@ -29,7 +40,6 @@ pub fn pack(values: &[u16], bits: u8) -> Vec<u8> {
         }
         bit_pos += bits as usize;
     }
-    out
 }
 
 /// Unpacks `count` consecutive `bits`-wide fields from `bytes`.

@@ -24,6 +24,9 @@ pub enum QuantError {
         /// Number of weights in the group.
         len: usize,
     },
+    /// A coded body whose header does not describe it: a declared length
+    /// that is not the body's, or a part too long for its header field.
+    MalformedBody,
 }
 
 impl fmt::Display for QuantError {
@@ -39,6 +42,7 @@ impl fmt::Display for QuantError {
             QuantError::OutlierOffsetOutOfRange { offset, len } => {
                 write!(f, "outlier offset {offset} exceeds weight count {len}")
             }
+            QuantError::MalformedBody => write!(f, "coded body does not match its header"),
         }
     }
 }
@@ -56,6 +60,7 @@ mod tests {
             QuantError::EmptyInput.to_string(),
             QuantError::IndexOutOfRange { index: 9, dictionary: 4 }.to_string(),
             QuantError::OutlierOffsetOutOfRange { offset: 10, len: 5 }.to_string(),
+            QuantError::MalformedBody.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

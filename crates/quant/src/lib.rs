@@ -37,5 +37,5 @@ pub mod uniform;
 pub use bitwidth::Bitwidth;
 pub use error::QuantError;
 pub use gaussian::GaussianFit;
-pub use shardq::{CodedView, QuantConfig, QuantizedBlob, WeakBlob};
+pub use shardq::{CodedView, QuantConfig, QuantizedBlob, WeakBlob, BODY_HEADER};
 pub use uniform::UniformBlob;

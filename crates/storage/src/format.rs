@@ -5,31 +5,29 @@
 //! ```text
 //! magic   u32   "STIS"
 //! version u8
-//! bits    u8    bitwidth (2..6 or 32)
-//! len     u32   weight count
-//! plen    u32   packed payload bytes
-//! ccount  u16   centroid count
-//! ocount  u32   outlier count
-//! packed  [u8; plen]
-//! centroids [f32; ccount]
-//! outliers  [(u32, f32); ocount]
+//! body          a QuantizedBlob's bytes: header, packed, centroids, outliers
 //! check   u64   word-folded FNV-1a of everything above
 //! ```
+//!
+//! The body is laid out where [`QuantizedBlob`] documents it, and
+//! [`CodedView`] is its one parser. This module does the framing only:
+//! magic, version, checksum.
 //!
 //! One version is decoded. Version 1 (byte-serial FNV-1a) is refused as
 //! "unsupported version": a store is rebuilt from its model, never migrated.
 
-use sti_quant::{Bitwidth, CodedView, QuantizedBlob};
+use sti_quant::{CodedView, QuantizedBlob, BODY_HEADER};
 
 use crate::error::StorageError;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"STIS");
 const VERSION: u8 = 2;
-const HEADER: usize = 4 + 1 + 1 + 4 + 4 + 2 + 4;
+/// Bytes before a record's body: magic and version.
+const LEAD: usize = 4 + 1;
 
-/// Bytes a record adds around its blob's payload (header plus checksum):
-/// `record length = QuantizedBlob::byte_size() + RECORD_OVERHEAD`.
-pub const RECORD_OVERHEAD: usize = HEADER + 8;
+/// Bytes a record adds around its blob's payload (lead, body header and
+/// checksum): `record length = QuantizedBlob::byte_size() + RECORD_OVERHEAD`.
+pub const RECORD_OVERHEAD: usize = LEAD + BODY_HEADER + 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -58,142 +56,105 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Encodes a blob into a self-contained checksummed record.
+/// Encodes a blob into a self-contained checksummed record: its body,
+/// framed.
 pub fn encode_blob(blob: &QuantizedBlob) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(blob.byte_size() + RECORD_OVERHEAD);
+    let body = blob.view().body();
+    let mut buf = Vec::with_capacity(LEAD + body.len() + 8);
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.push(VERSION);
-    buf.push(blob.bitwidth().bits());
-    buf.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(blob.packed().len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(blob.centroids().len() as u16).to_le_bytes());
-    buf.extend_from_slice(&(blob.outliers().len() as u32).to_le_bytes());
-    buf.extend_from_slice(blob.packed());
-    for &c in blob.centroids() {
-        buf.extend_from_slice(&c.to_le_bytes());
-    }
-    for &(off, val) in blob.outliers() {
-        buf.extend_from_slice(&off.to_le_bytes());
-        buf.extend_from_slice(&val.to_le_bytes());
-    }
+    buf.extend_from_slice(body);
     let check = checksum(&buf);
     buf.extend_from_slice(&check.to_le_bytes());
     buf
 }
 
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("a 4-byte slice"))
-}
-
 /// Decodes one record from the front of `bytes`, returning the blob and the
-/// number of bytes consumed: [`decode_view`]'s view, copied into a payload
-/// of its own.
+/// number of bytes consumed: [`decode_view`]'s view, its body copied once
+/// into a blob of its own.
 ///
 /// # Errors
 ///
 /// As [`decode_view`].
 pub fn decode_blob(bytes: &[u8]) -> Result<(QuantizedBlob, usize), StorageError> {
     let (view, total) = decode_view(bytes)?;
-    Ok((view.to_blob(), total))
+    Ok((QuantizedBlob::from(view), total))
 }
 
 /// Verifies one record at the front of `bytes` and returns a view of its
-/// coded weights over those bytes, with the number of bytes the record
-/// takes. Nothing is copied: a deferred shard is decoded from its record
-/// buffer through the view ([`CodedView::dequantize_range_into`]).
+/// body over those bytes, with the number of bytes the record takes.
+/// Nothing is copied: a deferred shard is decoded from its record buffer
+/// through the view ([`CodedView::dequantize_range_into`]).
 ///
 /// # Errors
 ///
 /// Returns [`StorageError::Corrupt`] on bad magic, version, truncation, or
-/// checksum mismatch, and [`StorageError::Quant`] if the payload is
+/// checksum mismatch, and [`StorageError::Quant`] if the body is
 /// internally inconsistent.
 pub fn decode_view(bytes: &[u8]) -> Result<(CodedView<'_>, usize), StorageError> {
-    let layout = Layout::of(bytes)?;
-    let expected = checksum(&bytes[..layout.checked]);
-    let stored = u64::from_le_bytes(
-        bytes[layout.checked..layout.total].try_into().expect("checksum slice is 8 bytes"),
-    );
+    let (body, total) = frame(bytes)?;
+    let checked = total - 8;
+    let expected = checksum(&bytes[..checked]);
+    let stored =
+        u64::from_le_bytes(bytes[checked..total].try_into().expect("checksum slice is 8 bytes"));
     if expected != stored {
         return Err(StorageError::corrupt(
             "shard record",
             format!("checksum mismatch: stored {stored:#x}, computed {expected:#x}"),
         ));
     }
-    Ok((layout.view(bytes)?, layout.total))
+    Ok((CodedView::parse(body)?, total))
 }
 
 /// [`decode_view`] of a record it has already accepted, without verifying
-/// the bytes again: how a record read into a consumer's buffer is decoded
-/// each time the consumer reaches one of its halves.
+/// the bytes or checking the body again: how a record read into a
+/// consumer's buffer is decoded each time the consumer reaches one of its
+/// halves.
 ///
 /// # Panics
 ///
 /// Panics if `bytes` does not start with a record [`decode_view`] accepts.
 pub fn verified_view(bytes: &[u8]) -> CodedView<'_> {
-    Layout::of(bytes).and_then(|layout| layout.view(bytes)).expect("a record decode_view accepted")
+    let (body, _) = frame(bytes).expect("a record decode_view accepted");
+    CodedView::verified(body)
 }
 
-/// Where a record's parts sit, read from its header.
-struct Layout {
-    bitwidth: Bitwidth,
-    len: u32,
-    plen: usize,
-    ccount: usize,
-    /// Bytes the checksum covers: the header and the three parts.
-    checked: usize,
-    /// The record's whole length, checksum included.
-    total: usize,
-}
-
-impl Layout {
-    /// The layout `bytes`' header declares, checked against what was read.
-    fn of(bytes: &[u8]) -> Result<Self, StorageError> {
-        if bytes.len() < HEADER {
-            return Err(StorageError::corrupt("shard record", "truncated header"));
-        }
-        let magic = u32_at(bytes, 0);
-        if magic != MAGIC {
-            return Err(StorageError::corrupt("shard record", format!("bad magic {magic:#x}")));
-        }
-        let version = bytes[4];
-        if version != VERSION {
-            return Err(StorageError::corrupt(
-                "shard record",
-                format!("unsupported version {version}"),
-            ));
-        }
-        let bitwidth = Bitwidth::try_from(bytes[5])
-            .map_err(|e| StorageError::corrupt("shard record", e.to_string()))?;
-        let len = u32_at(bytes, 6);
-        let plen = u32_at(bytes, 10) as u64;
-        let ccount = u16::from_le_bytes([bytes[14], bytes[15]]) as u64;
-        let ocount = u32_at(bytes, 16) as u64;
-
-        // Lengths come from the record: sum them where they cannot wrap and
-        // bound them by what was read before slicing.
-        let checked = HEADER as u64 + plen + ccount * 4 + ocount * 8;
-        if (bytes.len() as u64) < checked + 8 {
-            return Err(StorageError::corrupt(
-                "shard record",
-                format!("truncated body: have {}, need {}", bytes.len(), checked + 8),
-            ));
-        }
-        let (plen, ccount, checked) = (plen as usize, ccount as usize, checked as usize);
-        Ok(Self { bitwidth, len, plen, ccount, checked, total: checked + 8 })
+/// The body of the record at the front of `bytes` and the record's whole
+/// length, checksum included, as its lead and body header declare them,
+/// checked against what was read.
+fn frame(bytes: &[u8]) -> Result<(&[u8], usize), StorageError> {
+    if bytes.len() < LEAD + BODY_HEADER {
+        return Err(StorageError::corrupt("shard record", "truncated header"));
     }
-
-    /// The coded weights over `bytes`, the record this layout was read from.
-    fn view<'a>(&self, bytes: &'a [u8]) -> Result<CodedView<'a>, StorageError> {
-        let (packed, tables) = bytes[HEADER..self.checked].split_at(self.plen);
-        let (centroids, outliers) = tables.split_at(self.ccount * 4);
-        Ok(CodedView::new(self.bitwidth, self.len, packed, centroids, outliers)?)
+    let magic = u32::from_le_bytes(bytes[..4].try_into().expect("a 4-byte slice"));
+    if magic != MAGIC {
+        return Err(StorageError::corrupt("shard record", format!("bad magic {magic:#x}")));
     }
+    let version = bytes[4];
+    if version != VERSION {
+        return Err(StorageError::corrupt(
+            "shard record",
+            format!("unsupported version {version}"),
+        ));
+    }
+    // Lengths come from the record: sum them where they cannot wrap and
+    // bound them by what was read before slicing.
+    let body = CodedView::declared_len(&bytes[LEAD..]).expect("a whole body header was read");
+    let checked = LEAD as u64 + body;
+    if (bytes.len() as u64) < checked + 8 {
+        return Err(StorageError::corrupt(
+            "shard record",
+            format!("truncated body: have {}, need {}", bytes.len(), checked + 8),
+        ));
+    }
+    let checked = checked as usize;
+    Ok((&bytes[LEAD..checked], checked + 8))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sti_quant::QuantConfig;
+    use sti_quant::{Bitwidth, QuantConfig};
     use sti_tensor::Rng;
 
     fn sample_blob(bw: Bitwidth) -> QuantizedBlob {
@@ -349,6 +310,56 @@ mod tests {
         ));
         assert_eq!(encode_blob(&blob), pinned);
         assert_eq!(decode_blob(&pinned).unwrap(), (blob, pinned.len()));
+    }
+
+    /// A record written field by field, as the layout above lists it.
+    fn record_of(blob: &QuantizedBlob) -> Vec<u8> {
+        let view = blob.view();
+        let mut record = MAGIC.to_le_bytes().to_vec();
+        record.push(VERSION);
+        record.push(view.bitwidth().bits());
+        record.extend_from_slice(&(view.len() as u32).to_le_bytes());
+        record.extend_from_slice(&(view.packed().len() as u32).to_le_bytes());
+        record.extend_from_slice(&(view.centroids().len() as u16).to_le_bytes());
+        record.extend_from_slice(&(view.outliers().len() as u32).to_le_bytes());
+        record.extend_from_slice(view.packed());
+        record.extend(view.centroids().flat_map(f32::to_le_bytes));
+        for (at, value) in view.outliers() {
+            record.extend_from_slice(&at.to_le_bytes());
+            record.extend_from_slice(&value.to_le_bytes());
+        }
+        let check = checksum(&record);
+        record.extend_from_slice(&check.to_le_bytes());
+        record
+    }
+
+    /// A blob's bytes are its record's body, at every bitwidth and for a
+    /// blob with no outliers: the record is the field-by-field one, and
+    /// its bytes between the version and the checksum are the blob's.
+    #[test]
+    fn a_blobs_bytes_are_its_records_body() {
+        let mut rng = Rng::new(12);
+        let mut weights = vec![0.0f32; 601];
+        rng.fill_gaussian(&mut weights, 0.0, 0.1);
+        weights[9] = 2.5;
+        let spread: Vec<f32> = (0..601).map(|i| (i % 41) as f32 / 200.0 - 0.1).collect();
+        let quant = QuantConfig::default();
+        let mut blobs = QuantizedBlob::quantize_all(&weights, &Bitwidth::ALL, &quant);
+        blobs.extend(QuantizedBlob::quantize_all(&spread, &Bitwidth::ALL, &quant));
+        for blob in &blobs {
+            let bw = blob.bitwidth();
+            let outliers = blob.view().outliers().len();
+            let record = encode_blob(blob);
+            assert_eq!(record, record_of(blob), "{bw}, {outliers} outliers");
+            assert_eq!(&record[LEAD..record.len() - 8], blob.view().body(), "{bw}");
+            assert_eq!(record.len(), blob.byte_size() + RECORD_OVERHEAD, "{bw}");
+            assert_eq!(verified_view(&record).body(), blob.view().body(), "{bw}");
+        }
+        let counts = blobs.iter().map(|b| (b.bitwidth(), b.view().outliers().len() > 0));
+        let counts: Vec<(Bitwidth, bool)> = counts.collect();
+        for bw in Bitwidth::COMPRESSED {
+            assert!(counts.contains(&(bw, true)) && counts.contains(&(bw, false)), "{bw}");
+        }
     }
 
     #[test]

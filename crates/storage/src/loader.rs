@@ -32,7 +32,7 @@
 use std::ops::Range;
 
 use sti_device::SimTime;
-use sti_quant::{Bitwidth, QuantizedBlob};
+use sti_quant::{Bitwidth, CodedView, QuantizedBlob};
 
 use crate::error::StorageError;
 use crate::format;
@@ -84,30 +84,15 @@ impl LoadedShard {
         }
     }
 
-    /// The shard's weight count, unless it is still deferred. `records` is
-    /// the buffer a [`LoadedShard::Record`] range points into.
-    pub fn weight_count(&self, records: &[u8]) -> Option<usize> {
+    /// The shard's coded weights, unless it is still deferred: a view of
+    /// its payload's body, or of its record in `records`, the buffer a
+    /// [`LoadedShard::Record`] range points into. Either way it decodes
+    /// through [`CodedView::dequantize_range_into`], to the same bits.
+    pub fn view<'r>(&'r self, records: &'r [u8]) -> Option<CodedView<'r>> {
         match self {
-            Self::Blob(blob) => Some(blob.len()),
-            Self::Record(at) => Some(format::verified_view(record(records, at)).len()),
+            Self::Blob(blob) => Some(blob.view()),
+            Self::Record(at) => Some(format::verified_view(record(records, at))),
             Self::Deferred(_) => None,
-        }
-    }
-
-    /// Decodes the shard's weights `[start, start + out.len())` into `out`:
-    /// from its payload, or in place from its record in `records` (the
-    /// same bits, [`sti_quant::CodedView`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard is still deferred, or the range runs past it.
-    pub fn dequantize_range_into(&self, records: &[u8], start: usize, out: &mut [f32]) {
-        match self {
-            Self::Blob(blob) => blob.dequantize_range_into(start, out),
-            Self::Record(at) => {
-                format::verified_view(record(records, at)).dequantize_range_into(start, out)
-            }
-            Self::Deferred(key) => panic!("{key:?} was dispatched but never read"),
         }
     }
 }

@@ -659,8 +659,7 @@ mod tests {
             let blob = |l: &LoadedLayer| l.shards[0].1.blob().expect("a batch reads it").clone();
             assert_eq!(blob(loaded), blob(&first_layer_blobs[0]), "fan-out is identical");
             // The payload is shared, not copied.
-            let payload = |l: &LoadedLayer| blob(l).packed().as_ptr();
-            assert_eq!(payload(loaded), payload(&first_layer_blobs[0]));
+            assert!(blob(loaded).same_payload(&blob(&first_layer_blobs[0])));
         }
         // Two dispatches (one per layer), each 4-way.
         let stats = sched.stats();

@@ -466,19 +466,15 @@ impl ShardWeightSource for ShardStore {
                 self.dir.display()
             )
         });
-        staging.resize(out.qkv.len(), 0.0);
-        let mut fill = |len: usize, decode: &dyn Fn(usize, &mut [f32])| {
-            assert_eq!(len, out.param_count(), "{id:?}'s record has the wrong length");
-            out.read_attention_with(staging, decode);
-            out.read_ffn_with(decode);
+        let view = match &live {
+            Some(blob) => blob.view(),
+            None => format::verified_view(record),
         };
-        match live {
-            Some(blob) => fill(blob.len(), &|at, seg| blob.dequantize_range_into(at, seg)),
-            None => {
-                let view = format::verified_view(record);
-                fill(view.len(), &|at, seg| view.dequantize_range_into(at, seg));
-            }
-        }
+        assert_eq!(view.len(), out.param_count(), "{id:?}'s record has the wrong length");
+        staging.resize(out.qkv.len(), 0.0);
+        let decode = |at, seg: &mut [f32]| view.dequantize_range_into(at, seg);
+        out.read_attention_with(staging, decode);
+        out.read_ffn_with(decode);
     }
 
     /// Room for the longest full-fidelity record and one shard's Q, K and
@@ -723,11 +719,11 @@ mod tests {
         let dir = store.dir();
         let key = ShardKey::new(ShardId::new(1, 2), Bitwidth::B6);
         let held = store.load(key).unwrap();
-        assert_eq!(store.load(key).unwrap().packed().as_ptr(), held.packed().as_ptr());
+        assert!(store.load(key).unwrap().same_payload(&held));
         // Empty the layer file under the open handle: only a read sees it.
         let path = dir.join(Manifest::layer_file_name(1, Bitwidth::B6));
         fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
-        assert_eq!(store.load(key).unwrap().packed().as_ptr(), held.packed().as_ptr());
+        assert!(store.load(key).unwrap().same_payload(&held));
         drop(held);
         let err = store.load(key).unwrap_err();
         assert!(
@@ -760,11 +756,12 @@ mod tests {
         assert!(store.load_deferred(a, &mut records).unwrap().is_none());
         assert_eq!(records.len(), 1 + held_a_bytes + format::RECORD_OVERHEAD);
         assert_eq!(store.live_payload_bytes(), held_b.byte_size() as u64);
-        assert_eq!(format::verified_view(&records[1..]).to_blob(), store.load(a).unwrap());
+        let in_place = QuantizedBlob::from(format::verified_view(&records[1..]));
+        assert_eq!(in_place, store.load(a).unwrap());
         // It still hands back a payload a holder has instead of reading.
         let read = records.len();
         let shared = store.load_deferred(b, &mut records).unwrap().expect("b is live");
-        assert_eq!(shared.packed().as_ptr(), held_b.packed().as_ptr());
+        assert!(shared.same_payload(&held_b));
         assert_eq!(records.len(), read, "nothing is read for a live payload");
         drop((held_b, shared));
         assert_eq!(store.live_payload_bytes(), 0);

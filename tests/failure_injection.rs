@@ -145,7 +145,7 @@ fn a_record_damaged_under_a_live_payload_fails_only_once_the_payload_drops() {
     std::fs::write(&path, bytes).unwrap();
 
     let live = store.load(key).unwrap();
-    assert_eq!(live.packed().as_ptr(), held.packed().as_ptr(), "the live payload, not a read");
+    assert!(live.same_payload(&held), "the live payload, not a read");
     drop((held, live));
     let err = store.load(key).unwrap_err();
     assert!(matches!(err, StorageError::Corrupt { .. }), "unexpected error: {err}");
@@ -411,10 +411,11 @@ fn engine_survives_budget_shrink_to_zero() {
 
 /// What a blob holds, copied out so a later comparison cannot alias it.
 fn contents(blob: &QuantizedBlob) -> (Vec<u8>, Vec<u32>, Vec<(u32, u32)>) {
+    let view = blob.view();
     (
-        blob.packed().to_vec(),
-        blob.centroids().iter().map(|c| c.to_bits()).collect(),
-        blob.outliers().iter().map(|&(at, v)| (at, v.to_bits())).collect(),
+        view.packed().to_vec(),
+        view.centroids().map(f32::to_bits).collect(),
+        view.outliers().map(|(at, v)| (at, v.to_bits())).collect(),
     )
 }
 
@@ -545,7 +546,8 @@ fn corrupt_blobs_built_from_parts_still_fail_typed() {
     let parts = |packed: Vec<u8>, centroids: Vec<f32>, outliers: Vec<(u32, f32)>| {
         QuantizedBlob::from_parts(Bitwidth::B4, 64, packed, centroids, outliers)
     };
-    let (packed, centroids) = (good.packed().to_vec(), good.centroids().to_vec());
+    let view = good.view();
+    let (packed, centroids) = (view.packed().to_vec(), view.centroids().collect::<Vec<_>>());
     assert_eq!(
         QuantizedBlob::from_parts(Bitwidth::B4, 0, vec![], vec![], vec![]).unwrap_err(),
         QuantError::EmptyInput
@@ -566,7 +568,7 @@ fn corrupt_blobs_built_from_parts_still_fail_typed() {
         QuantizedBlob::from_parts(Bitwidth::Full, 64, vec![0; 255], vec![], vec![]).unwrap_err(),
         QuantError::IndexOutOfRange { index: 255, dictionary: 256 }
     );
-    assert_eq!(parts(packed, centroids, good.outliers().to_vec()).unwrap(), good);
+    assert_eq!(parts(packed, centroids, view.outliers().collect()).unwrap(), good);
 
     let (task, hw, importance) = setup();
     let store = Planted::over(task.model());
@@ -586,9 +588,9 @@ fn blob_equality_is_by_content_not_by_pointer() {
     for bw in Bitwidth::ALL {
         let a = QuantizedBlob::quantize(&weights, bw, &quant);
         let b = QuantizedBlob::quantize(&weights, bw, &quant);
-        assert_ne!(a.packed().as_ptr(), b.packed().as_ptr(), "two quantisations, two payloads");
+        assert!(!a.same_payload(&b), "two quantisations, two payloads");
         assert_eq!(a, b, "{bw}");
-        assert_eq!(a.clone().packed().as_ptr(), a.packed().as_ptr(), "a clone is a handle");
+        assert!(a.clone().same_payload(&a), "a clone is a handle");
 
         let mut nudged = weights.clone();
         nudged[7] += 0.5;

@@ -156,6 +156,7 @@ fn main() -> ExitCode {
         the_contexts_store_keeps_an_index_not_the_model,
         a_contexts_build_holds_one_layer_of_fp32_shards_at_most,
         a_thousand_flash_loads_request_what_they_return_and_keep_nothing,
+        a_cold_load_keeps_one_body_and_its_count_block,
         a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload,
         a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds,
         profiling_never_holds_the_decoded_floor_grid,
@@ -226,34 +227,90 @@ fn all_keys(cfg: &ModelConfig) -> Vec<ShardKey> {
     ids.flat_map(|id| Bitwidth::ALL.map(|bw| ShardKey::new(id, bw))).collect()
 }
 
-/// One row of the work ledger, `BENCH_work.json`: what one set-up step
-/// did to the heap, with the terms that depend on the machine taken out.
+/// One row of the work ledger, `BENCH_work.json`: what one set-up step or
+/// one replay did to the heap, as named integer counts, with the terms
+/// that depend on the machine taken out.
 struct WorkRow {
-    name: &'static str,
-    /// Blocks requested (a realloc is a request).
-    blocks: u64,
-    /// Bytes requested, transients included.
-    requested: u64,
-    /// Bytes still held once the step returned, its result included.
-    held: i64,
-    /// The most bytes held at once during the step.
-    high_water: i64,
+    name: String,
+    counts: Vec<(&'static str, i64)>,
 }
 
 impl WorkRow {
-    fn line(&self) -> String {
-        format!(
-            "    {{\"name\": \"{}\", \"blocks\": {}, \"requested_bytes\": {}, \"held_bytes\": {}, \
-             \"high_water_bytes\": {}}}",
-            self.name, self.blocks, self.requested, self.held, self.high_water
-        )
+    /// A set-up step's row: the blocks and bytes it requested (a realloc
+    /// is a request, transients included), the bytes still held once it
+    /// returned (its result included), and the most held at once.
+    fn set_up(name: &str, blocks: u64, requested: u64, held: i64, high_water: i64) -> Self {
+        let counts = vec![
+            ("blocks", blocks as i64),
+            ("requested_bytes", requested as i64),
+            ("held_bytes", held),
+            ("high_water_bytes", high_water),
+        ];
+        Self { name: name.to_string(), counts }
     }
+
+    fn line(&self) -> String {
+        let counts: String = self.counts.iter().map(|(k, v)| format!(", \"{k}\": {v}")).collect();
+        format!("    {{\"name\": \"{}\"{counts}}}", self.name)
+    }
+}
+
+/// `--channels 4 --backpressure queue --max-queue-ms 2000 --batch-window
+/// 500 --prefetch markov` on top of the defaults, as `serving_golden` runs.
+fn stacked_flags() -> ServeConfig {
+    ServeConfig {
+        channels: 4,
+        backpressure: BackpressureMode::Queue(SimTime::from_ms(2_000)),
+        batch_window: Some(SimTime::from_us(500)),
+        prefetch: PrefetchConfig::markov(64 << 10),
+        ..Default::default()
+    }
+}
+
+/// The replay rows of the work ledger: each shipped fixture under the
+/// default and the stacked flags, on the tiny model the goldens replay on,
+/// in two rounds on one fresh context (its importance profile computed
+/// first): the cold round is the context's first server and replay, the
+/// warm one its second. Per round, the blocks and bytes the bare event
+/// replay requested per engagement (rounded down), the bytes it held once
+/// it returned its report, the bytes the round left on the context once
+/// the report and the server dropped (server build included), and the
+/// replay's heap high-water.
+fn replay_rows() -> Vec<WorkRow> {
+    let mut rows = Vec::new();
+    for fixture in ["smoke", "burst", "mix", "recurrent"] {
+        let trace =
+            load_trace(format!("examples/traces/{fixture}.json")).expect("shipped example parses");
+        let engagements = trace.total_engagements() as u64;
+        for (config, serve) in [("default", ServeConfig::default()), ("stacked", stacked_flags())] {
+            let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
+            ctx.importance();
+            for round in ["cold", "warm"] {
+                let (replay, round_use) = heap_across(|| {
+                    let server = build_server(&ctx, &serve);
+                    let (report, replay) = heap_across(|| replay_event(&server, &trace).unwrap());
+                    drop((report, server));
+                    replay
+                });
+                let counts = vec![
+                    ("blocks_per_engagement", (replay.requests / engagements) as i64),
+                    ("requested_bytes_per_engagement", (replay.requested / engagements) as i64),
+                    ("held_after_report_bytes", replay.held),
+                    ("held_after_drop_bytes", round_use.held),
+                    ("high_water_bytes", replay.high_water),
+                ];
+                rows.push(WorkRow { name: format!("replay_{fixture}_{config}_{round}"), counts });
+            }
+        }
+    }
+    rows
 }
 
 /// Where the work ledger lives: the root of the repository.
 const WORK_LEDGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_work.json");
 
-/// Set-up's counted work at the benchmark's shape, against the work ledger
+/// Set-up's counted work at the benchmark's shape, and each shipped
+/// fixture's replay ([`replay_rows`]), against the work ledger
 /// `BENCH_work.json`: the context build (`TaskContext::with_config` at
 /// `scaled_bert()`), the importance profile on the first 8 dev examples of
 /// its task, and `build_server` with the default configuration over that
@@ -277,6 +334,10 @@ const WORK_LEDGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_work.json"
 ///   store's directory path (`L`), the copy `ShardStore::create` keeps
 ///   (`L`) and the one buffer it builds every file path in (`L` and a file
 ///   name's room), and keeps one path of `L` bytes.
+///
+/// The replay rows have no such term: their context's importance profile
+/// is computed before the rounds, and its store keeps the file handles it
+/// wrote through, so no parallel section and no path falls inside them.
 fn set_ups_counted_work_is_the_work_ledgers() {
     let cfg = ModelConfig::scaled_bert();
     let quant = QuantConfig::default();
@@ -291,13 +352,13 @@ fn set_ups_counted_work_is_the_work_ledgers() {
         parallel_update_scratch(&mut items, || ForwardScratch::new(&cfg), |_, _, ()| ())
     });
     let layers = cfg.layers as u64;
-    let context = WorkRow {
-        name: "task_context_with_config_sst2_scaled_bert",
-        blocks: build.requests - layers * section.requests,
-        requested: build.requested - layers * section.requested - (temp + 3 * path) as u64,
-        held: build.held - path,
-        high_water: build.high_water - path - read.max(section.high_water),
-    };
+    let context = WorkRow::set_up(
+        "task_context_with_config_sst2_scaled_bert",
+        build.requests - layers * section.requests,
+        build.requested - layers * section.requested - (temp + 3 * path) as u64,
+        build.held - path,
+        build.high_water - path - read.max(section.high_water),
+    );
 
     let dev = Dataset::new(ctx.task().dev().examples()[..8].to_vec());
     let (profile, probes) = heap_across(|| profile_importance(model, &dev, &quant));
@@ -317,32 +378,34 @@ fn set_ups_counted_work_is_the_work_ledgers() {
     };
     let (_, section) =
         heap_across(|| parallel_map_scratch(cfg.total_shards(), probe_scratch, |_, _| 0.0f64));
-    let profile_row = WorkRow {
-        name: "profile_importance_8_dev_examples",
-        blocks: probes.requests - section.requests,
-        requested: probes.requested - section.requested,
-        held: probes.held,
-        high_water: probes.high_water - section.high_water,
-    };
+    let profile_row = WorkRow::set_up(
+        "profile_importance_8_dev_examples",
+        probes.requests - section.requests,
+        probes.requested - section.requested,
+        probes.held,
+        probes.high_water - section.high_water,
+    );
     assert!(ctx.set_importance(profile));
 
     let (server, serve) = heap_across(|| build_server(&ctx, &ServeConfig::default()));
-    let server_row = WorkRow {
-        name: "build_server_default_config",
-        blocks: serve.requests,
-        requested: serve.requested,
-        held: serve.held,
-        high_water: serve.high_water,
-    };
-    drop(server);
+    let server_row = WorkRow::set_up(
+        "build_server_default_config",
+        serve.requests,
+        serve.requested,
+        serve.held,
+        serve.high_water,
+    );
+    drop((server, ctx));
 
-    let rows = [context, profile_row, server_row];
+    let mut rows = vec![context, profile_row, server_row];
+    rows.extend(replay_rows());
     let lines: Vec<String> = rows.iter().map(WorkRow::line).collect();
     if std::env::var_os("STI_BLESS_WORK").is_some_and(|v| v == "1") {
         let ledger = format!(
-            "{{\n  \"about\": \"Set-up's counted heap work at scaled_bert(), written by \
-             tests/memory_sharing.rs under STI_BLESS_WORK=1 and compared by it otherwise; \
-             machine-dependent terms (worker count, temp-dir path) are taken out.\",\n  \
+            "{{\n  \"about\": \"Set-up's counted heap work at scaled_bert(), and each shipped \
+             fixture's replay on tiny() per config and round, written by tests/memory_sharing.rs \
+             under STI_BLESS_WORK=1 and compared by it otherwise; machine-dependent terms \
+             (worker count, temp-dir path) are taken out.\",\n  \
              \"rows\": [\n{}\n  ]\n}}\n",
             lines.join(",\n")
         );
@@ -520,8 +583,8 @@ fn a_thousand_flash_loads_request_what_they_return_and_keep_nothing() {
         payload_bytes
     });
     assert!(payload_bytes > 2 << 20, "the loop read {payload_bytes} payload bytes");
-    // A load allocates the record it reads and the payload it decodes from
-    // it, plus a few hundred bytes of framing, tables and the handle.
+    // A load allocates the record it reads, one copy of the record's body
+    // and the body's count block.
     assert!(
         requested >= payload_bytes && requested < 2 * payload_bytes + 1000 * 256,
         "1000 loads returned {payload_bytes} payload bytes and requested {requested}"
@@ -529,6 +592,29 @@ fn a_thousand_flash_loads_request_what_they_return_and_keep_nothing() {
     // Nothing stays. The count may even fall: a load publishes into the
     // store's weak payload index, which sweeps slots whose payload died.
     assert!(kept <= 0, "1000 dropped blobs left {kept} heap bytes behind");
+}
+
+/// One cold `ShardStore::load` (its layer file open, no live holder) at
+/// every bitwidth of a shard at the shipped scale: it requests the record
+/// it reads, the payload's body (one copy of the record's) and the
+/// body's reference-count block, and keeps the last two, the count block's
+/// 32 B and the body's 15 B header beside the payload bytes. A handle to
+/// one block of both would be a fat pointer, 16 B where a handle is 8 in
+/// every cache entry, preload entry and weak index slot. While a blob was
+/// a typed payload of three vectors, a compressed load also requested the
+/// packed bytes, the centroid table and the outlier table as blocks of
+/// their own, and kept them: 5 requested and 4 held with outliers, and 3
+/// and 2 at full fidelity, with 96 B beside the payload bytes.
+fn a_cold_load_keeps_one_body_and_its_count_block() {
+    let ctx = scaled_context();
+    let store = ctx.shard_source();
+    for bw in Bitwidth::ALL {
+        let key = ShardKey::new(ShardId::new(4, 7), bw);
+        let (blob, HeapUse { requests, live, held, .. }) = heap_across(|| store.load(key).unwrap());
+        assert!(bw.is_full() || blob.view().outliers().len() > 0, "{bw}: an outlier table");
+        assert_eq!((requests, live), (3, 2), "{bw}: blocks a cold load requests and keeps");
+        assert_eq!(held as usize, blob.byte_size() + 47, "{bw}: bytes a cold load keeps");
+    }
 }
 
 fn a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload() {
@@ -556,7 +642,7 @@ fn a_warm_cache_hit_over_the_flash_store_returns_the_cached_payload() {
     // decoded, not a second read.
     for ((hit, resident), miss) in hits.iter().zip(misses.iter().cycle()) {
         assert!(resident);
-        assert_eq!(hit.packed().as_ptr(), miss.packed().as_ptr());
+        assert!(hit.same_payload(miss));
     }
 }
 
@@ -581,7 +667,7 @@ fn a_second_cache_over_one_store_fills_from_the_payloads_the_first_holds() {
         for (&key, in_a) in keys.iter().zip(&held) {
             let (blob, resident) = b.get_or_load_tracked(&*store, key, None).unwrap();
             assert!(!resident);
-            assert_eq!(blob.unwrap().packed().as_ptr(), in_a.packed().as_ptr());
+            assert!(blob.unwrap().same_payload(in_a));
         }
     });
     assert_eq!(b.stats().misses, keys.len() as u64, "every key missed cache B");
@@ -1170,11 +1256,8 @@ fn every_hop_hands_on_the_stores_one_payload() {
     let store = ShardStore::create_temp(&model, &Bitwidth::ALL, &QuantConfig::default()).unwrap();
     let id = ShardId::new(1, 2);
     let key = ShardKey::new(id, Bitwidth::B4);
-    let payload = |blob: &QuantizedBlob| {
-        (blob.packed().as_ptr(), blob.centroids().as_ptr(), blob.outliers().as_ptr())
-    };
     let in_store = store.load(key).unwrap();
-    assert_eq!(payload(&store.load(key).unwrap()), payload(&in_store), "load twice");
+    assert!(store.load(key).unwrap().same_payload(&in_store), "load twice");
 
     // Cache: the miss admits the store's payload, the hit returns it. The
     // main map has room for `key` or `cold` but not both, so promoting
@@ -1185,13 +1268,13 @@ fn every_hop_hands_on_the_stores_one_payload() {
     let cache = Arc::new(ShardCache::with_prefetch_pool(room, 1 << 20));
     let (missed, resident) = cache.get_or_load_tracked(&store, key, None).unwrap();
     assert!(!resident);
-    assert_eq!(payload(&missed.unwrap()), payload(&in_store), "cache miss");
+    assert!(missed.unwrap().same_payload(&in_store), "cache miss");
     let (hit, resident) = cache.get_or_load_tracked(&store, key, None).unwrap();
     assert!(resident);
-    assert_eq!(payload(&hit.unwrap()), payload(&in_store), "cache hit");
+    assert!(hit.unwrap().same_payload(&in_store), "cache hit");
     let store = Arc::new(store);
     let cached = CachedSource::new(store.clone(), cache.clone());
-    assert_eq!(payload(&cached.load(key).unwrap()), payload(&in_store), "cached source");
+    assert!(cached.load(key).unwrap().same_payload(&in_store), "cached source");
 
     // Staging pool: staged cold, pinned from the main map, promoted on a
     // demand miss — the same payload each time.
@@ -1200,15 +1283,15 @@ fn every_hop_hands_on_the_stores_one_payload() {
     let (promoted, resident) = cache.get_or_load_tracked(&*store, cold, None).unwrap();
     assert!(resident, "the staged blob was promoted, not reloaded");
     assert_eq!(cache.prefetch_stats().hits, 1);
-    assert_eq!(payload(&promoted.unwrap()), payload(&cold_in_store), "pool promote");
+    assert!(promoted.unwrap().same_payload(&cold_in_store), "pool promote");
     assert_eq!(cache.len(), 1, "the promotion evicted `key` from the main map");
     let (pinned, resident) = cache.get_or_load_tracked(&*store, key, None).unwrap();
     assert!(resident, "the pinned handle outlives the main map's");
-    assert_eq!(payload(&pinned.unwrap()), payload(&in_store), "pool pin");
+    assert!(pinned.unwrap().same_payload(&in_store), "pool pin");
 
     // Preload buffer: filled the way the engine and the server fill it.
     let preload = PreloadBuffer::fill(1 << 20, &[(id, key.bitwidth)], &cached).unwrap();
-    assert_eq!(payload(preload.get(id).unwrap()), payload(&in_store), "preload entry");
+    assert!(preload.get(id).unwrap().same_payload(&in_store), "preload entry");
 
     // And the model: a clone is the same weights.
     let twin = model.clone();

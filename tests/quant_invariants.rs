@@ -19,17 +19,25 @@ fn bits_of(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// A blob's packed bytes, centroids and outlier table, read through its
+/// view.
+fn parts(blob: &QuantizedBlob) -> (Vec<u8>, Vec<f32>, Vec<(u32, f32)>) {
+    let view = blob.view();
+    (view.packed().to_vec(), view.centroids().collect(), view.outliers().collect())
+}
+
 /// Decompression spelled out in its three steps — unpack every index into a
 /// buffer, look each up in the dictionary, patch the outliers — which is what
 /// `dequantize_into` did before it fused the first two.
 fn unpack_lookup_patch(blob: &QuantizedBlob) -> Vec<f32> {
+    let (packed, centroids, outliers) = parts(blob);
     if blob.bitwidth().is_full() {
-        let raw = blob.packed().chunks_exact(4);
+        let raw = packed.chunks_exact(4);
         return raw.map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
     }
-    let indexes = bitpack::unpack(blob.packed(), blob.bitwidth().bits(), blob.len());
-    let mut out: Vec<f32> = indexes.iter().map(|&i| blob.centroids()[i as usize]).collect();
-    for &(offset, value) in blob.outliers() {
+    let indexes = bitpack::unpack(&packed, blob.bitwidth().bits(), blob.len());
+    let mut out: Vec<f32> = indexes.iter().map(|&i| centroids[i as usize]).collect();
+    for (offset, value) in outliers {
         out[offset as usize] = value;
     }
     out
@@ -76,12 +84,13 @@ fn assert_one_sort_equals_one_at_a_time(weights: &[f32], cfg: &QuantConfig, what
         let oracle = quantize_one_at_a_time(weights, bw, cfg);
         assert_eq!(blob.bitwidth(), bw, "{what}");
         assert_eq!(blob.len(), weights.len(), "{what} {bw}");
-        assert_eq!(blob.packed(), oracle.packed(), "{what} {bw}: packed");
-        assert_eq!(bits_of(blob.centroids()), bits_of(oracle.centroids()), "{what} {bw}");
-        let table = |b: &QuantizedBlob| -> Vec<(u32, u32)> {
-            b.outliers().iter().map(|&(at, v)| (at, v.to_bits())).collect()
+        let ((packed, centroids, outliers), oracle) = (parts(blob), parts(&oracle));
+        assert_eq!(packed, oracle.0, "{what} {bw}: packed");
+        assert_eq!(bits_of(&centroids), bits_of(&oracle.1), "{what} {bw}");
+        let table = |table: &[(u32, f32)]| -> Vec<(u32, u32)> {
+            table.iter().map(|&(at, v)| (at, v.to_bits())).collect()
         };
-        assert_eq!(table(blob), table(&oracle), "{what} {bw}: outliers");
+        assert_eq!(table(&outliers), table(&oracle.2), "{what} {bw}: outliers");
         assert_eq!(&QuantizedBlob::quantize(weights, bw, cfg), blob, "{what} {bw}: quantize");
     }
     // A subset in another order cuts the same dictionaries.
@@ -114,7 +123,7 @@ fn quantize_all_keeps_the_all_outlier_fallback_and_signed_zero_ties() {
     let everything = QuantConfig { outlier_log_likelihood: f32::INFINITY };
     let spread: Vec<f32> = (0..200).map(|i| (i as f32 / 9.0).sin()).collect();
     let blob = QuantizedBlob::quantize(&spread, Bitwidth::B3, &everything);
-    assert_eq!(blob.outliers().len(), spread.len(), "the fallback must be exercised");
+    assert_eq!(blob.view().outliers().len(), spread.len(), "the fallback must be exercised");
     assert_one_sort_equals_one_at_a_time(&spread, &everything, "all-outlier");
 
     // `-0.0` and `+0.0` compare equal, so only a stable sort over the same
@@ -160,13 +169,14 @@ fn short_packed_buffers_are_refused_as_before() {
     for bw in Bitwidth::COMPRESSED {
         let blob = QuantizedBlob::quantize(&weights, bw, &QuantConfig::default());
         let needed = bw.payload_bytes(weights.len());
-        let short = blob.packed()[..needed - 1].to_vec();
+        let (packed, centroids, outliers) = parts(&blob);
+        let short = packed[..needed - 1].to_vec();
         let rebuilt = QuantizedBlob::from_parts(
             bw,
             weights.len() as u32,
             short.clone(),
-            blob.centroids().to_vec(),
-            blob.outliers().to_vec(),
+            centroids.clone(),
+            outliers,
         );
         assert_eq!(
             rebuilt.unwrap_err(),
@@ -179,7 +189,7 @@ fn short_packed_buffers_are_refused_as_before() {
         let unfused = message(&|| drop(bitpack::unpack(&short, bw.bits(), weights.len())));
         let fused = message(&|| {
             let mut out = vec![0.0f32; weights.len()];
-            bitpack::unpack_lookup_into(&short, bw.bits(), 0, blob.centroids(), &mut out);
+            bitpack::unpack_lookup_into(&short, bw.bits(), 0, &centroids, &mut out);
         });
         assert_eq!(fused, unfused);
         assert!(fused.contains("packed buffer too short"), "{fused}");
@@ -206,7 +216,7 @@ proptest! {
         weights[last] = -40.0;
         let blob = QuantizedBlob::quantize(&weights, bw, &QuantConfig::default());
         if !bw.is_full() {
-            let offsets: Vec<u32> = blob.outliers().iter().map(|&(offset, _)| offset).collect();
+            let offsets: Vec<u32> = blob.view().outliers().map(|(offset, _)| offset).collect();
             prop_assert!(offsets.contains(&0) && offsets.contains(&(last as u32)), "{offsets:?}");
         }
         let expected = unpack_lookup_patch(&blob);

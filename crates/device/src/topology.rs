@@ -4,8 +4,9 @@
 //! shard cache); a [`DeviceTopology`] names that shape and places each
 //! request on a channel by its [`content_sig`], and
 //! [`TopologyQueueSim`](crate::flash_queue::TopologyQueueSim) serves one
-//! FIFO queue per channel. [`IoSharing`] says which byte-identical reads
-//! of co-resident engagements coalesce into one flash job.
+//! FIFO queue per channel. [`IoSharing::coalesces`] is the one rule for
+//! which reads of co-resident engagements share one flash job: the IO
+//! scheduler batches by it, and the contended predictor groups by it.
 //!
 //! **Naming.** "Device channel" here is a hardware lane of the flash
 //! package — distinct from the *engagement IO lanes* (`IoChannel` in
@@ -23,8 +24,9 @@ use sti_quant::Bitwidth;
 ///
 /// Placement maps a request to a channel via [`DeviceTopology::channel_for`]
 /// — a pure function of the request's content signature and the session's
-/// stripe offset, so byte-identical requests from different sessions land
-/// on the *same* channel (and stay batchable) unless their stripes differ.
+/// stripe offset, so byte-identical requests from sessions on one stripe
+/// land on the *same* channel (and stay batchable); on two stripes they
+/// share a channel only where placement happens to put both there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceTopology {
     channels: u16,
@@ -68,18 +70,21 @@ impl DeviceTopology {
     /// has no placement freedom — exactly today's model.
     ///
     /// The stripe folds in *before* mixing, so a stripe shift is exactly a
-    /// signature shift (`channel_for(sig, s) == channel_for(sig + s, 0)`)
-    /// and a load's stripe-folded signatures recover the placement.
+    /// signature shift (`channel_for(sig, s) == channel_for(sig + s, 0)`).
     pub fn channel_for(&self, content_sig: u64, stripe: u16) -> u16 {
         // Content signatures are structured (layer indices, shard slices),
         // so a bare modulus aliases whole signature classes onto one
         // channel at small C; finalize through a splitmix64 mix first.
-        let mut z = content_sig.wrapping_add(stripe as u64);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z % self.channels as u64) as u16
+        (mix64(content_sig.wrapping_add(stripe as u64)) % self.channels as u64) as u16
     }
+}
+
+/// The SplitMix64 finalizer: decorrelates structured inputs (placement's
+/// signatures, the serving mix's sub-digests) before they are reduced.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The content signature [`DeviceTopology::channel_for`] places: a hash of
@@ -97,8 +102,9 @@ pub fn content_sig(layer: u16, items: impl IntoIterator<Item = (u16, Bitwidth)>)
 
 /// Whether co-resident engagements' byte-identical reads share one flash
 /// job: the IO scheduler's batching policy and the contended predictors'
-/// sharing mode are this one value, so the two cannot disagree on which
-/// reads coalesce.
+/// sharing mode are this one value, and [`IoSharing::coalesces`] is the
+/// one rule both apply, so the two cannot disagree on which reads
+/// coalesce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoSharing {
     /// Every engagement pays for its own reads (the default).
@@ -123,6 +129,36 @@ impl IoSharing {
     pub fn shares(&self, a: SimTime, b: SimTime) -> bool {
         self.window().is_some_and(|w| a.max(b) - a.min(b) <= w)
     }
+
+    /// The coalescing rule: `member`'s read joins the flash job `leader`'s
+    /// read leads iff both read the same content, the window test holds on
+    /// their lanes' opening arrivals, and placement puts both on one device
+    /// channel (`topology.channel_for(sig, stripe)`, `sig` the content's
+    /// [`content_sig`]), whatever their stripes. The IO scheduler asks it
+    /// with whole requests as the content (a signature is a hash), the
+    /// contended predictor with its plan-derived IO jobs.
+    pub fn coalesces<C: PartialEq + ?Sized>(
+        self,
+        topology: DeviceTopology,
+        sig: u64,
+        leader: &LaneRead<'_, C>,
+        member: &LaneRead<'_, C>,
+    ) -> bool {
+        leader.content == member.content
+            && self.shares(leader.arrival, member.arrival)
+            && topology.channel_for(sig, leader.stripe) == topology.channel_for(sig, member.stripe)
+    }
+}
+
+/// One engagement lane's next read, as [`IoSharing::coalesces`] sees it.
+#[derive(Debug)]
+pub struct LaneRead<'a, C: ?Sized> {
+    /// What the read fetches; equal contents are byte-identical reads.
+    pub content: &'a C,
+    /// The lane's device-channel stripe offset.
+    pub stripe: u16,
+    /// When the lane was opened (not the arrival a batch raises it to).
+    pub arrival: SimTime,
 }
 
 #[cfg(test)]
@@ -195,6 +231,35 @@ mod tests {
         let hit: std::collections::HashSet<u16> =
             (0..64u64).map(|sig| quad.channel_for(sig, 0)).collect();
         assert_eq!(hit.len(), 4, "consecutive signatures cover every channel");
+    }
+
+    /// A read of `content` on a lane opened at `us` µs on `stripe`.
+    fn read(content: &str, stripe: u16, us: u64) -> LaneRead<'_, str> {
+        LaneRead { content, stripe, arrival: SimTime::from_us(us) }
+    }
+
+    #[test]
+    fn reads_coalesce_on_content_window_and_channel_and_on_nothing_else() {
+        let batched = IoSharing::Batched(SimTime::from_us(500));
+        let one = DeviceTopology::single();
+        let coalesces = |topo, leader, member| batched.coalesces(topo, 7, &leader, &member);
+        assert!(coalesces(one, read("a", 0, 0), read("a", 0, 500)));
+        assert!(coalesces(one, read("a", 0, 500), read("a", 0, 0)), "the window is symmetric");
+        assert!(!coalesces(one, read("a", 0, 0), read("a", 0, 501)), "outside the window");
+        assert!(!coalesces(one, read("a", 0, 0), read("b", 0, 0)), "other content");
+        assert!(!IoSharing::Exclusive.coalesces(one, 7, &read("a", 0, 0), &read("a", 0, 0)));
+        // On a multi-channel device the stripes matter only through the
+        // channel they place the read on.
+        let quad = DeviceTopology::with_channels(4);
+        let sig = (0..64u64)
+            .find(|&sig| {
+                quad.channel_for(sig, 0) == quad.channel_for(sig, 1)
+                    && quad.channel_for(sig, 0) != quad.channel_for(sig, 2)
+            })
+            .expect("some signature shares a channel across stripes 0 and 1 but not 2");
+        let on = |stripe| read("a", stripe, 0);
+        assert!(batched.coalesces(quad, sig, &on(0), &on(1)), "two stripes, one channel");
+        assert!(!batched.coalesces(quad, sig, &on(0), &on(2)), "two stripes, two channels");
     }
 
     #[test]

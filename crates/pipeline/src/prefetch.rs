@@ -199,7 +199,10 @@ mod tests {
     use crate::server::tests::tiny_server;
     use crate::server::StiServer;
     use sti_device::{DeviceProfile, HwProfile, IoSharing};
-    use sti_planner::{layer_io_jobs, plan_two_stage, ImportanceProfile, LayerIoJob};
+    use sti_planner::{
+        layer_io_jobs, plan_two_stage, CoRunnerLoad, EngagementLoad, ImportanceProfile, LayerIoJob,
+        ServingMix,
+    };
     use sti_quant::{Bitwidth, QuantConfig};
     use sti_storage::{IoScheduler, ShardCache, ShardStore};
     use sti_tensor::Rng;
@@ -274,7 +277,10 @@ mod tests {
     /// dispatches one request per layer the plan streams, in layer order,
     /// each on the channel its [`layer_io_jobs`] signature places at the
     /// stripe; and the prefetcher stages exactly those layers' keys, in
-    /// layer order as far as its budget reaches, on the same channels.
+    /// layer order as far as its budget reaches, on the same channels. Two
+    /// co-arriving sessions on one plan and two stripes, batched, read a
+    /// layer once exactly where both stripes place it on one channel, and
+    /// the planner's predicted dispatches are the scheduler's.
     #[test]
     fn the_planner_the_scheduler_and_the_prefetcher_agree_on_what_streams() {
         let cfg = ModelConfig { layers: 6, ..ModelConfig::tiny() };
@@ -289,7 +295,7 @@ mod tests {
         let topology = DeviceTopology::with_channels(4);
         let exec = PipelineExecutor::new(&model, source.clone(), &hw);
         let size = |key: &ShardKey| source.size_bytes(*key).unwrap();
-        let (mut streamed, mut covered, mut cut) = (0, 0, 0);
+        let (mut streamed, mut covered, mut cut, mut shared) = (0, 0, 0, 0);
         for (target_ms, preload) in [(40, 0), (60, 2 << 10), (80, 6 << 10), (120, 1 << 20)] {
             let target = SimTime::from_ms(target_ms);
             let plan = plan_two_stage(&hw, &importance, target, preload, &[2, 4], &Bitwidth::ALL);
@@ -363,10 +369,51 @@ mod tests {
                         "T = {target_ms} ms, |S| = {preload} B, stripe {stripe}"
                     );
                 }
+
+                // The same plan on this stripe and every higher one, both
+                // sessions at time zero, batched.
+                for other in stripe + 1..topology.channel_count() {
+                    let sharing = IoSharing::Batched(SimTime::ZERO);
+                    let cache = Arc::new(ShardCache::new(0));
+                    let scheduler =
+                        IoScheduler::spawn(source.clone(), hw.flash, cache, sharing, topology);
+                    let lanes =
+                        [stripe, other].map(|s| scheduler.channel_striped_at(SimTime::ZERO, s));
+                    for lane in &lanes {
+                        exec.issue_on(lane, &target.plan).unwrap();
+                    }
+                    scheduler.drive_queued();
+                    let dispatched: Vec<(u16, usize)> = scheduler.with_event_logs(|demand, _| {
+                        demand.iter().map(|e| (e.device_channel, e.fanout())).collect()
+                    });
+                    let mut mix = ServingMix::new(sharing).with_topology(topology);
+                    let resident =
+                        CoRunnerLoad::from_plan_striped(&hw, &target.plan, SimTime::ZERO, stripe);
+                    mix.push_session(0, resident, None);
+                    let load =
+                        EngagementLoad::from_plan_striped(&hw, &target.plan, SimTime::ZERO, other);
+                    let predicted: Vec<(u16, usize)> = mix
+                        .predicted_dispatches(&load)
+                        .iter()
+                        .map(|d| (d.device_channel, 1 + d.members.len()))
+                        .collect();
+                    let case =
+                        format!("T = {target_ms} ms, |S| = {preload} B, stripes {stripe}, {other}");
+                    assert_eq!(dispatched, predicted, "{case}");
+                    let batched = layers.iter().filter(|(_, job)| {
+                        topology.channel_for(job.sig, stripe)
+                            == topology.channel_for(job.sig, other)
+                    });
+                    let batched = batched.count();
+                    assert_eq!(dispatched.iter().filter(|d| d.1 == 2).count(), batched, "{case}");
+                    assert_eq!(dispatched.len(), 2 * layers.len() - batched, "{case}");
+                    shared += batched;
+                }
             }
         }
         assert!(streamed > 0 && covered > 0, "plans both stream layers and preload whole ones");
         assert!(cut > 0, "a budget cuts some staging short");
+        assert!(shared > 0, "two stripes place some layer on one channel");
     }
 
     /// Invalidation drops both holders of pre-invalidation state: the staged

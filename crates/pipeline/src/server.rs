@@ -16,8 +16,8 @@
 //! the record its planning call resolved (knobs, plan, preload buffer).
 //! What a plan determines is computed once per plan, not per session: an
 //! `open_fleet` batch shares one record, and the streaming jobs and gate
-//! profile a session registers are built once per (record, device-channel
-//! stripe) and shared by pointer. Sessions are cheap to open, independently
+//! profile a session registers are built once per record and shared by
+//! pointer. Sessions are cheap to open, independently
 //! retargetable, and safe to drive from concurrent threads.
 //!
 //! # Shape: stores, services, one orchestrator
@@ -171,13 +171,13 @@ struct Planned {
     slo: Option<SimTime>,
     /// The SLO search outcome, when SLO-planned.
     serving: Option<Arc<ServingPlan>>,
-    /// What a session on this record registers, per device-channel stripe:
-    /// built on first use, then shared by every session on the stripe.
-    loads: Box<[OnceLock<StripeLoads>]>,
+    /// What a session on this record registers: built on first use, then
+    /// shared by every session on the record.
+    loads: OnceLock<Loads>,
 }
 
-/// A plan's registered loads on one device-channel stripe.
-struct StripeLoads {
+/// A plan's registered loads.
+struct Loads {
     /// The streaming jobs, as every session's [`CoRunnerLoad`] holds them.
     jobs: Arc<[LayerIoJob]>,
     /// The gate profile, for an SLO-planned record.
@@ -185,14 +185,13 @@ struct StripeLoads {
 }
 
 impl Planned {
-    /// The loads a session on `stripe` registers, computed at most once per
-    /// stripe. Job signatures carry the stripe's placement fold, so every
-    /// contended prediction routes — and batches — the session's jobs on
-    /// the device channels it streams through.
-    fn loads_on(&self, hw: &HwProfile, stripe: u16) -> &StripeLoads {
-        self.loads[stripe as usize].get_or_init(|| StripeLoads {
-            jobs: CoRunnerLoad::from_plan_striped(hw, &self.plan, SimTime::ZERO, stripe).jobs,
-            profile: self.slo.map(|slo| SloProfile::from_plan_striped(hw, &self.plan, slo, stripe)),
+    /// The loads a session on this record registers, computed at most once.
+    /// Jobs know nothing of placement: a session registers them with its
+    /// own stripe.
+    fn loads(&self, hw: &HwProfile) -> &Loads {
+        self.loads.get_or_init(|| Loads {
+            jobs: CoRunnerLoad::from_plan(hw, &self.plan).jobs,
+            profile: self.slo.map(|slo| SloProfile::from_plan(hw, &self.plan, slo)),
         })
     }
 }
@@ -371,8 +370,7 @@ impl ServerInner {
         };
         let (plan, preload) = self.resolve(target, preload_budget, serving.as_deref())?;
         let layer_has_io = plan.layers.iter().map(|pl| pl.streams(&plan.preload)).collect();
-        let loads =
-            (0..self.scheduler.topology().channel_count()).map(|_| OnceLock::new()).collect();
+        let loads = OnceLock::new();
         let planned =
             Planned { target, preload_budget, plan, preload, layer_has_io, slo, serving, loads };
         Ok(install(Arc::new(planned)))
@@ -434,11 +432,11 @@ impl ServerInner {
     /// session's streaming IO load — at its arrival offset — in the live
     /// registry mix; SLO sessions also register their gate profile. An
     /// in-place upsert: the mix's rolling digest updates in O(1). The loads
-    /// are `planned`'s for `stripe` ([`Planned::loads_on`]), so a
-    /// registration clones pointers to jobs the plan already determined.
+    /// are `planned`'s ([`Planned::loads`]), so a registration clones
+    /// pointers to jobs the plan already determined.
     fn register_load(&self, token: u64, planned: &Planned, arrival: SimTime, stripe: u16) {
-        let StripeLoads { jobs, profile } = planned.loads_on(&self.hw, stripe);
-        let load = CoRunnerLoad { jobs: jobs.clone(), arrival };
+        let Loads { jobs, profile } = planned.loads(&self.hw);
+        let load = CoRunnerLoad { jobs: jobs.clone(), arrival, stripe };
         Arc::make_mut(&mut self.live_mix.write()).upsert_session(token, load, profile.clone());
     }
 
@@ -560,9 +558,8 @@ impl StiServer {
     /// are resolved through the plan/preload caches **once**, so pooled
     /// fleet bring-up pays the caches' global locks per *batch* instead of
     /// per open, and every session of the batch shares one plan record and
-    /// its streaming jobs, built once per device-channel stripe — the
-    /// per-open path touches only the token counter and the open-session
-    /// registry. Equivalent to `count` calls to
+    /// its streaming jobs, built once — the per-open path touches only the
+    /// token counter and the open-session registry. Equivalent to `count` calls to
     /// [`StiServer::session_with`]: the resulting digest (and every gate
     /// decision derived from it) is identical either way.
     ///
@@ -935,7 +932,7 @@ impl std::fmt::Debug for StiServer {
 ///
 /// A session holds nothing its plan already determines: the plan record
 /// is shared with every session the same planning call opened, and its
-/// registered loads with every session on the same plan and stripe.
+/// registered loads with every session on the same plan.
 ///
 /// Sessions are `Send + Sync`; `infer`/`generate` take `&self`, so one
 /// session can serve engagements from multiple threads, and many sessions
@@ -957,9 +954,9 @@ pub struct Session {
     /// Device-channel stripe offset of this session's shard placement
     /// (the SLO search's placement choice, [`ServingPlan::stripe`], for an
     /// SLO-planned session; the round-robin default for raw-target ones;
-    /// always zero on single-channel devices). Folded into registered job
-    /// signatures and into the IO lane the session's engagements stream
-    /// through.
+    /// always zero on single-channel devices). Registered with the
+    /// session's load, and the IO lane the session's engagements stream
+    /// through is opened on it.
     stripe: u16,
     /// Idle gap between this session's successive engagements on the
     /// simulated timeline (see [`Session::set_issue_gap`]; zero — the

@@ -262,7 +262,7 @@ mod tests {
     /// `slo`.
     fn register_at(registry: &RwLock<Arc<ServingMix>>, token: u64, slo: SimTime, arrival: SimTime) {
         let jobs = [1, 2].map(|layer| LayerIoJob { sig: token * 10 + layer, service: ms(10) });
-        let load = CoRunnerLoad { jobs: Arc::from(jobs), arrival };
+        let load = CoRunnerLoad { jobs: Arc::from(jobs), arrival, stripe: 0 };
         let profile = SloProfile { jobs: Arc::from(jobs.map(Some)), comp: ms(1), slo };
         Arc::make_mut(&mut registry.write()).upsert_session(token, load, Some(profile));
     }

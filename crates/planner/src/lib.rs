@@ -48,8 +48,8 @@ pub use io_plan::{
     plan_io, plan_io_greedy_only, plan_two_stage, replan_with_preload, IoPlanInputs,
 };
 pub use mix::{
-    plan_for_slo_mix, reallocate_preload_for_mix, GateOutcome, MixSession, PreloadPolicy,
-    ServingMix, SloProfile,
+    plan_for_slo_mix, reallocate_preload_for_mix, GateOutcome, MixSession, PredictedDispatch,
+    PreloadPolicy, ServingMix, SloProfile,
 };
 pub use plan::{ExecutionPlan, PlannedLayer, SubmodelShape};
 pub use prefetch::{

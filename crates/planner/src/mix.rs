@@ -17,7 +17,8 @@
 //!   FIFO job queue is served round-robin on its device channels, and the
 //!   candidate's pipeline recurrence runs over the contended completions.
 //!   Predictions fold each channel's queue in closed form (see below),
-//!   unbatched and batched, where byte-identical in-window jobs coalesce.
+//!   unbatched and batched, where jobs coalesce exactly as the IO
+//!   scheduler batches them ([`IoSharing::coalesces`]).
 //! - [`ServingMix::min_delay`] is the two-phase minimal-queue-delay
 //!   search, and [`ServingMix::gate_all`] is the deterministic gate walk:
 //!   sessions in `(arrival, token)` order, each earlier SLO session's
@@ -72,9 +73,13 @@
 //! Under [`IoSharing::Batched`] a later lane can raise the candidate's
 //! cursor, so every lane's jobs are grouped into reads, each at its latest
 //! member's arrival, and one sort by `(arrival, submission)` orders every
-//! channel's fold. The delay search's drains are the fold with nothing
-//! after it, in both modes. Only the contention ledger's replay of a live
-//! run still runs the simulator.
+//! channel's fold. The grouping is the IO scheduler's own pick loop run
+//! over fully queued lanes: round-robin turns, every lane whose next job
+//! [`IoSharing::coalesces`] with the picked one joining it in lane order,
+//! and joined lanes re-entering the turn queue behind the others, as the
+//! scheduler delivers them. The delay search's drains are the fold with
+//! nothing after it, in both modes. Only the contention ledger's replay of
+//! a live run still runs the simulator.
 //!
 //! # Device-channel placement
 //!
@@ -82,10 +87,10 @@
 //! ([`ServingMix::with_topology`]): one single-server FIFO queue per device
 //! channel, the discipline `TopologyQueueSim` serves. A prediction
 //! routes each job to its device channel by
-//! `DeviceTopology::channel_for` over the job's placement-adjusted
-//! signature (lane stripes are folded into sigs at load construction —
-//! [`CoRunnerLoad::from_plan_striped`] — the same fold the IO scheduler's
-//! placement applies), the delay search drains per channel, and
+//! `DeviceTopology::channel_for(sig, stripe)` over the job's content
+//! signature and its session's stripe ([`CoRunnerLoad::stripe`]), the
+//! placement the IO scheduler applies to the session's lane, the delay
+//! search drains per channel, and
 //! [`plan_for_slo_mix`] ranks the candidate's stripe offsets as a
 //! placement axis beside the `|S|` placements. A "channel" here is always
 //! a *device channel* (hardware lane of the flash package); an
@@ -105,9 +110,10 @@
 //!   lookup (refresh, close) is a binary search. A close leaves a
 //!   tombstone in place, and the vector compacts once tombstones pass half
 //!   its length, so iteration skips them and stays in token order. A slot
-//!   is 40 B, a session's token and handles: a session costs its slot and
-//!   no allocation of its own. [`ServingMix::digest`] folds
-//!   one sub-digest per session (token, arrival, jobs, gate profile) into
+//!   is 48 B, a session's token, arrival, stripe and handles: a session
+//!   costs its slot and no allocation of its own. [`ServingMix::digest`]
+//!   folds one sub-digest per session (token, arrival, stripe, jobs, gate
+//!   profile) into
 //!   a rolling commutative sum. Commutativity is safe because every
 //!   sub-digest includes its unique token, so a registry *set* determines
 //!   the fold — and it makes [`ServingMix::upsert_session`] /
@@ -120,8 +126,8 @@
 //!   snapshot still alive pays one such copy.
 //! - **Shared lanes, recycled scratch.** Job slices are `Arc`-shared: the
 //!   [`CoRunnerLoad`], [`SloProfile`] and [`EngagementLoad`] of every
-//!   session on one plan and stripe point at the same jobs (the server
-//!   builds them once per plan and stripe), and a registry entry holds its
+//!   session on one plan point at the same jobs (the server builds them
+//!   once per plan), and a registry entry holds its
 //!   gate profile behind an `Arc` too. Assembling lanes and replaying
 //!   decided sessions in the gate walk borrow the registry's job slices
 //!   (a lane is an arrival and a slice reference, so building one touches
@@ -129,7 +135,7 @@
 //!   clone pointers, never jobs. No prediction allocates a
 //!   completion, and an unbatched one no job either (see the closed form
 //!   above). The service-order index, the per-channel free times and the
-//!   batched grouping's round, group, cursor and read buffers are recycled
+//!   batched grouping's turn queue, cursors and read buffers are recycled
 //!   through a lane arena across the dozens of predictions a delay search
 //!   runs.
 //! - **Delta re-prediction.** [`ServingMix::gate_all`] runs the
@@ -143,11 +149,11 @@
 //!   lookup.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use sti_device::{content_sig, DeviceTopology, HwProfile, IoSharing, SimTime};
+use sti_device::{content_sig, mix64, DeviceTopology, HwProfile, IoSharing, LaneRead, SimTime};
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
@@ -156,18 +162,17 @@ use crate::importance::ImportanceProfile;
 use crate::io_plan::{plan_two_stage, replan_with_preload};
 use crate::plan::ExecutionPlan;
 use crate::serving::{
-    contended_makespan, striped_layer_io_jobs, CoRunnerLoad, EngagementLoad, LayerIoJob,
-    ServingPlan,
+    contended_makespan, layer_io_jobs, CoRunnerLoad, EngagementLoad, LayerIoJob, ServingPlan,
 };
 
 /// What the gate needs to replay an SLO session's decisions
 /// deterministically: its per-layer engagement load and the SLO it is held
-/// to.
+/// to. Its stripe is its session's ([`CoRunnerLoad::stripe`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SloProfile {
     /// Per-layer IO jobs of one engagement (`None` for preload-covered
-    /// layers). `Arc`-shared: every session on one plan and stripe holds
-    /// the same slice, and each walk decision clones a pointer into the
+    /// layers). `Arc`-shared: every session on one plan holds the same
+    /// slice, and each walk decision clones a pointer into the
     /// [`EngagementLoad`] it prices.
     pub jobs: Arc<[Option<LayerIoJob>]>,
     /// Per-layer compute delay (uniform across a plan's layers).
@@ -179,32 +184,19 @@ pub struct SloProfile {
 impl SloProfile {
     /// Builds the gate profile of one engagement of `plan` under `slo`.
     pub fn from_plan(hw: &HwProfile, plan: &ExecutionPlan, slo: SimTime) -> Self {
-        Self::from_plan_striped(hw, plan, slo, 0)
+        Self { jobs: layer_io_jobs(hw, plan).into(), comp: hw.t_comp(plan.shape.width), slo }
     }
 
-    /// [`SloProfile::from_plan`] placed on device-channel stripe `stripe`:
-    /// job signatures carry the placement fold, so the gate replays this
-    /// session's traffic on the channels its plan striped it across (see
-    /// [`CoRunnerLoad::from_plan_striped`]). Stripe 0 is the identity.
-    pub fn from_plan_striped(
-        hw: &HwProfile,
-        plan: &ExecutionPlan,
-        slo: SimTime,
-        stripe: u16,
-    ) -> Self {
-        let jobs = striped_layer_io_jobs(hw, plan, stripe);
-        Self { jobs, comp: hw.t_comp(plan.shape.width), slo }
-    }
-
-    fn load_at(&self, arrival: SimTime) -> EngagementLoad {
-        EngagementLoad { jobs: self.jobs.clone(), comp: self.comp, arrival }
+    /// The engagement the gate prices for a session on `stripe`.
+    fn load_at(&self, arrival: SimTime, stripe: u16) -> EngagementLoad {
+        EngagementLoad { jobs: self.jobs.clone(), comp: self.comp, arrival, stripe }
     }
 }
 
 /// One open session as the mix sees it: its registry token (open order —
 /// the gate's deterministic tie-break), its streaming load, and its gate
 /// profile when it carries an SLO. Both loads are handles: the job slices
-/// are `Arc`-shared with every session on the same plan and stripe, and the
+/// are `Arc`-shared with every session on the same plan, and the
 /// gate profile sits behind its own `Arc`, so a plain session's entry is
 /// its token, its arrival and two pointers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,13 +240,29 @@ pub enum PreloadPolicy {
     SharingAware,
 }
 
-/// One co-runner lane of a prediction: a FIFO job queue arriving at an
-/// offset. Jobs are borrowed from the registry entry they came from, so
-/// lane assembly copies no job and touches no reference count.
+/// One co-runner lane of a prediction: a registry entry's FIFO job queue
+/// on its stripe, opened at `arrival` (its own, or a gate delay's). The
+/// load is borrowed, so lane assembly copies no job and touches no
+/// reference count.
 #[derive(Debug, Clone, Copy)]
 struct Lane<'a> {
     arrival: SimTime,
-    jobs: &'a [LayerIoJob],
+    load: &'a CoRunnerLoad,
+}
+
+/// One flash job of a prediction, as the IO scheduler's dispatch log lists
+/// it for the same lanes with every job queued before the first dispatch.
+/// Lanes are numbered in token order, the candidate last.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PredictedDispatch {
+    /// The lane whose turn it was.
+    pub lane: usize,
+    /// The lanes whose next job joined it, in lane order.
+    pub members: Vec<usize>,
+    /// The device channel the read is served on.
+    pub device_channel: u16,
+    /// The read's arrival: the turn's cursor, raised to its members'.
+    pub arrival: SimTime,
 }
 
 /// One registry slot: an open session, or the tombstone a close leaves at
@@ -368,8 +376,8 @@ impl ServingMix {
 
     /// Attaches the device topology predictions model (default: one
     /// channel). Every lane's jobs route to per-channel queues through
-    /// `DeviceTopology::channel_for` over their placement-adjusted
-    /// signatures.
+    /// `DeviceTopology::channel_for(sig, stripe)` with their session's
+    /// stripe.
     #[must_use]
     pub fn with_topology(mut self, topology: DeviceTopology) -> Self {
         self.topology = topology;
@@ -451,7 +459,7 @@ impl ServingMix {
 
     /// The one memo identity of the mix: every input a prediction (or a
     /// gate decision) depends on — sharing mode, topology, and each
-    /// session's token, arrival, jobs, and gate profile. The gate's walk
+    /// session's token, arrival, stripe, jobs, and gate profile. The gate's walk
     /// memo keys on this, so a registry change invalidates it.
     ///
     /// The session part is `(count, fold)` — the rolling fold maintained
@@ -479,7 +487,7 @@ impl ServingMix {
     /// no job is copied.
     fn raw_lanes(&self) -> Vec<Lane<'_>> {
         let mut lanes = Vec::with_capacity(self.co_runners());
-        lanes.extend(self.sessions().map(|s| Lane { arrival: s.load.arrival, jobs: &s.load.jobs }));
+        lanes.extend(self.sessions().map(|s| Lane { arrival: s.load.arrival, load: &s.load }));
         lanes
     }
 
@@ -504,6 +512,18 @@ impl ServingMix {
     fn predict_over(&self, lanes: &[Lane], load: &EngagementLoad) -> SimTime {
         let arena = &mut LaneArena::default();
         predict_over_lanes_in(arena, lanes, None, load, self.sharing, self.topology)
+    }
+
+    /// The flash jobs [`ServingMix::predict`] serves the mix and the
+    /// candidate with, in dispatch order.
+    pub fn predicted_dispatches(&self, load: &EngagementLoad) -> Vec<PredictedDispatch> {
+        let (mut dispatches, arena) = (Vec::new(), &mut LaneArena::default());
+        let (lanes, sharing, topology) = (self.raw_lanes(), self.sharing, self.topology);
+        group_rounds(arena, &lanes, None, load, sharing, topology, |lane, members, read| {
+            let (members, device_channel, arrival) = (members.to_vec(), read.channel, read.arrival);
+            dispatches.push(PredictedDispatch { lane, members, device_channel, arrival });
+        });
+        dispatches
     }
 
     /// Searches the smallest arrival delay (up to `max_delay`) at which the
@@ -532,15 +552,20 @@ impl ServingMix {
         )
     }
 
-    /// Content signatures every in-window participant of the mix streams:
-    /// the union of session-load signatures whose lane arrival falls within
-    /// the batching window of `arrival`. Empty under
-    /// [`IoSharing::Exclusive`] — without batching nothing is shared.
-    pub fn streamed_sigs_in_window(&self, arrival: SimTime) -> HashSet<u64> {
+    /// Content signatures the mix streams that a read of the same content,
+    /// from a lane opened at `arrival` on `stripe`, would share a flash
+    /// job with ([`IoSharing::coalesces`]). Empty under
+    /// [`IoSharing::Exclusive`].
+    pub fn streamed_sigs_in_window(&self, arrival: SimTime, stripe: u16) -> HashSet<u64> {
         let mut sigs = HashSet::new();
         for s in self.sessions() {
-            if self.sharing.shares(s.load.arrival, arrival) {
-                sigs.extend(s.load.jobs.iter().map(|j| j.sig));
+            for job in s.load.jobs.iter() {
+                let theirs =
+                    LaneRead { content: job, stripe: s.load.stripe, arrival: s.load.arrival };
+                let mine = LaneRead { content: job, stripe, arrival };
+                if self.sharing.coalesces(self.topology, job.sig, &theirs, &mine) {
+                    sigs.insert(job.sig);
+                }
             }
         }
         sigs
@@ -629,25 +654,22 @@ impl ServingMix {
                 match &s.slo {
                     None => {
                         outcomes.push((s.token, None));
-                        decided.push(Lane { arrival, jobs: &s.load.jobs });
+                        decided.push(Lane { arrival, load: &s.load });
                     }
                     Some(profile) => {
                         let first = lanes_for(&decided, &order[end..], arrival);
                         let outcome = decide(
                             &mut arena,
                             &first,
-                            profile,
-                            arrival,
+                            &profile.load_at(arrival, s.load.stripe),
+                            profile.slo,
                             self.sharing,
                             self.topology,
                             mode,
                         );
                         outcomes.push((s.token, Some(outcome)));
                         if !outcome.shed {
-                            decided.push(Lane {
-                                arrival: arrival + outcome.delay,
-                                jobs: &s.load.jobs,
-                            });
+                            decided.push(Lane { arrival: arrival + outcome.delay, load: &s.load });
                         }
                     }
                 }
@@ -683,21 +705,18 @@ impl ServingMix {
                             }
                             match outcomes[outcome_base + o].1 {
                                 Some(oc) if oc.shed => {}
-                                Some(oc) => lanes.push(Lane {
-                                    arrival: arrival + oc.delay,
-                                    jobs: &other.load.jobs,
-                                }),
-                                None => lanes.push(Lane { arrival, jobs: &other.load.jobs }),
+                                Some(oc) => lanes
+                                    .push(Lane { arrival: arrival + oc.delay, load: &other.load }),
+                                None => lanes.push(Lane { arrival, load: &other.load }),
                             }
                         }
                         for &other in &order[end..] {
-                            lanes
-                                .push(Lane { arrival: other.load.arrival, jobs: &other.load.jobs });
+                            lanes.push(Lane { arrival: other.load.arrival, load: &other.load });
                         }
                         if let Ok((delay, predicted)) = min_delay_over_lanes_in(
                             &mut arena,
                             &lanes,
-                            &profile.load_at(arrival),
+                            &profile.load_at(arrival, s.load.stripe),
                             self.sharing,
                             self.topology,
                             profile.slo,
@@ -719,9 +738,9 @@ impl ServingMix {
                     match outcomes[outcome_base + m].1 {
                         Some(oc) if oc.shed => {}
                         Some(oc) => {
-                            decided.push(Lane { arrival: arrival + oc.delay, jobs: &s.load.jobs })
+                            decided.push(Lane { arrival: arrival + oc.delay, load: &s.load })
                         }
-                        None => decided.push(Lane { arrival, jobs: &s.load.jobs }),
+                        None => decided.push(Lane { arrival, load: &s.load }),
                     }
                 }
             }
@@ -741,16 +760,16 @@ fn lanes_for<'a>(
     let mut lanes: Vec<Lane> = decided.to_vec();
     for other in later {
         debug_assert!(other.load.arrival > arrival);
-        lanes.push(Lane { arrival: other.load.arrival, jobs: &other.load.jobs });
+        lanes.push(Lane { arrival: other.load.arrival, load: &other.load });
     }
     lanes
 }
 
 /// The per-session sub-digest of the rolling fold: everything a prediction
-/// reads from one session — token, arrival, jobs, gate profile.
+/// reads from one session — token, arrival, stripe, jobs, gate profile.
 fn session_digest(s: &MixSession) -> u64 {
     let mut h = DefaultHasher::new();
-    (s.token, s.load.arrival.as_us(), s.load.jobs.len()).hash(&mut h);
+    (s.token, s.load.arrival.as_us(), s.load.stripe, s.load.jobs.len()).hash(&mut h);
     for j in s.load.jobs.iter() {
         (j.sig, j.service.as_us()).hash(&mut h);
     }
@@ -764,62 +783,61 @@ fn session_digest(s: &MixSession) -> u64 {
     h.finish()
 }
 
-/// SplitMix64 finalizer: decorrelates sub-digests before the commutative
-/// wrapping-sum fold, so structured token/arrival patterns cannot cancel.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Reusable scratch for the predictors: a delay search runs dozens of
 /// predictions against the same lane set, and a gate walk one search per
 /// decision.
 ///
 /// Both folds need an index in service order and one free time per device
-/// channel. The round grouping of a batched prediction recycles the
-/// candidate's jobs, per-lane arrival cursors, round assembly, batching
-/// groups and the reads it submits.
+/// channel. The grouping of a batched prediction recycles the candidate's
+/// jobs, each lane's next-job position and arrival cursor, the turn queue,
+/// a dispatch's members and the reads it submits.
 #[derive(Default)]
 struct LaneArena {
     by_arrival: Vec<usize>,
     free: Vec<SimTime>,
     candidate: Vec<(usize, LayerIoJob)>,
-    cursors: Vec<SimTime>,
-    round: Vec<(usize, LayerIoJob, usize)>,
-    groups: Vec<(LayerIoJob, usize, SimTime)>,
-    /// One read per batching group: its arrival, its job, and the
-    /// candidate layer it completes when the candidate is a member.
-    reads: Vec<(SimTime, LayerIoJob, Option<usize>)>,
+    heads: Vec<(usize, SimTime)>,
+    turn: VecDeque<usize>,
+    members: Vec<usize>,
+    reads: Vec<Read>,
 }
 
-/// One initial-pass gate decision for a profile at an arrival. Co-arrival
-/// re-gating is the walk's fixed-point sweep, not this function's job
-/// (queue mode only; see [`ServingMix::gate_all`]).
+/// One flash read of a batched prediction: its arrival, the device channel
+/// it is served on, its service time, and the candidate layer it completes
+/// when the candidate takes part.
+#[derive(Debug, Clone, Copy)]
+struct Read {
+    arrival: SimTime,
+    channel: u16,
+    service: SimTime,
+    candidate_layer: Option<usize>,
+}
+
+/// One initial-pass gate decision for an engagement held to `slo`.
+/// Co-arrival re-gating is the walk's fixed-point sweep, not this
+/// function's job (queue mode only; see [`ServingMix::gate_all`]).
 #[allow(clippy::too_many_arguments)]
 fn decide(
     arena: &mut LaneArena,
     first: &[Lane],
-    profile: &SloProfile,
-    arrival: SimTime,
+    load: &EngagementLoad,
+    slo: SimTime,
     sharing: IoSharing,
     topology: DeviceTopology,
     mode: BackpressureMode,
 ) -> GateOutcome {
-    let load = profile.load_at(arrival);
     match mode {
         BackpressureMode::Off | BackpressureMode::Shed => {
-            let predicted = predict_over_lanes_in(arena, first, None, &load, sharing, topology);
+            let predicted = predict_over_lanes_in(arena, first, None, load, sharing, topology);
             GateOutcome {
                 predicted,
                 delay: SimTime::ZERO,
-                shed: mode == BackpressureMode::Shed && predicted > profile.slo,
+                shed: mode == BackpressureMode::Shed && predicted > slo,
                 re_gated: false,
             }
         }
         BackpressureMode::Queue(max) => {
-            match min_delay_over_lanes_in(arena, first, &load, sharing, topology, profile.slo, max)
-            {
+            match min_delay_over_lanes_in(arena, first, load, sharing, topology, slo, max) {
                 Err(predicted) => {
                     GateOutcome { predicted, delay: SimTime::ZERO, shed: true, re_gated: false }
                 }
@@ -864,19 +882,12 @@ fn index_by_arrival(order: &mut Vec<usize>, lanes: &[Lane], bound: SimTime) {
     order.sort_unstable_by_key(|&i| lanes[i].arrival);
 }
 
-/// Serves `job`, arriving at `arrival`, on its device channel: one step of
-/// the Lindley recursion `free = max(free, arrival) + service`. Returns the
-/// job's completion.
-fn serve(
-    free: &mut [SimTime],
-    topology: DeviceTopology,
-    arrival: SimTime,
-    job: LayerIoJob,
-) -> SimTime {
-    // Lane stripes are already folded into the sigs, so stripe 0 is the
-    // resolved placement.
-    let c = topology.channel_for(job.sig, 0) as usize;
-    free[c] = free[c].max(arrival) + job.service;
+/// Serves a job of `service`, arriving at `arrival`, on device channel
+/// `channel`: one step of the Lindley recursion
+/// `free = max(free, arrival) + service`. Returns the job's completion.
+fn serve(free: &mut [SimTime], channel: u16, arrival: SimTime, service: SimTime) -> SimTime {
+    let c = channel as usize;
+    free[c] = free[c].max(arrival) + service;
     free[c]
 }
 
@@ -889,8 +900,8 @@ fn fold_lanes(free: &mut Vec<SimTime>, lanes: &[Lane], order: &[usize], topology
     free.resize(topology.channel_count() as usize, SimTime::ZERO);
     for &i in order {
         let lane = &lanes[i];
-        for &job in lane.jobs.iter() {
-            serve(free, topology, lane.arrival, job);
+        for job in lane.load.jobs.iter() {
+            serve(free, topology.channel_for(job.sig, lane.load.stripe), lane.arrival, job.service);
         }
     }
 }
@@ -920,91 +931,112 @@ fn fold_predict(
         .map(|job| {
             job.map(|job| {
                 for &i in co_arrived {
-                    if let Some(&theirs) = lanes[i].jobs.get(round) {
-                        serve(free, topology, a, theirs);
+                    if let Some(theirs) = lanes[i].load.jobs.get(round) {
+                        let c = topology.channel_for(theirs.sig, lanes[i].load.stripe);
+                        serve(free, c, a, theirs.service);
                     }
                 }
                 round += 1;
-                serve(free, topology, a, job)
+                serve(free, topology.channel_for(job.sig, load.stripe), a, job.service)
             })
         })
         .collect();
     contended_makespan(a, &io_ends, load.comp)
 }
 
-/// The round grouping behind a batched prediction: every lane arriving by
-/// `cutoff` (all of them for `None`) queues its jobs at its arrival, the
-/// candidate's ride last in each round-robin round, and byte-identical
-/// jobs of engagements `sharing` lets share coalesce into one read.
-/// Leaves the reads in `arena.reads`, in submission order.
+/// The grouping behind a batched prediction: the IO scheduler's pick loop
+/// (see the module docs) over the lanes arriving by `cutoff` (all of them
+/// for `None`) and then the candidate, every job queued up front. Leaves
+/// the reads in `arena.reads`, in dispatch order, and hands each dispatch's
+/// lane, members and read to `on_dispatch`.
 ///
-/// Per-lane arrival cursors are monotone: when a job joins a batch, every
-/// member's cursor is raised to the batch arrival (the job exists only once
-/// its last member has arrived), mirroring the scheduler's
-/// effective-arrival discipline so per-lane FIFO survives the replay.
+/// A batch raises every member's cursor to its arrival (the job exists
+/// only once its last member has arrived), as the scheduler raises
+/// effective arrivals, so per-lane FIFO survives the replay. The window is
+/// tested on the lanes' opening arrivals, never on raised cursors.
 fn group_rounds(
     arena: &mut LaneArena,
     lanes: &[Lane],
     cutoff: Option<SimTime>,
     load: &EngagementLoad,
     sharing: IoSharing,
+    topology: DeviceTopology,
+    mut on_dispatch: impl FnMut(usize, &[usize], &Read),
 ) {
-    let LaneArena { candidate, cursors, round, groups, reads, .. } = arena;
+    let LaneArena { candidate, heads, turn, members, reads, .. } = arena;
     candidate.clear();
     candidate.extend(load.jobs.iter().enumerate().filter_map(|(k, j)| j.map(|j| (k, j))));
+    // Lane `e` of `lanes`, or the candidate at `lanes.len()`: its job
+    // `i` and its read of it.
     let candidate_id = lanes.len();
-    let rounds = candidate.len().max(lanes.iter().map(|l| l.jobs.len()).max().unwrap_or(0));
-    // Arrival cursors, one per lane plus the candidate's at the end.
-    cursors.clear();
-    cursors.extend(lanes.iter().map(|l| l.arrival));
-    cursors.push(load.arrival);
+    let job = |e: usize, i: usize| match lanes.get(e) {
+        Some(lane) => lane.load.jobs.get(i),
+        None => candidate.get(i).map(|(_, j)| j),
+    };
+    let read = |e: usize, content| match lanes.get(e) {
+        Some(lane) => LaneRead { content, stripe: lane.load.stripe, arrival: lane.arrival },
+        None => LaneRead { content, stripe: load.stripe, arrival: load.arrival },
+    };
+    // Per lane, its next job and its cursor. A lane arriving after the
+    // cutoff starts past its last job, so it neither turns nor joins.
+    heads.clear();
+    heads.extend(lanes.iter().map(|l| {
+        let next = if cutoff.is_none_or(|c| l.arrival <= c) { 0 } else { l.load.jobs.len() };
+        (next, l.arrival)
+    }));
+    heads.push((0, load.arrival));
+    turn.clear();
+    turn.extend((0..heads.len()).filter(|&e| job(e, heads[e].0).is_some()));
     reads.clear();
-    reads.reserve(candidate.len() + lanes.iter().map(|l| l.jobs.len()).sum::<usize>());
-    for r in 0..rounds {
-        // This round's jobs in dispatch order, lanes then candidate, each
-        // with the group it joins.
-        round.clear();
-        round.extend(
-            lanes
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| cutoff.is_none_or(|c| l.arrival <= c))
-                .filter_map(|(e, l)| l.jobs.get(r).map(|&j| (e, j, 0)))
-                .chain(candidate.get(r).map(|&(_, j)| (candidate_id, j, 0))),
-        );
-        // One read per signature, fanned out to every engagement sharing
-        // with the group's first member: a group is its job, its first
-        // member and its latest member's arrival.
-        groups.clear();
-        for (engagement, job, group) in round.iter_mut() {
-            let (e, job) = (*engagement, *job);
-            // Exclusive reads never join a group: skip the scan.
-            let joins = sharing.window().and_then(|_| {
-                groups.iter().position(|&(j, first, _)| {
-                    j == job && sharing.shares(cursors[first], cursors[e])
-                })
-            });
-            *group = joins.unwrap_or_else(|| {
-                groups.push((job, e, SimTime::ZERO));
-                groups.len() - 1
-            });
-            groups[*group].2 = groups[*group].2.max(cursors[e]);
+    reads.reserve(
+        heads.iter().zip(lanes).map(|(h, l)| l.load.jobs.len() - h.0).sum::<usize>()
+            + candidate.len(),
+    );
+    while let Some(e) = turn.pop_front() {
+        let Some(lead) = job(e, heads[e].0) else { continue };
+        heads[e].0 += 1;
+        let (leader, mut arrival) = (read(e, lead), heads[e].1);
+        members.clear();
+        // Exclusive reads never join one another: skip the scan.
+        if sharing.window().is_some() {
+            members.extend((0..heads.len()).filter(|&m| {
+                m != e
+                    && job(m, heads[m].0).is_some_and(|head| {
+                        sharing.coalesces(topology, lead.sig, &leader, &read(m, head))
+                    })
+            }));
+            for &m in members.iter() {
+                heads[m].0 += 1;
+                arrival = arrival.max(heads[m].1);
+            }
+            if !members.is_empty() {
+                for &m in members.iter().chain([&e]) {
+                    heads[m].1 = arrival;
+                }
+                turn.retain(|q| !members.contains(q));
+            }
         }
-        for &(e, _, g) in round.iter() {
-            cursors[e] = groups[g].2;
+        let rides = e == candidate_id || members.contains(&candidate_id);
+        let dispatched = Read {
+            arrival,
+            channel: topology.channel_for(lead.sig, leader.stripe),
+            service: lead.service,
+            candidate_layer: rides.then(|| candidate[heads[candidate_id].0 - 1].0),
+        };
+        on_dispatch(e, members, &dispatched);
+        reads.push(dispatched);
+        for &m in members.iter().chain([&e]) {
+            if job(m, heads[m].0).is_some() {
+                turn.push_back(m);
+            }
         }
-        // The candidate issues last in its round.
-        let rides = round.last().filter(|&&(e, _, _)| e == candidate_id).map(|&(_, _, g)| g);
-        reads.extend(groups.iter().enumerate().map(|(g, &(job, _, arrival))| {
-            (arrival, job, (rides == Some(g)).then(|| candidate[r].0))
-        }));
     }
 }
 
-/// A batched prediction: the round grouping's reads, each channel served
-/// FIFO by `(arrival, submission)` through [`serve`], which keeps channels
-/// apart, so one sort orders them all. The candidate's completions are
-/// those of the reads it rides.
+/// A batched prediction: the grouping's reads, each channel served FIFO by
+/// `(arrival, submission)` through [`serve`], which keeps channels apart,
+/// so one sort orders them all. The candidate's completions are those of
+/// the reads it rides.
 fn batched_predict(
     arena: &mut LaneArena,
     lanes: &[Lane],
@@ -1013,17 +1045,17 @@ fn batched_predict(
     sharing: IoSharing,
     topology: DeviceTopology,
 ) -> SimTime {
-    group_rounds(arena, lanes, cutoff, load, sharing);
+    group_rounds(arena, lanes, cutoff, load, sharing, topology, |_, _, _| {});
     let LaneArena { by_arrival, free, reads, .. } = arena;
     by_arrival.clear();
     by_arrival.extend(0..reads.len());
-    by_arrival.sort_unstable_by_key(|&i| (reads[i].0, i));
+    by_arrival.sort_unstable_by_key(|&i| (reads[i].arrival, i));
     free.clear();
     free.resize(topology.channel_count() as usize, SimTime::ZERO);
     let mut io_ends = vec![None; load.jobs.len()];
     for &i in by_arrival.iter() {
-        let (arrival, job, candidate_layer) = reads[i];
-        let done = serve(free, topology, arrival, job);
+        let Read { arrival, channel, service, candidate_layer } = reads[i];
+        let done = serve(free, channel, arrival, service);
         if let Some(layer) = candidate_layer {
             io_ends[layer] = Some(done);
         }
@@ -1233,9 +1265,14 @@ pub fn plan_for_slo_mix(
     bitwidths: &[Bitwidth],
 ) -> ServingPlan {
     let lanes = mix.raw_lanes();
-    let shared = (policy == PreloadPolicy::SharingAware)
-        .then(|| mix.streamed_sigs_in_window(arrival))
-        .filter(|sigs| !sigs.is_empty());
+    // Per candidate stripe, the signatures its reads would share.
+    let shared: Vec<Option<HashSet<u64>>> = (0..mix.topology().channel_count())
+        .map(|stripe| {
+            (policy == PreloadPolicy::SharingAware)
+                .then(|| mix.streamed_sigs_in_window(arrival, stripe))
+                .filter(|sigs| !sigs.is_empty())
+        })
+        .collect();
     let mut best: Option<ServingPlan> = None;
     let mut seen_target = SimTime::ZERO;
     for per_mille in TARGET_LADDER_PER_MILLE {
@@ -1265,19 +1302,10 @@ pub fn plan_for_slo_mix(
         // prediction.
         let rung_on = |stripe: u16| {
             let mut rung = placed(default.clone(), stripe, 0);
-            if let Some(sigs) = &shared {
-                // The mix's signatures carry their lanes' placement folds;
-                // un-shift by the candidate's stripe so the raw-sig coverage
-                // test only matches layers a co-resident streams *on the
-                // same device channel*.
-                let local: HashSet<u64> = if stripe == 0 {
-                    sigs.clone()
-                } else {
-                    sigs.iter().map(|s| s.wrapping_sub(stripe as u64)).collect()
-                };
+            if let Some(sigs) = &shared[stripe as usize] {
                 let default_preload_bytes: u64 =
                     default.preload.iter().map(|&(_, bw)| hw.shard_bytes(bw)).sum();
-                if let Some((alt, freed)) = reallocate_preload_for_mix(hw, &default, &local) {
+                if let Some((alt, freed)) = reallocate_preload_for_mix(hw, &default, sigs) {
                     let alt = placed(alt, stripe, freed);
                     if alt.predicted_contended < rung.predicted_contended {
                         rung = alt;
@@ -1369,14 +1397,14 @@ mod tests {
         sharing: IoSharing,
         topology: DeviceTopology,
     ) -> SimTime {
-        group_rounds(arena, lanes, cutoff, load, sharing);
+        group_rounds(arena, lanes, cutoff, load, sharing, topology, |_, _, _| {});
         let mut sim = TopologyQueueSim::new(topology);
-        for &(arrival, read, candidate_layer) in &arena.reads {
+        for read in &arena.reads {
             sim.submit_on(
-                topology.channel_for(read.sig, 0),
+                read.channel,
                 FlashJob {
-                    engagement: candidate_layer.is_some() as u64,
-                    arrival,
+                    engagement: read.candidate_layer.is_some() as u64,
+                    arrival: read.arrival,
                     service: read.service,
                 },
             );
@@ -1398,9 +1426,9 @@ mod tests {
     ) -> SimTime {
         let mut sim = TopologyQueueSim::new(topology);
         for (e, l) in lanes.iter().enumerate().filter(|(_, l)| l.arrival <= cutoff) {
-            for j in l.jobs.iter() {
+            for j in l.load.jobs.iter() {
                 sim.submit_on(
-                    topology.channel_for(j.sig, 0),
+                    topology.channel_for(j.sig, l.load.stripe),
                     FlashJob { engagement: e as u64, arrival: l.arrival, service: j.service },
                 );
             }
@@ -1420,20 +1448,30 @@ mod tests {
         LayerIoJob { sig, service: SimTime::from_us(services * SERVICE_US) }
     }
 
-    /// Co-runner loads from drawn `(arrival slot, [(sig, services)])`.
-    fn loads_of(drawn: &[(u64, Vec<(u64, u64)>)]) -> Vec<CoRunnerLoad> {
+    /// A drawn co-runner: `(arrival slot, stripe, [(sig, services)])`.
+    type Drawn = (u64, u16, Vec<(u64, u64)>);
+
+    /// Co-runner loads from drawn ones.
+    fn loads_of(drawn: &[Drawn]) -> Vec<CoRunnerLoad> {
         drawn
             .iter()
-            .map(|(slot, jobs)| CoRunnerLoad {
+            .map(|(slot, stripe, jobs)| CoRunnerLoad {
                 arrival: SimTime::from_us(slot * SLOT_US),
                 jobs: jobs.iter().copied().map(job).collect(),
+                stripe: *stripe,
             })
             .collect()
     }
 
     /// A candidate from drawn `[(kind, sig, services)]` layers (kind 0 is a
-    /// preload-covered `None` layer), a compute delay and an arrival slot.
-    fn candidate_of(layers: &[(u8, u64, u64)], comp_us: u64, slot: u64) -> EngagementLoad {
+    /// preload-covered `None` layer), a compute delay, an arrival slot and
+    /// a stripe.
+    fn candidate_of(
+        layers: &[(u8, u64, u64)],
+        comp_us: u64,
+        slot: u64,
+        stripe: u16,
+    ) -> EngagementLoad {
         EngagementLoad {
             jobs: layers
                 .iter()
@@ -1441,6 +1479,7 @@ mod tests {
                 .collect(),
             comp: SimTime::from_us(comp_us),
             arrival: SimTime::from_us(slot * SLOT_US),
+            stripe,
         }
     }
 
@@ -1455,24 +1494,26 @@ mod tests {
         /// and the delay search, on one, two and four device channels. Each
         /// runs unbatched and under two drawn windows: one below the slot
         /// spacing, so groups form only at tied arrivals, and one spanning
-        /// several slots, so they also form across raised cursors. The
-        /// candidate issues last in its round, so it is a non-primary member
-        /// of every group it shares.
+        /// several slots, so they also form across lanes opened apart. Lanes
+        /// and the candidate draw their stripes, so reads of one content
+        /// meet on a channel from two stripes too. The candidate is the
+        /// last lane, so it is a non-leading member of every group it
+        /// shares on its first turn.
         #[test]
         fn any_lane_set_predicts_drains_and_searches_as_the_simulator_does(
             drawn in proptest::collection::vec(
-                (0u64..6, proptest::collection::vec((0u64..8, 1u64..4), 0..13)),
+                (0u64..6, 0u16..4, proptest::collection::vec((0u64..8, 1u64..4), 0..13)),
                 0..10,
             ),
             layers in proptest::collection::vec((0u8..3, 0u64..8, 1u64..4), 0..13),
             knobs in (0u64..60, 0u64..6, 0u64..4_000, 0u64..4_000),
-            windows in (0u64..SLOT_US, 2 * SLOT_US..6 * SLOT_US),
+            windows in (0u64..SLOT_US, 2 * SLOT_US..6 * SLOT_US, 0u16..4),
         ) {
             let (comp_us, slot, slo_us, max_us) = knobs;
+            let stripe = windows.2;
             let loads = loads_of(&drawn);
-            let lanes: Vec<Lane> =
-                loads.iter().map(|l| Lane { arrival: l.arrival, jobs: &l.jobs }).collect();
-            let load = candidate_of(&layers, comp_us, slot);
+            let lanes: Vec<Lane> = loads.iter().map(|l| Lane { arrival: l.arrival, load: l }).collect();
+            let load = candidate_of(&layers, comp_us, slot, stripe);
             let (slo, max) = (SimTime::from_us(slo_us), SimTime::from_us(max_us));
             let mut arrivals: Vec<SimTime> = lanes.iter().map(|l| l.arrival).collect();
             arrivals.push(load.arrival);
@@ -1515,7 +1556,7 @@ mod tests {
         #[test]
         fn any_registry_gates_as_the_simulator_does(
             drawn in proptest::collection::vec(
-                (0u64..6, proptest::collection::vec((0u64..8, 1u64..4), 0..13)),
+                (0u64..6, 0u16..4, proptest::collection::vec((0u64..8, 1u64..4), 0..13)),
                 0..10,
             ),
             slos in proptest::collection::vec((0u8..3, 0u64..3_000), 10..11),
@@ -1588,11 +1629,7 @@ mod tests {
                 let arrival = SimTime::from_us(k * 125_000);
                 let slo = SimTime::from_ms(180 + k * 20);
                 let load = CoRunnerLoad::from_plan_striped(&hw, plan, arrival, stripe);
-                mix.push_session(
-                    2_000 + k,
-                    load,
-                    Some(SloProfile::from_plan_striped(&hw, plan, slo, stripe)),
-                );
+                mix.push_session(2_000 + k, load, Some(SloProfile::from_plan(&hw, plan, slo)));
             }
             for (arrival_us, slo_ms) in [(300_000, 500), (437_512, 750), (900_000, 1_000)] {
                 let (arrival, slo) = (SimTime::from_us(arrival_us), SimTime::from_ms(slo_ms));
@@ -1624,13 +1661,46 @@ mod tests {
     /// refresh with a different `x` moves every field the sub-digest reads.
     fn session(x: u64) -> (CoRunnerLoad, Option<SloProfile>) {
         let job = LayerIoJob { sig: x ^ 0x5bd1, service: SimTime::from_us(40 + x % 7) };
-        let load = CoRunnerLoad { arrival: SimTime::from_us(x % 500), jobs: Arc::from([job]) };
+        let load = CoRunnerLoad {
+            arrival: SimTime::from_us(x % 500),
+            jobs: Arc::from([job]),
+            stripe: (x % 4) as u16,
+        };
         let slo = x.is_multiple_of(3).then(|| SloProfile {
             jobs: Arc::from([Some(job)]),
             comp: SimTime::from_us(5),
             slo: SimTime::from_ms(1 + x % 9),
         });
         (load, slo)
+    }
+
+    /// Two sessions on one plan read the same jobs; on two stripes they
+    /// are read on other channels and batch with other sessions, so the
+    /// gate memo must not take one registry for the other.
+    #[test]
+    fn the_digest_tells_one_plan_on_two_stripes_apart() {
+        let hw = HwProfile::measure(
+            &DeviceProfile::odroid_n2(),
+            &ModelConfig::tiny(),
+            &QuantConfig::default(),
+        );
+        let importance = ImportanceProfile::from_scores(
+            2,
+            4,
+            (0..8).map(|i| 0.5 + i as f64 * 0.01).collect(),
+            0.45,
+        );
+        let plan =
+            plan_two_stage(&hw, &importance, SimTime::from_ms(300), 0, &[2, 4], &Bitwidth::ALL);
+        let digest = |stripe| {
+            let sharing = IoSharing::Batched(SimTime::from_ms(1));
+            let mut mix = ServingMix::new(sharing).with_topology(DeviceTopology::with_channels(2));
+            let load = CoRunnerLoad::from_plan_striped(&hw, &plan, SimTime::ZERO, stripe);
+            mix.push_session(0, load, Some(SloProfile::from_plan(&hw, &plan, SimTime::from_ms(1))));
+            mix.digest()
+        };
+        assert_eq!(digest(1), digest(1));
+        assert_ne!(digest(0), digest(1), "the same plan on another stripe is another mix");
     }
 
     fn rebuilt(survivors: &BTreeMap<u64, u64>, topology: DeviceTopology) -> ServingMix {

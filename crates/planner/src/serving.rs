@@ -52,27 +52,19 @@ use sti_transformer::ShardId;
 use crate::plan::{ExecutionPlan, PlannedLayer};
 
 /// One streaming layer's IO job: a content signature (what would be read)
-/// plus the device-model service time.
+/// plus the device-model service time. A job knows nothing of placement:
+/// the stripe it is read through is its session's ([`CoRunnerLoad`],
+/// [`EngagementLoad`]), and two jobs share a flash read when
+/// [`IoSharing::coalesces`](crate::IoSharing::coalesces) says so, the same
+/// rule the IO scheduler batches by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerIoJob {
-    /// Signature of the job's `(layer, shard set, bitwidths)` — two jobs
-    /// with equal signatures read identical bytes and may share one flash
-    /// read under [`IoSharing::Batched`](crate::IoSharing::Batched).
+    /// The content signature (`content_sig`) of the job's `(layer, shard
+    /// set, bitwidths)`: equal signatures read identical bytes, and
+    /// `DeviceTopology::channel_for(sig, stripe)` places the read.
     pub sig: u64,
     /// Uncontended device-model service time of the job.
     pub service: SimTime,
-}
-
-impl LayerIoJob {
-    /// The same bytes placed through a session's device-channel stripe:
-    /// the signature is shifted by the stripe offset, mirroring the IO
-    /// scheduler's placement fold, so
-    /// `DeviceTopology::channel_for(sig, stripe)` equals
-    /// `channel_for(striped sig, 0)` and two jobs batch only when both
-    /// their bytes *and* their placement agree. Stripe 0 is the identity.
-    pub fn striped(self, stripe: u16) -> Self {
-        Self { sig: self.sig.wrapping_add(stripe as u64), service: self.service }
-    }
 }
 
 /// Per-layer IO jobs of a plan: `Some` for layers that stream, `None` for
@@ -104,19 +96,10 @@ pub(crate) fn plan_layer_jobs<'a>(
     })
 }
 
-/// [`layer_io_jobs`] placed on device-channel stripe `stripe`
-/// ([`LayerIoJob::striped`]), as one shareable slice.
-pub(crate) fn striped_layer_io_jobs(
-    hw: &HwProfile,
-    plan: &ExecutionPlan,
-    stripe: u16,
-) -> Arc<[Option<LayerIoJob>]> {
-    layer_io_jobs(hw, plan).into_iter().map(|job| job.map(|j| j.striped(stripe))).collect()
-}
-
 /// An open co-runner's streaming IO load: its layer jobs in issue order
-/// (preload-covered layers contribute nothing) and its simulated arrival
-/// offset — the time its engagements queue their requests at.
+/// (preload-covered layers contribute nothing), its simulated arrival
+/// offset — the time its engagements queue their requests at — and the
+/// device-channel stripe its reads are placed through.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoRunnerLoad {
     /// The co-runner's streaming jobs, in the order its executor issues
@@ -128,6 +111,10 @@ pub struct CoRunnerLoad {
     /// overlap the candidate's no longer inflates the candidate's
     /// prediction.
     pub arrival: SimTime,
+    /// The session's stripe offset: its job `sig` is read on device
+    /// channel `DeviceTopology::channel_for(sig, stripe)`, as the IO
+    /// scheduler places its lane's requests.
+    pub stripe: u16,
 }
 
 impl CoRunnerLoad {
@@ -145,29 +132,22 @@ impl CoRunnerLoad {
     }
 
     /// [`CoRunnerLoad::from_plan_at`] placed on device-channel stripe
-    /// `stripe`: every job signature carries the placement fold
-    /// ([`LayerIoJob::striped`]), so the contended predictors route — and
-    /// batch — this load exactly where the IO scheduler's placement would.
+    /// `stripe`, so the contended predictors route — and batch — this load
+    /// exactly where the IO scheduler's placement would.
     pub fn from_plan_striped(
         hw: &HwProfile,
         plan: &ExecutionPlan,
         arrival: SimTime,
         stripe: u16,
     ) -> Self {
-        Self {
-            jobs: layer_io_jobs(hw, plan)
-                .into_iter()
-                .flatten()
-                .map(|j| j.striped(stripe))
-                .collect(),
-            arrival,
-        }
+        Self { jobs: layer_io_jobs(hw, plan).into_iter().flatten().collect(), arrival, stripe }
     }
 }
 
 /// One engagement as the backpressure gate sees it: its per-layer streaming
 /// jobs (`None` for preload-covered layers), its uniform per-layer compute
-/// delay, and the simulated time it is being submitted at.
+/// delay, the simulated time it is being submitted at, and the stripe its
+/// reads are placed through.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngagementLoad {
     /// Per-layer IO jobs, `None` for layers the preload buffer covers.
@@ -178,6 +158,9 @@ pub struct EngagementLoad {
     pub comp: SimTime,
     /// The engagement's arrival on the simulated timeline.
     pub arrival: SimTime,
+    /// The engagement's device-channel stripe offset (see
+    /// [`CoRunnerLoad::stripe`]).
+    pub stripe: u16,
 }
 
 impl EngagementLoad {
@@ -195,13 +178,13 @@ impl EngagementLoad {
         arrival: SimTime,
         stripe: u16,
     ) -> Self {
-        let jobs = striped_layer_io_jobs(hw, plan, stripe);
-        Self { jobs, comp: hw.t_comp(plan.shape.width), arrival }
+        let jobs = layer_io_jobs(hw, plan).into();
+        Self { jobs, comp: hw.t_comp(plan.shape.width), arrival, stripe }
     }
 
     /// The same engagement submitted `delay` later.
     pub fn delayed(&self, delay: SimTime) -> Self {
-        Self { jobs: self.jobs.clone(), comp: self.comp, arrival: self.arrival + delay }
+        Self { jobs: self.jobs.clone(), arrival: self.arrival + delay, ..*self }
     }
 }
 
@@ -516,7 +499,7 @@ mod tests {
     /// A synthetic co-runner lane of `n` queued jobs with the given
     /// service time each.
     fn backlog(n: usize, service: SimTime, arrival: SimTime) -> CoRunnerLoad {
-        CoRunnerLoad { jobs: vec![LayerIoJob { sig: 1, service }; n].into(), arrival }
+        CoRunnerLoad { jobs: vec![LayerIoJob { sig: 1, service }; n].into(), arrival, stripe: 0 }
     }
 
     fn against(co: &[CoRunnerLoad]) -> ServingMix {
@@ -598,6 +581,7 @@ mod tests {
         let twin = [CoRunnerLoad {
             jobs: load.jobs.iter().flatten().copied().collect(),
             arrival: SimTime::ZERO,
+            stripe: 0,
         }];
         let exclusive = against(&twin).predict(&load);
         let shared = ServingMix::from_co_runners(&twin, batched()).predict(&load);

@@ -35,10 +35,6 @@
 //!   code that services what it picks (`dispatch`). It records what it
 //!   dispatched ([`FlashDispatchEvent`]) and simulates nothing: replaying
 //!   that log on a contended device is `sti-pipeline`'s ledger's job;
-//! - [`batcher`] — shared-IO batching: under an `IoSharing` window
-//!   (`sti-device`), byte-identical layer requests from engagements
-//!   arriving within it coalesce into one fan-out flash job, charged once
-//!   on the contended track;
 //! - [`loader`] — the layer-granular [`LayerRequest`] / [`LoadedLayer`]
 //!   pair the scheduler's lanes carry; on an unbatched dispatch a shard no
 //!   cache would keep rides in a `LoadedLayer` as a
@@ -59,7 +55,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod batcher;
 pub mod cache;
 pub mod error;
 pub mod format;
@@ -68,9 +63,10 @@ pub mod manifest;
 pub mod scheduler;
 pub mod store;
 
-pub use batcher::BatchStats;
 pub use cache::{CachedSource, PrefetchPoolStats, ShardCache, ShardCacheStats};
 pub use error::StorageError;
 pub use loader::{LayerRequest, LoadedLayer, LoadedShard};
-pub use scheduler::{FlashDispatchEvent, IoChannel, IoScheduler, IoSchedulerStats, SpeculativeJob};
+pub use scheduler::{
+    BatchStats, FlashDispatchEvent, IoChannel, IoScheduler, IoSchedulerStats, SpeculativeJob,
+};
 pub use store::{ShardKey, ShardSource, ShardStore};

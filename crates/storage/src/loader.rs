@@ -50,9 +50,8 @@ pub struct LayerRequest {
 impl LayerRequest {
     /// Content signature of the request ([`sti_device::content_sig`] of its
     /// layer and items): two requests with equal signatures read identical
-    /// bytes — the identity the shared-IO batcher matches on and the
-    /// serving planner's `LayerIoJob` carries, so queued requests and
-    /// plan-derived IO jobs can be compared for batchability.
+    /// bytes. Placement hashes it (`DeviceTopology::channel_for`), and the
+    /// serving planner's `LayerIoJob` carries it.
     pub fn content_sig(&self) -> u64 {
         sti_device::content_sig(self.layer, self.items.iter().copied())
     }

@@ -69,16 +69,18 @@
 //!   execution results; it exists for serving reports, the SLO planner,
 //!   and admission control.
 //!
-//! **Shared-IO batching** (matching rule and what it may change:
-//! [`crate::batcher`]): under [`IoSharing::Batched`], a dispatch may
-//! coalesce byte-identical head-of-queue requests from other lanes whose
-//! arrivals fall inside the window — *and* whose placement resolves
-//! to the **same device channel** (two lanes striping the same bytes onto
-//! different channels issue two reads; there is no cross-channel fan-out).
-//! The flash services the group as **one** job, every member lane receives
-//! a bit-identical [`LoadedLayer`] in its own FIFO position, and the
-//! contended track records one event with the member list so the replay
-//! charges the bytes once.
+//! **Shared-IO batching.** Co-resident sessions on one plan request
+//! byte-identical layer loads. Under [`IoSharing::Batched`], a dispatch
+//! takes every other lane's head-of-queue request that
+//! [`IoSharing::coalesces`] with its own — the one rule, which the
+//! contended predictor groups by too: the same bytes, lanes opened within
+//! the window, and placed on the **same device channel**, whatever the
+//! lanes' stripes (there is no cross-channel fan-out). The flash services
+//! the group as **one** job, every member lane receives a bit-identical
+//! [`LoadedLayer`] in its own FIFO position (blobs are shared handles, so
+//! the fan-out is reference counting), and the contended track records
+//! one event with the member list so the replay charges the bytes once.
+//! The uncontended track never sees batching.
 
 mod dispatch;
 mod lanes;
@@ -97,7 +99,7 @@ use crate::error::StorageError;
 use crate::loader::{LayerRequest, LoadedLayer};
 use crate::store::ShardSource;
 
-pub use self::dispatch::IoSchedulerStats;
+pub use self::dispatch::{BatchStats, IoSchedulerStats};
 pub use self::lanes::{FlashDispatchEvent, SpeculativeJob};
 
 /// What the scheduler mutex guards: the lane machine and the three flags.
@@ -206,7 +208,7 @@ impl IoScheduler {
     /// Builds the scheduler. Every load reads `source` through `cache`,
     /// which all lanes share. Under [`IoSharing::Batched`], byte-identical
     /// head-of-queue requests from lanes arriving within the window are
-    /// coalesced into one fan-out flash job (see [`crate::batcher`]);
+    /// coalesced into one fan-out flash job ([`IoSharing::coalesces`]);
     /// [`IoSharing::Exclusive`] gives every request its own job. Placement
     /// resolves every request to a device channel of `topology`, batching
     /// only coalesces same-channel placements, and the contended track

@@ -30,7 +30,6 @@ use sti_transformer::ShardId;
 
 use super::lanes::{Dispatch, Pick, SpeculativeJob};
 use super::Shared;
-use crate::batcher::BatchStats;
 use crate::error::StorageError;
 use crate::loader::{LayerRequest, LoadedLayer, LoadedShard};
 use crate::store::ShardKey;
@@ -57,6 +56,21 @@ pub struct IoSchedulerStats {
     /// Shared-IO batching counters (all zero under
     /// [`IoSharing::Exclusive`](sti_device::IoSharing::Exclusive)).
     pub batch: BatchStats,
+}
+
+/// Per-scheduler batching counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Dispatches that carried more than one engagement's request.
+    pub batched_dispatches: u64,
+    /// Requests absorbed into another engagement's flash job (the fan-out
+    /// beyond each batch's leader).
+    pub coalesced_requests: u64,
+    /// Serialized bytes those coalesced requests would have re-read from
+    /// flash.
+    pub flash_bytes_saved: u64,
+    /// Largest fan-out (member count including the leader) observed.
+    pub max_fanout: usize,
 }
 
 /// The scheduler's named instruments, resolved once at spawn so the

@@ -37,9 +37,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use sti_device::{DeviceTopology, IoSharing, SimTime};
+use sti_device::{DeviceTopology, IoSharing, LaneRead, SimTime};
 
-use crate::batcher::batchable;
 use crate::error::StorageError;
 use crate::loader::{LayerRequest, LoadedLayer};
 use crate::store::ShardKey;
@@ -231,12 +230,11 @@ impl SchedState {
         self.spec.remove(idx).map(Pick::Spec)
     }
 
-    /// Picks the next request round-robin. Under [`IoSharing::Batched`],
-    /// other lanes' byte-identical head-of-queue requests within the
-    /// arrival window join the dispatch — if their placement resolves to
-    /// the same device channel. With `only` set, lanes whose head resolves
-    /// to a different device channel keep their turn-queue position for
-    /// that channel's own dispatcher.
+    /// Picks the next request round-robin. Every other lane whose head
+    /// [`IoSharing::coalesces`] with the picked request joins the dispatch,
+    /// in lane-id order. With `only` set, lanes whose head resolves to a
+    /// different device channel keep their turn-queue position for that
+    /// channel's own dispatcher.
     fn pick_demand(&mut self, only: Option<u16>) -> Option<Dispatch> {
         let (sharing, topology) = (self.sharing, self.topology);
         let depth = self.lanes.values().filter(|lane| lane.has_work()).count();
@@ -245,7 +243,8 @@ impl SchedState {
             // A dropped lane's id: nothing to dispatch.
             let Some(lane) = self.lanes.get_mut(&id) else { continue };
             let Some(head) = lane.pending.front() else { continue };
-            let device_channel = topology.channel_for(head.content_sig(), lane.stripe);
+            let sig = head.content_sig();
+            let device_channel = topology.channel_for(sig, lane.stripe);
             if only.is_some_and(|dc| dc != device_channel) {
                 // Another device channel's head: requeue the lane for that
                 // channel's dispatcher and keep looking.
@@ -254,13 +253,15 @@ impl SchedState {
             }
             let Some(req) = lane.pending.pop_front() else { continue };
             lane.inflight = true;
-            let leader_arrival = lane.arrival;
+            let (leader_stripe, leader_arrival) = (lane.stripe, lane.arrival);
             let mut batch_arrival = lane.effective_arrival;
 
             let mut members: Vec<(u64, LayerRequest)> = Vec::new();
             if sharing != IoSharing::Exclusive {
                 // Candidates in lane-id order so fan-out composition is
                 // deterministic once the queues are.
+                let leader =
+                    LaneRead { content: &req, stripe: leader_stripe, arrival: leader_arrival };
                 let mut candidates: Vec<u64> = self
                     .lanes
                     .iter()
@@ -268,9 +269,12 @@ impl SchedState {
                         cid != id
                             && !c.inflight
                             && c.pending.front().is_some_and(|head| {
-                                batchable(sharing, &req, leader_arrival, head, c.arrival)
-                                    && topology.channel_for(head.content_sig(), c.stripe)
-                                        == device_channel
+                                let member = LaneRead {
+                                    content: head,
+                                    stripe: c.stripe,
+                                    arrival: c.arrival,
+                                };
+                                sharing.coalesces(topology, sig, &leader, &member)
                             })
                     })
                     .map(|(&cid, _)| cid)
@@ -480,9 +484,16 @@ mod tests {
 
     #[test]
     fn different_requests_do_not_coalesce() {
-        // Same layer, different slice.
         let window = IoSharing::Batched(SimTime::from_us(1_000));
-        assert_eq!(fanouts_of_a_co_arriving_pair(window, request(0, 1)), [1, 1]);
+        let items = |items: &[(u16, Bitwidth)]| LayerRequest { layer: 0, items: items.to_vec() };
+        for other in [
+            request(0, 1),                                  // different slice
+            request(1, 0),                                  // different layer
+            items(&[(0, Bitwidth::B6)]),                    // different bitwidth
+            items(&[(0, Bitwidth::B2), (1, Bitwidth::B2)]), // different shard set
+        ] {
+            assert_eq!(fanouts_of_a_co_arriving_pair(window, other.clone()), [1, 1], "{other:?}");
+        }
         assert_eq!(fanouts_of_a_co_arriving_pair(window, request(0, 0)), [2]);
     }
 
@@ -738,16 +749,18 @@ mod tests {
                                     let lead = shadows.get_mut(&d.channel_id).unwrap();
                                     prop_assert_eq!(lead.queued.pop_front(), Some(d.req.clone()));
                                     prop_assert_eq!(on(lead, &d.req), d.device_channel);
-                                    let lead_arrival = lead.arrival;
-                                    prop_assert!(d.arrival >= lead_arrival);
+                                    let leader =
+                                        LaneRead { content: &d.req, stripe: lead.stripe, arrival: lead.arrival };
+                                    prop_assert!(d.arrival >= leader.arrival);
                                     prop_assert!(d.members.is_empty() || sharing != IoSharing::Exclusive);
                                     prop_assert!(d.members.windows(2).all(|w| w[0].0 < w[1].0));
+                                    let sig = d.req.content_sig();
                                     for (id, req) in &d.members {
                                         let m = shadows.get_mut(id).unwrap();
                                         prop_assert_eq!(m.queued.pop_front().as_ref(), Some(req));
-                                        prop_assert!(batchable(
-                                            sharing, &d.req, lead_arrival, req, m.arrival
-                                        ));
+                                        let member =
+                                            LaneRead { content: req, stripe: m.stripe, arrival: m.arrival };
+                                        prop_assert!(sharing.coalesces(topology, sig, &leader, &member));
                                         prop_assert_eq!(on(m, req), d.device_channel);
                                         prop_assert!(d.arrival >= m.arrival);
                                     }

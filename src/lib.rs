@@ -80,10 +80,11 @@
 //! (admission and the gate queue the open sessions' lanes on their device
 //! channels, folded in closed form with or without batching), and the SLO
 //! search. Placement is a *stripe*: each session's request signatures are
-//! offset by its stripe and hashed to a channel
-//! (`DeviceTopology::channel_for`), so byte-identical requests from two
-//! sessions coalesce into one batched flash job only when placed on the
-//! **same** device channel. Plain sessions stripe round-robin by session
+//! hashed with its stripe to a channel (`DeviceTopology::channel_for`),
+//! and byte-identical requests from two sessions coalesce into one batched
+//! flash job only when placed on the **same** device channel
+//! (`IoSharing::coalesces`, the one rule the scheduler and the predictor
+//! share). Plain sessions stripe round-robin by session
 //! token; SLO sessions get a placement axis in `plan_for_slo_mix` —
 //! which channels a candidate's layers stripe across is searched
 //! alongside `(T, |S|)`, prefix sharing, and realloc — so an admission

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use sti::prelude::*;
+use sti_planner::{align_io_completions, contended_makespan, PredictedDispatch};
 
 fn importance_for(cfg: &ModelConfig) -> ImportanceProfile {
     ImportanceProfile::from_scores(
@@ -97,6 +98,211 @@ fn the_window_boundary_is_the_same_in_the_scheduler_and_the_predictor() {
         let predicted = mix.predict(&EngagementLoad::from_plan(&hw, &plan, apart));
         assert_eq!(predicted == solo, shared, "{apart} apart: predicted {predicted}, solo {solo}");
     }
+}
+
+/// A store and the plans lanes draw from, for the differential test: an
+/// 8-layer tiny model and two-stage plans at several `(T, |S|)`, some
+/// preloading whole layers and some parts of layers.
+struct Differential {
+    hw: HwProfile,
+    source: Arc<ShardStore>,
+    plans: Vec<ExecutionPlan>,
+}
+
+impl Differential {
+    fn new() -> Self {
+        let cfg = ModelConfig { layers: 8, ..ModelConfig::tiny() };
+        let model = Model::synthetic(53, cfg.clone());
+        let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, &QuantConfig::default());
+        let source = Arc::new(
+            ShardStore::create_temp(&model, &Bitwidth::ALL, &QuantConfig::default()).unwrap(),
+        );
+        let importance = importance_for(&cfg);
+        let plans = [(300, 0), (80, 0), (300, 2 << 10), (120, 6 << 10)]
+            .map(|(ms, preload)| {
+                let target = SimTime::from_ms(ms);
+                plan_two_stage(&hw, &importance, target, preload, &[2, 4], &Bitwidth::ALL)
+            })
+            .into();
+        Self { hw, source, plans }
+    }
+}
+
+/// One drawn lane: its plan, stripe and opening arrival.
+#[derive(Debug, Clone, Copy)]
+struct DrawnLane {
+    plan: usize,
+    stripe: u16,
+    arrival: SimTime,
+}
+
+/// What the differential test saw across its cases.
+#[derive(Debug, Default)]
+struct Seen {
+    /// Dispatches whose members include a lane on another stripe than the
+    /// leader's.
+    cross_stripe: usize,
+    /// Dispatches with members, one of whose lanes had its cursor raised
+    /// by an earlier batch.
+    after_a_raise: usize,
+}
+
+/// One seeded case: channels, sharing and lanes (2 to 5, stripes drawn
+/// independently, arrivals tied, inside, at and outside the window, half
+/// of them on the first plan).
+fn drawn_case(fixture: &Differential, seed: u64) -> (u16, IoSharing, Vec<DrawnLane>) {
+    let mut rng = sti_tensor::Rng::new(seed);
+    let channels = [1u16, 2, 4][rng.next_below(3)];
+    let window = [0u64, 500, 2_000][rng.next_below(3)];
+    let sharing = if rng.next_below(8) == 0 {
+        IoSharing::Exclusive
+    } else {
+        IoSharing::Batched(SimTime::from_us(window))
+    };
+    let spread = window.max(250);
+    let lanes = (0..2 + rng.next_below(4))
+        .map(|_| DrawnLane {
+            plan: if rng.next_below(2) == 0 { 0 } else { rng.next_below(fixture.plans.len()) },
+            stripe: rng.next_below(channels as usize) as u16,
+            arrival: SimTime::from_us(
+                [0, 0, spread / 2, spread, spread + 1, 2 * spread + 3][rng.next_below(6)],
+            ),
+        })
+        .collect();
+    (channels, sharing, lanes)
+}
+
+/// Runs one drawn case once per lane, that lane opened last: the
+/// predictor's dispatches (`group_rounds`) for it against the mix of the
+/// others must be the scheduler's dispatch log for the same lanes queued
+/// up front, and its predicted latency the contended replay of that log.
+fn check_case(fixture: &Differential, seed: u64, seen: &mut Seen) {
+    let Differential { hw, source, plans } = fixture;
+    let (channels, sharing, lanes) = drawn_case(fixture, seed);
+    let topology = DeviceTopology::with_channels(channels);
+    for candidate in 0..lanes.len() {
+        let order: Vec<DrawnLane> = (0..lanes.len())
+            .filter(|&i| i != candidate)
+            .chain([candidate])
+            .map(|i| lanes[i])
+            .collect();
+        let case = format!("seed {seed}: {channels} channels, {sharing:?}, lanes {order:?}");
+
+        // The predictor: the last lane against the others.
+        let jobs: Vec<Vec<LayerIoJob>> = order
+            .iter()
+            .map(|l| layer_io_jobs(hw, &plans[l.plan]).into_iter().flatten().collect())
+            .collect();
+        let mut mix = ServingMix::new(sharing).with_topology(topology);
+        for (token, lane) in order[..order.len() - 1].iter().enumerate() {
+            let load =
+                CoRunnerLoad::from_plan_striped(hw, &plans[lane.plan], lane.arrival, lane.stripe);
+            mix.push_session(token as u64, load, None);
+        }
+        let last = order[order.len() - 1];
+        let load =
+            EngagementLoad::from_plan_striped(hw, &plans[last.plan], last.arrival, last.stripe);
+        let predicted = mix.predicted_dispatches(&load);
+
+        // The scheduler, every request queued before the first dispatch.
+        let cache = Arc::new(ShardCache::new(0));
+        let sched = IoScheduler::spawn(source.clone(), hw.flash, cache, sharing, topology);
+        let opened: Vec<IoChannel> = order
+            .iter()
+            .map(|lane| {
+                let channel = sched.channel_striped_at(lane.arrival, lane.stripe);
+                let plan = &plans[lane.plan];
+                for pl in &plan.layers {
+                    let items: Vec<(u16, Bitwidth)> = pl.streamed(&plan.preload).collect();
+                    if !items.is_empty() {
+                        channel.request(LayerRequest { layer: pl.layer, items }).unwrap();
+                    }
+                }
+                channel
+            })
+            .collect();
+        sched.drive_queued();
+        let logged: Vec<PredictedDispatch> = sched.with_event_logs(|demand, _| {
+            let lane = |id: u64| opened.iter().position(|c| c.id() == id).expect("an opened lane");
+            let dispatch = |e: &FlashDispatchEvent| PredictedDispatch {
+                lane: lane(e.channel),
+                members: e.members.iter().map(|&m| lane(m)).collect(),
+                device_channel: e.device_channel,
+                arrival: e.arrival,
+            };
+            demand.iter().map(dispatch).collect()
+        });
+        assert_eq!(predicted, logged, "{case}");
+
+        // The contended replay: each logged job once on its channel,
+        // delivered to its leader and every member. It is priced at the
+        // plan's profiled service times, as predictions are: the store's
+        // records are smaller than the profile's maximum, and so are the
+        // delays the scheduler logs.
+        let mut next = vec![0usize; order.len()];
+        let mut sim = TopologyQueueSim::new(topology);
+        for d in &logged {
+            let service = jobs[d.lane][next[d.lane]].service;
+            for l in std::iter::once(d.lane).chain(d.members.iter().copied()) {
+                next[l] += 1;
+            }
+            let job = FlashJob { engagement: d.lane as u64, arrival: d.arrival, service };
+            let members: Vec<u64> = d.members.iter().map(|&m| m as u64).collect();
+            sim.submit_shared_on(d.device_channel, job, &members);
+        }
+        let replayed = sim.run();
+
+        let has_io: Vec<bool> = load.jobs.iter().map(Option::is_some).collect();
+        let ends = replayed.completions_of(order.len() as u64 - 1);
+        let io_ends = align_io_completions(&has_io, ends.iter().map(|c| c.completion))
+            .expect("one logged job per streamed layer");
+        let replay = contended_makespan(load.arrival, &io_ends, load.comp);
+        assert_eq!(mix.predict(&load), replay, "{case}");
+
+        // What the sample holds.
+        let mut raised: Vec<bool> = vec![false; order.len()];
+        for d in &logged {
+            let lanes_in = || std::iter::once(d.lane).chain(d.members.iter().copied());
+            if !d.members.is_empty() {
+                seen.cross_stripe +=
+                    usize::from(d.members.iter().any(|&m| order[m].stripe != order[d.lane].stripe));
+                seen.after_a_raise += usize::from(lanes_in().any(|l| raised[l]));
+            }
+            for l in lanes_in() {
+                raised[l] |= d.arrival > order[l].arrival;
+            }
+        }
+    }
+}
+
+/// The contended predictor groups exactly what the IO scheduler batches:
+/// over seeded lane sets (one, two and four channels; stripes drawn
+/// independently; windows of 0, 500 µs and 2 ms, and unbatched; arrivals
+/// tied, inside, at and past the window; shared and distinct plans) every
+/// candidate's predicted dispatches equal the scheduler's dispatch log and
+/// its prediction the log's contended replay. The sample holds batches
+/// across stripes and batches formed after an earlier one raised a cursor.
+#[test]
+fn the_predictor_groups_exactly_what_the_scheduler_batches() {
+    let fixture = Differential::new();
+    let mut seen = Seen::default();
+    for seed in 0..36 {
+        check_case(&fixture, seed, &mut seen);
+    }
+    assert!(seen.cross_stripe > 0 && seen.after_a_raise > 0, "a vacuous sample: {seen:?}");
+}
+
+/// [`the_predictor_groups_exactly_what_the_scheduler_batches`] over 20 000
+/// seeds. Seconds in release.
+#[test]
+#[ignore = "run under --release with --ignored"]
+fn the_predictor_groups_exactly_what_the_scheduler_batches_over_a_long_sweep() {
+    let fixture = Differential::new();
+    let mut seen = Seen::default();
+    for seed in 0..20_000 {
+        check_case(&fixture, seed, &mut seen);
+    }
+    assert!(seen.cross_stripe > 0 && seen.after_a_raise > 0, "a vacuous sample: {seen:?}");
 }
 
 #[test]

@@ -267,8 +267,26 @@ fn stacked_flags() -> ServeConfig {
     }
 }
 
+/// `--admission enforce --backpressure shed --plan-sharing mix --dram-hits
+/// 1 --shard-cache-kb 1 --channels 2 --batch-window 500` on top of the
+/// defaults: the knobs the other two leave at their defaults, as
+/// `serving_golden` runs.
+fn residual_flags() -> ServeConfig {
+    ServeConfig {
+        admission: AdmissionMode::Enforce,
+        backpressure: BackpressureMode::Shed,
+        plan_sharing: PreloadPolicy::SharingAware,
+        dram_residency: true,
+        shard_cache_bytes: 1 << 10,
+        channels: 2,
+        batch_window: Some(SimTime::from_us(500)),
+        ..Default::default()
+    }
+}
+
 /// The replay rows of the work ledger: each shipped fixture under the
-/// default and the stacked flags, on the tiny model the goldens replay on,
+/// default, the stacked and the residual flags, on the tiny model the
+/// goldens replay on,
 /// in two rounds on one fresh context (its importance profile computed
 /// first): the cold round is the context's first server and replay, the
 /// warm one its second. Per round, the blocks and bytes the bare event
@@ -282,7 +300,12 @@ fn replay_rows() -> Vec<WorkRow> {
         let trace =
             load_trace(format!("examples/traces/{fixture}.json")).expect("shipped example parses");
         let engagements = trace.total_engagements() as u64;
-        for (config, serve) in [("default", ServeConfig::default()), ("stacked", stacked_flags())] {
+        let configs = [
+            ("default", ServeConfig::default()),
+            ("stacked", stacked_flags()),
+            ("residual", residual_flags()),
+        ];
+        for (config, serve) in configs {
             let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
             ctx.importance();
             for round in ["cold", "warm"] {
@@ -1084,12 +1107,14 @@ fn knob_churn_keeps_only_the_plan_in_use() {
 /// memo, and to rebuild its plan's job slice at the open and again at
 /// `set_arrival`: 958 976 B held, 479 B per session, and 40 338
 /// allocations across both steps. The record and the slices are now shared
-/// (one record per batch, one slice per stripe), so a session holds its
+/// (one record per batch, one slice per plan), so a session holds its
 /// token, arrival, stripe and handles. The registry was a token-keyed
 /// B-tree, whose half-full nodes added about 52 B per session: 315 383 B,
 /// 157 B per session, 450 allocations. It is a token-sorted slot vector
-/// now, one 40 B slot per session grown by doubling: 211 383 B, 105 B per
-/// session, 126 allocations. The bounds sit just above. Against that
+/// now, grown by doubling: with one 40 B slot per session and one job
+/// slice per stripe, 211 383 B, 105 B per session, 126 allocations; with
+/// the stripe in the slot (48 B) and one slice per plan, 227 255 B, 113 B
+/// per session, 108 allocations. The bounds sit just above. Against that
 /// fleet, 1 000 steady-state gate decisions of an SLO session request
 /// 0 B; with the walk memo disabled, each re-walks the mix and the
 /// thousand request 594 580 000 B.
@@ -1193,12 +1218,13 @@ fn fleet(n: u64, sharing: IoSharing) -> (ServingMix, EngagementLoad) {
         let jobs = (0..8).map(|layer| job(token * 16 + layer)).collect();
         mix.push_session(
             token,
-            CoRunnerLoad { jobs, arrival: SimTime::from_ms(token * 100) },
+            CoRunnerLoad { jobs, arrival: SimTime::from_ms(token * 100), stripe: 0 },
             None,
         );
     }
     let jobs = (0..12u64).map(|layer| (layer % 6 != 0).then(|| job(layer))).collect();
-    (mix, EngagementLoad { jobs, comp: SimTime::from_ms(5), arrival: SimTime::from_ms(1_000) })
+    let (comp, arrival) = (SimTime::from_ms(5), SimTime::from_ms(1_000));
+    (mix, EngagementLoad { jobs, comp, arrival, stripe: 0 })
 }
 
 fn an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet() {
@@ -1213,8 +1239,9 @@ fn an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fl
     // Simulating the fleet would build every lane's jobs and completions:
     // 2.4 MiB per prediction and 4.6 MiB per search at this size. The closed
     // form folds the lanes arriving by the candidate into one free time per
-    // channel and requests 48 and 55 KiB. What remains is mostly the lane
-    // handles (`raw_lanes`: one 24-byte `Lane` per session, 47 KiB here).
+    // channel and requests 32 and 35 KiB. What remains is mostly the lane
+    // handles (`raw_lanes`: one 16-byte `Lane` per session, an arrival and
+    // a borrowed load, 31 KiB here; a 24-byte one requested 48 and 55 KiB).
     assert!(predict_bytes < 96 * KIB, "a prediction over 2 000 sessions requested {predict_bytes}");
     assert!(
         min_delay_bytes < 96 * KIB,
@@ -1225,7 +1252,7 @@ fn an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fl
 /// The same fleet batched under `burst_shared`'s 2 ms window. A batched
 /// prediction used to submit every grouped read to the queue simulator and
 /// run it: 2 497 068 B per prediction and 4 817 876 B per search at this
-/// size. Folding the reads per channel requests 1 127 360 and 1 138 016 B,
+/// size. Folding the reads per channel requests 930 112 and 933 568 B,
 /// mostly the reads themselves (one 40-byte read per job of every lane, a
 /// grouping that must see the later lanes too) and their service order.
 /// The bound sits between the two.

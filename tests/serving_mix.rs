@@ -411,7 +411,7 @@ proptest! {
         );
         let co = vec![CoRunnerLoad::from_plan(&hw, &resident)];
         let mix = ServingMix::from_co_runners(&co, batched());
-        let shared = mix.streamed_sigs_in_window(SimTime::ZERO);
+        let shared = mix.streamed_sigs_in_window(SimTime::ZERO, 0);
         prop_assert!(!shared.is_empty());
         if let Some((realloc, freed)) = reallocate_preload_for_mix(&hw, &plan, &shared) {
             let covered: Vec<bool> = plan

@@ -393,9 +393,13 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         .next()
         .ok_or_else(|| ArgError("every engagement was rejected at admission or shed".into()))?;
     let contention = &event.contention;
-    let slo_line = match contention.slo_hit_rate() {
-        Some(rate) => format!("{:.0}% of SLO engagements met their SLO", rate * 100.0),
-        None => "no SLO clients".to_string(),
+    let slo_line = match (contention.slo_hit_rate(), contention.slo_hit_rate_end_to_end()) {
+        (Some(rate), Some(end_to_end)) => format!(
+            "{:.0}% of SLO engagements met their SLO service-onward, {:.0}% from issue",
+            rate * 100.0,
+            end_to_end * 100.0,
+        ),
+        _ => "no SLO clients".to_string(),
     };
     let served: usize = event.outcomes.iter().map(Vec::len).sum();
     let batching_line = if batch_window_us > 0 {
@@ -782,7 +786,8 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         assert!(report.contains("served 3 of 3 engagements"), "{report}");
         assert!(report.contains("exactly reproduce"), "{report}");
-        assert!(report.contains("SLO engagements met their SLO"), "{report}");
+        assert!(report.contains("SLO engagements met their SLO service-onward"), "{report}");
+        assert!(report.contains("% from issue"), "{report}");
         assert!(report.contains("batching      off"), "{report}");
     }
 

@@ -2,7 +2,9 @@
 //!
 //! Real flash exposes `C` independent channels (and a DRAM tier behind the
 //! shard cache); a [`DeviceTopology`] names that shape and places each
-//! request on a channel by its [`content_sig`], and
+//! request on a channel by its [`content_sig`] and its session's stripe,
+//! [`DeviceTopology::balanced_stripes`] names the stripes that spread one
+//! session's reads most evenly, and
 //! [`TopologyQueueSim`](crate::flash_queue::TopologyQueueSim) serves one
 //! FIFO queue per channel. [`IoSharing::coalesces`] is the one rule for
 //! which reads of co-resident engagements share one flash job: the IO
@@ -76,6 +78,91 @@ impl DeviceTopology {
         // so a bare modulus aliases whole signature classes onto one
         // channel at small C; finalize through a splitmix64 mix first.
         (mix64(content_sig.wrapping_add(stripe as u64)) % self.channels as u64) as u16
+    }
+
+    /// The stripes `0..C` that minimise a session's solo IO makespan: the
+    /// largest per-channel sum of `service` when each of its streamed jobs
+    /// `(sig, service)` is read on `channel_for(sig, stripe)`. Placement
+    /// stays a content hash, so byte-identical reads on one stripe still
+    /// meet on one channel; the choice is only which of the `C` offsets
+    /// spreads the session's own reads most evenly. Every stripe ties when
+    /// the session streams nothing, and `C = 1` has only stripe 0.
+    ///
+    /// A channel's sum is found by re-walking the jobs, `O(C · J²)` for `J`
+    /// jobs (a plan's streamed layers), so the search needs no per-channel
+    /// scratch and, up to 64 channels, allocates nothing.
+    pub fn balanced_stripes<I>(&self, jobs: I) -> BalancedStripes
+    where
+        I: IntoIterator<Item = (u64, SimTime)>,
+        I::IntoIter: Clone,
+    {
+        let jobs = jobs.into_iter();
+        let on_channel = |stripe: u16, channel: u16| {
+            jobs.clone()
+                .filter(|&(sig, _)| self.channel_for(sig, stripe) == channel)
+                .fold(SimTime::ZERO, |sum, (_, service)| sum.saturating_add(service))
+        };
+        let makespan = |stripe: u16| {
+            let sums =
+                jobs.clone().map(|(sig, _)| on_channel(stripe, self.channel_for(sig, stripe)));
+            sums.max().unwrap_or(SimTime::ZERO)
+        };
+        let mut balanced = BalancedStripes::empty(self.channels);
+        let mut least = makespan(0);
+        balanced.insert(0);
+        for stripe in 1..self.channels {
+            let span = makespan(stripe);
+            if span < least {
+                (least, balanced) = (span, BalancedStripes::empty(self.channels));
+            }
+            if span == least {
+                balanced.insert(stripe);
+            }
+        }
+        balanced
+    }
+}
+
+/// The stripes [`DeviceTopology::balanced_stripes`] found tied for the
+/// least solo IO makespan, never empty: a bit set, its first word inline,
+/// so up to 64 channels it holds no heap block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BalancedStripes {
+    first: u64,
+    rest: Box<[u64]>,
+}
+
+impl BalancedStripes {
+    /// No stripe of `0..channels`.
+    fn empty(channels: u16) -> Self {
+        Self { first: 0, rest: vec![0; (channels as usize).saturating_sub(1) / 64].into() }
+    }
+
+    fn insert(&mut self, stripe: u16) {
+        let word = match stripe / 64 {
+            0 => &mut self.first,
+            w => &mut self.rest[w as usize - 1],
+        };
+        *word |= 1 << (stripe % 64);
+    }
+
+    /// Whether `stripe` is among the balanced stripes.
+    pub fn contains(&self, stripe: u16) -> bool {
+        let word = match stripe / 64 {
+            0 => Some(&self.first),
+            w => self.rest.get(w as usize - 1),
+        };
+        word.is_some_and(|word| word & (1 << (stripe % 64)) != 0)
+    }
+
+    /// The stripe a session that would otherwise take `preferred` takes:
+    /// `preferred` itself when it is among the balanced stripes, so every
+    /// tie keeps it, else the lowest balanced stripe.
+    pub fn choose(&self, preferred: u16) -> u16 {
+        if self.contains(preferred) {
+            return preferred;
+        }
+        (0..=u16::MAX).find(|&stripe| self.contains(stripe)).expect("the set is never empty")
     }
 }
 
@@ -260,6 +347,63 @@ mod tests {
         let on = |stripe| read("a", stripe, 0);
         assert!(batched.coalesces(quad, sig, &on(0), &on(1)), "two stripes, one channel");
         assert!(!batched.coalesces(quad, sig, &on(0), &on(2)), "two stripes, two channels");
+    }
+
+    /// Seeded job sets against a brute-force makespan per stripe: the
+    /// balanced set is exactly the stripes of least solo makespan, the
+    /// chosen stripe is no slower than any other, a preferred stripe
+    /// survives every tie, and `C = 1` always gives stripe 0.
+    #[test]
+    fn the_chosen_stripe_has_the_least_solo_makespan_and_keeps_every_tie() {
+        let mut state = 0x5eed_0061_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..400 {
+            // Few distinct signatures and services, so ties are common;
+            // some sets are empty, and some repeat one content.
+            let len = next() % 13;
+            let jobs: Vec<(u64, SimTime)> =
+                (0..len).map(|_| (next() % 24, SimTime::from_us(1 + next() % 4 * 250))).collect();
+            for c in [1, 2, 3, 4, 8, 130] {
+                let topo = DeviceTopology::with_channels(c);
+                let makespan = |stripe: u16| {
+                    let mut sums = vec![SimTime::ZERO; c as usize];
+                    for &(sig, service) in &jobs {
+                        sums[topo.channel_for(sig, stripe) as usize] += service;
+                    }
+                    sums.into_iter().max().unwrap()
+                };
+                let spans: Vec<SimTime> = (0..c).map(makespan).collect();
+                let least = *spans.iter().min().unwrap();
+                let balanced = topo.balanced_stripes(jobs.iter().copied());
+                let expected: Vec<u16> = (0..c).filter(|&s| spans[s as usize] == least).collect();
+                let found: Vec<u16> = (0..=c).filter(|&s| balanced.contains(s)).collect();
+                assert_eq!(found, expected, "case {case}, C = {c}");
+                for preferred in 0..c {
+                    let chosen = balanced.choose(preferred);
+                    assert!(chosen < c, "case {case}, C = {c}");
+                    assert!(
+                        spans.iter().all(|&span| spans[chosen as usize] <= span),
+                        "case {case}, C = {c}: stripe {chosen} is not the least makespan"
+                    );
+                    if spans[preferred as usize] == least {
+                        assert_eq!(chosen, preferred, "case {case}, C = {c}: a tie moved");
+                    } else {
+                        assert_eq!(chosen, expected[0], "case {case}, C = {c}");
+                    }
+                }
+                if c == 1 {
+                    assert_eq!(found, [0], "case {case}: C = 1 has one stripe");
+                }
+                if jobs.is_empty() {
+                    assert_eq!(found.len(), c as usize, "nothing streamed ties every stripe");
+                }
+            }
+        }
     }
 
     #[test]

@@ -112,9 +112,17 @@ impl EngagementContention {
     }
 
     /// Whether the contended latency met the session SLO (`None` when the
-    /// session had none).
+    /// session had none). Service-onward: initial queueing is not counted
+    /// (see [`EngagementContention::met_slo_end_to_end`]).
     pub fn met_slo(&self) -> Option<bool> {
         self.slo.map(|slo| self.contended <= slo)
+    }
+
+    /// Whether the issue-inclusive latency ([`EngagementContention::end_to_end`])
+    /// met the session SLO (`None` when the session had none): the verdict
+    /// a client that waited from its issue would give.
+    pub fn met_slo_end_to_end(&self) -> Option<bool> {
+        self.slo.map(|slo| self.end_to_end() <= slo)
     }
 }
 
@@ -219,11 +227,25 @@ impl ContentionReport {
     /// Fraction of SLO-carrying engagements whose contended latency met the
     /// SLO (`None` when no engagement carried one).
     pub fn slo_hit_rate(&self) -> Option<f64> {
-        let with_slo: Vec<bool> = self.engagements.iter().filter_map(|e| e.met_slo()).collect();
-        if with_slo.is_empty() {
-            return None;
-        }
-        Some(with_slo.iter().filter(|&&met| met).count() as f64 / with_slo.len() as f64)
+        self.hit_rate(EngagementContention::met_slo)
+    }
+
+    /// Fraction of SLO-carrying engagements whose issue-inclusive latency
+    /// met the SLO ([`EngagementContention::met_slo_end_to_end`]; `None`
+    /// when no engagement carried one). Never above
+    /// [`ContentionReport::slo_hit_rate`]: the gap is the SLO engagements
+    /// that met their SLO only once initial queueing is left out.
+    pub fn slo_hit_rate_end_to_end(&self) -> Option<f64> {
+        self.hit_rate(EngagementContention::met_slo_end_to_end)
+    }
+
+    fn hit_rate(&self, verdict: impl Fn(&EngagementContention) -> Option<bool>) -> Option<f64> {
+        let (met, with_slo) = self
+            .engagements
+            .iter()
+            .filter_map(verdict)
+            .fold((0usize, 0usize), |(met, n), hit| (met + usize::from(hit), n + 1));
+        (with_slo > 0).then(|| met as f64 / with_slo as f64)
     }
 }
 
@@ -1373,6 +1395,53 @@ mod tests {
                 assert_eq!(report.latency_percentile(p), SimTime::from_ms(ms), "n = {n}, p = {p}");
             }
         }
+    }
+
+    #[test]
+    fn the_issue_inclusive_verdict_charges_initial_queueing() {
+        let ms = SimTime::from_ms;
+        // (initial queueing, contended, SLO) in ms.
+        let rows = [(0, 40, Some(50)), (20, 40, Some(50)), (0, 60, Some(50)), (30, 10, None)];
+        let report = ContentionReport {
+            engagements: rows
+                .iter()
+                .enumerate()
+                .map(|(k, &(queued, contended, slo))| EngagementContention {
+                    channel: k as u64,
+                    session: k as u64,
+                    uncontended: ms(contended),
+                    contended: ms(contended),
+                    issue: SimTime::ZERO,
+                    initial_queueing: ms(queued),
+                    slo: slo.map(ms),
+                })
+                .collect(),
+            flash_busy: SimTime::ZERO,
+            queue_makespan: SimTime::ZERO,
+            max_queue_depth: 0,
+            batched_dispatches: 0,
+            flash_bytes_saved: 0,
+            mean_batch_occupancy: 0.0,
+            gate: Vec::new(),
+            preload_bytes_reallocated: 0,
+            prefetch: None,
+        };
+        let verdicts = |f: fn(&EngagementContention) -> Option<bool>| -> Vec<Option<bool>> {
+            report.engagements.iter().map(f).collect()
+        };
+        assert_eq!(
+            verdicts(EngagementContention::met_slo),
+            [Some(true), Some(true), Some(false), None]
+        );
+        assert_eq!(
+            verdicts(EngagementContention::met_slo_end_to_end),
+            [Some(true), Some(false), Some(false), None],
+            "20 ms of initial queueing turns a 40 ms service-onward hit into a 60 ms miss"
+        );
+        assert_eq!(report.slo_hit_rate(), Some(2.0 / 3.0));
+        assert_eq!(report.slo_hit_rate_end_to_end(), Some(1.0 / 3.0));
+        let none = ContentionReport { engagements: report.engagements[3..].to_vec(), ..report };
+        assert_eq!((none.slo_hit_rate(), none.slo_hit_rate_end_to_end()), (None, None));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! the record its planning call resolved (knobs, plan, preload buffer).
 //! What a plan determines is computed once per plan, not per session: an
 //! `open_fleet` batch shares one record, and the streaming jobs and gate
-//! profile a session registers are built once per record and shared by
+//! profile a session registers, and the stripes that balance those jobs
+//! over the device channels, are built once per record and shared by
 //! pointer. Sessions are cheap to open, independently
 //! retargetable, and safe to drive from concurrent threads.
 //!
@@ -82,7 +83,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
-use sti_device::{DeviceTopology, FlashModel, HwProfile, IoSharing, SimTime};
+use sti_device::{BalancedStripes, DeviceTopology, FlashModel, HwProfile, IoSharing, SimTime};
 use sti_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ObsSink, SpanEvent};
 use sti_planner::compute_plan::dynabert_widths_for;
 use sti_planner::gate::Gate;
@@ -180,18 +181,35 @@ struct Planned {
 struct Loads {
     /// The streaming jobs, as every session's [`CoRunnerLoad`] holds them.
     jobs: Arc<[LayerIoJob]>,
-    /// The gate profile, for an SLO-planned record.
-    profile: Option<SloProfile>,
+    /// What a session on the record needs beside the jobs.
+    kind: LoadKind,
+}
+
+/// What an SLO-planned record and a plain one each need beside their jobs.
+enum LoadKind {
+    /// The gate profile of an SLO-planned record, whose sessions the SLO
+    /// search placed.
+    Slo(SloProfile),
+    /// The stripes that spread a plain record's jobs most evenly across
+    /// the device's channels, which its sessions pick from
+    /// ([`ServerInner::default_stripe`]).
+    Plain(BalancedStripes),
 }
 
 impl Planned {
-    /// The loads a session on this record registers, computed at most once.
-    /// Jobs know nothing of placement: a session registers them with its
-    /// own stripe.
-    fn loads(&self, hw: &HwProfile) -> &Loads {
-        self.loads.get_or_init(|| Loads {
-            jobs: CoRunnerLoad::from_plan(hw, &self.plan).jobs,
-            profile: self.slo.map(|slo| SloProfile::from_plan(hw, &self.plan, slo)),
+    /// The loads a session on this record registers, computed at most once,
+    /// so no open pays for the stripe search. Jobs know nothing of
+    /// placement: a session registers them with its own stripe.
+    fn loads(&self, hw: &HwProfile, topology: DeviceTopology) -> &Loads {
+        self.loads.get_or_init(|| {
+            let jobs = CoRunnerLoad::from_plan(hw, &self.plan).jobs;
+            let kind = match self.slo {
+                Some(slo) => LoadKind::Slo(SloProfile::from_plan(hw, &self.plan, slo)),
+                None => LoadKind::Plain(
+                    topology.balanced_stripes(jobs.iter().map(|j| (j.sig, j.service))),
+                ),
+            };
+            Loads { jobs, kind }
         })
     }
 }
@@ -435,19 +453,33 @@ impl ServerInner {
     /// are `planned`'s ([`Planned::loads`]), so a registration clones
     /// pointers to jobs the plan already determined.
     fn register_load(&self, token: u64, planned: &Planned, arrival: SimTime, stripe: u16) {
-        let Loads { jobs, profile } = planned.loads(&self.hw);
+        let Loads { jobs, kind } = planned.loads(&self.hw, self.scheduler.topology());
         let load = CoRunnerLoad { jobs: jobs.clone(), arrival, stripe };
-        Arc::make_mut(&mut self.live_mix.write()).upsert_session(token, load, profile.clone());
+        let profile = match kind {
+            LoadKind::Slo(profile) => Some(profile.clone()),
+            LoadKind::Plain(_) => None,
+        };
+        Arc::make_mut(&mut self.live_mix.write()).upsert_session(token, load, profile);
     }
 
-    /// The default device-channel stripe for a session without an SLO
-    /// placement: round-robin by session token, so a uniform fleet spreads
-    /// across the device's channels instead of piling its (byte-identical)
-    /// request stream onto whichever channel its signatures hash to.
-    /// Always zero on a single-channel device — plain sessions there are
+    /// The device-channel stripe for a session without an SLO placement.
+    /// Placement hashes a read's content with the stripe, so on one stripe
+    /// a plan's few streamed layers can pile onto one channel while the
+    /// others idle. Of the stripes that balance the plan's own reads best
+    /// (least solo IO makespan, [`DeviceTopology::balanced_stripes`],
+    /// found once per plan record), the session keeps its round-robin one,
+    /// `token mod C`, when that is among them, so a uniform fleet still
+    /// spreads over every tie; else it takes the lowest. Every stripe is a
+    /// content hash, so byte-identical reads on one stripe stay batchable.
+    /// Always zero on a single-channel device: plain sessions there are
     /// bit-identical to the pre-topology server.
-    fn default_stripe(&self, token: u64) -> u16 {
-        (token % self.scheduler.topology().channel_count() as u64) as u16
+    fn default_stripe(&self, token: u64, planned: &Planned) -> u16 {
+        let topology = self.scheduler.topology();
+        let round_robin = (token % topology.channel_count() as u64) as u16;
+        match &planned.loads(&self.hw, topology).kind {
+            LoadKind::Plain(balanced) => balanced.choose(round_robin),
+            LoadKind::Slo(_) => round_robin,
+        }
     }
 }
 
@@ -951,12 +983,14 @@ pub struct Session {
     /// [`ServingStats::preload_bytes_reallocated`], so a retarget replaces
     /// rather than re-adds it.
     realloc_bytes: u64,
-    /// Device-channel stripe offset of this session's shard placement
-    /// (the SLO search's placement choice, [`ServingPlan::stripe`], for an
-    /// SLO-planned session; the round-robin default for raw-target ones;
-    /// always zero on single-channel devices). Registered with the
-    /// session's load, and the IO lane the session's engagements stream
-    /// through is opened on it.
+    /// Device-channel stripe offset of this session's shard placement.
+    /// An SLO-planned session takes the SLO search's choice
+    /// ([`ServingPlan::stripe`]), which prices the co-runners too. A
+    /// raw-target one takes a stripe that spreads its own streamed reads
+    /// most evenly over the channels, its round-robin stripe among the
+    /// ties ([`ServerInner::default_stripe`]). Always zero on
+    /// single-channel devices. Registered with the session's load, and the
+    /// IO lane the session's engagements stream through is opened on it.
     stripe: u16,
     /// Idle gap between this session's successive engagements on the
     /// simulated timeline (see [`Session::set_issue_gap`]; zero — the
@@ -1038,14 +1072,14 @@ impl Session {
     }
 
     /// Makes `self.planned` live: settles the stripe (the SLO search's
-    /// placement choice, else the round-robin default), registers the
+    /// placement choice, else the balanced default), registers the
     /// session's load in the open-session registry, and — for an
     /// SLO-planned outcome — books the admission.
     fn install(&mut self, origin: Origin) {
         let inner = &*self.inner;
         self.stripe = match &self.planned.serving {
             Some(served) => served.stripe,
-            None => inner.default_stripe(self.token),
+            None => inner.default_stripe(self.token, &self.planned),
         };
         inner.register_load(self.token, &self.planned, self.arrival, self.stripe);
         if let Some(served) = &self.planned.serving {
@@ -1058,6 +1092,13 @@ impl Session {
     /// the open-session registry (and in every mix digest).
     pub fn token(&self) -> u64 {
         self.token
+    }
+
+    /// The device-channel stripe the session's reads are placed with
+    /// (`DeviceTopology::channel_for(sig, stripe)`); zero on a
+    /// single-channel device.
+    pub fn stripe(&self) -> u16 {
+        self.stripe
     }
 
     /// The session's execution plan.

@@ -239,6 +239,47 @@ fn striping_across_four_channels_admits_where_one_channel_rejects() {
     assert!(admits(&ctx, 4, witness) && !admits(&ctx, 1, witness), "witness {witness} regressed");
 }
 
+/// A plain session takes the stripe that spreads its own reads best: at
+/// `C = 4` every session of a fleet sits on a stripe whose solo IO
+/// makespan (its plan's streamed jobs summed per channel) is the least of
+/// the four, and keeps its round-robin stripe, `token mod 4`, wherever
+/// that stripe ties.
+#[test]
+fn plain_sessions_take_the_stripe_that_balances_their_own_reads() {
+    let ctx = ctx();
+    let cfg = ServeConfig {
+        target: SimTime::from_ms(300),
+        preload_bytes: 0,
+        channels: 4,
+        ..Default::default()
+    };
+    let server = build_server(&ctx, &cfg);
+    let hw = HwProfile::measure(&cfg.device, ctx.task().model().config(), ctx.quant());
+    let topology = server.device_topology();
+    let fleet = server.open_fleet(8, cfg.target, 0).unwrap();
+    let jobs = CoRunnerLoad::from_plan(&hw, fleet[0].plan()).jobs;
+    assert!(!jobs.is_empty(), "the plan streams");
+    let makespan = |stripe: u16| {
+        let mut sums = [SimTime::ZERO; 4];
+        for job in jobs.iter() {
+            sums[topology.channel_for(job.sig, stripe) as usize] += job.service;
+        }
+        sums.into_iter().max().unwrap()
+    };
+    let least = (0..4).map(makespan).min().unwrap();
+    let mut moved = 0;
+    for session in &fleet {
+        let round_robin = (session.token() % 4) as u16;
+        assert_eq!(makespan(session.stripe()), least, "session {}", session.token());
+        if makespan(round_robin) == least {
+            assert_eq!(session.stripe(), round_robin, "a tie keeps the round-robin stripe");
+        } else {
+            moved += 1;
+        }
+    }
+    assert!(moved > 0, "on this plan some round-robin stripe piles reads onto one channel");
+}
+
 /// Per-device-channel observability: a `C = 4` replay (a) run-twice
 /// exports byte-identical Chrome-trace JSON on the deterministic tracks
 /// and identical metrics snapshots, and (b) mints the per-channel

@@ -362,27 +362,33 @@ fn concurrent_opens_drops_and_gate_probes_settle_to_the_rebuild_digest() {
 
 /// Batch open ≡ one-by-one open. `open_fleet` resolves the knobs once and
 /// registers every session against the registry; the resulting digest (and
-/// the per-session plans) must be bit-identical to the same fleet opened
-/// through `session_with`.
+/// the per-session plans and stripes) must be bit-identical to the same
+/// fleet opened through `session_with`, on one channel and on four, where
+/// each plain session picks a balanced stripe.
 #[test]
 fn open_fleet_is_equivalent_to_one_by_one_opens() {
-    let (ctx, cfg) = queue_gated();
-    let batch_server = build_server(&ctx, &cfg);
-    let batch = batch_server.open_fleet(12, cfg.target, 0).unwrap();
-    let one_server = build_server(&ctx, &cfg);
-    let ones: Vec<_> = (0..12).map(|_| one_server.session_with(cfg.target, 0).unwrap()).collect();
-    assert_eq!(batch.len(), ones.len());
-    assert_eq!(batch_server.open_sessions(), one_server.open_sessions());
-    assert_eq!(batch_server.mix_digest(), one_server.mix_digest());
-    for (b, o) in batch.iter().zip(&ones) {
-        assert_eq!(b.token(), o.token());
-        assert_eq!(b.plan().predicted.makespan, o.plan().predicted.makespan);
+    for channels in [1, 4] {
+        let (ctx, cfg) = queue_gated();
+        let cfg = ServeConfig { channels, ..cfg };
+        let batch_server = build_server(&ctx, &cfg);
+        let batch = batch_server.open_fleet(12, cfg.target, 0).unwrap();
+        let one_server = build_server(&ctx, &cfg);
+        let ones: Vec<_> =
+            (0..12).map(|_| one_server.session_with(cfg.target, 0).unwrap()).collect();
+        assert_eq!(batch.len(), ones.len());
+        assert_eq!(batch_server.open_sessions(), one_server.open_sessions());
+        assert_eq!(batch_server.mix_digest(), one_server.mix_digest(), "C = {channels}");
+        for (b, o) in batch.iter().zip(&ones) {
+            assert_eq!(b.token(), o.token());
+            assert_eq!(b.stripe(), o.stripe(), "C = {channels}");
+            assert_eq!(b.plan().predicted.makespan, o.plan().predicted.makespan);
+        }
+        // Dropping the batch drains the registry exactly like one-by-one drops.
+        drop(batch);
+        assert_eq!(batch_server.open_sessions(), 0);
+        drop(ones);
+        assert_eq!(batch_server.mix_digest(), one_server.mix_digest());
     }
-    // Dropping the batch drains the registry exactly like one-by-one drops.
-    drop(batch);
-    assert_eq!(batch_server.open_sessions(), 0);
-    drop(ones);
-    assert_eq!(batch_server.mix_digest(), one_server.mix_digest());
 }
 
 #[test]

@@ -85,6 +85,51 @@ fn recurrent_fixture_prefetch_pays_without_hurting_the_demand_track() {
     assert!(on.contention.slo_hit_rate() >= off.contention.slo_hit_rate());
 }
 
+/// A finding pinned, not fixed: a demand read of a promoted prefetch stage
+/// counts as cache-resident at dispatch (`hit_bytes`), and under DRAM
+/// residency the ledger prices those bytes at DRAM speed, whatever the
+/// staging job's own finish on the contended timeline. The host ran the
+/// staging job first, but on the simulated clock its arrival is the
+/// triggering engagement's completion, which can fall after the demand
+/// that hits it.
+///
+/// The count is a lower bound read off the span stream: pool-hit bytes of
+/// demand reads that arrived before *any* staging job could have finished
+/// (a stage's unpriced end, arrival plus service, is the earliest its
+/// priced finish can be). With a 1 KiB main cache every hit byte here is a
+/// pool hit. Pricing a hit no earlier than its staging would bring this to
+/// zero and move `recurrent_think`; until then the assertion states the
+/// finding.
+#[test]
+fn recurrent_fixture_serves_pool_hits_staged_after_the_demand_arrived() {
+    let ctx = ctx();
+    let trace = load_trace("examples/traces/recurrent.json").expect("shipped fixture parses");
+    let server = build_server(&ctx, &serve_config(true, true, BackpressureMode::Off));
+    server.set_obs_sink(ObsSink::ring(8 << 20));
+    let on = replay_event(&server, &trace).unwrap();
+    let first_staged = on
+        .spans
+        .iter()
+        .filter(|s| s.name == "prefetch.stage")
+        .map(|s| s.end_us)
+        .min()
+        .expect("the recurrent fixture stages shards");
+    let hit_bytes = |s: &SpanEvent| {
+        s.args.entries().iter().find(|(key, _)| *key == "hit_bytes").map_or(0, |&(_, v)| v)
+    };
+    let dispatches: Vec<&SpanEvent> = on.spans.iter().filter(|s| s.name == "io.dispatch").collect();
+    let hit: u64 = dispatches.iter().map(|s| hit_bytes(s)).sum();
+    let early: u64 =
+        dispatches.iter().filter(|s| s.start_us < first_staged).map(|s| hit_bytes(s)).sum();
+    let pool = on.prefetch.as_ref().expect("markov replay carries a prefetch report").pool;
+    assert_eq!(hit, pool.hit_bytes, "with a 1 KiB main cache every resident byte is a pool hit");
+    assert!(
+        early > 0,
+        "{early} of {hit} pool-hit bytes were read before any staging job could have finished \
+         (first at {first_staged} us), and are priced as resident all the same"
+    );
+}
+
 #[test]
 fn recurrent_fixture_event_replay_is_deterministic_run_twice() {
     let ctx = ctx();

@@ -62,6 +62,8 @@
 //! [`FlashModel`]: crate::flash::FlashModel
 //! [`FlashModel::dram_residency`]: crate::flash::FlashModel::dram_residency
 
+use std::borrow::Borrow;
+
 use crate::clock::SimTime;
 use crate::topology::DeviceTopology;
 
@@ -284,6 +286,26 @@ pub fn serve_channel<J: Copy>(
     out
 }
 
+/// The pipeline recurrence against *absolute* IO completion times: layer
+/// `k`'s computation starts when both layer `k-1`'s computation and layer
+/// `k`'s (contended) IO have finished, and takes `comp` — a plan's layers
+/// all compute for the same time. Layers without IO (`None`) are ready at
+/// `start`. Returns the engagement's end-to-end latency from `start`.
+/// `io_ends` is a slice or any iterator over the layers, so a caller that
+/// derives each completion as it goes needs no buffer.
+pub fn contended_makespan<E: Borrow<Option<SimTime>>>(
+    start: SimTime,
+    io_ends: impl IntoIterator<Item = E>,
+    comp: SimTime,
+) -> SimTime {
+    let mut prev_comp_end = start;
+    for io_end in io_ends {
+        let ready = io_end.borrow().unwrap_or(start);
+        prev_comp_end = prev_comp_end.max(ready) + comp;
+    }
+    prev_comp_end.saturating_sub(start)
+}
+
 /// The outcome of one run: a [`FlashQueueReport`] per device channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyReport {
@@ -344,6 +366,18 @@ mod tests {
 
     fn last_completion_of(r: &TopologyReport, engagement: u64) -> Option<SimTime> {
         r.completions_of(engagement).iter().map(|c| c.completion).max()
+    }
+
+    #[test]
+    fn contended_makespan_matches_hand_computation() {
+        let ms = SimTime::from_ms;
+        // Two layers, IO ends at 10 and 40, compute 5 each.
+        let got = contended_makespan(SimTime::ZERO, [Some(ms(10)), Some(ms(40))], ms(5));
+        // L0: comp 10..15; L1: waits for IO at 40, comp 40..45.
+        assert_eq!(got, ms(45));
+        // Preloaded second layer: ready immediately.
+        let got = contended_makespan(SimTime::ZERO, [Some(ms(10)), None], ms(5));
+        assert_eq!(got, ms(20));
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub use energy::PowerModel;
 pub use engine::{Component, ComponentId, Engine, EngineReport, System};
 pub use flash::FlashModel;
 pub use flash_queue::{
-    serve_channel, ChannelService, CompletedJob, FlashJob, FlashQueueReport, TopologyQueueSim,
-    TopologyReport,
+    contended_makespan, serve_channel, ChannelService, CompletedJob, FlashJob, FlashQueueReport,
+    TopologyQueueSim, TopologyReport,
 };
 pub use profile::DeviceProfile;
 pub use profiler::HwProfile;

@@ -1267,6 +1267,40 @@ mod tests {
         assert_eq!(row(12).end_to_end(), ms(3) + ms(7));
     }
 
+    /// Pins today's pricing of a later engagement whose lane opened before
+    /// its predecessor returned, which ROADMAP item 38 records and leaves
+    /// unfixed. A live session opens engagement n's lane at `arrival +
+    /// n · idle`, but the session clock issues it only once engagement
+    /// n − 1 returned, so its first read can be served before its issue:
+    /// `initial_queueing` then saturates to zero, and `contended` runs from
+    /// that early read, ending before the issue it is charged from.
+    #[test]
+    fn a_later_engagement_served_before_its_issue_is_priced_from_that_read() {
+        let two = ContentionLedger::new(
+            DeviceProfile::odroid_n2().flash,
+            None,
+            DeviceTopology::with_channels(2),
+        );
+        // Session 0: lane 10 streams two layers on channel 0; lane 12's
+        // engagement opened 1 ms in, and its one read goes to idle channel 1.
+        two.record_engagement(record(10, 0, &[true, true]));
+        two.record_engagement(EngagementRecord { issue: ms(1), ..record(12, 0, &[true]) });
+        let events = vec![
+            event(10, 0, 5),
+            event(10, 0, 5),
+            FlashDispatchEvent { device_channel: 1, ..event(12, 1, 5) },
+        ];
+        let report = two.report(&events, None, 0);
+        let row = |lane: u64| *report.engagements.iter().find(|e| e.channel == lane).unwrap();
+        // Reads end at 5 and 10 ms, each followed by 2 ms of compute.
+        assert_eq!((row(10).issue, row(10).contended), (SimTime::ZERO, ms(12)));
+        // Issued at 12 ms, when lane 10 returned, yet priced from its read
+        // at 1..6 ms: 7 ms end to end, with no initial queueing.
+        assert_eq!(row(12).issue, ms(12));
+        assert_eq!((row(12).initial_queueing, row(12).contended), (SimTime::ZERO, ms(7)));
+        assert_eq!(row(12).end_to_end(), ms(7));
+    }
+
     #[test]
     fn canonical_spans_do_not_depend_on_lane_ids_or_dispatch_order() {
         // The same two-session workload as the event executor would log it

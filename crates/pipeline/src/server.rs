@@ -16,10 +16,10 @@
 //! the record its planning call resolved (knobs, plan, preload buffer).
 //! What a plan determines is computed once per plan, not per session: an
 //! `open_fleet` batch shares one record, and the streaming jobs and gate
-//! profile a session registers, and the stripes that balance those jobs
-//! over the device channels, are built once per record and shared by
-//! pointer. Sessions are cheap to open, independently
-//! retargetable, and safe to drive from concurrent threads.
+//! profile a session registers, and the stripes a plain session picks
+//! from, are built once per record and shared by pointer. Sessions are
+//! cheap to open, independently retargetable, and safe to drive from
+//! concurrent threads.
 //!
 //! # Shape: stores, services, one orchestrator
 //!
@@ -91,8 +91,8 @@ use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix, SloProfile};
 use sti_planner::prefetch::EngagementKey as PrefetchKey;
 use sti_planner::serving::ServingPlan;
 use sti_planner::{
-    plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, LayerIoJob, MemoTable,
-    PlanCache, PlanCacheStats, PlanKey,
+    layer_io_jobs, plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, LayerIoJob,
+    MemoTable, PlanCache, PlanCacheStats, PlanKey,
 };
 use sti_quant::Bitwidth;
 use sti_storage::{
@@ -190,27 +190,32 @@ enum LoadKind {
     /// The gate profile of an SLO-planned record, whose sessions the SLO
     /// search placed.
     Slo(SloProfile),
-    /// The stripes that spread a plain record's jobs most evenly across
-    /// the device's channels, which its sessions pick from
-    /// ([`ServerInner::default_stripe`]).
+    /// The stripes a plain record's sessions pick from
+    /// ([`IoSharing::plain_stripes`], [`ServerInner::default_stripe`]).
     Plain(BalancedStripes),
 }
 
-impl Planned {
-    /// The loads a session on this record registers, computed at most once,
-    /// so no open pays for the stripe search. Jobs know nothing of
-    /// placement: a session registers them with its own stripe.
-    fn loads(&self, hw: &HwProfile, topology: DeviceTopology) -> &Loads {
-        self.loads.get_or_init(|| {
-            let jobs = CoRunnerLoad::from_plan(hw, &self.plan).jobs;
-            let kind = match self.slo {
-                Some(slo) => LoadKind::Slo(SloProfile::from_plan(hw, &self.plan, slo)),
-                None => LoadKind::Plain(
-                    topology.balanced_stripes(jobs.iter().map(|j| (j.sig, j.service))),
-                ),
-            };
-            Loads { jobs, kind }
-        })
+impl Loads {
+    /// `planned`'s loads on a device of `topology` under `sharing`. Jobs
+    /// know nothing of placement: a session registers them with its own
+    /// stripe.
+    fn new(
+        hw: &HwProfile,
+        planned: &Planned,
+        sharing: IoSharing,
+        topology: DeviceTopology,
+    ) -> Self {
+        let plan = &planned.plan;
+        let layers = layer_io_jobs(hw, plan);
+        let kind = match planned.slo {
+            Some(slo) => LoadKind::Slo(SloProfile::from_plan(hw, plan, slo)),
+            None => LoadKind::Plain(sharing.plain_stripes(
+                topology,
+                layers.iter().map(|job| job.map(|j| (j.sig, j.service))),
+                hw.t_comp(plan.shape.width),
+            )),
+        };
+        Self { jobs: layers.into_iter().flatten().collect(), kind }
     }
 }
 
@@ -450,10 +455,10 @@ impl ServerInner {
     /// session's streaming IO load — at its arrival offset — in the live
     /// registry mix; SLO sessions also register their gate profile. An
     /// in-place upsert: the mix's rolling digest updates in O(1). The loads
-    /// are `planned`'s ([`Planned::loads`]), so a registration clones
+    /// are `planned`'s ([`ServerInner::loads`]), so a registration clones
     /// pointers to jobs the plan already determined.
     fn register_load(&self, token: u64, planned: &Planned, arrival: SimTime, stripe: u16) {
-        let Loads { jobs, kind } = planned.loads(&self.hw, self.scheduler.topology());
+        let Loads { jobs, kind } = self.loads(planned);
         let load = CoRunnerLoad { jobs: jobs.clone(), arrival, stripe };
         let profile = match kind {
             LoadKind::Slo(profile) => Some(profile.clone()),
@@ -462,21 +467,35 @@ impl ServerInner {
         Arc::make_mut(&mut self.live_mix.write()).upsert_session(token, load, profile);
     }
 
+    /// The loads a session on `planned` registers, computed at most once
+    /// per record under the live mix's sharing mode and topology, so no
+    /// open pays for the stripe search.
+    fn loads<'p>(&self, planned: &'p Planned) -> &'p Loads {
+        planned.loads.get_or_init(|| {
+            let (sharing, topology) = {
+                let mix = self.live_mix.read();
+                (mix.sharing(), mix.topology())
+            };
+            Loads::new(&self.hw, planned, sharing, topology)
+        })
+    }
+
     /// The device-channel stripe for a session without an SLO placement.
-    /// Placement hashes a read's content with the stripe, so on one stripe
-    /// a plan's few streamed layers can pile onto one channel while the
-    /// others idle. Of the stripes that balance the plan's own reads best
-    /// (least solo IO makespan, [`DeviceTopology::balanced_stripes`],
-    /// found once per plan record), the session keeps its round-robin one,
-    /// `token mod C`, when that is among them, so a uniform fleet still
-    /// spreads over every tie; else it takes the lowest. Every stripe is a
-    /// content hash, so byte-identical reads on one stripe stay batchable.
-    /// Always zero on a single-channel device: plain sessions there are
-    /// bit-identical to the pre-topology server.
+    /// A stripe is the salt placement hashes a read's content with, so on
+    /// one stripe a plan's few streamed layers can pile onto one channel
+    /// while the others idle. Of the stripes its plan record's search
+    /// found best ([`IoSharing::plain_stripes`], once per record: under
+    /// batching the least solo IO makespan among `0..C`, where identical
+    /// reads of a stripe still meet; under exclusive IO the least solo
+    /// latency, then makespan, among 256 salts, which may be `≥ C`), the
+    /// session keeps its round-robin one, `token mod C`, when that is
+    /// among them, so a uniform fleet still spreads over every tie; else
+    /// it takes the lowest. Always zero on a single-channel device: plain
+    /// sessions there are bit-identical to the pre-topology server.
     fn default_stripe(&self, token: u64, planned: &Planned) -> u16 {
         let topology = self.scheduler.topology();
         let round_robin = (token % topology.channel_count() as u64) as u16;
-        match &planned.loads(&self.hw, topology).kind {
+        match &self.loads(planned).kind {
             LoadKind::Plain(balanced) => balanced.choose(round_robin),
             LoadKind::Slo(_) => round_robin,
         }
@@ -983,14 +1002,15 @@ pub struct Session {
     /// [`ServingStats::preload_bytes_reallocated`], so a retarget replaces
     /// rather than re-adds it.
     realloc_bytes: u64,
-    /// Device-channel stripe offset of this session's shard placement.
-    /// An SLO-planned session takes the SLO search's choice
-    /// ([`ServingPlan::stripe`]), which prices the co-runners too. A
-    /// raw-target one takes a stripe that spreads its own streamed reads
-    /// most evenly over the channels, its round-robin stripe among the
-    /// ties ([`ServerInner::default_stripe`]). Always zero on
-    /// single-channel devices. Registered with the session's load, and the
-    /// IO lane the session's engagements stream through is opened on it.
+    /// The salt this session's reads are placed with
+    /// (`channel_for(sig, stripe)`). An SLO-planned session takes the SLO
+    /// search's choice among `0..C` ([`ServingPlan::stripe`]), which
+    /// prices the co-runners too. A raw-target one takes a stripe that
+    /// serves its own streamed reads best, its round-robin stripe among
+    /// the ties ([`ServerInner::default_stripe`]); under exclusive IO that
+    /// may be `≥ C`. Always zero on single-channel devices. Registered
+    /// with the session's load, and the IO lane the session's engagements
+    /// stream through is opened on it, unreduced.
     stripe: u16,
     /// Idle gap between this session's successive engagements on the
     /// simulated timeline (see [`Session::set_issue_gap`]; zero — the
@@ -1094,9 +1114,11 @@ impl Session {
         self.token
     }
 
-    /// The device-channel stripe the session's reads are placed with
-    /// (`DeviceTopology::channel_for(sig, stripe)`); zero on a
-    /// single-channel device.
+    /// The stripe the session's reads are placed with: a salt, read on
+    /// device channel `DeviceTopology::channel_for(sig, stripe)`. Under
+    /// batching it is also where the session's reads meet byte-identical
+    /// reads of co-runners on the same stripe; under exclusive IO a plain
+    /// session's stripe may be `≥ C`. Zero on a single-channel device.
     pub fn stripe(&self) -> u16 {
         self.stripe
     }

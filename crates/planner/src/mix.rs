@@ -389,6 +389,11 @@ impl ServingMix {
         self.topology
     }
 
+    /// The sharing mode predictions run under.
+    pub fn sharing(&self) -> IoSharing {
+        self.sharing
+    }
+
     /// Registers an open session — [`ServingMix::upsert_session`] under
     /// the name mix builders use. Tokens may arrive in any order: the lane
     /// order predictions replay (and the digest) depends only on the

@@ -45,6 +45,9 @@
 
 use std::sync::Arc;
 
+/// The pipeline recurrence every contended latency is measured with,
+/// defined beside the flash queue in `sti-device`.
+pub use sti_device::contended_makespan;
 use sti_device::{content_sig, HwProfile, SimTime};
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
@@ -111,9 +114,12 @@ pub struct CoRunnerLoad {
     /// overlap the candidate's no longer inflates the candidate's
     /// prediction.
     pub arrival: SimTime,
-    /// The session's stripe offset: its job `sig` is read on device
-    /// channel `DeviceTopology::channel_for(sig, stripe)`, as the IO
-    /// scheduler places its lane's requests.
+    /// The session's stripe, the salt its reads are placed with: job
+    /// `sig` is read on device channel
+    /// `DeviceTopology::channel_for(sig, stripe)`, the raw stripe, as the
+    /// IO scheduler places its lane's requests. Under batching it is also
+    /// where byte-identical reads of sessions on one stripe meet; under
+    /// exclusive IO a plain session's stripe may be `≥ C`.
     pub stripe: u16,
 }
 
@@ -204,20 +210,6 @@ pub fn align_io_completions(
     }
     let mut next = completions;
     Some(has_io.iter().map(|&has| has.then(|| next.next().expect("count checked above"))).collect())
-}
-
-/// The pipeline recurrence against *absolute* IO completion times: layer
-/// `k`'s computation starts when both layer `k-1`'s computation and layer
-/// `k`'s (contended) IO have finished, and takes `comp` — a plan's layers
-/// all compute for the same time. Layers without IO (`None`) are ready at
-/// `start`. Returns the engagement's end-to-end latency from `start`.
-pub fn contended_makespan(start: SimTime, io_ends: &[Option<SimTime>], comp: SimTime) -> SimTime {
-    let mut prev_comp_end = start;
-    for io_end in io_ends {
-        let ready = io_end.unwrap_or(start);
-        prev_comp_end = prev_comp_end.max(ready) + comp;
-    }
-    prev_comp_end.saturating_sub(start)
 }
 
 /// The outcome of an SLO-aware planning search.
@@ -338,18 +330,6 @@ mod tests {
         let (alone, with_one, with_four) = (with(0), with(1), with(4));
         assert!(alone < with_one, "{alone} !< {with_one}");
         assert!(with_one < with_four, "{with_one} !< {with_four}");
-    }
-
-    #[test]
-    fn contended_makespan_matches_hand_computation() {
-        let ms = SimTime::from_ms;
-        // Two layers, IO ends at 10 and 40, compute 5 each.
-        let got = contended_makespan(SimTime::ZERO, &[Some(ms(10)), Some(ms(40))], ms(5));
-        // L0: comp 10..15; L1: waits for IO at 40, comp 40..45.
-        assert_eq!(got, ms(45));
-        // Preloaded second layer: ready immediately.
-        let got = contended_makespan(SimTime::ZERO, &[Some(ms(10)), None], ms(5));
-        assert_eq!(got, ms(20));
     }
 
     #[test]

@@ -245,9 +245,10 @@ impl IoScheduler {
     /// requests at; the uncontended track is unaffected. Requests on the
     /// lane are serviced FIFO; distinct lanes share the flash round-robin.
     /// Each request is placed on device channel
-    /// `channel_for(content_sig, stripe)`. The stripe is normalized modulo
-    /// the channel count, so under a single-channel topology every lane
-    /// stripes at 0.
+    /// `channel_for(content_sig, stripe)`, with the stripe as given: a
+    /// stripe is a placement salt, so one `≥ C` places reads where no
+    /// stripe of `0..C` does, and under a single-channel topology every
+    /// stripe places on channel 0.
     pub fn channel_striped_at(&self, arrival: SimTime, stripe: u16) -> IoChannel {
         let id = self.shared.lock_state().lanes.open(arrival, stripe);
         IoChannel { shared: self.shared.clone(), id }

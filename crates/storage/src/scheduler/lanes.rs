@@ -176,8 +176,10 @@ impl SchedState {
         }
     }
 
-    /// Opens a lane arriving at `arrival` (stripe normalized modulo the
-    /// channel count) and returns its id.
+    /// Opens a lane arriving at `arrival` on `stripe` and returns its id.
+    /// The stripe is kept as given: it is a placement salt, and the
+    /// registry, the predictor and the prefetcher place this session's
+    /// reads with the same raw value.
     pub(super) fn open(&mut self, arrival: SimTime, stripe: u16) -> u64 {
         let id = self.next_lane_id;
         self.next_lane_id += 1;
@@ -188,7 +190,7 @@ impl SchedState {
                 completed: VecDeque::new(),
                 arrival,
                 effective_arrival: arrival,
-                stripe: stripe % self.topology.channel_count(),
+                stripe,
                 inflight: false,
             },
         );
@@ -689,13 +691,15 @@ mod tests {
         /// Open / request / pick (any channel or one) / land / fail / drop
         /// (idle or in flight) / speculate / receive in arbitrary order:
         /// the module's invariants hold after every operation, batching on
-        /// and off, on one device channel and on three.
+        /// and off, on one device channel and on three, with lanes opened
+        /// on stripes beyond the channel count.
         #[test]
         fn any_op_order_keeps_the_lane_invariants(
             ops in proptest::collection::vec((0u8..9, 0u64..64, 0u64..64), 1..90),
         ) {
             for (sharing, channels) in [
                 (IoSharing::Exclusive, 1),
+                (IoSharing::Exclusive, 3),
                 (IoSharing::Batched(SimTime::from_us(300)), 1),
                 (IoSharing::Batched(SimTime::from_us(300)), 3),
             ] {
@@ -711,9 +715,8 @@ mod tests {
                         0 => {
                             let arrival = SimTime::from_us(a * 10);
                             let id = state.open(arrival, b as u16);
-                            let stripe = b as u16 % channels;
                             prop_assert!(shadows
-                                .insert(id, Shadow { arrival, stripe, ..Shadow::default() })
+                                .insert(id, Shadow { arrival, stripe: b as u16, ..Shadow::default() })
                                 .is_none(), "lane ids are never reused");
                         }
                         1 | 2 => {

@@ -84,10 +84,12 @@
 //! and byte-identical requests from two sessions coalesce into one batched
 //! flash job only when placed on the **same** device channel
 //! (`IoSharing::coalesces`, the one rule the scheduler and the predictor
-//! share). A plain session takes the stripe that spreads its own
-//! streamed reads most evenly over the channels
-//! (`DeviceTopology::balanced_stripes`, found once per plan), its
-//! round-robin stripe by session token among the ties; SLO sessions get
+//! share). A plain session takes the stripe that serves its own streamed
+//! reads best (`IoSharing::plain_stripes`, found once per plan: under
+//! batching the least solo IO makespan among the `C` stripes where
+//! identical reads meet, under exclusive IO the least solo latency among
+//! 256 salts), its round-robin stripe by session token among the ties;
+//! SLO sessions get
 //! a placement axis in `plan_for_slo_mix` —
 //! which channels a candidate's layers stripe across is searched
 //! alongside `(T, |S|)`, prefix sharing, and realloc — so an admission

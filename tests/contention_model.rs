@@ -145,11 +145,15 @@ struct Seen {
     /// Dispatches with members, one of whose lanes had its cursor raised
     /// by an earlier batch.
     after_a_raise: usize,
+    /// Dispatches on more than one channel led by a lane whose stripe is
+    /// the channel count or more: a salt no stripe of `0..C` repeats.
+    beyond_channels: usize,
 }
 
 /// One seeded case: channels, sharing and lanes (2 to 5, stripes drawn
-/// independently, arrivals tied, inside, at and outside the window, half
-/// of them on the first plan).
+/// independently from `0..4 · C`, so some are salts beyond the channel
+/// count, arrivals tied, inside, at and outside the window, half of them on
+/// the first plan).
 fn drawn_case(fixture: &Differential, seed: u64) -> (u16, IoSharing, Vec<DrawnLane>) {
     let mut rng = sti_tensor::Rng::new(seed);
     let channels = [1u16, 2, 4][rng.next_below(3)];
@@ -163,7 +167,7 @@ fn drawn_case(fixture: &Differential, seed: u64) -> (u16, IoSharing, Vec<DrawnLa
     let lanes = (0..2 + rng.next_below(4))
         .map(|_| DrawnLane {
             plan: if rng.next_below(2) == 0 { 0 } else { rng.next_below(fixture.plans.len()) },
-            stripe: rng.next_below(channels as usize) as u16,
+            stripe: rng.next_below(4 * channels as usize) as u16,
             arrival: SimTime::from_us(
                 [0, 0, spread / 2, spread, spread + 1, 2 * spread + 3][rng.next_below(6)],
             ),
@@ -262,6 +266,7 @@ fn check_case(fixture: &Differential, seed: u64, seen: &mut Seen) {
         // What the sample holds.
         let mut raised: Vec<bool> = vec![false; order.len()];
         for d in &logged {
+            seen.beyond_channels += usize::from(channels > 1 && order[d.lane].stripe >= channels);
             let lanes_in = || std::iter::once(d.lane).chain(d.members.iter().copied());
             if !d.members.is_empty() {
                 seen.cross_stripe +=
@@ -277,11 +282,12 @@ fn check_case(fixture: &Differential, seed: u64, seen: &mut Seen) {
 
 /// The contended predictor groups exactly what the IO scheduler batches:
 /// over seeded lane sets (one, two and four channels; stripes drawn
-/// independently; windows of 0, 500 µs and 2 ms, and unbatched; arrivals
-/// tied, inside, at and past the window; shared and distinct plans) every
-/// candidate's predicted dispatches equal the scheduler's dispatch log and
-/// its prediction the log's contended replay. The sample holds batches
-/// across stripes and batches formed after an earlier one raised a cursor.
+/// independently, beyond the channel count too; windows of 0, 500 µs and
+/// 2 ms, and unbatched; arrivals tied, inside, at and past the window;
+/// shared and distinct plans) every candidate's predicted dispatches equal
+/// the scheduler's dispatch log and its prediction the log's contended
+/// replay. The sample holds batches across stripes, batches formed after an
+/// earlier one raised a cursor, and dispatches on stripes `≥ C`.
 #[test]
 fn the_predictor_groups_exactly_what_the_scheduler_batches() {
     let fixture = Differential::new();
@@ -289,7 +295,10 @@ fn the_predictor_groups_exactly_what_the_scheduler_batches() {
     for seed in 0..36 {
         check_case(&fixture, seed, &mut seen);
     }
-    assert!(seen.cross_stripe > 0 && seen.after_a_raise > 0, "a vacuous sample: {seen:?}");
+    assert!(
+        seen.cross_stripe > 0 && seen.after_a_raise > 0 && seen.beyond_channels > 0,
+        "a vacuous sample: {seen:?}"
+    );
 }
 
 /// [`the_predictor_groups_exactly_what_the_scheduler_batches`] over 20 000
@@ -302,7 +311,10 @@ fn the_predictor_groups_exactly_what_the_scheduler_batches_over_a_long_sweep() {
     for seed in 0..20_000 {
         check_case(&fixture, seed, &mut seen);
     }
-    assert!(seen.cross_stripe > 0 && seen.after_a_raise > 0, "a vacuous sample: {seen:?}");
+    assert!(
+        seen.cross_stripe > 0 && seen.after_a_raise > 0 && seen.beyond_channels > 0,
+        "a vacuous sample: {seen:?}"
+    );
 }
 
 #[test]

@@ -17,10 +17,15 @@
 //! 4. **Per-device-channel observability.** A `C = 4` replay exports
 //!    byte-identically run to run on the deterministic tracks and mints
 //!    the `io.channel.<c>.*` instruments.
+//! 5. **A plain session's placement.** It takes the stripe its own solo
+//!    run is best on (256 salts under exclusive IO, `0..C` under
+//!    batching), and its IO lane reads exactly where that stripe places
+//!    its reads.
 
 use proptest::prelude::*;
 use sti::prelude::*;
 use sti::TaskContext;
+use sti_planner::{contended_makespan, layer_io_jobs};
 
 const CHANNELS: u16 = 4;
 
@@ -165,6 +170,12 @@ fn ctx() -> TaskContext {
     TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny())
 }
 
+/// `tiny()` at eight layers: a plan streams enough layers that where its
+/// reads land decides how fast it runs.
+fn deep_ctx() -> TaskContext {
+    TaskContext::with_config(TaskKind::Sst2, ModelConfig { layers: 8, ..ModelConfig::tiny() })
+}
+
 /// `C = 1` is the default, at the server level: on every shipped fixture
 /// an explicit `channels: 1` server is bit-identical to the default
 /// server — per-engagement outcomes, gate decisions, and the whole
@@ -239,14 +250,87 @@ fn striping_across_four_channels_admits_where_one_channel_rejects() {
     assert!(admits(&ctx, 4, witness) && !admits(&ctx, 1, witness), "witness {witness} regressed");
 }
 
-/// A plain session takes the stripe that spreads its own reads best: at
-/// `C = 4` every session of a fleet sits on a stripe whose solo IO
-/// makespan (its plan's streamed jobs summed per channel) is the least of
-/// the four, and keeps its round-robin stripe, `token mod 4`, wherever
-/// that stripe ties.
+/// A plain session's solo run on `stripe` of a `C = 4` device: its plan's
+/// streamed reads queued FIFO per channel in layer order from time zero,
+/// ranked by the latency their pipeline recurrence gives, then by the
+/// busiest channel's sum (the solo IO makespan).
+fn solo_on_four(hw: &HwProfile, plan: &ExecutionPlan, stripe: u16) -> (SimTime, SimTime) {
+    let topology = DeviceTopology::with_channels(4);
+    let mut free = [SimTime::ZERO; 4];
+    let io_ends: Vec<Option<SimTime>> = layer_io_jobs(hw, plan)
+        .into_iter()
+        .map(|job| {
+            job.map(|job| {
+                let channel = topology.channel_for(job.sig, stripe) as usize;
+                free[channel] += job.service;
+                free[channel]
+            })
+        })
+        .collect();
+    let latency = contended_makespan(SimTime::ZERO, &io_ends, hw.t_comp(plan.shape.width));
+    (latency, free.into_iter().max().unwrap())
+}
+
+/// A plain session takes the stripe that serves its own reads best, and
+/// keeps its round-robin stripe, `token mod 4`, wherever that stripe ties.
+/// On an exclusive `C = 4` device the search ranks 256 salts by solo
+/// latency, then solo IO makespan ([`solo_on_four`]), and on this plan the
+/// best of them beats every stripe of `0..4`. Under a batch window a
+/// stripe is also where identical reads meet, and the search keeps to
+/// `0..4`, ranked by solo IO makespan alone.
 #[test]
 fn plain_sessions_take_the_stripe_that_balances_their_own_reads() {
-    let ctx = ctx();
+    let ctx = deep_ctx();
+    for batch_window in [None, Some(SimTime::from_ms(2))] {
+        let cfg = ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 0,
+            channels: 4,
+            batch_window,
+            ..Default::default()
+        };
+        let server = build_server(&ctx, &cfg);
+        let hw = HwProfile::measure(&cfg.device, ctx.task().model().config(), ctx.quant());
+        let fleet = server.open_fleet(8, cfg.target, 0).unwrap();
+        let plan = fleet[0].plan();
+        assert!(layer_io_jobs(&hw, plan).iter().any(Option::is_some), "the plan streams");
+        let rank = |stripe: u16| {
+            let (latency, makespan) = solo_on_four(&hw, plan, stripe);
+            if batch_window.is_some() {
+                (SimTime::ZERO, makespan)
+            } else {
+                (latency, makespan)
+            }
+        };
+        let searched = if batch_window.is_some() { 4 } else { 256 };
+        let best = (0..searched).map(rank).min().unwrap();
+        let mut moved = 0;
+        for session in &fleet {
+            let (token, stripe) = (session.token(), session.stripe());
+            assert_eq!(rank(stripe), best, "{batch_window:?}: session {token} on stripe {stripe}");
+            let round_robin = (token % 4) as u16;
+            if rank(round_robin) == best {
+                assert_eq!(stripe, round_robin, "a tie keeps the round-robin stripe");
+            } else {
+                moved += 1;
+            }
+        }
+        assert!(moved > 0, "on this plan some round-robin stripe piles reads onto one channel");
+        if batch_window.is_none() {
+            assert!((0..4).all(|s| best < rank(s)), "a salt beyond 0..4 serves this plan best");
+        }
+    }
+}
+
+/// One engagement alone on an exclusive `C = 4` device reads on the
+/// channels its session's stripe was chosen for: the report's queue
+/// makespan is the busiest channel's sum of the engagement's own IO delays
+/// placed with that stripe, as the registry, the predictor and the
+/// prefetcher place them. The stripe is a salt beyond `0..4`, so an IO lane
+/// that reduced it modulo the channel count would read elsewhere.
+#[test]
+fn a_lone_engagement_reads_where_its_salt_places_it() {
+    let ctx = deep_ctx();
     let cfg = ServeConfig {
         target: SimTime::from_ms(300),
         preload_bytes: 0,
@@ -256,28 +340,27 @@ fn plain_sessions_take_the_stripe_that_balances_their_own_reads() {
     let server = build_server(&ctx, &cfg);
     let hw = HwProfile::measure(&cfg.device, ctx.task().model().config(), ctx.quant());
     let topology = server.device_topology();
-    let fleet = server.open_fleet(8, cfg.target, 0).unwrap();
-    let jobs = CoRunnerLoad::from_plan(&hw, fleet[0].plan()).jobs;
-    assert!(!jobs.is_empty(), "the plan streams");
-    let makespan = |stripe: u16| {
-        let mut sums = [SimTime::ZERO; 4];
-        for job in jobs.iter() {
-            sums[topology.channel_for(job.sig, stripe) as usize] += job.service;
+    let session = server.session().unwrap();
+    let stripe = session.stripe();
+    assert!(stripe >= 4, "the plan's best salt lies beyond 0..4, got {stripe}");
+    let inference = session.infer(&[1, 2, 3]).unwrap();
+    // The engagement's reads, in layer order, with the delays it paid.
+    let reads: Vec<(u64, SimTime)> = layer_io_jobs(&hw, session.plan())
+        .into_iter()
+        .zip(&inference.outcome.timeline.layers)
+        .filter_map(|(job, layer)| job.map(|job| (job.sig, layer.io_end - layer.io_start)))
+        .collect();
+    let makespan_on = |stripe: u16| {
+        let mut busy = [SimTime::ZERO; 4];
+        for &(sig, io) in &reads {
+            busy[topology.channel_for(sig, stripe) as usize] += io;
         }
-        sums.into_iter().max().unwrap()
+        busy.into_iter().max().unwrap()
     };
-    let least = (0..4).map(makespan).min().unwrap();
-    let mut moved = 0;
-    for session in &fleet {
-        let round_robin = (session.token() % 4) as u16;
-        assert_eq!(makespan(session.stripe()), least, "session {}", session.token());
-        if makespan(round_robin) == least {
-            assert_eq!(session.stripe(), round_robin, "a tie keeps the round-robin stripe");
-        } else {
-            moved += 1;
-        }
-    }
-    assert!(moved > 0, "on this plan some round-robin stripe piles reads onto one channel");
+    assert_ne!(makespan_on(stripe), makespan_on(stripe % 4), "the pin tells the two apart");
+    let report = server.contention_report();
+    assert_eq!(report.engagements.len(), 1);
+    assert_eq!(report.queue_makespan, makespan_on(stripe));
 }
 
 /// Per-device-channel observability: a `C = 4` replay (a) run-twice

@@ -8,7 +8,8 @@
 //!
 //! A [`ServingTrace`] is a multi-client workload: each client has its own
 //! latency/memory knobs, an optional latency **SLO**, and a FIFO list of
-//! engagements (token sequences, held flat in one [`Engagements`] — drawn
+//! engagements (token sequences, each client's a range of the one row
+//! store its trace shares, [`Engagements`] — drawn
 //! deterministically from the task's test split by
 //! [`ServingTrace::synthetic`], or replayed from a JSON file via
 //! [`crate::trace_file`]). [`replay_event`] is the executor: every
@@ -30,6 +31,8 @@
 //! deterministic).
 
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 
 use sti_device::engine::{Component, ComponentId, Engine, System};
@@ -46,62 +49,64 @@ pub use sti_pipeline::ServeConfig;
 
 use crate::runner::TaskContext;
 
-/// A client's engagements: token sequences in submission order, stored
-/// back to back.
+/// A client's engagements: token sequences in submission order, read out
+/// of the row store its trace shares.
 ///
-/// **Memory shape.** Every token sits in one `Box<[u32]>` and every row's
-/// end offset in one `Box<[u32]>`: two heap blocks per client (an empty
-/// buffer allocates none), holding `4·tokens + 4·engagements` bytes
-/// whatever the engagement count. A `Vec<Vec<u32>>` held one block per
-/// engagement, each with its own spare capacity and malloc header, and a
-/// replay holds its input trace for its whole run.
+/// **Memory shape.** A trace keeps each distinct token row once. One
+/// immutable row store per trace, shared by `Arc`, holds the distinct rows
+/// back to back in first-occurrence order, their ends, and the trace-wide
+/// sequence of row ids; each client holds the store and its own range of
+/// that sequence. So a trace holds four heap blocks however many clients
+/// it has (the store's header and its three buffers; an empty buffer
+/// allocates none), `4·distinct tokens + 4·distinct rows + 4·engagements`
+/// bytes in them, and 16 B per client. The traces the workloads replay
+/// repeat rows (a client re-asking a question, many clients asking it),
+/// and a replay holds its input trace for its whole run. A trace that
+/// repeats nothing pays one row end per engagement more than a flat buffer
+/// per client would.
 ///
 /// Rows read as `&[u32]`: by [`Engagements::get`] or indexing, or in order
 /// by [`Engagements::iter`] and `for tokens in &engagements`. Collect one
-/// from any iterator of token rows (`Vec<u32>`, `&[u32]`, arrays, …).
-#[derive(Clone, PartialEq, Eq)]
+/// from any iterator of token rows (`Vec<u32>`, `&[u32]`, arrays, …); it
+/// then holds a store of its own. Equality is by content, whatever the
+/// stores.
+#[derive(Clone)]
 pub struct Engagements {
-    /// Every row's tokens, back to back.
-    tokens: Box<[u32]>,
-    /// `ends[i]` is where row `i` stops in `tokens`: non-decreasing, and
-    /// the last one is `tokens.len()`. Row `i` starts where row `i - 1`
-    /// stops (row 0 at zero), so equal buffers mean equal rows. A client
-    /// holds at most `u32::MAX` tokens.
-    ends: Box<[u32]>,
+    rows: Arc<RowStore>,
+    /// This client's range of `rows.ids`.
+    start: u32,
+    end: u32,
 }
 
 impl Engagements {
-    /// Wraps a filled buffer. Callers write `tokens` row after row and push
-    /// each row's end as it closes.
-    pub(crate) fn from_parts(tokens: Vec<u32>, ends: Vec<u32>) -> Self {
-        let last = ends.last().map_or(0, |&e| e as usize);
-        assert!(
-            ends.windows(2).all(|w| w[0] <= w[1]) && last == tokens.len(),
-            "row ends must be non-decreasing and close the token buffer"
-        );
-        Self { tokens: tokens.into_boxed_slice(), ends: ends.into_boxed_slice() }
+    /// The engagements `range` of a finished store's sequence names.
+    pub(crate) fn in_store(rows: &Arc<RowStore>, range: Range<u32>) -> Self {
+        assert!(range.start <= range.end && range.end as usize <= rows.ids.len());
+        Self { rows: Arc::clone(rows), start: range.start, end: range.end }
+    }
+
+    fn ids(&self) -> &[u32] {
+        &self.rows.ids[self.start as usize..self.end as usize]
     }
 
     /// Number of engagements.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        (self.end - self.start) as usize
     }
 
     /// Whether there are no engagements.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.start == self.end
     }
 
     /// The `i`-th engagement's tokens, or `None` past the end.
     pub fn get(&self, i: usize) -> Option<&[u32]> {
-        let end = *self.ends.get(i)? as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        Some(&self.tokens[start..end])
+        self.ids().get(i).map(|&id| self.rows.row(id))
     }
 
     /// The engagements' tokens in submission order.
     pub fn iter(&self) -> EngagementsIter<'_> {
-        EngagementsIter { tokens: &self.tokens, ends: self.ends.iter(), start: 0 }
+        EngagementsIter { rows: &self.rows, ids: self.ids().iter() }
     }
 }
 
@@ -115,6 +120,14 @@ impl std::ops::Index<usize> for Engagements {
     }
 }
 
+impl PartialEq for Engagements {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Engagements {}
+
 impl fmt::Debug for Engagements {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self).finish()
@@ -124,13 +137,13 @@ impl fmt::Debug for Engagements {
 impl<T: AsRef<[u32]>> FromIterator<T> for Engagements {
     fn from_iter<I: IntoIterator<Item = T>>(rows: I) -> Self {
         let rows = rows.into_iter();
-        let mut tokens = Vec::new();
-        let mut ends = Vec::with_capacity(rows.size_hint().0);
+        let mut store = RowInterner::with_capacity(0, rows.size_hint().0);
         for row in rows {
-            tokens.extend_from_slice(row.as_ref());
-            ends.push(u32::try_from(tokens.len()).expect("a client holds at most u32::MAX tokens"));
+            store.extend_row(row.as_ref());
+            store.finish_row().expect("a trace holds at most u32::MAX distinct tokens and rows");
         }
-        Self::from_parts(tokens, ends)
+        let range = 0..store.engagements();
+        Self::in_store(&store.share(), range)
     }
 }
 
@@ -146,33 +159,185 @@ impl<'a> IntoIterator for &'a Engagements {
 /// Iterator over an [`Engagements`]' rows, from [`Engagements::iter`].
 #[derive(Debug, Clone)]
 pub struct EngagementsIter<'a> {
-    tokens: &'a [u32],
-    ends: std::slice::Iter<'a, u32>,
-    /// Where the next row starts in `tokens`.
-    start: usize,
+    rows: &'a RowStore,
+    ids: std::slice::Iter<'a, u32>,
 }
 
 impl<'a> Iterator for EngagementsIter<'a> {
     type Item = &'a [u32];
 
     fn next(&mut self) -> Option<&'a [u32]> {
-        let end = *self.ends.next()? as usize;
-        let row = &self.tokens[self.start..end];
-        self.start = end;
-        Some(row)
+        self.ids.next().map(|&id| self.rows.row(id))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ends.size_hint()
+        self.ids.size_hint()
     }
 }
 
 impl ExactSizeIterator for EngagementsIter<'_> {}
 
+/// One trace's token rows, written once by a [`RowInterner`] and then
+/// shared read-only by the trace's clients. Every id in `ids` names a row
+/// (`< ends.len()`), and no two rows are equal.
+#[derive(Debug)]
+pub(crate) struct RowStore {
+    /// The distinct rows' tokens, back to back in first-occurrence order.
+    tokens: Box<[u32]>,
+    /// `ends[r]` is where row `r` stops in `tokens`: non-decreasing, and
+    /// the last one is `tokens.len()`. Row `r` starts where row `r - 1`
+    /// stops (row 0 at zero).
+    ends: Box<[u32]>,
+    /// The trace's engagements in client order, each as its row's id.
+    ids: Box<[u32]>,
+}
+
+impl RowStore {
+    fn row(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
+        &self.tokens[start..self.ends[id] as usize]
+    }
+}
+
+/// A trace too large for a [`RowStore`]'s `u32` offsets and ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowsOverflow {
+    /// More than `u32::MAX` tokens in distinct rows.
+    DistinctTokens,
+    /// More than `u32::MAX` engagements.
+    Engagements,
+}
+
+/// Builds a [`RowStore`]: the one writer, which assigns row ids in order of
+/// first occurrence, so equal inputs give byte-identical stores.
+///
+/// Rows are found again through an open-addressing table of row ids keyed
+/// by the rows' tokens in the store itself, so interning allocates no block
+/// per row. A row is written at the end of the token buffer, then either
+/// kept as a new row or cut off again as a repeat.
+pub(crate) struct RowInterner {
+    tokens: Vec<u32>,
+    ends: Vec<u32>,
+    ids: Vec<u32>,
+    /// Row ids by hash, [`RowInterner::FREE`] where none sits: a power of
+    /// two in length and at most half full, or empty before the first row.
+    slots: Vec<u32>,
+}
+
+impl RowInterner {
+    const FREE: u32 = u32::MAX;
+
+    /// An empty store, sized for `tokens` tokens in `engagements` rows.
+    pub(crate) fn with_capacity(tokens: usize, engagements: usize) -> Self {
+        let slots = if engagements == 0 { 0 } else { (2 * engagements).next_power_of_two() };
+        Self {
+            tokens: Vec::with_capacity(tokens),
+            ends: Vec::with_capacity(engagements),
+            ids: Vec::with_capacity(engagements),
+            slots: vec![Self::FREE; slots],
+        }
+    }
+
+    /// Engagements so far: where the next row's id goes in the sequence.
+    pub(crate) fn engagements(&self) -> u32 {
+        self.ids.len() as u32
+    }
+
+    /// Appends a token to the row being written.
+    pub(crate) fn push_token(&mut self, token: u32) {
+        self.tokens.push(token);
+    }
+
+    /// Appends tokens to the row being written.
+    pub(crate) fn extend_row(&mut self, row: &[u32]) {
+        self.tokens.extend_from_slice(row);
+    }
+
+    /// Closes the row being written (the tokens since the last close) as
+    /// the next engagement: the id of an equal earlier row, or a new row.
+    pub(crate) fn finish_row(&mut self) -> Result<(), RowsOverflow> {
+        if (self.ends.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let start = self.ends.last().map_or(0, |&end| end as usize);
+        let mask = self.slots.len() - 1;
+        let mut slot = row_hash(&self.tokens[start..]) as usize & mask;
+        while self.slots[slot] != Self::FREE && self.row(self.slots[slot]) != &self.tokens[start..]
+        {
+            slot = (slot + 1) & mask;
+        }
+        let repeat = self.slots[slot] != Self::FREE;
+        if repeat {
+            self.tokens.truncate(start);
+        }
+        check_row_store(self.tokens.len(), self.ids.len() + 1)?;
+        if !repeat {
+            // Fewer rows than engagements, so the id is not `FREE`.
+            self.slots[slot] = self.ends.len() as u32;
+            self.ends.push(self.tokens.len() as u32);
+        }
+        self.ids.push(self.slots[slot]);
+        Ok(())
+    }
+
+    /// A finished row of the store being written.
+    fn row(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
+        &self.tokens[start..self.ends[id] as usize]
+    }
+
+    /// Doubles the table and puts every row back.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        let mask = len - 1;
+        self.slots = vec![Self::FREE; len];
+        for id in 0..self.ends.len() as u32 {
+            let mut slot = row_hash(self.row(id)) as usize & mask;
+            while self.slots[slot] != Self::FREE {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id;
+        }
+    }
+
+    /// Publishes the store: from here on it is only read.
+    pub(crate) fn share(self) -> Arc<RowStore> {
+        Arc::new(RowStore {
+            tokens: self.tokens.into_boxed_slice(),
+            ends: self.ends.into_boxed_slice(),
+            ids: self.ids.into_boxed_slice(),
+        })
+    }
+}
+
+/// Refuses a row store of more than `u32::MAX` tokens in distinct rows or
+/// engagements, past its `u32` offsets and ids.
+pub(crate) fn check_row_store(tokens: usize, engagements: usize) -> Result<(), RowsOverflow> {
+    if engagements > u32::MAX as usize {
+        Err(RowsOverflow::Engagements)
+    } else if tokens > u32::MAX as usize {
+        Err(RowsOverflow::DistinctTokens)
+    } else {
+        Ok(())
+    }
+}
+
+/// A row's hash for the interner's table: its length and tokens folded
+/// through a multiply-rotate mix, then the high half folded onto the low
+/// half that the table's mask keeps.
+fn row_hash(row: &[u32]) -> u64 {
+    let h = row.iter().fold(row.len() as u64, |h, &token| {
+        (h.rotate_left(5) ^ u64::from(token)).wrapping_mul(0x517C_C1B7_2722_0A95)
+    });
+    h ^ (h >> 32)
+}
+
 /// One client's slice of a trace: its knobs and its engagements in order.
 ///
-/// A parsed or synthetic client holds two heap blocks, both inside
-/// [`Engagements`], however many engagements it has.
+/// A client holds no heap block of its own: its [`Engagements`] are a range
+/// of the row store its whole trace shares.
 #[derive(Debug, Clone)]
 pub struct ClientTrace {
     /// The client's target latency.
@@ -219,16 +384,32 @@ impl ServingTrace {
     ) -> Self {
         let examples = ctx.task().test().examples();
         assert!(!examples.is_empty(), "task has no test examples to replay");
-        let clients = (0..sessions)
-            .map(|c| ClientTrace {
+        let row = |i: usize| examples[i % examples.len()].tokens.as_slice();
+        let total = sessions * engagements;
+        // Room for every distinct row, and for one more written at the end
+        // before it is found to repeat.
+        let distinct: usize = (0..total.min(examples.len())).map(|i| row(i).len()).sum();
+        let longest = examples.iter().map(|x| x.tokens.len()).max().unwrap_or(0);
+        let mut rows = RowInterner::with_capacity(distinct + longest, total);
+        let mut ranges = Vec::with_capacity(sessions);
+        for c in 0..sessions {
+            let start = rows.engagements();
+            for e in 0..engagements {
+                rows.extend_row(row(c * engagements + e));
+                rows.finish_row().expect("a trace holds at most u32::MAX distinct tokens and rows");
+            }
+            ranges.push(start..rows.engagements());
+        }
+        let rows = rows.share();
+        let clients = ranges
+            .into_iter()
+            .map(|range| ClientTrace {
                 target: cfg.target,
                 preload_bytes: cfg.preload_bytes,
                 slo: cfg.slo,
                 arrival: SimTime::ZERO,
                 idle: SimTime::ZERO,
-                engagements: (0..engagements)
-                    .map(|e| &examples[(c * engagements + e) % examples.len()].tokens)
-                    .collect(),
+                engagements: Engagements::in_store(&rows, range),
             })
             .collect();
         Self { clients }
@@ -698,7 +879,12 @@ mod tests {
         assert_eq!(a.total_engagements(), 6);
         for (ca, cb) in a.clients.iter().zip(&b.clients) {
             assert_eq!(ca.engagements, cb.engagements);
+            assert!(Arc::ptr_eq(&ca.engagements.rows, &a.clients[0].engagements.rows));
         }
+        // Equal inputs give byte-identical stores.
+        let (sa, sb) = (&a.clients[0].engagements.rows, &b.clients[0].engagements.rows);
+        assert_interned(sa);
+        assert_eq!((&sa.tokens, &sa.ends, &sa.ids), (&sb.tokens, &sb.ends, &sb.ids));
     }
 
     /// splitmix64: the seeded stream the oracle loop draws from.
@@ -710,15 +896,42 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// The store's invariants: row ids in order of first occurrence, each
+    /// naming a row, every row named, and no two rows equal. Returns the
+    /// row count.
+    fn assert_interned(rows: &RowStore) -> usize {
+        let mut next = 0;
+        for &id in rows.ids.iter() {
+            assert!(id <= next, "row {id} before row {next}");
+            next += u32::from(id == next);
+        }
+        assert_eq!(next as usize, rows.ends.len(), "every row is named");
+        let distinct: std::collections::HashSet<&[u32]> = (0..next).map(|r| rows.row(r)).collect();
+        assert_eq!(distinct.len(), rows.ends.len(), "no two rows are equal");
+        rows.ends.len()
+    }
+
     #[test]
     fn engagements_match_the_nested_vec_oracle() {
         let mut state = 45;
         for _ in 0..64 {
-            // Up to 200 rows of 0–16 tokens, empty rows included.
-            let rows: Vec<Vec<u32>> = (0..draw(&mut state) % 201)
-                .map(|_| (0..draw(&mut state) % 17).map(|_| draw(&mut state) as u32).collect())
+            // A pool of up to 6 rows of 0–3 tokens over a 3-token alphabet,
+            // so rows of one length differ and the pool repeats itself.
+            let pool: Vec<Vec<u32>> = (0..1 + draw(&mut state) % 6)
+                .map(|_| (0..draw(&mut state) % 4).map(|_| (draw(&mut state) % 3) as u32).collect())
                 .collect();
+            // Up to 200 rows, each from the pool or of 0–16 random tokens,
+            // empty rows included.
+            let rows: Vec<Vec<u32>> = (0..draw(&mut state) % 201)
+                .map(|_| match draw(&mut state) % 3 {
+                    0 => (0..draw(&mut state) % 17).map(|_| draw(&mut state) as u32).collect(),
+                    _ => pool[draw(&mut state) as usize % pool.len()].clone(),
+                })
+                .collect();
+            let distinct =
+                |rows: &[Vec<u32>]| rows.iter().collect::<std::collections::HashSet<_>>().len();
             let flat: Engagements = rows.iter().collect();
+            assert_eq!(assert_interned(&flat.rows), distinct(&rows));
             assert_eq!((flat.len(), flat.is_empty()), (rows.len(), rows.is_empty()));
             for (i, row) in rows.iter().enumerate() {
                 assert_eq!(flat.get(i), Some(row.as_slice()));
@@ -745,7 +958,7 @@ mod tests {
                 assert_ne!(shifted.iter().collect::<Engagements>(), flat);
             }
             // A trace rendered from the non-empty rows parses back to them,
-            // client by client.
+            // client by client, into one store that holds each row once.
             let clients = 1 + draw(&mut state) as usize % 4;
             let mut oracle = vec![Vec::new(); clients];
             for (i, row) in rows.iter().filter(|row| !row.is_empty()).enumerate() {
@@ -756,7 +969,10 @@ mod tests {
             let json = format!("{{\"clients\":[{}]}}", rendered.join(","));
             let parsed = crate::trace_file::parse_trace(&json).expect("the rendering parses");
             assert_eq!(parsed.clients.len(), clients);
+            let store = &parsed.clients[0].engagements.rows;
+            assert_eq!(assert_interned(store), distinct(&oracle.concat()));
             for (client, rows) in parsed.clients.iter().zip(&oracle) {
+                assert!(Arc::ptr_eq(&client.engagements.rows, store), "one store per trace");
                 assert!(client.engagements.iter().eq(rows.iter().map(Vec::as_slice)));
                 assert_eq!(client.engagements, rows.iter().collect());
             }

@@ -43,16 +43,20 @@
 //! when it is returned.
 //!
 //! **Memory.** Each array and object of the JSON tree is one exact-size
-//! allocation, and each client's engagements are copied out of the tree in
-//! one pass into its [`Engagements`]' two blocks, so a parsed trace of `C`
-//! clients holds `1 + 2·C` heap blocks once the tree is dropped.
+//! allocation. The rows are then interned in one pass into the trace's one
+//! row store (see [`Engagements`]), sized from the tree: each distinct row
+//! is kept once, in order of first occurrence, and each client holds a
+//! range of the trace's row ids. So a parsed trace holds five heap blocks
+//! once the tree is dropped, the clients vector and the store's four,
+//! whatever its client count. A trace of more than `u32::MAX` engagements
+//! or tokens in distinct rows is refused.
 
 use std::fmt;
 use std::path::Path;
 
 use sti_device::SimTime;
 
-use crate::serving::{ClientTrace, Engagements, ServingTrace};
+use crate::serving::{ClientTrace, Engagements, RowInterner, RowsOverflow, ServingTrace};
 
 /// Errors from reading a JSON trace file.
 #[derive(Debug)]
@@ -376,7 +380,14 @@ const MAX_PRELOAD_KB: u64 = u64::MAX >> 10;
 const CLIENT_KEYS: [&str; 6] =
     ["target_ms", "preload_kb", "slo_ms", "arrival_us", "idle_us", "engagements"];
 
-fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileError> {
+/// Reads client `index`'s knobs, and writes its rows into `rows` as its
+/// engagements. The client is finished by handing it its engagements once
+/// the trace's store is shared.
+fn client_from_json(
+    index: usize,
+    json: &Json,
+    rows: &mut RowInterner,
+) -> Result<impl FnOnce(Engagements) -> ClientTrace, TraceFileError> {
     let Json::Obj(fields) = json else {
         return Err(TraceFileError::Schema(format!("clients[{index}] must be an object")));
     };
@@ -433,19 +444,12 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
     let engagements_json = json.field("engagements").ok_or_else(|| {
         TraceFileError::Schema(format!("clients[{index}] is missing \"engagements\""))
     })?;
-    let Json::Arr(rows) = engagements_json else {
+    let Json::Arr(rows_json) = engagements_json else {
         return Err(TraceFileError::Schema(format!(
             "clients[{index}].engagements must be an array of token arrays"
         )));
     };
-    // One pass writes every row into the flat buffer, sized from the tree
-    // (a row that is not an array counts zero here and fails in order below).
-    let token_count =
-        rows.iter().map(|row| if let Json::Arr(tokens) = row { tokens.len() } else { 0 }).sum();
-    check_token_count(index, token_count)?;
-    let mut tokens = Vec::with_capacity(token_count);
-    let mut ends = Vec::with_capacity(rows.len());
-    for (e, row) in rows.iter().enumerate() {
+    for (e, row) in rows_json.iter().enumerate() {
         let Json::Arr(row) = row else {
             return Err(TraceFileError::Schema(format!(
                 "clients[{index}].engagements[{e}] must be a token array"
@@ -463,27 +467,27 @@ fn client_from_json(index: usize, json: &Json) -> Result<ClientTrace, TraceFileE
                     "clients[{index}].engagements[{e}]: token {n} exceeds u32"
                 ))
             })?;
-            tokens.push(token);
+            rows.push_token(token);
         }
-        // In range: the rows hold `token_count` tokens in all.
-        ends.push(tokens.len() as u32);
+        rows.finish_row().map_err(too_large)?;
     }
-    Ok(ClientTrace {
+    Ok(move |engagements| ClientTrace {
         target: SimTime::from_ms(target_ms),
         preload_bytes: preload_kb << 10,
         slo,
         arrival: SimTime::from_us(arrival_us),
         idle: SimTime::from_us(idle_us),
-        engagements: Engagements::from_parts(tokens, ends),
+        engagements,
     })
 }
 
-/// Refuses a client of more than `u32::MAX` tokens, whose row ends would
-/// not fit [`Engagements`]' `u32` offsets.
-fn check_token_count(index: usize, token_count: usize) -> Result<(), TraceFileError> {
-    let too_many =
-        format_args!("clients[{index}] has {token_count} tokens, more than {}", u32::MAX);
-    u32::try_from(token_count).map(drop).map_err(|_| TraceFileError::Schema(too_many.to_string()))
+/// Refuses a trace too large for its row store's `u32` offsets and ids.
+fn too_large(overflow: RowsOverflow) -> TraceFileError {
+    let what = match overflow {
+        RowsOverflow::DistinctTokens => "tokens in distinct rows",
+        RowsOverflow::Engagements => "engagements",
+    };
+    TraceFileError::Schema(format!("the trace has more than {} {what}", u32::MAX))
 }
 
 /// Parses a trace from JSON text.
@@ -502,11 +506,29 @@ pub fn parse_trace(text: &str) -> Result<ServingTrace, TraceFileError> {
     if items.is_empty() {
         return Err(TraceFileError::Schema("a trace needs at least one client".into()));
     }
-    let mut clients = Vec::with_capacity(items.len());
-    for (i, client) in items.iter().enumerate() {
-        clients.push(client_from_json(i, client)?);
+    // The store is sized from the tree (what is not an array counts zero
+    // here and fails in order below), so it never grows while it fills.
+    let (mut tokens, mut engagements) = (0, 0);
+    for client in items {
+        let Some(Json::Arr(rows)) = client.field("engagements") else { continue };
+        engagements += rows.len();
+        for row in rows {
+            if let Json::Arr(row) = row {
+                tokens += row.len();
+            }
+        }
     }
-    Ok(ServingTrace { clients })
+    let mut rows = RowInterner::with_capacity(tokens, engagements);
+    let mut pending = Vec::with_capacity(items.len());
+    for (i, client) in items.iter().enumerate() {
+        let start = rows.engagements();
+        let client = client_from_json(i, client, &mut rows)?;
+        pending.push((client, start..rows.engagements()));
+    }
+    let rows = rows.share();
+    let clients =
+        pending.into_iter().map(|(client, range)| client(Engagements::in_store(&rows, range)));
+    Ok(ServingTrace { clients: clients.collect() })
 }
 
 /// Reads and parses a trace file.
@@ -521,17 +543,22 @@ pub fn load_trace(path: impl AsRef<Path>) -> Result<ServingTrace, TraceFileError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::check_row_store;
 
-    /// A client's row ends are `u32`s: one more token than they can count
-    /// is a schema error naming the client, checked on the length alone
-    /// (a file that long is not written here).
+    /// A trace's row store counts in `u32`s: one more distinct token or
+    /// engagement than they can count is a schema error, checked on the
+    /// counts alone (a file that long is not written here).
     #[test]
-    fn a_client_of_more_than_u32_max_tokens_is_refused() {
+    fn a_trace_past_its_row_stores_u32_counts_is_refused() {
         let most = u32::MAX as usize;
-        assert!(check_token_count(3, most).is_ok());
-        let err = check_token_count(3, most + 1).unwrap_err();
-        assert!(matches!(&err, TraceFileError::Schema(why) if why.starts_with("clients[3] has")));
-        assert!(err.to_string().contains(&(most + 1).to_string()), "{err}");
+        assert!(check_row_store(most, most).is_ok());
+        for (tokens, engagements, what) in
+            [(most + 1, 1, "tokens in distinct rows"), (0, most + 1, "engagements")]
+        {
+            let err = too_large(check_row_store(tokens, engagements).unwrap_err());
+            assert!(matches!(&err, TraceFileError::Schema(_)), "{err}");
+            assert!(err.to_string().contains(&format!("more than {most} {what}")), "{err}");
+        }
     }
 
     #[test]

@@ -175,7 +175,8 @@ fn main() -> ExitCode {
         an_unbatched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet,
         a_batched_prediction_folds_the_channel_queues_instead_of_simulating_the_fleet,
         every_hop_hands_on_the_stores_one_payload,
-        a_parsed_trace_holds_two_blocks_per_client,
+        a_parsed_trace_holds_five_blocks_whatever_its_client_count,
+        a_parsed_trace_holds_a_repeated_row_once,
         parsing_a_trace_requests_one_block_per_engagement,
         the_instrument_hot_paths_request_no_heap_block,
     ];
@@ -1349,38 +1350,80 @@ fn trace_json(clients: usize, engagements: usize) -> (String, usize) {
     (format!("{{\"comment\":\"memory pin\",\"clients\":[{}]}}", rendered.join(",")), tokens)
 }
 
-/// A parsed trace is the clients vector plus each client's two flat
-/// buffers: `1 + 2·C` blocks holding `4·tokens + 8·engagements` bytes
-/// beside `size_of::<ClientTrace>()` (the knobs and the two buffer handles)
-/// per client. A `Vec<Vec<u32>>` per client held one block per engagement:
-/// 2 009 blocks and 116 544 B for this trace, against 17 and 84 608 B.
-fn a_parsed_trace_holds_two_blocks_per_client() {
-    let (clients, engagements) = (8, 250);
-    let (json, tokens) = trace_json(clients, engagements);
+/// What a parsed trace holds, exactly: the clients vector and its one row
+/// store, the store's header (two reference counts and three buffer
+/// handles) and its three buffers, the distinct rows' tokens, their ends
+/// and the trace's row ids. So `4·(distinct tokens + distinct rows +
+/// engagements)` bytes beside the header and `size_of::<ClientTrace>()`
+/// (the knobs, the store handle and the client's range of row ids) per
+/// client, in five blocks.
+fn parsed_trace_bytes(tokens: usize, rows: usize, engagements: usize, clients: usize) -> i64 {
+    let header = 2 * std::mem::size_of::<usize>() + 3 * std::mem::size_of::<Box<[u32]>>();
+    (4 * (tokens + rows + engagements) + std::mem::size_of::<ClientTrace>() * clients + header)
+        as i64
+}
+
+/// A parsed trace holds five blocks whatever its client count, and the
+/// bytes of [`parsed_trace_bytes`]. These rows never repeat, the worst
+/// case, which costs a row end per engagement: 8 clients of 250
+/// engagements and 16 992 tokens hold 84 544 B. Two flat buffers per
+/// client held 17 blocks and 76 608 B, and a `Vec<Vec<u32>>` per client
+/// 2 009 blocks and 116 544 B.
+fn a_parsed_trace_holds_five_blocks_whatever_its_client_count() {
+    for (clients, engagements) in [(1, 2000), (8, 250), (40, 50)] {
+        let (json, tokens) = trace_json(clients, engagements);
+        let (trace, HeapUse { live: blocks, held: bytes, .. }) =
+            heap_across(|| parse_trace(&json).unwrap());
+        let rows = clients * engagements;
+        assert_eq!(trace.total_engagements(), rows);
+        assert_eq!(blocks, 5, "a parsed trace of {clients} clients");
+        assert_eq!(
+            bytes,
+            parsed_trace_bytes(tokens, rows, rows, clients),
+            "{clients} clients of {engagements} distinct engagements and {tokens} tokens"
+        );
+    }
+}
+
+/// A trace repeating rows holds each once: 8 clients replaying the same
+/// 16 rows, 64 times each, hold the 16 rows' tokens and ends once beside
+/// one row id per engagement, in the same five blocks.
+fn a_parsed_trace_holds_a_repeated_row_once() {
+    let (clients, rounds) = (8, 64);
+    let rows: Vec<Vec<u32>> =
+        (0..16).map(|r| (0..1 + r % 5).map(|j| 31 * r + j).collect()).collect();
+    let replayed: Vec<&[u32]> = (0..rounds).flat_map(|_| rows.iter().map(Vec::as_slice)).collect();
+    let client = format!("{{\"engagements\":{replayed:?}}}");
+    let json = format!("{{\"clients\":[{}]}}", vec![client; clients].join(","));
     let (trace, HeapUse { live: blocks, held: bytes, .. }) =
         heap_across(|| parse_trace(&json).unwrap());
-    assert_eq!(trace.total_engagements(), clients * engagements);
-    assert_eq!(blocks, 1 + 2 * clients as i64, "a parsed trace of {clients} clients");
-    let per_client = std::mem::size_of::<ClientTrace>();
-    let bound = 4 * tokens + 8 * clients * engagements + per_client * clients;
-    assert!(
-        bytes <= bound as i64,
-        "{clients} clients of {engagements} engagements and {tokens} tokens hold {bytes} bytes"
+    let engagements = clients * replayed.len();
+    assert_eq!(trace.total_engagements(), engagements);
+    assert!(trace.clients.iter().all(|c| c.engagements.iter().eq(replayed.iter().copied())));
+    assert_eq!(blocks, 5);
+    let tokens = rows.iter().map(Vec::len).sum();
+    assert_eq!(
+        bytes,
+        parsed_trace_bytes(tokens, rows.len(), engagements, clients),
+        "{engagements} engagements of {} distinct rows",
+        rows.len()
     );
 }
 
 /// Parsing requests one block per engagement — the JSON tree's row array,
-/// allocated once at its exact size — plus k = 10 per client and c = 24 in
-/// all. Per client: its object's fields, six keys, its rows array and its
-/// two flat buffers. In all: the root object, its two keys and the
-/// comment, the clients array and the parsed clients vector (6), and the
-/// parser's two scratch stacks, which double from 4 slots up to the most
-/// items open at once (10 growths here), with 8 to spare. Token
-/// diagnostics are built only on the error path: formatting one per token,
-/// and growing each row by doubling, cost about `2 + tokens` blocks per
-/// engagement, 23 699 requests for this trace against 2 096.
+/// allocated once at its exact size — plus k = 8 per client and c = 24 in
+/// all. Per client: its object's fields, six keys and its rows array. In
+/// all: the root object, its two keys and the comment, the clients array,
+/// the pending clients and the parsed clients vector (7), the parser's two
+/// scratch stacks, which double from 4 slots up to the most items open at
+/// once (10 growths here), and the row store's four buffers, sized from
+/// the tree, and its header (5), with 2 to spare for the two shrinks a
+/// trace that repeats rows makes. Token diagnostics are built only on the
+/// error path: formatting one per token, and growing each row by doubling,
+/// cost about `2 + tokens` blocks per engagement, 23 699 requests for this
+/// trace against 2 086. Two flat buffers per client requested 2 096.
 fn parsing_a_trace_requests_one_block_per_engagement() {
-    const PER_CLIENT: u64 = 10;
+    const PER_CLIENT: u64 = 8;
     const FIXED: u64 = 24;
     let (clients, engagements) = (8, 250);
     let (json, _) = trace_json(clients, engagements);

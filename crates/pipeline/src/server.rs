@@ -31,7 +31,7 @@
 //! | piece | owns | decides |
 //! |---|---|---|
 //! | `RwLock<Arc<ServingMix>>` (`live_mix`) | token → load / SLO profile / stripe of every open session, in a token-sorted slot vector shared copy-on-write | the mix every contended prediction runs against, and its digest |
-//! | [`MemoTable`]s (`sti_planner::cache`) | weak handles to the plans and preload buffers of the knob sets in use | compute outside the lock, first insert wins; a dropped entry replans |
+//! | [`MemoTable`]s (`sti_planner::cache`) | weak handles to the plans, preload buffers and registered loads of the knob sets in use | compute outside the lock, first insert wins; a dropped entry replans |
 //! | `Admission` (`admission`) | the [`AdmissionMode`] and the `serving.*_sessions` instruments | take or reject an SLO search outcome, for an open or a retarget |
 //! | [`Gate`] ([`sti_planner::gate`]) | the [`BackpressureMode`] and the walk memo | delay or shed one engagement; `Session::infer_issue` counts the decision on the `gate.*` instruments and acts on it |
 //! | `ContentionLedger` (`ledger`) | the engagement and gate logs | the one contended replay behind [`ContentionReport`] and the span export |
@@ -164,7 +164,8 @@ struct Planned {
     target: SimTime,
     preload_budget: u64,
     plan: Arc<ExecutionPlan>,
-    preload: Arc<PreloadBuffer>,
+    /// The preload buffer of `plan`'s key, with its plain loads.
+    preloaded: Arc<Preloaded>,
     /// Per layer of `plan`, whether it streams
     /// ([`PlannedLayer::streams`](sti_planner::PlannedLayer::streams)): the
     /// ledger record of every engagement on this record shares it.
@@ -172,9 +173,17 @@ struct Planned {
     slo: Option<SimTime>,
     /// The SLO search outcome, when SLO-planned.
     serving: Option<Arc<ServingPlan>>,
-    /// What a session on this record registers: built on first use, then
-    /// shared by every session on the record.
-    loads: OnceLock<Loads>,
+    /// What a session on this record registers ([`ServerInner::loads`]).
+    loads: Arc<Loads>,
+}
+
+/// What a plan key resolves to beside its plan, shared by every record of
+/// the key: the preload buffer, and the loads its plain records register.
+struct Preloaded {
+    buffer: PreloadBuffer,
+    /// Built by the key's first plain record, then shared, so the
+    /// placement search runs once per plan, not once per planning call.
+    plain_loads: OnceLock<Arc<Loads>>,
 }
 
 /// A plan's registered loads.
@@ -196,18 +205,18 @@ enum LoadKind {
 }
 
 impl Loads {
-    /// `planned`'s loads on a device of `topology` under `sharing`. Jobs
-    /// know nothing of placement: a session registers them with its own
-    /// stripe.
+    /// The loads of `plan`, SLO-planned for `slo` or plain, on a device of
+    /// `topology` under `sharing`. Jobs know nothing of placement: a
+    /// session registers them with its own stripe.
     fn new(
         hw: &HwProfile,
-        planned: &Planned,
+        plan: &ExecutionPlan,
+        slo: Option<SimTime>,
         sharing: IoSharing,
         topology: DeviceTopology,
     ) -> Self {
-        let plan = &planned.plan;
         let layers = layer_io_jobs(hw, plan);
-        let kind = match planned.slo {
+        let kind = match slo {
             Some(slo) => LoadKind::Slo(SloProfile::from_plan(hw, plan, slo)),
             None => LoadKind::Plain(sharing.plain_stripes(
                 topology,
@@ -236,19 +245,20 @@ struct ServerInner {
     fingerprint: String,
     /// Bumped by [`StiServer::invalidate_plans`] and folded into every
     /// [`PlanKey`], so no lookup after an invalidation reaches a plan (or
-    /// preload buffer) of an earlier generation, and a session that raced
-    /// the invalidation inserts its stale plan under an unreachable key.
-    /// Plans and preload buffers are keyed identically, so a plan can never
-    /// be paired with a buffer built for a different generation.
+    /// preload buffer, or loads) of an earlier generation, and a session
+    /// that raced the invalidation inserts its stale plan under an
+    /// unreachable key. Plans, preload buffers and loads are keyed
+    /// identically, so a plan can never be paired with a buffer or loads
+    /// built for a different generation.
     generation: AtomicU64,
     default_target: SimTime,
     default_preload_budget: u64,
     /// Weak handles to the plans in use, one per plan key.
     plan_cache: PlanCache,
-    /// One immutable, shared preload buffer per plan key in use (read-mostly
-    /// state: filled once, then only read through `Arc`s; freed with the
-    /// last holder, like the plans).
-    preloads: MemoTable<PlanKey, PreloadBuffer>,
+    /// One immutable, shared preload buffer per plan key in use, with its
+    /// plain loads (read-mostly state: filled once, then only read through
+    /// `Arc`s; freed with the last holder, like the plans).
+    preloads: MemoTable<PlanKey, Preloaded>,
     /// `|S|` placement policy for SLO searches.
     plan_sharing: PreloadPolicy,
     /// SLO searches run, for [`StiServer::slo_plan_stats`]. Not a registry
@@ -391,11 +401,11 @@ impl ServerInner {
                 (served.target, Some(slo), Some(served), Some(serialized))
             }
         };
-        let (plan, preload) = self.resolve(target, preload_budget, serving.as_deref())?;
+        let (plan, preloaded) = self.resolve(target, preload_budget, serving.as_deref())?;
         let layer_has_io = plan.layers.iter().map(|pl| pl.streams(&plan.preload)).collect();
-        let loads = OnceLock::new();
+        let loads = self.loads(&plan, &preloaded, slo);
         let planned =
-            Planned { target, preload_budget, plan, preload, layer_has_io, slo, serving, loads };
+            Planned { target, preload_budget, plan, preloaded, layer_has_io, slo, serving, loads };
         Ok(install(Arc::new(planned)))
     }
 
@@ -413,7 +423,7 @@ impl ServerInner {
         target: SimTime,
         preload_budget: u64,
         served: Option<&ServingPlan>,
-    ) -> Result<(Arc<ExecutionPlan>, Arc<PreloadBuffer>), PipelineError> {
+    ) -> Result<(Arc<ExecutionPlan>, Arc<Preloaded>), PipelineError> {
         let mut key = self.plan_key(target, preload_budget);
         let mut plan = self.plan_cache.get_or_plan(&key, || {
             plan_two_stage(
@@ -445,10 +455,15 @@ impl ServerInner {
         // The fill runs outside the table lock: it reads the (cached)
         // store, and sessions resolving other knob sets must not wait
         // behind that.
-        let preload = self.preloads.get_or_try_insert(&key, || {
-            PreloadBuffer::fill(plan.preload_budget_bytes, &plan.preload, &*self.cached_source)
+        let preloaded = self.preloads.get_or_try_insert(&key, || {
+            let buffer = PreloadBuffer::fill(
+                plan.preload_budget_bytes,
+                &plan.preload,
+                &*self.cached_source,
+            )?;
+            Ok::<_, PipelineError>(Preloaded { buffer, plain_loads: OnceLock::new() })
         })?;
-        Ok((plan, preload))
+        Ok((plan, preloaded))
     }
 
     /// Registers (or refreshes, after a retarget or `set_arrival`) a
@@ -458,7 +473,7 @@ impl ServerInner {
     /// are `planned`'s ([`ServerInner::loads`]), so a registration clones
     /// pointers to jobs the plan already determined.
     fn register_load(&self, token: u64, planned: &Planned, arrival: SimTime, stripe: u16) {
-        let Loads { jobs, kind } = self.loads(planned);
+        let Loads { jobs, kind } = &*planned.loads;
         let load = CoRunnerLoad { jobs: jobs.clone(), arrival, stripe };
         let profile = match kind {
             LoadKind::Slo(profile) => Some(profile.clone()),
@@ -467,17 +482,30 @@ impl ServerInner {
         Arc::make_mut(&mut self.live_mix.write()).upsert_session(token, load, profile);
     }
 
-    /// The loads a session on `planned` registers, computed at most once
-    /// per record under the live mix's sharing mode and topology, so no
-    /// open pays for the stripe search.
-    fn loads<'p>(&self, planned: &'p Planned) -> &'p Loads {
-        planned.loads.get_or_init(|| {
+    /// The loads a session on `plan`, resolved with `preloaded`, registers,
+    /// under the live mix's sharing mode and topology (fixed at build). A
+    /// plain record's are its key's, computed at most once while any record
+    /// holds the key, so neither an open nor a retarget on a cached plan
+    /// pays for the stripe search, and [`StiServer::invalidate_plans`]
+    /// makes them unreachable with the plan. An SLO record's depend on its
+    /// SLO and are its own, as its search is.
+    fn loads(
+        &self,
+        plan: &ExecutionPlan,
+        preloaded: &Preloaded,
+        slo: Option<SimTime>,
+    ) -> Arc<Loads> {
+        let build = || {
             let (sharing, topology) = {
                 let mix = self.live_mix.read();
                 (mix.sharing(), mix.topology())
             };
-            Loads::new(&self.hw, planned, sharing, topology)
-        })
+            Arc::new(Loads::new(&self.hw, plan, slo, sharing, topology))
+        };
+        match slo {
+            Some(_) => build(),
+            None => Arc::clone(preloaded.plain_loads.get_or_init(build)),
+        }
     }
 
     /// The device-channel stripe for a session without an SLO placement.
@@ -495,7 +523,7 @@ impl ServerInner {
     fn default_stripe(&self, token: u64, planned: &Planned) -> u16 {
         let topology = self.scheduler.topology();
         let round_robin = (token % topology.channel_count() as u64) as u16;
-        match &self.loads(planned).kind {
+        match &planned.loads.kind {
             LoadKind::Plain(balanced) => balanced.choose(round_robin),
             LoadKind::Slo(_) => round_robin,
         }
@@ -948,7 +976,7 @@ impl StiServer {
         self.invalidate_plans();
     }
 
-    /// Makes every cached plan and preload buffer unreachable and drops
+    /// Makes every cached plan, preload buffer and loads unreachable and drops
     /// every cached or staged shard blob and every working set the
     /// prefetcher registered, forcing the next session (or knob change) to
     /// replan and re-read. Called by [`StiServer::set_importance`]; call
@@ -1148,7 +1176,7 @@ impl Session {
     /// Bytes held by the (shared) preload buffer this session executes
     /// against.
     pub fn preload_used(&self) -> u64 {
-        self.planned.preload.used_bytes()
+        self.planned.preloaded.buffer.used_bytes()
     }
 
     /// The session's simulated arrival offset.
@@ -1347,10 +1375,14 @@ impl Session {
                 pending.session, self.token
             )));
         }
-        let Planned { plan, preload, layer_has_io, target, preload_budget, slo, .. } =
+        let Planned { plan, preloaded, layer_has_io, target, preload_budget, slo, .. } =
             &*pending.planned;
-        let outcome =
-            self.executor().complete_on(&pending.channel, plan, preload, &pending.tokens)?;
+        let outcome = self.executor().complete_on(
+            &pending.channel,
+            plan,
+            &preloaded.buffer,
+            &pending.tokens,
+        )?;
 
         // Contended-track record: which layers streamed (the plan's mask,
         // shared) and the uniform per-layer compute delay.
@@ -1406,8 +1438,8 @@ impl Session {
         prompt: &[u32],
         steps: usize,
     ) -> Result<GenerationOutcome, PipelineError> {
-        let Planned { plan, preload, .. } = &*self.planned;
-        self.executor().generate(plan, preload, prompt, steps)
+        let Planned { plan, preloaded, .. } = &*self.planned;
+        self.executor().generate(plan, &preloaded.buffer, prompt, steps)
     }
 }
 
@@ -1488,10 +1520,42 @@ pub(crate) mod tests {
         let a = srv.session().unwrap();
         let b = srv.session().unwrap();
         assert!(Arc::ptr_eq(&a.planned.plan, &b.planned.plan), "same knobs must share the plan");
-        assert!(Arc::ptr_eq(&a.planned.preload, &b.planned.preload), "and the preload buffer");
+        assert!(Arc::ptr_eq(&a.planned.preloaded, &b.planned.preloaded), "and the preload buffer");
         let stats = srv.plan_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(srv.cached_plans(), 1);
+    }
+
+    /// The placement search runs once per plan, not once per planning
+    /// call: two opens on one knob set, and a retarget away and back,
+    /// register pointer-equal jobs, and the loads go with the last record.
+    #[test]
+    fn planning_calls_on_one_plan_register_pointer_equal_jobs() {
+        let srv = tiny_server(ServeConfig {
+            target: SimTime::from_ms(300),
+            preload_bytes: 0,
+            channels: 4,
+            ..ServeConfig::default()
+        });
+        let a = srv.session().unwrap();
+        let mut b = srv.session().unwrap();
+        assert!(!Arc::ptr_eq(&a.planned, &b.planned), "two planning calls");
+        let registered = |srv: &StiServer| -> Vec<Arc<[LayerIoJob]>> {
+            srv.inner.live_mix.read().sessions().map(|s| s.load.jobs.clone()).collect()
+        };
+        let jobs = registered(&srv);
+        assert!(!jobs[0].is_empty(), "the plan streams");
+        assert!(Arc::ptr_eq(&jobs[0], &jobs[1]), "one knob set registers one job list");
+        b.set_target(SimTime::from_ms(1_000)).unwrap();
+        assert!(!Arc::ptr_eq(&a.planned.loads, &b.planned.loads));
+        b.set_target(SimTime::from_ms(300)).unwrap();
+        assert!(Arc::ptr_eq(&a.planned.loads, &b.planned.loads), "a retarget on a cached plan");
+        let jobs = registered(&srv);
+        assert!(Arc::ptr_eq(&jobs[0], &jobs[1]));
+        let loads = Arc::downgrade(&a.planned.loads);
+        drop((a, b));
+        assert_eq!(srv.inner.preloads.len(), 0);
+        assert!(loads.upgrade().is_none(), "no table keeps a closed knob set's loads");
     }
 
     #[test]

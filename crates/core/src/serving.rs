@@ -30,7 +30,9 @@
 //! produce no outcome in either replay, and the decisions themselves are
 //! deterministic).
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -210,16 +212,20 @@ pub(crate) enum RowsOverflow {
 }
 
 /// Builds a [`RowStore`]: the one writer, which assigns row ids in order of
-/// first occurrence, so equal inputs give byte-identical stores.
+/// first occurrence, so equal inputs give byte-identical stores whatever
+/// the hasher does.
 ///
 /// Rows are found again through an open-addressing table of row ids keyed
 /// by the rows' tokens in the store itself, so interning allocates no block
 /// per row. A row is written at the end of the token buffer, then either
-/// kept as a new row or cut off again as a repeat.
+/// kept as a new row or cut off again as a repeat. Rows come from trace
+/// files, so they are hashed with std's randomly keyed hasher: no file can
+/// be crafted to collide.
 pub(crate) struct RowInterner {
     tokens: Vec<u32>,
     ends: Vec<u32>,
     ids: Vec<u32>,
+    hasher: RandomState,
     /// Row ids by hash, [`RowInterner::FREE`] where none sits: a power of
     /// two in length and at most half full, or empty before the first row.
     slots: Vec<u32>,
@@ -236,6 +242,7 @@ impl RowInterner {
             ends: Vec::with_capacity(engagements),
             ids: Vec::with_capacity(engagements),
             slots: vec![Self::FREE; slots],
+            hasher: RandomState::new(),
         }
     }
 
@@ -262,7 +269,7 @@ impl RowInterner {
         }
         let start = self.ends.last().map_or(0, |&end| end as usize);
         let mask = self.slots.len() - 1;
-        let mut slot = row_hash(&self.tokens[start..]) as usize & mask;
+        let mut slot = self.hasher.hash_one(&self.tokens[start..]) as usize & mask;
         while self.slots[slot] != Self::FREE && self.row(self.slots[slot]) != &self.tokens[start..]
         {
             slot = (slot + 1) & mask;
@@ -294,7 +301,7 @@ impl RowInterner {
         let mask = len - 1;
         self.slots = vec![Self::FREE; len];
         for id in 0..self.ends.len() as u32 {
-            let mut slot = row_hash(self.row(id)) as usize & mask;
+            let mut slot = self.hasher.hash_one(self.row(id)) as usize & mask;
             while self.slots[slot] != Self::FREE {
                 slot = (slot + 1) & mask;
             }
@@ -322,16 +329,6 @@ pub(crate) fn check_row_store(tokens: usize, engagements: usize) -> Result<(), R
     } else {
         Ok(())
     }
-}
-
-/// A row's hash for the interner's table: its length and tokens folded
-/// through a multiply-rotate mix, then the high half folded onto the low
-/// half that the table's mask keeps.
-fn row_hash(row: &[u32]) -> u64 {
-    let h = row.iter().fold(row.len() as u64, |h, &token| {
-        (h.rotate_left(5) ^ u64::from(token)).wrapping_mul(0x517C_C1B7_2722_0A95)
-    });
-    h ^ (h >> 32)
 }
 
 /// One client's slice of a trace: its knobs and its engagements in order.

@@ -56,7 +56,9 @@ use std::path::Path;
 
 use sti_device::SimTime;
 
-use crate::serving::{ClientTrace, Engagements, RowInterner, RowsOverflow, ServingTrace};
+use crate::serving::{
+    check_row_store, ClientTrace, Engagements, RowInterner, RowsOverflow, ServingTrace,
+};
 
 /// Errors from reading a JSON trace file.
 #[derive(Debug)]
@@ -518,6 +520,7 @@ pub fn parse_trace(text: &str) -> Result<ServingTrace, TraceFileError> {
             }
         }
     }
+    check_row_store(0, engagements).map_err(too_large)?;
     let mut rows = RowInterner::with_capacity(tokens, engagements);
     let mut pending = Vec::with_capacity(items.len());
     for (i, client) in items.iter().enumerate() {
@@ -543,7 +546,6 @@ pub fn load_trace(path: impl AsRef<Path>) -> Result<ServingTrace, TraceFileError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::check_row_store;
 
     /// A trace's row store counts in `u32`s: one more distinct token or
     /// engagement than they can count is a schema error, checked on the

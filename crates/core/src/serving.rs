@@ -142,7 +142,9 @@ impl<T: AsRef<[u32]>> FromIterator<T> for Engagements {
         let mut store = RowInterner::with_capacity(0, rows.size_hint().0);
         for row in rows {
             store.extend_row(row.as_ref());
-            store.finish_row().expect("a trace holds at most u32::MAX distinct tokens and rows");
+            store
+                .finish_row()
+                .expect("a trace holds at most u32::MAX distinct tokens and engagements");
         }
         let range = 0..store.engagements();
         Self::in_store(&store.share(), range)
@@ -196,10 +198,15 @@ pub(crate) struct RowStore {
 
 impl RowStore {
     fn row(&self, id: u32) -> &[u32] {
-        let id = id as usize;
-        let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
-        &self.tokens[start..self.ends[id] as usize]
+        row(&self.tokens, &self.ends, id)
     }
+}
+
+/// Row `id` of the rows `ends` closes in `tokens`.
+fn row<'a>(tokens: &'a [u32], ends: &[u32], id: u32) -> &'a [u32] {
+    let id = id as usize;
+    let start = if id == 0 { 0 } else { ends[id - 1] as usize };
+    &tokens[start..ends[id] as usize]
 }
 
 /// A trace too large for a [`RowStore`]'s `u32` offsets and ids.
@@ -290,9 +297,7 @@ impl RowInterner {
 
     /// A finished row of the store being written.
     fn row(&self, id: u32) -> &[u32] {
-        let id = id as usize;
-        let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
-        &self.tokens[start..self.ends[id] as usize]
+        row(&self.tokens, &self.ends, id)
     }
 
     /// Doubles the table and puts every row back.
@@ -393,7 +398,8 @@ impl ServingTrace {
             let start = rows.engagements();
             for e in 0..engagements {
                 rows.extend_row(row(c * engagements + e));
-                rows.finish_row().expect("a trace holds at most u32::MAX distinct tokens and rows");
+                rows.finish_row()
+                    .expect("a trace holds at most u32::MAX distinct tokens and engagements");
             }
             ranges.push(start..rows.engagements());
         }

@@ -83,7 +83,10 @@ pub struct Engagements {
 impl Engagements {
     /// The engagements `range` of a finished store's sequence names.
     pub(crate) fn in_store(rows: &Arc<RowStore>, range: Range<u32>) -> Self {
-        assert!(range.start <= range.end && range.end as usize <= rows.ids.len());
+        assert!(
+            range.start <= range.end && range.end as usize <= rows.ids.len(),
+            "a client's range lies in its trace's row ids"
+        );
         Self { rows: Arc::clone(rows), start: range.start, end: range.end }
     }
 

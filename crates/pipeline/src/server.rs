@@ -456,12 +456,8 @@ impl ServerInner {
         // store, and sessions resolving other knob sets must not wait
         // behind that.
         let preloaded = self.preloads.get_or_try_insert(&key, || {
-            let buffer = PreloadBuffer::fill(
-                plan.preload_budget_bytes,
-                &plan.preload,
-                &*self.cached_source,
-            )?;
-            Ok::<_, PipelineError>(Preloaded { buffer, plain_loads: OnceLock::new() })
+            PreloadBuffer::fill(plan.preload_budget_bytes, &plan.preload, &*self.cached_source)
+                .map(|buffer| Preloaded { buffer, plain_loads: OnceLock::new() })
         })?;
         Ok((plan, preloaded))
     }

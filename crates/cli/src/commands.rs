@@ -438,7 +438,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         Some(p) => format!(
             "{} budget {}KiB: prefetch hit rate {:.1}% — {} plans, \
              {} speculative jobs, {} B staged from flash, {} B pinned, \
-             {} B served to later misses, {} evictions",
+             {} B served to later misses, {} B reused, {} evictions",
             p.mode.label(),
             prefetch_budget >> 10,
             p.pool.hit_rate() * 100.0,
@@ -447,6 +447,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
             p.speculated_bytes,
             p.pinned_bytes,
             p.pool.hit_bytes,
+            p.pool.reuse_bytes,
             p.pool.evictions,
         ),
     };

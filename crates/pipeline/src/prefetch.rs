@@ -11,6 +11,13 @@
 //! always preempt it, gate decisions never read it, and a wrong prediction
 //! costs wasted bytes, never an SLO miss.
 //!
+//! The pool keeps a staged blob after a demand miss uses it, and a
+//! prediction of a shard already staged only refreshes its recency, so a
+//! job costs only the shards not staged yet: a working set predicted again
+//! and again is read from flash once, for as long as the pool's budget
+//! holds it, and a job that finds all of it staged leaves no trace in the
+//! speculative log.
+//!
 //! The driver owns the model and the key → working-set table; it returns
 //! jobs instead of submitting them, so it needs no scheduler. A working set
 //! is a plan and a stripe, never a preload buffer: the plan says what its
@@ -41,7 +48,7 @@ pub struct PrefetchReport {
     pub mode: PrefetchMode,
     /// Markov-model counters (observations, plans, rejections, feedback).
     pub model: PrefetcherStats,
-    /// Staging-pool counters (staged/pinned/hit bytes, evictions).
+    /// Staging-pool counters (staged/pinned/hit/reuse bytes, evictions).
     pub pool: PrefetchPoolStats,
     /// Speculative flash jobs dispatched so far.
     pub jobs: u64,

@@ -956,7 +956,8 @@ impl StiServer {
     /// the Markov model's observation/plan/feedback stats, the staging
     /// pool's hit accounting, and the speculative dispatch totals. The
     /// headline number is `report.pool.hit_rate()` — the fraction of
-    /// staged bytes a later demand miss actually consumed.
+    /// staged bytes a later demand miss actually used; the pool keeps a
+    /// used blob, and `report.pool.reuse_bytes` counts its later uses.
     pub fn prefetch_report(&self) -> Option<PrefetchReport> {
         let pf = self.inner.prefetch.as_ref()?;
         let (model, pool) = (pf.model_stats(), self.inner.shard_cache.prefetch_stats());

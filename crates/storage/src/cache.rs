@@ -26,15 +26,19 @@
 //! enter the main cache — they land in a bounded side pool with its own
 //! byte budget and LRU order, sized when the cache is built
 //! ([`ShardCache::with_prefetch_pool`]; [`ShardCache::new`] builds a
-//! zero-budget pool, which stages nothing). The demand path consults the
-//! pool only on a main-cache miss ([`ShardCache::get_or_load_tracked`]
-//! takes the staged blob and promotes it via the normal admission), so the
-//! main cache sees exactly the same mutation sequence it would without
-//! prefetch: speculation can never evict or reorder demand-resident state,
-//! which is what keeps prefetch fenced off from the determinism contract.
-//! A promoted blob counts as *resident* for the contended track's
-//! DRAM-residency pricing — that residency is the entire payoff of a
-//! correct prediction.
+//! zero-budget pool, which stages nothing). The pool is an LRU tier that
+//! only speculation fills: the demand path consults it only on a
+//! main-cache miss ([`ShardCache::get_or_load_tracked`] promotes the staged
+//! blob via the normal admission and *keeps* it staged, refreshing its
+//! recency), so the main cache sees exactly the same mutation sequence it
+//! would without prefetch: speculation can never evict or reorder
+//! demand-resident state, which is what keeps prefetch fenced off from the
+//! determinism contract. A promoted blob counts as *resident* for the
+//! contended track's DRAM-residency pricing — that residency is the entire
+//! payoff of a correct prediction. Because a hit keeps the blob, and a
+//! re-stage of a staged key refreshes it too, a working set predicted
+//! again and again is read from flash once, for as long as the pool's
+//! budget holds it.
 //!
 //! **One lock** guards both maps and their counters, so a lookup and its
 //! promotion, or a stage's staged/pinned check, is one critical section;
@@ -88,18 +92,24 @@ pub struct PrefetchPoolStats {
     /// Bytes of main-cache-resident blobs the pool took its own handle to
     /// ("pinned") at zero flash cost.
     pub pinned_bytes: u64,
-    /// Staged bytes a later demand miss actually consumed.
+    /// Bytes of staged blobs at their first demand use: each stage counts
+    /// once, so these never exceed the staged and pinned bytes.
     pub hit_bytes: u64,
-    /// Demand misses served from the pool (promote events).
+    /// Staged blobs a demand miss used for the first time (first promote
+    /// events).
     pub hits: u64,
-    /// Staged blobs evicted by the pool's own LRU before being used.
+    /// Bytes served by later demand misses of a blob the pool kept after
+    /// its first use: the flash reads that retention saved.
+    pub reuse_bytes: u64,
+    /// Staged blobs evicted by the pool's own LRU before their first use.
     pub evictions: u64,
     /// Bytes currently staged.
     pub resident_bytes: u64,
 }
 
 impl PrefetchPoolStats {
-    /// Fraction of staged bytes that a demand miss later consumed.
+    /// Fraction of staged bytes that a demand miss later used, in `[0, 1]`:
+    /// reuse of a blob already used counts in `reuse_bytes`, not here.
     pub fn hit_rate(&self) -> f64 {
         let staged = self.staged_flash_bytes + self.pinned_bytes;
         if staged == 0 {
@@ -110,11 +120,21 @@ impl PrefetchPoolStats {
     }
 }
 
+/// One resident blob. Its budgeted bytes are `blob.byte_size()`, read
+/// off the handle rather than stored, so an entry stays three words.
 #[derive(Debug)]
 struct CacheEntry {
     blob: QuantizedBlob,
-    bytes: u64,
     last_used: u64,
+    /// Whether a demand miss has used this staged blob. Only the staging
+    /// pool sets it; the main map marks no entry served.
+    served: bool,
+}
+
+impl CacheEntry {
+    fn bytes(&self) -> u64 {
+        self.blob.byte_size() as u64
+    }
 }
 
 /// A byte-budgeted LRU map of blob handles: the one recency discipline the
@@ -137,21 +157,26 @@ impl Lru {
         Self { budget, map: HashMap::new(), recency: BTreeMap::new(), used: 0, tick: 0 }
     }
 
-    /// Looks `key` up, refreshing its recency on a hit.
-    fn get(&mut self, key: ShardKey) -> Option<QuantizedBlob> {
+    /// Looks `key`'s entry up, refreshing its recency on a hit.
+    fn touch(&mut self, key: ShardKey) -> Option<&mut CacheEntry> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.map.get_mut(&key)?;
         let stale = std::mem::replace(&mut entry.last_used, tick);
-        let blob = entry.blob.clone();
         self.recency.remove(&stale);
         self.recency.insert(tick, key);
-        Some(blob)
+        Some(entry)
+    }
+
+    /// Looks `key` up, refreshing its recency on a hit.
+    fn get(&mut self, key: ShardKey) -> Option<QuantizedBlob> {
+        self.touch(key).map(|entry| entry.blob.clone())
     }
 
     /// Admits `blob`, replacing any entry under `key` and evicting
-    /// least-recently-used entries until it fits. Returns how many were
-    /// evicted, or `None` when the blob exceeds the whole budget (nothing
+    /// least-recently-used entries until it fits. Returns how many of the
+    /// evicted entries were never served (in the main map, every evicted
+    /// entry), or `None` when the blob exceeds the whole budget (nothing
     /// changes).
     fn insert(&mut self, key: ShardKey, blob: &QuantizedBlob) -> Option<u64> {
         let bytes = blob.byte_size() as u64;
@@ -165,21 +190,21 @@ impl Lru {
         while self.used + bytes > self.budget {
             let (_, victim) = self.recency.pop_first().expect("used > 0 implies a resident entry");
             let entry = self.map.remove(&victim).expect("victim is resident");
-            self.used -= entry.bytes;
-            evicted += 1;
+            self.used -= entry.bytes();
+            evicted += u64::from(!entry.served);
         }
         self.used += bytes;
         self.recency.insert(tick, key);
-        self.map.insert(key, CacheEntry { blob: blob.clone(), bytes, last_used: tick });
+        self.map.insert(key, CacheEntry { blob: blob.clone(), last_used: tick, served: false });
         Some(evicted)
     }
 
     /// Removes `key`'s entry, if resident.
-    fn remove(&mut self, key: ShardKey) -> Option<CacheEntry> {
-        let entry = self.map.remove(&key)?;
-        self.recency.remove(&entry.last_used);
-        self.used -= entry.bytes;
-        Some(entry)
+    fn remove(&mut self, key: ShardKey) {
+        if let Some(entry) = self.map.remove(&key) {
+            self.recency.remove(&entry.last_used);
+            self.used -= entry.bytes();
+        }
     }
 
     fn clear(&mut self) {
@@ -190,8 +215,9 @@ impl Lru {
 }
 
 /// Everything the cache's one lock guards: the main map, the staging pool
-/// (the same LRU with its own budget, whose entries leave by demand *take*
-/// rather than lookup) and both maps' counters.
+/// (the same LRU with its own budget, which only speculation fills and
+/// whose entries leave only by eviction: a demand use keeps and refreshes
+/// one) and both maps' counters.
 #[derive(Debug)]
 struct State {
     main: Lru,
@@ -216,6 +242,22 @@ impl State {
         if let Some(evicted) = self.main.insert(key, blob) {
             self.stats.evictions += evicted;
         }
+    }
+
+    /// A staging-pool lookup for a main-map miss. A staged blob stays
+    /// staged with its recency refreshed; its first demand use counts as a
+    /// hit, every later one as reuse.
+    fn serve_staged(&mut self, key: ShardKey) -> Option<QuantizedBlob> {
+        let staged = self.pool.touch(key)?;
+        let reused = std::mem::replace(&mut staged.served, true);
+        let (blob, bytes) = (staged.blob.clone(), staged.bytes());
+        if reused {
+            self.pool_stats.reuse_bytes += bytes;
+        } else {
+            self.pool_stats.hits += 1;
+            self.pool_stats.hit_bytes += bytes;
+        }
+        Some(blob)
     }
 }
 
@@ -332,12 +374,11 @@ impl ShardCache {
             // promoted through the normal admission, so the main map
             // mutates exactly as it would have after `source.load` — but
             // the bytes are already resident, which is what the contended
-            // track's residency flag records.
-            if let Some(staged) = state.pool.remove(key) {
-                state.pool_stats.hits += 1;
-                state.pool_stats.hit_bytes += staged.bytes;
-                state.admit(key, &staged.blob);
-                return Ok((Some(staged.blob), true));
+            // track's residency flag records. The pool keeps its handle,
+            // so the next miss on this key is served again.
+            if let Some(blob) = state.serve_staged(key) {
+                state.admit(key, &blob);
+                return Ok((Some(blob), true));
             }
             if defer.is_some_and(|size| size > state.main.budget) {
                 return Ok((None, false));
@@ -355,13 +396,15 @@ impl ShardCache {
     }
 
     /// Stages one shard for a predicted engagement and reports what it cost:
-    /// `(flash_bytes, pinned_bytes)`. Pool-resident shards cost nothing;
-    /// main-cache-resident shards are "pinned" — the pool takes its own
-    /// handle (zero flash bytes; it survives a later demand eviction); cold
-    /// shards are read from `source` and charged as flash bytes. The
-    /// main-map probe is a pure peek: no recency refresh, no hit/miss
-    /// counting, so demand-visible cache state is untouched. A shard the
-    /// pool's budget cannot hold is not staged and costs `(0, 0)`.
+    /// `(flash_bytes, pinned_bytes)`. Pool-resident shards cost nothing and
+    /// have their pool recency refreshed, so a working set predicted again
+    /// outlives older stages; main-cache-resident shards are "pinned" — the
+    /// pool takes its own handle (zero flash bytes; it survives a later
+    /// demand eviction); cold shards are read from `source` and charged as
+    /// flash bytes. The main-map probe is a pure peek: no recency refresh,
+    /// no hit/miss counting, so demand-visible cache state is untouched. A
+    /// shard the pool's budget cannot hold is not staged and costs
+    /// `(0, 0)`.
     ///
     /// # Errors
     ///
@@ -372,8 +415,8 @@ impl ShardCache {
         key: ShardKey,
     ) -> Result<(u64, u64), StorageError> {
         let pinned = {
-            let state = self.state.lock();
-            if state.pool.map.contains_key(&key) {
+            let mut state = self.state.lock();
+            if state.pool.touch(key).is_some() {
                 return Ok((0, 0));
             }
             state.main.map.get(&key).map(|e| e.blob.clone())
@@ -451,6 +494,7 @@ mod tests {
     use super::*;
     use crate::store::ShardStore;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use sti_quant::{Bitwidth, QuantConfig};
     use sti_transformer::{Model, ModelConfig, ShardId};
 
@@ -522,9 +566,10 @@ mod tests {
         assert_eq!(main, 2 * each);
         assert!(pool <= staged);
         assert_eq!(pool, cache.prefetch_stats().resident_bytes);
-        // A demand miss promotes the staged blob: its bytes change budgets.
+        // A demand miss promotes the staged blob and the pool keeps it: its
+        // bytes count once in each budget.
         cache.get_or_load(&*store, key(1, 1, Bitwidth::B2)).unwrap();
-        assert_eq!(cache.resident_bytes().1, 0);
+        assert_eq!(cache.resident_bytes().1, pool);
         assert!(cache.resident_bytes().0 <= cache.capacity());
     }
 
@@ -586,17 +631,109 @@ mod tests {
         // Main cache untouched by speculation.
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), ShardCacheStats::default());
-        // Demand miss promotes: resident flag set, pool drained, hit counted.
+        // Demand miss promotes: resident flag set, blob kept staged, hit
+        // counted.
         let (_, resident) = cache.get_or_load_tracked(&*store, k, None).unwrap();
         assert!(resident, "staged blob counts as resident");
         let ps = cache.prefetch_stats();
         assert_eq!(ps.hits, 1);
         assert_eq!(ps.hit_bytes, flash);
-        assert_eq!(ps.resident_bytes, 0);
+        assert_eq!(ps.reuse_bytes, 0);
+        assert_eq!(ps.resident_bytes, flash);
         // The promote went through the normal insert path.
         assert_eq!(cache.len(), 1);
         // Off-run parity: the miss was still counted as a miss.
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    /// A [`ShardSource`] that counts its loads: every one is a flash read.
+    struct CountingSource {
+        inner: Arc<dyn ShardSource>,
+        loads: AtomicU64,
+    }
+
+    impl CountingSource {
+        fn new(inner: Arc<dyn ShardSource>) -> Self {
+            Self { inner, loads: AtomicU64::new(0) }
+        }
+
+        fn loads(&self) -> u64 {
+            self.loads.load(Ordering::Relaxed)
+        }
+    }
+
+    impl ShardSource for CountingSource {
+        fn load(&self, key: ShardKey) -> Result<QuantizedBlob, StorageError> {
+            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.inner.load(key)
+        }
+
+        fn size_bytes(&self, key: ShardKey) -> Result<u64, StorageError> {
+            self.inner.size_bytes(key)
+        }
+    }
+
+    /// A source of `count` keys that all hold [`uniform_blob`].
+    fn uniform_blobs(count: u16) -> (SizedBlobs, u64) {
+        let blob = uniform_blob();
+        let each = blob.byte_size() as u64;
+        let blobs = (0..count).map(|slice| (key(0, slice, Bitwidth::B2), blob.clone())).collect();
+        (SizedBlobs(blobs), each)
+    }
+
+    #[test]
+    fn one_stage_serves_every_demand_miss_with_one_flash_read() {
+        const MISSES: u64 = 5;
+        let source = CountingSource::new(store());
+        // A zero-budget main map admits nothing, so every demand read misses it.
+        let cache = ShardCache::with_prefetch_pool(0, 1 << 20);
+        let k = key(0, 0, Bitwidth::B2);
+        let (flash, _) = cache.prefetch_load(&source, k).unwrap();
+        for _ in 0..MISSES {
+            let (_, resident) = cache.get_or_load_tracked(&source, k, None).unwrap();
+            assert!(resident, "the pool kept the staged blob");
+        }
+        assert_eq!(source.loads(), 1, "only the stage read flash");
+        let ps = cache.prefetch_stats();
+        assert_eq!((ps.hits, ps.hit_bytes), (1, flash), "a stage's first use is its one hit");
+        assert_eq!(ps.reuse_bytes, (MISSES - 1) * flash);
+        assert_eq!(ps.hit_rate(), 1.0);
+        assert_eq!(cache.stats().misses, MISSES, "off-run parity: each was a main-map miss");
+    }
+
+    #[test]
+    fn a_restage_refreshes_recency_so_the_key_outlives_an_older_stage() {
+        let (source, each) = uniform_blobs(3);
+        let source = CountingSource::new(Arc::new(source));
+        let [a, b, c] = [0, 1, 2].map(|slice| key(0, slice, Bitwidth::B2));
+        // Room for exactly two staged blobs.
+        let cache = ShardCache::with_prefetch_pool(0, 2 * each);
+        cache.prefetch_load(&source, a).unwrap();
+        cache.prefetch_load(&source, b).unwrap();
+        assert_eq!(cache.prefetch_load(&source, a).unwrap(), (0, 0), "a re-stage is free");
+        // `b` is now the older stage, so staging `c` evicts it, not `a`.
+        cache.prefetch_load(&source, c).unwrap();
+        assert_eq!(source.loads(), 3);
+        assert!(cache.get_or_load_tracked(&source, a, None).unwrap().1, "`a` is still staged");
+        assert!(!cache.get_or_load_tracked(&source, b, None).unwrap().1, "`b` was evicted");
+        assert_eq!(cache.prefetch_stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_blob_evicted_after_it_was_served_is_not_a_wasted_eviction() {
+        let (source, each) = uniform_blobs(3);
+        let [a, b, c] = [0, 1, 2].map(|slice| key(0, slice, Bitwidth::B2));
+        // Room for one staged blob.
+        let cache = ShardCache::with_prefetch_pool(0, each);
+        cache.prefetch_load(&source, a).unwrap();
+        cache.get_or_load(&source, a).unwrap();
+        // Staging `b` evicts `a`, which a demand miss had already used.
+        cache.prefetch_load(&source, b).unwrap();
+        assert_eq!(cache.prefetch_stats().evictions, 0);
+        // Staging `c` evicts `b`, which nothing used.
+        cache.prefetch_load(&source, c).unwrap();
+        let ps = cache.prefetch_stats();
+        assert_eq!((ps.evictions, ps.hits, ps.resident_bytes), (1, 1, each));
     }
 
     #[test]

@@ -353,8 +353,9 @@ impl IoScheduler {
     /// Submits a background-class prefetch job. It dispatches only when no
     /// demand request is dispatchable on its device channel (demand always
     /// preempts queued speculation), stages its shards into the shard
-    /// cache's prefetch pool, and logs a speculative event — never a demand
-    /// event. A no-op after shutdown.
+    /// cache's prefetch pool, and logs a speculative event if it staged or
+    /// pinned anything (a job whose shards were all staged already only
+    /// refreshes them) — never a demand event. A no-op after shutdown.
     pub fn submit_speculative(&self, job: SpeculativeJob) {
         let mut state = self.shared.lock_state();
         if !state.shutdown {

@@ -117,10 +117,11 @@
 //! windows** the demand replay left on each device channel — real
 //! channel time and real flash bytes, but demand completions are inputs
 //! to that pricing, so speculation cannot move a demand latency by
-//! construction. A later demand miss takes the staged blob out of the
-//! pool (with `dram_residency` on, at DRAM speed on the contended
-//! track); a wrong prediction costs only the wasted bytes and silences
-//! its edge. The fence is pinned by `tests/serving_prefetch.rs`:
+//! construction. A later demand miss is served from the pool (with
+//! `dram_residency` on, at DRAM speed on the contended track), which
+//! keeps the blob, so a recurring prediction reads its working set from
+//! flash once; a wrong prediction costs only the wasted bytes and
+//! silences its edge. The fence is pinned by `tests/serving_prefetch.rs`:
 //! outcomes, contended rows, whole gate decisions, and SLO verdicts are
 //! bit-identical to the prefetch-off run (the gate takes the open-session
 //! registry and nothing else, so no scheduler state — speculative or

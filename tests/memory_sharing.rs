@@ -846,7 +846,15 @@ fn a_bare_replay_does_not_assemble_the_span_stream() {
 /// speculative dispatch log where it lies, so the bytes they request do not
 /// grow with the log — 15 375 B at 100 speculative jobs and at 400. Each
 /// used to copy the whole log: 29 775 B at 100 jobs, 72 975 B at 400.
+///
+/// The staging pool keeps what demand hits, so a session that repeats one
+/// engagement stops speculating once its working set is staged. The log
+/// grows here because the session alternates two knob sets whose streamed
+/// working sets together overflow the 64 KiB pool: each prediction finds
+/// the other set's stage evicted and reads it again.
 fn reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log() {
+    /// Engagements the pin may run before it gives up on the log growing.
+    const ENGAGEMENTS: usize = 1_000;
     let ctx = TaskContext::with_config(TaskKind::Sst2, ModelConfig::tiny());
     let serve = ServeConfig {
         preload_bytes: 0,
@@ -855,13 +863,22 @@ fn reading_the_prefetch_totals_requests_no_more_for_a_longer_speculative_log() {
         ..ServeConfig::default()
     };
     let server = build_server(&ctx, &serve);
-    let session = server.session().unwrap();
+    let mut session = server.session().unwrap();
+    let targets = [SimTime::from_ms(100), SimTime::from_ms(400)];
     let jobs = || server.prefetch_report().expect("prefetch is on").jobs;
     let read_totals =
         || heap_across(|| (server.metrics_snapshot(), server.prefetch_report())).1.requested;
-    let read_at = |n: u64| {
+    let mut engagements = 0;
+    let mut read_at = |n: u64| {
         while jobs() < n {
+            assert!(
+                engagements < ENGAGEMENTS,
+                "{engagements} engagements logged {} speculative jobs, short of {n}",
+                jobs()
+            );
+            session.set_target(targets[engagements % targets.len()]).unwrap();
             session.infer(&[1, 2, 3]).unwrap();
+            engagements += 1;
         }
         // The first read names the `prefetch.*` gauges; the second is the pin.
         read_totals();

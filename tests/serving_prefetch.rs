@@ -97,9 +97,10 @@ fn recurrent_fixture_prefetch_pays_without_hurting_the_demand_track() {
 /// demand reads that arrived before *any* staging job could have finished
 /// (a stage's unpriced end, arrival plus service, is the earliest its
 /// priced finish can be). With a 1 KiB main cache every hit byte here is a
-/// pool hit. Pricing a hit no earlier than its staging would bring this to
-/// zero and move `recurrent_think`; until then the assertion states the
-/// finding.
+/// pool hit: a staged blob's first use or a later reuse of it, since the
+/// pool keeps what demand hits. Pricing a hit no earlier than its staging
+/// would bring this to zero and move `recurrent_think`; until then the
+/// assertion states the finding.
 #[test]
 fn recurrent_fixture_serves_pool_hits_staged_after_the_demand_arrived() {
     let ctx = ctx();
@@ -122,12 +123,54 @@ fn recurrent_fixture_serves_pool_hits_staged_after_the_demand_arrived() {
     let early: u64 =
         dispatches.iter().filter(|s| s.start_us < first_staged).map(|s| hit_bytes(s)).sum();
     let pool = on.prefetch.as_ref().expect("markov replay carries a prefetch report").pool;
-    assert_eq!(hit, pool.hit_bytes, "with a 1 KiB main cache every resident byte is a pool hit");
+    assert_eq!(
+        hit,
+        pool.hit_bytes + pool.reuse_bytes,
+        "with a 1 KiB main cache every resident byte is a pool hit or reuse"
+    );
     assert!(
         early > 0,
         "{early} of {hit} pool-hit bytes were read before any staging job could have finished \
          (first at {first_staged} us), and are priced as resident all the same"
     );
+}
+
+/// The staging pool keeps what demand hits. A session that runs one
+/// engagement over and over is predicted its own working set after every
+/// completion; once the first staging has read it, each re-stage finds it
+/// staged, so the session's speculated flash bytes stop growing while its
+/// demand side stays exactly as prefetch off leaves it.
+#[test]
+fn a_self_recurrent_session_reads_its_predicted_working_set_from_flash_once() {
+    const ENGAGEMENTS: usize = 24;
+    let ctx = ctx();
+    let run = |markov: bool| {
+        let server = build_server(&ctx, &serve_config(markov, false, BackpressureMode::Off));
+        let session = server.session().unwrap();
+        let mut speculated = Vec::with_capacity(ENGAGEMENTS);
+        let outcomes: Vec<_> = (0..ENGAGEMENTS)
+            .map(|_| {
+                let outcome = session.infer(&[1, 2, 3]).unwrap().outcome;
+                speculated.push(server.prefetch_report().map_or(0, |r| r.speculated_bytes));
+                (outcome.logits, outcome.class, outcome.timeline, outcome.loaded_bytes)
+            })
+            .collect();
+        (outcomes, speculated, server.prefetch_report())
+    };
+    let (off, _, _) = run(false);
+    let (on, speculated, report) = run(true);
+    assert_eq!(on, off, "speculation must not move a demand outcome");
+    let first = speculated
+        .iter()
+        .position(|&bytes| bytes > 0)
+        .expect("the session's recurrence is predicted and staged");
+    assert!(
+        speculated[first..].iter().all(|&bytes| bytes == speculated[first]),
+        "speculated flash bytes after each engagement: {speculated:?}"
+    );
+    let pool = report.expect("prefetch is on").pool;
+    assert!(pool.reuse_bytes > 0, "later misses reuse the kept stage: {pool:?}");
+    assert!(pool.hit_rate() <= 1.0, "{pool:?}");
 }
 
 #[test]

@@ -74,4 +74,6 @@ pub use flash_queue::{
 };
 pub use profile::DeviceProfile;
 pub use profiler::HwProfile;
-pub use topology::{content_sig, mix64, BalancedStripes, DeviceTopology, IoSharing, LaneRead};
+pub use topology::{
+    content_sig, mix64, BalancedStripes, DeviceTopology, IoSharing, LaneRead, PickLanes, Picked,
+};

@@ -7,8 +7,8 @@
 //! placement picks from, and
 //! [`TopologyQueueSim`](crate::flash_queue::TopologyQueueSim) serves one
 //! FIFO queue per channel. [`IoSharing::coalesces`] is the one rule for
-//! which reads of co-resident engagements share one flash job: the IO
-//! scheduler batches by it, and the contended predictor groups by it.
+//! which reads share one flash job, and [`IoSharing::pick`] the one loop
+//! the IO scheduler and the contended predictor apply it with.
 //!
 //! **Naming.** "Device channel" here is a hardware lane of the flash
 //! package — distinct from the *engagement IO lanes* (`IoChannel` in
@@ -259,6 +259,52 @@ impl IoSharing {
             && topology.channel_for(sig, leader.stripe) == topology.channel_for(sig, member.stripe)
     }
 
+    /// The one pick loop: the next flash job of `lanes`, whose leader is
+    /// the first lane in `turn` with a head on device channel `only` (any,
+    /// for `None`). A head on another channel goes to the back of `turn`; a
+    /// lane without one leaves it. Every other lane whose head
+    /// [`coalesces`](IoSharing::coalesces) with the leader's joins, and
+    /// `members` is refilled with them in ascending key order. The batch
+    /// arrives at its latest participant's cursor (the job exists once its
+    /// last member has), every participant is raised to it, and members
+    /// leave `turn`; requeueing the participants is the caller's.
+    pub fn pick<L: PickLanes>(
+        self,
+        topology: DeviceTopology,
+        lanes: &mut L,
+        turn: &mut std::collections::VecDeque<L::Key>,
+        only: Option<u16>,
+        members: &mut Vec<L::Key>,
+    ) -> Option<Picked<L::Key>> {
+        members.clear();
+        for _ in 0..turn.len() {
+            let key = turn.pop_front()?;
+            let Some((leader, sig)) = lanes.head(key) else { continue };
+            let device_channel = topology.channel_for(sig, leader.stripe);
+            if only.is_some_and(|dc| dc != device_channel) {
+                turn.push_back(key);
+                continue;
+            }
+            // Exclusive reads never join one another: skip the scan.
+            if self.window().is_some() {
+                let joins = |m| {
+                    lanes
+                        .head(m)
+                        .is_some_and(|(head, _)| self.coalesces(topology, sig, &leader, &head))
+                };
+                members.extend(lanes.keys().filter(|&m| m != key && joins(m)));
+                members.sort_unstable();
+            }
+            let arrival = members.iter().fold(lanes.take(key), |a, &m| a.max(lanes.take(m)));
+            members.iter().chain([&key]).for_each(|&m| lanes.raise(m, arrival));
+            if !members.is_empty() {
+                turn.retain(|q| !members.contains(q));
+            }
+            return Some(Picked { leader: key, device_channel, arrival });
+        }
+        None
+    }
+
     /// The stripes a session without an SLO placement picks from, for a
     /// plan whose layers stream `layers` in order (`Some((sig, service))`,
     /// `None` for a layer the preload covers) and compute `comp` each.
@@ -322,8 +368,49 @@ pub struct LaneRead<'a, C: ?Sized> {
     pub arrival: SimTime,
 }
 
+/// The engagement lanes [`IoSharing::pick`] picks from: each lane's next
+/// read, and its cursor (the arrival its next job is stamped with). Keys
+/// order a batch's members, so the holders' key orders must agree: the IO
+/// scheduler's are lane ids, in opening order, and the contended
+/// predictor's registry token order, the candidate last. They agree where
+/// lanes open in token order, as in `tests/contention_model.rs`. Where a
+/// live server opens them otherwise, the two differ in their inputs, not
+/// in the pick, and the prediction audit (ROADMAP item 34) names that.
+pub trait PickLanes {
+    /// A lane's name.
+    type Key: Copy + Ord;
+    /// What a read fetches; equal contents are byte-identical reads.
+    type Content: PartialEq + ?Sized;
+
+    /// Every lane, in any order.
+    fn keys(&self) -> impl Iterator<Item = Self::Key> + '_;
+
+    /// Lane `key`'s next read and its content signature, or `None` when it
+    /// has nothing to dispatch now (nothing queued, or a job in flight).
+    fn head(&self, key: Self::Key) -> Option<(LaneRead<'_, Self::Content>, u64)>;
+
+    /// Takes lane `key`'s head into the picked job; returns its cursor.
+    fn take(&mut self, key: Self::Key) -> SimTime;
+
+    /// Raises lane `key`'s cursor to a batch's `arrival`.
+    fn raise(&mut self, key: Self::Key, arrival: SimTime);
+}
+
+/// What [`IoSharing::pick`] picked, besides its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Picked<K> {
+    /// The lane whose turn it was.
+    pub leader: K,
+    /// Where placement put the leader's read, and every member's.
+    pub device_channel: u16,
+    /// The batch arrival: the latest participant's cursor.
+    pub arrival: SimTime,
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     /// A fixed plan's layer reads: layer `l` reads `l % 4 + 1` slices, slice
@@ -559,5 +646,165 @@ mod tests {
         assert!(batched.shares(us(600), us(100)), "the test is symmetric");
         assert!(!batched.shares(us(0), us(501)));
         assert!(!IoSharing::Exclusive.shares(us(0), us(0)), "exclusive never shares");
+    }
+
+    /// A lane holder for [`IoSharing::pick`]'s tests: lane `k` is `0[k]`.
+    /// Its keys come out in descending order, so only the pick's sort puts
+    /// members in key order.
+    struct Held(Vec<HeldLane>);
+
+    /// One held lane: its one queued read, its stripe, when it opened, its
+    /// cursor, and whether a job of it is in flight (then it has no head).
+    struct HeldLane {
+        read: Option<&'static str>,
+        stripe: u16,
+        opened: SimTime,
+        cursor: SimTime,
+        busy: bool,
+    }
+
+    impl PickLanes for Held {
+        type Key = usize;
+        type Content = str;
+
+        fn keys(&self) -> impl Iterator<Item = usize> + '_ {
+            (0..self.0.len()).rev()
+        }
+
+        /// A read's signature is its length, so `"a"` and `"b"` share one.
+        fn head(&self, k: usize) -> Option<(LaneRead<'_, str>, u64)> {
+            let lane = self.0.get(k).filter(|lane| !lane.busy)?;
+            let content = lane.read?;
+            let read = LaneRead { content, stripe: lane.stripe, arrival: lane.opened };
+            Some((read, content.len() as u64))
+        }
+
+        fn take(&mut self, k: usize) -> SimTime {
+            self.0[k].read = None;
+            self.0[k].cursor
+        }
+
+        fn raise(&mut self, k: usize, arrival: SimTime) {
+            self.0[k].cursor = arrival;
+        }
+    }
+
+    /// A lane opened at `us` µs on stripe 0, its cursor there, that reads
+    /// `content`.
+    fn held(content: &'static str, us: u64) -> HeldLane {
+        let at = SimTime::from_us(us);
+        HeldLane { read: Some(content), stripe: 0, opened: at, cursor: at, busy: false }
+    }
+
+    /// One pick over `lanes` with the turn queue `turn`: what it picked,
+    /// its members, and the turn queue it left.
+    fn pick_once(
+        sharing: IoSharing,
+        topology: DeviceTopology,
+        lanes: &mut Held,
+        turn: &[usize],
+        only: Option<u16>,
+    ) -> (Option<Picked<usize>>, Vec<usize>, Vec<usize>) {
+        let mut turn: VecDeque<usize> = turn.iter().copied().collect();
+        let mut members = vec![99];
+        let picked = sharing.pick(topology, lanes, &mut turn, only, &mut members);
+        (picked, members, turn.into())
+    }
+
+    /// Sharing with a 100 µs window.
+    fn batched() -> IoSharing {
+        IoSharing::Batched(SimTime::from_us(100))
+    }
+
+    #[test]
+    fn a_filtered_pick_sends_the_other_channels_heads_to_the_back() {
+        let two = DeviceTopology::with_channels(2);
+        // Signature 1 (a one-byte read) lands on another channel from
+        // stripe `away` than from stripe 0.
+        let away = (1..).find(|&s| two.channel_for(1, s) != two.channel_for(1, 0)).unwrap();
+        let here = two.channel_for(1, 0);
+        for sharing in [IoSharing::Exclusive, batched()] {
+            let mut lanes = Held(vec![held("a", 0), held("a", 0), held("a", 0)]);
+            lanes.0[0].stripe = away;
+            lanes.0[2].stripe = away;
+            let (picked, members, turn) =
+                pick_once(sharing, two, &mut lanes, &[0, 1, 2], Some(here));
+            let picked = picked.unwrap();
+            assert_eq!((picked.leader, picked.device_channel), (1, here), "{sharing:?}");
+            assert!(members.is_empty(), "{sharing:?}: the other channel's heads do not join");
+            assert_eq!(turn, [2, 0], "{sharing:?}: lane 0 went to the back");
+            let (again, _, turn) = pick_once(sharing, two, &mut lanes, &turn, Some(here));
+            assert_eq!((again, turn), (None, vec![2, 0]), "{sharing:?}: nothing left here");
+        }
+    }
+
+    #[test]
+    fn members_join_in_key_order_whatever_the_turn_and_iteration_orders() {
+        for turn in [[3, 1, 0, 2], [0, 3, 2, 1], [2, 0, 1, 3]] {
+            let mut lanes = Held((0..4).map(|_| held("a", 0)).collect());
+            let (picked, members, _) =
+                pick_once(batched(), DeviceTopology::single(), &mut lanes, &turn, None);
+            let leader = turn[0];
+            assert_eq!(picked.unwrap().leader, leader);
+            let rest: Vec<usize> = (0..4).filter(|&k| k != leader).collect();
+            assert_eq!(members, rest, "turn {turn:?}");
+        }
+    }
+
+    #[test]
+    fn the_window_is_tested_on_opening_arrivals_not_on_raised_cursors() {
+        // Lane 0's cursor was raised far past the window by an earlier
+        // batch; lane 2 opened outside it, though its cursor is inside.
+        let mut lanes = Held(vec![held("a", 0), held("a", 50), held("a", 300)]);
+        lanes.0[0].cursor = SimTime::from_us(1_000);
+        lanes.0[2].cursor = SimTime::from_us(1_000);
+        let (picked, members, _) =
+            pick_once(batched(), DeviceTopology::single(), &mut lanes, &[0, 1, 2], None);
+        assert_eq!(picked.unwrap().leader, 0);
+        assert_eq!(members, [1]);
+    }
+
+    #[test]
+    fn the_batch_arrives_at_the_latest_cursor_and_raises_every_participant() {
+        let mut lanes = Held(vec![held("a", 10), held("a", 70), held("b", 90), held("a", 40)]);
+        let (picked, members, _) =
+            pick_once(batched(), DeviceTopology::single(), &mut lanes, &[0, 1, 2, 3], None);
+        let picked = picked.unwrap();
+        assert_eq!((picked.leader, members), (0, vec![1, 3]));
+        assert_eq!(picked.arrival, SimTime::from_us(70));
+        let cursors: Vec<u64> = lanes.0.iter().map(|l| l.cursor.as_us()).collect();
+        assert_eq!(cursors, [70, 70, 90, 70], "every participant, and no one else, is raised");
+    }
+
+    #[test]
+    fn members_leave_the_turn_queue() {
+        let mut lanes = Held(vec![held("a", 0), held("b", 0), held("a", 0), held("b", 0)]);
+        let (picked, members, turn) =
+            pick_once(batched(), DeviceTopology::single(), &mut lanes, &[0, 1, 2, 3], None);
+        assert_eq!((picked.unwrap().leader, members), (0, vec![2]));
+        assert_eq!(turn, [1, 3]);
+    }
+
+    #[test]
+    fn a_lane_without_a_head_neither_leads_nor_joins() {
+        let mut lanes = Held(vec![held("a", 0), held("a", 0), held("a", 0)]);
+        lanes.0[0].busy = true;
+        lanes.0[2].busy = true;
+        let (picked, members, turn) =
+            pick_once(batched(), DeviceTopology::single(), &mut lanes, &[0, 1, 2], None);
+        assert_eq!(picked.unwrap().leader, 1);
+        assert!(members.is_empty());
+        assert_eq!(turn, [2], "a lane without a head leaves its turn");
+    }
+
+    #[test]
+    fn exclusive_sharing_never_batches() {
+        let mut lanes = Held(vec![held("a", 0), held("a", 20)]);
+        let (picked, members, turn) =
+            pick_once(IoSharing::Exclusive, DeviceTopology::single(), &mut lanes, &[0, 1], None);
+        let picked = picked.unwrap();
+        assert_eq!((picked.leader, picked.arrival), (0, SimTime::ZERO));
+        assert!(members.is_empty());
+        assert_eq!((turn, lanes.0[1].cursor), (vec![1], SimTime::from_us(20)));
     }
 }

@@ -73,13 +73,13 @@
 //! Under [`IoSharing::Batched`] a later lane can raise the candidate's
 //! cursor, so every lane's jobs are grouped into reads, each at its latest
 //! member's arrival, and one sort by `(arrival, submission)` orders every
-//! channel's fold. The grouping is the IO scheduler's own pick loop run
-//! over fully queued lanes: round-robin turns, every lane whose next job
-//! [`IoSharing::coalesces`] with the picked one joining it in lane order,
-//! and joined lanes re-entering the turn queue behind the others, as the
-//! scheduler delivers them. The delay search's drains are the fold with
-//! nothing after it, in both modes. Only the contention ledger's replay of
-//! a live run still runs the simulator.
+//! channel's fold. The grouping is the IO scheduler's own pick loop,
+//! [`IoSharing::pick`], run over fully queued lanes: round-robin turns,
+//! every lane whose next job [`IoSharing::coalesces`] with the picked one
+//! joining it in lane order, and joined lanes re-entering the turn queue
+//! behind the others, as the scheduler delivers them. The delay search's
+//! drains are the fold with nothing after it, in both modes. Only the
+//! contention ledger's replay of a live run still runs the simulator.
 //!
 //! # Device-channel placement
 //!
@@ -153,7 +153,9 @@ use std::collections::{HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use sti_device::{content_sig, mix64, DeviceTopology, HwProfile, IoSharing, LaneRead, SimTime};
+use sti_device::{
+    content_sig, mix64, DeviceTopology, HwProfile, IoSharing, LaneRead, PickLanes, SimTime,
+};
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
@@ -949,16 +951,13 @@ fn fold_predict(
     contended_makespan(a, &io_ends, load.comp)
 }
 
-/// The grouping behind a batched prediction: the IO scheduler's pick loop
-/// (see the module docs) over the lanes arriving by `cutoff` (all of them
+/// The grouping behind a batched prediction: the IO scheduler's pick loop,
+/// [`IoSharing::pick`], over the lanes arriving by `cutoff` (all of them
 /// for `None`) and then the candidate, every job queued up front. Leaves
 /// the reads in `arena.reads`, in dispatch order, and hands each dispatch's
-/// lane, members and read to `on_dispatch`.
-///
-/// A batch raises every member's cursor to its arrival (the job exists
-/// only once its last member has arrived), as the scheduler raises
-/// effective arrivals, so per-lane FIFO survives the replay. The window is
-/// tested on the lanes' opening arrivals, never on raised cursors.
+/// lane, members and read to `on_dispatch`. Fully queued means delivered
+/// at once, so each participant with a job left re-enters the turn queue
+/// as soon as it is picked, members first, as the scheduler delivers them.
 fn group_rounds(
     arena: &mut LaneArena,
     lanes: &[Lane],
@@ -971,17 +970,6 @@ fn group_rounds(
     let LaneArena { candidate, heads, turn, members, reads, .. } = arena;
     candidate.clear();
     candidate.extend(load.jobs.iter().enumerate().filter_map(|(k, j)| j.map(|j| (k, j))));
-    // Lane `e` of `lanes`, or the candidate at `lanes.len()`: its job
-    // `i` and its read of it.
-    let candidate_id = lanes.len();
-    let job = |e: usize, i: usize| match lanes.get(e) {
-        Some(lane) => lane.load.jobs.get(i),
-        None => candidate.get(i).map(|(_, j)| j),
-    };
-    let read = |e: usize, content| match lanes.get(e) {
-        Some(lane) => LaneRead { content, stripe: lane.load.stripe, arrival: lane.arrival },
-        None => LaneRead { content, stripe: load.stripe, arrival: load.arrival },
-    };
     // Per lane, its next job and its cursor. A lane arriving after the
     // cutoff starts past its last job, so it neither turns nor joins.
     heads.clear();
@@ -990,51 +978,76 @@ fn group_rounds(
         (next, l.arrival)
     }));
     heads.push((0, load.arrival));
-    turn.clear();
-    turn.extend((0..heads.len()).filter(|&e| job(e, heads[e].0).is_some()));
     reads.clear();
     reads.reserve(
         heads.iter().zip(lanes).map(|(h, l)| l.load.jobs.len() - h.0).sum::<usize>()
             + candidate.len(),
     );
-    while let Some(e) = turn.pop_front() {
-        let Some(lead) = job(e, heads[e].0) else { continue };
-        heads[e].0 += 1;
-        let (leader, mut arrival) = (read(e, lead), heads[e].1);
-        members.clear();
-        // Exclusive reads never join one another: skip the scan.
-        if sharing.window().is_some() {
-            members.extend((0..heads.len()).filter(|&m| {
-                m != e
-                    && job(m, heads[m].0).is_some_and(|head| {
-                        sharing.coalesces(topology, lead.sig, &leader, &read(m, head))
-                    })
-            }));
-            for &m in members.iter() {
-                heads[m].0 += 1;
-                arrival = arrival.max(heads[m].1);
-            }
-            if !members.is_empty() {
-                for &m in members.iter().chain([&e]) {
-                    heads[m].1 = arrival;
-                }
-                turn.retain(|q| !members.contains(q));
-            }
-        }
+    let candidate_id = lanes.len();
+    let mut queued = Queued { lanes, load, candidate, heads };
+    turn.clear();
+    turn.extend((0..=candidate_id).filter(|&e| queued.head(e).is_some()));
+    while let Some(picked) = sharing.pick(topology, &mut queued, turn, None, members) {
+        let e = picked.leader;
         let rides = e == candidate_id || members.contains(&candidate_id);
         let dispatched = Read {
-            arrival,
-            channel: topology.channel_for(lead.sig, leader.stripe),
-            service: lead.service,
-            candidate_layer: rides.then(|| candidate[heads[candidate_id].0 - 1].0),
+            arrival: picked.arrival,
+            channel: picked.device_channel,
+            service: queued.job(e, queued.heads[e].0 - 1).expect("the leader's job").service,
+            candidate_layer: rides.then(|| candidate[queued.heads[candidate_id].0 - 1].0),
         };
         on_dispatch(e, members, &dispatched);
         reads.push(dispatched);
-        for &m in members.iter().chain([&e]) {
-            if job(m, heads[m].0).is_some() {
-                turn.push_back(m);
-            }
+        turn.extend(members.iter().chain([&e]).filter(|&&m| queued.head(m).is_some()));
+    }
+}
+
+/// A batched prediction's lanes, every job queued up front: lane `e` of
+/// `lanes` (token order), or the candidate at `lanes.len()`, with its next
+/// job and its cursor at `heads[e]`.
+struct Queued<'a> {
+    lanes: &'a [Lane<'a>],
+    load: &'a EngagementLoad,
+    candidate: &'a [(usize, LayerIoJob)],
+    heads: &'a mut [(usize, SimTime)],
+}
+
+impl Queued<'_> {
+    /// Lane `e`'s job `i`.
+    fn job(&self, e: usize, i: usize) -> Option<&LayerIoJob> {
+        match self.lanes.get(e) {
+            Some(lane) => lane.load.jobs.get(i),
+            None => self.candidate.get(i).map(|(_, j)| j),
         }
+    }
+}
+
+impl PickLanes for Queued<'_> {
+    type Key = usize;
+    type Content = LayerIoJob;
+
+    fn keys(&self) -> impl Iterator<Item = usize> + '_ {
+        0..self.heads.len()
+    }
+
+    /// The window is tested on the lane's opening arrival, never on its
+    /// raised cursor.
+    fn head(&self, e: usize) -> Option<(LaneRead<'_, LayerIoJob>, u64)> {
+        let job = self.job(e, self.heads[e].0)?;
+        let (stripe, arrival) = match self.lanes.get(e) {
+            Some(lane) => (lane.load.stripe, lane.arrival),
+            None => (self.load.stripe, self.load.arrival),
+        };
+        Some((LaneRead { content: job, stripe, arrival }, job.sig))
+    }
+
+    fn take(&mut self, e: usize) -> SimTime {
+        self.heads[e].0 += 1;
+        self.heads[e].1
+    }
+
+    fn raise(&mut self, e: usize, arrival: SimTime) {
+        self.heads[e].1 = arrival;
     }
 }
 

@@ -37,7 +37,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use sti_device::{DeviceTopology, IoSharing, LaneRead, SimTime};
+use sti_device::{DeviceTopology, IoSharing, LaneRead, PickLanes, SimTime};
 
 use crate::error::StorageError;
 use crate::loader::{LayerRequest, LoadedLayer};
@@ -114,6 +114,37 @@ struct Lane {
 impl Lane {
     fn has_work(&self) -> bool {
         self.inflight || !self.pending.is_empty()
+    }
+}
+
+/// The lanes as [`IoSharing::pick`] sees them, keyed by lane id: a head is
+/// the next pending request of a lane with none in flight, a cursor is the
+/// effective arrival, and taking a head marks its lane in flight.
+struct Heads<'a>(&'a mut HashMap<u64, Lane>);
+
+impl PickLanes for Heads<'_> {
+    type Key = u64;
+    type Content = LayerRequest;
+
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.keys().copied()
+    }
+
+    fn head(&self, id: u64) -> Option<(LaneRead<'_, LayerRequest>, u64)> {
+        let lane = self.0.get(&id).filter(|lane| !lane.inflight)?;
+        let head = lane.pending.front()?;
+        let read = LaneRead { content: head, stripe: lane.stripe, arrival: lane.arrival };
+        Some((read, head.content_sig()))
+    }
+
+    fn take(&mut self, id: u64) -> SimTime {
+        let lane = self.0.get_mut(&id).expect("a picked lane is open");
+        lane.inflight = true;
+        lane.effective_arrival
+    }
+
+    fn raise(&mut self, id: u64, arrival: SimTime) {
+        self.0.get_mut(&id).expect("a picked lane is open").effective_arrival = arrival;
     }
 }
 
@@ -232,85 +263,27 @@ impl SchedState {
         self.spec.remove(idx).map(Pick::Spec)
     }
 
-    /// Picks the next request round-robin. Every other lane whose head
-    /// [`IoSharing::coalesces`] with the picked request joins the dispatch,
-    /// in lane-id order. With `only` set, lanes whose head resolves to a
-    /// different device channel keep their turn-queue position for that
-    /// channel's own dispatcher.
+    /// Picks the next request round-robin with [`IoSharing::pick`] (only
+    /// from heads placed on device channel `only`, when set), and pops the
+    /// leader's and every member's request into the dispatch.
     fn pick_demand(&mut self, only: Option<u16>) -> Option<Dispatch> {
-        let (sharing, topology) = (self.sharing, self.topology);
         let depth = self.lanes.values().filter(|lane| lane.has_work()).count();
-        for _ in 0..self.turn_queue.len() {
-            let id = self.turn_queue.pop_front()?;
-            // A dropped lane's id: nothing to dispatch.
-            let Some(lane) = self.lanes.get_mut(&id) else { continue };
-            let Some(head) = lane.pending.front() else { continue };
-            let sig = head.content_sig();
-            let device_channel = topology.channel_for(sig, lane.stripe);
-            if only.is_some_and(|dc| dc != device_channel) {
-                // Another device channel's head: requeue the lane for that
-                // channel's dispatcher and keep looking.
-                self.turn_queue.push_back(id);
-                continue;
-            }
-            let Some(req) = lane.pending.pop_front() else { continue };
-            lane.inflight = true;
-            let (leader_stripe, leader_arrival) = (lane.stripe, lane.arrival);
-            let mut batch_arrival = lane.effective_arrival;
-
-            let mut members: Vec<(u64, LayerRequest)> = Vec::new();
-            if sharing != IoSharing::Exclusive {
-                // Candidates in lane-id order so fan-out composition is
-                // deterministic once the queues are.
-                let leader =
-                    LaneRead { content: &req, stripe: leader_stripe, arrival: leader_arrival };
-                let mut candidates: Vec<u64> = self
-                    .lanes
-                    .iter()
-                    .filter(|(&cid, c)| {
-                        cid != id
-                            && !c.inflight
-                            && c.pending.front().is_some_and(|head| {
-                                let member = LaneRead {
-                                    content: head,
-                                    stripe: c.stripe,
-                                    arrival: c.arrival,
-                                };
-                                sharing.coalesces(topology, sig, &leader, &member)
-                            })
-                    })
-                    .map(|(&cid, _)| cid)
-                    .collect();
-                candidates.sort_unstable();
-                for cid in candidates {
-                    let Some(member) = self.lanes.get_mut(&cid) else { continue };
-                    let Some(member_req) = member.pending.pop_front() else { continue };
-                    member.inflight = true;
-                    batch_arrival = batch_arrival.max(member.effective_arrival);
-                    members.push((cid, member_req));
-                }
-                if !members.is_empty() {
-                    // The shared job exists only once its last member has
-                    // arrived; raise every participant's effective arrival
-                    // so later events never sort before this one.
-                    for cid in members.iter().map(|&(cid, _)| cid).chain([id]) {
-                        if let Some(lane) = self.lanes.get_mut(&cid) {
-                            lane.effective_arrival = batch_arrival;
-                        }
-                    }
-                    self.turn_queue.retain(|qid| members.iter().all(|(cid, _)| cid != qid));
-                }
-            }
-            return Some(Dispatch {
-                channel_id: id,
-                req,
-                depth,
-                arrival: batch_arrival,
-                device_channel,
-                members,
-            });
-        }
-        None
+        // Allocates only for a batch; kept in the state, it would stay held.
+        let mut members = Vec::new();
+        let Self { sharing, topology, lanes, turn_queue, .. } = self;
+        let picked = sharing.pick(*topology, &mut Heads(lanes), turn_queue, only, &mut members)?;
+        let mut pop = |id| {
+            let lane = lanes.get_mut(&id).expect("a picked lane is open");
+            lane.pending.pop_front().expect("a picked lane has a head")
+        };
+        Some(Dispatch {
+            channel_id: picked.leader,
+            req: pop(picked.leader),
+            depth,
+            arrival: picked.arrival,
+            device_channel: picked.device_channel,
+            members: members.iter().map(|&id| (id, pop(id))).collect(),
+        })
     }
 
     /// Lands a picked dispatch. `Ok` carries the loaded layer and how many

@@ -177,9 +177,12 @@ fn drawn_case(fixture: &Differential, seed: u64) -> (u16, IoSharing, Vec<DrawnLa
 }
 
 /// Runs one drawn case once per lane, that lane opened last: the
-/// predictor's dispatches (`group_rounds`) for it against the mix of the
-/// others must be the scheduler's dispatch log for the same lanes queued
-/// up front, and its predicted latency the contended replay of that log.
+/// predictor's dispatches (`ServingMix::predicted_dispatches`) for it
+/// against the mix of the others must be the scheduler's dispatch log for
+/// the same lanes queued up front, and its predicted latency the contended
+/// replay of that log. Both pick with the one `IoSharing::pick`, so this
+/// guards how each builds the lane state it picks from: heads, stripes,
+/// opening arrivals, cursors and key order.
 fn check_case(fixture: &Differential, seed: u64, seen: &mut Seen) {
     let Differential { hw, source, plans } = fixture;
     let (channels, sharing, lanes) = drawn_case(fixture, seed);

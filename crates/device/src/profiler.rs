@@ -128,6 +128,9 @@ mod tests {
         )
     }
 
+    /// Also the premise behind "a layer streams exactly when its plan
+    /// priced it a job": the smallest profiled shard is not empty, so a
+    /// layer's read has bytes iff it has an item, at every model scale.
     #[test]
     fn shard_bytes_increase_with_bitwidth() {
         let hw = profile();
@@ -138,6 +141,14 @@ mod tests {
                 pair[0],
                 pair[1]
             );
+        }
+        let tiny = HwProfile::measure(
+            &DeviceProfile::odroid_n2(),
+            &ModelConfig::tiny(),
+            &QuantConfig::default(),
+        );
+        for hw in [hw, tiny] {
+            assert!(hw.shard_bytes(Bitwidth::ALL[0]) > 0, "the smallest shard is empty");
         }
     }
 

@@ -262,8 +262,8 @@ impl IoSharing {
     /// The one pick loop: the next flash job of `lanes`, whose leader is
     /// the first lane in `turn` with a head on device channel `only` (any,
     /// for `None`). A head on another channel goes to the back of `turn`; a
-    /// lane without one leaves it. Every other lane whose head
-    /// [`coalesces`](IoSharing::coalesces) with the leader's joins, and
+    /// lane without one leaves it. Only the leader's read is hashed; every
+    /// lane whose head [`coalesces`](IoSharing::coalesces) with it joins, and
     /// `members` is refilled with them in ascending key order. The batch
     /// arrives at its latest participant's cursor (the job exists once its
     /// last member has), every participant is raised to it, and members
@@ -279,7 +279,8 @@ impl IoSharing {
         members.clear();
         for _ in 0..turn.len() {
             let key = turn.pop_front()?;
-            let Some((leader, sig)) = lanes.head(key) else { continue };
+            let Some(leader) = lanes.head(key) else { continue };
+            let sig = L::sig(leader.content);
             let device_channel = topology.channel_for(sig, leader.stripe);
             if only.is_some_and(|dc| dc != device_channel) {
                 turn.push_back(key);
@@ -287,11 +288,8 @@ impl IoSharing {
             }
             // Exclusive reads never join one another: skip the scan.
             if self.window().is_some() {
-                let joins = |m| {
-                    lanes
-                        .head(m)
-                        .is_some_and(|(head, _)| self.coalesces(topology, sig, &leader, &head))
-                };
+                let joins =
+                    |m| lanes.head(m).is_some_and(|h| self.coalesces(topology, sig, &leader, &h));
                 members.extend(lanes.keys().filter(|&m| m != key && joins(m)));
                 members.sort_unstable();
             }
@@ -369,13 +367,14 @@ pub struct LaneRead<'a, C: ?Sized> {
 }
 
 /// The engagement lanes [`IoSharing::pick`] picks from: each lane's next
-/// read, and its cursor (the arrival its next job is stamped with). Keys
-/// order a batch's members, so the holders' key orders must agree: the IO
-/// scheduler's are lane ids, in opening order, and the contended
-/// predictor's registry token order, the candidate last. They agree where
-/// lanes open in token order, as in `tests/contention_model.rs`. Where a
-/// live server opens them otherwise, the two differ in their inputs, not
-/// in the pick, and the prediction audit (ROADMAP item 34) names that.
+/// read, a read's signature, and each lane's cursor (the arrival its next
+/// job is stamped with). Keys order a batch's members, so the holders' key
+/// orders must agree: the IO scheduler's are lane ids, in opening order,
+/// and the contended predictor's registry token order, the candidate last.
+/// They agree where lanes open in token order, as in
+/// `tests/contention_model.rs`. Where a live server opens them otherwise,
+/// the two differ in their inputs, not in the pick, and the prediction
+/// audit (ROADMAP item 34) names that.
 pub trait PickLanes {
     /// A lane's name.
     type Key: Copy + Ord;
@@ -385,9 +384,12 @@ pub trait PickLanes {
     /// Every lane, in any order.
     fn keys(&self) -> impl Iterator<Item = Self::Key> + '_;
 
-    /// Lane `key`'s next read and its content signature, or `None` when it
-    /// has nothing to dispatch now (nothing queued, or a job in flight).
-    fn head(&self, key: Self::Key) -> Option<(LaneRead<'_, Self::Content>, u64)>;
+    /// Lane `key`'s next read, or `None` when it has nothing to dispatch
+    /// now (nothing queued, or a job in flight).
+    fn head(&self, key: Self::Key) -> Option<LaneRead<'_, Self::Content>>;
+
+    /// A read's [`content_sig`]: its content alone, never its lane or stripe.
+    fn sig(content: &Self::Content) -> u64;
 
     /// Takes lane `key`'s head into the picked job; returns its cursor.
     fn take(&mut self, key: Self::Key) -> SimTime;
@@ -671,12 +673,14 @@ mod tests {
             (0..self.0.len()).rev()
         }
 
-        /// A read's signature is its length, so `"a"` and `"b"` share one.
-        fn head(&self, k: usize) -> Option<(LaneRead<'_, str>, u64)> {
+        fn head(&self, k: usize) -> Option<LaneRead<'_, str>> {
             let lane = self.0.get(k).filter(|lane| !lane.busy)?;
-            let content = lane.read?;
-            let read = LaneRead { content, stripe: lane.stripe, arrival: lane.opened };
-            Some((read, content.len() as u64))
+            Some(LaneRead { content: lane.read?, stripe: lane.stripe, arrival: lane.opened })
+        }
+
+        /// A read's signature is its length, so `"a"` and `"b"` share one.
+        fn sig(content: &str) -> u64 {
+            content.len() as u64
         }
 
         fn take(&mut self, k: usize) -> SimTime {

@@ -7,11 +7,11 @@
 //! computed while later layers' IO streams in. Preloaded shards skip IO
 //! entirely.
 //!
-//! What a layer streams is the plan's decision
-//! ([`PlannedLayer::streamed`]): the issue half
-//! ([`PipelineExecutor::issue_on`]) requests exactly those items and needs
-//! no preload buffer, and the compute half receives a completion for every
-//! layer the plan says streams. The buffer is read only for the payloads of
+//! What a layer streams is the plan's decision: a layer with a job
+//! ([`ExecutionPlan::io_jobs`]) reads its [`PlannedLayer::streamed`] items.
+//! The issue half ([`PipelineExecutor::issue_on`]) requests exactly those
+//! and needs no preload buffer, and the compute half receives a completion
+//! for every layer with a job. The buffer is read only for the payloads of
 //! the shards the plan holds, which it was filled from.
 //!
 //! A streamed layer is dispatched ahead and materialised when compute
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use sti_device::{DeviceTopology, HwProfile, IoSharing, SimTime};
 use sti_planner::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
 use sti_planner::{ExecutionPlan, PlannedLayer};
-use sti_quant::{Bitwidth, QuantizedBlob};
+use sti_quant::QuantizedBlob;
 use sti_storage::{
     IoChannel, IoScheduler, LayerRequest, LoadedShard, ShardCache, ShardKey, ShardSource,
 };
@@ -162,11 +162,11 @@ impl<'a> PipelineExecutor<'a> {
     /// multiplex one flash model and one shard cache: queues every
     /// streamed layer's IO on `channel` up front (the channel services them
     /// back-to-back in FIFO order, exactly like the single IO channel of
-    /// the schedule model). Each layer requests the items the plan streams
-    /// ([`PlannedLayer::streamed`]); a layer the preload set covers requests
-    /// nothing. Event-driven hosts call the halves separately so a whole
-    /// wave of engagements can enqueue before the flash component services
-    /// any of it.
+    /// the schedule model). Each layer with a job requests the items the
+    /// plan streams ([`PlannedLayer::streamed`]), the job's content; a layer
+    /// the preload set covers requests nothing. Event-driven hosts call the
+    /// halves separately so a whole wave of engagements can enqueue before
+    /// the flash component services any of it.
     ///
     /// The simulated timeline and byte accounting depend only on the plan
     /// and the device model, never on what the scheduler's other channels
@@ -185,9 +185,9 @@ impl<'a> PipelineExecutor<'a> {
                 plan.shape.depth, cfg.layers
             )));
         }
-        for pl in &plan.layers {
-            let items: Vec<(u16, Bitwidth)> = pl.streamed(&plan.preload).collect();
-            if !items.is_empty() {
+        for (pl, job) in plan.layers.iter().zip(plan.io_jobs.iter()) {
+            if job.is_some() {
+                let items = pl.streamed(&plan.preload).collect();
                 channel.request(LayerRequest { layer: pl.layer, items })?;
             }
         }
@@ -220,8 +220,8 @@ impl<'a> PipelineExecutor<'a> {
         let mut timings = Vec::with_capacity(plan.layers.len());
         let mut loaded_bytes = 0u64;
 
-        for (l, pl) in plan.layers.iter().enumerate() {
-            let (streamed, io_delay) = if pl.streams(&plan.preload) {
+        for (l, (pl, job)) in plan.layers.iter().zip(plan.io_jobs.iter()).enumerate() {
+            let (streamed, io_delay) = if job.is_some() {
                 let mut loaded = channel.recv()?;
                 debug_assert_eq!(loaded.layer, pl.layer, "IO completions must arrive in order");
                 // The shards the dispatch deferred are read now, as the
@@ -357,7 +357,7 @@ mod tests {
     use sti_device::DeviceProfile;
     use sti_nlp::{Task, TaskKind};
     use sti_planner::{plan_compute, plan_io, ImportanceProfile, IoPlanInputs};
-    use sti_quant::QuantConfig;
+    use sti_quant::{Bitwidth, QuantConfig};
     use sti_storage::ShardStore;
     use sti_transformer::ModelConfig;
 

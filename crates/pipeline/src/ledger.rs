@@ -62,7 +62,7 @@ use parking_lot::Mutex;
 use sti_device::{serve_channel, ChannelService, DeviceTopology, FlashModel, SimTime};
 use sti_obs::{SpanArgs, SpanEvent, TrackKind};
 use sti_planner::gate::GateDecision;
-use sti_planner::{align_io_completions, contended_makespan};
+use sti_planner::{align_io_completions, contended_makespan, LayerIoJob};
 use sti_storage::FlashDispatchEvent;
 use sti_tensor::math;
 
@@ -421,9 +421,9 @@ pub(crate) struct EngagementRecord {
     /// The engagement's issue time on the simulated timeline (session
     /// arrival plus gate delay — the arrival its channel was opened at).
     pub(crate) issue: SimTime,
-    /// Per-layer: did the layer stream through the scheduler? The plan's
-    /// mask, shared by every engagement planned on one call.
-    pub(crate) layer_has_io: Arc<[bool]>,
+    /// The plan's `io_jobs`, by pointer: layer `k` streamed exactly when it
+    /// has a job, priced at the profile beside the log's `io_delay`.
+    pub(crate) io_jobs: Arc<[Option<LayerIoJob>]>,
     /// Per-layer compute delay (uniform across a plan's layers).
     pub(crate) comp: SimTime,
     pub(crate) uncontended: SimTime,
@@ -551,8 +551,7 @@ impl ContentionLedger {
             let len = by_lane[first..].partition_point(|d| d.0 == id);
             let mine = by_lane[first..first + len].iter().map(|&(_, k)| timeline.times[k as usize]);
             // `None` on a count mismatch: no coherent timeline.
-            let io_ends =
-                align_io_completions(&rec.layer_has_io, mine.clone().map(|(_, end)| end))?;
+            let io_ends = align_io_completions(&rec.io_jobs, mine.clone().map(|(_, end)| end))?;
             let issue =
                 rec.issue.max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
             let start = mine.clone().next().map_or(issue, |(start, _)| start);
@@ -787,6 +786,12 @@ mod tests {
         }
     }
 
+    /// Per layer, a 1 ms job where `layer_has_io` says the layer streams.
+    fn io_jobs(layer_has_io: &[bool]) -> Arc<[Option<LayerIoJob>]> {
+        let job = LayerIoJob { sig: 0, service: ms(1) };
+        layer_has_io.iter().map(|&has| has.then_some(job)).collect()
+    }
+
     /// An engagement of `session` on `lane`, issued at time zero, whose
     /// layers stream per `layer_has_io` with 2 ms of compute each.
     fn record(lane: u64, session: u64, layer_has_io: &[bool]) -> EngagementRecord {
@@ -795,7 +800,7 @@ mod tests {
             session,
             slo: None,
             issue: SimTime::ZERO,
-            layer_has_io: layer_has_io.into(),
+            io_jobs: io_jobs(layer_has_io),
             comp: ms(2),
             uncontended: ms(7),
         }
@@ -880,7 +885,7 @@ mod tests {
                     let len = jobs[first..].partition_point(|j| j.engagement == id);
                     let jobs = &jobs[first..first + len];
                     let io_ends =
-                        align_io_completions(&rec.layer_has_io, jobs.iter().map(|j| j.completion))?;
+                        align_io_completions(&rec.io_jobs, jobs.iter().map(|j| j.completion))?;
                     let issue = rec
                         .issue
                         .max(session_clock.get(&rec.session).copied().unwrap_or(SimTime::ZERO));
@@ -1026,7 +1031,7 @@ mod tests {
                 session: (i % 3) as u64,
                 slo: (below(2) == 0).then(|| ms(5)),
                 issue: ms(below(4) as u64),
-                layer_has_io: layer_has_io.into(),
+                io_jobs: io_jobs(&layer_has_io),
                 comp: SimTime::from_us(below(2_000) as u64),
                 uncontended: ms(3),
             });

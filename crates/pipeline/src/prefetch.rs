@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sti_device::{content_sig, DeviceTopology, SimTime};
+use sti_device::{DeviceTopology, SimTime};
 use sti_planner::prefetch::{
     EngagementKey, KeyId, PrefetchConfig, PrefetchMode, PrefetchPlan, Prefetcher, PrefetcherStats,
 };
@@ -161,8 +161,8 @@ impl PrefetchDriver {
 /// Turns an emitted [`PrefetchPlan`] into speculative scheduler jobs: the
 /// predicted engagement's *streamed* working set (what its plan streams,
 /// [`PlannedLayer::streamed`](sti_planner::PlannedLayer::streamed)),
-/// grouped onto the device channels its layer requests would really route
-/// to, byte-capped at the plan budget.
+/// grouped onto the device channels its layers' jobs place it on,
+/// byte-capped at the plan budget.
 fn speculative_jobs(
     plan: &PrefetchPlan,
     target: &PrefetchTarget,
@@ -171,11 +171,11 @@ fn speculative_jobs(
 ) -> Vec<SpeculativeJob> {
     let mut budget = plan.budget_bytes;
     let mut jobs: BTreeMap<u16, Vec<ShardKey>> = BTreeMap::new();
-    let preload = &target.plan.preload;
-    'layers: for pl in &target.plan.layers {
-        let streamed = pl.streamed(preload);
-        let dc = topology.channel_for(content_sig(pl.layer, streamed.clone()), target.stripe);
-        for (slice, bw) in streamed {
+    let ExecutionPlan { layers, preload, io_jobs, .. } = &*target.plan;
+    'layers: for (pl, job) in layers.iter().zip(io_jobs.iter()) {
+        let Some(job) = job else { continue };
+        let dc = topology.channel_for(job.sig, target.stripe);
+        for (slice, bw) in pl.streamed(preload) {
             let key = ShardKey::new(ShardId::new(pl.layer, slice), bw);
             let bytes = match source.size_bytes(key) {
                 Ok(bytes) if bytes > 0 => bytes,
@@ -206,12 +206,13 @@ mod tests {
     use crate::server::tests::tiny_server;
     use crate::server::StiServer;
     use sti_device::{DeviceProfile, HwProfile, IoSharing};
+    use sti_planner::mix::SloProfile;
     use sti_planner::{
         layer_io_jobs, plan_two_stage, CoRunnerLoad, EngagementLoad, ImportanceProfile, LayerIoJob,
         ServingMix,
     };
     use sti_quant::{Bitwidth, QuantConfig};
-    use sti_storage::{IoScheduler, ShardCache, ShardStore};
+    use sti_storage::{IoScheduler, LayerRequest, ShardCache, ShardStore};
     use sti_tensor::Rng;
     use sti_transformer::{Model, ModelConfig, ShardId};
 
@@ -280,14 +281,18 @@ mod tests {
     }
 
     /// One decision, three readers: over two-stage plans at several `(T,
-    /// |S|)` on a 4-channel device, at every stripe, the executor
-    /// dispatches one request per layer the plan streams, in layer order,
-    /// each on the channel its [`layer_io_jobs`] signature places at the
-    /// stripe; and the prefetcher stages exactly those layers' keys, in
-    /// layer order as far as its budget reaches, on the same channels. Two
-    /// co-arriving sessions on one plan and two stripes, batched, read a
-    /// layer once exactly where both stripes place it on one channel, and
-    /// the planner's predicted dispatches are the scheduler's.
+    /// |S|)` on a 4-channel device, a layer has a job
+    /// ([`ExecutionPlan::io_jobs`], what [`layer_io_jobs`] prices afresh)
+    /// exactly when it streams an item, and the gate profile and the
+    /// engagement load hold the plan's jobs by pointer. At every stripe
+    /// the executor requests exactly the layers with a job, in layer
+    /// order, each request's content signature its job's and each
+    /// dispatched on the channel that signature places at the stripe; and
+    /// the prefetcher stages exactly those layers' keys, in layer order as
+    /// far as its budget reaches, on the same channels. Two co-arriving
+    /// sessions on one plan and two stripes, batched, read a layer once
+    /// exactly where both stripes place it on one channel, and the
+    /// planner's predicted dispatches are the scheduler's.
     #[test]
     fn the_planner_the_scheduler_and_the_prefetcher_agree_on_what_streams() {
         let cfg = ModelConfig { layers: 6, ..ModelConfig::tiny() };
@@ -306,19 +311,23 @@ mod tests {
         for (target_ms, preload) in [(40, 0), (60, 2 << 10), (80, 6 << 10), (120, 1 << 20)] {
             let target = SimTime::from_ms(target_ms);
             let plan = plan_two_stage(&hw, &importance, target, preload, &[2, 4], &Bitwidth::ALL);
-            // Per streamed layer, in layer order: its keys and its job.
-            let layers: Vec<(Vec<ShardKey>, LayerIoJob)> = plan
-                .layers
-                .iter()
-                .zip(layer_io_jobs(&hw, &plan))
-                .filter_map(|(pl, job)| {
-                    let key = |(slice, bw)| ShardKey::new(ShardId::new(pl.layer, slice), bw);
-                    Some((pl.streamed(&plan.preload).map(key).collect(), job?))
-                })
-                .collect();
+            assert_eq!(&plan.io_jobs[..], &layer_io_jobs(&hw, &plan)[..]);
+            let slo = SloProfile::from_plan(&hw, &plan, target);
+            assert!(Arc::ptr_eq(&slo.jobs, &plan.io_jobs), "the gate profile holds the plan's");
+            let load = EngagementLoad::from_plan_striped(&hw, &plan, SimTime::ZERO, 3);
+            assert!(Arc::ptr_eq(&load.jobs, &plan.io_jobs), "the engagement holds the plan's");
+            // Per streamed layer, in layer order: its layer, its keys and
+            // its job. A layer has a job exactly when it streams an item.
+            let mut layers: Vec<(u16, Vec<ShardKey>, LayerIoJob)> = Vec::new();
+            for (pl, job) in plan.layers.iter().zip(plan.io_jobs.iter()) {
+                let key = |(slice, bw)| ShardKey::new(ShardId::new(pl.layer, slice), bw);
+                let keys: Vec<ShardKey> = pl.streamed(&plan.preload).map(key).collect();
+                assert_eq!(job.is_some(), !keys.is_empty(), "layer {}", pl.layer);
+                layers.extend(job.map(|job| (pl.layer, keys, job)));
+            }
             streamed += layers.len();
             covered += plan.layers.len() - layers.len();
-            let stream_bytes: u64 = layers.iter().flat_map(|(keys, _)| keys).map(size).sum();
+            let stream_bytes: u64 = layers.iter().flat_map(|(_, keys, _)| keys).map(size).sum();
             let target = PrefetchTarget { plan: Arc::new(plan), stripe: 0 };
             for stripe in 0..topology.channel_count() {
                 let place = |job: &LayerIoJob| topology.channel_for(job.sig, stripe);
@@ -334,12 +343,25 @@ mod tests {
                 });
                 let want: Vec<(u16, u64)> = layers
                     .iter()
-                    .map(|(keys, job)| (place(job), keys.iter().map(size).sum()))
+                    .map(|(_, keys, job)| (place(job), keys.iter().map(size).sum()))
                     .collect();
-                assert_eq!(
-                    dispatched, want,
-                    "T = {target_ms} ms, |S| = {preload} B, stripe {stripe}"
-                );
+                let case = format!("T = {target_ms} ms, |S| = {preload} B, stripe {stripe}");
+                assert_eq!(dispatched, want, "{case}");
+                // What each request read: its layer and its content
+                // signature, rebuilt from the slices it delivered.
+                let requested: Vec<(u16, u64)> = (0..dispatched.len())
+                    .map(|_| {
+                        let loaded = lane.recv().unwrap();
+                        let bw = |slice| target.plan.bitwidth_of(ShardId::new(loaded.layer, slice));
+                        let items =
+                            loaded.shards.iter().map(|&(slice, _)| (slice, bw(slice).unwrap()));
+                        let request = LayerRequest { layer: loaded.layer, items: items.collect() };
+                        (loaded.layer, request.content_sig())
+                    })
+                    .collect();
+                let want: Vec<(u16, u64)> =
+                    layers.iter().map(|(layer, _, job)| (*layer, job.sig)).collect();
+                assert_eq!(requested, want, "{case}");
 
                 let target = PrefetchTarget { stripe, ..target.clone() };
                 for budget in [u64::MAX, stream_bytes / 2] {
@@ -360,7 +382,7 @@ mod tests {
                     // grouped by channel.
                     let mut left = budget;
                     let mut want: Vec<(u16, ShardKey)> = Vec::new();
-                    'layers: for (keys, job) in &layers {
+                    'layers: for (_, keys, job) in &layers {
                         for key in keys {
                             if size(key) > left {
                                 cut += 1;
@@ -407,7 +429,7 @@ mod tests {
                     let case =
                         format!("T = {target_ms} ms, |S| = {preload} B, stripes {stripe}, {other}");
                     assert_eq!(dispatched, predicted, "{case}");
-                    let batched = layers.iter().filter(|(_, job)| {
+                    let batched = layers.iter().filter(|(_, _, job)| {
                         topology.channel_for(job.sig, stripe)
                             == topology.channel_for(job.sig, other)
                     });

@@ -91,8 +91,8 @@ use sti_planner::mix::{plan_for_slo_mix, PreloadPolicy, ServingMix, SloProfile};
 use sti_planner::prefetch::EngagementKey as PrefetchKey;
 use sti_planner::serving::ServingPlan;
 use sti_planner::{
-    layer_io_jobs, plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, LayerIoJob,
-    MemoTable, PlanCache, PlanCacheStats, PlanKey,
+    plan_two_stage, CoRunnerLoad, ExecutionPlan, ImportanceProfile, LayerIoJob, MemoTable,
+    PlanCache, PlanCacheStats, PlanKey,
 };
 use sti_quant::Bitwidth;
 use sti_storage::{
@@ -159,17 +159,14 @@ enum Knobs {
 /// `Session::install` registers and the session then executes against.
 /// One record per planning call, shared behind an `Arc` by every session
 /// it opened (a whole `open_fleet` batch) and every engagement in flight
-/// on it.
+/// on it. Its plan's priced reads (`io_jobs`) are what the executor
+/// requests, the loads register and every engagement's ledger record holds.
 struct Planned {
     target: SimTime,
     preload_budget: u64,
     plan: Arc<ExecutionPlan>,
     /// The preload buffer of `plan`'s key, with its plain loads.
     preloaded: Arc<Preloaded>,
-    /// Per layer of `plan`, whether it streams
-    /// ([`PlannedLayer::streams`](sti_planner::PlannedLayer::streams)): the
-    /// ledger record of every engagement on this record shares it.
-    layer_has_io: Arc<[bool]>,
     slo: Option<SimTime>,
     /// The SLO search outcome, when SLO-planned.
     serving: Option<Arc<ServingPlan>>,
@@ -215,16 +212,15 @@ impl Loads {
         sharing: IoSharing,
         topology: DeviceTopology,
     ) -> Self {
-        let layers = layer_io_jobs(hw, plan);
         let kind = match slo {
             Some(slo) => LoadKind::Slo(SloProfile::from_plan(hw, plan, slo)),
             None => LoadKind::Plain(sharing.plain_stripes(
                 topology,
-                layers.iter().map(|job| job.map(|j| (j.sig, j.service))),
+                plan.io_jobs.iter().map(|job| job.map(|j| (j.sig, j.service))),
                 hw.t_comp(plan.shape.width),
             )),
         };
-        Self { jobs: layers.into_iter().flatten().collect(), kind }
+        Self { jobs: plan.io_jobs.iter().flatten().copied().collect(), kind }
     }
 }
 
@@ -402,10 +398,8 @@ impl ServerInner {
             }
         };
         let (plan, preloaded) = self.resolve(target, preload_budget, serving.as_deref())?;
-        let layer_has_io = plan.layers.iter().map(|pl| pl.streams(&plan.preload)).collect();
         let loads = self.loads(&plan, &preloaded, slo);
-        let planned =
-            Planned { target, preload_budget, plan, preloaded, layer_has_io, slo, serving, loads };
+        let planned = Planned { target, preload_budget, plan, preloaded, slo, serving, loads };
         Ok(install(Arc::new(planned)))
     }
 
@@ -1372,8 +1366,7 @@ impl Session {
                 pending.session, self.token
             )));
         }
-        let Planned { plan, preloaded, layer_has_io, target, preload_budget, slo, .. } =
-            &*pending.planned;
+        let Planned { plan, preloaded, target, preload_budget, slo, .. } = &*pending.planned;
         let outcome = self.executor().complete_on(
             &pending.channel,
             plan,
@@ -1381,14 +1374,14 @@ impl Session {
             &pending.tokens,
         )?;
 
-        // Contended-track record: which layers streamed (the plan's mask,
-        // shared) and the uniform per-layer compute delay.
+        // Contended-track record: the plan's priced reads (shared) and the
+        // uniform per-layer compute delay.
         inner.ledger.record_engagement(EngagementRecord {
             channel: pending.channel.id(),
             session: self.token,
             slo: *slo,
             issue: pending.issue,
-            layer_has_io: layer_has_io.clone(),
+            io_jobs: plan.io_jobs.clone(),
             comp: inner.hw.t_comp(plan.shape.width),
             uncontended: outcome.timeline.makespan,
         });

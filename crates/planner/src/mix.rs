@@ -125,19 +125,18 @@
 //!   reader takes an `Arc` to it, and a writer that finds a reader's
 //!   snapshot still alive pays one such copy.
 //! - **Shared lanes, recycled scratch.** Job slices are `Arc`-shared: the
-//!   [`CoRunnerLoad`], [`SloProfile`] and [`EngagementLoad`] of every
-//!   session on one plan point at the same jobs (the server builds them
-//!   once per plan), and a registry entry holds its
-//!   gate profile behind an `Arc` too. Assembling lanes and replaying
-//!   decided sessions in the gate walk borrow the registry's job slices
-//!   (a lane is an arrival and a slice reference, so building one touches
-//!   no reference count); pricing a profile and re-timing a delay probe
-//!   clone pointers, never jobs. No prediction allocates a
-//!   completion, and an unbatched one no job either (see the closed form
-//!   above). The service-order index, the per-channel free times and the
-//!   batched grouping's turn queue, cursors and read buffers are recycled
-//!   through a lane arena across the dozens of predictions a delay search
-//!   runs.
+//!   [`SloProfile`] and [`EngagementLoad`] of a plan hold its priced reads
+//!   ([`ExecutionPlan::io_jobs`]), so the SLO search prices none; every
+//!   session's [`CoRunnerLoad`] on one plan holds the list the server builds
+//!   from them once; a registry entry holds its gate profile behind an `Arc`.
+//!   Assembling lanes and replaying decided sessions in the gate walk borrow
+//!   the registry's job slices (a lane is an arrival and a slice reference,
+//!   so building one touches no reference count); pricing a profile and
+//!   re-timing a delay probe clone pointers, never jobs. No prediction
+//!   allocates a completion, and an unbatched one no job either (see the
+//!   closed form above). The service-order index, the per-channel free times
+//!   and the batched grouping's turn queue, cursors and read buffers are
+//!   recycled through a lane arena across a delay search's predictions.
 //! - **Delta re-prediction.** [`ServingMix::gate_all`] runs the
 //!   `(arrival, token)` walk once and prices *every* open SLO session:
 //!   each later decision reuses the decided-lane prefix the walk has
@@ -163,9 +162,7 @@ use crate::gate::BackpressureMode;
 use crate::importance::ImportanceProfile;
 use crate::io_plan::{plan_two_stage, replan_with_preload};
 use crate::plan::ExecutionPlan;
-use crate::serving::{
-    contended_makespan, layer_io_jobs, CoRunnerLoad, EngagementLoad, LayerIoJob, ServingPlan,
-};
+use crate::serving::{contended_makespan, CoRunnerLoad, EngagementLoad, LayerIoJob, ServingPlan};
 
 /// What the gate needs to replay an SLO session's decisions
 /// deterministically: its per-layer engagement load and the SLO it is held
@@ -186,7 +183,7 @@ pub struct SloProfile {
 impl SloProfile {
     /// Builds the gate profile of one engagement of `plan` under `slo`.
     pub fn from_plan(hw: &HwProfile, plan: &ExecutionPlan, slo: SimTime) -> Self {
-        Self { jobs: layer_io_jobs(hw, plan).into(), comp: hw.t_comp(plan.shape.width), slo }
+        Self { jobs: plan.io_jobs.clone(), comp: hw.t_comp(plan.shape.width), slo }
     }
 
     /// The engagement the gate prices for a session on `stripe`.
@@ -1032,13 +1029,18 @@ impl PickLanes for Queued<'_> {
 
     /// The window is tested on the lane's opening arrival, never on its
     /// raised cursor.
-    fn head(&self, e: usize) -> Option<(LaneRead<'_, LayerIoJob>, u64)> {
+    fn head(&self, e: usize) -> Option<LaneRead<'_, LayerIoJob>> {
         let job = self.job(e, self.heads[e].0)?;
         let (stripe, arrival) = match self.lanes.get(e) {
             Some(lane) => (lane.load.stripe, lane.arrival),
             None => (self.load.stripe, self.load.arrival),
         };
-        Some((LaneRead { content: job, stripe, arrival }, job.sig))
+        Some(LaneRead { content: job, stripe, arrival })
+    }
+
+    /// The signature the plan priced: its layer request's content signature.
+    fn sig(job: &LayerIoJob) -> u64 {
+        job.sig
     }
 
     fn take(&mut self, e: usize) -> SimTime {
@@ -1222,6 +1224,13 @@ pub fn reallocate_preload_for_mix(
     Some((replan_with_preload(hw, plan, selection), freed))
 }
 
+/// A rung's `|S|` placement in [`plan_for_slo_mix`].
+enum Placement {
+    Default,
+    Reallocated(ExecutionPlan, u64),
+    Zero,
+}
+
 /// Target-latency search ladder, as fractions of the SLO in per-mille.
 /// Descending, so the first hit is the highest-FLOPs plan that fits: the
 /// search keeps `|S|` at the session's memory grant (preload only ever
@@ -1299,53 +1308,48 @@ pub fn plan_for_slo_mix(
             continue;
         }
         seen_target = target;
-        let default = plan_two_stage(hw, importance, target, preload_bytes, widths, bitwidths);
-        // One placement of this rung, scored by the mix prediction.
-        let placed = |plan: ExecutionPlan, stripe: u16, preload_bytes_reallocated: u64| {
-            let load = EngagementLoad::from_plan_striped(hw, &plan, arrival, stripe);
-            let predicted = mix.predict_over(&lanes, &load);
-            ServingPlan {
-                plan,
-                slo,
-                co_runners: mix.co_runners(),
-                target,
-                preload_bytes,
-                predicted_contended: predicted,
-                meets_slo: predicted <= slo,
-                preload_bytes_reallocated,
-                stripe,
-            }
-        };
-        // Stripe 0 first; a later stripe wins only by a strictly lower
-        // prediction.
-        let rung_on = |stripe: u16| {
-            let mut rung = placed(default.clone(), stripe, 0);
-            if let Some(sigs) = &shared[stripe as usize] {
-                let default_preload_bytes: u64 =
-                    default.preload.iter().map(|&(_, bw)| hw.shard_bytes(bw)).sum();
-                if let Some((alt, freed)) = reallocate_preload_for_mix(hw, &default, sigs) {
-                    let alt = placed(alt, stripe, freed);
-                    if alt.predicted_contended < rung.predicted_contended {
-                        rung = alt;
-                    }
+        let plan_at = |bytes| plan_two_stage(hw, importance, target, bytes, widths, bitwidths);
+        let default = plan_at(preload_bytes);
+        let default_preload_bytes: u64 =
+            default.preload.iter().map(|&(_, bw)| hw.shard_bytes(bw)).sum();
+        // Stripe by stripe: default, reallocated, zero-|S|; a later one wins only if lower.
+        let (mut zero, mut winner) = (None, None::<(SimTime, u16, Placement)>);
+        for stripe in 0..mix.topology().channel_count() {
+            let predict = |plan: &ExecutionPlan| {
+                let load = EngagementLoad::from_plan_striped(hw, plan, arrival, stripe);
+                mix.predict_over(&lanes, &load)
+            };
+            let mut offer = |predicted: SimTime, placement: Placement| {
+                if winner.as_ref().is_none_or(|&(best, ..)| predicted < best) {
+                    winner = Some((predicted, stripe, placement));
                 }
-                if preload_bytes > 0 && default_preload_bytes > 0 {
-                    let zero = plan_two_stage(hw, importance, target, 0, widths, bitwidths);
-                    let zero = placed(zero, stripe, default_preload_bytes);
-                    if zero.predicted_contended < rung.predicted_contended {
-                        rung = zero;
-                    }
-                }
+            };
+            offer(predict(&default), Placement::Default);
+            let Some(sigs) = &shared[stripe as usize] else { continue };
+            if let Some((moved, freed)) = reallocate_preload_for_mix(hw, &default, sigs) {
+                offer(predict(&moved), Placement::Reallocated(moved, freed));
             }
-            rung
+            if preload_bytes > 0 && default_preload_bytes > 0 {
+                offer(predict(zero.get_or_insert_with(|| plan_at(0))), Placement::Zero);
+            }
+        }
+        let (predicted, stripe, placement) = winner.expect("stripe 0 offers the default");
+        let (plan, preload_bytes_reallocated) = match placement {
+            Placement::Default => (default, 0),
+            Placement::Reallocated(plan, freed) => (plan, freed),
+            Placement::Zero => (zero.expect("the zero-|S| plan won"), default_preload_bytes),
         };
-        let rung = (1..mix.topology().channel_count()).map(rung_on).fold(rung_on(0), |best, r| {
-            if r.predicted_contended < best.predicted_contended {
-                r
-            } else {
-                best
-            }
-        });
+        let rung = ServingPlan {
+            plan,
+            slo,
+            co_runners: mix.co_runners(),
+            target,
+            preload_bytes,
+            predicted_contended: predicted,
+            meets_slo: predicted <= slo,
+            preload_bytes_reallocated,
+            stripe,
+        };
         if rung.meets_slo {
             return rung;
         }
@@ -1427,9 +1431,8 @@ mod tests {
                 },
             );
         }
-        let has_io: Vec<bool> = load.jobs.iter().map(Option::is_some).collect();
         let completions = sim.run().completions_of(1);
-        let io_ends = align_io_completions(&has_io, completions.iter().map(|c| c.completion))
+        let io_ends = align_io_completions(&load.jobs, completions.iter().map(|c| c.completion))
             .expect("the simulator served one read per streamed layer");
         contended_makespan(load.arrival, &io_ends, load.comp)
     }

@@ -1,26 +1,29 @@
 //! The execution plan emitted by the planner.
 //!
 //! [`ExecutionPlan::new`] is the one way to build a plan: it derives the
-//! shape from the layers and predicts the uncontended timeline from the
-//! same per-layer IO jobs ([`layer_io_jobs`](crate::serving::layer_io_jobs))
-//! every contended load prices. The two-stage planner, its preload
-//! re-selection and the comparison baselines all build through it; only
-//! the `Load&Exec` baseline then folds the prediction into one sequential
-//! stage.
+//! shape from the layers, prices each layer's read once as a
+//! [`LayerIoJob`] and keeps the jobs ([`ExecutionPlan::io_jobs`]), and
+//! predicts the uncontended timeline from them. The two-stage planner, its
+//! preload re-selection and the comparison baselines all build through it;
+//! only the `Load&Exec` baseline then folds the prediction into one
+//! sequential stage.
 //!
 //! This module is also the one place that decides which shards a layer
 //! reads from flash: [`PlannedLayer::streamed`], the layer's items outside
-//! the plan's preload set `S` (§3.2, §5.5). The planner's IO jobs, the
-//! executor's layer requests, the ledger's per-layer mask and the
-//! prefetcher's speculative jobs all ask it, so a prediction and the run it
-//! predicts cannot disagree on what streams.
+//! the plan's preload set `S` (§3.2, §5.5). The plan's jobs are priced from
+//! it, the executor's requests and the prefetcher's jobs list its items, and
+//! a layer streams exactly when it has a job, which the executor, the ledger
+//! and every load read, so a prediction and the run it predicts cannot
+//! disagree on what streams or what a read costs.
+
+use std::sync::Arc;
 
 use sti_device::{HwProfile, SimTime};
 use sti_quant::Bitwidth;
 use sti_transformer::ShardId;
 
 use crate::schedule::{simulate_pipeline, LayerTiming, SchedulePrediction};
-use crate::serving::plan_layer_jobs;
+use crate::serving::{plan_layer_jobs, LayerIoJob};
 
 /// Submodel dimensions: `n` layers × `m` shards per layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,17 +91,11 @@ impl PlannedLayer {
             held.binary_search_by_key(&slice, |&(id, _)| id.slice).is_err()
         })
     }
-
-    /// Whether this layer reads anything from flash under `preload` (see
-    /// [`PlannedLayer::streamed`]).
-    pub fn streams(&self, preload: &[(ShardId, Bitwidth)]) -> bool {
-        self.streamed(preload).next().is_some()
-    }
 }
 
 /// A complete pipeline execution plan: the submodel, per-shard fidelities,
-/// the preload set, and the predicted timeline. Built only by
-/// [`ExecutionPlan::new`]; the fields are public to read.
+/// the preload set, each layer's priced read, and the predicted timeline.
+/// Built only by [`ExecutionPlan::new`]; the fields are public to read.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ExecutionPlan {
@@ -114,6 +111,10 @@ pub struct ExecutionPlan {
     pub target: SimTime,
     /// The preload-buffer byte budget the plan was built for.
     pub preload_budget_bytes: u64,
+    /// Per layer, its read priced once as an IO job, `None` where the
+    /// preload set covers the layer. Every reader of a plan's reads reads
+    /// this, and a load that keeps it shares it by pointer.
+    pub io_jobs: Arc<[Option<LayerIoJob>]>,
     /// Whether the AIB invariant held for the final allocation (false means
     /// the engine accepted unavoidable stalls at minimum fidelity, §5.4.3).
     pub aib_satisfied: bool,
@@ -124,9 +125,9 @@ pub struct ExecutionPlan {
 impl ExecutionPlan {
     /// Builds a plan over `layers` and predicts its uncontended timeline.
     ///
-    /// The shape is `(layers.len(), width)`. Layer `k`'s IO is the service
-    /// time of its [`layer_io_jobs`](crate::serving::layer_io_jobs) job,
-    /// zero when `preload` covers the whole layer; its compute is
+    /// The shape is `(layers.len(), width)`. Each layer's read is priced
+    /// into [`ExecutionPlan::io_jobs`]; layer `k`'s IO is its job's service
+    /// time, zero when `preload` covers the whole layer; its compute is
     /// `hw.t_comp(width)`; [`simulate_pipeline`] runs the recurrence.
     ///
     /// # Panics
@@ -147,11 +148,22 @@ impl ExecutionPlan {
         assert!(preload.is_sorted_by(|a, b| a.0 < b.0), "preload not in (layer, slice) order");
         let shape = SubmodelShape::new(layers.len(), width);
         let comp = hw.t_comp(width);
-        let timings: Vec<LayerTiming> = plan_layer_jobs(hw, &layers, &preload)
+        let io_jobs: Arc<[_]> = plan_layer_jobs(hw, &layers, &preload).collect();
+        let timings: Vec<LayerTiming> = io_jobs
+            .iter()
             .map(|job| LayerTiming { io: job.map_or(SimTime::ZERO, |j| j.service), comp })
             .collect();
         let predicted = simulate_pipeline(&timings, SimTime::ZERO);
-        Self { shape, layers, preload, target, preload_budget_bytes, aib_satisfied, predicted }
+        Self {
+            shape,
+            layers,
+            preload,
+            target,
+            preload_budget_bytes,
+            io_jobs,
+            aib_satisfied,
+            predicted,
+        }
     }
 
     /// The planned bitwidth of a shard, if it is part of the submodel.
@@ -187,33 +199,27 @@ impl ExecutionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::SchedulePrediction;
+    use sti_device::DeviceProfile;
+    use sti_quant::QuantConfig;
+    use sti_transformer::ModelConfig;
 
     fn sample_plan() -> ExecutionPlan {
-        ExecutionPlan {
-            shape: SubmodelShape::new(2, 3),
-            layers: vec![
-                PlannedLayer {
-                    layer: 0,
-                    slices: vec![0, 2, 5],
-                    bitwidths: vec![Bitwidth::B2, Bitwidth::B6, Bitwidth::Full],
-                },
-                PlannedLayer {
-                    layer: 1,
-                    slices: vec![1, 2, 3],
-                    bitwidths: vec![Bitwidth::B2, Bitwidth::B2, Bitwidth::B4],
-                },
-            ],
-            preload: vec![(ShardId::new(0, 0), Bitwidth::B2)],
-            target: SimTime::from_ms(200),
-            preload_budget_bytes: 1 << 20,
-            aib_satisfied: true,
-            predicted: SchedulePrediction {
-                layers: vec![],
-                makespan: SimTime::from_ms(180),
-                total_stall: SimTime::ZERO,
+        let cfg = ModelConfig::tiny();
+        let hw = HwProfile::measure(&DeviceProfile::odroid_n2(), &cfg, &QuantConfig::default());
+        let layers = vec![
+            PlannedLayer {
+                layer: 0,
+                slices: vec![0, 2, 5],
+                bitwidths: vec![Bitwidth::B2, Bitwidth::B6, Bitwidth::Full],
             },
-        }
+            PlannedLayer {
+                layer: 1,
+                slices: vec![1, 2, 3],
+                bitwidths: vec![Bitwidth::B2, Bitwidth::B2, Bitwidth::B4],
+            },
+        ];
+        let preload = vec![(ShardId::new(0, 0), Bitwidth::B2)];
+        ExecutionPlan::new(&hw, layers, preload, SimTime::from_ms(200), 1 << 20, true)
     }
 
     #[test]

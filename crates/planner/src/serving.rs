@@ -70,11 +70,11 @@ pub struct LayerIoJob {
     pub service: SimTime,
 }
 
-/// Per-layer IO jobs of a plan: `Some` for layers that stream, `None` for
-/// layers fully covered by the preload buffer. The signature identifies the
-/// exact bytes read, so equal signatures across plans mean batchable jobs.
-/// [`ExecutionPlan::new`] predicts the plan's uncontended timeline from the
-/// same jobs.
+/// Per-layer IO jobs of a plan, priced afresh: `Some` for layers that
+/// stream, `None` for preload-covered ones; equal signatures across plans
+/// mean batchable jobs. The program reads the ones [`ExecutionPlan::new`]
+/// kept ([`ExecutionPlan::io_jobs`]); only the benchmark and the tests call
+/// this.
 pub fn layer_io_jobs(hw: &HwProfile, plan: &ExecutionPlan) -> Vec<Option<LayerIoJob>> {
     plan_layer_jobs(hw, &plan.layers, &plan.preload).collect()
 }
@@ -137,9 +137,9 @@ impl CoRunnerLoad {
         Self::from_plan_striped(hw, plan, arrival, 0)
     }
 
-    /// [`CoRunnerLoad::from_plan_at`] placed on device-channel stripe
-    /// `stripe`, so the contended predictors route — and batch — this load
-    /// exactly where the IO scheduler's placement would.
+    /// [`CoRunnerLoad::from_plan_at`] on stripe `stripe`, where the IO
+    /// scheduler would place it, its jobs priced afresh ([`layer_io_jobs`]):
+    /// only the benchmark and the tests call it.
     pub fn from_plan_striped(
         hw: &HwProfile,
         plan: &ExecutionPlan,
@@ -177,14 +177,14 @@ impl EngagementLoad {
     }
 
     /// [`EngagementLoad::from_plan`] placed on device-channel stripe
-    /// `stripe` (see [`CoRunnerLoad::from_plan_striped`]).
+    /// `stripe`, holding the plan's [`ExecutionPlan::io_jobs`] by pointer.
     pub fn from_plan_striped(
         hw: &HwProfile,
         plan: &ExecutionPlan,
         arrival: SimTime,
         stripe: u16,
     ) -> Self {
-        let jobs = layer_io_jobs(hw, plan).into();
+        let jobs = plan.io_jobs.clone();
         Self { jobs, comp: hw.t_comp(plan.shape.width), arrival, stripe }
     }
 
@@ -194,22 +194,22 @@ impl EngagementLoad {
     }
 }
 
-/// Aligns an engagement's per-layer streaming flags with the completion
-/// times of its queue jobs, positionally: layer `k` takes the next
-/// completion when it streamed, `None` when it was preload-covered. Returns
-/// `None` on a count mismatch (an engagement that errored mid-stream has no
-/// coherent contended timeline). Both the predictive track and the measured
-/// replay go through here, so the layer↔job mapping cannot drift between
-/// them.
+/// Aligns an engagement's per-layer IO jobs ([`ExecutionPlan::io_jobs`])
+/// with the completion times of its queue jobs, positionally: layer `k`
+/// takes the next completion when it has a job, `None` when it was
+/// preload-covered. Returns `None` on a count mismatch (an engagement that
+/// errored mid-stream has no coherent contended timeline). Both the
+/// predictive track and the measured replay go through here, so the
+/// layer↔job mapping cannot drift between them.
 pub fn align_io_completions(
-    has_io: &[bool],
+    jobs: &[Option<LayerIoJob>],
     completions: impl ExactSizeIterator<Item = SimTime>,
 ) -> Option<Vec<Option<SimTime>>> {
-    if has_io.iter().filter(|&&has| has).count() != completions.len() {
+    if jobs.iter().flatten().count() != completions.len() {
         return None;
     }
     let mut next = completions;
-    Some(has_io.iter().map(|&has| has.then(|| next.next().expect("count checked above"))).collect())
+    Some(jobs.iter().map(|job| job.map(|_| next.next().expect("count checked above"))).collect())
 }
 
 /// The outcome of an SLO-aware planning search.

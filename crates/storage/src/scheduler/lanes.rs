@@ -130,11 +130,14 @@ impl PickLanes for Heads<'_> {
         self.0.keys().copied()
     }
 
-    fn head(&self, id: u64) -> Option<(LaneRead<'_, LayerRequest>, u64)> {
+    fn head(&self, id: u64) -> Option<LaneRead<'_, LayerRequest>> {
         let lane = self.0.get(&id).filter(|lane| !lane.inflight)?;
         let head = lane.pending.front()?;
-        let read = LaneRead { content: head, stripe: lane.stripe, arrival: lane.arrival };
-        Some((read, head.content_sig()))
+        Some(LaneRead { content: head, stripe: lane.stripe, arrival: lane.arrival })
+    }
+
+    fn sig(req: &LayerRequest) -> u64 {
+        req.content_sig()
     }
 
     fn take(&mut self, id: u64) -> SimTime {

@@ -198,7 +198,7 @@ fn check_case(fixture: &Differential, seed: u64, seen: &mut Seen) {
         // The predictor: the last lane against the others.
         let jobs: Vec<Vec<LayerIoJob>> = order
             .iter()
-            .map(|l| layer_io_jobs(hw, &plans[l.plan]).into_iter().flatten().collect())
+            .map(|l| plans[l.plan].io_jobs.iter().flatten().copied().collect())
             .collect();
         let mut mix = ServingMix::new(sharing).with_topology(topology);
         for (token, lane) in order[..order.len() - 1].iter().enumerate() {
@@ -218,10 +218,11 @@ fn check_case(fixture: &Differential, seed: u64, seen: &mut Seen) {
             .iter()
             .map(|lane| {
                 let channel = sched.channel_striped_at(lane.arrival, lane.stripe);
+                // A layer streams exactly when its plan priced it a job.
                 let plan = &plans[lane.plan];
-                for pl in &plan.layers {
-                    let items: Vec<(u16, Bitwidth)> = pl.streamed(&plan.preload).collect();
-                    if !items.is_empty() {
+                for (pl, job) in plan.layers.iter().zip(plan.io_jobs.iter()) {
+                    if job.is_some() {
+                        let items = pl.streamed(&plan.preload).collect();
                         channel.request(LayerRequest { layer: pl.layer, items }).unwrap();
                     }
                 }
@@ -259,9 +260,8 @@ fn check_case(fixture: &Differential, seed: u64, seen: &mut Seen) {
         }
         let replayed = sim.run();
 
-        let has_io: Vec<bool> = load.jobs.iter().map(Option::is_some).collect();
         let ends = replayed.completions_of(order.len() as u64 - 1);
-        let io_ends = align_io_completions(&has_io, ends.iter().map(|c| c.completion))
+        let io_ends = align_io_completions(&load.jobs, ends.iter().map(|c| c.completion))
             .expect("one logged job per streamed layer");
         let replay = contended_makespan(load.arrival, &io_ends, load.comp);
         assert_eq!(mix.predict(&load), replay, "{case}");

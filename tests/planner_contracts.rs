@@ -151,7 +151,10 @@ proptest! {
     /// oracle's timeline: the two-stage plan, the same plan over any prefix
     /// of its preload, and every Table 5 baseline (whose shape the oracle
     /// searches for too). Each plan's shape is its layers' count by their
-    /// width, and Load&Exec's makespan is the sequential one.
+    /// width, and Load&Exec's makespan is the sequential one. Each of them,
+    /// and the plan's preload moved off every other layer by the mix-aware
+    /// re-selection, keeps the IO jobs a fresh pricing derives
+    /// (`layer_io_jobs`).
     #[test]
     fn every_plan_predicts_the_oracle_timeline(
         bandwidth in 100u64..2000,
@@ -177,9 +180,20 @@ proptest! {
         for (p, preload) in [(&plan, &plan.preload), (&replanned, &prefix)] {
             prop_assert_eq!(&p.predicted, &oracle_prediction(&hw, &plan.layers, preload));
             prop_assert_eq!(p.shape, shape_of_layers(&p.layers));
+            prop_assert_eq!(&p.io_jobs[..], &layer_io_jobs(&hw, p)[..]);
+        }
+        let shared: std::collections::HashSet<u64> = plan
+            .layers
+            .iter()
+            .step_by(2)
+            .map(|pl| sti_device::content_sig(pl.layer, pl.items()))
+            .collect();
+        if let Some((moved, _)) = reallocate_preload_for_mix(&hw, &plan, &shared) {
+            prop_assert_eq!(&moved.io_jobs[..], &layer_io_jobs(&hw, &moved)[..]);
         }
         for baseline in Baseline::table5_lineup() {
             let p = baseline.plan(&hw, &importance, target, preload_kb << 10);
+            prop_assert_eq!(&p.io_jobs[..], &layer_io_jobs(&hw, &p)[..], "{}", baseline);
             let ((n, m), predicted) = oracle_baseline(&hw, baseline, &p, target);
             prop_assert_eq!(p.shape, SubmodelShape::new(n, m), "{}", baseline);
             prop_assert_eq!(p.shape, shape_of_layers(&p.layers), "{}", baseline);

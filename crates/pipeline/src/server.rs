@@ -220,7 +220,7 @@ impl Loads {
                 hw.t_comp(plan.shape.width),
             )),
         };
-        Self { jobs: plan.io_jobs.iter().flatten().copied().collect(), kind }
+        Self { jobs: CoRunnerLoad::from_plan(hw, plan).jobs, kind }
     }
 }
 

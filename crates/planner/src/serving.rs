@@ -74,7 +74,7 @@ pub struct LayerIoJob {
 /// stream, `None` for preload-covered ones; equal signatures across plans
 /// mean batchable jobs. The program reads the ones [`ExecutionPlan::new`]
 /// kept ([`ExecutionPlan::io_jobs`]); only the benchmark and the tests call
-/// this.
+/// this, the tests as the reference the kept jobs are compared against.
 pub fn layer_io_jobs(hw: &HwProfile, plan: &ExecutionPlan) -> Vec<Option<LayerIoJob>> {
     plan_layer_jobs(hw, &plan.layers, &plan.preload).collect()
 }
@@ -138,15 +138,15 @@ impl CoRunnerLoad {
     }
 
     /// [`CoRunnerLoad::from_plan_at`] on stripe `stripe`, where the IO
-    /// scheduler would place it, its jobs priced afresh ([`layer_io_jobs`]):
-    /// only the benchmark and the tests call it.
+    /// scheduler would place it: the plan's [`ExecutionPlan::io_jobs`] that
+    /// stream. `_hw` is unused; the plan priced its reads when it was built.
     pub fn from_plan_striped(
-        hw: &HwProfile,
+        _hw: &HwProfile,
         plan: &ExecutionPlan,
         arrival: SimTime,
         stripe: u16,
     ) -> Self {
-        Self { jobs: layer_io_jobs(hw, plan).into_iter().flatten().collect(), arrival, stripe }
+        Self { jobs: plan.io_jobs.iter().flatten().copied().collect(), arrival, stripe }
     }
 }
 

@@ -10,21 +10,30 @@
 # given) and built there, in `CARGO_TARGET_DIR` when it is set. The script
 # exits non-zero when a mutant survives (its test passes), when a test fails
 # unmutated, when a mutated tree does not compile, or when a fragment is
-# missing from its file or occurs more than once.
+# missing from its file or occurs more than once. Each entry's cargo output
+# goes to SCRATCH_DIR/logs/NAME.log, and its tail is printed whenever the
+# entry is not killed.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=${1:-$(mktemp -d)}
 copy="$work/tree"
+logs="$work/logs"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$work/target}"
 
-rm -rf "$copy"
-mkdir -p "$copy"
+rm -rf "$copy" "$logs"
+mkdir -p "$copy" "$logs"
 (cd "$root" && git ls-files -z --cached --others --exclude-standard | tar --null -T - -cf -) |
   tar -xf - -C "$copy"
 
 failed=0
 declare -A entry=()
+
+# Prints the tail of log $1 to stderr.
+show() {
+  echo "--- last 40 lines of $1:" >&2
+  tail -n 40 "$1" >&2
+}
 
 # `\n` in a value stands for a newline.
 unescape() { printf '%s' "${1//\\n/$'\n'}"; }
@@ -54,21 +63,24 @@ run_entry() {
     failed=1
     return
   fi
-  local start=$SECONDS verdict
+  local start=$SECONDS verdict log="$logs/$name.log"
   # The test must pass unmutated, or its failure would prove nothing.
   # shellcheck disable=SC2086 # `test` is a list of cargo arguments.
-  if ! (cd "$copy" && cargo test --offline --locked -q $test) >/dev/null 2>&1; then
+  if ! (cd "$copy" && cargo test --offline --locked -q $test) >"$log" 2>&1; then
     echo "$name: $test FAILS UNMUTATED" >&2
+    show "$log"
     failed=1
     return
   fi
   printf '%s' "${content/"$find"/"$replace"}" >"$path"
   # shellcheck disable=SC2086
-  if ! (cd "$copy" && cargo test --offline --locked -q $test --no-run) >/dev/null 2>&1; then
+  if ! (cd "$copy" && cargo test --offline --locked -q $test --no-run) >"$log" 2>&1; then
     verdict="DOES NOT COMPILE"
+    show "$log"
     failed=1
-  elif (cd "$copy" && cargo test --offline --locked -q $test) >/dev/null 2>&1; then
+  elif (cd "$copy" && cargo test --offline --locked -q $test) >"$log" 2>&1; then
     verdict="SURVIVED ($test passed)"
+    show "$log"
     failed=1
   else
     verdict="killed by $test"
@@ -78,7 +90,11 @@ run_entry() {
 }
 
 # Build the unmutated copy once, so each mutant rebuilds only what it touches.
-(cd "$copy" && cargo test --offline --locked -q --workspace --no-run) >/dev/null
+if ! (cd "$copy" && cargo test --offline --locked -q --workspace --no-run) >"$logs/build.log" 2>&1; then
+  echo "the unmutated tree does not build" >&2
+  show "$logs/build.log"
+  exit 1
+fi
 
 while IFS= read -r line || [[ -n $line ]]; do
   if [[ -z $line ]]; then

@@ -218,7 +218,8 @@ fn check_case(fixture: &Differential, seed: u64, seen: &mut Seen) {
             .iter()
             .map(|lane| {
                 let channel = sched.channel_striped_at(lane.arrival, lane.stripe);
-                // A layer streams exactly when its plan priced it a job.
+                // A copy of `PipelineExecutor::issue_on`'s loop: a layer
+                // streams exactly when its plan priced it a job.
                 let plan = &plans[lane.plan];
                 for (pl, job) in plan.layers.iter().zip(plan.io_jobs.iter()) {
                     if job.is_some() {

@@ -154,7 +154,13 @@ proptest! {
     /// width, and Load&Exec's makespan is the sequential one. Each of them,
     /// and the plan's preload moved off every other layer by the mix-aware
     /// re-selection, keeps the IO jobs a fresh pricing derives
-    /// (`layer_io_jobs`).
+    /// (`layer_io_jobs`). Both sides run the one pricing over the same
+    /// layers and preload, so this guards only against a builder that
+    /// changes a plan's public `layers` or `preload` after
+    /// `ExecutionPlan::new`. The independent check of the jobs (a job
+    /// exactly when a layer streams an item, each request's `content_sig`
+    /// its job's `sig`) is sti-pipeline's
+    /// `the_planner_the_scheduler_and_the_prefetcher_agree_on_what_streams`.
     #[test]
     fn every_plan_predicts_the_oracle_timeline(
         bandwidth in 100u64..2000,
